@@ -6,12 +6,8 @@
 //	mrbench [-full|-quick] [-trace] [experiment ...]
 //
 // Experiments: table1 table2 fig3 fig4a fig4b fig4c fig5 fig6
-// ablation-commitwait ablation-nonvoters ablation-survivability batch
-// elastic speed all (default: all).
-//
-// batch compares the batched per-range KV dispatch against a per-key RPC
-// ablation on a multi-region INSERT + cross-range scan workload and writes
-// the comparison to BENCH_batch.json.
+// ablation-commitwait ablation-nonvoters ablation-survivability elastic
+// all (default: all).
 //
 // elastic runs the dynamic scenarios (follow-the-sun region rotation,
 // migrating hotspot, online region add/drop) against the load-based
@@ -29,13 +25,9 @@
 // non-GLOBAL variant shows a commit-wait span above the gate — the CI
 // smoke that commit-waits never leak into REGIONAL transactions.
 //
-// speed runs the wall-clock scheduler benchmark (sim micro-workloads plus
-// MovR/TPC-C steady state, each on the legacy and optimized schedulers) and
-// writes BENCH_speed.json. Combine with -cpuprofile/-memprofile to see
-// where the simulator itself spends real time.
-//
 // -cpuprofile FILE / -memprofile FILE write pprof profiles covering the
-// selected experiments.
+// selected experiments. Wall-clock cost itself is measured by
+// `go run ./benchmark`, not here.
 package main
 
 import (
@@ -127,14 +119,12 @@ func run() int {
 		"ablation-survivability": func(w io.Writer) error {
 			return bench.AblationSurvivability(w, scale)
 		},
-		"batch":   func(w io.Writer) error { return bench.Batch(w, scale) },
 		"elastic": func(w io.Writer) error { return bench.Elastic(w, scale) },
-		"speed":   func(w io.Writer) error { return bench.Speed(w, scale) },
 	}
 	order := []string{
 		"table1", "table2", "fig3", "fig4a", "fig4b", "fig4c", "fig5", "fig6",
 		"ablation-commitwait", "ablation-nonvoters", "ablation-survivability",
-		"batch", "elastic", "speed",
+		"elastic",
 	}
 
 	var toRun []string

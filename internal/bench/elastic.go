@@ -30,6 +30,8 @@ var ExportDir = ""
 // of the recovery.
 const elasticGate = 1.5
 
+func msf(d sim.Duration) float64 { return float64(d) / float64(sim.Millisecond) }
+
 // elasticWindow is one point of the latency trajectory.
 type elasticWindow struct {
 	StartSec float64 `json:"start_sec"`
@@ -139,16 +141,15 @@ func convergence(names []string, wr *workload.WindowedRecorder, starts []sim.Tim
 // layer with real memory weight.
 func elasticCluster(seed int64, lc kv.LoadConfig) *cluster.Cluster {
 	return cluster.New(cluster.Config{
-		Seed:           seed,
-		Regions:        cluster.ThreeRegions(),
-		MaxOffset:      250 * sim.Millisecond,
-		Jitter:         0.02,
-		LoadBased:      true,
-		Load:           lc,
-		Tracing:        ExportDir != "",
-		Sampling:       true,
-		SampleInterval: 1 * sim.Second,
-		SampleBucket:   5 * sim.Second,
+		Seed:         seed,
+		Regions:      cluster.ThreeRegions(),
+		MaxOffset:    250 * sim.Millisecond,
+		Jitter:       0.02,
+		LoadBased:    true,
+		Load:         lc,
+		Tracing:      ExportDir != "",
+		Sampling:     true,
+		SampleBucket: 5 * sim.Second,
 	})
 }
 

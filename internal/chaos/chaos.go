@@ -218,9 +218,8 @@ func Run(opts Options) (*Report, error) {
 		// Sampling feeds the virtual-time timeseries store; like tracing it is
 		// read-only over the schedule, so the fault timeline is unchanged.
 		// 2s rollup buckets resolve individual fault windows (mean hold 4s).
-		Sampling:       true,
-		SampleInterval: 1 * sim.Second,
-		SampleBucket:   2 * sim.Second,
+		Sampling:     true,
+		SampleBucket: 2 * sim.Second,
 		// Elastic runs add the load-based split/merge/rebalance queue, tuned
 		// hot enough that the chaos-scale traffic actually triggers it.
 		LoadBased: opts.Elastic,

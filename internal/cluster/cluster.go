@@ -33,33 +33,21 @@ type Config struct {
 	// closed-timestamp lead of GLOBAL ranges. Default 250ms (the paper's
 	// CRDB Dedicated default).
 	MaxOffset sim.Duration
-	// SkewSpread bounds the actual per-node clock skew: each node's
-	// clock is offset by a deterministic value in [-SkewSpread/2,
-	// +SkewSpread/2]. Real deployments keep actual skew far below the
-	// configured maximum; default 2ms.
-	SkewSpread sim.Duration
 	// RTT, if non-nil, overrides the default Table 1 inter-region RTT
 	// matrix.
 	RTT map[[2]simnet.Region]sim.Duration
 	// Jitter is the network latency jitter fraction; default 0.03.
 	Jitter float64
-	// CloseLag overrides the lagging closed-timestamp interval.
-	CloseLag sim.Duration
 	// GCTTL, when non-zero, starts the MVCC garbage-collection loop on
 	// every store with this version time-to-live.
 	GCTTL sim.Duration
-	// AutoSplitKeys, when non-zero, starts the split queue: ranges whose
-	// leaseholder holds more live keys are divided.
-	AutoSplitKeys int
-	// SplitQueueInterval overrides the size-based split queue's cadence
-	// (default 5s).
-	SplitQueueInterval sim.Duration
-	// LoadBased enables the load-based allocator: per-range QPS tracking
-	// fed by every DistSender, plus the split/merge/rebalance queue that
-	// splits hot ranges at a load-weighted key, merges cold neighbors, and
+	// LoadBased enables the allocator loop: per-range QPS tracking fed by
+	// every DistSender, plus the split/merge/rebalance queue that splits
+	// hot ranges at a load-weighted key (and, with Load.SplitKeys set,
+	// oversized ranges at their middle key), merges cold neighbors, and
 	// moves leases and replicas toward traffic.
 	LoadBased bool
-	// Load tunes the load-based queue (zero fields take defaults).
+	// Load tunes the allocator loop (zero fields take defaults).
 	Load kv.LoadConfig
 	// Tracing enables span recording from the start. Tracing is purely
 	// passive over virtual time — it never changes the simulation schedule
@@ -68,34 +56,26 @@ type Config struct {
 	Tracing bool
 	// Sampling starts the virtual-time timeseries store (internal/obs/tsdb)
 	// and its samplers: one lightweight proc per node snapshots that node's
-	// state (replicas, leases held, liveness) every SampleInterval, and the
+	// state (replicas, leases held, liveness) every sampleInterval, and the
 	// lowest-numbered node's sampler additionally snapshots every
 	// cluster-wide registry metric under node 0. Sampling only reads state —
 	// it is zero-cost in virtual time, pinned by the metamorphic tests.
 	Sampling bool
-	// SampleInterval overrides the sampling cadence (default 1s virtual).
-	SampleInterval sim.Duration
-	// SampleBucket overrides the tsdb rollup bucket width (default 10s).
+	// SampleBucket overrides the tsdb rollup bucket width (default 10s);
+	// each series retains tsdb.DefaultCapacity buckets.
 	SampleBucket sim.Duration
-	// SampleBuckets overrides the per-series ring capacity (default 720
-	// buckets — 2h of retention at the default width).
-	SampleBuckets int
 	// Durability gives every node a simulated disk: Raft state persists
 	// through checksummed WALs (with fsync latency on the virtual clock),
 	// checkpoints truncate the logs, and Cluster.CrashNode/RestartNode
 	// model honest power loss plus recovery from disk. Off by default so
 	// the in-memory fast path (and its golden outputs) stays untouched.
 	Durability bool
-	// CheckpointInterval overrides the checkpoint/truncation cadence of
-	// durable stores (default kv.DefaultCheckpointInterval).
-	CheckpointInterval sim.Duration
-	// LegacyScheduler runs the cluster on the pre-optimization simulator
-	// scheduler (boxed event heap, closure wakes, unpooled goroutines).
-	// Virtual-time behavior is identical either way; this exists so the
-	// `mrbench speed` harness can measure wall-clock before/after on the
-	// same hardware in the same process.
-	LegacyScheduler bool
 }
+
+// skewSpread bounds the actual per-node clock skew: each node's clock is
+// offset by a deterministic value in [-skewSpread/2, +skewSpread/2]. Real
+// deployments keep actual skew far below the configured maximum.
+const skewSpread = 2 * sim.Millisecond
 
 // Cluster is a running simulated deployment.
 type Cluster struct {
@@ -164,16 +144,10 @@ func New(cfg Config) *Cluster {
 	if cfg.MaxOffset == 0 {
 		cfg.MaxOffset = 250 * sim.Millisecond
 	}
-	if cfg.SkewSpread == 0 {
-		cfg.SkewSpread = 2 * sim.Millisecond
-	}
 	if cfg.Jitter == 0 {
 		cfg.Jitter = 0.03
 	}
 	s := sim.New(cfg.Seed)
-	if cfg.LegacyScheduler {
-		s = sim.NewLegacy(cfg.Seed)
-	}
 	topo := simnet.NewTable1Topology()
 	if cfg.RTT != nil {
 		topo.RTT = cfg.RTT
@@ -212,12 +186,9 @@ func New(cfg Config) *Cluster {
 			for n := 0; n < rs.NodesPerZone; n++ {
 				topo.AddNode(id, simnet.Locality{Region: rs.Name, Zone: zone})
 				// Deterministic skew in [-spread/2, +spread/2].
-				skew := sim.Duration(s.Rand().Int63n(int64(cfg.SkewSpread))) - cfg.SkewSpread/2
+				skew := sim.Duration(s.Rand().Int63n(int64(skewSpread))) - skewSpread/2
 				clock := hlc.NewClock(hlc.SimWallSource{Sim: s, Skew: skew}, cfg.MaxOffset)
 				st := kv.NewStore(id, s, c.Net, topo, clock, c.Registry)
-				if cfg.CloseLag != 0 {
-					st.CloseLag = cfg.CloseLag
-				}
 				st.Catalog = c.Catalog
 				st.Obs = c.Tracer
 				st.Contention = c.Contention
@@ -230,7 +201,7 @@ func New(cfg Config) *Cluster {
 				}
 				st.StartLiveness(c.Liveness)
 				if cfg.Durability {
-					st.StartCheckpoints(cfg.CheckpointInterval)
+					st.StartCheckpoints(kv.DefaultCheckpointInterval)
 				}
 				c.Stores[id] = st
 				c.Senders[id] = &kv.DistSender{
@@ -251,15 +222,12 @@ func New(cfg Config) *Cluster {
 			c.Stores[id].StartGCLoop(cfg.GCTTL)
 		}
 	}
-	if cfg.AutoSplitKeys > 0 {
-		c.Admin.StartSplitQueue(cfg.AutoSplitKeys, cfg.SplitQueueInterval)
-	}
 	if cfg.LoadBased {
 		c.Admin.StartLoadQueue(cfg.Load)
 	}
 	if cfg.Sampling {
-		c.TSDB = tsdb.New(cfg.SampleBucket, cfg.SampleBuckets)
-		c.startSamplers(cfg.SampleInterval)
+		c.TSDB = tsdb.New(cfg.SampleBucket, tsdb.DefaultCapacity)
+		c.startSamplers()
 	}
 	return c
 }

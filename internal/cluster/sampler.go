@@ -7,7 +7,7 @@ import (
 
 // This file wires the virtual-time timeseries store (internal/obs/tsdb)
 // into the cluster: one sampler per node, driven by the sim clock,
-// snapshots state into ring-buffered rollup series every SampleInterval.
+// snapshots state into ring-buffered rollup series every sampleInterval.
 //
 // Samplers only read — they never sleep inside a callback, schedule extra
 // work, or touch the simulation RNG — so sampling on versus off cannot
@@ -20,16 +20,12 @@ import (
 // node's sampler snapshots it exactly once per tick under the reserved
 // node 0.
 
-// DefaultSampleInterval is the sampling cadence when Config.SampleInterval
-// is zero: one snapshot per virtual second.
-const DefaultSampleInterval = 1 * sim.Second
+// sampleInterval is the sampling cadence: one snapshot per virtual second.
+const sampleInterval = 1 * sim.Second
 
 // startSamplers starts one ticker per node. Tickers are registered in
 // ascending node order, so same-instant ticks fire deterministically.
-func (c *Cluster) startSamplers(interval sim.Duration) {
-	if interval <= 0 {
-		interval = DefaultSampleInterval
-	}
+func (c *Cluster) startSamplers() {
 	nodes := c.Topo.Nodes()
 	if len(nodes) == 0 {
 		return
@@ -37,7 +33,7 @@ func (c *Cluster) startSamplers(interval sim.Duration) {
 	first := nodes[0]
 	for _, id := range nodes {
 		id := id
-		c.Sim.Ticker(interval, func() { c.sampleNode(id, id == first) })
+		c.Sim.Ticker(sampleInterval, func() { c.sampleNode(id, id == first) })
 	}
 }
 

@@ -4,18 +4,21 @@ import (
 	"fmt"
 	"testing"
 
+	"mrdb/internal/kv"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
 )
 
-// TestSplitQueue verifies the background split queue divides oversized
-// ranges and that data and routing stay correct afterwards.
+// TestSplitQueue verifies the allocator loop's size trigger divides
+// oversized ranges, records every such split in both the aggregate and the
+// per-range decision counters, never merges the halves back (no split/merge
+// flapping), and that data and routing stay correct afterwards.
 func TestSplitQueue(t *testing.T) {
 	c := New(Config{Seed: 61, Regions: ThreeRegions(), MaxOffset: 250 * sim.Millisecond})
 	regionalRange(t, c, "q")
-	stop := c.Admin.StartSplitQueue(20, 2*sim.Second)
+	stop := c.Admin.StartLoadQueue(kv.LoadConfig{SplitKeys: 20, Interval: 2 * sim.Second})
 	defer stop()
 	key := func(i int) mvcc.Key { return mvcc.Key(fmt.Sprintf("q/%04d", i)) }
 	c.Sim.Spawn("test", func(p *sim.Proc) {
@@ -43,6 +46,26 @@ func TestSplitQueue(t *testing.T) {
 		}
 		if c.Catalog.Len() < 3 {
 			t.Errorf("catalog has %d ranges", c.Catalog.Len())
+		}
+		if c.Admin.LoadSplits != 0 {
+			t.Errorf("%d load-based splits with no load tracked, want 0", c.Admin.LoadSplits)
+		}
+		// Size splits show up in mrdb_internal.ranges' decisions column.
+		var decided int64
+		for _, d := range c.Catalog.All() {
+			decided += c.Admin.Decisions(d.RangeID).Splits
+		}
+		if decided != c.Admin.Splits {
+			t.Errorf("per-range decisions record %d splits, Admin.Splits = %d", decided, c.Admin.Splits)
+		}
+		// Cold tail: every range is idle, so the merge step considers each
+		// adjacent pair; the size guard must refuse to rebuild a range that
+		// would split again.
+		splits, ranges := c.Admin.Splits, c.Catalog.Len()
+		p.Sleep(60 * sim.Second)
+		if c.Admin.Merges != 0 || c.Admin.Splits != splits || c.Catalog.Len() != ranges {
+			t.Errorf("split/merge flapping over the cold tail: merges=%d splits %d -> %d ranges %d -> %d",
+				c.Admin.Merges, splits, c.Admin.Splits, ranges, c.Catalog.Len())
 		}
 		// Every key still readable and writable.
 		for i := 0; i < n; i++ {

@@ -27,18 +27,15 @@ type Admin struct {
 	// queue consults (the DistSenders feed it).
 	Load *RangeLoadTracker
 
-	// Splits counts ranges divided by the size-based split queue.
-	Splits int64
-	// Aggregate load-queue decision counters.
+	// Aggregate allocator-loop decision counters: Splits counts size-based
+	// splits (LoadConfig.SplitKeys), LoadSplits load-based ones.
+	Splits       int64
 	LoadSplits   int64
 	Merges       int64
 	LeaseMoves   int64
 	ReplicaMoves int64
 
-	// splitMaxKeys remembers the size-based split threshold so the merge
-	// path refuses merges that would immediately re-split on size.
-	splitMaxKeys int
-	// decisions holds per-range load-queue decision counts.
+	// decisions holds per-range allocator-loop decision counts.
 	decisions map[RangeID]*RangeDecisions
 }
 
@@ -407,49 +404,6 @@ func (a *Admin) alignLeadership(p *sim.Proc, desc *RangeDescriptor) error {
 		p.Sleep(10 * sim.Millisecond)
 	}
 	return fmt.Errorf("kv: range %d leadership did not align with lease on n%d", desc.RangeID, desc.Leaseholder)
-}
-
-// StartSplitQueue runs a background loop (CockroachDB's split queue) that
-// splits any range whose leaseholder holds more than maxKeys live keys. It
-// returns a stop function.
-func (a *Admin) StartSplitQueue(maxKeys int, interval sim.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 5 * sim.Second
-	}
-	a.splitMaxKeys = maxKeys
-	running := false
-	return a.Sim.Ticker(interval, func() {
-		if running {
-			return
-		}
-		running = true
-		a.Sim.Spawn("kv/split-queue", func(p *sim.Proc) {
-			defer func() { running = false }()
-			for _, d := range a.Catalog.All() {
-				st, ok := a.Stores[d.Leaseholder]
-				if !ok {
-					continue
-				}
-				r, ok := st.Replica(d.RangeID)
-				if !ok || !r.raft.IsLeader() {
-					continue
-				}
-				if r.engine.KeyCountInSpan(d.StartKey, d.EndKey) <= maxKeys {
-					continue
-				}
-				mid, ok := r.engine.ApproxMiddleKey(d.StartKey, d.EndKey)
-				if !ok {
-					continue
-				}
-				if _, err := a.SplitRange(p, d.RangeID, mid); err != nil {
-					// Benign: the range may be mid-reconfiguration;
-					// the next tick retries.
-					continue
-				}
-				a.Splits++
-			}
-		})
-	})
 }
 
 // GatewayTxn constructs the coordinator-side Txn state for a transaction

@@ -48,12 +48,6 @@ type DistSender struct {
 	// charged once, attributed to this gateway's region. Optional; nil-safe.
 	Load *RangeLoadTracker
 
-	// PerKeyDispatch is an ablation knob: dispatch one request per RPC,
-	// sequentially, and walk multi-range scans one range at a time via
-	// resume keys instead of fanning out. It models the pre-batching
-	// dispatch so benchmarks can isolate what batching buys.
-	PerKeyDispatch bool
-
 	// Stats.
 	Sent             int64
 	Retries          int64
@@ -307,18 +301,10 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 		groups[gid].idxs = append(groups[gid].idxs, int32(i))
 		routable++
 	}
-	dispatch := func(dp *sim.Proc, idxs []int32, sub []interface{}) {
-		if sub == nil {
-			sub = make([]interface{}, len(idxs))
-			for j, i := range idxs {
-				sub[j] = reqs[i]
-			}
-		}
-		if ds.PerKeyDispatch {
-			for j, r := range sub {
-				resps[idxs[j]] = ds.sendToRange(dp, []interface{}{r}, depth)[0]
-			}
-			return
+	dispatch := func(dp *sim.Proc, idxs []int32) {
+		sub := make([]interface{}, len(idxs))
+		for j, i := range idxs {
+			sub[j] = reqs[i]
 		}
 		out := ds.sendToRange(dp, sub, depth)
 		for j, i := range idxs {
@@ -328,21 +314,11 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 	switch {
 	case len(groups) == 1 && routable == len(reqs):
 		// Single range, every request routable: the sub-batch is the batch.
-		if ds.PerKeyDispatch {
-			dispatch(p, groups[0].idxs, reqs)
-			break
-		}
 		out := ds.sendToRange(p, reqs, depth)
 		copy(resps, out)
 	case len(groups) <= 1:
 		if len(groups) == 1 {
-			dispatch(p, groups[0].idxs, nil)
-		}
-	case ds.PerKeyDispatch:
-		// Ablation: sequential per-range (and per-key) dispatch, so the
-		// virtual latency is the sum over ranges.
-		for g := range groups {
-			dispatch(p, groups[g].idxs, nil)
+			dispatch(p, groups[0].idxs)
 		}
 	default:
 		parent := obs.ProcSpan(p)
@@ -353,7 +329,7 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 			p.Sim().Spawn("ds/batch-range", func(wp *sim.Proc) {
 				obs.SetProcSpan(wp, parent)
 				defer wg.Done()
-				dispatch(wp, idxs, nil)
+				dispatch(wp, idxs)
 			})
 		}
 		wg.Wait(p)
@@ -584,10 +560,6 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 			}
 			descs = []*RangeDescriptor{d}
 		}
-		if ds.PerKeyDispatch && len(descs) > 1 {
-			// Ablation: walk one range at a time via resume keys.
-			descs = descs[:1]
-		}
 		subs := make([]interface{}, len(descs))
 		var lastEnd mvcc.Key
 		for i, d := range descs {
@@ -661,8 +633,8 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 			continue
 		}
 		// All dispatched sub-scans completed. If the catalog's coverage
-		// stopped short of the requested span (or the ablation only took
-		// the first range), continue from the last covered key.
+		// stopped short of the requested span, continue from the last
+		// covered key.
 		if lastEnd != nil && (req.EndKey == nil || bytes.Compare(lastEnd, req.EndKey) < 0) {
 			cursor = lastEnd
 			continue

@@ -10,7 +10,7 @@ import (
 	"mrdb/internal/zones"
 )
 
-// LoadConfig tunes the load-based split/merge/rebalance queue. Zero fields
+// LoadConfig tunes the allocator loop (split/merge/rebalance). Zero fields
 // take defaults.
 type LoadConfig struct {
 	// Interval is the queue cadence (default 10s).
@@ -25,13 +25,21 @@ type LoadConfig struct {
 	// MergeTicks is how many consecutive cold ticks BOTH neighbors need
 	// before merging — hysteresis against split/merge flapping (default 3).
 	MergeTicks int
-	// LeaseShare is the single-region traffic fraction that attracts the
-	// lease (default 0.66).
-	LeaseShare float64
-	// LeaseTicks is how many consecutive ticks the same region must
-	// dominate before the lease (or a replica) moves (default 2).
-	LeaseTicks int
+	// SplitKeys, when non-zero, is the live key count above which a range
+	// splits at its middle key regardless of load (CockroachDB's size-based
+	// split queue); merges that would exceed it are refused. Zero disables
+	// size-based splitting.
+	SplitKeys int
 }
+
+const (
+	// leaseShare is the single-region traffic fraction that attracts the
+	// lease.
+	leaseShare = 0.66
+	// leaseTicks is how many consecutive ticks the same region must
+	// dominate before the lease (or a replica) moves.
+	leaseTicks = 2
+)
 
 func (lc LoadConfig) withDefaults() LoadConfig {
 	if lc.Interval <= 0 {
@@ -49,16 +57,10 @@ func (lc LoadConfig) withDefaults() LoadConfig {
 	if lc.MergeTicks <= 0 {
 		lc.MergeTicks = 3
 	}
-	if lc.LeaseShare <= 0 {
-		lc.LeaseShare = 0.66
-	}
-	if lc.LeaseTicks <= 0 {
-		lc.LeaseTicks = 2
-	}
 	return lc
 }
 
-// RangeDecisions counts the load queue's actions on one range; surfaced
+// RangeDecisions counts the allocator loop's actions on one range; surfaced
 // through mrdb_internal.ranges.
 type RangeDecisions struct {
 	Splits, Merges, LeaseMoves, ReplicaMoves int64
@@ -69,7 +71,7 @@ func (d RangeDecisions) String() string {
 		d.Splits, d.Merges, d.LeaseMoves, d.ReplicaMoves)
 }
 
-// Decisions returns the load queue's decision counts for a range.
+// Decisions returns the allocator loop's decision counts for a range.
 func (a *Admin) Decisions(id RangeID) RangeDecisions {
 	if d, ok := a.decisions[id]; ok {
 		return *d
@@ -238,9 +240,10 @@ func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
 	return nil
 }
 
-// StartLoadQueue runs the load-based allocator loop: split hot ranges at a
-// load-weighted key, merge cold adjacent ranges, and move leases and
-// replicas toward traffic while honoring zone configs. It returns a stop
+// StartLoadQueue runs the allocator loop: split oversized ranges at their
+// middle key (when lc.SplitKeys is set) and hot ranges at a load-weighted
+// key, merge cold adjacent ranges, and move leases and replicas toward
+// traffic while honoring zone configs. It returns a stop
 // function. All decisions run on the virtual clock over deterministic
 // traffic accounting, so same-seed runs make identical decisions.
 func (a *Admin) StartLoadQueue(lc LoadConfig) (stop func()) {
@@ -265,25 +268,33 @@ func (a *Admin) StartLoadQueue(lc LoadConfig) (stop func()) {
 }
 
 func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[RangeID]int, hotRegion map[RangeID]simnet.Region) {
-	// 1. Split hot ranges at the load-weighted key.
+	// 1. Split oversized ranges at the middle key, hot ranges at the
+	// load-weighted key.
 	for _, d := range a.Catalog.All() {
-		if a.Load.QPS(d.RangeID) <= lc.SplitQPS {
-			continue
+		key := a.sizeSplitKey(d, lc.SplitKeys)
+		bySize := key != nil
+		if !bySize && a.Load.QPS(d.RangeID) > lc.SplitQPS {
+			// Nil when all samples sit on one key: splitting cannot spread
+			// that load.
+			key = a.Load.SplitKey(d.RangeID, d.StartKey, d.EndKey)
 		}
-		key := a.Load.SplitKey(d.RangeID, d.StartKey, d.EndKey)
 		if key == nil {
-			// All samples on one key: splitting cannot spread that load.
 			continue
 		}
 		if _, err := a.SplitRange(p, d.RangeID, key); err != nil {
 			// Benign: the range may be mid-reconfiguration; retry next tick.
 			continue
 		}
-		// Both halves restart accounting so the stale pre-split rate
-		// cannot immediately re-trigger a split.
+		// Both halves restart accounting (the right half under its fresh
+		// range ID) so the stale pre-split rate cannot immediately
+		// re-trigger a split.
 		a.Load.Forget(d.RangeID)
 		delete(coldTicks, d.RangeID)
-		a.LoadSplits++
+		if bySize {
+			a.Splits++
+		} else {
+			a.LoadSplits++
+		}
 		a.bumpDecision(d.RangeID, func(rd *RangeDecisions) { rd.Splits++ })
 	}
 
@@ -311,7 +322,7 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 		if cl.Policy != cr.Policy || !a.configsMergeable(cl.RangeID, cr.RangeID) {
 			continue
 		}
-		if a.splitMaxKeys > 0 && a.mergedKeyCount(cl, cr) > a.splitMaxKeys {
+		if lc.SplitKeys > 0 && a.mergedKeyCount(cl, cr) > lc.SplitKeys {
 			// The merged range would immediately re-split on size.
 			continue
 		}
@@ -327,7 +338,7 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 	// 3. Move leases (and, when needed, replicas) toward traffic.
 	for _, d := range a.Catalog.All() {
 		shares := a.Load.RegionShares(d.RangeID)
-		if len(shares) == 0 || shares[0].Share < lc.LeaseShare {
+		if len(shares) == 0 || shares[0].Share < leaseShare {
 			hotTicks[d.RangeID] = 0
 			continue
 		}
@@ -338,7 +349,7 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 		} else {
 			hotTicks[d.RangeID]++
 		}
-		if hotTicks[d.RangeID] < lc.LeaseTicks {
+		if hotTicks[d.RangeID] < leaseTicks {
 			continue
 		}
 		cur, ok := a.Catalog.LookupByID(d.RangeID)
@@ -384,6 +395,22 @@ func regionInPrefs(r simnet.Region, prefs []simnet.Region) bool {
 		}
 	}
 	return false
+}
+
+// sizeSplitKey returns the middle key of a range whose leaseholder holds
+// more than maxKeys live keys; nil when size-based splitting is off
+// (maxKeys == 0), the range is small enough, or its leaseholder is not
+// currently leading.
+func (a *Admin) sizeSplitKey(d *RangeDescriptor, maxKeys int) mvcc.Key {
+	if maxKeys <= 0 {
+		return nil
+	}
+	r, err := a.leaseholderReplica(d.RangeID)
+	if err != nil || !r.raft.IsLeader() || r.engine.KeyCountInSpan(d.StartKey, d.EndKey) <= maxKeys {
+		return nil
+	}
+	mid, _ := r.engine.ApproxMiddleKey(d.StartKey, d.EndKey)
+	return mid
 }
 
 // mergedKeyCount estimates the live key count of a merged pair.

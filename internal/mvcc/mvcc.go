@@ -484,7 +484,7 @@ func (e *Engine) MinIntentTS(start, end Key) (hlc.Timestamp, bool) {
 }
 
 // ApproxMiddleKey returns the median live key in [start, end), if the span
-// holds at least two keys; the split point chosen by the split queue.
+// holds at least two keys; the allocator loop's size-based split point.
 func (e *Engine) ApproxMiddleKey(start, end Key) (Key, bool) {
 	n := e.KeyCountInSpan(start, end)
 	if n < 2 {

@@ -16,8 +16,7 @@ func benchEventQueue(b *testing.B, s *Simulation) {
 	s.Run()
 }
 
-func BenchmarkEventQueue(b *testing.B)       { benchEventQueue(b, New(1)) }
-func BenchmarkEventQueueLegacy(b *testing.B) { benchEventQueue(b, NewLegacy(1)) }
+func BenchmarkEventQueue(b *testing.B) { benchEventQueue(b, New(1)) }
 
 // benchSpawnFanOut measures proc spawn/join overhead: each iteration spawns
 // a batch of procs that sleep once and rejoin through a WaitGroup — the
@@ -43,8 +42,7 @@ func benchSpawnFanOut(b *testing.B, s *Simulation) {
 	s.Run()
 }
 
-func BenchmarkSpawnFanOut(b *testing.B)       { benchSpawnFanOut(b, New(1)) }
-func BenchmarkSpawnFanOutLegacy(b *testing.B) { benchSpawnFanOut(b, NewLegacy(1)) }
+func BenchmarkSpawnFanOut(b *testing.B) { benchSpawnFanOut(b, New(1)) }
 
 // BenchmarkScheduleDrain measures bare callback scheduling: b.N events
 // pushed onto the queue, then drained in one Run.

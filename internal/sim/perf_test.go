@@ -1,6 +1,10 @@
 package sim
 
 import (
+	"container/heap"
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
 	"runtime"
 	"testing"
 	"time"
@@ -9,8 +13,7 @@ import (
 // schedulerWorkload drives a randomized mix of every scheduler feature —
 // sleeps, mailbox rendezvous, futures, waitgroup fan-outs, bare callbacks —
 // and records the (virtual time, kind) of every observed step plus the
-// consumer-side message trace. Used to pin the optimized scheduler against
-// the legacy arm event-for-event.
+// consumer-side message trace. TestScheduleGolden hashes both.
 func schedulerWorkload(s *Simulation) (steps []Time, trace []Time) {
 	s.stepHook = func(at Time) { steps = append(steps, at) }
 	m := NewMailbox[int](s)
@@ -55,34 +58,104 @@ func schedulerWorkload(s *Simulation) (steps []Time, trace []Time) {
 	return steps, trace
 }
 
-// TestLegacySchedulerEquivalence pins the optimized scheduler (value-event
-// 4-ary heap, direct proc wakes, pooled goroutines, self-wake fast path)
-// against the retained legacy scheduler: both must execute the identical
-// event sequence at identical virtual times for the same seed. Any
-// optimization that perturbs event order fails here before it can corrupt a
-// span-hash oracle downstream.
-func TestLegacySchedulerEquivalence(t *testing.T) {
-	for _, seed := range []int64{1, 7, 42, 999} {
-		newSteps, newTrace := schedulerWorkload(New(seed))
-		legSteps, legTrace := schedulerWorkload(NewLegacy(seed))
-		if len(newSteps) != len(legSteps) {
-			t.Fatalf("seed %d: step counts differ: optimized %d vs legacy %d",
-				seed, len(newSteps), len(legSteps))
+// scheduleHash is FNV-1a over the step times followed by the consumer trace,
+// each as 8 little-endian bytes.
+func scheduleHash(steps, trace []Time) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, ts := range [][]Time{steps, trace} {
+		for _, t := range ts {
+			binary.LittleEndian.PutUint64(b[:], uint64(t))
+			h.Write(b[:])
 		}
-		for i := range newSteps {
-			if newSteps[i] != legSteps[i] {
-				t.Fatalf("seed %d: step %d diverged: optimized %v vs legacy %v",
-					seed, i, newSteps[i], legSteps[i])
-			}
+	}
+	return h.Sum64()
+}
+
+// TestScheduleGolden pins the scheduler (value-event 4-ary heap, direct proc
+// wakes, pooled goroutines, self-wake fast path) to the event sequence the
+// original boxed container/heap scheduler executed: the hashes were captured
+// at the last commit that carried both, where the two agreed step for step
+// on every seed. Any optimization that perturbs event order fails here
+// before it can corrupt a span-hash oracle downstream.
+func TestScheduleGolden(t *testing.T) {
+	for _, g := range []struct {
+		seed int64
+		hash uint64
+	}{
+		{1, 0x570e0d51446c66df},
+		{7, 0x9496df31e0a45885},
+		{42, 0x36ce29a5d2d9d1eb},
+		{999, 0xefe1a6058a88b871},
+	} {
+		steps, trace := schedulerWorkload(New(g.seed))
+		if len(trace) != 96 {
+			t.Fatalf("seed %d: consumer saw %d messages, want 96", g.seed, len(trace))
 		}
-		if len(newTrace) != len(legTrace) {
-			t.Fatalf("seed %d: trace lengths differ: %d vs %d", seed, len(newTrace), len(legTrace))
+		if got := scheduleHash(steps, trace); got != g.hash {
+			t.Errorf("seed %d: schedule hash %#016x over %d steps, want %#016x",
+				g.seed, got, len(steps), g.hash)
 		}
-		for i := range newTrace {
-			if newTrace[i] != legTrace[i] {
-				t.Fatalf("seed %d: trace %d diverged: %v vs %v", seed, i, newTrace[i], legTrace[i])
-			}
+	}
+}
+
+// refEvent and refHeap are the reference model for the event queue: boxed
+// (at, seq) entries behind container/heap, the shape the scheduler's first
+// queue had.
+type refEvent struct {
+	at  Time
+	seq int64
+}
+
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x interface{}) { *h = append(*h, x.(refEvent)) }
+func (h *refHeap) Pop() interface{} {
+	old := *h
+	e := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return e
+}
+
+// TestFourAryHeapMatchesReference drives 10k randomized pushes and pops of
+// (at, seq) events — many sharing a timestamp, so the seq tie-break matters —
+// through fourAryHeap and through the container/heap model, and requires the
+// identical pop order.
+func TestFourAryHeapMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var q fourAryHeap
+	var ref refHeap
+	var seq int64
+	pop := func(op int) {
+		got, want := q.pop(), heap.Pop(&ref).(refEvent)
+		if got.at != want.at || got.seq != want.seq {
+			t.Fatalf("op %d: popped (%d, %d), reference popped (%d, %d)",
+				op, got.at, got.seq, want.at, want.seq)
 		}
+	}
+	for op := 0; op < 10000; op++ {
+		if len(q) != ref.Len() {
+			t.Fatalf("op %d: %d queued, reference holds %d", op, len(q), ref.Len())
+		}
+		if len(q) == 0 || rng.Intn(5) < 3 {
+			seq++
+			at := Time(rng.Intn(64))
+			q.push(event{at: at, seq: seq})
+			heap.Push(&ref, refEvent{at: at, seq: seq})
+			continue
+		}
+		pop(op)
+	}
+	for len(q) > 0 {
+		pop(-1)
+	}
+	if ref.Len() != 0 {
+		t.Fatalf("reference still holds %d events", ref.Len())
 	}
 }
 
@@ -191,7 +264,7 @@ func TestWaitGroupPoolSafety(t *testing.T) {
 
 // TestSteadyStateSleepAllocs asserts the core event loop is allocation-free
 // at steady state: after warm-up, a proc sleeping in a loop must not
-// allocate per event (the legacy scheduler paid two allocations per sleep).
+// allocate per event.
 func TestSteadyStateSleepAllocs(t *testing.T) {
 	s := New(1)
 	var perSleep float64

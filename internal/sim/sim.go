@@ -19,13 +19,13 @@
 // closure per wake), and finished processes park their goroutines in a free
 // list so the next Spawn reuses the goroutine, its stack, and its wake
 // channel. None of this changes the (at, seq) total order events execute in,
-// so same-seed runs stay byte-identical — TestLegacySchedulerEquivalence
-// pins that against the original boxed-heap scheduler, which survives behind
-// NewLegacy as the "before" arm of the BENCH_speed trajectory.
+// so same-seed runs stay byte-identical — TestScheduleGolden pins the
+// schedule of a mixed workload to committed hashes, and
+// TestFourAryHeapMatchesReference pins the heap's pop order against a
+// container/heap model.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -77,7 +77,7 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// fourAryHeap is the default event queue: a d=4 min-heap over event values.
+// fourAryHeap is the event queue: a d=4 min-heap over event values.
 // Shallower than a binary heap (fewer cache lines touched per op) and free
 // of the interface conversions container/heap imposes.
 type fourAryHeap []event
@@ -133,29 +133,9 @@ func (h *fourAryHeap) pop() event {
 	return min
 }
 
-// legacyEventHeap is the pre-optimization event queue: boxed *event entries
-// behind container/heap. It is retained as the measurable "before" arm of
-// the wall-clock perf trajectory (NewLegacy, `mrbench speed`); production
-// simulations never use it.
-type legacyEventHeap []*event
-
-func (h legacyEventHeap) Len() int            { return len(h) }
-func (h legacyEventHeap) Less(i, j int) bool  { return h[i].before(h[j]) }
-func (h legacyEventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *legacyEventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
-func (h *legacyEventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // maxFreeProcs caps the per-simulation pool of finished processes kept
-// parked for reuse; beyond it, finished goroutines exit as before. Run
-// drains the pool when the queue empties so idle simulations hold no
-// goroutines.
+// parked for reuse; beyond it, finished goroutines exit. Run drains the
+// pool when the queue empties so idle simulations hold no goroutines.
 const maxFreeProcs = 64
 
 // maxFreeWaitGroups caps the WaitGroup free list.
@@ -165,8 +145,6 @@ const maxFreeWaitGroups = 32
 type Simulation struct {
 	now     Time
 	queue   fourAryHeap
-	lq      legacyEventHeap // event queue when legacy is set
-	legacy  bool
 	seq     int64
 	events  int64 // events executed (wall-clock throughput denominator)
 	rng     *rand.Rand
@@ -199,17 +177,6 @@ func New(seed int64) *Simulation {
 	}
 }
 
-// NewLegacy returns a Simulation running the pre-optimization scheduler:
-// boxed events on a container/heap binary heap, a scheduled closure per
-// process wake-up, and a fresh goroutine per Spawn. It exists solely as the
-// "before" arm of the wall-clock perf trajectory; event order is identical
-// to New (TestLegacySchedulerEquivalence).
-func NewLegacy(seed int64) *Simulation {
-	s := New(seed)
-	s.legacy = true
-	return s
-}
-
 // Now returns the current virtual time.
 func (s *Simulation) Now() Time { return s.now }
 
@@ -226,26 +193,7 @@ func (s *Simulation) Rand() *rand.Rand { return s.rng }
 func (s *Simulation) push(e event) {
 	s.seq++
 	e.seq = s.seq
-	if s.legacy {
-		boxed := e
-		heap.Push(&s.lq, &boxed)
-		return
-	}
 	s.queue.push(e)
-}
-
-func (s *Simulation) queueLen() int {
-	if s.legacy {
-		return len(s.lq)
-	}
-	return len(s.queue)
-}
-
-func (s *Simulation) peekAt() Time {
-	if s.legacy {
-		return s.lq[0].at
-	}
-	return s.queue[0].at
 }
 
 // Schedule runs fn at virtual time at (or now, if at is in the past).
@@ -266,14 +214,9 @@ func (s *Simulation) After(d Duration, fn func()) {
 	s.push(event{at: s.now.Add(d), fn: fn})
 }
 
-// wakeAt schedules p to resume at time at. In the default scheduler this is
-// a value event that resumes the process directly; the legacy arm models
-// the original cost (a closure scheduled per wake).
+// wakeAt schedules p to resume at time at: a value event that resumes the
+// process directly, no closure per wake.
 func (s *Simulation) wakeAt(at Time, p *Proc) {
-	if s.legacy {
-		s.Schedule(at, func() { p.resumeNow() })
-		return
-	}
 	s.push(event{at: at, proc: p})
 }
 
@@ -285,7 +228,7 @@ func (s *Simulation) Stop() { s.stopped = true }
 // the final virtual time.
 func (s *Simulation) Run() Time {
 	s.bounded = false
-	for !s.stopped && s.queueLen() > 0 {
+	for !s.stopped && len(s.queue) > 0 {
 		s.step()
 	}
 	s.drainFreeProcs()
@@ -295,7 +238,7 @@ func (s *Simulation) Run() Time {
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (s *Simulation) RunUntil(t Time) {
 	s.bounded, s.deadline = true, t
-	for !s.stopped && s.queueLen() > 0 && s.peekAt() <= t {
+	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= t {
 		s.step()
 	}
 	s.bounded = false
@@ -308,12 +251,7 @@ func (s *Simulation) RunUntil(t Time) {
 func (s *Simulation) RunFor(d Duration) { s.RunUntil(s.now.Add(d)) }
 
 func (s *Simulation) step() {
-	var e event
-	if s.legacy {
-		e = *heap.Pop(&s.lq).(*event)
-	} else {
-		e = s.queue.pop()
-	}
+	e := s.queue.pop()
 	if e.at > s.now {
 		s.now = e.at
 	}
@@ -404,10 +342,6 @@ func (s *Simulation) SpawnAt(at Time, name string, fn func(p *Proc)) {
 	}
 	p.fn = fn
 	s.procs++
-	if s.legacy {
-		s.Schedule(at, func() { p.startRun() })
-		return
-	}
 	if at < s.now {
 		at = s.now
 	}
@@ -448,7 +382,7 @@ func (p *Proc) run() {
 		p.fn = nil
 		p.done = true
 		s.procs--
-		if s.legacy || len(s.freeProcs) >= maxFreeProcs {
+		if len(s.freeProcs) >= maxFreeProcs {
 			s.yield <- struct{}{}
 			return
 		}
@@ -470,11 +404,11 @@ func (p *Proc) run() {
 // event itself (same event the scheduler would have popped, so the (at, seq)
 // execution order is untouched) and keeps running. The path is disabled
 // while a scheduler callback is mid-flight (the callback must finish before
-// the next event executes), when a bounded run would have left the event
-// queued, and in the legacy arm.
+// the next event executes) and when a bounded run would have left the event
+// queued.
 func (p *Proc) park() {
 	s := p.sim
-	if !s.legacy && s.infn == 0 && !s.stopped && len(s.queue) > 0 {
+	if s.infn == 0 && !s.stopped && len(s.queue) > 0 {
 		if top := &s.queue[0]; top.proc == p && !top.start &&
 			(!s.bounded || top.at <= s.deadline) {
 			e := s.queue.pop()
@@ -682,7 +616,7 @@ func NewWaitGroup(s *Simulation) *WaitGroup { return &WaitGroup{sim: s} }
 // fresh one. Hot fan-out paths pair it with Release so steady state
 // allocates no WaitGroups.
 func (s *Simulation) GetWaitGroup() *WaitGroup {
-	if n := len(s.freeWGs); n > 0 && !s.legacy {
+	if n := len(s.freeWGs); n > 0 {
 		wg := s.freeWGs[n-1]
 		s.freeWGs[n-1] = nil
 		s.freeWGs = s.freeWGs[:n-1]
@@ -695,7 +629,7 @@ func (s *Simulation) GetWaitGroup() *WaitGroup {
 // it on a WaitGroup with a non-zero count or parked waiters is a no-op.
 func (wg *WaitGroup) Release() {
 	s := wg.sim
-	if wg.count != 0 || len(wg.waiters) != 0 || s.legacy || len(s.freeWGs) >= maxFreeWaitGroups {
+	if wg.count != 0 || len(wg.waiters) != 0 || len(s.freeWGs) >= maxFreeWaitGroups {
 		return
 	}
 	s.freeWGs = append(s.freeWGs, wg)

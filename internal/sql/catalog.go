@@ -206,10 +206,10 @@ type Catalog struct {
 	tables    map[string]*Table // key: db.table
 	nextTable TableID
 
-	// PlanCacheOff disables the fingerprint-keyed plan cache (ablation
-	// flag, same machinery as the dispatcher's PerKeyDispatch): every
-	// statement replans from scratch, exactly the pre-cache behavior.
-	PlanCacheOff bool
+	// noPlanCache makes every statement plan from scratch. The from-scratch
+	// planner is the reference the plan cache is tested against; only this
+	// package's tests set the field.
+	noPlanCache bool
 
 	// version counts schema and zone-config changes. Cached plans record
 	// the version they were built under and are dropped wholesale when it

@@ -29,7 +29,7 @@ type elasticLoopResult struct {
 // traffic that load-splits a table partition, a region added and dropped
 // mid-run, single-region KV traffic that attracts a lease move, and a cold
 // tail in which the split remnants merge back. planCacheOff runs the loop
-// on the plan-cache ablation arm.
+// on the from-scratch reference planner.
 func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResult {
 	t.Helper()
 	c := cluster.New(cluster.Config{
@@ -45,7 +45,7 @@ func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResu
 		},
 	})
 	catalog := NewCatalog()
-	catalog.PlanCacheOff = planCacheOff
+	catalog.noPlanCache = planCacheOff
 	us := NewSession(c, catalog, c.GatewayFor(simnet.USEast1))
 	var out elasticLoopResult
 	c.Sim.Spawn("test", func(p *sim.Proc) {
@@ -192,5 +192,21 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	// The rendered table reflects the load queue's decisions.
 	if !strings.Contains(a.ranges, "splits=") {
 		t.Errorf("ranges output missing decisions column:\n%s", a.ranges)
+	}
+	// With LoadConfig.SplitKeys zero the allocator loop must fire exactly the
+	// events the load-only loop fired before the size trigger was folded in:
+	// these values were captured on the last commit with two split queues.
+	const goldenSpanHash = 0xb6c43dfbeb40c592
+	const goldenRanges = `range_id|start_key|end_key|leaseholder|lease_epoch|lease_region|policy|voters|non_voters|qps|decisions
+1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0 replica_moves=0
+2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0 replica_moves=0
+3|"/t000002/i001/"|"/t000002/i0010"|3|1|us-east1|LEAD|[3 1 2]|[5]|0.0|splits=0 merges=0 lease_moves=0 replica_moves=0
+4|"rb/"|"rb0"|6|1|europe-west2|LAG|[7 6 2]|[]|0.0|splits=1 merges=1 lease_moves=1 replica_moves=0
+`
+	if a.spanHash != goldenSpanHash {
+		t.Errorf("span hash %016x, want the pre-merge loop's %016x", a.spanHash, uint64(goldenSpanHash))
+	}
+	if a.ranges != goldenRanges {
+		t.Errorf("mrdb_internal.ranges differs from the pre-merge loop's:\n--- got:\n%s--- want:\n%s", a.ranges, goldenRanges)
 	}
 }

@@ -54,7 +54,7 @@ type readPlan struct {
 	limit int
 	// prefixes, when non-nil, is the cached plan's memoized index-prefix
 	// table; fetch paths build keys through it. Nil on the from-scratch
-	// path, which keeps the ablation arm's allocation profile untouched.
+	// path, which keeps the reference planner's allocation profile untouched.
 	prefixes *prefixCache
 	// filterRedundant (cached plans only) marks the per-row WHERE filter as
 	// a provable no-op: every conjunct is already enforced by the lookup

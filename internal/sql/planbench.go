@@ -4,12 +4,12 @@ import "fmt"
 
 // PlanForBench runs the planning path for one prepared DML statement with
 // the given placeholder arguments, without executing it: SELECT, UPDATE and
-// DELETE go through the plan cache's read planner (or the uncached planner
-// when Catalog.PlanCacheOff is set), INSERT through the cached column-
-// resolution path. It exists so the speed benchmark can measure planning
-// throughput — the work the plan cache amortizes — in isolation: in the
-// macro workloads statement execution is dominated by the simulated
-// replication and network layers, which the cache leaves bit-identical.
+// DELETE go through the plan cache's read planner, INSERT through the
+// cached column-resolution path. It exists so `go run ./benchmark` can
+// measure planning throughput — the work the plan cache amortizes — in
+// isolation: in the macro workloads statement execution is dominated by the
+// simulated replication and network layers, which the cache leaves
+// bit-identical.
 func (s *Session) PlanForBench(ps *Prepared, args ...Datum) error {
 	if len(args) != ps.numArgs {
 		return fmt.Errorf("sql: prepared statement wants %d args, got %d", ps.numArgs, len(args))

@@ -18,7 +18,8 @@ import (
 // computed regions) is still evaluated per execution, in exactly the order
 // the from-scratch planner evaluates it, which keeps RNG and clock draws —
 // and therefore span trees and statement statistics — byte-identical with
-// the cache on or off. The whole path is disabled by Catalog.PlanCacheOff.
+// the cache on or off (package tests switch it off through
+// Catalog.noPlanCache to compare against the from-scratch planner).
 
 // planCache outcome labels rendered by EXPLAIN ANALYZE.
 const (
@@ -122,7 +123,7 @@ func (pc *prefixCache) indexKey(t *Table, idx *Index, region simnet.Region, vals
 // encodeIndexKey builds an index key through the plan's prefix cache when
 // one is attached, and through the regular path otherwise. Both produce the
 // same bytes; only the allocation profile differs, which keeps the
-// PlanCacheOff ablation arm exactly on the pre-cache path.
+// from-scratch reference planner exactly on the pre-cache path.
 func encodeIndexKey(pc *prefixCache, t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
 	if pc == nil {
 		return EncodeIndexKey(t, idx, region, vals)
@@ -318,10 +319,10 @@ var unpartitionedRegions = []simnet.Region{""}
 
 // planReadCached is planRead behind the plan cache: a hit binds the cached
 // shape to this execution's constraint values; a miss plans from scratch
-// and installs the shape. With the cache off (ablation) or an uncacheable
-// WHERE clause it falls through to planRead unchanged.
+// and installs the shape. With the cache off (tests' reference arm) or an
+// uncacheable WHERE clause it falls through to planRead unchanged.
 func (s *Session) planReadCached(stmt Statement, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
-	if s.Catalog.PlanCacheOff {
+	if s.Catalog.noPlanCache {
 		s.lastPlanCache = planCacheOff
 		return s.planRead(t, db, w, limit)
 	}
@@ -488,10 +489,10 @@ func (s *Session) bindRead(cr *cachedRead, t *Table, db *core.Database, w *Where
 // --- insert path ---
 
 // insertPlan looks up or installs the cached shape of an INSERT. A nil
-// return (ablation, uncacheable shape) sends the caller down the
+// return (cache off, uncacheable shape) sends the caller down the
 // from-scratch path.
 func (s *Session) insertPlan(st *Insert, t *Table) *cachedInsert {
-	if s.Catalog.PlanCacheOff {
+	if s.Catalog.noPlanCache {
 		s.lastPlanCache = planCacheOff
 		return nil
 	}
@@ -608,7 +609,7 @@ const rowPoolMax = 64
 
 // getRowMap returns a cleared row map from the session pool, or a fresh
 // one. Only the cached-plan fetch path draws from the pool, so the
-// ablation arm keeps the pre-cache allocation profile.
+// from-scratch reference planner keeps the pre-cache allocation profile.
 func (s *Session) getRowMap() map[ColumnID]Datum {
 	if n := len(s.rowPool); n > 0 {
 		m := s.rowPool[n-1]

@@ -163,12 +163,12 @@ func TestExplainAnalyzePlanCacheLine(t *testing.T) {
 			t.Errorf("second EXPLAIN ANALYZE: plan cache = %q, want hit", got)
 		}
 
-		h.catalog.PlanCacheOff = true
+		h.catalog.noPlanCache = true
 		res = mustExec(t, p, s, q)
 		if got := eaField(t, res, "plan cache"); got != "off" {
-			t.Errorf("ablation arm: plan cache = %q, want off", got)
+			t.Errorf("reference planner: plan cache = %q, want off", got)
 		}
-		h.catalog.PlanCacheOff = false
+		h.catalog.noPlanCache = false
 	})
 }
 

@@ -321,54 +321,6 @@ func (t *TPCC) prepare(s *sql.Session) *tpccStmts {
 	}
 }
 
-// PlanOnly runs the planning half of n TPC-C transactions against the
-// session — every statement shape of the transaction mix, via the same
-// prepared set the terminals use — without executing anything. It returns
-// the number of statements planned. The speed benchmark uses it to measure
-// planning throughput with the plan cache on and off: in the executing
-// workloads the simulated replication and network layers dominate wall
-// time, so this is where the cache's per-statement saving is visible.
-func (t *TPCC) PlanOnly(s *sql.Session, n int) (int, error) {
-	ps := t.prepare(s)
-	w, d, c, item, oid := int64(0), int64(1), int64(2), int64(3), int64(4)
-	set := []struct {
-		ps   *sql.Prepared
-		args []sql.Datum
-	}{
-		{ps.warehouseTax, []sql.Datum{w}},
-		{ps.districtBump, []sql.Datum{w, d}},
-		{ps.districtNext, []sql.Datum{w, d}},
-		{ps.customerName, []sql.Datum{w, d, c}},
-		{ps.insertOrder, []sql.Datum{w, d, oid, c, int64(0), int64(10)}},
-		{ps.insertNewOrd, []sql.Datum{w, d, oid}},
-		{ps.itemPrice, []sql.Datum{item}},
-		{ps.stockQty, []sql.Datum{w, item}},
-		{ps.stockUpdate, []sql.Datum{int64(50), int64(5), w, item}},
-		{ps.insertLine, []sql.Datum{w, d, oid, int64(1), item, int64(5), 12.5}},
-		{ps.whPay, []sql.Datum{10.0, w}},
-		{ps.distPay, []sql.Datum{10.0, w, d}},
-		{ps.custPay, []sql.Datum{10.0, 10.0, w, d, c}},
-		{ps.insertHist, []sql.Datum{w, oid, 10.0}},
-		{ps.custStatus, []sql.Datum{w, d, c}},
-		{ps.orderByID, []sql.Datum{w, d, oid}},
-		{ps.orderLines, []sql.Datum{w, d, oid}},
-		{ps.lineItemIDs, []sql.Datum{w, d, oid}},
-		{ps.newOrdByID, []sql.Datum{w, d, oid}},
-		{ps.delNewOrd, []sql.Datum{w, d, oid}},
-		{ps.orderCarrier, []sql.Datum{w, d, oid}},
-	}
-	planned := 0
-	for i := 0; i < n; i++ {
-		for _, st := range set {
-			if err := s.PlanForBench(st.ps, st.args...); err != nil {
-				return planned, err
-			}
-			planned++
-		}
-	}
-	return planned, nil
-}
-
 // terminal runs one closed-loop client: standard-ish mix of 45% new-order,
 // 43% payment, 4% each of order-status, delivery, stock-level.
 func (t *TPCC) terminal(p *sim.Proc, region simnet.Region, regionIdx, termIdx int) error {
