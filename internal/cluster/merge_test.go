@@ -238,16 +238,16 @@ func TestStaleRouteAfterMerge(t *testing.T) {
 		// Stale-routed RPC: old range ID straight at the old leaseholder.
 		raw, rpcErr := c.Net.SendRPC(p, gw, staleLease, kv.BatchRequest{
 			RangeID: staleID,
-			Req: &kv.GetRequest{
+			Reqs: []interface{}{&kv.GetRequest{
 				Key:       key(6),
 				Timestamp: c.Stores[gw].Clock.Now(),
-			},
+			}},
 		}, 0)
 		if rpcErr != nil {
 			t.Errorf("stale route rpc: %v", rpcErr)
 			return
 		}
-		resp := raw.(kv.Response)
+		resp := raw.(kv.BatchResponse).Resps[0]
 		var rkm *kv.RangeKeyMismatchError
 		if resp.Err == nil || !errors.As(resp.Err, &rkm) {
 			t.Errorf("stale route: err = %v, want RangeKeyMismatchError", resp.Err)

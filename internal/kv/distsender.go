@@ -68,70 +68,6 @@ func (ds *DistSender) live(id simnet.NodeID) bool {
 	return ds.Liveness == nil || ds.Liveness.Live(id, ds.Net.Sim.Now())
 }
 
-// keyOf extracts the routing key from a request.
-func keyOf(req interface{}) (mvcc.Key, bool) {
-	switch q := req.(type) {
-	case *GetRequest:
-		return q.Key, true
-	case *PutRequest:
-		return q.Key, true
-	case *ScanRequest:
-		return q.StartKey, true
-	case *EndTxnRequest:
-		return q.Txn.Meta.Key, true
-	case *ResolveIntentRequest:
-		return q.Key, true
-	case *RefreshRequest:
-		return q.Key, true
-	case *NegotiateRequest:
-		return q.StartKey, true
-	case *QueryIntentRequest:
-		return q.Key, true
-	}
-	return nil, false
-}
-
-// reqTypeName returns the string %T would for a routable request, without
-// reflection or allocation on the hot path. The literals must stay
-// byte-identical to the reflected names: they appear in span renderings that
-// same-seed determinism oracles hash.
-func reqTypeName(req interface{}) string {
-	switch req.(type) {
-	case *GetRequest:
-		return "*kv.GetRequest"
-	case *PutRequest:
-		return "*kv.PutRequest"
-	case *ScanRequest:
-		return "*kv.ScanRequest"
-	case *EndTxnRequest:
-		return "*kv.EndTxnRequest"
-	case *ResolveIntentRequest:
-		return "*kv.ResolveIntentRequest"
-	case *RefreshRequest:
-		return "*kv.RefreshRequest"
-	case *NegotiateRequest:
-		return "*kv.NegotiateRequest"
-	case *QueryIntentRequest:
-		return "*kv.QueryIntentRequest"
-	}
-	return fmt.Sprintf("%T", req)
-}
-
-// wantsFollower reports whether the request may be served by any replica.
-func wantsFollower(req interface{}) bool {
-	switch q := req.(type) {
-	case *GetRequest:
-		return q.FollowerRead
-	case *ScanRequest:
-		return q.FollowerRead
-	case *RefreshRequest:
-		return q.FollowerRead
-	case *NegotiateRequest:
-		return true
-	}
-	return false
-}
-
 // nearestReplica picks the lowest-RTT replica of d from the gateway,
 // preferring live replicas; if every replica looks dead it falls back to
 // the nearest one regardless (liveness may simply be stale).
@@ -238,7 +174,7 @@ func (ds *DistSender) SendBatch(p *sim.Proc, reqs []interface{}) []Response {
 	sp, finish := ds.Tracer.StartIn(p, "ds.batch")
 	defer finish()
 	if sp != nil {
-		sp.SetTag("req", reqTypeName(reqs[0])).SetTagInt("reqs", int64(len(reqs)))
+		sp.SetTag("req", reqName(reqs[0])).SetTagInt("reqs", int64(len(reqs)))
 	}
 	resps, ranges := ds.sendBatchInner(p, reqs, 0)
 	sp.SetTagInt("ranges", int64(ranges))
@@ -274,11 +210,12 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 	gid := -1                 // memoized group ordinal for desc
 	routable := 0
 	for i, req := range reqs {
-		key, ok := keyOf(req)
-		if !ok {
-			resps[i] = Response{Err: fmt.Errorf("kv: cannot route %T", req)}
+		q, err := asRequest(req)
+		if err != nil {
+			resps[i] = Response{Err: err}
 			continue
 		}
+		key := q.routingKey()
 		if desc == nil || !desc.ContainsKey(key) {
 			d, err := ds.Catalog.Lookup(key)
 			if err != nil {
@@ -341,8 +278,8 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 // descContainsAll reports whether d owns the routing key of every request.
 func descContainsAll(d *RangeDescriptor, reqs []interface{}) bool {
 	for _, r := range reqs {
-		key, ok := keyOf(r)
-		if !ok || !d.ContainsKey(key) {
+		q, err := asRequest(r)
+		if err != nil || !d.ContainsKey(q.routingKey()) {
 			return false
 		}
 	}
@@ -364,21 +301,22 @@ func errResponses(n int, err error) []Response {
 // a split moved some keys out of the range mid-flight, the sub-batch is
 // re-split through sendBatchInner.
 func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []Response {
-	key, ok := keyOf(reqs[0])
-	if !ok {
-		return errResponses(len(reqs), fmt.Errorf("kv: cannot route %T", reqs[0]))
+	first, err := asRequest(reqs[0])
+	if err != nil {
+		return errResponses(len(reqs), err)
 	}
+	key := first.routingKey()
 	sp, finish := ds.Tracer.StartIn(p, "ds.send")
 	defer finish()
 	if sp != nil {
-		sp.SetTag("req", reqTypeName(reqs[0])).SetTag("key", string(key))
+		sp.SetTag("req", first.typeName()).SetTag("key", string(key))
 		if len(reqs) > 1 {
 			sp.SetTagInt("reqs", int64(len(reqs)))
 		}
 	}
 	follower := true
 	for _, r := range reqs {
-		if !wantsFollower(r) {
+		if q, err := asRequest(r); err != nil || !q.followerOK() {
 			follower = false
 			break
 		}
@@ -434,13 +372,8 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		}
 		asp, attemptDone := ds.Tracer.StartIn(p, "ds.rpc")
 		asp.SetTagInt("attempt", int64(attempt)).SetTagInt("target", int64(target))
-		env := BatchRequest{RangeID: desc.RangeID, Trace: asp.Ctx()}
-		if len(reqs) == 1 {
-			env.Req = reqs[0]
-		} else {
-			env.Reqs = reqs
-		}
-		raw, rpcErr := ds.Net.SendRPC(p, ds.NodeID, target, env, ds.RPCTimeout)
+		raw, rpcErr := ds.Net.SendRPC(p, ds.NodeID, target,
+			BatchRequest{RangeID: desc.RangeID, Reqs: reqs, Trace: asp.Ctx()}, ds.RPCTimeout)
 		if rpcErr != nil {
 			// Node unreachable: back off and re-route (the descriptor or
 			// lease may move during failover).
@@ -452,12 +385,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			backoff(asp)
 			continue
 		}
-		var resps []Response
-		if br, ok := raw.(BatchResponse); ok {
-			resps = br.Resps
-		} else {
-			resps = []Response{raw.(Response)}
-		}
+		resps := raw.(BatchResponse).Resps
 		// A retriable error on any response retries the whole sub-batch
 		// (requests are idempotent at the MVCC layer: re-evaluating a
 		// write lays down the same intent).
@@ -513,7 +441,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		attemptDone()
 		return resps
 	}
-	err := fmt.Errorf("kv: request to %q failed after %d attempts", key, maxSendAttempts)
+	err = fmt.Errorf("kv: request to %q failed after %d attempts", key, maxSendAttempts)
 	if lastErr != nil {
 		err = fmt.Errorf("kv: request to %q failed after %d attempts: last attempt: %w",
 			key, maxSendAttempts, lastErr)
@@ -648,24 +576,6 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 	return Response{Scan: &ScanResponse{Rows: rows, ServedBy: served}}
 }
 
-// Get is a convenience wrapper returning the value for key.
-func (ds *DistSender) Get(p *sim.Proc, req *GetRequest) (*GetResponse, error) {
-	resp := ds.Send(p, req)
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	return resp.Get, nil
-}
-
-// Put is a convenience wrapper for writes.
-func (ds *DistSender) Put(p *sim.Proc, req *PutRequest) (*PutResponse, error) {
-	resp := ds.Send(p, req)
-	if resp.Err != nil {
-		return nil, resp.Err
-	}
-	return resp.Put, nil
-}
-
 // NegotiateBoundedStaleness implements the two-phase bounded staleness
 // protocol of §5.3.2 for a set of key spans: ask the nearest replica of
 // each touched range for its locally servable timestamp and take the
@@ -691,13 +601,13 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 			answered := false
 			for _, target := range ds.replicasByPreference(desc) {
 				raw, err := ds.Net.SendRPC(p, ds.NodeID, target,
-					BatchRequest{RangeID: desc.RangeID, Req: &NegotiateRequest{StartKey: span[0], EndKey: span[1]}}, ds.RPCTimeout)
+					BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&NegotiateRequest{StartKey: span[0], EndKey: span[1]}}}, ds.RPCTimeout)
 				if err != nil {
 					ds.Retries++
 					lastErr = err
 					continue
 				}
-				resp := raw.(Response)
+				resp := raw.(BatchResponse).Resps[0]
 				if resp.Err != nil {
 					ds.Retries++
 					lastErr = resp.Err

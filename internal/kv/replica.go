@@ -132,31 +132,17 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 	if r.subsumed {
 		return Response{Err: &RangeKeyMismatchError{RequestedKey: r.desc.StartKey}}
 	}
-	switch q := req.(type) {
-	case *GetRequest:
-		return r.evalGet(p, q)
-	case *ScanRequest:
-		return r.evalScan(p, q)
-	case *PutRequest:
-		return r.evalPut(p, q)
-	case *EndTxnRequest:
-		return r.evalEndTxn(p, q)
-	case *ResolveIntentRequest:
-		return r.evalResolveIntent(p, q)
-	case *RefreshRequest:
-		return r.evalRefresh(q)
-	case *NegotiateRequest:
-		return r.evalNegotiate(q)
-	case *QueryIntentRequest:
-		return r.evalQueryIntent(p, q)
-	default:
-		return Response{Err: fmt.Errorf("kv: unknown request %T", req)}
+	q, err := asRequest(req)
+	if err != nil {
+		return Response{Err: err}
 	}
+	return q.eval(r, p)
 }
 
-// evaluateBatch evaluates a per-range sub-batch. The requests run as
-// concurrent procs (they contend on latches like independent RPCs would),
-// and the responses come back in request order.
+// evaluateBatch evaluates the requests of one RPC. A lone request runs
+// inline on p; several run as concurrent procs (they contend on latches
+// like independent RPCs would), and the responses come back in request
+// order.
 func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) []Response {
 	resps := make([]Response, len(reqs))
 	if len(reqs) == 1 {
@@ -611,21 +597,14 @@ func (r *Replica) evalEndTxn(p *sim.Proc, req *EndTxnRequest) Response {
 		return Response{Err: err}
 	}
 	status := mvcc.Aborted
-	switch {
-	case req.Commit && req.Stage:
+	if req.Commit {
 		// Parallel commit: stage against concurrent pushes; the
 		// coordinator finalizes after proving its writes.
 		if err := r.store.Registry.TryStage(req.Txn.Meta.ID, req.CommitTS); err != nil {
 			return Response{Err: err}
 		}
 		status = mvcc.Committed
-	case req.Commit:
-		// Claim the commit atomically against concurrent pushes.
-		if err := r.store.Registry.TryCommit(req.Txn.Meta.ID, req.CommitTS); err != nil {
-			return Response{Err: err}
-		}
-		status = mvcc.Committed
-	default:
+	} else {
 		r.store.Registry.Abort(req.Txn.Meta.ID)
 	}
 	// Durably record the decision on the anchor range (costs a consensus

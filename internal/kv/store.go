@@ -107,7 +107,7 @@ func (s *Store) handleMessage(m simnet.Message) {
 	switch payload := m.Payload.(type) {
 	case RaftEnvelope:
 		if r, ok := s.replicas[payload.RangeID]; ok {
-			r.raft.Step(payload.Msg.(raft.Message))
+			r.raft.Step(payload.Msg)
 		}
 	case livenessPing:
 		if s.liveness != nil {
@@ -122,51 +122,33 @@ func (s *Store) handleMessage(m simnet.Message) {
 	case *simnet.RPCRequest:
 		batch, ok := payload.Payload.(BatchRequest)
 		if !ok {
-			payload.Reply(Response{Err: fmt.Errorf("kv: unexpected RPC payload %T", payload.Payload)})
+			payload.Reply(BatchResponse{Resps: errResponses(1, fmt.Errorf("kv: unexpected RPC payload %T", payload.Payload))})
 			return
 		}
 		r, ok := s.replicas[batch.RangeID]
 		if !ok {
-			if batch.Reqs != nil {
-				resps := make([]Response, len(batch.Reqs))
-				for i := range resps {
-					resps[i] = Response{Err: &RangeKeyMismatchError{}}
-				}
-				payload.Reply(BatchResponse{Resps: resps})
-				return
-			}
-			payload.Reply(Response{Err: &RangeKeyMismatchError{}})
+			payload.Reply(BatchResponse{Resps: errResponses(len(batch.Reqs), &RangeKeyMismatchError{})})
 			return
 		}
 		// Static proc name: formatting "n%d/r%d/eval" per RPC was a top
 		// allocation site, and proc names are purely cosmetic.
 		s.Sim.Spawn("kv/eval", func(p *sim.Proc) {
 			sp := s.Obs.StartSpan("replica.eval", batch.Trace)
-			if batch.Reqs != nil {
-				if sp != nil {
-					sp.SetTagInt("node", int64(s.NodeID)).
-						SetTagInt("range", int64(batch.RangeID)).
-						SetTag("req", reqTypeName(batch.Reqs[0])).
-						SetTagInt("reqs", int64(len(batch.Reqs)))
-					obs.SetProcSpan(p, sp)
-				}
-				resps := r.evaluateBatch(p, batch.Reqs)
-				sp.Finish()
-				payload.Reply(BatchResponse{Resps: resps})
-				return
-			}
 			if sp != nil {
 				sp.SetTagInt("node", int64(s.NodeID)).
 					SetTagInt("range", int64(batch.RangeID)).
-					SetTag("req", reqTypeName(batch.Req))
+					SetTag("req", reqName(batch.Reqs[0]))
+				if len(batch.Reqs) > 1 {
+					sp.SetTagInt("reqs", int64(len(batch.Reqs)))
+				}
 				obs.SetProcSpan(p, sp)
 			}
-			resp := r.evaluate(p, batch.Req)
-			if sp != nil && resp.Err != nil {
-				sp.SetError(resp.Err)
+			resps := r.evaluateBatch(p, batch.Reqs)
+			if sp != nil && len(resps) == 1 && resps[0].Err != nil {
+				sp.SetError(resps[0].Err)
 			}
 			sp.Finish()
-			payload.Reply(resp)
+			payload.Reply(BatchResponse{Resps: resps})
 		})
 	}
 }

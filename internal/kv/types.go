@@ -13,9 +13,9 @@ import (
 	"mrdb/internal/hlc"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/obs"
+	"mrdb/internal/raft"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
-	"mrdb/internal/zones"
 )
 
 // RangeID identifies a Range (one Raft group).
@@ -106,16 +106,40 @@ type Txn struct {
 
 // --- Requests ---
 
-// ReadPolicy tells the DistSender where a read may be served.
-type ReadPolicy int8
+// request is the sealed set of KV requests. Everything the DistSender and
+// the Replica decide per request type is a method implemented beside the
+// type's definition, so adding a request means writing one block here.
+type request interface {
+	// routingKey is the key whose range serves the request.
+	routingKey() mvcc.Key
+	// typeName is what %T prints for the request, as a constant: it lands
+	// in span renderings that same-seed determinism oracles hash, and the
+	// hot path must not reflect or allocate for it. TestRequestMethods
+	// pins the equality.
+	typeName() string
+	// followerOK reports whether any replica, not only the leaseholder,
+	// may serve the request.
+	followerOK() bool
+	// eval evaluates the request on r, blocking p as needed.
+	eval(r *Replica, p *sim.Proc) Response
+}
 
-const (
-	// ReadLeaseholder routes to the leaseholder (fresh reads).
-	ReadLeaseholder ReadPolicy = iota
-	// ReadNearest routes to the closest replica; the replica may bounce
-	// the request to the leaseholder if it cannot serve it locally.
-	ReadNearest
-)
+// asRequest is the one place a value that came through the interface{}
+// signatures of Send and SendBatch becomes a request.
+func asRequest(req interface{}) (request, error) {
+	if q, ok := req.(request); ok {
+		return q, nil
+	}
+	return nil, fmt.Errorf("kv: cannot route %T", req)
+}
+
+// reqName names a request for span tags.
+func reqName(req interface{}) string {
+	if q, err := asRequest(req); err == nil {
+		return q.typeName()
+	}
+	return fmt.Sprintf("%T", req)
+}
 
 // GetRequest reads a single key.
 type GetRequest struct {
@@ -145,6 +169,11 @@ type GetRequest struct {
 	WaitForClosed sim.Duration
 }
 
+func (q *GetRequest) routingKey() mvcc.Key                  { return q.Key }
+func (q *GetRequest) typeName() string                      { return "*kv.GetRequest" }
+func (q *GetRequest) followerOK() bool                      { return q.FollowerRead }
+func (q *GetRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalGet(p, q) }
+
 // GetResponse carries the read result.
 type GetResponse struct {
 	Value     mvcc.Value
@@ -165,6 +194,11 @@ type ScanRequest struct {
 	Uncertainty      bool
 	FollowerRead     bool
 }
+
+func (q *ScanRequest) routingKey() mvcc.Key                  { return q.StartKey }
+func (q *ScanRequest) typeName() string                      { return "*kv.ScanRequest" }
+func (q *ScanRequest) followerOK() bool                      { return q.FollowerRead }
+func (q *ScanRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalScan(p, q) }
 
 // ScanResponse carries scan results. A replica truncates the scan to its
 // own range bounds; ResumeKey, when set, is where the remainder of the
@@ -205,6 +239,11 @@ type PutRequest struct {
 	ReadFromTS hlc.Timestamp
 }
 
+func (q *PutRequest) routingKey() mvcc.Key                  { return q.Key }
+func (q *PutRequest) typeName() string                      { return "*kv.PutRequest" }
+func (q *PutRequest) followerOK() bool                      { return false }
+func (q *PutRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalPut(p, q) }
+
 // QueryIntentRequest verifies at commit time that a pipelined write
 // replicated: it waits for in-flight applications on the key and reports
 // whether the transaction's intent is present.
@@ -213,6 +252,11 @@ type QueryIntentRequest struct {
 	TxnID mvcc.TxnID
 	Epoch int32
 }
+
+func (q *QueryIntentRequest) routingKey() mvcc.Key                  { return q.Key }
+func (q *QueryIntentRequest) typeName() string                      { return "*kv.QueryIntentRequest" }
+func (q *QueryIntentRequest) followerOK() bool                      { return false }
+func (q *QueryIntentRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalQueryIntent(p, q) }
 
 // QueryIntentResponse reports whether the intent was found.
 type QueryIntentResponse struct {
@@ -234,16 +278,19 @@ type PutResponse struct {
 }
 
 // EndTxnRequest commits or aborts a transaction: it writes the transaction
-// record on the anchor range through consensus.
+// record on the anchor range through consensus. A commit is a parallel
+// commit: the record is written in STAGING state while the coordinator
+// concurrently proves its pipelined writes, then finalizes via the registry.
 type EndTxnRequest struct {
 	Txn      *Txn
-	Commit   bool
+	Commit   bool // false aborts
 	CommitTS hlc.Timestamp
-	// Stage performs a parallel commit: the record is written in STAGING
-	// state while the coordinator concurrently proves pipelined writes,
-	// then finalizes via the registry.
-	Stage bool
 }
+
+func (q *EndTxnRequest) routingKey() mvcc.Key                  { return q.Txn.Meta.Key }
+func (q *EndTxnRequest) typeName() string                      { return "*kv.EndTxnRequest" }
+func (q *EndTxnRequest) followerOK() bool                      { return false }
+func (q *EndTxnRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalEndTxn(p, q) }
 
 // EndTxnResponse reports the recorded status.
 type EndTxnResponse struct {
@@ -256,6 +303,13 @@ type ResolveIntentRequest struct {
 	TxnID    mvcc.TxnID
 	Status   mvcc.TxnStatus
 	CommitTS hlc.Timestamp
+}
+
+func (q *ResolveIntentRequest) routingKey() mvcc.Key { return q.Key }
+func (q *ResolveIntentRequest) typeName() string     { return "*kv.ResolveIntentRequest" }
+func (q *ResolveIntentRequest) followerOK() bool     { return false }
+func (q *ResolveIntentRequest) eval(r *Replica, p *sim.Proc) Response {
+	return r.evalResolveIntent(p, q)
 }
 
 // ResolveIntentResponse is empty; resolution is idempotent.
@@ -275,6 +329,11 @@ type RefreshRequest struct {
 	FollowerRead bool
 }
 
+func (q *RefreshRequest) routingKey() mvcc.Key                  { return q.Key }
+func (q *RefreshRequest) typeName() string                      { return "*kv.RefreshRequest" }
+func (q *RefreshRequest) followerOK() bool                      { return q.FollowerRead }
+func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalRefresh(q) }
+
 // RefreshResponse reports whether the refresh succeeded.
 type RefreshResponse struct {
 	Success bool
@@ -286,6 +345,11 @@ type RefreshResponse struct {
 type NegotiateRequest struct {
 	StartKey, EndKey mvcc.Key
 }
+
+func (q *NegotiateRequest) routingKey() mvcc.Key                  { return q.StartKey }
+func (q *NegotiateRequest) typeName() string                      { return "*kv.NegotiateRequest" }
+func (q *NegotiateRequest) followerOK() bool                      { return true }
+func (q *NegotiateRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalNegotiate(q) }
 
 // NegotiateResponse returns the local resolved timestamp.
 type NegotiateResponse struct {
@@ -350,13 +414,6 @@ func (e *RetryableTxnError) Error() string {
 	return fmt.Sprintf("txn %d must retry: %s", e.TxnID, e.Reason)
 }
 
-// CommitWaitInfo tells the coordinator how the read timestamp moved and
-// whether a commit wait is due because a future-time value was observed.
-type CommitWaitInfo struct {
-	// Timestamp the transaction's reads were ratcheted to.
-	Timestamp hlc.Timestamp
-}
-
 // Response is the union returned over RPC: exactly one field set.
 type Response struct {
 	Get         *GetResponse
@@ -370,22 +427,22 @@ type Response struct {
 	Err         error
 }
 
-// BatchRequest is the RPC envelope dispatched to a Replica. It carries
-// either a single request (Req) or a per-range sub-batch (Reqs) the
-// DistSender split out of a larger batch; a replica evaluates the
-// sub-batch's requests concurrently and replies with a BatchResponse whose
-// responses are in request order.
+// BatchRequest is the one RPC envelope dispatched to a Replica: the
+// requests bound for one range, whether a lone request or the sub-batch the
+// DistSender split out of a larger batch. A replica evaluates the requests
+// concurrently and replies with a BatchResponse whose responses are in
+// request order. The element type is interface{} only because the caller's
+// slice from SendBatch travels in it uncopied; every element is a request.
 type BatchRequest struct {
 	RangeID RangeID
-	Req     interface{}
 	Reqs    []interface{}
 	// Trace carries the sender's span context to the serving replica, so
 	// server-side evaluation spans join the request's trace.
 	Trace obs.SpanContext
 }
 
-// BatchResponse is the reply to a multi-request BatchRequest: one Response
-// per request, in request order.
+// BatchResponse is the reply to a BatchRequest: one Response per request,
+// in request order.
 type BatchResponse struct {
 	Resps []Response
 }
@@ -393,9 +450,7 @@ type BatchResponse struct {
 // RaftEnvelope carries a Raft message for one range between stores.
 type RaftEnvelope struct {
 	RangeID RangeID
-	// Msg is a raft.Message; typed as interface{} to avoid an import
-	// cycle in this package's tests.
-	Msg interface{}
+	Msg     raft.Message
 }
 
 // Command is the state-machine payload replicated through Raft and applied
@@ -453,9 +508,3 @@ const (
 	// the subsumed right-hand range SplitDesc.
 	CmdMerge
 )
-
-// PlacementFromZoneConfig is re-exported glue so higher layers can go from
-// a zone config to a placement without importing zones directly everywhere.
-func PlacementFromZoneConfig(a *zones.Allocator, cfg zones.Config) (zones.Placement, error) {
-	return a.Allocate(cfg)
-}

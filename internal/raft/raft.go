@@ -150,6 +150,10 @@ type Transport interface {
 	Send(to simnet.NodeID, msg Message)
 }
 
+// electionTimeout is the base follower patience; each check is perturbed
+// ±50% for tie-breaking. 2s is WAN-appropriate.
+const electionTimeout = 2 * sim.Second
+
 // Config parameterizes a Node.
 type Config struct {
 	ID       simnet.NodeID
@@ -159,9 +163,6 @@ type Config struct {
 	Sim       *sim.Simulation
 	Transport Transport
 
-	// ElectionTimeout is the base follower patience; each check is
-	// perturbed ±50% for tie-breaking. Default 2s (WAN-appropriate).
-	ElectionTimeout sim.Duration
 	// HeartbeatInterval is the leader's append/heartbeat cadence.
 	// Default 400ms (GLOBAL ranges override it with the faster
 	// closed-timestamp side-transport cadence).
@@ -255,9 +256,6 @@ type Node struct {
 // NewNode constructs a replica. If the node appears in cfg.Learners it
 // starts as a Learner, otherwise as a Follower. Call Start to arm timers.
 func NewNode(cfg Config) *Node {
-	if cfg.ElectionTimeout == 0 {
-		cfg.ElectionTimeout = 2 * sim.Second
-	}
 	if cfg.HeartbeatInterval == 0 {
 		cfg.HeartbeatInterval = 400 * sim.Millisecond
 	}
@@ -389,13 +387,13 @@ func (n *Node) scheduleElectionCheck() {
 	}
 	// Perturb the check interval so that two followers rarely campaign
 	// simultaneously; deterministic via the simulation RNG.
-	d := n.cfg.ElectionTimeout/2 + sim.Duration(n.cfg.Sim.Rand().Int63n(int64(n.cfg.ElectionTimeout)))
+	d := electionTimeout/2 + sim.Duration(n.cfg.Sim.Rand().Int63n(int64(electionTimeout)))
 	n.cfg.Sim.After(d, func() {
 		if n.stopped {
 			return
 		}
 		if n.role != Leader && n.role != Learner {
-			if n.cfg.Sim.Now().Sub(n.lastHeard) >= n.cfg.ElectionTimeout {
+			if n.cfg.Sim.Now().Sub(n.lastHeard) >= electionTimeout {
 				n.Campaign()
 			}
 		}

@@ -119,6 +119,21 @@ type Table struct {
 
 	nextColID ColumnID
 	nextIdxID IndexID
+
+	// prefixes memoizes IndexPrefix, a pure function of (table ID, index
+	// ID, region), so key construction skips its per-key formatting. The
+	// entry count is bounded by indexes × regions, so a linear scan beats a
+	// map. Entries are appended lazily; the cooperative scheduler
+	// serializes sessions, so no locking is needed (same argument as
+	// StmtStats).
+	prefixes []prefixEntry
+}
+
+// prefixEntry memoizes one index partition's key prefix.
+type prefixEntry struct {
+	idx    IndexID
+	region simnet.Region
+	key    mvcc.Key
 }
 
 // Column returns the column with the given name.
@@ -322,13 +337,24 @@ func PrefixEnd(prefix mvcc.Key) mvcc.Key {
 
 // EncodeIndexKey builds the full key for an index entry: prefix + encoded
 // index column values (callers append PK columns for non-unique secondary
-// indexes).
+// indexes). The prefix comes from the table's memo, so a key costs one
+// exact-capacity allocation.
 func EncodeIndexKey(t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
-	key := IndexPrefix(t, idx.ID, region)
-	for _, v := range vals {
-		key = EncodeKeyDatum(key, v)
+	var prefix mvcc.Key
+	for i := range t.prefixes {
+		e := &t.prefixes[i]
+		if e.idx == idx.ID && e.region == region {
+			prefix = e.key
+			break
+		}
 	}
-	return key
+	if prefix == nil {
+		prefix = IndexPrefix(t, idx.ID, region)
+		t.prefixes = append(t.prefixes, prefixEntry{idx: idx.ID, region: region, key: prefix})
+	}
+	key := make(mvcc.Key, len(prefix), len(prefix)+KeyTupleSize(vals))
+	copy(key, prefix)
+	return AppendKeyTuple(key, vals)
 }
 
 // EncodeTupleSuffix encodes datums without an index prefix; used to append

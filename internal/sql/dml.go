@@ -33,9 +33,7 @@ func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, err
 		}
 	}
 	res, err := s.project(t, rows, st.Columns, st.Limit)
-	if plan.prefixes != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	return res, err
 }
 
@@ -112,9 +110,7 @@ func (s *Session) execStaleSelect(p *sim.Proc, st *Select) (*Result, error) {
 		}
 	}
 	res, err := s.project(t, rows, st.Columns, st.Limit)
-	if plan.prefixes != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	return res, err
 }
 
@@ -169,11 +165,8 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	// Cached shape: column resolution and the default/computed schedule are
 	// reused; values still evaluate per row in the slow path's order.
 	ci := s.insertPlan(st, t)
-	var pc *prefixCache
 	var cols []string
-	if ci != nil {
-		pc = &ci.prefixes
-	} else {
+	if ci == nil {
 		cols = st.Columns
 		if cols == nil {
 			for _, c := range t.VisibleColumns() {
@@ -213,7 +206,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	}
 	if st.Upsert {
 		for _, r := range rows {
-			if err := s.upsertRow(p, tx, t, db, pc, r.vals); err != nil {
+			if err := s.upsertRow(p, tx, t, db, r.vals); err != nil {
 				return nil, err
 			}
 		}
@@ -243,7 +236,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 				tuple = append(tuple, r.vals[cid])
 			}
 			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, r.fromDefault, s.UniquenessChecks) {
-				key := encodeIndexKey(pc, t, idx, pr, tuple)
+				key := EncodeIndexKey(t, idx, pr, tuple)
 				if pending[string(key)] {
 					return nil, fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", idx.Name, pr)
 				}
@@ -251,7 +244,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 				probeRefs = append(probeRefs, probeRef{idx: idx, region: pr})
 			}
 		}
-		for _, key := range uniqueWriteKeys(t, pc, r.region, r.vals) {
+		for _, key := range uniqueWriteKeys(t, r.region, r.vals) {
 			pending[string(key)] = true
 		}
 	}
@@ -271,7 +264,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	// round trips.
 	var kvs []mvcc.KeyValue
 	for _, r := range rows {
-		kvs = append(kvs, rowKVs(t, pc, r.region, r.vals)...)
+		kvs = append(kvs, rowKVs(t, r.region, r.vals)...)
 	}
 	if err := tx.PutParallel(p, kvs); err != nil {
 		return nil, err
@@ -333,7 +326,7 @@ func uniqueProbeRegions(t *Table, db *core.Database, idx *Index, region simnet.R
 
 // uniqueWriteKeys lists the unique-index keys a row write lays down, using
 // the same per-index region logic as rowKVs.
-func uniqueWriteKeys(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]Datum) []mvcc.Key {
+func uniqueWriteKeys(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.Key {
 	var keys []mvcc.Key
 	for _, idx := range t.Indexes {
 		if !idx.Unique {
@@ -347,7 +340,7 @@ func uniqueWriteKeys(t *Table, pc *prefixCache, region simnet.Region, vals map[C
 		for _, cid := range idx.Cols {
 			tuple = append(tuple, vals[cid])
 		}
-		keys = append(keys, encodeIndexKey(pc, t, idx, idxRegion, tuple))
+		keys = append(keys, EncodeIndexKey(t, idx, idxRegion, tuple))
 	}
 	return keys
 }
@@ -433,7 +426,7 @@ func rowRegion(t *Table, vals map[ColumnID]Datum) (simnet.Region, error) {
 // read. It requires every index key to be a function of the primary key so
 // stale index entries cannot arise, and an unpartitioned table (a blind
 // write cannot know which partition an existing row lives in).
-func (s *Session) upsertRow(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, pc *prefixCache, vals map[ColumnID]Datum) error {
+func (s *Session) upsertRow(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, vals map[ColumnID]Datum) error {
 	if t.IsPartitioned() {
 		return fmt.Errorf("sql: UPSERT is not supported on REGIONAL BY ROW tables")
 	}
@@ -448,7 +441,7 @@ func (s *Session) upsertRow(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Databas
 			}
 		}
 	}
-	return s.writeRow(p, tx, t, pc, "", vals)
+	return s.writeRow(p, tx, t, "", vals)
 }
 
 // uniquenessCheck verifies no other row has the same values for a unique
@@ -457,7 +450,7 @@ func (s *Session) upsertRow(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Databas
 // elided (see uniqueProbeRegions). Absence must hold everywhere, so unlike
 // LOS there is no early exit (the latency is the max RTT). excludePK skips
 // a row with the same primary key (for UPDATEs rewriting themselves).
-func (s *Session) uniquenessCheck(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, idx *Index, pc *prefixCache, region simnet.Region, vals map[ColumnID]Datum, fromDefault map[ColumnID]bool, excludePK []Datum) error {
+func (s *Session) uniquenessCheck(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, idx *Index, region simnet.Region, vals map[ColumnID]Datum, fromDefault map[ColumnID]bool, excludePK []Datum) error {
 	var tuple []Datum
 	for _, cid := range idx.Cols {
 		tuple = append(tuple, vals[cid])
@@ -465,7 +458,7 @@ func (s *Session) uniquenessCheck(p *sim.Proc, tx *txn.Txn, t *Table, db *core.D
 	checkRegions := uniqueProbeRegions(t, db, idx, region, fromDefault, s.UniquenessChecks)
 	keys := make([]mvcc.Key, len(checkRegions))
 	for i, r := range checkRegions {
-		keys[i] = encodeIndexKey(pc, t, idx, r, tuple)
+		keys[i] = EncodeIndexKey(t, idx, r, tuple)
 	}
 	found, err := tx.GetParallel(p, keys)
 	if err != nil {
@@ -497,12 +490,12 @@ func (s *Session) uniquenessCheck(p *sim.Proc, tx *txn.Txn, t *Table, db *core.D
 }
 
 // writeRow writes the primary row and every index entry as one batch.
-func (s *Session) writeRow(p *sim.Proc, tx *txn.Txn, t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]Datum) error {
-	return tx.PutParallel(p, rowKVs(t, pc, region, vals))
+func (s *Session) writeRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, vals map[ColumnID]Datum) error {
+	return tx.PutParallel(p, rowKVs(t, region, vals))
 }
 
 // rowKVs builds the primary-row and index-entry writes for one row.
-func rowKVs(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
+func rowKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
 	var kvs []mvcc.KeyValue
 	primary := t.Primary()
 	var pkTuple []Datum
@@ -523,7 +516,7 @@ func rowKVs(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]D
 		for _, cid := range idx.Cols {
 			tuple = append(tuple, vals[cid])
 		}
-		key := encodeIndexKey(pc, t, idx, idxRegion, tuple)
+		key := EncodeIndexKey(t, idx, idxRegion, tuple)
 		if !idx.Unique {
 			key = append(key, EncodeTupleSuffix(pkTuple)...)
 		}
@@ -540,12 +533,12 @@ func rowKVs(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]D
 }
 
 // deleteRow removes the primary row and index entries.
-func (s *Session) deleteRow(p *sim.Proc, tx *txn.Txn, t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]Datum) error {
-	return tx.PutParallel(p, deleteKVs(t, pc, region, vals))
+func (s *Session) deleteRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, vals map[ColumnID]Datum) error {
+	return tx.PutParallel(p, deleteKVs(t, region, vals))
 }
 
 // deleteKVs builds the tombstone writes removing one row.
-func deleteKVs(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
+func deleteKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
 	var kvs []mvcc.KeyValue
 	primary := t.Primary()
 	var pkTuple []Datum
@@ -561,7 +554,7 @@ func deleteKVs(t *Table, pc *prefixCache, region simnet.Region, vals map[ColumnI
 		for _, cid := range idx.Cols {
 			tuple = append(tuple, vals[cid])
 		}
-		key := encodeIndexKey(pc, t, idx, idxRegion, tuple)
+		key := EncodeIndexKey(t, idx, idxRegion, tuple)
 		if !idx.Unique {
 			key = append(key, EncodeTupleSuffix(pkTuple)...)
 		}
@@ -581,7 +574,6 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	pc := plan.prefixes
 	// UPDATE reads lock their rows (implicit SELECT FOR UPDATE) so
 	// read-modify-write transactions queue rather than restart.
 	fetched, err := s.fetchRows(p, &txnFetcher{tx: tx, forUpdate: plan.lookups != nil}, plan)
@@ -670,36 +662,34 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 				}
 			}
 			if touched {
-				if err := s.uniquenessCheck(p, tx, t, db, idx, pc, newRegion, newVals, nil, pkTuple); err != nil {
+				if err := s.uniquenessCheck(p, tx, t, db, idx, newRegion, newVals, nil, pkTuple); err != nil {
 					return nil, err
 				}
 			}
 		}
 		if newRegion != row.region && t.IsPartitioned() {
 			// Cross-partition move (rehoming): delete + reinsert.
-			if err := s.deleteRow(p, tx, t, pc, row.region, row.vals); err != nil {
+			if err := s.deleteRow(p, tx, t, row.region, row.vals); err != nil {
 				return nil, err
 			}
-			if err := s.writeRow(p, tx, t, pc, newRegion, newVals); err != nil {
+			if err := s.writeRow(p, tx, t, newRegion, newVals); err != nil {
 				return nil, err
 			}
 		} else {
 			// Rewrite the row; refresh index entries whose keys changed.
-			if err := s.updateIndexEntries(p, tx, t, pc, row.region, row.vals, newVals, changed); err != nil {
+			if err := s.updateIndexEntries(p, tx, t, row.region, row.vals, newVals, changed); err != nil {
 				return nil, err
 			}
 		}
 		updated++
 	}
-	if pc != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	res := s.takeResult()
 	res.RowsAffected = updated
 	return res, nil
 }
 
-func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, pc *prefixCache, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) error {
+func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) error {
 	var kvs []mvcc.KeyValue
 	primary := t.Primary()
 	var pkTuple []Datum
@@ -726,7 +716,7 @@ func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, pc *pre
 		for _, cid := range idx.Cols {
 			newTuple = append(newTuple, newVals[cid])
 		}
-		newKey := encodeIndexKey(pc, t, idx, idxRegion, newTuple)
+		newKey := EncodeIndexKey(t, idx, idxRegion, newTuple)
 		if !idx.Unique {
 			newKey = append(newKey, EncodeTupleSuffix(pkTuple)...)
 		}
@@ -735,7 +725,7 @@ func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, pc *pre
 			for _, cid := range idx.Cols {
 				oldTuple = append(oldTuple, oldVals[cid])
 			}
-			oldKey := encodeIndexKey(pc, t, idx, idxRegion, oldTuple)
+			oldKey := EncodeIndexKey(t, idx, idxRegion, oldTuple)
 			if !idx.Unique {
 				oldKey = append(oldKey, EncodeTupleSuffix(pkTuple)...)
 			}
@@ -780,15 +770,13 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, err
 	// All rows' tombstones go out as one per-range-batched write.
 	var kvs []mvcc.KeyValue
 	for _, row := range rows {
-		kvs = append(kvs, deleteKVs(t, plan.prefixes, row.region, row.vals)...)
+		kvs = append(kvs, deleteKVs(t, row.region, row.vals)...)
 	}
 	if err := tx.PutParallel(p, kvs); err != nil {
 		return nil, err
 	}
 	n := len(rows)
-	if plan.prefixes != nil {
-		s.releaseRows(fetched)
-	}
+	s.releaseRows(fetched)
 	res := s.takeResult()
 	res.RowsAffected = n
 	return res, nil
@@ -876,7 +864,7 @@ func (s *Session) backfillLocalityChange(p *sim.Proc, t *Table, db *core.Databas
 				saved := t.Indexes
 				t.Indexes = newIndexes
 				s.Catalog.Bump()
-				err = s.writeRow(p, tx, t, nil, region, vals)
+				err = s.writeRow(p, tx, t, region, vals)
 				t.Indexes = saved
 				s.Catalog.Bump()
 				if err != nil {

@@ -9,7 +9,6 @@ import (
 	"mrdb/internal/core"
 	"mrdb/internal/hlc"
 	"mrdb/internal/kv"
-	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
@@ -401,7 +400,7 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 				if err != nil {
 					return err
 				}
-				if err := s.deleteRow(p, tx, t, nil, region, vals); err != nil {
+				if err := s.deleteRow(p, tx, t, region, vals); err != nil {
 					return err
 				}
 				deleted++
@@ -566,16 +565,6 @@ func toFloat(d Datum) (float64, bool) {
 		return float64(v), true
 	case float64:
 		return v, true
-	}
-	return 0, false
-}
-
-func toInt(d Datum) (int64, bool) {
-	switch v := d.(type) {
-	case int64:
-		return v, true
-	case int:
-		return int64(v), true
 	}
 	return 0, false
 }
@@ -784,8 +773,6 @@ func (s *Session) waitTableReady(p *sim.Proc, t *Table, db *core.Database) error
 	}
 	return nil
 }
-
-var _ = mvcc.Key(nil)
 
 // ExecStmtTxn executes a parsed DML statement inside the given transaction;
 // the workload drivers use it to avoid re-parsing hot statements.

@@ -79,8 +79,7 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 			closedWait += span.Duration()
 		case "intent.wait":
 			intentWait += span.Duration()
-		case "txn.stage", "txn.commit_record", "txn.prove", "txn.commitwait",
-			"txn.refresh", "txn.resolve":
+		case "txn.stage", "txn.prove", "txn.commitwait", "txn.refresh", "txn.resolve":
 			phases[span.Name] += span.Duration()
 			phaseCount[span.Name]++
 			if span.Name == "txn.prove" {
@@ -127,9 +126,6 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 	// REGIONAL tables (§4.4: only GLOBAL transactions commit-wait).
 	if phaseCount["txn.stage"] > 0 {
 		add("commit: stage writes", phases["txn.stage"].String())
-	}
-	if phaseCount["txn.commit_record"] > 0 {
-		add("commit: write record", phases["txn.commit_record"].String())
 	}
 	if phaseCount["txn.prove"] > 0 {
 		add("commit: prove writes", fmt.Sprintf("%s (%d writes)", phases["txn.prove"], proveWrites))

@@ -52,10 +52,6 @@ type readPlan struct {
 	los bool
 	// limit bounds scan row counts (0 = unlimited).
 	limit int
-	// prefixes, when non-nil, is the cached plan's memoized index-prefix
-	// table; fetch paths build keys through it. Nil on the from-scratch
-	// path, which keeps the reference planner's allocation profile untouched.
-	prefixes *prefixCache
 	// filterRedundant (cached plans only) marks the per-row WHERE filter as
 	// a provable no-op: every conjunct is already enforced by the lookup
 	// tuples and its values are pure, so skipping the pass changes neither
@@ -357,7 +353,7 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 				p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 					defer wg.Done()
 					obs.SetProcSpan(wp, parent)
-					row, err := s.lookupOne(wp, f, t, idx, plan.prefixes, region, tuple)
+					row, err := s.lookupOne(wp, f, t, idx, region, tuple)
 					slots[slot] = result{row: row, err: err}
 				})
 			}
@@ -405,7 +401,7 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 			region := region
 			p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 				obs.SetProcSpan(wp, parent)
-				row, err := s.lookupOne(wp, f, t, idx, plan.prefixes, region, tuple)
+				row, err := s.lookupOne(wp, f, t, idx, region, tuple)
 				pending--
 				if res.Done() {
 					return
@@ -455,11 +451,10 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 }
 
 // lookupOne fetches one index tuple in one partition, following secondary
-// index entries to the primary row. With a prefix cache attached (cached
-// plans), keys are built from memoized prefixes and row maps come from the
-// session pool; without one the pre-cache path runs unchanged.
-func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc *prefixCache, region simnet.Region, tuple []Datum) (*tableRow, error) {
-	key := encodeIndexKey(pc, t, idx, region, tuple)
+// index entries to the primary row. Row maps come from the session pool;
+// the statement hands them back through releaseRows.
+func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, region simnet.Region, tuple []Datum) (*tableRow, error) {
+	key := EncodeIndexKey(t, idx, region, tuple)
 	val, err := f.get(p, key)
 	if err != nil {
 		return nil, err
@@ -468,7 +463,7 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc 
 		return nil, nil
 	}
 	if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-		vals, err := s.decodeRowPooled(pc, val)
+		vals, err := s.decodeRowPooled(val)
 		if err != nil {
 			return nil, err
 		}
@@ -476,7 +471,7 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc 
 	}
 	// Secondary index: value holds the PK; the row lives in the same
 	// partition as the index entry.
-	pkVals, err := s.decodeRowPooled(pc, val)
+	pkVals, err := s.decodeRowPooled(val)
 	if err != nil {
 		return nil, err
 	}
@@ -485,30 +480,25 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, pc 
 	for _, cid := range primary.Cols {
 		pkTuple = append(pkTuple, pkVals[cid])
 	}
-	rowKey := encodeIndexKey(pc, t, primary, region, pkTuple)
+	rowKey := EncodeIndexKey(t, primary, region, pkTuple)
 	rowVal, err := f.get(p, rowKey)
-	if pc != nil {
-		s.putRowMap(pkVals)
-	}
+	s.putRowMap(pkVals)
 	if err != nil {
 		return nil, err
 	}
 	if rowVal == nil {
 		return nil, nil
 	}
-	vals, err := s.decodeRowPooled(pc, rowVal)
+	vals, err := s.decodeRowPooled(rowVal)
 	if err != nil {
 		return nil, err
 	}
 	return &tableRow{vals: vals, region: region}, nil
 }
 
-// decodeRowPooled decodes a row value, drawing the destination map from the
-// session pool when the fetch runs under a cached plan.
-func (s *Session) decodeRowPooled(pc *prefixCache, val mvcc.Value) (map[ColumnID]Datum, error) {
-	if pc == nil {
-		return DecodeRow(val)
-	}
+// decodeRowPooled decodes a row value into a map drawn from the session
+// pool.
+func (s *Session) decodeRowPooled(val mvcc.Value) (map[ColumnID]Datum, error) {
 	m := s.getRowMap()
 	if err := DecodeRowInto(m, val); err != nil {
 		s.putRowMap(m)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"mrdb/internal/core"
-	"mrdb/internal/mvcc"
 	"mrdb/internal/simnet"
 )
 
@@ -66,8 +65,6 @@ type cachedRead struct {
 	// tuples themselves (literal/placeholder values on indexed columns), so
 	// the per-row filter pass is a provable no-op and is skipped.
 	filterRedundant bool
-	// prefixes memoizes this table's index-partition key prefixes.
-	prefixes prefixCache
 }
 
 // cachedInsert is the shape half of an INSERT: resolved target columns,
@@ -80,55 +77,6 @@ type cachedInsert struct {
 	// fromDefault is the shared, read-only gen_random_uuid() default set
 	// (every execution of this shape fills the same columns from defaults).
 	fromDefault map[ColumnID]bool
-	prefixes    prefixCache
-}
-
-// prefixEntry memoizes one index partition's key prefix.
-type prefixEntry struct {
-	idx    IndexID
-	region simnet.Region
-	key    mvcc.Key
-}
-
-// prefixCache memoizes index-partition key prefixes per cached plan, so hot
-// key construction skips IndexPrefix's per-key formatting. The entry count
-// is bounded by indexes × regions of one table, so a linear scan beats a
-// map. Entries are appended lazily; the cooperative scheduler serializes
-// sessions, so no locking is needed (same argument as StmtStats).
-type prefixCache struct {
-	entries []prefixEntry
-}
-
-// indexKey builds a full index key using the memoized prefix: one
-// exact-capacity allocation per key instead of formatting garbage. The
-// bytes are identical to EncodeIndexKey's.
-func (pc *prefixCache) indexKey(t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
-	var prefix mvcc.Key
-	for i := range pc.entries {
-		e := &pc.entries[i]
-		if e.idx == idx.ID && e.region == region {
-			prefix = e.key
-			break
-		}
-	}
-	if prefix == nil {
-		prefix = IndexPrefix(t, idx.ID, region)
-		pc.entries = append(pc.entries, prefixEntry{idx: idx.ID, region: region, key: prefix})
-	}
-	key := make(mvcc.Key, len(prefix), len(prefix)+KeyTupleSize(vals))
-	copy(key, prefix)
-	return AppendKeyTuple(key, vals)
-}
-
-// encodeIndexKey builds an index key through the plan's prefix cache when
-// one is attached, and through the regular path otherwise. Both produce the
-// same bytes; only the allocation profile differs, which keeps the
-// from-scratch reference planner exactly on the pre-cache path.
-func encodeIndexKey(pc *prefixCache, t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
-	if pc == nil {
-		return EncodeIndexKey(t, idx, region, vals)
-	}
-	return pc.indexKey(t, idx, region, vals)
 }
 
 // PlanCache holds cached statement shapes keyed by fingerprint-derived
@@ -343,9 +291,6 @@ func (s *Session) planReadCached(stmt Statement, t *Table, db *core.Database, w 
 	}
 	cr := buildCachedRead(t, plan, w)
 	s.Catalog.plans.putRead(s.Catalog.version, string(key), cr)
-	// The miss execution fetches through the fresh entry's prefix cache too,
-	// warming it for the hits that follow.
-	plan.prefixes = &cr.prefixes
 	plan.filterRedundant = cr.filterRedundant
 	return plan, nil
 }
@@ -405,7 +350,7 @@ func (s *Session) bindRead(cr *cachedRead, t *Table, db *core.Database, w *Where
 		return nil, err
 	}
 	plan := &s.planScratch
-	*plan = readPlan{t: t, index: cr.index, limit: limit, prefixes: &cr.prefixes, filterRedundant: cr.filterRedundant}
+	*plan = readPlan{t: t, index: cr.index, limit: limit, filterRedundant: cr.filterRedundant}
 	switch cr.mode {
 	case modeUnpartitioned:
 		plan.regions = unpartitionedRegions
@@ -608,8 +553,7 @@ func (s *Session) buildRowValuesCached(ci *cachedInsert, t *Table, db *core.Data
 const rowPoolMax = 64
 
 // getRowMap returns a cleared row map from the session pool, or a fresh
-// one. Only the cached-plan fetch path draws from the pool, so the
-// from-scratch reference planner keeps the pre-cache allocation profile.
+// one.
 func (s *Session) getRowMap() map[ColumnID]Datum {
 	if n := len(s.rowPool); n > 0 {
 		m := s.rowPool[n-1]

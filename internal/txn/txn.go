@@ -1,5 +1,6 @@
 // Package txn implements the gateway-side transaction coordinator: begin /
-// read / write / commit with serializable isolation, uncertainty-interval
+// read / write / commit with serializable isolation, pipelined writes
+// proved in parallel with a STAGING commit record (§3.1), uncertainty-interval
 // refreshes and restarts (paper §6.1), commit wait for future-time (global)
 // transactions performed concurrently with lock release (§6.2), and the
 // stale read-only transaction variants — exact and bounded staleness
@@ -23,12 +24,6 @@ type Coordinator struct {
 	Store  *kv.Store
 	Sender *kv.DistSender
 
-	// PipelineWrites replies to writes after proposal rather than after
-	// replication (async consensus); the commit path proves every
-	// pipelined write with QueryIntent before writing the commit record.
-	// On by default via NewCoordinator.
-	PipelineWrites bool
-
 	// FollowerReadPatience, when non-zero, lets follower replicas wait up
 	// to this long for their closed timestamp to catch up instead of
 	// redirecting a read to the leaseholder (the paper's adaptive-policy
@@ -50,7 +45,7 @@ type Coordinator struct {
 
 // NewCoordinator returns a coordinator bound to a gateway store.
 func NewCoordinator(store *kv.Store, sender *kv.DistSender) *Coordinator {
-	return &Coordinator{Store: store, Sender: sender, PipelineWrites: true}
+	return &Coordinator{Store: store, Sender: sender}
 }
 
 // tracer returns the gateway store's tracer (nil-safe).
@@ -61,8 +56,9 @@ func (c *Coordinator) tracer() *obs.Tracer {
 	return c.Store.Obs
 }
 
-// Txn is one transaction attempt (an epoch); it is restarted in place on
-// retryable errors.
+// Txn is one transaction attempt. It is never restarted in place: on a
+// retryable error Run aborts it and begins a fresh Txn (new ID, new
+// timestamp).
 type Txn struct {
 	co *Coordinator
 	kv *kv.Txn
@@ -72,15 +68,16 @@ type Txn struct {
 	// visible). The SQL layer sets it for auto-commit statements.
 	AllowOnePC bool
 
-	writes    []mvcc.Key
-	pipelined []mvcc.Key
-	reads     []readSpan
+	// writes are the keys written so far. Every one was pipelined (the
+	// leaseholder replied after proposing, before replication), so Commit
+	// proves each with a QueryIntent while the commit record stages.
+	writes []mvcc.Key
+	reads  []readSpan
 	// buffered holds the candidate one-phase-commit write until commit
 	// or until any other operation forces a flush.
 	buffered     *mvcc.KeyValue
 	finished     bool
 	committed1PC bool
-	epochOnly    bool // set once the txn restarted at least once
 }
 
 type readSpan struct {
@@ -290,7 +287,7 @@ func (t *Txn) putSend(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 		Key: key, Value: value,
 		Timestamp: t.kv.Meta.WriteTimestamp,
 		Txn:       t.kv,
-		Pipelined: t.co.PipelineWrites,
+		Pipelined: true,
 	}
 	resp := t.co.Sender.Send(p, req)
 	if resp.Err != nil {
@@ -300,9 +297,6 @@ func (t *Txn) putSend(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 		t.kv.Meta.WriteTimestamp = resp.Put.WriteTimestamp
 	}
 	t.writes = append(t.writes, append(mvcc.Key(nil), key...))
-	if req.Pipelined {
-		t.pipelined = append(t.pipelined, t.writes[len(t.writes)-1])
-	}
 	return nil
 }
 
@@ -329,7 +323,7 @@ func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue) error {
 	}
 	reqs := make([]interface{}, len(kvs))
 	for i, pair := range kvs {
-		reqs[i] = &kv.PutRequest{Key: pair.Key, Value: pair.Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv, Pipelined: t.co.PipelineWrites}
+		reqs[i] = &kv.PutRequest{Key: pair.Key, Value: pair.Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv, Pipelined: true}
 	}
 	resps := t.co.Sender.SendBatch(p, reqs)
 	for i, resp := range resps {
@@ -340,9 +334,6 @@ func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue) error {
 			t.kv.Meta.WriteTimestamp = resp.Put.WriteTimestamp
 		}
 		t.writes = append(t.writes, append(mvcc.Key(nil), kvs[i].Key...))
-		if t.co.PipelineWrites {
-			t.pipelined = append(t.pipelined, t.writes[len(t.writes)-1])
-		}
 	}
 	return nil
 }
@@ -447,29 +438,19 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// record in STAGING state concurrently with proving the pipelined
 	// writes (QueryIntent barrier), then finalize. This keeps a remote
 	// single-statement write at two WAN round trips instead of three.
-	stage := len(t.pipelined) > 0
 	var proveErr error
 	proveDone := sim.NewFuture[struct{}](t.co.Store.Sim)
 	parent := obs.ProcSpan(p)
-	if stage {
-		t.co.Store.Sim.Spawn("txn/prove", func(wp *sim.Proc) {
-			obs.SetProcSpan(wp, parent)
-			proveErr = t.proveWrites(wp)
-			proveDone.Set(struct{}{})
-		})
-	} else {
+	t.co.Store.Sim.Spawn("txn/prove", func(wp *sim.Proc) {
+		obs.SetProcSpan(wp, parent)
+		proveErr = t.proveWrites(wp)
 		proveDone.Set(struct{}{})
-	}
+	})
 
-	// The staging phase: the commit record write (STAGING when pipelined
-	// writes are still being proven) overlapped with the QueryIntent proofs.
-	stageName := "txn.commit_record"
-	if stage {
-		stageName = "txn.stage"
-	}
-	ssp, stageDone := t.co.tracer().StartIn(p, stageName)
-	_ = ssp
-	resp := t.co.Sender.Send(p, &kv.EndTxnRequest{Txn: t.kv, Commit: true, CommitTS: commitTS, Stage: stage})
+	// The staging phase: the STAGING commit record write overlapped with
+	// the QueryIntent proofs.
+	_, stageDone := t.co.tracer().StartIn(p, "txn.stage")
+	resp := t.co.Sender.Send(p, &kv.EndTxnRequest{Txn: t.kv, Commit: true, CommitTS: commitTS})
 	proveDone.Wait(p)
 	stageDone()
 	if resp.Err != nil {
@@ -497,19 +478,16 @@ func (t *Txn) Commit(p *sim.Proc) error {
 		}
 		return resp.Err
 	}
-	if stage {
-		if proveErr != nil {
-			// A pipelined write was lost: roll the staged record back
-			// and retry the transaction.
-			t.co.Restarts++
-			t.co.Store.Registry.AbortStaged(t.kv.Meta.ID)
-			t.asyncResolve(p, mvcc.Aborted, hlc.Timestamp{})
-			return proveErr
-		}
-		if err := t.co.Store.Registry.FinalizeStaged(t.kv.Meta.ID); err != nil {
-			return err
-		}
-		t.pipelined = nil
+	if proveErr != nil {
+		// A pipelined write was lost: roll the staged record back
+		// and retry the transaction.
+		t.co.Restarts++
+		t.co.Store.Registry.AbortStaged(t.kv.Meta.ID)
+		t.asyncResolve(p, mvcc.Aborted, hlc.Timestamp{})
+		return proveErr
+	}
+	if err := t.co.Store.Registry.FinalizeStaged(t.kv.Meta.ID); err != nil {
+		return err
 	}
 
 	if t.co.SpannerCommitWait {
@@ -531,9 +509,9 @@ func (t *Txn) Commit(p *sim.Proc) error {
 func (t *Txn) proveWrites(p *sim.Proc) error {
 	sp, done := t.co.tracer().StartIn(p, "txn.prove")
 	defer done()
-	sp.SetTagInt("writes", int64(len(t.pipelined)))
-	reqs := make([]interface{}, len(t.pipelined))
-	for i, key := range t.pipelined {
+	sp.SetTagInt("writes", int64(len(t.writes)))
+	reqs := make([]interface{}, len(t.writes))
+	for i, key := range t.writes {
 		reqs[i] = &kv.QueryIntentRequest{
 			Key: key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch,
 		}

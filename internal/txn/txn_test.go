@@ -2,6 +2,8 @@ package txn_test
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mrdb/internal/cluster"
@@ -254,6 +256,46 @@ func TestPipelinedWritesProveAtCommit(t *testing.T) {
 			}); err != nil || got == nil {
 				t.Errorf("write %d lost: %v", i, err)
 			}
+		}
+	})
+}
+
+// TestCommitIsStagedAndProved pins the one commit protocol in the trace: a
+// read-write commit stages its record and proves its pipelined writes in
+// parallel, exactly once each, and no other coordinator span appears.
+func TestCommitIsStagedAndProved(t *testing.T) {
+	h := newHarness(t, 9)
+	h.c.EnableTracing()
+	h.run(t, func(p *sim.Proc) {
+		co := h.coord(simnet.USEast1)
+		root, done := h.c.Tracer.StartRootIn(p, "test.commit")
+		err := co.Run(p, func(tx *txn.Txn) error {
+			if err := tx.Put(p, mvcc.Key("k/s1"), mvcc.Value("v")); err != nil {
+				return err
+			}
+			return tx.Put(p, mvcc.Key("k/s2"), mvcc.Value("v"))
+		})
+		done()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		p.Sleep(sim.Second) // let the async intent resolution join the trace
+		tr := h.c.Tracer.Collect(root.Ctx().Trace)
+		// Every coordinator span is one of these; anything else would be a
+		// second way of writing the commit record.
+		want := map[string]int{"txn.commit": 1, "txn.stage": 1, "txn.prove": 1, "txn.resolve": 1}
+		got := map[string]int{}
+		for _, sp := range tr.Spans {
+			if strings.HasPrefix(sp.Name, "txn.") {
+				got[sp.Name]++
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("coordinator spans = %v, want %v\n%s", got, want, tr)
+		}
+		if v, _ := tr.Find("txn.prove").Tag("writes"); v != "2" {
+			t.Errorf("txn.prove writes = %q, want 2", v)
 		}
 	})
 }
