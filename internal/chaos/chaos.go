@@ -194,11 +194,19 @@ type harness struct {
 	// back and forth so the placement checker sees live migrations.
 	bankRange kv.RangeID
 
-	// closedLast holds the closed-timestamp monitor's per-replica high-water
-	// baselines. Crashing a node deletes its entries: the recovered replica
-	// restarts from its last checkpoint, legitimately below the pre-crash
-	// value, and monotonicity is per process incarnation.
-	closedLast map[string]hlc.Timestamp
+	// closedLast holds the closed-timestamp monitor's high-water baseline
+	// per (node, range), together with the replica it was read from.
+	closedLast map[string]closedSample
+}
+
+// closedSample is one closed-timestamp reading. Monotonicity is per replica
+// incarnation: a replica reborn from its checkpoint after a crash, or
+// removed and re-created on the same node by a relocation (closed = 0 until
+// its initial snapshot lands), is a new *kv.Replica and starts a new
+// baseline.
+type closedSample struct {
+	rep *kv.Replica
+	ts  hlc.Timestamp
 }
 
 // Run executes a chaos schedule and returns the report. The error is only
@@ -232,7 +240,7 @@ func Run(opts Options) (*Report, error) {
 		opts:       opts,
 		c:          c,
 		activeKind: -1,
-		closedLast: map[string]hlc.Timestamp{},
+		closedLast: map[string]closedSample{},
 		rep: &Report{
 			Seed:         opts.Seed,
 			BankExpected: opts.Accounts * opts.InitialBalance,
@@ -542,11 +550,6 @@ func (h *harness) apply(p *sim.Proc, e Event) {
 	switch e.Kind {
 	case EvCrashNode:
 		h.c.CrashNode(e.A)
-		// The node's replicas are reborn from their checkpoints, which may
-		// trail the pre-crash closed timestamps; re-baseline the monitor.
-		for _, d := range h.c.Catalog.All() {
-			delete(h.closedLast, fmt.Sprintf("n%d/r%d", e.A, d.RangeID))
-		}
 		h.activeKind, h.activeNode = e.Kind, e.A
 	case EvRestartNode:
 		stats, err := h.c.RestartNode(p, e.A)
@@ -803,9 +806,9 @@ func (h *harness) spawnAuditor(wg *sim.WaitGroup) {
 }
 
 // startClosedTSMonitor samples every replica's closed timestamp and counts
-// regressions (closed timestamps must be monotonic per replica).
+// regressions (closed timestamps must be monotonic per replica incarnation,
+// see closedSample).
 func (h *harness) startClosedTSMonitor() (stop func()) {
-	last := h.closedLast
 	return h.c.Sim.Ticker(1*sim.Second, func() {
 		for _, id := range h.c.Topo.Nodes() {
 			st := h.c.Stores[id]
@@ -814,16 +817,20 @@ func (h *harness) startClosedTSMonitor() (stop func()) {
 				if !ok {
 					continue
 				}
-				key := fmt.Sprintf("n%d/r%d", id, d.RangeID)
-				ts := r.ClosedTimestamp()
-				h.rep.ClosedTSSamples++
-				if ts.Less(last[key]) {
-					h.rep.ClosedTSRegressions++
-				}
-				last[key] = ts
+				h.observeClosed(fmt.Sprintf("n%d/r%d", id, d.RangeID), r, r.ClosedTimestamp())
 			}
 		}
 	})
+}
+
+// observeClosed folds one reading into the monitor: strictly monotonic
+// while the same replica answers for key, a new baseline when it changed.
+func (h *harness) observeClosed(key string, r *kv.Replica, ts hlc.Timestamp) {
+	h.rep.ClosedTSSamples++
+	if prev := h.closedLast[key]; prev.rep == r && ts.Less(prev.ts) {
+		h.rep.ClosedTSRegressions++
+	}
+	h.closedLast[key] = closedSample{rep: r, ts: ts}
 }
 
 // startPlacementMonitor samples every range with a registered zone config

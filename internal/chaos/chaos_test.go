@@ -3,6 +3,8 @@ package chaos
 import (
 	"testing"
 
+	"mrdb/internal/hlc"
+	"mrdb/internal/kv"
 	"mrdb/internal/sim"
 )
 
@@ -131,5 +133,28 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 	if a.Schedule() == b.Schedule() {
 		t.Fatal("seeds 1 and 2 produced identical schedules")
+	}
+}
+
+// TestClosedTSMonitorIsPerIncarnation: the monitor is strict while the same
+// replica answers for a (node, range) slot and re-baselines when a
+// relocation (or a restart) put a new replica there — a re-created replica
+// reads closed = 0 until its initial snapshot lands, which is not a
+// regression of the replica that was removed.
+func TestClosedTSMonitorIsPerIncarnation(t *testing.T) {
+	h := &harness{rep: &Report{}, closedLast: map[string]closedSample{}}
+	first, second := &kv.Replica{}, &kv.Replica{}
+	at := func(wall int64) hlc.Timestamp { return hlc.Timestamp{WallTime: wall} }
+	h.observeClosed("n6/r1", first, at(10))
+	h.observeClosed("n6/r1", first, at(12))
+	h.observeClosed("n6/r1", second, at(0)) // removed and re-added: new baseline
+	h.observeClosed("n6/r1", second, at(11))
+	if h.rep.ClosedTSRegressions != 0 {
+		t.Fatalf("a re-created replica was reported as %d regressions", h.rep.ClosedTSRegressions)
+	}
+	h.observeClosed("n6/r1", second, at(9))
+	if h.rep.ClosedTSRegressions != 1 || h.rep.ClosedTSSamples != 5 {
+		t.Fatalf("regressions=%d samples=%d, want 1 of 5: the check stays strict per replica",
+			h.rep.ClosedTSRegressions, h.rep.ClosedTSSamples)
 	}
 }

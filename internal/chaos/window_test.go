@@ -9,12 +9,14 @@ import (
 
 // TestFaultWindowsSpikeAndReconverge pins the trajectory-shaped claim: the
 // probe-latency timeseries must show tail latency spiking while a fault
-// holds and dropping back under the RTO threshold after recovery. Seed 9's
+// holds and dropping back under the RTO threshold after recovery. Seed 26's
 // schedule fails us-east1 (the bank range's lease preference) twice, which
 // reliably knocks probe p99 from ~90ms to several seconds until the lease
-// fails over and back.
+// fails over and back. (The fault schedule draws from the same RNG as the
+// network jitter, so a change to the message schedule moves it: the seed is
+// chosen for that property, and the assertions below say so when it goes.)
 func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
-	rep, err := Run(Options{Seed: 9, Faults: 8})
+	rep, err := Run(Options{Seed: 26, Faults: 8})
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}
@@ -53,7 +55,7 @@ func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
 // nothing about the files may depend on the host.
 func TestChaosExportDeterminism(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
-	run := func(dir string) {
+	run := func(dir string) *Report {
 		rep, err := Run(Options{Seed: 11, Faults: 5, ExportDir: dir})
 		if err != nil {
 			t.Fatalf("chaos run failed: %v", err)
@@ -61,8 +63,9 @@ func TestChaosExportDeterminism(t *testing.T) {
 		if !rep.OK() {
 			t.Fatalf("invariants violated:\n%s", rep)
 		}
+		return rep
 	}
-	run(dirA)
+	rep := run(dirA)
 	run(dirB)
 	for _, name := range []string{"chaos_metrics.prom", "chaos_registry.prom", "chaos_traces.json"} {
 		a, err := os.ReadFile(filepath.Join(dirA, name))
@@ -80,9 +83,14 @@ func TestChaosExportDeterminism(t *testing.T) {
 			t.Errorf("%s differs between same-seed runs (%d vs %d bytes)", name, len(a), len(b))
 		}
 	}
-	// The Jaeger export must carry the error convention: chaos runs always
-	// produce failed RPC attempts, and those spans render red in the UI via
-	// the boolean error tag.
+	// The Jaeger export must carry the error convention: failed RPC attempts
+	// render red in the UI via the boolean error tag. Whether a schedule
+	// fails any operation is the seed's luck, so the run is picked by that
+	// property first: a failed transfer or probe is a trace with a failed
+	// attempt in it.
+	if rep.TransfersFailed+rep.ProbesFailed == 0 {
+		t.Fatalf("seed no longer produces a failed RPC, choose another:\n%s", rep)
+	}
 	traces, _ := os.ReadFile(filepath.Join(dirA, "chaos_traces.json"))
 	if !bytes.Contains(traces, []byte(`"key": "error"`)) {
 		t.Error("trace export contains no error-tagged spans")

@@ -371,9 +371,8 @@ func (a *Admin) SplitRange(p *sim.Proc, rangeID RangeID, splitKey mvcc.Key) (*Ra
 		a.Catalog.SetZoneConfig(newDesc.RangeID, cfg)
 	}
 	// The right half's replicas appear as the split applies on each
-	// store, so the leaseholder's initial campaign can race replica
-	// creation and lose to a timeout election elsewhere. Align Raft
-	// leadership with the lease.
+	// store, so the leaseholder's initial campaign races replica creation.
+	// Align Raft leadership with the lease.
 	if err := a.alignLeadership(p, newDesc); err != nil {
 		return nil, err
 	}
@@ -383,16 +382,21 @@ func (a *Admin) SplitRange(p *sim.Proc, rangeID RangeID, splitKey mvcc.Key) (*Ra
 // alignLeadership waits for the range to elect a leader and moves
 // leadership to the leaseholder if someone else won.
 func (a *Admin) alignLeadership(p *sim.Proc, desc *RangeDescriptor) error {
+	recampaigned := false
 	for i := 0; i < 2000; i++ {
 		var leader *Replica
+		present := 0
 		for _, id := range desc.Voters {
 			st, ok := a.Stores[id]
 			if !ok {
 				continue
 			}
-			if r, ok := st.Replica(desc.RangeID); ok && r.raft.IsLeader() {
-				leader = r
-				break
+			if r, ok := st.Replica(desc.RangeID); ok {
+				present++
+				if r.raft.IsLeader() {
+					leader = r
+					break
+				}
 			}
 		}
 		if leader != nil {
@@ -400,6 +404,17 @@ func (a *Admin) alignLeadership(p *sim.Proc, desc *RangeDescriptor) error {
 				return nil
 			}
 			leader.raft.TransferLeadership(desc.Leaseholder)
+		} else if !recampaigned && present > len(desc.Voters)/2 {
+			// The leaseholder campaigned as the split applied locally, which
+			// is before any follower learns the split committed: the vote
+			// requests found no replica and were dropped, and Raft would
+			// retry only after an election timeout. Campaign again now
+			// that a quorum of the new range exists, so a split costs the
+			// right half one append interval, not seconds.
+			if r, ok := a.Stores[desc.Leaseholder].Replica(desc.RangeID); ok {
+				recampaigned = true
+				r.raft.Campaign()
+			}
 		}
 		p.Sleep(10 * sim.Millisecond)
 	}

@@ -200,6 +200,11 @@ func (r *Replica) evalGet(p *sim.Proc, req *GetRequest) Response {
 		lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
 		r.latches.waitFree(p, req.Key)
 		lsp.Finish()
+		// A split may have applied while this request waited (lock, latch,
+		// intent); this engine's copy of the key is then stale. Re-route.
+		if !req.Timestamp.IsEmpty() && !r.desc.ContainsKey(req.Key) {
+			return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
+		}
 		val, vts, err := r.engine.Get(req.Key, readTS, opts)
 		var wie *mvcc.WriteIntentError
 		if errors.As(err, &wie) {
@@ -396,6 +401,13 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		if err := r.checkLease(); err != nil {
 			return Response{Err: err}
 		}
+		// A split may have applied while this request waited (lock, latch,
+		// intent): the key's newer writes then land on the right-hand
+		// range, and checking against this engine's stale copy would miss
+		// them. Re-route.
+		if !r.desc.ContainsKey(req.Key) {
+			return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
+		}
 		// Writes may not invalidate served reads — except the
 		// transaction's own (self-exemption avoids forcing a refresh on
 		// every read-modify-write).
@@ -499,14 +511,26 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 			}
 		}
 	}
+	// Claim the commit only where the value can follow it into the log. A
+	// leaseholder that does not lead Raft (the fresh right-hand side of a
+	// split) or was frozen for a merge cannot propose; had it claimed first,
+	// the coordinator's retry — at a timestamp a concurrent read may have
+	// pushed — would find the record committed at the old one. Evaluation
+	// runs in scheduler context: nothing yields between this check and
+	// Propose.
+	if !r.raft.IsLeader() || r.subsumed {
+		return Response{Err: r.errNotLeaseholder()}
+	}
 	if err := r.store.Registry.TryCommit(req.Txn.Meta.ID, ts); err != nil {
 		return Response{Err: err}
 	}
 	cmd := Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, ClosedTS: target}
 	if err := r.propose(p, cmd); err != nil {
-		// The commit record is durable in the registry; the value's
-		// replication failure here is a leadership-change corner the
-		// coordinator surfaces as an error.
+		// The entry entered the log and leadership was lost with it in
+		// flight (raft.ErrLeadershipLost): the record says committed, the
+		// value may or may not apply. Closing that corner needs the record
+		// to live in the range's log (ROADMAP "crash-honest transaction
+		// records"); until then the coordinator sees the error.
 		return Response{Err: err}
 	}
 	return Response{Put: &PutResponse{WriteTimestamp: ts, Committed: true}}
@@ -639,7 +663,7 @@ func (r *Replica) evalResolveIntent(p *sim.Proc, req *ResolveIntentRequest) Resp
 	return Response{Resolve: &ResolveIntentResponse{}}
 }
 
-func (r *Replica) evalRefresh(req *RefreshRequest) Response {
+func (r *Replica) evalRefresh(p *sim.Proc, req *RefreshRequest) Response {
 	if !r.isLeaseholder() {
 		// A follower can verify a refresh authoritatively when its
 		// closed timestamp covers ToTS: no new writes can appear at or
@@ -664,6 +688,10 @@ func (r *Replica) evalRefresh(req *RefreshRequest) Response {
 			r.tscache.RecordReadSpan(req.Key, req.EndKey, req.ToTS)
 		}
 	} else {
+		// Like a read, wait out a write that is between evaluation and
+		// application: it already passed the timestamp cache, so a refresh
+		// that looked past it would bless a read the write invalidates.
+		r.latches.waitFree(p, req.Key)
 		ok = !r.engine.HasNewerVersion(req.Key, req.FromTS, req.ToTS, req.TxnID)
 		if ok {
 			// The refreshed read is a read at the new timestamp.
@@ -851,6 +879,12 @@ func (r *Replica) applySplit(cmd Command) {
 	if _, ok := r.store.Replica(newDesc.RangeID); !ok {
 		nr := r.store.CreateReplica(newDesc, r.store.Clock.MaxOffset())
 		r.engine.CopyTo(nr.engine, newDesc.StartKey, newDesc.EndKey)
+		// Writes this range evaluated before the split but that sit behind
+		// it in the log still hold their latches here, and apply into the
+		// right half's engine (engineFor). The two key spans are disjoint,
+		// so the halves share one latch manager: a read on the right half
+		// waits those writes out instead of reading around them.
+		nr.latches = r.latches
 		// The new leaseholder assumes everything below the split
 		// timestamp was read.
 		nr.tscache.SetLowWater(cmd.Ts)

@@ -332,7 +332,7 @@ type RefreshRequest struct {
 func (q *RefreshRequest) routingKey() mvcc.Key                  { return q.Key }
 func (q *RefreshRequest) typeName() string                      { return "*kv.RefreshRequest" }
 func (q *RefreshRequest) followerOK() bool                      { return q.FollowerRead }
-func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalRefresh(q) }
+func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalRefresh(p, q) }
 
 // RefreshResponse reports whether the refresh succeeded.
 type RefreshResponse struct {

@@ -1,0 +1,162 @@
+package kv
+
+import (
+	"errors"
+	"testing"
+
+	"mrdb/internal/mvcc"
+	"mrdb/internal/sim"
+	"mrdb/internal/simnet"
+)
+
+// TestWaitingRequestReroutesAfterSplit: a request that parks (lock, latch,
+// intent) may wake up on a range that no longer owns its key. The left-hand
+// engine keeps a copy of the right half's data that later writes never
+// reach, so evaluating against it reads stale values; the request must be
+// re-routed instead.
+func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	rep, _ := st.Replica(desc.RangeID)
+	key := mvcc.Key("m")
+
+	var get, put Response
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		// A writer holds the latch while both requests arrive…
+		rep.latches.acquire(p, key)
+		done := sim.NewWaitGroup(h.s)
+		done.Add(2)
+		h.s.Spawn("get", func(gp *sim.Proc) {
+			defer done.Done()
+			get = rep.evaluate(gp, &GetRequest{Key: key, Timestamp: st.Clock.Now()})
+		})
+		h.s.Spawn("put", func(pp *sim.Proc) {
+			defer done.Done()
+			put = rep.evaluate(pp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: st.Clock.Now()})
+		})
+		p.Sleep(10 * sim.Millisecond)
+		// …and the range splits below the key before the latch frees.
+		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
+			return err
+		}
+		rep.latches.release(key)
+		done.Wait(p)
+		return nil
+	})
+	var mismatch *RangeKeyMismatchError
+	if !errors.As(get.Err, &mismatch) {
+		t.Errorf("get evaluated on the left-hand side after the split: %+v", get)
+	}
+	if !errors.As(put.Err, &mismatch) {
+		t.Errorf("put evaluated on the left-hand side after the split: %+v", put)
+	}
+}
+
+// TestRefreshWaitsForInFlightWrite: a write between evaluation and
+// application has already passed the timestamp cache, so a refresh that
+// does not wait for it would bless a read the write invalidates.
+func TestRefreshWaitsForInFlightWrite(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	rep, _ := st.Replica(desc.RangeID)
+	key := mvcc.Key("k")
+
+	var resp Response
+	h.run(t, sim.Second, func(p *sim.Proc) error {
+		from := st.Clock.Now()
+		p.Sleep(sim.Millisecond)
+		writeTS := st.Clock.Now()
+		p.Sleep(sim.Millisecond)
+		to := st.Clock.Now()
+		// The write is evaluated (latch held) but not yet applied.
+		rep.latches.acquire(p, key)
+		done := sim.NewWaitGroup(h.s)
+		done.Add(1)
+		h.s.Spawn("refresh", func(rp *sim.Proc) {
+			defer done.Done()
+			resp = rep.evaluate(rp, &RefreshRequest{Key: key, FromTS: from, ToTS: to, TxnID: 7})
+		})
+		p.Sleep(10 * sim.Millisecond)
+		if resp.Refresh != nil {
+			t.Errorf("refresh answered %+v while a write on the key was in flight", resp.Refresh)
+		}
+		if _, err := rep.engine.Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
+			return err
+		}
+		rep.latches.release(key)
+		done.Wait(p)
+		return nil
+	})
+	if resp.Err != nil || resp.Refresh == nil || resp.Refresh.Success {
+		t.Fatalf("refresh across an applied write: %+v, want Success=false", resp)
+	}
+}
+
+// TestSplitRightHalfLedPromptly: the right half's leaseholder campaigns as
+// the split applies locally, before any follower has created its replica,
+// so those vote requests are dropped. SplitRange must re-campaign once a
+// quorum of the new range exists rather than leave the right half
+// leaderless until an election timeout.
+func TestSplitRightHalfLedPromptly(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	var took sim.Duration
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		start := p.Now()
+		_, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h"))
+		took = p.Now().Sub(start)
+		return err
+	})
+	if took >= electionTimeoutFloor {
+		t.Fatalf("split left the right half leaderless for %v (an election timeout)", took)
+	}
+}
+
+// electionTimeoutFloor is below raft's 2s election timeout and well above
+// one 400ms append interval plus a round trip.
+const electionTimeoutFloor = sim.Second
+
+// TestRightHalfWaitsForInFlightLeftWrites: a write the left half evaluated
+// before a split, but whose entry sits behind the split in the log, applies
+// into the right half's engine. A read on the right half must wait for it
+// (it holds its latch on the left half) instead of reading around it.
+func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	lhs, _ := st.Replica(desc.RangeID)
+	key := mvcc.Key("m")
+
+	var got Response
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		lhs.latches.acquire(p, key) // the in-flight write…
+		writeTS := st.Clock.Now()   // …evaluated at this timestamp
+		rdesc, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h"))
+		if err != nil {
+			return err
+		}
+		rhs, _ := st.Replica(rdesc.RangeID)
+		done := sim.NewWaitGroup(h.s)
+		done.Add(1)
+		h.s.Spawn("get", func(gp *sim.Proc) {
+			defer done.Done()
+			got = rhs.evaluate(gp, &GetRequest{Key: key, Timestamp: st.Clock.Now()})
+		})
+		p.Sleep(10 * sim.Millisecond)
+		if got.Get != nil || got.Err != nil {
+			t.Errorf("right half read around an in-flight left-half write: %+v", got)
+		}
+		// The write applies (into the right half's engine), then unlatches.
+		if _, err := lhs.engineFor(key).Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
+			return err
+		}
+		lhs.latches.release(key)
+		done.Wait(p)
+		return nil
+	})
+	if got.Err != nil || got.Get == nil || string(got.Get.Value) != "v" {
+		t.Fatalf("read after the write applied: %+v", got)
+	}
+}

@@ -241,16 +241,30 @@ type Node struct {
 	voters   map[simnet.NodeID]bool
 	learners map[simnet.NodeID]bool
 
-	// Leader state.
-	nextIndex  map[simnet.NodeID]uint64
-	matchIndex map[simnet.NodeID]uint64
-	pending    map[uint64]*sim.Future[ProposeResult]
+	// peerList caches peers(); applyConfChange invalidates it.
+	peerList []simnet.NodeID
+
+	// Leader state: one progress per replica (self included, for match),
+	// rebuilt by becomeLeader.
+	progress map[simnet.NodeID]*progress
+	pending  map[uint64]*sim.Future[ProposeResult]
 
 	// Candidate state.
 	votes map[simnet.NodeID]bool
 
 	lastHeard sim.Time
 	stopped   bool
+}
+
+// progress is the leader's replication bookkeeping for one peer. Every
+// append ships cumulatively from next, which tracks match+1 once the peer
+// has answered: the network jitters each message independently, so appends
+// overtake each other, and a cumulative append is acceptable in any order
+// where an optimistic one would be rejected.
+type progress struct {
+	match uint64 // highest index the peer acked as durable
+	next  uint64 // first index of the next append; 0 = needs an initial snapshot
+	sent  uint64 // highest index the latest append or snapshot shipped
 }
 
 // NewNode constructs a replica. If the node appears in cfg.Learners it
@@ -260,13 +274,11 @@ func NewNode(cfg Config) *Node {
 		cfg.HeartbeatInterval = 400 * sim.Millisecond
 	}
 	n := &Node{
-		cfg:        cfg,
-		log:        []Entry{{}},
-		voters:     map[simnet.NodeID]bool{},
-		learners:   map[simnet.NodeID]bool{},
-		nextIndex:  map[simnet.NodeID]uint64{},
-		matchIndex: map[simnet.NodeID]uint64{},
-		pending:    map[uint64]*sim.Future[ProposeResult]{},
+		cfg:      cfg,
+		log:      []Entry{{}},
+		voters:   map[simnet.NodeID]bool{},
+		learners: map[simnet.NodeID]bool{},
+		pending:  map[uint64]*sim.Future[ProposeResult]{},
 	}
 	for _, v := range cfg.Voters {
 		n.voters[v] = true
@@ -358,24 +370,6 @@ func (n *Node) markDurable(idx uint64) {
 	}
 }
 
-// Voters returns the current voter set.
-func (n *Node) Voters() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(n.voters))
-	for v := range n.voters {
-		out = append(out, v)
-	}
-	return out
-}
-
-// Learners returns the current learner set.
-func (n *Node) Learners() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(n.learners))
-	for l := range n.learners {
-		out = append(out, l)
-	}
-	return out
-}
-
 // IsVoter reports whether id is currently a voter.
 func (n *Node) IsVoter(id simnet.NodeID) bool { return n.voters[id] }
 
@@ -462,12 +456,11 @@ func (n *Node) becomeLeader() {
 	n.role = Leader
 	n.leader = n.cfg.ID
 	last := n.LastIndex()
-	for _, id := range n.peers() {
-		n.nextIndex[id] = last + 1
-		n.matchIndex[id] = 0
-	}
 	// The leader may only count its own log up to what is fsynced.
-	n.matchIndex[n.cfg.ID] = n.durableIndex
+	n.progress = map[simnet.NodeID]*progress{n.cfg.ID: {match: n.durableIndex}}
+	for _, id := range n.peers() {
+		n.progress[id] = &progress{next: last + 1, sent: last}
+	}
 	if n.cfg.OnLeaderChange != nil {
 		n.cfg.OnLeaderChange(n.cfg.ID, n.term)
 	}
@@ -534,24 +527,25 @@ func (n *Node) TransferLeadership(target simnet.NodeID) {
 
 // peers returns all other replicas in ascending node order. Deterministic
 // iteration matters: message send order consumes network-jitter randomness,
-// so map-order iteration would make runs irreproducible.
+// so map-order iteration would make runs irreproducible. The list is built
+// once per configuration, not once per broadcast.
 func (n *Node) peers() []simnet.NodeID {
-	seen := map[simnet.NodeID]bool{}
-	var out []simnet.NodeID
-	add := func(id simnet.NodeID) {
-		if id != n.cfg.ID && !seen[id] {
-			seen[id] = true
-			out = append(out, id)
+	if n.peerList == nil {
+		out := []simnet.NodeID{}
+		for v := range n.voters {
+			if v != n.cfg.ID {
+				out = append(out, v)
+			}
 		}
+		for l := range n.learners {
+			if l != n.cfg.ID && !n.voters[l] {
+				out = append(out, l)
+			}
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		n.peerList = out
 	}
-	for v := range n.voters {
-		add(v)
-	}
-	for l := range n.learners {
-		add(l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n.peerList
 }
 
 // sortedVoters returns the voter set in ascending node order.
@@ -571,14 +565,14 @@ func (n *Node) appendLocal(e Entry) uint64 {
 	idx, term := e.Index, n.term
 	// The leader's own vote for the entry (its match index) counts toward
 	// quorum only once the entry is on disk.
-	n.persist([]Entry{e}, func() {
+	n.persist(n.log[len(n.log)-1:], func() {
 		if n.stopped {
 			return
 		}
 		n.markDurable(idx)
 		if n.role == Leader && n.term == term {
-			if idx > n.matchIndex[n.cfg.ID] {
-				n.matchIndex[n.cfg.ID] = idx
+			if self := n.progress[n.cfg.ID]; idx > self.match {
+				self.match = idx
 			}
 			n.maybeCommit()
 		}
@@ -589,22 +583,19 @@ func (n *Node) appendLocal(e Entry) uint64 {
 // Propose replicates data, returning a future resolved once the entry
 // commits and applies on this leader (or fails on leadership loss).
 func (n *Node) Propose(data interface{}) (*sim.Future[ProposeResult], error) {
-	if n.role != Leader {
-		return nil, &ErrNotLeader{Leader: n.leader}
-	}
-	idx := n.appendLocal(Entry{Data: data})
-	f := sim.NewFuture[ProposeResult](n.cfg.Sim)
-	n.pending[idx] = f
-	n.broadcastAppend()
-	return f, nil
+	return n.proposeEntry(Entry{Data: data})
 }
 
 // ProposeConfChange replicates a membership change.
 func (n *Node) ProposeConfChange(cc ConfChange) (*sim.Future[ProposeResult], error) {
+	return n.proposeEntry(Entry{Conf: &cc})
+}
+
+func (n *Node) proposeEntry(e Entry) (*sim.Future[ProposeResult], error) {
 	if n.role != Leader {
 		return nil, &ErrNotLeader{Leader: n.leader}
 	}
-	idx := n.appendLocal(Entry{Conf: &cc})
+	idx := n.appendLocal(e)
 	f := sim.NewFuture[ProposeResult](n.cfg.Sim)
 	n.pending[idx] = f
 	n.broadcastAppend()
@@ -621,33 +612,34 @@ func (n *Node) broadcastAppend() {
 const maxBatch = 256
 
 func (n *Node) sendAppend(to simnet.NodeID) {
-	next := n.nextIndex[to]
-	if next == 0 {
-		// A replica added by conf change after this range accumulated state:
-		// initialize it with a snapshot (see applyConfChange). Replaying the
-		// log from index 1 would miss state the log never carried.
-		if n.cfg.Snapshot != nil {
-			n.sendSnapshot(to)
-			return
-		}
-		next = 1
-		n.nextIndex[to] = 1
+	pr := n.progress[to]
+	if pr.next == 0 && n.cfg.Snapshot == nil {
+		pr.next = 1
 	}
-	if next <= n.offset() {
-		// The entries the peer needs were compacted into a checkpoint;
-		// ship a snapshot of the applied state instead.
+	if pr.next <= n.offset() {
+		// Either a replica added by conf change after this range accumulated
+		// state (next == 0, see applyConfChange: replaying the log from index
+		// 1 would miss state the log never carried), or the entries the peer
+		// needs were compacted into a checkpoint. Ship a snapshot of the
+		// applied state instead.
 		n.sendSnapshot(to)
 		return
 	}
-	prev := n.at(next - 1)
-	var entries []Entry
-	for i := next; i <= n.LastIndex() && len(entries) < maxBatch; i++ {
-		entries = append(entries, n.at(i))
+	// Entries is a window onto this log, not a copy. That is safe because a
+	// log is only ever appended to in place — the one truncation (handleApp's
+	// conflict path) moves to a fresh array — and the clamped capacity keeps
+	// a receiver's append from writing through it.
+	lo := int(pr.next - n.offset())
+	hi := len(n.log)
+	if hi > lo+maxBatch {
+		hi = lo + maxBatch
 	}
+	prev := n.log[lo-1]
+	pr.sent = n.log[hi-1].Index
 	msg := Message{
 		Kind: MsgApp, Term: n.term, From: n.cfg.ID,
 		PrevLogIndex: prev.Index, PrevLogTerm: prev.Term,
-		Entries: entries, LeaderCommit: n.commitIndex,
+		Entries: n.log[lo:hi:hi], LeaderCommit: n.commitIndex,
 	}
 	if n.cfg.HeartbeatPayload != nil {
 		msg.Payload = n.cfg.HeartbeatPayload()
@@ -667,7 +659,8 @@ func (n *Node) sendSnapshot(to simnet.NodeID) {
 		SnapIndex: idx, SnapTerm: n.at(idx).Term,
 		Snapshot: n.cfg.Snapshot(), LeaderCommit: n.commitIndex,
 	}
-	n.nextIndex[to] = idx + 1
+	pr := n.progress[to]
+	pr.next, pr.sent = idx+1, idx
 	n.cfg.Transport.Send(to, msg)
 }
 
@@ -681,7 +674,7 @@ func (n *Node) maybeCommit() {
 		}
 		count := 0
 		for v := range n.voters {
-			if n.matchIndex[v] >= idx {
+			if n.progress[v].match >= idx {
 				count++
 			}
 		}
@@ -699,7 +692,7 @@ func (n *Node) maybeCommit() {
 func (n *Node) ackSet(idx uint64) []simnet.NodeID {
 	var acks []simnet.NodeID
 	for v := range n.voters {
-		if n.matchIndex[v] >= idx {
+		if n.progress[v].match >= idx {
 			acks = append(acks, v)
 		}
 	}
@@ -751,20 +744,20 @@ func (n *Node) applyConfChange(cc ConfChange) {
 			n.role = Learner
 		}
 	}
+	n.peerList = nil
+	if !n.voters[cc.Node] && !n.learners[cc.Node] {
+		// Gone from the group: if it is ever re-added it is a blank replica,
+		// not the one whose match and next index these were.
+		delete(n.progress, cc.Node)
+	} else if n.role == Leader && n.progress[cc.Node] == nil {
+		// A brand-new replica initializes from a snapshot of the applied
+		// state, never by replaying the log from scratch: the log cannot
+		// reproduce state that predates it (bulk loads, data absorbed by
+		// merges). next == 0 is the sentinel sendAppend turns into an
+		// initial snapshot (or 1 without snapshots).
+		n.progress[cc.Node] = &progress{}
+	}
 	if n.role == Leader {
-		if _, ok := n.nextIndex[cc.Node]; !ok {
-			if n.cfg.Snapshot != nil {
-				// A brand-new replica initializes from a snapshot of the
-				// applied state, never by replaying the log from scratch:
-				// the log cannot reproduce state that predates it (bulk
-				// loads, data absorbed by merges). 0 is the sentinel
-				// sendAppend turns into an initial snapshot.
-				n.nextIndex[cc.Node] = 0
-			} else {
-				n.nextIndex[cc.Node] = 1
-			}
-			n.matchIndex[cc.Node] = 0
-		}
 		n.maybeCommit()
 	}
 }
@@ -874,25 +867,29 @@ func (n *Node) handleApp(msg Message) {
 		})
 		return
 	}
-	// Append, truncating conflicts.
-	var appended []Entry
-	for _, e := range msg.Entries {
-		if e.Index <= n.offset() {
-			continue
-		}
-		if e.Index <= n.LastIndex() {
-			if n.at(e.Index).Term != e.Term {
-				n.log = n.log[:e.Index-n.offset()]
-				if n.durableIndex > n.LastIndex() {
-					n.durableIndex = n.LastIndex()
-				}
-				n.log = append(n.log, e)
-				appended = append(appended, e)
+	// Appends are cumulative, so most of a message is usually already here.
+	// Log Matching skips that prefix in one comparison: if our term at the
+	// last index both logs could share equals the message's, every entry at
+	// or below it matches too.
+	appended := msg.Entries
+	if last := min64(n.LastIndex(), msg.PrevLogIndex+uint64(len(appended))); last > msg.PrevLogIndex &&
+		n.at(last).Term == appended[last-msg.PrevLogIndex-1].Term {
+		appended = appended[last-msg.PrevLogIndex:]
+	}
+	// What overlaps now holds a conflict: find it, truncate, append.
+	for len(appended) > 0 && appended[0].Index <= n.LastIndex() && n.at(appended[0].Index).Term == appended[0].Term {
+		appended = appended[1:]
+	}
+	if len(appended) > 0 {
+		if cut := appended[0].Index - n.offset(); cut < uint64(len(n.log)) {
+			// Copy-on-truncate: this log may back appends still in flight
+			// from when this node led, so the overwrite goes to a new array.
+			n.log = n.log[:cut:cut]
+			if n.durableIndex > n.LastIndex() {
+				n.durableIndex = n.LastIndex()
 			}
-		} else {
-			n.log = append(n.log, e)
-			appended = append(appended, e)
 		}
+		n.log = append(n.log, appended...)
 	}
 	if msg.LeaderCommit > n.commitIndex {
 		n.commitIndex = min64(msg.LeaderCommit, n.LastIndex())
@@ -1003,23 +1000,33 @@ func (n *Node) handleAppResp(msg Message) {
 	if n.role != Leader || msg.Term != n.term {
 		return
 	}
+	pr := n.progress[msg.From]
+	if pr == nil {
+		return
+	}
 	if msg.Success {
-		if msg.MatchIndex > n.matchIndex[msg.From] {
-			n.matchIndex[msg.From] = msg.MatchIndex
+		// Acks arrive reordered; a stale one moves nothing backwards.
+		if msg.MatchIndex > pr.match {
+			pr.match = msg.MatchIndex
 		}
-		n.nextIndex[msg.From] = msg.MatchIndex + 1
+		if msg.MatchIndex >= pr.next {
+			pr.next = msg.MatchIndex + 1
+		}
 		n.maybeCommit()
-		// Keep streaming if the peer is behind.
-		if n.nextIndex[msg.From] <= n.LastIndex() {
+		// Every proposal already shipped itself, so an ack answers with
+		// another append only when entries were never sent: after a reject,
+		// a snapshot, or a send truncated at maxBatch. Re-sending whenever
+		// the peer is merely behind turns each ack into an echo that lives
+		// until the peer catches up — quadratic under overlapping proposals.
+		if pr.sent < n.LastIndex() {
 			n.sendAppend(msg.From)
 		}
 	} else {
-		// Back off nextIndex and retry.
-		ni := n.nextIndex[msg.From]
-		if msg.MatchIndex+1 < ni {
-			n.nextIndex[msg.From] = msg.MatchIndex + 1
-		} else if ni > 1 {
-			n.nextIndex[msg.From] = ni - 1
+		// Back off next and retry.
+		if msg.MatchIndex+1 < pr.next {
+			pr.next = msg.MatchIndex + 1
+		} else if pr.next > 1 {
+			pr.next--
 		}
 		n.sendAppend(msg.From)
 	}

@@ -15,6 +15,23 @@ type harness struct {
 	nodes map[simnet.NodeID]*Node
 	// applied records Data values applied per node, in order.
 	applied map[simnet.NodeID][]interface{}
+
+	// linkDelay, if non-zero, replaces the topology: every message takes
+	// exactly this long, so message schedules are exact.
+	linkDelay sim.Duration
+	// sent counts every message handed to the transport, by sender,
+	// receiver, kind and whether it carried entries.
+	sent map[msgClass]int
+	// intercept, if set, sees each message after it is counted; returning
+	// true takes it off the wire, and the test drops it or hands it to
+	// deliver later (in any order).
+	intercept func(from, to simnet.NodeID, msg Message) bool
+}
+
+type msgClass struct {
+	from, to simnet.NodeID
+	kind     MsgKind
+	entries  bool
 }
 
 type harnessTransport struct {
@@ -23,12 +40,42 @@ type harnessTransport struct {
 }
 
 func (t *harnessTransport) Send(to simnet.NodeID, msg Message) {
-	t.h.net.Send(t.from, to, msg)
+	h := t.h
+	h.sent[msgClass{t.from, to, msg.Kind, len(msg.Entries) > 0}]++
+	if h.intercept != nil && h.intercept(t.from, to, msg) {
+		return
+	}
+	h.deliver(t.from, to, msg)
+}
+
+func (h *harness) deliver(from, to simnet.NodeID, msg Message) {
+	if h.linkDelay > 0 {
+		h.s.After(h.linkDelay, func() { h.nodes[to].Step(msg) })
+		return
+	}
+	h.net.Send(from, to, msg)
+}
+
+// appends returns how many MsgApp carrying entries from → to were sent.
+func (h *harness) appends(from, to simnet.NodeID) int {
+	return h.sent[msgClass{from, to, MsgApp, true}]
+}
+
+// acks returns how many MsgAppResp from → to were sent.
+func (h *harness) acks(from, to simnet.NodeID) int {
+	return h.sent[msgClass{from, to, MsgAppResp, false}]
 }
 
 // newHarness builds a group with the given voters and learners, one node
 // per zone across up to three regions.
 func newHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID) *harness {
+	return newLinkHarness(t, seed, voters, learners, 0, 0)
+}
+
+// newLinkHarness is newHarness with, if non-zero, a fixed one-way link
+// delay in place of the topology's latencies and a heartbeat interval in
+// place of the default.
+func newLinkHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID, linkDelay, heartbeat sim.Duration) *harness {
 	t.Helper()
 	s := sim.New(seed)
 	topo := simnet.NewTable1Topology()
@@ -40,19 +87,22 @@ func newHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID) *har
 		topo.AddNode(id, simnet.Locality{Region: r, Zone: simnet.Zone(fmt.Sprintf("%s-%d", r, i))})
 	}
 	h := &harness{
-		s:       s,
-		net:     simnet.NewNetwork(s, topo),
-		nodes:   map[simnet.NodeID]*Node{},
-		applied: map[simnet.NodeID][]interface{}{},
+		s:         s,
+		net:       simnet.NewNetwork(s, topo),
+		nodes:     map[simnet.NodeID]*Node{},
+		applied:   map[simnet.NodeID][]interface{}{},
+		linkDelay: linkDelay,
+		sent:      map[msgClass]int{},
 	}
 	for _, id := range all {
 		id := id
 		n := NewNode(Config{
-			ID:        id,
-			Voters:    voters,
-			Learners:  learners,
-			Sim:       s,
-			Transport: &harnessTransport{h: h, from: id},
+			ID:                id,
+			Voters:            voters,
+			Learners:          learners,
+			Sim:               s,
+			Transport:         &harnessTransport{h: h, from: id},
+			HeartbeatInterval: heartbeat,
 			Apply: func(e Entry) {
 				if e.Data != nil {
 					h.applied[id] = append(h.applied[id], e.Data)
@@ -323,7 +373,7 @@ func TestHeartbeatPayloadDelivery(t *testing.T) {
 	topo.AddNode(2, simnet.Locality{Region: simnet.EuropeW2, Zone: "b"})
 	topo.AddNode(3, simnet.Locality{Region: simnet.AsiaNE1, Zone: "c"})
 	net := simnet.NewNetwork(s, topo)
-	h := &harness{s: s, net: net, nodes: map[simnet.NodeID]*Node{}, applied: map[simnet.NodeID][]interface{}{}}
+	h := &harness{s: s, net: net, nodes: map[simnet.NodeID]*Node{}, applied: map[simnet.NodeID][]interface{}{}, sent: map[msgClass]int{}}
 	seq := 0
 	received := map[simnet.NodeID]int{}
 	for _, id := range []simnet.NodeID{1, 2, 3} {
@@ -376,5 +426,274 @@ func TestDeterministicReplication(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("diverged at %d", i)
 		}
+	}
+}
+
+// linkDelay is the one-way delay of the exact-schedule tests below.
+const linkDelay = 50 * sim.Millisecond
+
+// burst proposes k values 1ms apart on l, far faster than the link
+// round trip, so every proposal overlaps the ones before it.
+func (h *harness) burst(t *testing.T, l *Node, k int) {
+	t.Helper()
+	h.s.Spawn("burst", func(p *sim.Proc) {
+		for i := 0; i < k; i++ {
+			if _, err := l.Propose(i); err != nil {
+				t.Errorf("propose %d: %v", i, err)
+				return
+			}
+			p.Sleep(sim.Millisecond)
+		}
+	})
+	h.s.RunFor(sim.Duration(k) * sim.Millisecond)
+}
+
+// requireApplied fails unless every node applied 0..k-1 in order.
+func (h *harness) requireApplied(t *testing.T, k int) {
+	t.Helper()
+	for id := range h.nodes {
+		got := h.applied[id]
+		if len(got) != k {
+			t.Fatalf("node %d applied %d of %d entries", id, len(got), k)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("node %d applied %v at position %d", id, v, i)
+			}
+		}
+	}
+}
+
+// TestReplicationTrafficIsLinear pins the message budget: k overlapping
+// proposals cost exactly k appends and k acks per peer. An ack that answers
+// with another append whenever the peer is merely behind (rather than only
+// when entries were never shipped) makes this quadratic in k.
+func TestReplicationTrafficIsLinear(t *testing.T) {
+	for _, k := range []int{1, 8, 64} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			// The heartbeat is out of the way: only proposals send.
+			h := newLinkHarness(t, 1, []simnet.NodeID{1, 2, 3}, []simnet.NodeID{4, 5}, linkDelay, 30*sim.Second)
+			l := h.nodes[1]
+			l.Campaign()
+			h.s.RunFor(sim.Second)
+			if !l.IsLeader() {
+				t.Fatal("setup: node 1 not leader")
+			}
+			h.sent = map[msgClass]int{}
+			h.burst(t, l, k)
+			h.s.RunFor(sim.Second) // quiescence: nothing left in flight
+			for _, peer := range []simnet.NodeID{2, 3, 4, 5} {
+				if got := h.appends(1, peer); got != k {
+					t.Errorf("peer %d received %d appends for %d proposals", peer, got, k)
+				}
+				if got := h.acks(peer, 1); got != k {
+					t.Errorf("peer %d sent %d acks for %d proposals", peer, got, k)
+				}
+			}
+			if total := len(h.sent); total != 8 {
+				t.Errorf("message classes on the wire: %v, want only appends and acks", h.sent)
+			}
+			// Followers learn the last commit index from the next append;
+			// a heartbeat stands in for it.
+			l.broadcastAppend()
+			h.s.RunFor(sim.Second)
+			h.requireApplied(t, k)
+		})
+	}
+}
+
+// TestAppendsToleratesReordering delivers a burst's appends to every peer
+// in reverse order. Appends are cumulative from the peer's match index, so
+// any arrival order is acceptable: nothing is rejected, everything commits.
+func TestAppendsToleratesReordering(t *testing.T) {
+	const k = 8
+	h := newLinkHarness(t, 2, []simnet.NodeID{1, 2, 3}, []simnet.NodeID{4, 5}, linkDelay, 30*sim.Second)
+	l := h.nodes[1]
+	l.Campaign()
+	h.s.RunFor(sim.Second)
+	type held struct {
+		to  simnet.NodeID
+		msg Message
+	}
+	var stack []held
+	rejects := 0
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if msg.Kind == MsgAppResp && !msg.Success {
+			rejects++
+		}
+		if msg.Kind == MsgApp && len(msg.Entries) > 0 && stack != nil {
+			stack = append(stack, held{to, msg})
+			return true
+		}
+		return false
+	}
+	stack = []held{}
+	h.burst(t, l, k)
+	release := stack
+	stack = nil
+	for i := len(release) - 1; i >= 0; i-- {
+		h.deliver(1, release[i].to, release[i].msg)
+		h.s.RunFor(sim.Millisecond)
+	}
+	h.s.RunFor(sim.Second)
+	if l.CommitIndex() != l.LastIndex() {
+		t.Fatalf("commit index %d, log ends at %d", l.CommitIndex(), l.LastIndex())
+	}
+	if rejects != 0 {
+		t.Fatalf("reordered appends drew %d rejects", rejects)
+	}
+	l.broadcastAppend()
+	h.s.RunFor(sim.Second)
+	h.requireApplied(t, k)
+}
+
+// TestLostAppendsRecoverOnHeartbeat drops every append to one peer for a
+// whole burst: no ack ever comes back to trigger a re-send, so the next
+// heartbeat must carry everything the peer lacks in one cumulative append.
+func TestLostAppendsRecoverOnHeartbeat(t *testing.T) {
+	const k = 8
+	h := newLinkHarness(t, 3, []simnet.NodeID{1, 2, 3}, nil, linkDelay, 0)
+	l := h.nodes[1]
+	l.Campaign()
+	h.s.RunFor(sim.Second)
+	dropping := true
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		return dropping && to == 3 && msg.Kind == MsgApp
+	}
+	h.burst(t, l, k)
+	h.s.RunFor(4 * linkDelay)
+	if got := len(h.applied[3]); got != 0 {
+		t.Fatalf("setup: node 3 applied %d entries through a dead link", got)
+	}
+	dropping = false
+	h.sent = map[msgClass]int{}
+	h.s.RunFor(l.cfg.HeartbeatInterval + 2*linkDelay)
+	if got := h.nodes[3].LastIndex(); got != l.LastIndex() {
+		t.Fatalf("node 3 log ends at %d, leader at %d", got, l.LastIndex())
+	}
+	if got := h.appends(1, 3); got != 1 {
+		t.Fatalf("catch-up took %d appends, want one cumulative append", got)
+	}
+	h.s.RunFor(sim.Second)
+	h.requireApplied(t, k)
+}
+
+// TestDeposedLeaderCannotMutateInFlightEntries holds an append whose
+// Entries alias the leader's log, deposes that leader and lets its
+// successor overwrite the uncommitted suffix. The overwrite must go to a
+// fresh array: the message still in flight keeps the entries it was sent
+// with.
+func TestDeposedLeaderCannotMutateInFlightEntries(t *testing.T) {
+	h := newLinkHarness(t, 4, []simnet.NodeID{1, 2, 3}, nil, linkDelay, 30*sim.Second)
+	old := h.nodes[1]
+	old.Campaign()
+	h.s.RunFor(sim.Second)
+	// Cut node 1 off: its appends go nowhere, the last one is kept.
+	var inFlight *Message
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if from != 1 || msg.Kind != MsgApp || !old.IsLeader() {
+			return false
+		}
+		if len(msg.Entries) > 0 {
+			m := msg
+			inFlight = &m
+		}
+		return true
+	}
+	for _, v := range []string{"x1", "x2", "x3"} {
+		if _, err := old.Propose(v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if inFlight == nil || len(inFlight.Entries) != 3 {
+		t.Fatalf("setup: held %+v", inFlight)
+	}
+	want := append([]Entry(nil), inFlight.Entries...)
+
+	// Node 2 takes over (node 3's vote is enough) and overwrites the
+	// uncommitted suffix on node 1.
+	h.nodes[2].Campaign()
+	h.s.RunFor(sim.Second)
+	if !h.nodes[2].IsLeader() || old.IsLeader() {
+		t.Fatalf("setup: roles %v %v", old.Role(), h.nodes[2].Role())
+	}
+	h.s.Spawn("proposer", func(p *sim.Proc) {
+		for _, v := range []string{"y1", "y2", "y3", "y4"} {
+			f, err := h.nodes[2].Propose(v)
+			if err != nil {
+				t.Errorf("propose: %v", err)
+				return
+			}
+			f.Wait(p)
+		}
+	})
+	h.s.RunFor(2 * sim.Second)
+	if got := old.at(want[0].Index); got.Term == want[0].Term {
+		t.Fatalf("setup: node 1 still holds the deposed suffix at %d: %+v", got.Index, got)
+	}
+	for i, e := range inFlight.Entries {
+		if e != want[i] {
+			t.Fatalf("in-flight entry %d changed under the message: %+v, sent as %+v", i, e, want[i])
+		}
+	}
+}
+
+// TestStaleAckDoesNotRewindNext replays an old ack: it must not move the
+// peer's progress backwards nor provoke a send.
+func TestStaleAckDoesNotRewindNext(t *testing.T) {
+	h := newLinkHarness(t, 5, []simnet.NodeID{1, 2, 3}, nil, linkDelay, 30*sim.Second)
+	l := h.nodes[1]
+	l.Campaign()
+	h.s.RunFor(sim.Second)
+	h.burst(t, l, 8)
+	h.s.RunFor(sim.Second)
+	before := *l.progress[2]
+	if before.match != l.LastIndex() || before.next != before.match+1 {
+		t.Fatalf("setup: progress %+v, log ends at %d", before, l.LastIndex())
+	}
+	h.sent = map[msgClass]int{}
+	l.Step(Message{Kind: MsgAppResp, Term: l.Term(), From: 2, Success: true, MatchIndex: 2})
+	if after := *l.progress[2]; after != before {
+		t.Fatalf("stale ack moved progress %+v -> %+v", before, after)
+	}
+	if len(h.sent) != 0 {
+		t.Fatalf("stale ack provoked %v", h.sent)
+	}
+}
+
+// TestRemovedPeerProgressIsForgotten: a peer removed from the group and
+// added back under the same leader is a blank replica; it must start from
+// fresh progress (an initial snapshot where one is configured), not from
+// the match and next index of the replica that was removed.
+func TestRemovedPeerProgressIsForgotten(t *testing.T) {
+	h := newLinkHarness(t, 6, []simnet.NodeID{1, 2, 3}, []simnet.NodeID{4}, linkDelay, 0)
+	l := h.nodes[1]
+	l.Campaign()
+	h.s.RunFor(sim.Second)
+	h.burst(t, l, 4)
+	h.s.RunFor(sim.Second)
+	if pr := l.progress[4]; pr == nil || pr.match != l.LastIndex() {
+		t.Fatalf("setup: learner progress %+v, log ends at %d", pr, l.LastIndex())
+	}
+	reconfigure := func(cc ConfChange) {
+		t.Helper()
+		if _, err := l.ProposeConfChange(cc); err != nil {
+			t.Fatal(err)
+		}
+		h.s.RunFor(sim.Second)
+	}
+	reconfigure(ConfChange{Type: RemoveLearner, Node: 4})
+	if pr := l.progress[4]; pr != nil {
+		t.Fatalf("removed peer keeps progress %+v", pr)
+	}
+	for _, id := range l.peers() {
+		if id == 4 {
+			t.Fatal("removed peer still in the broadcast list")
+		}
+	}
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool { return to == 4 }
+	reconfigure(ConfChange{Type: AddLearner, Node: 4})
+	if pr := l.progress[4]; pr == nil || pr.match != 0 || pr.next > 1 {
+		t.Fatalf("re-added peer starts from %+v, want fresh progress", pr)
 	}
 }

@@ -195,8 +195,11 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	}
 	// With LoadConfig.SplitKeys zero the allocator loop must fire exactly the
 	// events the load-only loop fired before the size trigger was folded in:
-	// these values were captured on the last commit with two split queues.
-	const goldenSpanHash = 0xb6c43dfbeb40c592
+	// the ranges table was captured on the last commit with two split queues.
+	// The span hash also covers the Raft message schedule; it was re-pinned
+	// (from b6c43dfbeb40c592) when replication stopped echoing appends on
+	// every ack (CHANGES.md, PR 16) — the ranges table did not move.
+	const goldenSpanHash = 0x9842abb49cf1a739
 	const goldenRanges = `range_id|start_key|end_key|leaseholder|lease_epoch|lease_region|policy|voters|non_voters|qps|decisions
 1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0 replica_moves=0
 2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0 replica_moves=0
@@ -204,7 +207,7 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 4|"rb/"|"rb0"|6|1|europe-west2|LAG|[7 6 2]|[]|0.0|splits=1 merges=1 lease_moves=1 replica_moves=0
 `
 	if a.spanHash != goldenSpanHash {
-		t.Errorf("span hash %016x, want the pre-merge loop's %016x", a.spanHash, uint64(goldenSpanHash))
+		t.Errorf("span hash %016x, want %016x", a.spanHash, uint64(goldenSpanHash))
 	}
 	if a.ranges != goldenRanges {
 		t.Errorf("mrdb_internal.ranges differs from the pre-merge loop's:\n--- got:\n%s--- want:\n%s", a.ranges, goldenRanges)
