@@ -282,6 +282,7 @@ func (s *Store) Crash() {
 	s.replicas = map[RangeID]*Replica{}
 	s.lastAck = 0
 	s.ackEpoch = 0
+	s.firstAcker = 0
 	if s.Disk != nil {
 		s.Disk.Crash()
 	}
@@ -378,6 +379,7 @@ func (s *Store) Recover(p *sim.Proc) (RecoveryStats, error) {
 	// heartbeat under the new epoch.
 	s.lastAck = 0
 	s.ackEpoch = 0
+	s.firstAcker = 0
 	stats.Duration = recoveryDuration(stats)
 	p.Sleep(stats.Duration)
 	m := s.Disk.Metrics()

@@ -16,6 +16,13 @@ const (
 	LivenessTTL               = 3 * sim.Second
 )
 
+// A live node whose one heartbeat peer dies misses a renewal: the next round
+// goes unanswered and only the one after reaches everyone (StartLiveness).
+// Renewals are then two intervals apart, and the record must outlive that
+// gap with an interval to spare for network delay. A negative difference
+// does not convert, so a ratio below 3 fails to compile.
+const _ = uint64(LivenessTTL - 3*LivenessHeartbeatInterval)
+
 // livenessRecord is one node's entry: the record is "live" until Expiration
 // and carries an Epoch that fences leases. A node's epoch can only be
 // incremented by another node after the record expires; any lease bound to

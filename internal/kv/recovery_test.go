@@ -343,3 +343,68 @@ func TestRecoverFailsLoudlyOnCorruptWAL(t *testing.T) {
 		return nil
 	})
 }
+
+// TestZombieProposalStaysOutOfTheRebornWAL: a proc that outlives its node's
+// crash — an evaluation parked in an RPC timeout, say — still holds the dead
+// incarnation's replica, whose Raft node stopped while leading. Its proposal
+// must be refused. Accepted, the append lands in the WAL the reborn replica
+// is writing, and on the next restart it supersedes everything the reborn
+// replica logged from that index on: a "wal gap" recovery failure at best
+// (mrchaos -seed 12 -faults 12 -crashes), committed writes lost at worst.
+func TestZombieProposalStaysOutOfTheRebornWAL(t *testing.T) {
+	h := newRecoveryHarness(t, 1, 3600*sim.Second)
+	desc := h.createRange(t, []simnet.NodeID{1}, 1)
+	st := h.stores[1]
+	restart := func() *Replica {
+		t.Helper()
+		h.net.CrashNode(1)
+		st.Crash()
+		h.run(t, 5*sim.Second, func(p *sim.Proc) error {
+			_, err := st.Recover(p)
+			return err
+		})
+		h.net.RestartNode(1)
+		h.s.RunFor(15 * sim.Second) // the single voter re-elects itself
+		r, _ := st.Replica(desc.RangeID)
+		return r
+	}
+	put := func(r *Replica, keys ...string) {
+		t.Helper()
+		h.run(t, 10*sim.Second, func(p *sim.Proc) error {
+			for _, k := range keys {
+				if err := r.propose(p, putCmd(st, k, "v")); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		h.s.RunFor(sim.Second)
+	}
+
+	zombie, _ := st.Replica(desc.RangeID)
+	put(zombie, "k1")
+	r := restart()
+	put(r, "k2", "k3")
+	st.CheckpointNow()
+	put(r, "k4")
+
+	wal := st.Disk.WAL(walName(desc.RangeID))
+	size := wal.Size()
+	if _, err := zombie.raft.Propose(putCmd(st, "kz", "v")); err == nil {
+		t.Fatal("the dead incarnation's replica accepted a proposal")
+	}
+	if wal.Size() != size {
+		t.Fatalf("the dead incarnation wrote %d bytes into the live WAL", wal.Size()-size)
+	}
+	h.s.RunFor(sim.Second) // anything it did write is fsynced by now
+
+	r = restart()
+	for _, k := range []string{"k1", "k2", "k3", "k4"} {
+		if !hasKey(r, k) {
+			t.Fatalf("%s missing after the second restart", k)
+		}
+	}
+	if hasKey(r, "kz") {
+		t.Fatal("the zombie's write was applied")
+	}
+}

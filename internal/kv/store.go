@@ -55,10 +55,12 @@ type Store struct {
 	ckptStop     func()
 
 	// liveness state: the shared registry plus this node's view of its own
-	// record, maintained from peer acks.
-	liveness *NodeLiveness
-	lastAck  sim.Time
-	ackEpoch int64
+	// record, maintained from peer acks. firstAcker is the peer whose ack
+	// answered the current heartbeat round first (0: unanswered so far).
+	liveness   *NodeLiveness
+	lastAck    sim.Time
+	ackEpoch   int64
+	firstAcker simnet.NodeID
 
 	// GCCollected counts MVCC versions collected by the GC loop.
 	GCCollected int64
@@ -119,6 +121,9 @@ func (s *Store) handleMessage(m simnet.Message) {
 		// payload.Epoch is the epoch our leases must be bound to.
 		s.lastAck = s.Sim.Now()
 		s.ackEpoch = payload.Epoch
+		if s.firstAcker == 0 {
+			s.firstAcker = m.From
+		}
 	case *simnet.RPCRequest:
 		batch, ok := payload.Payload.(BatchRequest)
 		if !ok {
@@ -155,10 +160,15 @@ func (s *Store) handleMessage(m simnet.Message) {
 
 // StartLiveness registers this node in the shared liveness registry and
 // starts its heartbeat loop: every LivenessHeartbeatInterval the store pings
-// all peers over the network; each delivered ping renews this node's record,
-// and each ack renews this node's confidence in its own record. Crashes and
-// partitions stop the pings, so the record expires after LivenessTTL and the
-// node becomes eligible for an epoch bump. Returns a stop function.
+// over the network; each delivered ping renews this node's record, and each
+// ack renews this node's confidence in its own record. A round goes to the
+// one peer whose ack answered the previous round first (the nearest), and to
+// every peer only when the previous round went unanswered, so a node that
+// can reach anyone renews at least every second round and background
+// traffic grows with the node count, not its square. Crashes and partitions
+// stop the pings, so the record expires LivenessTTL after the last delivered
+// one and the node becomes eligible for an epoch bump. Returns a stop
+// function.
 func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 	s.liveness = nl
 	nl.Register(s.NodeID)
@@ -169,8 +179,10 @@ func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 	}
 	return s.Sim.Ticker(LivenessHeartbeatInterval, func() {
 		exp := s.Sim.Now().Add(LivenessTTL)
+		only := s.firstAcker
+		s.firstAcker = 0
 		for _, peer := range nl.Nodes() {
-			if peer == s.NodeID {
+			if peer == s.NodeID || (only != 0 && peer != only) {
 				continue
 			}
 			s.Net.Send(s.NodeID, peer, livenessPing{Expiration: exp})

@@ -237,6 +237,8 @@ type Node struct {
 	// node never tells a leader it matched an entry beyond it. With nil
 	// Storage it tracks LastIndex.
 	durableIndex uint64
+	// persisted is the hard state last handed to persist.
+	persisted HardState
 
 	voters   map[simnet.NodeID]bool
 	learners map[simnet.NodeID]bool
@@ -248,6 +250,8 @@ type Node struct {
 	// rebuilt by becomeLeader.
 	progress map[simnet.NodeID]*progress
 	pending  map[uint64]*sim.Future[ProposeResult]
+	// lastBroadcast is when broadcastAppend last put a message on every link.
+	lastBroadcast sim.Time
 
 	// Candidate state.
 	votes map[simnet.NodeID]bool
@@ -351,12 +355,13 @@ func (n *Node) at(idx uint64) Entry { return n.log[idx-n.offset()] }
 // durable. With nil Storage it completes synchronously, preserving the
 // historical in-memory semantics event-for-event.
 func (n *Node) persist(entries []Entry, done func()) {
+	n.persisted = HardState{Term: n.term, Vote: n.votedFor}
 	if n.cfg.Storage == nil {
 		n.durableIndex = n.LastIndex()
 		done()
 		return
 	}
-	n.cfg.Storage.Append(HardState{Term: n.term, Vote: n.votedFor}, entries, done)
+	n.cfg.Storage.Append(n.persisted, entries, done)
 }
 
 // markDurable advances durableIndex to idx, clamped to the current log end
@@ -395,12 +400,22 @@ func (n *Node) scheduleElectionCheck() {
 	})
 }
 
-func (n *Node) scheduleHeartbeat() {
-	if n.stopped || n.role != Leader {
+// heartbeat is the one timer of the leadership won at term: it keeps any
+// link from staying silent for longer than HeartbeatInterval, which is what
+// followers' election timeouts and the kv layer's closed-timestamp lead
+// assume. Every proposal's broadcast already carries the commit index and
+// the heartbeat payload, so the timer sends only when none was that recent
+// and otherwise sleeps until the latest one is an interval old. A node
+// leads at most once per term, so the term tells a regained leadership's
+// timer from the lost one's.
+func (n *Node) heartbeat(term uint64) {
+	if n.stopped || n.role != Leader || n.term != term {
 		return
 	}
-	n.broadcastAppend()
-	n.cfg.Sim.After(n.cfg.HeartbeatInterval, func() { n.scheduleHeartbeat() })
+	if n.cfg.Sim.Now().Sub(n.lastBroadcast) >= n.cfg.HeartbeatInterval {
+		n.broadcastAppend()
+	}
+	n.cfg.Sim.Schedule(n.lastBroadcast.Add(n.cfg.HeartbeatInterval), func() { n.heartbeat(term) })
 }
 
 // --- Elections ---
@@ -467,7 +482,8 @@ func (n *Node) becomeLeader() {
 	// Commit a no-op entry from the new term so prior-term entries can
 	// commit (Raft §5.4.2).
 	n.appendLocal(Entry{Data: nil})
-	n.scheduleHeartbeat()
+	n.broadcastAppend()
+	n.heartbeat(n.term)
 }
 
 func (n *Node) stepDown(term uint64, leader simnet.NodeID) {
@@ -592,7 +608,10 @@ func (n *Node) ProposeConfChange(cc ConfChange) (*sim.Future[ProposeResult], err
 }
 
 func (n *Node) proposeEntry(e Entry) (*sim.Future[ProposeResult], error) {
-	if n.role != Leader {
+	// A stopped node keeps its role, and a proc that outlived the node's
+	// crash may still hold it: its append would land in the WAL the node's
+	// next incarnation is writing.
+	if n.role != Leader || n.stopped {
 		return nil, &ErrNotLeader{Leader: n.leader}
 	}
 	idx := n.appendLocal(e)
@@ -603,6 +622,7 @@ func (n *Node) proposeEntry(e Entry) (*sim.Future[ProposeResult], error) {
 }
 
 func (n *Node) broadcastAppend() {
+	n.lastBroadcast = n.cfg.Sim.Now()
 	for _, id := range n.peers() {
 		n.sendAppend(id)
 	}
@@ -847,6 +867,7 @@ func (n *Node) handleApp(msg Message) {
 			n.cfg.OnLeaderChange(msg.From, msg.Term)
 		}
 	}
+	empty := len(msg.Entries) == 0
 	// Entries at or below our checkpoint sentinel are already applied;
 	// realign the leader's prev to the sentinel and skip them.
 	if msg.PrevLogIndex < n.offset() {
@@ -897,6 +918,15 @@ func (n *Node) handleApp(msg Message) {
 	}
 	if n.cfg.OnHeartbeat != nil && msg.Payload != nil {
 		n.cfg.OnHeartbeat(msg.From, msg.Payload)
+	}
+	// An empty append that matched needs no answer. The leader sends one
+	// only when its next for this peer is past its log end, which only this
+	// peer's acks establish, so the ack would repeat what the leader holds;
+	// with nothing awaiting fsync and the hard state already handed to
+	// storage, the WAL record would repeat what the disk holds. Nothing is
+	// promised, so nothing has to be durable first.
+	if empty && n.durableIndex == n.LastIndex() && n.persisted == (HardState{Term: n.term, Vote: n.votedFor}) {
+		return
 	}
 	// The ack promises the leader these entries are stable here, so it is
 	// withheld until they are fsynced. Syncs are FIFO, so acking the
@@ -990,6 +1020,7 @@ func (n *Node) Compact(upTo uint64) {
 func (n *Node) Restore(hs HardState, ckptIndex, ckptTerm uint64, tail []Entry) {
 	n.term = hs.Term
 	n.votedFor = hs.Vote
+	n.persisted = hs
 	n.log = append([]Entry{{Index: ckptIndex, Term: ckptTerm}}, tail...)
 	n.commitIndex = ckptIndex
 	n.applied = ckptIndex

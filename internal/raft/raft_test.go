@@ -66,6 +66,11 @@ func (h *harness) acks(from, to simnet.NodeID) int {
 	return h.sent[msgClass{from, to, MsgAppResp, false}]
 }
 
+// heartbeats returns how many MsgApp without entries from → to were sent.
+func (h *harness) heartbeats(from, to simnet.NodeID) int {
+	return h.sent[msgClass{from, to, MsgApp, false}]
+}
+
 // newHarness builds a group with the given voters and learners, one node
 // per zone across up to three regions.
 func newHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID) *harness {
@@ -76,6 +81,11 @@ func newHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID) *har
 // delay in place of the topology's latencies and a heartbeat interval in
 // place of the default.
 func newLinkHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID, linkDelay, heartbeat sim.Duration) *harness {
+	return newStorageHarness(t, seed, voters, learners, linkDelay, heartbeat, nil)
+}
+
+// newStorageHarness is newLinkHarness with, if non-nil, a Storage per node.
+func newStorageHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID, linkDelay, heartbeat sim.Duration, storageFor func(simnet.NodeID) Storage) *harness {
 	t.Helper()
 	s := sim.New(seed)
 	topo := simnet.NewTable1Topology()
@@ -96,7 +106,7 @@ func newLinkHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID, 
 	}
 	for _, id := range all {
 		id := id
-		n := NewNode(Config{
+		cfg := Config{
 			ID:                id,
 			Voters:            voters,
 			Learners:          learners,
@@ -108,7 +118,11 @@ func newLinkHarness(t *testing.T, seed int64, voters, learners []simnet.NodeID, 
 					h.applied[id] = append(h.applied[id], e.Data)
 				}
 			},
-		})
+		}
+		if storageFor != nil {
+			cfg.Storage = storageFor(id)
+		}
+		n := NewNode(cfg)
 		h.nodes[id] = n
 		h.net.Register(id, func(m simnet.Message) {
 			n.Step(m.Payload.(Message))
@@ -695,5 +709,293 @@ func TestRemovedPeerProgressIsForgotten(t *testing.T) {
 	reconfigure(ConfChange{Type: AddLearner, Node: 4})
 	if pr := l.progress[4]; pr == nil || pr.match != 0 || pr.next > 1 {
 		t.Fatalf("re-added peer starts from %+v, want fresh progress", pr)
+	}
+}
+
+// beat is the heartbeat interval of the idle-traffic tests below; the links
+// are fast beside it, so a round trip never straddles a tick.
+const beat = 400 * sim.Millisecond
+
+// elect makes node 1 of a fresh link harness the leader and lets the
+// election's own traffic drain.
+func (h *harness) elect(t *testing.T) *Node {
+	t.Helper()
+	l := h.nodes[1]
+	l.Campaign()
+	h.s.RunFor(2 * beat)
+	if !l.IsLeader() || l.CommitIndex() != l.LastIndex() {
+		t.Fatalf("setup: node 1 is %v, commit %d of %d", l.Role(), l.CommitIndex(), l.LastIndex())
+	}
+	return l
+}
+
+// TestIdleGroupTraffic pins what an idle group costs: one empty append per
+// peer per heartbeat interval and nothing in return — a follower does not
+// answer an append that matched and carried nothing.
+func TestIdleGroupTraffic(t *testing.T) {
+	h := newLinkHarness(t, 7, []simnet.NodeID{1, 2, 3}, []simnet.NodeID{4, 5}, sim.Millisecond, beat)
+	h.elect(t)
+	h.sent = map[msgClass]int{}
+	h.s.RunFor(20 * beat)
+	for _, peer := range []simnet.NodeID{2, 3, 4, 5} {
+		if got := h.heartbeats(1, peer); got != 20 {
+			t.Errorf("peer %d received %d empty appends in 20 intervals", peer, got)
+		}
+	}
+	if len(h.sent) != 4 {
+		t.Errorf("messages on the wire: %v, want only the leader's empty appends", h.sent)
+	}
+}
+
+// TestBusyLeaderSendsNoTimerHeartbeats: every proposal's broadcast is a
+// heartbeat, so a leader that proposes more often than the interval sends
+// no empty append at all, and however bursts and pauses alternate no link
+// stays silent for longer than the interval.
+func TestBusyLeaderSendsNoTimerHeartbeats(t *testing.T) {
+	h := newLinkHarness(t, 8, []simnet.NodeID{1, 2, 3}, []simnet.NodeID{4, 5}, sim.Millisecond, beat)
+	l := h.elect(t)
+	lastApp := map[simnet.NodeID]sim.Time{}
+	var maxGap sim.Duration
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if from == 1 && msg.Kind == MsgApp {
+			if prev, ok := lastApp[to]; ok && h.s.Now().Sub(prev) > maxGap {
+				maxGap = h.s.Now().Sub(prev)
+			}
+			lastApp[to] = h.s.Now()
+		}
+		return false
+	}
+	propose := func(p *sim.Proc, n int, every sim.Duration) {
+		for i := 0; i < n; i++ {
+			if _, err := l.Propose(i); err != nil {
+				t.Errorf("propose: %v", err)
+				return
+			}
+			p.Sleep(every)
+		}
+	}
+
+	h.sent = map[msgClass]int{}
+	h.s.Spawn("steady", func(p *sim.Proc) { propose(p, 40, beat/2) })
+	h.s.RunFor(20 * beat)
+	for _, peer := range []simnet.NodeID{2, 3, 4, 5} {
+		if got := h.heartbeats(1, peer); got != 0 {
+			t.Errorf("peer %d received %d empty appends from a leader proposing every interval/2", peer, got)
+		}
+		if got := h.appends(1, peer); got != 40 {
+			t.Errorf("peer %d received %d appends for 40 proposals", peer, got)
+		}
+	}
+
+	// Bursts of different lengths and spacings, pauses of 0.3 to 3.7 intervals.
+	h.s.Spawn("bursty", func(p *sim.Proc) {
+		for round := 0; round < 12; round++ {
+			propose(p, 1+round%4, sim.Duration(1+round%5)*beat/7)
+			p.Sleep(sim.Duration(3+10*(round%4)) * beat / 10)
+		}
+	})
+	h.s.RunFor(60 * beat)
+	if maxGap > beat {
+		t.Errorf("a link stayed silent for %v, heartbeat interval is %v", maxGap, beat)
+	}
+	if len(lastApp) != 4 || maxGap < beat {
+		t.Errorf("setup: saw appends to %d peers, longest gap %v", len(lastApp), maxGap)
+	}
+}
+
+// TestRegainedLeadershipKeepsOneHeartbeatChain: a node that loses and
+// regains leadership inside one heartbeat interval (kv does this whenever a
+// follower wins a spurious election and hands leadership back to the live
+// leaseholder) must end up with one heartbeat timer, not one per term led.
+func TestRegainedLeadershipKeepsOneHeartbeatChain(t *testing.T) {
+	h := newLinkHarness(t, 9, []simnet.NodeID{1, 2, 3}, nil, sim.Millisecond, beat)
+	l := h.elect(t)
+	perWindow := func() int {
+		h.sent = map[msgClass]int{}
+		h.s.RunFor(10 * beat)
+		return h.heartbeats(1, 2) + h.appends(1, 2)
+	}
+	if got := perWindow(); got != 10 {
+		t.Fatalf("setup: %d appends to node 2 in 10 intervals", got)
+	}
+	l.TransferLeadership(2)
+	h.s.RunFor(20 * sim.Millisecond)
+	if !h.nodes[2].IsLeader() || l.IsLeader() {
+		t.Fatalf("setup: roles %v %v after the first transfer", l.Role(), h.nodes[2].Role())
+	}
+	h.nodes[2].TransferLeadership(1)
+	h.s.RunFor(20 * sim.Millisecond)
+	if !l.IsLeader() {
+		t.Fatalf("setup: node 1 is %v after the transfer back", l.Role())
+	}
+	h.s.RunFor(beat) // the no-op's replication is not the timer's doing
+	for window := 0; window < 2; window++ {
+		if got := perWindow(); got != 10 {
+			t.Fatalf("%d appends to node 2 in 10 intervals after regaining leadership, want 10", got)
+		}
+	}
+}
+
+// TestEmptyAppendStillRejectsAndDeposes: only an empty append that matched
+// goes unanswered. One whose prev does not match still draws its reject,
+// and one from a deposed leader still learns the current term.
+func TestEmptyAppendStillRejectsAndDeposes(t *testing.T) {
+	h := newLinkHarness(t, 10, []simnet.NodeID{1, 2, 3}, nil, sim.Millisecond, beat)
+	l := h.elect(t)
+	f := h.nodes[2]
+	var replies []Message
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if from == 2 {
+			replies = append(replies, msg)
+		}
+		return from == 2
+	}
+	last := l.log[len(l.log)-1]
+
+	f.Step(Message{Kind: MsgApp, Term: l.Term(), From: 1, PrevLogIndex: last.Index, PrevLogTerm: last.Term, LeaderCommit: l.CommitIndex()})
+	if len(replies) != 0 {
+		t.Fatalf("a matching empty append was answered with %+v", replies)
+	}
+
+	f.Step(Message{Kind: MsgApp, Term: l.Term(), From: 1, PrevLogIndex: last.Index + 3, PrevLogTerm: last.Term})
+	if len(replies) != 1 || replies[0].Kind != MsgAppResp || replies[0].Success || replies[0].MatchIndex != last.Index {
+		t.Fatalf("empty append past the log end drew %+v, want a reject hinting %d", replies, last.Index)
+	}
+	f.Step(Message{Kind: MsgApp, Term: l.Term(), From: 1, PrevLogIndex: last.Index, PrevLogTerm: last.Term + 1})
+	if len(replies) != 2 || replies[1].Kind != MsgAppResp || replies[1].Success {
+		t.Fatalf("empty append with the wrong prev term drew %+v, want a reject", replies[1:])
+	}
+
+	f.Step(Message{Kind: MsgApp, Term: l.Term() - 1, From: 3, PrevLogIndex: last.Index, PrevLogTerm: last.Term})
+	if len(replies) != 3 || replies[2].Kind != MsgAppResp || replies[2].Success || replies[2].Term != l.Term() {
+		t.Fatalf("stale-term empty append drew %+v, want a reply carrying term %d", replies[2:], l.Term())
+	}
+}
+
+// TestNewLeaderLearnsMatchWithoutHeartbeatAcks loses every ack of the new
+// leader's no-op. No empty append would ever draw another, but the leader
+// sends none: its next for a peer moves past an entry only on that peer's
+// ack, so the next heartbeat carries the no-op again and is answered.
+func TestNewLeaderLearnsMatchWithoutHeartbeatAcks(t *testing.T) {
+	h := newLinkHarness(t, 11, []simnet.NodeID{1, 2, 3}, nil, sim.Millisecond, beat)
+	dropped := 0
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if msg.Kind == MsgAppResp && dropped < 2 {
+			dropped++
+			return true
+		}
+		return false
+	}
+	l := h.nodes[1]
+	l.Campaign()
+	h.s.RunFor(beat / 2)
+	if !l.IsLeader() || dropped != 2 || l.CommitIndex() == l.LastIndex() {
+		t.Fatalf("setup: %v, %d acks dropped, commit %d of %d", l.Role(), dropped, l.CommitIndex(), l.LastIndex())
+	}
+	h.sent = map[msgClass]int{}
+	h.s.RunFor(beat)
+	for _, peer := range []simnet.NodeID{2, 3} {
+		if h.appends(1, peer) != 1 || h.heartbeats(1, peer) != 0 || h.acks(peer, 1) != 1 {
+			t.Errorf("peer %d: traffic %v, want one append with entries and its ack", peer, h.sent)
+		}
+	}
+	if l.CommitIndex() != l.LastIndex() {
+		t.Fatalf("commit index %d, log ends at %d", l.CommitIndex(), l.LastIndex())
+	}
+	h.sent = map[msgClass]int{}
+	h.s.RunFor(5 * beat)
+	if h.heartbeats(1, 2) != 5 || h.acks(2, 1) != 0 {
+		t.Fatalf("once acked the group is not idle: %v", h.sent)
+	}
+}
+
+// manualStorage is a Storage whose fsyncs complete when the test says so.
+type manualStorage struct {
+	records []HardState // hard state of every Append, in order
+	waiting []func()
+}
+
+func (m *manualStorage) Append(hs HardState, entries []Entry, done func()) {
+	m.records = append(m.records, hs)
+	m.waiting = append(m.waiting, done)
+}
+func (m *manualStorage) Compact(index, term uint64, tail []Entry, hs HardState) {}
+func (m *manualStorage) Reset(index, term uint64, hs HardState)                 {}
+
+// sync completes every pending fsync, in order.
+func (m *manualStorage) sync() {
+	for len(m.waiting) > 0 {
+		done := m.waiting[0]
+		m.waiting = m.waiting[1:]
+		done()
+	}
+}
+
+// TestIdleDurableFollowerWritesNothing: with a Storage, an append that
+// changes nothing costs the follower no WAL record and no fsync — but one
+// that changes the hard state still persists it before anything is sent.
+func TestIdleDurableFollowerWritesNothing(t *testing.T) {
+	disks := map[simnet.NodeID]*manualStorage{}
+	h := newStorageHarness(t, 12, []simnet.NodeID{1, 2, 3}, nil, sim.Millisecond, beat, func(id simnet.NodeID) Storage {
+		disks[id] = &manualStorage{}
+		return disks[id]
+	})
+	syncAll := func() {
+		for _, id := range []simnet.NodeID{1, 2, 3} {
+			disks[id].sync()
+		}
+	}
+	l := h.nodes[1]
+	l.Campaign()
+	for i := 0; i < 20; i++ { // fsyncs complete a millisecond after they start
+		h.s.RunFor(sim.Millisecond)
+		syncAll()
+	}
+	if !l.IsLeader() || l.CommitIndex() != l.LastIndex() {
+		t.Fatalf("setup: node 1 is %v, commit %d of %d", l.Role(), l.CommitIndex(), l.LastIndex())
+	}
+	f, disk := h.nodes[2], disks[2]
+	if f.DurableIndex() != f.LastIndex() {
+		t.Fatalf("setup: follower durable through %d of %d", f.DurableIndex(), f.LastIndex())
+	}
+
+	before := len(disk.records)
+	h.sent = map[msgClass]int{}
+	h.s.RunFor(20 * beat)
+	if h.heartbeats(1, 2) != 20 {
+		t.Fatalf("setup: follower received %d empty appends", h.heartbeats(1, 2))
+	}
+	if got := len(disk.records) - before; got != 0 || len(disk.waiting) != 0 {
+		t.Fatalf("idle follower wrote %d WAL records and has %d fsyncs pending over 20 intervals", got, len(disk.waiting))
+	}
+	if h.acks(2, 1) != 0 {
+		t.Fatalf("idle follower sent %d acks", h.acks(2, 1))
+	}
+
+	// The same empty append from a leader of a later term moves the hard
+	// state: it is staged, and the ack waits for the fsync.
+	var replies []Message
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if from == 2 {
+			replies = append(replies, msg)
+		}
+		return from == 2
+	}
+	last, term := f.log[len(f.log)-1], f.Term()+1
+	f.Step(Message{Kind: MsgApp, Term: term, From: 3, PrevLogIndex: last.Index, PrevLogTerm: last.Term})
+	if got := len(disk.records) - before; got != 1 || disk.records[before] != (HardState{Term: term}) {
+		t.Fatalf("term-changing append staged %v, want one record with term %d", disk.records[before:], term)
+	}
+	if len(replies) != 0 {
+		t.Fatalf("follower answered %+v before its new term was durable", replies)
+	}
+	disk.sync()
+	if len(replies) != 1 || !replies[0].Success || replies[0].Term != term || replies[0].MatchIndex != last.Index {
+		t.Fatalf("after the fsync the follower sent %+v, want one ack at term %d", replies, term)
+	}
+	// That hard state is now on disk: the next empty append is free again.
+	f.Step(Message{Kind: MsgApp, Term: term, From: 3, PrevLogIndex: last.Index, PrevLogTerm: last.Term})
+	if got := len(disk.records) - before; got != 1 || len(replies) != 1 {
+		t.Fatalf("repeat of the append wrote %d records and drew %d replies", got-1, len(replies)-1)
 	}
 }

@@ -196,10 +196,12 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	// With LoadConfig.SplitKeys zero the allocator loop must fire exactly the
 	// events the load-only loop fired before the size trigger was folded in:
 	// the ranges table was captured on the last commit with two split queues.
-	// The span hash also covers the Raft message schedule; it was re-pinned
-	// (from b6c43dfbeb40c592) when replication stopped echoing appends on
-	// every ack (CHANGES.md, PR 16) — the ranges table did not move.
-	const goldenSpanHash = 0x9842abb49cf1a739
+	// The span hash also covers the message schedule (network jitter draws
+	// from the one seeded RNG); it was re-pinned from b6c43dfbeb40c592 when
+	// replication stopped echoing appends on every ack (CHANGES.md, PR 16)
+	// and from 9842abb49cf1a739 when liveness pings, timer heartbeats and
+	// heartbeat acks got rarer (PR 17) — the ranges table moved neither time.
+	const goldenSpanHash = 0x3c3c1b521f56bfb2
 	const goldenRanges = `range_id|start_key|end_key|leaseholder|lease_epoch|lease_region|policy|voters|non_voters|qps|decisions
 1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0 replica_moves=0
 2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0 replica_moves=0
