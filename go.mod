@@ -1,3 +1,3 @@
 module mrdb
 
-go 1.22
+go 1.23

@@ -103,9 +103,6 @@ func (t Timestamp) Prev() Timestamp {
 	return Timestamp{}
 }
 
-// FloorWall returns the timestamp with the same wall time and zero logical.
-func (t Timestamp) FloorWall() Timestamp { return Timestamp{WallTime: t.WallTime} }
-
 // String renders the timestamp as wall.logical in seconds.
 func (t Timestamp) String() string {
 	return fmt.Sprintf("%d.%09d,%d", t.WallTime/1e9, t.WallTime%1e9, t.Logical)

@@ -258,19 +258,9 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 			dispatch(p, groups[0].idxs)
 		}
 	default:
-		parent := obs.ProcSpan(p)
-		wg := p.Sim().GetWaitGroup()
-		for g := range groups {
-			idxs := groups[g].idxs
-			wg.Add(1)
-			p.Sim().Spawn("ds/batch-range", func(wp *sim.Proc) {
-				obs.SetProcSpan(wp, parent)
-				defer wg.Done()
-				dispatch(wp, idxs)
-			})
-		}
-		wg.Wait(p)
-		wg.Release()
+		p.Fanout("ds/batch-range", len(groups), func(wp *sim.Proc, g int) {
+			dispatch(wp, groups[g].idxs)
+		})
 	}
 	return resps, len(groups)
 }
@@ -509,19 +499,9 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 			resps = []Response{ds.sendToRange(p, subs[:1], 0)[0]}
 		} else {
 			resps = make([]Response, len(subs))
-			parent := obs.ProcSpan(p)
-			wg := p.Sim().GetWaitGroup()
-			for i := range subs {
-				i := i
-				wg.Add(1)
-				p.Sim().Spawn("ds/scan-range", func(wp *sim.Proc) {
-					obs.SetProcSpan(wp, parent)
-					defer wg.Done()
-					resps[i] = ds.sendToRange(wp, subs[i:i+1], 0)[0]
-				})
-			}
-			wg.Wait(p)
-			wg.Release()
+			p.Fanout("ds/scan-range", len(subs), func(wp *sim.Proc, i int) {
+				resps[i] = ds.sendToRange(wp, subs[i:i+1], 0)[0]
+			})
 		}
 		var resume mvcc.Key
 		full := false

@@ -31,9 +31,6 @@ type Replica struct {
 	tscache *TimestampCache
 	latches *latchManager
 
-	// intentWaiters wakes requests blocked on a key's lock when an
-	// intent on that key resolves locally.
-	intentWaiters map[string]*sim.Cond
 	// lockTable holds exclusive unreplicated locks (SELECT FOR UPDATE):
 	// key -> holder transaction. Entries are stolen lazily once the
 	// holder finishes; they are leaseholder-local state and vanish on
@@ -149,19 +146,9 @@ func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) []Response {
 		resps[0] = r.evaluate(p, reqs[0])
 		return resps
 	}
-	parent := obs.ProcSpan(p)
-	wg := p.Sim().GetWaitGroup()
-	for i, req := range reqs {
-		i, req := i, req
-		wg.Add(1)
-		p.Sim().Spawn("replica/batch-req", func(wp *sim.Proc) {
-			obs.SetProcSpan(wp, parent)
-			defer wg.Done()
-			resps[i] = r.evaluate(wp, req)
-		})
-	}
-	wg.Wait(p)
-	wg.Release()
+	p.Fanout("replica/batch-req", len(reqs), func(wp *sim.Proc, i int) {
+		resps[i] = r.evaluate(wp, reqs[i])
+	})
 	return resps
 }
 
@@ -853,7 +840,6 @@ func (r *Replica) apply(e raft.Entry) {
 		if err := r.engineFor(cmd.Key).ResolveIntent(cmd.Key, cmd.Txn.ID, cmd.Status, cmd.CommitTS); err != nil {
 			r.applyErrors++
 		}
-		r.wakeIntentWaiters(cmd.Key)
 	case CmdTxnRecord:
 		// The decision itself lives in the registry; the entry models
 		// the durability round.
@@ -1038,13 +1024,6 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 			continue
 		}
 		r.LeaseAcquisitions++
-	}
-}
-
-func (r *Replica) wakeIntentWaiters(key mvcc.Key) {
-	if c, ok := r.intentWaiters[string(key)]; ok {
-		delete(r.intentWaiters, string(key))
-		c.Broadcast()
 	}
 }
 

@@ -245,15 +245,14 @@ func (s *Store) CreateReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Re
 // or starting them, so recovery can prime engine and log state first.
 func (s *Store) buildReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Replica {
 	r := &Replica{
-		store:         s,
-		desc:          desc.Clone(),
-		engine:        mvcc.NewEngine(s.engineSeed + int64(desc.RangeID)),
-		tscache:       NewTimestampCache(hlc.Timestamp{}),
-		latches:       newLatchManager(s.Sim),
-		intentWaiters: map[string]*sim.Cond{},
-		lockTable:     map[string]mvcc.TxnID{},
-		maxOffset:     maxOffset,
-		leaseEpoch:    s.CurrentEpoch(),
+		store:      s,
+		desc:       desc.Clone(),
+		engine:     mvcc.NewEngine(s.engineSeed + int64(desc.RangeID)),
+		tscache:    NewTimestampCache(hlc.Timestamp{}),
+		latches:    newLatchManager(s.Sim),
+		lockTable:  map[string]mvcc.TxnID{},
+		maxOffset:  maxOffset,
+		leaseEpoch: s.CurrentEpoch(),
 	}
 	r.closedAdvanced = sim.NewCond(s.Sim)
 	r.closed = closedTracker{policy: desc.Policy, lag: s.CloseLag}

@@ -136,9 +136,6 @@ func NewEngine(seed int64) *Engine {
 	return &Engine{list: skl.New(seed)}
 }
 
-// KeyCount returns the number of distinct user keys (live or tombstoned).
-func (e *Engine) KeyCount() int { return e.keys }
-
 // IntentCount returns the number of outstanding write intents.
 func (e *Engine) IntentCount() int { return e.intents }
 

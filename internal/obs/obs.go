@@ -123,12 +123,6 @@ func (s *Span) SetError(err error) *Span {
 	return s.SetTag("err", err.Error())
 }
 
-// IsError reports whether the span was marked failed via SetError.
-func (s *Span) IsError() bool {
-	v, ok := s.Tag("error")
-	return ok && v == "true"
-}
-
 // Tag returns the value of a tag, if set.
 func (s *Span) Tag(key string) (string, bool) {
 	if s == nil {

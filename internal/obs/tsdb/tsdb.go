@@ -150,14 +150,6 @@ func New(width sim.Duration, capacity int) *DB {
 	return &DB{width: width, capacity: capacity, series: map[string]map[int]*Series{}}
 }
 
-// BucketWidth returns the rollup bucket width.
-func (db *DB) BucketWidth() sim.Duration {
-	if db == nil {
-		return 0
-	}
-	return db.width
-}
-
 // Observe folds one sample for (metric, node) into the bucket containing t,
 // creating the series on first use. Node 0 is the convention for
 // cluster-wide metrics.

@@ -3,9 +3,11 @@ package sim
 import (
 	"container/heap"
 	"encoding/binary"
+	"fmt"
 	"hash/fnv"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -73,8 +75,8 @@ func scheduleHash(steps, trace []Time) uint64 {
 }
 
 // TestScheduleGolden pins the scheduler (value-event 4-ary heap, direct proc
-// wakes, pooled goroutines, self-wake fast path) to the event sequence the
-// original boxed container/heap scheduler executed: the hashes were captured
+// wakes, pooled coroutines) to the event sequence the original boxed
+// container/heap scheduler executed: the hashes were captured
 // at the last commit that carried both, where the two agreed step for step
 // on every seed. Any optimization that perturbs event order fails here
 // before it can corrupt a span-hash oracle downstream.
@@ -201,12 +203,15 @@ func TestAfterClampsNegative(t *testing.T) {
 	}
 }
 
-// TestProcPoolReuse verifies finished proc goroutines are recycled: after a
+// TestProcPoolReuse verifies finished proc coroutines are recycled: after a
 // wave of spawns completes, the next wave draws from the free list rather
-// than growing the goroutine count, and Run drains the pool on exit.
+// than growing the goroutine count, and Run drains the pool on exit. A proc
+// spawned for a later time is a queue entry and no goroutine until its time
+// comes.
 func TestProcPoolReuse(t *testing.T) {
 	s := New(1)
 	ran := 0
+	const ahead, hour = 10000, Time(60 * Minute)
 	s.Spawn("driver", func(p *Proc) {
 		for wave := 0; wave < 10; wave++ {
 			wg := s.GetWaitGroup()
@@ -223,9 +228,27 @@ func TestProcPoolReuse(t *testing.T) {
 		}
 	})
 	before := runtime.NumGoroutine()
-	s.Run()
+	for i := 0; i < ahead; i++ {
+		s.SpawnAt(hour, "later", func(p *Proc) {
+			p.Sleep(Millisecond)
+			ran++
+		})
+	}
+	s.RunUntil(hour - 1)
 	if ran != 80 {
 		t.Fatalf("ran %d workers, want 80", ran)
+	}
+	if n := runtime.NumGoroutine(); n > before+maxFreeProcs {
+		t.Fatalf("%d goroutines before any of the %d procs spawned ahead has run, %d before they were spawned",
+			n, ahead, before)
+	}
+	s.RunUntil(hour)
+	if n := runtime.NumGoroutine(); n < before+ahead {
+		t.Fatalf("%d goroutines with %d procs asleep, %d before they were spawned", n, ahead, before)
+	}
+	s.Run()
+	if ran != 80+ahead {
+		t.Fatalf("ran %d procs, want %d", ran, 80+ahead)
 	}
 	if n := len(s.freeProcs); n != 0 {
 		t.Fatalf("Run left %d procs in the free list, want 0", n)
@@ -288,9 +311,9 @@ func TestSteadyStateSleepAllocs(t *testing.T) {
 	}
 }
 
-// TestStopDuringFastPath ensures Stop still halts a proc that has been
-// consuming its own wake events through the self-wake fast path.
-func TestStopDuringFastPath(t *testing.T) {
+// TestStopHaltsSpinningProc ensures Stop halts a proc that sleeps in a loop
+// with nothing else in the queue.
+func TestStopHaltsSpinningProc(t *testing.T) {
 	s := New(1)
 	iters := 0
 	s.Spawn("spinner", func(p *Proc) {
@@ -306,10 +329,10 @@ func TestStopDuringFastPath(t *testing.T) {
 	}
 }
 
-// TestRunUntilBoundsFastPath ensures the self-wake fast path respects
-// RunUntil's deadline: a proc must not pop its own wake event scheduled
-// beyond the bound.
-func TestRunUntilBoundsFastPath(t *testing.T) {
+// TestRunUntilLeavesLaterSelfWakeQueued ensures RunUntil's deadline holds
+// for a lone sleeping proc: its wake event scheduled beyond the bound stays
+// queued for the next run.
+func TestRunUntilLeavesLaterSelfWakeQueued(t *testing.T) {
 	s := New(1)
 	var wokeAt []Time
 	s.Spawn("sleeper", func(p *Proc) {
@@ -329,4 +352,31 @@ func TestRunUntilBoundsFastPath(t *testing.T) {
 	if len(wokeAt) != 3 {
 		t.Fatalf("woke %d times total, want 3", len(wokeAt))
 	}
+}
+
+var nilMap map[int]int
+
+//go:noinline
+func writeNilMap() { nilMap[1] = 1 }
+
+// TestProcPanicCarriesNameAndStack ensures a panic inside a proc reaches
+// Run's caller naming the proc and carrying the stack it was raised on: the
+// panic crosses from the proc's coroutine to the scheduler's goroutine, whose
+// own trace shows only the scheduler.
+func TestProcPanicCarriesNameAndStack(t *testing.T) {
+	s := New(1)
+	s.Spawn("doomed", func(p *Proc) {
+		p.Sleep(Millisecond)
+		writeNilMap()
+	})
+	defer func() {
+		got := fmt.Sprint(recover())
+		for _, want := range []string{`proc "doomed"`, "assignment to entry in nil map", "sim.writeNilMap"} {
+			if !strings.Contains(got, want) {
+				t.Errorf("panic out of Run lacks %q:\n%s", want, got)
+			}
+		}
+	}()
+	s.Run()
+	t.Fatal("Run returned past a panicking proc")
 }

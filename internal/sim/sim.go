@@ -10,24 +10,37 @@
 // milliseconds of real time.
 //
 // Concurrency model: exactly one goroutine (either the scheduler or a single
-// process) executes at any moment. Control is handed off through per-process
-// channels. Shared state touched only from Procs therefore needs no locking.
+// process) executes at any moment. Each process is one runtime coroutine
+// (iter.Pull over Proc.run): the scheduler resumes it by calling next, the
+// process parks by calling yield, and each is a direct switch between the two
+// goroutines that never passes through the Go scheduler's run queue. Shared
+// state touched only from Procs therefore needs no locking.
+//
+// What unwinds a process unwinds the caller of Run. A panic inside a process
+// is re-raised on the goroutine that called Run, carrying the process's name
+// and stack (Proc.run adds them; the switch would otherwise drop the faulting
+// frames). runtime.Goexit travels the same way, so t.Fatal inside a process
+// ends the test at once, where it used to end only the process and let the
+// simulation run on.
 //
 // Wall-clock performance: the event queue is an inlined 4-ary heap over
 // event values (no per-event boxing, no container/heap interface calls),
 // process wake-ups are value events that resume the process directly (no
-// closure per wake), and finished processes park their goroutines in a free
-// list so the next Spawn reuses the goroutine, its stack, and its wake
-// channel. None of this changes the (at, seq) total order events execute in,
-// so same-seed runs stay byte-identical — TestScheduleGolden pins the
-// schedule of a mixed workload to committed hashes, and
-// TestFourAryHeapMatchesReference pins the heap's pop order against a
-// container/heap model.
+// closure per wake), and finished processes park their coroutines in a free
+// list so the next Spawn reuses the coroutine and its stack. A coroutine is
+// created when its process first runs, not when it is spawned, so a process
+// spawned for a later time costs one queue entry until then. None of this
+// changes the (at, seq) total order events execute in, so same-seed runs stay
+// byte-identical — TestScheduleGolden pins the schedule of a mixed workload
+// to committed hashes, and TestFourAryHeapMatchesReference pins the heap's
+// pop order against a container/heap model.
 package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
+	"runtime/debug"
 	"sort"
 	"time"
 )
@@ -58,16 +71,14 @@ func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 func (t Time) String() string { return Duration(t).String() }
 
 // event is one queue entry. Exactly one of fn and proc is set: fn events run
-// a callback in scheduler context; proc events hand control to a parked
-// process (start=true hands it to a process that has not started yet).
-// Events are stored by value — scheduling allocates nothing beyond amortized
-// queue growth.
+// a callback in scheduler context; proc events hand control to a process,
+// parked or not yet started. Events are stored by value — scheduling
+// allocates nothing beyond amortized queue growth.
 type event struct {
-	at    Time
-	seq   int64 // tie-break for determinism
-	fn    func()
-	proc  *Proc
-	start bool
+	at   Time
+	seq  int64 // tie-break for determinism
+	fn   func()
+	proc *Proc
 }
 
 func (e *event) before(o *event) bool {
@@ -134,7 +145,7 @@ func (h *fourAryHeap) pop() event {
 }
 
 // maxFreeProcs caps the per-simulation pool of finished processes kept
-// parked for reuse; beyond it, finished goroutines exit. Run drains the
+// parked for reuse; beyond it, finished coroutines return. Run drains the
 // pool when the queue empties so idle simulations hold no goroutines.
 const maxFreeProcs = 64
 
@@ -148,21 +159,10 @@ type Simulation struct {
 	seq     int64
 	events  int64 // events executed (wall-clock throughput denominator)
 	rng     *rand.Rand
-	yield   chan struct{} // signalled when the running proc parks or exits
-	procs   int           // live (not yet finished) processes
 	stopped bool
 
 	freeProcs []*Proc      // finished procs parked for reuse
 	freeWGs   []*WaitGroup // released WaitGroups
-
-	// infn counts scheduler callbacks currently on the stack; the self-wake
-	// fast path in park is disabled while one runs so a callback always
-	// finishes before the next event pops (see park).
-	infn int
-	// bounded/deadline mirror RunUntil's time bound so the self-wake fast
-	// path never pops an event the bounded run would have left queued.
-	bounded  bool
-	deadline Time
 
 	// stepHook, if set, is invoked before each event executes. Used by
 	// tests to observe scheduling.
@@ -171,10 +171,7 @@ type Simulation struct {
 
 // New returns a Simulation whose randomness is derived from seed.
 func New(seed int64) *Simulation {
-	return &Simulation{
-		rng:   rand.New(rand.NewSource(seed)),
-		yield: make(chan struct{}),
-	}
+	return &Simulation{rng: rand.New(rand.NewSource(seed))}
 }
 
 // Now returns the current virtual time.
@@ -227,7 +224,6 @@ func (s *Simulation) Stop() { s.stopped = true }
 // Run executes events until the queue is empty or Stop is called. It returns
 // the final virtual time.
 func (s *Simulation) Run() Time {
-	s.bounded = false
 	for !s.stopped && len(s.queue) > 0 {
 		s.step()
 	}
@@ -237,11 +233,9 @@ func (s *Simulation) Run() Time {
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
 func (s *Simulation) RunUntil(t Time) {
-	s.bounded, s.deadline = true, t
 	for !s.stopped && len(s.queue) > 0 && s.queue[0].at <= t {
 		s.step()
 	}
-	s.bounded = false
 	if !s.stopped && s.now < t {
 		s.now = t
 	}
@@ -259,40 +253,36 @@ func (s *Simulation) step() {
 		s.stepHook(s.now)
 	}
 	s.events++
-	switch {
-	case e.proc == nil:
-		s.infn++
-		e.fn()
-		s.infn--
-	case e.start:
-		e.proc.startRun()
-	default:
+	if e.proc != nil {
 		e.proc.resumeNow()
+	} else {
+		e.fn()
 	}
 }
 
-// drainFreeProcs retires pooled goroutines so a finished simulation holds
+// drainFreeProcs retires pooled coroutines so a finished simulation holds
 // none. Called when Run exhausts the queue.
 func (s *Simulation) drainFreeProcs() {
 	for i, p := range s.freeProcs {
-		p.exit = true
-		p.wake <- struct{}{}
+		p.stop()
 		s.freeProcs[i] = nil
 	}
 	s.freeProcs = s.freeProcs[:0]
 }
 
 // Proc is a cooperative green thread. A Proc's function runs on its own
-// goroutine, but only ever concurrently with nothing else: it holds the
+// coroutine, so only ever concurrently with nothing else: it holds the
 // simulation's execution token between calls to blocking primitives.
 type Proc struct {
-	sim     *Simulation
-	name    string
-	wake    chan struct{}
-	fn      func(p *Proc)
-	done    bool
-	started bool // goroutine exists (possibly parked in the free list)
-	exit    bool // parked goroutine should retire instead of running fn
+	sim  *Simulation
+	name string
+	fn   func(p *Proc)
+
+	// The coroutine, nil until the process first runs: next resumes it until
+	// it parks again, yield parks it, stop retires it from the free list.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
 
 	// obsctx is an opaque slot for the observability layer (the process's
 	// current trace span). sim knows nothing about its type; it exists here
@@ -326,8 +316,8 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) {
 }
 
 // SpawnAt starts fn as a new process at time at. When a finished process is
-// parked in the free list its goroutine, stack, and wake channel are reused;
-// otherwise a fresh goroutine starts when the event fires.
+// parked in the free list its coroutine and stack are reused; otherwise a
+// fresh coroutine starts when the event fires.
 func (s *Simulation) SpawnAt(at Time, name string, fn func(p *Proc)) {
 	var p *Proc
 	if n := len(s.freeProcs); n > 0 {
@@ -335,102 +325,58 @@ func (s *Simulation) SpawnAt(at Time, name string, fn func(p *Proc)) {
 		s.freeProcs[n-1] = nil
 		s.freeProcs = s.freeProcs[:n-1]
 		p.name = name
-		p.done = false
 		p.obsctx = nil
 	} else {
-		p = &Proc{sim: s, name: name, wake: make(chan struct{})}
+		p = &Proc{sim: s, name: name}
 	}
 	p.fn = fn
-	s.procs++
 	if at < s.now {
 		at = s.now
 	}
-	s.push(event{at: at, proc: p, start: true})
+	s.wakeAt(at, p)
 }
 
-// startRun hands the execution token to a process that has not run its
-// current fn yet, launching its goroutine on first use.
-func (p *Proc) startRun() {
-	if p.started {
-		p.wake <- struct{}{}
-	} else {
-		p.started = true
-		go p.run()
-	}
-	<-p.sim.yield
-}
-
-// run is the body of a process goroutine: execute fn, then either retire or
-// park in the simulation's free list awaiting the next Spawn. The inner
-// closure's deferred handoff keeps the scheduler alive when fn unwinds
-// abnormally (runtime.Goexit from t.Fatal, or a panic mid-crash).
-func (p *Proc) run() {
+// run is the body of a process's coroutine: execute fn, then park in the
+// simulation's free list awaiting the next Spawn. It returns when the list
+// is full or Run drains it (yield then reports false). A panic in fn is
+// re-raised with the process's name and stack, which is the only place the
+// faulting frames survive: iter.Pull re-raises on the goroutine that called
+// Run, whose trace shows the scheduler.
+func (p *Proc) run(yield func(struct{}) bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			panic(fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
+		}
+	}()
 	s := p.sim
+	p.yield = yield
 	for {
-		normal := false
-		func() {
-			defer func() {
-				if !normal {
-					p.done = true
-					s.procs--
-					s.yield <- struct{}{}
-				}
-			}()
-			p.fn(p)
-			normal = true
-		}()
+		p.fn(p)
 		p.fn = nil
-		p.done = true
-		s.procs--
 		if len(s.freeProcs) >= maxFreeProcs {
-			s.yield <- struct{}{}
 			return
 		}
 		s.freeProcs = append(s.freeProcs, p)
-		s.yield <- struct{}{}
-		<-p.wake
-		if p.exit {
+		if !yield(struct{}{}) {
 			return
 		}
 	}
 }
 
-// park suspends the calling process until something calls p.resume via a
-// scheduled event. The scheduler regains control.
-//
-// Fast path: when the queue head is this process's own wake event, handing
-// the token to the scheduler would only pop that event and hand the token
-// straight back — two goroutine switches for nothing. The process pops the
-// event itself (same event the scheduler would have popped, so the (at, seq)
-// execution order is untouched) and keeps running. The path is disabled
-// while a scheduler callback is mid-flight (the callback must finish before
-// the next event executes) and when a bounded run would have left the event
-// queued.
-func (p *Proc) park() {
-	s := p.sim
-	if s.infn == 0 && !s.stopped && len(s.queue) > 0 {
-		if top := &s.queue[0]; top.proc == p && !top.start &&
-			(!s.bounded || top.at <= s.deadline) {
-			e := s.queue.pop()
-			if e.at > s.now {
-				s.now = e.at
-			}
-			if s.stepHook != nil {
-				s.stepHook(s.now)
-			}
-			s.events++
-			return
-		}
-	}
-	s.yield <- struct{}{}
-	<-p.wake
-}
+// park suspends the calling process until a scheduled event resumes it. The
+// scheduler regains control.
+func (p *Proc) park() { p.yield(struct{}{}) }
 
-// resume schedules the process to continue at time at. It must only be
-// invoked from scheduler context (inside a Schedule callback).
+// resumeNow runs the process until it next parks or finishes. It must only
+// be invoked from scheduler context (a proc event, or inside a Schedule
+// callback). The coroutine is created here, at the first run, and not in
+// SpawnAt: iter.Pull creates its goroutine at once, and a process spawned far
+// ahead must not hold one, with its stack, while it waits in the queue.
 func (p *Proc) resumeNow() {
-	p.wake <- struct{}{}
-	<-p.sim.yield
+	if p.next == nil {
+		p.next, p.stop = iter.Pull(p.run)
+	}
+	p.next()
 }
 
 // Sleep suspends the process for d of virtual time. Even a zero-length
@@ -467,12 +413,6 @@ type Future[T any] struct {
 // NewFuture returns an empty future bound to s.
 func NewFuture[T any](s *Simulation) *Future[T] {
 	return &Future[T]{sim: s}
-}
-
-// MakeFuture returns an empty future bound to s by value, for embedding in
-// a caller's own allocation. The future must not be copied once waited on.
-func MakeFuture[T any](s *Simulation) Future[T] {
-	return Future[T]{sim: s}
 }
 
 // Set fulfills the future and wakes all waiters. Calling Set twice panics:
@@ -661,6 +601,23 @@ func (wg *WaitGroup) Wait(p *Proc) {
 	}
 }
 
+// Fanout runs fn(cp, i) for each i in [0, n) on a child process of its own,
+// spawned in index order at the current instant and inheriting p's
+// observability context, and parks p until all n have returned.
+func (p *Proc) Fanout(name string, n int, fn func(cp *Proc, i int)) {
+	wg := p.sim.GetWaitGroup()
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		p.sim.Spawn(name, func(cp *Proc) {
+			defer wg.Done()
+			cp.obsctx = p.obsctx
+			fn(cp, i)
+		})
+	}
+	wg.Wait(p)
+	wg.Release()
+}
+
 // Cond is a waiting-room: processes park on it and are woken explicitly.
 // Unlike sync.Cond there is no associated lock; the simulation's cooperative
 // scheduling makes one unnecessary.
@@ -672,8 +629,8 @@ type Cond struct {
 // NewCond returns a Cond bound to s.
 func NewCond(s *Simulation) *Cond { return &Cond{sim: s} }
 
-// Wait parks p until Broadcast or a Signal reaches it. Callers must re-check
-// their predicate in a loop.
+// Wait parks p until a Broadcast reaches it. Callers must re-check their
+// predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.waiters = append(c.waiters, p)
 	p.park()
@@ -686,16 +643,6 @@ func (c *Cond) Broadcast() {
 	for _, w := range waiters {
 		c.sim.wakeAt(c.sim.now, w)
 	}
-}
-
-// Signal wakes one waiting process, if any.
-func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
-	}
-	w := c.waiters[0]
-	c.waiters = c.waiters[1:]
-	c.sim.wakeAt(c.sim.now, w)
 }
 
 // Ticker invokes fn every interval until the returned stop function is
@@ -726,10 +673,4 @@ func SortedKeys[M ~map[K]V, K ~string, V any](m M) []K {
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 	return keys
-}
-
-// Trace formats a debug line prefixed with virtual time; it exists so that
-// ad-hoc debugging output is consistent across packages.
-func (s *Simulation) Trace(format string, args ...interface{}) string {
-	return fmt.Sprintf("[%12s] ", Duration(s.now)) + fmt.Sprintf(format, args...)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -241,6 +242,34 @@ func TestWaitGroup(t *testing.T) {
 	s.Run()
 	if doneAt != Time(n*Millisecond) {
 		t.Fatalf("waiter released at %v, want %v", doneAt, Time(n*Millisecond))
+	}
+}
+
+// TestFanout: children start in index order at the parent's instant, carry
+// its observability context, and the parent resumes when the slowest returns.
+func TestFanout(t *testing.T) {
+	s := New(1)
+	var order []int
+	var joined Time
+	s.Spawn("parent", func(p *Proc) {
+		p.Sleep(Millisecond)
+		p.SetObsCtx("ctx")
+		p.Fanout("child", 4, func(cp *Proc, i int) {
+			if cp.ObsCtx() != "ctx" || cp.Now() != Time(Millisecond) {
+				t.Errorf("child %d: obsctx %v at %v", i, cp.ObsCtx(), cp.Now())
+			}
+			order = append(order, i)
+			cp.Sleep(Duration(4-i) * Millisecond)
+		})
+		joined = p.Now()
+		p.Fanout("none", 0, nil)
+	})
+	s.Run()
+	if !slices.Equal(order, []int{0, 1, 2, 3}) {
+		t.Fatalf("children started in order %v, want [0 1 2 3]", order)
+	}
+	if joined != Time(5*Millisecond) || s.Now() != joined {
+		t.Fatalf("parent resumed at %v, run ended at %v, want 5ms for both", joined, s.Now())
 	}
 }
 

@@ -65,9 +65,6 @@ func NewNetwork(s *sim.Simulation, topo *Topology) *Network {
 // Register installs the message handler for a node.
 func (n *Network) Register(id NodeID, h Handler) { n.handlers[id] = h }
 
-// Unregister removes a node's handler.
-func (n *Network) Unregister(id NodeID) { delete(n.handlers, id) }
-
 // CrashNode makes a node unreachable until RestartNode.
 func (n *Network) CrashNode(id NodeID) { n.downNodes[id] = true }
 

@@ -168,11 +168,6 @@ func (t *Topology) RegionRTT(a, b Region) sim.Duration {
 	return 150 * sim.Millisecond
 }
 
-// SetRegionRTT sets the round-trip time between two regions.
-func (t *Topology) SetRegionRTT(a, b Region, d sim.Duration) {
-	t.RTT[[2]Region{a, b}] = d
-}
-
 // NodeRTT returns the round-trip time between two nodes.
 func (t *Topology) NodeRTT(a, b NodeID) sim.Duration {
 	la, oka := t.nodes[a]

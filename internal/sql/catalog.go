@@ -169,16 +169,6 @@ func (t *Table) Index(name string) (*Index, bool) {
 	return nil, false
 }
 
-// IndexByID returns the index with the given ID.
-func (t *Table) IndexByID(id IndexID) (*Index, bool) {
-	for _, idx := range t.Indexes {
-		if idx.ID == id {
-			return idx, true
-		}
-	}
-	return nil, false
-}
-
 // AddColumn appends a column, assigning its ID.
 func (t *Table) AddColumn(c *Column) *Column {
 	t.nextColID++

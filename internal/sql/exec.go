@@ -773,9 +773,3 @@ func (s *Session) waitTableReady(p *sim.Proc, t *Table, db *core.Database) error
 	}
 	return nil
 }
-
-// ExecStmtTxn executes a parsed DML statement inside the given transaction;
-// the workload drivers use it to avoid re-parsing hot statements.
-func (s *Session) ExecStmtTxn(p *sim.Proc, tx *txn.Txn, stmt Statement) (*Result, error) {
-	return s.execDMLInTxn(p, tx, stmt)
-}

@@ -342,27 +342,13 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 			err error
 		}
 		slots := make([]result, len(regions)*len(tuples))
-		wg := p.Sim().GetWaitGroup()
-		parent := obs.ProcSpan(p)
-		i := 0
-		for _, region := range regions {
-			for _, tuple := range tuples {
-				region, tuple, slot := region, tuple, i
-				i++
-				wg.Add(1)
-				p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
-					defer wg.Done()
-					obs.SetProcSpan(wp, parent)
-					row, err := s.lookupOne(wp, f, t, idx, region, tuple)
-					slots[slot] = result{row: row, err: err}
-				})
-			}
-		}
-		wg.Wait(p)
-		wg.Release()
+		p.Fanout("sql/probe", len(slots), func(wp *sim.Proc, i int) {
+			row, err := s.lookupOne(wp, f, t, idx, regions[i/len(tuples)], tuples[i%len(tuples)])
+			slots[i] = result{row: row, err: err}
+		})
 		var rows []tableRow
 		foundTuple := make([]bool, len(tuples))
-		i = 0
+		i := 0
 		for range regions {
 			for ti := range tuples {
 				r := slots[i]
@@ -516,45 +502,36 @@ func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 		err  error
 	}
 	slots := make([]result, len(plan.regions))
-	wg := p.Sim().GetWaitGroup()
-	parent := obs.ProcSpan(p)
-	for i, region := range plan.regions {
-		i, region := i, region
-		wg.Add(1)
-		p.Sim().Spawn("sql/scan", func(wp *sim.Proc) {
-			defer wg.Done()
-			obs.SetProcSpan(wp, parent)
-			start, end := IndexSpan(t, idx.ID, region)
-			kvs, err := f.scan(wp, start, end, plan.limit)
-			if err != nil {
-				slots[i] = result{err: err}
-				return
-			}
-			var rows []tableRow
-			for _, kvp := range kvs {
-				if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-					vals, err := DecodeRow(kvp.Value)
-					if err != nil {
-						slots[i] = result{err: err}
-						return
-					}
-					rows = append(rows, tableRow{vals: vals, region: region})
-				} else {
-					row, err := s.primaryFromIndexValue(wp, f, t, region, kvp.Value)
-					if err != nil {
-						slots[i] = result{err: err}
-						return
-					}
-					if row != nil {
-						rows = append(rows, *row)
-					}
+	p.Fanout("sql/scan", len(slots), func(wp *sim.Proc, i int) {
+		region := plan.regions[i]
+		start, end := IndexSpan(t, idx.ID, region)
+		kvs, err := f.scan(wp, start, end, plan.limit)
+		if err != nil {
+			slots[i] = result{err: err}
+			return
+		}
+		var rows []tableRow
+		for _, kvp := range kvs {
+			if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
+				vals, err := DecodeRow(kvp.Value)
+				if err != nil {
+					slots[i] = result{err: err}
+					return
+				}
+				rows = append(rows, tableRow{vals: vals, region: region})
+			} else {
+				row, err := s.primaryFromIndexValue(wp, f, t, region, kvp.Value)
+				if err != nil {
+					slots[i] = result{err: err}
+					return
+				}
+				if row != nil {
+					rows = append(rows, *row)
 				}
 			}
-			slots[i] = result{rows: rows}
-		})
-	}
-	wg.Wait(p)
-	wg.Release()
+		}
+		slots[i] = result{rows: rows}
+	})
 	var out []tableRow
 	for _, r := range slots {
 		if r.err != nil {

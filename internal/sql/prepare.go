@@ -98,8 +98,8 @@ func (s *Session) ExecPrepared(p *sim.Proc, ps *Prepared, args ...Datum) (*Resul
 }
 
 // ExecPreparedTxn executes a prepared statement inside the given
-// transaction; the in-txn analogue of ExecStmtTxn (no statistics record,
-// no root span — the enclosing RunTxn carries the trace).
+// transaction: no statistics record, no root span — the enclosing RunTxn
+// carries the trace.
 func (s *Session) ExecPreparedTxn(p *sim.Proc, tx *txn.Txn, ps *Prepared, args ...Datum) (*Result, error) {
 	if len(args) != ps.numArgs {
 		return nil, fmt.Errorf("sql: prepared statement wants %d args, got %d", ps.numArgs, len(args))

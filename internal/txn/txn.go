@@ -97,9 +97,6 @@ func (t *Txn) ID() mvcc.TxnID { return t.kv.Meta.ID }
 // ReadTimestamp returns the current read timestamp.
 func (t *Txn) ReadTimestamp() hlc.Timestamp { return t.kv.ReadTimestamp }
 
-// ProvisionalCommitTimestamp returns the current provisional commit ts.
-func (t *Txn) ProvisionalCommitTimestamp() hlc.Timestamp { return t.kv.Meta.WriteTimestamp }
-
 // followerOK reports whether a fresh read of key may be served by any
 // replica: true only for ranges with the leading closed-timestamp policy
 // (GLOBAL tables), where present time is closed everywhere.
@@ -235,29 +232,20 @@ func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 	sp, done := t.co.tracer().StartIn(p, "txn.refresh")
 	defer done()
 	sp.SetTagInt("spans", int64(len(t.reads)))
-	s := t.co.Store.Sim
-	wg := s.GetWaitGroup()
-	wg.Add(len(t.reads))
 	failed := false
-	for _, span := range t.reads {
-		span := span
-		s.Spawn("txn/refresh", func(wp *sim.Proc) {
-			defer wg.Done()
-			obs.SetProcSpan(wp, sp)
-			req := &kv.RefreshRequest{
-				Key: span.key, EndKey: span.end,
-				FromTS: t.kv.ReadTimestamp, ToTS: newTS,
-				TxnID:        t.kv.Meta.ID,
-				FollowerRead: t.followerOK(span.key),
-			}
-			resp := t.co.Sender.Send(wp, req)
-			if resp.Err != nil || !resp.Refresh.Success {
-				failed = true
-			}
-		})
-	}
-	wg.Wait(p)
-	wg.Release()
+	p.Fanout("txn/refresh", len(t.reads), func(wp *sim.Proc, i int) {
+		span := t.reads[i]
+		req := &kv.RefreshRequest{
+			Key: span.key, EndKey: span.end,
+			FromTS: t.kv.ReadTimestamp, ToTS: newTS,
+			TxnID:        t.kv.Meta.ID,
+			FollowerRead: t.followerOK(span.key),
+		}
+		resp := t.co.Sender.Send(wp, req)
+		if resp.Err != nil || !resp.Refresh.Success {
+			failed = true
+		}
+	})
 	return !failed
 }
 

@@ -67,9 +67,6 @@ func (w *WindowedRecorder) Indices() []int64 {
 	return out
 }
 
-// IndexAt returns the window index containing t.
-func (w *WindowedRecorder) IndexAt(t sim.Time) int64 { return int64(t) / int64(w.Width) }
-
 // Between merges all samples recorded in [from, to) into one recorder.
 func (w *WindowedRecorder) Between(from, to sim.Time) *LatencyRecorder {
 	out := NewLatencyRecorder(fmt.Sprintf("window/%v-%v", from, to))

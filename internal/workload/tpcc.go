@@ -106,12 +106,6 @@ func sortedRegions(in []simnet.Region) []simnet.Region {
 	return out
 }
 
-// warehouseRegion maps warehouse IDs onto regions: w mod R, matching the
-// region_from_warehouse computed column.
-func (t *TPCC) warehouseRegion(w int) simnet.Region {
-	return t.regions[w%len(t.regions)]
-}
-
 // totalWarehouses returns the cluster-wide warehouse count.
 func (t *TPCC) totalWarehouses() int {
 	return t.Cfg.WarehousesPerRegion * len(t.regions)
@@ -160,18 +154,6 @@ func (t *TPCC) SetupSchema(p *sim.Proc) error {
 		}
 	}
 	return nil
-}
-
-// whereInts builds a WHERE of col=val equalities (composite key lookups).
-func whereInts(pairs ...interface{}) *sql.Where {
-	w := &sql.Where{}
-	for i := 0; i < len(pairs); i += 2 {
-		w.Conds = append(w.Conds, sql.Cond{
-			Col: pairs[i].(string), Op: sql.OpEq,
-			Vals: []sql.Expr{&sql.Lit{Val: int64(pairs[i+1].(int))}},
-		})
-	}
-	return w
 }
 
 // Load bulk-loads initial data.
