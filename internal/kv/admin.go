@@ -227,7 +227,11 @@ func (a *Admin) relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		return nil
 	}
 
-	// 1. Create replicas on new nodes (as learners first).
+	// 1. Create replicas on new nodes (as learners first). A relocation that
+	// fails leaves the descriptor as it was, so the next one starts here
+	// again: a replica whose AddLearner failed is taken back at once (nothing
+	// but this call knows it), and one found already in place joined the
+	// group in an earlier attempt that failed further down — it is adopted.
 	for _, id := range placement.Replicas() {
 		if inOld[id] {
 			continue
@@ -236,8 +240,12 @@ func (a *Admin) relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		if !ok {
 			return fmt.Errorf("kv: no store on node %d", id)
 		}
+		if _, ok := st.Replica(rangeID); ok {
+			continue
+		}
 		st.CreateReplica(newDesc, a.MaxOffset)
 		if err := propose(raft.ConfChange{Type: raft.AddLearner, Node: id}); err != nil {
+			st.RemoveReplica(rangeID)
 			return err
 		}
 	}

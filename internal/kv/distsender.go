@@ -248,16 +248,11 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 			resps[i] = out[j]
 		}
 	}
-	switch {
-	case len(groups) == 1 && routable == len(reqs):
+	if len(groups) == 1 && routable == len(reqs) {
 		// Single range, every request routable: the sub-batch is the batch.
 		out := ds.sendToRange(p, reqs, depth)
 		copy(resps, out)
-	case len(groups) <= 1:
-		if len(groups) == 1 {
-			dispatch(p, groups[0].idxs)
-		}
-	default:
+	} else {
 		p.Fanout("ds/batch-range", len(groups), func(wp *sim.Proc, g int) {
 			dispatch(wp, groups[g].idxs)
 		})
@@ -494,15 +489,10 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 			subs[i] = &sub
 			lastEnd = sub.EndKey
 		}
-		var resps []Response
-		if len(subs) == 1 {
-			resps = []Response{ds.sendToRange(p, subs[:1], 0)[0]}
-		} else {
-			resps = make([]Response, len(subs))
-			p.Fanout("ds/scan-range", len(subs), func(wp *sim.Proc, i int) {
-				resps[i] = ds.sendToRange(wp, subs[i:i+1], 0)[0]
-			})
-		}
+		resps := make([]Response, len(subs))
+		p.Fanout("ds/scan-range", len(subs), func(wp *sim.Proc, i int) {
+			resps[i] = ds.sendToRange(wp, subs[i:i+1], 0)[0]
+		})
 		var resume mvcc.Key
 		full := false
 		for _, resp := range resps {

@@ -280,9 +280,7 @@ func (s *Store) Crash() {
 		s.replicas[id].raft.Stop()
 	}
 	s.replicas = map[RangeID]*Replica{}
-	s.lastAck = 0
-	s.ackEpoch = 0
-	s.firstAcker = 0
+	s.forgetAcks()
 	if s.Disk != nil {
 		s.Disk.Crash()
 	}
@@ -377,9 +375,7 @@ func (s *Store) Recover(p *sim.Proc) (RecoveryStats, error) {
 	}
 	// The node must not believe it is live until a peer acks a fresh
 	// heartbeat under the new epoch.
-	s.lastAck = 0
-	s.ackEpoch = 0
-	s.firstAcker = 0
+	s.forgetAcks()
 	stats.Duration = recoveryDuration(stats)
 	p.Sleep(stats.Duration)
 	m := s.Disk.Metrics()

@@ -323,3 +323,42 @@ func TestLivenessRestartPingsEveryone(t *testing.T) {
 		t.Fatalf("second round after the restart reached %v (%d acks), want the nearest peer again", got, h.acksTo(1))
 	}
 }
+
+// TestSelfLiveFalseAfterEarlyRestart crashes and recovers n1 one second into
+// the simulation, inside the first LivenessTTL. "Never acked" used to be
+// stored as lastAck = 0, which is also a time — the start of the simulation —
+// so until t = 3s a restarted node read as confirmed at t = 0 and believed
+// itself live at an epoch no peer had told it. It must believe nothing until
+// the first ack of its new epoch arrives.
+func TestSelfLiveFalseAfterEarlyRestart(t *testing.T) {
+	h := newLivenessHarness(t, true) // t = 0.5s
+	st := h.stores[1]
+	h.s.RunFor(LivenessHeartbeatInterval / 2)
+	if now := h.s.Now(); now != sim.Time(sim.Second) || !st.SelfLive() {
+		t.Fatalf("setup: t=%v SelfLive=%v, want 1s and live", now, st.SelfLive())
+	}
+	h.net.CrashNode(1)
+	st.Crash()
+	if st.SelfLive() {
+		t.Fatal("crashed n1 believes itself live")
+	}
+	h.s.Spawn("restart", func(p *sim.Proc) {
+		if _, err := st.Recover(p); err != nil {
+			t.Errorf("recover: %v", err)
+		}
+		h.net.RestartNode(1)
+	})
+	h.resetCounts()
+	sawDead, sawLive := false, false
+	for h.s.Now() < sim.Time(LivenessTTL) {
+		h.s.RunFor(100 * sim.Microsecond)
+		acked := h.acksTo(1) > 0
+		if st.SelfLive() != acked {
+			t.Fatalf("t=%v: SelfLive=%v with %d acks delivered since the restart", h.s.Now(), st.SelfLive(), h.acksTo(1))
+		}
+		sawDead, sawLive = sawDead || !acked, sawLive || acked
+	}
+	if !sawDead || !sawLive {
+		t.Fatalf("the first TTL saw dead=%v live=%v, want both: an ack has to arrive, and not at once", sawDead, sawLive)
+	}
+}

@@ -28,6 +28,11 @@ type TxnRegistry struct {
 	// waitsFor tracks which transaction each blocked transaction is
 	// waiting on, for deadlock detection.
 	waitsFor map[mvcc.TxnID]mvcc.TxnID
+
+	// envelopes is the cluster's free list of Raft envelopes. It has nothing
+	// to do with transactions: it rides here because the registry is the one
+	// kv object every store of a cluster is constructed with.
+	envelopes envelopePool
 }
 
 type txnRecord struct {

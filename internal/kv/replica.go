@@ -136,16 +136,12 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 	return q.eval(r, p)
 }
 
-// evaluateBatch evaluates the requests of one RPC. A lone request runs
-// inline on p; several run as concurrent procs (they contend on latches
-// like independent RPCs would), and the responses come back in request
-// order.
+// evaluateBatch evaluates the requests of one RPC as a fan-out (a lone
+// request therefore runs on p; several run as concurrent procs and contend on
+// latches like independent RPCs would), and the responses come back in
+// request order.
 func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) []Response {
 	resps := make([]Response, len(reqs))
-	if len(reqs) == 1 {
-		resps[0] = r.evaluate(p, reqs[0])
-		return resps
-	}
 	p.Fanout("replica/batch-req", len(reqs), func(wp *sim.Proc, i int) {
 		resps[i] = r.evaluate(wp, reqs[i])
 	})

@@ -55,9 +55,13 @@ type Store struct {
 	ckptStop     func()
 
 	// liveness state: the shared registry plus this node's view of its own
-	// record, maintained from peer acks. firstAcker is the peer whose ack
-	// answered the current heartbeat round first (0: unanswered so far).
+	// record, maintained from peer acks. acked is false until the first ack
+	// since the node (re)started: lastAck means nothing then, and cannot say
+	// so itself, since every sim.Time, zero included, is a time. firstAcker
+	// is the peer whose ack answered the current heartbeat round first (0:
+	// unanswered so far).
 	liveness   *NodeLiveness
+	acked      bool
 	lastAck    sim.Time
 	ackEpoch   int64
 	firstAcker simnet.NodeID
@@ -103,13 +107,18 @@ func (s *Store) ApplyErrors() int {
 }
 
 // handleMessage dispatches network traffic: Raft envelopes go straight to
-// the replica's state machine; RPC requests are evaluated in a fresh
-// process because evaluation may block on latches, locks, or replication.
+// the replica's state machine; an RPC request is evaluated on the process the
+// network delivered it on, because evaluation may block on latches, locks, or
+// replication.
 func (s *Store) handleMessage(m simnet.Message) {
 	switch payload := m.Payload.(type) {
-	case RaftEnvelope:
-		if r, ok := s.replicas[payload.RangeID]; ok {
-			r.raft.Step(payload.Msg)
+	case *RaftEnvelope:
+		// Copy out and release first: Step may send, and finds the envelope
+		// back in the free list.
+		rangeID, msg := payload.RangeID, payload.Msg
+		s.Registry.envelopes.put(payload)
+		if r, ok := s.replicas[rangeID]; ok {
+			r.raft.Step(msg)
 		}
 	case livenessPing:
 		if s.liveness != nil {
@@ -119,7 +128,7 @@ func (s *Store) handleMessage(m simnet.Message) {
 	case livenessAck:
 		// A peer confirmed our record: we are provably connected, and
 		// payload.Epoch is the epoch our leases must be bound to.
-		s.lastAck = s.Sim.Now()
+		s.acked, s.lastAck = true, s.Sim.Now()
 		s.ackEpoch = payload.Epoch
 		if s.firstAcker == 0 {
 			s.firstAcker = m.From
@@ -135,26 +144,23 @@ func (s *Store) handleMessage(m simnet.Message) {
 			payload.Reply(BatchResponse{Resps: errResponses(len(batch.Reqs), &RangeKeyMismatchError{})})
 			return
 		}
-		// Static proc name: formatting "n%d/r%d/eval" per RPC was a top
-		// allocation site, and proc names are purely cosmetic.
-		s.Sim.Spawn("kv/eval", func(p *sim.Proc) {
-			sp := s.Obs.StartSpan("replica.eval", batch.Trace)
-			if sp != nil {
-				sp.SetTagInt("node", int64(s.NodeID)).
-					SetTagInt("range", int64(batch.RangeID)).
-					SetTag("req", reqName(batch.Reqs[0]))
-				if len(batch.Reqs) > 1 {
-					sp.SetTagInt("reqs", int64(len(batch.Reqs)))
-				}
-				obs.SetProcSpan(p, sp)
+		p := payload.Proc
+		sp := s.Obs.StartSpan("replica.eval", batch.Trace)
+		if sp != nil {
+			sp.SetTagInt("node", int64(s.NodeID)).
+				SetTagInt("range", int64(batch.RangeID)).
+				SetTag("req", reqName(batch.Reqs[0]))
+			if len(batch.Reqs) > 1 {
+				sp.SetTagInt("reqs", int64(len(batch.Reqs)))
 			}
-			resps := r.evaluateBatch(p, batch.Reqs)
-			if sp != nil && len(resps) == 1 && resps[0].Err != nil {
-				sp.SetError(resps[0].Err)
-			}
-			sp.Finish()
-			payload.Reply(BatchResponse{Resps: resps})
-		})
+			obs.SetProcSpan(p, sp)
+		}
+		resps := r.evaluateBatch(p, batch.Reqs)
+		if sp != nil && len(resps) == 1 && resps[0].Err != nil {
+			sp.SetError(resps[0].Err)
+		}
+		sp.Finish()
+		payload.Reply(BatchResponse{Resps: resps})
 	}
 }
 
@@ -172,7 +178,7 @@ func (s *Store) handleMessage(m simnet.Message) {
 func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 	s.liveness = nl
 	nl.Register(s.NodeID)
-	s.lastAck = s.Sim.Now()
+	s.acked, s.lastAck = true, s.Sim.Now()
 	s.ackEpoch = nl.Epoch(s.NodeID)
 	if s.Disk != nil {
 		s.persistNodeMeta(s.ackEpoch)
@@ -201,7 +207,16 @@ func (s *Store) SelfLive() bool {
 	if s.liveness == nil || len(s.liveness.Nodes()) <= 1 {
 		return true
 	}
-	return s.Sim.Now() <= s.lastAck.Add(LivenessTTL)
+	return s.acked && s.Sim.Now() <= s.lastAck.Add(LivenessTTL)
+}
+
+// forgetAcks returns the node to "no peer has confirmed my record": it does
+// not believe itself live, holds no confirmed epoch, and its next heartbeat
+// round goes to everyone.
+func (s *Store) forgetAcks() {
+	s.acked = false
+	s.ackEpoch = 0
+	s.firstAcker = 0
 }
 
 // CurrentEpoch is the epoch of this node's record as last confirmed by a
@@ -220,7 +235,10 @@ type raftTransport struct {
 }
 
 func (t *raftTransport) Send(to simnet.NodeID, msg raft.Message) {
-	t.store.Net.Send(t.store.NodeID, to, RaftEnvelope{RangeID: t.rangeID, Msg: msg})
+	s := t.store
+	env := s.Registry.envelopes.get()
+	env.RangeID, env.Msg = t.rangeID, msg
+	s.Net.Send(s.NodeID, to, env)
 }
 
 // CreateReplica instantiates the local replica of a range. maxOffset sizes

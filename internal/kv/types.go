@@ -447,10 +447,43 @@ type BatchResponse struct {
 	Resps []Response
 }
 
-// RaftEnvelope carries a Raft message for one range between stores.
+// RaftEnvelope carries a Raft message for one range between stores. It
+// travels by pointer (boxing the 192-byte value was the largest single source
+// of garbage) and belongs to the cluster's envelopePool: the sender takes one,
+// the receiving store copies the message out and puts it back.
 type RaftEnvelope struct {
 	RangeID RangeID
 	Msg     raft.Message
+}
+
+// maxFreeEnvelopes bounds an envelopePool.
+const maxFreeEnvelopes = 256
+
+// envelopePool is the free list of Raft envelopes, one per cluster and shared
+// by all its stores. Per-store lists would leak: heartbeats that need no
+// answer are a one-way flow, so a follower's list would only ever grow while
+// the leader's stayed empty. An envelope the network drops is never put back;
+// the collector takes it.
+type envelopePool struct {
+	free []*RaftEnvelope
+}
+
+func (ep *envelopePool) get() *RaftEnvelope {
+	if n := len(ep.free); n > 0 {
+		env := ep.free[n-1]
+		ep.free = ep.free[:n-1]
+		return env
+	}
+	return new(RaftEnvelope)
+}
+
+// put clears env, so it pins no log entries or snapshot, and keeps it unless
+// the list is full.
+func (ep *envelopePool) put(env *RaftEnvelope) {
+	*env = RaftEnvelope{}
+	if len(ep.free) < maxFreeEnvelopes {
+		ep.free = append(ep.free, env)
+	}
 }
 
 // Command is the state-machine payload replicated through Raft and applied

@@ -124,37 +124,94 @@ func (h *refHeap) Pop() interface{} {
 	return e
 }
 
-// TestFourAryHeapMatchesReference drives 10k randomized pushes and pops of
-// (at, seq) events — many sharing a timestamp, so the seq tie-break matters —
-// through fourAryHeap and through the container/heap model, and requires the
-// identical pop order.
+// TestFourAryHeapMatchesReference drives 10k randomized pushes, pops and
+// removes of (at, seq) events — many sharing a timestamp, so the seq tie-break
+// matters — through fourAryHeap and through the container/heap model, and
+// requires the identical pop order. A third of the events are deadlines, the
+// only entries remove is ever asked for: after every operation each queued
+// deadline's process must know exactly where its entry sits, and every other
+// process (a plain wake queued, or its deadline popped or removed) must be
+// untracked.
 func TestFourAryHeapMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var q fourAryHeap
 	var ref refHeap
 	var seq int64
+	type tracked struct {
+		p   *Proc
+		seq int64
+	}
+	var deadlines []tracked // queued deadline entries, in push order
+	var others []*Proc      // processes behind plain wakes, and past deadlines
+	check := func(op int) {
+		t.Helper()
+		if len(q) != ref.Len() {
+			t.Fatalf("op %d: %d queued, reference holds %d", op, len(q), ref.Len())
+		}
+		for _, d := range deadlines {
+			if i := d.p.deadline; i < 0 || i >= len(q) || q[i].proc != d.p || q[i].seq != d.seq {
+				t.Fatalf("op %d: deadline seq %d tracked at index %d, which does not hold it", op, d.seq, i)
+			}
+		}
+		for _, p := range others {
+			if p.deadline != -1 {
+				t.Fatalf("op %d: a process with no deadline queued is tracked at index %d", op, p.deadline)
+			}
+		}
+	}
+	// left records that e is out of the queue, however it went.
+	left := func(e event) {
+		for i, d := range deadlines {
+			if d.p == e.proc {
+				deadlines = append(deadlines[:i], deadlines[i+1:]...)
+				others = append(others, d.p)
+				return
+			}
+		}
+	}
 	pop := func(op int) {
 		got, want := q.pop(), heap.Pop(&ref).(refEvent)
 		if got.at != want.at || got.seq != want.seq {
 			t.Fatalf("op %d: popped (%d, %d), reference popped (%d, %d)",
 				op, got.at, got.seq, want.at, want.seq)
 		}
+		left(got)
 	}
 	for op := 0; op < 10000; op++ {
-		if len(q) != ref.Len() {
-			t.Fatalf("op %d: %d queued, reference holds %d", op, len(q), ref.Len())
-		}
-		if len(q) == 0 || rng.Intn(5) < 3 {
+		check(op)
+		switch r := rng.Intn(10); {
+		case len(q) == 0 || r < 5:
 			seq++
-			at := Time(rng.Intn(64))
-			q.push(event{at: at, seq: seq})
-			heap.Push(&ref, refEvent{at: at, seq: seq})
-			continue
+			e := event{at: Time(rng.Intn(64)), seq: seq}
+			switch rng.Intn(3) {
+			case 0: // a deadline
+				e.proc = &Proc{deadline: 0}
+				deadlines = append(deadlines, tracked{e.proc, seq})
+			case 1: // a plain wake
+				e.proc = &Proc{deadline: -1}
+				others = append(others, e.proc)
+			}
+			q.push(e)
+			heap.Push(&ref, refEvent{at: e.at, seq: seq})
+		case r < 7 && len(deadlines) > 0:
+			d := deadlines[rng.Intn(len(deadlines))]
+			if got := q.remove(d.p.deadline); got.proc != d.p || got.seq != d.seq {
+				t.Fatalf("op %d: remove returned seq %d, want deadline seq %d", op, got.seq, d.seq)
+			}
+			for i, e := range ref {
+				if e.seq == d.seq {
+					heap.Remove(&ref, i)
+					break
+				}
+			}
+			left(event{proc: d.p})
+		default:
+			pop(op)
 		}
-		pop(op)
 	}
 	for len(q) > 0 {
 		pop(-1)
+		check(-1)
 	}
 	if ref.Len() != 0 {
 		t.Fatalf("reference still holds %d events", ref.Len())
@@ -265,6 +322,36 @@ func TestProcPoolReuse(t *testing.T) {
 			t.Fatalf("goroutines leaked: %d before Run, %d after", before, after)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestSpawnedAheadProcAdoptsFreeCoroutine: a proc spawned for a later time is
+// a bare queue entry, made when the free list may have been empty. If a
+// finished proc is parked there by the time it starts, its work runs on that
+// coroutine rather than on a new one — an open loop spawns its whole schedule
+// ahead, and would otherwise create a coroutine (and grow its stack from
+// scratch) per operation beside a full free list.
+func TestSpawnedAheadProcAdoptsFreeCoroutine(t *testing.T) {
+	s := New(1)
+	var early, late *Proc
+	var lateName string
+	s.SpawnAt(Time(10*Millisecond), "late", func(p *Proc) {
+		late, lateName = p, p.Name()
+		p.Sleep(Millisecond)
+	})
+	s.Spawn("early", func(p *Proc) { early = p })
+	s.RunUntil(Time(5 * Millisecond))
+	if early == nil || len(s.freeProcs) != 1 {
+		t.Fatalf("setup: early ran=%v, %d procs in the free list, want 1", early != nil, len(s.freeProcs))
+	}
+	s.RunUntil(Time(10 * Millisecond))
+	if late != early || lateName != "late" || len(s.freeProcs) != 0 {
+		t.Fatalf("late ran as %q on proc %p with %d procs left in the free list; want \"late\" on early's proc %p, taken from the list",
+			lateName, late, len(s.freeProcs), early)
+	}
+	s.Run()
+	if s.Now() != Time(11*Millisecond) {
+		t.Fatalf("run ended at %v, want 11ms", s.Now())
 	}
 }
 

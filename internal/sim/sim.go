@@ -29,11 +29,21 @@
 // closure per wake), and finished processes park their coroutines in a free
 // list so the next Spawn reuses the coroutine and its stack. A coroutine is
 // created when its process first runs, not when it is spawned, so a process
-// spawned for a later time costs one queue entry until then. None of this
-// changes the (at, seq) total order events execute in, so same-seed runs stay
-// byte-identical — TestScheduleGolden pins the schedule of a mixed workload
-// to committed hashes, and TestFourAryHeapMatchesReference pins the heap's
-// pop order against a container/heap model.
+// spawned for a later time costs one queue entry until then. A wait with a
+// timeout queues its deadline as one more value event and takes it out again
+// when the wait ends early, so a queue entry is always work to come, never a
+// no-op waiting for its turn. None of this changes the (at, seq) total order
+// events execute in, so same-seed runs stay byte-identical —
+// TestScheduleGolden pins the schedule of a mixed workload to committed
+// hashes, and TestFourAryHeapMatchesReference pins the heap's pop order and
+// its removals against a container/heap model.
+//
+// Two shortcuts do the work of an event inside the event that caused it:
+// Future.Deliver resumes the waiters where Set would queue their wakes, and a
+// Proc.Fanout of one runs on its caller. Each skipped event would have been
+// queued for the current instant by the event now doing its work, so it was
+// the next pop unless another event sat at the very same nanosecond with a
+// lower seq; only such ties can reorder.
 package sim
 
 import (
@@ -91,57 +101,93 @@ func (e *event) before(o *event) bool {
 // fourAryHeap is the event queue: a d=4 min-heap over event values.
 // Shallower than a binary heap (fewer cache lines touched per op) and free
 // of the interface conversions container/heap imposes.
+//
+// It tracks where WaitTimeout deadlines sit, and nothing else, so that a wait
+// that ends early can take its deadline out of the queue instead of leaving it
+// to fire as a no-op. A parked process has at most one event queued for it —
+// its wake or its deadline — so the position lives on the Proc
+// (Proc.deadline, -1 when the queued event is not a deadline) and events stay
+// 32 bytes.
 type fourAryHeap []event
 
-func (h *fourAryHeap) push(e event) {
-	q := append(*h, e)
-	i := len(q) - 1
+// place stores e at index i; if e is a deadline, its process learns the index.
+func (q fourAryHeap) place(i int, e event) {
+	q[i] = e
+	if e.proc != nil && e.proc.deadline >= 0 {
+		e.proc.deadline = i
+	}
+}
+
+// up fills the hole at i with e, moving the hole towards the root first
+// while e is earlier than the hole's parent.
+func (q fourAryHeap) up(i int, e event) {
 	for i > 0 {
 		p := (i - 1) >> 2
 		if !e.before(&q[p]) {
 			break
 		}
-		q[i] = q[p]
+		q.place(i, q[p])
 		i = p
 	}
-	q[i] = e
-	*h = q
+	q.place(i, e)
 }
 
-func (h *fourAryHeap) pop() event {
-	q := *h
+// down fills the hole at i with e, moving the hole towards the leaves first
+// while its earliest child is earlier than e.
+func (q fourAryHeap) down(i int, e event) {
 	n := len(q)
-	min := q[0]
-	last := q[n-1]
-	q[n-1] = event{} // release fn/proc references
-	q = q[:n-1]
-	if n := len(q); n > 0 {
-		i := 0
-		for {
-			c := i<<2 + 1
-			if c >= n {
-				break
-			}
-			m := c
-			end := c + 4
-			if end > n {
-				end = n
-			}
-			for j := c + 1; j < end; j++ {
-				if q[j].before(&q[m]) {
-					m = j
-				}
-			}
-			if !q[m].before(&last) {
-				break
-			}
-			q[i] = q[m]
-			i = m
+	for {
+		c := i<<2 + 1
+		if c >= n {
+			break
 		}
-		q[i] = last
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&e) {
+			break
+		}
+		q.place(i, q[m])
+		i = m
 	}
+	q.place(i, e)
+}
+
+func (h *fourAryHeap) push(e event) {
+	q := append(*h, event{})
 	*h = q
-	return min
+	q.up(len(q)-1, e)
+}
+
+func (h *fourAryHeap) pop() event { return h.remove(0) }
+
+// remove takes the event at index i out of the queue and returns it. If it
+// is a deadline, its process stops being tracked.
+func (h *fourAryHeap) remove(i int) event {
+	q := *h
+	n := len(q) - 1
+	e, last := q[i], q[n]
+	q[n] = event{} // release fn/proc references
+	q = q[:n]
+	*h = q
+	if e.proc != nil && e.proc.deadline >= 0 {
+		e.proc.deadline = -1
+	}
+	if i < n {
+		if i > 0 && last.before(&q[(i-1)>>2]) {
+			q.up(i, last)
+		} else {
+			q.down(i, last)
+		}
+	}
+	return e
 }
 
 // maxFreeProcs caps the per-simulation pool of finished processes kept
@@ -182,6 +228,10 @@ func (s *Simulation) Now() Time { return s.now }
 // on it.
 func (s *Simulation) Events() int64 { return s.events }
 
+// Pending returns the number of events queued. Like Events it measures cost,
+// for tests and the perf harness; virtual time never depends on it.
+func (s *Simulation) Pending() int { return len(s.queue) }
+
 // Rand returns the simulation's deterministic random source. It must only be
 // used from scheduler callbacks or running Procs.
 func (s *Simulation) Rand() *rand.Rand { return s.rng }
@@ -215,6 +265,23 @@ func (s *Simulation) After(d Duration, fn func()) {
 // process directly, no closure per wake.
 func (s *Simulation) wakeAt(at Time, p *Proc) {
 	s.push(event{at: at, proc: p})
+}
+
+// deadlineAt queues the deadline of p's WaitTimeout: a wake like any other,
+// except that the queue tracks where it sits so cancelDeadline can take it
+// out. p must park before anything else queues an event for it.
+func (s *Simulation) deadlineAt(at Time, p *Proc) {
+	p.deadline = len(s.queue) // where push starts it; any value >= 0 marks it tracked
+	s.wakeAt(at, p)
+}
+
+// cancelDeadline removes p's deadline from the queue, if it has one there.
+// Whoever ends a wait calls it before queueing or running p's wake: a deadline
+// left in place could fire between the two and resume p a second time.
+func (s *Simulation) cancelDeadline(p *Proc) {
+	if p.deadline >= 0 {
+		s.queue.remove(p.deadline)
+	}
 }
 
 // Stop halts the simulation: Run returns after the current event completes
@@ -284,6 +351,10 @@ type Proc struct {
 	yield func(struct{}) bool
 	stop  func()
 
+	// deadline is the index in the event queue of the process's WaitTimeout
+	// deadline, maintained by fourAryHeap; -1 while it has none queued.
+	deadline int
+
 	// obsctx is an opaque slot for the observability layer (the process's
 	// current trace span). sim knows nothing about its type; it exists here
 	// so spans can follow a process across blocking calls without sim
@@ -319,21 +390,28 @@ func (s *Simulation) Spawn(name string, fn func(p *Proc)) {
 // parked in the free list its coroutine and stack are reused; otherwise a
 // fresh coroutine starts when the event fires.
 func (s *Simulation) SpawnAt(at Time, name string, fn func(p *Proc)) {
-	var p *Proc
-	if n := len(s.freeProcs); n > 0 {
-		p = s.freeProcs[n-1]
-		s.freeProcs[n-1] = nil
-		s.freeProcs = s.freeProcs[:n-1]
-		p.name = name
-		p.obsctx = nil
-	} else {
-		p = &Proc{sim: s, name: name}
+	p := s.takeFreeProc()
+	if p == nil {
+		p = &Proc{sim: s, deadline: -1}
 	}
-	p.fn = fn
+	p.name, p.fn, p.obsctx = name, fn, nil
 	if at < s.now {
 		at = s.now
 	}
 	s.wakeAt(at, p)
+}
+
+// takeFreeProc pops a finished process, parked with its coroutine, off the
+// free list; nil if the list is empty.
+func (s *Simulation) takeFreeProc() *Proc {
+	n := len(s.freeProcs)
+	if n == 0 {
+		return nil
+	}
+	p := s.freeProcs[n-1]
+	s.freeProcs[n-1] = nil
+	s.freeProcs = s.freeProcs[:n-1]
+	return p
 }
 
 // run is the body of a process's coroutine: execute fn, then park in the
@@ -371,10 +449,20 @@ func (p *Proc) park() { p.yield(struct{}{}) }
 // be invoked from scheduler context (a proc event, or inside a Schedule
 // callback). The coroutine is created here, at the first run, and not in
 // SpawnAt: iter.Pull creates its goroutine at once, and a process spawned far
-// ahead must not hold one, with its stack, while it waits in the queue.
+// ahead must not hold one, with its stack, while it waits in the queue. If by
+// then a finished process is parked in the free list, that one runs the work
+// instead, on its coroutine and grown stack: nobody has seen p yet (its
+// function learns its Proc when it is called), so the substitution is
+// invisible, and an open loop that spawned its whole schedule ahead of time
+// recycles coroutines like everyone else.
 func (p *Proc) resumeNow() {
 	if p.next == nil {
-		p.next, p.stop = iter.Pull(p.run)
+		if q := p.sim.takeFreeProc(); q != nil {
+			q.name, q.fn, q.obsctx = p.name, p.fn, nil
+			p = q
+		} else {
+			p.next, p.stop = iter.Pull(p.run)
+		}
 	}
 	p.next()
 }
@@ -402,22 +490,37 @@ func (p *Proc) SleepUntil(t Time) {
 // Yield lets any other work scheduled at the current instant run first.
 func (p *Proc) Yield() { p.Sleep(0) }
 
-// Future is a single-assignment value that processes can wait on.
+// Future is a single-assignment value that processes can wait on. The zero
+// Future is empty and ready to use, so a record that carries one can embed it
+// by value; it learns its simulation from the processes that wait on it. A
+// Future must not be copied once a process has waited on it.
+//
+// There are two ways to fulfil one. Set may be called from anywhere, any
+// number of statements before its caller is done: it queues a wake per waiter
+// and returns. Deliver is for an event that exists to carry the value (a
+// message arriving): it resumes the waiters inside that event, which saves the
+// wake events, and is legal only from scheduler context and only as the
+// event's last action, because each waiter runs until it next parks before
+// Deliver returns. Set cannot do the same: raft's apply loop fulfils
+// proposals mid-loop, and a waiter resumed there would re-enter the node.
 type Future[T any] struct {
-	sim     *Simulation
 	set     bool
 	val     T
 	waiters []*Proc
+	first   [1]*Proc // backs waiters while there is one, the usual case
 }
 
-// NewFuture returns an empty future bound to s.
-func NewFuture[T any](s *Simulation) *Future[T] {
-	return &Future[T]{sim: s}
+// NewFuture returns an empty future. The simulation is not recorded (see
+// Future); the parameter keeps the constructor uniform with NewMailbox,
+// NewCond and NewWaitGroup.
+func NewFuture[T any](*Simulation) *Future[T] {
+	return &Future[T]{}
 }
 
-// Set fulfills the future and wakes all waiters. Calling Set twice panics:
+// fulfil stores v and returns the waiters, each with its WaitTimeout
+// deadline, if any, already out of the event queue. Fulfilling twice panics:
 // a future is a one-shot rendezvous.
-func (f *Future[T]) Set(v T) {
+func (f *Future[T]) fulfil(v T) []*Proc {
 	if f.set {
 		panic("sim: Future set twice")
 	}
@@ -426,52 +529,73 @@ func (f *Future[T]) Set(v T) {
 	waiters := f.waiters
 	f.waiters = nil
 	for _, w := range waiters {
-		f.sim.wakeAt(f.sim.now, w)
+		w.sim.cancelDeadline(w)
+	}
+	return waiters
+}
+
+// Set fulfils the future and queues a wake for every waiter at the current
+// instant.
+func (f *Future[T]) Set(v T) {
+	for _, w := range f.fulfil(v) {
+		w.sim.wakeAt(w.sim.now, w)
+	}
+}
+
+// Deliver fulfils the future and resumes every waiter, in the order they
+// began to wait, before it returns. See Future for when it may be called.
+func (f *Future[T]) Deliver(v T) {
+	for _, w := range f.fulfil(v) {
+		w.resumeNow()
 	}
 }
 
 // Done reports whether the future has been fulfilled.
 func (f *Future[T]) Done() bool { return f.set }
 
-// Wait parks p until the future is set and returns its value.
+// enqueue adds p to the waiters.
+func (f *Future[T]) enqueue(p *Proc) {
+	if f.waiters == nil {
+		f.waiters = f.first[:0]
+	}
+	f.waiters = append(f.waiters, p)
+}
+
+// Wait parks p until the future is fulfilled and returns its value.
 func (f *Future[T]) Wait(p *Proc) T {
-	for !f.set {
-		f.waiters = append(f.waiters, p)
+	if !f.set {
+		f.enqueue(p)
 		p.park()
 	}
 	return f.val
 }
 
 // WaitTimeout waits for the future for at most d. It returns the value and
-// true if the future was set in time.
+// true if the future was fulfilled in time. The deadline is one queue entry
+// that is removed when the wait ends early, so a wait that does not time out
+// leaves nothing behind; a fulfilment and a deadline at the same instant
+// resolve in queue order, like any two events.
 func (f *Future[T]) WaitTimeout(p *Proc, d Duration) (T, bool) {
-	if f.set {
-		return f.val, true
-	}
-	deadline := p.sim.now.Add(d)
-	expired := false
-	p.sim.Schedule(deadline, func() {
+	if !f.set {
+		if d < 0 {
+			d = 0
+		}
+		f.enqueue(p)
+		p.sim.deadlineAt(p.sim.now.Add(d), p)
+		p.park()
 		if !f.set {
-			expired = true
-			// Remove p from waiters and wake it.
+			// The deadline fired (fulfil would have removed it): stop waiting.
 			for i, w := range f.waiters {
 				if w == p {
 					f.waiters = append(f.waiters[:i], f.waiters[i+1:]...)
 					break
 				}
 			}
-			p.resumeNow()
+			var zero T
+			return zero, false
 		}
-	})
-	for !f.set && !expired {
-		f.waiters = append(f.waiters, p)
-		p.park()
 	}
-	if f.set {
-		return f.val, true
-	}
-	var zero T
-	return zero, false
+	return f.val, true
 }
 
 // Mailbox is an unbounded FIFO queue connecting processes, akin to a
@@ -603,8 +727,17 @@ func (wg *WaitGroup) Wait(p *Proc) {
 
 // Fanout runs fn(cp, i) for each i in [0, n) on a child process of its own,
 // spawned in index order at the current instant and inheriting p's
-// observability context, and parks p until all n have returned.
+// observability context, and parks p until all n have returned. A fan-out of
+// one has nothing to run beside: fn(p, 0) runs on p itself, which costs no
+// event, and whatever it does to the observability context is undone when it
+// returns, as if a child had carried it.
 func (p *Proc) Fanout(name string, n int, fn func(cp *Proc, i int)) {
+	if n == 1 {
+		ctx := p.obsctx
+		fn(p, 0)
+		p.obsctx = ctx
+		return
+	}
 	wg := p.sim.GetWaitGroup()
 	wg.Add(n)
 	for i := 0; i < n; i++ {

@@ -169,6 +169,120 @@ func TestFutureWaitTimeoutFulfilled(t *testing.T) {
 	}
 }
 
+// TestFutureFulfilledAtDeadlineInstant: a fulfilment and the deadline of a
+// wait fall on the same nanosecond. Whichever event is first in the queue
+// decides the outcome, and either way the waiter is resumed exactly once and
+// nothing is left queued for it. The trap is the fulfil-first order with Set:
+// the waiter's wake is queued behind the deadline, so a deadline that Set left
+// in place would fire in between and resume the waiter a second time, out of
+// whatever it blocks on next (here a one-second sleep, which must last its
+// second).
+func TestFutureFulfilledAtDeadlineInstant(t *testing.T) {
+	const at = Time(50 * Millisecond)
+	for _, c := range []struct {
+		name          string
+		fulfil        func(f *Future[int])
+		deadlineFirst bool
+		events        int64 // waiter start, [deadline,] fulfilment, [wake,] end of sleep
+	}{
+		{"Set first", func(f *Future[int]) { f.Set(9) }, false, 4},
+		{"Deliver first", func(f *Future[int]) { f.Deliver(9) }, false, 3},
+		{"deadline first, then Set", func(f *Future[int]) { f.Set(9) }, true, 4},
+		{"deadline first, then Deliver", func(f *Future[int]) { f.Deliver(9) }, true, 4},
+	} {
+		s := New(1)
+		f := NewFuture[int](s)
+		var got int
+		var ok bool
+		var returned, slept Time
+		returns := 0
+		waiter := func(p *Proc) {
+			got, ok = f.WaitTimeout(p, at.Sub(p.Now()))
+			returns++
+			returned = p.Now()
+			p.Sleep(Second)
+			slept = p.Now()
+		}
+		if c.deadlineFirst {
+			s.Spawn("waiter", waiter)
+			s.RunUntil(0) // the waiter has parked: its deadline is in the queue
+			s.Schedule(at, func() { c.fulfil(f) })
+		} else {
+			s.Schedule(at, func() { c.fulfil(f) })
+			s.Spawn("waiter", waiter)
+		}
+		s.Run()
+		if wantOK := !c.deadlineFirst; ok != wantOK || (ok && got != 9) {
+			t.Errorf("%s: WaitTimeout returned (%d, %v), want ok=%v", c.name, got, ok, wantOK)
+		}
+		if returns != 1 || returned != at || slept != at.Add(Second) {
+			t.Errorf("%s: WaitTimeout returned %d times, last at %v, and the sleep after it ended at %v; want once at %v and %v",
+				c.name, returns, returned, slept, at, at.Add(Second))
+		}
+		if s.Events() != c.events || s.Pending() != 0 || len(f.waiters) != 0 {
+			t.Errorf("%s: %d events ran (want %d), %d still queued, %d still waiting",
+				c.name, s.Events(), c.events, s.Pending(), len(f.waiters))
+		}
+	}
+}
+
+// TestFutureWaitTimeoutLeavesNothing: a wait that is fulfilled in time takes
+// its deadline out of the queue, so the run ends when the work does and not
+// at the deadline; a wait that expires takes its process out of the future's
+// waiters, so a later Set wakes nobody.
+func TestFutureWaitTimeoutLeavesNothing(t *testing.T) {
+	s := New(1)
+	f := NewFuture[int](s)
+	s.Spawn("w", func(p *Proc) { f.WaitTimeout(p, 10*Second) })
+	s.Schedule(Time(Millisecond), func() {
+		if s.Pending() != 1 {
+			t.Errorf("%d events queued while the waiter is parked, want its deadline alone", s.Pending())
+		}
+		f.Set(1)
+		if s.Pending() != 1 {
+			t.Errorf("%d events queued after Set, want the wake alone", s.Pending())
+		}
+	})
+	if end := s.Run(); end != Time(Millisecond) || s.Events() != 3 {
+		t.Fatalf("run ended at %v after %d events, want 1ms after 3: the deadline was left behind", end, s.Events())
+	}
+
+	s = New(1)
+	g := NewFuture[int](s)
+	s.Spawn("w", func(p *Proc) {
+		if _, ok := g.WaitTimeout(p, Millisecond); ok {
+			t.Error("wait on an empty future succeeded")
+		}
+		p.Sleep(Second)
+	})
+	s.RunUntil(Time(2 * Millisecond))
+	if len(g.waiters) != 0 {
+		t.Fatalf("%d waiters after the wait expired, want 0", len(g.waiters))
+	}
+	g.Set(1)
+	if s.Pending() != 1 { // the sleep
+		t.Fatalf("%d events queued after a Set nobody waits for, want 1", s.Pending())
+	}
+	if end := s.Run(); end != Time(Millisecond).Add(Second) {
+		t.Fatalf("run ended at %v, want 1.001s", end)
+	}
+}
+
+// TestWaitTimeoutAllocatesNothing: a deadline is a value in the event queue,
+// not a closure and a cell to share with it.
+func TestWaitTimeoutAllocatesNothing(t *testing.T) {
+	s := New(1)
+	f := NewFuture[int](s)
+	var perWait float64
+	s.Spawn("w", func(p *Proc) {
+		perWait = testing.AllocsPerRun(1000, func() { f.WaitTimeout(p, Microsecond) })
+	})
+	s.Run()
+	if perWait != 0 {
+		t.Fatalf("WaitTimeout allocates %.2f objects per expired wait, want 0", perWait)
+	}
+}
+
 func TestMailboxFIFO(t *testing.T) {
 	s := New(1)
 	m := NewMailbox[int](s)
@@ -270,6 +384,36 @@ func TestFanout(t *testing.T) {
 	}
 	if joined != Time(5*Millisecond) || s.Now() != joined {
 		t.Fatalf("parent resumed at %v, run ended at %v, want 5ms for both", joined, s.Now())
+	}
+}
+
+// TestFanoutOfOneRunsOnCaller: a fan-out of one is a call. It consumes no
+// event, runs at the caller's instant on the caller's process, and a child
+// that replaces the observability context (obs.SetProcSpan does) leaves the
+// caller's as it found it.
+func TestFanoutOfOneRunsOnCaller(t *testing.T) {
+	s := New(1)
+	ran := false
+	s.Spawn("parent", func(p *Proc) {
+		p.SetObsCtx("parent-span")
+		events := s.Events()
+		p.Fanout("child", 1, func(cp *Proc, i int) {
+			ran = true
+			if cp != p || i != 0 || cp.ObsCtx() != "parent-span" {
+				t.Errorf("child ran as (%p, %d) with obsctx %v, want the caller %p, 0, parent-span", cp, i, cp.ObsCtx(), p)
+			}
+			cp.SetObsCtx("child-span")
+		})
+		if p.ObsCtx() != "parent-span" {
+			t.Errorf("obsctx after the fan-out is %v, want parent-span", p.ObsCtx())
+		}
+		if got := s.Events() - events; got != 0 || s.Pending() != 0 {
+			t.Errorf("fan-out of one ran %d events and left %d queued, want 0 and 0", got, s.Pending())
+		}
+	})
+	s.Run()
+	if !ran {
+		t.Fatal("child did not run")
 	}
 }
 

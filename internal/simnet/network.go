@@ -14,8 +14,12 @@ type Message struct {
 	Payload interface{}
 }
 
-// Handler consumes messages delivered to a node. Handlers run in scheduler
-// context and must not block; long work should be spawned as a Proc.
+// Handler consumes messages delivered to a node. A plain message (Send) is
+// handed over in scheduler context: the handler must not block, and long work
+// should be spawned as a Proc. A request (SendRPC) arrives as an *RPCRequest
+// payload on a process of its own, RPCRequest.Proc, started at the delivery
+// instant: the handler runs on that process and may block on it before it
+// calls Reply.
 type Handler func(msg Message)
 
 // Network delivers messages between nodes with topology-derived latency,
@@ -47,6 +51,37 @@ type Network struct {
 	// Metrics, when set, counts messages and RPC round trips, split by
 	// WAN/local. Optional; nil-safe.
 	Metrics *obs.Registry
+
+	// m holds the handles into Metrics, resolved once per registry rather
+	// than by name on every message.
+	m netMetrics
+
+	// free holds the in-flight records of delivered messages for the next
+	// Send to reuse.
+	free []*flight
+}
+
+// netMetrics is the network's counters as resolved from one registry.
+type netMetrics struct {
+	from                       *obs.Registry
+	send, sendWAN, rpc, rpcWAN *obs.Counter
+	rtt                        *obs.Histogram
+}
+
+// metrics returns the handles into n.Metrics, resolving them again if the
+// field was reassigned since the last message.
+func (n *Network) metrics() *netMetrics {
+	if r := n.Metrics; n.m.from != r {
+		n.m = netMetrics{
+			from:    r,
+			send:    r.Counter("net.send"),
+			sendWAN: r.Counter("net.send.wan"),
+			rpc:     r.Counter("net.rpc"),
+			rpcWAN:  r.Counter("net.rpc.wan"),
+			rtt:     r.Histogram("net.rpc.rtt"),
+		}
+	}
+	return &n.m
 }
 
 // NewNetwork returns a network over the given simulation and topology.
@@ -131,6 +166,9 @@ func (n *Network) WAN(a, b NodeID) bool {
 }
 
 func (n *Network) blocked(from, to NodeID) bool {
+	if len(n.downNodes)+len(n.partitioned)+len(n.downRegions) == 0 {
+		return false // no fault installed: the common case, and no map probed
+	}
 	if n.downNodes[from] || n.downNodes[to] {
 		return true
 	}
@@ -162,59 +200,121 @@ func (n *Network) delay(from, to NodeID) sim.Duration {
 	return base + n.slowLinks[[2]NodeID{from, to}]
 }
 
+// maxFreeFlights caps the free list of in-flight records; a burst that puts
+// more messages than this in flight at once gives the excess back to the
+// collector.
+const maxFreeFlights = 1024
+
+// flight is one plain message between Send and its delivery. Records are
+// recycled through Network.free, and the callback queued for the delivery is
+// the record's own arrive method, bound once when the record is made: a
+// message in flight allocates nothing.
+type flight struct {
+	net     *Network
+	msg     Message
+	deliver func() // f.arrive
+}
+
 // Send delivers payload to the destination node's handler after the
 // topology-derived one-way delay. Messages to crashed or partitioned nodes
 // are silently dropped, as on a real network.
 func (n *Network) Send(from, to NodeID, payload interface{}) {
 	n.MessagesSent++
-	n.Metrics.Counter("net.send").Inc()
+	m := n.metrics()
+	m.send.Inc()
 	if n.WAN(from, to) {
-		n.Metrics.Counter("net.send.wan").Inc()
+		m.sendWAN.Inc()
 	}
 	if n.blocked(from, to) {
 		n.MessagesDropped++
 		return
 	}
-	d := n.delay(from, to)
-	n.Sim.After(d, func() {
-		// Re-check at delivery time: the destination may have crashed
-		// while the message was in flight.
-		if n.blocked(from, to) {
-			n.MessagesDropped++
-			return
-		}
-		h, ok := n.handlers[to]
-		if !ok {
-			n.MessagesDropped++
-			return
-		}
-		h(Message{From: from, To: to, Payload: payload})
-	})
+	var f *flight
+	if k := len(n.free); k > 0 {
+		f = n.free[k-1]
+		n.free = n.free[:k-1]
+	} else {
+		f = &flight{net: n}
+		f.deliver = f.arrive
+	}
+	f.msg = Message{From: from, To: to, Payload: payload}
+	n.Sim.After(n.delay(from, to), f.deliver)
 }
 
-// RPCRequest wraps a payload with a reply future so callers can block on the
-// response in virtual time.
+// arrive is the delivery event. The record goes back to the free list first,
+// so a handler that sends finds it there.
+func (f *flight) arrive() {
+	n, msg := f.net, f.msg
+	f.msg = Message{}
+	if len(n.free) < maxFreeFlights {
+		n.free = append(n.free, f)
+	}
+	n.deliver(msg)
+}
+
+// deliver hands msg to its destination's handler, unless the link is blocked
+// by now (the destination may have crashed while the message was in flight)
+// or nobody listens there: then the message is dropped.
+func (n *Network) deliver(msg Message) {
+	if n.blocked(msg.From, msg.To) {
+		n.MessagesDropped++
+		return
+	}
+	h, ok := n.handlers[msg.To]
+	if !ok {
+		n.MessagesDropped++
+		return
+	}
+	h(msg)
+}
+
+// RPCRequest is one request/response exchange: the request, the slot its
+// reply lands in and the caller waiting on that slot are a single record, and
+// a round trip is two events — the request's delivery, which starts Proc, and
+// the reply's, which resumes the caller — with nothing left queued after it.
 type RPCRequest struct {
 	From    NodeID
 	Payload interface{}
-	reply   *sim.Future[interface{}]
+	// Proc is the process the request was delivered on, started for it at
+	// the delivery instant. The handler runs on it and may block on it.
+	Proc *sim.Proc
+
 	net     *Network
 	to      NodeID
+	replied bool
+	resp    interface{}
+	reply   sim.Future[interface{}] // fulfilled by the reply's delivery
 }
 
-// Reply sends the response back to the caller with network latency.
+// serve is the request's delivery, the body of Proc.
+func (r *RPCRequest) serve(p *sim.Proc) {
+	r.Proc = p
+	r.net.deliver(Message{From: r.From, To: r.to, Payload: r})
+}
+
+// Reply sends the response back to the caller with network latency. A request
+// is answered once: later calls are ignored.
 func (r *RPCRequest) Reply(resp interface{}) {
-	if r.net.blocked(r.to, r.From) {
-		r.net.MessagesDropped++
+	if r.replied {
 		return
 	}
-	d := r.net.delay(r.to, r.From)
-	r.net.Sim.After(d, func() {
-		if r.net.blocked(r.to, r.From) || r.reply.Done() {
-			return
-		}
-		r.reply.Set(resp)
-	})
+	r.replied = true
+	n := r.net
+	if n.blocked(r.to, r.From) {
+		n.MessagesDropped++
+		return
+	}
+	r.resp = resp
+	n.Sim.After(n.delay(r.to, r.From), r.land)
+}
+
+// land is the reply's delivery: it hands the response to the caller and runs
+// it, as the event's last action.
+func (r *RPCRequest) land() {
+	if r.net.blocked(r.to, r.From) {
+		return
+	}
+	r.reply.Deliver(r.resp)
 }
 
 // ErrRPC represents an RPC transport failure (timeout / unreachable).
@@ -224,12 +324,13 @@ func (e *ErrRPC) Error() string { return "rpc: " + e.Reason }
 
 // SendRPC issues a request to the destination node and parks p until a reply
 // arrives or the timeout expires. The destination handler receives an
-// *RPCRequest payload and must call Reply.
+// *RPCRequest payload, on a process of its own, and must call Reply.
 func (n *Network) SendRPC(p *sim.Proc, from, to NodeID, payload interface{}, timeout sim.Duration) (interface{}, error) {
 	wan := n.WAN(from, to)
-	n.Metrics.Counter("net.rpc").Inc()
+	m := n.metrics()
+	m.rpc.Inc()
 	if wan {
-		n.Metrics.Counter("net.rpc.wan").Inc()
+		m.rpcWAN.Inc()
 	}
 	sp := n.Tracer.StartChild("net.rpc", obs.ProcSpan(p))
 	if sp != nil {
@@ -243,8 +344,6 @@ func (n *Network) SendRPC(p *sim.Proc, from, to NodeID, payload interface{}, tim
 		sp.SetTag("wan", fmt.Sprintf("%t", wan))
 		sp.SetTagDuration("link_rtt", n.Topo.NodeRTT(from, to))
 	}
-	reply := sim.NewFuture[interface{}](n.Sim)
-	req := &RPCRequest{From: from, Payload: payload, reply: reply, net: n, to: to}
 	n.MessagesSent++
 	if n.blocked(from, to) {
 		n.MessagesDropped++
@@ -255,24 +354,14 @@ func (n *Network) SendRPC(p *sim.Proc, from, to NodeID, payload interface{}, tim
 	}
 	d := n.delay(from, to)
 	sp.SetTagDuration("req_delay", d)
-	n.Sim.After(d, func() {
-		if n.blocked(from, to) {
-			n.MessagesDropped++
-			return
-		}
-		h, ok := n.handlers[to]
-		if !ok {
-			n.MessagesDropped++
-			return
-		}
-		h(Message{From: from, To: to, Payload: req})
-	})
+	req := &RPCRequest{From: from, Payload: payload, net: n, to: to}
+	start := n.Sim.Now()
+	n.Sim.SpawnAt(start.Add(d), "net/rpc", req.serve)
 	if timeout <= 0 {
 		timeout = 10 * sim.Second
 	}
-	start := n.Sim.Now()
-	v, ok := reply.WaitTimeout(p, timeout)
-	n.Metrics.Histogram("net.rpc.rtt").RecordDuration(n.Sim.Now().Sub(start))
+	v, ok := req.reply.WaitTimeout(p, timeout)
+	m.rtt.RecordDuration(n.Sim.Now().Sub(start))
 	if !ok {
 		err := &ErrRPC{Reason: fmt.Sprintf("timeout after %s calling node %d", timeout, to)}
 		sp.SetError(err)
