@@ -21,8 +21,8 @@ type RangeCatalog struct {
 	nextID RangeID
 	// configs holds the zone config each range was placed under, keyed by
 	// range ID. Configs live here rather than on the descriptor because
-	// descriptors are gob-encoded into WALs and checkpoints, and
-	// zones.Config contains maps whose gob encoding is not byte-stable.
+	// descriptors are written into WALs and checkpoints (codec.go), whose
+	// bytes must be a function of the value, and zones.Config holds maps.
 	configs map[RangeID]zones.Config
 }
 

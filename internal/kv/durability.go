@@ -1,8 +1,6 @@
 package kv
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -10,25 +8,27 @@ import (
 	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
 	"mrdb/internal/sim"
-	"mrdb/internal/simnet"
 	"mrdb/internal/storage"
 )
 
 // This file is the durability glue between a Store and its simulated Disk
 // (internal/storage). Per range, the node keeps:
 //
-//   - a WAL "r<id>/raft" of walRecord frames: every Raft persist() call
-//     appends one record carrying the hard state (term, vote) and the batch
-//     of new log entries, then fsyncs before Raft acks its peers;
-//   - a checkpoint blob "r<id>/ckpt": the applied MVCC engine contents plus
-//     replica metadata (descriptor, closed/issued timestamps, lease epoch)
-//     at a known applied index. Checkpoints let the WAL be truncated — at
-//     checkpoint time the Raft log is compacted to the applied index and the
-//     WAL is atomically rewritten to hold only the remaining tail.
+//   - a WAL "r<id>/raft": every Raft persist() call appends one record
+//     carrying the hard state (term, vote) and the batch of new log entries,
+//     then fsyncs before Raft acks its peers;
+//   - a checkpoint blob "r<id>/ckpt": replica metadata (descriptor,
+//     closed/issued timestamps, lease epoch) at a known applied index, then
+//     the applied MVCC engine as the byte stream mvcc.AppendSnapshot writes.
+//     Checkpoints let the WAL be truncated — at checkpoint time the Raft log
+//     is compacted (as far as its responsive followers allow, see
+//     raft.Node.Compact) and the WAL is atomically rewritten to hold only
+//     the remaining tail.
 //
 // Node-wide blobs: "manifest" lists the ranges with replicas on this node,
 // and "nodemeta" persists the liveness epoch so a restarted node can never
-// resurrect a pre-crash epoch (and with it a fenced lease).
+// resurrect a pre-crash epoch (and with it a fenced lease). codec.go holds
+// the byte formats.
 //
 // Recovery (Store.Recover) reverses the pipeline: for each manifest range,
 // load the checkpoint, parse the WAL (discarding a torn tail, failing loudly
@@ -45,29 +45,8 @@ const DefaultCheckpointInterval = 5 * sim.Second
 func walName(id RangeID) string  { return fmt.Sprintf("r%d/raft", id) }
 func ckptName(id RangeID) string { return fmt.Sprintf("r%d/ckpt", id) }
 
-// walRecord is one durable Raft persist batch.
-type walRecord struct {
-	HS      hardStateRec
-	Entries []walEntryRec
-}
-
-// hardStateRec mirrors raft.HardState for the wire format.
-type hardStateRec struct {
-	Term uint64
-	Vote simnet.NodeID
-}
-
-// walEntryRec is one Raft log entry in the WAL. Entry payloads are either
-// nil (leader no-ops) or kv.Command values; gob cannot encode a nil
-// interface, so the payload is a concrete *Command that is nil for no-ops.
-type walEntryRec struct {
-	Term  uint64
-	Index uint64
-	Cmd   *Command
-	Conf  *raft.ConfChange
-}
-
-// checkpointRec is the atomically-written per-range checkpoint blob.
+// checkpointRec is the atomically-written per-range checkpoint blob. Engine
+// is the engine's byte stream, which the codec carries without parsing.
 type checkpointRec struct {
 	AppliedIndex uint64
 	AppliedTerm  uint64
@@ -76,80 +55,42 @@ type checkpointRec struct {
 	Issued       hlc.Timestamp
 	LeaseEpoch   int64
 	MaxOffset    sim.Duration
-	Engine       []mvcc.SnapshotKey
+	Engine       []byte
 }
 
-// nodeMetaRec is the node-wide metadata blob.
-type nodeMetaRec struct {
-	Epoch int64
-}
-
-// rangeSnapshot is the in-memory snapshot a leader ships to a peer whose
-// log tail was truncated away (raft MsgSnap payload). It never crosses a
-// process boundary in the simulator, so it stays a Go value.
+// rangeSnapshot is the snapshot a leader ships to a peer whose log tail was
+// truncated away (raft MsgSnap payload). Engine holds the same bytes a
+// checkpoint does, so the receiver persists what it was sent.
 type rangeSnapshot struct {
 	Desc   *RangeDescriptor
 	Closed hlc.Timestamp
 	Issued hlc.Timestamp
-	Engine []mvcc.SnapshotKey
+	Engine []byte
 }
 
-func gobEncode(v interface{}) []byte {
-	// A fresh encoder per record keeps every frame self-describing and
-	// byte-deterministic (no shared type-dictionary state across records).
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		panic(fmt.Sprintf("kv: durability encode: %v", err))
-	}
-	return buf.Bytes()
-}
-
-func gobDecode(data []byte, v interface{}) error {
-	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
-}
-
-func toWALEntries(entries []raft.Entry) []walEntryRec {
-	out := make([]walEntryRec, len(entries))
-	for i, e := range entries {
-		out[i] = walEntryRec{Term: e.Term, Index: e.Index, Conf: e.Conf}
-		if e.Data != nil {
-			cmd, ok := e.Data.(Command)
-			if !ok {
-				panic(fmt.Sprintf("kv: cannot persist entry payload %T", e.Data))
-			}
-			c := cmd
-			out[i].Cmd = &c
-		}
-	}
-	return out
-}
-
-func fromWALEntry(rec walEntryRec) raft.Entry {
-	e := raft.Entry{Term: rec.Term, Index: rec.Index, Conf: rec.Conf}
-	if rec.Cmd != nil {
-		e.Data = *rec.Cmd
-	}
-	return e
-}
-
-// replicaStorage adapts one range's WAL to the raft.Storage interface.
+// replicaStorage adapts one range's WAL to the raft.Storage interface. buf
+// is the scratch every record is encoded into: the WAL copies what it is
+// given, so a steady-state append allocates nothing.
 type replicaStorage struct {
 	wal *storage.WAL
+	buf []byte
 }
 
 func (rs *replicaStorage) Append(hs raft.HardState, entries []raft.Entry, done func()) {
-	rs.wal.Append(gobEncode(walRecord{HS: hardStateRec(hs), Entries: toWALEntries(entries)}))
+	rs.buf = appendWALRecord(rs.buf[:0], hs, entries)
+	rs.wal.Append(rs.buf)
 	rs.wal.Sync(done)
 }
 
 func (rs *replicaStorage) Compact(index, term uint64, tail []raft.Entry, hs raft.HardState) {
 	// Log rotation: the WAL shrinks to a single record holding the current
 	// hard state plus the post-checkpoint tail.
-	rs.wal.ResetDurable([][]byte{gobEncode(walRecord{HS: hardStateRec(hs), Entries: toWALEntries(tail)})})
+	rs.buf = appendWALRecord(rs.buf[:0], hs, tail)
+	rs.wal.ResetDurable([][]byte{rs.buf})
 }
 
 func (rs *replicaStorage) Reset(index, term uint64, hs raft.HardState) {
-	rs.wal.ResetDurable([][]byte{gobEncode(walRecord{HS: hardStateRec(hs)})})
+	rs.Compact(index, term, nil, hs)
 }
 
 // replayRaftWAL folds parsed WAL records into the final hard state and log
@@ -161,16 +102,16 @@ func replayRaftWAL(payloads [][]byte) (raft.HardState, []raft.Entry, error) {
 	var hs raft.HardState
 	var entries []raft.Entry
 	for i, p := range payloads {
-		var rec walRecord
-		if err := gobDecode(p, &rec); err != nil {
+		recHS, batch, err := decodeWALRecord(p)
+		if err != nil {
 			return hs, nil, fmt.Errorf("kv: wal record %d: %w", i, err)
 		}
-		hs = raft.HardState(rec.HS)
-		for _, er := range rec.Entries {
-			for len(entries) > 0 && entries[len(entries)-1].Index >= er.Index {
+		hs = recHS
+		for _, e := range batch {
+			for len(entries) > 0 && entries[len(entries)-1].Index >= e.Index {
 				entries = entries[:len(entries)-1]
 			}
-			entries = append(entries, fromWALEntry(er))
+			entries = append(entries, e)
 		}
 	}
 	return hs, entries, nil
@@ -187,39 +128,42 @@ func (s *Store) sortedRangeIDs() []RangeID {
 	return ids
 }
 
-// writeCheckpoint persists a replica's applied state at its current applied
-// index.
-func (s *Store) writeCheckpoint(r *Replica) {
-	s.writeCheckpointAt(r, r.raft.Applied(), r.raft.AppliedTerm())
-}
-
 // writeCheckpointAt persists a replica's applied state, declaring it current
-// as of the given log position. The blob write is atomic (temp + rename), so
+// as of the given log position. engine is the engine's byte stream if the
+// caller already holds it (a snapshot install) and nil to have it written
+// from r.engine. The blob is built in one buffer sized from the previous one
+// and handed to the disk whole. The blob write is atomic (temp + rename), so
 // a crash between checkpoint and WAL truncation leaves a recoverable pair:
 // the WAL simply still holds entries at or below the checkpoint, which
 // recovery filters out.
-func (s *Store) writeCheckpointAt(r *Replica, index, term uint64) {
-	rec := checkpointRec{
+func (s *Store) writeCheckpointAt(r *Replica, index, term uint64, engine []byte) {
+	buf := appendCheckpointHeader(make([]byte, 0, r.ckptSize+r.ckptSize/16+128), &checkpointRec{
 		AppliedIndex: index,
 		AppliedTerm:  term,
-		Desc:         *r.desc.Clone(),
+		Desc:         *r.desc,
 		Closed:       r.closed.closed,
 		Issued:       r.closed.issued,
 		LeaseEpoch:   r.leaseEpoch,
 		MaxOffset:    r.maxOffset,
-		Engine:       r.engine.Snapshot(),
+	})
+	if engine == nil {
+		buf = r.engine.AppendSnapshot(buf)
+	} else {
+		buf = append(buf, engine...)
 	}
-	s.Disk.PutBlob(ckptName(rec.Desc.RangeID), gobEncode(rec))
+	buf = sealBlob(buf)
+	r.ckptSize = len(buf)
+	s.Disk.PutBlob(ckptName(r.desc.RangeID), buf)
 }
 
 // persistManifest records which ranges have replicas here.
 func (s *Store) persistManifest() {
-	s.Disk.PutBlob("manifest", gobEncode(s.sortedRangeIDs()))
+	s.Disk.PutBlob("manifest", encodeManifest(s.sortedRangeIDs()))
 }
 
 // persistNodeMeta records the node's liveness epoch.
 func (s *Store) persistNodeMeta(epoch int64) {
-	s.Disk.PutBlob("nodemeta", gobEncode(nodeMetaRec{Epoch: epoch}))
+	s.Disk.PutBlob("nodemeta", encodeNodeMeta(epoch))
 }
 
 // CheckpointNow checkpoints every replica on this store, then truncates
@@ -234,7 +178,8 @@ func (s *Store) CheckpointNow() {
 	}
 	ids := s.sortedRangeIDs()
 	for _, id := range ids {
-		s.writeCheckpoint(s.replicas[id])
+		r := s.replicas[id]
+		s.writeCheckpointAt(r, r.raft.Applied(), r.raft.AppliedTerm(), nil)
 	}
 	for _, id := range ids {
 		r := s.replicas[id]
@@ -311,18 +256,27 @@ func recoveryDuration(st RecoveryStats) sim.Duration {
 // the persisted one (fencing any pre-crash lease), and the restart cost is
 // charged on the virtual clock before the method returns. The caller heals
 // the network afterwards — recovery happens while the node is still
-// unreachable, so no traffic observes a half-recovered store.
-func (s *Store) Recover(p *sim.Proc) (RecoveryStats, error) {
-	var stats RecoveryStats
+// unreachable, so no traffic observes a half-recovered store. Damaged durable
+// state (a checksum, format or length that does not hold) is an error, and a
+// failed recovery leaves no replica behind.
+func (s *Store) Recover(p *sim.Proc) (stats RecoveryStats, err error) {
 	if s.Disk == nil {
 		return stats, fmt.Errorf("kv: node n%d has no disk to recover from", s.NodeID)
 	}
 	if len(s.replicas) != 0 {
 		return stats, fmt.Errorf("kv: node n%d recovering over %d live replicas", s.NodeID, len(s.replicas))
 	}
+	defer func() {
+		if err != nil {
+			for _, r := range s.replicas {
+				r.raft.Stop()
+			}
+			s.replicas = map[RangeID]*Replica{}
+		}
+	}()
 	var ids []RangeID
 	if b, ok := s.Disk.GetBlob("manifest"); ok {
-		if err := gobDecode(b, &ids); err != nil {
+		if ids, err = decodeManifest(b); err != nil {
 			return stats, fmt.Errorf("kv: manifest: %w", err)
 		}
 	}
@@ -331,8 +285,8 @@ func (s *Store) Recover(p *sim.Proc) (RecoveryStats, error) {
 		if !ok {
 			return stats, fmt.Errorf("kv: r%d in manifest but checkpoint missing", rid)
 		}
-		var ckpt checkpointRec
-		if err := gobDecode(b, &ckpt); err != nil {
+		ckpt, err := decodeCheckpoint(b)
+		if err != nil {
 			return stats, fmt.Errorf("kv: r%d checkpoint: %w", rid, err)
 		}
 		wal := s.Disk.WAL(walName(rid))
@@ -357,7 +311,9 @@ func (s *Store) Recover(p *sim.Proc) (RecoveryStats, error) {
 			return stats, fmt.Errorf("kv: r%d: wal gap: checkpoint at %d, first tail entry %d",
 				rid, ckpt.AppliedIndex, tail[0].Index)
 		}
-		s.recoverReplica(ckpt, hs, tail)
+		if err := s.recoverReplica(ckpt, hs, tail); err != nil {
+			return stats, fmt.Errorf("kv: r%d checkpoint: %w", rid, err)
+		}
 		stats.Ranges++
 		stats.ReplayedEntries += len(tail)
 	}
@@ -365,13 +321,13 @@ func (s *Store) Recover(p *sim.Proc) (RecoveryStats, error) {
 	// lease bound to a pre-crash epoch can ever be considered valid again,
 	// and persist the bump before serving anything.
 	if s.liveness != nil {
-		var meta nodeMetaRec
+		var epoch int64
 		if b, ok := s.Disk.GetBlob("nodemeta"); ok {
-			if err := gobDecode(b, &meta); err != nil {
+			if epoch, err = decodeNodeMeta(b); err != nil {
 				return stats, fmt.Errorf("kv: nodemeta: %w", err)
 			}
 		}
-		s.persistNodeMeta(s.liveness.SelfRestart(s.NodeID, meta.Epoch))
+		s.persistNodeMeta(s.liveness.SelfRestart(s.NodeID, epoch))
 	}
 	// The node must not believe it is live until a peer acks a fresh
 	// heartbeat under the new epoch.
@@ -391,10 +347,13 @@ func (s *Store) Recover(p *sim.Proc) (RecoveryStats, error) {
 // is primed with commit = applied = the checkpoint index even if the tail
 // holds committed entries; they re-commit through the normal Raft flow, so
 // recovery never applies a suffix the cluster may have truncated.
-func (s *Store) recoverReplica(ckpt checkpointRec, hs raft.HardState, tail []raft.Entry) *Replica {
-	desc := ckpt.Desc.Clone()
+func (s *Store) recoverReplica(ckpt checkpointRec, hs raft.HardState, tail []raft.Entry) error {
+	desc := &ckpt.Desc
 	r := s.buildReplica(desc, ckpt.MaxOffset)
-	r.engine.LoadSnapshot(ckpt.Engine)
+	if err := r.engine.LoadSnapshot(ckpt.Engine); err != nil {
+		return err
+	}
+	r.ckptSize = len(ckpt.Engine)
 	r.closed.advance(ckpt.Closed)
 	r.closed.issued = ckpt.Issued
 	r.leaseEpoch = ckpt.LeaseEpoch
@@ -405,7 +364,7 @@ func (s *Store) recoverReplica(ckpt checkpointRec, hs raft.HardState, tail []raf
 	r.raft.Restore(hs, ckpt.AppliedIndex, ckpt.AppliedTerm, tail)
 	s.replicas[desc.RangeID] = r
 	r.raft.Start()
-	return r
+	return nil
 }
 
 // snapshotData packages this replica's applied state for a lagging peer
@@ -416,19 +375,23 @@ func (r *Replica) snapshotData() interface{} {
 		Desc:   r.desc.Clone(),
 		Closed: r.closed.closed,
 		Issued: r.closed.issued,
-		Engine: r.engine.Snapshot(),
+		Engine: r.engine.AppendSnapshot(make([]byte, 0, r.ckptSize)),
 	}
 }
 
 // applySnapshotData installs a leader snapshot (raft Config.ApplySnapshot
-// hook): the engine is rebuilt from the snapshot contents and the follower's
-// durable checkpoint advances to the snapshot position, after which Raft
-// resets its log and the WAL.
+// hook): the engine is rebuilt from the received bytes, and the same bytes
+// become the follower's durable checkpoint at the snapshot position, after
+// which Raft resets its log and the WAL. The snapshot is a Go value handed
+// over inside the simulator, so only a bug can make it undecodable.
 func (r *Replica) applySnapshotData(data interface{}, index, term uint64) {
 	snap := data.(*rangeSnapshot)
 	s := r.store
+	s.SnapshotsApplied++
 	r.engine = mvcc.NewEngine(s.engineSeed + int64(r.desc.RangeID))
-	r.engine.LoadSnapshot(snap.Engine)
+	if err := r.engine.LoadSnapshot(snap.Engine); err != nil {
+		panic(fmt.Sprintf("kv: r%d: installing snapshot: %v", r.desc.RangeID, err))
+	}
 	r.setDesc(snap.Desc.Clone())
 	r.closed.advance(snap.Closed)
 	if r.closed.issued.Less(snap.Issued) {
@@ -436,6 +399,6 @@ func (r *Replica) applySnapshotData(data interface{}, index, term uint64) {
 	}
 	r.tscache.SetLowWater(snap.Closed)
 	if s.Disk != nil {
-		s.writeCheckpointAt(r, index, term)
+		s.writeCheckpointAt(r, index, term, snap.Engine)
 	}
 }

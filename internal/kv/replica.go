@@ -57,6 +57,9 @@ type Replica struct {
 	leaseEpoch int64
 	// leaseAcqActive guards against concurrent lease-acquisition loops.
 	leaseAcqActive bool
+	// ckptSize is the length of this replica's latest checkpoint blob; it
+	// sizes the buffer the next checkpoint or snapshot is built in.
+	ckptSize int
 
 	// Stats.
 	FollowerReads     int64
@@ -882,7 +885,7 @@ func (r *Replica) applySplit(cmd Command) {
 			// its own log is empty, so without this a crash before the next
 			// checkpoint tick would lose the copy if the left half's split
 			// entry has already been truncated away.
-			r.store.writeCheckpointAt(nr, 0, 0)
+			r.store.writeCheckpointAt(nr, 0, 0, nil)
 		}
 	}
 	r.setDesc(cmd.Desc.Clone())
@@ -911,7 +914,7 @@ func (r *Replica) applyMerge(cmd Command, e raft.Entry) {
 		// Persist the widened range with the absorbed data before the
 		// right-hand replica's WAL and checkpoint are deleted below; a
 		// crash in between leaves at worst an inert extra range on disk.
-		r.store.writeCheckpointAt(r, e.Index, e.Term)
+		r.store.writeCheckpointAt(r, e.Index, e.Term, nil)
 	}
 	if _, ok := r.store.Replica(rhs.RangeID); ok {
 		r.store.RemoveReplica(rhs.RangeID)

@@ -68,6 +68,9 @@ type Store struct {
 
 	// GCCollected counts MVCC versions collected by the GC loop.
 	GCCollected int64
+	// SnapshotsApplied counts Raft snapshots installed on this store's
+	// replicas: each is a whole range shipped, loaded and checkpointed.
+	SnapshotsApplied int64
 }
 
 // NewStore creates a store and registers its network handler.
@@ -252,7 +255,7 @@ func (s *Store) CreateReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Re
 	if s.Disk != nil {
 		// Seed the durable pair before the replica can make any promise:
 		// an empty checkpoint at log position zero plus the manifest entry.
-		s.writeCheckpointAt(r, 0, 0)
+		s.writeCheckpointAt(r, 0, 0, nil)
 		s.persistManifest()
 	}
 	r.raft.Start()

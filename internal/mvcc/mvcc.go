@@ -10,10 +10,13 @@
 package mvcc
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"mrdb/internal/hlc"
 	"mrdb/internal/skl"
+	"mrdb/internal/wire"
 )
 
 // Key is a user key in the monolithic sorted keyspace.
@@ -123,7 +126,6 @@ func (e *UncertaintyError) Error() string {
 type Engine struct {
 	list *skl.List
 	// stats
-	keys    int
 	intents int
 	// freeIntents recycles resolved intent records: the write path of every
 	// transactional workload allocates one per intent otherwise.
@@ -153,7 +155,6 @@ func (e *Engine) chainOrCreate(key Key) *versions {
 	}
 	c := &versions{}
 	e.list.Set(key, c)
-	e.keys++
 	return c
 }
 
@@ -528,8 +529,9 @@ func (e *Engine) CopyTo(dst *Engine, start, end Key) {
 			cp.intent = &intentRecord{txn: src.intent.txn, val: append(Value(nil), src.intent.val...)}
 			dst.intents++
 		}
-		dst.list.Set(it.Key(), cp)
-		dst.keys++
+		if old, replaced := dst.list.Set(it.Key(), cp); replaced && old.(*versions).intent != nil {
+			dst.intents--
+		}
 	}
 }
 
@@ -552,12 +554,11 @@ type SnapshotKey struct {
 	Intent   *SnapshotIntent
 }
 
-// Snapshot serializes the engine's entire contents into a flat, sorted,
-// deep-copied form suitable for checkpointing to disk or shipping to a
-// lagging replica. All fields are exported plain data so encoding/gob can
-// round-trip it.
+// Snapshot returns the engine's entire contents as a flat, sorted, deep
+// copy. Nothing durable uses it — checkpoints and Raft snapshots carry
+// AppendSnapshot's bytes — it remains for tests and the benchmark's probe.
 func (e *Engine) Snapshot() []SnapshotKey {
-	out := make([]SnapshotKey, 0, e.keys)
+	out := make([]SnapshotKey, 0, e.list.Len())
 	it := e.list.Iter()
 	for it.First(); it.Valid(); it.Next() {
 		src := it.Value().(*versions)
@@ -576,25 +577,68 @@ func (e *Engine) Snapshot() []SnapshotKey {
 	return out
 }
 
-// LoadSnapshot populates the engine from a snapshot produced by Snapshot.
-// The engine must be freshly constructed (empty); recovery builds a new
-// Engine per replica rather than clearing one in place.
-func (e *Engine) LoadSnapshot(snap []SnapshotKey) {
-	for _, sk := range snap {
-		c := &versions{}
-		if len(sk.Versions) > 0 {
-			c.vals = make([]version, len(sk.Versions))
-			for i, v := range sk.Versions {
-				c.vals[i] = version{ts: v.Ts, val: append(Value(nil), v.Val...)}
-			}
+// AppendTxnMeta appends t's wire form, which the engine stream and the kv
+// layer's WAL records share; DecodeTxnMeta reads it back.
+func AppendTxnMeta(dst []byte, t *TxnMeta) []byte {
+	dst = wire.AppendBytes(binary.AppendUvarint(dst, uint64(t.ID)), t.Key)
+	return wire.AppendTimestamp(binary.AppendVarint(dst, int64(t.Epoch)), t.WriteTimestamp)
+}
+
+// DecodeTxnMeta reads a TxnMeta written by AppendTxnMeta.
+func DecodeTxnMeta(d *wire.Decoder) TxnMeta {
+	return TxnMeta{ID: TxnID(d.Uvarint()), Key: bytes.Clone(d.Bytes()), Epoch: int32(d.Varint()), WriteTimestamp: d.Timestamp()}
+}
+
+// AppendSnapshot appends the engine's entire contents to dst as one byte
+// stream read straight off the skiplist: the key count, then per key, in
+// key order, its bytes, its committed versions newest first (count, then
+// timestamp and value each) and a flag byte followed, when set, by the
+// intent's TxnMeta and value. The stream is what a checkpoint stores and a
+// Raft snapshot ships; equal engines produce equal bytes.
+func (e *Engine) AppendSnapshot(dst []byte) []byte {
+	dst = binary.AppendUvarint(dst, uint64(e.list.Len()))
+	it := e.list.Iter()
+	for it.First(); it.Valid(); it.Next() {
+		c := it.Value().(*versions)
+		dst = binary.AppendUvarint(wire.AppendBytes(dst, it.Key()), uint64(len(c.vals)))
+		for _, v := range c.vals {
+			dst = wire.AppendBytes(wire.AppendTimestamp(dst, v.ts), v.val)
 		}
-		if sk.Intent != nil {
-			c.intent = &intentRecord{txn: sk.Intent.Txn, val: append(Value(nil), sk.Intent.Val...)}
+		if c.intent == nil {
+			dst = append(dst, 0)
+		} else {
+			dst = wire.AppendBytes(AppendTxnMeta(append(dst, 1), &c.intent.txn), c.intent.val)
+		}
+	}
+	return dst
+}
+
+// LoadSnapshot populates the engine from a stream written by AppendSnapshot,
+// which it must consume exactly. The engine must be freshly constructed
+// (recovery builds a new Engine per replica rather than clearing one in
+// place) and is to be discarded if an error is returned. Keys go to the
+// skiplist straight from the stream (it keeps its own copy); values are
+// copied out, so data is not retained.
+func (e *Engine) LoadSnapshot(data []byte) error {
+	d := wire.NewDecoder(data)
+	// Counts are only trusted as far as the input lasts: a corrupt one ends
+	// its loop at the first short read.
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		key := d.Bytes()
+		c := &versions{}
+		for nv := d.Uvarint(); nv > 0 && d.Err() == nil; nv-- {
+			c.vals = append(c.vals, version{ts: d.Timestamp(), val: bytes.Clone(d.Bytes())})
+		}
+		if d.Byte() != 0 {
+			c.intent = &intentRecord{txn: DecodeTxnMeta(d), val: bytes.Clone(d.Bytes())}
 			e.intents++
 		}
-		e.list.Set(append(Key(nil), sk.Key...), c)
-		e.keys++
+		e.list.Set(key, c)
 	}
+	if err := d.Finish(); err != nil {
+		return fmt.Errorf("mvcc: engine snapshot: %w", err)
+	}
+	return nil
 }
 
 // VersionCount returns the number of committed versions stored for key;

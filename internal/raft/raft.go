@@ -81,7 +81,7 @@ type Message struct {
 	LastLogTerm  uint64
 	VoteGranted  bool
 
-	// AppendEntries / response
+	// AppendEntries / response (a reject echoes the PrevLogIndex it refused)
 	PrevLogIndex uint64
 	PrevLogTerm  uint64
 	Entries      []Entry
@@ -269,6 +269,10 @@ type progress struct {
 	match uint64 // highest index the peer acked as durable
 	next  uint64 // first index of the next append; 0 = needs an initial snapshot
 	sent  uint64 // highest index the latest append or snapshot shipped
+	// acked is set by any successful MsgAppResp and cleared by Compact: the
+	// peer answered since the log was last trimmed, so it is merely behind,
+	// not gone, and Compact keeps the entries from next on for it.
+	acked bool
 }
 
 // NewNode constructs a replica. If the node appears in cfg.Learners it
@@ -884,7 +888,7 @@ func (n *Node) handleApp(msg Message) {
 	if msg.PrevLogIndex > n.LastIndex() || n.at(msg.PrevLogIndex).Term != msg.PrevLogTerm {
 		n.cfg.Transport.Send(msg.From, Message{
 			Kind: MsgAppResp, Term: n.term, From: n.cfg.ID, Success: false,
-			MatchIndex: min64(msg.PrevLogIndex-1, n.LastIndex()),
+			PrevLogIndex: msg.PrevLogIndex, MatchIndex: min64(msg.PrevLogIndex-1, n.LastIndex()),
 		})
 		return
 	}
@@ -995,9 +999,26 @@ func (n *Node) handleSnap(msg Message) {
 // index), leaving the sentinel at upTo, and rewrites the durable log to
 // match. The caller must already have checkpointed the applied state at or
 // beyond upTo.
+//
+// A leader never trims past what a responsive follower still needs. next
+// only moves on acks, so a follower one WAN round trip behind always has
+// next at or below the applied index; trimming through it would turn that
+// follower's next append into a snapshot of the whole range, at every
+// compaction. So upTo is also clamped to next-1 of every peer that acked
+// since the previous Compact. A peer silent for a whole interval stops
+// holding the log (it gets one snapshot when it returns), which bounds the
+// log by one interval's entries.
 func (n *Node) Compact(upTo uint64) {
 	if upTo > n.applied {
 		upTo = n.applied
+	}
+	if n.role == Leader {
+		for _, pr := range n.progress {
+			if pr.acked && pr.next-1 < upTo { // an ack leaves next at 1 or more
+				upTo = pr.next - 1
+			}
+			pr.acked = false
+		}
 	}
 	if upTo <= n.offset() {
 		return
@@ -1036,6 +1057,7 @@ func (n *Node) handleAppResp(msg Message) {
 		return
 	}
 	if msg.Success {
+		pr.acked = true
 		// Acks arrive reordered; a stale one moves nothing backwards.
 		if msg.MatchIndex > pr.match {
 			pr.match = msg.MatchIndex
@@ -1052,13 +1074,13 @@ func (n *Node) handleAppResp(msg Message) {
 		if pr.sent < n.LastIndex() {
 			n.sendAppend(msg.From)
 		}
-	} else {
-		// Back off next and retry.
-		if msg.MatchIndex+1 < pr.next {
-			pr.next = msg.MatchIndex + 1
-		} else if pr.next > 1 {
-			pr.next--
-		}
+	} else if msg.PrevLogIndex == pr.next-1 {
+		// The reject answers the latest append: back next off to the hint
+		// (always below the rejected prev) and retry. Every append in flight
+		// draws its own reject, and the others are stale by now — next was
+		// rewound or a snapshot sent since. Acting on those too would ship a
+		// returning peer one snapshot of the whole range per append in flight.
+		pr.next = msg.MatchIndex + 1
 		n.sendAppend(msg.From)
 	}
 }

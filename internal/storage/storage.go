@@ -109,9 +109,12 @@ func (d *Disk) WALNames() []string {
 }
 
 // PutBlob atomically replaces the named blob; the write is immediately
-// durable (temp file + fsync + rename).
+// durable (temp file + fsync + rename). The disk takes ownership of data:
+// the caller builds each blob in a buffer of its own and must not touch it
+// afterwards (a checkpoint is the size of its range, so a copy here would
+// double what every checkpoint allocates).
 func (d *Disk) PutBlob(name string, data []byte) {
-	d.blobs[name] = append([]byte(nil), data...)
+	d.blobs[name] = data
 }
 
 // GetBlob returns a copy of the named blob.
