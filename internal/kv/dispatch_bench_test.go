@@ -14,7 +14,7 @@ import (
 
 // benchCluster builds a three-region cluster with one REGIONAL range split
 // into three, returning the cluster and the us-east1 gateway sender.
-func benchCluster(b *testing.B, seed int64) (*cluster.Cluster, *kv.DistSender) {
+func benchCluster(b testing.TB, seed int64) (*cluster.Cluster, *kv.DistSender) {
 	b.Helper()
 	c := cluster.New(cluster.Config{Seed: seed, Regions: cluster.ThreeRegions(), MaxOffset: 250 * sim.Millisecond})
 	zcfg := zones.Config{
@@ -92,4 +92,34 @@ func BenchmarkDistSenderSingleDispatch(b *testing.B) {
 		}
 	})
 	c.Sim.Run()
+}
+
+// TestSingleGetRoundTripAllocs pins what one successful point read costs in
+// objects, gateway to leaseholder and back, at 10: the RPC's three and the
+// batch, response and attempt bookkeeping around them. It was 16 while
+// sendToRange declared its three errors.As targets before looking at
+// resp.Err and evalGet its two before looking at err (a target escapes, so
+// each was an object per success), and while the timestamp cache converted
+// the key to a string it then stored again.
+func TestSingleGetRoundTripAllocs(t *testing.T) {
+	c, ds := benchCluster(t, 8)
+	req := &kv.GetRequest{
+		Key:       mvcc.Key("bm/005"),
+		Timestamp: c.Stores[ds.NodeID].Clock.Now(),
+	}
+	var allocs float64
+	c.Sim.Spawn("reader", func(p *sim.Proc) {
+		defer c.Sim.Stop()
+		get := func() {
+			if resp := ds.Send(p, req); resp.Err != nil {
+				t.Error(resp.Err)
+			}
+		}
+		get() // the handler's proc, the timestamp-cache entry
+		allocs = testing.AllocsPerRun(200, get)
+	})
+	c.Sim.Run()
+	if allocs != 10 {
+		t.Fatalf("a point read round trip allocates %.0f objects, want 10", allocs)
+	}
 }

@@ -376,6 +376,11 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		// write lays down the same intent).
 		retriable := false
 		for _, resp := range resps {
+			if resp.Err == nil {
+				// Before the errors.As targets below, which escape: three
+				// objects per successful response otherwise.
+				continue
+			}
 			var nle *NotLeaseholderError
 			if errors.As(resp.Err, &nle) {
 				lastErr = resp.Err

@@ -75,6 +75,39 @@ func TestTimestampCacheLowWater(t *testing.T) {
 	}
 }
 
+// TestTimestampCacheRereadAllocs: a read of a key the cache already holds
+// updates its entry in place. Every point read passes through here, and a
+// map assignment of a fresh entry per read was the most expensive line of
+// evalGet once the engine read got cheap.
+func TestTimestampCacheRereadAllocs(t *testing.T) {
+	c := NewTimestampCache(hlc.Timestamp{})
+	key := mvcc.Key("/t/usertable/1/us-east1/user00000042")
+	c.RecordRead(key, ts(10), 7)
+	at := int64(10)
+	if n := testing.AllocsPerRun(100, func() {
+		at++
+		c.RecordRead(key, ts(at), 7)
+	}); n != 0 {
+		t.Errorf("re-read at a higher timestamp allocates %.0f", n)
+	}
+	if got, own := c.MaxRead(key, 7); got != ts(at) || !own {
+		t.Fatalf("MaxRead = %v own=%v, want %v and the exemption", got, own, ts(at))
+	}
+	reader := mvcc.TxnID(8)
+	if n := testing.AllocsPerRun(100, func() {
+		reader++
+		c.RecordRead(key, ts(at), reader)
+	}); n != 0 {
+		t.Errorf("a second reader at the same timestamp allocates %.0f", n)
+	}
+	if got, own := c.MaxRead(key, 7); got != ts(at) || own {
+		t.Fatalf("MaxRead = %v own=%v: the exemption must not survive a second reader", got, own)
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len = %d", c.Len())
+	}
+}
+
 // Property: MaxRead never decreases as reads are recorded.
 func TestQuickTimestampCacheMonotone(t *testing.T) {
 	f := func(keys []uint8, walls []uint8) bool {

@@ -192,23 +192,23 @@ func (r *Replica) evalGet(p *sim.Proc, req *GetRequest) Response {
 			return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
 		}
 		val, vts, err := r.engine.Get(req.Key, readTS, opts)
-		var wie *mvcc.WriteIntentError
-		if errors.As(err, &wie) {
-			if werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, false); werr != nil {
-				return Response{Err: werr}
+		if err != nil { // the errors.As targets escape: keep them off the success path
+			var wie *mvcc.WriteIntentError
+			if errors.As(err, &wie) {
+				if werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, false); werr != nil {
+					return Response{Err: werr}
+				}
+				continue
 			}
-			continue
-		}
-		var ue *mvcc.UncertaintyError
-		if errors.As(err, &ue) && req.CanBumpReadTS {
-			// Server-side uncertainty refresh: nothing else in the
-			// transaction's read/write set can be invalidated, so
-			// ratchet locally and retry (paper §6.1).
-			readTS = ue.ValueTimestamp
-			bumped = readTS
-			continue
-		}
-		if err != nil {
+			var ue *mvcc.UncertaintyError
+			if errors.As(err, &ue) && req.CanBumpReadTS {
+				// Server-side uncertainty refresh: nothing else in the
+				// transaction's read/write set can be invalidated, so
+				// ratchet locally and retry (paper §6.1).
+				readTS = ue.ValueTimestamp
+				bumped = readTS
+				continue
+			}
 			return Response{Err: err}
 		}
 		var reader mvcc.TxnID
@@ -249,23 +249,23 @@ func (r *Replica) evalFollowerGet(p *sim.Proc, req *GetRequest) Response {
 	var bumped hlc.Timestamp
 	for {
 		val, vts, err := r.engine.Get(req.Key, readTS, opts)
-		var wie *mvcc.WriteIntentError
-		if errors.As(err, &wie) {
-			// Paper §5.1.1: "the read blocks while it is redirected to
-			// the leaseholder to engage in conflict resolution."
-			r.RedirectsToLH++
-			return Response{Err: &FollowerReadUnavailableError{
-				RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: readTS}}
-		}
-		var ue *mvcc.UncertaintyError
-		if errors.As(err, &ue) && req.CanBumpReadTS {
-			// The bump stays within the uncertainty interval, which is
-			// fully closed here, so the follower may serve it locally.
-			readTS = ue.ValueTimestamp
-			bumped = readTS
-			continue
-		}
 		if err != nil {
+			var wie *mvcc.WriteIntentError
+			if errors.As(err, &wie) {
+				// Paper §5.1.1: "the read blocks while it is redirected to
+				// the leaseholder to engage in conflict resolution."
+				r.RedirectsToLH++
+				return Response{Err: &FollowerReadUnavailableError{
+					RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: readTS}}
+			}
+			var ue *mvcc.UncertaintyError
+			if errors.As(err, &ue) && req.CanBumpReadTS {
+				// The bump stays within the uncertainty interval, which is
+				// fully closed here, so the follower may serve it locally.
+				readTS = ue.ValueTimestamp
+				bumped = readTS
+				continue
+			}
 			return Response{Err: err}
 		}
 		r.FollowerReads++
@@ -334,14 +334,14 @@ func (r *Replica) evalScan(p *sim.Proc, req *ScanRequest) Response {
 	opts := r.getOpts(req.Txn, req.Uncertainty)
 	for {
 		rows, err := r.engine.Scan(start, end, req.Timestamp, req.MaxRows, opts)
-		var wie *mvcc.WriteIntentError
-		if errors.As(err, &wie) {
-			if werr := r.waitOnIntent(p, wie.Key, wie.Txn, req.Txn, false); werr != nil {
-				return Response{Err: werr}
-			}
-			continue
-		}
 		if err != nil {
+			var wie *mvcc.WriteIntentError
+			if errors.As(err, &wie) {
+				if werr := r.waitOnIntent(p, wie.Key, wie.Txn, req.Txn, false); werr != nil {
+					return Response{Err: werr}
+				}
+				continue
+			}
 			return Response{Err: err}
 		}
 		r.tscache.RecordReadSpan(start, end, req.Timestamp)
@@ -419,20 +419,20 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 			obs.ProcSpan(p).SetTag("closedts_push", "true")
 		}
 		newTs, err := r.checkPut(req.Key, ts, txnMeta)
-		var wie *mvcc.WriteIntentError
-		if errors.As(err, &wie) {
-			// Drop the latch while queued on the lock (as CockroachDB's
-			// lock table does) so the holder's commit-time QueryIntent
-			// and other readers are not blocked behind us.
-			r.latches.release(req.Key)
-			werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, true)
-			r.latches.acquire(p, req.Key)
-			if werr != nil {
-				return Response{Err: werr}
-			}
-			continue
-		}
 		if err != nil {
+			var wie *mvcc.WriteIntentError
+			if errors.As(err, &wie) {
+				// Drop the latch while queued on the lock (as CockroachDB's
+				// lock table does) so the holder's commit-time QueryIntent
+				// and other readers are not blocked behind us.
+				r.latches.release(req.Key)
+				werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, true)
+				r.latches.acquire(p, req.Key)
+				if werr != nil {
+					return Response{Err: werr}
+				}
+				continue
+			}
 			return Response{Err: err}
 		}
 		ts = newTs

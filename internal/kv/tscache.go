@@ -20,7 +20,9 @@ import (
 // transfer timestamp.
 type TimestampCache struct {
 	lowWater hlc.Timestamp
-	reads    map[string]tsEntry
+	// reads holds pointers so a repeated read updates its entry in place:
+	// one hash per RecordRead, and an allocation only for a new key.
+	reads map[string]*tsEntry
 }
 
 type tsEntry struct {
@@ -32,7 +34,7 @@ type tsEntry struct {
 
 // NewTimestampCache returns a cache with the given low-water mark.
 func NewTimestampCache(lowWater hlc.Timestamp) *TimestampCache {
-	return &TimestampCache{lowWater: lowWater, reads: map[string]tsEntry{}}
+	return &TimestampCache{lowWater: lowWater, reads: map[string]*tsEntry{}}
 }
 
 // RecordRead notes a read of key at ts by txn (0 for non-transactional).
@@ -40,14 +42,15 @@ func (c *TimestampCache) RecordRead(key mvcc.Key, ts hlc.Timestamp, txn mvcc.Txn
 	if ts.LessEq(c.lowWater) {
 		return
 	}
-	k := string(key)
-	cur, ok := c.reads[k]
+	cur, ok := c.reads[string(key)]
 	switch {
-	case !ok || cur.ts.Less(ts):
-		c.reads[k] = tsEntry{ts: ts, txn: txn}
+	case !ok:
+		c.reads[string(key)] = &tsEntry{ts: ts, txn: txn}
+	case cur.ts.Less(ts):
+		cur.ts, cur.txn = ts, txn
 	case cur.ts.Equal(ts) && cur.txn != txn:
 		// Two readers at the same timestamp: nobody gets an exemption.
-		c.reads[k] = tsEntry{ts: ts}
+		cur.txn = 0
 	}
 }
 

@@ -69,7 +69,9 @@ type version struct {
 	val Value
 }
 
-// versions is the per-key chain: newest first, plus an optional intent.
+// versions is the per-key chain: newest first, plus an optional intent. It
+// is the skiplist's value type, so a chain lives in the list's cell: no
+// object per key besides the version slice.
 type versions struct {
 	intent *intentRecord
 	vals   []version // sorted by descending ts
@@ -124,7 +126,7 @@ func (e *UncertaintyError) Error() string {
 // synchronized: all access happens under the simulator's cooperative
 // scheduler (and, in the distributed layer, under range latches).
 type Engine struct {
-	list *skl.List
+	list *skl.Map[versions]
 	// stats
 	intents int
 	// freeIntents recycles resolved intent records: the write path of every
@@ -135,26 +137,16 @@ type Engine struct {
 // NewEngine returns an empty engine whose internal skiplist derives tower
 // heights from seed.
 func NewEngine(seed int64) *Engine {
-	return &Engine{list: skl.New(seed)}
+	return &Engine{list: skl.NewMap[versions](seed)}
 }
 
 // IntentCount returns the number of outstanding write intents.
 func (e *Engine) IntentCount() int { return e.intents }
 
-func (e *Engine) chain(key Key) *versions {
-	v, ok := e.list.Get(key)
-	if !ok {
-		return nil
-	}
-	return v.(*versions)
-}
+func (e *Engine) chain(key Key) *versions { return e.list.Ptr(key) }
 
 func (e *Engine) chainOrCreate(key Key) *versions {
-	if c := e.chain(key); c != nil {
-		return c
-	}
-	c := &versions{}
-	e.list.Set(key, c)
+	c, _ := e.list.Upsert(key)
 	return c
 }
 
@@ -258,16 +250,16 @@ func (e *Engine) Scan(start, end Key, ts hlc.Timestamp, max int, opts GetOptions
 	var out []KeyValue
 	it := e.list.Iter()
 	for it.SeekGE(start); it.Valid(); it.Next() {
-		if end != nil && string(it.Key()) >= string(end) {
+		key := it.Key()
+		if end != nil && string(key) >= string(end) {
 			break
 		}
-		c := it.Value().(*versions)
-		val, vts, err := e.getFromChain(it.Key(), c, ts, opts)
+		val, vts, err := e.getFromChain(key, it.Ptr(), ts, opts)
 		if err != nil {
 			return nil, err
 		}
 		if val != nil {
-			out = append(out, KeyValue{Key: it.Key(), Value: val, Timestamp: vts})
+			out = append(out, KeyValue{Key: key, Value: val, Timestamp: vts})
 			if max > 0 && len(out) >= max {
 				break
 			}
@@ -403,7 +395,7 @@ func (e *Engine) GC(threshold hlc.Timestamp) int {
 	collected := 0
 	it := e.list.Iter()
 	for it.First(); it.Valid(); it.Next() {
-		c := it.Value().(*versions)
+		c := it.Ptr()
 		// Find the newest version <= threshold; everything older than it
 		// is invisible to any read at >= threshold.
 		for i, v := range c.vals {
@@ -425,9 +417,10 @@ func (e *Engine) GC(threshold hlc.Timestamp) int {
 // between that the transaction would have had to observe.
 func (e *Engine) HasNewerVersion(key Key, fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
 	c := e.chain(key)
-	if c == nil {
-		return false
-	}
+	return c != nil && c.hasNewer(fromTS, toTS, ignoreTxn)
+}
+
+func (c *versions) hasNewer(fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
 	if c.intent != nil && c.intent.txn.ID != ignoreTxn {
 		its := c.intent.txn.WriteTimestamp
 		if fromTS.Less(its) && its.LessEq(toTS) {
@@ -453,7 +446,7 @@ func (e *Engine) HasNewerVersionInSpan(start, end Key, fromTS, toTS hlc.Timestam
 		if end != nil && string(it.Key()) >= string(end) {
 			break
 		}
-		if e.HasNewerVersion(it.Key(), fromTS, toTS, ignoreTxn) {
+		if it.Ptr().hasNewer(fromTS, toTS, ignoreTxn) {
 			return true
 		}
 	}
@@ -470,7 +463,7 @@ func (e *Engine) MinIntentTS(start, end Key) (hlc.Timestamp, bool) {
 		if end != nil && string(it.Key()) >= string(end) {
 			break
 		}
-		c := it.Value().(*versions)
+		c := it.Ptr()
 		if c.intent != nil {
 			ts := c.intent.txn.WriteTimestamp
 			if !found || ts.Less(minTS) {
@@ -520,16 +513,18 @@ func (e *Engine) CopyTo(dst *Engine, start, end Key) {
 		if end != nil && string(it.Key()) >= string(end) {
 			break
 		}
-		src := it.Value().(*versions)
-		cp := &versions{vals: make([]version, len(src.vals))}
+		src := it.Ptr()
+		cp := versions{vals: make([]version, len(src.vals))}
 		for i, v := range src.vals {
-			cp.vals[i] = version{ts: v.ts, val: append(Value(nil), v.val...)}
+			// bytes.Clone, not append: an empty value must not come out
+			// nil, which is a tombstone.
+			cp.vals[i] = version{ts: v.ts, val: bytes.Clone(v.val)}
 		}
 		if src.intent != nil {
-			cp.intent = &intentRecord{txn: src.intent.txn, val: append(Value(nil), src.intent.val...)}
+			cp.intent = &intentRecord{txn: src.intent.txn, val: bytes.Clone(src.intent.val)}
 			dst.intents++
 		}
-		if old, replaced := dst.list.Set(it.Key(), cp); replaced && old.(*versions).intent != nil {
+		if old, replaced := dst.list.Set(it.Key(), cp); replaced && old.intent != nil {
 			dst.intents--
 		}
 	}
@@ -561,7 +556,7 @@ func (e *Engine) Snapshot() []SnapshotKey {
 	out := make([]SnapshotKey, 0, e.list.Len())
 	it := e.list.Iter()
 	for it.First(); it.Valid(); it.Next() {
-		src := it.Value().(*versions)
+		src := it.Ptr()
 		sk := SnapshotKey{Key: append(Key(nil), it.Key()...)}
 		if len(src.vals) > 0 {
 			sk.Versions = make([]SnapshotVersion, len(src.vals))
@@ -599,7 +594,7 @@ func (e *Engine) AppendSnapshot(dst []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(e.list.Len()))
 	it := e.list.Iter()
 	for it.First(); it.Valid(); it.Next() {
-		c := it.Value().(*versions)
+		c := it.Ptr()
 		dst = binary.AppendUvarint(wire.AppendBytes(dst, it.Key()), uint64(len(c.vals)))
 		for _, v := range c.vals {
 			dst = wire.AppendBytes(wire.AppendTimestamp(dst, v.ts), v.val)
@@ -625,7 +620,7 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	// its loop at the first short read.
 	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
 		key := d.Bytes()
-		c := &versions{}
+		var c versions
 		for nv := d.Uvarint(); nv > 0 && d.Err() == nil; nv-- {
 			c.vals = append(c.vals, version{ts: d.Timestamp(), val: bytes.Clone(d.Bytes())})
 		}

@@ -1,156 +1,473 @@
-// Package skl implements a deterministic skiplist: the ordered map
-// underlying mrdb's MVCC storage engine.
+// Package skl implements a deterministic ordered map: the skiplist under
+// every replica's MVCC storage engine.
 //
-// The list is keyed by []byte with bytes.Compare ordering and stores an
-// arbitrary value per key. Tower heights come from a seeded RNG so that,
-// combined with the deterministic simulator, entire cluster runs are
-// bit-for-bit reproducible.
+// A Map is keyed by []byte with bytes.Compare ordering. Tower heights come
+// from a seeded generator so that, combined with the deterministic
+// simulator, entire cluster runs are bit-for-bit reproducible.
+//
+// Every replica of every range owns one, so what a key costs here is paid
+// five to seven times per row. Three rules keep that cost small:
+//
+//   - Nodes and their keys live in pointer-free []byte chunks the garbage
+//     collector never looks inside. A node is the record
+//
+//     [value-cell index u32][keyLen<<8 | height u32][height × next u32][key, padded to 4]
+//
+//     and a reference to it is chunk<<16 | offset, 0 meaning nil. A tower is
+//     as tall as its node (two links on average) and the key shares a cache
+//     line with the links that lead to it.
+//
+//   - Values live beside the arena in slabs of cells that double in size and
+//     never move, so a *V handed to a caller stays valid across inserts and
+//     a value that holds pointers costs the collector one object per slab,
+//     not one per key.
+//
+//   - Point lookups (Get, Ptr, the found half of Upsert and Set) skip the
+//     towers: an embedded open-addressed hash index maps a key to its node in
+//     one hash, one slot load and one bytes.Equal. The towers remain for
+//     ordered access: SeekGE, scans and the insert position of a new key.
+//
+// Delete unlinks the node, removes its index slot and recycles its value
+// cell, but the record's bytes stay dead in their chunk: no caller outside
+// this package's tests deletes (MVCC garbage collection keeps every key's
+// newest version), so there is no compactor.
 package skl
 
 import (
 	"bytes"
-	"math/rand"
+	"encoding/binary"
+	"math/bits"
 )
 
-const maxHeight = 20 // supports ~2^20 entries at p=0.5
+const (
+	maxHeight = 20 // supports ~2^20 entries at p=0.5
 
-type node struct {
-	key   []byte
-	value interface{}
-	next  [maxHeight]*node
-	level int
-}
+	// A reference is 32 bits — a tower link costs 4 bytes, not 8, and a
+	// hash slot has room for a 32-bit tag beside it — split 16/16: chunks of
+	// 64 KiB are large enough that the tail wasted when one fills is noise
+	// and small enough that an engine with a few thousand keys holds one or
+	// two, and 2^16 of them address 4 GiB per map.
+	chunkShift = 16
+	chunkSize  = 1 << chunkShift
+	maxChunks  = 1 << (32 - chunkShift)
 
-// List is a skiplist from []byte keys to interface{} values. The zero value
-// is not usable; call New.
-type List struct {
-	head   *node
+	// The first chunk starts this small and doubles until it is chunkSize,
+	// so a map with 30 keys costs what 30 keys cost (tpcc_mix3 builds 125
+	// engines, most of them tiny). Later chunks are allocated full-sized
+	// and never move. Offset 0 of the first chunk is reserved: reference 0
+	// is nil.
+	firstChunkSize = 64
+	firstChunkBase = 4
+
+	// Value slabs hold 8, 8, 16, 32, … cells: doubling bounds the slack at
+	// half the cells, and a slab is never reallocated, which is what keeps
+	// *V stable.
+	slabShift = 3
+
+	// The hash index starts at minIndex slots and doubles to stay at most
+	// half full.
+	minIndex = 8
+
+	recHeader = 8       // cell index + (keyLen<<8 | height)
+	maxKeyLen = 1 << 24 // keyLen shares a word with the height
+)
+
+var le = binary.LittleEndian
+
+// Map is an ordered map from []byte keys to V. The zero value is not
+// usable; call NewMap.
+type Map[V any] struct {
+	// chunks[0] is reallocated at twice the size while it is smaller than
+	// chunkSize; every other chunk has its final capacity from the start.
+	// len(chunk) is the part in use. A record larger than a chunk gets one
+	// of its own.
+	chunks [][]byte
+	cur    int // the chunk new records go to
+	head   [maxHeight]uint32
 	height int
 	length int
-	rng    *rand.Rand
+	rng    uint64 // splitmix64 state
+
+	slabs [][]V
+	cells uint32   // cells handed out so far
+	free  []uint32 // cells recycled by Delete
+
+	// index is open-addressed with linear probing. A slot is 0 when empty,
+	// else tag<<32 | ref, where tag is the key's full 32-bit hash and the
+	// slot's home is tag & (len(index)-1). The tag is what keeps probes off
+	// the arena: a slot that belongs to another key is dismissed without
+	// fetching that key, and growing re-places slots from their tags alone.
+	index []uint64
 }
 
+// List is the interface{}-valued map.
+type List = Map[interface{}]
+
 // New returns an empty list whose tower heights derive from seed.
-func New(seed int64) *List {
-	return &List{
-		head:   &node{level: maxHeight},
-		height: 1,
-		rng:    rand.New(rand.NewSource(seed)),
-	}
+func New(seed int64) *List { return NewMap[interface{}](seed) }
+
+// NewMap returns an empty map whose tower heights derive from seed. Nothing
+// else is allocated until the first insert.
+func NewMap[V any](seed int64) *Map[V] {
+	return &Map[V]{height: 1, rng: uint64(seed)}
 }
 
 // Len returns the number of entries.
-func (l *List) Len() int { return l.length }
+func (m *Map[V]) Len() int { return m.length }
 
-func (l *List) randomHeight() int {
-	h := 1
-	for h < maxHeight && l.rng.Intn(2) == 0 {
-		h++
+// randomHeight draws from splitmix64: eight bytes of state, where a
+// math/rand source is 4.9 KB filled by a seeding loop per engine.
+func (m *Map[V]) randomHeight() int {
+	m.rng += 0x9e3779b97f4a7c15
+	z := m.rng
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	z ^= z >> 31
+	return 1 + bits.TrailingZeros64(z|1<<(maxHeight-1))
+}
+
+// hashKey mixes eight key bytes per multiply and folds the high half down
+// after each, so every input byte reaches the low bits that pick the slot.
+// It is deterministic: a per-process seed would be harmless here (nothing
+// iterates the index) but buys nothing either.
+func hashKey(key []byte) uint32 {
+	const (
+		k1 = 0x9e3779b97f4a7c15
+		k2 = 0xd6e8feb86659fd93
+	)
+	h := uint64(len(key)) * k2
+	var last uint64
+	if len(key) >= 8 {
+		// The last eight bytes stand in for the tail, overlapping the
+		// block before them unless the length is a multiple of eight.
+		last = le.Uint64(key[len(key)-8:])
+		for ; len(key) > 8; key = key[8:] {
+			h = (h ^ le.Uint64(key)) * k1
+			h ^= h >> 32
+		}
+	} else {
+		for i, b := range key {
+			last |= uint64(b) << (8 * i)
+		}
 	}
-	return h
+	h = (h ^ last) * k1
+	h ^= h >> 32
+	return uint32((h * k2) >> 32)
+}
+
+// rec returns the record at ref, running to the end of its chunk.
+func (m *Map[V]) rec(ref uint32) []byte {
+	return m.chunks[ref>>chunkShift][ref&(chunkSize-1):]
+}
+
+func recHeight(rec []byte) int { return int(rec[4]) }
+
+func recKey(rec []byte) []byte {
+	hdr := le.Uint32(rec[4:])
+	lo := recHeader + 4*int(hdr&0xff)
+	hi := lo + int(hdr>>8)
+	return rec[lo:hi:hi]
+}
+
+// next returns the successor of x (0 is the head) at level i.
+func (m *Map[V]) next(x uint32, i int) uint32 {
+	if x == 0 {
+		return m.head[i]
+	}
+	return le.Uint32(m.rec(x)[recHeader+4*i:])
+}
+
+func (m *Map[V]) setNext(x uint32, i int, to uint32) {
+	if x == 0 {
+		m.head[i] = to
+		return
+	}
+	le.PutUint32(m.rec(x)[recHeader+4*i:], to)
+}
+
+// cell returns the address of value cell i.
+func (m *Map[V]) cell(i uint32) *V {
+	s := bits.Len32(i >> slabShift)
+	if s > 0 {
+		i -= 1 << (slabShift + s - 1)
+	}
+	return &m.slabs[s][i]
+}
+
+func (m *Map[V]) allocCell() uint32 {
+	if n := len(m.free); n > 0 {
+		i := m.free[n-1]
+		m.free = m.free[:n-1]
+		return i
+	}
+	i := m.cells
+	m.cells++
+	if s := bits.Len32(i >> slabShift); s == len(m.slabs) {
+		size := 1 << slabShift
+		if s > 0 {
+			size <<= s - 1
+		}
+		m.slabs = append(m.slabs, make([]V, size))
+	}
+	return i
+}
+
+// alloc reserves size bytes (a multiple of 4) for a record and returns its
+// reference and its bytes.
+func (m *Map[V]) alloc(size int) (uint32, []byte) {
+	if len(m.chunks) == 0 {
+		m.chunks = append(m.chunks, make([]byte, firstChunkBase, firstChunkSize))
+	}
+	if size > chunkSize-firstChunkBase {
+		m.checkChunks()
+		m.chunks = append(m.chunks, make([]byte, size))
+		n := len(m.chunks) - 1
+		return uint32(n) << chunkShift, m.chunks[n]
+	}
+	c := m.chunks[m.cur]
+	off := len(c)
+	if off+size > cap(c) {
+		if m.cur == 0 && off+size <= chunkSize {
+			// Only the first chunk is ever below chunkSize. The old one
+			// is left as it is: key slices handed out before still read
+			// the same bytes.
+			n := 2 * cap(c)
+			for n < off+size {
+				n *= 2
+			}
+			grown := make([]byte, off, n)
+			copy(grown, c)
+			c = grown
+		} else {
+			m.checkChunks()
+			c, off = make([]byte, 0, chunkSize), 0
+			m.chunks = append(m.chunks, c)
+			m.cur = len(m.chunks) - 1
+		}
+	}
+	c = c[:off+size]
+	m.chunks[m.cur] = c
+	return uint32(m.cur)<<chunkShift | uint32(off), c[off:]
+}
+
+func (m *Map[V]) checkChunks() {
+	if len(m.chunks) == maxChunks {
+		panic("skl: arena full: 65536 chunks (4 GiB) is as far as a 32-bit reference reaches")
+	}
+}
+
+// lookup returns the value cell of key, whose hash is h, or nil.
+func (m *Map[V]) lookup(key []byte, h uint32) *V {
+	if len(m.index) == 0 {
+		return nil
+	}
+	mask := uint32(len(m.index) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := m.index[i]
+		if s == 0 {
+			return nil
+		}
+		if uint32(s>>32) == h {
+			if rec := m.rec(uint32(s)); bytes.Equal(recKey(rec), key) {
+				return m.cell(le.Uint32(rec))
+			}
+		}
+	}
+}
+
+// place puts slot into the first free position of its probe sequence.
+func place(index []uint64, slot uint64) {
+	mask := uint32(len(index) - 1)
+	i := uint32(slot>>32) & mask
+	for index[i] != 0 {
+		i = (i + 1) & mask
+	}
+	index[i] = slot
+}
+
+// indexInsert records ref, which must not be present, under hash h.
+func (m *Map[V]) indexInsert(h, ref uint32) {
+	if 2*m.length > len(m.index) {
+		grown := make([]uint64, max(minIndex, 2*len(m.index)))
+		for _, s := range m.index {
+			if s != 0 {
+				place(grown, s)
+			}
+		}
+		m.index = grown
+	}
+	place(m.index, uint64(h)<<32|uint64(ref))
+}
+
+// indexDelete removes ref's slot by backward shift: each later slot of the
+// run moves up into the hole unless that would put it before its home.
+func (m *Map[V]) indexDelete(h, ref uint32) {
+	mask := uint32(len(m.index) - 1)
+	i := h & mask
+	for uint32(m.index[i]) != ref {
+		i = (i + 1) & mask
+	}
+	for j := (i + 1) & mask; m.index[j] != 0; j = (j + 1) & mask {
+		home := uint32(m.index[j]>>32) & mask
+		// Movable iff home is not cyclically within (i, j].
+		if (j-home)&mask >= (j-i)&mask {
+			m.index[i] = m.index[j]
+			i = j
+		}
+	}
+	m.index[i] = 0
 }
 
 // findGE locates the first node with key >= key. prev, if non-nil, is filled
-// with the rightmost node before the target at every level.
-func (l *List) findGE(key []byte, prev *[maxHeight]*node) *node {
-	x := l.head
-	for i := l.height - 1; i >= 0; i-- {
-		for x.next[i] != nil && bytes.Compare(x.next[i].key, key) < 0 {
-			x = x.next[i]
+// with the rightmost node before the target at every level up to the list's
+// height (0 is the head).
+func (m *Map[V]) findGE(key []byte, prev *[maxHeight]uint32) uint32 {
+	var x, nx uint32
+	// ge is the node the level above stopped at: known >= key, so meeting it
+	// again needs no comparison.
+	var ge uint32
+	for i := m.height - 1; i >= 0; i-- {
+		for {
+			nx = m.next(x, i)
+			if nx == 0 || nx == ge {
+				break
+			}
+			if bytes.Compare(recKey(m.rec(nx)), key) >= 0 {
+				ge = nx
+				break
+			}
+			x = nx
 		}
 		if prev != nil {
 			prev[i] = x
 		}
 	}
-	return x.next[0]
+	return nx
+}
+
+// insert adds key, which must be absent and whose hash is h, and returns its
+// zero-valued cell.
+func (m *Map[V]) insert(key []byte, h uint32) *V {
+	if len(key) >= maxKeyLen {
+		panic("skl: key of 16 MiB or more")
+	}
+	var prev [maxHeight]uint32 // zero is the head: right for levels above m.height
+	m.findGE(key, &prev)
+	height := m.randomHeight()
+	if height > m.height {
+		m.height = height
+	}
+	keyAt := recHeader + 4*height
+	ref, rec := m.alloc(keyAt + (len(key)+3)&^3)
+	ci := m.allocCell()
+	le.PutUint32(rec, ci)
+	le.PutUint32(rec[4:], uint32(len(key))<<8|uint32(height))
+	copy(rec[keyAt:], key)
+	for i := 0; i < height; i++ {
+		le.PutUint32(rec[recHeader+4*i:], m.next(prev[i], i))
+		m.setNext(prev[i], i, ref)
+	}
+	m.length++
+	m.indexInsert(h, ref)
+	return m.cell(ci)
+}
+
+// Ptr returns the address of key's value, or nil if key is absent. The
+// address stays valid until the key is deleted.
+func (m *Map[V]) Ptr(key []byte) *V { return m.lookup(key, hashKey(key)) }
+
+// Upsert returns the address of key's value, first inserting key with a
+// zero value if it is absent; created reports which. The key is copied.
+func (m *Map[V]) Upsert(key []byte) (p *V, created bool) {
+	h := hashKey(key)
+	if p := m.lookup(key, h); p != nil {
+		return p, false
+	}
+	return m.insert(key, h), true
 }
 
 // Set inserts or replaces the value for key. It returns the previous value
 // and whether one existed.
-func (l *List) Set(key []byte, value interface{}) (prev interface{}, replaced bool) {
-	var before [maxHeight]*node
-	for i := l.height; i < maxHeight; i++ {
-		before[i] = l.head
-	}
-	n := l.findGE(key, &before)
-	if n != nil && bytes.Equal(n.key, key) {
-		old := n.value
-		n.value = value
-		return old, true
-	}
-	h := l.randomHeight()
-	if h > l.height {
-		l.height = h
-	}
-	nn := &node{key: append([]byte(nil), key...), value: value, level: h}
-	for i := 0; i < h; i++ {
-		nn.next[i] = before[i].next[i]
-		before[i].next[i] = nn
-	}
-	l.length++
-	return nil, false
+func (m *Map[V]) Set(key []byte, value V) (prev V, replaced bool) {
+	p, created := m.Upsert(key)
+	prev, *p = *p, value
+	return prev, !created
 }
 
 // Get returns the value for key.
-func (l *List) Get(key []byte) (interface{}, bool) {
-	n := l.findGE(key, nil)
-	if n != nil && bytes.Equal(n.key, key) {
-		return n.value, true
+func (m *Map[V]) Get(key []byte) (V, bool) {
+	if p := m.Ptr(key); p != nil {
+		return *p, true
 	}
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // Delete removes key, returning its value and whether it was present.
-func (l *List) Delete(key []byte) (interface{}, bool) {
-	var before [maxHeight]*node
-	for i := l.height; i < maxHeight; i++ {
-		before[i] = l.head
+func (m *Map[V]) Delete(key []byte) (V, bool) {
+	var zero V
+	var prev [maxHeight]uint32
+	n := m.findGE(key, &prev)
+	if n == 0 {
+		return zero, false
 	}
-	n := l.findGE(key, &before)
-	if n == nil || !bytes.Equal(n.key, key) {
-		return nil, false
+	rec := m.rec(n)
+	if !bytes.Equal(recKey(rec), key) {
+		return zero, false
 	}
-	for i := 0; i < n.level; i++ {
-		if before[i].next[i] == n {
-			before[i].next[i] = n.next[i]
-		}
+	for i := recHeight(rec) - 1; i >= 0; i-- {
+		m.setNext(prev[i], i, le.Uint32(rec[recHeader+4*i:]))
 	}
-	l.length--
-	return n.value, true
+	m.indexDelete(hashKey(key), n)
+	ci := le.Uint32(rec)
+	p := m.cell(ci)
+	v := *p
+	*p = zero // drop what the value referenced
+	m.free = append(m.free, ci)
+	m.length--
+	return v, true
 }
 
-// Iterator walks list entries in key order.
-type Iterator struct {
-	list *List
-	cur  *node
+// Iterator walks entries in key order. It holds references, not slices, so
+// it stays positioned across inserts.
+type Iterator[V any] struct {
+	m   *Map[V]
+	cur uint32
 }
 
 // NewIterator returns an unpositioned iterator; call SeekGE or First.
-func (l *List) NewIterator() *Iterator { return &Iterator{list: l} }
+func (m *Map[V]) NewIterator() *Iterator[V] { return &Iterator[V]{m: m} }
 
 // Iter returns an unpositioned iterator by value, so iteration-heavy paths
 // (MVCC scans, GC sweeps, snapshot copies) keep it on the stack instead of
 // allocating one per traversal.
-func (l *List) Iter() Iterator { return Iterator{list: l} }
+func (m *Map[V]) Iter() Iterator[V] { return Iterator[V]{m: m} }
 
 // First positions at the smallest key.
-func (it *Iterator) First() { it.cur = it.list.head.next[0] }
+func (it *Iterator[V]) First() { it.cur = it.m.head[0] }
 
 // SeekGE positions at the first key >= key.
-func (it *Iterator) SeekGE(key []byte) { it.cur = it.list.findGE(key, nil) }
+func (it *Iterator[V]) SeekGE(key []byte) { it.cur = it.m.findGE(key, nil) }
 
 // Valid reports whether the iterator is positioned on an entry.
-func (it *Iterator) Valid() bool { return it.cur != nil }
+func (it *Iterator[V]) Valid() bool { return it.cur != 0 }
 
 // Next advances to the following entry.
-func (it *Iterator) Next() { it.cur = it.cur.next[0] }
+func (it *Iterator[V]) Next() { it.cur = it.m.next(it.cur, 0) }
 
-// Key returns the current key. The returned slice must not be modified.
-func (it *Iterator) Key() []byte { return it.cur.key }
+// Key returns the current key. The slice aliases the arena: it must not be
+// modified, and it stays valid for as long as it is held.
+func (it *Iterator[V]) Key() []byte { return recKey(it.m.rec(it.cur)) }
+
+// Ptr returns the address of the current value.
+func (it *Iterator[V]) Ptr() *V { return it.m.cell(le.Uint32(it.m.rec(it.cur))) }
 
 // Value returns the current value.
-func (it *Iterator) Value() interface{} { return it.cur.value }
+func (it *Iterator[V]) Value() V { return *it.Ptr() }
 
 // SetValue replaces the value at the iterator's position, avoiding a second
 // search when read-modify-write is needed.
-func (it *Iterator) SetValue(v interface{}) { it.cur.value = v }
+func (it *Iterator[V]) SetValue(v V) { *it.Ptr() = v }
+
+// height returns the current node's tower height.
+func (it *Iterator[V]) height() int { return recHeight(it.m.rec(it.cur)) }

@@ -134,7 +134,7 @@ func TestDeterministicStructure(t *testing.T) {
 		var heights []int
 		it := l.NewIterator()
 		for it.First(); it.Valid(); it.Next() {
-			heights = append(heights, it.cur.level)
+			heights = append(heights, it.height())
 		}
 		return heights
 	}
@@ -146,8 +146,21 @@ func TestDeterministicStructure(t *testing.T) {
 	}
 }
 
+// modelKeyLens are the key lengths the model check mixes: empty, the
+// byte-at-a-time hash tail, one short of a hash block, exactly one, one
+// over (the overlapping tail), and a record that needs a chunk of its own.
+var modelKeyLens = []int{0, 1, 7, 8, 9, 70000}
+
+// modelKey maps k onto eight keys of each length, few enough that a random
+// op sequence keeps meeting keys it has already inserted or deleted.
+func modelKey(k uint8) []byte {
+	n := len(modelKeyLens)
+	return bytes.Repeat([]byte{k / uint8(n) % 8}, modelKeyLens[int(k)%n])
+}
+
 // Property: the skiplist behaves exactly like a map + sorted keys under a
-// random op sequence.
+// random op sequence, through every way in: Set, Get, Delete, Upsert, Ptr
+// and a seek.
 func TestQuickModelCheck(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -158,24 +171,55 @@ func TestQuickModelCheck(t *testing.T) {
 		l := New(seed)
 		model := map[string]int{}
 		for _, o := range ops {
-			k := []byte{o.Key}
-			switch o.Kind % 3 {
+			k := modelKey(o.Key)
+			mv, mok := model[string(k)]
+			switch o.Kind % 6 {
 			case 0:
-				l.Set(k, o.Val)
+				prev, replaced := l.Set(k, o.Val)
+				if replaced != mok || (mok && prev.(int) != mv) {
+					return false
+				}
 				model[string(k)] = o.Val
 			case 1:
 				v, ok := l.Get(k)
-				mv, mok := model[string(k)]
 				if ok != mok || (ok && v.(int) != mv) {
 					return false
 				}
 			case 2:
-				_, ok := l.Delete(k)
-				_, mok := model[string(k)]
-				if ok != mok {
+				v, ok := l.Delete(k)
+				if ok != mok || (ok && v.(int) != mv) {
 					return false
 				}
 				delete(model, string(k))
+			case 3:
+				p, created := l.Upsert(k)
+				if created == mok || (created && *p != nil) || (mok && (*p).(int) != mv) {
+					return false
+				}
+				*p = o.Val
+				model[string(k)] = o.Val
+			case 4:
+				p := l.Ptr(k)
+				if (p != nil) != mok || (mok && (*p).(int) != mv) {
+					return false
+				}
+			case 5:
+				// A seek lands on the smallest key >= k, and its cell is
+				// the one the index leads to.
+				want, found := "", false
+				for mk := range model {
+					if mk >= string(k) && (!found || mk < want) {
+						want, found = mk, true
+					}
+				}
+				it := l.Iter()
+				it.SeekGE(k)
+				if it.Valid() != found {
+					return false
+				}
+				if found && (string(it.Key()) != want || it.Ptr() != l.Ptr([]byte(want))) {
+					return false
+				}
 			}
 		}
 		if l.Len() != len(model) {
@@ -193,7 +237,7 @@ func TestQuickModelCheck(t *testing.T) {
 			if i >= len(want) || string(it.Key()) != want[i] {
 				return false
 			}
-			if it.Value().(int) != model[want[i]] {
+			if it.Value().(int) != model[want[i]] || (*it.Ptr()).(int) != model[want[i]] {
 				return false
 			}
 			i++
@@ -252,4 +296,62 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		l.Get(keys[i%len(keys)])
 	}
+}
+
+// The two benchmarks above walk their keys in insertion order, which keeps
+// the towers in cache. These visit SQL-shaped keys in shuffled order, which
+// is what a replica sees: a point read or a first write of a key it last
+// touched long ago.
+func benchRand(b *testing.B, n int, body func(keys [][]byte, order []int)) {
+	keys := make([][]byte, n)
+	for i := range keys {
+		keys[i] = sqlKey(i)
+	}
+	b.ReportAllocs()
+	body(keys, rand.New(rand.NewSource(1)).Perm(n))
+}
+
+func benchRandGet(b *testing.B, n int) {
+	benchRand(b, n, func(keys [][]byte, order []int) {
+		l := New(7)
+		for _, i := range order {
+			l.Set(keys[i], i)
+		}
+		rand.New(rand.NewSource(2)).Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
+		found := 0
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, ok := l.Get(keys[order[i%n]]); ok {
+				found++
+			}
+		}
+		if found != b.N {
+			b.Fatalf("found %d of %d", found, b.N)
+		}
+	})
+}
+
+// benchRandSet inserts new keys: a fresh list every n inserts.
+func benchRandSet(b *testing.B, n int) {
+	benchRand(b, n, func(keys [][]byte, order []int) {
+		var l *List
+		var v interface{} = 1
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%n == 0 {
+				l = New(7)
+			}
+			l.Set(keys[order[i%n]], v)
+		}
+	})
+}
+
+func BenchmarkRandGet(b *testing.B) {
+	b.Run("keys=4000", func(b *testing.B) { benchRandGet(b, 4000) })
+	b.Run("keys=100000", func(b *testing.B) { benchRandGet(b, 100000) })
+}
+
+func BenchmarkRandSet(b *testing.B) {
+	b.Run("keys=4000", func(b *testing.B) { benchRandSet(b, 4000) })
+	b.Run("keys=100000", func(b *testing.B) { benchRandSet(b, 100000) })
 }
