@@ -558,14 +558,16 @@ func (e *Engine) Snapshot() []SnapshotKey {
 	for it.First(); it.Valid(); it.Next() {
 		src := it.Ptr()
 		sk := SnapshotKey{Key: append(Key(nil), it.Key()...)}
+		// bytes.Clone, as in CopyTo: an empty value must stay empty, not
+		// become a nil tombstone.
 		if len(src.vals) > 0 {
 			sk.Versions = make([]SnapshotVersion, len(src.vals))
 			for i, v := range src.vals {
-				sk.Versions[i] = SnapshotVersion{Ts: v.ts, Val: append(Value(nil), v.val...)}
+				sk.Versions[i] = SnapshotVersion{Ts: v.ts, Val: bytes.Clone(v.val)}
 			}
 		}
 		if src.intent != nil {
-			sk.Intent = &SnapshotIntent{Txn: src.intent.txn, Val: append(Value(nil), src.intent.val...)}
+			sk.Intent = &SnapshotIntent{Txn: src.intent.txn, Val: bytes.Clone(src.intent.val)}
 		}
 		out = append(out, sk)
 	}

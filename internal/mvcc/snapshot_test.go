@@ -89,6 +89,46 @@ func TestSnapshotStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotKeepsEmptyValuesApartFromTombstones: Snapshot's deep copy
+// keeps an empty committed or intent value empty and non-nil and a
+// tombstone nil. Copying with append(Value(nil), v...) turned the first
+// into the second.
+func TestSnapshotKeepsEmptyValuesApartFromTombstones(t *testing.T) {
+	e := NewEngine(1)
+	for _, w := range []struct {
+		key string
+		val Value
+		txn *TxnMeta
+	}{
+		{"empty", Value{}, nil},
+		{"tombstone", nil, nil},
+		{"empty-intent", Value{}, &TxnMeta{ID: 1, Key: k("empty-intent")}},
+		{"tombstone-intent", nil, &TxnMeta{ID: 2, Key: k("tombstone-intent")}},
+	} {
+		if _, err := e.Put(k(w.key), w.val, ts(10), w.txn); err != nil {
+			t.Fatalf("Put(%s): %v", w.key, err)
+		}
+	}
+	got := map[string]Value{}
+	for _, sk := range e.Snapshot() {
+		if sk.Intent != nil {
+			got[string(sk.Key)] = sk.Intent.Val
+		} else {
+			got[string(sk.Key)] = sk.Versions[0].Val
+		}
+	}
+	for _, key := range []string{"empty", "empty-intent"} {
+		if v, ok := got[key]; !ok || v == nil || len(v) != 0 {
+			t.Errorf("%s: snapshot value %#v, want empty and non-nil", key, v)
+		}
+	}
+	for _, key := range []string{"tombstone", "tombstone-intent"} {
+		if v, ok := got[key]; !ok || v != nil {
+			t.Errorf("%s: snapshot value %#v, want a nil tombstone", key, v)
+		}
+	}
+}
+
 // TestLoadSnapshotRejectsDamagedStreams: every strict prefix of a stream and
 // a stream with trailing bytes are errors, never a panic or a partial load
 // reported as success.

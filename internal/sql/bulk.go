@@ -36,34 +36,8 @@ func (s *Session) BulkLoadRow(t *Table, colVals map[string]Datum, ts hlc.Timesta
 	if err != nil {
 		return err
 	}
-	primary := t.Primary()
-	var pkTuple []Datum
-	pkMap := map[ColumnID]Datum{}
-	for _, cid := range primary.Cols {
-		pkTuple = append(pkTuple, vals[cid])
-		pkMap[cid] = vals[cid]
-	}
-	pkVal := EncodeRow(pkMap)
-	for _, idx := range t.Indexes {
-		idxRegion := region
-		if idx.PinnedRegion != "" && !t.IsPartitioned() {
-			idxRegion = ""
-		}
-		var tuple []Datum
-		for _, cid := range idx.Cols {
-			tuple = append(tuple, vals[cid])
-		}
-		key := EncodeIndexKey(t, idx, idxRegion, tuple)
-		if !idx.Unique {
-			key = append(key, EncodeTupleSuffix(pkTuple)...)
-		}
-		var val mvcc.Value
-		if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-			val = EncodeRow(vals)
-		} else {
-			val = pkVal
-		}
-		if err := s.bulkPut(key, val, ts); err != nil {
+	for _, e := range rowKVs(t, region, vals) {
+		if err := s.bulkPut(e.Key, e.Value, ts); err != nil {
 			return err
 		}
 	}

@@ -162,39 +162,17 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	// Cached shape: column resolution and the default/computed schedule are
-	// reused; values still evaluate per row in the slow path's order.
-	ci := s.insertPlan(st, t)
-	var cols []string
-	if ci == nil {
-		cols = st.Columns
-		if cols == nil {
-			for _, c := range t.VisibleColumns() {
-				cols = append(cols, c.Name)
-			}
-		}
+	ci, err := s.insertPlan(st, t)
+	if err != nil {
+		return nil, err
 	}
 	type insRow struct {
-		vals        map[ColumnID]Datum
-		fromDefault map[ColumnID]bool
-		region      simnet.Region
+		vals   map[ColumnID]Datum
+		region simnet.Region
 	}
 	var rows []insRow
 	for _, rowExprs := range st.Rows {
-		var vals map[ColumnID]Datum
-		var fromDefault map[ColumnID]bool
-		if ci != nil {
-			if len(rowExprs) != len(ci.cols) {
-				return nil, fmt.Errorf("sql: %d values for %d columns", len(rowExprs), len(ci.cols))
-			}
-			vals, err = s.buildRowValuesCached(ci, t, db, rowExprs)
-			fromDefault = ci.fromDefault
-		} else {
-			if len(rowExprs) != len(cols) {
-				return nil, fmt.Errorf("sql: %d values for %d columns", len(rowExprs), len(cols))
-			}
-			vals, fromDefault, err = s.buildRowValues(t, db, cols, rowExprs)
-		}
+		vals, err := s.insertRowValues(ci, t, db, rowExprs)
 		if err != nil {
 			return nil, err
 		}
@@ -202,7 +180,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, insRow{vals: vals, fromDefault: fromDefault, region: region})
+		rows = append(rows, insRow{vals: vals, region: region})
 	}
 	if st.Upsert {
 		for _, r := range rows {
@@ -235,7 +213,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 			for _, cid := range idx.Cols {
 				tuple = append(tuple, r.vals[cid])
 			}
-			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, r.fromDefault, s.UniquenessChecks) {
+			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, ci.fromDefault, s.UniquenessChecks) {
 				key := EncodeIndexKey(t, idx, pr, tuple)
 				if pending[string(key)] {
 					return nil, fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", idx.Name, pr)
@@ -324,89 +302,15 @@ func uniqueProbeRegions(t *Table, db *core.Database, idx *Index, region simnet.R
 	return checkRegions
 }
 
-// uniqueWriteKeys lists the unique-index keys a row write lays down, using
-// the same per-index region logic as rowKVs.
+// uniqueWriteKeys lists the unique-index keys a row write lays down.
 func uniqueWriteKeys(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.Key {
 	var keys []mvcc.Key
 	for _, idx := range t.Indexes {
-		if !idx.Unique {
-			continue
+		if idx.Unique {
+			keys = append(keys, indexEntry(t, idx, region, vals, false).Key)
 		}
-		idxRegion := region
-		if idx.PinnedRegion != "" && !t.IsPartitioned() {
-			idxRegion = ""
-		}
-		var tuple []Datum
-		for _, cid := range idx.Cols {
-			tuple = append(tuple, vals[cid])
-		}
-		keys = append(keys, EncodeIndexKey(t, idx, idxRegion, tuple))
 	}
 	return keys
-}
-
-// buildRowValues evaluates provided expressions, fills defaults, computes
-// computed columns and validates constraints. fromDefault records columns
-// whose value came from a gen_random_uuid() default (uniqueness checks for
-// them are elided, §4.1).
-func (s *Session) buildRowValues(t *Table, db *core.Database, cols []string, exprs []Expr) (map[ColumnID]Datum, map[ColumnID]bool, error) {
-	vals := map[ColumnID]Datum{}
-	provided := map[ColumnID]bool{}
-	for i, name := range cols {
-		c, ok := t.Column(name)
-		if !ok {
-			return nil, nil, fmt.Errorf("sql: unknown column %q", name)
-		}
-		v, err := s.evalExpr(exprs[i], nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		vals[c.ID] = v
-		provided[c.ID] = true
-	}
-	fromDefault := map[ColumnID]bool{}
-	for _, c := range t.Columns {
-		if provided[c.ID] || c.Computed != nil {
-			continue
-		}
-		if c.Default != nil {
-			v, err := s.evalExpr(c.Default, &evalCtx{session: s, row: t.namedVals(vals)})
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[c.ID] = v
-			if fc, ok := c.Default.(*FuncCall); ok && fc.Name == "gen_random_uuid" {
-				fromDefault[c.ID] = true
-			}
-		}
-	}
-	// Computed columns evaluate last, over the full row.
-	for _, c := range t.Columns {
-		if c.Computed != nil {
-			v, err := s.evalExpr(c.Computed, &evalCtx{session: s, row: t.namedVals(vals)})
-			if err != nil {
-				return nil, nil, err
-			}
-			vals[c.ID] = v
-		}
-	}
-	for _, c := range t.Columns {
-		if c.NotNull && vals[c.ID] == nil {
-			return nil, nil, fmt.Errorf("sql: null value in column %q", c.Name)
-		}
-	}
-	// Region writability: a READ ONLY region value (mid DROP REGION,
-	// §2.4.1) rejects writes.
-	if t.IsPartitioned() {
-		r, err := rowRegion(t, vals)
-		if err != nil {
-			return nil, nil, err
-		}
-		if !db.CanWriteRegion(r) {
-			return nil, nil, fmt.Errorf("sql: region %q is not writable", r)
-		}
-	}
-	return vals, fromDefault, nil
 }
 
 // rowRegion extracts the partition region of a row.
@@ -494,40 +398,52 @@ func (s *Session) writeRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Reg
 	return tx.PutParallel(p, rowKVs(t, region, vals))
 }
 
+// indexEntry is the one place a row becomes an entry of one index: every
+// write, tombstone, uniqueness write key and backfill of an index entry
+// goes through it, so these rules cannot drift apart between producers:
+//   - a duplicate index (§7.3.1) is unpartitioned, so its key carries no
+//     region whatever partition the row is homed in;
+//   - a non-unique index key ends in the primary-key columns, so rows that
+//     share the indexed values get distinct entries;
+//   - the primary index and indexes that store columns hold the full row;
+//     every other index holds the primary-key columns.
+//
+// Without withValue the entry's Value is nil: a tombstone, or just a key.
+func indexEntry(t *Table, idx *Index, region simnet.Region, vals map[ColumnID]Datum, withValue bool) mvcc.KeyValue {
+	if idx.PinnedRegion != "" && !t.IsPartitioned() {
+		region = ""
+	}
+	tuple := make([]Datum, len(idx.Cols))
+	for i, cid := range idx.Cols {
+		tuple[i] = vals[cid]
+	}
+	key := EncodeIndexKey(t, idx, region, tuple)
+	primary := t.Primary()
+	if !idx.Unique {
+		pk := make([]Datum, len(primary.Cols))
+		for i, cid := range primary.Cols {
+			pk[i] = vals[cid]
+		}
+		key = append(key, EncodeTupleSuffix(pk)...)
+	}
+	if !withValue {
+		return mvcc.KeyValue{Key: key}
+	}
+	if idx.ID == primary.ID || len(idx.Storing) > 0 {
+		return mvcc.KeyValue{Key: key, Value: EncodeRow(vals)}
+	}
+	pkVals := make(map[ColumnID]Datum, len(primary.Cols))
+	for _, cid := range primary.Cols {
+		pkVals[cid] = vals[cid]
+	}
+	return mvcc.KeyValue{Key: key, Value: EncodeRow(pkVals)}
+}
+
 // rowKVs builds the primary-row and index-entry writes for one row.
 func rowKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
-	var kvs []mvcc.KeyValue
-	primary := t.Primary()
-	var pkTuple []Datum
-	for _, cid := range primary.Cols {
-		pkTuple = append(pkTuple, vals[cid])
-	}
-	pkMap := map[ColumnID]Datum{}
-	for _, cid := range primary.Cols {
-		pkMap[cid] = vals[cid]
-	}
-	pkVal := EncodeRow(pkMap)
-	for _, idx := range t.Indexes {
-		idxRegion := region
-		if idx.PinnedRegion != "" && !t.IsPartitioned() {
-			idxRegion = "" // duplicate indexes are unpartitioned
-		}
-		var tuple []Datum
-		for _, cid := range idx.Cols {
-			tuple = append(tuple, vals[cid])
-		}
-		key := EncodeIndexKey(t, idx, idxRegion, tuple)
-		if !idx.Unique {
-			key = append(key, EncodeTupleSuffix(pkTuple)...)
-		}
-		var val mvcc.Value
-		switch {
-		case idx.ID == t.Primary().ID || len(idx.Storing) > 0:
-			val = EncodeRow(vals)
-		default:
-			val = pkVal
-		}
-		kvs = append(kvs, mvcc.KeyValue{Key: key, Value: val})
+	kvs := make([]mvcc.KeyValue, len(t.Indexes))
+	for i, idx := range t.Indexes {
+		kvs[i] = indexEntry(t, idx, region, vals, true)
 	}
 	return kvs
 }
@@ -539,26 +455,9 @@ func (s *Session) deleteRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Re
 
 // deleteKVs builds the tombstone writes removing one row.
 func deleteKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
-	var kvs []mvcc.KeyValue
-	primary := t.Primary()
-	var pkTuple []Datum
-	for _, cid := range primary.Cols {
-		pkTuple = append(pkTuple, vals[cid])
-	}
-	for _, idx := range t.Indexes {
-		idxRegion := region
-		if idx.PinnedRegion != "" && !t.IsPartitioned() {
-			idxRegion = ""
-		}
-		var tuple []Datum
-		for _, cid := range idx.Cols {
-			tuple = append(tuple, vals[cid])
-		}
-		key := EncodeIndexKey(t, idx, idxRegion, tuple)
-		if !idx.Unique {
-			key = append(key, EncodeTupleSuffix(pkTuple)...)
-		}
-		kvs = append(kvs, mvcc.KeyValue{Key: key, Value: nil})
+	kvs := make([]mvcc.KeyValue, len(t.Indexes))
+	for i, idx := range t.Indexes {
+		kvs[i] = indexEntry(t, idx, region, vals, false)
 	}
 	return kvs
 }
@@ -689,57 +588,23 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 	return res, nil
 }
 
+// updateIndexEntries rewrites a row in place within its partition: every
+// entry whose key changed is tombstoned and laid down anew, and entries
+// that hold row columns are rewritten.
 func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) error {
 	var kvs []mvcc.KeyValue
-	primary := t.Primary()
-	var pkTuple []Datum
-	for _, cid := range primary.Cols {
-		pkTuple = append(pkTuple, newVals[cid])
-	}
-	pkMap := map[ColumnID]Datum{}
-	for _, cid := range primary.Cols {
-		pkMap[cid] = newVals[cid]
-	}
-	pkVal := EncodeRow(pkMap)
 	for _, idx := range t.Indexes {
-		idxRegion := region
-		if idx.PinnedRegion != "" && !t.IsPartitioned() {
-			idxRegion = ""
-		}
 		keyChanged := false
 		for _, cid := range idx.Cols {
 			if changed[cid] {
 				keyChanged = true
 			}
 		}
-		newTuple := make([]Datum, 0, len(idx.Cols))
-		for _, cid := range idx.Cols {
-			newTuple = append(newTuple, newVals[cid])
-		}
-		newKey := EncodeIndexKey(t, idx, idxRegion, newTuple)
-		if !idx.Unique {
-			newKey = append(newKey, EncodeTupleSuffix(pkTuple)...)
-		}
 		if keyChanged {
-			oldTuple := make([]Datum, 0, len(idx.Cols))
-			for _, cid := range idx.Cols {
-				oldTuple = append(oldTuple, oldVals[cid])
-			}
-			oldKey := EncodeIndexKey(t, idx, idxRegion, oldTuple)
-			if !idx.Unique {
-				oldKey = append(oldKey, EncodeTupleSuffix(pkTuple)...)
-			}
-			kvs = append(kvs, mvcc.KeyValue{Key: oldKey, Value: nil})
+			kvs = append(kvs, indexEntry(t, idx, region, oldVals, false))
 		}
-		needsRewrite := keyChanged || idx.ID == t.Primary().ID || len(idx.Storing) > 0
-		if needsRewrite {
-			var val mvcc.Value
-			if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-				val = EncodeRow(newVals)
-			} else {
-				val = pkVal
-			}
-			kvs = append(kvs, mvcc.KeyValue{Key: newKey, Value: val})
+		if keyChanged || idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
+			kvs = append(kvs, indexEntry(t, idx, region, newVals, true))
 		}
 	}
 	return tx.PutParallel(p, kvs)
@@ -799,21 +664,8 @@ func (s *Session) backfillIndex(p *sim.Proc, t *Table, db *core.Database, idx *I
 				if err != nil {
 					return err
 				}
-				var tuple []Datum
-				for _, cid := range idx.Cols {
-					tuple = append(tuple, vals[cid])
-				}
-				key := EncodeIndexKey(t, idx, region, tuple)
-				var pkTuple []Datum
-				pkMap := map[ColumnID]Datum{}
-				for _, cid := range t.Primary().Cols {
-					pkTuple = append(pkTuple, vals[cid])
-					pkMap[cid] = vals[cid]
-				}
-				if !idx.Unique {
-					key = append(key, EncodeTupleSuffix(pkTuple)...)
-				}
-				if err := tx.Put(p, key, EncodeRow(pkMap)); err != nil {
+				e := indexEntry(t, idx, region, vals, true)
+				if err := tx.Put(p, e.Key, e.Value); err != nil {
 					return err
 				}
 			}

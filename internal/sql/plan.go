@@ -16,7 +16,9 @@ import (
 // constraints, determines the candidate partitions, and — when the row
 // count is bounded by a unique index — applies Locality Optimized Search
 // (paper §4.2): probe the gateway's local partition first and fan out to
-// remote partitions only on a miss.
+// remote partitions only on a miss. It has two halves: deriveRead makes
+// those decisions as a shape (cachedRead) and bindRead binds the shape to
+// one execution's values; the plan cache memoizes the first half.
 
 // tableRow is a fetched row plus the partition it lives in.
 type tableRow struct {
@@ -52,17 +54,16 @@ type readPlan struct {
 	los bool
 	// limit bounds scan row counts (0 = unlimited).
 	limit int
-	// filterRedundant (cached plans only) marks the per-row WHERE filter as
-	// a provable no-op: every conjunct is already enforced by the lookup
-	// tuples and its values are pure, so skipping the pass changes neither
-	// results nor RNG draws.
+	// filterRedundant marks the per-row WHERE filter as a provable no-op:
+	// every conjunct is already enforced by the lookup tuples and its values
+	// are pure, so skipping the pass changes neither results nor RNG draws.
 	filterRedundant bool
 }
 
 // constraints extracts per-column candidate values from a WHERE clause.
 // The returned map and its value slices are session scratch: valid only
 // until the next constraints call on this session, and never retained by
-// planRead or bindRead.
+// deriveRead or bindRead.
 func (s *Session) constraints(w *Where, ctx *evalCtx) (map[string][]Datum, error) {
 	if s.consScratch == nil {
 		s.consScratch = map[string][]Datum{}
@@ -103,29 +104,46 @@ func (s *Session) constraints(w *Where, ctx *evalCtx) (map[string][]Datum, error
 	return out, nil
 }
 
-// computedRegionFromConstraints evaluates a computed region column when all
-// the columns it depends on are single-value constrained.
-func (s *Session) computedRegionFromConstraints(t *Table, cons map[string][]Datum) (simnet.Region, bool) {
+// computedRegionDeps returns the computed region column and the columns
+// its expression reads, or nil when the region column is not computed.
+func computedRegionDeps(t *Table) (*Column, []string) {
 	col, ok := t.ColumnByID(t.RegionColumn)
 	if !ok || col.Computed == nil {
-		return "", false
+		return nil, nil
 	}
 	if col.computedDepsOf != col.Computed {
 		col.computedDeps = exprColumnDeps(col.Computed)
 		col.computedDepsOf = col.Computed
 	}
-	deps := col.computedDeps
+	return col, col.computedDeps
+}
+
+// computedRegionDetermined reports whether the constraint sets pin every
+// column a computed region column reads to a single value.
+func computedRegionDetermined(t *Table, cons map[string][]Datum) bool {
+	col, deps := computedRegionDeps(t)
+	if col == nil {
+		return false
+	}
+	for _, d := range deps {
+		if len(cons[d]) != 1 {
+			return false
+		}
+	}
+	return true
+}
+
+// computedRegionFromConstraints evaluates a computed region column whose
+// dependencies computedRegionDetermined found single-value constrained.
+func (s *Session) computedRegionFromConstraints(t *Table, cons map[string][]Datum) (simnet.Region, bool) {
+	col, deps := computedRegionDeps(t)
 	if s.crRow == nil {
 		s.crRow = map[string]Datum{}
 	}
 	clear(s.crRow)
 	row := s.crRow
 	for _, d := range deps {
-		vals, ok := cons[d]
-		if !ok || len(vals) != 1 {
-			return "", false
-		}
-		row[d] = vals[0]
+		row[d] = cons[d][0]
 	}
 	s.crCtx = evalCtx{session: s, row: row}
 	v, err := s.evalExpr(col.Computed, &s.crCtx)
@@ -168,114 +186,99 @@ func exprColumnDeps(e Expr) []string {
 	return out
 }
 
-// planRead builds a read plan for a WHERE clause.
+// planRead plans a read without the plan cache: this execution's
+// constraint sets decide the shape, and their values are bound to it.
 func (s *Session) planRead(t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
 	cons, err := s.constraints(w, nil)
 	if err != nil {
 		return nil, err
 	}
-	plan := &readPlan{t: t, limit: limit}
+	return s.bindRead(s.deriveRead(t, db, w, cons, limit), t, cons, limit)
+}
 
-	// Partition determination for REGIONAL BY ROW.
-	if t.IsPartitioned() {
-		regionCol, _ := t.ColumnByID(t.RegionColumn)
-		if vals, ok := cons[regionCol.Name]; ok && len(vals) > 0 {
-			for _, v := range vals {
-				if r, ok := v.(string); ok {
-					plan.regions = append(plan.regions, simnet.Region(r))
-				}
-			}
-			plan.regionPinned = true
-		} else if r, ok := s.computedRegionFromConstraints(t, cons); ok {
-			// Computed partitioning (§2.3.2): the region is derivable
-			// from the WHERE clause, so the query stays in one region.
-			plan.regions = []simnet.Region{r}
-			plan.regionPinned = true
-		} else {
-			// Candidate partitions: gateway-local region first (LOS).
-			local := s.Region()
-			if db.HasRegion(local) {
-				plan.regions = append(plan.regions, local)
-			}
-			for _, r := range db.Regions() {
-				if r != local {
-					plan.regions = append(plan.regions, r)
-				}
+// deriveRead makes every shape decision of a read from the table, the
+// database, the gateway and the constraint sets. It looks only at how many
+// candidate values each column has, never at the values, which is why the
+// plan cache can key a shape by the WHERE clause's arities.
+func (s *Session) deriveRead(t *Table, db *core.Database, w *Where, cons map[string][]Datum, limit int) *cachedRead {
+	cr := &cachedRead{}
+	switch {
+	case !t.IsPartitioned():
+		cr.mode = modeUnpartitioned
+	case len(cons[regionColumnName(t)]) > 0:
+		cr.mode = modeRegionCol
+	default:
+		// Computed partitioning (§2.3.2): a region derivable from the WHERE
+		// clause keeps the query in one region. Otherwise, and when that
+		// region does not evaluate, search the gateway's partition first.
+		cr.mode = modeSearch
+		if computedRegionDetermined(t, cons) {
+			cr.mode = modeComputed
+		}
+		local := s.Region()
+		if db.HasRegion(local) {
+			cr.regions = append(cr.regions, local)
+		}
+		for _, r := range db.Regions() {
+			if r != local {
+				cr.regions = append(cr.regions, r)
 			}
 		}
-	} else {
-		plan.regions = []simnet.Region{""}
-		plan.regionPinned = true
 	}
-
-	// Index selection: an index is usable if every indexed column has
-	// candidate values. Prefer the primary index, then unique indexes.
-	pickIndex := func() *Index {
-		var candidates []*Index
+	cr.index = pickIndex(t, s.Region(), cons)
+	if cr.index == nil {
+		// Full scan of the primary index, or of the gateway's covering
+		// duplicate index.
+		cr.scan = true
+		cr.index = t.Primary()
 		if t.DuplicateIndexes {
-			// Duplicate-indexes baseline: read the copy pinned to the
-			// gateway's region (§7.3.1).
-			local := s.Region()
-			for _, idx := range t.Indexes {
-				if idx.PinnedRegion == local {
-					candidates = append(candidates, idx)
+			for _, di := range t.Indexes {
+				if di.PinnedRegion == s.Region() && len(di.Storing) > 0 {
+					cr.index = di
 				}
 			}
 		}
-		candidates = append(candidates, t.Indexes...)
-		for _, idx := range candidates {
-			usable := true
-			for _, cid := range idx.Cols {
-				col, _ := t.ColumnByID(cid)
-				if vals, ok := cons[col.Name]; !ok || len(vals) == 0 {
-					usable = false
-					break
-				}
+		return cr
+	}
+	for _, cid := range cr.index.Cols {
+		col, _ := t.ColumnByID(cid)
+		cr.colNames = append(cr.colNames, col.Name)
+	}
+	// LOS applies when the row count is bounded (unique index or LIMIT,
+	// §4.2) and the feature is enabled; bindRead drops it when the
+	// partition set turns out pinned.
+	cr.los = s.LocalityOptimizedSearch && (cr.index.Unique || limit > 0)
+	cr.filterRedundant = filterCoveredByLookup(t, cr.index, w)
+	return cr
+}
+
+// pickIndex returns the first index whose every column has candidate
+// values: on a duplicate-indexes table the copies pinned to the gateway's
+// region (§7.3.1), then every index in declaration order, the primary
+// first. Nil means no index is usable.
+func pickIndex(t *Table, local simnet.Region, cons map[string][]Datum) *Index {
+	usable := func(idx *Index) bool {
+		for _, cid := range idx.Cols {
+			col, _ := t.ColumnByID(cid)
+			if len(cons[col.Name]) == 0 {
+				return false
 			}
-			if usable {
+		}
+		return true
+	}
+	if t.DuplicateIndexes {
+		for _, idx := range t.Indexes {
+			if idx.PinnedRegion == local && usable(idx) {
 				return idx
 			}
 		}
-		return nil
 	}
-	idx := pickIndex()
-	if idx == nil {
-		// Full scan of the primary index.
-		plan.index = t.Primary()
-		if t.DuplicateIndexes {
-			local := s.Region()
-			for _, di := range t.Indexes {
-				if di.PinnedRegion == local && len(di.Storing) > 0 {
-					plan.index = di
-				}
-			}
-		}
-		return plan, nil
-	}
-	plan.index = idx
-
-	// Build lookup tuples: cartesian product of candidate values.
-	tuples := [][]Datum{nil}
-	for _, cid := range idx.Cols {
-		col, _ := t.ColumnByID(cid)
-		vals := cons[col.Name]
-		var next [][]Datum
-		for _, tu := range tuples {
-			for _, v := range vals {
-				nt := append(append([]Datum(nil), tu...), v)
-				next = append(next, nt)
-			}
-		}
-		tuples = next
-		if len(tuples) > 1024 {
-			return nil, fmt.Errorf("sql: IN list product too large")
+	for _, idx := range t.Indexes {
+		if usable(idx) {
+			return idx
 		}
 	}
-	plan.lookups = tuples
-	// LOS applies when the row count is bounded (unique index or LIMIT,
-	// §4.2) and the feature is enabled.
-	plan.los = s.LocalityOptimizedSearch && !plan.regionPinned && (idx.Unique || limit > 0)
-	return plan, nil
+	return nil
 }
 
 // rowFetcher abstracts fresh (transactional) vs stale reads.

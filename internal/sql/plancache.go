@@ -8,17 +8,19 @@ import (
 	"mrdb/internal/simnet"
 )
 
-// Plan cache: the statement-execution fast path. Planning a statement
-// twice with the same fingerprint, catalog version, gateway region and
-// WHERE-clause arities makes every *shape* decision — index choice,
-// partition-resolution mode, search order, locality-optimized-search
-// eligibility — identically, so those decisions are computed once and
-// reused. Everything value-dependent (constraint values, lookup tuples,
-// computed regions) is still evaluated per execution, in exactly the order
-// the from-scratch planner evaluates it, which keeps RNG and clock draws —
-// and therefore span trees and statement statistics — byte-identical with
-// the cache on or off (package tests switch it off through
-// Catalog.noPlanCache to compare against the from-scratch planner).
+// Plan cache: memoized statement shapes. Every statement is planned as a
+// shape bound to values: a read's shape (cachedRead) is every decision
+// deriveRead makes — index choice, partition-resolution mode, search
+// order, locality-optimized-search eligibility, the filter no-op — and an
+// INSERT's (cachedInsert) is its resolved columns and default/computed
+// schedule. A shape is a pure function of the fingerprint, catalog
+// version, gateway region and WHERE-clause arities, so the cache derives
+// it once per key and loads it afterwards. Values (constraint values,
+// lookup tuples, computed regions, row values) are evaluated once per
+// execution on every arm — hit, miss, or cache off — by the same code,
+// which keeps RNG and clock draws, and therefore span trees and statement
+// statistics, byte-identical with the cache on or off (package tests
+// switch memoization off through Catalog.noPlanCache).
 
 // planCache outcome labels rendered by EXPLAIN ANALYZE.
 const (
@@ -38,15 +40,16 @@ const (
 	// come from its per-execution values (pinned).
 	modeRegionCol
 	// modeComputed: the region column is computed and all its dependencies
-	// are single-value constrained; evaluate it per execution (pinned).
+	// are single-value constrained; evaluate it per execution (pinned), or
+	// search when it does not evaluate to a region.
 	modeComputed
 	// modeSearch: gateway-local partition first, then the rest (§4.2).
 	modeSearch
 )
 
-// cachedRead is the shape half of a read plan: every decision that is a
-// pure function of the cache key. Binding it to per-execution constraint
-// values reproduces planRead's output exactly.
+// cachedRead is the shape half of a read plan (deriveRead's output): every
+// decision that is a pure function of the cache key. bindRead binds it to
+// one execution's constraint values.
 type cachedRead struct {
 	index *Index
 	// colNames are index.Cols resolved to names, for constraint lookup
@@ -55,11 +58,12 @@ type cachedRead struct {
 	// scan means no usable index: full scan of index, no lookup tuples.
 	scan bool
 	mode regionMode
-	// regions is the memoized gateway-first search order (modeSearch only);
-	// shared read-only across executions.
+	// regions is the memoized gateway-first search order (modeSearch and
+	// modeComputed); shared read-only across executions.
 	regions []simnet.Region
-	// los is the locality-optimized-search decision (§4.2); the LOS session
-	// setting is part of the cache key, so the bit is fully determined.
+	// los is the locality-optimized-search decision (§4.2) for a plan whose
+	// partitions are searched; the LOS session setting is part of the cache
+	// key, so the bit is fully determined.
 	los bool
 	// filterRedundant means every WHERE conjunct is enforced by the lookup
 	// tuples themselves (literal/placeholder values on indexed columns), so
@@ -67,7 +71,8 @@ type cachedRead struct {
 	filterRedundant bool
 }
 
-// cachedInsert is the shape half of an INSERT: resolved target columns,
+// cachedInsert is the shape half of an INSERT, built by buildCachedInsert
+// and bound per row by insertRowValues: resolved target columns,
 // the default/computed column schedule, and the uuid-default set that
 // drives uniqueness-check elision (§4.1).
 type cachedInsert struct {
@@ -265,58 +270,38 @@ func filterCoveredByLookup(t *Table, idx *Index, w *Where) bool {
 // unpartitionedRegions is the shared single-"" partition list.
 var unpartitionedRegions = []simnet.Region{""}
 
-// planReadCached is planRead behind the plan cache: a hit binds the cached
-// shape to this execution's constraint values; a miss plans from scratch
-// and installs the shape. With the cache off (tests' reference arm) or an
-// uncacheable WHERE clause it falls through to planRead unchanged.
+// planReadCached plans a read through the plan cache: a hit loads the
+// shape, a miss derives and stores it, and with the cache off (the tests'
+// memoization-off arm) or an uncacheable WHERE clause it is derived and
+// not stored. Every arm evaluates the constraint values once and binds
+// them to the shape.
 func (s *Session) planReadCached(stmt Statement, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
-	if s.Catalog.noPlanCache {
+	var key []byte
+	var cr *cachedRead
+	switch {
+	case s.Catalog.noPlanCache:
 		s.lastPlanCache = planCacheOff
-		return s.planRead(t, db, w, limit)
-	}
-	if !cacheableWhere(w) {
+	case !cacheableWhere(w):
 		s.lastPlanCache = planCacheMiss
-		return s.planRead(t, db, w, limit)
+	default:
+		key = s.readPlanKey(s.stmtFingerprint(stmt), w)
+		cr = s.Catalog.plans.getRead(s.Catalog.version, key)
+		s.lastPlanCache = planCacheMiss
+		if cr != nil {
+			s.lastPlanCache = planCacheHit
+		}
 	}
-	fp := s.stmtFingerprint(stmt)
-	key := s.readPlanKey(fp, w)
-	if cr := s.Catalog.plans.getRead(s.Catalog.version, key); cr != nil {
-		s.lastPlanCache = planCacheHit
-		return s.bindRead(cr, t, db, w, limit)
-	}
-	s.lastPlanCache = planCacheMiss
-	plan, err := s.planRead(t, db, w, limit)
+	cons, err := s.constraints(w, nil)
 	if err != nil {
 		return nil, err
 	}
-	cr := buildCachedRead(t, plan, w)
-	s.Catalog.plans.putRead(s.Catalog.version, string(key), cr)
-	plan.filterRedundant = cr.filterRedundant
-	return plan, nil
-}
-
-// buildCachedRead extracts the shape half of a freshly planned read.
-func buildCachedRead(t *Table, plan *readPlan, w *Where) *cachedRead {
-	cr := &cachedRead{index: plan.index, scan: plan.lookups == nil, los: plan.los}
-	switch {
-	case !t.IsPartitioned():
-		cr.mode = modeUnpartitioned
-	case whereConstrains(w, regionColumnName(t)):
-		cr.mode = modeRegionCol
-	case plan.regionPinned:
-		cr.mode = modeComputed
-	default:
-		cr.mode = modeSearch
-		cr.regions = plan.regions
-	}
-	if !cr.scan {
-		for _, cid := range plan.index.Cols {
-			col, _ := t.ColumnByID(cid)
-			cr.colNames = append(cr.colNames, col.Name)
+	if cr == nil {
+		cr = s.deriveRead(t, db, w, cons, limit)
+		if key != nil {
+			s.Catalog.plans.putRead(s.Catalog.version, string(key), cr)
 		}
-		cr.filterRedundant = filterCoveredByLookup(t, plan.index, w)
 	}
-	return cr
+	return s.bindRead(cr, t, cons, limit)
 }
 
 func regionColumnName(t *Table) string {
@@ -327,28 +312,11 @@ func regionColumnName(t *Table) string {
 	return col.Name
 }
 
-func whereConstrains(w *Where, col string) bool {
-	if w == nil || col == "" {
-		return false
-	}
-	for _, c := range w.Conds {
-		if c.Col == col {
-			return true
-		}
-	}
-	return false
-}
-
-// bindRead reproduces planRead's output from a cached shape plus this
-// execution's constraint values. Constraints are still evaluated exactly as
-// the from-scratch planner evaluates them (same expressions, same order),
-// so any RNG or clock draws match the cache-off execution; only the shape
-// recomputation and its allocations are skipped.
-func (s *Session) bindRead(cr *cachedRead, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
-	cons, err := s.constraints(w, nil)
-	if err != nil {
-		return nil, err
-	}
+// bindRead binds a read shape to one execution's constraint sets (from
+// constraints, evaluated once by the caller): partitions, lookup tuples
+// and the final LOS bit. The plan is session scratch, valid until the
+// session plans again.
+func (s *Session) bindRead(cr *cachedRead, t *Table, cons map[string][]Datum, limit int) (*readPlan, error) {
 	plan := &s.planScratch
 	*plan = readPlan{t: t, index: cr.index, limit: limit, filterRedundant: cr.filterRedundant}
 	switch cr.mode {
@@ -366,36 +334,29 @@ func (s *Session) bindRead(cr *cachedRead, t *Table, db *core.Database, w *Where
 		plan.regions = regions
 		plan.regionPinned = true
 	case modeComputed:
-		r, ok := s.computedRegionFromConstraints(t, cons)
-		if !ok {
-			// Shape drift the key did not capture; replan defensively.
-			return s.planRead(t, db, w, limit)
+		if r, ok := s.computedRegionFromConstraints(t, cons); ok {
+			regions := append(s.regionScratch[:0], r)
+			s.regionScratch = regions
+			plan.regions = regions
+			plan.regionPinned = true
+		} else {
+			plan.regions = cr.regions
 		}
-		regions := append(s.regionScratch[:0], r)
-		s.regionScratch = regions
-		plan.regions = regions
-		plan.regionPinned = true
 	case modeSearch:
 		plan.regions = cr.regions
 	}
 	if cr.scan {
 		return plan, nil
 	}
-	plan.los = cr.los
-	// Lookup tuples: cartesian product of the per-column candidate values,
-	// exactly as planRead builds them. The single-tuple case — every indexed
-	// column equality-constrained to one value, the OLTP hot path — reuses
-	// session scratch; that is safe only when no first-hit probes can
-	// outlive the statement, i.e. when LOS fan-out is off for this plan.
+	plan.los = cr.los && !plan.regionPinned
+	// Lookup tuples: cartesian product of the per-column candidate values.
+	// The single-tuple case — every indexed column equality-constrained to
+	// one value, the OLTP hot path — reuses session scratch; that is safe
+	// only when no first-hit probes can outlive the statement, i.e. when LOS
+	// fan-out is off for this plan.
 	single := true
 	for _, name := range cr.colNames {
-		n := len(cons[name])
-		if n == 0 {
-			// Arity is in the key, so this implies the catalog changed
-			// shape under us; replan defensively.
-			return s.planRead(t, db, w, limit)
-		}
-		if n != 1 {
+		if len(cons[name]) != 1 {
 			single = false
 		}
 	}
@@ -433,32 +394,30 @@ func (s *Session) bindRead(cr *cachedRead, t *Table, db *core.Database, w *Where
 
 // --- insert path ---
 
-// insertPlan looks up or installs the cached shape of an INSERT. A nil
-// return (cache off, uncacheable shape) sends the caller down the
-// from-scratch path.
-func (s *Session) insertPlan(st *Insert, t *Table) *cachedInsert {
+// insertPlan loads the shape of an INSERT, or builds it: stored on a miss,
+// not stored with the cache off.
+func (s *Session) insertPlan(st *Insert, t *Table) (*cachedInsert, error) {
 	if s.Catalog.noPlanCache {
 		s.lastPlanCache = planCacheOff
-		return nil
+		return buildCachedInsert(st, t)
 	}
-	fp := s.stmtFingerprint(st)
-	key := s.insertPlanKey(fp)
+	key := s.insertPlanKey(s.stmtFingerprint(st))
 	if ci := s.Catalog.plans.getInsert(s.Catalog.version, key); ci != nil {
 		s.lastPlanCache = planCacheHit
-		return ci
+		return ci, nil
 	}
 	s.lastPlanCache = planCacheMiss
-	ci := buildCachedInsert(st, t)
-	if ci != nil {
-		s.Catalog.plans.putInsert(s.Catalog.version, string(key), ci)
+	ci, err := buildCachedInsert(st, t)
+	if err != nil {
+		return nil, err
 	}
-	return ci
+	s.Catalog.plans.putInsert(s.Catalog.version, string(key), ci)
+	return ci, nil
 }
 
 // buildCachedInsert resolves an INSERT's target columns and precomputes the
-// default/computed evaluation schedule. Returns nil for shapes the slow
-// path must reject (unknown columns), so the error surfaces there.
-func buildCachedInsert(st *Insert, t *Table) *cachedInsert {
+// default/computed evaluation schedule.
+func buildCachedInsert(st *Insert, t *Table) (*cachedInsert, error) {
 	cols := st.Columns
 	if cols == nil {
 		for _, c := range t.VisibleColumns() {
@@ -470,7 +429,7 @@ func buildCachedInsert(st *Insert, t *Table) *cachedInsert {
 	for _, name := range cols {
 		c, ok := t.Column(name)
 		if !ok {
-			return nil
+			return nil, fmt.Errorf("sql: unknown column %q", name)
 		}
 		ci.cols = append(ci.cols, c.ID)
 		provided[c.ID] = true
@@ -491,17 +450,18 @@ func buildCachedInsert(st *Insert, t *Table) *cachedInsert {
 			ci.computed = append(ci.computed, c)
 		}
 	}
-	return ci
+	return ci, nil
 }
 
-// buildRowValuesCached is buildRowValues over a cached insert shape: same
-// expressions evaluated in the same order (value parity and RNG parity with
-// the slow path), but with the column resolution, provided/fromDefault
-// bookkeeping maps and the per-default name→value map rebuilds all hoisted
-// into the cached shape. One name→value map is built per row and updated
-// incrementally, which is observationally identical to rebuilding it before
-// every default and computed evaluation.
-func (s *Session) buildRowValuesCached(ci *cachedInsert, t *Table, db *core.Database, exprs []Expr) (map[ColumnID]Datum, error) {
+// insertRowValues evaluates one VALUES row over an insert shape: provided
+// expressions in column order, then defaults, then computed columns over
+// the full row, then NOT NULL and region writability (a READ ONLY region
+// mid DROP REGION, §2.4.1, rejects writes). One name→value map is built
+// per row and updated as defaults and computed columns fill in.
+func (s *Session) insertRowValues(ci *cachedInsert, t *Table, db *core.Database, exprs []Expr) (map[ColumnID]Datum, error) {
+	if len(exprs) != len(ci.cols) {
+		return nil, fmt.Errorf("sql: %d values for %d columns", len(exprs), len(ci.cols))
+	}
 	vals := make(map[ColumnID]Datum, len(t.Columns))
 	for i, cid := range ci.cols {
 		v, err := s.evalExpr(exprs[i], nil)
