@@ -417,7 +417,7 @@ func (h *harness) run(p *sim.Proc) error {
 		for i := 0; i < opts.Accounts; i++ {
 			kvs = append(kvs, mvcc.KeyValue{Key: acctKey(i), Value: mvcc.Value(fmt.Sprintf("%d", opts.InitialBalance))})
 		}
-		return tx.PutParallel(p, kvs)
+		return tx.PutParallel(p, kvs, nil)
 	}); err != nil {
 		return fmt.Errorf("chaos: bank seed: %w", err)
 	}

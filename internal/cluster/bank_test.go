@@ -64,7 +64,7 @@ func TestBankInvariant(t *testing.T) {
 			for i := 0; i < accounts; i++ {
 				kvs = append(kvs, mvcc.KeyValue{Key: key(i), Value: mvcc.Value(fmt.Sprintf("%d", initial))})
 			}
-			return tx.PutParallel(p, kvs)
+			return tx.PutParallel(p, kvs, nil)
 		}); err != nil {
 			setupErr = err
 			return
@@ -217,7 +217,7 @@ func TestBankSurvivesNodeCrash(t *testing.T) {
 			for i := 0; i < accounts; i++ {
 				kvs = append(kvs, mvcc.KeyValue{Key: key(i), Value: mvcc.Value(fmt.Sprintf("%d", initial))})
 			}
-			return tx.PutParallel(p, kvs)
+			return tx.PutParallel(p, kvs, nil)
 		}); err != nil {
 			t.Error(err)
 			return

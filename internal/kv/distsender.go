@@ -373,7 +373,8 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		resps := raw.(BatchResponse).Resps
 		// A retriable error on any response retries the whole sub-batch
 		// (requests are idempotent at the MVCC layer: re-evaluating a
-		// write lays down the same intent).
+		// write lays down the same intent, and a MustNotExist write is
+		// satisfied by the intent its first attempt laid).
 		retriable := false
 		for _, resp := range resps {
 			if resp.Err == nil {

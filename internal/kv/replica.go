@@ -418,7 +418,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 			ts = target.Next()
 			obs.ProcSpan(p).SetTag("closedts_push", "true")
 		}
-		newTs, err := r.checkPut(req.Key, ts, txnMeta)
+		newTs, err := r.checkPut(req.Key, ts, txnMeta, req.MustNotExist)
 		if err != nil {
 			var wie *mvcc.WriteIntentError
 			if errors.As(err, &wie) {
@@ -432,6 +432,15 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 					return Response{Err: werr}
 				}
 				continue
+			}
+			var cf *ConditionFailedError
+			if errors.As(err, &cf) && req.Commit1PC && txnMeta != nil {
+				// A re-sent one-phase commit whose first attempt applied
+				// finds its own committed value: that is this write, not a
+				// duplicate.
+				if st, cts := r.store.Registry.Status(txnMeta.ID); st == mvcc.Committed && cts == cf.Existing {
+					return Response{Put: &PutResponse{WriteTimestamp: cts, Committed: true}}
+				}
 			}
 			return Response{Err: err}
 		}
@@ -534,19 +543,28 @@ func (r *Replica) evalQueryIntent(p *sim.Proc, req *QueryIntentRequest) Response
 	return Response{QueryIntent: &QueryIntentResponse{Found: found}}
 }
 
-// checkPut validates a write without mutating: it surfaces intent conflicts
-// and bumps the timestamp above newer committed versions (write-too-old).
-func (r *Replica) checkPut(key mvcc.Key, ts hlc.Timestamp, txn *mvcc.TxnMeta) (hlc.Timestamp, error) {
+// checkPut validates a write without mutating: it surfaces intent conflicts,
+// fails a mustNotExist write whose key holds a live value, and bumps the
+// timestamp above newer committed versions (write-too-old).
+func (r *Replica) checkPut(key mvcc.Key, ts hlc.Timestamp, txn *mvcc.TxnMeta, mustNotExist bool) (hlc.Timestamp, error) {
+	ownIntent := false
 	if meta, ok := r.engine.GetIntent(key); ok {
 		if txn == nil || meta.ID != txn.ID {
 			return hlc.Timestamp{}, &mvcc.WriteIntentError{Key: key, Txn: meta}
 		}
+		ownIntent = meta.Epoch == txn.Epoch
 	}
 	// Probe for write-too-old by a non-mutating read of the newest
 	// version: read at MaxTimestamp with our own txn visibility.
-	_, newest, err := r.engine.Get(key, hlc.MaxTimestamp, mvcc.GetOptions{Txn: txn})
+	val, newest, err := r.engine.Get(key, hlc.MaxTimestamp, mvcc.GetOptions{Txn: txn})
 	if err != nil {
 		return hlc.Timestamp{}, err
+	}
+	// The transaction's own intent satisfies the condition: it is either
+	// this very write laid by an earlier attempt of its sub-batch, or an
+	// earlier statement's write, which the coordinator has already checked.
+	if mustNotExist && !ownIntent && val != nil {
+		return hlc.Timestamp{}, &ConditionFailedError{Key: key, Existing: newest}
 	}
 	if !newest.IsEmpty() && ts.LessEq(newest) {
 		// Tolerable bump: the transaction's coordinator learns the new

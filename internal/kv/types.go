@@ -223,6 +223,14 @@ type PutRequest struct {
 	// pipelining / async consensus). The coordinator must prove the
 	// write with a QueryIntentRequest before committing.
 	Pipelined bool
+	// MustNotExist makes the write conditional (CockroachDB's conditional
+	// put, which an INSERT's uniqueness check on its own keys becomes,
+	// §4.1): it fails with ConditionFailedError if the key's newest version
+	// is a live value. The transaction's own intent satisfies the condition,
+	// so a sub-batch re-sent after a routing error succeeds on the intent its
+	// first attempt laid; the coordinator rejects an INSERT of a key the
+	// transaction itself wrote live before sending it.
+	MustNotExist bool
 
 	// Commit1PC asks the leaseholder to commit the transaction together
 	// with this write (one-phase commit): the value is written directly
@@ -399,6 +407,19 @@ type TxnAbortedError struct {
 
 func (e *TxnAbortedError) Error() string {
 	return fmt.Sprintf("txn %d aborted", e.TxnID)
+}
+
+// ConditionFailedError means a MustNotExist write found a live value on its
+// key: for an INSERT, a duplicate key. Nothing was written.
+type ConditionFailedError struct {
+	Key mvcc.Key
+	// Existing is the timestamp of the live value; zero when the value is
+	// the transaction's own earlier write, which its coordinator rejects.
+	Existing hlc.Timestamp
+}
+
+func (e *ConditionFailedError) Error() string {
+	return fmt.Sprintf("condition failed on %q: live value at %s", e.Key, e.Existing)
 }
 
 // RetryableTxnError means the transaction must restart at a new epoch with

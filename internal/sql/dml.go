@@ -1,9 +1,12 @@
 package sql
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 
 	"mrdb/internal/core"
+	"mrdb/internal/kv"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
@@ -192,11 +195,14 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 		res.RowsAffected = len(rows)
 		return res, nil
 	}
-	// Uniqueness checks (paper §4.1) for the whole statement at once:
-	// same-statement duplicates are caught against the pending write set
-	// (the keys earlier rows will lay down), and all remaining partition
-	// probes go out as one batched read — one KV RPC per touched range
-	// instead of one per row.
+	// Uniqueness checks (paper §4.1) for the whole statement at once. A
+	// unique index's probe of the row's own partition reads the very key the
+	// row writes, so it is not sent as a read: it becomes that write's
+	// condition (MustNotExist), and the leaseholder fails the write on a live
+	// value. Same-statement duplicates are caught against the pending write
+	// set (the keys earlier rows will lay down), and the probes of other
+	// partitions that §4.1 cannot elide go out first as one batched read —
+	// one KV RPC per touched range instead of one per row.
 	var probeKeys []mvcc.Key
 	type probeRef struct {
 		idx    *Index
@@ -216,10 +222,12 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, ci.fromDefault, s.UniquenessChecks) {
 				key := EncodeIndexKey(t, idx, pr, tuple)
 				if pending[string(key)] {
-					return nil, fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", idx.Name, pr)
+					return nil, duplicateKey(idx, pr)
 				}
-				probeKeys = append(probeKeys, key)
-				probeRefs = append(probeRefs, probeRef{idx: idx, region: pr})
+				if pr != r.region {
+					probeKeys = append(probeKeys, key)
+					probeRefs = append(probeRefs, probeRef{idx: idx, region: pr})
+				}
 			}
 		}
 		for _, key := range uniqueWriteKeys(t, r.region, r.vals) {
@@ -233,7 +241,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 		}
 		for i, v := range found {
 			if v != nil {
-				return nil, fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", probeRefs[i].idx.Name, probeRefs[i].region)
+				return nil, duplicateKey(probeRefs[i].idx, probeRefs[i].region)
 			}
 		}
 	}
@@ -241,15 +249,45 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	// by range and the statement pays the max, not the sum, of per-range
 	// round trips.
 	var kvs []mvcc.KeyValue
+	var mustNotExist []bool
 	for _, r := range rows {
 		kvs = append(kvs, rowKVs(t, r.region, r.vals)...)
+		for _, idx := range t.Indexes {
+			mustNotExist = append(mustNotExist, idx.Unique)
+		}
 	}
-	if err := tx.PutParallel(p, kvs); err != nil {
-		return nil, err
+	if err := tx.PutParallel(p, kvs, mustNotExist); err != nil {
+		return nil, uniqueViolation(t, db, err)
 	}
 	res := s.takeResult()
 	res.RowsAffected = len(rows)
 	return res, nil
+}
+
+// duplicateKey is the error of an INSERT that would duplicate a unique key.
+func duplicateKey(idx *Index, region simnet.Region) error {
+	return fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", idx.Name, region)
+}
+
+// uniqueViolation turns the failed condition of an INSERT's write into the
+// duplicate-key error of the unique index and partition the key belongs
+// to. Any other error passes through.
+func uniqueViolation(t *Table, db *core.Database, err error) error {
+	var cf *kv.ConditionFailedError
+	if !errors.As(err, &cf) {
+		return err
+	}
+	for _, idx := range t.Indexes {
+		if !idx.Unique {
+			continue
+		}
+		for _, region := range partitionsOf(t, db) {
+			if bytes.HasPrefix(cf.Key, IndexPrefix(t, idx.ID, region)) {
+				return duplicateKey(idx, region)
+			}
+		}
+	}
+	return err
 }
 
 // uniqueProbeRegions returns the partitions a unique-index check must probe
@@ -388,14 +426,14 @@ func (s *Session) uniquenessCheck(p *sim.Proc, tx *txn.Txn, t *Table, db *core.D
 				}
 			}
 		}
-		return fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", idx.Name, checkRegions[i])
+		return duplicateKey(idx, checkRegions[i])
 	}
 	return nil
 }
 
 // writeRow writes the primary row and every index entry as one batch.
 func (s *Session) writeRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, vals map[ColumnID]Datum) error {
-	return tx.PutParallel(p, rowKVs(t, region, vals))
+	return tx.PutParallel(p, rowKVs(t, region, vals), nil)
 }
 
 // indexEntry is the one place a row becomes an entry of one index: every
@@ -450,7 +488,7 @@ func rowKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyV
 
 // deleteRow removes the primary row and index entries.
 func (s *Session) deleteRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, vals map[ColumnID]Datum) error {
-	return tx.PutParallel(p, deleteKVs(t, region, vals))
+	return tx.PutParallel(p, deleteKVs(t, region, vals), nil)
 }
 
 // deleteKVs builds the tombstone writes removing one row.
@@ -607,7 +645,7 @@ func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, region 
 			kvs = append(kvs, indexEntry(t, idx, region, newVals, true))
 		}
 	}
-	return tx.PutParallel(p, kvs)
+	return tx.PutParallel(p, kvs, nil)
 }
 
 // --- DELETE ---
@@ -637,7 +675,7 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, err
 	for _, row := range rows {
 		kvs = append(kvs, deleteKVs(t, row.region, row.vals)...)
 	}
-	if err := tx.PutParallel(p, kvs); err != nil {
+	if err := tx.PutParallel(p, kvs, nil); err != nil {
 		return nil, err
 	}
 	n := len(rows)

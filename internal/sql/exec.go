@@ -278,6 +278,13 @@ func (s *Session) execDML(p *sim.Proc, stmt Statement) (*Result, error) {
 		res, err = s.execDMLInTxn(p, tx, stmt)
 		return err
 	})
+	if ins, ok := stmt.(*Insert); ok && err != nil {
+		// A buffered one-row INSERT meets its uniqueness condition at
+		// commit, outside execInsert.
+		if t, db, terr := s.table(ins.Table); terr == nil {
+			err = uniqueViolation(t, db, err)
+		}
+	}
 	return res, err
 }
 

@@ -286,7 +286,7 @@ func TestExplainAnalyzeBatchedMultiRangeInsert(t *testing.T) {
 	h := newSQLHarness(507)
 	h.run(t, func(p *sim.Proc) {
 		s := h.setupMovrSurvivable(t, p)
-		s.UniquenessChecks = false // local PK probes remain; no remote fan-out
+		s.UniquenessChecks = false // local checks remain, as write conditions; no remote fan-out
 		res, err := s.Exec(p, `EXPLAIN ANALYZE INSERT INTO users (id, email, name, crdb_region) VALUES
 			(1, '1@x', 'a', 'us-east1'), (2, '2@x', 'b', 'europe-west2'), (3, '3@x', 'c', 'asia-northeast1'),
 			(4, '4@x', 'd', 'us-east1'), (5, '5@x', 'e', 'europe-west2'), (6, '6@x', 'f', 'asia-northeast1'),
@@ -305,21 +305,23 @@ func TestExplainAnalyzeBatchedMultiRangeInsert(t *testing.T) {
 			}
 			return v
 		}
-		// Per-row work is still all there: >= 60 requests (20 uniqueness
-		// probes, 20 index-entry writes, 20 intent proofs, plus commit) ...
-		if reqs := num("kv requests"); reqs < 60 {
-			t.Errorf("kv requests = %d, want >= 60 (per-row work carried in batches)", reqs)
+		// Per-row work is still all there: 20 index-entry writes, 20 intent
+		// proofs and the commit. The uniqueness probes of each row's own
+		// partition ride the writes as their conditions, so there is no probe
+		// phase ...
+		if reqs := num("kv requests"); reqs != 41 {
+			t.Errorf("kv requests = %d, want 41 (20 writes + 20 proofs + 1 commit)", reqs)
 		}
-		// ... but it rides in at most phases x touched-ranges batches: the
-		// statement touches 6 ranges (3 row partitions + 3 email-index
-		// ranges), so probes, writes, and intent proofs cost 6 RPCs each
-		// plus 1 commit = 19. Before batching, every request was its own
-		// RPC (>= 60).
-		if batches := num("kv batches"); batches > 19 {
-			t.Errorf("kv batches = %d, want <= 19 (bounded by touched ranges)", batches)
+		// ... and it rides in phases x touched-ranges batches: the statement
+		// touches 6 ranges (3 row partitions + 3 email-index ranges), so the
+		// writes and the intent proofs cost 6 RPCs each, plus 1 commit = 13.
+		// Before batching, every request was its own RPC; before the probes
+		// became conditions, a third phase of 6 probe RPCs came first.
+		if batches := num("kv batches"); batches != 13 {
+			t.Errorf("kv batches = %d, want 13 (two phases x 6 ranges + commit)", batches)
 		}
-		if rpcs := num("kv rpcs"); rpcs > 22 {
-			t.Errorf("kv rpcs = %d, want <= 22 (bounded by touched ranges, not rows)", rpcs)
+		if rpcs := num("kv rpcs"); rpcs != 13 {
+			t.Errorf("kv rpcs = %d, want 13 (one per batch, bounded by touched ranges, not rows)", rpcs)
 		}
 		// A scan over the split table fans out across the partitions and
 		// merges every row back in key order.

@@ -8,6 +8,7 @@
 package txn
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 
@@ -68,16 +69,32 @@ type Txn struct {
 	// visible). The SQL layer sets it for auto-commit statements.
 	AllowOnePC bool
 
-	// writes are the keys written so far. Every one was pipelined (the
-	// leaseholder replied after proposing, before replication), so Commit
-	// proves each with a QueryIntent while the commit record stages.
-	writes []mvcc.Key
+	// writes are the keys written so far, in order. Every one was pipelined
+	// (the leaseholder replied after proposing, before replication), so
+	// Commit proves each with a QueryIntent while the commit record stages.
+	writes []write
 	reads  []readSpan
 	// buffered holds the candidate one-phase-commit write until commit
 	// or until any other operation forces a flush.
-	buffered     *mvcc.KeyValue
+	buffered *bufferedPut
+	// partial is the error of a PutParallel call that failed after some of
+	// its writes landed: the statement is half applied, so the transaction
+	// can no longer commit.
+	partial      error
 	finished     bool
 	committed1PC bool
+}
+
+// write is one key the transaction wrote.
+type write struct {
+	key  mvcc.Key
+	live bool // false for a tombstone
+}
+
+// bufferedPut is the one-phase-commit candidate with its condition.
+type bufferedPut struct {
+	mvcc.KeyValue
+	mustNotExist bool
 }
 
 type readSpan struct {
@@ -116,9 +133,9 @@ func (t *Txn) flushBuffered(p *sim.Proc) error {
 	if t.buffered == nil {
 		return nil
 	}
-	pair := *t.buffered
+	b := *t.buffered
 	t.buffered = nil
-	return t.putSend(p, pair.Key, pair.Value)
+	return t.putSend(p, b.Key, b.Value, b.mustNotExist)
 }
 
 // Get reads key at the transaction's read timestamp.
@@ -256,36 +273,53 @@ func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 func (t *Txn) Put(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 	if t.AllowOnePC && t.buffered == nil && len(t.writes) == 0 {
 		t.kv.Meta.Key = append(mvcc.Key(nil), key...)
-		t.buffered = &mvcc.KeyValue{Key: append(mvcc.Key(nil), key...), Value: value}
+		t.buffered = &bufferedPut{KeyValue: mvcc.KeyValue{Key: append(mvcc.Key(nil), key...), Value: value}}
 		return nil
 	}
 	if err := t.flushBuffered(p); err != nil {
 		return err
 	}
-	return t.putSend(p, key, value)
+	return t.putSend(p, key, value, false)
 }
 
 // putSend writes an intent through the leaseholder.
-func (t *Txn) putSend(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
+func (t *Txn) putSend(p *sim.Proc, key mvcc.Key, value mvcc.Value, mustNotExist bool) error {
 	if len(t.writes) == 0 {
 		// First write anchors the transaction record's range.
 		t.kv.Meta.Key = append(mvcc.Key(nil), key...)
 	}
 	req := &kv.PutRequest{
 		Key: key, Value: value,
-		Timestamp: t.kv.Meta.WriteTimestamp,
-		Txn:       t.kv,
-		Pipelined: true,
+		Timestamp:    t.kv.Meta.WriteTimestamp,
+		Txn:          t.kv,
+		Pipelined:    true,
+		MustNotExist: mustNotExist,
 	}
 	resp := t.co.Sender.Send(p, req)
 	if resp.Err != nil {
 		return resp.Err
 	}
-	if t.kv.Meta.WriteTimestamp.Less(resp.Put.WriteTimestamp) {
-		t.kv.Meta.WriteTimestamp = resp.Put.WriteTimestamp
-	}
-	t.writes = append(t.writes, append(mvcc.Key(nil), key...))
+	t.recordWrite(key, value, resp.Put.WriteTimestamp)
 	return nil
+}
+
+// recordWrite notes a write the leaseholder accepted at ts.
+func (t *Txn) recordWrite(key mvcc.Key, value mvcc.Value, ts hlc.Timestamp) {
+	if t.kv.Meta.WriteTimestamp.Less(ts) {
+		t.kv.Meta.WriteTimestamp = ts
+	}
+	t.writes = append(t.writes, write{key: append(mvcc.Key(nil), key...), live: value != nil})
+}
+
+// wroteLive reports whether the transaction's latest write of key left a
+// live value.
+func (t *Txn) wroteLive(key mvcc.Key) bool {
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if bytes.Equal(t.writes[i].key, key) {
+			return t.writes[i].live
+		}
+	}
+	return false
 }
 
 // Del deletes key (writes a tombstone intent).
@@ -294,36 +328,62 @@ func (t *Txn) Del(p *sim.Proc, key mvcc.Key) error { return t.Put(p, key, nil) }
 // PutParallel issues a set of writes concurrently and waits for all of
 // them; it models CockroachDB's batched/pipelined writes so that multi-key
 // statements pay the max, not the sum, of per-range latencies.
-func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue) error {
+//
+// mustNotExist, when non-nil, runs parallel to kvs and makes the marked
+// writes conditional (an INSERT's uniqueness check on the keys it writes):
+// such a write fails with *kv.ConditionFailedError if its key holds a live
+// value — one this transaction wrote included, which is rejected here
+// before anything is sent.
+//
+// Every write the leaseholders accepted is recorded, even when another one
+// failed, so that Abort resolves all the intents the call laid; the error
+// returned is the first failure in kvs order.
+func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
 	if len(kvs) == 0 {
 		return nil
 	}
 	if t.AllowOnePC && t.buffered == nil && len(t.writes) == 0 && len(kvs) == 1 {
 		t.kv.Meta.Key = append(mvcc.Key(nil), kvs[0].Key...)
-		t.buffered = &mvcc.KeyValue{Key: append(mvcc.Key(nil), kvs[0].Key...), Value: kvs[0].Value}
+		t.buffered = &bufferedPut{
+			KeyValue:     mvcc.KeyValue{Key: append(mvcc.Key(nil), kvs[0].Key...), Value: kvs[0].Value},
+			mustNotExist: mustNotExist != nil && mustNotExist[0],
+		}
 		return nil
 	}
 	if err := t.flushBuffered(p); err != nil {
 		return err
+	}
+	for i := range mustNotExist {
+		if mustNotExist[i] && t.wroteLive(kvs[i].Key) {
+			return &kv.ConditionFailedError{Key: kvs[i].Key}
+		}
 	}
 	if len(t.writes) == 0 {
 		t.kv.Meta.Key = append(mvcc.Key(nil), kvs[0].Key...)
 	}
 	reqs := make([]interface{}, len(kvs))
 	for i, pair := range kvs {
-		reqs[i] = &kv.PutRequest{Key: pair.Key, Value: pair.Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv, Pipelined: true}
+		reqs[i] = &kv.PutRequest{
+			Key: pair.Key, Value: pair.Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv, Pipelined: true,
+			MustNotExist: mustNotExist != nil && mustNotExist[i],
+		}
 	}
-	resps := t.co.Sender.SendBatch(p, reqs)
-	for i, resp := range resps {
+	var firstErr error
+	landed := false
+	for i, resp := range t.co.Sender.SendBatch(p, reqs) {
 		if resp.Err != nil {
-			return resp.Err
+			if firstErr == nil {
+				firstErr = resp.Err
+			}
+			continue
 		}
-		if t.kv.Meta.WriteTimestamp.Less(resp.Put.WriteTimestamp) {
-			t.kv.Meta.WriteTimestamp = resp.Put.WriteTimestamp
-		}
-		t.writes = append(t.writes, append(mvcc.Key(nil), kvs[i].Key...))
+		landed = true
+		t.recordWrite(kvs[i].Key, kvs[i].Value, resp.Put.WriteTimestamp)
 	}
-	return nil
+	if firstErr != nil && landed && t.partial == nil {
+		t.partial = firstErr
+	}
+	return firstErr
 }
 
 // GetParallel issues point reads concurrently, preserving input order in
@@ -381,6 +441,11 @@ func (t *Txn) Commit(p *sim.Proc) error {
 			return nil
 		}
 		return fmt.Errorf("txn: already finished")
+	}
+	if t.partial != nil {
+		err := fmt.Errorf("txn: cannot commit after a partly applied write: %w", t.partial)
+		t.Abort(p)
+		return err
 	}
 	if t.buffered != nil {
 		ok, err := t.commit1PC(p)
@@ -499,9 +564,9 @@ func (t *Txn) proveWrites(p *sim.Proc) error {
 	defer done()
 	sp.SetTagInt("writes", int64(len(t.writes)))
 	reqs := make([]interface{}, len(t.writes))
-	for i, key := range t.writes {
+	for i, w := range t.writes {
 		reqs[i] = &kv.QueryIntentRequest{
-			Key: key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch,
+			Key: w.key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch,
 		}
 	}
 	missing := false
@@ -523,18 +588,19 @@ func (t *Txn) proveWrites(p *sim.Proc) error {
 // the transaction's reads server-side. It returns false (and leaves the
 // buffer intact) when the server declines.
 func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
-	pair := *t.buffered
+	b := *t.buffered
 	var spans [][2]mvcc.Key
 	for _, rs := range t.reads {
 		spans = append(spans, [2]mvcc.Key{rs.key, rs.end})
 	}
 	req := &kv.PutRequest{
-		Key: pair.Key, Value: pair.Value,
-		Timestamp:  t.kv.Meta.WriteTimestamp,
-		Txn:        t.kv,
-		Commit1PC:  true,
-		ReadSpans:  spans,
-		ReadFromTS: t.kv.ReadTimestamp,
+		Key: b.Key, Value: b.Value,
+		Timestamp:    t.kv.Meta.WriteTimestamp,
+		Txn:          t.kv,
+		MustNotExist: b.mustNotExist,
+		Commit1PC:    true,
+		ReadSpans:    spans,
+		ReadFromTS:   t.kv.ReadTimestamp,
 	}
 	resp := t.co.Sender.Send(p, req)
 	if resp.Err != nil {
@@ -583,9 +649,9 @@ func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Time
 	id := t.kv.Meta.ID
 	parent := obs.ProcSpan(p)
 	reqs := make([]interface{}, len(t.writes))
-	for i, key := range t.writes {
+	for i, w := range t.writes {
 		reqs[i] = &kv.ResolveIntentRequest{
-			Key: key, TxnID: id, Status: status, CommitTS: commitTS,
+			Key: w.key, TxnID: id, Status: status, CommitTS: commitTS,
 		}
 	}
 	s.Spawn("txn/resolve", func(rp *sim.Proc) {

@@ -232,7 +232,7 @@ func TestPipelinedWritesProveAtCommit(t *testing.T) {
 					Value: mvcc.Value("v"),
 				})
 			}
-			return tx.PutParallel(p, kvs)
+			return tx.PutParallel(p, kvs, nil)
 		})
 		if err != nil {
 			t.Error(err)
@@ -322,6 +322,50 @@ func TestAbortResolvesIntents(t *testing.T) {
 		lh, _ := h.c.Stores[h.desc.Leaseholder].Replica(h.desc.RangeID)
 		if lh.EngineForBulkLoad().IntentCount() != 0 {
 			t.Error("aborted intents not cleaned up")
+		}
+	})
+}
+
+// TestPutParallelRecordsWritesAfterAFailure: a batch whose first write fails
+// (here: it queues on another transaction's lock and its own transaction is
+// aborted meanwhile) may still have laid the writes after it. PutParallel
+// must record them, or Abort never resolves those intents and they linger
+// until some later request trips over them.
+func TestPutParallelRecordsWritesAfterAFailure(t *testing.T) {
+	h := newHarness(t, 8)
+	h.run(t, func(p *sim.Proc) {
+		co := h.coord(simnet.USEast1)
+		holder := co.Begin(0)
+		if err := holder.Put(p, mvcc.Key("k/held"), mvcc.Value("h")); err != nil {
+			t.Fatal(err)
+		}
+		tx := co.Begin(0)
+		var putErr error
+		wg := sim.NewWaitGroup(h.c.Sim)
+		wg.Add(1)
+		h.c.Sim.Spawn("put", func(wp *sim.Proc) {
+			defer wg.Done()
+			putErr = tx.PutParallel(wp, []mvcc.KeyValue{
+				{Key: mvcc.Key("k/held"), Value: mvcc.Value("x")},
+				{Key: mvcc.Key("k/free"), Value: mvcc.Value("y")},
+			}, nil)
+		})
+		p.Sleep(10 * sim.Millisecond)
+		h.c.Registry.Abort(tx.ID())
+		wg.Wait(p)
+		if putErr == nil {
+			t.Fatal("write queued behind a lock survived its transaction's abort")
+		}
+		tx.Abort(p)
+		if err := holder.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(sim.Second) // async resolution replicates to every replica
+		for _, id := range h.desc.Replicas() {
+			rep, _ := h.c.Stores[id].Replica(h.desc.RangeID)
+			if meta, ok := rep.EngineForBulkLoad().GetIntent(mvcc.Key("k/free")); ok {
+				t.Errorf("n%d still holds the aborted transaction's intent on k/free (txn %d)", id, meta.ID)
+			}
 		}
 	})
 }
