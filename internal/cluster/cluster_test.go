@@ -214,7 +214,13 @@ func TestBoundedStalenessRead(t *testing.T) {
 		remote := tc.coord(simnet.AustralSE1)
 		minTS := remote.MaxStalenessToMinTS(30 * sim.Second)
 		start := p.Now()
-		val, ts, served, err := remote.BoundedStaleRead(p, mvcc.Key("r/b1"), minTS, true)
+		key := mvcc.Key("r/b1")
+		ts, err := remote.BoundedStalenessTimestamp(p, [][2]mvcc.Key{{key, mvcc.Key("r/b1\x00")}}, minTS)
+		if err != nil {
+			t.Errorf("bounded staleness negotiation: %v", err)
+			return
+		}
+		val, served, err := remote.ExactStaleRead(p, key, ts)
 		if err != nil {
 			t.Errorf("bounded stale read: %v", err)
 			return

@@ -100,14 +100,17 @@ func BenchmarkDistSenderSingleDispatch(b *testing.B) {
 // sendToRange declared its three errors.As targets before looking at
 // resp.Err and evalGet its two before looking at err (a target escapes, so
 // each was an object per success), and while the timestamp cache converted
-// the key to a string it then stored again.
+// the key to a string it then stored again. A batch of one — how a
+// transaction sends every point read and write — costs the same: it is its
+// own single-range sub-batch, and SendBatch hands sendToRange's responses
+// back as they are.
 func TestSingleGetRoundTripAllocs(t *testing.T) {
 	c, ds := benchCluster(t, 8)
 	req := &kv.GetRequest{
 		Key:       mvcc.Key("bm/005"),
 		Timestamp: c.Stores[ds.NodeID].Clock.Now(),
 	}
-	var allocs float64
+	var sendAllocs, batchAllocs float64
 	c.Sim.Spawn("reader", func(p *sim.Proc) {
 		defer c.Sim.Stop()
 		get := func() {
@@ -115,11 +118,20 @@ func TestSingleGetRoundTripAllocs(t *testing.T) {
 				t.Error(resp.Err)
 			}
 		}
+		batch := func() {
+			if resp := ds.SendBatch(p, []interface{}{req}); resp[0].Err != nil {
+				t.Error(resp[0].Err)
+			}
+		}
 		get() // the handler's proc, the timestamp-cache entry
-		allocs = testing.AllocsPerRun(200, get)
+		sendAllocs = testing.AllocsPerRun(200, get)
+		batchAllocs = testing.AllocsPerRun(200, batch)
 	})
 	c.Sim.Run()
-	if allocs != 10 {
-		t.Fatalf("a point read round trip allocates %.0f objects, want 10", allocs)
+	if sendAllocs != 10 {
+		t.Errorf("a point read round trip allocates %.0f objects, want 10", sendAllocs)
+	}
+	if batchAllocs != 10 {
+		t.Errorf("a batch of one point read allocates %.0f objects, want 10", batchAllocs)
 	}
 }

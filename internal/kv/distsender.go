@@ -197,18 +197,23 @@ type batchGroup struct {
 // order) and dispatches them; it returns the merged responses in request
 // order plus the number of ranges touched.
 //
-// Grouping is slice-based rather than map-based: requests are assigned a
-// group ordinal in one pass (memoizing the last descriptor, since batches
-// are usually key-ordered and range-clustered), then index lists are carved
-// out of a single shared buffer. A batch that lands entirely on one range —
-// the overwhelmingly common case — dispatches reqs directly with no group
-// buffers at all.
+// A batch that lands entirely on one range — the overwhelmingly common
+// case, every point read and write of a transaction included — is the
+// sub-batch itself: sendToRange's responses are returned as they are, with
+// no grouping or merge buffers at all. Otherwise grouping is slice-based
+// rather than map-based: requests are assigned a group ordinal in one pass
+// (memoizing the last descriptor, since batches are usually key-ordered and
+// range-clustered).
 func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int) ([]Response, int) {
+	if q, err := asRequest(reqs[0]); err == nil {
+		if d, err := ds.Catalog.Lookup(q.routingKey()); err == nil && descContainsAll(d, reqs) {
+			return ds.sendToRange(p, reqs, depth), 1
+		}
+	}
 	resps := make([]Response, len(reqs))
 	var groups []batchGroup
 	var desc *RangeDescriptor // memoized last descriptor
 	gid := -1                 // memoized group ordinal for desc
-	routable := 0
 	for i, req := range reqs {
 		q, err := asRequest(req)
 		if err != nil {
@@ -236,27 +241,18 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int)
 			}
 		}
 		groups[gid].idxs = append(groups[gid].idxs, int32(i))
-		routable++
 	}
-	dispatch := func(dp *sim.Proc, idxs []int32) {
+	p.Fanout("ds/batch-range", len(groups), func(wp *sim.Proc, g int) {
+		idxs := groups[g].idxs
 		sub := make([]interface{}, len(idxs))
 		for j, i := range idxs {
 			sub[j] = reqs[i]
 		}
-		out := ds.sendToRange(dp, sub, depth)
+		out := ds.sendToRange(wp, sub, depth)
 		for j, i := range idxs {
 			resps[i] = out[j]
 		}
-	}
-	if len(groups) == 1 && routable == len(reqs) {
-		// Single range, every request routable: the sub-batch is the batch.
-		out := ds.sendToRange(p, reqs, depth)
-		copy(resps, out)
-	} else {
-		p.Fanout("ds/batch-range", len(groups), func(wp *sim.Proc, g int) {
-			dispatch(wp, groups[g].idxs)
-		})
-	}
+	})
 	return resps, len(groups)
 }
 

@@ -668,37 +668,32 @@ func (r *Replica) evalResolveIntent(p *sim.Proc, req *ResolveIntentRequest) Resp
 }
 
 func (r *Replica) evalRefresh(p *sim.Proc, req *RefreshRequest) Response {
-	if !r.isLeaseholder() {
+	leaseholder := r.isLeaseholder()
+	if !leaseholder && r.closed.closed.Less(req.ToTS) {
 		// A follower can verify a refresh authoritatively when its
 		// closed timestamp covers ToTS: no new writes can appear at or
 		// below a closed timestamp, so the local state is complete.
 		// This keeps refreshes of GLOBAL-table reads region-local.
-		if r.closed.closed.Less(req.ToTS) {
-			return Response{Err: &FollowerReadUnavailableError{
-				RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: req.ToTS}}
-		}
-		var ok bool
-		if req.EndKey != nil {
-			ok = !r.engine.HasNewerVersionInSpan(req.Key, req.EndKey, req.FromTS, req.ToTS, req.TxnID)
-		} else {
-			ok = !r.engine.HasNewerVersion(req.Key, req.FromTS, req.ToTS, req.TxnID)
-		}
-		return Response{Refresh: &RefreshResponse{Success: ok}}
+		return Response{Err: &FollowerReadUnavailableError{
+			RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: req.ToTS}}
 	}
-	var ok bool
-	if req.EndKey != nil {
-		ok = !r.engine.HasNewerVersionInSpan(req.Key, req.EndKey, req.FromTS, req.ToTS, req.TxnID)
-		if ok {
-			r.tscache.RecordReadSpan(req.Key, req.EndKey, req.ToTS)
-		}
-	} else {
+	if leaseholder && req.EndKey == nil {
 		// Like a read, wait out a write that is between evaluation and
 		// application: it already passed the timestamp cache, so a refresh
 		// that looked past it would bless a read the write invalidates.
 		r.latches.waitFree(p, req.Key)
+	}
+	var ok bool
+	if req.EndKey != nil {
+		ok = !r.engine.HasNewerVersionInSpan(req.Key, req.EndKey, req.FromTS, req.ToTS, req.TxnID)
+	} else {
 		ok = !r.engine.HasNewerVersion(req.Key, req.FromTS, req.ToTS, req.TxnID)
-		if ok {
-			// The refreshed read is a read at the new timestamp.
+	}
+	if ok && leaseholder {
+		// The refreshed read is a read at the new timestamp.
+		if req.EndKey != nil {
+			r.tscache.RecordReadSpan(req.Key, req.EndKey, req.ToTS)
+		} else {
 			r.tscache.RecordRead(req.Key, req.ToTS, req.TxnID)
 		}
 	}
@@ -727,30 +722,48 @@ func (r *Replica) evalNegotiate(req *NegotiateRequest) Response {
 // for the requesting transaction, queueing behind live holders. Finished
 // holders' locks are stolen lazily.
 func (r *Replica) acquireLock(p *sim.Proc, key mvcc.Key, txn *Txn) error {
-	reg := r.store.Registry
 	k := string(key)
 	wait := pushDelay
 	for {
 		holder, ok := r.lockTable[k]
-		if !ok || holder == txn.Meta.ID {
-			r.lockTable[k] = txn.Meta.ID
-			return nil
+		if ok && holder != txn.Meta.ID {
+			if _, _, err := r.waitForHolder(p, txn.Meta.ID, holder, &wait); err != nil {
+				return err
+			}
+			if r.lockTable[k] != holder {
+				continue // another waiter took the finished holder's lock first
+			}
 		}
-		if st, _ := reg.Status(holder); st != mvcc.Pending {
-			r.lockTable[k] = txn.Meta.ID
-			return nil
+		r.lockTable[k] = txn.Meta.ID
+		return nil
+	}
+}
+
+// waitForHolder parks p until the transaction holder finishes and returns
+// its final status and commit timestamp. The common case wakes on the
+// registry's commit/abort broadcast at no network cost. Whenever *wait runs
+// out first, the waiter pushes the holder — a round trip to its transaction
+// record, which aborts the holder if that breaks a deadlock — and waits
+// deadlockPushInterval from then on. It fails if the waiter's own
+// transaction (zero for a non-transactional request) is aborted meanwhile.
+func (r *Replica) waitForHolder(p *sim.Proc, waiter, holder mvcc.TxnID, wait *sim.Duration) (mvcc.TxnStatus, hlc.Timestamp, error) {
+	reg := r.store.Registry
+	status, commitTS := reg.Status(holder)
+	for status == mvcc.Pending {
+		reg.BeginWait(waiter, holder)
+		status, commitTS = reg.WaitFinished(p, holder, *wait)
+		if status == mvcc.Pending {
+			status, commitTS = reg.PushTxn(p, r.store.NodeID, waiter, holder)
+			*wait = deadlockPushInterval
 		}
-		reg.BeginWait(txn.Meta.ID, holder)
-		st, _ := reg.WaitFinished(p, holder, wait)
-		if st == mvcc.Pending {
-			st, _ = reg.PushTxn(p, r.store.NodeID, txn.Meta.ID, holder)
-			wait = deadlockPushInterval
-		}
-		reg.EndWait(txn.Meta.ID)
-		if st2, _ := reg.Status(txn.Meta.ID); st2 == mvcc.Aborted {
-			return &TxnAbortedError{TxnID: txn.Meta.ID}
+		reg.EndWait(waiter)
+		if waiter != 0 {
+			if st, _ := reg.Status(waiter); st == mvcc.Aborted {
+				return status, commitTS, &TxnAbortedError{TxnID: waiter}
+			}
 		}
 	}
+	return status, commitTS, nil
 }
 
 // livenessThreshold is how long a reader waits on a lock before treating
@@ -771,13 +784,9 @@ func (r *Replica) waitOnIntent(p *sim.Proc, key mvcc.Key, holder mvcc.TxnMeta, w
 	isp := r.store.Obs.StartChild("intent.wait", obs.ProcSpan(p))
 	isp.SetTag("holder", fmt.Sprintf("%v", holder.ID))
 	defer isp.Finish()
-	reg := r.store.Registry
-	status, commitTS := reg.Status(holder.ID)
-	// The common case wakes on the registry's commit/abort broadcast at no
-	// network cost. Pushes — which pay a round trip to the holder's
-	// transaction record — run only on the deadlock/liveness cycle:
-	// writers first push after pushDelay and then every
-	// deadlockPushInterval; plain readers only after livenessThreshold.
+	// Pushes run only on the deadlock/liveness cycle: writers first push
+	// after pushDelay and then every deadlockPushInterval; plain readers
+	// only after livenessThreshold.
 	wait := pushDelay
 	if !isWrite || waiter == nil {
 		wait = livenessThreshold
@@ -788,7 +797,7 @@ func (r *Replica) waitOnIntent(p *sim.Proc, key mvcc.Key, holder mvcc.TxnMeta, w
 	}
 	// A Pending holder means this request actually blocks; log the wait as
 	// a contention event (with its virtual duration) when it ends.
-	if status == mvcc.Pending && r.store.Contention != nil {
+	if st, _ := r.store.Registry.Status(holder.ID); st == mvcc.Pending && r.store.Contention != nil {
 		start := p.Now()
 		defer func() {
 			r.store.Contention.Record(obs.ContentionEvent{
@@ -803,20 +812,9 @@ func (r *Replica) waitOnIntent(p *sim.Proc, key mvcc.Key, holder mvcc.TxnMeta, w
 			})
 		}()
 	}
-	for status == mvcc.Pending {
-		reg.BeginWait(waiterID, holder.ID)
-		status, commitTS = reg.WaitFinished(p, holder.ID, wait)
-		if status == mvcc.Pending {
-			status, commitTS = reg.PushTxn(p, r.store.NodeID, waiterID, holder.ID)
-			wait = deadlockPushInterval
-		}
-		reg.EndWait(waiterID)
-		// If our own transaction got aborted while waiting, surface it.
-		if waiter != nil {
-			if st, _ := reg.Status(waiter.Meta.ID); st == mvcc.Aborted {
-				return &TxnAbortedError{TxnID: waiter.Meta.ID}
-			}
-		}
+	status, commitTS, err := r.waitForHolder(p, waiterID, holder.ID, &wait)
+	if err != nil {
+		return err
 	}
 	// Holder finished: resolve its intent here so we can proceed.
 	if meta, ok := r.engine.GetIntent(key); ok && meta.ID == holder.ID {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 
 	"mrdb/internal/core"
+	"mrdb/internal/hlc"
 	"mrdb/internal/kv"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
@@ -15,6 +16,9 @@ import (
 
 // --- SELECT ---
 
+// execSelect serves a SELECT through tx or, for SELECT ... AS OF SYSTEM TIME
+// (paper §5.3), which runs outside any transaction, as a stale read at the
+// timestamp the clause picks; the two differ only in the fetcher.
 func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, error) {
 	t, db, err := s.table(st.Table)
 	if err != nil {
@@ -24,7 +28,17 @@ func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	fetched, err := s.fetchRows(p, &txnFetcher{tx: tx}, plan)
+	var f rowFetcher
+	if st.AsOf == nil {
+		f = &txnFetcher{tx: tx}
+	} else {
+		ts, err := s.asOfTimestamp(p, st.AsOf, t, plan)
+		if err != nil {
+			return nil, err
+		}
+		f = &staleFetcher{co: s.Coord, ts: ts}
+	}
+	fetched, err := s.fetchRows(p, f, plan)
 	if err != nil {
 		return nil, err
 	}
@@ -40,81 +54,39 @@ func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, err
 	return res, err
 }
 
-// execStaleSelect serves SELECT ... AS OF SYSTEM TIME (paper §5.3): exact
-// staleness uses the given timestamp directly; bounded staleness negotiates
-// the highest locally servable timestamp before reading.
-func (s *Session) execStaleSelect(p *sim.Proc, st *Select) (*Result, error) {
-	t, db, err := s.table(st.Table)
-	if err != nil {
-		return nil, err
+// asOfTimestamp resolves an AS OF SYSTEM TIME clause to the timestamp a
+// stale read runs at: exact staleness names it; bounded staleness has the
+// coordinator negotiate it over the spans the plan will touch (§5.3.2).
+func (s *Session) asOfTimestamp(p *sim.Proc, asOf *AsOf, t *Table, plan *readPlan) (hlc.Timestamp, error) {
+	if asOf.Exact != nil {
+		return s.resolveAsOfTimestamp(asOf.Exact)
 	}
-	plan, err := s.planReadCached(st, t, db, st.Where, st.Limit)
-	if err != nil {
-		return nil, err
-	}
-	var ts = s.Coord.Store.Clock.Now()
-	switch {
-	case st.AsOf.Exact != nil:
-		ts, err = s.resolveAsOfTimestamp(st.AsOf.Exact)
+	var minTS hlc.Timestamp
+	if asOf.MinTimestamp != nil {
+		var err error
+		if minTS, err = s.resolveAsOfTimestamp(asOf.MinTimestamp); err != nil {
+			return hlc.Timestamp{}, err
+		}
+	} else {
+		v, err := s.evalExpr(asOf.MaxStaleness, nil)
 		if err != nil {
-			return nil, err
+			return hlc.Timestamp{}, err
 		}
-	case st.AsOf.MinTimestamp != nil, st.AsOf.MaxStaleness != nil:
-		var minTS = ts
-		if st.AsOf.MinTimestamp != nil {
-			minTS, err = s.resolveAsOfTimestamp(st.AsOf.MinTimestamp)
-		} else {
-			v, verr := s.evalExpr(st.AsOf.MaxStaleness, nil)
-			if verr != nil {
-				return nil, verr
-			}
-			str, ok := v.(string)
-			if !ok {
-				return nil, fmt.Errorf("sql: with_max_staleness requires an interval string")
-			}
-			d, derr := parseDuration(str)
-			if derr != nil {
-				return nil, derr
-			}
-			minTS = s.Coord.MaxStalenessToMinTS(d)
+		str, ok := v.(string)
+		if !ok {
+			return hlc.Timestamp{}, fmt.Errorf("sql: with_max_staleness requires an interval string")
 		}
+		d, err := parseDuration(str)
 		if err != nil {
-			return nil, err
+			return hlc.Timestamp{}, err
 		}
-		// Negotiate over the spans the plan will touch (§5.3.2).
-		var spans [][2]mvcc.Key
-		for _, region := range plan.regions {
-			start, end := IndexSpan(t, plan.index.ID, region)
-			spans = append(spans, [2]mvcc.Key{start, end})
-		}
-		negotiated, err := s.Coord.Sender.NegotiateBoundedStaleness(p, spans)
-		if err != nil {
-			return nil, err
-		}
-		now := s.Coord.Store.Clock.Now()
-		if negotiated.IsEmpty() || now.Less(negotiated) {
-			negotiated = now
-		}
-		if negotiated.Less(minTS) {
-			// Fall back to the leaseholder at the bound.
-			negotiated = minTS
-		}
-		ts = negotiated
+		minTS = s.Coord.MaxStalenessToMinTS(d)
 	}
-	fetched, err := s.fetchRows(p, &staleFetcher{co: s.Coord, ts: ts}, plan)
-	if err != nil {
-		return nil, err
+	spans := make([][2]mvcc.Key, len(plan.regions))
+	for i, region := range plan.regions {
+		spans[i][0], spans[i][1] = IndexSpan(t, plan.index.ID, region)
 	}
-	rows := fetched
-	if !plan.filterRedundant {
-		rows, err = s.filterRows(t, rows, st.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
-	res, err := s.project(t, rows, st.Columns, st.Limit)
-	s.releaseRows(fetched)
-	return res, err
+	return s.Coord.BoundedStalenessTimestamp(p, spans, minTS)
 }
 
 // project builds the result set: named columns, or all visible columns for

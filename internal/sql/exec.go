@@ -263,7 +263,7 @@ func (s *Session) execDML(p *sim.Proc, stmt Statement) (*Result, error) {
 	}
 	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
 		// Stale reads run outside transactions (§5.3).
-		return s.execStaleSelect(p, sel)
+		return s.execSelect(p, nil, sel)
 	}
 	if s.activeTxn != nil {
 		return s.execDMLInTxn(p, s.activeTxn, stmt)

@@ -1,0 +1,258 @@
+package txn_test
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"mrdb/internal/kv"
+	"mrdb/internal/mvcc"
+	"mrdb/internal/sim"
+	"mrdb/internal/simnet"
+	"mrdb/internal/txn"
+	"mrdb/internal/zones"
+)
+
+// globalRange adds a GLOBAL (closed-timestamp lead) range over "g/" with the
+// harness's placement: voters in us-east1, non-voters in europe-west2 and
+// asia-northeast1, so fresh reads of it are follower reads.
+func (h *harness) globalRange(t *testing.T) *kv.RangeDescriptor {
+	t.Helper()
+	cfg := zones.Config{
+		NumReplicas: 5, NumVoters: 3,
+		VoterConstraints: map[simnet.Region]int{simnet.USEast1: 3},
+		Constraints:      map[simnet.Region]int{simnet.EuropeW2: 1, simnet.AsiaNE1: 1},
+		LeasePreferences: []simnet.Region{simnet.USEast1},
+	}
+	desc, err := h.c.CreateRangeWithZoneConfig([]byte("g/"), []byte("g0"), cfg, kv.ClosedTSLead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return desc
+}
+
+func keysOf(ks ...string) []mvcc.Key {
+	out := make([]mvcc.Key, len(ks))
+	for i, k := range ks {
+		out[i] = mvcc.Key(k)
+	}
+	return out
+}
+
+func writesOf(ks ...string) []mvcc.KeyValue {
+	out := make([]mvcc.KeyValue, len(ks))
+	for i, k := range ks {
+		out[i] = mvcc.KeyValue{Key: mvcc.Key(k), Value: mvcc.Value("v-" + k)}
+	}
+	return out
+}
+
+// TestOneCoordinatorPath runs one fixed script through every point-read and
+// write entry point of the coordinator — Get, GetForUpdate and GetParallel
+// of one and of several keys; Put, Del and PutParallel with and without
+// one-phase commit; a buffered write a later read flushes; a declined 1PC;
+// Commit and Abort — from a remote gateway over a LAG and a GLOBAL range.
+// After every step it records the virtual time since the script began and
+// the gateway DistSender's RPC and cross-region RPC counts. The table was
+// measured before the coordinator's read and write paths were merged: a
+// change that adds, drops or reroutes a message, or moves virtual time,
+// fails here.
+func TestOneCoordinatorPath(t *testing.T) {
+	h := newHarness(t, 27)
+	h.globalRange(t)
+	var got []string
+	h.run(t, func(p *sim.Proc) {
+		co := h.coord(simnet.EuropeW2)
+		ds := co.Sender
+		start, sent0, wan0 := p.Now(), ds.Sent, ds.WANRPCs
+		step := func(name string, err error) {
+			t.Helper()
+			if err != nil {
+				t.Errorf("%s: %v", name, err)
+			}
+			got = append(got, fmt.Sprintf("%s t=%d sent=%d wan=%d",
+				name, int64(p.Now().Sub(start)), ds.Sent-sent0, ds.WANRPCs-wan0))
+		}
+		value := func(name string, v mvcc.Value, err error, want string) {
+			t.Helper()
+			if err == nil && string(v) != want {
+				t.Errorf("%s read %q, want %q", name, v, want)
+			}
+			step(name, err)
+		}
+
+		step("seed", co.Run(p, func(tx *txn.Txn) error {
+			if err := tx.Put(p, mvcc.Key("k/a"), mvcc.Value("v-k/a")); err != nil {
+				return err
+			}
+			if err := tx.Put(p, mvcc.Key("k/b"), mvcc.Value("v-k/b")); err != nil {
+				return err
+			}
+			return tx.PutParallel(p, writesOf("k/c", "g/a"), nil)
+		}))
+
+		tx := co.Begin(0)
+		v, err := tx.Get(p, mvcc.Key("k/a"))
+		value("get", v, err, "v-k/a")
+		v, err = tx.GetForUpdate(p, mvcc.Key("k/b"))
+		value("get-for-update", v, err, "v-k/b")
+		vs, err := tx.GetParallel(p, keysOf("k/c"))
+		if err == nil {
+			v = vs[0]
+		}
+		value("get-parallel-1", v, err, "v-k/c")
+		vs, err = tx.GetParallel(p, keysOf("k/a", "k/c", "g/a", "g/none"))
+		if err == nil && (string(vs[0]) != "v-k/a" || string(vs[2]) != "v-g/a" || vs[3] != nil) {
+			t.Errorf("get-parallel-4 read %q", vs)
+		}
+		step("get-parallel-4", err)
+		v, err = tx.Get(p, mvcc.Key("g/a"))
+		value("get-global", v, err, "v-g/a")
+		step("put", tx.Put(p, mvcc.Key("k/d"), mvcc.Value("v-k/d")))
+		step("del", tx.Del(p, mvcc.Key("k/b")))
+		step("put-parallel", tx.PutParallel(p, writesOf("k/e", "g/b"), []bool{true, false}))
+		step("commit", tx.Commit(p))
+
+		tx = co.Begin(0)
+		tx.AllowOnePC = true
+		step("1pc-put", tx.Put(p, mvcc.Key("k/f"), mvcc.Value("v-k/f")))
+		step("1pc-commit", tx.Commit(p))
+
+		tx = co.Begin(0)
+		tx.AllowOnePC = true
+		step("1pc-put-parallel", tx.PutParallel(p, writesOf("k/g"), []bool{true}))
+		v, err = tx.Get(p, mvcc.Key("k/g"))
+		value("1pc-flushing-get", v, err, "v-k/g")
+		step("1pc-flushed-commit", tx.Commit(p))
+
+		tx = co.Begin(0)
+		tx.AllowOnePC = true
+		step("1pc-del", tx.Del(p, mvcc.Key("k/f")))
+		step("1pc-del-commit", tx.Commit(p))
+
+		tx = co.Begin(0)
+		tx.AllowOnePC = true
+		step("1pc-put-parallel-2", tx.PutParallel(p, writesOf("k/h", "k/i"), nil))
+		step("1pc-put-parallel-2-commit", tx.Commit(p))
+
+		tx = co.Begin(0)
+		tx.AllowOnePC = true
+		step("1pc-put-first", tx.Put(p, mvcc.Key("k/j"), mvcc.Value("v-k/j")))
+		step("1pc-put-second", tx.Put(p, mvcc.Key("k/k"), mvcc.Value("v-k/k")))
+		step("1pc-two-puts-commit", tx.Commit(p))
+
+		// A GLOBAL write commits in the future, past the read of a key on
+		// another range: the leaseholder cannot refresh that read, so it
+		// declines the 1PC and the coordinator falls back to two phases.
+		tx = co.Begin(0)
+		tx.AllowOnePC = true
+		v, err = tx.Get(p, mvcc.Key("k/a"))
+		value("declined-get", v, err, "v-k/a")
+		step("declined-put", tx.Put(p, mvcc.Key("g/c"), mvcc.Value("v-g/c")))
+		step("declined-commit", tx.Commit(p))
+
+		tx = co.Begin(0)
+		step("abort-put", tx.Put(p, mvcc.Key("k/l"), mvcc.Value("v-k/l")))
+		step("abort-put-parallel", tx.PutParallel(p, writesOf("k/m", "g/d"), nil))
+		tx.Abort(p)
+		step("abort", nil)
+
+		p.Sleep(sim.Second) // asynchronous intent resolution
+		step("settled", nil)
+	})
+	want := []string{
+		"seed t=694978816 sent=9 wan=9",
+		"get t=781410779 sent=10 wan=10",
+		"get-for-update t=869099522 sent=11 wan=11",
+		"get-parallel-1 t=958052784 sent=12 wan=12",
+		"get-parallel-4 t=1044102384 sent=14 wan=13",
+		"get-global t=1046118311 sent=15 wan=13",
+		"put t=1131046951 sent=16 wan=14",
+		"del t=1219818233 sent=17 wan=15",
+		"put-parallel t=1307078702 sent=19 wan=17",
+		"commit t=1741600408 sent=35 wan=30",
+		"1pc-put t=1741600408 sent=35 wan=30",
+		"1pc-commit t=1831683717 sent=36 wan=31",
+		"1pc-put-parallel t=1831683717 sent=36 wan=31",
+		"1pc-flushing-get t=2004521793 sent=38 wan=33",
+		"1pc-flushed-commit t=2092282820 sent=40 wan=35",
+		"1pc-del t=2092282820 sent=40 wan=35",
+		"1pc-del-commit t=2178895619 sent=42 wan=37",
+		"1pc-put-parallel-2 t=2266036788 sent=43 wan=38",
+		"1pc-put-parallel-2-commit t=2356183206 sent=45 wan=40",
+		"1pc-put-first t=2356183206 sent=45 wan=40",
+		"1pc-put-second t=2530718430 sent=48 wan=43",
+		"1pc-two-puts-commit t=2618944184 sent=50 wan=45",
+		"declined-get t=2704308762 sent=52 wan=47",
+		"declined-put t=2704308762 sent=52 wan=47",
+		"declined-commit t=3311994454 sent=58 wan=53",
+		"abort-put t=3399934387 sent=59 wan=54",
+		"abort-put-parallel t=3487523701 sent=61 wan=56",
+		"abort t=3577359502 sent=62 wan=57",
+		"settled t=4577359502 sent=64 wan=59",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("coordinator script:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestFollowerReadPatienceAppliesToEveryRead: a coordinator's
+// FollowerReadPatience lets a follower wait for its closed timestamp instead
+// of redirecting a read to the leaseholder, and it must apply however the
+// read is issued — a single Get or a batch of one or several keys. The
+// leaseholder's link to the asia-northeast1 replica is slowed so that
+// replica's closed timestamp trails present time; the impatient control
+// read shows the lag is real.
+func TestFollowerReadPatienceAppliesToEveryRead(t *testing.T) {
+	h := newHarness(t, 28)
+	desc := h.globalRange(t)
+	h.run(t, func(p *sim.Proc) {
+		east := h.coord(simnet.USEast1)
+		if err := east.Run(p, func(tx *txn.Txn) error {
+			return tx.PutParallel(p, writesOf("g/a", "g/b"), nil)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range desc.Replicas() {
+			if loc, _ := h.c.Topo.LocalityOf(id); loc.Region == simnet.AsiaNE1 {
+				h.c.Net.SlowLink(desc.Leaseholder, id, sim.Second)
+			}
+		}
+		p.Sleep(3 * sim.Second)
+
+		asia := h.coord(simnet.AsiaNE1)
+		reads := []struct {
+			name string
+			read func(tx *txn.Txn) error
+		}{
+			{"Get", func(tx *txn.Txn) error {
+				_, err := tx.Get(p, mvcc.Key("g/a"))
+				return err
+			}},
+			{"GetParallel of one key", func(tx *txn.Txn) error {
+				_, err := tx.GetParallel(p, keysOf("g/a"))
+				return err
+			}},
+			{"GetParallel of two keys", func(tx *txn.Txn) error {
+				_, err := tx.GetParallel(p, keysOf("g/a", "g/b"))
+				return err
+			}},
+		}
+		for _, patience := range []sim.Duration{0, 2 * sim.Second} {
+			asia.FollowerReadPatience = patience
+			for _, r := range reads {
+				misses := asia.Sender.FollowerMisses
+				if err := asia.Run(p, r.read); err != nil {
+					t.Fatalf("%s (patience %v): %v", r.name, patience, err)
+				}
+				redirected := asia.Sender.FollowerMisses > misses
+				if patience == 0 && !redirected {
+					t.Fatalf("%s without patience was served by the lagging follower; the test no longer lags it", r.name)
+				}
+				if patience > 0 && redirected {
+					t.Errorf("%s with patience %v was redirected to the leaseholder instead of waiting", r.name, patience)
+				}
+			}
+		}
+	})
+}

@@ -77,9 +77,9 @@ type Txn struct {
 	// buffered holds the candidate one-phase-commit write until commit
 	// or until any other operation forces a flush.
 	buffered *bufferedPut
-	// partial is the error of a PutParallel call that failed after some of
-	// its writes landed: the statement is half applied, so the transaction
-	// can no longer commit.
+	// partial is the error of a write batch that failed after some of its
+	// writes landed: the statement is half applied, so the transaction can
+	// no longer commit.
 	partial      error
 	finished     bool
 	committed1PC bool
@@ -128,55 +128,99 @@ func (t *Txn) restartError(reason string, minTS hlc.Timestamp) error {
 }
 
 // flushBuffered sends a buffered one-phase-commit candidate through the
-// normal write path; it must run before any other operation.
+// write path; it must run before any other operation.
 func (t *Txn) flushBuffered(p *sim.Proc) error {
 	if t.buffered == nil {
 		return nil
 	}
 	b := *t.buffered
 	t.buffered = nil
-	return t.putSend(p, b.Key, b.Value, b.mustNotExist)
+	return t.sendWrites(p, []mvcc.KeyValue{b.KeyValue}, []bool{b.mustNotExist})
 }
 
 // Get reads key at the transaction's read timestamp.
 func (t *Txn) Get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
-	return t.get(p, key, false)
+	var v [1]mvcc.Value
+	err := t.read(p, []mvcc.Key{key}, v[:], false)
+	return v[0], err
 }
 
 // GetForUpdate reads key and acquires an exclusive unreplicated lock on it
 // (SELECT FOR UPDATE), serializing read-modify-write transactions without
 // restarts. Locking reads always go to the leaseholder.
 func (t *Txn) GetForUpdate(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
-	return t.get(p, key, true)
+	var v [1]mvcc.Value
+	err := t.read(p, []mvcc.Key{key}, v[:], true)
+	return v[0], err
 }
 
-func (t *Txn) get(p *sim.Proc, key mvcc.Key, forUpdate bool) (mvcc.Value, error) {
-	if err := t.flushBuffered(p); err != nil {
+// GetParallel reads keys as one batch (one RPC per touched range),
+// preserving input order in the results.
+func (t *Txn) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
+	out := make([]mvcc.Value, len(keys))
+	if err := t.read(p, keys, out, false); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// read is the one point-read path: it sends keys as one batch, stores the
+// values in out, and after a successful uncertainty refresh re-sends the
+// whole batch at the new read timestamp.
+func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate bool) error {
+	if err := t.flushBuffered(p); err != nil {
+		return err
+	}
 	for {
-		req := &kv.GetRequest{
-			Key:           key,
-			Timestamp:     t.kv.ReadTimestamp,
-			Txn:           t.kv,
-			Uncertainty:   true,
-			FollowerRead:  !forUpdate && t.followerOK(key),
-			CanBumpReadTS: len(t.reads) == 0,
-			ForUpdate:     forUpdate,
-			WaitForClosed: t.co.FollowerReadPatience,
+		// The leaseholder may ratchet the read timestamp past an uncertain
+		// value only when no other read of the transaction could be
+		// invalidated by the bump.
+		canBump := len(t.reads) == 0 && len(keys) == 1
+		reqs := make([]interface{}, len(keys))
+		for i, key := range keys {
+			reqs[i] = &kv.GetRequest{
+				Key:           key,
+				Timestamp:     t.kv.ReadTimestamp,
+				Txn:           t.kv,
+				Uncertainty:   true,
+				FollowerRead:  !forUpdate && t.followerOK(key),
+				CanBumpReadTS: canBump,
+				ForUpdate:     forUpdate,
+				WaitForClosed: t.co.FollowerReadPatience,
+			}
 		}
-		resp := t.co.Sender.Send(p, req)
-		if resp.Err == nil {
+		var firstErr error
+		for i, resp := range t.co.Sender.SendBatch(p, reqs) {
+			if resp.Err != nil {
+				if firstErr == nil {
+					firstErr = resp.Err
+				}
+				continue
+			}
 			if !resp.Get.BumpedTS.IsEmpty() && t.kv.ReadTimestamp.Less(resp.Get.BumpedTS) {
 				t.adoptReadTS(resp.Get.BumpedTS)
 			}
-			t.reads = append(t.reads, readSpan{key: append(mvcc.Key(nil), key...)})
-			return resp.Get.Value, nil
+			out[i] = resp.Get.Value
 		}
-		if err := t.handleReadErr(p, resp.Err); err != nil {
-			return nil, err
+		if firstErr == nil {
+			for _, key := range keys {
+				t.recordRead(key, nil)
+			}
+			return nil
+		}
+		if err := t.handleReadErr(p, firstErr); err != nil {
+			return err
 		}
 	}
+}
+
+// recordRead notes a span the transaction read ([key, end), or the point key
+// when end is nil), so refreshes and a one-phase commit can re-validate it.
+func (t *Txn) recordRead(key, end mvcc.Key) {
+	t.reads = append(t.reads, readSpan{
+		key: append(mvcc.Key(nil), key...),
+		end: append(mvcc.Key(nil), end...),
+	})
 }
 
 // Scan reads [start, end) up to max rows.
@@ -194,10 +238,7 @@ func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, 
 		}
 		resp := t.co.Sender.Send(p, req)
 		if resp.Err == nil {
-			t.reads = append(t.reads, readSpan{
-				key: append(mvcc.Key(nil), start...),
-				end: append(mvcc.Key(nil), end...),
-			})
+			t.recordRead(start, end)
 			return resp.Scan.Rows, nil
 		}
 		if err := t.handleReadErr(p, resp.Err); err != nil {
@@ -206,25 +247,21 @@ func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, 
 	}
 }
 
-// handleReadErr digests a read failure: uncertainty errors trigger a
-// distributed refresh (retry on success, restart on failure); aborts
-// propagate.
+// handleReadErr digests a read failure. An uncertainty error triggers a
+// distributed refresh: on success it returns nil and the caller retries the
+// read; on failure it returns a restart. Every other error propagates.
 func (t *Txn) handleReadErr(p *sim.Proc, err error) error {
 	var ue *mvcc.UncertaintyError
-	if errors.As(err, &ue) {
-		newTS := ue.ValueTimestamp
-		if t.refreshReads(p, newTS) {
-			t.adoptReadTS(newTS)
-			return nil // retry the read
-		}
+	if !errors.As(err, &ue) {
+		return err
+	}
+	newTS := ue.ValueTimestamp
+	if !t.refreshReads(p, newTS) {
 		t.co.Restarts++
 		return t.restartError("uncertainty refresh failed", newTS)
 	}
-	var ta *kv.TxnAbortedError
-	if errors.As(err, &ta) {
-		return err
-	}
-	return err
+	t.adoptReadTS(newTS)
+	return nil
 }
 
 // adoptReadTS ratchets the read timestamp (and the provisional commit
@@ -266,68 +303,17 @@ func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 	return !failed
 }
 
-// Put writes key=value. For one-phase-commit-eligible transactions the
-// sole write is buffered at the coordinator and committed together with
-// the transaction (CockroachDB's 1PC); otherwise it becomes a provisional
-// intent immediately.
+// Put writes key=value.
 func (t *Txn) Put(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
-	if t.AllowOnePC && t.buffered == nil && len(t.writes) == 0 {
-		t.kv.Meta.Key = append(mvcc.Key(nil), key...)
-		t.buffered = &bufferedPut{KeyValue: mvcc.KeyValue{Key: append(mvcc.Key(nil), key...), Value: value}}
-		return nil
-	}
-	if err := t.flushBuffered(p); err != nil {
-		return err
-	}
-	return t.putSend(p, key, value, false)
+	return t.write(p, []mvcc.KeyValue{{Key: key, Value: value}}, nil)
 }
 
-// putSend writes an intent through the leaseholder.
-func (t *Txn) putSend(p *sim.Proc, key mvcc.Key, value mvcc.Value, mustNotExist bool) error {
-	if len(t.writes) == 0 {
-		// First write anchors the transaction record's range.
-		t.kv.Meta.Key = append(mvcc.Key(nil), key...)
-	}
-	req := &kv.PutRequest{
-		Key: key, Value: value,
-		Timestamp:    t.kv.Meta.WriteTimestamp,
-		Txn:          t.kv,
-		Pipelined:    true,
-		MustNotExist: mustNotExist,
-	}
-	resp := t.co.Sender.Send(p, req)
-	if resp.Err != nil {
-		return resp.Err
-	}
-	t.recordWrite(key, value, resp.Put.WriteTimestamp)
-	return nil
-}
-
-// recordWrite notes a write the leaseholder accepted at ts.
-func (t *Txn) recordWrite(key mvcc.Key, value mvcc.Value, ts hlc.Timestamp) {
-	if t.kv.Meta.WriteTimestamp.Less(ts) {
-		t.kv.Meta.WriteTimestamp = ts
-	}
-	t.writes = append(t.writes, write{key: append(mvcc.Key(nil), key...), live: value != nil})
-}
-
-// wroteLive reports whether the transaction's latest write of key left a
-// live value.
-func (t *Txn) wroteLive(key mvcc.Key) bool {
-	for i := len(t.writes) - 1; i >= 0; i-- {
-		if bytes.Equal(t.writes[i].key, key) {
-			return t.writes[i].live
-		}
-	}
-	return false
-}
-
-// Del deletes key (writes a tombstone intent).
+// Del deletes key (writes a tombstone).
 func (t *Txn) Del(p *sim.Proc, key mvcc.Key) error { return t.Put(p, key, nil) }
 
-// PutParallel issues a set of writes concurrently and waits for all of
-// them; it models CockroachDB's batched/pipelined writes so that multi-key
-// statements pay the max, not the sum, of per-range latencies.
+// PutParallel writes kvs as one batch; it models CockroachDB's
+// batched/pipelined writes so that multi-key statements pay the max, not the
+// sum, of per-range latencies.
 //
 // mustNotExist, when non-nil, runs parallel to kvs and makes the marked
 // writes conditional (an INSERT's uniqueness check on the keys it writes):
@@ -339,19 +325,22 @@ func (t *Txn) Del(p *sim.Proc, key mvcc.Key) error { return t.Put(p, key, nil) }
 // failed, so that Abort resolves all the intents the call laid; the error
 // returned is the first failure in kvs order.
 func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
+	return t.write(p, kvs, mustNotExist)
+}
+
+// write is the one write path. In a one-phase-commit-eligible transaction
+// a sole first write is buffered at the coordinator and committed together
+// with the transaction (CockroachDB's 1PC); every other write first flushes
+// such a buffer and then becomes provisional intents at once.
+func (t *Txn) write(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
 	if len(kvs) == 0 {
 		return nil
 	}
-	if t.AllowOnePC && t.buffered == nil && len(t.writes) == 0 && len(kvs) == 1 {
-		t.kv.Meta.Key = append(mvcc.Key(nil), kvs[0].Key...)
-		t.buffered = &bufferedPut{
-			KeyValue:     mvcc.KeyValue{Key: append(mvcc.Key(nil), kvs[0].Key...), Value: kvs[0].Value},
-			mustNotExist: mustNotExist != nil && mustNotExist[0],
+	buffer := t.AllowOnePC && t.buffered == nil && len(t.writes) == 0 && len(kvs) == 1
+	if !buffer {
+		if err := t.flushBuffered(p); err != nil {
+			return err
 		}
-		return nil
-	}
-	if err := t.flushBuffered(p); err != nil {
-		return err
 	}
 	for i := range mustNotExist {
 		if mustNotExist[i] && t.wroteLive(kvs[i].Key) {
@@ -359,8 +348,23 @@ func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool)
 		}
 	}
 	if len(t.writes) == 0 {
+		// The first write anchors the transaction record's range.
 		t.kv.Meta.Key = append(mvcc.Key(nil), kvs[0].Key...)
 	}
+	if buffer {
+		t.buffered = &bufferedPut{
+			KeyValue:     mvcc.KeyValue{Key: append(mvcc.Key(nil), kvs[0].Key...), Value: kvs[0].Value},
+			mustNotExist: mustNotExist != nil && mustNotExist[0],
+		}
+		return nil
+	}
+	return t.sendWrites(p, kvs, mustNotExist)
+}
+
+// sendWrites lays kvs as pipelined intents, one RPC per touched range, and
+// records every write that landed. A call that fails after some of its
+// writes landed leaves the transaction unable to commit.
+func (t *Txn) sendWrites(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
 	reqs := make([]interface{}, len(kvs))
 	for i, pair := range kvs {
 		reqs[i] = &kv.PutRequest{
@@ -386,46 +390,23 @@ func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool)
 	return firstErr
 }
 
-// GetParallel issues point reads concurrently, preserving input order in
-// the results.
-func (t *Txn) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	if err := t.flushBuffered(p); err != nil {
-		return nil, err
+// recordWrite notes a write the leaseholder accepted at ts.
+func (t *Txn) recordWrite(key mvcc.Key, value mvcc.Value, ts hlc.Timestamp) {
+	if t.kv.Meta.WriteTimestamp.Less(ts) {
+		t.kv.Meta.WriteTimestamp = ts
 	}
-	out := make([]mvcc.Value, len(keys))
-	var firstErr error
-	canBump := len(t.reads) == 0 && len(keys) == 1
-	reqs := make([]interface{}, len(keys))
-	for i, key := range keys {
-		reqs[i] = &kv.GetRequest{
-			Key: key, Timestamp: t.kv.ReadTimestamp, Txn: t.kv,
-			Uncertainty: true, FollowerRead: t.followerOK(key),
-			CanBumpReadTS: canBump,
+	t.writes = append(t.writes, write{key: append(mvcc.Key(nil), key...), live: value != nil})
+}
+
+// wroteLive reports whether the transaction's latest write of key left a
+// live value.
+func (t *Txn) wroteLive(key mvcc.Key) bool {
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if bytes.Equal(t.writes[i].key, key) {
+			return t.writes[i].live
 		}
 	}
-	for i, resp := range t.co.Sender.SendBatch(p, reqs) {
-		if resp.Err != nil {
-			if firstErr == nil {
-				firstErr = resp.Err
-			}
-			continue
-		}
-		if !resp.Get.BumpedTS.IsEmpty() && t.kv.ReadTimestamp.Less(resp.Get.BumpedTS) {
-			t.adoptReadTS(resp.Get.BumpedTS)
-		}
-		out[i] = resp.Get.Value
-	}
-	if firstErr != nil {
-		if err := t.handleReadErr(p, firstErr); err != nil {
-			return nil, err
-		}
-		// A refresh succeeded: retry the whole batch.
-		return t.GetParallel(p, keys)
-	}
-	for _, key := range keys {
-		t.reads = append(t.reads, readSpan{key: append(mvcc.Key(nil), key...)})
-	}
-	return out, nil
+	return false
 }
 
 // Commit finalizes the transaction. For read-write transactions this
@@ -735,34 +716,24 @@ func (c *Coordinator) StaleScan(p *sim.Proc, start, end mvcc.Key, max int, ts hl
 	return resp.Scan.Rows, nil
 }
 
-// BoundedStaleRead performs a with_min_timestamp(minTS) read (§5.3.2): it
-// negotiates the highest locally servable timestamp and reads there if it
-// satisfies the bound. If not and fallbackToLeaseholder is set, the read is
-// served by the leaseholder at minTS; otherwise an error is returned.
-func (c *Coordinator) BoundedStaleRead(p *sim.Proc, key mvcc.Key, minTS hlc.Timestamp, fallbackToLeaseholder bool) (mvcc.Value, hlc.Timestamp, simnet.NodeID, error) {
-	end := append(append(mvcc.Key(nil), key...), 0)
-	negotiated, err := c.Sender.NegotiateBoundedStaleness(p, [][2]mvcc.Key{{key, end}})
+// BoundedStalenessTimestamp picks the timestamp a bounded-staleness read of
+// spans is served at (§5.3.2): it negotiates the highest timestamp the
+// nearest replica of every touched range can serve locally, clamped to the
+// gateway's present time. When that is older than the bound minTS, it
+// returns minTS itself, which a replica that has not closed it redirects to
+// the leaseholder.
+func (c *Coordinator) BoundedStalenessTimestamp(p *sim.Proc, spans [][2]mvcc.Key, minTS hlc.Timestamp) (hlc.Timestamp, error) {
+	ts, err := c.Sender.NegotiateBoundedStaleness(p, spans)
 	if err != nil {
-		return nil, hlc.Timestamp{}, 0, err
+		return hlc.Timestamp{}, err
 	}
-	if now := c.Store.Clock.Now(); negotiated.IsEmpty() || now.Less(negotiated) {
-		negotiated = now
+	if now := c.Store.Clock.Now(); ts.IsEmpty() || now.Less(ts) {
+		ts = now
 	}
-	if negotiated.Less(minTS) {
-		if !fallbackToLeaseholder {
-			return nil, hlc.Timestamp{}, 0, fmt.Errorf("txn: bounded staleness unsatisfiable: negotiated %s < bound %s", negotiated, minTS)
-		}
-		resp := c.Sender.Send(p, &kv.GetRequest{Key: key, Timestamp: minTS, Uncertainty: false})
-		if resp.Err != nil {
-			return nil, hlc.Timestamp{}, 0, resp.Err
-		}
-		return resp.Get.Value, minTS, resp.Get.ServedBy, nil
+	if ts.Less(minTS) {
+		return minTS, nil
 	}
-	resp := c.Sender.Send(p, &kv.GetRequest{Key: key, Timestamp: negotiated, FollowerRead: true, Uncertainty: false})
-	if resp.Err != nil {
-		return nil, hlc.Timestamp{}, 0, resp.Err
-	}
-	return resp.Get.Value, negotiated, resp.Get.ServedBy, nil
+	return ts, nil
 }
 
 // MaxStalenessToMinTS converts a with_max_staleness bound into the minimum
