@@ -1,85 +1,31 @@
 package mrdb_test
 
-// One benchmark per table and figure of the paper's evaluation (§7). Each
-// benchmark executes a scaled-down but shape-preserving run of the
-// corresponding experiment and reports the headline latencies as custom
-// metrics (milliseconds of virtual time). `cmd/mrbench` runs the same
-// experiments with full output; `mrbench -full` approaches paper scale.
+// Every table, figure, ablation and dynamic scenario of the paper's
+// evaluation (§7) as one sub-benchmark, from the list `cmd/mrbench` runs
+// (bench.Experiments): `go test -bench Experiments/fig5` is `mrbench fig5`
+// at a scale small enough that the whole suite completes in a few minutes,
+// with its output discarded. `mrbench -full` approaches paper scale.
 
 import (
 	"io"
+	"path/filepath"
 	"testing"
 
 	"mrdb/internal/bench"
-	"mrdb/internal/core"
-	"mrdb/internal/sim"
-	"mrdb/internal/simnet"
 )
 
-// benchScale is small enough that the whole suite completes in a few
-// minutes of real time.
-func benchScale() bench.Scale {
-	return bench.Scale{RecordCount: 300, OpsPerClient: 15, ClientsPerRegion: 2, TPCCTxnsPerTerminal: 10}
-}
-
-func BenchmarkTable1RTTMatrix(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		topo := simnet.NewTable1Topology()
-		total := sim.Duration(0)
-		regions := simnet.Table1Regions()
-		for _, a := range regions {
-			for _, c := range regions {
-				total += topo.RegionRTT(a, c)
+func BenchmarkExperiments(b *testing.B) {
+	// Keep the committed BENCH_elastic.json: the elastic scenarios write
+	// their trajectories to a file.
+	bench.ElasticOut = filepath.Join(b.TempDir(), "BENCH_elastic.json")
+	scale := bench.Scale{RecordCount: 300, OpsPerClient: 15, ClientsPerRegion: 2, TPCCTxnsPerTerminal: 10}
+	for _, e := range bench.Experiments {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if err := e.Run(io.Discard, scale); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-		if total == 0 {
-			b.Fatal("empty RTT matrix")
-		}
+		})
 	}
-}
-
-func BenchmarkTable2DDLCounts(b *testing.B) {
-	regions := []simnet.Region{simnet.USEast1, simnet.USWest1, simnet.EuropeW2}
-	for i := 0; i < b.N; i++ {
-		rows := core.Table2(regions)
-		if len(rows) != 3 || rows[0].AddRegionAfter != 1 {
-			b.Fatal("table 2 mismatch")
-		}
-	}
-}
-
-// runFigure executes one figure reproduction per benchmark iteration.
-func runFigure(b *testing.B, fn func(io.Writer, bench.Scale) error) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		if err := fn(io.Discard, benchScale()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig3RegionalVsGlobal(b *testing.B)    { runFigure(b, bench.Fig3) }
-func BenchmarkFig4aLocalityOptimized(b *testing.B)  { runFigure(b, bench.Fig4a) }
-func BenchmarkFig4bUniquenessChecks(b *testing.B)   { runFigure(b, bench.Fig4b) }
-func BenchmarkFig4cRehomingContention(b *testing.B) { runFigure(b, bench.Fig4c) }
-func BenchmarkFig5GlobalTails(b *testing.B)         { runFigure(b, bench.Fig5) }
-
-func BenchmarkFig6TPCCScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if err := bench.Fig6(io.Discard, benchScale(), false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblationCommitWait(b *testing.B) {
-	runFigure(b, bench.AblationCommitWait)
-}
-
-func BenchmarkAblationNonVoters(b *testing.B) {
-	runFigure(b, bench.AblationNonVoters)
-}
-
-func BenchmarkAblationSurvivability(b *testing.B) {
-	runFigure(b, bench.AblationSurvivability)
 }

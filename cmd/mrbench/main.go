@@ -33,7 +33,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -100,48 +99,28 @@ func run() int {
 		experiments = []string{"all"}
 	}
 
-	type runner func(io.Writer) error
-	table := map[string]runner{
-		"table1": func(w io.Writer) error { return bench.Table1(w) },
-		"table2": func(w io.Writer) error { return bench.Table2(w) },
-		"fig3":   func(w io.Writer) error { return bench.Fig3(w, scale) },
-		"fig4a":  func(w io.Writer) error { return bench.Fig4a(w, scale) },
-		"fig4b":  func(w io.Writer) error { return bench.Fig4b(w, scale) },
-		"fig4c":  func(w io.Writer) error { return bench.Fig4c(w, scale) },
-		"fig5":   func(w io.Writer) error { return bench.Fig5(w, scale) },
-		"fig6":   func(w io.Writer) error { return bench.Fig6(w, scale, *full) },
-		"ablation-commitwait": func(w io.Writer) error {
-			return bench.AblationCommitWait(w, scale)
-		},
-		"ablation-nonvoters": func(w io.Writer) error {
-			return bench.AblationNonVoters(w, scale)
-		},
-		"ablation-survivability": func(w io.Writer) error {
-			return bench.AblationSurvivability(w, scale)
-		},
-		"elastic": func(w io.Writer) error { return bench.Elastic(w, scale) },
+	byName := map[string]bench.Experiment{}
+	var names []string
+	for _, e := range bench.Experiments {
+		byName[e.Name] = e
+		names = append(names, e.Name)
 	}
-	order := []string{
-		"table1", "table2", "fig3", "fig4a", "fig4b", "fig4c", "fig5", "fig6",
-		"ablation-commitwait", "ablation-nonvoters", "ablation-survivability",
-		"elastic",
-	}
-
-	var toRun []string
-	for _, e := range experiments {
-		if e == "all" {
-			toRun = append(toRun, order...)
+	var toRun []bench.Experiment
+	for _, name := range experiments {
+		if name == "all" {
+			toRun = append(toRun, bench.Experiments...)
 			continue
 		}
-		if _, ok := table[e]; !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %v\n", e, order)
+		e, ok := byName[name]
+		if !ok {
+			fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %v\n", name, names)
 			return 2
 		}
 		toRun = append(toRun, e)
 	}
 	for _, e := range toRun {
-		if err := table[e](os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", e, err)
+		if err := e.Run(os.Stdout, scale); err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", e.Name, err)
 			return 1
 		}
 	}

@@ -28,6 +28,9 @@ type Scale struct {
 	ClientsPerRegion int
 	// TPCCTxnsPerTerminal bounds the TPC-C run length.
 	TPCCTxnsPerTerminal int
+	// PaperRegions runs Fig. 6 at the paper's 4, 10 and 26 regions instead
+	// of 2, 4 and 8.
+	PaperRegions bool
 }
 
 // Quick returns the laptop-scale configuration used by `go test -bench`.
@@ -38,7 +41,32 @@ func Quick() Scale {
 // Full returns a configuration close to the paper's (slow: minutes of real
 // time per figure).
 func Full() Scale {
-	return Scale{RecordCount: 100000, OpsPerClient: 2000, ClientsPerRegion: 10, TPCCTxnsPerTerminal: 200}
+	return Scale{RecordCount: 100000, OpsPerClient: 2000, ClientsPerRegion: 10, TPCCTxnsPerTerminal: 200, PaperRegions: true}
+}
+
+// Experiment is one table, figure, ablation or dynamic scenario of the
+// evaluation.
+type Experiment struct {
+	Name string
+	Run  func(w io.Writer, scale Scale) error
+}
+
+// Experiments lists every experiment in the order `mrbench all` runs them;
+// cmd/mrbench runs them by name and the root bench_test.go as one
+// sub-benchmark each.
+var Experiments = []Experiment{
+	{"table1", func(w io.Writer, _ Scale) error { return Table1(w) }},
+	{"table2", func(w io.Writer, _ Scale) error { return Table2(w) }},
+	{"fig3", Fig3},
+	{"fig4a", Fig4a},
+	{"fig4b", Fig4b},
+	{"fig4c", Fig4c},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"ablation-commitwait", AblationCommitWait},
+	{"ablation-nonvoters", AblationNonVoters},
+	{"ablation-survivability", AblationSurvivability},
+	{"elastic", Elastic},
 }
 
 // ms formats a duration in milliseconds with two decimals.

@@ -100,10 +100,10 @@ func fig6Run(seed int64, scale Scale, nRegions int, restricted bool) (*fig6Resul
 // Fig6 reproduces paper Figure 6: TPC-C throughput scaling with region
 // count, plus the per-region latency profile and the PLACEMENT RESTRICTED
 // comparison (§7.4).
-func Fig6(w io.Writer, scale Scale, full bool) error {
+func Fig6(w io.Writer, scale Scale) error {
 	header(w, "Figure 6: multi-region TPC-C scalability")
 	counts := []int{2, 4, 8}
-	if full {
+	if scale.PaperRegions {
 		counts = []int{4, 10, 26}
 	}
 	var results []*fig6Result

@@ -151,127 +151,129 @@ func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) []Response {
 	return resps
 }
 
-func (r *Replica) getOpts(txn *Txn, uncertainty bool) mvcc.GetOptions {
-	opts := mvcc.GetOptions{}
-	if txn != nil {
-		opts.Txn = &txn.Meta
-		if uncertainty {
-			opts.UncertaintyLimit = txn.GlobalUncertaintyLimit
-			opts.LocalLimit = hlc.Timestamp{WallTime: r.store.Clock.PhysicalNow()}
-		}
-	}
-	return opts
+// replicaRead is a request evalRead serves: GetRequest, ScanRequest and
+// RefreshRequest. Each supplies only what differs between them.
+type replicaRead interface {
+	// bounds is the RangeKeyMismatchError to answer if r does not own the read.
+	bounds(r *Replica) error
+	// readAt reads once at ts; an intent or an uncertain value is an error.
+	readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions) (Response, error)
+	// record notes resp, served at ts, in the leaseholder's timestamp cache.
+	record(r *Replica, ts hlc.Timestamp, resp Response)
 }
 
-func (r *Replica) evalGet(p *sim.Proc, req *GetRequest) Response {
-	if !req.Timestamp.IsEmpty() && !r.desc.ContainsKey(req.Key) {
-		return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
+// readArgs is the rest of what evalRead needs to know about a read.
+type readArgs struct {
+	ts          hlc.Timestamp
+	txn         *Txn // nil for non-transactional and stale reads
+	uncertainty bool // check txn's uncertainty interval
+	canBump     bool // ratchet past an uncertain value and retry
+	patience    sim.Duration
+	// latchKey is a point read's key: the leaseholder waits out an in-flight
+	// write on it, and with forUpdate takes its unreplicated lock first.
+	latchKey  mvcc.Key
+	forUpdate bool
+}
+
+// evalRead is the one read evaluation. A replica holding a valid lease serves
+// as leaseholder. Any other serves only below its closed timestamp (paper
+// §5.1), which must cover a consistent read's whole uncertainty interval
+// (§6.2.1: "the size of uncertainty intervals must also be factored in"), so
+// uncertainty bumps stay below it too; it first waits up to the read's
+// patience for its closed timestamp to get there (the adaptive policy the
+// paper lists as future work), then redirects the read to the leaseholder.
+func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
+	if err := q.bounds(r); err != nil {
+		return Response{Err: err}
 	}
-	if r.checkLease() != nil {
-		return r.evalFollowerGet(p, req)
-	}
-	if req.ForUpdate && req.Txn != nil {
-		// SELECT FOR UPDATE: take the unreplicated lock before reading
-		// so read-modify-write transactions queue instead of racing.
-		if err := r.acquireLock(p, req.Key, req.Txn); err != nil {
+	leaseholder := r.hasValidLease()
+	if leaseholder && a.forUpdate && a.txn != nil {
+		// SELECT FOR UPDATE: take the unreplicated lock before reading so
+		// read-modify-write transactions queue instead of racing.
+		if err := r.acquireLock(p, a.latchKey, a.txn); err != nil {
 			return Response{Err: err}
 		}
 	}
-	opts := r.getOpts(req.Txn, req.Uncertainty)
-	readTS := req.Timestamp
-	var bumped hlc.Timestamp
-	for {
-		// Wait out in-flight writes on this key so we cannot read around
-		// a write that is between evaluation and application.
-		lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
-		r.latches.waitFree(p, req.Key)
-		lsp.Finish()
-		// A split may have applied while this request waited (lock, latch,
-		// intent); this engine's copy of the key is then stale. Re-route.
-		if !req.Timestamp.IsEmpty() && !r.desc.ContainsKey(req.Key) {
-			return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
+	required := a.ts
+	var opts mvcc.GetOptions
+	if a.txn != nil {
+		opts.Txn = &a.txn.Meta
+		if a.uncertainty {
+			opts.UncertaintyLimit = a.txn.GlobalUncertaintyLimit
+			opts.LocalLimit = hlc.Timestamp{WallTime: r.store.Clock.PhysicalNow()}
+			required = required.Max(a.txn.GlobalUncertaintyLimit)
 		}
-		val, vts, err := r.engine.Get(req.Key, readTS, opts)
+	}
+	readTS, patience := a.ts, a.patience
+	for {
+		if leaseholder && a.latchKey != nil {
+			// Wait out a write between its evaluation and its application.
+			lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
+			r.latches.waitFree(p, a.latchKey)
+			lsp.Finish()
+		}
+		// A split may have applied while this request waited (lock, latch,
+		// intent, closed timestamp); this engine's copy is then stale.
+		if err := q.bounds(r); err != nil {
+			return Response{Err: err}
+		}
+		if !leaseholder && r.closed.closed.Less(required) {
+			if patience > 0 {
+				csp := r.store.Obs.StartChild("closedts.wait", obs.ProcSpan(p))
+				r.waitForClosed(p, required, patience)
+				csp.Finish()
+				patience = 0
+				continue
+			}
+			return r.redirectToLeaseholder(required)
+		}
+		resp, err := q.readAt(r, readTS, opts)
 		if err != nil { // the errors.As targets escape: keep them off the success path
 			var wie *mvcc.WriteIntentError
 			if errors.As(err, &wie) {
-				if werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, false); werr != nil {
+				if !leaseholder {
+					// Paper §5.1.1: "the read blocks while it is redirected to
+					// the leaseholder to engage in conflict resolution."
+					return r.redirectToLeaseholder(readTS)
+				}
+				if werr := r.waitOnIntent(p, wie.Key, wie.Txn, a.txn, false); werr != nil {
 					return Response{Err: werr}
 				}
 				continue
 			}
 			var ue *mvcc.UncertaintyError
-			if errors.As(err, &ue) && req.CanBumpReadTS {
+			if errors.As(err, &ue) && a.canBump {
 				// Server-side uncertainty refresh: nothing else in the
-				// transaction's read/write set can be invalidated, so
-				// ratchet locally and retry (paper §6.1).
+				// transaction can be invalidated, so ratchet locally and retry
+				// (paper §6.1).
 				readTS = ue.ValueTimestamp
-				bumped = readTS
 				continue
 			}
 			return Response{Err: err}
 		}
-		var reader mvcc.TxnID
-		if req.Txn != nil {
-			reader = req.Txn.Meta.ID
+		if leaseholder {
+			q.record(r, readTS, resp)
+		} else {
+			r.FollowerReads++
+			obs.ProcSpan(p).SetTag("follower_read", "true")
 		}
-		r.tscache.RecordRead(req.Key, readTS, reader)
-		return Response{Get: &GetResponse{Value: val, Timestamp: vts, ServedBy: r.store.NodeID, BumpedTS: bumped}}
+		return resp
 	}
 }
 
-// evalFollowerGet serves a read from a non-leaseholder replica (paper §5.1).
-// A stale read only needs its own timestamp closed; a consistent
-// (uncertainty-checked) read needs its entire uncertainty interval closed —
-// this is why the LEAD policy's closed-timestamp lead includes
-// max_clock_offset (§6.2.1: "the size of uncertainty intervals must also be
-// factored in") — so that uncertainty bumps stay below the closed timestamp
-// and can be served locally without redirecting.
-func (r *Replica) evalFollowerGet(p *sim.Proc, req *GetRequest) Response {
-	required := req.Timestamp
-	if req.Uncertainty && req.Txn != nil && required.Less(req.Txn.GlobalUncertaintyLimit) {
-		required = req.Txn.GlobalUncertaintyLimit
+// redirectToLeaseholder answers a read this replica cannot serve at ts.
+func (r *Replica) redirectToLeaseholder(ts hlc.Timestamp) Response {
+	r.RedirectsToLH++
+	return Response{Err: &FollowerReadUnavailableError{
+		RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: ts}}
+}
+
+// ownKey is the RangeKeyMismatchError to answer for a key outside the range.
+func (r *Replica) ownKey(key mvcc.Key) error {
+	if !r.desc.ContainsKey(key) {
+		return &RangeKeyMismatchError{RequestedKey: key}
 	}
-	if r.closed.closed.Less(required) && req.WaitForClosed > 0 {
-		// Adaptive policy (paper future work): wait for the closed
-		// timestamp to reach us instead of paying a WAN redirect.
-		csp := r.store.Obs.StartChild("closedts.wait", obs.ProcSpan(p))
-		r.waitForClosed(p, required, req.WaitForClosed)
-		csp.Finish()
-	}
-	if r.closed.closed.Less(required) {
-		r.RedirectsToLH++
-		return Response{Err: &FollowerReadUnavailableError{
-			RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: required}}
-	}
-	opts := r.getOpts(req.Txn, req.Uncertainty)
-	readTS := req.Timestamp
-	var bumped hlc.Timestamp
-	for {
-		val, vts, err := r.engine.Get(req.Key, readTS, opts)
-		if err != nil {
-			var wie *mvcc.WriteIntentError
-			if errors.As(err, &wie) {
-				// Paper §5.1.1: "the read blocks while it is redirected to
-				// the leaseholder to engage in conflict resolution."
-				r.RedirectsToLH++
-				return Response{Err: &FollowerReadUnavailableError{
-					RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: readTS}}
-			}
-			var ue *mvcc.UncertaintyError
-			if errors.As(err, &ue) && req.CanBumpReadTS {
-				// The bump stays within the uncertainty interval, which is
-				// fully closed here, so the follower may serve it locally.
-				readTS = ue.ValueTimestamp
-				bumped = readTS
-				continue
-			}
-			return Response{Err: err}
-		}
-		r.FollowerReads++
-		obs.ProcSpan(p).SetTag("follower_read", "true")
-		return Response{Get: &GetResponse{Value: val, Timestamp: vts, ServedBy: r.store.NodeID, BumpedTS: bumped}}
-	}
+	return nil
 }
 
 // scanBounds clamps a requested scan span to this replica's range bounds.
@@ -289,8 +291,8 @@ func (r *Replica) scanBounds(req *ScanRequest) (start, end, resume mvcc.Key, err
 		return nil, nil, nil, &RangeKeyMismatchError{RequestedKey: start}
 	}
 	if r.desc.EndKey != nil && (end == nil || bytes.Compare(r.desc.EndKey, end) < 0) {
-		end = r.desc.EndKey
-		resume = append(mvcc.Key(nil), r.desc.EndKey...)
+		// Installed descriptors are never mutated: EndKey can be shared.
+		end, resume = r.desc.EndKey, r.desc.EndKey
 	}
 	return start, end, resume, nil
 }
@@ -307,47 +309,6 @@ func scanResume(req *ScanRequest, rows []mvcc.KeyValue, end, rangeResume mvcc.Ke
 		}
 	}
 	return rangeResume
-}
-
-func (r *Replica) evalScan(p *sim.Proc, req *ScanRequest) Response {
-	start, end, rangeResume, berr := r.scanBounds(req)
-	if berr != nil {
-		return Response{Err: berr}
-	}
-	if r.checkLease() != nil {
-		if r.closed.closed.Less(req.Timestamp) {
-			r.RedirectsToLH++
-			return Response{Err: &FollowerReadUnavailableError{
-				RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: req.Timestamp}}
-		}
-		rows, err := r.engine.Scan(start, end, req.Timestamp, req.MaxRows, r.getOpts(req.Txn, req.Uncertainty))
-		if err != nil {
-			r.RedirectsToLH++
-			return Response{Err: &FollowerReadUnavailableError{
-				RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: req.Timestamp}}
-		}
-		r.FollowerReads++
-		obs.ProcSpan(p).SetTag("follower_read", "true")
-		return Response{Scan: &ScanResponse{Rows: rows, ServedBy: r.store.NodeID,
-			ResumeKey: scanResume(req, rows, end, rangeResume)}}
-	}
-	opts := r.getOpts(req.Txn, req.Uncertainty)
-	for {
-		rows, err := r.engine.Scan(start, end, req.Timestamp, req.MaxRows, opts)
-		if err != nil {
-			var wie *mvcc.WriteIntentError
-			if errors.As(err, &wie) {
-				if werr := r.waitOnIntent(p, wie.Key, wie.Txn, req.Txn, false); werr != nil {
-					return Response{Err: werr}
-				}
-				continue
-			}
-			return Response{Err: err}
-		}
-		r.tscache.RecordReadSpan(start, end, req.Timestamp)
-		return Response{Scan: &ScanResponse{Rows: rows, ServedBy: r.store.NodeID,
-			ResumeKey: scanResume(req, rows, end, rangeResume)}}
-	}
 }
 
 func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
@@ -397,11 +358,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		// Writes may not invalidate served reads — except the
 		// transaction's own (self-exemption avoids forcing a refresh on
 		// every read-modify-write).
-		var writer mvcc.TxnID
-		if txnMeta != nil {
-			writer = txnMeta.ID
-		}
-		if tsc, own := r.tscache.MaxRead(req.Key, writer); own {
+		if tsc, own := r.tscache.MaxRead(req.Key, req.Txn.id()); own {
 			if ts.Less(tsc) {
 				ts = tsc
 			}
@@ -488,20 +445,11 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 	// unchanged in (ReadFromTS, ts].
 	if req.ReadFromTS.Less(ts) {
 		for _, span := range req.ReadSpans {
-			if !r.desc.ContainsKey(span[0]) {
-				return Response{Put: &PutResponse{Declined1PC: true}}
-			}
-			end := span[1]
-			if end == nil {
-				if r.engine.HasNewerVersion(span[0], req.ReadFromTS, ts, req.Txn.Meta.ID) {
-					return Response{Put: &PutResponse{Declined1PC: true}}
-				}
-				continue
-			}
-			if !r.desc.ContainsKey(end) && string(end) != string(r.desc.EndKey) {
-				return Response{Put: &PutResponse{Declined1PC: true}}
-			}
-			if r.engine.HasNewerVersionInSpan(span[0], end, req.ReadFromTS, ts, req.Txn.Meta.ID) {
+			start, end := span[0], span[1]
+			inRange := r.desc.ContainsKey(start) &&
+				(end == nil || r.desc.ContainsKey(end) || string(end) == string(r.desc.EndKey))
+			refresh := RefreshRequest{Key: start, EndKey: end, FromTS: req.ReadFromTS, ToTS: ts, TxnID: req.Txn.Meta.ID}
+			if !inRange || refresh.newer(r.engine) {
 				return Response{Put: &PutResponse{Declined1PC: true}}
 			}
 		}
@@ -667,39 +615,6 @@ func (r *Replica) evalResolveIntent(p *sim.Proc, req *ResolveIntentRequest) Resp
 	return Response{Resolve: &ResolveIntentResponse{}}
 }
 
-func (r *Replica) evalRefresh(p *sim.Proc, req *RefreshRequest) Response {
-	leaseholder := r.isLeaseholder()
-	if !leaseholder && r.closed.closed.Less(req.ToTS) {
-		// A follower can verify a refresh authoritatively when its
-		// closed timestamp covers ToTS: no new writes can appear at or
-		// below a closed timestamp, so the local state is complete.
-		// This keeps refreshes of GLOBAL-table reads region-local.
-		return Response{Err: &FollowerReadUnavailableError{
-			RangeID: r.desc.RangeID, ClosedTS: r.closed.closed, ReadTS: req.ToTS}}
-	}
-	if leaseholder && req.EndKey == nil {
-		// Like a read, wait out a write that is between evaluation and
-		// application: it already passed the timestamp cache, so a refresh
-		// that looked past it would bless a read the write invalidates.
-		r.latches.waitFree(p, req.Key)
-	}
-	var ok bool
-	if req.EndKey != nil {
-		ok = !r.engine.HasNewerVersionInSpan(req.Key, req.EndKey, req.FromTS, req.ToTS, req.TxnID)
-	} else {
-		ok = !r.engine.HasNewerVersion(req.Key, req.FromTS, req.ToTS, req.TxnID)
-	}
-	if ok && leaseholder {
-		// The refreshed read is a read at the new timestamp.
-		if req.EndKey != nil {
-			r.tscache.RecordReadSpan(req.Key, req.EndKey, req.ToTS)
-		} else {
-			r.tscache.RecordRead(req.Key, req.ToTS, req.TxnID)
-		}
-	}
-	return Response{Refresh: &RefreshResponse{Success: ok}}
-}
-
 // evalNegotiate serves the bounded-staleness negotiation (paper §5.3.2):
 // the highest timestamp this replica can serve locally without blocking is
 // the minimum of its closed timestamp and (any conflicting intent's
@@ -791,10 +706,7 @@ func (r *Replica) waitOnIntent(p *sim.Proc, key mvcc.Key, holder mvcc.TxnMeta, w
 	if !isWrite || waiter == nil {
 		wait = livenessThreshold
 	}
-	var waiterID mvcc.TxnID
-	if waiter != nil {
-		waiterID = waiter.Meta.ID
-	}
+	waiterID := waiter.id()
 	// A Pending holder means this request actually blocks; log the wait as
 	// a contention event (with its virtual duration) when it ends.
 	if st, _ := r.store.Registry.Status(holder.ID); st == mvcc.Pending && r.store.Contention != nil {

@@ -104,6 +104,14 @@ type Txn struct {
 	Priority int64
 }
 
+// id is the transaction's ID, zero for a non-transactional request.
+func (t *Txn) id() mvcc.TxnID {
+	if t == nil {
+		return 0
+	}
+	return t.Meta.ID
+}
+
 // --- Requests ---
 
 // request is the sealed set of KV requests. Everything the DistSender and
@@ -169,10 +177,29 @@ type GetRequest struct {
 	WaitForClosed sim.Duration
 }
 
-func (q *GetRequest) routingKey() mvcc.Key                  { return q.Key }
-func (q *GetRequest) typeName() string                      { return "*kv.GetRequest" }
-func (q *GetRequest) followerOK() bool                      { return q.FollowerRead }
-func (q *GetRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalGet(p, q) }
+func (q *GetRequest) routingKey() mvcc.Key    { return q.Key }
+func (q *GetRequest) typeName() string        { return "*kv.GetRequest" }
+func (q *GetRequest) followerOK() bool        { return q.FollowerRead }
+func (q *GetRequest) bounds(r *Replica) error { return r.ownKey(q.Key) }
+func (q *GetRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
+	r.tscache.RecordRead(q.Key, ts, q.Txn.id())
+}
+func (q *GetRequest) eval(r *Replica, p *sim.Proc) Response {
+	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty,
+		canBump: q.CanBumpReadTS, patience: q.WaitForClosed, latchKey: q.Key, forUpdate: q.ForUpdate})
+}
+
+func (q *GetRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions) (Response, error) {
+	val, vts, err := r.engine.Get(q.Key, ts, opts)
+	if err != nil {
+		return Response{}, err
+	}
+	var bumped hlc.Timestamp
+	if q.Timestamp.Less(ts) { // an uncertainty refresh moved the read
+		bumped = ts
+	}
+	return Response{Get: &GetResponse{Value: val, Timestamp: vts, ServedBy: r.store.NodeID, BumpedTS: bumped}}, nil
+}
 
 // GetResponse carries the read result.
 type GetResponse struct {
@@ -193,12 +220,36 @@ type ScanRequest struct {
 	Txn              *Txn
 	Uncertainty      bool
 	FollowerRead     bool
+	// WaitForClosed is GetRequest's adaptive follower-read patience.
+	WaitForClosed sim.Duration
 }
 
-func (q *ScanRequest) routingKey() mvcc.Key                  { return q.StartKey }
-func (q *ScanRequest) typeName() string                      { return "*kv.ScanRequest" }
-func (q *ScanRequest) followerOK() bool                      { return q.FollowerRead }
-func (q *ScanRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalScan(p, q) }
+func (q *ScanRequest) routingKey() mvcc.Key { return q.StartKey }
+func (q *ScanRequest) typeName() string     { return "*kv.ScanRequest" }
+func (q *ScanRequest) followerOK() bool     { return q.FollowerRead }
+func (q *ScanRequest) eval(r *Replica, p *sim.Proc) Response {
+	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty, patience: q.WaitForClosed})
+}
+
+func (q *ScanRequest) bounds(r *Replica) error {
+	_, _, _, err := r.scanBounds(q)
+	return err
+}
+
+func (q *ScanRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions) (Response, error) {
+	start, end, rangeResume, _ := r.scanBounds(q)
+	rows, err := r.engine.Scan(start, end, ts, q.MaxRows, opts)
+	if err != nil {
+		return Response{}, err
+	}
+	return Response{Scan: &ScanResponse{Rows: rows, ServedBy: r.store.NodeID,
+		ResumeKey: scanResume(q, rows, end, rangeResume)}}, nil
+}
+
+// record notes the requested span, which covers the part this range served.
+func (q *ScanRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
+	r.tscache.RecordReadSpan(q.StartKey, q.EndKey, ts)
+}
 
 // ScanResponse carries scan results. A replica truncates the scan to its
 // own range bounds; ResumeKey, when set, is where the remainder of the
@@ -337,10 +388,45 @@ type RefreshRequest struct {
 	FollowerRead bool
 }
 
-func (q *RefreshRequest) routingKey() mvcc.Key                  { return q.Key }
-func (q *RefreshRequest) typeName() string                      { return "*kv.RefreshRequest" }
-func (q *RefreshRequest) followerOK() bool                      { return q.FollowerRead }
-func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalRefresh(p, q) }
+func (q *RefreshRequest) routingKey() mvcc.Key    { return q.Key }
+func (q *RefreshRequest) typeName() string        { return "*kv.RefreshRequest" }
+func (q *RefreshRequest) followerOK() bool        { return q.FollowerRead }
+func (q *RefreshRequest) bounds(r *Replica) error { return r.ownKey(q.Key) }
+
+// eval serves a refresh as a read at ToTS, which a follower can verify once
+// its closed timestamp covers ToTS. A point refresh waits out an in-flight
+// write on its key: the write already passed the timestamp cache, so a
+// refresh that looked past it would bless a read the write invalidates.
+func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response {
+	a := readArgs{ts: q.ToTS}
+	if q.EndKey == nil {
+		a.latchKey = q.Key
+	}
+	return r.evalRead(p, q, a)
+}
+
+func (q *RefreshRequest) readAt(r *Replica, _ hlc.Timestamp, _ mvcc.GetOptions) (Response, error) {
+	return Response{Refresh: &RefreshResponse{Success: !q.newer(r.engine)}}, nil
+}
+
+// newer reports whether e holds another transaction's write in (FromTS, ToTS]
+// on the key or span; a one-phase commit refreshes its reads with it too.
+func (q *RefreshRequest) newer(e *mvcc.Engine) bool {
+	if q.EndKey != nil {
+		return e.HasNewerVersionInSpan(q.Key, q.EndKey, q.FromTS, q.ToTS, q.TxnID)
+	}
+	return e.HasNewerVersion(q.Key, q.FromTS, q.ToTS, q.TxnID)
+}
+
+func (q *RefreshRequest) record(r *Replica, ts hlc.Timestamp, resp Response) {
+	switch {
+	case !resp.Refresh.Success:
+	case q.EndKey != nil:
+		r.tscache.RecordReadSpan(q.Key, q.EndKey, ts)
+	default:
+		r.tscache.RecordRead(q.Key, ts, q.TxnID)
+	}
+}
 
 // RefreshResponse reports whether the refresh succeeded.
 type RefreshResponse struct {

@@ -7,26 +7,30 @@ import (
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/zones"
 )
 
 // TestWaitingRequestReroutesAfterSplit: a request that parks (lock, latch,
-// intent) may wake up on a range that no longer owns its key. The left-hand
-// engine keeps a copy of the right half's data that later writes never
-// reach, so evaluating against it reads stale values; the request must be
-// re-routed instead.
+// intent, a follower's closed timestamp) may wake up on a range that no
+// longer owns its key. The left-hand engine keeps a copy of the right half's
+// data that later writes never reach, so evaluating against it reads stale
+// values; the request must be re-routed instead.
 func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
 	st := h.stores[1]
 	rep, _ := st.Replica(desc.RangeID)
+	follower, _ := h.stores[2].Replica(desc.RangeID)
 	key := mvcc.Key("m")
 
-	var get, put Response
+	var get, put, followerGet Response
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		// A writer holds the latch while both requests arrive…
+		// A writer holds the latch while both leaseholder requests arrive,
+		// and a present-time read waits for the follower's lagging closed
+		// timestamp…
 		rep.latches.acquire(p, key)
 		done := sim.NewWaitGroup(h.s)
-		done.Add(2)
+		done.Add(3)
 		h.s.Spawn("get", func(gp *sim.Proc) {
 			defer done.Done()
 			get = rep.evaluate(gp, &GetRequest{Key: key, Timestamp: st.Clock.Now()})
@@ -34,6 +38,11 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 		h.s.Spawn("put", func(pp *sim.Proc) {
 			defer done.Done()
 			put = rep.evaluate(pp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: st.Clock.Now()})
+		})
+		h.s.Spawn("follower-get", func(fp *sim.Proc) {
+			defer done.Done()
+			followerGet = follower.evaluate(fp, &GetRequest{Key: key, Timestamp: st.Clock.Now(),
+				FollowerRead: true, WaitForClosed: 5 * sim.Second})
 		})
 		p.Sleep(10 * sim.Millisecond)
 		// …and the range splits below the key before the latch frees.
@@ -50,6 +59,65 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 	}
 	if !errors.As(put.Err, &mismatch) {
 		t.Errorf("put evaluated on the left-hand side after the split: %+v", put)
+	}
+	if !errors.As(followerGet.Err, &mismatch) {
+		t.Errorf("follower get evaluated on the left-hand side after waiting across the split: %+v", followerGet)
+	}
+}
+
+// TestFencedLeaseholderRefreshIsAFollowerRead: a leaseholder whose lease a
+// peer fenced with an epoch bump still holds a descriptor naming itself, but
+// it is no longer the range's authority. A refresh it receives is served only
+// under its closed timestamp, like any follower's, and is never recorded in
+// its timestamp cache: writes that replica evaluates are not the range's.
+func TestFencedLeaseholderRefreshIsAFollowerRead(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc, err := h.admin.CreateRange(mvcc.Key("a"), mvcc.Key("z"),
+		zones.Placement{Voters: []simnet.NodeID{1, 2, 3}, Leaseholder: 1}, ClosedTSLead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, _ := h.stores[1].Replica(desc.RangeID)
+	h.run(t, 15*sim.Second, func(p *sim.Proc) error {
+		if err := h.admin.WaitReady(p, desc.RangeID); err != nil {
+			return err
+		}
+		// A write carrying a closed-timestamp promise gives the replica a
+		// closed timestamp of its own.
+		cmd := putCmd(h.stores[1], "w", "v")
+		cmd.ClosedTS = rep.closed.issue(h.stores[1].Clock.Now())
+		return rep.propose(p, cmd)
+	})
+	h.net.Partition(1, 2)
+	h.net.Partition(1, 3)
+	h.s.RunFor(20 * sim.Second)
+	if !rep.isLeaseholder() || rep.hasValidLease() {
+		t.Fatalf("n1 should still name itself leaseholder of a fenced lease: holder n%d, valid %v",
+			rep.desc.Leaseholder, rep.hasValidLease())
+	}
+
+	key := mvcc.Key("k")
+	before, _ := rep.tscache.MaxRead(key, 0)
+	closed := rep.ClosedTimestamp()
+	if closed.IsEmpty() {
+		t.Fatal("the fenced replica has no closed timestamp")
+	}
+	from := closed.Add(-sim.Second)
+	var above, below Response
+	h.run(t, sim.Second, func(p *sim.Proc) error {
+		above = rep.evaluate(p, &RefreshRequest{Key: key, FromTS: from, ToTS: closed.Add(sim.Second), TxnID: 7})
+		below = rep.evaluate(p, &RefreshRequest{Key: key, FromTS: from, ToTS: closed, TxnID: 7})
+		return nil
+	})
+	var unavailable *FollowerReadUnavailableError
+	if !errors.As(above.Err, &unavailable) {
+		t.Errorf("refresh above the fenced replica's closed timestamp: %+v, want FollowerReadUnavailableError", above)
+	}
+	if below.Err != nil || below.Refresh == nil || !below.Refresh.Success {
+		t.Errorf("refresh below the fenced replica's closed timestamp: %+v, want Success", below)
+	}
+	if after, _ := rep.tscache.MaxRead(key, 0); after != before {
+		t.Errorf("fenced replica recorded a refresh in its timestamp cache: %v -> %v", before, after)
 	}
 }
 

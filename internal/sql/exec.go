@@ -261,12 +261,12 @@ func (s *Session) execDML(p *sim.Proc, stmt Statement) (*Result, error) {
 		// Virtual tables read in-memory cluster state; no transaction.
 		return s.execVirtualSelect(sel)
 	}
+	if s.activeTxn != nil {
+		return s.execDMLInTxn(p, s.activeTxn, stmt)
+	}
 	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
 		// Stale reads run outside transactions (§5.3).
 		return s.execSelect(p, nil, sel)
-	}
-	if s.activeTxn != nil {
-		return s.execDMLInTxn(p, s.activeTxn, stmt)
 	}
 	var res *Result
 	err := s.Coord.Run(p, func(tx *txn.Txn) error {
@@ -294,13 +294,16 @@ func (s *Session) ExecTxn(p *sim.Proc, tx *txn.Txn, sqlText string) (*Result, er
 	if err != nil {
 		return nil, err
 	}
-	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
-		return nil, fmt.Errorf("sql: AS OF SYSTEM TIME not allowed in a read-write transaction")
-	}
 	return s.execDMLInTxn(p, tx, stmt)
 }
 
+// execDMLInTxn is the one way a statement runs inside a transaction, whether
+// the session's own (BeginTxn), an auto-commit one, or the caller's (ExecTxn,
+// ExecPreparedTxn).
 func (s *Session) execDMLInTxn(p *sim.Proc, tx *txn.Txn, stmt Statement) (*Result, error) {
+	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
+		return nil, fmt.Errorf("sql: AS OF SYSTEM TIME not allowed in a read-write transaction")
+	}
 	if isVirtualStmt(stmt) {
 		sel, ok := stmt.(*Select)
 		if !ok {

@@ -320,6 +320,52 @@ func TestSQLStaleReads(t *testing.T) {
 	})
 }
 
+// TestAsOfSystemTimeRejectedInEveryTransaction: a stale read cannot run
+// inside a read-write transaction, however the statement enters it — ExecTxn,
+// ExecPreparedTxn, or Exec in a transaction opened by BeginTxn. Outside one
+// the same statement is a stale read.
+func TestAsOfSystemTimeRejectedInEveryTransaction(t *testing.T) {
+	h := newSQLHarness(9)
+	h.run(t, func(p *sim.Proc) {
+		s := h.setupMovr(t, p)
+		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (30, 'a@x.com', 'asof')`)
+		p.Sleep(4 * sim.Second)
+		const stmt = `SELECT name FROM users AS OF SYSTEM TIME '-3.5s' WHERE id = 30`
+		const want = "sql: AS OF SYSTEM TIME not allowed in a read-write transaction"
+		ps := s.MustPrepare(stmt)
+		for _, c := range []struct {
+			name string
+			exec func() error
+		}{
+			{"ExecTxn", func() error {
+				return s.RunTxn(p, func(tx *txn.Txn) error {
+					_, err := s.ExecTxn(p, tx, stmt)
+					return err
+				})
+			}},
+			{"ExecPreparedTxn", func() error {
+				return s.RunTxn(p, func(tx *txn.Txn) error {
+					_, err := s.ExecPreparedTxn(p, tx, ps)
+					return err
+				})
+			}},
+			{"Exec after BeginTxn", func() error {
+				s.BeginTxn()
+				defer s.RollbackTxn(p)
+				_, err := s.Exec(p, stmt)
+				return err
+			}},
+		} {
+			if err := c.exec(); err == nil || err.Error() != want {
+				t.Errorf("%s: %v, want %q", c.name, err, want)
+			}
+		}
+		if res := mustExec(t, p, s, stmt); len(res.Rows) != 1 || res.Rows[0][0] != "asof" {
+			t.Errorf("stale read outside a transaction: %v", res.Rows)
+		}
+	})
+}
+
 func TestSQLAddDropRegion(t *testing.T) {
 	h := newSQLHarness(8)
 	h.run(t, func(p *sim.Proc) {

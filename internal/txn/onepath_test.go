@@ -1,6 +1,7 @@
 package txn_test
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -196,30 +197,39 @@ func TestOneCoordinatorPath(t *testing.T) {
 	}
 }
 
+// lagAsiaReplica writes g/a and g/b to the GLOBAL range desc, then slows the
+// leaseholder's link to the range's asia-northeast1 replica so that replica's
+// closed timestamp trails present time, and returns that replica's node.
+func (h *harness) lagAsiaReplica(t *testing.T, p *sim.Proc, desc *kv.RangeDescriptor) simnet.NodeID {
+	t.Helper()
+	if err := h.coord(simnet.USEast1).Run(p, func(tx *txn.Txn) error {
+		return tx.PutParallel(p, writesOf("g/a", "g/b"), nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var asia simnet.NodeID
+	for _, id := range desc.Replicas() {
+		if loc, _ := h.c.Topo.LocalityOf(id); loc.Region == simnet.AsiaNE1 {
+			h.c.Net.SlowLink(desc.Leaseholder, id, sim.Second)
+			asia = id
+		}
+	}
+	p.Sleep(3 * sim.Second)
+	return asia
+}
+
 // TestFollowerReadPatienceAppliesToEveryRead: a coordinator's
 // FollowerReadPatience lets a follower wait for its closed timestamp instead
 // of redirecting a read to the leaseholder, and it must apply however the
-// read is issued — a single Get or a batch of one or several keys. The
-// leaseholder's link to the asia-northeast1 replica is slowed so that
-// replica's closed timestamp trails present time; the impatient control
-// read shows the lag is real.
+// read is issued — a single Get, a batch of one or several keys, a scan, or
+// a stale scan. The leaseholder's link to the asia-northeast1 replica is
+// slowed so that replica's closed timestamp trails present time; the
+// impatient control read shows the lag is real.
 func TestFollowerReadPatienceAppliesToEveryRead(t *testing.T) {
 	h := newHarness(t, 28)
 	desc := h.globalRange(t)
 	h.run(t, func(p *sim.Proc) {
-		east := h.coord(simnet.USEast1)
-		if err := east.Run(p, func(tx *txn.Txn) error {
-			return tx.PutParallel(p, writesOf("g/a", "g/b"), nil)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range desc.Replicas() {
-			if loc, _ := h.c.Topo.LocalityOf(id); loc.Region == simnet.AsiaNE1 {
-				h.c.Net.SlowLink(desc.Leaseholder, id, sim.Second)
-			}
-		}
-		p.Sleep(3 * sim.Second)
-
+		h.lagAsiaReplica(t, p, desc)
 		asia := h.coord(simnet.AsiaNE1)
 		reads := []struct {
 			name string
@@ -237,6 +247,14 @@ func TestFollowerReadPatienceAppliesToEveryRead(t *testing.T) {
 				_, err := tx.GetParallel(p, keysOf("g/a", "g/b"))
 				return err
 			}},
+			{"Scan", func(tx *txn.Txn) error {
+				_, err := tx.Scan(p, mvcc.Key("g/"), mvcc.Key("g0"), 0)
+				return err
+			}},
+			{"StaleScan at present time", func(*txn.Txn) error {
+				_, err := asia.StaleScan(p, mvcc.Key("g/"), mvcc.Key("g0"), 0, asia.Store.Clock.Now())
+				return err
+			}},
 		}
 		for _, patience := range []sim.Duration{0, 2 * sim.Second} {
 			asia.FollowerReadPatience = patience
@@ -251,6 +269,48 @@ func TestFollowerReadPatienceAppliesToEveryRead(t *testing.T) {
 				}
 				if patience > 0 && redirected {
 					t.Errorf("%s with patience %v was redirected to the leaseholder instead of waiting", r.name, patience)
+				}
+			}
+		}
+	})
+}
+
+// TestFollowerScanCoversUncertaintyInterval: a consistent scan, like a point
+// read, is served by a follower only once the follower's closed timestamp
+// covers its whole uncertainty interval (§6.2.1), not just its read
+// timestamp: a write the follower has not yet received could still land in
+// the interval's open part. Sent straight to the lagging asia-northeast1
+// replica at a read timestamp that replica has closed and an uncertainty
+// limit it has not, the scan is redirected without patience and, with it,
+// served only after the closed timestamp reaches the limit.
+func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
+	h := newHarness(t, 29)
+	desc := h.globalRange(t)
+	h.run(t, func(p *sim.Proc) {
+		node := h.lagAsiaReplica(t, p, desc)
+		rep, _ := h.c.Stores[node].Replica(desc.RangeID)
+		gw := h.c.GatewayFor(simnet.AsiaNE1)
+		for _, patience := range []sim.Duration{0, 2 * sim.Second} {
+			readTS := rep.ClosedTimestamp()
+			limit := readTS.Add(250 * sim.Millisecond)
+			raw, err := h.c.Net.SendRPC(p, gw, node, kv.BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&kv.ScanRequest{
+				StartKey: mvcc.Key("g/"), EndKey: mvcc.Key("g0"), Timestamp: readTS,
+				Txn:         &kv.Txn{ReadTimestamp: readTS, GlobalUncertaintyLimit: limit},
+				Uncertainty: true, FollowerRead: true, WaitForClosed: patience,
+			}}}, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := raw.(kv.BatchResponse).Resps[0]
+			var unavailable *kv.FollowerReadUnavailableError
+			if patience == 0 && !errors.As(resp.Err, &unavailable) {
+				t.Errorf("follower scan with its uncertainty interval open: %+v, want FollowerReadUnavailableError", resp)
+			}
+			if patience > 0 {
+				if resp.Err != nil || resp.Scan == nil || len(resp.Scan.Rows) != 2 {
+					t.Errorf("patient follower scan: %+v, want both rows", resp)
+				} else if closed := rep.ClosedTimestamp(); closed.Less(limit) {
+					t.Errorf("follower served a scan with closed timestamp %v below its uncertainty limit %v", closed, limit)
 				}
 			}
 		}

@@ -231,10 +231,11 @@ func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, 
 	for {
 		req := &kv.ScanRequest{
 			StartKey: start, EndKey: end, MaxRows: max,
-			Timestamp:    t.kv.ReadTimestamp,
-			Txn:          t.kv,
-			Uncertainty:  true,
-			FollowerRead: t.followerOK(start),
+			Timestamp:     t.kv.ReadTimestamp,
+			Txn:           t.kv,
+			Uncertainty:   true,
+			FollowerRead:  t.followerOK(start),
+			WaitForClosed: t.co.FollowerReadPatience,
 		}
 		resp := t.co.Sender.Send(p, req)
 		if resp.Err == nil {
@@ -709,6 +710,7 @@ func (c *Coordinator) StaleScan(p *sim.Proc, start, end mvcc.Key, max int, ts hl
 	resp := c.Sender.Send(p, &kv.ScanRequest{
 		StartKey: start, EndKey: end, MaxRows: max,
 		Timestamp: ts, FollowerRead: true, Uncertainty: false,
+		WaitForClosed: c.FollowerReadPatience,
 	})
 	if resp.Err != nil {
 		return nil, resp.Err
