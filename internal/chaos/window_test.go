@@ -9,14 +9,14 @@ import (
 
 // TestFaultWindowsSpikeAndReconverge pins the trajectory-shaped claim: the
 // probe-latency timeseries must show tail latency spiking while a fault
-// holds and dropping back under the RTO threshold after recovery. Seed 66's
-// schedule fails us-east1 (the bank range's lease preference) three times,
-// which reliably knocks probe p99 from ~90ms to several seconds until the
-// lease fails over and back. (The fault schedule draws from the same RNG as
+// holds and dropping back under the RTO threshold after recovery. Seed 80's
+// schedule fails us-east1 (the bank range's lease preference) twice and
+// asia-northeast1 once, which knocks probe p99 from ~90ms to seconds until
+// the lease fails over and back. (The fault schedule draws from the same RNG as
 // the network jitter, so a change to the message schedule moves it: the seed
 // is chosen for that property, and the assertions below say so when it goes.)
 func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
-	rep, err := Run(Options{Seed: 66, Faults: 8})
+	rep, err := Run(Options{Seed: 80, Faults: 8})
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}

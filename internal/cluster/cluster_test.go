@@ -343,6 +343,11 @@ func TestWriteWriteConflictQueues(t *testing.T) {
 				if err := tx.Put(wp, mvcc.Key("r/ww"), mvcc.Value("first")); err != nil {
 					return err
 				}
+				// The write waits for the transaction's next batch: a read
+				// lays its intent now.
+				if _, err := tx.Get(wp, mvcc.Key("r/ww-other")); err != nil {
+					return err
+				}
 				wp.Sleep(20 * sim.Millisecond) // hold the intent a while
 				return nil
 			})
@@ -401,6 +406,11 @@ func TestReadBlocksOnIntentUntilCommit(t *testing.T) {
 		tc.Sim.Spawn("writer", func(wp *sim.Proc) {
 			co.Run(wp, func(tx *txn.Txn) error {
 				if err := tx.Put(wp, mvcc.Key("r/ib"), mvcc.Value("v1")); err != nil {
+					return err
+				}
+				// The write waits for the transaction's next batch: a read
+				// lays its intent now.
+				if _, err := tx.Get(wp, mvcc.Key("r/ib-other")); err != nil {
 					return err
 				}
 				wp.Sleep(100 * sim.Millisecond) // hold lock

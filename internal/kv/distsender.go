@@ -280,12 +280,23 @@ func errResponses(n int, err error) []Response {
 // RPC, retrying around leaseholder moves, follower-read misses, and range
 // moves. A retriable error on any response retries the whole sub-batch; if
 // a split moved some keys out of the range mid-flight, the sub-batch is
-// re-split through sendBatchInner.
+// re-split through sendBatchInner. A sub-batch that mixes follower-eligible
+// reads with leaseholder-only requests goes out as two RPCs (sendSplit).
 func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []Response {
 	first, err := asRequest(reqs[0])
 	if err != nil {
 		return errResponses(len(reqs), err)
 	}
+	followers := 0
+	for _, r := range reqs {
+		if q, err := asRequest(r); err == nil && q.followerOK() {
+			followers++
+		}
+	}
+	if followers > 0 && followers < len(reqs) {
+		return ds.sendSplit(p, reqs, depth)
+	}
+	follower := followers > 0
 	key := first.routingKey()
 	sp, finish := ds.Tracer.StartIn(p, "ds.send")
 	defer finish()
@@ -293,13 +304,6 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		sp.SetTag("req", first.typeName()).SetTag("key", string(key))
 		if len(reqs) > 1 {
 			sp.SetTagInt("reqs", int64(len(reqs)))
-		}
-	}
-	follower := true
-	for _, r := range reqs {
-		if q, err := asRequest(r); err != nil || !q.followerOK() {
-			follower = false
-			break
 		}
 	}
 	leaseholderHint := simnet.NodeID(0)
@@ -435,6 +439,30 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 	}
 	sp.SetError(err)
 	return errResponses(len(reqs), err)
+}
+
+// sendSplit sends one range's sub-batch as two RPCs in parallel: the
+// follower-eligible reads to the nearest replica and everything else to the
+// leaseholder. A write riding beside a GLOBAL-table read then costs the read
+// nothing: the read stays local, and the batch pays the write's trip alone.
+func (ds *DistSender) sendSplit(p *sim.Proc, reqs []interface{}, depth int) []Response {
+	var parts [2][]interface{}
+	var idxs [2][]int
+	for i, r := range reqs {
+		k := 0
+		if q, err := asRequest(r); err == nil && q.followerOK() {
+			k = 1
+		}
+		parts[k] = append(parts[k], r)
+		idxs[k] = append(idxs[k], i)
+	}
+	resps := make([]Response, len(reqs))
+	p.Fanout("ds/follower-split", 2, func(wp *sim.Proc, k int) {
+		for j, resp := range ds.sendToRange(wp, parts[k], depth) {
+			resps[idxs[k][j]] = resp
+		}
+	})
+	return resps
 }
 
 // sendScan executes a scan that may span multiple ranges: it looks up every

@@ -69,5 +69,24 @@ func (m *latchManager) waitFree(p *sim.Proc, key mvcc.Key) {
 	}
 }
 
+// waitSpanFree parks p until no writer holds the latch on a key in
+// [start, end) (end nil: unbounded), waiting out the smallest such key first
+// so that the wake-up order does not depend on map iteration.
+func (m *latchManager) waitSpanFree(p *sim.Proc, start, end mvcc.Key) {
+	for {
+		var first string
+		found := false
+		for k := range m.held {
+			if k >= string(start) && (end == nil || k < string(end)) && (!found || k < first) {
+				first, found = k, true
+			}
+		}
+		if !found {
+			return
+		}
+		m.waitFree(p, mvcc.Key(first))
+	}
+}
+
 // heldCount returns the number of held latches (testing hook).
 func (m *latchManager) heldCount() int { return len(m.held) }

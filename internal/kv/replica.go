@@ -170,9 +170,12 @@ type readArgs struct {
 	canBump     bool // ratchet past an uncertain value and retry
 	patience    sim.Duration
 	// latchKey is a point read's key: the leaseholder waits out an in-flight
-	// write on it, and with forUpdate takes its unreplicated lock first.
-	latchKey  mvcc.Key
-	forUpdate bool
+	// write on it, and with forUpdate takes its unreplicated lock first. A
+	// span read waits out every in-flight write in [latchKey, latchEnd)
+	// instead (latchEnd nil: unbounded).
+	latchKey, latchEnd mvcc.Key
+	span               bool
+	forUpdate          bool
 }
 
 // evalRead is the one read evaluation. A replica holding a valid lease serves
@@ -203,13 +206,24 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 			opts.LocalLimit = hlc.Timestamp{WallTime: r.store.Clock.PhysicalNow()}
 			required = required.Max(a.txn.GlobalUncertaintyLimit)
 		}
+		if leaseholder && a.forUpdate {
+			// A locking read holds the key's lock, so it reads the latest
+			// committed value: any newer version is uncertain, and the
+			// read moves up to it instead of returning a stale value the
+			// transaction's write would then find too old.
+			opts.UncertaintyLimit = hlc.MaxTimestamp
+		}
 	}
 	readTS, patience := a.ts, a.patience
 	for {
-		if leaseholder && a.latchKey != nil {
+		if leaseholder && (a.latchKey != nil || a.span) {
 			// Wait out a write between its evaluation and its application.
 			lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
-			r.latches.waitFree(p, a.latchKey)
+			if a.span {
+				r.latches.waitSpanFree(p, a.latchKey, a.latchEnd)
+			} else {
+				r.latches.waitFree(p, a.latchKey)
+			}
 			lsp.Finish()
 		}
 		// A split may have applied while this request waited (lock, latch,

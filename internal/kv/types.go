@@ -228,7 +228,8 @@ func (q *ScanRequest) routingKey() mvcc.Key { return q.StartKey }
 func (q *ScanRequest) typeName() string     { return "*kv.ScanRequest" }
 func (q *ScanRequest) followerOK() bool     { return q.FollowerRead }
 func (q *ScanRequest) eval(r *Replica, p *sim.Proc) Response {
-	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty, patience: q.WaitForClosed})
+	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty, patience: q.WaitForClosed,
+		latchKey: q.StartKey, latchEnd: q.EndKey, span: true})
 }
 
 func (q *ScanRequest) bounds(r *Replica) error {
@@ -394,15 +395,11 @@ func (q *RefreshRequest) followerOK() bool        { return q.FollowerRead }
 func (q *RefreshRequest) bounds(r *Replica) error { return r.ownKey(q.Key) }
 
 // eval serves a refresh as a read at ToTS, which a follower can verify once
-// its closed timestamp covers ToTS. A point refresh waits out an in-flight
-// write on its key: the write already passed the timestamp cache, so a
+// its closed timestamp covers ToTS. A refresh waits out in-flight writes on
+// its key or span: such a write already passed the timestamp cache, so a
 // refresh that looked past it would bless a read the write invalidates.
 func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response {
-	a := readArgs{ts: q.ToTS}
-	if q.EndKey == nil {
-		a.latchKey = q.Key
-	}
-	return r.evalRead(p, q, a)
+	return r.evalRead(p, q, readArgs{ts: q.ToTS, latchKey: q.Key, latchEnd: q.EndKey, span: q.EndKey != nil})
 }
 
 func (q *RefreshRequest) readAt(r *Replica, _ hlc.Timestamp, _ mvcc.GetOptions) (Response, error) {

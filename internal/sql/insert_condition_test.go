@@ -240,6 +240,11 @@ func TestConditionalWriteReplayedAfterNotLeaseholder(t *testing.T) {
 		if err := holder.PutParallel(p, h.kvtRow(t, 2, "holder"), nil); err != nil {
 			t.Fatal(err)
 		}
+		// The holder's write waits for its transaction's next batch: a read
+		// lays its intent before the lease moves.
+		if _, err := holder.Get(p, h.kvtRow(t, 3, "")[0].Key); err != nil {
+			t.Fatal(err)
+		}
 		rowA, rowB := h.kvtRow(t, 1, "a"), h.kvtRow(t, 2, "b")
 		desc, target := h.otherVoter(t, rowA[0].Key)
 

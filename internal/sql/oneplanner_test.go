@@ -75,9 +75,6 @@ func TestPlanParityAcrossCacheArms(t *testing.T) {
 	h := newSQLHarness(931)
 	h.run(t, func(p *sim.Proc) {
 		s := h.sessions[simnet.USEast1]
-		region := func(col string) string {
-			return fmt.Sprintf("crdb_region crdb_internal_region AS (region_from_warehouse(%s)) STORED", col)
-		}
 		for _, stmt := range []string{
 			`CREATE DATABASE ycsb PRIMARY REGION "us-east1" REGIONS "europe-west2", "asia-northeast1"`,
 			`CREATE DATABASE ycsbg PRIMARY REGION "us-east1" REGIONS "europe-west2", "asia-northeast1"`,
@@ -92,17 +89,7 @@ func TestPlanParityAcrossCacheArms(t *testing.T) {
 				`CREATE TABLE dup_codes (code STRING PRIMARY KEY, v STRING) WITH DUPLICATE INDEXES`,
 			},
 			"ycsbg": {`CREATE TABLE usertable (ycsb_key STRING PRIMARY KEY, field0 STRING) LOCALITY GLOBAL`},
-			"tpcc": {
-				`CREATE TABLE item (i_id INT PRIMARY KEY, i_name STRING, i_price FLOAT) LOCALITY GLOBAL`,
-				fmt.Sprintf(`CREATE TABLE warehouse (w_id INT PRIMARY KEY, w_name STRING, w_tax FLOAT, w_ytd FLOAT, %s) LOCALITY REGIONAL BY ROW`, region("w_id")),
-				fmt.Sprintf(`CREATE TABLE district (d_w_id INT, d_id INT, d_tax FLOAT, d_ytd FLOAT, d_next_o_id INT, %s, PRIMARY KEY (d_w_id, d_id)) LOCALITY REGIONAL BY ROW`, region("d_w_id")),
-				fmt.Sprintf(`CREATE TABLE customer (c_w_id INT, c_d_id INT, c_id INT, c_name STRING, c_balance FLOAT, c_ytd_payment FLOAT, c_payment_cnt INT, %s, PRIMARY KEY (c_w_id, c_d_id, c_id)) LOCALITY REGIONAL BY ROW`, region("c_w_id")),
-				fmt.Sprintf(`CREATE TABLE history (h_w_id INT, h_seq INT, h_amount FLOAT, %s, PRIMARY KEY (h_w_id, h_seq)) LOCALITY REGIONAL BY ROW`, region("h_w_id")),
-				fmt.Sprintf(`CREATE TABLE orders (o_w_id INT, o_d_id INT, o_id INT, o_c_id INT, o_carrier_id INT, o_ol_cnt INT, %s, PRIMARY KEY (o_w_id, o_d_id, o_id)) LOCALITY REGIONAL BY ROW`, region("o_w_id")),
-				fmt.Sprintf(`CREATE TABLE new_order (no_w_id INT, no_d_id INT, no_o_id INT, %s, PRIMARY KEY (no_w_id, no_d_id, no_o_id)) LOCALITY REGIONAL BY ROW`, region("no_w_id")),
-				fmt.Sprintf(`CREATE TABLE order_line (ol_w_id INT, ol_d_id INT, ol_o_id INT, ol_number INT, ol_i_id INT, ol_quantity INT, ol_amount FLOAT, %s, PRIMARY KEY (ol_w_id, ol_d_id, ol_o_id, ol_number)) LOCALITY REGIONAL BY ROW`, region("ol_w_id")),
-				fmt.Sprintf(`CREATE TABLE stock (s_w_id INT, s_i_id INT, s_quantity INT, s_ytd INT, %s, PRIMARY KEY (s_w_id, s_i_id)) LOCALITY REGIONAL BY ROW`, region("s_w_id")),
-			},
+			"tpcc":  tpccTables(),
 		} {
 			s.Database = db
 			for _, stmt := range stmts {

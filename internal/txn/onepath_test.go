@@ -51,13 +51,14 @@ func writesOf(ks ...string) []mvcc.KeyValue {
 // TestOneCoordinatorPath runs one fixed script through every point-read and
 // write entry point of the coordinator — Get, GetForUpdate and GetParallel
 // of one and of several keys; Put, Del and PutParallel with and without
-// one-phase commit; a buffered write a later read flushes; a declined 1PC;
-// Commit and Abort — from a remote gateway over a LAG and a GLOBAL range.
-// After every step it records the virtual time since the script began and
-// the gateway DistSender's RPC and cross-region RPC counts. The table was
-// measured before the coordinator's read and write paths were merged: a
-// change that adds, drops or reroutes a message, or moves virtual time,
-// fails here.
+// one-phase commit; a read of a pending write; a declined 1PC; Commit and
+// Abort — from a remote gateway over a LAG and a GLOBAL range. After every
+// step it records the virtual time since the script began and the gateway
+// DistSender's RPC and cross-region RPC counts (asynchronous intent
+// resolution included). Unconditional writes send nothing: they ride the
+// next read, conditional write or commit, and an aborted transaction whose
+// writes never left sends nothing at all. A change that adds, drops or
+// reroutes a message, or moves virtual time, fails here.
 func TestOneCoordinatorPath(t *testing.T) {
 	h := newHarness(t, 27)
 	h.globalRange(t)
@@ -123,8 +124,8 @@ func TestOneCoordinatorPath(t *testing.T) {
 		tx.AllowOnePC = true
 		step("1pc-put-parallel", tx.PutParallel(p, writesOf("k/g"), []bool{true}))
 		v, err = tx.Get(p, mvcc.Key("k/g"))
-		value("1pc-flushing-get", v, err, "v-k/g")
-		step("1pc-flushed-commit", tx.Commit(p))
+		value("1pc-pending-get", v, err, "v-k/g")
+		step("1pc-pending-commit", tx.Commit(p))
 
 		tx = co.Begin(0)
 		tx.AllowOnePC = true
@@ -162,35 +163,35 @@ func TestOneCoordinatorPath(t *testing.T) {
 		step("settled", nil)
 	})
 	want := []string{
-		"seed t=694978816 sent=9 wan=9",
-		"get t=781410779 sent=10 wan=10",
-		"get-for-update t=869099522 sent=11 wan=11",
-		"get-parallel-1 t=958052784 sent=12 wan=12",
-		"get-parallel-4 t=1044102384 sent=14 wan=13",
-		"get-global t=1046118311 sent=15 wan=13",
-		"put t=1131046951 sent=16 wan=14",
-		"del t=1219818233 sent=17 wan=15",
-		"put-parallel t=1307078702 sent=19 wan=17",
-		"commit t=1741600408 sent=35 wan=30",
-		"1pc-put t=1741600408 sent=35 wan=30",
-		"1pc-commit t=1831683717 sent=36 wan=31",
-		"1pc-put-parallel t=1831683717 sent=36 wan=31",
-		"1pc-flushing-get t=2004521793 sent=38 wan=33",
-		"1pc-flushed-commit t=2092282820 sent=40 wan=35",
-		"1pc-del t=2092282820 sent=40 wan=35",
-		"1pc-del-commit t=2178895619 sent=42 wan=37",
-		"1pc-put-parallel-2 t=2266036788 sent=43 wan=38",
-		"1pc-put-parallel-2-commit t=2356183206 sent=45 wan=40",
-		"1pc-put-first t=2356183206 sent=45 wan=40",
-		"1pc-put-second t=2530718430 sent=48 wan=43",
-		"1pc-two-puts-commit t=2618944184 sent=50 wan=45",
-		"declined-get t=2704308762 sent=52 wan=47",
-		"declined-put t=2704308762 sent=52 wan=47",
-		"declined-commit t=3311994454 sent=58 wan=53",
-		"abort-put t=3399934387 sent=59 wan=54",
-		"abort-put-parallel t=3487523701 sent=61 wan=56",
-		"abort t=3577359502 sent=62 wan=57",
-		"settled t=4577359502 sent=64 wan=59",
+		"seed t=523617723 sent=7 wan=7",
+		"get t=611262839 sent=8 wan=8",
+		"get-for-update t=696635863 sent=9 wan=9",
+		"get-parallel-1 t=783135644 sent=10 wan=10",
+		"get-parallel-4 t=868816966 sent=12 wan=11",
+		"get-global t=870830354 sent=13 wan=11",
+		"put t=870830354 sent=13 wan=11",
+		"del t=870830354 sent=13 wan=11",
+		"put-parallel t=958303201 sent=15 wan=13",
+		"commit t=1394480206 sent=31 wan=26",
+		"1pc-put t=1394480206 sent=31 wan=26",
+		"1pc-commit t=1483210020 sent=32 wan=27",
+		"1pc-put-parallel t=1483210020 sent=32 wan=27",
+		"1pc-pending-get t=1483210020 sent=32 wan=27",
+		"1pc-pending-commit t=1572765487 sent=33 wan=28",
+		"1pc-del t=1572765487 sent=33 wan=28",
+		"1pc-del-commit t=1661402813 sent=34 wan=29",
+		"1pc-put-parallel-2 t=1661402813 sent=34 wan=29",
+		"1pc-put-parallel-2-commit t=1837056942 sent=37 wan=32",
+		"1pc-put-first t=1837056942 sent=37 wan=32",
+		"1pc-put-second t=1837056942 sent=37 wan=32",
+		"1pc-two-puts-commit t=2011032613 sent=41 wan=36",
+		"declined-get t=2100240362 sent=43 wan=38",
+		"declined-put t=2100240362 sent=43 wan=38",
+		"declined-commit t=2708591417 sent=49 wan=44",
+		"abort-put t=2708591417 sent=49 wan=44",
+		"abort-put-parallel t=2708591417 sent=49 wan=44",
+		"abort t=2708591417 sent=49 wan=44",
+		"settled t=3708591417 sent=49 wan=44",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("coordinator script:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -313,6 +314,54 @@ func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
 					t.Errorf("follower served a scan with closed timestamp %v below its uncertainty limit %v", closed, limit)
 				}
 			}
+		}
+	})
+}
+
+// TestFollowerReadBesidePendingWrite: from europe-west2, a write to the
+// GLOBAL key g/a is left pending and a read of g/b on the same range carries
+// it. The read is still a follower read served in europe-west2: the
+// DistSender sends it to the local replica and the write to the us-east1
+// leaseholder as two RPCs, of which only the write's crosses a region.
+func TestFollowerReadBesidePendingWrite(t *testing.T) {
+	h := newHarness(t, 45)
+	desc := h.globalRange(t)
+	h.run(t, func(p *sim.Proc) {
+		if err := h.coord(simnet.USEast1).Run(p, func(tx *txn.Txn) error {
+			return tx.Put(p, mvcc.Key("g/b"), mvcc.Value("v-g/b"))
+		}); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(sim.Second)
+		var local *kv.Replica
+		for _, id := range desc.Replicas() {
+			if loc, _ := h.c.Topo.LocalityOf(id); loc.Region == simnet.EuropeW2 {
+				local, _ = h.c.Stores[id].Replica(desc.RangeID)
+			}
+		}
+		co := h.coord(simnet.EuropeW2)
+		ds := co.Sender
+		tx := co.Begin(0)
+		if err := tx.Put(p, mvcc.Key("g/a"), mvcc.Value("mine")); err != nil {
+			t.Fatal(err)
+		}
+		followerReads, sent, wan := local.FollowerReads, ds.Sent, ds.WANRPCs
+		if v, err := tx.Get(p, mvcc.Key("g/b")); err != nil || string(v) != "v-g/b" {
+			t.Fatalf("read beside a pending write: %q, %v", v, err)
+		}
+		if local.FollowerReads != followerReads+1 {
+			t.Errorf("europe-west2 replica served %d follower reads, want 1", local.FollowerReads-followerReads)
+		}
+		if ds.Sent-sent != 2 || ds.WANRPCs-wan != 1 {
+			t.Errorf("read with a pending write sent %d RPCs, %d cross-region; want 2, 1 (the write's)",
+				ds.Sent-sent, ds.WANRPCs-wan)
+		}
+		lh, _ := h.c.Stores[desc.Leaseholder].Replica(desc.RangeID)
+		if meta, ok := lh.EngineForBulkLoad().GetIntent(mvcc.Key("g/a")); !ok || meta.ID != tx.ID() {
+			t.Errorf("the pending write did not land on the leaseholder (intent %v, %v)", meta, ok)
+		}
+		if err := tx.Commit(p); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

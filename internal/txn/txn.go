@@ -64,9 +64,10 @@ type Txn struct {
 	co *Coordinator
 	kv *kv.Txn
 
-	// AllowOnePC lets the transaction buffer a sole write and commit it
-	// with a one-phase commit at the leaseholder (no intent ever becomes
-	// visible). The SQL layer sets it for auto-commit statements.
+	// AllowOnePC lets a transaction whose one write is still pending at
+	// commit commit it with a one-phase commit at the leaseholder (no intent
+	// ever becomes visible). The SQL layer sets it for auto-commit
+	// statements.
 	AllowOnePC bool
 
 	// writes are the keys written so far, in order. Every one was pipelined
@@ -74,11 +75,13 @@ type Txn struct {
 	// Commit proves each with a QueryIntent while the commit record stages.
 	writes []write
 	reads  []readSpan
-	// buffered holds the candidate one-phase-commit write until commit
-	// or until any other operation forces a flush.
-	buffered *bufferedPut
-	// partial is the error of a write batch that failed after some of its
-	// writes landed: the statement is half applied, so the transaction can
+	// pending are the writes not sent yet, in order, one entry per key. An
+	// unconditional write waits here for the transaction's next batch — a
+	// point read, a conditional write or the commit — which carries it.
+	// A conditional write waits only as the one-phase-commit candidate.
+	pending []bufferedPut
+	// partial is the error of a write batch that half applied its statement
+	// or lost an earlier statement's write (see landed): the transaction can
 	// no longer commit.
 	partial      error
 	finished     bool
@@ -91,7 +94,7 @@ type write struct {
 	live bool // false for a tombstone
 }
 
-// bufferedPut is the one-phase-commit candidate with its condition.
+// bufferedPut is a write not sent yet, with its condition.
 type bufferedPut struct {
 	mvcc.KeyValue
 	mustNotExist bool
@@ -127,17 +130,6 @@ func (t *Txn) restartError(reason string, minTS hlc.Timestamp) error {
 	return &kv.RetryableTxnError{TxnID: t.kv.Meta.ID, Reason: reason, MinTimestamp: minTS}
 }
 
-// flushBuffered sends a buffered one-phase-commit candidate through the
-// write path; it must run before any other operation.
-func (t *Txn) flushBuffered(p *sim.Proc) error {
-	if t.buffered == nil {
-		return nil
-	}
-	b := *t.buffered
-	t.buffered = nil
-	return t.sendWrites(p, []mvcc.KeyValue{b.KeyValue}, []bool{b.mustNotExist})
-}
-
 // Get reads key at the transaction's read timestamp.
 func (t *Txn) Get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 	var v [1]mvcc.Value
@@ -164,21 +156,39 @@ func (t *Txn) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
 	return out, nil
 }
 
-// read is the one point-read path: it sends keys as one batch, stores the
-// values in out, and after a successful uncertainty refresh re-sends the
-// whole batch at the new read timestamp.
+// read is the one point-read path. A key with a pending write reads that
+// write's value (nil for a tombstone) and is neither sent nor recorded as
+// read. The other keys go out as one batch that also carries every pending
+// write; a rider that fails fails the read. The values land in out, and
+// after a successful uncertainty refresh the reads are re-sent at the new
+// read timestamp.
 func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate bool) error {
-	if err := t.flushBuffered(p); err != nil {
-		return err
+	send, at := keys, []int(nil) // at[j] is send[j]'s index in keys; nil when send is keys
+	if len(t.pending) > 0 {
+		send = nil
+		for i, key := range keys {
+			if w := t.pendingIndex(key); w >= 0 {
+				out[i] = t.pending[w].Value
+				continue
+			}
+			send = append(send, key)
+			at = append(at, i)
+		}
+		if len(send) == 0 {
+			return nil
+		}
 	}
+	riders := t.pending
+	t.pending = nil
 	for {
 		// The leaseholder may ratchet the read timestamp past an uncertain
 		// value only when no other read of the transaction could be
 		// invalidated by the bump.
-		canBump := len(t.reads) == 0 && len(keys) == 1
-		reqs := make([]interface{}, len(keys))
-		for i, key := range keys {
-			reqs[i] = &kv.GetRequest{
+		canBump := len(t.reads) == 0 && len(send) == 1
+		reqs := make([]interface{}, len(riders)+len(send))
+		t.putRequests(reqs, riders)
+		for j, key := range send {
+			reqs[len(riders)+j] = &kv.GetRequest{
 				Key:           key,
 				Timestamp:     t.kv.ReadTimestamp,
 				Txn:           t.kv,
@@ -189,8 +199,12 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 				WaitForClosed: t.co.FollowerReadPatience,
 			}
 		}
+		resps := t.co.Sender.SendBatch(p, reqs)
+		if err := t.landed(riders, resps, 0); err != nil {
+			return err
+		}
 		var firstErr error
-		for i, resp := range t.co.Sender.SendBatch(p, reqs) {
+		for j, resp := range resps[len(riders):] {
 			if resp.Err != nil {
 				if firstErr == nil {
 					firstErr = resp.Err
@@ -200,10 +214,15 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 			if !resp.Get.BumpedTS.IsEmpty() && t.kv.ReadTimestamp.Less(resp.Get.BumpedTS) {
 				t.adoptReadTS(resp.Get.BumpedTS)
 			}
-			out[i] = resp.Get.Value
+			if at != nil {
+				out[at[j]] = resp.Get.Value
+			} else {
+				out[j] = resp.Get.Value
+			}
 		}
+		riders = nil
 		if firstErr == nil {
-			for _, key := range keys {
+			for _, key := range send {
 				t.recordRead(key, nil)
 			}
 			return nil
@@ -223,9 +242,10 @@ func (t *Txn) recordRead(key, end mvcc.Key) {
 	})
 }
 
-// Scan reads [start, end) up to max rows.
+// Scan reads [start, end) up to max rows. It first sends the pending writes,
+// so it sees the transaction's own.
 func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
-	if err := t.flushBuffered(p); err != nil {
+	if err := t.sendWrites(p, 0); err != nil {
 		return nil, err
 	}
 	for {
@@ -304,7 +324,8 @@ func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 	return !failed
 }
 
-// Put writes key=value.
+// Put writes key=value. The write is sent with the transaction's next
+// batch.
 func (t *Txn) Put(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 	return t.write(p, []mvcc.KeyValue{{Key: key, Value: value}}, nil)
 }
@@ -314,94 +335,165 @@ func (t *Txn) Del(p *sim.Proc, key mvcc.Key) error { return t.Put(p, key, nil) }
 
 // PutParallel writes kvs as one batch; it models CockroachDB's
 // batched/pipelined writes so that multi-key statements pay the max, not the
-// sum, of per-range latencies.
+// sum, of per-range latencies. Unconditional writes are sent with the
+// transaction's next batch.
 //
 // mustNotExist, when non-nil, runs parallel to kvs and makes the marked
 // writes conditional (an INSERT's uniqueness check on the keys it writes):
 // such a write fails with *kv.ConditionFailedError if its key holds a live
 // value — one this transaction wrote included, which is rejected here
-// before anything is sent.
+// before anything is sent. A call with a conditional write sends its writes,
+// and every pending one, at once.
 //
 // Every write the leaseholders accepted is recorded, even when another one
-// failed, so that Abort resolves all the intents the call laid; the error
-// returned is the first failure in kvs order.
+// failed, so that Abort resolves all the intents the batch laid; the error
+// returned is the batch's first failure.
 func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
 	return t.write(p, kvs, mustNotExist)
 }
 
-// write is the one write path. In a one-phase-commit-eligible transaction
-// a sole first write is buffered at the coordinator and committed together
-// with the transaction (CockroachDB's 1PC); every other write first flushes
-// such a buffer and then becomes provisional intents at once.
+// write is the one write path. Every write joins the pending writes, which
+// ride the transaction's next batch. A conditional write does not wait: it
+// sends the pending writes with it, so that a failed condition is reported
+// on the statement that caused it. The one exception is a conditional sole
+// write of a one-phase-commit-eligible transaction, which the commit sends
+// together with the commit itself (CockroachDB's 1PC).
 func (t *Txn) write(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
 	if len(kvs) == 0 {
 		return nil
-	}
-	buffer := t.AllowOnePC && t.buffered == nil && len(t.writes) == 0 && len(kvs) == 1
-	if !buffer {
-		if err := t.flushBuffered(p); err != nil {
-			return err
-		}
 	}
 	for i := range mustNotExist {
 		if mustNotExist[i] && t.wroteLive(kvs[i].Key) {
 			return &kv.ConditionFailedError{Key: kvs[i].Key}
 		}
 	}
-	if len(t.writes) == 0 {
+	if len(t.writes) == 0 && len(t.pending) == 0 {
 		// The first write anchors the transaction record's range.
 		t.kv.Meta.Key = append(mvcc.Key(nil), kvs[0].Key...)
 	}
-	if buffer {
-		t.buffered = &bufferedPut{
-			KeyValue:     mvcc.KeyValue{Key: append(mvcc.Key(nil), kvs[0].Key...), Value: kvs[0].Value},
-			mustNotExist: mustNotExist != nil && mustNotExist[0],
+	earlier := len(t.pending)
+	rewrote := false // an earlier statement's pending write now holds one of ours
+	for i, w := range kvs {
+		if t.buffer(w, mustNotExist != nil && mustNotExist[i]) < earlier {
+			rewrote = true
 		}
+	}
+	if t.onePC() {
 		return nil
 	}
-	return t.sendWrites(p, kvs, mustNotExist)
-}
-
-// sendWrites lays kvs as pipelined intents, one RPC per touched range, and
-// records every write that landed. A call that fails after some of its
-// writes landed leaves the transaction unable to commit.
-func (t *Txn) sendWrites(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
-	reqs := make([]interface{}, len(kvs))
-	for i, pair := range kvs {
-		reqs[i] = &kv.PutRequest{
-			Key: pair.Key, Value: pair.Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv, Pipelined: true,
-			MustNotExist: mustNotExist != nil && mustNotExist[i],
+	for _, w := range t.pending {
+		if w.mustNotExist {
+			own := len(t.pending) - earlier
+			if rewrote {
+				own = 0
+			}
+			return t.sendWrites(p, own)
 		}
 	}
+	return nil
+}
+
+// buffer adds a write to the pending writes and returns its entry's index.
+// A key already pending keeps its one entry, which takes the new value and
+// keeps the first write's condition.
+func (t *Txn) buffer(w mvcc.KeyValue, mustNotExist bool) int {
+	if i := t.pendingIndex(w.Key); i >= 0 {
+		t.pending[i].Value = w.Value
+		return i
+	}
+	t.pending = append(t.pending, bufferedPut{
+		KeyValue:     mvcc.KeyValue{Key: append(mvcc.Key(nil), w.Key...), Value: w.Value},
+		mustNotExist: mustNotExist,
+	})
+	return len(t.pending) - 1
+}
+
+// pendingIndex returns the index of key's pending write, or -1.
+func (t *Txn) pendingIndex(key mvcc.Key) int {
+	for i := range t.pending {
+		if bytes.Equal(t.pending[i].Key, key) {
+			return i
+		}
+	}
+	return -1
+}
+
+// onePC reports whether the transaction may still commit in one phase: it
+// is allowed to, has sent no write, and has exactly one pending.
+func (t *Txn) onePC() bool {
+	return t.AllowOnePC && len(t.writes) == 0 && len(t.pending) == 1
+}
+
+// sendWrites sends every pending write as pipelined intents, one RPC per
+// touched range. The last own of them are the writes of the statement
+// sending them (see landed).
+func (t *Txn) sendWrites(p *sim.Proc, own int) error {
+	sent := t.pending
+	t.pending = nil
+	if len(sent) == 0 {
+		return nil
+	}
+	reqs := make([]interface{}, len(sent))
+	t.putRequests(reqs, sent)
+	return t.landed(sent, t.co.Sender.SendBatch(p, reqs), own)
+}
+
+// putRequests fills the head of reqs with pipelined puts of ws.
+func (t *Txn) putRequests(reqs []interface{}, ws []bufferedPut) {
+	for i := range ws {
+		reqs[i] = &kv.PutRequest{
+			Key: ws[i].Key, Value: ws[i].Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv, Pipelined: true,
+			MustNotExist: ws[i].mustNotExist,
+		}
+	}
+}
+
+// landed records every write of sent that its response (resps[i] answers
+// sent[i]) accepted, so that an abort resolves them all, and returns the
+// batch's first failure. The last own writes of sent belong to the
+// statement that sent the batch; the others rode along from earlier
+// statements, which have already succeeded. A failed batch leaves the
+// transaction able to commit only when exactly the statement's own writes
+// failed — the statement then failed whole. Any other failure half applies
+// the statement or loses an earlier statement's write, so the transaction
+// can no longer commit.
+func (t *Txn) landed(sent []bufferedPut, resps []kv.Response, own int) error {
 	var firstErr error
-	landed := false
-	for i, resp := range t.co.Sender.SendBatch(p, reqs) {
-		if resp.Err != nil {
+	clean := own > 0
+	for i := range sent {
+		failed := resps[i].Err != nil
+		if failed != (i >= len(sent)-own) {
+			clean = false
+		}
+		if failed {
 			if firstErr == nil {
-				firstErr = resp.Err
+				firstErr = resps[i].Err
 			}
 			continue
 		}
-		landed = true
-		t.recordWrite(kvs[i].Key, kvs[i].Value, resp.Put.WriteTimestamp)
+		t.recordWrite(sent[i], resps[i].Put.WriteTimestamp)
 	}
-	if firstErr != nil && landed && t.partial == nil {
+	if firstErr != nil && !clean && t.partial == nil {
 		t.partial = firstErr
 	}
 	return firstErr
 }
 
-// recordWrite notes a write the leaseholder accepted at ts.
-func (t *Txn) recordWrite(key mvcc.Key, value mvcc.Value, ts hlc.Timestamp) {
+// recordWrite notes a write the leaseholder accepted at ts. The write's key
+// is the transaction's own copy.
+func (t *Txn) recordWrite(w bufferedPut, ts hlc.Timestamp) {
 	if t.kv.Meta.WriteTimestamp.Less(ts) {
 		t.kv.Meta.WriteTimestamp = ts
 	}
-	t.writes = append(t.writes, write{key: append(mvcc.Key(nil), key...), live: value != nil})
+	t.writes = append(t.writes, write{key: w.Key, live: w.Value != nil})
 }
 
-// wroteLive reports whether the transaction's latest write of key left a
-// live value.
+// wroteLive reports whether the transaction's latest write of key, pending
+// or sent, left a live value.
 func (t *Txn) wroteLive(key mvcc.Key) bool {
+	if i := t.pendingIndex(key); i >= 0 {
+		return t.pending[i].Value != nil
+	}
 	for i := len(t.writes) - 1; i >= 0; i-- {
 		if bytes.Equal(t.writes[i].key, key) {
 			return t.writes[i].live
@@ -429,7 +521,7 @@ func (t *Txn) Commit(p *sim.Proc) error {
 		t.Abort(p)
 		return err
 	}
-	if t.buffered != nil {
+	if t.onePC() {
 		ok, err := t.commit1PC(p)
 		if err != nil {
 			return err
@@ -438,9 +530,10 @@ func (t *Txn) Commit(p *sim.Proc) error {
 			return nil
 		}
 		// Declined: fall back to the two-phase path.
-		if err := t.flushBuffered(p); err != nil {
-			return err
-		}
+	}
+	// The writes still pending are laid before the commit record stages.
+	if err := t.sendWrites(p, 0); err != nil {
+		return err
 	}
 	t.finished = true
 
@@ -566,11 +659,11 @@ func (t *Txn) proveWrites(p *sim.Proc) error {
 	return nil
 }
 
-// commit1PC attempts a one-phase commit of the buffered write, refreshing
-// the transaction's reads server-side. It returns false (and leaves the
-// buffer intact) when the server declines.
+// commit1PC attempts a one-phase commit of the one pending write,
+// refreshing the transaction's reads server-side. It returns false (and
+// leaves the write pending) when the server declines.
 func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
-	b := *t.buffered
+	b := t.pending[0]
 	var spans [][2]mvcc.Key
 	for _, rs := range t.reads {
 		spans = append(spans, [2]mvcc.Key{rs.key, rs.end})
@@ -589,7 +682,7 @@ func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 		var ta *kv.TxnAbortedError
 		if errors.As(resp.Err, &ta) {
 			t.finished = true
-			t.buffered = nil
+			t.pending = nil
 			t.co.Aborted++
 		}
 		return false, resp.Err
@@ -599,7 +692,7 @@ func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 	}
 	t.finished = true
 	t.committed1PC = true
-	t.buffered = nil
+	t.pending = nil
 	t.co.Committed++
 	t.commitWait(p, resp.Put.WriteTimestamp)
 	return true, nil
@@ -650,7 +743,7 @@ func (t *Txn) Abort(p *sim.Proc) {
 		return
 	}
 	t.finished = true
-	t.buffered = nil
+	t.pending = nil
 	t.co.Store.Registry.Abort(t.kv.Meta.ID)
 	if len(t.writes) > 0 {
 		t.co.Sender.Send(p, &kv.EndTxnRequest{Txn: t.kv, Commit: false})

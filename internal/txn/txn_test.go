@@ -109,8 +109,8 @@ func TestOnePCReadYourBufferedWriteFlushes(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		// Reading the key flushes the buffer into a real intent so
-		// read-your-writes holds.
+		// Reading the key returns the pending write (read-your-writes)
+		// without sending it, so the commit can still be one phase.
 		v, err := tx.Get(p, mvcc.Key("k/b"))
 		if err != nil || string(v) != "mine" {
 			t.Errorf("read-your-write: %q %v", v, err)
@@ -328,15 +328,20 @@ func TestAbortResolvesIntents(t *testing.T) {
 
 // TestPutParallelRecordsWritesAfterAFailure: a batch whose first write fails
 // (here: it queues on another transaction's lock and its own transaction is
-// aborted meanwhile) may still have laid the writes after it. PutParallel
+// aborted meanwhile) may still have laid the writes after it. The batch
 // must record them, or Abort never resolves those intents and they linger
-// until some later request trips over them.
+// until some later request trips over them. Both transactions' writes are
+// unconditional, so each waits for its transaction's next batch: a read
+// sends them.
 func TestPutParallelRecordsWritesAfterAFailure(t *testing.T) {
 	h := newHarness(t, 8)
 	h.run(t, func(p *sim.Proc) {
 		co := h.coord(simnet.USEast1)
 		holder := co.Begin(0)
 		if err := holder.Put(p, mvcc.Key("k/held"), mvcc.Value("h")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := holder.Get(p, mvcc.Key("k/other")); err != nil {
 			t.Fatal(err)
 		}
 		tx := co.Begin(0)
@@ -349,6 +354,9 @@ func TestPutParallelRecordsWritesAfterAFailure(t *testing.T) {
 				{Key: mvcc.Key("k/held"), Value: mvcc.Value("x")},
 				{Key: mvcc.Key("k/free"), Value: mvcc.Value("y")},
 			}, nil)
+			if putErr == nil {
+				_, putErr = tx.Get(wp, mvcc.Key("k/other"))
+			}
 		})
 		p.Sleep(10 * sim.Millisecond)
 		h.c.Registry.Abort(tx.ID())
@@ -383,6 +391,48 @@ func TestCommitWaitOnlyForFutureTimestamps(t *testing.T) {
 		}
 		if co.CommitWaits != 0 {
 			t.Errorf("present-time commit waited %d times (%v total)", co.CommitWaits, co.CommitWaitTotal)
+		}
+	})
+}
+
+// TestLockingReadReadsTheLatestValue: a locking read (SELECT FOR UPDATE)
+// returns the key's latest committed value, even one written after the
+// transaction's read timestamp and past its uncertainty interval, so the
+// read-modify-write commits without a restart. Reading the stale value
+// instead, the write would find it too old and the commit's refresh would
+// fail — and an INSERT keyed by the stale value, as TPC-C's order ID is,
+// would meet the newer transaction's row as a duplicate first. Either the
+// leaseholder moves the read up (no earlier reads) or the coordinator
+// refreshes to it (an earlier read).
+func TestLockingReadReadsTheLatestValue(t *testing.T) {
+	h := newHarness(t, 10)
+	h.run(t, func(p *sim.Proc) {
+		co := h.coord(simnet.USEast1)
+		for _, earlierRead := range []bool{false, true} {
+			key := mvcc.Key(fmt.Sprintf("k/ctr-%v", earlierRead))
+			if err := co.Run(p, func(tx *txn.Txn) error { return tx.Put(p, key, mvcc.Value("1")) }); err != nil {
+				t.Fatal(err)
+			}
+			tx := co.Begin(0)
+			if earlierRead {
+				if _, err := tx.Get(p, mvcc.Key("k/other")); err != nil {
+					t.Fatal(err)
+				}
+			}
+			p.Sleep(400 * sim.Millisecond) // past the uncertainty interval
+			if err := co.Run(p, func(tx *txn.Txn) error { return tx.Put(p, key, mvcc.Value("2")) }); err != nil {
+				t.Fatal(err)
+			}
+			v, err := tx.GetForUpdate(p, key)
+			if err != nil || string(v) != "2" {
+				t.Errorf("earlier read %v: locking read returned %q, %v; want the latest value %q", earlierRead, v, err, "2")
+			}
+			if err := tx.Put(p, key, mvcc.Value("3")); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(p); err != nil {
+				t.Errorf("earlier read %v: read-modify-write after a locking read: %v", earlierRead, err)
+			}
 		}
 	})
 }
