@@ -57,8 +57,11 @@ func writesOf(ks ...string) []mvcc.KeyValue {
 // DistSender's RPC and cross-region RPC counts (asynchronous intent
 // resolution included). Unconditional writes send nothing: they ride the
 // next read, conditional write or commit, and an aborted transaction whose
-// writes never left sends nothing at all. A change that adds, drops or
-// reroutes a message, or moves virtual time, fails here.
+// writes never left sends nothing at all. A point read of a key the
+// transaction already read sends nothing either (get-parallel-4 sends only
+// the g/ keys, get-global nothing), and the commit refreshes each key once.
+// A change that adds, drops or reroutes a message, or moves virtual time,
+// fails here.
 func TestOneCoordinatorPath(t *testing.T) {
 	h := newHarness(t, 27)
 	h.globalRange(t)
@@ -167,31 +170,31 @@ func TestOneCoordinatorPath(t *testing.T) {
 		"get t=611262839 sent=8 wan=8",
 		"get-for-update t=696635863 sent=9 wan=9",
 		"get-parallel-1 t=783135644 sent=10 wan=10",
-		"get-parallel-4 t=868816966 sent=12 wan=11",
-		"get-global t=870830354 sent=13 wan=11",
-		"put t=870830354 sent=13 wan=11",
-		"del t=870830354 sent=13 wan=11",
-		"put-parallel t=958303201 sent=15 wan=13",
-		"commit t=1394480206 sent=31 wan=26",
-		"1pc-put t=1394480206 sent=31 wan=26",
-		"1pc-commit t=1483210020 sent=32 wan=27",
-		"1pc-put-parallel t=1483210020 sent=32 wan=27",
-		"1pc-pending-get t=1483210020 sent=32 wan=27",
-		"1pc-pending-commit t=1572765487 sent=33 wan=28",
-		"1pc-del t=1572765487 sent=33 wan=28",
-		"1pc-del-commit t=1661402813 sent=34 wan=29",
-		"1pc-put-parallel-2 t=1661402813 sent=34 wan=29",
-		"1pc-put-parallel-2-commit t=1837056942 sent=37 wan=32",
-		"1pc-put-first t=1837056942 sent=37 wan=32",
-		"1pc-put-second t=1837056942 sent=37 wan=32",
-		"1pc-two-puts-commit t=2011032613 sent=41 wan=36",
-		"declined-get t=2100240362 sent=43 wan=38",
-		"declined-put t=2100240362 sent=43 wan=38",
-		"declined-commit t=2708591417 sent=49 wan=44",
-		"abort-put t=2708591417 sent=49 wan=44",
-		"abort-put-parallel t=2708591417 sent=49 wan=44",
-		"abort t=2708591417 sent=49 wan=44",
-		"settled t=3708591417 sent=49 wan=44",
+		"get-parallel-4 t=785131704 sent=11 wan=10",
+		"get-global t=785131704 sent=11 wan=10",
+		"put t=785131704 sent=11 wan=10",
+		"del t=785131704 sent=11 wan=10",
+		"put-parallel t=872417848 sent=13 wan=12",
+		"commit t=1307812656 sent=25 wan=22",
+		"1pc-put t=1307812656 sent=25 wan=22",
+		"1pc-commit t=1395239030 sent=26 wan=23",
+		"1pc-put-parallel t=1395239030 sent=26 wan=23",
+		"1pc-pending-get t=1395239030 sent=26 wan=23",
+		"1pc-pending-commit t=1485092693 sent=27 wan=24",
+		"1pc-del t=1485092693 sent=27 wan=24",
+		"1pc-del-commit t=1574120066 sent=28 wan=25",
+		"1pc-put-parallel-2 t=1574120066 sent=28 wan=25",
+		"1pc-put-parallel-2-commit t=1751783838 sent=31 wan=28",
+		"1pc-put-first t=1751783838 sent=31 wan=28",
+		"1pc-put-second t=1751783838 sent=31 wan=28",
+		"1pc-two-puts-commit t=1927670560 sent=35 wan=32",
+		"declined-get t=2015769133 sent=37 wan=34",
+		"declined-put t=2015769133 sent=37 wan=34",
+		"declined-commit t=2623764876 sent=43 wan=40",
+		"abort-put t=2623764876 sent=43 wan=40",
+		"abort-put-parallel t=2623764876 sent=43 wan=40",
+		"abort t=2623764876 sent=43 wan=40",
+		"settled t=3623764876 sent=43 wan=40",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("coordinator script:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

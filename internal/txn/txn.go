@@ -74,7 +74,10 @@ type Txn struct {
 	// (the leaseholder replied after proposing, before replication), so
 	// Commit proves each with a QueryIntent while the commit record stages.
 	writes []write
-	reads  []readSpan
+	// reads are the spans read so far, for refreshes and the one-phase
+	// commit. Together with writes and pending they are what the transaction
+	// knows a key holds (see known).
+	reads []readSpan
 	// pending are the writes not sent yet, in order, one entry per key. An
 	// unconditional write waits here for the transaction's next batch — a
 	// point read, a conditional write or the commit — which carries it.
@@ -90,8 +93,8 @@ type Txn struct {
 
 // write is one key the transaction wrote.
 type write struct {
-	key  mvcc.Key
-	live bool // false for a tombstone
+	key   mvcc.Key
+	value mvcc.Value // nil for a tombstone
 }
 
 // bufferedPut is a write not sent yet, with its condition.
@@ -101,8 +104,9 @@ type bufferedPut struct {
 }
 
 type readSpan struct {
-	key mvcc.Key
-	end mvcc.Key // nil for point reads
+	key   mvcc.Key
+	end   mvcc.Key   // nil for point reads
+	value mvcc.Value // what a point read returned
 }
 
 // Begin starts a transaction at the gateway's current HLC time.
@@ -139,7 +143,9 @@ func (t *Txn) Get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 
 // GetForUpdate reads key and acquires an exclusive unreplicated lock on it
 // (SELECT FOR UPDATE), serializing read-modify-write transactions without
-// restarts. Locking reads always go to the leaseholder.
+// restarts. Locking reads always go to the leaseholder. A key the
+// transaction already knows is not sent: the write that follows takes its
+// lock when it rides the transaction's next batch.
 func (t *Txn) GetForUpdate(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 	var v [1]mvcc.Value
 	err := t.read(p, []mvcc.Key{key}, v[:], true)
@@ -156,19 +162,19 @@ func (t *Txn) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
 	return out, nil
 }
 
-// read is the one point-read path. A key with a pending write reads that
-// write's value (nil for a tombstone) and is neither sent nor recorded as
-// read. The other keys go out as one batch that also carries every pending
-// write; a rider that fails fails the read. The values land in out, and
-// after a successful uncertainty refresh the reads are re-sent at the new
-// read timestamp.
+// read is the one point-read path. A key the transaction already knows (see
+// known) reads what it knows and is neither sent nor recorded as read again.
+// The other keys go out as one batch that also carries every pending write;
+// a rider that fails fails the read. The values land in out, and after a
+// successful uncertainty refresh the reads are re-sent at the new read
+// timestamp.
 func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate bool) error {
 	send, at := keys, []int(nil) // at[j] is send[j]'s index in keys; nil when send is keys
-	if len(t.pending) > 0 {
+	if t.knowsAny(keys) {
 		send = nil
 		for i, key := range keys {
-			if w := t.pendingIndex(key); w >= 0 {
-				out[i] = t.pending[w].Value
+			if v, ok := t.known(key); ok {
+				out[i] = v
 				continue
 			}
 			send = append(send, key)
@@ -200,11 +206,12 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 			}
 		}
 		resps := t.co.Sender.SendBatch(p, reqs)
-		if err := t.landed(riders, resps, 0); err != nil {
+		if err := t.landed(p, riders, resps, 0); err != nil {
 			return err
 		}
 		var firstErr error
-		for j, resp := range resps[len(riders):] {
+		gets := resps[len(riders):]
+		for j, resp := range gets {
 			if resp.Err != nil {
 				if firstErr == nil {
 					firstErr = resp.Err
@@ -222,8 +229,8 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		}
 		riders = nil
 		if firstErr == nil {
-			for _, key := range send {
-				t.recordRead(key, nil)
+			for j, key := range send {
+				t.recordRead(key, nil, gets[j].Get.Value)
 			}
 			return nil
 		}
@@ -235,11 +242,43 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 
 // recordRead notes a span the transaction read ([key, end), or the point key
 // when end is nil), so refreshes and a one-phase commit can re-validate it.
-func (t *Txn) recordRead(key, end mvcc.Key) {
+// A point read also notes the value it returned.
+func (t *Txn) recordRead(key, end mvcc.Key, value mvcc.Value) {
 	t.reads = append(t.reads, readSpan{
-		key: append(mvcc.Key(nil), key...),
-		end: append(mvcc.Key(nil), end...),
+		key:   append(mvcc.Key(nil), key...),
+		end:   append(mvcc.Key(nil), end...),
+		value: value,
 	})
+}
+
+// knowsAny reports whether the transaction knows what any of keys holds.
+func (t *Txn) knowsAny(keys []mvcc.Key) bool {
+	for _, key := range keys {
+		if _, ok := t.known(key); ok {
+			return true
+		}
+	}
+	return false
+}
+
+// known returns what key holds for the transaction, without reading it, and
+// whether the transaction knows: the value of its latest write of key,
+// pending or accepted by the leaseholder (nil for a tombstone), else the
+// value a point read of key returned. The read's value holds at the current
+// read timestamp, because MVCC returns the same value for the same key at
+// the same timestamp and the read timestamp moves only after a refresh has
+// proved every read unchanged up to the new one. A write whose condition
+// failed was never recorded, so it leaves no value behind.
+func (t *Txn) known(key mvcc.Key) (mvcc.Value, bool) {
+	if v, ok := t.wrote(key); ok {
+		return v, true
+	}
+	for i := range t.reads {
+		if r := &t.reads[i]; r.end == nil && bytes.Equal(r.key, key) {
+			return r.value, true
+		}
+	}
+	return nil, false
 }
 
 // Scan reads [start, end) up to max rows. It first sends the pending writes,
@@ -259,7 +298,7 @@ func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, 
 		}
 		resp := t.co.Sender.Send(p, req)
 		if resp.Err == nil {
-			t.recordRead(start, end)
+			t.recordRead(start, end, nil)
 			return resp.Scan.Rows, nil
 		}
 		if err := t.handleReadErr(p, resp.Err); err != nil {
@@ -435,7 +474,7 @@ func (t *Txn) sendWrites(p *sim.Proc, own int) error {
 	}
 	reqs := make([]interface{}, len(sent))
 	t.putRequests(reqs, sent)
-	return t.landed(sent, t.co.Sender.SendBatch(p, reqs), own)
+	return t.landed(p, sent, t.co.Sender.SendBatch(p, reqs), own)
 }
 
 // putRequests fills the head of reqs with pipelined puts of ws.
@@ -456,8 +495,8 @@ func (t *Txn) putRequests(reqs []interface{}, ws []bufferedPut) {
 // transaction able to commit only when exactly the statement's own writes
 // failed — the statement then failed whole. Any other failure half applies
 // the statement or loses an earlier statement's write, so the transaction
-// can no longer commit.
-func (t *Txn) landed(sent []bufferedPut, resps []kv.Response, own int) error {
+// can no longer commit. A failed condition is vetted by duplicateOrRestart.
+func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own int) error {
 	var firstErr error
 	clean := own > 0
 	for i := range sent {
@@ -476,7 +515,30 @@ func (t *Txn) landed(sent []bufferedPut, resps []kv.Response, own int) error {
 	if firstErr != nil && !clean && t.partial == nil {
 		t.partial = firstErr
 	}
-	return firstErr
+	return t.duplicateOrRestart(p, firstErr)
+}
+
+// duplicateOrRestart vets err when it is a failed INSERT condition. A live
+// value newer than the read timestamp is a duplicate only at a snapshot
+// where the transaction's reads still hold: say the transaction read a
+// counter, and another one has since moved the counter past the key and
+// written it. The reads are refreshed up to the value; if they are
+// unchanged, the read timestamp moves there and the duplicate stands,
+// otherwise a retry would not meet it and the transaction restarts.
+func (t *Txn) duplicateOrRestart(p *sim.Proc, err error) error {
+	if err == nil { // the errors.As target escapes: keep it off the success path
+		return nil
+	}
+	var cf *kv.ConditionFailedError
+	if !errors.As(err, &cf) || !t.kv.ReadTimestamp.Less(cf.Existing) {
+		return err
+	}
+	if !t.refreshReads(p, cf.Existing) {
+		t.co.Restarts++
+		return t.restartError("duplicate above the read timestamp, refresh failed", cf.Existing)
+	}
+	t.adoptReadTS(cf.Existing)
+	return err
 }
 
 // recordWrite notes a write the leaseholder accepted at ts. The write's key
@@ -485,21 +547,28 @@ func (t *Txn) recordWrite(w bufferedPut, ts hlc.Timestamp) {
 	if t.kv.Meta.WriteTimestamp.Less(ts) {
 		t.kv.Meta.WriteTimestamp = ts
 	}
-	t.writes = append(t.writes, write{key: w.Key, live: w.Value != nil})
+	t.writes = append(t.writes, write{key: w.Key, value: w.Value})
+}
+
+// wrote returns the value of the transaction's latest write of key, pending
+// or sent (nil for a tombstone), and whether it wrote key at all.
+func (t *Txn) wrote(key mvcc.Key) (mvcc.Value, bool) {
+	if i := t.pendingIndex(key); i >= 0 {
+		return t.pending[i].Value, true
+	}
+	for i := len(t.writes) - 1; i >= 0; i-- {
+		if bytes.Equal(t.writes[i].key, key) {
+			return t.writes[i].value, true
+		}
+	}
+	return nil, false
 }
 
 // wroteLive reports whether the transaction's latest write of key, pending
 // or sent, left a live value.
 func (t *Txn) wroteLive(key mvcc.Key) bool {
-	if i := t.pendingIndex(key); i >= 0 {
-		return t.pending[i].Value != nil
-	}
-	for i := len(t.writes) - 1; i >= 0; i-- {
-		if bytes.Equal(t.writes[i].key, key) {
-			return t.writes[i].live
-		}
-	}
-	return false
+	v, _ := t.wrote(key)
+	return v != nil
 }
 
 // Commit finalizes the transaction. For read-write transactions this
@@ -685,7 +754,7 @@ func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 			t.pending = nil
 			t.co.Aborted++
 		}
-		return false, resp.Err
+		return false, t.duplicateOrRestart(p, resp.Err)
 	}
 	if resp.Put.Declined1PC {
 		return false, nil
