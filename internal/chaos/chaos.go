@@ -261,6 +261,20 @@ func Run(opts Options) (*Report, error) {
 		return nil, err
 	}
 	h.bankRange = bankDesc.RangeID
+	// The bank's second half: ZONE-survivable and homed in Europe, so a
+	// transfer from a low account to a high one writes a remote account
+	// after its local record, a write that replicates before it replies
+	// (internal/txn replicateFirst). Its quorum is lost while Europe is
+	// down, and so are the transfers and audits that touch it.
+	euBankCfg := zones.Config{
+		NumReplicas: 5, NumVoters: 3,
+		VoterConstraints: map[simnet.Region]int{simnet.EuropeW2: 3},
+		Constraints:      map[simnet.Region]int{simnet.USEast1: 1, simnet.AsiaNE1: 1},
+		LeasePreferences: []simnet.Region{simnet.EuropeW2},
+	}
+	if _, err := c.CreateRangeWithZoneConfig([]byte("acct-eu/"), []byte("acct-eu0"), euBankCfg, kv.ClosedTSLag); err != nil {
+		return nil, err
+	}
 	// Linearizability register: same survivability, home in Europe so the
 	// two ranges fail over in different fault scenarios.
 	linCfg := zones.Config{
@@ -373,8 +387,14 @@ func (h *harness) faultWindows() []FaultWindow {
 	return out
 }
 
-// acctKey returns the i-th bank account key.
-func acctKey(i int) mvcc.Key { return mvcc.Key(fmt.Sprintf("acct/%03d", i)) }
+// acctKey returns the i-th bank account key: the first half of the accounts
+// live on the bank range, the rest on its Europe-homed second range.
+func (h *harness) acctKey(i int) mvcc.Key {
+	if i < h.opts.Accounts/2 {
+		return mvcc.Key(fmt.Sprintf("acct/%03d", i))
+	}
+	return mvcc.Key(fmt.Sprintf("acct-eu/%03d", i))
+}
 
 // linKey is the single linearizability register.
 var linKey = mvcc.Key("lin/x")
@@ -415,7 +435,7 @@ func (h *harness) run(p *sim.Proc) error {
 	if err := seedCo.Run(p, func(tx *txn.Txn) error {
 		var kvs []mvcc.KeyValue
 		for i := 0; i < opts.Accounts; i++ {
-			kvs = append(kvs, mvcc.KeyValue{Key: acctKey(i), Value: mvcc.Value(fmt.Sprintf("%d", opts.InitialBalance))})
+			kvs = append(kvs, mvcc.KeyValue{Key: h.acctKey(i), Value: mvcc.Value(fmt.Sprintf("%d", opts.InitialBalance))})
 		}
 		return tx.PutParallel(p, kvs, nil)
 	}); err != nil {
@@ -461,7 +481,7 @@ func (h *harness) run(p *sim.Proc) error {
 		finalErr = h.coordAt(h.healthyGateway(p.Now())).Run(p, func(tx *txn.Txn) error {
 			total = 0
 			for a := 0; a < opts.Accounts; a++ {
-				v, err := tx.Get(p, acctKey(a))
+				v, err := tx.Get(p, h.acctKey(a))
 				if err != nil {
 					return err
 				}
@@ -625,11 +645,11 @@ func (h *harness) spawnMovers(wg *sim.WaitGroup) {
 				}
 				amount := 1 + rng.Intn(5)
 				err := co.Run(p, func(tx *txn.Txn) error {
-					av, err := tx.GetForUpdate(p, acctKey(from))
+					av, err := tx.GetForUpdate(p, h.acctKey(from))
 					if err != nil {
 						return err
 					}
-					bv, err := tx.GetForUpdate(p, acctKey(to))
+					bv, err := tx.GetForUpdate(p, h.acctKey(to))
 					if err != nil {
 						return err
 					}
@@ -639,10 +659,10 @@ func (h *harness) spawnMovers(wg *sim.WaitGroup) {
 					if a < amount {
 						return nil
 					}
-					if err := tx.Put(p, acctKey(from), mvcc.Value(fmt.Sprintf("%d", a-amount))); err != nil {
+					if err := tx.Put(p, h.acctKey(from), mvcc.Value(fmt.Sprintf("%d", a-amount))); err != nil {
 						return err
 					}
-					return tx.Put(p, acctKey(to), mvcc.Value(fmt.Sprintf("%d", b+amount)))
+					return tx.Put(p, h.acctKey(to), mvcc.Value(fmt.Sprintf("%d", b+amount)))
 				})
 				if err != nil {
 					h.rep.TransfersFailed++
@@ -784,7 +804,7 @@ func (h *harness) spawnAuditor(wg *sim.WaitGroup) {
 			err := co.Run(p, func(tx *txn.Txn) error {
 				total = 0
 				for a := 0; a < h.opts.Accounts; a++ {
-					v, err := tx.Get(p, acctKey(a))
+					v, err := tx.Get(p, h.acctKey(a))
 					if err != nil {
 						return err
 					}

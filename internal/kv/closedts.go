@@ -1,8 +1,6 @@
 package kv
 
 import (
-	"sort"
-
 	"mrdb/internal/hlc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
@@ -77,29 +75,7 @@ func (c *closedTracker) advance(ts hlc.Timestamp) {
 // replication latency to the furthest replica plus the maximum clock offset
 // (paper §6.2.1).
 func LeadTime(topo *simnet.Topology, leaseholder simnet.NodeID, voters, nonVoters []simnet.NodeID, maxOffset sim.Duration) sim.Duration {
-	// L_raft: RTT from the leaseholder to the median-nearest voter
-	// (quorum of voters, leaseholder included).
-	var voterRTTs []sim.Duration
-	for _, v := range voters {
-		if v == leaseholder {
-			continue
-		}
-		voterRTTs = append(voterRTTs, topo.NodeRTT(leaseholder, v))
-	}
-	sort.Slice(voterRTTs, func(i, j int) bool { return voterRTTs[i] < voterRTTs[j] })
-	var lRaft sim.Duration
-	if len(voterRTTs) > 0 {
-		// Quorum needs (len(voters)+1)/2 acks beyond the leaseholder's
-		// own; the deciding ack comes from the (quorum-1)-th nearest.
-		quorum := (len(voterRTTs)+1+1)/2 - 1 // acks needed from peers
-		if quorum < 1 {
-			quorum = 1
-		}
-		if quorum > len(voterRTTs) {
-			quorum = len(voterRTTs)
-		}
-		lRaft = voterRTTs[quorum-1]
-	}
+	lRaft := quorumRTT(topo, leaseholder, voters)
 	// L_replicate: one-way delay to the furthest replica of any kind.
 	var lRep sim.Duration
 	for _, id := range append(append([]simnet.NodeID{}, voters...), nonVoters...) {
@@ -111,4 +87,27 @@ func LeadTime(topo *simnet.Topology, leaseholder simnet.NodeID, voters, nonVoter
 	// on top of that the lead must cover the closed-timestamp publication
 	// cadence so present time stays closed continuously at followers.
 	return lRaft + lRep + maxOffset + SideTransportInterval + leadPropagationMargin
+}
+
+// quorumRTT is L_raft, the round trip from a leaseholder to the voter whose
+// ack completes a quorum: the ⌊m/2⌋-th nearest of the m other voters (at
+// least the nearest), which for 3 or 5 voters is the ⌊n/2⌋-th. It allocates
+// nothing for up to 8 other voters.
+func quorumRTT(topo *simnet.Topology, leaseholder simnet.NodeID, voters []simnet.NodeID) sim.Duration {
+	var buf [8]sim.Duration
+	rtts := buf[:0]
+	for _, v := range voters {
+		if v != leaseholder {
+			rtts = append(rtts, topo.NodeRTT(leaseholder, v))
+		}
+	}
+	if len(rtts) == 0 {
+		return 0
+	}
+	for i := 1; i < len(rtts); i++ { // insertion sort: a handful of voters
+		for j := i; j > 0 && rtts[j] < rtts[j-1]; j-- {
+			rtts[j], rtts[j-1] = rtts[j-1], rtts[j]
+		}
+	}
+	return rtts[max(len(rtts)/2, 1)-1]
 }

@@ -116,6 +116,19 @@ func (ds *DistSender) replicasByPreference(d *RangeDescriptor) []simnet.NodeID {
 	return out
 }
 
+// WriteRTTs returns, for the range holding key, the round trip from the
+// gateway to its leaseholder and the leaseholder's quorum round trip (the
+// time a write takes to replicate once it is there), as the catalog and the
+// topology state them now. ok is false when no range holds key. It allocates
+// nothing.
+func (ds *DistSender) WriteRTTs(key mvcc.Key) (toLeaseholder, quorum sim.Duration, ok bool) {
+	d, err := ds.Catalog.Lookup(key)
+	if err != nil {
+		return 0, 0, false
+	}
+	return ds.Topo.NodeRTT(ds.NodeID, d.Leaseholder), quorumRTT(ds.Topo, d.Leaseholder, d.Voters), true
+}
+
 // maxSendAttempts bounds routing retries before giving up. With the capped
 // exponential backoff below, a full retry budget spans roughly 25s of
 // virtual time — enough to ride out an election plus a liveness expiration

@@ -435,3 +435,52 @@ func TestLeadTimeComposition(t *testing.T) {
 		t.Fatalf("lead = %v, want %v", lead, want)
 	}
 }
+
+// TestWriteRTTs: for a key's range, the DistSender states the gateway's
+// round trip to the leaseholder and the leaseholder's quorum round trip — the
+// ⌊n/2⌋-th nearest other voter — from the catalog and the topology alone,
+// and allocates nothing doing so.
+func TestWriteRTTs(t *testing.T) {
+	topo := simnet.NewTable1Topology()
+	topo.Jitter = 0
+	for i, l := range []simnet.Locality{
+		{Region: simnet.USEast1, Zone: "a"}, {Region: simnet.USEast1, Zone: "b"}, {Region: simnet.USEast1, Zone: "c"},
+		{Region: simnet.EuropeW2, Zone: "a"}, {Region: simnet.EuropeW2, Zone: "b"}, {Region: simnet.EuropeW2, Zone: "c"},
+		{Region: simnet.AsiaNE1, Zone: "a"},
+	} {
+		topo.AddNode(simnet.NodeID(i+1), l)
+	}
+	cat := NewRangeCatalog()
+	for _, d := range []*RangeDescriptor{
+		// ZONE-survivable, homed at the gateway.
+		{RangeID: 1, StartKey: mvcc.Key("a"), EndKey: mvcc.Key("b"), Voters: []simnet.NodeID{1, 2, 3}, Leaseholder: 1},
+		// ZONE-survivable, homed in europe-west2, with a non-voter at the gateway.
+		{RangeID: 2, StartKey: mvcc.Key("b"), EndKey: mvcc.Key("c"), Voters: []simnet.NodeID{4, 5, 6}, NonVoters: []simnet.NodeID{1}, Leaseholder: 5},
+		// REGION-survivable, homed in europe-west2: the quorum crosses regions.
+		{RangeID: 3, StartKey: mvcc.Key("c"), EndKey: mvcc.Key("d"), Voters: []simnet.NodeID{4, 5, 1, 2, 7}, Leaseholder: 4},
+	} {
+		if err := cat.Insert(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds := &DistSender{NodeID: 1, Topo: topo, Catalog: cat}
+	for _, c := range []struct {
+		key                   string
+		toLeaseholder, quorum sim.Duration
+		ok                    bool
+	}{
+		{"a1", 50 * sim.Microsecond, topo.IntraRegionRTT, true},
+		{"b1", 87 * sim.Millisecond, topo.IntraRegionRTT, true},
+		{"c1", 87 * sim.Millisecond, 87 * sim.Millisecond, true},
+		{"z", 0, 0, false},
+	} {
+		lh, q, ok := ds.WriteRTTs(mvcc.Key(c.key))
+		if lh != c.toLeaseholder || q != c.quorum || ok != c.ok {
+			t.Errorf("WriteRTTs(%q) = %v, %v, %v; want %v, %v, %v", c.key, lh, q, ok, c.toLeaseholder, c.quorum, c.ok)
+		}
+	}
+	key := mvcc.Key("c1")
+	if n := testing.AllocsPerRun(100, func() { ds.WriteRTTs(key) }); n != 0 {
+		t.Errorf("WriteRTTs allocates %.0f objects, want 0", n)
+	}
+}

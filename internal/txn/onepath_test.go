@@ -11,7 +11,6 @@ import (
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
-	"mrdb/internal/zones"
 )
 
 // globalRange adds a GLOBAL (closed-timestamp lead) range over "g/" with the
@@ -19,17 +18,7 @@ import (
 // asia-northeast1, so fresh reads of it are follower reads.
 func (h *harness) globalRange(t *testing.T) *kv.RangeDescriptor {
 	t.Helper()
-	cfg := zones.Config{
-		NumReplicas: 5, NumVoters: 3,
-		VoterConstraints: map[simnet.Region]int{simnet.USEast1: 3},
-		Constraints:      map[simnet.Region]int{simnet.EuropeW2: 1, simnet.AsiaNE1: 1},
-		LeasePreferences: []simnet.Region{simnet.USEast1},
-	}
-	desc, err := h.c.CreateRangeWithZoneConfig([]byte("g/"), []byte("g0"), cfg, kv.ClosedTSLead)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return desc
+	return h.homedRange(t, "g/", "g0", simnet.USEast1, nil, kv.ClosedTSLead)
 }
 
 func keysOf(ks ...string) []mvcc.Key {

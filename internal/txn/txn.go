@@ -70,9 +70,10 @@ type Txn struct {
 	// statements.
 	AllowOnePC bool
 
-	// writes are the keys written so far, in order. Every one was pipelined
-	// (the leaseholder replied after proposing, before replication), so
-	// Commit proves each with a QueryIntent while the commit record stages.
+	// writes are the keys written so far, in order. A pipelined one (the
+	// leaseholder replied after proposing, before replication) is proved by
+	// Commit with a QueryIntent while the commit record stages; one that was
+	// replicated before the reply is proven already (see replicateFirst).
 	writes []write
 	// reads are the spans read so far, for refreshes and the one-phase
 	// commit. Together with writes and pending they are what the transaction
@@ -95,12 +96,18 @@ type Txn struct {
 type write struct {
 	key   mvcc.Key
 	value mvcc.Value // nil for a tombstone
+	// proven: the leaseholder replied after the write had replicated, so the
+	// commit need not prove it.
+	proven bool
 }
 
 // bufferedPut is a write not sent yet, with its condition.
 type bufferedPut struct {
 	mvcc.KeyValue
 	mustNotExist bool
+	// replicate is decided when the write is sent: ask the leaseholder to
+	// replicate it before replying instead of pipelining it.
+	replicate bool
 }
 
 type readSpan struct {
@@ -463,9 +470,9 @@ func (t *Txn) onePC() bool {
 	return t.AllowOnePC && len(t.writes) == 0 && len(t.pending) == 1
 }
 
-// sendWrites sends every pending write as pipelined intents, one RPC per
-// touched range. The last own of them are the writes of the statement
-// sending them (see landed).
+// sendWrites sends every pending write as intents, one RPC per touched
+// range. The last own of them are the writes of the statement sending them
+// (see landed).
 func (t *Txn) sendWrites(p *sim.Proc, own int) error {
 	sent := t.pending
 	t.pending = nil
@@ -477,14 +484,33 @@ func (t *Txn) sendWrites(p *sim.Proc, own int) error {
 	return t.landed(p, sent, t.co.Sender.SendBatch(p, reqs), own)
 }
 
-// putRequests fills the head of reqs with pipelined puts of ws.
+// putRequests fills the head of reqs with puts of ws, deciding for each
+// whether it replicates first (see replicateFirst) or is pipelined.
 func (t *Txn) putRequests(reqs []interface{}, ws []bufferedPut) {
+	if len(ws) == 0 {
+		return
+	}
+	toRecord, _, recordOK := t.co.Sender.WriteRTTs(t.kv.Meta.Key)
 	for i := range ws {
+		ws[i].replicate = recordOK && t.replicateFirst(ws[i].Key, toRecord)
 		reqs[i] = &kv.PutRequest{
-			Key: ws[i].Key, Value: ws[i].Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv, Pipelined: true,
-			MustNotExist: ws[i].mustNotExist,
+			Key: ws[i].Key, Value: ws[i].Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv,
+			Pipelined: !ws[i].replicate, MustNotExist: ws[i].mustNotExist,
 		}
 	}
+}
+
+// replicateFirst reports whether a write of key costs the transaction less
+// replicated before the leaseholder replies than pipelined and proved at
+// commit. The proof is a round trip to the key's leaseholder that runs beside
+// the STAGING write to the record's leaseholder, so it costs the commit only
+// what it outlasts that round trip by; replication costs the statement the
+// leaseholder's quorum round trip. toRecord is the gateway's round trip to the
+// record's leaseholder. A local write, and one no farther away than the
+// record — the record's own range included — stays pipelined.
+func (t *Txn) replicateFirst(key mvcc.Key, toRecord sim.Duration) bool {
+	toLeaseholder, quorum, ok := t.co.Sender.WriteRTTs(key)
+	return ok && quorum < toLeaseholder-toRecord
 }
 
 // landed records every write of sent that its response (resps[i] answers
@@ -493,9 +519,11 @@ func (t *Txn) putRequests(reqs []interface{}, ws []bufferedPut) {
 // statement that sent the batch; the others rode along from earlier
 // statements, which have already succeeded. A failed batch leaves the
 // transaction able to commit only when exactly the statement's own writes
-// failed — the statement then failed whole. Any other failure half applies
-// the statement or loses an earlier statement's write, so the transaction
-// can no longer commit. A failed condition is vetted by duplicateOrRestart.
+// failed, each refused outright — the statement then failed whole. Any other
+// failure half applies the statement, loses an earlier statement's write or
+// may yet apply (see mayHaveLanded), so the transaction can no longer commit;
+// a write that may yet apply is recorded so that the abort resolves it. A
+// failed condition is vetted by duplicateOrRestart.
 func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own int) error {
 	var firstErr error
 	clean := own > 0
@@ -508,6 +536,10 @@ func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own i
 			if firstErr == nil {
 				firstErr = resps[i].Err
 			}
+			if mayHaveLanded(resps[i].Err) {
+				clean = false
+				t.writes = append(t.writes, write{key: sent[i].Key, value: sent[i].Value})
+			}
 			continue
 		}
 		t.recordWrite(sent[i], resps[i].Put.WriteTimestamp)
@@ -516,6 +548,20 @@ func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own i
 		t.partial = firstErr
 	}
 	return t.duplicateOrRestart(p, firstErr)
+}
+
+// mayHaveLanded reports whether a write that failed with err may still
+// apply. Only a refusal on evaluation — a failed condition, a conflicting
+// intent, an aborted or restarting transaction — says that nothing was
+// proposed. A write replicated before its reply can fail after its entry is
+// in the log (raft.ErrLeadershipLost: the next leader may still commit it),
+// and a send that gave up may have lost the reply to an attempt that landed.
+func mayHaveLanded(err error) bool {
+	var cf *kv.ConditionFailedError
+	var wi *mvcc.WriteIntentError
+	var ta *kv.TxnAbortedError
+	var rt *kv.RetryableTxnError
+	return !errors.As(err, &cf) && !errors.As(err, &wi) && !errors.As(err, &ta) && !errors.As(err, &rt)
 }
 
 // duplicateOrRestart vets err when it is a failed INSERT condition. A live
@@ -547,7 +593,7 @@ func (t *Txn) recordWrite(w bufferedPut, ts hlc.Timestamp) {
 	if t.kv.Meta.WriteTimestamp.Less(ts) {
 		t.kv.Meta.WriteTimestamp = ts
 	}
-	t.writes = append(t.writes, write{key: w.Key, value: w.Value})
+	t.writes = append(t.writes, write{key: w.Key, value: w.Value, proven: w.replicate})
 }
 
 // wrote returns the value of the transaction's latest write of key, pending
@@ -634,21 +680,28 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// Parallel commit (CockroachDB's parallel commits): write the commit
 	// record in STAGING state concurrently with proving the pipelined
 	// writes (QueryIntent barrier), then finalize. This keeps a remote
-	// single-statement write at two WAN round trips instead of three.
+	// single-statement write at two WAN round trips instead of three. A
+	// write that replicated before its reply needs no proof; when no write
+	// is left to prove, the STAGING write is the whole phase.
 	var proveErr error
-	proveDone := sim.NewFuture[struct{}](t.co.Store.Sim)
-	parent := obs.ProcSpan(p)
-	t.co.Store.Sim.Spawn("txn/prove", func(wp *sim.Proc) {
-		obs.SetProcSpan(wp, parent)
-		proveErr = t.proveWrites(wp)
-		proveDone.Set(struct{}{})
-	})
+	var proveDone *sim.Future[struct{}]
+	if proofs := t.proofs(); len(proofs) > 0 {
+		proveDone = sim.NewFuture[struct{}](t.co.Store.Sim)
+		parent := obs.ProcSpan(p)
+		t.co.Store.Sim.Spawn("txn/prove", func(wp *sim.Proc) {
+			obs.SetProcSpan(wp, parent)
+			proveErr = t.proveWrites(wp, proofs)
+			proveDone.Set(struct{}{})
+		})
+	}
 
 	// The staging phase: the STAGING commit record write overlapped with
 	// the QueryIntent proofs.
 	_, stageDone := t.co.tracer().StartIn(p, "txn.stage")
 	resp := t.co.Sender.Send(p, &kv.EndTxnRequest{Txn: t.kv, Commit: true, CommitTS: commitTS})
-	proveDone.Wait(p)
+	if proveDone != nil {
+		proveDone.Wait(p)
+	}
 	stageDone()
 	if resp.Err != nil {
 		var ta *kv.TxnAbortedError
@@ -701,18 +754,29 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	return nil
 }
 
-// proveWrites issues parallel QueryIntent requests for every pipelined
-// write and fails if any intent is missing.
-func (t *Txn) proveWrites(p *sim.Proc) error {
+// proofs returns a QueryIntent request for every write not proven yet: every
+// pipelined one. The decision was recorded when each write was sent, and is
+// not taken again here: the lease may have moved since.
+func (t *Txn) proofs() []interface{} {
+	var reqs []interface{}
+	for _, w := range t.writes {
+		if w.proven {
+			continue
+		}
+		if reqs == nil {
+			reqs = make([]interface{}, 0, len(t.writes))
+		}
+		reqs = append(reqs, &kv.QueryIntentRequest{Key: w.key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch})
+	}
+	return reqs
+}
+
+// proveWrites sends the proofs in parallel and fails if any intent is
+// missing.
+func (t *Txn) proveWrites(p *sim.Proc, reqs []interface{}) error {
 	sp, done := t.co.tracer().StartIn(p, "txn.prove")
 	defer done()
-	sp.SetTagInt("writes", int64(len(t.writes)))
-	reqs := make([]interface{}, len(t.writes))
-	for i, w := range t.writes {
-		reqs[i] = &kv.QueryIntentRequest{
-			Key: w.key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch,
-		}
-	}
+	sp.SetTagInt("writes", int64(len(reqs)))
 	missing := false
 	for _, resp := range t.co.Sender.SendBatch(p, reqs) {
 		if resp.Err != nil {

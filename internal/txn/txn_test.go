@@ -15,7 +15,8 @@ import (
 	"mrdb/internal/zones"
 )
 
-// harness: a 3-region cluster with one LAG range covering "k/...".
+// harness: a 3-region cluster with one LAG range covering "k/...", homed in
+// us-east1.
 type harness struct {
 	c    *cluster.Cluster
 	desc *kv.RangeDescriptor
@@ -23,20 +24,33 @@ type harness struct {
 
 func newHarness(t *testing.T, seed int64) *harness {
 	t.Helper()
-	c := cluster.New(cluster.Config{
+	h := &harness{c: cluster.New(cluster.Config{
 		Seed: seed, Regions: cluster.ThreeRegions(), MaxOffset: 250 * sim.Millisecond,
-	})
-	cfg := zones.Config{
-		NumReplicas: 5, NumVoters: 3,
-		VoterConstraints: map[simnet.Region]int{simnet.USEast1: 3},
-		Constraints:      map[simnet.Region]int{simnet.EuropeW2: 1, simnet.AsiaNE1: 1},
-		LeasePreferences: []simnet.Region{simnet.USEast1},
+	})}
+	h.desc = h.homedRange(t, "k/", "k0", simnet.USEast1, nil, kv.ClosedTSLag)
+	return h
+}
+
+// homedRange adds a range over [start, end) whose lease prefers home: ZONE
+// survivable (three voters in home, a non-voter in each other region) unless
+// voters spreads five voters over regions itself.
+func (h *harness) homedRange(t *testing.T, start, end string, home simnet.Region, voters map[simnet.Region]int, policy kv.ClosedTSPolicy) *kv.RangeDescriptor {
+	t.Helper()
+	cfg := zones.Config{NumReplicas: 5, NumVoters: 3, VoterConstraints: map[simnet.Region]int{home: 3},
+		Constraints: map[simnet.Region]int{}, LeasePreferences: []simnet.Region{home}}
+	for _, r := range h.c.Regions() {
+		if r != home {
+			cfg.Constraints[r] = 1
+		}
 	}
-	desc, err := c.CreateRangeWithZoneConfig([]byte("k/"), []byte("k0"), cfg, kv.ClosedTSLag)
+	if voters != nil {
+		cfg = zones.Config{NumReplicas: 5, NumVoters: 5, VoterConstraints: voters, LeasePreferences: []simnet.Region{home}}
+	}
+	desc, err := h.c.CreateRangeWithZoneConfig([]byte(start), []byte(end), cfg, policy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &harness{c: c, desc: desc}
+	return desc
 }
 
 func (h *harness) run(t *testing.T, fn func(p *sim.Proc)) {
