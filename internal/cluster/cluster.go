@@ -214,8 +214,7 @@ func New(cfg Config) *Cluster {
 		}
 	}
 	c.Admin = &kv.Admin{
-		Sim: s, Topo: topo, Catalog: c.Catalog, Stores: c.Stores,
-		MaxOffset: cfg.MaxOffset, Load: loadTracker,
+		Sim: s, Topo: topo, Catalog: c.Catalog, Stores: c.Stores, Load: loadTracker,
 	}
 	if cfg.GCTTL > 0 {
 		for _, id := range topo.Nodes() {

@@ -17,11 +17,10 @@ import (
 // zone configs change (e.g. after ALTER TABLE ... SET LOCALITY or ALTER
 // DATABASE ... ADD REGION).
 type Admin struct {
-	Sim       *sim.Simulation
-	Topo      *simnet.Topology
-	Catalog   *RangeCatalog
-	Stores    map[simnet.NodeID]*Store
-	MaxOffset sim.Duration
+	Sim     *sim.Simulation
+	Topo    *simnet.Topology
+	Catalog *RangeCatalog
+	Stores  map[simnet.NodeID]*Store
 
 	// Load, when set, is the per-range traffic tracker the load-based
 	// queue consults (the DistSenders feed it).
@@ -61,7 +60,7 @@ func (a *Admin) CreateRange(start, end mvcc.Key, placement zones.Placement, poli
 		if !ok {
 			return nil, fmt.Errorf("kv: no store on node %d", id)
 		}
-		st.CreateReplica(desc, a.MaxOffset)
+		st.CreateReplica(desc)
 	}
 	// Elect the leaseholder as Raft leader.
 	lh := a.Stores[desc.Leaseholder]
@@ -147,7 +146,7 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 	cmd := Command{
 		Kind:       CmdLeaseTransfer,
 		Desc:       desc,
-		Ts:         r.store.Clock.Now().Add(a.MaxOffset),
+		Ts:         r.store.Clock.Now().Add(r.store.Clock.MaxOffset()),
 		ClosedTS:   r.closed.issued,
 		LeaseEpoch: epoch,
 	}
@@ -166,11 +165,6 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 	}
 	if !tr.raft.IsLeader() {
 		return fmt.Errorf("kv: lease transfer of r%d to n%d did not complete", rangeID, target)
-	}
-	// Recompute the closed-timestamp lead from the new leaseholder.
-	if desc.Policy == ClosedTSLead {
-		tr.closed.lead = LeadTime(a.Topo, target, desc.Voters, desc.NonVoters, a.MaxOffset)
-		tr.raft.SetHeartbeatInterval(SideTransportInterval)
 	}
 	return nil
 }
@@ -243,7 +237,7 @@ func (a *Admin) relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		if _, ok := st.Replica(rangeID); ok {
 			continue
 		}
-		st.CreateReplica(newDesc, a.MaxOffset)
+		st.CreateReplica(newDesc)
 		if err := propose(raft.ConfChange{Type: raft.AddLearner, Node: id}); err != nil {
 			st.RemoveReplica(rangeID)
 			return err
@@ -259,7 +253,8 @@ func (a *Admin) relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		}
 	}
 	// 3. Publish the new descriptor so every replica learns placement,
-	// policy and leaseholder.
+	// policy and leaseholder, and re-derives its timing from them as the
+	// entry applies (setTiming).
 	cmd := Command{Kind: CmdDescUpdate, Desc: newDesc, ClosedTS: r.closed.issued}
 	if err := r.propose(p, cmd); err != nil {
 		return err
@@ -307,27 +302,6 @@ func (a *Admin) relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		}
 		a.Stores[id].RemoveReplica(rangeID)
 	}
-	// 6. Recompute closed-timestamp policy parameters at the leaseholder.
-	lhr, err := a.leaseholderReplica(rangeID)
-	if err != nil {
-		return err
-	}
-	lhr.closed.policy = policy
-	if policy == ClosedTSLead {
-		lhr.closed.lead = LeadTime(a.Topo, newDesc.Leaseholder, newDesc.Voters, newDesc.NonVoters, a.MaxOffset)
-		// The faster side-transport cadence is what the lead target
-		// budgets for (paper §6.2.1); every replica adopts it so any
-		// future leader publishes at the right rate.
-		for _, id := range newDesc.Replicas() {
-			if st, ok := a.Stores[id]; ok {
-				if rep, ok := st.Replica(rangeID); ok {
-					rep.raft.SetHeartbeatInterval(SideTransportInterval)
-					rep.closed.policy = policy
-					rep.closed.lag = st.CloseLag
-				}
-			}
-		}
-	}
 	return nil
 }
 
@@ -364,7 +338,7 @@ func (a *Admin) SplitRange(p *sim.Proc, rangeID RangeID, splitKey mvcc.Key) (*Ra
 	updated.Generation++
 	cmd := Command{
 		Kind: CmdSplit, Desc: updated, SplitDesc: newDesc,
-		Ts:       r.store.Clock.Now().Add(a.MaxOffset),
+		Ts:       r.store.Clock.Now().Add(r.store.Clock.MaxOffset()),
 		ClosedTS: r.closed.issued,
 	}
 	if err := r.propose(p, cmd); err != nil {

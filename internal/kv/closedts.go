@@ -2,6 +2,7 @@ package kv
 
 import (
 	"mrdb/internal/hlc"
+	"mrdb/internal/raft"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 )
@@ -25,12 +26,10 @@ const leadPropagationMargin = 50 * sim.Millisecond
 // to proposals and heartbeats, and once issued the leaseholder must not
 // accept writes at or below it.
 type closedTracker struct {
-	policy ClosedTSPolicy
-	// lag applies under ClosedTSLag.
-	lag sim.Duration
-	// lead applies under ClosedTSLead: L_raft + L_replicate + max_offset
-	// (paper §6.2.1).
-	lead sim.Duration
+	// offset places a promise relative to the leaseholder's clock:
+	// -DefaultCloseLag under ClosedTSLag, +LeadTime under ClosedTSLead.
+	// Replica.setTiming derives it from the installed descriptor.
+	offset sim.Duration
 
 	// closed is the highest closed timestamp known on this replica.
 	closed hlc.Timestamp
@@ -42,12 +41,7 @@ type closedTracker struct {
 // target computes the next closed-timestamp promise for the given
 // leaseholder clock reading.
 func (c *closedTracker) target(now hlc.Timestamp) hlc.Timestamp {
-	var t hlc.Timestamp
-	if c.policy == ClosedTSLead {
-		t = now.Add(c.lead)
-	} else {
-		t = now.Add(-c.lag)
-	}
+	t := now.Add(c.offset)
 	if t.Less(c.issued) {
 		t = c.issued
 	}
@@ -70,6 +64,24 @@ func (c *closedTracker) advance(ts hlc.Timestamp) {
 	}
 }
 
+// setTiming derives the replica's closed-timestamp offset and Raft heartbeat
+// cadence from its descriptor's policy and placement. It runs wherever a
+// replica installs a descriptor, so every replica switches at the same log
+// position on a relocation, and the lead follows the lease on a transfer or
+// a failover. Under ClosedTSLead the leaseholder closes LeadTime ahead and
+// publishes on the side-transport cadence that lead budgets for; under
+// ClosedTSLag it closes DefaultCloseLag behind at Raft's default cadence.
+func (r *Replica) setTiming() {
+	d, s := r.desc, r.store
+	r.closed.offset = -DefaultCloseLag
+	heartbeat := raft.DefaultHeartbeatInterval
+	if d.Policy == ClosedTSLead {
+		r.closed.offset = LeadTime(s.Topo, d.Leaseholder, d.Voters, d.NonVoters, s.Clock.MaxOffset())
+		heartbeat = SideTransportInterval
+	}
+	r.raft.SetHeartbeatInterval(heartbeat)
+}
+
 // LeadTime computes the closed-timestamp lead for a range with the given
 // replica placement: Raft consensus latency to the nearest quorum plus full
 // replication latency to the furthest replica plus the maximum clock offset
@@ -78,9 +90,9 @@ func LeadTime(topo *simnet.Topology, leaseholder simnet.NodeID, voters, nonVoter
 	lRaft := quorumRTT(topo, leaseholder, voters)
 	// L_replicate: one-way delay to the furthest replica of any kind.
 	var lRep sim.Duration
-	for _, id := range append(append([]simnet.NodeID{}, voters...), nonVoters...) {
-		if d := topo.OneWay(leaseholder, id); d > lRep {
-			lRep = d
+	for _, ids := range [2][]simnet.NodeID{voters, nonVoters} {
+		for _, id := range ids {
+			lRep = max(lRep, topo.OneWay(leaseholder, id))
 		}
 	}
 	// The paper's estimate is L_raft + L_replicate + max_offset (§6.2.1);

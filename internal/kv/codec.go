@@ -9,7 +9,6 @@ import (
 
 	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
-	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/wire"
 )
@@ -189,7 +188,7 @@ func openBlob(b []byte) (*wire.Decoder, error) {
 func appendCheckpointHeader(dst []byte, c *checkpointRec) []byte {
 	dst = binary.AppendUvarint(binary.AppendUvarint(append(dst, formatV1), c.AppliedIndex), c.AppliedTerm)
 	dst = wire.AppendTimestamp(wire.AppendTimestamp(appendDesc(dst, &c.Desc), c.Closed), c.Issued)
-	return binary.AppendVarint(binary.AppendVarint(dst, c.LeaseEpoch), int64(c.MaxOffset))
+	return binary.AppendVarint(dst, c.LeaseEpoch)
 }
 
 func decodeCheckpoint(b []byte) (checkpointRec, error) {
@@ -198,7 +197,7 @@ func decodeCheckpoint(b []byte) (checkpointRec, error) {
 		return checkpointRec{}, err
 	}
 	c := checkpointRec{AppliedIndex: d.Uvarint(), AppliedTerm: d.Uvarint(), Desc: *decodeDesc(d),
-		Closed: d.Timestamp(), Issued: d.Timestamp(), LeaseEpoch: d.Varint(), MaxOffset: sim.Duration(d.Varint())}
+		Closed: d.Timestamp(), Issued: d.Timestamp(), LeaseEpoch: d.Varint()}
 	c.Engine = d.Take(uint64(d.Len()))
 	return c, d.Err()
 }

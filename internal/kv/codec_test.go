@@ -10,7 +10,6 @@ import (
 	"mrdb/internal/hlc"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
-	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 )
 
@@ -123,7 +122,7 @@ func TestBlobRoundTrips(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		want := checkpointRec{
 			AppliedIndex: rng.Uint64(), AppliedTerm: rng.Uint64(), Desc: *someDesc(rng),
-			Closed: randTS(rng), Issued: randTS(rng), LeaseEpoch: rng.Int63(), MaxOffset: sim.Duration(rng.Int63()),
+			Closed: randTS(rng), Issued: randTS(rng), LeaseEpoch: rng.Int63(),
 			Engine: append([]byte{}, randBytes(rng)...),
 		}
 		blob := sealBlob(append(appendCheckpointHeader(nil, &want), want.Engine...))

@@ -54,7 +54,6 @@ type checkpointRec struct {
 	Closed       hlc.Timestamp
 	Issued       hlc.Timestamp
 	LeaseEpoch   int64
-	MaxOffset    sim.Duration
 	Engine       []byte
 }
 
@@ -144,7 +143,6 @@ func (s *Store) writeCheckpointAt(r *Replica, index, term uint64, engine []byte)
 		Closed:       r.closed.closed,
 		Issued:       r.closed.issued,
 		LeaseEpoch:   r.leaseEpoch,
-		MaxOffset:    r.maxOffset,
 	})
 	if engine == nil {
 		buf = r.engine.AppendSnapshot(buf)
@@ -349,7 +347,7 @@ func (s *Store) Recover(p *sim.Proc) (stats RecoveryStats, err error) {
 // recovery never applies a suffix the cluster may have truncated.
 func (s *Store) recoverReplica(ckpt checkpointRec, hs raft.HardState, tail []raft.Entry) error {
 	desc := &ckpt.Desc
-	r := s.buildReplica(desc, ckpt.MaxOffset)
+	r := s.buildReplica(desc)
 	if err := r.engine.LoadSnapshot(ckpt.Engine); err != nil {
 		return err
 	}

@@ -393,13 +393,13 @@ func TestRangeDescriptorHelpers(t *testing.T) {
 // --- Closed timestamps ---
 
 func TestClosedTrackerLagAndLead(t *testing.T) {
-	lag := closedTracker{policy: ClosedTSLag, lag: 3 * sim.Second}
+	lag := closedTracker{offset: -3 * sim.Second}
 	now := ts(int64(10 * sim.Second))
 	target := lag.issue(now)
 	if target != ts(int64(7*sim.Second)) {
 		t.Fatalf("lag target %v", target)
 	}
-	lead := closedTracker{policy: ClosedTSLead, lead: 500 * sim.Millisecond}
+	lead := closedTracker{offset: 500 * sim.Millisecond}
 	lt := lead.issue(now)
 	if lt != now.Add(500*sim.Millisecond) {
 		t.Fatalf("lead target %v", lt)

@@ -166,7 +166,7 @@ func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
 	}
 	sub := Command{
 		Kind:     CmdSubsume,
-		Ts:       rr.store.Clock.Now().Add(a.MaxOffset),
+		Ts:       rr.store.Clock.Now().Add(rr.store.Clock.MaxOffset()),
 		ClosedTS: rr.closed.issued,
 	}
 	if err := rr.propose(p, sub); err != nil {
@@ -225,7 +225,7 @@ func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
 	merged.Generation = gen + 1
 	cmd := Command{
 		Kind: CmdMerge, Desc: merged, SplitDesc: rdesc.Clone(),
-		Ts:              lr.store.Clock.Now().Add(a.MaxOffset),
+		Ts:              lr.store.Clock.Now().Add(lr.store.Clock.MaxOffset()),
 		ClosedTS:        lr.closed.issued,
 		SubsumeClosedTS: subClosed,
 	}

@@ -51,7 +51,7 @@ func newRecoveryHarness(t *testing.T, nodes int, ckptInterval sim.Duration) *rec
 		st.StartCheckpoints(ckptInterval)
 		h.stores[id] = st
 	}
-	h.admin = &Admin{Sim: s, Topo: topo, Catalog: h.cat, Stores: h.stores, MaxOffset: 250 * sim.Millisecond}
+	h.admin = &Admin{Sim: s, Topo: topo, Catalog: h.cat, Stores: h.stores}
 	return h
 }
 

@@ -50,8 +50,6 @@ type Replica struct {
 	// the widened left-hand range.
 	subsumed bool
 
-	// maxOffset sizes lease-start timestamps on failover acquisition.
-	maxOffset sim.Duration
 	// leaseEpoch is the liveness epoch the current lease (if held here) is
 	// bound to; a bump of this node's epoch by a peer fences the lease.
 	leaseEpoch int64
@@ -804,7 +802,7 @@ func (r *Replica) apply(e raft.Entry) {
 func (r *Replica) applySplit(cmd Command) {
 	newDesc := cmd.SplitDesc
 	if _, ok := r.store.Replica(newDesc.RangeID); !ok {
-		nr := r.store.CreateReplica(newDesc, r.store.Clock.MaxOffset())
+		nr := r.store.CreateReplica(newDesc)
 		r.engine.CopyTo(nr.engine, newDesc.StartKey, newDesc.EndKey)
 		// Writes this range evaluated before the split but that sit behind
 		// it in the log still hold their latches here, and apply into the
@@ -866,6 +864,7 @@ func (r *Replica) applyMerge(cmd Command, e raft.Entry) {
 func (r *Replica) setDesc(desc *RangeDescriptor) {
 	if desc.Generation >= r.desc.Generation {
 		r.desc = desc
+		r.setTiming()
 	}
 }
 
@@ -951,7 +950,7 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 		cmd := Command{
 			Kind:       CmdLeaseTransfer,
 			Desc:       nd,
-			Ts:         r.store.Clock.Now().Add(r.maxOffset),
+			Ts:         r.store.Clock.Now().Add(r.store.Clock.MaxOffset()),
 			ClosedTS:   r.closed.issued,
 			LeaseEpoch: r.store.CurrentEpoch(),
 		}

@@ -23,9 +23,6 @@ type Store struct {
 	Clock    *hlc.Clock
 	Registry *TxnRegistry
 
-	// CloseLag overrides the default lagging closed-timestamp interval.
-	CloseLag sim.Duration
-
 	// Catalog, when set, lets replicas publish descriptor changes (e.g. a
 	// lease acquired after a failover) to the shared routing catalog.
 	Catalog *RangeCatalog
@@ -82,7 +79,6 @@ func NewStore(id simnet.NodeID, s *sim.Simulation, net *simnet.Network, topo *si
 		Topo:       topo,
 		Clock:      clock,
 		Registry:   reg,
-		CloseLag:   DefaultCloseLag,
 		replicas:   map[RangeID]*Replica{},
 		engineSeed: int64(id) * 7919,
 	}
@@ -244,13 +240,12 @@ func (t *raftTransport) Send(to simnet.NodeID, msg raft.Message) {
 	s.Net.Send(s.NodeID, to, env)
 }
 
-// CreateReplica instantiates the local replica of a range. maxOffset sizes
-// the closed-timestamp lead for ClosedTSLead ranges.
-func (s *Store) CreateReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Replica {
+// CreateReplica instantiates the local replica of a range.
+func (s *Store) CreateReplica(desc *RangeDescriptor) *Replica {
 	if _, ok := s.replicas[desc.RangeID]; ok {
 		panic(fmt.Sprintf("kv: replica of r%d already on n%d", desc.RangeID, s.NodeID))
 	}
-	r := s.buildReplica(desc, maxOffset)
+	r := s.buildReplica(desc)
 	s.replicas[desc.RangeID] = r
 	if s.Disk != nil {
 		// Seed the durable pair before the replica can make any promise:
@@ -264,7 +259,7 @@ func (s *Store) CreateReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Re
 
 // buildReplica constructs a replica and its Raft node without registering
 // or starting them, so recovery can prime engine and log state first.
-func (s *Store) buildReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Replica {
+func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 	r := &Replica{
 		store:      s,
 		desc:       desc.Clone(),
@@ -272,14 +267,9 @@ func (s *Store) buildReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Rep
 		tscache:    NewTimestampCache(hlc.Timestamp{}),
 		latches:    newLatchManager(s.Sim),
 		lockTable:  map[string]mvcc.TxnID{},
-		maxOffset:  maxOffset,
 		leaseEpoch: s.CurrentEpoch(),
 	}
 	r.closedAdvanced = sim.NewCond(s.Sim)
-	r.closed = closedTracker{policy: desc.Policy, lag: s.CloseLag}
-	if desc.Policy == ClosedTSLead {
-		r.closed.lead = LeadTime(s.Topo, desc.Leaseholder, desc.Voters, desc.NonVoters, s.Clock.MaxOffset())
-	}
 	rcfg := raft.Config{
 		ID:               s.NodeID,
 		Voters:           desc.Voters,
@@ -291,11 +281,6 @@ func (s *Store) buildReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Rep
 		OnHeartbeat:      r.onHeartbeat,
 		OnLeaderChange:   r.onLeaderChange,
 	}
-	if desc.Policy == ClosedTSLead {
-		// GLOBAL ranges publish closed-timestamp promises on the faster
-		// side-transport cadence the lead target accounts for.
-		rcfg.HeartbeatInterval = SideTransportInterval
-	}
 	// Snapshot hooks are wired unconditionally: besides catching lagging
 	// replicas up past a compacted log, they initialize replicas added by
 	// relocation, whose engines must receive state (bulk loads, merged-in
@@ -306,6 +291,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor, maxOffset sim.Duration) *Rep
 		rcfg.Storage = &replicaStorage{wal: s.Disk.WAL(walName(desc.RangeID))}
 	}
 	r.raft = raft.NewNode(rcfg)
+	r.setTiming()
 	return r
 }
 

@@ -154,6 +154,10 @@ type Transport interface {
 // ±50% for tie-breaking. 2s is WAN-appropriate.
 const electionTimeout = 2 * sim.Second
 
+// DefaultHeartbeatInterval is the leader's append/heartbeat cadence unless
+// Config.HeartbeatInterval or SetHeartbeatInterval says otherwise.
+const DefaultHeartbeatInterval = 400 * sim.Millisecond
+
 // Config parameterizes a Node.
 type Config struct {
 	ID       simnet.NodeID
@@ -163,9 +167,8 @@ type Config struct {
 	Sim       *sim.Simulation
 	Transport Transport
 
-	// HeartbeatInterval is the leader's append/heartbeat cadence.
-	// Default 400ms (GLOBAL ranges override it with the faster
-	// closed-timestamp side-transport cadence).
+	// HeartbeatInterval is the leader's append/heartbeat cadence; zero
+	// means DefaultHeartbeatInterval.
 	HeartbeatInterval sim.Duration
 
 	// Apply is invoked on every replica, in log order, as entries commit.
@@ -279,7 +282,7 @@ type progress struct {
 // starts as a Learner, otherwise as a Follower. Call Start to arm timers.
 func NewNode(cfg Config) *Node {
 	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = 400 * sim.Millisecond
+		cfg.HeartbeatInterval = DefaultHeartbeatInterval
 	}
 	n := &Node{
 		cfg:      cfg,
@@ -523,9 +526,9 @@ func (n *Node) failPending() {
 	}
 }
 
-// SetHeartbeatInterval retunes the leader's append/heartbeat cadence (used
-// when a range's closed-timestamp policy changes); it takes effect on the
-// next tick.
+// SetHeartbeatInterval retunes the leader's append/heartbeat cadence (the kv
+// layer derives it from a range's closed-timestamp policy); it takes effect
+// on the next tick.
 func (n *Node) SetHeartbeatInterval(d sim.Duration) {
 	if d > 0 {
 		n.cfg.HeartbeatInterval = d

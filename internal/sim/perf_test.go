@@ -9,7 +9,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 )
 
 // schedulerWorkload drives a randomized mix of every scheduler feature —
@@ -262,9 +261,10 @@ func TestAfterClampsNegative(t *testing.T) {
 
 // TestProcPoolReuse verifies finished proc coroutines are recycled: after a
 // wave of spawns completes, the next wave draws from the free list rather
-// than growing the goroutine count, and Run drains the pool on exit. A proc
-// spawned for a later time is a queue entry and no goroutine until its time
-// comes.
+// than starting more coroutines, and Run drains the pool on exit. A proc
+// spawned for a later time is a queue entry and no coroutine until its time
+// comes. It counts the simulation's own coroutines, not the process's
+// goroutines, so tests running beside it cannot move the count.
 func TestProcPoolReuse(t *testing.T) {
 	s := New(1)
 	ran := 0
@@ -284,7 +284,6 @@ func TestProcPoolReuse(t *testing.T) {
 			wg.Release()
 		}
 	})
-	before := runtime.NumGoroutine()
 	for i := 0; i < ahead; i++ {
 		s.SpawnAt(hour, "later", func(p *Proc) {
 			p.Sleep(Millisecond)
@@ -295,13 +294,12 @@ func TestProcPoolReuse(t *testing.T) {
 	if ran != 80 {
 		t.Fatalf("ran %d workers, want 80", ran)
 	}
-	if n := runtime.NumGoroutine(); n > before+maxFreeProcs {
-		t.Fatalf("%d goroutines before any of the %d procs spawned ahead has run, %d before they were spawned",
-			n, ahead, before)
+	if n := s.coroutines; n > maxFreeProcs {
+		t.Fatalf("%d coroutines before any of the %d procs spawned ahead has run", n, ahead)
 	}
 	s.RunUntil(hour)
-	if n := runtime.NumGoroutine(); n < before+ahead {
-		t.Fatalf("%d goroutines with %d procs asleep, %d before they were spawned", n, ahead, before)
+	if n := s.coroutines; n < ahead {
+		t.Fatalf("%d coroutines with %d procs asleep", n, ahead)
 	}
 	s.Run()
 	if ran != 80+ahead {
@@ -310,18 +308,8 @@ func TestProcPoolReuse(t *testing.T) {
 	if n := len(s.freeProcs); n != 0 {
 		t.Fatalf("Run left %d procs in the free list, want 0", n)
 	}
-	// Drained goroutines exit asynchronously; poll briefly before declaring
-	// a leak.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		after := runtime.NumGoroutine()
-		if after <= before+2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d before Run, %d after", before, after)
-		}
-		time.Sleep(time.Millisecond)
+	if n := s.coroutines; n != 0 {
+		t.Fatalf("Run left %d coroutines, want 0", n)
 	}
 }
 

@@ -209,6 +209,9 @@ type Simulation struct {
 
 	freeProcs []*Proc      // finished procs parked for reuse
 	freeWGs   []*WaitGroup // released WaitGroups
+	// coroutines counts the coroutines iter.Pull started whose run has not
+	// returned: the goroutines this simulation holds.
+	coroutines int
 
 	// stepHook, if set, is invoked before each event executes. Used by
 	// tests to observe scheduling.
@@ -422,6 +425,7 @@ func (s *Simulation) takeFreeProc() *Proc {
 // Run, whose trace shows the scheduler.
 func (p *Proc) run(yield func(struct{}) bool) {
 	defer func() {
+		p.sim.coroutines--
 		if r := recover(); r != nil {
 			panic(fmt.Sprintf("sim: proc %q panicked: %v\n\n%s", p.name, r, debug.Stack()))
 		}
@@ -462,6 +466,7 @@ func (p *Proc) resumeNow() {
 			p = q
 		} else {
 			p.next, p.stop = iter.Pull(p.run)
+			p.sim.coroutines++
 		}
 	}
 	p.next()

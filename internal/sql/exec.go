@@ -132,36 +132,39 @@ func (s *Session) MustExec(p *sim.Proc, sqlText string) *Result {
 // here (unless the caller already carries a span, in which case execution
 // joins the caller's trace).
 func (s *Session) ExecStmt(p *sim.Proc, stmt Statement) (*Result, error) {
-	sp, done := s.Cluster.Tracer.StartRootIn(p, "sql.exec")
-	sp.SetTag("stmt", strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")).
-		SetTag("gateway_region", string(s.Region()))
-	// DML against real tables folds into the statement-statistics registry:
-	// virtual-time latency plus the per-statement delta of the coordinator's
-	// restart count and the shared sender's WAN RPC count.
-	record := false
-	var start sim.Time
-	var retries0, wan0 int64
+	var fp string
 	switch stmt.(type) {
 	case *Insert, *Update, *Delete, *Select:
 		if !isVirtualStmt(stmt) {
-			record = true
 			// Computed once here, then shared by the plan-cache key and the
-			// statistics record below.
-			s.curFP = Fingerprint(stmt)
-			start = p.Now()
-			retries0 = s.Coord.Restarts
-			wan0 = s.Coord.Sender.WANRPCs
+			// statistics record.
+			fp = Fingerprint(stmt)
 		}
 	}
-	res, err := s.execStmt(p, stmt)
+	s.curFP = fp
+	res, err := s.runStmt(p, stmt, fp, func() (*Result, error) { return s.execStmt(p, stmt) })
+	s.curFP = ""
+	return res, err
+}
+
+// runStmt runs exec as one statement under the root "sql.exec" span (see
+// ExecStmt). With a fingerprint, which DML against real tables has, the
+// statement folds into the statement-statistics registry: virtual-time
+// latency plus the statement's delta of the coordinator's restart count and
+// the shared sender's WAN RPC count.
+func (s *Session) runStmt(p *sim.Proc, stmt Statement, fp string, exec func() (*Result, error)) (*Result, error) {
+	sp, done := s.Cluster.Tracer.StartRootIn(p, "sql.exec")
+	sp.SetTag("stmt", strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")).
+		SetTag("gateway_region", string(s.Region()))
+	start, retries0, wan0 := p.Now(), s.Coord.Restarts, s.Coord.Sender.WANRPCs
+	res, err := exec()
 	if err != nil {
 		sp.SetError(err)
 	}
 	done()
-	if record {
-		s.Cluster.StmtStats.Record(s.curFP, p.Now().Sub(start),
+	if fp != "" {
+		s.Cluster.StmtStats.Record(fp, p.Now().Sub(start),
 			s.Coord.Restarts-retries0, s.Coord.Sender.WANRPCs-wan0, err != nil)
-		s.curFP = ""
 	}
 	return res, err
 }

@@ -458,8 +458,13 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, reg
 		}
 		return &tableRow{vals: vals, region: region}, nil
 	}
-	// Secondary index: value holds the PK; the row lives in the same
-	// partition as the index entry.
+	return s.primaryRow(p, f, t, region, val)
+}
+
+// primaryRow follows a secondary index entry to its row: the entry's value
+// holds the primary key, and the row lives in the same partition as the
+// entry. Row maps come from the session pool.
+func (s *Session) primaryRow(p *sim.Proc, f rowFetcher, t *Table, region simnet.Region, val mvcc.Value) (*tableRow, error) {
 	pkVals, err := s.decodeRowPooled(val)
 	if err != nil {
 		return nil, err
@@ -469,14 +474,10 @@ func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, reg
 	for _, cid := range primary.Cols {
 		pkTuple = append(pkTuple, pkVals[cid])
 	}
-	rowKey := EncodeIndexKey(t, primary, region, pkTuple)
-	rowVal, err := f.get(p, rowKey)
 	s.putRowMap(pkVals)
-	if err != nil {
+	rowVal, err := f.get(p, EncodeIndexKey(t, primary, region, pkTuple))
+	if err != nil || rowVal == nil {
 		return nil, err
-	}
-	if rowVal == nil {
-		return nil, nil
 	}
 	vals, err := s.decodeRowPooled(rowVal)
 	if err != nil {
@@ -523,7 +524,7 @@ func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 				}
 				rows = append(rows, tableRow{vals: vals, region: region})
 			} else {
-				row, err := s.primaryFromIndexValue(wp, f, t, region, kvp.Value)
+				row, err := s.primaryRow(wp, f, t, region, kvp.Value)
 				if err != nil {
 					slots[i] = result{err: err}
 					return
@@ -543,28 +544,6 @@ func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 		out = append(out, r.rows...)
 	}
 	return out, nil
-}
-
-func (s *Session) primaryFromIndexValue(p *sim.Proc, f rowFetcher, t *Table, region simnet.Region, val mvcc.Value) (*tableRow, error) {
-	pkVals, err := DecodeRow(val)
-	if err != nil {
-		return nil, err
-	}
-	primary := t.Primary()
-	var pkTuple []Datum
-	for _, cid := range primary.Cols {
-		pkTuple = append(pkTuple, pkVals[cid])
-	}
-	rowKey := EncodeIndexKey(t, primary, region, pkTuple)
-	rowVal, err := f.get(p, rowKey)
-	if err != nil || rowVal == nil {
-		return nil, err
-	}
-	vals, err := DecodeRow(rowVal)
-	if err != nil {
-		return nil, err
-	}
-	return &tableRow{vals: vals, region: region}, nil
 }
 
 // filterRows applies the full WHERE clause to fetched rows.

@@ -2,7 +2,6 @@ package sql
 
 import (
 	"fmt"
-	"strings"
 
 	"mrdb/internal/sim"
 	"mrdb/internal/txn"
@@ -72,27 +71,12 @@ func (s *Session) ExecPrepared(p *sim.Proc, ps *Prepared, args ...Datum) (*Resul
 	if len(args) != ps.numArgs {
 		return nil, fmt.Errorf("sql: prepared statement wants %d args, got %d", ps.numArgs, len(args))
 	}
-	sp, done := s.Cluster.Tracer.StartRootIn(p, "sql.exec")
-	sp.SetTag("stmt", strings.TrimPrefix(fmt.Sprintf("%T", ps.Stmt), "*sql.")).
-		SetTag("gateway_region", string(s.Region()))
 	s.bindPrepared(ps, args)
-	record := !isVirtualStmt(ps.Stmt)
-	var start sim.Time
-	var retries0, wan0 int64
-	if record {
-		start = p.Now()
-		retries0 = s.Coord.Restarts
-		wan0 = s.Coord.Sender.WANRPCs
+	fp := ps.fp
+	if isVirtualStmt(ps.Stmt) {
+		fp = ""
 	}
-	res, err := s.execDML(p, ps.Stmt)
-	if err != nil {
-		sp.SetError(err)
-	}
-	done()
-	if record {
-		s.Cluster.StmtStats.Record(ps.fp, p.Now().Sub(start),
-			s.Coord.Restarts-retries0, s.Coord.Sender.WANRPCs-wan0, err != nil)
-	}
+	res, err := s.runStmt(p, ps.Stmt, fp, func() (*Result, error) { return s.execDML(p, ps.Stmt) })
 	s.unbindPrepared()
 	return res, err
 }

@@ -448,6 +448,35 @@ func TestSQLAlterLocalityRBTToGlobal(t *testing.T) {
 
 func time2(p *sim.Proc) sim.Duration { return 2 * sim.Second }
 
+// TestSQLAlterLocalityGlobalAndBackThenLeaseMove: a table made GLOBAL and
+// then REGIONAL BY TABLE again closes timestamps in the past on every
+// replica, so after its lease moves back to a replica that led it while it
+// was GLOBAL, an auto-commit UPDATE writes at present time and does not
+// commit-wait.
+func TestSQLAlterLocalityGlobalAndBackThenLeaseMove(t *testing.T) {
+	h := newSQLHarness(12)
+	h.run(t, func(p *sim.Proc) {
+		s := h.setupKVT(t, p)
+		mustExec(t, p, s, `INSERT INTO kvt (k, v) VALUES (1, 'a')`)
+		key := h.kvtRow(t, 1, "")[0].Key
+		mustExec(t, p, s, `ALTER TABLE kvt SET LOCALITY GLOBAL`)
+		desc, target := h.otherVoter(t, key)
+		home := desc.Leaseholder
+		if err := h.c.Admin.TransferLease(p, desc.RangeID, target); err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, p, s, `ALTER TABLE kvt SET LOCALITY REGIONAL BY TABLE`)
+		if err := h.c.Admin.TransferLease(p, desc.RangeID, home); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(time2(p)) // past the last leading promise
+		res := mustExec(t, p, s, `EXPLAIN ANALYZE UPDATE kvt SET v = 'b' WHERE k = 1`)
+		if got := eaField(t, res, "commit wait"); got != "0s" {
+			t.Errorf("commit wait = %s after the lease moved, want 0s", got)
+		}
+	})
+}
+
 func TestSQLAlterLocalityToRegionalByRow(t *testing.T) {
 	h := newSQLHarness(10)
 	h.run(t, func(p *sim.Proc) {
