@@ -12,6 +12,7 @@ package chaos
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"mrdb/internal/cluster"
@@ -978,8 +979,8 @@ func (h *harness) checkLinearizability() {
 	h.rep.LinReads = len(reads)
 	byStart := append([]linRead(nil), reads...)
 	byEnd := append([]linRead(nil), reads...)
-	sortReads(byStart, func(r linRead) sim.Time { return r.start })
-	sortReads(byEnd, func(r linRead) sim.Time { return r.end })
+	sort.SliceStable(byStart, func(i, j int) bool { return byStart[i].start < byStart[j].start })
+	sort.SliceStable(byEnd, func(i, j int) bool { return byEnd[i].end < byEnd[j].end })
 	maxEnded := 0
 	j := 0
 	for _, r := range byStart {
@@ -991,16 +992,6 @@ func (h *harness) checkLinearizability() {
 		}
 		if r.val < maxEnded {
 			h.rep.LinViolations++
-		}
-	}
-}
-
-func sortReads(rs []linRead, key func(linRead) sim.Time) {
-	// Insertion-free stable sort via sort.SliceStable equivalent; local
-	// helper keeps the call sites tidy.
-	for i := 1; i < len(rs); i++ {
-		for k := i; k > 0 && key(rs[k]) < key(rs[k-1]); k-- {
-			rs[k], rs[k-1] = rs[k-1], rs[k]
 		}
 	}
 }

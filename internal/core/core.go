@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mrdb/internal/kv"
 	"mrdb/internal/simnet"
 	"mrdb/internal/zones"
 )
@@ -285,57 +284,4 @@ func (db *Database) ZoneConfigForHome(home simnet.Region, global bool) (zones.Co
 		return cfg, nil
 	}
 	return zones.Config{}, fmt.Errorf("core: unknown survival goal %v", db.Survival)
-}
-
-// TablePlacement describes the ranges a table needs: one entry per
-// partition for REGIONAL BY ROW, a single entry otherwise.
-type TablePlacement struct {
-	// Home maps each partition's home region to its zone config.
-	Home map[simnet.Region]zones.Config
-	// Policy is the closed-timestamp policy for all the table's ranges.
-	Policy kv.ClosedTSPolicy
-}
-
-// PlacementForTable computes the full placement plan for a table with the
-// given locality (homeRegion applies to REGIONAL BY TABLE; ignored
-// otherwise).
-func (db *Database) PlacementForTable(loc TableLocality, homeRegion simnet.Region) (TablePlacement, error) {
-	switch loc {
-	case RegionalByTable:
-		home := homeRegion
-		if home == "" {
-			home = db.PrimaryRegion
-		}
-		cfg, err := db.ZoneConfigForHome(home, false)
-		if err != nil {
-			return TablePlacement{}, err
-		}
-		return TablePlacement{
-			Home:   map[simnet.Region]zones.Config{home: cfg},
-			Policy: kv.ClosedTSLag,
-		}, nil
-	case RegionalByRow:
-		// §3.3: one zone configuration per partition, i.e. per region.
-		home := map[simnet.Region]zones.Config{}
-		for _, r := range db.Regions() {
-			cfg, err := db.ZoneConfigForHome(r, false)
-			if err != nil {
-				return TablePlacement{}, err
-			}
-			home[r] = cfg
-		}
-		return TablePlacement{Home: home, Policy: kv.ClosedTSLag}, nil
-	case Global:
-		// §3.3.1: GLOBAL tables are homed in the primary region and use
-		// the leading closed-timestamp policy (§6.2.1).
-		cfg, err := db.ZoneConfigForHome(db.PrimaryRegion, true)
-		if err != nil {
-			return TablePlacement{}, err
-		}
-		return TablePlacement{
-			Home:   map[simnet.Region]zones.Config{db.PrimaryRegion: cfg},
-			Policy: kv.ClosedTSLead,
-		}, nil
-	}
-	return TablePlacement{}, fmt.Errorf("core: unknown locality %v", loc)
 }

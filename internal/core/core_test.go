@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"mrdb/internal/kv"
 	"mrdb/internal/simnet"
 )
 
@@ -203,57 +202,6 @@ func TestPlacementRestricted(t *testing.T) {
 	}
 	if gcfg.NumReplicas != 3+2 {
 		t.Fatalf("global table affected by RESTRICTED: %+v", gcfg)
-	}
-}
-
-func TestPlacementForTable(t *testing.T) {
-	db := testDB(simnet.USEast1, simnet.USWest1, simnet.EuropeW2)
-
-	// REGIONAL BY TABLE defaults to the primary region.
-	tp, err := db.PlacementForTable(RegionalByTable, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tp.Home) != 1 || tp.Policy != kv.ClosedTSLag {
-		t.Fatalf("RBT placement %+v", tp)
-	}
-	if _, ok := tp.Home[simnet.USEast1]; !ok {
-		t.Fatal("RBT not homed in primary")
-	}
-
-	// REGIONAL BY TABLE IN another region.
-	tp, err = db.PlacementForTable(RegionalByTable, simnet.EuropeW2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := tp.Home[simnet.EuropeW2]; !ok {
-		t.Fatal("RBT IN region ignored")
-	}
-
-	// REGIONAL BY ROW: one partition per region.
-	tp, err = db.PlacementForTable(RegionalByRow, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tp.Home) != 3 {
-		t.Fatalf("RBR partitions = %d, want 3", len(tp.Home))
-	}
-	for r, cfg := range tp.Home {
-		if cfg.VoterConstraints[r] != 3 {
-			t.Fatalf("partition %s voters not homed there: %v", r, cfg.VoterConstraints)
-		}
-	}
-
-	// GLOBAL: LEAD policy, homed in primary.
-	tp, err = db.PlacementForTable(Global, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tp.Policy != kv.ClosedTSLead {
-		t.Fatal("GLOBAL table not using LEAD closed-timestamp policy")
-	}
-	if _, ok := tp.Home[simnet.USEast1]; !ok {
-		t.Fatal("GLOBAL not homed in primary")
 	}
 }
 

@@ -2,12 +2,14 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 
 	"mrdb/internal/core"
 	"mrdb/internal/kv"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
+	"mrdb/internal/zones"
 )
 
 // DDL execution. Schema changes here are applied synchronously; the
@@ -20,18 +22,14 @@ func (s *Session) execCreateDatabase(st *CreateDatabase) (*Result, error) {
 		return nil, fmt.Errorf("sql: CREATE DATABASE requires PRIMARY REGION in a multi-region cluster")
 	}
 	primary := simnet.Region(st.PrimaryRegion)
-	clusterRegions := map[simnet.Region]bool{}
-	for _, r := range s.Cluster.Topo.Regions() {
-		clusterRegions[r] = true
-	}
-	if !clusterRegions[primary] {
-		return nil, fmt.Errorf("sql: region %q has no nodes in this cluster", primary)
+	if err := s.checkClusterRegion(primary); err != nil {
+		return nil, err
 	}
 	var others []simnet.Region
 	for _, r := range st.Regions {
 		rr := simnet.Region(r)
-		if !clusterRegions[rr] {
-			return nil, fmt.Errorf("sql: region %q has no nodes in this cluster", rr)
+		if err := s.checkClusterRegion(rr); err != nil {
+			return nil, err
 		}
 		others = append(others, rr)
 	}
@@ -79,18 +77,20 @@ func (s *Session) execAlterDatabase(p *sim.Proc, st *AlterDatabase) (*Result, er
 	return nil, fmt.Errorf("sql: empty ALTER DATABASE")
 }
 
+// checkClusterRegion fails unless region has nodes in this cluster.
+func (s *Session) checkClusterRegion(region simnet.Region) error {
+	if !slices.Contains(s.Cluster.Topo.Regions(), region) {
+		return fmt.Errorf("sql: region %q has no nodes in this cluster", region)
+	}
+	return nil
+}
+
 // execAddRegion implements ALTER DATABASE ... ADD REGION: extend the enum,
 // create new partitions for REGIONAL BY ROW tables, and rebalance every
 // range so the new region gets its replica (§2.4.1, §3.3).
 func (s *Session) execAddRegion(p *sim.Proc, db *core.Database, region simnet.Region) (*Result, error) {
-	found := false
-	for _, r := range s.Cluster.Topo.Regions() {
-		if r == region {
-			found = true
-		}
-	}
-	if !found {
-		return nil, fmt.Errorf("sql: region %q has no nodes in this cluster", region)
+	if err := s.checkClusterRegion(region); err != nil {
+		return nil, err
 	}
 	if err := db.AddRegion(region); err != nil {
 		return nil, err
@@ -98,32 +98,20 @@ func (s *Session) execAddRegion(p *sim.Proc, db *core.Database, region simnet.Re
 	// Invalidate cached plans before the partition builds below can yield:
 	// region sets feed cached search orders and partition lists.
 	s.Catalog.Bump()
-	// New partitions for REGIONAL BY ROW tables.
+	// New partitions for REGIONAL BY ROW tables, one allocator snapshot per
+	// table.
+	regions := []simnet.Region{region}
 	for _, t := range s.Catalog.Tables(db.Name) {
 		if t.Locality != core.RegionalByRow {
 			continue
 		}
-		tp, err := db.PlacementForTable(core.RegionalByRow, "")
-		if err != nil {
+		if err := s.createRanges(t, db, t.Indexes, regions, s.Cluster.Allocator()); err != nil {
 			return nil, err
-		}
-		alloc := s.Cluster.Allocator()
-		for _, idx := range t.Indexes {
-			if err := s.createRangeForSpan(t, idx.ID, region, tp.Home[region], tp.Policy, alloc); err != nil {
-				return nil, err
-			}
 		}
 		// The new partitions must elect Raft leaders before
 		// reconfigureAllTables proposes conf changes through them.
-		for _, idx := range t.Indexes {
-			start, _ := IndexSpan(t, idx.ID, region)
-			desc, err := s.Cluster.Catalog.Lookup(start)
-			if err != nil {
-				return nil, err
-			}
-			if err := s.Cluster.Admin.WaitReady(p, desc.RangeID); err != nil {
-				return nil, err
-			}
+		if err := s.waitRangesReady(p, t, t.Indexes, regions); err != nil {
+			return nil, err
 		}
 	}
 	return &Result{}, s.reconfigureAllTables(p, db)
@@ -166,19 +154,8 @@ func (s *Session) execDropRegion(p *sim.Proc, db *core.Database, region simnet.R
 	s.Catalog.Bump()
 	// Remove the dropped region's partitions.
 	for _, t := range s.Catalog.Tables(db.Name) {
-		if t.Locality != core.RegionalByRow {
-			continue
-		}
-		for _, idx := range t.Indexes {
-			start, _ := IndexSpan(t, idx.ID, region)
-			desc, err := s.Cluster.Catalog.Lookup(start)
-			if err != nil {
-				continue
-			}
-			for _, id := range desc.Replicas() {
-				s.Cluster.Stores[id].RemoveReplica(desc.RangeID)
-			}
-			s.Cluster.Catalog.Remove(desc.RangeID)
+		if t.Locality == core.RegionalByRow {
+			s.dropRanges(t, t.Indexes, []simnet.Region{region})
 		}
 	}
 	return &Result{}, s.reconfigureAllTables(p, db)
@@ -186,7 +163,7 @@ func (s *Session) execDropRegion(p *sim.Proc, db *core.Database, region simnet.R
 
 // reconfigureAllTables recomputes zone configs for every range of the
 // database and relocates replicas accordingly (survivability, placement or
-// region-set changes).
+// region-set changes). One allocator snapshot places every range.
 func (s *Session) reconfigureAllTables(p *sim.Proc, db *core.Database) error {
 	// Zone-config changes invalidate cached plans too (defensive: plan
 	// shapes derive from the catalog, but placement moves change which
@@ -194,53 +171,121 @@ func (s *Session) reconfigureAllTables(p *sim.Proc, db *core.Database) error {
 	s.Catalog.Bump()
 	alloc := s.Cluster.Allocator()
 	for _, t := range s.Catalog.Tables(db.Name) {
-		tp, err := db.PlacementForTable(t.Locality, t.HomeRegion)
+		err := s.forEachRange(t, t.Indexes, partitionsOf(t, db), true, func(idx *Index, region simnet.Region, desc *kv.RangeDescriptor) error {
+			cfg, policy, err := spanPlacement(db, t, idx, region)
+			if err != nil {
+				return err
+			}
+			placement, err := alloc.Allocate(cfg)
+			if err != nil {
+				return err
+			}
+			return s.Cluster.Admin.RelocateWithConfig(p, desc.RangeID, placement, policy, &cfg)
+		})
 		if err != nil {
 			return err
 		}
-		for _, idx := range t.Indexes {
-			for _, region := range partitionsOf(t, db) {
-				home := region
-				if home == "" {
-					if t.DuplicateIndexes && idx.PinnedRegion != "" {
-						home = idx.PinnedRegion
-					} else if t.Locality == core.Global || t.HomeRegion == "" {
-						home = db.PrimaryRegion
-					} else {
-						home = t.HomeRegion
-					}
-				}
-				var cfg = tp.Home[home]
-				if t.DuplicateIndexes && idx.PinnedRegion != "" {
-					c, err := db.ZoneConfigForHome(idx.PinnedRegion, false)
-					if err != nil {
-						return err
-					}
-					cfg = c
-				}
-				if cfg.NumReplicas == 0 {
-					c, err := db.ZoneConfigForHome(home, t.Locality == core.Global)
-					if err != nil {
-						return err
-					}
-					cfg = c
-				}
-				start, _ := IndexSpan(t, idx.ID, region)
-				desc, err := s.Cluster.Catalog.Lookup(start)
-				if err != nil {
+	}
+	return nil
+}
+
+// --- Span placement (§3.3) ---
+
+// spanPlacement is the one derivation of where a table's span lives: the
+// zone config and closed-timestamp policy of index idx's span in partition
+// region ("" unless the table is REGIONAL BY ROW). A GLOBAL table is homed
+// in the primary region, ignores PLACEMENT RESTRICTED and leads closed
+// timestamps (§3.3.1, §6.2.1). Every other span lags and is homed in the
+// region its index is pinned to by the duplicate-indexes baseline (§7.3.1),
+// else its partition's region, else the table's home region, else the
+// primary region.
+func spanPlacement(db *core.Database, t *Table, idx *Index, region simnet.Region) (zones.Config, kv.ClosedTSPolicy, error) {
+	home, global, policy := t.HomeRegion, false, kv.ClosedTSLag
+	switch {
+	case t.Locality == core.Global:
+		home, global, policy = db.PrimaryRegion, true, kv.ClosedTSLead
+	case idx.PinnedRegion != "":
+		home = idx.PinnedRegion
+	case region != "":
+		home = region
+	case home == "":
+		home = db.PrimaryRegion
+	}
+	cfg, err := db.ZoneConfigForHome(home, global)
+	return cfg, policy, err
+}
+
+// createIndexRanges creates the ranges backing one index of a table, placed
+// from one allocator snapshot.
+func (s *Session) createIndexRanges(t *Table, db *core.Database, idx *Index) error {
+	return s.createRanges(t, db, []*Index{idx}, partitionsOf(t, db), s.Cluster.Allocator())
+}
+
+// createRanges creates the range of every (index, partition) span, index by
+// index, each placed by spanPlacement from the allocator snapshot alloc.
+func (s *Session) createRanges(t *Table, db *core.Database, idxs []*Index, regions []simnet.Region, alloc *zones.Allocator) error {
+	for _, idx := range idxs {
+		for _, region := range regions {
+			cfg, policy, err := spanPlacement(db, t, idx, region)
+			if err != nil {
+				return err
+			}
+			placement, err := alloc.Allocate(cfg)
+			if err != nil {
+				return err
+			}
+			start, end := IndexSpan(t, idx.ID, region)
+			desc, err := s.Cluster.Admin.CreateRange(start, end, placement, policy)
+			if err != nil {
+				return err
+			}
+			s.Cluster.Catalog.SetZoneConfig(desc.RangeID, cfg)
+		}
+	}
+	return nil
+}
+
+// forEachRange calls fn with the descriptor of every (index, partition)
+// span, index by index. A span without a descriptor fails the walk when
+// strict is set and is skipped otherwise.
+func (s *Session) forEachRange(t *Table, idxs []*Index, regions []simnet.Region, strict bool, fn func(idx *Index, region simnet.Region, desc *kv.RangeDescriptor) error) error {
+	for _, idx := range idxs {
+		for _, region := range regions {
+			start, _ := IndexSpan(t, idx.ID, region)
+			desc, err := s.Cluster.Catalog.Lookup(start)
+			if err != nil {
+				if strict {
 					return err
 				}
-				placement, err := alloc.Allocate(cfg)
-				if err != nil {
-					return err
-				}
-				if err := s.Cluster.Admin.RelocateWithConfig(p, desc.RangeID, placement, tp.Policy, &cfg); err != nil {
-					return err
-				}
+				continue
+			}
+			if err := fn(idx, region, desc); err != nil {
+				return err
 			}
 		}
 	}
 	return nil
+}
+
+// waitRangesReady blocks until the range of every (index, partition) span
+// serves.
+func (s *Session) waitRangesReady(p *sim.Proc, t *Table, idxs []*Index, regions []simnet.Region) error {
+	return s.forEachRange(t, idxs, regions, true, func(_ *Index, _ simnet.Region, desc *kv.RangeDescriptor) error {
+		return s.Cluster.Admin.WaitReady(p, desc.RangeID)
+	})
+}
+
+// dropRanges tears down the range of every (index, partition) span that has
+// one.
+func (s *Session) dropRanges(t *Table, idxs []*Index, regions []simnet.Region) {
+	// The walk skips missing spans and removal cannot fail, so it returns nil.
+	_ = s.forEachRange(t, idxs, regions, false, func(_ *Index, _ simnet.Region, desc *kv.RangeDescriptor) error {
+		for _, id := range desc.Replicas() {
+			s.Cluster.Stores[id].RemoveReplica(desc.RangeID)
+		}
+		s.Cluster.Catalog.Remove(desc.RangeID)
+		return nil
+	})
 }
 
 func typeFromName(name string) (ColType, error) {
@@ -384,7 +429,7 @@ func (s *Session) execCreateTable(p *sim.Proc, st *CreateTable) (*Result, error)
 		}
 	}
 	if p != nil {
-		if err := s.waitTableReady(p, t, db); err != nil {
+		if err := s.waitRangesReady(p, t, t.Indexes, partitionsOf(t, db)); err != nil {
 			return nil, err
 		}
 	}
@@ -446,7 +491,7 @@ func (s *Session) execAlterTableLocality(p *sim.Proc, st *AlterTableLocality) (*
 	// Index swap: build new indexes with/without the region prefix.
 	oldIndexes := t.Indexes
 	oldPartitioned := t.IsPartitioned()
-	oldLoc := t.Locality
+	oldRegions := partitionsOf(t, db)
 
 	// Adding the partition column when converting to RBR.
 	t.Locality = newLoc
@@ -472,7 +517,7 @@ func (s *Session) execAlterTableLocality(p *sim.Proc, st *AlterTableLocality) (*
 		}
 	}
 	if p != nil {
-		if err := s.waitTableReady(p, t, db); err != nil {
+		if err := s.waitRangesReady(p, t, t.Indexes, partitionsOf(t, db)); err != nil {
 			return nil, err
 		}
 	}
@@ -483,23 +528,6 @@ func (s *Session) execAlterTableLocality(p *sim.Proc, st *AlterTableLocality) (*
 	// Swap: the new indexes replace the old; drop old ranges.
 	t.Indexes = newIndexes
 	s.Catalog.Bump()
-	for _, old := range oldIndexes {
-		regions := []simnet.Region{""}
-		if oldPartitioned {
-			regions = db.Regions()
-		}
-		_ = oldLoc
-		for _, region := range regions {
-			start, _ := IndexSpan(t, old.ID, region)
-			if desc, err := s.Cluster.Catalog.Lookup(start); err == nil {
-				for _, id := range desc.Replicas() {
-					s.Cluster.Stores[id].RemoveReplica(desc.RangeID)
-				}
-				s.Cluster.Catalog.Remove(desc.RangeID)
-			}
-		}
-	}
+	s.dropRanges(t, oldIndexes, oldRegions)
 	return &Result{}, nil
 }
-
-var _ = kv.RangeID(0)

@@ -12,7 +12,6 @@ import (
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
-	"mrdb/internal/zones"
 )
 
 // Session executes SQL against a cluster from one gateway node. Sessions
@@ -376,19 +375,7 @@ func (s *Session) execDropTable(st *DropTable) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, idx := range t.Indexes {
-		for _, region := range partitionsOf(t, db) {
-			start, _ := IndexSpan(t, idx.ID, region)
-			desc, err := s.Cluster.Catalog.Lookup(start)
-			if err != nil {
-				continue
-			}
-			for _, id := range desc.Replicas() {
-				s.Cluster.Stores[id].RemoveReplica(desc.RangeID)
-			}
-			s.Cluster.Catalog.Remove(desc.RangeID)
-		}
-	}
+	s.dropRanges(t, t.Indexes, partitionsOf(t, db))
 	s.Catalog.DropTable(db.Name, t.Name)
 	return &Result{}, nil
 }
@@ -435,25 +422,22 @@ func (s *Session) execShowRanges(st *ShowRanges) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Columns: []string{"index", "partition", "range_id", "leaseholder", "lease_epoch", "lease_region", "policy", "voters", "non_voters"}}
-	for _, idx := range t.Indexes {
-		for _, region := range partitionsOf(t, db) {
-			start, _ := IndexSpan(t, idx.ID, region)
-			desc, err := s.Cluster.Catalog.Lookup(start)
-			if err != nil {
-				continue
-			}
-			loc, _ := s.Cluster.Topo.LocalityOf(desc.Leaseholder)
-			part := string(region)
-			if part == "" {
-				part = "-"
-			}
-			res.Rows = append(res.Rows, []Datum{
-				idx.Name, part, int64(desc.RangeID), int64(desc.Leaseholder),
-				s.leaseEpochOf(desc.Leaseholder, desc.RangeID),
-				string(loc.Region), desc.Policy.String(),
-				fmt.Sprintf("%v", desc.Voters), fmt.Sprintf("%v", desc.NonVoters),
-			})
+	err = s.forEachRange(t, t.Indexes, partitionsOf(t, db), false, func(idx *Index, region simnet.Region, desc *kv.RangeDescriptor) error {
+		loc, _ := s.Cluster.Topo.LocalityOf(desc.Leaseholder)
+		part := string(region)
+		if part == "" {
+			part = "-"
 		}
+		res.Rows = append(res.Rows, []Datum{
+			idx.Name, part, int64(desc.RangeID), int64(desc.Leaseholder),
+			s.leaseEpochOf(desc.Leaseholder, desc.RangeID),
+			string(loc.Region), desc.Policy.String(),
+			fmt.Sprintf("%v", desc.Voters), fmt.Sprintf("%v", desc.NonVoters),
+		})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	res.RowsAffected = len(res.Rows)
 	return res, nil
@@ -712,77 +696,4 @@ func partitionsOf(t *Table, db *core.Database) []simnet.Region {
 		return db.Regions()
 	}
 	return []simnet.Region{""}
-}
-
-// createIndexRanges creates the ranges backing one index of a table,
-// honoring the table's locality.
-func (s *Session) createIndexRanges(t *Table, db *core.Database, idx *Index) error {
-	alloc := s.Cluster.Allocator()
-	switch {
-	case t.DuplicateIndexes && idx.PinnedRegion != "":
-		cfg, err := db.ZoneConfigForHome(idx.PinnedRegion, false)
-		if err != nil {
-			return err
-		}
-		return s.createRangeForSpan(t, idx.ID, "", cfg, kv.ClosedTSLag, alloc)
-	case t.Locality == core.Global:
-		tp, err := db.PlacementForTable(core.Global, "")
-		if err != nil {
-			return err
-		}
-		cfg := tp.Home[db.PrimaryRegion]
-		return s.createRangeForSpan(t, idx.ID, "", cfg, tp.Policy, alloc)
-	case t.Locality == core.RegionalByRow:
-		tp, err := db.PlacementForTable(core.RegionalByRow, "")
-		if err != nil {
-			return err
-		}
-		for _, region := range db.Regions() {
-			if err := s.createRangeForSpan(t, idx.ID, region, tp.Home[region], tp.Policy, alloc); err != nil {
-				return err
-			}
-		}
-		return nil
-	default: // REGIONAL BY TABLE
-		tp, err := db.PlacementForTable(core.RegionalByTable, t.HomeRegion)
-		if err != nil {
-			return err
-		}
-		home := t.HomeRegion
-		if home == "" {
-			home = db.PrimaryRegion
-		}
-		return s.createRangeForSpan(t, idx.ID, "", tp.Home[home], tp.Policy, alloc)
-	}
-}
-
-func (s *Session) createRangeForSpan(t *Table, idx IndexID, region simnet.Region, cfg zones.Config, policy kv.ClosedTSPolicy, alloc *zones.Allocator) error {
-	placement, err := alloc.Allocate(cfg)
-	if err != nil {
-		return err
-	}
-	start, end := IndexSpan(t, idx, region)
-	desc, err := s.Cluster.Admin.CreateRange(start, end, placement, policy)
-	if err != nil {
-		return err
-	}
-	s.Cluster.Catalog.SetZoneConfig(desc.RangeID, cfg)
-	return nil
-}
-
-// waitTableReady blocks until all of a table's ranges serve.
-func (s *Session) waitTableReady(p *sim.Proc, t *Table, db *core.Database) error {
-	for _, idx := range t.Indexes {
-		for _, region := range partitionsOf(t, db) {
-			start, _ := IndexSpan(t, idx.ID, region)
-			desc, err := s.Cluster.Catalog.Lookup(start)
-			if err != nil {
-				return err
-			}
-			if err := s.Cluster.Admin.WaitReady(p, desc.RangeID); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
 }

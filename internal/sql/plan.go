@@ -160,30 +160,35 @@ func (s *Session) computedRegionFromConstraints(t *Table, cons map[string][]Datu
 // exprColumnDeps returns the column names an expression references.
 func exprColumnDeps(e Expr) []string {
 	var out []string
-	var walk func(Expr)
-	walk = func(e Expr) {
-		switch ex := e.(type) {
-		case *ColRef:
-			out = append(out, ex.Name)
-		case *FuncCall:
-			for _, a := range ex.Args {
-				walk(a)
-			}
-		case *BinaryExpr:
-			walk(ex.L)
-			walk(ex.R)
-		case *CaseExpr:
-			for _, w := range ex.Whens {
-				walk(w.Cond)
-				walk(w.Then)
-			}
-			if ex.Else != nil {
-				walk(ex.Else)
-			}
+	walkExpr(e, func(e Expr) {
+		if c, ok := e.(*ColRef); ok {
+			out = append(out, c.Name)
+		}
+	})
+	return out
+}
+
+// walkExpr calls fn on e and then on every expression nested in it, in
+// source order.
+func walkExpr(e Expr, fn func(Expr)) {
+	fn(e)
+	switch ex := e.(type) {
+	case *FuncCall:
+		for _, a := range ex.Args {
+			walkExpr(a, fn)
+		}
+	case *BinaryExpr:
+		walkExpr(ex.L, fn)
+		walkExpr(ex.R, fn)
+	case *CaseExpr:
+		for _, w := range ex.Whens {
+			walkExpr(w.Cond, fn)
+			walkExpr(w.Then, fn)
+		}
+		if ex.Else != nil {
+			walkExpr(ex.Else, fn)
 		}
 	}
-	walk(e)
-	return out
 }
 
 // planRead plans a read without the plan cache: this execution's

@@ -110,31 +110,11 @@ func (s *Session) unbindPrepared() {
 func maxPlaceholder(stmt Statement) int {
 	max := 0
 	see := func(e Expr) {
-		var walk func(Expr)
-		walk = func(e Expr) {
-			switch ex := e.(type) {
-			case *Placeholder:
-				if ex.Idx > max {
-					max = ex.Idx
-				}
-			case *FuncCall:
-				for _, a := range ex.Args {
-					walk(a)
-				}
-			case *BinaryExpr:
-				walk(ex.L)
-				walk(ex.R)
-			case *CaseExpr:
-				for _, w := range ex.Whens {
-					walk(w.Cond)
-					walk(w.Then)
-				}
-				if ex.Else != nil {
-					walk(ex.Else)
-				}
+		walkExpr(e, func(e Expr) {
+			if ph, ok := e.(*Placeholder); ok && ph.Idx > max {
+				max = ph.Idx
 			}
-		}
-		walk(e)
+		})
 	}
 	seeWhere := func(w *Where) {
 		if w == nil {
