@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"mrdb/internal/mvcc"
+	"mrdb/internal/sim"
 	"mrdb/internal/zones"
 )
 
@@ -24,11 +25,15 @@ type RangeCatalog struct {
 	// descriptors are written into WALs and checkpoints (codec.go), whose
 	// bytes must be a function of the value, and zones.Config holds maps.
 	configs map[RangeID]zones.Config
+	// published wakes the senders backing off on a range (WaitNewer) when a
+	// newer descriptor of it is published or the range is removed; one per
+	// range that has had a waiter.
+	published map[RangeID]*sim.Cond
 }
 
 // NewRangeCatalog returns an empty catalog.
 func NewRangeCatalog() *RangeCatalog {
-	return &RangeCatalog{configs: map[RangeID]zones.Config{}}
+	return &RangeCatalog{configs: map[RangeID]zones.Config{}, published: map[RangeID]*sim.Cond{}}
 }
 
 // SetZoneConfig records the zone config a range is placed under. The load
@@ -78,6 +83,10 @@ func (c *RangeCatalog) Insert(d *RangeDescriptor) error {
 // Remove deletes the descriptor (and any zone config) for a range ID.
 func (c *RangeCatalog) Remove(id RangeID) {
 	delete(c.configs, id)
+	if w, ok := c.published[id]; ok {
+		w.Broadcast()
+		delete(c.published, id)
+	}
 	for i, d := range c.descs {
 		if d.RangeID == id {
 			c.descs = append(c.descs[:i], c.descs[i+1:]...)
@@ -132,13 +141,37 @@ func (c *RangeCatalog) All() []*RangeDescriptor {
 }
 
 // Update replaces the stored descriptor for d.RangeID with d if d's
-// generation is newer.
+// generation is not older, and wakes the range's WaitNewer callers if it is
+// newer.
 func (c *RangeCatalog) Update(d *RangeDescriptor) {
 	for i, cur := range c.descs {
 		if cur.RangeID == d.RangeID {
 			if d.Generation >= cur.Generation {
 				c.descs[i] = d
 			}
+			if w, ok := c.published[d.RangeID]; ok && d.Generation > cur.Generation {
+				w.Broadcast()
+			}
+			return
+		}
+	}
+}
+
+// WaitNewer parks p for d, or until the catalog holds a descriptor of range
+// id newer than generation gen or no longer holds the range, whichever comes
+// first.
+func (c *RangeCatalog) WaitNewer(p *sim.Proc, id RangeID, gen int64, d sim.Duration) {
+	deadline := p.Now().Add(d)
+	for {
+		if cur, ok := c.LookupByID(id); !ok || cur.Generation > gen {
+			return
+		}
+		w, ok := c.published[id]
+		if !ok {
+			w = sim.NewCond(p.Sim())
+			c.published[id] = w
+		}
+		if !w.WaitTimeout(p, deadline.Sub(p.Now())) {
 			return
 		}
 	}

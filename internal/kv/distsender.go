@@ -130,9 +130,12 @@ func (ds *DistSender) WriteRTTs(key mvcc.Key) (toLeaseholder, quorum sim.Duratio
 }
 
 // maxSendAttempts bounds routing retries before giving up. With the capped
-// exponential backoff below, a full retry budget spans roughly 25s of
-// virtual time — enough to ride out an election plus a liveness expiration
-// during failover.
+// exponential backoff below, a retry budget that sees no descriptor change
+// spans roughly 25s of virtual time — enough to ride out an election plus a
+// liveness expiration during failover. A backoff ends early only when the
+// range's descriptor changes, which is what a failover ends with: the new
+// leaseholder publishes its lease. Such wakes cannot drain the budget, since
+// each needs a newer generation than the one its attempt routed on.
 const maxSendAttempts = 32
 
 // Retry backoff bounds: exponential from base to cap, with deterministic
@@ -143,8 +146,11 @@ const (
 	retryBackoffMax  = 1 * sim.Second
 )
 
-// backoff sleeps for the n-th capped exponential retry pause.
-func (ds *DistSender) backoff(p *sim.Proc, n int) {
+// backoff waits out the n-th capped exponential retry pause, or less: the
+// wait ends as soon as the catalog publishes a descriptor of the range newer
+// than routed, the one the failed attempt was sent on (a lease acquired after
+// a failover, a split, a merge). BackoffTotal accrues the time waited.
+func (ds *DistSender) backoff(p *sim.Proc, n int, routed *RangeDescriptor) {
 	d := retryBackoffBase
 	for i := 0; i < n && d < retryBackoffMax; i++ {
 		d *= 2
@@ -154,8 +160,9 @@ func (ds *DistSender) backoff(p *sim.Proc, n int) {
 	}
 	half := d / 2
 	d = half + sim.Duration(ds.Net.Sim.Rand().Int63n(int64(half)+1))
-	ds.BackoffTotal += d
-	p.Sleep(d)
+	start := p.Now()
+	ds.Catalog.WaitNewer(p, routed.RangeID, routed.Generation, d)
+	ds.BackoffTotal += p.Now().Sub(start)
 }
 
 // maxBatchSplitDepth bounds recursive re-splitting of a sub-batch whose
@@ -325,10 +332,10 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 	// lastErr remembers why the most recent attempt failed, so exhausting
 	// the retry budget surfaces the cause instead of a bare attempt count.
 	var lastErr error
-	backoff := func(asp *obs.Span) {
+	backoff := func(asp *obs.Span, routed *RangeDescriptor) {
 		// Never escapes this frame, so it costs no allocation.
 		before := ds.BackoffTotal
-		ds.backoff(p, backoffs)
+		ds.backoff(p, backoffs, routed)
 		backoffs++
 		asp.SetTagDuration("backoff", ds.BackoffTotal-before)
 	}
@@ -380,7 +387,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			ds.Retries++
 			forceLeaseholder = false
 			attemptDone()
-			backoff(asp)
+			backoff(asp, desc)
 			continue
 		}
 		resps := raw.(BatchResponse).Resps
@@ -405,7 +412,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 				if nle.Leaseholder != 0 && nle.Leaseholder != target && ds.live(nle.Leaseholder) {
 					leaseholderHint = nle.Leaseholder
 				} else {
-					backoff(asp)
+					backoff(asp, desc)
 				}
 				retriable = true
 				break
@@ -422,7 +429,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 				if forceLeaseholder || target == desc.Leaseholder {
 					// The leaseholder itself could not serve (fenced lease
 					// mid-recovery): wait for the lease to move.
-					backoff(asp)
+					backoff(asp, desc)
 				}
 				forceLeaseholder = true
 				retriable = true
@@ -434,7 +441,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 				asp.SetError(resp.Err)
 				ds.Retries++
 				attemptDone()
-				backoff(asp)
+				backoff(asp, desc)
 				retriable = true
 				break
 			}

@@ -73,12 +73,34 @@ type rangeSnapshot struct {
 type replicaStorage struct {
 	wal *storage.WAL
 	buf []byte
+	// noopSynced runs after the fsync of a record holding a new leader's
+	// no-op (the one entry with neither a command nor a conf change): on a
+	// single voter that fsync is what commits and applies it, with no
+	// message for Replica.step to see.
+	noopSynced func()
 }
 
 func (rs *replicaStorage) Append(hs raft.HardState, entries []raft.Entry, done func()) {
 	rs.buf = appendWALRecord(rs.buf[:0], hs, entries)
 	rs.wal.Append(rs.buf)
+	if done != nil && rs.noopSynced != nil && holdsNoop(entries) {
+		raftDone := done
+		done = func() {
+			raftDone()
+			rs.noopSynced()
+		}
+	}
 	rs.wal.Sync(done)
+}
+
+// holdsNoop reports whether entries include a leader's no-op.
+func holdsNoop(entries []raft.Entry) bool {
+	for _, e := range entries {
+		if e.Data == nil && e.Conf == nil {
+			return true
+		}
+	}
+	return false
 }
 
 func (rs *replicaStorage) Compact(index, term uint64, tail []raft.Entry, hs raft.HardState) {

@@ -89,6 +89,17 @@ func (nl *NodeLiveness) Live(id simnet.NodeID, now sim.Time) bool {
 	return now <= rec.Expiration
 }
 
+// Expiration returns the last instant the node's record is live: it expires,
+// and may be fenced, one nanosecond later. ok is false for an unregistered
+// node, which Live presumes live at every instant.
+func (nl *NodeLiveness) Expiration(id simnet.NodeID) (exp sim.Time, ok bool) {
+	rec, ok := nl.recs[id]
+	if !ok {
+		return 0, false
+	}
+	return rec.Expiration, true
+}
+
 // Epoch returns the node's current epoch (0 if unregistered).
 func (nl *NodeLiveness) Epoch(id simnet.NodeID) int64 {
 	if rec, ok := nl.recs[id]; ok {

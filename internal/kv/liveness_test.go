@@ -247,6 +247,9 @@ func TestLivenessExpiryInstantIsLastTickPlusTTL(t *testing.T) {
 				t.Fatalf("setup: fault %v after the tick, want its ping delivered first", since)
 			}
 			exp := lastTick.Add(LivenessTTL)
+			if got, ok := h.nl.Expiration(victim); !ok || got != exp {
+				t.Fatalf("Expiration(n%d) = %v, %v right after the fault, want %v", victim, got, ok, exp)
+			}
 
 			h.s.RunFor(exp.Sub(h.s.Now()))
 			if !h.nl.Live(victim, h.s.Now()) || h.nl.IncrementEpoch(victim, h.s.Now()) {
@@ -260,8 +263,11 @@ func TestLivenessExpiryInstantIsLastTickPlusTTL(t *testing.T) {
 				t.Fatalf("n%d cannot be fenced the instant after %v", victim, exp)
 			}
 			h.s.RunFor(2 * LivenessTTL)
-			if got := h.nl.recs[victim].Expiration; got != exp {
-				t.Fatalf("n%d's record reads %v after the fault, want %v", victim, got, exp)
+			if got, _ := h.nl.Expiration(victim); got != exp {
+				t.Fatalf("Expiration(n%d) reads %v after the fault, want %v", victim, got, exp)
+			}
+			if _, ok := h.nl.Expiration(99); ok {
+				t.Fatal("Expiration of an unregistered node reports a record")
 			}
 			if h.stores[victim].SelfLive() {
 				t.Fatalf("n%d still believes its own record at %v", victim, h.s.Now())

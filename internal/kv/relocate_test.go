@@ -31,7 +31,14 @@ func TestRelocateAgainAfterFailedConfChange(t *testing.T) {
 		// left lists the new replicas the failed attempt must leave in place.
 		left []simnet.NodeID
 	}{
-		{"AddLearner fails", func(*recoveryHarness, *Replica) bool { return true }, nil},
+		// n2 hands a leadership it wins from a live leaseholder back as soon
+		// as its term's no-op applies, well before a relocation started a
+		// little later would look: strike once the first AddLearner, proposed
+		// right after its replica is created on n4, is in flight.
+		{"AddLearner fails", func(h *recoveryHarness, r1 *Replica) bool {
+			_, created := h.stores[4].Replica(r1.desc.RangeID)
+			return created && r1.raft.LastIndex() > r1.raft.CommitIndex()
+		}, nil},
 		{"AddVoter fails", func(_ *recoveryHarness, r1 *Replica) bool { return r1.raft.IsVoter(4) }, []simnet.NodeID{4, 5}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -48,7 +55,6 @@ func TestRelocateAgainAfterFailedConfChange(t *testing.T) {
 			})
 			var failed error
 			h.run(t, 10*sim.Second, func(p *sim.Proc) error {
-				p.Sleep(50 * sim.Millisecond) // let a campaign due at once land first
 				failed = h.admin.Relocate(p, desc.RangeID, grown, ClosedTSLag)
 				return nil
 			})

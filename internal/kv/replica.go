@@ -39,6 +39,9 @@ type Replica struct {
 	// closedAdvanced wakes adaptive follower reads waiting for the
 	// closed timestamp to catch up.
 	closedAdvanced *sim.Cond
+	// leaderApplied wakes a fresh Raft leader waiting to apply the no-op its
+	// term opened with (awaitLeaderApplied).
+	leaderApplied *sim.Cond
 
 	// applyErrors counts commands whose application failed; tests assert
 	// this stays zero.
@@ -900,6 +903,9 @@ func (r *Replica) applyLeaseTransfer(cmd Command) {
 // the lease ourselves. This is what makes FailRegion/CrashNode heal with no
 // admin intervention.
 func (r *Replica) onLeaderChange(leader simnet.NodeID, _ uint64) {
+	// An acquisition parked in an earlier leadership looks again: a single
+	// voter's no-op may apply before it runs, outside any Step.
+	r.leaderApplied.Broadcast()
 	if leader != r.store.NodeID || r.store.liveness == nil {
 		return
 	}
@@ -913,15 +919,39 @@ func (r *Replica) onLeaderChange(leader simnet.NodeID, _ uint64) {
 	})
 }
 
-// maybeAcquireLease runs on a fresh Raft leader without a valid lease.
+// step hands msg to the Raft node. A fresh leader's no-op applies inside Step
+// without passing through apply (it carries no command), and a message of a
+// higher term ends a leadership with no leader change to report: whoever
+// waits on either (awaitLeaderApplied) is woken here.
+func (r *Replica) step(msg raft.Message) {
+	applied, term := r.raft.Applied(), r.raft.Term()
+	r.raft.Step(msg)
+	if r.raft.Applied() != applied || r.raft.Term() != term {
+		r.leaderApplied.Broadcast()
+	}
+}
+
+// awaitLeaderApplied parks p until this replica, as Raft leader, has applied
+// the no-op its term opened with, and reports whether it still leads. Every
+// entry before the no-op has applied by then, so the replica's descriptor is
+// as new as any committed before the election.
+func (r *Replica) awaitLeaderApplied(p *sim.Proc) bool {
+	for r.raft.IsLeader() && r.raft.AppliedTerm() < r.raft.Term() {
+		r.leaderApplied.Wait(p)
+	}
+	return r.raft.IsLeader()
+}
+
+// maybeAcquireLease runs on a fresh Raft leader without a valid lease. Each
+// wait in it ends on the event it is for, not on a timer standing in for one.
 func (r *Replica) maybeAcquireLease(p *sim.Proc) {
-	// Settle first: a cooperative lease transfer to this node may already
-	// be committed but not yet applied here (leadership changes hands
-	// before the log catches up). Acting immediately would bounce
-	// leadership back to the old leaseholder and undo the transfer.
-	p.Sleep(500 * sim.Millisecond)
 	nl := r.store.liveness
-	for r.raft.IsLeader() && !r.hasValidLease() {
+	// Settle first (awaitLeaderApplied): a cooperative lease transfer to this
+	// node may already be committed but not yet applied here (leadership
+	// changes hands before the log catches up). Acting on the older
+	// descriptor would bounce leadership back to the old leaseholder and undo
+	// the transfer.
+	for r.awaitLeaderApplied(p) && !r.hasValidLease() {
 		prev := r.desc.Leaseholder
 		if prev == r.store.NodeID {
 			// Our own lease was fenced (epoch bumped while we were cut
@@ -931,12 +961,19 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 				p.Sleep(LivenessHeartbeatInterval / 2)
 				continue
 			}
-		} else if nl.Live(prev, p.Now()) {
-			// The incumbent is healthy (e.g. we won an election it merely
-			// lost by timing): hand leadership back instead of stealing
-			// the lease, preserving leader/leaseholder colocation.
+		} else if exp, ok := nl.Expiration(prev); !ok || p.Now() <= exp {
+			// The incumbent's record is live. Hand leadership back instead of
+			// stealing the lease, preserving leader/leaseholder colocation: a
+			// healthy incumbent (one that merely lost an election by timing)
+			// takes it at once. A dead one never does, and its record expires
+			// after exp, when the epoch bump below fences it. A live record
+			// keeps moving, so look again after an interval at most.
 			r.raft.TransferLeadership(prev)
-			p.Sleep(LivenessHeartbeatInterval)
+			wake := p.Now().Add(LivenessHeartbeatInterval)
+			if ok && exp < wake {
+				wake = exp.Add(1)
+			}
+			p.SleepUntil(wake)
 			continue
 		} else if !nl.IncrementEpoch(prev, p.Now()) {
 			p.Sleep(LivenessHeartbeatInterval / 2)

@@ -117,7 +117,7 @@ func (s *Store) handleMessage(m simnet.Message) {
 		rangeID, msg := payload.RangeID, payload.Msg
 		s.Registry.envelopes.put(payload)
 		if r, ok := s.replicas[rangeID]; ok {
-			r.raft.Step(msg)
+			r.step(msg)
 		}
 	case livenessPing:
 		if s.liveness != nil {
@@ -270,6 +270,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 		leaseEpoch: s.CurrentEpoch(),
 	}
 	r.closedAdvanced = sim.NewCond(s.Sim)
+	r.leaderApplied = sim.NewCond(s.Sim)
 	rcfg := raft.Config{
 		ID:               s.NodeID,
 		Voters:           desc.Voters,
@@ -288,7 +289,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 	rcfg.Snapshot = r.snapshotData
 	rcfg.ApplySnapshot = r.applySnapshotData
 	if s.Disk != nil {
-		rcfg.Storage = &replicaStorage{wal: s.Disk.WAL(walName(desc.RangeID))}
+		rcfg.Storage = &replicaStorage{wal: s.Disk.WAL(walName(desc.RangeID)), noopSynced: r.leaderApplied.Broadcast}
 	}
 	r.raft = raft.NewNode(rcfg)
 	r.setTiming()

@@ -774,13 +774,41 @@ func (c *Cond) Wait(p *Proc) {
 	p.park()
 }
 
-// Broadcast wakes all waiting processes.
+// WaitTimeout parks p until a Broadcast reaches it or d elapses, and reports
+// whether the Broadcast came first. As with Future.WaitTimeout the deadline is
+// one queue entry, removed when a Broadcast ends the wait early, so a wait
+// costs one event whichever way it ends.
+func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
+	if d < 0 {
+		d = 0
+	}
+	c.waiters = append(c.waiters, p)
+	p.sim.deadlineAt(p.sim.now.Add(d), p)
+	p.park()
+	for i, w := range c.waiters {
+		if w == p {
+			// The deadline fired (Broadcast would have emptied the list): stop
+			// waiting.
+			last := len(c.waiters) - 1
+			copy(c.waiters[i:], c.waiters[i+1:])
+			c.waiters[last] = nil
+			c.waiters = c.waiters[:last]
+			return false
+		}
+	}
+	return true
+}
+
+// Broadcast wakes all waiting processes. The list keeps its backing array:
+// nothing runs between here and the wakes, so no waiter can be appended to it
+// while it is walked.
 func (c *Cond) Broadcast() {
-	waiters := c.waiters
-	c.waiters = nil
-	for _, w := range waiters {
+	for i, w := range c.waiters {
+		c.waiters[i] = nil
+		c.sim.cancelDeadline(w)
 		c.sim.wakeAt(c.sim.now, w)
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Ticker invokes fn every interval until the returned stop function is

@@ -441,6 +441,58 @@ func TestCondBroadcast(t *testing.T) {
 	}
 }
 
+// TestCondWaitTimeout: a Broadcast ends a timed wait at its instant and takes
+// the deadline out of the queue; a wait nobody broadcasts to ends at its
+// deadline and leaves the waiter list, so a later Broadcast wakes nobody. Each
+// way the wait costs one event, as the sleep it replaces does.
+func TestCondWaitTimeout(t *testing.T) {
+	s := New(1)
+	c := NewCond(s)
+	var woken []bool
+	var at []Time
+	s.Spawn("early", func(p *Proc) {
+		woken = append(woken, c.WaitTimeout(p, Second))
+		at = append(at, p.Now())
+	})
+	s.Schedule(Time(Millisecond), func() {
+		if s.Pending() != 1 {
+			t.Errorf("%d events queued while the waiter is parked, want its deadline alone", s.Pending())
+		}
+		c.Broadcast()
+		if s.Pending() != 1 {
+			t.Errorf("%d events queued after Broadcast, want the wake alone", s.Pending())
+		}
+	})
+	if end := s.Run(); end != Time(Millisecond) || s.Events() != 3 {
+		t.Fatalf("run ended at %v after %d events, want 1ms after 3: the deadline was left behind", end, s.Events())
+	}
+
+	s.Spawn("late", func(p *Proc) {
+		woken = append(woken, c.WaitTimeout(p, Millisecond))
+		at = append(at, p.Now())
+	})
+	s.RunUntil(Time(5 * Millisecond))
+	if len(c.waiters) != 0 {
+		t.Fatalf("%d waiters after the wait expired, want 0", len(c.waiters))
+	}
+	c.Broadcast()
+	if s.Pending() != 0 {
+		t.Fatalf("%d events queued after a Broadcast nobody waits for, want 0", s.Pending())
+	}
+	if !slices.Equal(woken, []bool{true, false}) || !slices.Equal(at, []Time{Time(Millisecond), Time(2 * Millisecond)}) {
+		t.Fatalf("waits returned %v at %v, want [true false] at [1ms 2ms]", woken, at)
+	}
+
+	var perWait float64
+	s.Spawn("w", func(p *Proc) {
+		perWait = testing.AllocsPerRun(1000, func() { c.WaitTimeout(p, Microsecond) })
+	})
+	s.Run()
+	if perWait != 0 {
+		t.Fatalf("Cond.WaitTimeout allocates %.2f objects per expired wait, want 0", perWait)
+	}
+}
+
 func TestTicker(t *testing.T) {
 	s := New(1)
 	ticks := 0
