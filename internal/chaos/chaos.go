@@ -950,7 +950,7 @@ func (h *harness) spawnMigrator(wg *sim.WaitGroup) {
 			if !ok {
 				return
 			}
-			if err := h.c.Admin.Relocate(p, h.bankRange, pl, desc.Policy); err == nil {
+			if err := h.c.Admin.Relocate(p, h.bankRange, pl, desc.Policy, nil); err == nil {
 				h.rep.Relocations++
 			}
 		}

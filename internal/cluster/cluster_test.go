@@ -719,7 +719,7 @@ func TestRelocateRange(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if err := tc.Admin.Relocate(p, tc.regional.RangeID, placement, kv.ClosedTSLag); err != nil {
+		if err := tc.Admin.Relocate(p, tc.regional.RangeID, placement, kv.ClosedTSLag, nil); err != nil {
 			t.Errorf("relocate: %v", err)
 			return
 		}

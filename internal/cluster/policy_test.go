@@ -61,7 +61,7 @@ func relocatedToLag(t *testing.T, policy kv.ClosedTSPolicy) (before, after sim.D
 		}
 		p.Sleep(500 * sim.Millisecond)
 		in := zones.Placement{Voters: desc.Voters, NonVoters: desc.NonVoters, Leaseholder: desc.Leaseholder}
-		if err := c.Admin.Relocate(p, desc.RangeID, in, kv.ClosedTSLag); err != nil {
+		if err := c.Admin.Relocate(p, desc.RangeID, in, kv.ClosedTSLag, nil); err != nil {
 			t.Error(err)
 			return
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"mrdb/internal/hlc"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
 	"mrdb/internal/sim"
@@ -171,12 +170,12 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 
 // Relocate moves a range's replicas to match a new placement, adding then
 // removing replicas and finally transferring the lease if needed. This is
-// the mechanism behind locality changes (paper §2.4.2).
-func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement, policy ClosedTSPolicy) error {
-	return a.relocate(p, rangeID, placement, policy, nil)
-}
-
-func (a *Admin) relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement, policy ClosedTSPolicy, cfg *zones.Config) error {
+// the mechanism behind locality changes (paper §2.4.2). A non-nil cfg is the
+// range's new zone config: it is registered in the catalog atomically with
+// the descriptor publication (step 3), so a placement checker never observes
+// the new placement against the old config or vice versa. A nil cfg leaves
+// the zone config alone.
+func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement, policy ClosedTSPolicy, cfg *zones.Config) error {
 	r, err := a.leaseholderReplica(rangeID)
 	if err != nil {
 		return err
@@ -418,6 +417,3 @@ func GatewayTxn(st *Store, anchorKey mvcc.Key, priority int64) *Txn {
 		GlobalUncertaintyLimit: now.Add(st.Clock.MaxOffset()),
 	}
 }
-
-// Ensure hlc is referenced (timestamps appear in exported signatures).
-var _ = hlc.Timestamp{}

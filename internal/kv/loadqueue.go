@@ -110,14 +110,6 @@ func (a *Admin) configsMergeable(x, y RangeID) bool {
 	return cx.String() == cy.String()
 }
 
-// RelocateWithConfig is Relocate for a zone-config change: the new config
-// is registered in the catalog atomically with the descriptor publication
-// (Relocate's step 3), so a placement checker never observes the new
-// placement against the old config or vice versa.
-func (a *Admin) RelocateWithConfig(p *sim.Proc, rangeID RangeID, placement zones.Placement, policy ClosedTSPolicy, cfg *zones.Config) error {
-	return a.relocate(p, rangeID, placement, policy, cfg)
-}
-
 // MergeRanges merges a range with its right-hand neighbor: the neighbor's
 // replicas are first colocated onto the left range's nodes, the neighbor is
 // frozen with a Subsume entry in its own log (after which its replicas
@@ -155,7 +147,7 @@ func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
 		NonVoters:   append([]simnet.NodeID(nil), lhs.NonVoters...),
 		Leaseholder: lhs.Leaseholder,
 	}
-	if err := a.Relocate(p, rhsID, colocate, rhs.Policy); err != nil {
+	if err := a.Relocate(p, rhsID, colocate, rhs.Policy, nil); err != nil {
 		return err
 	}
 
@@ -481,7 +473,7 @@ func (a *Admin) rebalanceReplica(p *sim.Proc, d *RangeDescriptor, cfg zones.Conf
 		if checker.CheckPlacement(cfg, pl) != nil {
 			continue
 		}
-		return a.Relocate(p, d.RangeID, pl, d.Policy) == nil
+		return a.Relocate(p, d.RangeID, pl, d.Policy, nil) == nil
 	}
 	return false
 }

@@ -55,7 +55,7 @@ func TestRelocateAgainAfterFailedConfChange(t *testing.T) {
 			})
 			var failed error
 			h.run(t, 10*sim.Second, func(p *sim.Proc) error {
-				failed = h.admin.Relocate(p, desc.RangeID, grown, ClosedTSLag)
+				failed = h.admin.Relocate(p, desc.RangeID, grown, ClosedTSLag, nil)
 				return nil
 			})
 			if failed == nil {
@@ -78,7 +78,7 @@ func TestRelocateAgainAfterFailedConfChange(t *testing.T) {
 				for !r1.raft.IsLeader() { // n2 hands leadership back to the live leaseholder
 					p.Sleep(100 * sim.Millisecond)
 				}
-				if err := h.admin.Relocate(p, desc.RangeID, grown, ClosedTSLag); err != nil {
+				if err := h.admin.Relocate(p, desc.RangeID, grown, ClosedTSLag, nil); err != nil {
 					return fmt.Errorf("second relocation: %w", err)
 				}
 				return r1.propose(p, putCmd(h.stores[1], "k", "v"))

@@ -180,7 +180,7 @@ func (s *Session) reconfigureAllTables(p *sim.Proc, db *core.Database) error {
 			if err != nil {
 				return err
 			}
-			return s.Cluster.Admin.RelocateWithConfig(p, desc.RangeID, placement, policy, &cfg)
+			return s.Cluster.Admin.Relocate(p, desc.RangeID, placement, policy, &cfg)
 		})
 		if err != nil {
 			return err

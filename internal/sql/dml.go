@@ -16,42 +16,56 @@ import (
 
 // --- SELECT ---
 
-// execSelect serves a SELECT through tx or, for SELECT ... AS OF SYSTEM TIME
-// (paper §5.3), which runs outside any transaction, as a stale read at the
-// timestamp the clause picks; the two differ only in the fetcher.
 func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, error) {
-	t, db, err := s.table(st.Table)
+	t, _, fetched, rows, err := s.readRows(p, tx, st, st.Table, st.Where, st.Limit)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := s.planReadCached(st, t, db, st.Where, st.Limit)
+	res, err := s.project(t, rows, st.Columns, st.Limit)
+	s.releaseRows(fetched)
+	return res, err
+}
+
+// readRows is the read step of SELECT, UPDATE and DELETE: it plans st's read
+// of table, fetches the rows and filters them by where unless the plan
+// already guarantees it. It returns every fetched row, for releaseRows once
+// the statement is done, and the matching ones. The reads go through tx,
+// except those of SELECT ... AS OF SYSTEM TIME (paper §5.3), which runs
+// outside any transaction as a stale read at the timestamp the clause picks.
+// UPDATE and DELETE reads lock their rows (implicit SELECT FOR UPDATE), so
+// read-modify-write transactions queue rather than restart.
+func (s *Session) readRows(p *sim.Proc, tx *txn.Txn, st Statement, table string, where *Where, limit int) (*Table, *core.Database, []tableRow, []tableRow, error) {
+	t, db, err := s.table(table)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, nil, err
+	}
+	plan, err := s.planReadCached(st, t, db, where, limit)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	var f rowFetcher
-	if st.AsOf == nil {
+	if sel, ok := st.(*Select); !ok {
+		f = &txnFetcher{tx: tx, forUpdate: plan.lookups != nil}
+	} else if sel.AsOf == nil {
 		f = &txnFetcher{tx: tx}
 	} else {
-		ts, err := s.asOfTimestamp(p, st.AsOf, t, plan)
+		ts, err := s.asOfTimestamp(p, sel.AsOf, t, plan)
 		if err != nil {
-			return nil, err
+			return nil, nil, nil, nil, err
 		}
 		f = &staleFetcher{co: s.Coord, ts: ts}
 	}
 	fetched, err := s.fetchRows(p, f, plan)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, nil, err
 	}
 	rows := fetched
 	if !plan.filterRedundant {
-		rows, err = s.filterRows(t, rows, st.Where)
-		if err != nil {
-			return nil, err
+		if rows, err = s.filterRows(t, rows, where); err != nil {
+			return nil, nil, nil, nil, err
 		}
 	}
-	res, err := s.project(t, rows, st.Columns, st.Limit)
-	s.releaseRows(fetched)
-	return res, err
+	return t, db, fetched, rows, nil
 }
 
 // asOfTimestamp resolves an AS OF SYSTEM TIME clause to the timestamp a
@@ -141,11 +155,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	type insRow struct {
-		vals   map[ColumnID]Datum
-		region simnet.Region
-	}
-	var rows []insRow
+	var rows []uniqueRow
 	for _, rowExprs := range st.Rows {
 		vals, err := s.insertRowValues(ci, t, db, rowExprs)
 		if err != nil {
@@ -155,11 +165,14 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, insRow{vals: vals, region: region})
+		rows = append(rows, uniqueRow{vals: vals, region: region})
 	}
 	if st.Upsert {
+		if err := upsertable(t); err != nil {
+			return nil, err
+		}
 		for _, r := range rows {
-			if err := s.upsertRow(p, tx, t, db, r.vals); err != nil {
+			if err := tx.PutParallel(p, rowKVs(t, "", r.vals), nil); err != nil {
 				return nil, err
 			}
 		}
@@ -167,44 +180,79 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 		res.RowsAffected = len(rows)
 		return res, nil
 	}
-	// Uniqueness checks (paper §4.1) for the whole statement at once. A
-	// unique index's probe of the row's own partition reads the very key the
-	// row writes, so it is not sent as a read: it becomes that write's
-	// condition (MustNotExist), and the leaseholder fails the write on a live
-	// value. Same-statement duplicates are caught against the pending write
-	// set (the keys earlier rows will lay down), and the probes of other
-	// partitions that §4.1 cannot elide go out first as one batched read —
-	// one KV RPC per touched range instead of one per row.
+	// Every unique entry is checked. All rows' index entries go out as one
+	// batch: the DistSender splits it by range and the statement pays the
+	// max, not the sum, of per-range round trips.
+	var unique []*Index
+	for _, idx := range t.Indexes {
+		if idx.Unique {
+			unique = append(unique, idx)
+		}
+	}
+	var kvs []mvcc.KeyValue
+	for i := range rows {
+		rows[i].indexes = unique
+		kvs = append(kvs, rowKVs(t, rows[i].region, rows[i].vals)...)
+	}
+	mustNotExist, err := s.checkUnique(p, tx, t, db, rows, kvs, ci.fromDefault)
+	if err != nil {
+		return nil, err
+	}
+	if err := tx.PutParallel(p, kvs, mustNotExist); err != nil {
+		return nil, uniqueViolation(t, db, err)
+	}
+	res := s.takeResult()
+	res.RowsAffected = len(rows)
+	return res, nil
+}
+
+// uniqueRow is a row write as its uniqueness checks (paper §4.1) see it.
+type uniqueRow struct {
+	vals    map[ColumnID]Datum
+	region  simnet.Region // the partition the row is written to
+	indexes []*Index      // the unique indexes whose entries the write lays down anew
+}
+
+// checkUnique runs the uniqueness checks (paper §4.1) of the rows a
+// statement writes, whose index entries are kvs, and returns the conditions
+// of kvs' writes. A unique index's probe of a row's own partition reads the
+// very key the row writes, so it is not sent as a read: it becomes that
+// write's condition (MustNotExist), and the leaseholder fails the write on a
+// live value. Same-statement duplicates are caught against the keys earlier
+// rows write, and the probes of other partitions that §4.1 cannot elide go
+// out first as one batched read — one KV RPC per touched range instead of
+// one per row. A row's own old entry is never a duplicate: a key kvs
+// tombstone is not probed. No checked entry means no conditions: nil.
+func (s *Session) checkUnique(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, rows []uniqueRow, kvs []mvcc.KeyValue, fromDefault map[ColumnID]bool) ([]bool, error) {
 	var probeKeys []mvcc.Key
 	type probeRef struct {
 		idx    *Index
 		region simnet.Region
 	}
 	var probeRefs []probeRef
-	pending := map[string]bool{}
+	written := map[string]bool{} // the checked entries of the rows so far
 	for _, r := range rows {
-		for _, idx := range t.Indexes {
-			if !idx.Unique {
-				continue
-			}
+		for _, idx := range r.indexes {
 			var tuple []Datum
 			for _, cid := range idx.Cols {
 				tuple = append(tuple, r.vals[cid])
 			}
-			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, ci.fromDefault, s.UniquenessChecks) {
+			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, fromDefault, s.UniquenessChecks) {
 				key := EncodeIndexKey(t, idx, pr, tuple)
-				if pending[string(key)] {
+				switch {
+				case written[string(key)]:
 					return nil, duplicateKey(idx, pr)
-				}
-				if pr != r.region {
+				case pr == r.region:
+					written[string(key)] = true
+				case !deletes(kvs, key):
 					probeKeys = append(probeKeys, key)
 					probeRefs = append(probeRefs, probeRef{idx: idx, region: pr})
 				}
 			}
 		}
-		for _, key := range uniqueWriteKeys(t, r.region, r.vals) {
-			pending[string(key)] = true
-		}
+	}
+	if len(written) == 0 {
+		return nil, nil
 	}
 	if len(probeKeys) > 0 {
 		found, err := tx.GetParallel(p, probeKeys)
@@ -217,31 +265,29 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 			}
 		}
 	}
-	// All rows' index entries go out as one batch: the DistSender splits it
-	// by range and the statement pays the max, not the sum, of per-range
-	// round trips.
-	var kvs []mvcc.KeyValue
-	var mustNotExist []bool
-	for _, r := range rows {
-		kvs = append(kvs, rowKVs(t, r.region, r.vals)...)
-		for _, idx := range t.Indexes {
-			mustNotExist = append(mustNotExist, idx.Unique)
-		}
+	mustNotExist := make([]bool, len(kvs))
+	for i, e := range kvs {
+		mustNotExist[i] = written[string(e.Key)]
 	}
-	if err := tx.PutParallel(p, kvs, mustNotExist); err != nil {
-		return nil, uniqueViolation(t, db, err)
-	}
-	res := s.takeResult()
-	res.RowsAffected = len(rows)
-	return res, nil
+	return mustNotExist, nil
 }
 
-// duplicateKey is the error of an INSERT that would duplicate a unique key.
+// deletes reports whether kvs tombstone key.
+func deletes(kvs []mvcc.KeyValue, key mvcc.Key) bool {
+	for _, e := range kvs {
+		if e.Value == nil && bytes.Equal(e.Key, key) {
+			return true
+		}
+	}
+	return false
+}
+
+// duplicateKey is the error of a write that would duplicate a unique key.
 func duplicateKey(idx *Index, region simnet.Region) error {
 	return fmt.Errorf("sql: duplicate key value violates unique constraint %q (region %s)", idx.Name, region)
 }
 
-// uniqueViolation turns the failed condition of an INSERT's write into the
+// uniqueViolation turns the failed condition of a checked write into the
 // duplicate-key error of the unique index and partition the key belongs
 // to. Any other error passes through.
 func uniqueViolation(t *Table, db *core.Database, err error) error {
@@ -312,17 +358,6 @@ func uniqueProbeRegions(t *Table, db *core.Database, idx *Index, region simnet.R
 	return checkRegions
 }
 
-// uniqueWriteKeys lists the unique-index keys a row write lays down.
-func uniqueWriteKeys(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.Key {
-	var keys []mvcc.Key
-	for _, idx := range t.Indexes {
-		if idx.Unique {
-			keys = append(keys, indexEntry(t, idx, region, vals, false).Key)
-		}
-	}
-	return keys
-}
-
 // rowRegion extracts the partition region of a row.
 func rowRegion(t *Table, vals map[ColumnID]Datum) (simnet.Region, error) {
 	if !t.IsPartitioned() {
@@ -336,11 +371,12 @@ func rowRegion(t *Table, vals map[ColumnID]Datum) (simnet.Region, error) {
 	return simnet.Region(r), nil
 }
 
-// upsertRow blindly overwrites a row: no uniqueness checks, no existence
-// read. It requires every index key to be a function of the primary key so
-// stale index entries cannot arise, and an unpartitioned table (a blind
-// write cannot know which partition an existing row lives in).
-func (s *Session) upsertRow(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, vals map[ColumnID]Datum) error {
+// upsertable reports why an UPSERT, a blind overwrite of rows with no
+// uniqueness checks and no existence read, cannot run on t: it requires every
+// index key to be a function of the primary key so stale index entries
+// cannot arise, and an unpartitioned table (a blind write cannot know which
+// partition an existing row lives in).
+func upsertable(t *Table) error {
 	if t.IsPartitioned() {
 		return fmt.Errorf("sql: UPSERT is not supported on REGIONAL BY ROW tables")
 	}
@@ -355,57 +391,7 @@ func (s *Session) upsertRow(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Databas
 			}
 		}
 	}
-	return s.writeRow(p, tx, t, "", vals)
-}
-
-// uniquenessCheck verifies no other row has the same values for a unique
-// index. The local partition is always checked (the write itself needs it);
-// remote partitions are probed in one batched read unless the check can be
-// elided (see uniqueProbeRegions). Absence must hold everywhere, so unlike
-// LOS there is no early exit (the latency is the max RTT). excludePK skips
-// a row with the same primary key (for UPDATEs rewriting themselves).
-func (s *Session) uniquenessCheck(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, idx *Index, region simnet.Region, vals map[ColumnID]Datum, fromDefault map[ColumnID]bool, excludePK []Datum) error {
-	var tuple []Datum
-	for _, cid := range idx.Cols {
-		tuple = append(tuple, vals[cid])
-	}
-	checkRegions := uniqueProbeRegions(t, db, idx, region, fromDefault, s.UniquenessChecks)
-	keys := make([]mvcc.Key, len(checkRegions))
-	for i, r := range checkRegions {
-		keys[i] = EncodeIndexKey(t, idx, r, tuple)
-	}
-	found, err := tx.GetParallel(p, keys)
-	if err != nil {
-		return err
-	}
-	for i, val := range found {
-		if val == nil {
-			continue
-		}
-		// Same-row exemption for UPDATE.
-		if excludePK != nil {
-			existing, err := DecodeRow(val)
-			if err == nil {
-				same := true
-				for j, cid := range t.Primary().Cols {
-					if !DatumsEqual(existing[cid], excludePK[j]) {
-						same = false
-						break
-					}
-				}
-				if same {
-					continue
-				}
-			}
-		}
-		return duplicateKey(idx, checkRegions[i])
-	}
 	return nil
-}
-
-// writeRow writes the primary row and every index entry as one batch.
-func (s *Session) writeRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, vals map[ColumnID]Datum) error {
-	return tx.PutParallel(p, rowKVs(t, region, vals), nil)
 }
 
 // indexEntry is the one place a row becomes an entry of one index: every
@@ -458,11 +444,6 @@ func rowKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyV
 	return kvs
 }
 
-// deleteRow removes the primary row and index entries.
-func (s *Session) deleteRow(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, vals map[ColumnID]Datum) error {
-	return tx.PutParallel(p, deleteKVs(t, region, vals), nil)
-}
-
 // deleteKVs builds the tombstone writes removing one row.
 func deleteKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
 	kvs := make([]mvcc.KeyValue, len(t.Indexes))
@@ -475,26 +456,9 @@ func deleteKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.K
 // --- UPDATE ---
 
 func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, error) {
-	t, db, err := s.table(st.Table)
+	t, db, fetched, rows, err := s.readRows(p, tx, st, st.Table, st.Where, 0)
 	if err != nil {
 		return nil, err
-	}
-	plan, err := s.planReadCached(st, t, db, st.Where, 0)
-	if err != nil {
-		return nil, err
-	}
-	// UPDATE reads lock their rows (implicit SELECT FOR UPDATE) so
-	// read-modify-write transactions queue rather than restart.
-	fetched, err := s.fetchRows(p, &txnFetcher{tx: tx, forUpdate: plan.lookups != nil}, plan)
-	if err != nil {
-		return nil, err
-	}
-	rows := fetched
-	if !plan.filterRedundant {
-		rows, err = s.filterRows(t, rows, st.Where)
-		if err != nil {
-			return nil, err
-		}
 	}
 	pkSet := map[ColumnID]bool{}
 	for _, cid := range t.Primary().Cols {
@@ -555,40 +519,31 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 		if t.IsPartitioned() && !db.CanWriteRegion(newRegion) {
 			return nil, fmt.Errorf("sql: region %q is not writable", newRegion)
 		}
-		// Uniqueness checks for changed unique columns.
-		var pkTuple []Datum
-		for _, cid := range t.Primary().Cols {
-			pkTuple = append(pkTuple, newVals[cid])
-		}
-		for _, idx := range t.Indexes {
-			if !idx.Unique || idx.ID == t.Primary().ID {
-				continue
-			}
-			touched := false
-			for _, cid := range idx.Cols {
-				if changed[cid] {
-					touched = true
-				}
-			}
-			if touched {
-				if err := s.uniquenessCheck(p, tx, t, db, idx, newRegion, newVals, nil, pkTuple); err != nil {
-					return nil, err
-				}
-			}
-		}
+		var kvs []mvcc.KeyValue
 		if newRegion != row.region && t.IsPartitioned() {
 			// Cross-partition move (rehoming): delete + reinsert.
-			if err := s.deleteRow(p, tx, t, row.region, row.vals); err != nil {
-				return nil, err
-			}
-			if err := s.writeRow(p, tx, t, newRegion, newVals); err != nil {
-				return nil, err
-			}
+			kvs = append(deleteKVs(t, row.region, row.vals), rowKVs(t, newRegion, newVals)...)
 		} else {
-			// Rewrite the row; refresh index entries whose keys changed.
-			if err := s.updateIndexEntries(p, tx, t, row.region, row.vals, newVals, changed); err != nil {
-				return nil, err
+			kvs = updateKVs(t, row.region, row.vals, newVals, changed)
+		}
+		// A unique entry is checked only when its key bytes change; the
+		// primary key cannot change, so a row moving partitions keeps a
+		// primary key no other row holds. Rows are checked one at a time,
+		// against the table as the rows before them left it, so a swap of
+		// two rows' values fails.
+		check := uniqueRow{vals: newVals, region: newRegion}
+		for _, idx := range t.Indexes {
+			if idx.Unique && idx.ID != t.Primary().ID &&
+				!bytes.Equal(indexEntry(t, idx, row.region, row.vals, false).Key, indexEntry(t, idx, newRegion, newVals, false).Key) {
+				check.indexes = append(check.indexes, idx)
 			}
+		}
+		mustNotExist, err := s.checkUnique(p, tx, t, db, []uniqueRow{check}, kvs, nil)
+		if err != nil {
+			return nil, err
+		}
+		if err := tx.PutParallel(p, kvs, mustNotExist); err != nil {
+			return nil, uniqueViolation(t, db, err)
 		}
 		updated++
 	}
@@ -598,10 +553,10 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 	return res, nil
 }
 
-// updateIndexEntries rewrites a row in place within its partition: every
-// entry whose key changed is tombstoned and laid down anew, and entries
-// that hold row columns are rewritten.
-func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) error {
+// updateKVs builds the writes rewriting a row in place within its
+// partition: every entry whose key changed is tombstoned and laid down anew,
+// and entries that hold row columns are rewritten.
+func updateKVs(t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) []mvcc.KeyValue {
 	var kvs []mvcc.KeyValue
 	for _, idx := range t.Indexes {
 		keyChanged := false
@@ -617,30 +572,15 @@ func (s *Session) updateIndexEntries(p *sim.Proc, tx *txn.Txn, t *Table, region 
 			kvs = append(kvs, indexEntry(t, idx, region, newVals, true))
 		}
 	}
-	return tx.PutParallel(p, kvs, nil)
+	return kvs
 }
 
 // --- DELETE ---
 
 func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, error) {
-	t, db, err := s.table(st.Table)
+	t, _, fetched, rows, err := s.readRows(p, tx, st, st.Table, st.Where, 0)
 	if err != nil {
 		return nil, err
-	}
-	plan, err := s.planReadCached(st, t, db, st.Where, 0)
-	if err != nil {
-		return nil, err
-	}
-	fetched, err := s.fetchRows(p, &txnFetcher{tx: tx, forUpdate: plan.lookups != nil}, plan)
-	if err != nil {
-		return nil, err
-	}
-	rows := fetched
-	if !plan.filterRedundant {
-		rows, err = s.filterRows(t, rows, st.Where)
-		if err != nil {
-			return nil, err
-		}
 	}
 	// All rows' tombstones go out as one per-range-batched write.
 	var kvs []mvcc.KeyValue
@@ -719,14 +659,14 @@ func (s *Session) backfillLocalityChange(p *sim.Proc, t *Table, db *core.Databas
 				if err != nil {
 					return err
 				}
-				// Write through the new index set only. writeRow yields, so
+				// Write through the new index set only. The write yields, so
 				// bump across the swap: a concurrent session must not cache
 				// a plan against the transient index set (or keep one from
 				// before the restore).
 				saved := t.Indexes
 				t.Indexes = newIndexes
 				s.Catalog.Bump()
-				err = s.writeRow(p, tx, t, region, vals)
+				err = tx.PutParallel(p, rowKVs(t, region, vals), nil)
 				t.Indexes = saved
 				s.Catalog.Bump()
 				if err != nil {

@@ -400,7 +400,7 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 				if err != nil {
 					return err
 				}
-				if err := s.deleteRow(p, tx, t, region, vals); err != nil {
+				if err := tx.PutParallel(p, deleteKVs(t, region, vals), nil); err != nil {
 					return err
 				}
 				deleted++

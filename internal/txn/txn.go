@@ -622,9 +622,8 @@ func (t *Txn) wroteLive(key mvcc.Key) bool {
 // performs commit wait concurrently (§6.2); for read-only transactions it
 // only commit-waits if the read timestamp leads the local clock.
 func (t *Txn) Commit(p *sim.Proc) error {
-	sp, done := t.co.tracer().StartIn(p, "txn.commit")
+	_, done := t.co.tracer().StartIn(p, "txn.commit")
 	defer done()
-	_ = sp
 	if t.finished {
 		if t.committed1PC {
 			return nil
