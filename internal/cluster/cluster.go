@@ -66,8 +66,10 @@ type Config struct {
 	SampleBucket sim.Duration
 	// Durability gives every node a simulated disk: Raft state persists
 	// through checksummed WALs (with fsync latency on the virtual clock),
-	// checkpoints truncate the logs, and Cluster.CrashNode/RestartNode
-	// model honest power loss plus recovery from disk. Off by default so
+	// the store loop checkpoints each replica before it truncates the log,
+	// and Cluster.CrashNode/RestartNode model honest power loss plus
+	// recovery from disk. Log truncation does not depend on it: every
+	// store runs the same loop with or without a disk. Off by default so
 	// the in-memory fast path (and its golden outputs) stays untouched.
 	Durability bool
 }
@@ -200,9 +202,7 @@ func New(cfg Config) *Cluster {
 					c.Disks[id] = disk
 				}
 				st.StartLiveness(c.Liveness)
-				if cfg.Durability {
-					st.StartCheckpoints(kv.DefaultCheckpointInterval)
-				}
+				st.StartCheckpoints(kv.DefaultCheckpointInterval)
 				c.Stores[id] = st
 				c.Senders[id] = &kv.DistSender{
 					NodeID: id, Net: c.Net, Topo: topo, Catalog: c.Catalog,

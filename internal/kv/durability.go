@@ -37,8 +37,9 @@ import (
 // checkpoint are NOT applied directly — they re-commit through Raft once a
 // leader emerges, so recovery can never apply an uncommitted suffix.
 
-// DefaultCheckpointInterval is the cadence of the per-store checkpoint and
-// Raft-log-truncation loop.
+// DefaultCheckpointInterval is the cadence of the per-store loop that
+// checkpoints (on a disk), truncates Raft logs and raises timestamp-cache
+// floors.
 const DefaultCheckpointInterval = 5 * sim.Second
 
 // walName and ckptName locate a range's durable state on the node's disk.
@@ -105,7 +106,8 @@ func holdsNoop(entries []raft.Entry) bool {
 
 func (rs *replicaStorage) Compact(index, term uint64, tail []raft.Entry, hs raft.HardState) {
 	// Log rotation: the WAL shrinks to a single record holding the current
-	// hard state plus the post-checkpoint tail.
+	// hard state plus the post-checkpoint tail. The tail is the Raft node's
+	// own log array, so it is encoded here and not kept.
 	rs.buf = appendWALRecord(rs.buf[:0], hs, tail)
 	rs.wal.ResetDurable([][]byte{rs.buf})
 }
@@ -186,29 +188,42 @@ func (s *Store) persistNodeMeta(epoch int64) {
 	s.Disk.PutBlob("nodemeta", encodeNodeMeta(epoch))
 }
 
-// CheckpointNow checkpoints every replica on this store, then truncates
-// their Raft logs up to the checkpointed indexes. All engines snapshot
-// before any log shrinks, and within one scheduler step: writes a replica
-// forwarded into a sibling's engine during a split are therefore captured by
-// the sibling's checkpoint before the forwarding replica's log entry can be
-// truncated away.
+// CheckpointNow is one turn of the store loop. A store with a disk first
+// checkpoints every replica; then every store truncates each replica's Raft
+// log through its applied index (as far as raft.Node.Compact allows) and
+// raises its timestamp-cache floor to the closed timestamp it has promised.
+// All engines snapshot before any log shrinks, and within one scheduler
+// step: writes a replica forwarded into a sibling's engine during a split
+// are therefore captured by the sibling's checkpoint before the forwarding
+// replica's log entry can be truncated away. Without a disk the applied
+// engine is the state a lagging peer is sent as a snapshot.
 func (s *Store) CheckpointNow() {
-	if s.Disk == nil {
-		return
-	}
 	ids := s.sortedRangeIDs()
-	for _, id := range ids {
-		r := s.replicas[id]
-		s.writeCheckpointAt(r, r.raft.Applied(), r.raft.AppliedTerm(), nil)
+	if s.Disk != nil {
+		for _, id := range ids {
+			r := s.replicas[id]
+			s.writeCheckpointAt(r, r.raft.Applied(), r.raft.AppliedTerm(), nil)
+		}
 	}
 	for _, id := range ids {
 		r := s.replicas[id]
 		r.raft.Compact(r.raft.Applied())
+		r.raiseReadFloor()
 	}
 }
 
-// StartCheckpoints begins the periodic checkpoint/truncation loop. The loop
-// stops on Crash and resumes automatically after Recover.
+// raiseReadFloor drops the timestamp-cache entries the closed timestamp
+// already covers. Every write this replica evaluates lands above the
+// promise it issues (writeTimestamp), which is never below r.closed.issued,
+// so a read at or below issued can no longer push a write: raising the
+// floor there changes no write timestamp, own reads included.
+func (r *Replica) raiseReadFloor() {
+	r.tscache.SetLowWater(r.closed.issued)
+}
+
+// StartCheckpoints begins the periodic store loop (CheckpointNow) on every
+// store, with or without a disk. The loop stops on Crash and resumes
+// automatically after Recover.
 func (s *Store) StartCheckpoints(interval sim.Duration) (stop func()) {
 	if interval <= 0 {
 		interval = DefaultCheckpointInterval

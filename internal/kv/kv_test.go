@@ -76,9 +76,10 @@ func TestTimestampCacheLowWater(t *testing.T) {
 }
 
 // TestTimestampCacheRereadAllocs: a read of a key the cache already holds
-// updates its entry in place. Every point read passes through here, and a
-// map assignment of a fresh entry per read was the most expensive line of
-// evalGet once the engine read got cheap.
+// re-stores its entry under the key string the entry carries, so it
+// allocates nothing. Every point read passes through here, and a fresh
+// entry per read was the most expensive line of evalGet once the engine
+// read got cheap.
 func TestTimestampCacheRereadAllocs(t *testing.T) {
 	c := NewTimestampCache(hlc.Timestamp{})
 	key := mvcc.Key("/t/usertable/1/us-east1/user00000042")
@@ -156,7 +157,7 @@ func TestLatchManagerExclusion(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	if m.heldCount() != 0 {
+	if len(m.held) != 0 {
 		t.Fatal("latches leaked")
 	}
 }
@@ -380,8 +381,8 @@ func TestRangeDescriptorHelpers(t *testing.T) {
 	if !d.ContainsKey(mvcc.Key("a")) || d.ContainsKey(mvcc.Key("m")) {
 		t.Fatal("ContainsKey bounds wrong")
 	}
-	if !d.HasReplicaOn(3) || d.HasReplicaOn(4) {
-		t.Fatal("HasReplicaOn wrong")
+	if r := d.Replicas(); len(r) != 3 || r[0] != 1 || r[2] != 3 {
+		t.Fatalf("Replicas = %v, want voters then non-voters", r)
 	}
 	cl := d.Clone()
 	cl.Voters[0] = 9

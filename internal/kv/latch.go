@@ -87,6 +87,3 @@ func (m *latchManager) waitSpanFree(p *sim.Proc, start, end mvcc.Key) {
 		m.waitFree(p, mvcc.Key(first))
 	}
 }
-
-// heldCount returns the number of held latches (testing hook).
-func (m *latchManager) heldCount() int { return len(m.held) }

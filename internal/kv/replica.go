@@ -326,6 +326,33 @@ func scanResume(req *ScanRequest, rows []mvcc.KeyValue, end, rangeResume mvcc.Ke
 	return rangeResume
 }
 
+// writeTimestamp moves a write of key by writer, proposed at ts, to where it
+// may land, and returns that with the closed-timestamp promise issued at
+// now.
+func (r *Replica) writeTimestamp(p *sim.Proc, key mvcc.Key, writer mvcc.TxnID, ts, now hlc.Timestamp) (hlc.Timestamp, hlc.Timestamp) {
+	// Writes may not invalidate served reads — except the transaction's own
+	// (self-exemption avoids forcing a refresh on every read-modify-write).
+	if tsc, own := r.tscache.MaxRead(key, writer); own {
+		if ts.Less(tsc) {
+			ts = tsc
+		}
+	} else if ts.LessEq(tsc) {
+		ts = tsc.Next()
+		obs.ProcSpan(p).SetTag("tscache_push", "true")
+	}
+	// …and may not land at or below a closed timestamp. Under the LEAD
+	// policy this is what pushes writes into the future (paper §6.2.1: "the
+	// transaction's timestamp is advanced immediately past the closed
+	// timestamp target"). The promise is never below closed.issued, which is
+	// why the store loop may floor the timestamp cache there.
+	target := r.closed.issue(now)
+	if ts.LessEq(target) {
+		ts = target.Next()
+		obs.ProcSpan(p).SetTag("closedts_push", "true")
+	}
+	return ts, target
+}
+
 func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	if !r.desc.ContainsKey(req.Key) {
 		return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
@@ -370,26 +397,8 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		if !r.desc.ContainsKey(req.Key) {
 			return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
 		}
-		// Writes may not invalidate served reads — except the
-		// transaction's own (self-exemption avoids forcing a refresh on
-		// every read-modify-write).
-		if tsc, own := r.tscache.MaxRead(req.Key, req.Txn.id()); own {
-			if ts.Less(tsc) {
-				ts = tsc
-			}
-		} else if ts.LessEq(tsc) {
-			ts = tsc.Next()
-			obs.ProcSpan(p).SetTag("tscache_push", "true")
-		}
-		// …and may not land at or below a closed timestamp. Under the
-		// LEAD policy this is what pushes writes into the future
-		// (paper §6.2.1: "the transaction's timestamp is advanced
-		// immediately past the closed timestamp target").
-		target := r.closed.issue(r.store.Clock.Now())
-		if ts.LessEq(target) {
-			ts = target.Next()
-			obs.ProcSpan(p).SetTag("closedts_push", "true")
-		}
+		var target hlc.Timestamp
+		ts, target = r.writeTimestamp(p, req.Key, req.Txn.id(), ts, r.store.Clock.Now())
 		newTs, err := r.checkPut(req.Key, ts, txnMeta, req.MustNotExist)
 		if err != nil {
 			var wie *mvcc.WriteIntentError

@@ -47,7 +47,7 @@ type Store struct {
 	// engineSeed derives per-replica skiplist seeds deterministically.
 	engineSeed int64
 
-	// checkpoint loop state (durable stores only).
+	// store loop state (CheckpointNow's ticker).
 	ckptInterval sim.Duration
 	ckptStop     func()
 

@@ -17,16 +17,20 @@ import (
 //
 // A low-water mark covers all keys; it is ratcheted on lease transfers so a
 // new leaseholder conservatively assumes everything was read at the
-// transfer timestamp.
+// transfer timestamp, and by the store loop to the closed timestamp the
+// replica has issued, below which no write can land anyway.
 type TimestampCache struct {
 	lowWater hlc.Timestamp
-	// reads holds pointers so a repeated read updates its entry in place:
-	// one hash per RecordRead, and an allocation only for a new key.
-	reads map[string]*tsEntry
+	// reads holds entries by value, so a key whose entry the floor pruned
+	// costs only its key string when it is read again.
+	reads map[string]tsEntry
 }
 
 type tsEntry struct {
-	ts hlc.Timestamp
+	// key is the entry's own map key: an update re-stores the entry under
+	// it, where converting the caller's []byte again would allocate.
+	key string
+	ts  hlc.Timestamp
 	// txn is the reader; zero when unknown or when multiple transactions
 	// read at the same timestamp (no self-exemption then).
 	txn mvcc.TxnID
@@ -34,7 +38,7 @@ type tsEntry struct {
 
 // NewTimestampCache returns a cache with the given low-water mark.
 func NewTimestampCache(lowWater hlc.Timestamp) *TimestampCache {
-	return &TimestampCache{lowWater: lowWater, reads: map[string]*tsEntry{}}
+	return &TimestampCache{lowWater: lowWater, reads: map[string]tsEntry{}}
 }
 
 // RecordRead notes a read of key at ts by txn (0 for non-transactional).
@@ -45,12 +49,15 @@ func (c *TimestampCache) RecordRead(key mvcc.Key, ts hlc.Timestamp, txn mvcc.Txn
 	cur, ok := c.reads[string(key)]
 	switch {
 	case !ok:
-		c.reads[string(key)] = &tsEntry{ts: ts, txn: txn}
+		k := string(key)
+		c.reads[k] = tsEntry{key: k, ts: ts, txn: txn}
 	case cur.ts.Less(ts):
 		cur.ts, cur.txn = ts, txn
+		c.reads[cur.key] = cur
 	case cur.ts.Equal(ts) && cur.txn != txn:
 		// Two readers at the same timestamp: nobody gets an exemption.
 		cur.txn = 0
+		c.reads[cur.key] = cur
 	}
 }
 
@@ -79,8 +86,8 @@ func (c *TimestampCache) MaxRead(key mvcc.Key, writer mvcc.TxnID) (hlc.Timestamp
 // LowWater returns the cache-wide floor.
 func (c *TimestampCache) LowWater() hlc.Timestamp { return c.lowWater }
 
-// SetLowWater ratchets the floor (never backwards); used on lease
-// transfers.
+// SetLowWater ratchets the floor (never backwards) and drops the entries
+// it covers.
 func (c *TimestampCache) SetLowWater(ts hlc.Timestamp) {
 	if c.lowWater.Less(ts) {
 		c.lowWater = ts

@@ -72,16 +72,6 @@ func (d *RangeDescriptor) Replicas() []simnet.NodeID {
 	return append(append([]simnet.NodeID{}, d.Voters...), d.NonVoters...)
 }
 
-// HasReplicaOn reports whether the range has any replica on node id.
-func (d *RangeDescriptor) HasReplicaOn(id simnet.NodeID) bool {
-	for _, r := range d.Replicas() {
-		if r == id {
-			return true
-		}
-	}
-	return false
-}
-
 // Clone deep-copies the descriptor.
 func (d *RangeDescriptor) Clone() *RangeDescriptor {
 	out := *d

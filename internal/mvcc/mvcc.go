@@ -375,19 +375,6 @@ func (e *Engine) recycleIntent(in *intentRecord) {
 	e.freeIntents = append(e.freeIntents, in)
 }
 
-// PushIntentTimestamp advances the provisional timestamp of txnID's intent
-// on key to at least newTS. Used when a reader pushes a writer.
-func (e *Engine) PushIntentTimestamp(key Key, txnID TxnID, newTS hlc.Timestamp) bool {
-	c := e.chain(key)
-	if c == nil || c.intent == nil || c.intent.txn.ID != txnID {
-		return false
-	}
-	if c.intent.txn.WriteTimestamp.Less(newTS) {
-		c.intent.txn.WriteTimestamp = newTS
-	}
-	return true
-}
-
 // GC removes committed versions older than threshold on every key, keeping
 // at least the newest version (so reads at or above threshold still see
 // data). It returns the number of versions collected.
@@ -636,14 +623,4 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 		return fmt.Errorf("mvcc: engine snapshot: %w", err)
 	}
 	return nil
-}
-
-// VersionCount returns the number of committed versions stored for key;
-// a testing and introspection hook.
-func (e *Engine) VersionCount(key Key) int {
-	c := e.chain(key)
-	if c == nil {
-		return 0
-	}
-	return len(c.vals)
 }

@@ -271,30 +271,6 @@ func TestScan(t *testing.T) {
 	}
 }
 
-func TestPushIntentTimestamp(t *testing.T) {
-	e := NewEngine(1)
-	txn := &TxnMeta{ID: 5}
-	if _, err := e.Put(k("a"), v("x"), ts(10), txn); err != nil {
-		t.Fatal(err)
-	}
-	if !e.PushIntentTimestamp(k("a"), 5, ts(50)) {
-		t.Fatal("push failed")
-	}
-	meta, _ := e.GetIntent(k("a"))
-	if meta.WriteTimestamp != ts(50) {
-		t.Fatalf("pushed ts = %v", meta.WriteTimestamp)
-	}
-	// Pushing backwards is a no-op.
-	e.PushIntentTimestamp(k("a"), 5, ts(20))
-	meta, _ = e.GetIntent(k("a"))
-	if meta.WriteTimestamp != ts(50) {
-		t.Fatal("push regressed timestamp")
-	}
-	if e.PushIntentTimestamp(k("a"), 99, ts(60)) {
-		t.Fatal("pushed someone else's intent")
-	}
-}
-
 func TestEpochIsolation(t *testing.T) {
 	e := NewEngine(1)
 	txn := &TxnMeta{ID: 6, Epoch: 0}
@@ -322,7 +298,7 @@ func TestGC(t *testing.T) {
 	for i := int64(1); i <= 10; i++ {
 		mustPut(t, e, "a", fmt.Sprintf("v%d", i), i*10, nil)
 	}
-	if n := e.VersionCount(k("a")); n != 10 {
+	if n := len(e.chain(k("a")).vals); n != 10 {
 		t.Fatalf("versions = %d", n)
 	}
 	collected := e.GC(ts(55))

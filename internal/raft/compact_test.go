@@ -143,6 +143,148 @@ func TestCompactStopsWaitingForSilentPeer(t *testing.T) {
 	}
 }
 
+// delayedStorage is a Storage whose fsyncs complete a millisecond after they
+// start; it counts the snapshot resets it is asked for.
+type delayedStorage struct {
+	s      *sim.Simulation
+	resets int
+}
+
+func (d *delayedStorage) Append(hs HardState, entries []Entry, done func()) {
+	d.s.After(sim.Millisecond, done)
+}
+func (d *delayedStorage) Compact(index, term uint64, tail []Entry, hs HardState) {}
+func (d *delayedStorage) Reset(index, term uint64, hs HardState)                 { d.resets++ }
+
+// TestPromotedFollowerSnapshotsLaggingPeerOnce is the promotion window: node
+// 2, a LAN follower, compacts to its applied index (a follower's Compact is
+// unclamped), and in the same instant the leader fails — its in-flight
+// appends die with it — and node 2 campaigns. Node 3, a WAN round trip
+// behind, then needs entries node 2 trimmed. It is caught up by exactly one
+// snapshot, and it ends holding what the new leader holds.
+func TestPromotedFollowerSnapshotsLaggingPeerOnce(t *testing.T) {
+	for _, durable := range []bool{false, true} {
+		name := "in-memory"
+		if durable {
+			name = "durable"
+		}
+		t.Run(name, func(t *testing.T) { promotionWindow(t, durable) })
+	}
+}
+
+func promotionWindow(t *testing.T, durable bool) {
+	disks := map[simnet.NodeID]*delayedStorage{}
+	var storageFor func(simnet.NodeID) Storage
+	if durable {
+		storageFor = func(id simnet.NodeID) Storage {
+			disks[id] = &delayedStorage{}
+			return disks[id]
+		}
+	}
+	h := newStorageHarness(t, 11, []simnet.NodeID{1, 2, 3}, nil, sim.Millisecond, beat, storageFor)
+	for _, d := range disks {
+		d.s = h.s
+	}
+	installs := 0
+	for id, n := range h.nodes {
+		id := id
+		// The state is the applied values themselves, so a snapshot install
+		// replaces them wholesale.
+		n.cfg.Snapshot = func() interface{} { return append([]interface{}(nil), h.applied[id]...) }
+		n.cfg.ApplySnapshot = func(data interface{}, _, _ uint64) {
+			h.applied[id] = append([]interface{}(nil), data.([]interface{})...)
+			if id == 3 {
+				installs++
+			}
+		}
+	}
+	down := false // node 1 has failed: nothing it sends or is sent arrives
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		delay := sim.Millisecond
+		if from == 3 || to == 3 {
+			delay = wanDelay
+		}
+		h.s.After(delay, func() {
+			if !down || (from != 1 && to != 1) {
+				h.nodes[to].Step(msg)
+			}
+		})
+		return true
+	}
+	h.elect(t)
+
+	proposals, stopped := 0, false
+	h.s.Ticker(proposeEvery, func() {
+		for _, id := range []simnet.NodeID{1, 2, 3} {
+			if n := h.nodes[id]; !stopped && !(down && id == 1) && n.IsLeader() {
+				if _, err := n.Propose(proposals); err != nil {
+					t.Errorf("propose %d on node %d: %v", proposals, id, err)
+				}
+				proposals++
+				return
+			}
+		}
+	})
+	h.s.RunFor(3 * sim.Second)
+
+	f, lagging := h.nodes[2], h.nodes[3]
+	for _, id := range []simnet.NodeID{1, 2, 3} {
+		h.nodes[id].Compact(h.nodes[id].Applied())
+	}
+	down = true
+	f.Campaign()
+	if f.FirstIndex() <= lagging.LastIndex() {
+		t.Fatalf("setup: node 2 compacted to %d, node 3 holds through %d: no entry it needs was trimmed",
+			f.FirstIndex(), lagging.LastIndex())
+	}
+
+	h.s.RunFor(3 * sim.Second)
+	if !f.IsLeader() {
+		t.Fatalf("node 2 is %v after its campaign", f.Role())
+	}
+	stopped = true
+	h.s.RunFor(2 * sim.Second)
+
+	if sent := h.sent[msgClass{2, 3, MsgSnap, false}]; sent != 1 || installs != 1 {
+		t.Errorf("node 3 was sent %d snapshots and installed %d, want one of each", sent, installs)
+	}
+	if durable && disks[3].resets != 1 {
+		t.Errorf("node 3 reset its durable log %d times, want once for the snapshot", disks[3].resets)
+	}
+	if lagging.Applied() != f.Applied() {
+		t.Fatalf("node 3 applied through %d, the leader through %d", lagging.Applied(), f.Applied())
+	}
+	want, got := h.applied[2], h.applied[3]
+	if len(got) != len(want) {
+		t.Fatalf("node 3 holds %d values, the leader %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("node 3 holds %v at position %d, the leader %v", got[i], i, want[i])
+		}
+	}
+}
+
+// TestCompactAllocatesOneArray: Compact builds the trimmed log in one new
+// array and copies the tail into it once.
+func TestCompactAllocatesOneArray(t *testing.T) {
+	n := NewNode(Config{ID: 1, Voters: []simnet.NodeID{1, 2, 3}, Sim: sim.New(1)})
+	for i := uint64(1); i <= 2000; i++ {
+		n.log = append(n.log, Entry{Index: i, Term: 1, Data: i})
+	}
+	n.applied = 2000
+	upTo := uint64(0)
+	if a := testing.AllocsPerRun(100, func() {
+		upTo += 10
+		n.Compact(upTo)
+	}); a != 1 {
+		t.Errorf("Compact allocates %.1f objects, want the one new log array", a)
+	}
+	if n.FirstIndex() != upTo || n.LastIndex() != 2000 || n.at(upTo+1).Data != upTo+1 {
+		t.Fatalf("after Compact(%d): log holds %d..%d", upTo, n.FirstIndex(), n.LastIndex())
+	}
+}
+
 // TestFollowerCompactIsUnclamped: only a leader ships its log, so only a
 // leader keeps entries for its peers; a follower trims to what it was asked.
 func TestFollowerCompactIsUnclamped(t *testing.T) {

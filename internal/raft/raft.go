@@ -136,7 +136,8 @@ type Storage interface {
 	Append(hs HardState, entries []Entry, done func())
 	// Compact atomically rewrites the durable log so it holds exactly the
 	// given tail of entries, with everything at or before (index, term)
-	// owned by the latest checkpoint.
+	// owned by the latest checkpoint. tail is the node's own log: it must be
+	// consumed before Compact returns and never retained.
 	Compact(index, term uint64, tail []Entry, hs HardState)
 	// Reset atomically replaces the durable log after a snapshot install
 	// at (index, term); the snapshot itself was persisted by the
@@ -1026,11 +1027,17 @@ func (n *Node) Compact(upTo uint64) {
 	if upTo <= n.offset() {
 		return
 	}
-	term := n.at(upTo).Term
-	tail := append([]Entry(nil), n.log[upTo-n.offset()+1:]...)
-	n.log = append([]Entry{{Index: upTo, Term: term}}, tail...)
+	// One new array: the sentinel, then the kept tail. Appends in flight
+	// still reference the old one, which nothing writes again. It is as
+	// large as the old log, so the next interval's appends fit without
+	// regrowing it.
+	rest := n.log[upTo-n.offset()+1:]
+	log := make([]Entry, 1+len(rest), len(n.log))
+	log[0] = Entry{Index: upTo, Term: n.at(upTo).Term}
+	copy(log[1:], rest)
+	n.log = log
 	if n.cfg.Storage != nil {
-		n.cfg.Storage.Compact(upTo, term, tail, HardState{Term: n.term, Vote: n.votedFor})
+		n.cfg.Storage.Compact(upTo, log[0].Term, log[1:], HardState{Term: n.term, Vote: n.votedFor})
 		// The rewrite persists the whole remaining tail at once.
 		n.durableIndex = n.LastIndex()
 	}

@@ -129,16 +129,6 @@ func (d *Disk) GetBlob(name string) ([]byte, bool) {
 // DeleteBlob removes the named blob.
 func (d *Disk) DeleteBlob(name string) { delete(d.blobs, name) }
 
-// BlobNames returns all blob names in sorted order.
-func (d *Disk) BlobNames() []string {
-	names := make([]string, 0, len(d.blobs))
-	for n := range d.blobs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Crash models power loss: every WAL loses its volatile tail except for at
 // most one torn record fragment, and in-flight fsyncs never complete. Blobs
 // are durable and survive. The disk remains usable — recovery reopens the

@@ -3,7 +3,6 @@ package storage
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"testing"
 
 	"mrdb/internal/obs"
@@ -213,9 +212,8 @@ func TestBlobsSurviveCrash(t *testing.T) {
 	if !ok || string(b) != "checkpoint-v1" {
 		t.Fatalf("blob lost in crash: %q ok=%v", b, ok)
 	}
-	names := d.BlobNames()
-	if fmt.Sprint(names) != "[nodemeta r1/ckpt]" {
-		t.Fatalf("blob names %v", names)
+	if len(d.blobs) != 2 {
+		t.Fatalf("%d blobs after the crash, want 2", len(d.blobs))
 	}
 	d.DeleteBlob("nodemeta")
 	if _, ok := d.GetBlob("nodemeta"); ok {
