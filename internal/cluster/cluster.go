@@ -91,10 +91,6 @@ type Cluster struct {
 	Stores   map[simnet.NodeID]*kv.Store
 	Senders  map[simnet.NodeID]*kv.DistSender
 
-	// Disks holds each node's simulated durable device when Durability is
-	// on (empty otherwise).
-	Disks map[simnet.NodeID]*storage.Disk
-
 	// Tracer and Metrics are the cluster-wide observability sinks, shared
 	// by the network, every DistSender, and every Store. The tracer starts
 	// disabled unless Config.Tracing is set.
@@ -162,7 +158,6 @@ func New(cfg Config) *Cluster {
 		Catalog:   kv.NewRangeCatalog(),
 		Stores:    map[simnet.NodeID]*kv.Store{},
 		Senders:   map[simnet.NodeID]*kv.DistSender{},
-		Disks:     map[simnet.NodeID]*storage.Disk{},
 		MaxOffset: cfg.MaxOffset,
 	}
 	c.Tracer = obs.NewTracer(s)
@@ -197,9 +192,7 @@ func New(cfg Config) *Cluster {
 				if cfg.Durability {
 					// The disk's fault RNG is seeded per node off the run
 					// seed, isolated from the simulation's random stream.
-					disk := storage.NewDisk(s, cfg.Seed*1_000_003+int64(id), c.Metrics)
-					st.Disk = disk
-					c.Disks[id] = disk
+					st.Disk = storage.NewDisk(s, cfg.Seed*1_000_003+int64(id), c.Metrics)
 				}
 				st.StartLiveness(c.Liveness)
 				st.StartCheckpoints(kv.DefaultCheckpointInterval)

@@ -336,7 +336,7 @@ func TestWriteWriteConflictQueues(t *testing.T) {
 	tc := newTestCluster(t, 7, 250*sim.Millisecond)
 	tc.run(t, func(p *sim.Proc) {
 		co := tc.coord(simnet.USEast1)
-		results := sim.NewMailbox[string](tc.Sim)
+		w1, w2 := sim.NewFuture[string](tc.Sim), sim.NewFuture[string](tc.Sim)
 
 		tc.Sim.Spawn("w1", func(wp *sim.Proc) {
 			err := co.Run(wp, func(tx *txn.Txn) error {
@@ -352,9 +352,9 @@ func TestWriteWriteConflictQueues(t *testing.T) {
 				return nil
 			})
 			if err != nil {
-				results.Send("w1-err")
+				w1.Set("w1-err")
 			} else {
-				results.Send("w1-ok")
+				w1.Set("w1-ok")
 			}
 		})
 		tc.Sim.Spawn("w2", func(wp *sim.Proc) {
@@ -363,14 +363,13 @@ func TestWriteWriteConflictQueues(t *testing.T) {
 				return tx.Put(wp, mvcc.Key("r/ww"), mvcc.Value("second"))
 			})
 			if err != nil {
-				results.Send("w2-err")
+				w2.Set("w2-err")
 			} else {
-				results.Send("w2-ok")
+				w2.Set("w2-ok")
 			}
 		})
-		for i := 0; i < 2; i++ {
-			msg, _ := results.Recv(p)
-			if msg == "w1-err" || msg == "w2-err" {
+		for _, f := range []*sim.Future[string]{w1, w2} {
+			if msg := f.Wait(p); msg == "w1-err" || msg == "w2-err" {
 				t.Errorf("conflicting writer failed: %s", msg)
 			}
 		}

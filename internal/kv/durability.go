@@ -17,13 +17,16 @@ import (
 //   - a WAL "r<id>/raft": every Raft persist() call appends one record
 //     carrying the hard state (term, vote) and the batch of new log entries,
 //     then fsyncs before Raft acks its peers;
-//   - a checkpoint blob "r<id>/ckpt": replica metadata (descriptor,
-//     closed/issued timestamps, lease epoch) at a known applied index, then
-//     the applied MVCC engine as the byte stream mvcc.AppendSnapshot writes.
-//     Checkpoints let the WAL be truncated — at checkpoint time the Raft log
-//     is compacted (as far as its responsive followers allow, see
-//     raft.Node.Compact) and the WAL is atomically rewritten to hold only
-//     the remaining tail.
+//   - a checkpoint blob "r<id>/ckpt", the replica's image: its metadata
+//     (descriptor, closed/issued timestamps, lease epoch) at a known applied
+//     index, then the applied MVCC engine as the byte stream
+//     mvcc.AppendSnapshot writes. Checkpoints let the WAL be truncated — at
+//     checkpoint time the Raft log is compacted (as far as its responsive
+//     followers allow, see raft.Node.Compact) and the WAL is atomically
+//     rewritten to hold only the remaining tail. The same image is the Raft
+//     snapshot a leader ships to a lagging peer, which persists it as
+//     received; recovery and a snapshot install load it through one
+//     function (Replica.install).
 //
 // Node-wide blobs: "manifest" lists the ranges with replicas on this node,
 // and "nodemeta" persists the liveness epoch so a restarted node can never
@@ -46,8 +49,9 @@ const DefaultCheckpointInterval = 5 * sim.Second
 func walName(id RangeID) string  { return fmt.Sprintf("r%d/raft", id) }
 func ckptName(id RangeID) string { return fmt.Sprintf("r%d/ckpt", id) }
 
-// checkpointRec is the atomically-written per-range checkpoint blob. Engine
-// is the engine's byte stream, which the codec carries without parsing.
+// checkpointRec is a replica's image: the atomically-written per-range
+// checkpoint blob, and the payload of a Raft snapshot. Engine is the
+// engine's byte stream, which the codec carries without parsing.
 type checkpointRec struct {
 	AppliedIndex uint64
 	AppliedTerm  uint64
@@ -56,16 +60,6 @@ type checkpointRec struct {
 	Issued       hlc.Timestamp
 	LeaseEpoch   int64
 	Engine       []byte
-}
-
-// rangeSnapshot is the snapshot a leader ships to a peer whose log tail was
-// truncated away (raft MsgSnap payload). Engine holds the same bytes a
-// checkpoint does, so the receiver persists what it was sent.
-type rangeSnapshot struct {
-	Desc   *RangeDescriptor
-	Closed hlc.Timestamp
-	Issued hlc.Timestamp
-	Engine []byte
 }
 
 // replicaStorage adapts one range's WAL to the raft.Storage interface. buf
@@ -151,15 +145,11 @@ func (s *Store) sortedRangeIDs() []RangeID {
 	return ids
 }
 
-// writeCheckpointAt persists a replica's applied state, declaring it current
-// as of the given log position. engine is the engine's byte stream if the
-// caller already holds it (a snapshot install) and nil to have it written
-// from r.engine. The blob is built in one buffer sized from the previous one
-// and handed to the disk whole. The blob write is atomic (temp + rename), so
-// a crash between checkpoint and WAL truncation leaves a recoverable pair:
-// the WAL simply still holds entries at or below the checkpoint, which
-// recovery filters out.
-func (s *Store) writeCheckpointAt(r *Replica, index, term uint64, engine []byte) {
+// image is the replica's applied state as one sealed blob, declared current
+// as of the log position (index, term): the checkpoint a store persists and
+// the snapshot a leader ships (raft Config.Snapshot). It is built in one
+// buffer sized from the previous image.
+func (r *Replica) image(index, term uint64) []byte {
 	buf := appendCheckpointHeader(make([]byte, 0, r.ckptSize+r.ckptSize/16+128), &checkpointRec{
 		AppliedIndex: index,
 		AppliedTerm:  term,
@@ -168,19 +158,28 @@ func (s *Store) writeCheckpointAt(r *Replica, index, term uint64, engine []byte)
 		Issued:       r.closed.issued,
 		LeaseEpoch:   r.leaseEpoch,
 	})
-	if engine == nil {
-		buf = r.engine.AppendSnapshot(buf)
-	} else {
-		buf = append(buf, engine...)
-	}
-	buf = sealBlob(buf)
+	buf = sealBlob(r.engine.AppendSnapshot(buf))
 	r.ckptSize = len(buf)
-	s.Disk.PutBlob(ckptName(r.desc.RangeID), buf)
+	return buf
 }
 
-// persistManifest records which ranges have replicas here.
+// checkpoint persists r's image at (index, term); a store without a disk
+// returns before encoding anything. The blob write is atomic (temp +
+// rename), so a crash between checkpoint and WAL truncation leaves a
+// recoverable pair: the WAL simply still holds entries at or below the
+// checkpoint, which recovery filters out.
+func (s *Store) checkpoint(r *Replica, index, term uint64) {
+	if s.Disk != nil {
+		s.Disk.PutBlob(ckptName(r.desc.RangeID), r.image(index, term))
+	}
+}
+
+// persistManifest records which ranges have replicas here; a store without
+// a disk records nothing.
 func (s *Store) persistManifest() {
-	s.Disk.PutBlob("manifest", encodeManifest(s.sortedRangeIDs()))
+	if s.Disk != nil {
+		s.Disk.PutBlob("manifest", encodeManifest(s.sortedRangeIDs()))
+	}
 }
 
 // persistNodeMeta records the node's liveness epoch.
@@ -199,11 +198,9 @@ func (s *Store) persistNodeMeta(epoch int64) {
 // engine is the state a lagging peer is sent as a snapshot.
 func (s *Store) CheckpointNow() {
 	ids := s.sortedRangeIDs()
-	if s.Disk != nil {
-		for _, id := range ids {
-			r := s.replicas[id]
-			s.writeCheckpointAt(r, r.raft.Applied(), r.raft.AppliedTerm(), nil)
-		}
+	for _, id := range ids {
+		r := s.replicas[id]
+		s.checkpoint(r, r.raft.Applied(), r.raft.AppliedTerm())
 	}
 	for _, id := range ids {
 		r := s.replicas[id]
@@ -346,7 +343,7 @@ func (s *Store) Recover(p *sim.Proc) (stats RecoveryStats, err error) {
 			return stats, fmt.Errorf("kv: r%d: wal gap: checkpoint at %d, first tail entry %d",
 				rid, ckpt.AppliedIndex, tail[0].Index)
 		}
-		if err := s.recoverReplica(ckpt, hs, tail); err != nil {
+		if err := s.recoverReplica(&ckpt, hs, tail); err != nil {
 			return stats, fmt.Errorf("kv: r%d checkpoint: %w", rid, err)
 		}
 		stats.Ranges++
@@ -382,58 +379,56 @@ func (s *Store) Recover(p *sim.Proc) (stats RecoveryStats, err error) {
 // is primed with commit = applied = the checkpoint index even if the tail
 // holds committed entries; they re-commit through the normal Raft flow, so
 // recovery never applies a suffix the cluster may have truncated.
-func (s *Store) recoverReplica(ckpt checkpointRec, hs raft.HardState, tail []raft.Entry) error {
-	desc := &ckpt.Desc
-	r := s.buildReplica(desc)
-	if err := r.engine.LoadSnapshot(ckpt.Engine); err != nil {
-		return err
-	}
-	r.ckptSize = len(ckpt.Engine)
-	r.closed.advance(ckpt.Closed)
-	r.closed.issued = ckpt.Issued
-	r.leaseEpoch = ckpt.LeaseEpoch
+func (s *Store) recoverReplica(ckpt *checkpointRec, hs raft.HardState, tail []raft.Entry) error {
+	r := s.buildReplica(&ckpt.Desc)
 	// The recovered node no longer remembers pre-crash reads: ratchet the
 	// tscache low-water past restart time plus the clock uncertainty so a
 	// recovered leaseholder cannot permit a write under a forgotten read.
-	r.tscache.SetLowWater(s.Clock.Now().Add(s.Clock.MaxOffset()))
+	if err := r.install(ckpt, s.Clock.Now().Add(s.Clock.MaxOffset())); err != nil {
+		return err
+	}
 	r.raft.Restore(hs, ckpt.AppliedIndex, ckpt.AppliedTerm, tail)
-	s.replicas[desc.RangeID] = r
+	s.replicas[ckpt.Desc.RangeID] = r
 	r.raft.Start()
 	return nil
 }
 
-// snapshotData packages this replica's applied state for a lagging peer
-// whose needed log prefix was truncated (raft Config.Snapshot hook; the
-// leader calls it at its applied index).
-func (r *Replica) snapshotData() interface{} {
-	return &rangeSnapshot{
-		Desc:   r.desc.Clone(),
-		Closed: r.closed.closed,
-		Issued: r.closed.issued,
-		Engine: r.engine.AppendSnapshot(make([]byte, 0, r.ckptSize)),
+// applySnapshotData installs a leader's image (raft Config.ApplySnapshot
+// hook) at (index, term), after which Raft resets its log and the WAL. On a
+// disk the image is persisted as received: it is the checkpoint of that
+// position. The image is handed over inside the simulator, so only a bug can
+// make it undecodable or place it elsewhere.
+func (r *Replica) applySnapshotData(data []byte, index, term uint64) {
+	s := r.store
+	s.SnapshotsApplied++
+	c, err := decodeCheckpoint(data)
+	if err == nil && (c.AppliedIndex != index || c.AppliedTerm != term) {
+		err = fmt.Errorf("image of (%d,%d) sent as (%d,%d)", c.AppliedIndex, c.AppliedTerm, index, term)
+	}
+	if err == nil {
+		err = r.install(&c, c.Closed)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("kv: r%d: installing snapshot: %v", r.desc.RangeID, err))
+	}
+	if s.Disk != nil {
+		s.Disk.PutBlob(ckptName(r.desc.RangeID), data)
 	}
 }
 
-// applySnapshotData installs a leader snapshot (raft Config.ApplySnapshot
-// hook): the engine is rebuilt from the received bytes, and the same bytes
-// become the follower's durable checkpoint at the snapshot position, after
-// which Raft resets its log and the WAL. The snapshot is a Go value handed
-// over inside the simulator, so only a bug can make it undecodable.
-func (r *Replica) applySnapshotData(data interface{}, index, term uint64) {
-	snap := data.(*rangeSnapshot)
-	s := r.store
-	s.SnapshotsApplied++
-	r.engine = mvcc.NewEngine(s.engineSeed + int64(r.desc.RangeID))
-	if err := r.engine.LoadSnapshot(snap.Engine); err != nil {
-		panic(fmt.Sprintf("kv: r%d: installing snapshot: %v", r.desc.RangeID, err))
+// install makes r the replica an image describes, on recovery and on a
+// snapshot install alike: a fresh engine loaded from the image's stream, its
+// descriptor and lease epoch, and its closed timestamp and promise floor
+// inherited, with readFloor as the timestamp cache's floor. On an error r is
+// to be discarded.
+func (r *Replica) install(c *checkpointRec, readFloor hlc.Timestamp) error {
+	eng := mvcc.NewEngine(r.store.engineSeed + int64(c.Desc.RangeID))
+	if err := eng.LoadSnapshot(c.Engine); err != nil {
+		return err
 	}
-	r.setDesc(snap.Desc.Clone())
-	r.closed.advance(snap.Closed)
-	if r.closed.issued.Less(snap.Issued) {
-		r.closed.issued = snap.Issued
-	}
-	r.tscache.SetLowWater(snap.Closed)
-	if s.Disk != nil {
-		s.writeCheckpointAt(r, index, term, snap.Engine)
-	}
+	r.engine, r.ckptSize = eng, len(c.Engine)
+	r.setDesc(c.Desc.Clone())
+	r.leaseEpoch = c.LeaseEpoch
+	r.inherit(c.Closed, c.Issued, readFloor)
+	return nil
 }

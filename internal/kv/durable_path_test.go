@@ -94,9 +94,9 @@ func TestRecoverRejectsEveryFlippedBit(t *testing.T) {
 }
 
 // TestSnapshotInstallPersistsReceivedBytes: a follower installing a snapshot
-// writes a checkpoint whose engine section is the bytes it was sent — it does
-// not serialize the engine it just built a second time — and a crash right
-// after recovers, from that checkpoint, an engine equal to the leader's.
+// persists the image it was sent, byte for byte, as its checkpoint — it
+// serializes nothing a second time — and a crash right after recovers, from
+// that checkpoint, an engine equal to the leader's.
 func TestSnapshotInstallPersistsReceivedBytes(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 3600*sim.Second)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
@@ -105,28 +105,24 @@ func TestSnapshotInstallPersistsReceivedBytes(t *testing.T) {
 	if _, err := leader.engine.Put(mvcc.Key("k010"), nil, h.stores[1].Clock.Now(), &mvcc.TxnMeta{ID: 9, Key: mvcc.Key("k010")}); err != nil {
 		t.Fatal(err)
 	}
-	snap := leader.snapshotData().(*rangeSnapshot)
-	if !bytes.Equal(snap.Engine, leader.engine.AppendSnapshot(nil)) {
-		t.Fatal("the snapshot does not carry the engine's stream")
-	}
-
 	st := h.stores[3]
 	follower, _ := st.Replica(desc.RangeID)
 	index, term := follower.raft.Applied(), follower.raft.AppliedTerm()
+	snap := leader.image(index, term)
+	ckpt, err := decodeCheckpoint(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(ckpt.Engine, leader.engine.AppendSnapshot(nil)) {
+		t.Fatal("the snapshot does not carry the engine's stream")
+	}
+
 	follower.applySnapshotData(snap, index, term)
 	if st.SnapshotsApplied != 1 {
 		t.Fatalf("SnapshotsApplied = %d after one install", st.SnapshotsApplied)
 	}
-	blob, _ := st.Disk.GetBlob(ckptName(desc.RangeID))
-	ckpt, err := decodeCheckpoint(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ckpt.AppliedIndex != index || ckpt.AppliedTerm != term {
-		t.Fatalf("checkpoint at (%d,%d), installed at (%d,%d)", ckpt.AppliedIndex, ckpt.AppliedTerm, index, term)
-	}
-	if !bytes.Equal(ckpt.Engine, snap.Engine) {
-		t.Fatal("the checkpoint's engine section is not the bytes received")
+	if blob, _ := st.Disk.GetBlob(ckptName(desc.RangeID)); !bytes.Equal(blob, snap) {
+		t.Fatal("the checkpoint is not the bytes received")
 	}
 
 	h.net.CrashNode(3)
@@ -236,6 +232,6 @@ func BenchmarkSnapshotInstall2k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// What one MsgSnap costs end to end: the leader serializes, the
 		// follower loads and persists.
-		follower.applySnapshotData(leader.snapshotData(), uint64(i+1), 1)
+		follower.applySnapshotData(leader.image(uint64(i+1), 1), uint64(i+1), 1)
 	}
 }

@@ -31,7 +31,7 @@ func checkEnvelopePool(t *testing.T, ep *envelopePool) {
 			t.Fatal("envelope pool holds an envelope twice")
 		}
 		seen[env] = true
-		if env.RangeID != 0 || env.Msg.Entries != nil || env.Msg.Payload != nil || env.Msg.Snapshot != nil {
+		if env.RangeID != 0 || env.Msg.Entries != nil || !env.Msg.Closed.IsEmpty() || env.Msg.Snapshot != nil {
 			t.Fatalf("pooled envelope still holds a message: %+v", env)
 		}
 	}

@@ -822,23 +822,19 @@ func (r *Replica) applySplit(cmd Command) {
 		// so the halves share one latch manager: a read on the right half
 		// waits those writes out instead of reading around them.
 		nr.latches = r.latches
-		// The new leaseholder assumes everything below the split
-		// timestamp was read.
-		nr.tscache.SetLowWater(cmd.Ts)
-		nr.closed.advance(r.closed.closed)
-		if cmd.ClosedTS.Less(nr.closed.issued) {
-			nr.closed.issued = cmd.ClosedTS
-		}
+		// The right half carries on the left half's lease: the same epoch,
+		// the closed timestamp and the promise the split was proposed
+		// under, and everything below the split timestamp assumed read.
+		nr.leaseEpoch = r.leaseEpoch
+		nr.inherit(r.closed.closed, cmd.ClosedTS, cmd.Ts)
 		if newDesc.Leaseholder == r.store.NodeID {
 			nr.raft.Campaign()
 		}
-		if r.store.Disk != nil {
-			// Re-checkpoint the right half now that the copied data is in:
-			// its own log is empty, so without this a crash before the next
-			// checkpoint tick would lose the copy if the left half's split
-			// entry has already been truncated away.
-			r.store.writeCheckpointAt(nr, 0, 0, nil)
-		}
+		// Re-checkpoint the right half now that the copied data is in: its
+		// own log is empty, so without this a crash before the next
+		// checkpoint tick would lose the copy if the left half's split entry
+		// has already been truncated away.
+		r.store.checkpoint(nr, 0, 0)
 	}
 	r.setDesc(cmd.Desc.Clone())
 }
@@ -856,18 +852,12 @@ func (r *Replica) applyMerge(cmd Command, e raft.Entry) {
 	// The merged leaseholder assumes everything in the absorbed span was
 	// read up to the merge timestamp, and its closed timestamp must not
 	// regress below the right-hand side's promises.
-	r.tscache.SetLowWater(cmd.Ts)
-	r.advanceClosed(cmd.SubsumeClosedTS)
-	if r.closed.issued.Less(cmd.SubsumeClosedTS) {
-		r.closed.issued = cmd.SubsumeClosedTS
-	}
+	r.inherit(cmd.SubsumeClosedTS, cmd.SubsumeClosedTS, cmd.Ts)
 	r.setDesc(cmd.Desc.Clone())
-	if r.store.Disk != nil {
-		// Persist the widened range with the absorbed data before the
-		// right-hand replica's WAL and checkpoint are deleted below; a
-		// crash in between leaves at worst an inert extra range on disk.
-		r.store.writeCheckpointAt(r, e.Index, e.Term, nil)
-	}
+	// Persist the widened range with the absorbed data before the right-hand
+	// replica's WAL and checkpoint are deleted below; a crash in between
+	// leaves at worst an inert extra range on disk.
+	r.store.checkpoint(r, e.Index, e.Term)
 	if _, ok := r.store.Replica(rhs.RangeID); ok {
 		r.store.RemoveReplica(rhs.RangeID)
 	}
@@ -880,20 +870,19 @@ func (r *Replica) setDesc(desc *RangeDescriptor) {
 	}
 }
 
+// applyLeaseTransfer installs a new lease. Every replica records the epoch
+// the command bound it to at proposal time, so the lease epoch is replicated
+// state: an image cut on any replica carries it.
 func (r *Replica) applyLeaseTransfer(cmd Command) {
 	if cmd.Desc != nil {
 		r.setDesc(cmd.Desc.Clone())
 	}
+	r.leaseEpoch = cmd.LeaseEpoch
 	if r.desc.Leaseholder == r.store.NodeID {
 		// Fresh leaseholder: assume everything was read up to the
 		// transfer timestamp (tscache low-water ratchet), and carry the
-		// closed-timestamp promise floor forward. The lease binds to the
-		// epoch recorded in the command at proposal time.
-		r.tscache.SetLowWater(cmd.Ts)
-		if r.closed.issued.Less(cmd.ClosedTS) {
-			r.closed.issued = cmd.ClosedTS
-		}
-		r.leaseEpoch = cmd.LeaseEpoch
+		// closed-timestamp promise floor forward.
+		r.inherit(hlc.Timestamp{}, cmd.ClosedTS, cmd.Ts)
 		if r.store.Catalog != nil {
 			// Publish the new routing so gateways converge without an
 			// admin in the loop.
@@ -1029,6 +1018,20 @@ func (r *Replica) waitForClosed(p *sim.Proc, ts hlc.Timestamp, patience sim.Dura
 	}
 }
 
+// inherit is the one rule by which a replica takes over what another copy of
+// the range vouched for — a split's left half, a merge's right half, the old
+// leaseholder, an image: its closed timestamp rises to closed, waking the
+// follower reads parked on it; its promise floor to issued, so it never
+// accepts a write at or below a promise made before; and its timestamp
+// cache's floor to readFloor. None of the three ever falls.
+func (r *Replica) inherit(closed, issued, readFloor hlc.Timestamp) {
+	r.advanceClosed(closed)
+	if r.closed.issued.Less(issued) {
+		r.closed.issued = issued
+	}
+	r.tscache.SetLowWater(readFloor)
+}
+
 // advanceClosed moves the replica's closed timestamp forward and wakes
 // adaptive waiters.
 func (r *Replica) advanceClosed(ts hlc.Timestamp) {
@@ -1053,18 +1056,11 @@ func (r *Replica) engineFor(key mvcc.Key) *mvcc.Engine {
 	return r.engine
 }
 
-// heartbeatPayload generates the closed-timestamp side-transport payload on
-// the leader (paper §5.1.1).
-func (r *Replica) heartbeatPayload() interface{} {
+// heartbeatPayload is the closed-timestamp promise the leader attaches to
+// each append, the side transport of paper §5.1.1 (zero: none).
+func (r *Replica) heartbeatPayload() hlc.Timestamp {
 	if !r.hasValidLease() {
-		return nil
+		return hlc.Timestamp{}
 	}
 	return r.closed.issue(r.store.Clock.Now())
-}
-
-// onHeartbeat advances the follower's closed timestamp.
-func (r *Replica) onHeartbeat(_ simnet.NodeID, payload interface{}) {
-	if ts, ok := payload.(hlc.Timestamp); ok {
-		r.advanceClosed(ts)
-	}
 }

@@ -247,12 +247,10 @@ func (s *Store) CreateReplica(desc *RangeDescriptor) *Replica {
 	}
 	r := s.buildReplica(desc)
 	s.replicas[desc.RangeID] = r
-	if s.Disk != nil {
-		// Seed the durable pair before the replica can make any promise:
-		// an empty checkpoint at log position zero plus the manifest entry.
-		s.writeCheckpointAt(r, 0, 0, nil)
-		s.persistManifest()
-	}
+	// Seed the durable pair before the replica can make any promise: an
+	// empty checkpoint at log position zero plus the manifest entry.
+	s.checkpoint(r, 0, 0)
+	s.persistManifest()
 	r.raft.Start()
 	return r
 }
@@ -279,14 +277,14 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 		Transport:        &raftTransport{store: s, rangeID: desc.RangeID},
 		Apply:            r.apply,
 		HeartbeatPayload: r.heartbeatPayload,
-		OnHeartbeat:      r.onHeartbeat,
+		OnHeartbeat:      r.advanceClosed,
 		OnLeaderChange:   r.onLeaderChange,
 	}
 	// Snapshot hooks are wired unconditionally: besides catching lagging
 	// replicas up past a compacted log, they initialize replicas added by
 	// relocation, whose engines must receive state (bulk loads, merged-in
 	// data) the raft log never carried.
-	rcfg.Snapshot = r.snapshotData
+	rcfg.Snapshot = r.image
 	rcfg.ApplySnapshot = r.applySnapshotData
 	if s.Disk != nil {
 		rcfg.Storage = &replicaStorage{wal: s.Disk.WAL(walName(desc.RangeID)), noopSynced: r.leaderApplied.Broadcast}

@@ -1,6 +1,7 @@
 package raft
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"mrdb/internal/sim"
@@ -36,10 +37,10 @@ func newCompactRun(t *testing.T, voters, learners []simnet.NodeID) *compactRun {
 	t.Helper()
 	r := &compactRun{harness: newLinkHarness(t, 11, voters, learners, sim.Millisecond, beat)}
 	for id, n := range r.nodes {
-		n.cfg.Snapshot = func() interface{} { return "state" }
-		n.cfg.ApplySnapshot = func(interface{}, uint64, uint64) {}
+		n.cfg.Snapshot = func(uint64, uint64) []byte { return []byte("state") }
+		n.cfg.ApplySnapshot = func([]byte, uint64, uint64) {}
 		if id == 3 {
-			n.cfg.ApplySnapshot = func(interface{}, uint64, uint64) { r.installs++ }
+			n.cfg.ApplySnapshot = func([]byte, uint64, uint64) { r.installs++ }
 		}
 	}
 	r.intercept = func(from, to simnet.NodeID, msg Message) bool {
@@ -190,9 +191,9 @@ func promotionWindow(t *testing.T, durable bool) {
 		id := id
 		// The state is the applied values themselves, so a snapshot install
 		// replaces them wholesale.
-		n.cfg.Snapshot = func() interface{} { return append([]interface{}(nil), h.applied[id]...) }
-		n.cfg.ApplySnapshot = func(data interface{}, _, _ uint64) {
-			h.applied[id] = append([]interface{}(nil), data.([]interface{})...)
+		n.cfg.Snapshot = func(uint64, uint64) []byte { return encodeApplied(h.applied[id]) }
+		n.cfg.ApplySnapshot = func(data []byte, _, _ uint64) {
+			h.applied[id] = decodeApplied(data)
 			if id == 3 {
 				installs++
 			}
@@ -263,6 +264,26 @@ func promotionWindow(t *testing.T, durable bool) {
 			t.Fatalf("node 3 holds %v at position %d, the leader %v", got[i], i, want[i])
 		}
 	}
+}
+
+// encodeApplied writes a node's applied values, the ints its proposals
+// carried, as a snapshot; decodeApplied reads them back.
+func encodeApplied(vals []interface{}) []byte {
+	var b []byte
+	for _, v := range vals {
+		b = binary.AppendVarint(b, int64(v.(int)))
+	}
+	return b
+}
+
+func decodeApplied(b []byte) []interface{} {
+	var vals []interface{}
+	for len(b) > 0 {
+		v, n := binary.Varint(b)
+		vals = append(vals, int(v))
+		b = b[n:]
+	}
+	return vals
 }
 
 // TestCompactAllocatesOneArray: Compact builds the trimmed log in one new

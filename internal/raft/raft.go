@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 
+	"mrdb/internal/hlc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 )
@@ -88,16 +89,15 @@ type Message struct {
 	LeaderCommit uint64
 	Success      bool
 	MatchIndex   uint64
-	// Payload carries opaque per-heartbeat data from the leader (mrdb
-	// uses it for closed-timestamp propagation, paper §5.1.1).
-	Payload interface{}
+	// Closed is the leader's closed-timestamp promise (§5.1.1); zero: none.
+	Closed hlc.Timestamp
 
 	// Snapshot install (leader → peer whose needed entries were compacted
-	// away). Snapshot is opaque to raft; the kv layer serializes its
-	// applied state at SnapIndex/SnapTerm.
+	// away). Snapshot is opaque to raft: the bytes the leader's
+	// Config.Snapshot wrote of its applied state at SnapIndex/SnapTerm.
 	SnapIndex uint64
 	SnapTerm  uint64
-	Snapshot  interface{}
+	Snapshot  []byte
 
 	// TimeoutNow triggers an immediate campaign (leadership transfer).
 }
@@ -176,25 +176,24 @@ type Config struct {
 	Apply func(e Entry)
 	// OnLeaderChange fires when this node learns of a new leader.
 	OnLeaderChange func(leader simnet.NodeID, term uint64)
-	// HeartbeatPayload, if set on the leader, generates the opaque
-	// payload attached to each outgoing heartbeat.
-	HeartbeatPayload func() interface{}
-	// OnHeartbeat, if set, receives payloads on followers/learners.
-	OnHeartbeat func(from simnet.NodeID, payload interface{})
+	// HeartbeatPayload, if set on the leader, gives each append's Closed.
+	HeartbeatPayload func() hlc.Timestamp
+	// OnHeartbeat, if set, receives a non-zero Closed on followers/learners.
+	OnHeartbeat func(closed hlc.Timestamp)
 
 	// Storage, if set, persists hard state and log entries; promises to
 	// peers (votes, append acks, the leader's own match index) are then
 	// withheld until the corresponding fsync completes. Nil keeps the
 	// historical synchronous in-memory behavior exactly.
 	Storage Storage
-	// Snapshot, if set, returns an opaque serialization of the applied
-	// state machine, consistent at this node's applied index. The leader
-	// calls it when a peer needs entries that were compacted away.
-	Snapshot func() interface{}
+	// Snapshot, if set, serializes the applied state machine as of
+	// (index, term), this node's applied position. The leader calls it when
+	// a peer needs entries that were compacted away.
+	Snapshot func(index, term uint64) []byte
 	// ApplySnapshot installs an incoming snapshot at (index, term),
 	// replacing the applied state machine. Called before the log is reset
 	// around the snapshot; implementations should persist the snapshot.
-	ApplySnapshot func(data interface{}, index, term uint64)
+	ApplySnapshot func(data []byte, index, term uint64)
 }
 
 // ErrNotLeader is returned by Propose on non-leaders.
@@ -670,7 +669,7 @@ func (n *Node) sendAppend(to simnet.NodeID) {
 		Entries: n.log[lo:hi:hi], LeaderCommit: n.commitIndex,
 	}
 	if n.cfg.HeartbeatPayload != nil {
-		msg.Payload = n.cfg.HeartbeatPayload()
+		msg.Closed = n.cfg.HeartbeatPayload()
 	}
 	n.cfg.Transport.Send(to, msg)
 }
@@ -681,11 +680,11 @@ func (n *Node) sendSnapshot(to simnet.NodeID) {
 	if n.cfg.Snapshot == nil {
 		return // not snapshot-capable; the peer stays behind
 	}
-	idx := n.applied
+	idx, term := n.applied, n.AppliedTerm()
 	msg := Message{
 		Kind: MsgSnap, Term: n.term, From: n.cfg.ID,
-		SnapIndex: idx, SnapTerm: n.at(idx).Term,
-		Snapshot: n.cfg.Snapshot(), LeaderCommit: n.commitIndex,
+		SnapIndex: idx, SnapTerm: term,
+		Snapshot: n.cfg.Snapshot(idx, term), LeaderCommit: n.commitIndex,
 	}
 	pr := n.progress[to]
 	pr.next, pr.sent = idx+1, idx
@@ -924,8 +923,8 @@ func (n *Node) handleApp(msg Message) {
 		n.commitIndex = min64(msg.LeaderCommit, n.LastIndex())
 		n.applyCommitted()
 	}
-	if n.cfg.OnHeartbeat != nil && msg.Payload != nil {
-		n.cfg.OnHeartbeat(msg.From, msg.Payload)
+	if n.cfg.OnHeartbeat != nil && !msg.Closed.IsEmpty() {
+		n.cfg.OnHeartbeat(msg.Closed)
 	}
 	// An empty append that matched needs no answer. The leader sends one
 	// only when its next for this peer is past its log end, which only this

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mrdb/internal/hlc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 )
@@ -388,21 +389,30 @@ func TestHeartbeatPayloadDelivery(t *testing.T) {
 	topo.AddNode(3, simnet.Locality{Region: simnet.AsiaNE1, Zone: "c"})
 	net := simnet.NewNetwork(s, topo)
 	h := &harness{s: s, net: net, nodes: map[simnet.NodeID]*Node{}, applied: map[simnet.NodeID][]interface{}{}, sent: map[msgClass]int{}}
-	seq := 0
-	received := map[simnet.NodeID]int{}
+	seq := int64(0)
+	received := map[simnet.NodeID]int64{}
 	for _, id := range []simnet.NodeID{1, 2, 3} {
 		id := id
 		cfg := Config{
 			ID: id, Voters: []simnet.NodeID{1, 2, 3}, Sim: s,
 			Transport: &harnessTransport{h: h, from: id},
-			OnHeartbeat: func(from simnet.NodeID, payload interface{}) {
-				if v, ok := payload.(int); ok && v > received[id] {
-					received[id] = v
+			OnHeartbeat: func(closed hlc.Timestamp) {
+				if closed.IsEmpty() {
+					t.Errorf("node %d was handed the zero timestamp, which carries none", id)
+				}
+				if closed.WallTime > received[id] {
+					received[id] = closed.WallTime
 				}
 			},
 		}
 		if id == 1 {
-			cfg.HeartbeatPayload = func() interface{} { seq++; return seq }
+			// Every third append carries no promise.
+			cfg.HeartbeatPayload = func() hlc.Timestamp {
+				if seq++; seq%3 == 0 {
+					return hlc.Timestamp{}
+				}
+				return hlc.Timestamp{WallTime: seq}
+			}
 		}
 		n := NewNode(cfg)
 		h.nodes[id] = n

@@ -11,13 +11,51 @@ import (
 	"testing"
 )
 
+// mailbox is an unbounded FIFO rendezvous between procs: Send never blocks
+// and wakes the longest-waiting receiver; Recv parks until an item is
+// queued. It is the message path of schedulerWorkload, whose golden hashes
+// fix the exact wakes it makes.
+type mailbox struct {
+	sim     *Simulation
+	queue   []int
+	waiters []*Proc
+}
+
+func (m *mailbox) Send(v int) {
+	m.queue = append(m.queue, v)
+	m.wakeOne()
+}
+
+func (m *mailbox) wakeOne() {
+	if len(m.waiters) == 0 {
+		return
+	}
+	w := m.waiters[0]
+	m.waiters = m.waiters[1:]
+	m.sim.wakeAt(m.sim.now, w)
+}
+
+func (m *mailbox) Recv(p *Proc) int {
+	for len(m.queue) == 0 {
+		m.waiters = append(m.waiters, p)
+		p.park()
+	}
+	v := m.queue[0]
+	m.queue = m.queue[1:]
+	// If items remain and receivers wait, pass the wake on.
+	if len(m.queue) > 0 {
+		m.wakeOne()
+	}
+	return v
+}
+
 // schedulerWorkload drives a randomized mix of every scheduler feature —
 // sleeps, mailbox rendezvous, futures, waitgroup fan-outs, bare callbacks —
 // and records the (virtual time, kind) of every observed step plus the
 // consumer-side message trace. TestScheduleGolden hashes both.
 func schedulerWorkload(s *Simulation) (steps []Time, trace []Time) {
 	s.stepHook = func(at Time) { steps = append(steps, at) }
-	m := NewMailbox[int](s)
+	m := &mailbox{sim: s}
 	f := NewFuture[string](s)
 	for i := 0; i < 8; i++ {
 		s.Spawn("producer", func(p *Proc) {

@@ -516,8 +516,8 @@ type Future[T any] struct {
 }
 
 // NewFuture returns an empty future. The simulation is not recorded (see
-// Future); the parameter keeps the constructor uniform with NewMailbox,
-// NewCond and NewWaitGroup.
+// Future); the parameter keeps the constructor uniform with NewCond and
+// NewWaitGroup.
 func NewFuture[T any](*Simulation) *Future[T] {
 	return &Future[T]{}
 }
@@ -601,73 +601,6 @@ func (f *Future[T]) WaitTimeout(p *Proc, d Duration) (T, bool) {
 		}
 	}
 	return f.val, true
-}
-
-// Mailbox is an unbounded FIFO queue connecting processes, akin to a
-// buffered channel with no capacity limit.
-type Mailbox[T any] struct {
-	sim     *Simulation
-	queue   []T
-	waiters []*Proc
-	closed  bool
-}
-
-// NewMailbox returns an empty mailbox bound to s.
-func NewMailbox[T any](s *Simulation) *Mailbox[T] {
-	return &Mailbox[T]{sim: s}
-}
-
-// Send enqueues v and wakes one waiting receiver, if any. Send never blocks.
-// It may be called from scheduler callbacks or Procs.
-func (m *Mailbox[T]) Send(v T) {
-	if m.closed {
-		panic("sim: send on closed Mailbox")
-	}
-	m.queue = append(m.queue, v)
-	m.wakeOne()
-}
-
-func (m *Mailbox[T]) wakeOne() {
-	if len(m.waiters) == 0 {
-		return
-	}
-	w := m.waiters[0]
-	m.waiters = m.waiters[1:]
-	m.sim.wakeAt(m.sim.now, w)
-}
-
-// Close marks the mailbox closed; waiting and future receivers get ok=false
-// once the queue drains.
-func (m *Mailbox[T]) Close() {
-	m.closed = true
-	waiters := m.waiters
-	m.waiters = nil
-	for _, w := range waiters {
-		m.sim.wakeAt(m.sim.now, w)
-	}
-}
-
-// Len returns the number of queued items.
-func (m *Mailbox[T]) Len() int { return len(m.queue) }
-
-// Recv dequeues the next item, parking p until one is available. ok is false
-// if the mailbox is closed and drained.
-func (m *Mailbox[T]) Recv(p *Proc) (T, bool) {
-	for len(m.queue) == 0 {
-		if m.closed {
-			var zero T
-			return zero, false
-		}
-		m.waiters = append(m.waiters, p)
-		p.park()
-	}
-	v := m.queue[0]
-	m.queue = m.queue[1:]
-	// If items remain and receivers wait, propagate the wake-up.
-	if len(m.queue) > 0 {
-		m.wakeOne()
-	}
-	return v, true
 }
 
 // WaitGroup tracks a set of processes and lets another process wait for all

@@ -283,59 +283,6 @@ func TestWaitTimeoutAllocatesNothing(t *testing.T) {
 	}
 }
 
-func TestMailboxFIFO(t *testing.T) {
-	s := New(1)
-	m := NewMailbox[int](s)
-	var got []int
-	s.Spawn("recv", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			v, ok := m.Recv(p)
-			if !ok {
-				t.Errorf("unexpected close")
-				return
-			}
-			got = append(got, v)
-		}
-	})
-	s.Spawn("send", func(p *Proc) {
-		for i := 0; i < 5; i++ {
-			p.Sleep(Millisecond)
-			m.Send(i)
-		}
-	})
-	s.Run()
-	for i, v := range got {
-		if v != i {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-}
-
-func TestMailboxClose(t *testing.T) {
-	s := New(1)
-	m := NewMailbox[int](s)
-	var closedSeen bool
-	s.Spawn("recv", func(p *Proc) {
-		for {
-			_, ok := m.Recv(p)
-			if !ok {
-				closedSeen = true
-				return
-			}
-		}
-	})
-	s.Spawn("send", func(p *Proc) {
-		m.Send(1)
-		m.Send(2)
-		p.Sleep(1)
-		m.Close()
-	})
-	s.Run()
-	if !closedSeen {
-		t.Fatal("receiver did not observe close")
-	}
-}
-
 func TestWaitGroup(t *testing.T) {
 	s := New(1)
 	wg := NewWaitGroup(s)
@@ -547,21 +494,14 @@ func TestDeterminism(t *testing.T) {
 	runOnce := func(seed int64) []Time {
 		s := New(seed)
 		var trace []Time
-		m := NewMailbox[int](s)
 		for i := 0; i < 10; i++ {
 			s.Spawn("producer", func(p *Proc) {
 				for j := 0; j < 10; j++ {
 					p.Sleep(Duration(p.Rand().Intn(1000)) * Microsecond)
-					m.Send(j)
+					trace = append(trace, p.Now())
 				}
 			})
 		}
-		s.Spawn("consumer", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				m.Recv(p)
-				trace = append(trace, p.Now())
-			}
-		})
 		s.Run()
 		return trace
 	}

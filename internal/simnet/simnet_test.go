@@ -77,10 +77,6 @@ func TestTopologyQueries(t *testing.T) {
 	if got := topo.Nodes(); len(got) != 9 {
 		t.Fatalf("nodes = %v", got)
 	}
-	topo.RemoveNode(9)
-	if got := topo.Nodes(); len(got) != 8 {
-		t.Fatalf("after remove, nodes = %v", got)
-	}
 }
 
 func TestSendLatency(t *testing.T) {

@@ -107,9 +107,6 @@ func (t *Topology) AddNode(id NodeID, loc Locality) {
 	t.nodes[id] = loc
 }
 
-// RemoveNode forgets a node.
-func (t *Topology) RemoveNode(id NodeID) { delete(t.nodes, id) }
-
 // LocalityOf returns a node's locality.
 func (t *Topology) LocalityOf(id NodeID) (Locality, bool) {
 	l, ok := t.nodes[id]

@@ -465,9 +465,5 @@ func (it *Iterator[V]) Ptr() *V { return it.m.cell(le.Uint32(it.m.rec(it.cur))) 
 // Value returns the current value.
 func (it *Iterator[V]) Value() V { return *it.Ptr() }
 
-// SetValue replaces the value at the iterator's position, avoiding a second
-// search when read-modify-write is needed.
-func (it *Iterator[V]) SetValue(v V) { *it.Ptr() = v }
-
 // height returns the current node's tower height.
 func (it *Iterator[V]) height() int { return recHeight(it.m.rec(it.cur)) }

@@ -108,10 +108,10 @@ func TestSetValueViaIterator(t *testing.T) {
 	l.Set([]byte("x"), 1)
 	it := l.NewIterator()
 	it.SeekGE([]byte("x"))
-	it.SetValue(2)
+	*it.Ptr() = 2
 	v, _ := l.Get([]byte("x"))
 	if v.(int) != 2 {
-		t.Fatalf("SetValue not visible: %v", v)
+		t.Fatalf("a value set through the iterator is not visible: %v", v)
 	}
 }
 

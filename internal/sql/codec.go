@@ -119,65 +119,6 @@ func AppendKeyTuple(buf mvcc.Key, vals []Datum) mvcc.Key {
 	return buf
 }
 
-// DecodeKeyDatum decodes one datum from key, returning it and the rest.
-func DecodeKeyDatum(key []byte) (Datum, []byte, error) {
-	if len(key) == 0 {
-		return nil, nil, fmt.Errorf("sql: empty key")
-	}
-	switch key[0] {
-	case kmNull:
-		return nil, key[1:], nil
-	case kmFalse:
-		return false, key[1:], nil
-	case kmTrue:
-		return true, key[1:], nil
-	case kmInt:
-		if len(key) < 9 {
-			return nil, nil, fmt.Errorf("sql: truncated int key")
-		}
-		v := binary.BigEndian.Uint64(key[1:9]) ^ (1 << 63)
-		return int64(v), key[9:], nil
-	case kmFloat:
-		if len(key) < 9 {
-			return nil, nil, fmt.Errorf("sql: truncated float key")
-		}
-		bits := binary.BigEndian.Uint64(key[1:9])
-		if bits&(1<<63) != 0 {
-			bits ^= 1 << 63
-		} else {
-			bits = ^bits
-		}
-		return math.Float64frombits(bits), key[9:], nil
-	case kmString:
-		var out []byte
-		i := 1
-		for {
-			if i >= len(key) {
-				return nil, nil, fmt.Errorf("sql: unterminated string key")
-			}
-			if key[i] == 0x00 {
-				if i+1 >= len(key) {
-					return nil, nil, fmt.Errorf("sql: truncated string escape")
-				}
-				switch key[i+1] {
-				case 0x01:
-					return string(out), key[i+2:], nil
-				case 0xFF:
-					out = append(out, 0x00)
-					i += 2
-				default:
-					return nil, nil, fmt.Errorf("sql: bad string escape")
-				}
-			} else {
-				out = append(out, key[i])
-				i++
-			}
-		}
-	default:
-		return nil, nil, fmt.Errorf("sql: unknown key marker 0x%02x", key[0])
-	}
-}
-
 // EncodeRow encodes column values (by column ID) as a row value.
 func EncodeRow(vals map[ColumnID]Datum) mvcc.Value {
 	var buf []byte

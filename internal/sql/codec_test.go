@@ -8,28 +8,6 @@ import (
 	"testing/quick"
 )
 
-func TestKeyDatumRoundTrip(t *testing.T) {
-	cases := []Datum{
-		nil, true, false,
-		int64(0), int64(-1), int64(42), int64(math.MaxInt64), int64(math.MinInt64),
-		0.0, -1.5, 3.14159, math.MaxFloat64, -math.MaxFloat64,
-		"", "hello", "with\x00null", "with\x00\xffbytes", "ünïcode",
-	}
-	for _, d := range cases {
-		enc := EncodeKeyDatum(nil, d)
-		got, rest, err := DecodeKeyDatum(enc)
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("%v: %d leftover bytes", d, len(rest))
-		}
-		if !DatumsEqual(got, d) {
-			t.Fatalf("roundtrip %v -> %v", d, got)
-		}
-	}
-}
-
 func TestKeyOrderingInts(t *testing.T) {
 	vals := []int64{math.MinInt64, -1000, -1, 0, 1, 7, 1000, math.MaxInt64}
 	var keys [][]byte
