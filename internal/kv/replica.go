@@ -504,12 +504,21 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 }
 
 // evalQueryIntent proves a pipelined write: after waiting out in-flight
-// applications on the key, the transaction's intent must be present.
+// applications on the key, the transaction's intent must be present. Like
+// evalRead it checks the key against the range's bounds before and after
+// the wait: a split that applied meanwhile leaves this engine a stale copy
+// of the right half.
 func (r *Replica) evalQueryIntent(p *sim.Proc, req *QueryIntentRequest) Response {
 	if err := r.checkLease(); err != nil {
 		return Response{Err: err}
 	}
+	if err := r.ownKey(req.Key); err != nil {
+		return Response{Err: err}
+	}
 	r.latches.waitFree(p, req.Key)
+	if err := r.ownKey(req.Key); err != nil {
+		return Response{Err: err}
+	}
 	meta, ok := r.engine.GetIntent(req.Key)
 	found := ok && meta.ID == req.TxnID && meta.Epoch == req.Epoch
 	return Response{QueryIntent: &QueryIntentResponse{Found: found}}

@@ -228,3 +228,62 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 		t.Fatalf("read after the write applied: %+v", got)
 	}
 }
+
+// TestQueryIntentReroutesAfterSplit: a QueryIntent that waits on its key's
+// latch may wake up on a range that no longer owns the key. The left-hand
+// engine keeps its copy of the right half's data as it was at the split,
+// which the intent laid on the right-hand range since never reaches. The
+// waiting request must get RangeKeyMismatchError instead of answering from
+// that copy, and a QueryIntent sent through the DistSender must take the
+// right-hand range's answer.
+func TestQueryIntentReroutesAfterSplit(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	rep, _ := st.Replica(desc.RangeID)
+	ds := &DistSender{NodeID: 1, Net: h.net, Topo: h.topo, Catalog: h.cat, Liveness: h.nl}
+	key := mvcc.Key("m")
+	tx := GatewayTxn(st, key, 0)
+	query := &QueryIntentRequest{Key: key, TxnID: tx.Meta.ID, Epoch: tx.Meta.Epoch}
+
+	var direct, routed, put Response
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		// A writer holds the latch while both queries arrive…
+		rep.latches.acquire(p, key)
+		done := sim.NewWaitGroup(h.s)
+		done.Add(3)
+		h.s.Spawn("query-intent", func(qp *sim.Proc) {
+			defer done.Done()
+			direct = rep.evaluate(qp, query)
+		})
+		h.s.Spawn("ds-query-intent", func(qp *sim.Proc) {
+			defer done.Done()
+			routed = ds.Send(qp, query)
+		})
+		p.Sleep(10 * sim.Millisecond)
+		// …the range splits below the key, and the transaction's write
+		// queues behind the queries for the latch the halves share; it
+		// lays its intent on the right-hand range only.
+		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
+			return err
+		}
+		h.s.Spawn("put", func(wp *sim.Proc) {
+			defer done.Done()
+			put = ds.Send(wp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: tx})
+		})
+		p.Sleep(sim.Millisecond)
+		rep.latches.release(key)
+		done.Wait(p)
+		return nil
+	})
+	if put.Err != nil {
+		t.Fatalf("put: %v", put.Err)
+	}
+	var mismatch *RangeKeyMismatchError
+	if !errors.As(direct.Err, &mismatch) {
+		t.Errorf("QueryIntent evaluated on the left-hand side after the split: %+v", direct)
+	}
+	if routed.Err != nil || routed.QueryIntent == nil || !routed.QueryIntent.Found {
+		t.Errorf("DistSender QueryIntent = %+v (err %v), want the right-hand range's Found", routed.QueryIntent, routed.Err)
+	}
+}

@@ -286,9 +286,11 @@ func pickIndex(t *Table, local simnet.Region, cons map[string][]Datum) *Index {
 	return nil
 }
 
-// rowFetcher abstracts fresh (transactional) vs stale reads.
+// rowFetcher abstracts fresh (transactional) vs stale reads. A point read is
+// always a batch: every key of one phase of a statement goes out together,
+// one RPC per touched range.
 type rowFetcher interface {
-	get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error)
+	getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error)
 	scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error)
 }
 
@@ -299,11 +301,11 @@ type txnFetcher struct {
 	forUpdate bool
 }
 
-func (f *txnFetcher) get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
+func (f *txnFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
 	if f.forUpdate {
-		return f.tx.GetForUpdate(p, key)
+		return f.tx.GetParallelForUpdate(p, keys)
 	}
-	return f.tx.Get(p, key)
+	return f.tx.GetParallel(p, keys)
 }
 func (f *txnFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
 	return f.tx.Scan(p, start, end, max)
@@ -315,9 +317,8 @@ type staleFetcher struct {
 	ts hlc.Timestamp
 }
 
-func (f *staleFetcher) get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
-	v, _, err := f.co.ExactStaleRead(p, key, f.ts)
-	return v, err
+func (f *staleFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
+	return f.co.ExactStaleReads(p, keys, f.ts)
 }
 func (f *staleFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
 	return f.co.StaleScan(p, start, end, max, f.ts)
@@ -331,164 +332,171 @@ func (s *Session) fetchRows(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 	return s.fetchPoint(p, f, plan)
 }
 
-// fetchPoint probes the index partitions for each lookup tuple. With LOS
-// the gateway's region is probed first; remaining tuples fan out to the
-// other partitions in parallel, and — because a unique index returns at
-// most one row per tuple — each tuple resolves as soon as any partition
-// finds it, rather than waiting for the slowest region (§4.2: "if the row
-// is found, there is no need to fan out to remote regions").
+// fetchPoint probes the index partitions for the lookup tuples, one batch
+// per phase. Without LOS every tuple in every candidate partition is one
+// batch. With LOS the gateway's partition is probed first; the tuples it
+// misses then go to every remote partition at once, and — because a unique
+// index returns at most one row per tuple — each resolves as soon as any
+// partition finds it, rather than waiting for the slowest region (§4.2: "if
+// the row is found, there is no need to fan out to remote regions").
 func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableRow, error) {
 	t, idx := plan.t, plan.index
-	remaining := plan.lookups
-	var out []tableRow
-
-	// probeAll waits for every probe (needed when a miss must be
-	// definitive, e.g. the local-first phase).
-	probeAll := func(regions []simnet.Region, tuples [][]Datum) ([]tableRow, [][]Datum, error) {
-		type result struct {
-			row *tableRow
-			err error
-		}
-		slots := make([]result, len(regions)*len(tuples))
-		p.Fanout("sql/probe", len(slots), func(wp *sim.Proc, i int) {
-			row, err := s.lookupOne(wp, f, t, idx, regions[i/len(tuples)], tuples[i%len(tuples)])
-			slots[i] = result{row: row, err: err}
-		})
-		var rows []tableRow
-		foundTuple := make([]bool, len(tuples))
-		i := 0
-		for range regions {
-			for ti := range tuples {
-				r := slots[i]
-				i++
-				if r.err != nil {
-					return nil, nil, r.err
-				}
-				if r.row != nil {
-					rows = append(rows, *r.row)
-					foundTuple[ti] = true
-				}
-			}
-		}
-		var miss [][]Datum
-		for ti, tuple := range tuples {
-			if !foundTuple[ti] {
-				miss = append(miss, tuple)
-			}
-		}
-		return rows, miss, nil
+	if !plan.los || len(plan.regions) < 2 || !idx.Unique {
+		rows, err := s.lookup(p, f, t, idx, plan.regions, plan.lookups)
+		return hits(rows), err
 	}
-
-	// probeFirstHit fans a tuple out to all regions and resolves on the
-	// first hit (or once all partitions report a miss). Only sound for
-	// unique indexes. Slower probes continue harmlessly in the
-	// background, as in a real distributed cancellation.
-	probeFirstHit := func(regions []simnet.Region, tuple []Datum) (*tableRow, error) {
-		type outcome struct {
-			row *tableRow
-			err error
-		}
-		res := sim.NewFuture[outcome](p.Sim())
-		pending := len(regions)
-		parent := obs.ProcSpan(p)
-		for _, region := range regions {
-			region := region
-			p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
-				obs.SetProcSpan(wp, parent)
-				row, err := s.lookupOne(wp, f, t, idx, region, tuple)
-				pending--
-				if res.Done() {
-					return
-				}
-				switch {
-				case err != nil:
-					res.Set(outcome{err: err})
-				case row != nil:
-					res.Set(outcome{row: row})
-				case pending == 0:
-					res.Set(outcome{})
-				}
-			})
-		}
-		o := res.Wait(p)
-		return o.row, o.err
+	// Phase 1: local partition only (§4.2).
+	rows, err := s.lookup(p, f, t, idx, plan.regions[:1], plan.lookups)
+	if err != nil {
+		return nil, err
 	}
-
-	if plan.los && len(plan.regions) > 1 && idx.Unique {
-		// Phase 1: local partition only (§4.2).
-		rows, miss, err := probeAll(plan.regions[:1], remaining)
-		if err != nil {
-			return nil, err
+	var miss [][]Datum
+	for i, row := range rows {
+		if row.vals == nil {
+			miss = append(miss, plan.lookups[i])
 		}
-		out = append(out, rows...)
-		if len(miss) == 0 {
-			return out, nil
-		}
-		// Phase 2: fan each missing tuple to the remote partitions,
-		// resolving on first hit.
-		for _, tuple := range miss {
-			row, err := probeFirstHit(plan.regions[1:], tuple)
-			if err != nil {
-				return nil, err
-			}
-			if row != nil {
-				out = append(out, *row)
-			}
-		}
+	}
+	out := hits(rows)
+	if len(miss) == 0 {
 		return out, nil
 	}
-	rows, _, err := probeAll(plan.regions, remaining)
+	// Phase 2: the missing tuples fan out to the remote partitions.
+	remote, err := s.lookupFirstHit(p, f, t, idx, plan.regions[1:], miss)
 	if err != nil {
 		return nil, err
 	}
-	return append(out, rows...), nil
+	return append(out, remote...), nil
 }
 
-// lookupOne fetches one index tuple in one partition, following secondary
-// index entries to the primary row. Row maps come from the session pool;
-// the statement hands them back through releaseRows.
-func (s *Session) lookupOne(p *sim.Proc, f rowFetcher, t *Table, idx *Index, region simnet.Region, tuple []Datum) (*tableRow, error) {
-	key := EncodeIndexKey(t, idx, region, tuple)
-	val, err := f.get(p, key)
+// lookupFirstHit sends tuples to every region as one batch per region, in
+// parallel, and resolves each tuple on its first hit: it returns once every
+// tuple is found or every region has answered. Only sound for unique
+// indexes. Slower batches continue harmlessly in the background, as in a
+// real distributed cancellation.
+func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
+	res := sim.NewFuture[error](p.Sim())
+	found := make([]tableRow, len(tuples))
+	missing, pending := len(tuples), len(regions)
+	parent := obs.ProcSpan(p)
+	for _, region := range regions {
+		p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
+			obs.SetProcSpan(wp, parent)
+			rows, err := s.lookup(wp, f, t, idx, []simnet.Region{region}, tuples)
+			pending--
+			if res.Done() {
+				return
+			}
+			if err != nil {
+				res.Set(err)
+				return
+			}
+			for i, row := range rows {
+				if row.vals != nil && found[i].vals == nil {
+					found[i] = row
+					missing--
+				}
+			}
+			if missing == 0 || pending == 0 {
+				res.Set(nil)
+			}
+		})
+	}
+	if err := res.Wait(p); err != nil {
+		return nil, err
+	}
+	return hits(found), nil
+}
+
+// hits drops the misses (rows without values) from rows, in place.
+func hits(rows []tableRow) []tableRow {
+	out := rows[:0]
+	for _, row := range rows {
+		if row.vals != nil {
+			out = append(out, row)
+		}
+	}
+	return out
+}
+
+// lookup reads the index key of every tuple in every region as one batch,
+// then follows the entries of a non-storing secondary index to their rows as
+// a second. Row r*len(tuples)+i is tuples[i]'s in regions[r], without values
+// on a miss. Row maps come from the session pool; the statement hands them
+// back through releaseRows.
+func (s *Session) lookup(p *sim.Proc, f rowFetcher, t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
+	rows := make([]tableRow, len(regions)*len(tuples))
+	keys := make([]mvcc.Key, len(rows))
+	for r, region := range regions {
+		for i, tuple := range tuples {
+			rows[r*len(tuples)+i].region = region
+			keys[r*len(tuples)+i] = EncodeIndexKey(t, idx, region, tuple)
+		}
+	}
+	vals, err := f.getBatch(p, keys)
 	if err != nil {
 		return nil, err
 	}
-	if val == nil {
-		return nil, nil
+	if !covering(t, idx) {
+		return rows, s.primaryRows(p, f, t, vals, rows)
 	}
-	if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-		vals, err := s.decodeRowPooled(val)
-		if err != nil {
+	for j, val := range vals {
+		if val == nil {
+			continue
+		}
+		if rows[j].vals, err = s.decodeRowPooled(val); err != nil {
 			return nil, err
 		}
-		return &tableRow{vals: vals, region: region}, nil
 	}
-	return s.primaryRow(p, f, t, region, val)
+	return rows, nil
 }
 
-// primaryRow follows a secondary index entry to its row: the entry's value
-// holds the primary key, and the row lives in the same partition as the
-// entry. Row maps come from the session pool.
-func (s *Session) primaryRow(p *sim.Proc, f rowFetcher, t *Table, region simnet.Region, val mvcc.Value) (*tableRow, error) {
-	pkVals, err := s.decodeRowPooled(val)
-	if err != nil {
-		return nil, err
-	}
+// covering reports whether idx's entries hold whole rows: the primary index
+// and storing secondary indexes do, other secondary indexes hold only the
+// primary key.
+func covering(t *Table, idx *Index) bool {
+	return idx.ID == t.Primary().ID || len(idx.Storing) > 0
+}
+
+// primaryRows follows secondary index entries to their rows as one batch.
+// Each non-nil entries[j] holds a primary key, and its row lives in
+// rows[j].region, the entry's own partition; the row's values land in
+// rows[j].vals. Row maps come from the session pool.
+func (s *Session) primaryRows(p *sim.Proc, f rowFetcher, t *Table, entries []mvcc.Value, rows []tableRow) error {
 	primary := t.Primary()
-	var pkTuple []Datum
-	for _, cid := range primary.Cols {
-		pkTuple = append(pkTuple, pkVals[cid])
+	var keys []mvcc.Key
+	var at []int // at[k] is the row keys[k] reads
+	pkTuple := make([]Datum, len(primary.Cols))
+	for j, entry := range entries {
+		if entry == nil {
+			continue
+		}
+		pkVals, err := s.decodeRowPooled(entry)
+		if err != nil {
+			return err
+		}
+		for c, cid := range primary.Cols {
+			pkTuple[c] = pkVals[cid]
+		}
+		s.putRowMap(pkVals)
+		keys = append(keys, EncodeIndexKey(t, primary, rows[j].region, pkTuple))
+		at = append(at, j)
 	}
-	s.putRowMap(pkVals)
-	rowVal, err := f.get(p, EncodeIndexKey(t, primary, region, pkTuple))
-	if err != nil || rowVal == nil {
-		return nil, err
+	if len(keys) == 0 {
+		return nil
 	}
-	vals, err := s.decodeRowPooled(rowVal)
+	vals, err := f.getBatch(p, keys)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &tableRow{vals: vals, region: region}, nil
+	for k, val := range vals {
+		if val == nil {
+			continue
+		}
+		if rows[at[k]].vals, err = s.decodeRowPooled(val); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // decodeRowPooled decodes a row value into a map drawn from the session
@@ -503,7 +511,8 @@ func (s *Session) decodeRowPooled(val mvcc.Value) (map[ColumnID]Datum, error) {
 }
 
 // fetchScan scans every candidate partition of the plan's index in
-// parallel.
+// parallel. A non-storing secondary index then reads each partition's rows
+// as one batch.
 func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableRow, error) {
 	t, idx := plan.t, plan.index
 	type result struct {
@@ -519,24 +528,23 @@ func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 			slots[i] = result{err: err}
 			return
 		}
-		var rows []tableRow
-		for _, kvp := range kvs {
-			if idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-				vals, err := DecodeRow(kvp.Value)
-				if err != nil {
-					slots[i] = result{err: err}
-					return
-				}
-				rows = append(rows, tableRow{vals: vals, region: region})
-			} else {
-				row, err := s.primaryRow(wp, f, t, region, kvp.Value)
-				if err != nil {
-					slots[i] = result{err: err}
-					return
-				}
-				if row != nil {
-					rows = append(rows, *row)
-				}
+		rows := make([]tableRow, len(kvs))
+		for j := range rows {
+			rows[j].region = region
+		}
+		if !covering(t, idx) {
+			entries := make([]mvcc.Value, len(kvs))
+			for j, kvp := range kvs {
+				entries[j] = kvp.Value
+			}
+			err := s.primaryRows(wp, f, t, entries, rows)
+			slots[i] = result{rows: hits(rows), err: err}
+			return
+		}
+		for j, kvp := range kvs {
+			if rows[j].vals, err = DecodeRow(kvp.Value); err != nil {
+				slots[i] = result{err: err}
+				return
 			}
 		}
 		slots[i] = result{rows: rows}

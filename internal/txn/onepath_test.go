@@ -214,10 +214,10 @@ func (h *harness) lagAsiaReplica(t *testing.T, p *sim.Proc, desc *kv.RangeDescri
 // TestFollowerReadPatienceAppliesToEveryRead: a coordinator's
 // FollowerReadPatience lets a follower wait for its closed timestamp instead
 // of redirecting a read to the leaseholder, and it must apply however the
-// read is issued — a single Get, a batch of one or several keys, a scan, or
-// a stale scan. The leaseholder's link to the asia-northeast1 replica is
-// slowed so that replica's closed timestamp trails present time; the
-// impatient control read shows the lag is real.
+// read is issued — a single Get, a batch of one or several keys, a scan, a
+// stale scan or a stale batch. The leaseholder's link to the asia-northeast1
+// replica is slowed so that replica's closed timestamp trails present time;
+// the impatient control read shows the lag is real.
 func TestFollowerReadPatienceAppliesToEveryRead(t *testing.T) {
 	h := newHarness(t, 28)
 	desc := h.globalRange(t)
@@ -246,6 +246,10 @@ func TestFollowerReadPatienceAppliesToEveryRead(t *testing.T) {
 			}},
 			{"StaleScan at present time", func(*txn.Txn) error {
 				_, err := asia.StaleScan(p, mvcc.Key("g/"), mvcc.Key("g0"), 0, asia.Store.Clock.Now())
+				return err
+			}},
+			{"ExactStaleReads at present time", func(*txn.Txn) error {
+				_, err := asia.ExactStaleReads(p, keysOf("g/a", "g/b"), asia.Store.Clock.Now())
 				return err
 			}},
 		}

@@ -162,8 +162,18 @@ func (t *Txn) GetForUpdate(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 // GetParallel reads keys as one batch (one RPC per touched range),
 // preserving input order in the results.
 func (t *Txn) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
+	return t.getParallel(p, keys, false)
+}
+
+// GetParallelForUpdate reads keys as one batch and locks each of them as
+// GetForUpdate does.
+func (t *Txn) GetParallelForUpdate(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
+	return t.getParallel(p, keys, true)
+}
+
+func (t *Txn) getParallel(p *sim.Proc, keys []mvcc.Key, forUpdate bool) ([]mvcc.Value, error) {
 	out := make([]mvcc.Value, len(keys))
-	if err := t.read(p, keys, out, false); err != nil {
+	if err := t.read(p, keys, out, forUpdate); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -919,14 +929,37 @@ func (c *Coordinator) Run(p *sim.Proc, fn func(t *Txn) error) error {
 // ExactStaleRead performs an AS OF SYSTEM TIME read at exactly ts,
 // preferring the nearest replica. Stale reads have no uncertainty interval.
 func (c *Coordinator) ExactStaleRead(p *sim.Proc, key mvcc.Key, ts hlc.Timestamp) (mvcc.Value, simnet.NodeID, error) {
-	resp := c.Sender.Send(p, &kv.GetRequest{
-		Key: key, Timestamp: ts, FollowerRead: true, Uncertainty: false,
-		WaitForClosed: c.FollowerReadPatience,
-	})
+	resp := c.Sender.Send(p, c.staleGet(key, ts))
 	if resp.Err != nil {
 		return nil, 0, resp.Err
 	}
 	return resp.Get.Value, resp.Get.ServedBy, nil
+}
+
+// ExactStaleReads reads keys at exactly ts as one batch: one RPC per touched
+// range, each to its nearest replica. The values keep the order of keys.
+func (c *Coordinator) ExactStaleReads(p *sim.Proc, keys []mvcc.Key, ts hlc.Timestamp) ([]mvcc.Value, error) {
+	reqs := make([]interface{}, len(keys))
+	for i, key := range keys {
+		reqs[i] = c.staleGet(key, ts)
+	}
+	out := make([]mvcc.Value, len(keys))
+	for i, resp := range c.Sender.SendBatch(p, reqs) {
+		if resp.Err != nil {
+			return nil, resp.Err
+		}
+		out[i] = resp.Get.Value
+	}
+	return out, nil
+}
+
+// staleGet is the follower read of key at exactly ts that every stale point
+// read sends.
+func (c *Coordinator) staleGet(key mvcc.Key, ts hlc.Timestamp) *kv.GetRequest {
+	return &kv.GetRequest{
+		Key: key, Timestamp: ts, FollowerRead: true, Uncertainty: false,
+		WaitForClosed: c.FollowerReadPatience,
+	}
 }
 
 // StaleScan performs an exact-staleness scan at ts from the nearest
