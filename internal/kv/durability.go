@@ -75,17 +75,28 @@ type replicaStorage struct {
 	noopSynced func()
 }
 
-func (rs *replicaStorage) Append(hs raft.HardState, entries []raft.Entry, done func()) {
+func (rs *replicaStorage) Append(hs raft.HardState, entries []raft.Entry, c raft.Completion) {
 	rs.buf = appendWALRecord(rs.buf[:0], hs, entries)
 	rs.wal.Append(rs.buf)
-	if done != nil && rs.noopSynced != nil && holdsNoop(entries) {
-		raftDone := done
-		done = func() {
-			raftDone()
-			rs.noopSynced()
-		}
+	s := walSync{c: c}
+	if rs.noopSynced != nil && holdsNoop(entries) {
+		s.then = rs.noopSynced
 	}
-	rs.wal.Sync(done)
+	storage.SyncWith(rs.wal, walSync.run, s)
+}
+
+// walSync is what one WAL fsync completes: Raft's promise, then, for a
+// record holding a no-op, the replica's noopSynced.
+type walSync struct {
+	c    raft.Completion
+	then func()
+}
+
+func (s walSync) run() {
+	s.c.Run()
+	if s.then != nil {
+		s.then()
+	}
 }
 
 // holdsNoop reports whether entries include a leader's no-op.

@@ -200,7 +200,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	s := sim.New(1)
 	rs := &replicaStorage{wal: storage.NewDisk(s, 1, nil).WAL("bench")}
 	hs, entries := onePutBatch()
-	rs.Append(hs, entries, nil)
+	rs.Append(hs, entries, raft.Completion{})
 	b.SetBytes(int64(len(rs.buf)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -208,7 +208,7 @@ func BenchmarkWALAppend(b *testing.B) {
 		if i%4096 == 0 {
 			rs.Reset(0, 0, hs) // keep the log, and the measurement, at a steady size
 		}
-		rs.Append(hs, entries, nil)
+		rs.Append(hs, entries, raft.Completion{})
 		s.Run() // the fsync completes
 	}
 }

@@ -145,13 +145,13 @@ func TestLatchManagerExclusion(t *testing.T) {
 		order = append(order, 1)
 		p.Sleep(10 * sim.Millisecond)
 		order = append(order, 2)
-		m.release(mvcc.Key("k"))
+		m.release("k")
 	})
 	s.Spawn("b", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
 		m.acquire(p, mvcc.Key("k"))
 		order = append(order, 3)
-		m.release(mvcc.Key("k"))
+		m.release("k")
 	})
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -169,7 +169,7 @@ func TestLatchWaitFree(t *testing.T) {
 	s.Spawn("writer", func(p *sim.Proc) {
 		m.acquire(p, mvcc.Key("k"))
 		p.Sleep(20 * sim.Millisecond)
-		m.release(mvcc.Key("k"))
+		m.release("k")
 	})
 	s.Spawn("reader", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)

@@ -21,49 +21,59 @@ func newLatchManager(s *sim.Simulation) *latchManager {
 	return &latchManager{sim: s, held: map[string]bool{}, queues: map[string][]*sim.Cond{}}
 }
 
+// Lookups index the maps with string(key) in place, which converts without
+// copying. Only acquire pays for a string of the key, the one the held map
+// keeps; it hands that string back, and release deletes with it, so a write
+// latch costs one string however long its key. A waiter queueing converts
+// once more.
+
 // acquire takes the exclusive latch on key, parking p while another writer
-// holds it.
-func (m *latchManager) acquire(p *sim.Proc, key mvcc.Key) {
-	k := string(key)
-	for m.held[k] {
-		c := sim.NewCond(m.sim)
-		m.queues[k] = append(m.queues[k], c)
-		c.Wait(p)
+// holds it, and returns the key string that release takes.
+func (m *latchManager) acquire(p *sim.Proc, key mvcc.Key) string {
+	for m.held[string(key)] {
+		m.wait(p, string(key))
 	}
+	k := string(key)
 	m.held[k] = true
+	return k
 }
 
-// release frees the latch and wakes the next waiter.
-func (m *latchManager) release(key mvcc.Key) {
-	k := string(key)
+// release frees the latch acquire returned k for and wakes the next waiter.
+func (m *latchManager) release(k string) {
 	if !m.held[k] {
 		panic("kv: releasing unheld latch")
 	}
 	delete(m.held, k)
-	if q := m.queues[k]; len(q) > 0 {
-		m.queues[k] = q[1:]
-		if len(m.queues[k]) == 0 {
-			delete(m.queues, k)
-		}
-		q[0].Broadcast()
-	}
+	m.wakeNext(k)
 }
 
 // waitFree parks p until no writer holds the latch on key (read-side wait).
 func (m *latchManager) waitFree(p *sim.Proc, key mvcc.Key) {
-	k := string(key)
-	for m.held[k] {
-		c := sim.NewCond(m.sim)
-		m.queues[k] = append(m.queues[k], c)
-		c.Wait(p)
+	for m.held[string(key)] {
+		m.wait(p, string(key))
 	}
 	// Wake the next queued waiter too: multiple readers may proceed, and
 	// a queued writer will re-check and re-queue if a reader got in
 	// first (readers don't mark the latch held).
+	if len(m.queues[string(key)]) > 0 {
+		m.wakeNext(string(key))
+	}
+}
+
+// wait queues p on k's latch until the next wake.
+func (m *latchManager) wait(p *sim.Proc, k string) {
+	c := sim.NewCond(m.sim)
+	m.queues[k] = append(m.queues[k], c)
+	c.Wait(p)
+}
+
+// wakeNext wakes the first waiter queued on k's latch, if any.
+func (m *latchManager) wakeNext(k string) {
 	if q := m.queues[k]; len(q) > 0 {
-		m.queues[k] = q[1:]
-		if len(m.queues[k]) == 0 {
+		if len(q) == 1 {
 			delete(m.queues, k)
+		} else {
+			m.queues[k] = q[1:]
 		}
 		q[0].Broadcast()
 	}

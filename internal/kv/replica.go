@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"mrdb/internal/hlc"
@@ -30,6 +31,11 @@ type Replica struct {
 	closed  closedTracker
 	tscache *TimestampCache
 	latches *latchManager
+	// pipelined holds the pipelined writes whose latches are held until
+	// their proposals resolve, in proposal order. releaseResolved is
+	// r.releaseOne, kept so that registering it allocates nothing.
+	pipelined       []pipelinedWrite
+	releaseResolved func()
 
 	// lockTable holds exclusive unreplicated locks (SELECT FOR UPDATE):
 	// key -> holder transaction. Entries are stolen lazily once the
@@ -371,12 +377,12 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		}
 	}
 	lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
-	r.latches.acquire(p, req.Key)
+	latched := r.latches.acquire(p, req.Key)
 	lsp.Finish()
 	releaseOnReturn := true
 	defer func() {
 		if releaseOnReturn {
-			r.latches.release(req.Key)
+			r.latches.release(latched)
 		}
 	}()
 	r.WritesEvaluated++
@@ -406,9 +412,9 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				// Drop the latch while queued on the lock (as CockroachDB's
 				// lock table does) so the holder's commit-time QueryIntent
 				// and other readers are not blocked behind us.
-				r.latches.release(req.Key)
+				r.latches.release(latched)
 				werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, true)
-				r.latches.acquire(p, req.Key)
+				latched = r.latches.acquire(p, req.Key)
 				if werr != nil {
 					return Response{Err: werr}
 				}
@@ -445,17 +451,36 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				return Response{Err: err}
 			}
 			releaseOnReturn = false
-			key := append(mvcc.Key(nil), req.Key...)
-			r.store.Sim.Spawn("kv/pipelined-apply", func(ap *sim.Proc) {
-				f.Wait(ap)
-				r.latches.release(key)
-			})
+			r.pipelined = append(r.pipelined, pipelinedWrite{f: f, latched: latched})
+			f.Notify(r.store.Sim, r.releaseResolved)
 			return Response{Put: &PutResponse{WriteTimestamp: ts}}
 		}
 		if err := r.propose(p, cmd); err != nil {
 			return Response{Err: err}
 		}
 		return Response{Put: &PutResponse{WriteTimestamp: ts}}
+	}
+}
+
+// pipelinedWrite is a write replied to before it applied: its latch, named
+// by the string acquire returned, is held until its proposal resolves.
+type pipelinedWrite struct {
+	f       *sim.Future[raft.ProposeResult]
+	latched string
+}
+
+// releaseOne releases the latch of the earliest resolved pipelined write.
+// It runs once per resolution, in the event the resolution queued (Future
+// Notify) — when the write's entry applies here or its proposal fails — and
+// resolutions come in proposal order, so it frees exactly the write whose
+// resolution queued it.
+func (r *Replica) releaseOne() {
+	for i, w := range r.pipelined {
+		if w.f.Done() {
+			r.pipelined = slices.Delete(r.pipelined, i, i+1)
+			r.latches.release(w.latched)
+			return
+		}
 	}
 }
 
@@ -585,7 +610,7 @@ func (r *Replica) propose(p *sim.Proc, cmd Command) error {
 		// cross-region quorum shows exactly the remote acks it paid for.
 		var acks strings.Builder
 		wan := 0
-		for i, a := range res.Acks {
+		for i, a := range res.Acks() {
 			if i > 0 {
 				acks.WriteByte(',')
 			}

@@ -269,6 +269,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 	}
 	r.closedAdvanced = sim.NewCond(s.Sim)
 	r.leaderApplied = sim.NewCond(s.Sim)
+	r.releaseResolved = r.releaseOne
 	rcfg := raft.Config{
 		ID:               s.NodeID,
 		Voters:           desc.Voters,

@@ -49,7 +49,7 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
 			return err
 		}
-		rep.latches.release(key)
+		rep.latches.release(string(key))
 		done.Wait(p)
 		return nil
 	})
@@ -153,7 +153,7 @@ func TestRefreshWaitsForInFlightWrite(t *testing.T) {
 		if _, err := rep.engine.Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
 			return err
 		}
-		rep.latches.release(key)
+		rep.latches.release(string(key))
 		done.Wait(p)
 		return nil
 	})
@@ -220,7 +220,7 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 		if _, err := lhs.engineFor(key).Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
 			return err
 		}
-		lhs.latches.release(key)
+		lhs.latches.release(string(key))
 		done.Wait(p)
 		return nil
 	})
@@ -272,7 +272,7 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 			put = ds.Send(wp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: tx})
 		})
 		p.Sleep(sim.Millisecond)
-		rep.latches.release(key)
+		rep.latches.release(string(key))
 		done.Wait(p)
 		return nil
 	})

@@ -151,8 +151,8 @@ type delayedStorage struct {
 	resets int
 }
 
-func (d *delayedStorage) Append(hs HardState, entries []Entry, done func()) {
-	d.s.After(sim.Millisecond, done)
+func (d *delayedStorage) Append(hs HardState, entries []Entry, c Completion) {
+	d.s.After(sim.Millisecond, c.Run)
 }
 func (d *delayedStorage) Compact(index, term uint64, tail []Entry, hs HardState) {}
 func (d *delayedStorage) Reset(index, term uint64, hs HardState)                 { d.resets++ }

@@ -12,6 +12,7 @@ package raft
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mrdb/internal/hlc"
@@ -123,17 +124,23 @@ type HardState struct {
 }
 
 // Storage persists Raft state for one replica. A nil Storage in Config
-// preserves the historical fully-synchronous in-memory behavior: done
-// callbacks run before the call returns and nothing survives a crash.
+// keeps the historical fully-synchronous in-memory behavior: a completion
+// runs before persisting returns and nothing survives a crash.
 //
-// Implementations must provide FIFO durability: when the done callback of
-// one Append fires, every earlier Append's data is durable too.
+// Every Append carries a Completion: the promise the node withholds until
+// the append is durable (a vote request, a granted vote, the leader's count
+// of its own entry, a follower's ack). The storage calls its Run once this
+// Append's data and every earlier Append's data are durable. Completions
+// may run in any order — a later sync may finish first, and each one's
+// promise is stated in terms of its own append — but each runs at most
+// once, and never if a crash or a log rewrite (Compact, Reset) loses the
+// data first: an fsync that never returned promises nothing.
 type Storage interface {
 	// Append stages the hard state and entries (appended at their Index;
 	// a batch whose first index overlaps previously staged entries
-	// supersedes the overlapped suffix) and invokes done once durable.
-	// done may never fire (crash); callers must not rely on it.
-	Append(hs HardState, entries []Entry, done func())
+	// supersedes the overlapped suffix) and runs c once durable. c may
+	// never run (crash); callers must not rely on it.
+	Append(hs HardState, entries []Entry, c Completion)
 	// Compact atomically rewrites the durable log so it holds exactly the
 	// given tail of entries, with everything at or before (index, term)
 	// owned by the latest checkpoint. tail is the node's own log: it must be
@@ -143,6 +150,35 @@ type Storage interface {
 	// at (index, term); the snapshot itself was persisted by the
 	// ApplySnapshot callback before Reset is called.
 	Reset(index, term uint64, hs HardState)
+}
+
+// Completion is a promise a node withholds until an Append is durable. It
+// is a plain value, so a storage can carry it in the event that completes
+// its sync without allocating anything of its own.
+type Completion struct {
+	n     *Node
+	kind  completionKind
+	term  uint64        // the term the promise was made in
+	index uint64        // the log index the append reached (appends only)
+	peer  simnet.NodeID // who is answered (acks and granted votes)
+}
+
+// completionKind names the promise a Completion carries.
+type completionKind uint8
+
+const (
+	requestVotes completionKind = iota // a candidate's term and self-vote
+	grantVote                          // a vote granted to peer
+	countSelf                          // the leader's own entry at index
+	ackAppend                          // a follower's append through index
+)
+
+// Run delivers the promise once its append is durable. The zero Completion
+// does nothing.
+func (c Completion) Run() {
+	if c.n != nil {
+		c.n.complete(c)
+	}
 }
 
 // Transport sends a message to a peer; implementations add network latency
@@ -183,8 +219,8 @@ type Config struct {
 
 	// Storage, if set, persists hard state and log entries; promises to
 	// peers (votes, append acks, the leader's own match index) are then
-	// withheld until the corresponding fsync completes. Nil keeps the
-	// historical synchronous in-memory behavior exactly.
+	// withheld until the corresponding fsync completes (see Completion).
+	// Nil keeps the historical synchronous in-memory behavior exactly.
 	Storage Storage
 	// Snapshot, if set, serializes the applied state machine as of
 	// (index, term), this node's applied position. The leader calls it when
@@ -213,13 +249,32 @@ var ErrLeadershipLost = fmt.Errorf("raft: leadership lost with proposal in fligh
 type ProposeResult struct {
 	Index uint64
 	Err   error
-	// Acks lists the voters (including the leader itself) whose match
-	// index had reached the entry when it committed — the critical quorum
-	// that paid for this proposal's replication round trip. Sorted by node
-	// ID; nil on error or when resolved away from the leader. The
-	// observability layer uses it to count inter-region quorum round trips.
-	Acks []simnet.NodeID
+	// Quorum is the critical quorum that paid for this proposal's
+	// replication round trip, as a bitmask over Voters: bit i is set when
+	// Voters[i] (the leader included) had matched the entry when it
+	// committed. Zero on error or when resolved away from the leader.
+	Quorum uint64
+	// Voters is the voter set the entry committed under, ascending by node
+	// ID. The node shares it with every result of that configuration and
+	// never mutates it.
+	Voters []simnet.NodeID
 }
+
+// Acks expands Quorum into the voters it names, ascending by node ID (nil
+// for an empty quorum). The observability layer uses it to count
+// inter-region quorum round trips.
+func (r ProposeResult) Acks() []simnet.NodeID {
+	var acks []simnet.NodeID
+	for i, v := range r.Voters {
+		if r.Quorum&(1<<i) != 0 {
+			acks = append(acks, v)
+		}
+	}
+	return acks
+}
+
+// maxVoters bounds a group's voters: a commit quorum is a 64-bit mask.
+const maxVoters = 64
 
 // Node is one replica's Raft state machine.
 type Node struct {
@@ -246,13 +301,18 @@ type Node struct {
 	voters   map[simnet.NodeID]bool
 	learners map[simnet.NodeID]bool
 
-	// peerList caches peers(); applyConfChange invalidates it.
-	peerList []simnet.NodeID
+	// peerList caches peers() and voterList caches voterSlice();
+	// applyConfChange replaces both, never mutating a list handed out.
+	peerList  []simnet.NodeID
+	voterList []simnet.NodeID
 
 	// Leader state: one progress per replica (self included, for match),
 	// rebuilt by becomeLeader.
 	progress map[simnet.NodeID]*progress
-	pending  map[uint64]*sim.Future[ProposeResult]
+	// pending holds the futures of the proposals in flight, in index
+	// order: applyCommitted pops the head as its entry applies and
+	// failPending fails them all in order.
+	pending []proposal
 	// lastBroadcast is when broadcastAppend last put a message on every link.
 	lastBroadcast sim.Time
 
@@ -278,6 +338,12 @@ type progress struct {
 	acked bool
 }
 
+// proposal is a proposal in flight: the future its entry resolves.
+type proposal struct {
+	index uint64
+	f     *sim.Future[ProposeResult]
+}
+
 // NewNode constructs a replica. If the node appears in cfg.Learners it
 // starts as a Learner, otherwise as a Follower. Call Start to arm timers.
 func NewNode(cfg Config) *Node {
@@ -289,7 +355,6 @@ func NewNode(cfg Config) *Node {
 		log:      []Entry{{}},
 		voters:   map[simnet.NodeID]bool{},
 		learners: map[simnet.NodeID]bool{},
-		pending:  map[uint64]*sim.Future[ProposeResult]{},
 	}
 	for _, v := range cfg.Voters {
 		n.voters[v] = true
@@ -358,17 +423,67 @@ func (n *Node) offset() uint64 { return n.log[0].Index }
 // at returns the entry at log index idx; idx must be in [offset, LastIndex].
 func (n *Node) at(idx uint64) Entry { return n.log[idx-n.offset()] }
 
-// persist stages the current hard state plus entries and runs done once
+// persist stages the current hard state plus entries and runs c once
 // durable. With nil Storage it completes synchronously, preserving the
 // historical in-memory semantics event-for-event.
-func (n *Node) persist(entries []Entry, done func()) {
+func (n *Node) persist(entries []Entry, c Completion) {
 	n.persisted = HardState{Term: n.term, Vote: n.votedFor}
+	c.n = n
 	if n.cfg.Storage == nil {
 		n.durableIndex = n.LastIndex()
-		done()
+		n.complete(c)
 		return
 	}
-	n.cfg.Storage.Append(n.persisted, entries, done)
+	n.cfg.Storage.Append(n.persisted, entries, c)
+}
+
+// complete delivers what persist withheld. Each promise checks that it
+// still stands: nothing runs on a stopped node, a vote request only for
+// the candidacy that made it, and a follower's ack only in its own term —
+// if a new leader truncated the log while the fsync was pending, the stale
+// ack must not be credited.
+func (n *Node) complete(c Completion) {
+	if n.stopped {
+		return
+	}
+	switch c.kind {
+	case requestVotes:
+		if n.term != c.term || n.role != Candidate {
+			return
+		}
+		last := n.log[len(n.log)-1]
+		for _, v := range n.voterSlice() {
+			if v == n.cfg.ID {
+				continue
+			}
+			n.cfg.Transport.Send(v, Message{
+				Kind: MsgVote, Term: c.term, From: n.cfg.ID,
+				LastLogIndex: last.Index, LastLogTerm: last.Term,
+			})
+		}
+		n.maybeWinElection()
+	case grantVote:
+		n.cfg.Transport.Send(c.peer, Message{
+			Kind: MsgVoteResp, Term: c.term, From: n.cfg.ID, VoteGranted: true,
+		})
+	case countSelf:
+		n.markDurable(c.index)
+		if n.role == Leader && n.term == c.term {
+			if self := n.progress[n.cfg.ID]; c.index > self.match {
+				self.match = c.index
+			}
+			n.maybeCommit()
+		}
+	case ackAppend:
+		if n.term != c.term {
+			return
+		}
+		n.markDurable(c.index)
+		n.cfg.Transport.Send(c.peer, Message{
+			Kind: MsgAppResp, Term: c.term, From: n.cfg.ID, Success: true,
+			MatchIndex: n.durableIndex,
+		})
+	}
 }
 
 // markDurable advances durableIndex to idx, clamped to the current log end
@@ -440,23 +555,7 @@ func (n *Node) Campaign() {
 	n.lastHeard = n.cfg.Sim.Now()
 	// The incremented term and self-vote must be durable before they are
 	// announced, or a crash could let this node vote twice in the term.
-	term := n.term
-	n.persist(nil, func() {
-		if n.stopped || n.term != term || n.role != Candidate {
-			return
-		}
-		last := n.log[len(n.log)-1]
-		for _, v := range n.sortedVoters() {
-			if v == n.cfg.ID {
-				continue
-			}
-			n.cfg.Transport.Send(v, Message{
-				Kind: MsgVote, Term: term, From: n.cfg.ID,
-				LastLogIndex: last.Index, LastLogTerm: last.Term,
-			})
-		}
-		n.maybeWinElection()
-	})
+	n.persist(nil, Completion{kind: requestVotes, term: n.term})
 }
 
 func (n *Node) maybeWinElection() {
@@ -513,17 +612,13 @@ func (n *Node) stepDown(term uint64, leader simnet.NodeID) {
 	}
 }
 
+// failPending fails every proposal in flight, in index order.
 func (n *Node) failPending() {
-	idxs := make([]uint64, 0, len(n.pending))
-	for idx := range n.pending {
-		idxs = append(idxs, idx)
+	for _, p := range n.pending {
+		p.f.Set(ProposeResult{Index: p.index, Err: ErrLeadershipLost})
 	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
-	for _, idx := range idxs {
-		f := n.pending[idx]
-		delete(n.pending, idx)
-		f.Set(ProposeResult{Index: idx, Err: ErrLeadershipLost})
-	}
+	clear(n.pending)
+	n.pending = n.pending[:0]
 }
 
 // SetHeartbeatInterval retunes the leader's append/heartbeat cadence (the kv
@@ -571,36 +666,32 @@ func (n *Node) peers() []simnet.NodeID {
 	return n.peerList
 }
 
-// sortedVoters returns the voter set in ascending node order.
-func (n *Node) sortedVoters() []simnet.NodeID {
-	out := make([]simnet.NodeID, 0, len(n.voters))
-	for v := range n.voters {
-		out = append(out, v)
+// voterSlice returns the voter set in ascending node order, built once per
+// configuration like peers(). Proposal results share it, so a conf change
+// replaces it and never mutates it.
+func (n *Node) voterSlice() []simnet.NodeID {
+	if n.voterList == nil {
+		if len(n.voters) > maxVoters {
+			panic(fmt.Sprintf("raft: %d voters; a commit quorum is a mask of at most %d", len(n.voters), maxVoters))
+		}
+		out := make([]simnet.NodeID, 0, len(n.voters))
+		for v := range n.voters {
+			out = append(out, v)
+		}
+		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+		n.voterList = out
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return n.voterList
 }
 
 func (n *Node) appendLocal(e Entry) uint64 {
 	e.Term = n.term
 	e.Index = n.LastIndex() + 1
 	n.log = append(n.log, e)
-	idx, term := e.Index, n.term
 	// The leader's own vote for the entry (its match index) counts toward
 	// quorum only once the entry is on disk.
-	n.persist(n.log[len(n.log)-1:], func() {
-		if n.stopped {
-			return
-		}
-		n.markDurable(idx)
-		if n.role == Leader && n.term == term {
-			if self := n.progress[n.cfg.ID]; idx > self.match {
-				self.match = idx
-			}
-			n.maybeCommit()
-		}
-	})
-	return idx
+	n.persist(n.log[len(n.log)-1:], Completion{kind: countSelf, term: n.term, index: e.Index})
+	return e.Index
 }
 
 // Propose replicates data, returning a future resolved once the entry
@@ -623,7 +714,7 @@ func (n *Node) proposeEntry(e Entry) (*sim.Future[ProposeResult], error) {
 	}
 	idx := n.appendLocal(e)
 	f := sim.NewFuture[ProposeResult](n.cfg.Sim)
-	n.pending[idx] = f
+	n.pending = append(n.pending, proposal{index: idx, f: f})
 	n.broadcastAppend()
 	return f, nil
 }
@@ -700,7 +791,7 @@ func (n *Node) maybeCommit() {
 			break // only commit entries from the current term by counting
 		}
 		count := 0
-		for v := range n.voters {
+		for _, v := range n.voterSlice() {
 			if n.progress[v].match >= idx {
 				count++
 			}
@@ -713,18 +804,18 @@ func (n *Node) maybeCommit() {
 	}
 }
 
-// ackSet returns the sorted voters whose match index covers idx. Called at
-// commit time on the leader, this is exactly the quorum whose acks
-// committed the entry (slower voters have not matched it yet).
-func (n *Node) ackSet(idx uint64) []simnet.NodeID {
-	var acks []simnet.NodeID
-	for v := range n.voters {
+// quorum returns, as a mask over voterSlice(), the voters whose match index
+// covers idx. Called at commit time on the leader, this is exactly the
+// quorum whose acks committed the entry (slower voters have not matched it
+// yet).
+func (n *Node) quorum(idx uint64) uint64 {
+	var mask uint64
+	for i, v := range n.voterSlice() {
 		if n.progress[v].match >= idx {
-			acks = append(acks, v)
+			mask |= 1 << i
 		}
 	}
-	sort.Slice(acks, func(i, j int) bool { return acks[i] < acks[j] })
-	return acks
+	return mask
 }
 
 func (n *Node) applyCommitted() {
@@ -737,9 +828,10 @@ func (n *Node) applyCommitted() {
 		if n.cfg.Apply != nil && (e.Data != nil || e.Conf != nil) {
 			n.cfg.Apply(e)
 		}
-		if f, ok := n.pending[e.Index]; ok {
-			delete(n.pending, e.Index)
-			f.Set(ProposeResult{Index: e.Index, Acks: n.ackSet(e.Index)})
+		if len(n.pending) > 0 && n.pending[0].index == e.Index {
+			f := n.pending[0].f
+			n.pending = slices.Delete(n.pending, 0, 1)
+			f.Set(ProposeResult{Index: e.Index, Quorum: n.quorum(e.Index), Voters: n.voterSlice()})
 		}
 	}
 }
@@ -771,7 +863,7 @@ func (n *Node) applyConfChange(cc ConfChange) {
 			n.role = Learner
 		}
 	}
-	n.peerList = nil
+	n.peerList, n.voterList = nil, nil
 	if !n.voters[cc.Node] && !n.learners[cc.Node] {
 		// Gone from the group: if it is ever re-added it is a blank replica,
 		// not the one whose match and next index these were.
@@ -830,23 +922,15 @@ func (n *Node) handleVote(msg Message) {
 			n.lastHeard = n.cfg.Sim.Now()
 		}
 	}
-	term := n.term
-	reply := func() {
-		n.cfg.Transport.Send(msg.From, Message{
-			Kind: MsgVoteResp, Term: term, From: n.cfg.ID, VoteGranted: granted,
-		})
-	}
 	if granted {
 		// A vote is a promise: it must survive a crash, or the node could
 		// vote for a different candidate in the same term after restart.
-		n.persist(nil, func() {
-			if !n.stopped {
-				reply()
-			}
-		})
+		n.persist(nil, Completion{kind: grantVote, term: n.term, peer: msg.From})
 		return
 	}
-	reply()
+	n.cfg.Transport.Send(msg.From, Message{
+		Kind: MsgVoteResp, Term: n.term, From: n.cfg.ID, VoteGranted: false,
+	})
 }
 
 func (n *Node) handleVoteResp(msg Message) {
@@ -936,21 +1020,11 @@ func (n *Node) handleApp(msg Message) {
 		return
 	}
 	// The ack promises the leader these entries are stable here, so it is
-	// withheld until they are fsynced. Syncs are FIFO, so acking the
-	// captured tail index is safe even if later appends are still in
-	// flight. The term is captured too: if a new leader truncates our log
-	// while the fsync is pending, the stale ack must not be credited.
-	last, term, from := n.LastIndex(), n.term, msg.From
-	n.persist(appended, func() {
-		if n.stopped || n.term != term {
-			return
-		}
-		n.markDurable(last)
-		n.cfg.Transport.Send(from, Message{
-			Kind: MsgAppResp, Term: term, From: n.cfg.ID, Success: true,
-			MatchIndex: n.durableIndex,
-		})
-	})
+	// withheld until they are fsynced. The completion carries the tail
+	// index this append reached: once it is durable, so is everything
+	// before it, whatever order other syncs finish in. It carries the term
+	// too, which complete checks against a truncation by a newer leader.
+	n.persist(appended, Completion{kind: ackAppend, term: n.term, index: n.LastIndex(), peer: msg.From})
 }
 
 // handleSnap installs a leader-shipped snapshot, replacing the applied

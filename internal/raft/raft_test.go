@@ -922,12 +922,12 @@ func TestNewLeaderLearnsMatchWithoutHeartbeatAcks(t *testing.T) {
 // manualStorage is a Storage whose fsyncs complete when the test says so.
 type manualStorage struct {
 	records []HardState // hard state of every Append, in order
-	waiting []func()
+	waiting []Completion
 }
 
-func (m *manualStorage) Append(hs HardState, entries []Entry, done func()) {
+func (m *manualStorage) Append(hs HardState, entries []Entry, c Completion) {
 	m.records = append(m.records, hs)
-	m.waiting = append(m.waiting, done)
+	m.waiting = append(m.waiting, c)
 }
 func (m *manualStorage) Compact(index, term uint64, tail []Entry, hs HardState) {}
 func (m *manualStorage) Reset(index, term uint64, hs HardState)                 {}
@@ -935,9 +935,9 @@ func (m *manualStorage) Reset(index, term uint64, hs HardState)                 
 // sync completes every pending fsync, in order.
 func (m *manualStorage) sync() {
 	for len(m.waiting) > 0 {
-		done := m.waiting[0]
+		c := m.waiting[0]
 		m.waiting = m.waiting[1:]
-		done()
+		c.Run()
 	}
 }
 

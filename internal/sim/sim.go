@@ -513,6 +513,9 @@ type Future[T any] struct {
 	val     T
 	waiters []*Proc
 	first   [1]*Proc // backs waiters while there is one, the usual case
+	// notify and notifySim are the Notify callback and its simulation.
+	notify    func()
+	notifySim *Simulation
 }
 
 // NewFuture returns an empty future. The simulation is not recorded (see
@@ -540,19 +543,41 @@ func (f *Future[T]) fulfil(v T) []*Proc {
 }
 
 // Set fulfils the future and queues a wake for every waiter at the current
-// instant.
+// instant, then the Notify callback, if any.
 func (f *Future[T]) Set(v T) {
 	for _, w := range f.fulfil(v) {
 		w.sim.wakeAt(w.sim.now, w)
 	}
+	if f.notify != nil {
+		f.notifySim.After(0, f.notify)
+	}
 }
 
 // Deliver fulfils the future and resumes every waiter, in the order they
-// began to wait, before it returns. See Future for when it may be called.
+// began to wait, before it returns; then it runs the Notify callback, if
+// any. See Future for when it may be called.
 func (f *Future[T]) Deliver(v T) {
 	for _, w := range f.fulfil(v) {
 		w.resumeNow()
 	}
+	if f.notify != nil {
+		f.notify()
+	}
+}
+
+// Notify makes fn run once f is fulfilled, where a waiting process would be
+// resumed: Set queues it as an event of its own at that instant, Deliver
+// calls it. It is for a reaction that needs no process of its own — a
+// caller that keeps fn in a field starts nothing and allocates nothing per
+// future — and fn reads what it needs from state it shares with the
+// fulfiller. A future takes one callback; on a future already fulfilled, fn
+// is queued at once.
+func (f *Future[T]) Notify(s *Simulation, fn func()) {
+	if f.set {
+		s.After(0, fn)
+		return
+	}
+	f.notify, f.notifySim = fn, s
 }
 
 // Done reports whether the future has been fulfilled.

@@ -268,6 +268,46 @@ func TestFutureWaitTimeoutLeavesNothing(t *testing.T) {
 	}
 }
 
+// TestFutureNotifyTakesAWakesPlace: a Notify callback runs where a waiting
+// process would be resumed — Set queues it at that instant, behind the
+// waiters' wakes and ahead of anything queued after Set; Deliver calls it
+// inline; on a fulfilled future it is queued at once — and it runs once.
+func TestFutureNotifyTakesAWakesPlace(t *testing.T) {
+	for _, deliver := range []bool{false, true} {
+		s := New(1)
+		f := NewFuture[int](s)
+		var order []string
+		s.Spawn("waiter", func(p *Proc) {
+			f.Wait(p)
+			order = append(order, "waiter")
+		})
+		f.Notify(s, func() { order = append(order, "notify") })
+		s.Schedule(Time(Millisecond), func() {
+			if deliver {
+				f.Deliver(1)
+			} else {
+				f.Set(1)
+			}
+			s.Schedule(s.Now(), func() { order = append(order, "after") })
+		})
+		s.Run()
+		want := []string{"waiter", "notify", "after"}
+		if len(order) != len(want) || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+			t.Errorf("deliver=%v: order %v, want %v", deliver, order, want)
+		}
+	}
+	s := New(1)
+	f := NewFuture[int](s)
+	f.Set(1)
+	var ran []Time
+	s.Schedule(0, func() {})
+	f.Notify(s, func() { ran = append(ran, s.Now()) })
+	s.Run()
+	if len(ran) != 1 || ran[0] != 0 {
+		t.Errorf("Notify on a fulfilled future ran at %v", ran)
+	}
+}
+
 // TestWaitTimeoutAllocatesNothing: a deadline is a value in the event queue,
 // not a closure and a cell to share with it.
 func TestWaitTimeoutAllocatesNothing(t *testing.T) {

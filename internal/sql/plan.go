@@ -257,12 +257,18 @@ func (s *Session) deriveRead(t *Table, db *core.Database, w *Where, cons map[str
 	return cr
 }
 
-// pickIndex returns the first index whose every column has candidate
-// values: on a duplicate-indexes table the copies pinned to the gateway's
-// region (§7.3.1), then every index in declaration order, the primary
-// first. Nil means no index is usable.
+// pickIndex returns the first unique index whose every column has
+// candidate values: on a duplicate-indexes table the copies pinned to the
+// gateway's region (§7.3.1), then every index in declaration order, the
+// primary first. Only a unique index turns an equality into one key: a
+// non-unique entry's key ends in the primary-key columns, so the same
+// equality names a prefix, and such predicates take the scan path. Nil
+// means no index is usable.
 func pickIndex(t *Table, local simnet.Region, cons map[string][]Datum) *Index {
 	usable := func(idx *Index) bool {
+		if !idx.Unique {
+			return false
+		}
 		for _, cid := range idx.Cols {
 			col, _ := t.ColumnByID(cid)
 			if len(cons[col.Name]) == 0 {

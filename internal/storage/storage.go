@@ -173,6 +173,23 @@ func (w *WAL) Append(payload []byte) {
 // rewritten before the fsync completes, done never runs — exactly like an
 // fsync that never returned.
 func (w *WAL) Sync(done func()) {
+	SyncWith(w, runIfSet, done)
+}
+
+func runIfSet(f func()) {
+	if f != nil {
+		f()
+	}
+}
+
+// SyncWith is Sync for a callback that takes an argument: done(arg) runs
+// once the fsync completes, under the same rules. The argument rides in the
+// fsync's one scheduled event, so a caller whose done is a plain function
+// allocates nothing of its own per sync. Syncs complete in the order their
+// delays expire, which is not the order they started in if FsyncDelay
+// changes between them; each still makes durable everything appended
+// before it started.
+func SyncWith[T any](w *WAL, done func(T), arg T) {
 	target := len(w.data)
 	inc := w.disk.incarnation
 	gen := w.gen
@@ -184,9 +201,7 @@ func (w *WAL) Sync(done func()) {
 			w.durableLen = target
 		}
 		w.disk.metrics.Counter("storage.wal.fsyncs").Inc()
-		if done != nil {
-			done()
-		}
+		done(arg)
 	})
 }
 
