@@ -247,7 +247,7 @@ func TestStaleRouteAfterMerge(t *testing.T) {
 			t.Errorf("stale route rpc: %v", rpcErr)
 			return
 		}
-		resp := raw.(kv.BatchResponse).Resps[0]
+		resp := raw.(*kv.BatchResponse).Resps[0]
 		var rkm *kv.RangeKeyMismatchError
 		if resp.Err == nil || !errors.As(resp.Err, &rkm) {
 			t.Errorf("stale route: err = %v, want RangeKeyMismatchError", resp.Err)

@@ -390,7 +390,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			backoff(asp, desc)
 			continue
 		}
-		resps := raw.(BatchResponse).Resps
+		resps := raw.(*BatchResponse).Resps
 		// A retriable error on any response retries the whole sub-batch
 		// (requests are idempotent at the MVCC layer: re-evaluating a
 		// write lays down the same intent, and a MustNotExist write is
@@ -627,7 +627,7 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 					lastErr = err
 					continue
 				}
-				resp := raw.(BatchResponse).Resps[0]
+				resp := raw.(*BatchResponse).Resps[0]
 				if resp.Err != nil {
 					ds.Retries++
 					lastErr = resp.Err

@@ -47,7 +47,8 @@ type txnRecord struct {
 	// committed); its coordinator finalizes it momentarily.
 	staging bool
 	// finished resolves when the txn commits or aborts; intent waiters
-	// subscribe to it.
+	// subscribe to it. The first waiter creates it: most transactions are
+	// never waited on, and a Broadcast on a nil Cond is a no-op.
 	finished *sim.Cond
 }
 
@@ -71,7 +72,6 @@ func (r *TxnRegistry) Begin(anchorNode simnet.NodeID, priority int64) mvcc.TxnID
 		status:     mvcc.Pending,
 		anchorNode: anchorNode,
 		priority:   priority,
-		finished:   sim.NewCond(r.sim),
 	}
 	return id
 }
@@ -270,6 +270,9 @@ func (r *TxnRegistry) WaitFinished(p *sim.Proc, id mvcc.TxnID, timeout sim.Durat
 	}
 	if rec.status != mvcc.Pending {
 		return rec.status, rec.commitTS
+	}
+	if rec.finished == nil {
+		rec.finished = sim.NewCond(r.sim)
 	}
 	expired := false
 	if timeout > 0 {

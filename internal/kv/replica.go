@@ -149,13 +149,13 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 // evaluateBatch evaluates the requests of one RPC as a fan-out (a lone
 // request therefore runs on p; several run as concurrent procs and contend on
 // latches like independent RPCs would), and the responses come back in
-// request order.
-func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) []Response {
-	resps := make([]Response, len(reqs))
+// request order in the reply.
+func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) *BatchResponse {
+	br := newBatchResponse(len(reqs))
 	p.Fanout("replica/batch-req", len(reqs), func(wp *sim.Proc, i int) {
-		resps[i] = r.evaluate(wp, reqs[i])
+		br.Resps[i] = r.evaluate(wp, reqs[i])
 	})
-	return resps
+	return br
 }
 
 // replicaRead is a request evalRead serves: GetRequest, ScanRequest and

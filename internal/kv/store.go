@@ -135,12 +135,12 @@ func (s *Store) handleMessage(m simnet.Message) {
 	case *simnet.RPCRequest:
 		batch, ok := payload.Payload.(BatchRequest)
 		if !ok {
-			payload.Reply(BatchResponse{Resps: errResponses(1, fmt.Errorf("kv: unexpected RPC payload %T", payload.Payload))})
+			payload.Reply(&BatchResponse{Resps: errResponses(1, fmt.Errorf("kv: unexpected RPC payload %T", payload.Payload))})
 			return
 		}
 		r, ok := s.replicas[batch.RangeID]
 		if !ok {
-			payload.Reply(BatchResponse{Resps: errResponses(len(batch.Reqs), &RangeKeyMismatchError{})})
+			payload.Reply(&BatchResponse{Resps: errResponses(len(batch.Reqs), &RangeKeyMismatchError{})})
 			return
 		}
 		p := payload.Proc
@@ -154,12 +154,12 @@ func (s *Store) handleMessage(m simnet.Message) {
 			}
 			obs.SetProcSpan(p, sp)
 		}
-		resps := r.evaluateBatch(p, batch.Reqs)
-		if sp != nil && len(resps) == 1 && resps[0].Err != nil {
-			sp.SetError(resps[0].Err)
+		br := r.evaluateBatch(p, batch.Reqs)
+		if sp != nil && len(br.Resps) == 1 && br.Resps[0].Err != nil {
+			sp.SetError(br.Resps[0].Err)
 		}
 		sp.Finish()
-		payload.Reply(BatchResponse{Resps: resps})
+		payload.Reply(br)
 	}
 }
 

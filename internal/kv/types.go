@@ -536,9 +536,22 @@ type BatchRequest struct {
 }
 
 // BatchResponse is the reply to a BatchRequest: one Response per request,
-// in request order.
+// in request order. It travels by pointer, and a lone request's Response
+// lives inline in one, so the reply to a point read is a single object.
 type BatchResponse struct {
 	Resps []Response
+	one   [1]Response
+}
+
+// newBatchResponse returns a reply with room for n responses.
+func newBatchResponse(n int) *BatchResponse {
+	br := &BatchResponse{}
+	if n == 1 {
+		br.Resps = br.one[:]
+	} else {
+		br.Resps = make([]Response, n)
+	}
+	return br
 }
 
 // RaftEnvelope carries a Raft message for one range between stores. It

@@ -759,8 +759,12 @@ func (c *Cond) WaitTimeout(p *Proc, d Duration) bool {
 
 // Broadcast wakes all waiting processes. The list keeps its backing array:
 // nothing runs between here and the wakes, so no waiter can be appended to it
-// while it is walked.
+// while it is walked. A nil Cond has no waiters, so broadcasting on it is a
+// no-op: a holder may create its Cond when the first waiter arrives.
 func (c *Cond) Broadcast() {
+	if c == nil {
+		return
+	}
 	for i, w := range c.waiters {
 		c.waiters[i] = nil
 		c.sim.cancelDeadline(w)

@@ -185,9 +185,9 @@ func (t *Table) AddIndex(idx *Index) *Index {
 	return idx
 }
 
-// VisibleColumns returns non-hidden columns in declaration order.
-func (t *Table) VisibleColumns() []*Column {
-	var out []*Column
+// AppendVisibleColumns appends the non-hidden columns, in declaration order,
+// to out.
+func (t *Table) AppendVisibleColumns(out []*Column) []*Column {
 	for _, c := range t.Columns {
 		if !c.Hidden {
 			out = append(out, c)

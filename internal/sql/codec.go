@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"mrdb/internal/mvcc"
 )
@@ -170,15 +171,18 @@ func EncodeRow(vals map[ColumnID]Datum) mvcc.Value {
 // DecodeRow decodes a row value back into column values.
 func DecodeRow(val mvcc.Value) (map[ColumnID]Datum, error) {
 	out := map[ColumnID]Datum{}
-	if err := DecodeRowInto(out, val); err != nil {
+	if err := DecodeRowInto(out, val, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeRowInto decodes a row value into out, which must be empty; the
-// plan-cache fast path feeds it pooled maps to avoid per-row map churn.
-func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value) error {
+// DecodeRowInto decodes the columns cols of a row value into out, which must
+// be empty; nil cols decodes every column. Other columns are skipped in
+// place, so a string column nobody reads costs neither a string nor its
+// interface box. The read path feeds it pooled maps to avoid per-row map
+// churn.
+func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID) error {
 	buf := []byte(val)
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -196,34 +200,45 @@ func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value) error {
 		}
 		tag := buf[0]
 		buf = buf[1:]
+		keep := cols == nil || slices.Contains(cols, ColumnID(id))
 		switch tag {
 		case tagNull:
-			out[ColumnID(id)] = nil
+			if keep {
+				out[ColumnID(id)] = nil
+			}
 		case tagString:
 			l, sz := binary.Uvarint(buf)
 			if sz <= 0 || uint64(len(buf)-sz) < l {
 				return fmt.Errorf("sql: truncated string")
 			}
-			out[ColumnID(id)] = string(buf[sz : sz+int(l)])
+			if keep {
+				out[ColumnID(id)] = string(buf[sz : sz+int(l)])
+			}
 			buf = buf[sz+int(l):]
 		case tagInt:
 			v, sz := binary.Varint(buf)
 			if sz <= 0 {
 				return fmt.Errorf("sql: bad int")
 			}
-			out[ColumnID(id)] = v
+			if keep {
+				out[ColumnID(id)] = v
+			}
 			buf = buf[sz:]
 		case tagFloat:
 			if len(buf) < 8 {
 				return fmt.Errorf("sql: truncated float")
 			}
-			out[ColumnID(id)] = math.Float64frombits(binary.BigEndian.Uint64(buf[:8]))
+			if keep {
+				out[ColumnID(id)] = math.Float64frombits(binary.BigEndian.Uint64(buf[:8]))
+			}
 			buf = buf[8:]
 		case tagBool:
 			if len(buf) < 1 {
 				return fmt.Errorf("sql: truncated bool")
 			}
-			out[ColumnID(id)] = buf[0] == 1
+			if keep {
+				out[ColumnID(id)] = buf[0] == 1
+			}
 			buf = buf[1:]
 		default:
 			return fmt.Errorf("sql: unknown tag %d", tag)

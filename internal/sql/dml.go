@@ -44,10 +44,10 @@ func (s *Session) readRows(p *sim.Proc, tx *txn.Txn, st Statement, table string,
 		return nil, nil, nil, nil, err
 	}
 	var f rowFetcher
-	if sel, ok := st.(*Select); !ok {
-		f = &txnFetcher{tx: tx, forUpdate: plan.lookups != nil}
-	} else if sel.AsOf == nil {
-		f = &txnFetcher{tx: tx}
+	if sel, ok := st.(*Select); !ok && plan.lookups != nil {
+		f = lockingFetcher{txnFetcher{tx}}
+	} else if !ok || sel.AsOf == nil {
+		f = txnFetcher{tx}
 	} else {
 		ts, err := s.asOfTimestamp(p, sel.AsOf, t, plan)
 		if err != nil {
@@ -106,9 +106,9 @@ func (s *Session) asOfTimestamp(p *sim.Proc, asOf *AsOf, t *Table, plan *readPla
 // project builds the result set: named columns, or all visible columns for
 // SELECT * (hidden columns like crdb_region stay hidden, §2.3.2).
 func (s *Session) project(t *Table, rows []tableRow, cols []string, limit int) (*Result, error) {
-	var outCols []*Column
+	outCols := s.colScratch[:0]
 	if cols == nil {
-		outCols = t.VisibleColumns()
+		outCols = t.AppendVisibleColumns(outCols)
 	} else {
 		for _, name := range cols {
 			c, ok := t.Column(name)
@@ -118,6 +118,7 @@ func (s *Session) project(t *Table, rows []tableRow, cols []string, limit int) (
 			outCols = append(outCols, c)
 		}
 	}
+	s.colScratch = outCols
 	res := s.takeResult()
 	if res.Columns == nil {
 		for _, c := range outCols {

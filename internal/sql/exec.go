@@ -56,6 +56,7 @@ type Session struct {
 	tupleScratch  []Datum
 	lookupScratch [][]Datum
 	regionScratch []simnet.Region
+	colScratch    []*Column
 	rowPool       []map[ColumnID]Datum
 	// consScratch/consSlab back constraints(); the returned map and its
 	// value slices are valid only until the next constraints call.
@@ -153,8 +154,10 @@ func (s *Session) ExecStmt(p *sim.Proc, stmt Statement) (*Result, error) {
 // the shared sender's WAN RPC count.
 func (s *Session) runStmt(p *sim.Proc, stmt Statement, fp string, exec func() (*Result, error)) (*Result, error) {
 	sp, done := s.Cluster.Tracer.StartRootIn(p, "sql.exec")
-	sp.SetTag("stmt", strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")).
-		SetTag("gateway_region", string(s.Region()))
+	if sp != nil {
+		sp.SetTag("stmt", strings.TrimPrefix(fmt.Sprintf("%T", stmt), "*sql.")).
+			SetTag("gateway_region", string(s.Region()))
+	}
 	start, retries0, wan0 := p.Now(), s.Coord.Restarts, s.Coord.Sender.WANRPCs
 	res, err := exec()
 	if err != nil {

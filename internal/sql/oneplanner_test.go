@@ -59,14 +59,15 @@ func planOf(t *testing.T, s *Session, ps *Prepared, args []Datum) string {
 	if plan.regionPinned && plan.los {
 		t.Errorf("%s %v: a pinned partition set uses locality-optimized search", Fingerprint(ps.Stmt), args)
 	}
-	return fmt.Sprintf("index=%s lookups=%#v regions=%v regionPinned=%v los=%v filterRedundant=%v",
-		plan.index.Name, plan.lookups, plan.regions, plan.regionPinned, plan.los, plan.filterRedundant)
+	return fmt.Sprintf("index=%s lookups=%#v regions=%v regionPinned=%v los=%v filterRedundant=%v cols=%#v",
+		plan.index.Name, plan.lookups, plan.regions, plan.regionPinned, plan.los, plan.filterRedundant, plan.cols)
 }
 
 // TestPlanParityAcrossCacheArms: a statement's plan is the same field for
-// field — index, lookups, regions, regionPinned, los, filterRedundant —
-// whether its shape was loaded from the cache (hit), derived and stored
-// (miss) or derived with memoization off, from every gateway. The texts are
+// field — index, lookups, regions, regionPinned, los, filterRedundant and
+// the decoded columns — whether its shape was loaded from the cache (hit),
+// derived and stored (miss) or derived with memoization off, from every
+// gateway. The texts are
 // the benchmark's YCSB and TPC-C statements plus an IN list, a computed
 // region (one argument does not evaluate to a region, so the cached
 // computed shape must search), a REGIONAL BY ROW search, a duplicate index

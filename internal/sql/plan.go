@@ -58,6 +58,9 @@ type readPlan struct {
 	// every conjunct is already enforced by the lookup tuples and its values
 	// are pure, so skipping the pass changes neither results nor RNG draws.
 	filterRedundant bool
+	// cols are the columns a fetched row is decoded to; nil decodes every
+	// column (see decodedColumns).
+	cols []ColumnID
 }
 
 // constraints extracts per-column candidate values from a WHERE clause.
@@ -191,21 +194,22 @@ func walkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// planRead plans a read without the plan cache: this execution's
+// planRead plans a read without the plan cache and without a statement, so
+// the plan decodes every column (EXPLAIN and tests): this execution's
 // constraint sets decide the shape, and their values are bound to it.
 func (s *Session) planRead(t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
 	cons, err := s.constraints(w, nil)
 	if err != nil {
 		return nil, err
 	}
-	return s.bindRead(s.deriveRead(t, db, w, cons, limit), t, cons, limit)
+	return s.bindRead(s.deriveRead(nil, t, db, w, cons, limit), t, cons, limit)
 }
 
-// deriveRead makes every shape decision of a read from the table, the
+// deriveRead makes every shape decision of st's read from the table, the
 // database, the gateway and the constraint sets. It looks only at how many
 // candidate values each column has, never at the values, which is why the
 // plan cache can key a shape by the WHERE clause's arities.
-func (s *Session) deriveRead(t *Table, db *core.Database, w *Where, cons map[string][]Datum, limit int) *cachedRead {
+func (s *Session) deriveRead(st Statement, t *Table, db *core.Database, w *Where, cons map[string][]Datum, limit int) *cachedRead {
 	cr := &cachedRead{}
 	switch {
 	case !t.IsPartitioned():
@@ -243,6 +247,7 @@ func (s *Session) deriveRead(t *Table, db *core.Database, w *Where, cons map[str
 				}
 			}
 		}
+		cr.cols = decodedColumns(t, st, w, false) // a scan filters every row
 		return cr
 	}
 	for _, cid := range cr.index.Cols {
@@ -254,7 +259,31 @@ func (s *Session) deriveRead(t *Table, db *core.Database, w *Where, cons map[str
 	// partition set turns out pinned.
 	cr.los = s.LocalityOptimizedSearch && (cr.index.Unique || limit > 0)
 	cr.filterRedundant = filterCoveredByLookup(t, cr.index, w)
+	cr.cols = decodedColumns(t, st, w, cr.filterRedundant)
 	return cr
+}
+
+// decodedColumns returns the columns every row a read of st fetches is
+// decoded to: the ones a SELECT returns, when nothing reads the rows before
+// projection, i.e. there is no WHERE clause or its filter is redundant. Nil
+// decodes every column: for SELECT *, a filter that runs, UPDATE and DELETE
+// (which rewrite whole rows), no statement, and a projection naming an
+// unknown column, which project then reports. The set is a function of the
+// statement and the table, so it belongs to the cached shape.
+func decodedColumns(t *Table, st Statement, w *Where, filterRedundant bool) []ColumnID {
+	sel, ok := st.(*Select)
+	if !ok || sel.Columns == nil || (w != nil && !filterRedundant) {
+		return nil
+	}
+	cols := make([]ColumnID, 0, len(sel.Columns))
+	for _, name := range sel.Columns {
+		c, ok := t.Column(name)
+		if !ok {
+			return nil
+		}
+		cols = append(cols, c.ID)
+	}
+	return cols
 }
 
 // pickIndex returns the first unique index whose every column has
@@ -300,21 +329,23 @@ type rowFetcher interface {
 	scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error)
 }
 
-// txnFetcher reads through a transaction; forUpdate makes point reads take
-// exclusive locks (the implicit SELECT FOR UPDATE of UPDATE/DELETE).
-type txnFetcher struct {
-	tx        *txn.Txn
-	forUpdate bool
-}
+// txnFetcher reads through a transaction. It is one pointer, so it becomes
+// a rowFetcher without an allocation.
+type txnFetcher struct{ tx *txn.Txn }
 
-func (f *txnFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	if f.forUpdate {
-		return f.tx.GetParallelForUpdate(p, keys)
-	}
+func (f txnFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
 	return f.tx.GetParallel(p, keys)
 }
-func (f *txnFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
+func (f txnFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
 	return f.tx.Scan(p, start, end, max)
+}
+
+// lockingFetcher is a txnFetcher whose point reads take exclusive locks
+// (the implicit SELECT FOR UPDATE of UPDATE/DELETE).
+type lockingFetcher struct{ txnFetcher }
+
+func (f lockingFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
+	return f.tx.GetParallelForUpdate(p, keys)
 }
 
 // staleFetcher reads at a fixed timestamp from the nearest replica.
@@ -346,13 +377,15 @@ func (s *Session) fetchRows(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 // partition finds it, rather than waiting for the slowest region (§4.2: "if
 // the row is found, there is no need to fan out to remote regions").
 func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableRow, error) {
-	t, idx := plan.t, plan.index
+	t, idx, cols := plan.t, plan.index, plan.cols
 	if !plan.los || len(plan.regions) < 2 || !idx.Unique {
-		rows, err := s.lookup(p, f, t, idx, plan.regions, plan.lookups)
+		rows, keys := lookupKeys(t, idx, plan.regions, plan.lookups)
+		err := s.lookup(p, f, t, idx, cols, rows, keys)
 		return hits(rows), err
 	}
 	// Phase 1: local partition only (§4.2).
-	rows, err := s.lookup(p, f, t, idx, plan.regions[:1], plan.lookups)
+	rows, keys := lookupKeys(t, idx, plan.regions[:1], plan.lookups)
+	err := s.lookup(p, f, t, idx, cols, rows, keys)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +400,7 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 		return out, nil
 	}
 	// Phase 2: the missing tuples fan out to the remote partitions.
-	remote, err := s.lookupFirstHit(p, f, t, idx, plan.regions[1:], miss)
+	remote, err := s.lookupFirstHit(p, f, t, idx, cols, plan.regions[1:], miss)
 	if err != nil {
 		return nil, err
 	}
@@ -378,16 +411,19 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 // parallel, and resolves each tuple on its first hit: it returns once every
 // tuple is found or every region has answered. Only sound for unique
 // indexes. Slower batches continue harmlessly in the background, as in a
-// real distributed cancellation.
-func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
+// real distributed cancellation. A probe is handed its region's keys, never
+// the tuples: those are session scratch, which the session's next statement
+// refills while a slow probe may still be waiting for its reply.
+func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index, cols []ColumnID, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
 	res := sim.NewFuture[error](p.Sim())
 	found := make([]tableRow, len(tuples))
 	missing, pending := len(tuples), len(regions)
 	parent := obs.ProcSpan(p)
-	for _, region := range regions {
+	for r := range regions {
+		rows, keys := lookupKeys(t, idx, regions[r:r+1], tuples)
 		p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 			obs.SetProcSpan(wp, parent)
-			rows, err := s.lookup(wp, f, t, idx, []simnet.Region{region}, tuples)
+			err := s.lookup(wp, f, t, idx, cols, rows, keys)
 			pending--
 			if res.Done() {
 				return
@@ -424,12 +460,9 @@ func hits(rows []tableRow) []tableRow {
 	return out
 }
 
-// lookup reads the index key of every tuple in every region as one batch,
-// then follows the entries of a non-storing secondary index to their rows as
-// a second. Row r*len(tuples)+i is tuples[i]'s in regions[r], without values
-// on a miss. Row maps come from the session pool; the statement hands them
-// back through releaseRows.
-func (s *Session) lookup(p *sim.Proc, f rowFetcher, t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
+// lookupKeys encodes the index key of every tuple in every region: row and
+// key r*len(tuples)+i are tuples[i]'s in regions[r].
+func lookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, []mvcc.Key) {
 	rows := make([]tableRow, len(regions)*len(tuples))
 	keys := make([]mvcc.Key, len(rows))
 	for r, region := range regions {
@@ -438,22 +471,31 @@ func (s *Session) lookup(p *sim.Proc, f rowFetcher, t *Table, idx *Index, region
 			keys[r*len(tuples)+i] = EncodeIndexKey(t, idx, region, tuple)
 		}
 	}
+	return rows, keys
+}
+
+// lookup reads keys, the index keys of rows (see lookupKeys), as one batch,
+// then follows the entries of a non-storing secondary index to their rows as
+// a second. A row found gets the values of cols (every column when nil); a
+// miss keeps none. Row maps come from the session pool; the statement hands
+// them back through releaseRows.
+func (s *Session) lookup(p *sim.Proc, f rowFetcher, t *Table, idx *Index, cols []ColumnID, rows []tableRow, keys []mvcc.Key) error {
 	vals, err := f.getBatch(p, keys)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if !covering(t, idx) {
-		return rows, s.primaryRows(p, f, t, vals, rows)
+		return s.primaryRows(p, f, t, cols, vals, rows)
 	}
 	for j, val := range vals {
 		if val == nil {
 			continue
 		}
-		if rows[j].vals, err = s.decodeRowPooled(val); err != nil {
-			return nil, err
+		if rows[j].vals, err = s.decodeRowPooled(val, cols); err != nil {
+			return err
 		}
 	}
-	return rows, nil
+	return nil
 }
 
 // covering reports whether idx's entries hold whole rows: the primary index
@@ -465,9 +507,10 @@ func covering(t *Table, idx *Index) bool {
 
 // primaryRows follows secondary index entries to their rows as one batch.
 // Each non-nil entries[j] holds a primary key, and its row lives in
-// rows[j].region, the entry's own partition; the row's values land in
-// rows[j].vals. Row maps come from the session pool.
-func (s *Session) primaryRows(p *sim.Proc, f rowFetcher, t *Table, entries []mvcc.Value, rows []tableRow) error {
+// rows[j].region, the entry's own partition; the values of the row's cols
+// (every column when nil) land in rows[j].vals. An entry is always decoded
+// whole. Row maps come from the session pool.
+func (s *Session) primaryRows(p *sim.Proc, f rowFetcher, t *Table, cols []ColumnID, entries []mvcc.Value, rows []tableRow) error {
 	primary := t.Primary()
 	var keys []mvcc.Key
 	var at []int // at[k] is the row keys[k] reads
@@ -476,7 +519,7 @@ func (s *Session) primaryRows(p *sim.Proc, f rowFetcher, t *Table, entries []mvc
 		if entry == nil {
 			continue
 		}
-		pkVals, err := s.decodeRowPooled(entry)
+		pkVals, err := s.decodeRowPooled(entry, nil)
 		if err != nil {
 			return err
 		}
@@ -498,18 +541,18 @@ func (s *Session) primaryRows(p *sim.Proc, f rowFetcher, t *Table, entries []mvc
 		if val == nil {
 			continue
 		}
-		if rows[at[k]].vals, err = s.decodeRowPooled(val); err != nil {
+		if rows[at[k]].vals, err = s.decodeRowPooled(val, cols); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodeRowPooled decodes a row value into a map drawn from the session
-// pool.
-func (s *Session) decodeRowPooled(val mvcc.Value) (map[ColumnID]Datum, error) {
+// decodeRowPooled decodes the cols of a row value (every column when nil)
+// into a map drawn from the session pool.
+func (s *Session) decodeRowPooled(val mvcc.Value, cols []ColumnID) (map[ColumnID]Datum, error) {
 	m := s.getRowMap()
-	if err := DecodeRowInto(m, val); err != nil {
+	if err := DecodeRowInto(m, val, cols); err != nil {
 		s.putRowMap(m)
 		return nil, err
 	}
@@ -543,12 +586,12 @@ func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 			for j, kvp := range kvs {
 				entries[j] = kvp.Value
 			}
-			err := s.primaryRows(wp, f, t, entries, rows)
+			err := s.primaryRows(wp, f, t, plan.cols, entries, rows)
 			slots[i] = result{rows: hits(rows), err: err}
 			return
 		}
 		for j, kvp := range kvs {
-			if rows[j].vals, err = DecodeRow(kvp.Value); err != nil {
+			if rows[j].vals, err = s.decodeRowPooled(kvp.Value, plan.cols); err != nil {
 				slots[i] = result{err: err}
 				return
 			}

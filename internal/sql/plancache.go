@@ -3,6 +3,7 @@ package sql
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"mrdb/internal/core"
 	"mrdb/internal/simnet"
@@ -69,6 +70,9 @@ type cachedRead struct {
 	// tuples themselves (literal/placeholder values on indexed columns), so
 	// the per-row filter pass is a provable no-op and is skipped.
 	filterRedundant bool
+	// cols are the columns a fetched row is decoded to, nil for every
+	// column (decodedColumns); shared read-only across executions.
+	cols []ColumnID
 }
 
 // cachedInsert is the shape half of an INSERT, built by buildCachedInsert
@@ -296,7 +300,7 @@ func (s *Session) planReadCached(stmt Statement, t *Table, db *core.Database, w 
 		return nil, err
 	}
 	if cr == nil {
-		cr = s.deriveRead(t, db, w, cons, limit)
+		cr = s.deriveRead(stmt, t, db, w, cons, limit)
 		if key != nil {
 			s.Catalog.plans.putRead(s.Catalog.version, string(key), cr)
 		}
@@ -318,7 +322,7 @@ func regionColumnName(t *Table) string {
 // session plans again.
 func (s *Session) bindRead(cr *cachedRead, t *Table, cons map[string][]Datum, limit int) (*readPlan, error) {
 	plan := &s.planScratch
-	*plan = readPlan{t: t, index: cr.index, limit: limit, filterRedundant: cr.filterRedundant}
+	*plan = readPlan{t: t, index: cr.index, limit: limit, filterRedundant: cr.filterRedundant, cols: cr.cols}
 	switch cr.mode {
 	case modeUnpartitioned:
 		plan.regions = unpartitionedRegions
@@ -349,46 +353,35 @@ func (s *Session) bindRead(cr *cachedRead, t *Table, cons map[string][]Datum, li
 		return plan, nil
 	}
 	plan.los = cr.los && !plan.regionPinned
-	// Lookup tuples: cartesian product of the per-column candidate values.
-	// The single-tuple case — every indexed column equality-constrained to
-	// one value, the OLTP hot path — reuses session scratch; that is safe
-	// only when no first-hit probes can outlive the statement, i.e. when LOS
-	// fan-out is off for this plan.
-	single := true
+	// Lookup tuples: the cartesian product of the per-column candidate
+	// values, first column slowest, in session scratch. First-hit probes may
+	// outlive the statement, but they hold encoded keys, never these tuples
+	// (lookupFirstHit). An empty candidate set leaves no tuples.
+	n := 1
 	for _, name := range cr.colNames {
-		if len(cons[name]) != 1 {
-			single = false
-		}
-	}
-	if single && !plan.los {
-		tuple := s.tupleScratch[:0]
-		for _, name := range cr.colNames {
-			tuple = append(tuple, cons[name][0])
-		}
-		s.tupleScratch = tuple
-		if s.lookupScratch == nil {
-			s.lookupScratch = make([][]Datum, 1)
-		}
-		s.lookupScratch[0] = tuple
-		plan.lookups = s.lookupScratch
-		return plan, nil
-	}
-	tuples := [][]Datum{nil}
-	for _, name := range cr.colNames {
-		vals := cons[name]
-		var next [][]Datum
-		for _, tu := range tuples {
-			for _, v := range vals {
-				nt := append(append([]Datum(nil), tu...), v)
-				next = append(next, nt)
-			}
-		}
-		tuples = next
-		if len(tuples) > 1024 {
+		if n *= len(cons[name]); n > 1024 {
 			return nil, fmt.Errorf("sql: IN list product too large")
 		}
 	}
-	plan.lookups = tuples
+	if n == 0 {
+		return plan, nil
+	}
+	k := len(cr.colNames)
+	slab := slices.Grow(s.tupleScratch[:0], n*k)[:n*k]
+	lookups := s.lookupScratch[:0]
+	for i := 0; i < n; i++ {
+		lookups = append(lookups, slab[i*k:(i+1)*k:(i+1)*k])
+	}
+	run := n // tuples sharing one value of the current column
+	for c, name := range cr.colNames {
+		vals := cons[name]
+		run /= len(vals)
+		for i := 0; i < n; i++ {
+			slab[i*k+c] = vals[i/run%len(vals)]
+		}
+	}
+	s.tupleScratch, s.lookupScratch = slab, lookups
+	plan.lookups = lookups
 	return plan, nil
 }
 
@@ -420,7 +413,7 @@ func (s *Session) insertPlan(st *Insert, t *Table) (*cachedInsert, error) {
 func buildCachedInsert(st *Insert, t *Table) (*cachedInsert, error) {
 	cols := st.Columns
 	if cols == nil {
-		for _, c := range t.VisibleColumns() {
+		for _, c := range t.AppendVisibleColumns(nil) {
 			cols = append(cols, c.Name)
 		}
 	}

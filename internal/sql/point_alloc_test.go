@@ -1,0 +1,317 @@
+package sql
+
+import (
+	"fmt"
+	"reflect"
+	"testing"
+
+	"mrdb/internal/sim"
+	"mrdb/internal/simnet"
+)
+
+// A point read allocates what it returns: a SELECT decodes only the columns
+// it returns, its lookup tuples are session scratch on every plan, and the
+// reply to a point read is one object.
+
+// TestPointSelectAllocs pins what the benchmark's REGIONAL BY ROW read costs
+// in objects, end to end on a three-region cluster: a prepared SELECT of
+// one column by primary key with locality-optimized search on, from the
+// us-east1 gateway. A local hit is one round trip to the gateway's own
+// partition, at 19 objects. A remote miss misses there, then probes both
+// remote partitions and returns on europe-west2's hit while
+// asia-northeast1's probe is still in flight (its objects land in the next
+// execution's count), at 58. The counts cover everything the simulation
+// runs meanwhile, so they are exact for this seed. They were 34 and 75
+// while every string column of the row was decoded, the lookup tuples of an
+// LOS plan were fresh slices, the fetcher was boxed, the projection and the
+// transaction's first read span allocated, the statement tag was formatted
+// without a span to record it, every transaction record made a wait
+// condition and the reply was boxed by value.
+func TestPointSelectAllocs(t *testing.T) {
+	h := newSQLHarness(960)
+	var local, remote float64
+	h.run(t, func(p *sim.Proc) {
+		s := h.sessions[simnet.USEast1]
+		mustExec(t, p, s, `CREATE DATABASE ycsb PRIMARY REGION "us-east1" REGIONS "europe-west2", "asia-northeast1"`)
+		s.Database = "ycsb"
+		mustExec(t, p, s, `CREATE TABLE usertable (ycsb_key STRING PRIMARY KEY, field0 STRING, field1 STRING) LOCALITY REGIONAL BY ROW`)
+		mustExec(t, p, s, `INSERT INTO usertable (ycsb_key, field0, field1, crdb_region) VALUES
+			('user-local', 'v0', 'v1', 'us-east1'), ('user-remote', 'w0', 'w1', 'europe-west2')`)
+		p.Sleep(sim.Second)
+		ps := s.MustPrepare(`SELECT field0 FROM usertable WHERE ycsb_key = $1`)
+		read := func(args []Datum, want string) func() {
+			return func() {
+				res, err := s.ExecPrepared(p, ps, args...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Rows) != 1 || res.Rows[0][0] != want {
+					t.Fatalf("SELECT field0 of %v = %v, want %s", args[0], res.Rows, want)
+				}
+			}
+		}
+		localRead := read([]Datum{"user-local"}, "v0")
+		remoteRead := read([]Datum{"user-remote"}, "w0")
+		localRead() // the plan cache, the pools, the range caches
+		remoteRead()
+		local = testing.AllocsPerRun(100, localRead)
+		remote = testing.AllocsPerRun(100, remoteRead)
+		p.Sleep(sim.Second) // the last remote probe lands
+	})
+	if local != 19 {
+		t.Errorf("a local point SELECT allocates %.0f objects, want 19", local)
+	}
+	if remote != 58 {
+		t.Errorf("a remote point SELECT allocates %.0f objects, want 58", remote)
+	}
+}
+
+// TestDecodeRowIntoColumnSubset: decoding a column subset yields exactly the
+// subset's entries of the full decode, for every type and for NULL, and
+// skips the rest; a column the row lacks stays absent.
+func TestDecodeRowIntoColumnSubset(t *testing.T) {
+	row := map[ColumnID]Datum{1: "key", 2: nil, 3: int64(-7), 4: 2.5, 5: true, 6: "tail", 9: "last"}
+	val := EncodeRow(row)
+	full := map[ColumnID]Datum{}
+	if err := DecodeRowInto(full, val, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(full, row) {
+		t.Fatalf("full decode = %v, want %v", full, row)
+	}
+	for _, cols := range [][]ColumnID{{}, {1}, {6}, {9}, {2, 5}, {3, 4, 9}, {7}, {6, 1}, {1, 2, 3, 4, 5, 6, 9}} {
+		got := map[ColumnID]Datum{}
+		if err := DecodeRowInto(got, val, cols); err != nil {
+			t.Fatalf("cols %v: %v", cols, err)
+		}
+		want := map[ColumnID]Datum{}
+		for _, id := range cols {
+			if v, ok := row[id]; ok {
+				want[id] = v
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("cols %v: decoded %v, want %v", cols, got, want)
+		}
+	}
+	if err := DecodeRowInto(map[ColumnID]Datum{}, val[:len(val)-2], []ColumnID{1}); err == nil {
+		t.Error("a truncated row decoded without error when its damaged column was skipped")
+	}
+}
+
+// TestColumnSubsetDecodeParity: every read returns exactly what it returns
+// when each row is decoded whole, on the plan-cache arm (a miss derives and
+// stores the shape, a hit loads it) and with the cache off, from every
+// gateway: a primary-key point lookup, unique secondary indexes that store
+// the row and that do not, SELECT *, a WHERE clause whose filter reads an
+// unprojected column, AS OF SYSTEM TIME, scans with and without a filter,
+// and a multi-tuple IN on a REGIONAL BY ROW table with remote tuples. The
+// whole-row arm is the stored shape with its column set cleared. Each case
+// also names the columns its rows decode to, "all" for every column.
+func TestColumnSubsetDecodeParity(t *testing.T) {
+	h := newSQLHarness(961)
+	h.run(t, func(p *sim.Proc) {
+		s := h.setupEquivalence(t, p)
+		mustExec(t, p, s, `CREATE TABLE mixed (id INT PRIMARY KEY, tag STRING UNIQUE, qty INT, price FLOAT, ok BOOL, note STRING) LOCALITY REGIONAL BY ROW`)
+		mustExec(t, p, s, `INSERT INTO mixed (id, tag, qty, price, ok, note, crdb_region) VALUES
+			(1, 't1', 10, 1.5, true, 'n1', 'us-east1'),
+			(2, 't2', -3, 0.25, false, NULL, 'europe-west2'),
+			(3, 't3', 0, 9.75, true, 'n3', 'asia-northeast1')`)
+		p.Sleep(2 * sim.Second) // AS OF SYSTEM TIME '-1s' sees every row
+		cases := []struct {
+			table, text, decodes string
+		}{
+			{"users", `SELECT name FROM users WHERE id = 2`, "[name]"},
+			{"mixed", `SELECT note, qty FROM mixed WHERE id = 2`, "[note qty]"},
+			{"mixed", `SELECT price, ok FROM mixed WHERE id = 3`, "[price ok]"},
+			{"users", `SELECT id, name FROM users WHERE email = 'u3@x.com'`, "[id name]"},
+			{"mixed", `SELECT ok FROM mixed WHERE tag = 't1'`, "[ok]"},
+			{"dup_codes", `SELECT v FROM dup_codes WHERE code = 'b'`, "[v]"},
+			{"users", `SELECT * FROM users WHERE id = 3`, "all"},
+			{"mixed", `SELECT * FROM mixed WHERE id IN (1, 2)`, "all"},
+			{"users", `SELECT email FROM users WHERE id = 1 AND name = 'user-1'`, "all"},
+			{"users", `SELECT email FROM users WHERE id IN (1, 4) AND name = 'user-4'`, "all"},
+			{"mixed", `SELECT note FROM mixed WHERE id = 1 AND qty = 11`, "all"},
+			{"users", `SELECT name FROM users AS OF SYSTEM TIME '-1s' WHERE id IN (1, 2, 3)`, "[name]"},
+			{"mixed", `SELECT price FROM mixed AS OF SYSTEM TIME '-1s' WHERE tag = 't2'`, "[price]"},
+			{"users", `SELECT name FROM users`, "[name]"},
+			{"mixed", `SELECT qty, note FROM mixed LIMIT 2`, "[qty note]"},
+			{"users", `SELECT id FROM users WHERE name = 'user-5'`, "all"},
+			{"users", `SELECT name, id FROM users WHERE id IN (1, 2, 3, 5, 6, 99)`, "[name id]"},
+			{"mixed", `SELECT tag FROM mixed WHERE id IN (3, 2, 7)`, "[tag]"},
+		}
+		render := func(gs *Session, text string) string {
+			res := mustExec(t, p, gs, text)
+			return fmt.Sprintf("%v %v", res.Columns, res.Rows)
+		}
+		for _, r := range h.c.Regions() {
+			gs := h.sessions[r]
+			for _, c := range cases {
+				tbl, _, err := gs.table(c.table)
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.catalog.noPlanCache = false
+				h.catalog.Bump()
+				miss := render(gs, c.text)
+				hit := render(gs, c.text)
+				if gs.lastPlanCache != planCacheHit {
+					t.Fatalf("%s: second execution was a %s", c.text, gs.lastPlanCache)
+				}
+				h.catalog.plans.sync(h.catalog.version)
+				decodes := "all"
+				for _, cr := range h.catalog.plans.reads {
+					if cr.cols != nil {
+						var names []string
+						for _, id := range cr.cols {
+							col, _ := tbl.ColumnByID(id)
+							names = append(names, col.Name)
+						}
+						decodes = fmt.Sprint(names)
+					}
+					cr.cols = nil
+				}
+				whole := render(gs, c.text)
+				h.catalog.noPlanCache = true
+				off := render(gs, c.text)
+				h.catalog.noPlanCache = false
+				if decodes != c.decodes {
+					t.Errorf("%s: rows decode to %s, want %s", c.text, decodes, c.decodes)
+				}
+				if miss != whole || hit != whole || off != whole {
+					t.Errorf("gateway %s, %s: column-subset reads differ from whole-row decoding\n miss: %s\n  hit: %s\n  off: %s\nwhole: %s",
+						r, c.text, miss, hit, off, whole)
+				}
+			}
+		}
+	})
+}
+
+// productOfOld is the lookup-tuple product as bindRead built it with fresh
+// slices before the tuples moved to session scratch: first column slowest,
+// an error once a prefix exceeds 1024 tuples, nil for an empty product.
+func productOfOld(sets [][]Datum) ([][]Datum, error) {
+	tuples := [][]Datum{nil}
+	for _, vals := range sets {
+		var next [][]Datum
+		for _, tu := range tuples {
+			for _, v := range vals {
+				next = append(next, append(append([]Datum(nil), tu...), v))
+			}
+		}
+		tuples = next
+		if len(tuples) > 1024 {
+			return nil, fmt.Errorf("sql: IN list product too large")
+		}
+	}
+	return tuples, nil
+}
+
+// TestBindReadTupleOrder: bindRead's one tuple path, building the product in
+// session scratch, returns the tuples the fresh-slice product returned, in
+// the same order, for IN lists over one to three columns, the same error
+// past 1024 tuples (also when a later column's set is empty) and no tuples
+// for an empty set. A second bind reuses the scratch and is as right.
+func TestBindReadTupleOrder(t *testing.T) {
+	h := newPlanHarness(t)
+	s := h.session
+	ints := func(vals ...int64) []Datum {
+		out := make([]Datum, len(vals))
+		for i, v := range vals {
+			out[i] = v
+		}
+		return out
+	}
+	seq := func(n int) []Datum {
+		out := make([]Datum, n)
+		for i := range out {
+			out[i] = int64(i)
+		}
+		return out
+	}
+	names := []string{"a", "b", "c"}
+	for _, sets := range [][][]Datum{
+		{ints(7)},
+		{ints(3, 1, 2)},
+		{ints(1), ints(2)},
+		{ints(1, 2), ints(5, 6, 7)},
+		{ints(4, 3, 2), ints(9)},
+		{ints(1, 2), ints(3), ints(4, 5, 6)},
+		{{"x", "y"}, ints(1, 2), {true, nil}},
+		{seq(32), seq(32)},
+		{seq(8), seq(8), seq(16)},
+		{seq(33), seq(32)},
+		{seq(2000), {}},
+		{seq(8), seq(8), seq(17)},
+		{{}},
+		{ints(1, 2), {}},
+		{{}, seq(2000)},
+		{ints(1, 2), {}, ints(3, 4)},
+	} {
+		cr := &cachedRead{colNames: names[:len(sets)], mode: modeUnpartitioned}
+		cons := map[string][]Datum{}
+		for i, set := range sets {
+			cons[names[i]] = set
+		}
+		want, wantErr := productOfOld(sets)
+		for pass := 0; pass < 2; pass++ {
+			plan, err := s.bindRead(cr, nil, cons, 0)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+				t.Errorf("%d-column product of %d sets: error %v, want %v", len(sets), len(sets), err, wantErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			if (plan.lookups == nil) != (want == nil) || fmt.Sprint(plan.lookups) != fmt.Sprint(want) {
+				t.Errorf("pass %d, sets %v: lookups %v, want %v", pass, sets, plan.lookups, want)
+			}
+		}
+	}
+}
+
+// TestLateProbeLeavesNextStatementAlone: a locality-optimized multi-tuple
+// SELECT returns on its nearer remote partition's hits while its probe of
+// the farther one is still in flight, and the session at once runs the
+// same prepared statement with other tuples, which refill the lookup
+// scratch. Both statements return their own rows, and so does a third after
+// the late probe has landed.
+func TestLateProbeLeavesNextStatementAlone(t *testing.T) {
+	h := newSQLHarness(962)
+	h.run(t, func(p *sim.Proc) {
+		h.setupMovr(t, p)
+		us := h.sessions[simnet.USEast1]
+		insertHomed(t, p, us, map[int]simnet.Region{
+			1: simnet.EuropeW2, 2: simnet.EuropeW2, 3: simnet.USEast1, 4: simnet.EuropeW2, 5: simnet.AsiaNE1,
+		})
+		ps := us.MustPrepare(`SELECT id, name FROM users WHERE id IN ($1, $2)`)
+		exec := func(a, b int64) string {
+			res, err := us.ExecPrepared(p, ps, a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rowSet(res.Rows)
+		}
+		exec(3, 5) // warm the plan cache and the range caches
+		p.Sleep(sim.Second)
+
+		toEU := h.c.Topo.RegionRTT(simnet.USEast1, simnet.EuropeW2)
+		toAsia := h.c.Topo.RegionRTT(simnet.USEast1, simnet.AsiaNE1)
+		start := p.Now()
+		first := exec(1, 2)
+		if d := p.Now().Sub(start); d >= toAsia || d < toEU*9/10 {
+			t.Fatalf("the first SELECT took %v: want europe-west2's round trip (%v), shorter than asia-northeast1's (%v)", d, toEU, toAsia)
+		}
+		second := exec(3, 4)
+		if want := "[1 user-1] [2 user-2]"; first != want {
+			t.Errorf("first SELECT read %s, want %s", first, want)
+		}
+		if want := "[3 user-3] [4 user-4]"; second != want {
+			t.Errorf("second SELECT, run while the first's asia-northeast1 probe was in flight, read %s, want %s", second, want)
+		}
+		p.Sleep(toAsia)
+		if got, want := exec(5, 1), "[1 user-1] [5 user-5]"; got != want {
+			t.Errorf("third SELECT read %s, want %s", got, want)
+		}
+	})
+}

@@ -176,7 +176,7 @@ func TestSecondaryIndexFollowUpsAreOneBatch(t *testing.T) {
 		var rows []tableRow
 		if err := us.RunTxn(p, func(tx *txn.Txn) error {
 			var err error
-			sent = sentBy(us, func() { rows, err = us.fetchRows(p, &txnFetcher{tx: tx}, plan) })
+			sent = sentBy(us, func() { rows, err = us.fetchRows(p, txnFetcher{tx}, plan) })
 			return err
 		}); err != nil {
 			t.Fatal(err)

@@ -298,7 +298,7 @@ func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp := raw.(kv.BatchResponse).Resps[0]
+			resp := raw.(*kv.BatchResponse).Resps[0]
 			var unavailable *kv.FollowerReadUnavailableError
 			if patience == 0 && !errors.As(resp.Err, &unavailable) {
 				t.Errorf("follower scan with its uncertainty interval open: %+v, want FollowerReadUnavailableError", resp)

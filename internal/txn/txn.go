@@ -77,8 +77,10 @@ type Txn struct {
 	writes []write
 	// reads are the spans read so far, for refreshes and the one-phase
 	// commit. Together with writes and pending they are what the transaction
-	// knows a key holds (see known).
-	reads []readSpan
+	// knows a key holds (see known). They start on readBuf: most
+	// transactions read one key.
+	reads   []readSpan
+	readBuf [1]readSpan
 	// pending are the writes not sent yet, in order, one entry per key. An
 	// unconditional write waits here for the transaction's next batch — a
 	// point read, a conditional write or the commit — which carries it.
@@ -119,7 +121,9 @@ type readSpan struct {
 // Begin starts a transaction at the gateway's current HLC time.
 func (c *Coordinator) Begin(priority int64) *Txn {
 	c.Begun++
-	return &Txn{co: c, kv: kv.GatewayTxn(c.Store, nil, priority)}
+	t := &Txn{co: c, kv: kv.GatewayTxn(c.Store, nil, priority)}
+	t.reads = t.readBuf[:0]
+	return t
 }
 
 // ID returns the transaction's ID.
@@ -210,8 +214,9 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		canBump := len(t.reads) == 0 && len(send) == 1
 		reqs := make([]interface{}, len(riders)+len(send))
 		t.putRequests(reqs, riders)
+		getReqs := make([]kv.GetRequest, len(send))
 		for j, key := range send {
-			reqs[len(riders)+j] = &kv.GetRequest{
+			getReqs[j] = kv.GetRequest{
 				Key:           key,
 				Timestamp:     t.kv.ReadTimestamp,
 				Txn:           t.kv,
@@ -221,6 +226,7 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 				ForUpdate:     forUpdate,
 				WaitForClosed: t.co.FollowerReadPatience,
 			}
+			reqs[len(riders)+j] = &getReqs[j]
 		}
 		resps := t.co.Sender.SendBatch(p, reqs)
 		if err := t.landed(p, riders, resps, 0); err != nil {
