@@ -13,6 +13,7 @@ package chaos
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"mrdb/internal/cluster"
@@ -169,10 +170,25 @@ func (e Event) String() string {
 	}
 }
 
-// linRead is one observed read of the linearizability register.
-type linRead struct {
+// linOp is one successful operation on a register: its virtual start and
+// end, and the value it wrote or read.
+type linOp struct {
 	start, end sim.Time
 	val        int
+	write      bool
+}
+
+// register is a single-writer register under the linearizability check. Its
+// writer writes strictly increasing integers, so "sees that write or a later
+// one" is "reads a value at least as large".
+type register struct {
+	key mvcc.Key
+	ops []linOp
+}
+
+// record appends one successful operation.
+func (g *register) record(start, end sim.Time, val int, write bool) {
+	g.ops = append(g.ops, linOp{start: start, end: end, val: val, write: write})
 }
 
 // harness carries the run's shared state.
@@ -188,8 +204,13 @@ type harness struct {
 	activeRegion simnet.Region
 	activeNode   simnet.NodeID
 
-	linReads  []linRead
-	linWrites int
+	// lin, global and raw are the registers checkLinearizability covers:
+	// the LAG register every region reads, the GLOBAL register (§6.2), and
+	// the GLOBAL register read from a second node of its writer's region
+	// right after each write returns. globalWriter is the node whose clock
+	// leads rawReader's by the most of any two nodes in one region.
+	lin, global, raw        register
+	globalWriter, rawReader simnet.NodeID
 
 	// bankRange is the bank range's ID; the elastic migrator relocates it
 	// back and forth so the placement checker sees live migrations.
@@ -242,6 +263,9 @@ func Run(opts Options) (*Report, error) {
 		c:          c,
 		activeKind: -1,
 		closedLast: map[string]closedSample{},
+		lin:        register{key: mvcc.Key("lin/x")},
+		global:     register{key: mvcc.Key("glob/g")},
+		raw:        register{key: mvcc.Key("glob/r")},
 		rep: &Report{
 			Seed:         opts.Seed,
 			BankExpected: opts.Accounts * opts.InitialBalance,
@@ -286,6 +310,25 @@ func Run(opts Options) (*Report, error) {
 		LeasePreferences: []simnet.Region{simnet.EuropeW2},
 	}
 	if _, err := c.CreateRangeWithZoneConfig([]byte("lin/"), []byte("lin0"), linCfg, kv.ClosedTSLag); err != nil {
+		return nil, err
+	}
+	// GLOBAL registers: the leading closed-timestamp policy, so every
+	// replica serves present-time reads and every write commits in the
+	// future and waits out its timestamp before it returns (paper §6.2). The
+	// lease stays in the writer's region, which holds two voters.
+	h.globalWriter, h.rawReader = h.widestSkewPair()
+	wloc, _ := c.Topo.LocalityOf(h.globalWriter)
+	globCfg := zones.Config{NumReplicas: 5, NumVoters: 5, VoterConstraints: map[simnet.Region]int{},
+		LeasePreferences: []simnet.Region{wloc.Region}}
+	others := []int{2, 1}
+	for _, r := range c.Regions() {
+		if r == wloc.Region {
+			globCfg.VoterConstraints[r] = 2
+		} else {
+			globCfg.VoterConstraints[r], others = others[0], others[1:]
+		}
+	}
+	if _, err := c.CreateRangeWithZoneConfig([]byte("glob/"), []byte("glob0"), globCfg, kv.ClosedTSLead); err != nil {
 		return nil, err
 	}
 	if opts.Elastic {
@@ -397,8 +440,25 @@ func (h *harness) acctKey(i int) mvcc.Key {
 	return mvcc.Key(fmt.Sprintf("acct-eu/%03d", i))
 }
 
-// linKey is the single linearizability register.
-var linKey = mvcc.Key("lin/x")
+// widestSkewPair returns the two nodes of one region whose clocks differ the
+// most, the leading one first. A read from the trailing node that starts one
+// hop after a commit-waited write returned on the leading one reads below
+// the write's timestamp: only the uncertainty interval makes it see the
+// write.
+func (h *harness) widestSkewPair() (lead, trail simnet.NodeID) {
+	var best sim.Duration = -1
+	for _, r := range h.c.Regions() {
+		nodes := h.c.Topo.NodesInRegion(r)
+		for _, a := range nodes {
+			for _, b := range nodes {
+				if d := h.c.ClockSkew(a) - h.c.ClockSkew(b); d > best {
+					best, lead, trail = d, a, b
+				}
+			}
+		}
+	}
+	return lead, trail
+}
 
 // healthyGateway picks the lowest-ID live node outside the active fault's
 // blast radius; iteration over sorted node IDs keeps it deterministic.
@@ -442,16 +502,19 @@ func (h *harness) run(p *sim.Proc) error {
 	}); err != nil {
 		return fmt.Errorf("chaos: bank seed: %w", err)
 	}
-	if err := seedCo.Run(p, func(tx *txn.Txn) error {
-		return tx.Put(p, linKey, mvcc.Value("0"))
-	}); err != nil {
-		return fmt.Errorf("chaos: lin seed: %w", err)
+	for _, g := range []*register{&h.lin, &h.global, &h.raw} {
+		if err := seedCo.Run(p, func(tx *txn.Txn) error {
+			return tx.Put(p, g.key, mvcc.Value("0"))
+		}); err != nil {
+			return fmt.Errorf("chaos: %s seed: %w", g.key, err)
+		}
 	}
 
 	wg := sim.NewWaitGroup(c.Sim)
 	h.spawnMovers(wg)
 	h.spawnLinWriter(wg)
 	h.spawnLinReaders(wg)
+	h.spawnGlobalWorkloads(wg)
 	h.spawnProber(wg)
 	h.spawnAuditor(wg)
 	stopMon := h.startClosedTSMonitor()
@@ -502,7 +565,6 @@ func (h *harness) run(p *sim.Proc) error {
 	if finalErr != nil {
 		return fmt.Errorf("chaos: final audit: %w", finalErr)
 	}
-	rep.LinWrites = h.linWrites
 	return nil
 }
 
@@ -688,11 +750,7 @@ func (h *harness) spawnLinWriter(wg *sim.WaitGroup) {
 		next := 1
 		for !h.stopped {
 			co := h.coordAt(h.healthyGateway(p.Now()))
-			err := co.Run(p, func(tx *txn.Txn) error {
-				return tx.Put(p, linKey, mvcc.Value(fmt.Sprintf("%d", next)))
-			})
-			if err == nil {
-				h.linWrites++
+			if h.write(p, co, &h.lin, next) {
 				next++
 				p.Sleep(300 * sim.Millisecond)
 			} else {
@@ -700,6 +758,34 @@ func (h *harness) spawnLinWriter(wg *sim.WaitGroup) {
 			}
 		}
 	})
+}
+
+// write writes val to g through co and records it if it committed.
+func (h *harness) write(p *sim.Proc, co *txn.Coordinator, g *register, val int) bool {
+	start := p.Now()
+	err := co.Run(p, func(tx *txn.Txn) error {
+		return tx.Put(p, g.key, mvcc.Value(strconv.Itoa(val)))
+	})
+	if err != nil {
+		return false
+	}
+	g.record(start, p.Now(), val, true)
+	return true
+}
+
+// read reads g through co and records what it saw if the read succeeded.
+func (h *harness) read(p *sim.Proc, co *txn.Coordinator, g *register) {
+	start := p.Now()
+	var raw mvcc.Value
+	err := co.Run(p, func(tx *txn.Txn) error {
+		v, err := tx.Get(p, g.key)
+		raw = v
+		return err
+	})
+	if err == nil {
+		val, _ := strconv.Atoi(string(raw))
+		g.record(start, p.Now(), val, false)
+	}
 }
 
 // spawnLinReaders starts one consistent reader per region recording
@@ -710,22 +796,83 @@ func (h *harness) spawnLinReaders(wg *sim.WaitGroup) {
 		wg.Add(1)
 		h.c.Sim.Spawn(fmt.Sprintf("chaos/lin-reader%d", i), func(p *sim.Proc) {
 			defer wg.Done()
+			co := h.coordAt(h.c.GatewayFor(region))
+			for !h.stopped {
+				h.read(p, co, &h.lin)
+				p.Sleep(400 * sim.Millisecond)
+			}
+		})
+	}
+}
+
+// spawnGlobalWorkloads starts the two GLOBAL registers' clients, which fail
+// the check if either of the paper's two timing mechanisms (§6.2) is
+// missing:
+//   - global: one writer on globalWriter and a reader on a node in every
+//     region. A write returns only once its future timestamp has passed on
+//     the writer's clock (commit wait); without that wait, a read that
+//     starts after the write returned reads below the write's timestamp by
+//     more than the uncertainty interval, and misses it.
+//   - raw: one client that writes on globalWriter and, one network hop after
+//     the write returned, reads through rawReader in the same region. The
+//     hop (~1 ms) is shorter than the gap between the two clocks (up to the
+//     2 ms skew spread), so the read starts below the write's timestamp and
+//     sees the write only through its uncertainty interval.
+//
+// A write to a LAG range would not do for raw: its timestamp trails real
+// time by its commit latency, at least the 2 ms in-region round trip, which
+// already covers any skew. Neither client runs while its nodes are down.
+func (h *harness) spawnGlobalWorkloads(wg *sim.WaitGroup) {
+	writer := h.coordAt(h.globalWriter)
+	down := func(ids ...simnet.NodeID) bool {
+		for _, id := range ids {
+			if h.c.Net.NodeDown(id) {
+				return true
+			}
+		}
+		return false
+	}
+	wg.Add(2)
+	h.c.Sim.Spawn("chaos/global-writer", func(p *sim.Proc) {
+		defer wg.Done()
+		next := 1
+		for !h.stopped {
+			if !down(h.globalWriter) && h.write(p, writer, &h.global, next) {
+				next++
+				p.Sleep(200 * sim.Millisecond)
+			} else {
+				p.Sleep(500 * sim.Millisecond)
+			}
+		}
+	})
+	hop := h.c.Topo.OneWay(h.globalWriter, h.rawReader)
+	reader := h.coordAt(h.rawReader)
+	h.c.Sim.Spawn("chaos/raw-client", func(p *sim.Proc) {
+		defer wg.Done()
+		next := 1
+		for !h.stopped {
+			if !down(h.globalWriter, h.rawReader) && h.write(p, writer, &h.raw, next) {
+				next++
+				p.Sleep(hop)
+				h.read(p, reader, &h.raw)
+				p.Sleep(300 * sim.Millisecond)
+			} else {
+				p.Sleep(500 * sim.Millisecond)
+			}
+		}
+	})
+	for i, region := range h.c.Regions() {
+		region := region
+		wg.Add(1)
+		h.c.Sim.Spawn(fmt.Sprintf("chaos/global-reader%d", i), func(p *sim.Proc) {
+			defer wg.Done()
 			gw := h.c.GatewayFor(region)
 			co := h.coordAt(gw)
 			for !h.stopped {
-				start := p.Now()
-				var raw mvcc.Value
-				err := co.Run(p, func(tx *txn.Txn) error {
-					v, err := tx.Get(p, linKey)
-					raw = v
-					return err
-				})
-				if err == nil {
-					val := 0
-					fmt.Sscanf(string(raw), "%d", &val)
-					h.linReads = append(h.linReads, linRead{start: start, end: p.Now(), val: val})
+				if !down(gw) {
+					h.read(p, co, &h.global)
 				}
-				p.Sleep(400 * sim.Millisecond)
+				p.Sleep(100 * sim.Millisecond)
 			}
 		})
 	}
@@ -970,28 +1117,41 @@ func (h *harness) leaseAcquisitions() int64 {
 	return n
 }
 
-// checkLinearizability verifies the single-writer register: for any two
-// successful reads a, b with a.end < b.start, a.val <= b.val. Sweep in
-// O(n log n): process reads by start time, tracking the max value among
-// reads that ended before the current start.
+// checkLinearizability verifies each single-writer register: a read that
+// starts after an operation returned — a write, or another read — sees that
+// operation's value or a later one. With increasing values that is: for any
+// two successful operations a, b where b is a read and a.end < b.start,
+// a.val <= b.val. Sweep in O(n log n): process reads by start time, tracking
+// the max value among operations that ended before the current start.
 func (h *harness) checkLinearizability() {
-	reads := h.linReads
-	h.rep.LinReads = len(reads)
-	byStart := append([]linRead(nil), reads...)
-	byEnd := append([]linRead(nil), reads...)
-	sort.SliceStable(byStart, func(i, j int) bool { return byStart[i].start < byStart[j].start })
-	sort.SliceStable(byEnd, func(i, j int) bool { return byEnd[i].end < byEnd[j].end })
-	maxEnded := 0
-	j := 0
-	for _, r := range byStart {
-		for j < len(byEnd) && byEnd[j].end < r.start {
-			if byEnd[j].val > maxEnded {
-				maxEnded = byEnd[j].val
+	for _, g := range []*register{&h.lin, &h.global, &h.raw} {
+		st := RegisterStats{Key: string(g.key)}
+		var byStart []linOp
+		for _, op := range g.ops {
+			if op.write {
+				st.Writes++
+			} else {
+				byStart = append(byStart, op)
 			}
-			j++
 		}
-		if r.val < maxEnded {
-			h.rep.LinViolations++
+		st.Reads = len(byStart)
+		byEnd := append([]linOp(nil), g.ops...)
+		sort.SliceStable(byStart, func(i, j int) bool { return byStart[i].start < byStart[j].start })
+		sort.SliceStable(byEnd, func(i, j int) bool { return byEnd[i].end < byEnd[j].end })
+		maxEnded := 0
+		j := 0
+		for _, r := range byStart {
+			for j < len(byEnd) && byEnd[j].end < r.start {
+				maxEnded = max(maxEnded, byEnd[j].val)
+				j++
+			}
+			if r.val < maxEnded {
+				st.Violations++
+			}
 		}
+		h.rep.Registers = append(h.rep.Registers, st)
+		h.rep.LinWrites += st.Writes
+		h.rep.LinReads += st.Reads
+		h.rep.LinViolations += st.Violations
 	}
 }

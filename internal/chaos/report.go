@@ -26,10 +26,12 @@ type Report struct {
 	TransfersOK     int64
 	TransfersFailed int64
 
-	// Single-key linearizability (single-writer monotonic register).
+	// Single-key linearizability (single-writer monotonic registers): the
+	// totals over Registers.
 	LinWrites     int
 	LinReads      int
 	LinViolations int
+	Registers     []RegisterStats
 
 	// Closed-timestamp monotonicity.
 	ClosedTSSamples     int64
@@ -120,6 +122,12 @@ func (r *Report) Schedule() string {
 	return b.String()
 }
 
+// RegisterStats is the linearizability check's outcome on one register.
+type RegisterStats struct {
+	Key                       string
+	Writes, Reads, Violations int
+}
+
 // MaxRTO returns the longest measured recovery interval, or zero.
 func (r *Report) MaxRTO() sim.Duration {
 	var max sim.Duration
@@ -146,8 +154,10 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  bank: final=%d/%d audits=%d bad=%d transfers ok=%d failed=%d\n",
 		r.BankFinal, r.BankExpected, r.BankAudits, r.BankAuditBad,
 		r.TransfersOK, r.TransfersFailed)
-	fmt.Fprintf(&b, "  linearizability: writes=%d reads=%d violations=%d\n",
-		r.LinWrites, r.LinReads, r.LinViolations)
+	for _, g := range r.Registers {
+		fmt.Fprintf(&b, "  linearizability %s: writes=%d reads=%d violations=%d\n",
+			g.Key, g.Writes, g.Reads, g.Violations)
+	}
 	fmt.Fprintf(&b, "  closed-ts: samples=%d regressions=%d\n",
 		r.ClosedTSSamples, r.ClosedTSRegressions)
 	if r.PlacementChecks > 0 {

@@ -114,6 +114,7 @@ type Cluster struct {
 
 	MaxOffset sim.Duration
 	regions   []simnet.Region
+	skews     map[simnet.NodeID]sim.Duration
 }
 
 // PaperRegions returns the paper's five-region topology spec (§7.1.1:
@@ -159,6 +160,7 @@ func New(cfg Config) *Cluster {
 		Stores:    map[simnet.NodeID]*kv.Store{},
 		Senders:   map[simnet.NodeID]*kv.DistSender{},
 		MaxOffset: cfg.MaxOffset,
+		skews:     map[simnet.NodeID]sim.Duration{},
 	}
 	c.Tracer = obs.NewTracer(s)
 	c.Tracer.SetEnabled(cfg.Tracing)
@@ -185,6 +187,7 @@ func New(cfg Config) *Cluster {
 				// Deterministic skew in [-spread/2, +spread/2].
 				skew := sim.Duration(s.Rand().Int63n(int64(skewSpread))) - skewSpread/2
 				clock := hlc.NewClock(hlc.SimWallSource{Sim: s, Skew: skew}, cfg.MaxOffset)
+				c.skews[id] = skew
 				st := kv.NewStore(id, s, c.Net, topo, clock, c.Registry)
 				st.Catalog = c.Catalog
 				st.Obs = c.Tracer
@@ -256,6 +259,10 @@ func (c *Cluster) RestartNode(p *sim.Proc, id simnet.NodeID) (kv.RecoveryStats, 
 
 // Regions returns the cluster's regions in creation order.
 func (c *Cluster) Regions() []simnet.Region { return c.regions }
+
+// ClockSkew returns how far node id's wall clock runs ahead of true
+// (virtual) time; negative when it trails.
+func (c *Cluster) ClockSkew(id simnet.NodeID) sim.Duration { return c.skews[id] }
 
 // GatewayFor returns the lowest-numbered node in a region, the conventional
 // gateway for clients located there.

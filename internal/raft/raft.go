@@ -313,6 +313,8 @@ type Node struct {
 	// order: applyCommitted pops the head as its entry applies and
 	// failPending fails them all in order.
 	pending []proposal
+	// applying is set while applyCommitted runs.
+	applying bool
 	// lastBroadcast is when broadcastAppend last put a message on every link.
 	lastBroadcast sim.Time
 
@@ -819,6 +821,13 @@ func (n *Node) quorum(idx uint64) uint64 {
 }
 
 func (n *Node) applyCommitted() {
+	// A conf change that shrinks the quorum commits later entries while it
+	// applies (applyConfChange → maybeCommit); this loop, already running,
+	// applies them after it, in order, and resolves their proposals.
+	if n.applying {
+		return
+	}
+	n.applying = true
 	for n.applied < n.commitIndex {
 		n.applied++
 		e := n.at(n.applied)
@@ -834,6 +843,7 @@ func (n *Node) applyCommitted() {
 			f.Set(ProposeResult{Index: e.Index, Quorum: n.quorum(e.Index), Voters: n.voterSlice()})
 		}
 	}
+	n.applying = false
 }
 
 func (n *Node) applyConfChange(cc ConfChange) {

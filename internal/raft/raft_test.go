@@ -2,6 +2,7 @@ package raft
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"mrdb/internal/hlc"
@@ -1007,5 +1008,69 @@ func TestIdleDurableFollowerWritesNothing(t *testing.T) {
 	f.Step(Message{Kind: MsgApp, Term: term, From: 3, PrevLogIndex: last.Index, PrevLogTerm: last.Term})
 	if got := len(disk.records) - before; got != 1 || len(replies) != 1 {
 		t.Fatalf("repeat of the append wrote %d records and drew %d replies", got-1, len(replies)-1)
+	}
+}
+
+// TestQuorumShrinkingConfChangeResolvesLaterProposals pins the apply loop
+// across a removal that shrinks the quorum. Voter 4 is silent, so voters 1–3
+// are the quorum of four. A RemoveVoter(4) and two writes behind it reach
+// voter 2; voter 3 gets only the removal. Its ack commits the removal, whose
+// application makes {1, 2} a quorum of three, which commits the two writes
+// at once. Both must apply after the removal, in log order, and both of
+// their futures must resolve. Applying them from inside the removal's own
+// application left their futures unresolved forever, so the writes'
+// callers (latches, commit records) hung.
+func TestQuorumShrinkingConfChangeResolvesLaterProposals(t *testing.T) {
+	h := newLinkHarness(t, 9, []simnet.NodeID{1, 2, 3, 4}, nil, linkDelay, 0)
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool { return to == 4 }
+	l := h.elect(t)
+	var held []Message
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if to == 3 && msg.Kind == MsgApp && len(msg.Entries) > 0 {
+			held = append(held, msg)
+			return true
+		}
+		return to == 4
+	}
+	var order []string
+	l.cfg.Apply = func(e Entry) {
+		if e.Conf != nil {
+			order = append(order, "remove")
+		} else if e.Data != nil {
+			order = append(order, e.Data.(string))
+		}
+	}
+	if _, err := l.ProposeConfChange(ConfChange{Type: RemoveVoter, Node: 4}); err != nil {
+		t.Fatal(err)
+	}
+	var futures []*sim.Future[ProposeResult]
+	for _, w := range []string{"a", "b"} {
+		f, err := l.Propose(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		futures = append(futures, f)
+	}
+	h.s.RunFor(sim.Second)
+	if l.CommitIndex() == l.LastIndex() || len(held) == 0 {
+		t.Fatalf("setup: commit %d of %d with %d appends to voter 3 held", l.CommitIndex(), l.LastIndex(), len(held))
+	}
+	removal := held[0]
+	removal.Entries = removal.Entries[:1]
+	if removal.Entries[0].Conf == nil {
+		t.Fatalf("setup: first held append starts with %+v, want the removal", removal.Entries[0])
+	}
+	h.deliver(1, 3, removal)
+	h.s.RunFor(sim.Second)
+	if l.CommitIndex() != l.LastIndex() {
+		t.Fatalf("commit %d of %d after the removal applied", l.CommitIndex(), l.LastIndex())
+	}
+	if got := strings.Join(order, ","); got != "remove,a,b" {
+		t.Fatalf("leader applied %s, want remove,a,b", got)
+	}
+	for i, f := range futures {
+		if !f.Done() {
+			t.Fatalf("write %d applied but its proposal never resolved", i)
+		}
 	}
 }
