@@ -4,6 +4,7 @@
 // Usage:
 //
 //	mrbench [-full|-quick] [-trace] [experiment ...]
+//	mrbench ledger [row ...]
 //
 // Experiments: table1 table2 fig3 fig4a fig4b fig4c fig5 fig6
 // ablation-commitwait ablation-nonvoters ablation-survivability elastic
@@ -19,6 +20,11 @@
 // -full runs at a scale close to the paper's (minutes per figure); the
 // default quick scale (also spellable as -quick) finishes in seconds per
 // figure and preserves every reported shape.
+//
+// ledger [row ...] runs the ledger's rows (fig3, fig6-4, fig6-26; default
+// all three) and prints what each layer counted per transaction, the lines
+// scripts/ledger.sh writes to results/ledger.txt. The 26-region row takes
+// about a minute and over a GiB of heap.
 //
 // -trace enables span recording during fig3, writes per-phase span
 // histograms to results/fig3_phases.txt, and fails the run if any
@@ -95,6 +101,13 @@ func run() int {
 	bench.Trace = *trace
 	bench.ExportDir = *exportDir
 	experiments := flag.Args()
+	if len(experiments) > 0 && experiments[0] == "ledger" {
+		if err := bench.Ledger(os.Stdout, experiments[1:]); err != nil {
+			fmt.Fprintf(os.Stderr, "mrbench: %v\n", err)
+			return 1
+		}
+		return 0
+	}
 	if len(experiments) == 0 {
 		experiments = []string{"all"}
 	}

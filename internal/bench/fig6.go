@@ -47,10 +47,11 @@ type fig6Result struct {
 	regions    int
 	warehouses int
 	tpmC       float64
+	txns       int                               // transactions committed in the measurement window
 	noP50      map[simnet.Region][2]sim.Duration // p50, p90 per region
 }
 
-func fig6Run(seed int64, scale Scale, nRegions int, restricted bool) (*fig6Result, error) {
+func fig6Run(seed int64, scale Scale, nRegions int, restricted bool) (*fig6Result, *cluster.Cluster, error) {
 	specs, rtt := syntheticRegions(nRegions)
 	c := cluster.New(cluster.Config{
 		Seed:      seed,
@@ -83,7 +84,7 @@ func fig6Run(seed int64, scale Scale, nRegions int, restricted bool) (*fig6Resul
 		return t.Run(p)
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	res := &fig6Result{
 		regions:    nRegions,
@@ -91,10 +92,13 @@ func fig6Run(seed int64, scale Scale, nRegions int, restricted bool) (*fig6Resul
 		tpmC:       t.TpmC(),
 		noP50:      map[simnet.Region][2]sim.Duration{},
 	}
+	for _, rec := range []*workload.LatencyRecorder{t.NewOrderLat, t.PaymentLat, t.OrderStatusLat, t.DeliveryLat, t.StockLevelLat} {
+		res.txns += rec.Count()
+	}
 	for r, rec := range t.PerRegionNO {
 		res.noP50[r] = [2]sim.Duration{rec.Percentile(50), rec.Percentile(90)}
 	}
-	return res, nil
+	return res, c, nil
 }
 
 // Fig6 reproduces paper Figure 6: TPC-C throughput scaling with region
@@ -108,7 +112,7 @@ func Fig6(w io.Writer, scale Scale) error {
 	}
 	var results []*fig6Result
 	for i, n := range counts {
-		res, err := fig6Run(600+int64(i), scale, n, false)
+		res, _, err := fig6Run(600+int64(i), scale, n, false)
 		if err != nil {
 			return fmt.Errorf("fig6 %d regions: %w", n, err)
 		}
@@ -144,7 +148,7 @@ func Fig6(w io.Writer, scale Scale) error {
 		mid.regions, ms(loP50), ms(hiP50), ms(loP90), ms(hiP90))
 
 	// PLACEMENT RESTRICTED comparison at the smallest configuration.
-	rres, err := fig6Run(650, scale, counts[0], true)
+	rres, _, err := fig6Run(650, scale, counts[0], true)
 	if err != nil {
 		return fmt.Errorf("fig6 restricted: %w", err)
 	}

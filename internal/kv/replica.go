@@ -69,6 +69,8 @@ type Replica struct {
 	ckptSize int
 
 	// Stats.
+	// Proposed counts the commands this replica proposed, by kind.
+	Proposed          [NumCommandKinds]int64
 	FollowerReads     int64
 	RedirectsToLH     int64
 	WritesEvaluated   int64
@@ -442,7 +444,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 			// the latch is held until the write applies so later reads
 			// and QueryIntent observe it. The coordinator proves the
 			// write before committing.
-			f, err := r.raft.Propose(cmd)
+			f, err := r.submit(cmd)
 			if err != nil {
 				var nl *raft.ErrNotLeader
 				if errors.As(err, &nl) {
@@ -580,6 +582,15 @@ func (r *Replica) checkPut(key mvcc.Key, ts hlc.Timestamp, txn *mvcc.TxnMeta, mu
 	return ts, nil
 }
 
+// submit proposes cmd to Raft and counts it.
+func (r *Replica) submit(cmd Command) (*sim.Future[raft.ProposeResult], error) {
+	f, err := r.raft.Propose(cmd)
+	if err == nil {
+		r.Proposed[cmd.Kind]++
+	}
+	return f, err
+}
+
 // propose pushes cmd through Raft and parks p until it applies locally.
 func (r *Replica) propose(p *sim.Proc, cmd Command) error {
 	if r.subsumed {
@@ -589,7 +600,7 @@ func (r *Replica) propose(p *sim.Proc, cmd Command) error {
 	}
 	sp := r.store.Obs.StartChild("raft.replicate", obs.ProcSpan(p))
 	sp.SetTagInt("range", int64(r.desc.RangeID))
-	f, err := r.raft.Propose(cmd)
+	f, err := r.submit(cmd)
 	if err != nil {
 		var nl *raft.ErrNotLeader
 		if errors.As(err, &nl) {
@@ -1023,7 +1034,7 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 			ClosedTS:   r.closed.issued,
 			LeaseEpoch: r.store.CurrentEpoch(),
 		}
-		f, err := r.raft.Propose(cmd)
+		f, err := r.submit(cmd)
 		if err != nil {
 			p.Sleep(LivenessHeartbeatInterval / 2)
 			continue

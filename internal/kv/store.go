@@ -95,6 +95,33 @@ func (s *Store) Replica(id RangeID) (*Replica, bool) {
 // Replicas returns the number of replicas on this store.
 func (s *Store) Replicas() int { return len(s.replicas) }
 
+// Counts is what a store's replicas tallied, summed over the replicas it
+// holds: their number, the Raft log entries they retain, the commands they
+// proposed by kind, and the Raft messages they sent by kind, without ([0])
+// and with ([1]) entries.
+type Counts struct {
+	Replicas, Retained int64
+	Proposed           [NumCommandKinds]int64
+	RaftSent           [raft.NumMsgKinds][2]int64
+}
+
+// Counts sums the store's replicas' counters.
+func (s *Store) Counts() Counts {
+	var c Counts
+	for _, r := range s.replicas {
+		c.Replicas++
+		c.Retained += int64(r.raft.LastIndex() - r.raft.FirstIndex())
+		for k, n := range r.Proposed {
+			c.Proposed[k] += n
+		}
+		for k, n := range r.raft.Sent {
+			c.RaftSent[k][0] += n[0]
+			c.RaftSent[k][1] += n[1]
+		}
+	}
+	return c
+}
+
 // ApplyErrors sums failed command applications across replicas; tests
 // assert zero.
 func (s *Store) ApplyErrors() int {

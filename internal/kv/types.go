@@ -647,4 +647,17 @@ const (
 	// CmdMerge widens the left-hand range to Desc, absorbing the data of
 	// the subsumed right-hand range SplitDesc.
 	CmdMerge
+	// NumCommandKinds is the number of command kinds.
+	NumCommandKinds = iota
 )
+
+var commandKindNames = [NumCommandKinds]string{
+	"put", "resolve_intent", "txn_record", "desc_update", "lease_transfer", "split", "subsume", "merge",
+}
+
+func (k CommandKind) String() string {
+	if k >= 0 && int(k) < NumCommandKinds {
+		return commandKindNames[k]
+	}
+	return fmt.Sprintf("CommandKind(%d)", int8(k))
+}

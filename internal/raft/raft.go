@@ -114,7 +114,18 @@ const (
 	MsgAppResp
 	MsgTimeoutNow
 	MsgSnap
+	// NumMsgKinds is the number of message kinds.
+	NumMsgKinds = iota
 )
+
+var msgKindNames = [NumMsgKinds]string{"vote", "vote_resp", "app", "app_resp", "timeout_now", "snap"}
+
+func (k MsgKind) String() string {
+	if k >= 0 && int(k) < NumMsgKinds {
+		return msgKindNames[k]
+	}
+	return fmt.Sprintf("MsgKind(%d)", int8(k))
+}
 
 // HardState is the durable core of a replica's consensus state: the pair
 // that must survive a crash for Raft's voting rules to stay safe.
@@ -315,6 +326,10 @@ type Node struct {
 	pending []proposal
 	// applying is set while applyCommitted runs.
 	applying bool
+
+	// Sent counts the messages this node sent, by kind and by whether they
+	// carried entries ([1]) or not ([0]).
+	Sent [NumMsgKinds][2]int64
 	// lastBroadcast is when broadcastAppend last put a message on every link.
 	lastBroadcast sim.Time
 
@@ -388,6 +403,16 @@ func (n *Node) Stop() {
 // ID returns this replica's node ID.
 func (n *Node) ID() simnet.NodeID { return n.cfg.ID }
 
+// send counts msg and hands it to the transport.
+func (n *Node) send(to simnet.NodeID, msg Message) {
+	full := 0
+	if len(msg.Entries) > 0 {
+		full = 1
+	}
+	n.Sent[msg.Kind][full]++
+	n.cfg.Transport.Send(to, msg)
+}
+
 // Role returns the replica's current role.
 func (n *Node) Role() Role { return n.role }
 
@@ -458,14 +483,14 @@ func (n *Node) complete(c Completion) {
 			if v == n.cfg.ID {
 				continue
 			}
-			n.cfg.Transport.Send(v, Message{
+			n.send(v, Message{
 				Kind: MsgVote, Term: c.term, From: n.cfg.ID,
 				LastLogIndex: last.Index, LastLogTerm: last.Term,
 			})
 		}
 		n.maybeWinElection()
 	case grantVote:
-		n.cfg.Transport.Send(c.peer, Message{
+		n.send(c.peer, Message{
 			Kind: MsgVoteResp, Term: c.term, From: n.cfg.ID, VoteGranted: true,
 		})
 	case countSelf:
@@ -481,7 +506,7 @@ func (n *Node) complete(c Completion) {
 			return
 		}
 		n.markDurable(c.index)
-		n.cfg.Transport.Send(c.peer, Message{
+		n.send(c.peer, Message{
 			Kind: MsgAppResp, Term: c.term, From: n.cfg.ID, Success: true,
 			MatchIndex: n.durableIndex,
 		})
@@ -640,7 +665,7 @@ func (n *Node) TransferLeadership(target simnet.NodeID) {
 	}
 	// Bring the target fully up to date first, then tell it to campaign.
 	n.sendAppend(target)
-	n.cfg.Transport.Send(target, Message{Kind: MsgTimeoutNow, Term: n.term, From: n.cfg.ID})
+	n.send(target, Message{Kind: MsgTimeoutNow, Term: n.term, From: n.cfg.ID})
 }
 
 // --- Log replication ---
@@ -764,7 +789,7 @@ func (n *Node) sendAppend(to simnet.NodeID) {
 	if n.cfg.HeartbeatPayload != nil {
 		msg.Closed = n.cfg.HeartbeatPayload()
 	}
-	n.cfg.Transport.Send(to, msg)
+	n.send(to, msg)
 }
 
 // sendSnapshot ships the leader's applied state to a peer that fell behind
@@ -781,7 +806,7 @@ func (n *Node) sendSnapshot(to simnet.NodeID) {
 	}
 	pr := n.progress[to]
 	pr.next, pr.sent = idx+1, idx
-	n.cfg.Transport.Send(to, msg)
+	n.send(to, msg)
 }
 
 func (n *Node) maybeCommit() {
@@ -938,7 +963,7 @@ func (n *Node) handleVote(msg Message) {
 		n.persist(nil, Completion{kind: grantVote, term: n.term, peer: msg.From})
 		return
 	}
-	n.cfg.Transport.Send(msg.From, Message{
+	n.send(msg.From, Message{
 		Kind: MsgVoteResp, Term: n.term, From: n.cfg.ID, VoteGranted: false,
 	})
 }
@@ -953,7 +978,7 @@ func (n *Node) handleVoteResp(msg Message) {
 
 func (n *Node) handleApp(msg Message) {
 	if msg.Term < n.term {
-		n.cfg.Transport.Send(msg.From, Message{
+		n.send(msg.From, Message{
 			Kind: MsgAppResp, Term: n.term, From: n.cfg.ID, Success: false,
 		})
 		return
@@ -983,7 +1008,7 @@ func (n *Node) handleApp(msg Message) {
 	}
 	// Log matching.
 	if msg.PrevLogIndex > n.LastIndex() || n.at(msg.PrevLogIndex).Term != msg.PrevLogTerm {
-		n.cfg.Transport.Send(msg.From, Message{
+		n.send(msg.From, Message{
 			Kind: MsgAppResp, Term: n.term, From: n.cfg.ID, Success: false,
 			PrevLogIndex: msg.PrevLogIndex, MatchIndex: min64(msg.PrevLogIndex-1, n.LastIndex()),
 		})
@@ -1041,7 +1066,7 @@ func (n *Node) handleApp(msg Message) {
 // state machine and restarting the log at the snapshot index.
 func (n *Node) handleSnap(msg Message) {
 	if msg.Term < n.term {
-		n.cfg.Transport.Send(msg.From, Message{
+		n.send(msg.From, Message{
 			Kind: MsgAppResp, Term: n.term, From: n.cfg.ID, Success: false,
 		})
 		return
@@ -1058,7 +1083,7 @@ func (n *Node) handleSnap(msg Message) {
 	}
 	if msg.SnapIndex <= n.commitIndex {
 		// Stale or redundant snapshot; report what we actually hold.
-		n.cfg.Transport.Send(msg.From, Message{
+		n.send(msg.From, Message{
 			Kind: MsgAppResp, Term: n.term, From: n.cfg.ID, Success: true,
 			MatchIndex: n.durableIndex,
 		})
@@ -1076,7 +1101,7 @@ func (n *Node) handleSnap(msg Message) {
 		// reset around it (both atomic, so the ack below is safe).
 		n.cfg.Storage.Reset(msg.SnapIndex, msg.SnapTerm, HardState{Term: n.term, Vote: n.votedFor})
 	}
-	n.cfg.Transport.Send(msg.From, Message{
+	n.send(msg.From, Message{
 		Kind: MsgAppResp, Term: n.term, From: n.cfg.ID, Success: true,
 		MatchIndex: msg.SnapIndex,
 	})

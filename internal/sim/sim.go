@@ -204,6 +204,7 @@ type Simulation struct {
 	queue   fourAryHeap
 	seq     int64
 	events  int64 // events executed (wall-clock throughput denominator)
+	parks   int64 // times a process parked
 	rng     *rand.Rand
 	stopped bool
 
@@ -230,6 +231,10 @@ func (s *Simulation) Now() Time { return s.now }
 // throughput denominator for the perf harness; virtual time never depends
 // on it.
 func (s *Simulation) Events() int64 { return s.events }
+
+// Parks returns how many times a process parked (slept, waited, yielded).
+// Like Events it counts cost; virtual time never depends on it.
+func (s *Simulation) Parks() int64 { return s.parks }
 
 // Pending returns the number of events queued. Like Events it measures cost,
 // for tests and the perf harness; virtual time never depends on it.
@@ -447,7 +452,10 @@ func (p *Proc) run(yield func(struct{}) bool) {
 
 // park suspends the calling process until a scheduled event resumes it. The
 // scheduler regains control.
-func (p *Proc) park() { p.yield(struct{}{}) }
+func (p *Proc) park() {
+	p.sim.parks++
+	p.yield(struct{}{})
+}
 
 // resumeNow runs the process until it next parks or finishes. It must only
 // be invoked from scheduler context (a proc event, or inside a Schedule

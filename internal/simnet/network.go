@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"reflect"
 
 	"mrdb/internal/obs"
 	"mrdb/internal/sim"
@@ -43,6 +44,9 @@ type Network struct {
 	MessagesSent    int64
 	MessagesDropped int64
 	BytesEstimate   int64
+	// sentByType counts MessagesSent by payload type: local ([0]) and WAN
+	// ([1]).
+	sentByType map[reflect.Type]*[2]int64
 
 	// Tracer, when set, records a "net.rpc" span per RPC with per-message
 	// link attribution (endpoints, regions, WAN classification, one-way
@@ -222,9 +226,11 @@ func (n *Network) Send(from, to NodeID, payload interface{}) {
 	n.MessagesSent++
 	m := n.metrics()
 	m.send.Inc()
-	if n.WAN(from, to) {
+	wan := n.WAN(from, to)
+	if wan {
 		m.sendWAN.Inc()
 	}
+	n.countSent(payload, wan)
 	if n.blocked(from, to) {
 		n.MessagesDropped++
 		return
@@ -239,6 +245,34 @@ func (n *Network) Send(from, to NodeID, payload interface{}) {
 	}
 	f.msg = Message{From: from, To: to, Payload: payload}
 	n.Sim.After(n.delay(from, to), f.deliver)
+}
+
+// countSent adds one message of payload's type to sentByType.
+func (n *Network) countSent(payload interface{}, wan bool) {
+	t := reflect.TypeOf(payload)
+	c := n.sentByType[t]
+	if c == nil {
+		if n.sentByType == nil {
+			n.sentByType = map[reflect.Type]*[2]int64{}
+		}
+		c = new([2]int64)
+		n.sentByType[t] = c
+	}
+	if wan {
+		c[1]++
+	} else {
+		c[0]++
+	}
+}
+
+// SentByType returns MessagesSent by payload type name: local ([0]) and WAN
+// ([1]). A request sent with SendRPC counts once, under its payload's type.
+func (n *Network) SentByType() map[string][2]int64 {
+	out := make(map[string][2]int64, len(n.sentByType))
+	for t, c := range n.sentByType {
+		out[t.String()] = *c
+	}
+	return out
 }
 
 // arrive is the delivery event. The record goes back to the free list first,
@@ -345,6 +379,7 @@ func (n *Network) SendRPC(p *sim.Proc, from, to NodeID, payload interface{}, tim
 		sp.SetTagDuration("link_rtt", n.Topo.NodeRTT(from, to))
 	}
 	n.MessagesSent++
+	n.countSent(payload, wan)
 	if n.blocked(from, to) {
 		n.MessagesDropped++
 		err := &ErrRPC{Reason: fmt.Sprintf("node %d unreachable from %d", to, from)}
