@@ -13,16 +13,16 @@ import (
 	"mrdb/internal/sim"
 )
 
-// LedgerRow is one run the ledger counts: a name and the run, which returns
+// ledgerRow is one run the ledger counts: a name and the run, which returns
 // its cluster and the transactions it committed.
-type LedgerRow struct {
-	Name string
+type ledgerRow struct {
+	name string
 	run  func() (*cluster.Cluster, int, error)
 }
 
-// LedgerRows are the ledger's runs: the Fig. 3 GLOBAL variant at quick
+// ledgerRows are the ledger's runs: the Fig. 3 GLOBAL variant at quick
 // scale, and the quick Fig. 6 point at seed 602 with 4 and 26 regions.
-var LedgerRows = []LedgerRow{
+var ledgerRows = []ledgerRow{
 	{"fig3", func() (*cluster.Cluster, int, error) {
 		y, c, err := fig3Run(100, 250*sim.Millisecond, Quick(), "LOCALITY GLOBAL", false, false)
 		if err != nil {
@@ -51,22 +51,23 @@ func fig6LedgerRun(regions int) func() (*cluster.Cluster, int, error) {
 	}
 }
 
-// Ledger runs each named row (all of LedgerRows when names is empty) and
+// Ledger runs each named row (all of ledgerRows when names is empty) and
 // writes what its layers counted, whole-run totals that include schema setup
 // and the data load, as "row counter total per_txn" lines: the simulation's
 // events and parks; the network's messages by payload type, local and WAN;
 // the Raft messages by kind, without and with entries; the commands proposed
 // by kind; and, at the end, the replicas and the Raft entries they retain.
-// A counter that stayed zero is left out. Every count is a function of the seed. The two "host." lines, wall time and
-// HeapInuse when the run ends, are not: a diff of the ledger leaves them out.
+// A counter that stayed zero is left out. Every count is a function of the
+// seed. The two "host." lines, wall time and HeapInuse when the run ends, are
+// not: a diff of the ledger leaves them out.
 func Ledger(w io.Writer, names []string) error {
-	rows := LedgerRows
+	rows := ledgerRows
 	if len(names) > 0 {
 		rows = nil
 		for _, name := range names {
 			found := false
-			for _, r := range LedgerRows {
-				if r.Name == name {
+			for _, r := range ledgerRows {
+				if r.name == name {
 					rows, found = append(rows, r), true
 				}
 			}
@@ -81,18 +82,18 @@ func Ledger(w io.Writer, names []string) error {
 		c, txns, err := row.run()
 		wall := time.Since(start)
 		if err != nil {
-			return fmt.Errorf("ledger %s: %w", row.Name, err)
+			return fmt.Errorf("ledger %s: %w", row.name, err)
 		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
-		writeLedgerRow(w, row.Name, c, txns)
-		fmt.Fprintf(w, "%s host.wall_s %.1f\n", row.Name, wall.Seconds())
-		fmt.Fprintf(w, "%s host.heap_inuse_mb %.0f\n", row.Name, float64(ms.HeapInuse)/(1<<20))
+		writeledgerRow(w, row.name, c, txns)
+		fmt.Fprintf(w, "%s host.wall_s %.1f\n", row.name, wall.Seconds())
+		fmt.Fprintf(w, "%s host.heap_inuse_mb %.0f\n", row.name, float64(ms.HeapInuse)/(1<<20))
 	}
 	return nil
 }
 
-func writeLedgerRow(w io.Writer, name string, c *cluster.Cluster, txns int) {
+func writeledgerRow(w io.Writer, name string, c *cluster.Cluster, txns int) {
 	line := func(counter string, n int64) {
 		if n != 0 {
 			fmt.Fprintf(w, "%s %s %d %.2f\n", name, counter, n, float64(n)/float64(max(txns, 1)))

@@ -186,11 +186,6 @@ type register struct {
 	ops []linOp
 }
 
-// record appends one successful operation.
-func (g *register) record(start, end sim.Time, val int, write bool) {
-	g.ops = append(g.ops, linOp{start: start, end: end, val: val, write: write})
-}
-
 // harness carries the run's shared state.
 type harness struct {
 	opts    Options
@@ -769,7 +764,7 @@ func (h *harness) write(p *sim.Proc, co *txn.Coordinator, g *register, val int) 
 	if err != nil {
 		return false
 	}
-	g.record(start, p.Now(), val, true)
+	g.ops = append(g.ops, linOp{start: start, end: p.Now(), val: val, write: true})
 	return true
 }
 
@@ -784,7 +779,7 @@ func (h *harness) read(p *sim.Proc, co *txn.Coordinator, g *register) {
 	})
 	if err == nil {
 		val, _ := strconv.Atoi(string(raw))
-		g.record(start, p.Now(), val, false)
+		g.ops = append(g.ops, linOp{start: start, end: p.Now(), val: val})
 	}
 }
 

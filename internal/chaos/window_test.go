@@ -9,14 +9,14 @@ import (
 
 // TestFaultWindowsSpikeAndReconverge pins the trajectory-shaped claim: the
 // probe-latency timeseries must show tail latency spiking while a fault
-// holds and dropping back under the RTO threshold after recovery. Seed 80's
-// schedule fails us-east1 (the bank range's lease preference) twice and
-// asia-northeast1 once, which knocks probe p99 from ~90ms to seconds until
-// the lease fails over and back. (The fault schedule draws from the same RNG as
+// holds and dropping back under the RTO threshold after recovery. Seed 93's
+// schedule fails us-east1 (the bank range's lease preference) and
+// asia-northeast1 once each; the first knocks probe p99 from ~90ms to seconds
+// until the lease fails over and back. (The fault schedule draws from the same RNG as
 // the network jitter, so a change to the message schedule moves it: the seed
 // is chosen for that property, and the assertions below say so when it goes.)
 func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
-	rep, err := Run(Options{Seed: 80, Faults: 8})
+	rep, err := Run(Options{Seed: 93, Faults: 8})
 	if err != nil {
 		t.Fatalf("chaos run failed: %v", err)
 	}
@@ -56,7 +56,7 @@ func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
 func TestChaosExportDeterminism(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	run := func(dir string) *Report {
-		rep, err := Run(Options{Seed: 22, Faults: 5, ExportDir: dir})
+		rep, err := Run(Options{Seed: 23, Faults: 5, ExportDir: dir})
 		if err != nil {
 			t.Fatalf("chaos run failed: %v", err)
 		}

@@ -29,6 +29,7 @@ const formatV1 = 1
 const (
 	entryHasCmd, entryHasConf              = 1, 2
 	cmdHasTxn, cmdHasDesc, cmdHasSplitDesc = 1, 2, 4
+	cmdHasKeys                             = 8
 )
 
 var errChecksum = errors.New("kv: blob checksum mismatch")
@@ -98,9 +99,16 @@ func appendCommand(dst []byte, c *Command) []byte {
 	dst = append(wire.AppendTimestamp(dst, c.Ts), byte(c.Status))
 	dst = wire.AppendTimestamp(wire.AppendTimestamp(dst, c.CommitTS), c.ClosedTS)
 	dst = wire.AppendTimestamp(binary.AppendVarint(dst, c.LeaseEpoch), c.SubsumeClosedTS)
-	dst = append(dst, flagIf(c.Txn != nil, cmdHasTxn)|flagIf(c.Desc != nil, cmdHasDesc)|flagIf(c.SplitDesc != nil, cmdHasSplitDesc))
+	dst = append(dst, flagIf(c.Txn != nil, cmdHasTxn)|flagIf(c.Desc != nil, cmdHasDesc)|
+		flagIf(c.SplitDesc != nil, cmdHasSplitDesc)|flagIf(len(c.Keys) > 0, cmdHasKeys))
 	if c.Txn != nil {
 		dst = mvcc.AppendTxnMeta(dst, c.Txn)
+	}
+	if len(c.Keys) > 0 {
+		dst = binary.AppendUvarint(dst, uint64(len(c.Keys)))
+		for _, k := range c.Keys {
+			dst = wire.AppendBytes(dst, k)
+		}
 	}
 	if c.Desc != nil {
 		dst = appendDesc(dst, c.Desc)
@@ -121,6 +129,11 @@ func decodeCommand(d *wire.Decoder) Command {
 	if flags&cmdHasTxn != 0 {
 		txn := mvcc.DecodeTxnMeta(d)
 		c.Txn = &txn
+	}
+	if flags&cmdHasKeys != 0 {
+		for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+			c.Keys = append(c.Keys, bytes.Clone(d.Bytes()))
+		}
 	}
 	if flags&cmdHasDesc != 0 {
 		c.Desc = decodeDesc(d)

@@ -68,6 +68,12 @@ func randCommand(rng *rand.Rand, kind CommandKind) Command {
 	if rng.Intn(2) == 0 {
 		c.Txn = &mvcc.TxnMeta{ID: mvcc.TxnID(rng.Uint64()), Key: randBytes(rng), Epoch: rng.Int31(), WriteTimestamp: randTS(rng)}
 	}
+	if kind == CmdResolveIntent {
+		// A resolution carries its range's keys of one transaction.
+		for n := 2 + rng.Intn(3); n > 0; n-- {
+			c.Keys = append(c.Keys, randBytes(rng))
+		}
+	}
 	return c
 }
 
@@ -89,7 +95,8 @@ func randBatch(rng *rand.Rand) (raft.HardState, []raft.Entry) {
 }
 
 // TestWALRecordRoundTrip: decode(encode(x)) == x for random batches — nil and
-// empty byte strings distinct, nil and non-nil Txn/Desc/SplitDesc — and the
+// empty byte strings distinct, nil and non-nil Txn/Desc/SplitDesc, a
+// resolution's several keys in order — and the
 // encoding of a value is a function of the value alone.
 func TestWALRecordRoundTrip(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
@@ -153,6 +160,8 @@ func TestDecodeRejectsDamagedInput(t *testing.T) {
 	for seed := int64(12); len(entries) < 4; seed++ {
 		hs, entries = randBatch(rand.New(rand.NewSource(seed)))
 	}
+	// A multi-key resolution, whatever the batch drew.
+	entries = append(entries, raft.Entry{Term: 4, Index: 12, Data: randCommand(rand.New(rand.NewSource(13)), CmdResolveIntent)})
 	desc := RangeDescriptor{RangeID: 4, StartKey: mvcc.Key("a"), Voters: []simnet.NodeID{1, 2, 3}}
 	engine := mvcc.NewEngine(1)
 	for i := 0; i < 10; i++ {

@@ -408,3 +408,70 @@ func TestZombieProposalStaysOutOfTheRebornWAL(t *testing.T) {
 		t.Fatal("the zombie's write was applied")
 	}
 }
+
+// TestReplayResolvesEveryKeyOfAResolution: a follower that crashed once a
+// multi-key resolution entry was in its WAL, with a checkpoint from before
+// it, replays the entry on recovery and resolves every key it names.
+func TestReplayResolvesEveryKeyOfAResolution(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 3600*sim.Second)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st, st3 := h.stores[1], h.stores[3]
+	r1, _ := st.Replica(desc.RangeID)
+	tx := GatewayTxn(st, mvcc.Key("k1"), 0)
+	keys := []mvcc.Key{mvcc.Key("k1"), mvcc.Key("k2"), mvcc.Key("k3")}
+	h.run(t, 10*sim.Second, func(p *sim.Proc) error {
+		for _, k := range keys {
+			cmd := Command{Kind: CmdPut, Key: k, Value: mvcc.Value("v-" + string(k)), Ts: tx.Meta.WriteTimestamp, Txn: &tx.Meta}
+			if err := r1.propose(p, cmd); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	h.s.RunFor(sim.Second)
+	st3.CheckpointNow() // the intents, and nothing after them
+	if err := st.Registry.TryCommit(tx.Meta.ID, tx.Meta.WriteTimestamp); err != nil {
+		t.Fatal(err)
+	}
+	h.run(t, 10*sim.Second, func(p *sim.Proc) error {
+		n, err := r1.resolveIntents(p, tx.Meta.ID, mvcc.Committed, tx.Meta.WriteTimestamp, append([]mvcc.Key(nil), keys...))
+		if n != len(keys) {
+			t.Errorf("resolved %d intents, want %d", n, len(keys))
+		}
+		return err
+	})
+	h.s.RunFor(sim.Second)
+	r3, _ := st3.Replica(desc.RangeID)
+	if r3.raft.DurableIndex() < r1.raft.LastIndex() {
+		t.Fatalf("setup: n3 logged up to %d, the resolution is at %d", r3.raft.DurableIndex(), r1.raft.LastIndex())
+	}
+
+	h.net.CrashNode(3)
+	st3.Crash()
+	var stats RecoveryStats
+	h.run(t, 5*sim.Second, func(p *sim.Proc) error {
+		var err error
+		stats, err = st3.Recover(p)
+		return err
+	})
+	if stats.ReplayedEntries == 0 {
+		t.Fatal("recovery replayed nothing: the resolution did not come from the WAL")
+	}
+	h.net.RestartNode(3)
+	h.s.RunFor(5 * sim.Second)
+	nr3, _ := st3.Replica(desc.RangeID)
+	if st3.SnapshotsApplied != 0 {
+		t.Fatalf("n3 caught up by snapshot, not by replay")
+	}
+	for _, k := range keys {
+		if _, ok := nr3.engine.GetIntent(k); ok {
+			t.Errorf("intent on %s survived the replayed resolution", k)
+		}
+		if v, _, err := nr3.engine.Get(k, tx.Meta.WriteTimestamp, mvcc.GetOptions{}); err != nil || string(v) != "v-"+string(k) {
+			t.Errorf("%s reads %q (%v) after replay", k, v, err)
+		}
+	}
+	if n := nr3.applyErrors; n != 0 {
+		t.Fatalf("%d apply errors", n)
+	}
+}

@@ -148,16 +148,84 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 	return q.eval(r, p)
 }
 
-// evaluateBatch evaluates the requests of one RPC as a fan-out (a lone
-// request therefore runs on p; several run as concurrent procs and contend on
-// latches like independent RPCs would), and the responses come back in
-// request order in the reply.
+// evaluateBatch evaluates the requests of one RPC; the responses come back in
+// request order in the reply. A lone request runs on p. Of several, each
+// read and write runs on a proc of its own, and they contend on latches like
+// independent RPCs would: an intent wait's push timer starts when its wait
+// does, so running them in turn would move the pushes. Where the order cannot
+// matter, the requests run on p: the resolutions of one transaction become
+// one resolveIntents call (one command for the range), and the QueryIntents
+// of a commit's proofs wait out their latches in turn, each wait ending when
+// its latch frees, so the last answer lands when it would have anyway.
 func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) *BatchResponse {
 	br := newBatchResponse(len(reqs))
-	p.Fanout("replica/batch-req", len(reqs), func(wp *sim.Proc, i int) {
-		br.Resps[i] = r.evaluate(wp, reqs[i])
-	})
+	ctx := p.ObsCtx()
+	if len(reqs) == 1 {
+		br.Resps[0] = r.evaluate(p, reqs[0])
+		p.SetObsCtx(ctx)
+		return br
+	}
+	var wg *sim.WaitGroup
+	for i, req := range reqs {
+		switch req.(type) {
+		case *ResolveIntentRequest, *QueryIntentRequest:
+			continue
+		}
+		if wg == nil {
+			wg = r.store.Sim.GetWaitGroup()
+		}
+		wg.Add(1)
+		r.store.Sim.Spawn("replica/batch-req", func(cp *sim.Proc) {
+			defer wg.Done()
+			cp.SetObsCtx(ctx)
+			br.Resps[i] = r.evaluate(cp, req)
+		})
+	}
+	for i, req := range reqs {
+		switch q := req.(type) {
+		case *ResolveIntentRequest:
+			if br.Resps[i].Resolve == nil && br.Resps[i].Err == nil {
+				r.resolveGroup(p, reqs[i:], br.Resps[i:], q)
+			}
+		case *QueryIntentRequest:
+			br.Resps[i] = r.evaluate(p, q)
+			p.SetObsCtx(ctx)
+		}
+	}
+	if wg != nil {
+		wg.Wait(p)
+		wg.Release()
+	}
 	return br
+}
+
+// resolveGroup resolves, in one resolveIntents call, first's intent and
+// those of every later request in reqs that resolves first's transaction
+// to the same outcome, and answers each of them with the same response.
+func (r *Replica) resolveGroup(p *sim.Proc, reqs []interface{}, resps []Response, first *ResolveIntentRequest) {
+	n := 0
+	for _, req := range reqs {
+		if q, ok := req.(*ResolveIntentRequest); ok && first.sameOutcome(q) {
+			n++
+		}
+	}
+	keys := make([]mvcc.Key, 0, n)
+	for _, req := range reqs {
+		if q, ok := req.(*ResolveIntentRequest); ok && first.sameOutcome(q) {
+			keys = append(keys, q.Key)
+		}
+	}
+	resp := Response{Resolve: &ResolveIntentResponse{}}
+	if r.subsumed {
+		resp = Response{Err: &RangeKeyMismatchError{RequestedKey: r.desc.StartKey}}
+	} else if _, err := r.resolveIntents(p, first.TxnID, first.Status, first.CommitTS, keys); err != nil {
+		resp = Response{Err: err}
+	}
+	for i, req := range reqs {
+		if q, ok := req.(*ResolveIntentRequest); ok && first.sameOutcome(q) {
+			resps[i] = resp
+		}
+	}
 }
 
 // replicaRead is a request evalRead serves: GetRequest, ScanRequest and
@@ -664,24 +732,39 @@ func (r *Replica) evalEndTxn(p *sim.Proc, req *EndTxnRequest) Response {
 	return Response{EndTxn: &EndTxnResponse{Status: status}}
 }
 
-func (r *Replica) evalResolveIntent(p *sim.Proc, req *ResolveIntentRequest) Response {
+// resolveIntents resolves txn's intents on keys, which must all lie in this
+// range, to status (at commitTS) as one Raft command. It returns how many
+// intents it resolved: keys whose intent is already gone are left out, and
+// when none is left nothing is proposed. keys is the caller's to give up: the
+// command is built in its array.
+func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnStatus, commitTS hlc.Timestamp, keys []mvcc.Key) (int, error) {
 	if err := r.checkLease(); err != nil {
-		return Response{Err: err}
+		return 0, err
 	}
-	// Only propose if the intent is still there (idempotence without a
-	// wasted consensus round).
-	if meta, ok := r.engine.GetIntent(req.Key); !ok || meta.ID != req.TxnID {
-		return Response{Resolve: &ResolveIntentResponse{}}
+	// A split leaves this engine a stale copy of the right half: a key there
+	// is resolved on the range that owns it.
+	for _, k := range keys {
+		if err := r.ownKey(k); err != nil {
+			return 0, err
+		}
+	}
+	// Only propose the intents still there (idempotence without a wasted
+	// consensus round). The command keeps them in keys' own array.
+	live := keys[:0]
+	for _, k := range keys {
+		if meta, ok := r.engine.GetIntent(k); ok && meta.ID == txn {
+			live = append(live, k)
+		}
+	}
+	if len(live) == 0 {
+		return 0, nil
 	}
 	cmd := Command{
-		Kind: CmdResolveIntent, Key: req.Key, Txn: &mvcc.TxnMeta{ID: req.TxnID},
-		Status: req.Status, CommitTS: req.CommitTS,
+		Kind: CmdResolveIntent, Keys: live, Txn: &mvcc.TxnMeta{ID: txn},
+		Status: status, CommitTS: commitTS,
 		ClosedTS: r.closed.issue(r.store.Clock.Now()),
 	}
-	if err := r.propose(p, cmd); err != nil {
-		return Response{Err: err}
-	}
-	return Response{Resolve: &ResolveIntentResponse{}}
+	return len(live), r.propose(p, cmd)
 }
 
 // evalNegotiate serves the bounded-staleness negotiation (paper §5.3.2):
@@ -798,16 +881,11 @@ func (r *Replica) waitOnIntent(p *sim.Proc, key mvcc.Key, holder mvcc.TxnMeta, w
 		return err
 	}
 	// Holder finished: resolve its intent here so we can proceed.
-	if meta, ok := r.engine.GetIntent(key); ok && meta.ID == holder.ID {
-		cmd := Command{
-			Kind: CmdResolveIntent, Key: key, Txn: &mvcc.TxnMeta{ID: holder.ID},
-			Status: status, CommitTS: commitTS,
-			ClosedTS: r.closed.issue(r.store.Clock.Now()),
-		}
-		if err := r.propose(p, cmd); err != nil {
-			return err
-		}
-	} else {
+	n, err := r.resolveIntents(p, holder.ID, status, commitTS, []mvcc.Key{key})
+	if err != nil {
+		return err
+	}
+	if n == 0 {
 		// Someone else resolved it; yield so their apply settles.
 		p.Yield()
 	}
@@ -833,8 +911,10 @@ func (r *Replica) apply(e raft.Entry) {
 			r.applyErrors++
 		}
 	case CmdResolveIntent:
-		if err := r.engineFor(cmd.Key).ResolveIntent(cmd.Key, cmd.Txn.ID, cmd.Status, cmd.CommitTS); err != nil {
-			r.applyErrors++
+		for _, k := range cmd.Keys {
+			if err := r.engineFor(k).ResolveIntent(k, cmd.Txn.ID, cmd.Status, cmd.CommitTS); err != nil {
+				r.applyErrors++
+			}
 		}
 	case CmdTxnRecord:
 		// The decision itself lives in the registry; the entry models
@@ -872,6 +952,14 @@ func (r *Replica) applySplit(cmd Command) {
 		// under, and everything below the split timestamp assumed read.
 		nr.leaseEpoch = r.leaseEpoch
 		nr.inherit(r.closed.closed, cmd.ClosedTS, cmd.Ts)
+		// The right span's unreplicated locks (held on the leaseholder only)
+		// go with their keys, so a locking read queued on one keeps waiting.
+		for k, holder := range r.lockTable {
+			if newDesc.ContainsKey(mvcc.Key(k)) {
+				nr.lockTable[k] = holder
+				delete(r.lockTable, k)
+			}
+		}
 		if newDesc.Leaseholder == r.store.NodeID {
 			nr.raft.Campaign()
 		}

@@ -358,8 +358,20 @@ type ResolveIntentRequest struct {
 func (q *ResolveIntentRequest) routingKey() mvcc.Key { return q.Key }
 func (q *ResolveIntentRequest) typeName() string     { return "*kv.ResolveIntentRequest" }
 func (q *ResolveIntentRequest) followerOK() bool     { return false }
+
+// eval resolves a lone request's intent; evaluateBatch resolves a sub-batch's
+// requests of one transaction together.
 func (q *ResolveIntentRequest) eval(r *Replica, p *sim.Proc) Response {
-	return r.evalResolveIntent(p, q)
+	if _, err := r.resolveIntents(p, q.TxnID, q.Status, q.CommitTS, []mvcc.Key{q.Key}); err != nil {
+		return Response{Err: err}
+	}
+	return Response{Resolve: &ResolveIntentResponse{}}
+}
+
+// sameOutcome reports whether o resolves intents of q's transaction to the
+// same outcome, so that one command can carry both.
+func (q *ResolveIntentRequest) sameOutcome(o *ResolveIntentRequest) bool {
+	return o.TxnID == q.TxnID && o.Status == q.Status && o.CommitTS == q.CommitTS
 }
 
 // ResolveIntentResponse is empty; resolution is idempotent.
@@ -598,7 +610,11 @@ func (ep *envelopePool) put(env *RaftEnvelope) {
 type Command struct {
 	Kind CommandKind
 
-	Key      mvcc.Key
+	Key mvcc.Key
+	// Keys, on CmdResolveIntent, are the intents of Txn it resolves to
+	// Status (at CommitTS), in request order: one command per range for
+	// every intent a transaction's resolution sends that range.
+	Keys     []mvcc.Key
 	Value    mvcc.Value
 	Ts       hlc.Timestamp
 	Txn      *mvcc.TxnMeta
