@@ -1,13 +1,15 @@
 // Package chaos implements a deterministic nemesis harness in the spirit of
 // Jepsen: randomized faults (node crashes, region failures, symmetric and
 // one-way partitions, slow links) are injected into a running cluster from
-// the simulation's seeded RNG while concurrent workloads check invariants —
-// bank-sum conservation, single-key linearizability, closed-timestamp
-// monotonicity — and a prober measures virtual-time recovery (RTO).
+// the seeded "chaos/nemesis" stream while concurrent workloads check
+// invariants — bank-sum conservation, single-key linearizability,
+// closed-timestamp monotonicity — and a prober measures virtual-time
+// recovery (RTO).
 //
-// Because every source of randomness is the simulation RNG and all state
+// Because every source of randomness is a stream of the seed and all state
 // iteration is order-stable, a fixed seed reproduces the exact same fault
-// schedule and invariant results on every run.
+// schedule and invariant results on every run. The nemesis's stream is its
+// own, so a seed injects the same faults on every commit.
 package chaos
 
 import (
@@ -230,7 +232,12 @@ type closedSample struct {
 // non-nil for setup failures; invariant violations are reported in Report.
 func Run(opts Options) (*Report, error) {
 	opts = opts.withDefaults()
-	c := cluster.New(cluster.Config{
+	return runOn(newCluster(opts), opts)
+}
+
+// newCluster builds the cluster a chaos run drives.
+func newCluster(opts Options) *cluster.Cluster {
+	return cluster.New(cluster.Config{
 		Seed:      opts.Seed,
 		Regions:   cluster.ThreeRegions(),
 		MaxOffset: 250 * sim.Millisecond,
@@ -253,6 +260,10 @@ func Run(opts Options) (*Report, error) {
 			SplitQPS: 30, MergeQPS: 2, MergeTicks: 2,
 		},
 	})
+}
+
+// runOn executes a chaos schedule on c, which newCluster built from opts.
+func runOn(c *cluster.Cluster, opts Options) (*Report, error) {
 	h := &harness{
 		opts:       opts,
 		c:          c,
@@ -574,7 +585,7 @@ func uniformAround(rng interface{ Int63n(int64) int64 }, mean sim.Duration) sim.
 // nemesis injects opts.Faults sequential fault/heal pairs.
 func (h *harness) nemesis(p *sim.Proc) {
 	c, opts := h.c, h.opts
-	rng := p.Rand()
+	rng := c.Sim.Stream("chaos/nemesis")
 	nodes := c.Topo.Nodes()
 	regions := c.Regions()
 	for i := 0; i < opts.Faults; i++ {
@@ -687,7 +698,7 @@ func (h *harness) spawnMovers(wg *sim.WaitGroup) {
 			defer wg.Done()
 			gw := h.c.GatewayFor(region)
 			co := h.coordAt(gw)
-			rng := p.Rand()
+			rng := h.c.Sim.Stream(p.Name())
 			for !h.stopped {
 				from := rng.Intn(h.opts.Accounts)
 				to := rng.Intn(h.opts.Accounts)
@@ -1035,7 +1046,7 @@ func (h *harness) spawnElasticWriters(wg *sim.WaitGroup) {
 			defer wg.Done()
 			gw := h.c.GatewayFor(simnet.EuropeW2)
 			co := h.coordAt(gw)
-			rng := p.Rand()
+			rng := h.c.Sim.Stream(p.Name())
 			for !h.stopped {
 				key := mvcc.Key(fmt.Sprintf("elas/%03d", rng.Intn(60)))
 				err := co.Run(p, func(tx *txn.Txn) error {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"mrdb/internal/kv"
@@ -73,6 +74,7 @@ func TestBankInvariant(t *testing.T) {
 		regions := c.Regions()
 		wg := sim.NewWaitGroup(c.Sim)
 		wg.Add(movers)
+		rng := rand.New(rand.NewSource(21))
 		for m := 0; m < movers; m++ {
 			m := m
 			region := regions[m%len(regions)]
@@ -81,7 +83,6 @@ func TestBankInvariant(t *testing.T) {
 				defer wg.Done()
 				gw := c.GatewayFor(region)
 				co := txn.NewCoordinator(c.Stores[gw], c.Senders[gw])
-				rng := wp.Rand()
 				for i := 0; i < transfers; i++ {
 					from := rng.Intn(accounts)
 					to := rng.Intn(accounts)

@@ -177,6 +177,7 @@ func New(cfg Config) *Cluster {
 		loadTracker = kv.NewRangeLoadTracker(s, cfg.Load.HalfLife)
 	}
 
+	skews := s.Stream("cluster/skew")
 	id := simnet.NodeID(1)
 	for _, rs := range cfg.Regions {
 		c.regions = append(c.regions, rs.Name)
@@ -185,7 +186,7 @@ func New(cfg Config) *Cluster {
 			for n := 0; n < rs.NodesPerZone; n++ {
 				topo.AddNode(id, simnet.Locality{Region: rs.Name, Zone: zone})
 				// Deterministic skew in [-spread/2, +spread/2].
-				skew := sim.Duration(s.Rand().Int63n(int64(skewSpread))) - skewSpread/2
+				skew := sim.Duration(skews.Int63n(int64(skewSpread))) - skewSpread/2
 				clock := hlc.NewClock(hlc.SimWallSource{Sim: s, Skew: skew}, cfg.MaxOffset)
 				c.skews[id] = skew
 				st := kv.NewStore(id, s, c.Net, topo, clock, c.Registry)
@@ -193,9 +194,7 @@ func New(cfg Config) *Cluster {
 				st.Obs = c.Tracer
 				st.Contention = c.Contention
 				if cfg.Durability {
-					// The disk's fault RNG is seeded per node off the run
-					// seed, isolated from the simulation's random stream.
-					st.Disk = storage.NewDisk(s, cfg.Seed*1_000_003+int64(id), c.Metrics)
+					st.Disk = storage.NewDisk(s, s.Stream("storage/disk").Int63(), c.Metrics)
 				}
 				st.StartLiveness(c.Liveness)
 				st.StartCheckpoints(kv.DefaultCheckpointInterval)

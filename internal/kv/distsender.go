@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"mrdb/internal/hlc"
@@ -61,6 +62,10 @@ type DistSender struct {
 	WANRPCs int64
 	// BackoffTotal accumulates virtual time spent in retry backoff.
 	BackoffTotal sim.Duration
+
+	// backoffRand is the "kv/backoff" stream, which every sender shares;
+	// the first backoff fetches it.
+	backoffRand *rand.Rand
 }
 
 // live reports whether the sender should route to id.
@@ -159,7 +164,10 @@ func (ds *DistSender) backoff(p *sim.Proc, n int, routed *RangeDescriptor) {
 		d = retryBackoffMax
 	}
 	half := d / 2
-	d = half + sim.Duration(ds.Net.Sim.Rand().Int63n(int64(half)+1))
+	if ds.backoffRand == nil {
+		ds.backoffRand = ds.Net.Sim.Stream("kv/backoff")
+	}
+	d = half + sim.Duration(ds.backoffRand.Int63n(int64(half)+1))
 	start := p.Now()
 	ds.Catalog.WaitNewer(p, routed.RangeID, routed.Generation, d)
 	ds.BackoffTotal += p.Now().Sub(start)

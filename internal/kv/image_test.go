@@ -119,8 +119,11 @@ func TestSnapshotWakesParkedFollowerRead(t *testing.T) {
 	if servedAt != 0 {
 		t.Fatalf("setup: the read was answered while the follower was cut off: %+v", got)
 	}
+	// The cut-off follower campaigned, so healing it deposes the leader and
+	// the snapshot follows the re-election, whose length the election timers
+	// decide. The read waits up to 10s for its closed timestamp.
 	h.heal(3)
-	h.s.RunFor(2 * sim.Second)
+	h.s.RunFor(5 * sim.Second)
 	if installedAt == 0 {
 		t.Fatal("setup: the follower was not sent a snapshot")
 	}

@@ -12,6 +12,7 @@ package raft
 
 import (
 	"fmt"
+	"math/rand"
 	"slices"
 	"sort"
 
@@ -338,6 +339,8 @@ type Node struct {
 
 	lastHeard sim.Time
 	stopped   bool
+	// election is the "raft/election" stream, which every node shares.
+	election *rand.Rand
 }
 
 // progress is the leader's replication bookkeeping for one peer. Every
@@ -372,6 +375,7 @@ func NewNode(cfg Config) *Node {
 		log:      []Entry{{}},
 		voters:   map[simnet.NodeID]bool{},
 		learners: map[simnet.NodeID]bool{},
+		election: cfg.Sim.Stream("raft/election"),
 	}
 	for _, v := range cfg.Voters {
 		n.voters[v] = true
@@ -534,8 +538,8 @@ func (n *Node) scheduleElectionCheck() {
 		return
 	}
 	// Perturb the check interval so that two followers rarely campaign
-	// simultaneously; deterministic via the simulation RNG.
-	d := electionTimeout/2 + sim.Duration(n.cfg.Sim.Rand().Int63n(int64(electionTimeout)))
+	// simultaneously.
+	d := electionTimeout/2 + sim.Duration(n.election.Int63n(int64(electionTimeout)))
 	n.cfg.Sim.After(d, func() {
 		if n.stopped {
 			return

@@ -2,6 +2,7 @@ package raft
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -432,9 +433,10 @@ func TestDeterministicReplication(t *testing.T) {
 		h := newHarness(t, 42, []simnet.NodeID{1, 2, 3}, []simnet.NodeID{4})
 		h.nodes[1].Campaign()
 		h.s.RunFor(2 * sim.Second)
+		rng := rand.New(rand.NewSource(42))
 		h.s.Spawn("proposer", func(p *sim.Proc) {
 			for i := 0; i < 10; i++ {
-				p.Sleep(sim.Duration(p.Rand().Intn(100)) * sim.Millisecond)
+				p.Sleep(sim.Duration(rng.Intn(100)) * sim.Millisecond)
 				if f, err := h.nodes[1].Propose(i); err == nil {
 					f.Wait(p)
 				}

@@ -52,15 +52,16 @@ func (m *mailbox) Recv(p *Proc) int {
 // schedulerWorkload drives a randomized mix of every scheduler feature —
 // sleeps, mailbox rendezvous, futures, waitgroup fan-outs, bare callbacks —
 // and records the (virtual time, kind) of every observed step plus the
-// consumer-side message trace. TestScheduleGolden hashes both.
-func schedulerWorkload(s *Simulation) (steps []Time, trace []Time) {
+// consumer-side message trace. TestScheduleGolden hashes both. Every sleep
+// draws from rng, in the order the processes run.
+func schedulerWorkload(s *Simulation, rng *rand.Rand) (steps []Time, trace []Time) {
 	s.stepHook = func(at Time) { steps = append(steps, at) }
 	m := &mailbox{sim: s}
 	f := NewFuture[string](s)
 	for i := 0; i < 8; i++ {
 		s.Spawn("producer", func(p *Proc) {
 			for j := 0; j < 12; j++ {
-				p.Sleep(Duration(p.Rand().Intn(700)) * Microsecond)
+				p.Sleep(Duration(rng.Intn(700)) * Microsecond)
 				m.Send(j)
 			}
 		})
@@ -72,7 +73,7 @@ func schedulerWorkload(s *Simulation) (steps []Time, trace []Time) {
 				wg.Add(1)
 				s.Spawn("child", func(cp *Proc) {
 					defer wg.Done()
-					cp.Sleep(Duration(cp.Rand().Intn(300)) * Microsecond)
+					cp.Sleep(Duration(rng.Intn(300)) * Microsecond)
 				})
 			}
 			wg.Wait(p)
@@ -127,7 +128,7 @@ func TestScheduleGolden(t *testing.T) {
 		{42, 0x36ce29a5d2d9d1eb},
 		{999, 0xefe1a6058a88b871},
 	} {
-		steps, trace := schedulerWorkload(New(g.seed))
+		steps, trace := schedulerWorkload(New(g.seed), rand.New(rand.NewSource(g.seed)))
 		if len(trace) != 96 {
 			t.Fatalf("seed %d: consumer saw %d messages, want 96", g.seed, len(trace))
 		}

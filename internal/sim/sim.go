@@ -48,6 +48,7 @@ package sim
 
 import (
 	"fmt"
+	"hash/fnv"
 	"iter"
 	"math/rand"
 	"runtime/debug"
@@ -205,8 +206,11 @@ type Simulation struct {
 	seq     int64
 	events  int64 // events executed (wall-clock throughput denominator)
 	parks   int64 // times a process parked
-	rng     *rand.Rand
 	stopped bool
+
+	// seed and streams back Stream: one generator per consumer name.
+	seed    int64
+	streams map[string]*rand.Rand
 
 	freeProcs []*Proc      // finished procs parked for reuse
 	freeWGs   []*WaitGroup // released WaitGroups
@@ -221,7 +225,7 @@ type Simulation struct {
 
 // New returns a Simulation whose randomness is derived from seed.
 func New(seed int64) *Simulation {
-	return &Simulation{rng: rand.New(rand.NewSource(seed))}
+	return &Simulation{seed: seed, streams: map[string]*rand.Rand{}}
 }
 
 // Now returns the current virtual time.
@@ -240,9 +244,21 @@ func (s *Simulation) Parks() int64 { return s.parks }
 // for tests and the perf harness; virtual time never depends on it.
 func (s *Simulation) Pending() int { return len(s.queue) }
 
-// Rand returns the simulation's deterministic random source. It must only be
-// used from scheduler callbacks or running Procs.
-func (s *Simulation) Rand() *rand.Rand { return s.rng }
+// Stream returns the random stream named name, cached by name. Its draws
+// depend only on the seed and the name, so one consumer's draws never move
+// another's. A name belongs to a consumer, never to an operation, so the
+// cache's size is fixed by the cluster and its clients. Use a stream only
+// from scheduler callbacks or running Procs.
+func (s *Simulation) Stream(name string) *rand.Rand {
+	r, ok := s.streams[name]
+	if !ok {
+		h := fnv.New64a()
+		h.Write([]byte(name))
+		r = rand.New(rand.NewSource(s.seed ^ int64(h.Sum64())))
+		s.streams[name] = r
+	}
+	return r
+}
 
 // push enqueues e under the next sequence number.
 func (s *Simulation) push(e event) {
@@ -384,9 +400,6 @@ func (p *Proc) Name() string { return p.name }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
-
-// Rand returns the simulation's deterministic random source.
-func (p *Proc) Rand() *rand.Rand { return p.sim.rng }
 
 // Spawn starts fn as a new process at the current virtual time. It may be
 // called from scheduler callbacks or from other Procs.

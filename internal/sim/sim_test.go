@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -533,11 +534,12 @@ func TestStop(t *testing.T) {
 func TestDeterminism(t *testing.T) {
 	runOnce := func(seed int64) []Time {
 		s := New(seed)
+		rng := rand.New(rand.NewSource(seed))
 		var trace []Time
 		for i := 0; i < 10; i++ {
 			s.Spawn("producer", func(p *Proc) {
 				for j := 0; j < 10; j++ {
-					p.Sleep(Duration(p.Rand().Intn(1000)) * Microsecond)
+					p.Sleep(Duration(rng.Intn(1000)) * Microsecond)
 					trace = append(trace, p.Now())
 				}
 			})
@@ -588,5 +590,38 @@ func TestQuickTimeMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStreamDependsOnlyOnSeedAndName: a stream's draws are a function of the
+// seed and its name alone. Drawing from one stream, or fetching others first,
+// moves no other stream, and a name fetched twice is the same generator.
+func TestStreamDependsOnlyOnSeedAndName(t *testing.T) {
+	first := func(r *rand.Rand) []int64 {
+		out := make([]int64, 8)
+		for i := range out {
+			out[i] = r.Int63()
+		}
+		return out
+	}
+	a := New(42)
+	want := first(a.Stream("raft/election"))
+
+	b := New(42)
+	b.Stream("simnet/jitter").Int63()
+	for i := 0; i < 100; i++ {
+		b.Stream("chaos/nemesis").Int63()
+	}
+	if got := first(b.Stream("raft/election")); !slices.Equal(got, want) {
+		t.Fatalf("draws from other streams moved raft/election: %v, want %v", got, want)
+	}
+	if b.Stream("chaos/nemesis") != b.Stream("chaos/nemesis") {
+		t.Fatal("a name fetched twice gave two generators")
+	}
+	if slices.Equal(first(New(42).Stream("kv/backoff")), want) {
+		t.Fatal("two names of one seed gave the same stream")
+	}
+	if slices.Equal(first(New(43).Stream("raft/election")), want) {
+		t.Fatal("two seeds gave the same stream")
 	}
 }

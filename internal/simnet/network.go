@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 
 	"mrdb/internal/obs"
@@ -39,6 +40,8 @@ type Network struct {
 	downRegions map[Region]bool
 	// slowLinks adds extra one-way latency per directed link.
 	slowLinks map[[2]NodeID]sim.Duration
+	// jitter is the "simnet/jitter" stream, drawn once per message.
+	jitter *rand.Rand
 
 	// Stats
 	MessagesSent    int64
@@ -98,6 +101,7 @@ func NewNetwork(s *sim.Simulation, topo *Topology) *Network {
 		partitioned: map[[2]NodeID]bool{},
 		downRegions: map[Region]bool{},
 		slowLinks:   map[[2]NodeID]sim.Duration{},
+		jitter:      s.Stream("simnet/jitter"),
 	}
 }
 
@@ -194,8 +198,8 @@ func (n *Network) blocked(from, to NodeID) bool {
 func (n *Network) delay(from, to NodeID) sim.Duration {
 	base := n.Topo.OneWay(from, to)
 	if n.Topo.Jitter > 0 {
-		// Uniform in [1-j, 1+j]; deterministic via the sim RNG.
-		f := 1 + n.Topo.Jitter*(2*n.Sim.Rand().Float64()-1)
+		// Uniform in [1-j, 1+j].
+		f := 1 + n.Topo.Jitter*(2*n.jitter.Float64()-1)
 		base = sim.Duration(float64(base) * f)
 	}
 	if base < 10*sim.Microsecond {

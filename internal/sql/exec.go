@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"math/rand"
 	"strings"
 	"time"
 
@@ -65,6 +66,10 @@ type Session struct {
 	// crRow/crCtx back computedRegionFromConstraints.
 	crRow map[string]Datum
 	crCtx evalCtx
+
+	// uuids is the "sql/uuid" stream, which gen_random_uuid draws from in
+	// every session.
+	uuids *rand.Rand
 }
 
 // NewSession opens a session at the given gateway node.
@@ -76,6 +81,7 @@ func NewSession(c *cluster.Cluster, catalog *Catalog, gateway simnet.NodeID) *Se
 		Coord:                   txn.NewCoordinator(c.Stores[gateway], c.Senders[gateway]),
 		LocalityOptimizedSearch: true,
 		UniquenessChecks:        true,
+		uuids:                   c.Sim.Stream("sql/uuid"),
 	}
 }
 
@@ -575,8 +581,7 @@ func (s *Session) evalFunc(fc *FuncCall, ctx *evalCtx) (Datum, error) {
 		// §2.3.2: the region the request originated in.
 		return string(s.Region()), nil
 	case "gen_random_uuid":
-		// Deterministic UUIDs from the simulation RNG.
-		rng := s.Cluster.Sim.Rand()
+		rng := s.uuids
 		return fmt.Sprintf("%08x-%04x-%04x-%04x-%012x",
 			rng.Uint32(), rng.Uint32()&0xffff, rng.Uint32()&0xffff,
 			rng.Uint32()&0xffff, rng.Int63()&0xffffffffffff), nil

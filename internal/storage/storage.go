@@ -52,9 +52,8 @@ type Disk struct {
 	metrics *obs.Registry
 
 	// rng drives torn-tail sizing. It is the disk's own generator, seeded
-	// at construction, NOT the simulation RNG: disk faults must not perturb
-	// the network-jitter random stream or runs with and without durability
-	// would diverge everywhere.
+	// at construction, so a torn write draws from no other consumer's
+	// stream.
 	rng *rand.Rand
 
 	// FsyncDelay is charged per Sync on the virtual clock.
@@ -68,8 +67,9 @@ type Disk struct {
 	incarnation uint64
 }
 
-// NewDisk returns an empty disk bound to s. The seed isolates this disk's
-// fault randomness from the simulation RNG; metrics may be nil.
+// NewDisk returns an empty disk bound to s. The disk's fault randomness comes
+// from seed alone (a cluster draws it from its "storage/disk" stream);
+// metrics may be nil.
 func NewDisk(s *sim.Simulation, seed int64, metrics *obs.Registry) *Disk {
 	return &Disk{
 		sim:        s,

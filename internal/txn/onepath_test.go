@@ -50,9 +50,8 @@ func writesOf(ks ...string) []mvcc.KeyValue {
 // transaction already read sends nothing either (get-parallel-4 sends only
 // the g/ keys, get-global nothing), and the commit refreshes each key once.
 // A change that adds, drops or reroutes a message, or moves virtual time,
-// fails here. The times moved, and the counts held at every step, when a
-// transaction's intents began to resolve in one command per range: fewer
-// Raft messages, so other jitter draws.
+// fails here. The times moved, and the counts held at every step, when the
+// network's jitter got a random stream of its own.
 func TestOneCoordinatorPath(t *testing.T) {
 	h := newHarness(t, 27)
 	h.globalRange(t)
@@ -157,35 +156,35 @@ func TestOneCoordinatorPath(t *testing.T) {
 		step("settled", nil)
 	})
 	want := []string{
-		"seed t=523617723 sent=7 wan=7",
-		"get t=611793724 sent=8 wan=8",
-		"get-for-update t=698397916 sent=9 wan=9",
-		"get-parallel-1 t=785581368 sent=10 wan=10",
-		"get-parallel-4 t=787529006 sent=11 wan=10",
-		"get-global t=787529006 sent=11 wan=10",
-		"put t=787529006 sent=11 wan=10",
-		"del t=787529006 sent=11 wan=10",
-		"put-parallel t=875844889 sent=13 wan=12",
-		"commit t=1310833846 sent=25 wan=22",
-		"1pc-put t=1310833846 sent=25 wan=22",
-		"1pc-commit t=1400829461 sent=26 wan=23",
-		"1pc-put-parallel t=1400829461 sent=26 wan=23",
-		"1pc-pending-get t=1400829461 sent=26 wan=23",
-		"1pc-pending-commit t=1488887706 sent=27 wan=24",
-		"1pc-del t=1488887706 sent=27 wan=24",
-		"1pc-del-commit t=1577138623 sent=28 wan=25",
-		"1pc-put-parallel-2 t=1577138623 sent=28 wan=25",
-		"1pc-put-parallel-2-commit t=1752054777 sent=31 wan=28",
-		"1pc-put-first t=1752054777 sent=31 wan=28",
-		"1pc-put-second t=1752054777 sent=31 wan=28",
-		"1pc-two-puts-commit t=1928137115 sent=35 wan=32",
-		"declined-get t=2014249114 sent=37 wan=34",
-		"declined-put t=2014249114 sent=37 wan=34",
-		"declined-commit t=2620547440 sent=43 wan=40",
-		"abort-put t=2620547440 sent=43 wan=40",
-		"abort-put-parallel t=2620547440 sent=43 wan=40",
-		"abort t=2620547440 sent=43 wan=40",
-		"settled t=3620547440 sent=43 wan=40",
+		"seed t=521491287 sent=7 wan=7",
+		"get t=610585796 sent=8 wan=8",
+		"get-for-update t=696659075 sent=9 wan=9",
+		"get-parallel-1 t=782209019 sent=10 wan=10",
+		"get-parallel-4 t=784247248 sent=11 wan=10",
+		"get-global t=784247248 sent=11 wan=10",
+		"put t=784247248 sent=11 wan=10",
+		"del t=784247248 sent=11 wan=10",
+		"put-parallel t=872528510 sent=13 wan=12",
+		"commit t=1307299571 sent=25 wan=22",
+		"1pc-put t=1307299571 sent=25 wan=22",
+		"1pc-commit t=1396967508 sent=26 wan=23",
+		"1pc-put-parallel t=1396967508 sent=26 wan=23",
+		"1pc-pending-get t=1396967508 sent=26 wan=23",
+		"1pc-pending-commit t=1486407893 sent=27 wan=24",
+		"1pc-del t=1486407893 sent=27 wan=24",
+		"1pc-del-commit t=1575196633 sent=28 wan=25",
+		"1pc-put-parallel-2 t=1575196633 sent=28 wan=25",
+		"1pc-put-parallel-2-commit t=1749538398 sent=31 wan=28",
+		"1pc-put-first t=1749538398 sent=31 wan=28",
+		"1pc-put-second t=1749538398 sent=31 wan=28",
+		"1pc-two-puts-commit t=1925942356 sent=35 wan=32",
+		"declined-get t=2013725965 sent=37 wan=34",
+		"declined-put t=2013725965 sent=37 wan=34",
+		"declined-commit t=2622908268 sent=43 wan=40",
+		"abort-put t=2622908268 sent=43 wan=40",
+		"abort-put-parallel t=2622908268 sent=43 wan=40",
+		"abort t=2622908268 sent=43 wan=40",
+		"settled t=3622908268 sent=43 wan=40",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("coordinator script:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))

@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 
 	"mrdb/internal/hlc"
 	"mrdb/internal/kv"
@@ -42,11 +43,14 @@ type Coordinator struct {
 	Begun, Committed, Aborted, Restarts int64
 	CommitWaits                         int64
 	CommitWaitTotal                     sim.Duration
+
+	// backoff is the "txn/backoff" stream, which every coordinator shares.
+	backoff *rand.Rand
 }
 
 // NewCoordinator returns a coordinator bound to a gateway store.
 func NewCoordinator(store *kv.Store, sender *kv.DistSender) *Coordinator {
-	return &Coordinator{Store: store, Sender: sender}
+	return &Coordinator{Store: store, Sender: sender, backoff: store.Sim.Stream("txn/backoff")}
 }
 
 // tracer returns the gateway store's tracer (nil-safe).
@@ -922,7 +926,7 @@ func (c *Coordinator) Run(p *sim.Proc, fn func(t *Txn) error) error {
 		var rt *kv.RetryableTxnError
 		if errors.As(err, &ta) || errors.As(err, &rt) {
 			// Brief deterministic backoff to let the winner finish.
-			p.Sleep(sim.Duration(1+p.Rand().Intn(4)) * sim.Millisecond)
+			p.Sleep(sim.Duration(1+c.backoff.Intn(4)) * sim.Millisecond)
 			continue
 		}
 		return err

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"mrdb/internal/sim"
@@ -143,9 +144,10 @@ func (f *FollowTheSun) Run(p *sim.Proc, phases []SunPhase) error {
 				ri, region := ri, region
 				hot := region == ph.Hot
 				wg.Add(1)
+				rng := clientStream(f.M.Cluster, "sun", region, cl)
 				f.M.Cluster.Sim.Spawn(fmt.Sprintf("sun/%d/%s/%d", pi, region, cl), func(wp *sim.Proc) {
 					defer wg.Done()
-					if err := f.client(wp, ri, region, hot, deadline); err != nil && firstErr == nil {
+					if err := f.client(wp, rng, ri, region, hot, deadline); err != nil && firstErr == nil {
 						firstErr = err
 					}
 				})
@@ -157,11 +159,10 @@ func (f *FollowTheSun) Run(p *sim.Proc, phases []SunPhase) error {
 }
 
 // client runs the MovR op mix in a closed loop until the phase deadline.
-func (f *FollowTheSun) client(wp *sim.Proc, ri int, region simnet.Region, hot bool, deadline sim.Time) error {
+func (f *FollowTheSun) client(wp *sim.Proc, rng *rand.Rand, ri int, region simnet.Region, hot bool, deadline sim.Time) error {
 	m := f.M
 	s := m.session(region)
 	ps := m.prepare(s)
-	rng := wp.Rand()
 	var firstErr error
 	for wp.Now() < deadline {
 		roll := rng.Float64()
@@ -258,9 +259,10 @@ func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
 				region := region
 				hotStart := ph.Start
 				wg.Add(1)
+				rng := clientStream(h.Y.Cluster, "hotspot", region, cl)
 				h.Y.Cluster.Sim.Spawn(fmt.Sprintf("hotspot/%d/%s/%d", pi, region, cl), func(wp *sim.Proc) {
 					defer wg.Done()
-					if err := h.client(wp, region, hotStart, deadline); err != nil && firstErr == nil {
+					if err := h.client(wp, rng, region, hotStart, deadline); err != nil && firstErr == nil {
 						firstErr = err
 					}
 				})
@@ -272,10 +274,9 @@ func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
 }
 
 // client runs the read/update mix in a closed loop until the phase deadline.
-func (h *MigratingHotspot) client(wp *sim.Proc, region simnet.Region, hotStart int, deadline sim.Time) error {
+func (h *MigratingHotspot) client(wp *sim.Proc, rng *rand.Rand, region simnet.Region, hotStart int, deadline sim.Time) error {
 	y := h.Y
 	s := y.Sessions[region]
-	rng := wp.Rand()
 	op := 0
 	var firstErr error
 	for wp.Now() < deadline {

@@ -153,7 +153,7 @@ func (m *Movr) Run(p *sim.Proc, clientsPerRegion, opsPerClient int) error {
 				defer wg.Done()
 				s := m.session(region)
 				ps := m.prepare(s)
-				rng := wp.Rand()
+				rng := clientStream(m.Cluster, "movr", region, cl)
 				for op := 0; op < opsPerClient; op++ {
 					roll := rng.Float64()
 					start := wp.Now()

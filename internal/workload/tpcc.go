@@ -309,7 +309,7 @@ func (t *TPCC) terminal(p *sim.Proc, region simnet.Region, regionIdx, termIdx in
 	s := sql.NewSession(t.Cluster, t.Catalog, t.Cluster.GatewayFor(region))
 	s.Database = "tpcc"
 	ps := t.prepare(s)
-	rng := p.Rand()
+	rng := clientStream(t.Cluster, "tpcc", region, termIdx)
 	localWarehouse := func() int {
 		return regionIdx + len(t.regions)*(rng.Intn(t.Cfg.WarehousesPerRegion))
 	}

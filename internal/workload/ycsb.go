@@ -102,6 +102,9 @@ type YCSB struct {
 	// insertedRegion remembers the home region of keys inserted during
 	// the run (YCSB-D with region-prefixed keys).
 	insertedRegion map[int]simnet.Region
+	// keyTrace, when set, sees every key a client reads or updates, in the
+	// order it chose them. Tests use it.
+	keyTrace func(client string, key int)
 }
 
 // NewYCSB builds the workload harness over an existing cluster.
@@ -264,6 +267,13 @@ func (y *YCSB) Run(p *sim.Proc) error {
 	return firstErr
 }
 
+// clientStream returns the random stream of one workload client, named
+// workload/<kind>/<region>/<client>. It is the client's only source of
+// randomness, so the client's operations depend on the run seed alone.
+func clientStream(c *cluster.Cluster, kind string, region simnet.Region, client int) *rand.Rand {
+	return c.Sim.Stream(fmt.Sprintf("workload/%s/%s/%d", kind, region, client))
+}
+
 func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx int) error {
 	// Each client gets its own session (so rehoming uses its gateway)
 	// but clients in a region share the gateway node.
@@ -277,16 +287,16 @@ func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx in
 	// at all (paper Fig. 1b): the partition column is part of its keys,
 	// so per-partition checks suffice and no cross-region probes happen.
 	s.UniquenessChecks = !y.Cfg.BaselineManual
-	rng := p.Rand()
+	rng := clientStream(y.Cluster, "ycsb", region, clientIdx)
 
 	var chooser KeyChooser
 	switch y.Cfg.Distribution {
 	case "uniform", "":
 		chooser = UniformChooser{N: y.Cfg.RecordCount}
 	case "zipfian":
-		chooser = NewZipfChooser(y.Cfg.RecordCount, rand.New(rand.NewSource(int64(regionIdx*1000+clientIdx))))
+		chooser = NewZipfChooser(y.Cfg.RecordCount, rng)
 	case "latest":
-		chooser = NewLatestChooser(y.Cfg.RecordCount, rand.New(rand.NewSource(int64(regionIdx*1000+clientIdx))))
+		chooser = NewLatestChooser(y.Cfg.RecordCount, rng)
 	default:
 		return fmt.Errorf("ycsb: unknown distribution %q", y.Cfg.Distribution)
 	}
@@ -307,16 +317,21 @@ func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx in
 	writeRec := y.WriteLat[region]
 	for op := 0; op < y.Cfg.OpsPerClient; op++ {
 		isWrite := rng.Float64() < writeFrac
+		k := -1
+		if !isWrite || !isInsert {
+			k = y.chooseKey(rng, region, regionIdx, clientIdx, chooser)
+			if y.keyTrace != nil {
+				y.keyTrace(fmt.Sprintf("%s/%d", region, clientIdx), k)
+			}
+		}
 		start := p.Now()
 		var err error
 		switch {
 		case isWrite && isInsert:
 			err = y.doInsert(p, s, region)
 		case isWrite:
-			k := y.chooseKey(rng, region, regionIdx, clientIdx, chooser)
 			err = y.doUpdate(p, s, k, op)
 		default:
-			k := y.chooseKey(rng, region, regionIdx, clientIdx, chooser)
 			err = y.doRead(p, s, k)
 		}
 		lat := p.Now().Sub(start)

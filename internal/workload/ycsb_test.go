@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math/rand"
 	"testing"
 
 	"mrdb/internal/cluster"
@@ -37,8 +38,7 @@ func TestLatencyRecorder(t *testing.T) {
 }
 
 func TestKeyChoosers(t *testing.T) {
-	s := sim.New(1)
-	rng := s.Rand()
+	rng := rand.New(rand.NewSource(1))
 	u := UniformChooser{N: 100}
 	for i := 0; i < 1000; i++ {
 		if k := u.Next(rng); k < 0 || k >= 100 {
