@@ -41,15 +41,8 @@ type Options struct {
 	MeanHold  sim.Duration
 	MeanPause sim.Duration
 
-	Accounts       int
-	InitialBalance int
-	Movers         int
+	Movers int
 
-	// Settle is quiet time after the last heal before final audits.
-	Settle sim.Duration
-	// RTOThreshold classifies a probe as an outage: any successful probe
-	// whose end-to-end latency exceeds it records a recovery interval.
-	RTOThreshold sim.Duration
 	// Metrics dumps the full metrics registry into the report, making it
 	// part of the -verify determinism comparison.
 	Metrics bool
@@ -67,19 +60,28 @@ type Options struct {
 	// the placement checker observes live replica migrations. With Elastic
 	// set, Faults: 0 really means a nemesis-free run (no default kicks in).
 	Elastic bool
-	// ElasticRun is how long the elastic workloads run after the nemesis
-	// finishes (default 90s; only meaningful with Elastic).
-	ElasticRun sim.Duration
 	// Verbose prints events as they are injected.
 	Verbose bool
 }
 
+const (
+	// The bank has accounts rows of initialBalance each; transfers
+	// conserve the total.
+	accounts       = 8
+	initialBalance = 100
+	// settle is quiet time after the last heal before final audits.
+	settle = 15 * sim.Second
+	// rtoThreshold classifies a probe as an outage: any successful probe
+	// whose end-to-end latency exceeds it records a recovery interval.
+	rtoThreshold = 1500 * sim.Millisecond
+	// elasticRun is how long the elastic workloads run after the nemesis
+	// finishes.
+	elasticRun = 90 * sim.Second
+)
+
 func (o Options) withDefaults() Options {
 	if o.Faults == 0 && !o.Elastic {
 		o.Faults = 10
-	}
-	if o.ElasticRun == 0 {
-		o.ElasticRun = 90 * sim.Second
 	}
 	if o.MeanHold == 0 {
 		o.MeanHold = 4 * sim.Second
@@ -87,20 +89,8 @@ func (o Options) withDefaults() Options {
 	if o.MeanPause == 0 {
 		o.MeanPause = 6 * sim.Second
 	}
-	if o.Accounts == 0 {
-		o.Accounts = 8
-	}
-	if o.InitialBalance == 0 {
-		o.InitialBalance = 100
-	}
 	if o.Movers == 0 {
 		o.Movers = 3
-	}
-	if o.Settle == 0 {
-		o.Settle = 15 * sim.Second
-	}
-	if o.RTOThreshold == 0 {
-		o.RTOThreshold = 1500 * sim.Millisecond
 	}
 	return o
 }
@@ -274,7 +264,7 @@ func runOn(c *cluster.Cluster, opts Options) (*Report, error) {
 		raw:        register{key: mvcc.Key("glob/r")},
 		rep: &Report{
 			Seed:         opts.Seed,
-			BankExpected: opts.Accounts * opts.InitialBalance,
+			BankExpected: accounts * initialBalance,
 		},
 	}
 
@@ -430,8 +420,8 @@ func (h *harness) faultWindows() []FaultWindow {
 		fw.PeakP99, fw.Samples = tailIn(fault.At, afterStart)
 		var afterN int64
 		fw.AfterP99, afterN = tailIn(afterStart, afterEnd)
-		fw.Spiked = fw.PeakP99 >= h.opts.RTOThreshold
-		fw.Reconverged = !fw.Spiked || (afterN > 0 && fw.AfterP99 < h.opts.RTOThreshold)
+		fw.Spiked = fw.PeakP99 >= rtoThreshold
+		fw.Reconverged = !fw.Spiked || (afterN > 0 && fw.AfterP99 < rtoThreshold)
 		out = append(out, fw)
 	}
 	return out
@@ -440,7 +430,7 @@ func (h *harness) faultWindows() []FaultWindow {
 // acctKey returns the i-th bank account key: the first half of the accounts
 // live on the bank range, the rest on its Europe-homed second range.
 func (h *harness) acctKey(i int) mvcc.Key {
-	if i < h.opts.Accounts/2 {
+	if i < accounts/2 {
 		return mvcc.Key(fmt.Sprintf("acct/%03d", i))
 	}
 	return mvcc.Key(fmt.Sprintf("acct-eu/%03d", i))
@@ -501,8 +491,8 @@ func (h *harness) run(p *sim.Proc) error {
 	seedCo := h.coordAt(c.GatewayFor(simnet.USEast1))
 	if err := seedCo.Run(p, func(tx *txn.Txn) error {
 		var kvs []mvcc.KeyValue
-		for i := 0; i < opts.Accounts; i++ {
-			kvs = append(kvs, mvcc.KeyValue{Key: h.acctKey(i), Value: mvcc.Value(fmt.Sprintf("%d", opts.InitialBalance))})
+		for i := 0; i < accounts; i++ {
+			kvs = append(kvs, mvcc.KeyValue{Key: h.acctKey(i), Value: mvcc.Value(fmt.Sprintf("%d", initialBalance))})
 		}
 		return tx.PutParallel(p, kvs, nil)
 	}); err != nil {
@@ -534,10 +524,10 @@ func (h *harness) run(p *sim.Proc) error {
 	if opts.Elastic {
 		// Keep the elastic workloads (and the placement checker watching
 		// their migrations) running past the nemesis window.
-		p.Sleep(opts.ElasticRun)
+		p.Sleep(elasticRun)
 	}
 
-	p.Sleep(opts.Settle)
+	p.Sleep(settle)
 	h.stopped = true
 	wg.Wait(p)
 	stopMon()
@@ -550,7 +540,7 @@ func (h *harness) run(p *sim.Proc) error {
 		total := 0
 		finalErr = h.coordAt(h.healthyGateway(p.Now())).Run(p, func(tx *txn.Txn) error {
 			total = 0
-			for a := 0; a < opts.Accounts; a++ {
+			for a := 0; a < accounts; a++ {
 				v, err := tx.Get(p, h.acctKey(a))
 				if err != nil {
 					return err
@@ -700,8 +690,8 @@ func (h *harness) spawnMovers(wg *sim.WaitGroup) {
 			co := h.coordAt(gw)
 			rng := h.c.Sim.Stream(p.Name())
 			for !h.stopped {
-				from := rng.Intn(h.opts.Accounts)
-				to := rng.Intn(h.opts.Accounts)
+				from := rng.Intn(accounts)
+				to := rng.Intn(accounts)
 				if from == to {
 					p.Sleep(50 * sim.Millisecond)
 					continue
@@ -886,7 +876,7 @@ func (h *harness) spawnGlobalWorkloads(wg *sim.WaitGroup) {
 
 // spawnProber measures availability and recovery time: a periodic write
 // through a gateway outside the fault's blast radius. Probe latency above
-// RTOThreshold records a recovery interval (the DistSender rides out the
+// rtoThreshold records a recovery interval (the DistSender rides out the
 // outage internally, so the first slow probe's latency IS the RTO).
 func (h *harness) spawnProber(wg *sim.WaitGroup) {
 	wg.Add(1)
@@ -926,7 +916,7 @@ func (h *harness) spawnProber(wg *sim.WaitGroup) {
 				}
 			} else {
 				h.rep.ProbesOK++
-				if lat > h.opts.RTOThreshold {
+				if lat > rtoThreshold {
 					h.rep.Recoveries = append(h.rep.Recoveries, lat)
 					h.recordRTO(kind, lat)
 					if h.opts.Verbose {
@@ -957,7 +947,7 @@ func (h *harness) spawnAuditor(wg *sim.WaitGroup) {
 			total := 0
 			err := co.Run(p, func(tx *txn.Txn) error {
 				total = 0
-				for a := 0; a < h.opts.Accounts; a++ {
+				for a := 0; a < accounts; a++ {
 					v, err := tx.Get(p, h.acctKey(a))
 					if err != nil {
 						return err

@@ -105,7 +105,7 @@ func TestElasticPlacementInvariants(t *testing.T) {
 // driven by the virtual clock and the seeded RNG.
 func TestElasticDeterminism(t *testing.T) {
 	run := func() *Report {
-		rep, err := Run(Options{Seed: 29, Elastic: true, Faults: 0, ElasticRun: 60 * sim.Second})
+		rep, err := Run(Options{Seed: 29, Elastic: true, Faults: 0})
 		if err != nil {
 			t.Fatalf("elastic chaos run failed: %v", err)
 		}

@@ -43,9 +43,8 @@ type Config struct {
 	GCTTL sim.Duration
 	// LoadBased enables the allocator loop: per-range QPS tracking fed by
 	// every DistSender, plus the split/merge/rebalance queue that splits
-	// hot ranges at a load-weighted key (and, with Load.SplitKeys set,
-	// oversized ranges at their middle key), merges cold neighbors, and
-	// moves leases and replicas toward traffic.
+	// hot ranges at a load-weighted key, merges cold neighbors, and moves
+	// leases and replicas toward traffic.
 	LoadBased bool
 	// Load tunes the allocator loop (zero fields take defaults).
 	Load kv.LoadConfig

@@ -602,7 +602,6 @@ func TestZoneSurvivableRangeLosesHomeRegion(t *testing.T) {
 		// Fresh writes cannot commit: all voters are in the dead region,
 		// and no amount of liveness-driven recovery can move the lease to
 		// a non-voter. The write must fail (bounded retry budget).
-		co.Sender.RPCTimeout = 2 * sim.Second
 		tx := co.Begin(0)
 		err := tx.Put(p, mvcc.Key("z/b"), mvcc.Value("doomed"))
 		if err == nil {
@@ -634,7 +633,6 @@ func TestZoneSurvivableRangeLosesHomeRegion(t *testing.T) {
 		// over), and fresh writes commit again.
 		healAt := p.Now()
 		c.Net.RecoverRegion(simnet.USEast1)
-		co.Sender.RPCTimeout = 0
 		recovered := false
 		for p.Now().Sub(healAt) < 30*sim.Second {
 			if err := co.Run(p, func(tx *txn.Txn) error {

@@ -28,87 +28,6 @@ func regionalRange(t *testing.T, c *Cluster, prefix string) *kv.RangeDescriptor 
 	return desc
 }
 
-// TestAdaptiveFollowerReadWait exercises the paper's future-work policy
-// (§5.3.1): a stale read at a timestamp the follower has not closed yet
-// waits for the closed timestamp to catch up instead of paying a WAN
-// redirect.
-func TestAdaptiveFollowerReadWait(t *testing.T) {
-	c := New(Config{Seed: 31, Regions: ThreeRegions(), MaxOffset: 250 * sim.Millisecond})
-	regionalRange(t, c, "af")
-	c.Sim.Spawn("test", func(p *sim.Proc) {
-		defer c.Sim.Stop()
-		if err := c.Admin.WaitAllReady(p); err != nil {
-			t.Error(err)
-			return
-		}
-		p.Sleep(500 * sim.Millisecond)
-		east := txn.NewCoordinator(c.Stores[c.GatewayFor(simnet.USEast1)], c.Senders[c.GatewayFor(simnet.USEast1)])
-		if err := east.Run(p, func(tx *txn.Txn) error {
-			return tx.Put(p, mvcc.Key("af/k"), mvcc.Value("v"))
-		}); err != nil {
-			t.Error(err)
-			return
-		}
-		p.Sleep(4 * sim.Second)
-		asia := txn.NewCoordinator(c.Stores[c.GatewayFor(simnet.AsiaNE1)], c.Senders[c.GatewayFor(simnet.AsiaNE1)])
-
-		// A stale read barely above the follower's closed timestamp: the
-		// lag is 3s and propagation adds a few hundred ms, so a -2.7s
-		// read is typically NOT yet closed on the follower.
-		readAt := func(patience sim.Duration) (sim.Duration, simnet.NodeID, error) {
-			asia.FollowerReadPatience = patience
-			start := p.Now()
-			_, served, err := asia.ExactStaleRead(p, mvcc.Key("af/k"), asia.Store.Clock.Now().Add(-2700*sim.Millisecond))
-			return p.Now().Sub(start), served, err
-		}
-
-		// Without patience: redirected to the us-east1 leaseholder, one
-		// WAN round trip away.
-		d0, served0, err := readAt(0)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		loc0, _ := c.Topo.LocalityOf(served0)
-		if loc0.Region != simnet.USEast1 {
-			t.Skipf("closed timestamp already covered the read (served by %s); timing-dependent", loc0.Region)
-		}
-		if d0 < 100*sim.Millisecond {
-			t.Errorf("redirected read took %v, expected a WAN round trip", d0)
-		}
-
-		// With patience: the follower waits for its closed timestamp to
-		// catch up and serves LOCALLY. The wait is bounded by the
-		// closed-timestamp publication cadence; whether waiting beats
-		// redirecting depends on the gap, which is exactly the policy
-		// decision the paper leaves open ("we intend to make this policy
-		// adaptive").
-		d1, served1, err := readAt(2 * sim.Second)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		loc1, _ := c.Topo.LocalityOf(served1)
-		if loc1.Region != simnet.AsiaNE1 {
-			t.Errorf("patient read served by %s, want local follower", loc1.Region)
-		}
-		if d1 > sim.Second {
-			t.Errorf("patient wait %v exceeded the publication cadence bound", d1)
-		}
-		// A too-short patience still redirects.
-		d2, served2, err := readAt(sim.Millisecond)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		loc2, _ := c.Topo.LocalityOf(served2)
-		if loc2.Region == simnet.AsiaNE1 && d2 > 10*sim.Millisecond {
-			t.Errorf("impatient read served locally after %v", d2)
-		}
-	})
-	c.Sim.RunFor(10 * 60 * sim.Second)
-}
-
 // TestMVCCGarbageCollection verifies the store GC loop: old versions are
 // collected, recent stale reads keep working, too-old stale reads lose
 // their data (the gc.ttl contract).

@@ -25,8 +25,9 @@ type Admin struct {
 	// queue consults (the DistSenders feed it).
 	Load *RangeLoadTracker
 
-	// Aggregate allocator-loop decision counters: Splits counts size-based
-	// splits (LoadConfig.SplitKeys), LoadSplits load-based ones.
+	// Aggregate allocator-loop decision counters. Splits is always zero:
+	// the loop splits on load only (LoadSplits), and the field stays for
+	// the benchmark's kv.splits, which reads Splits + LoadSplits.
 	Splits       int64
 	LoadSplits   int64
 	Merges       int64

@@ -29,9 +29,6 @@ type DistSender struct {
 	// instead, and leaseholder hints pointing at dead nodes are ignored.
 	Liveness *NodeLiveness
 
-	// RPCTimeout bounds each attempt. Zero uses the network default.
-	RPCTimeout sim.Duration
-
 	// Tracer, when set, records a "ds.send" span per routed per-range RPC
 	// with a "ds.rpc" child per replica attempt (target, retries, backoff,
 	// and the error that caused each retry). Batches additionally get a
@@ -49,7 +46,9 @@ type DistSender struct {
 	// charged once, attributed to this gateway's region. Optional; nil-safe.
 	Load *RangeLoadTracker
 
-	// Stats.
+	// Stats. FollowerMisses counts attempts routed as follower reads that
+	// the follower bounced to the leaseholder; a consistent read bounced by
+	// a non-leaseholder during failover is a retry, not a miss.
 	Sent             int64
 	Retries          int64
 	FollowerMisses   int64
@@ -367,11 +366,12 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			ds.Load.Record(desc.RangeID, key, loc.Region, len(reqs))
 		}
 		target := desc.Leaseholder
+		followerPick := false
 		if leaseholderHint != 0 {
 			target = leaseholderHint
 			leaseholderHint = 0
 		} else if follower && !forceLeaseholder {
-			target = ds.nearestReplica(desc)
+			target, followerPick = ds.nearestReplica(desc), true
 		} else if !ds.live(target) {
 			// The cached leaseholder's liveness record expired: route to
 			// the nearest live replica instead, whose redirect (or the
@@ -386,7 +386,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		asp, attemptDone := ds.Tracer.StartIn(p, "ds.rpc")
 		asp.SetTagInt("attempt", int64(attempt)).SetTagInt("target", int64(target))
 		raw, rpcErr := ds.Net.SendRPC(p, ds.NodeID, target,
-			BatchRequest{RangeID: desc.RangeID, Reqs: reqs, Trace: asp.Ctx()}, ds.RPCTimeout)
+			BatchRequest{RangeID: desc.RangeID, Reqs: reqs, Trace: asp.Ctx()}, 0)
 		if rpcErr != nil {
 			// Node unreachable: back off and re-route (the descriptor or
 			// lease may move during failover).
@@ -432,7 +432,9 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 				lastErr = resp.Err
 				asp.SetError(resp.Err)
 				ds.Retries++
-				ds.FollowerMisses++
+				if followerPick {
+					ds.FollowerMisses++
+				}
 				attemptDone()
 				if forceLeaseholder || target == desc.Leaseholder {
 					// The leaseholder itself could not serve (fenced lease
@@ -629,7 +631,7 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 			answered := false
 			for _, target := range ds.replicasByPreference(desc) {
 				raw, err := ds.Net.SendRPC(p, ds.NodeID, target,
-					BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&NegotiateRequest{StartKey: span[0], EndKey: span[1]}}}, ds.RPCTimeout)
+					BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&NegotiateRequest{StartKey: span[0], EndKey: span[1]}}}, 0)
 				if err != nil {
 					ds.Retries++
 					lastErr = err

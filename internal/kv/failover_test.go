@@ -255,3 +255,43 @@ func TestSingleVoterReacquiresLeaseAfterRestart(t *testing.T) {
 			r.raft.IsLeader(), r.hasValidLease(), r.LeaseAcquisitions)
 	}
 }
+
+// TestFailoverBounceIsNotAFollowerMiss: a consistent read whose cached
+// leaseholder crashed goes, once that node's liveness expires, to the
+// nearest live replica, which bounces it while no survivor holds the lease
+// (here n2 and n3 cannot reach each other to elect one). Each bounce is a
+// retry, not a follower-read miss: only an attempt routed as a follower read
+// counts in FollowerMisses.
+func TestFailoverBounceIsNotAFollowerMiss(t *testing.T) {
+	h := newRecoveryHarness(t, 4, 0)
+	h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	h.s.RunFor(5 * sim.Second)
+	const gateway = simnet.NodeID(4)
+	ds := &DistSender{NodeID: gateway, Net: h.net, Topo: h.topo, Catalog: h.cat, Liveness: h.nl}
+
+	h.net.CrashNode(1)
+	h.stores[1].Crash()
+	h.net.Partition(2, 3)
+	var resp Response
+	served := false
+	h.s.Spawn("read", func(p *sim.Proc) {
+		resp = ds.Send(p, &GetRequest{Key: mvcc.Key("k"), Timestamp: h.stores[gateway].Clock.Now()})
+		served = true
+	})
+	h.s.RunFor(LivenessTTL + 2*sim.Second)
+	if served || ds.live(1) {
+		t.Fatalf("setup: read answered %v, n1 live %v; want a pending read and n1's record expired", served, ds.live(1))
+	}
+	h.net.Heal(2, 3)
+	h.s.RunFor(10 * sim.Second)
+	if !served || resp.Err != nil {
+		t.Fatalf("read after the partition healed: answered %v, %v", served, resp.Err)
+	}
+	if ds.Retries == 0 {
+		t.Fatal("setup: the read was never retried")
+	}
+	if ds.FollowerMisses != 0 {
+		t.Errorf("%d follower-read misses counted for a read never routed as a follower read (%d retries)",
+			ds.FollowerMisses, ds.Retries)
+	}
+}

@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -89,10 +90,11 @@ func TestSplitRightHalfInheritsPromise(t *testing.T) {
 	}
 }
 
-// TestSnapshotWakesParkedFollowerRead: a follower read parked until the
-// replica's closed timestamp reaches its timestamp is served the instant a
-// snapshot installs a closed timestamp above it, not at the next append.
-func TestSnapshotWakesParkedFollowerRead(t *testing.T) {
+// TestSnapshotInstallsClosedTimestamp: a snapshot installs the closed
+// timestamp its image carries, so a follower read the cut-off follower had
+// to redirect is served locally from the install instant, not the next
+// append.
+func TestSnapshotInstallsClosedTimestamp(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
 	leader, _ := h.stores[1].Replica(desc.RangeID)
@@ -103,35 +105,39 @@ func TestSnapshotWakesParkedFollowerRead(t *testing.T) {
 		t.Fatalf("setup: the follower closed %v, already at the read's %v", follower.closed.closed, readTS)
 	}
 
-	var installedAt, servedAt sim.Time
+	read := func(p *sim.Proc) Response {
+		return follower.evaluate(p, &GetRequest{Key: mvcc.Key("cut0000"), Timestamp: readTS, FollowerRead: true})
+	}
+	var before Response
+	h.run(t, sim.Second, func(p *sim.Proc) error {
+		before = read(p)
+		return nil
+	})
+	var unavailable *FollowerReadUnavailableError
+	if !errors.As(before.Err, &unavailable) {
+		t.Fatalf("setup: the cut-off follower answered a read above its closed timestamp: %+v", before)
+	}
+
+	// The read is issued at the instant the snapshot installs.
+	var got Response
+	issued := false
 	h.net.Register(3, func(m simnet.Message) {
 		h.stores[3].handleMessage(m)
-		if h.stores[3].SnapshotsApplied == 1 && installedAt == 0 {
-			installedAt = h.s.Now()
+		if h.stores[3].SnapshotsApplied == 1 && !issued {
+			issued = true
+			h.s.Spawn("follower-read", func(p *sim.Proc) { got = read(p) })
 		}
 	})
-	var got Response
-	h.s.Spawn("follower-read", func(p *sim.Proc) {
-		got = follower.evaluate(p, &GetRequest{Key: mvcc.Key("cut0000"), Timestamp: readTS, FollowerRead: true, WaitForClosed: 10 * sim.Second})
-		servedAt = p.Now()
-	})
-	h.s.RunFor(sim.Second)
-	if servedAt != 0 {
-		t.Fatalf("setup: the read was answered while the follower was cut off: %+v", got)
-	}
 	// The cut-off follower campaigned, so healing it deposes the leader and
 	// the snapshot follows the re-election, whose length the election timers
-	// decide. The read waits up to 10s for its closed timestamp.
+	// decide.
 	h.heal(3)
 	h.s.RunFor(5 * sim.Second)
-	if installedAt == 0 {
+	if !issued {
 		t.Fatal("setup: the follower was not sent a snapshot")
 	}
 	if got.Err != nil || got.Get == nil || got.Get.ServedBy != 3 {
-		t.Fatalf("follower read: %+v", got)
-	}
-	if servedAt != installedAt {
-		t.Errorf("read served %v after the snapshot installed a closed timestamp above it", servedAt.Sub(installedAt))
+		t.Errorf("follower read at the install instant: %+v, want served by n3", got)
 	}
 }
 

@@ -25,11 +25,6 @@ type LoadConfig struct {
 	// MergeTicks is how many consecutive cold ticks BOTH neighbors need
 	// before merging — hysteresis against split/merge flapping (default 3).
 	MergeTicks int
-	// SplitKeys, when non-zero, is the live key count above which a range
-	// splits at its middle key regardless of load (CockroachDB's size-based
-	// split queue); merges that would exceed it are refused. Zero disables
-	// size-based splitting.
-	SplitKeys int
 }
 
 const (
@@ -232,8 +227,7 @@ func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
 	return nil
 }
 
-// StartLoadQueue runs the allocator loop: split oversized ranges at their
-// middle key (when lc.SplitKeys is set) and hot ranges at a load-weighted
+// StartLoadQueue runs the allocator loop: split hot ranges at a load-weighted
 // key, merge cold adjacent ranges, and move leases and replicas toward
 // traffic while honoring zone configs. It returns a stop
 // function. All decisions run on the virtual clock over deterministic
@@ -260,16 +254,14 @@ func (a *Admin) StartLoadQueue(lc LoadConfig) (stop func()) {
 }
 
 func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[RangeID]int, hotRegion map[RangeID]simnet.Region) {
-	// 1. Split oversized ranges at the middle key, hot ranges at the
-	// load-weighted key.
+	// 1. Split hot ranges at the load-weighted key.
 	for _, d := range a.Catalog.All() {
-		key := a.sizeSplitKey(d, lc.SplitKeys)
-		bySize := key != nil
-		if !bySize && a.Load.QPS(d.RangeID) > lc.SplitQPS {
-			// Nil when all samples sit on one key: splitting cannot spread
-			// that load.
-			key = a.Load.SplitKey(d.RangeID, d.StartKey, d.EndKey)
+		if a.Load.QPS(d.RangeID) <= lc.SplitQPS {
+			continue
 		}
+		// Nil when all samples sit on one key: splitting cannot spread that
+		// load.
+		key := a.Load.SplitKey(d.RangeID, d.StartKey, d.EndKey)
 		if key == nil {
 			continue
 		}
@@ -282,11 +274,7 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 		// re-trigger a split.
 		a.Load.Forget(d.RangeID)
 		delete(coldTicks, d.RangeID)
-		if bySize {
-			a.Splits++
-		} else {
-			a.LoadSplits++
-		}
+		a.LoadSplits++
 		a.bumpDecision(d.RangeID, func(rd *RangeDecisions) { rd.Splits++ })
 	}
 
@@ -312,10 +300,6 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 			continue
 		}
 		if cl.Policy != cr.Policy || !a.configsMergeable(cl.RangeID, cr.RangeID) {
-			continue
-		}
-		if lc.SplitKeys > 0 && a.mergedKeyCount(cl, cr) > lc.SplitKeys {
-			// The merged range would immediately re-split on size.
 			continue
 		}
 		if err := a.MergeRanges(p, cl.RangeID); err != nil {
@@ -387,36 +371,6 @@ func regionInPrefs(r simnet.Region, prefs []simnet.Region) bool {
 		}
 	}
 	return false
-}
-
-// sizeSplitKey returns the middle key of a range whose leaseholder holds
-// more than maxKeys live keys; nil when size-based splitting is off
-// (maxKeys == 0), the range is small enough, or its leaseholder is not
-// currently leading.
-func (a *Admin) sizeSplitKey(d *RangeDescriptor, maxKeys int) mvcc.Key {
-	if maxKeys <= 0 {
-		return nil
-	}
-	r, err := a.leaseholderReplica(d.RangeID)
-	if err != nil || !r.raft.IsLeader() || r.engine.KeyCountInSpan(d.StartKey, d.EndKey) <= maxKeys {
-		return nil
-	}
-	mid, _ := r.engine.ApproxMiddleKey(d.StartKey, d.EndKey)
-	return mid
-}
-
-// mergedKeyCount estimates the live key count of a merged pair.
-func (a *Admin) mergedKeyCount(lhs, rhs *RangeDescriptor) int {
-	lr, err := a.leaseholderReplica(lhs.RangeID)
-	if err != nil {
-		return 1 << 30
-	}
-	rr, err := a.leaseholderReplica(rhs.RangeID)
-	if err != nil {
-		return 1 << 30
-	}
-	return lr.engine.KeyCountInSpan(lhs.StartKey, lhs.EndKey) +
-		rr.engine.KeyCountInSpan(rhs.StartKey, rhs.EndKey)
 }
 
 // rebalanceReplica swaps the lowest-traffic droppable voter for a node in

@@ -93,8 +93,10 @@ func putCmd(st *Store, key, val string) Command {
 	return Command{Kind: CmdPut, Key: mvcc.Key(key), Value: mvcc.Value(val), Ts: st.Clock.Now()}
 }
 
+// hasKey reports whether r's engine holds a version or an intent of key.
 func hasKey(r *Replica, key string) bool {
-	return r.engine.KeyCountInSpan(mvcc.Key(key), mvcc.Key(key+"\x00")) > 0
+	val, _, err := r.engine.Get(mvcc.Key(key), hlc.MaxTimestamp, mvcc.GetOptions{})
+	return val != nil || err != nil
 }
 
 // TestRestartDropsVolatileState is the regression test for the

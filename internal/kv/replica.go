@@ -42,9 +42,6 @@ type Replica struct {
 	// holder finishes; they are leaseholder-local state and vanish on
 	// lease transfers, which is safe (they only order writers).
 	lockTable map[string]mvcc.TxnID
-	// closedAdvanced wakes adaptive follower reads waiting for the
-	// closed timestamp to catch up.
-	closedAdvanced *sim.Cond
 	// leaderApplied wakes a fresh Raft leader waiting to apply the no-op its
 	// term opened with (awaitLeaderApplied).
 	leaderApplied *sim.Cond
@@ -245,7 +242,6 @@ type readArgs struct {
 	txn         *Txn // nil for non-transactional and stale reads
 	uncertainty bool // check txn's uncertainty interval
 	canBump     bool // ratchet past an uncertain value and retry
-	patience    sim.Duration
 	// latchKey is a point read's key: the leaseholder waits out an in-flight
 	// write on it, and with forUpdate takes its unreplicated lock first. A
 	// span read waits out every in-flight write in [latchKey, latchEnd)
@@ -259,9 +255,8 @@ type readArgs struct {
 // as leaseholder. Any other serves only below its closed timestamp (paper
 // §5.1), which must cover a consistent read's whole uncertainty interval
 // (§6.2.1: "the size of uncertainty intervals must also be factored in"), so
-// uncertainty bumps stay below it too; it first waits up to the read's
-// patience for its closed timestamp to get there (the adaptive policy the
-// paper lists as future work), then redirects the read to the leaseholder.
+// uncertainty bumps stay below it too. A read it cannot serve is redirected
+// to the leaseholder at once (paper §5.3.1).
 func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 	if err := q.bounds(r); err != nil {
 		return Response{Err: err}
@@ -291,7 +286,7 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 			opts.UncertaintyLimit = hlc.MaxTimestamp
 		}
 	}
-	readTS, patience := a.ts, a.patience
+	readTS := a.ts
 	for {
 		if leaseholder && (a.latchKey != nil || a.span) {
 			// Wait out a write between its evaluation and its application.
@@ -304,18 +299,11 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 			lsp.Finish()
 		}
 		// A split may have applied while this request waited (lock, latch,
-		// intent, closed timestamp); this engine's copy is then stale.
+		// intent); this engine's copy is then stale.
 		if err := q.bounds(r); err != nil {
 			return Response{Err: err}
 		}
 		if !leaseholder && r.closed.closed.Less(required) {
-			if patience > 0 {
-				csp := r.store.Obs.StartChild("closedts.wait", obs.ProcSpan(p))
-				r.waitForClosed(p, required, patience)
-				csp.Finish()
-				patience = 0
-				continue
-			}
 			return r.redirectToLeaseholder(required)
 		}
 		resp, err := q.readAt(r, readTS, opts)
@@ -900,7 +888,7 @@ func (r *Replica) apply(e raft.Entry) {
 	if !ok {
 		return
 	}
-	r.advanceClosed(cmd.ClosedTS)
+	r.closed.advance(cmd.ClosedTS)
 	switch cmd.Kind {
 	case CmdPut:
 		// A write proposed before a split but applied after it belongs
@@ -1135,44 +1123,17 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 	}
 }
 
-// waitForClosed parks p until the replica's closed timestamp reaches ts or
-// patience elapses.
-func (r *Replica) waitForClosed(p *sim.Proc, ts hlc.Timestamp, patience sim.Duration) {
-	deadline := p.Now().Add(patience)
-	expired := false
-	r.store.Sim.Schedule(deadline, func() {
-		if r.closed.closed.Less(ts) {
-			expired = true
-			r.closedAdvanced.Broadcast()
-		}
-	})
-	for r.closed.closed.Less(ts) && !expired {
-		r.closedAdvanced.Wait(p)
-	}
-}
-
 // inherit is the one rule by which a replica takes over what another copy of
 // the range vouched for — a split's left half, a merge's right half, the old
-// leaseholder, an image: its closed timestamp rises to closed, waking the
-// follower reads parked on it; its promise floor to issued, so it never
-// accepts a write at or below a promise made before; and its timestamp
-// cache's floor to readFloor. None of the three ever falls.
+// leaseholder, an image: its closed timestamp rises to closed; its promise
+// floor to issued, so it never accepts a write at or below a promise made
+// before; and its timestamp cache's floor to readFloor. None of the three ever falls.
 func (r *Replica) inherit(closed, issued, readFloor hlc.Timestamp) {
-	r.advanceClosed(closed)
+	r.closed.advance(closed)
 	if r.closed.issued.Less(issued) {
 		r.closed.issued = issued
 	}
 	r.tscache.SetLowWater(readFloor)
-}
-
-// advanceClosed moves the replica's closed timestamp forward and wakes
-// adaptive waiters.
-func (r *Replica) advanceClosed(ts hlc.Timestamp) {
-	before := r.closed.closed
-	r.closed.advance(ts)
-	if before.Less(r.closed.closed) {
-		r.closedAdvanced.Broadcast()
-	}
 }
 
 // engineFor resolves the engine a key belongs to after splits: normally

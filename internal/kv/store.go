@@ -294,7 +294,6 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 		lockTable:  map[string]mvcc.TxnID{},
 		leaseEpoch: s.CurrentEpoch(),
 	}
-	r.closedAdvanced = sim.NewCond(s.Sim)
 	r.leaderApplied = sim.NewCond(s.Sim)
 	r.releaseResolved = r.releaseOne
 	rcfg := raft.Config{
@@ -305,7 +304,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 		Transport:        &raftTransport{store: s, rangeID: desc.RangeID},
 		Apply:            r.apply,
 		HeartbeatPayload: r.heartbeatPayload,
-		OnHeartbeat:      r.advanceClosed,
+		OnHeartbeat:      r.closed.advance,
 		OnLeaderChange:   r.onLeaderChange,
 	}
 	// Snapshot hooks are wired unconditionally: besides catching lagging

@@ -160,11 +160,6 @@ type GetRequest struct {
 	// queue behind it instead of racing and restarting. The SQL layer
 	// sets it on the reads of UPDATE/DELETE statements.
 	ForUpdate bool
-	// WaitForClosed is the adaptive follower-read policy the paper lists
-	// as future work (§5.3.1, §6.2.1): instead of redirecting to the
-	// leaseholder when the local closed timestamp is slightly behind,
-	// the follower waits up to this long for it to catch up.
-	WaitForClosed sim.Duration
 }
 
 func (q *GetRequest) routingKey() mvcc.Key    { return q.Key }
@@ -176,7 +171,7 @@ func (q *GetRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
 }
 func (q *GetRequest) eval(r *Replica, p *sim.Proc) Response {
 	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty,
-		canBump: q.CanBumpReadTS, patience: q.WaitForClosed, latchKey: q.Key, forUpdate: q.ForUpdate})
+		canBump: q.CanBumpReadTS, latchKey: q.Key, forUpdate: q.ForUpdate})
 }
 
 func (q *GetRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions) (Response, error) {
@@ -210,15 +205,13 @@ type ScanRequest struct {
 	Txn              *Txn
 	Uncertainty      bool
 	FollowerRead     bool
-	// WaitForClosed is GetRequest's adaptive follower-read patience.
-	WaitForClosed sim.Duration
 }
 
 func (q *ScanRequest) routingKey() mvcc.Key { return q.StartKey }
 func (q *ScanRequest) typeName() string     { return "*kv.ScanRequest" }
 func (q *ScanRequest) followerOK() bool     { return q.FollowerRead }
 func (q *ScanRequest) eval(r *Replica, p *sim.Proc) Response {
-	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty, patience: q.WaitForClosed,
+	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty,
 		latchKey: q.StartKey, latchEnd: q.EndKey, span: true})
 }
 

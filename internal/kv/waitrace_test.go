@@ -11,8 +11,7 @@ import (
 )
 
 // TestWaitingRequestReroutesAfterSplit: a request that parks (lock, latch,
-// intent, a follower's closed timestamp) may wake up on a range that no
-// longer owns its key. The left-hand engine keeps a copy of the right half's
+// intent) may wake up on a range that no longer owns its key. The left-hand engine keeps a copy of the right half's
 // data that later writes never reach, so evaluating against it reads stale
 // values; the request must be re-routed instead.
 func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
@@ -20,17 +19,14 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
 	st := h.stores[1]
 	rep, _ := st.Replica(desc.RangeID)
-	follower, _ := h.stores[2].Replica(desc.RangeID)
 	key := mvcc.Key("m")
 
-	var get, put, followerGet Response
+	var get, put Response
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		// A writer holds the latch while both leaseholder requests arrive,
-		// and a present-time read waits for the follower's lagging closed
-		// timestamp…
+		// A writer holds the latch while both requests arrive…
 		rep.latches.acquire(p, key)
 		done := sim.NewWaitGroup(h.s)
-		done.Add(3)
+		done.Add(2)
 		h.s.Spawn("get", func(gp *sim.Proc) {
 			defer done.Done()
 			get = rep.evaluate(gp, &GetRequest{Key: key, Timestamp: st.Clock.Now()})
@@ -38,11 +34,6 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 		h.s.Spawn("put", func(pp *sim.Proc) {
 			defer done.Done()
 			put = rep.evaluate(pp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: st.Clock.Now()})
-		})
-		h.s.Spawn("follower-get", func(fp *sim.Proc) {
-			defer done.Done()
-			followerGet = follower.evaluate(fp, &GetRequest{Key: key, Timestamp: st.Clock.Now(),
-				FollowerRead: true, WaitForClosed: 5 * sim.Second})
 		})
 		p.Sleep(10 * sim.Millisecond)
 		// …and the range splits below the key before the latch frees.
@@ -59,9 +50,6 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 	}
 	if !errors.As(put.Err, &mismatch) {
 		t.Errorf("put evaluated on the left-hand side after the split: %+v", put)
-	}
-	if !errors.As(followerGet.Err, &mismatch) {
-		t.Errorf("follower get evaluated on the left-hand side after waiting across the split: %+v", followerGet)
 	}
 }
 

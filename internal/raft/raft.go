@@ -204,7 +204,7 @@ type Transport interface {
 const electionTimeout = 2 * sim.Second
 
 // DefaultHeartbeatInterval is the leader's append/heartbeat cadence unless
-// Config.HeartbeatInterval or SetHeartbeatInterval says otherwise.
+// SetHeartbeatInterval says otherwise.
 const DefaultHeartbeatInterval = 400 * sim.Millisecond
 
 // Config parameterizes a Node.
@@ -215,10 +215,6 @@ type Config struct {
 
 	Sim       *sim.Simulation
 	Transport Transport
-
-	// HeartbeatInterval is the leader's append/heartbeat cadence; zero
-	// means DefaultHeartbeatInterval.
-	HeartbeatInterval sim.Duration
 
 	// Apply is invoked on every replica, in log order, as entries commit.
 	Apply func(e Entry)
@@ -292,6 +288,10 @@ const maxVoters = 64
 type Node struct {
 	cfg  Config
 	role Role
+	// heartbeatInterval is the leader's append/heartbeat cadence: it
+	// starts at DefaultHeartbeatInterval and only SetHeartbeatInterval
+	// changes it.
+	heartbeatInterval sim.Duration
 
 	term     uint64
 	votedFor simnet.NodeID
@@ -367,15 +367,13 @@ type proposal struct {
 // NewNode constructs a replica. If the node appears in cfg.Learners it
 // starts as a Learner, otherwise as a Follower. Call Start to arm timers.
 func NewNode(cfg Config) *Node {
-	if cfg.HeartbeatInterval == 0 {
-		cfg.HeartbeatInterval = DefaultHeartbeatInterval
-	}
 	n := &Node{
-		cfg:      cfg,
-		log:      []Entry{{}},
-		voters:   map[simnet.NodeID]bool{},
-		learners: map[simnet.NodeID]bool{},
-		election: cfg.Sim.Stream("raft/election"),
+		cfg:               cfg,
+		heartbeatInterval: DefaultHeartbeatInterval,
+		log:               []Entry{{}},
+		voters:            map[simnet.NodeID]bool{},
+		learners:          map[simnet.NodeID]bool{},
+		election:          cfg.Sim.Stream("raft/election"),
 	}
 	for _, v := range cfg.Voters {
 		n.voters[v] = true
@@ -554,7 +552,7 @@ func (n *Node) scheduleElectionCheck() {
 }
 
 // heartbeat is the one timer of the leadership won at term: it keeps any
-// link from staying silent for longer than HeartbeatInterval, which is what
+// link from staying silent for longer than heartbeatInterval, which is what
 // followers' election timeouts and the kv layer's closed-timestamp lead
 // assume. Every proposal's broadcast already carries the commit index and
 // the heartbeat payload, so the timer sends only when none was that recent
@@ -565,10 +563,10 @@ func (n *Node) heartbeat(term uint64) {
 	if n.stopped || n.role != Leader || n.term != term {
 		return
 	}
-	if n.cfg.Sim.Now().Sub(n.lastBroadcast) >= n.cfg.HeartbeatInterval {
+	if n.cfg.Sim.Now().Sub(n.lastBroadcast) >= n.heartbeatInterval {
 		n.broadcastAppend()
 	}
-	n.cfg.Sim.Schedule(n.lastBroadcast.Add(n.cfg.HeartbeatInterval), func() { n.heartbeat(term) })
+	n.cfg.Sim.Schedule(n.lastBroadcast.Add(n.heartbeatInterval), func() { n.heartbeat(term) })
 }
 
 // --- Elections ---
@@ -657,7 +655,7 @@ func (n *Node) failPending() {
 // on the next tick.
 func (n *Node) SetHeartbeatInterval(d sim.Duration) {
 	if d > 0 {
-		n.cfg.HeartbeatInterval = d
+		n.heartbeatInterval = d
 	}
 }
 

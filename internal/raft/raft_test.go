@@ -110,12 +110,11 @@ func newStorageHarness(t *testing.T, seed int64, voters, learners []simnet.NodeI
 	for _, id := range all {
 		id := id
 		cfg := Config{
-			ID:                id,
-			Voters:            voters,
-			Learners:          learners,
-			Sim:               s,
-			Transport:         &harnessTransport{h: h, from: id},
-			HeartbeatInterval: heartbeat,
+			ID:        id,
+			Voters:    voters,
+			Learners:  learners,
+			Sim:       s,
+			Transport: &harnessTransport{h: h, from: id},
 			Apply: func(e Entry) {
 				if e.Data != nil {
 					h.applied[id] = append(h.applied[id], e.Data)
@@ -126,6 +125,7 @@ func newStorageHarness(t *testing.T, seed int64, voters, learners []simnet.NodeI
 			cfg.Storage = storageFor(id)
 		}
 		n := NewNode(cfg)
+		n.SetHeartbeatInterval(heartbeat)
 		h.nodes[id] = n
 		h.net.Register(id, func(m simnet.Message) {
 			n.Step(m.Payload.(Message))
@@ -594,7 +594,7 @@ func TestLostAppendsRecoverOnHeartbeat(t *testing.T) {
 	}
 	dropping = false
 	h.sent = map[msgClass]int{}
-	h.s.RunFor(l.cfg.HeartbeatInterval + 2*linkDelay)
+	h.s.RunFor(l.heartbeatInterval + 2*linkDelay)
 	if got := h.nodes[3].LastIndex(); got != l.LastIndex() {
 		t.Fatalf("node 3 log ends at %d, leader at %d", got, l.LastIndex())
 	}

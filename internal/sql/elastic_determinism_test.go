@@ -193,8 +193,8 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	if !strings.Contains(a.ranges, "splits=") {
 		t.Errorf("ranges output missing decisions column:\n%s", a.ranges)
 	}
-	// With LoadConfig.SplitKeys zero the allocator loop must fire exactly the
-	// events the load-only loop fired before the size trigger was folded in:
+	// The allocator loop must fire exactly the events the load-only loop
+	// fired before the size trigger was folded in (and later deleted):
 	// the ranges table was captured on the last commit with two split queues.
 	// The span hash also covers the message schedule (network jitter draws
 	// from the seeded "simnet/jitter" stream); it was re-pinned from b6c43dfbeb40c592 when

@@ -37,13 +37,13 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 
 	// Aggregate the span forest into per-kind counts and durations.
 	var (
-		batches, kvReqs, rpcs, retries    int64
-		wanRPCs                           int64
-		quorumTrips, wanQuorumTrips       int64
-		latchWait, closedWait, intentWait sim.Duration
-		phases                            = map[string]sim.Duration{}
-		phaseCount                        = map[string]int64{}
-		proveWrites                       int64
+		batches, kvReqs, rpcs, retries int64
+		wanRPCs                        int64
+		quorumTrips, wanQuorumTrips    int64
+		latchWait, intentWait          sim.Duration
+		phases                         = map[string]sim.Duration{}
+		phaseCount                     = map[string]int64{}
+		proveWrites                    int64
 	)
 	for _, span := range spans {
 		switch span.Name {
@@ -75,8 +75,6 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 			}
 		case "latch.wait":
 			latchWait += span.Duration()
-		case "closedts.wait":
-			closedWait += span.Duration()
 		case "intent.wait":
 			intentWait += span.Duration()
 		case "txn.stage", "txn.prove", "txn.commitwait", "txn.refresh", "txn.resolve":
@@ -119,7 +117,6 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 	add("raft quorum trips", fmt.Sprintf("%d", quorumTrips))
 	add("inter-region quorum trips", fmt.Sprintf("%d", wanQuorumTrips))
 	add("latch wait", latchWait.String())
-	add("closed-ts wait", closedWait.String())
 	add("intent wait", intentWait.String())
 	// Commit phases render in protocol order; absent phases are elided
 	// except commit wait, whose zero is itself the headline claim for

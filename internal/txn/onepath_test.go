@@ -212,75 +212,14 @@ func (h *harness) lagAsiaReplica(t *testing.T, p *sim.Proc, desc *kv.RangeDescri
 	return asia
 }
 
-// TestFollowerReadPatienceAppliesToEveryRead: a coordinator's
-// FollowerReadPatience lets a follower wait for its closed timestamp instead
-// of redirecting a read to the leaseholder, and it must apply however the
-// read is issued — a single Get, a batch of one or several keys, a scan, a
-// stale scan or a stale batch. The leaseholder's link to the asia-northeast1
-// replica is slowed so that replica's closed timestamp trails present time;
-// the impatient control read shows the lag is real.
-func TestFollowerReadPatienceAppliesToEveryRead(t *testing.T) {
-	h := newHarness(t, 28)
-	desc := h.globalRange(t)
-	h.run(t, func(p *sim.Proc) {
-		h.lagAsiaReplica(t, p, desc)
-		asia := h.coord(simnet.AsiaNE1)
-		reads := []struct {
-			name string
-			read func(tx *txn.Txn) error
-		}{
-			{"Get", func(tx *txn.Txn) error {
-				_, err := tx.Get(p, mvcc.Key("g/a"))
-				return err
-			}},
-			{"GetParallel of one key", func(tx *txn.Txn) error {
-				_, err := tx.GetParallel(p, keysOf("g/a"))
-				return err
-			}},
-			{"GetParallel of two keys", func(tx *txn.Txn) error {
-				_, err := tx.GetParallel(p, keysOf("g/a", "g/b"))
-				return err
-			}},
-			{"Scan", func(tx *txn.Txn) error {
-				_, err := tx.Scan(p, mvcc.Key("g/"), mvcc.Key("g0"), 0)
-				return err
-			}},
-			{"StaleScan at present time", func(*txn.Txn) error {
-				_, err := asia.StaleScan(p, mvcc.Key("g/"), mvcc.Key("g0"), 0, asia.Store.Clock.Now())
-				return err
-			}},
-			{"ExactStaleReads at present time", func(*txn.Txn) error {
-				_, err := asia.ExactStaleReads(p, keysOf("g/a", "g/b"), asia.Store.Clock.Now())
-				return err
-			}},
-		}
-		for _, patience := range []sim.Duration{0, 2 * sim.Second} {
-			asia.FollowerReadPatience = patience
-			for _, r := range reads {
-				misses := asia.Sender.FollowerMisses
-				if err := asia.Run(p, r.read); err != nil {
-					t.Fatalf("%s (patience %v): %v", r.name, patience, err)
-				}
-				redirected := asia.Sender.FollowerMisses > misses
-				if patience == 0 && !redirected {
-					t.Fatalf("%s without patience was served by the lagging follower; the test no longer lags it", r.name)
-				}
-				if patience > 0 && redirected {
-					t.Errorf("%s with patience %v was redirected to the leaseholder instead of waiting", r.name, patience)
-				}
-			}
-		}
-	})
-}
-
 // TestFollowerScanCoversUncertaintyInterval: a consistent scan, like a point
 // read, is served by a follower only once the follower's closed timestamp
 // covers its whole uncertainty interval (§6.2.1), not just its read
 // timestamp: a write the follower has not yet received could still land in
 // the interval's open part. Sent straight to the lagging asia-northeast1
 // replica at a read timestamp that replica has closed and an uncertainty
-// limit it has not, the scan is redirected without patience and, with it,
-// served only after the closed timestamp reaches the limit.
+// limit it has not, the scan is redirected; sent again once the closed
+// timestamp passes the limit, it is served.
 func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
 	h := newHarness(t, 29)
 	desc := h.globalRange(t)
@@ -288,29 +227,28 @@ func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
 		node := h.lagAsiaReplica(t, p, desc)
 		rep, _ := h.c.Stores[node].Replica(desc.RangeID)
 		gw := h.c.GatewayFor(simnet.AsiaNE1)
-		for _, patience := range []sim.Duration{0, 2 * sim.Second} {
-			readTS := rep.ClosedTimestamp()
-			limit := readTS.Add(250 * sim.Millisecond)
+		readTS := rep.ClosedTimestamp()
+		limit := readTS.Add(250 * sim.Millisecond)
+		scan := func() kv.Response {
 			raw, err := h.c.Net.SendRPC(p, gw, node, kv.BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&kv.ScanRequest{
 				StartKey: mvcc.Key("g/"), EndKey: mvcc.Key("g0"), Timestamp: readTS,
 				Txn:         &kv.Txn{ReadTimestamp: readTS, GlobalUncertaintyLimit: limit},
-				Uncertainty: true, FollowerRead: true, WaitForClosed: patience,
+				Uncertainty: true, FollowerRead: true,
 			}}}, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp := raw.(*kv.BatchResponse).Resps[0]
-			var unavailable *kv.FollowerReadUnavailableError
-			if patience == 0 && !errors.As(resp.Err, &unavailable) {
-				t.Errorf("follower scan with its uncertainty interval open: %+v, want FollowerReadUnavailableError", resp)
-			}
-			if patience > 0 {
-				if resp.Err != nil || resp.Scan == nil || len(resp.Scan.Rows) != 2 {
-					t.Errorf("patient follower scan: %+v, want both rows", resp)
-				} else if closed := rep.ClosedTimestamp(); closed.Less(limit) {
-					t.Errorf("follower served a scan with closed timestamp %v below its uncertainty limit %v", closed, limit)
-				}
-			}
+			return raw.(*kv.BatchResponse).Resps[0]
+		}
+		var unavailable *kv.FollowerReadUnavailableError
+		if resp := scan(); !errors.As(resp.Err, &unavailable) {
+			t.Errorf("follower scan with its uncertainty interval open: %+v, want FollowerReadUnavailableError", resp)
+		}
+		for rep.ClosedTimestamp().LessEq(limit) {
+			p.Sleep(50 * sim.Millisecond)
+		}
+		if resp := scan(); resp.Err != nil || resp.Scan == nil || len(resp.Scan.Rows) != 2 {
+			t.Errorf("follower scan once its closed timestamp passed the limit: %+v, want both rows", resp)
 		}
 	})
 }

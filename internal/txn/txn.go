@@ -26,12 +26,6 @@ type Coordinator struct {
 	Store  *kv.Store
 	Sender *kv.DistSender
 
-	// FollowerReadPatience, when non-zero, lets follower replicas wait up
-	// to this long for their closed timestamp to catch up instead of
-	// redirecting a read to the leaseholder (the paper's adaptive-policy
-	// future work, §5.3.1).
-	FollowerReadPatience sim.Duration
-
 	// SpannerCommitWait, when true, performs commit wait *before*
 	// releasing locks (resolving intents), as Spanner does; the default
 	// (false) releases locks concurrently with the wait, which is the
@@ -228,7 +222,6 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 				FollowerRead:  !forUpdate && t.followerOK(key),
 				CanBumpReadTS: canBump,
 				ForUpdate:     forUpdate,
-				WaitForClosed: t.co.FollowerReadPatience,
 			}
 			reqs[len(riders)+j] = &getReqs[j]
 		}
@@ -317,11 +310,10 @@ func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, 
 	for {
 		req := &kv.ScanRequest{
 			StartKey: start, EndKey: end, MaxRows: max,
-			Timestamp:     t.kv.ReadTimestamp,
-			Txn:           t.kv,
-			Uncertainty:   true,
-			FollowerRead:  t.followerOK(start),
-			WaitForClosed: t.co.FollowerReadPatience,
+			Timestamp:    t.kv.ReadTimestamp,
+			Txn:          t.kv,
+			Uncertainty:  true,
+			FollowerRead: t.followerOK(start),
 		}
 		resp := t.co.Sender.Send(p, req)
 		if resp.Err == nil {
@@ -968,7 +960,6 @@ func (c *Coordinator) ExactStaleReads(p *sim.Proc, keys []mvcc.Key, ts hlc.Times
 func (c *Coordinator) staleGet(key mvcc.Key, ts hlc.Timestamp) *kv.GetRequest {
 	return &kv.GetRequest{
 		Key: key, Timestamp: ts, FollowerRead: true, Uncertainty: false,
-		WaitForClosed: c.FollowerReadPatience,
 	}
 }
 
@@ -978,7 +969,6 @@ func (c *Coordinator) StaleScan(p *sim.Proc, start, end mvcc.Key, max int, ts hl
 	resp := c.Sender.Send(p, &kv.ScanRequest{
 		StartKey: start, EndKey: end, MaxRows: max,
 		Timestamp: ts, FollowerRead: true, Uncertainty: false,
-		WaitForClosed: c.FollowerReadPatience,
 	})
 	if resp.Err != nil {
 		return nil, resp.Err

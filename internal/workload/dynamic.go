@@ -95,15 +95,19 @@ type SunPhase struct {
 	Duration sim.Duration
 }
 
+// Closed-loop client counts of a FollowTheSun phase: the hot region's and
+// each other region's.
+const (
+	sunHotClients  = 4
+	sunColdClients = 1
+)
+
 // FollowTheSun drives MovR traffic whose dominant region rotates phase by
-// phase. Within a phase the hot region runs HotClients closed-loop clients
-// while every other database region runs ColdClients, so the per-range QPS
+// phase. Within a phase the hot region runs sunHotClients closed-loop clients
+// while every other database region runs sunColdClients, so the per-range QPS
 // mix the load queue observes genuinely shifts.
 type FollowTheSun struct {
 	M *Movr
-	// HotClients / ColdClients are the closed-loop client counts for the
-	// hot region and each other region (defaults 4 and 1).
-	HotClients, ColdClients int
 	// Think is an optional pause between operations.
 	Think sim.Duration
 
@@ -120,7 +124,6 @@ type FollowTheSun struct {
 func NewFollowTheSun(m *Movr, windowWidth sim.Duration) *FollowTheSun {
 	return &FollowTheSun{
 		M:          m,
-		HotClients: 4, ColdClients: 1,
 		Windows:    NewWindowedRecorder(windowWidth),
 		HotWindows: NewWindowedRecorder(windowWidth),
 	}
@@ -136,9 +139,9 @@ func (f *FollowTheSun) Run(p *sim.Proc, phases []SunPhase) error {
 		deadline := p.Now().Add(ph.Duration)
 		wg := sim.NewWaitGroup(f.M.Cluster.Sim)
 		for ri, region := range f.M.regions {
-			n := f.ColdClients
+			n := sunColdClients
 			if region == ph.Hot {
-				n = f.HotClients
+				n = sunHotClients
 			}
 			for cl := 0; cl < n; cl++ {
 				ri, region := ri, region
@@ -202,21 +205,23 @@ type HotspotPhase struct {
 	Duration sim.Duration
 }
 
-// MigratingHotspot drives YCSB-style reads/updates where HotFrac of the
-// operations land in a WindowKeys-wide key window that jumps between
-// phases. Load-based splitting must carve the hot window out of its range
-// (and merging should eventually reclaim the cold remnants).
+// The MigratingHotspot mix: hotspotHotFrac of the operations land in the hot
+// window, a tenth of the keys wide, and hotspotWriteFrac of them update
+// (YCSB-B's mix).
+const (
+	hotspotHotFrac   = 0.9
+	hotspotWriteFrac = 0.05
+)
+
+// MigratingHotspot drives YCSB-style reads/updates where most operations
+// land in a key window that jumps between phases. Load-based splitting must
+// carve the hot window out of its range (and merging should eventually
+// reclaim the cold remnants).
 type MigratingHotspot struct {
 	Y *YCSB
-	// HotFrac is the fraction of ops aimed at the hot window (default 0.9).
-	HotFrac float64
-	// WindowKeys is the hot window width in keys (default RecordCount/10).
-	WindowKeys int
 	// ClientsPerRegion closed-loop clients run at each region's gateway
 	// (default 2).
 	ClientsPerRegion int
-	// WriteFrac is the update fraction (default 0.05, YCSB-B's mix).
-	WriteFrac float64
 	// Think is an optional pause between operations.
 	Think sim.Duration
 	// Regions restricts the client regions (default: all cluster regions).
@@ -232,19 +237,15 @@ type MigratingHotspot struct {
 // NewMigratingHotspot wraps an already set-up YCSB harness.
 func NewMigratingHotspot(y *YCSB, windowWidth sim.Duration) *MigratingHotspot {
 	return &MigratingHotspot{
-		Y:       y,
-		HotFrac: 0.9, WindowKeys: y.Cfg.RecordCount / 10, ClientsPerRegion: 2,
-		WriteFrac: 0.05,
-		Windows:   NewWindowedRecorder(windowWidth),
+		Y:                y,
+		ClientsPerRegion: 2,
+		Windows:          NewWindowedRecorder(windowWidth),
 	}
 }
 
 // Run executes the phases sequentially, spawning clients in region order
 // each phase and joining them at the phase boundary.
 func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
-	if h.WindowKeys <= 0 {
-		h.WindowKeys = 1
-	}
 	regions := h.Regions
 	if len(regions) == 0 {
 		regions = h.Y.Cluster.Regions()
@@ -277,13 +278,14 @@ func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
 func (h *MigratingHotspot) client(wp *sim.Proc, rng *rand.Rand, region simnet.Region, hotStart int, deadline sim.Time) error {
 	y := h.Y
 	s := y.Sessions[region]
+	windowKeys := max(y.Cfg.RecordCount/10, 1)
 	op := 0
 	var firstErr error
 	for wp.Now() < deadline {
 		op++
 		var key int
-		if rng.Float64() < h.HotFrac {
-			key = hotStart + rng.Intn(h.WindowKeys)
+		if rng.Float64() < hotspotHotFrac {
+			key = hotStart + rng.Intn(windowKeys)
 			if key >= y.Cfg.RecordCount {
 				key = y.Cfg.RecordCount - 1
 			}
@@ -292,7 +294,7 @@ func (h *MigratingHotspot) client(wp *sim.Proc, rng *rand.Rand, region simnet.Re
 		}
 		start := wp.Now()
 		var err error
-		if rng.Float64() < h.WriteFrac {
+		if rng.Float64() < hotspotWriteFrac {
 			err = y.doUpdate(wp, s, key, op)
 		} else {
 			err = y.doRead(wp, s, key)

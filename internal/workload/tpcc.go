@@ -25,8 +25,7 @@ type TPCCConfig struct {
 	WarehousesPerRegion int
 	DistrictsPerWH      int
 	CustomersPerDist    int
-	Items               int
-	StockPerWH          int // stocked item count per warehouse (<= Items)
+	Items               int // every warehouse stocks every item
 	TerminalsPerRegion  int
 	TxnsPerTerminal     int
 	// RunFor, when set, runs each terminal in a closed loop until the
@@ -45,7 +44,6 @@ func DefaultTPCCConfig() TPCCConfig {
 		DistrictsPerWH:      10, // spec value; fewer districts convoy on d_next_o_id
 		CustomersPerDist:    10,
 		Items:               500,
-		StockPerWH:          500,
 		TerminalsPerRegion:  3,
 		TxnsPerTerminal:     20,
 		RemoteWarehouseFrac: 0.10,
@@ -72,9 +70,6 @@ type TPCC struct {
 	NewOrders int64
 	// Elapsed is the measurement duration in virtual time.
 	Elapsed sim.Duration
-
-	// TraceLog, if set, receives per-transaction diagnostics.
-	TraceLog func(string)
 
 	regions []simnet.Region
 	histSeq int
@@ -198,7 +193,7 @@ func (t *TPCC) Load(p *sim.Proc) error {
 				}
 			}
 		}
-		for i := 0; i < t.Cfg.StockPerWH && i < t.Cfg.Items; i++ {
+		for i := 0; i < t.Cfg.Items; i++ {
 			if err := load("stock", map[string]sql.Datum{
 				"s_w_id": int64(w), "s_i_id": int64(i),
 				"s_quantity": int64(100), "s_ytd": int64(0),
@@ -355,9 +350,6 @@ func (t *TPCC) terminal(p *sim.Proc, region simnet.Region, regionIdx, termIdx in
 		}
 		if err != nil {
 			return fmt.Errorf("tpcc %s terminal %d: %w", region, termIdx, err)
-		}
-		if t.TraceLog != nil {
-			t.TraceLog(fmt.Sprintf("%s term%d txn%d roll=%.2f took %v", region, termIdx, i, roll, p.Now().Sub(start)))
 		}
 	}
 	return nil
