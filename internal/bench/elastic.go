@@ -71,7 +71,6 @@ type elasticScenario struct {
 	LoadSplits    int64           `json:"load_splits"`
 	Merges        int64           `json:"merges"`
 	LeaseMoves    int64           `json:"lease_moves"`
-	ReplicaMoves  int64           `json:"replica_moves"`
 	RangesFinal   int             `json:"ranges_final"`
 	Errors        int             `json:"errors"`
 }
@@ -196,7 +195,7 @@ func elasticFollowTheSun(phaseDur sim.Duration, window sim.Duration) (*elasticSc
 	out.BaselineP50Ms, out.BaselineP99Ms, out.Events = convergence(
 		[]string{"shift-to-europe", "shift-to-asia"}, fts.HotWindows, fts.PhaseStarts, phaseDur)
 	out.LoadSplits, out.Merges = c.Admin.LoadSplits, c.Admin.Merges
-	out.LeaseMoves, out.ReplicaMoves = c.Admin.LeaseMoves, c.Admin.ReplicaMoves
+	out.LeaseMoves = c.Admin.LeaseMoves
 	out.RangesFinal = len(c.Catalog.All())
 	return out, exportScenario(c, out.Name)
 }
@@ -246,7 +245,7 @@ func elasticHotspot(scale Scale, phaseDur sim.Duration, window sim.Duration) (*e
 	out.BaselineP50Ms, out.BaselineP99Ms, out.Events = convergence(
 		[]string{"hotspot-jump-1", "hotspot-jump-2"}, hs.Windows, hs.PhaseStarts, phaseDur)
 	out.LoadSplits, out.Merges = c.Admin.LoadSplits, c.Admin.Merges
-	out.LeaseMoves, out.ReplicaMoves = c.Admin.LeaseMoves, c.Admin.ReplicaMoves
+	out.LeaseMoves = c.Admin.LeaseMoves
 	out.RangesFinal = len(c.Catalog.All())
 	if out.LoadSplits == 0 {
 		return out, fmt.Errorf("elastic: hotspot produced no load-based splits")
@@ -310,7 +309,7 @@ func elasticRegionAdd(phaseDur sim.Duration, window sim.Duration) (*elasticScena
 	out.BaselineP50Ms, out.BaselineP99Ms, out.Events = convergence(
 		[]string{"add-region-asia", "drop-region-asia"}, fts.Windows, fts.PhaseStarts, phaseDur)
 	out.LoadSplits, out.Merges = c.Admin.LoadSplits, c.Admin.Merges
-	out.LeaseMoves, out.ReplicaMoves = c.Admin.LeaseMoves, c.Admin.ReplicaMoves
+	out.LeaseMoves = c.Admin.LeaseMoves
 	out.RangesFinal = len(c.Catalog.All())
 	return out, exportScenario(c, out.Name)
 }
@@ -340,9 +339,9 @@ func Elastic(w io.Writer, scale Scale) error {
 		sc, err := run()
 		if sc != nil {
 			res.Scenarios = append(res.Scenarios, *sc)
-			fmt.Fprintf(w, "  %-20s baseline p50=%-8.2fms p99=%-8.2fms splits=%d merges=%d lease_moves=%d replica_moves=%d ranges=%d errs=%d\n",
+			fmt.Fprintf(w, "  %-20s baseline p50=%-8.2fms p99=%-8.2fms splits=%d merges=%d lease_moves=%d ranges=%d errs=%d\n",
 				sc.Name, sc.BaselineP50Ms, sc.BaselineP99Ms, sc.LoadSplits, sc.Merges,
-				sc.LeaseMoves, sc.ReplicaMoves, sc.RangesFinal, sc.Errors)
+				sc.LeaseMoves, sc.RangesFinal, sc.Errors)
 			for _, ev := range sc.Events {
 				status := "converged"
 				if !ev.Converged {

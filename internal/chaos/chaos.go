@@ -356,7 +356,6 @@ func runOn(c *cluster.Cluster, opts Options) (*Report, error) {
 	h.rep.LoadSplits = c.Admin.LoadSplits
 	h.rep.LoadMerges = c.Admin.Merges
 	h.rep.LeaseMoves = c.Admin.LeaseMoves
-	h.rep.ReplicaMoves = c.Admin.ReplicaMoves
 	if h.rep.Restarts > 0 {
 		h.rep.RestartRecovery = c.Metrics.Histogram("recovery.duration").Summary()
 	}

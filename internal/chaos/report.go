@@ -46,11 +46,10 @@ type Report struct {
 
 	// Elastic activity (Options.Elastic): load-queue decisions plus the
 	// migrator's completed bank-range relocations.
-	LoadSplits   int64
-	LoadMerges   int64
-	LeaseMoves   int64
-	ReplicaMoves int64
-	Relocations  int
+	LoadSplits  int64
+	LoadMerges  int64
+	LeaseMoves  int64
+	Relocations int
 
 	// Availability probes and measured recovery intervals (virtual time).
 	ProbesOK     int64
@@ -167,9 +166,9 @@ func (r *Report) String() string {
 			fmt.Fprintf(&b, "    first: %s\n", r.PlacementFirstBad)
 		}
 	}
-	if r.LoadSplits+r.LoadMerges+r.LeaseMoves+r.ReplicaMoves+int64(r.Relocations) > 0 {
-		fmt.Fprintf(&b, "  elastic: load-splits=%d merges=%d lease-moves=%d replica-moves=%d relocations=%d\n",
-			r.LoadSplits, r.LoadMerges, r.LeaseMoves, r.ReplicaMoves, r.Relocations)
+	if r.LoadSplits+r.LoadMerges+r.LeaseMoves+int64(r.Relocations) > 0 {
+		fmt.Fprintf(&b, "  elastic: load-splits=%d merges=%d lease-moves=%d relocations=%d\n",
+			r.LoadSplits, r.LoadMerges, r.LeaseMoves, r.Relocations)
 	}
 	fmt.Fprintf(&b, "  probes: ok=%d failed=%d outages=%d max-rto=%v\n",
 		r.ProbesOK, r.ProbesFailed, len(r.Recoveries), r.MaxRTO())

@@ -44,7 +44,7 @@ type Config struct {
 	// LoadBased enables the allocator loop: per-range QPS tracking fed by
 	// every DistSender, plus the split/merge/rebalance queue that splits
 	// hot ranges at a load-weighted key, merges cold neighbors, and moves
-	// leases and replicas toward traffic.
+	// leases toward traffic.
 	LoadBased bool
 	// Load tunes the allocator loop (zero fields take defaults).
 	Load kv.LoadConfig

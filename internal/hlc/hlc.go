@@ -160,7 +160,7 @@ func NewClock(source WallSource, maxOffset sim.Duration) *Clock {
 func (c *Clock) MaxOffset() sim.Duration { return c.maxOffset }
 
 // Now returns the next HLC timestamp: at least wall time, and strictly after
-// every timestamp previously returned or observed via Update.
+// every timestamp it previously returned.
 func (c *Clock) Now() Timestamp {
 	wall := c.source.WallNow()
 	if wall > c.last.WallTime {
@@ -173,14 +173,6 @@ func (c *Clock) Now() Timestamp {
 
 // PhysicalNow returns the raw wall time without advancing the HLC.
 func (c *Clock) PhysicalNow() int64 { return c.source.WallNow() }
-
-// Update forwards the clock to at least t, implementing the HLC receive
-// rule: after observing a message stamped t, all local timestamps are > t.
-func (c *Clock) Update(t Timestamp) {
-	if c.last.Less(t) {
-		c.last = t
-	}
-}
 
 // NowAfter blocks conceptually until the clock exceeds t; in practice it
 // returns the duration a caller must sleep so that, afterwards, Now() > t.

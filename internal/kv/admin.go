@@ -28,6 +28,8 @@ type Admin struct {
 	// Aggregate allocator-loop decision counters. Splits is always zero:
 	// the loop splits on load only (LoadSplits), and the field stays for
 	// the benchmark's kv.splits, which reads Splits + LoadSplits.
+	// ReplicaMoves is always zero too: the loop moves leases, never
+	// replicas, and the field stays for the benchmark's kv.replica_moves.
 	Splits       int64
 	LoadSplits   int64
 	Merges       int64

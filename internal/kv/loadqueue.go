@@ -15,7 +15,8 @@ import (
 type LoadConfig struct {
 	// Interval is the queue cadence (default 10s).
 	Interval sim.Duration
-	// HalfLife is the QPS decay half-life (default 30s).
+	// HalfLife is the QPS decay half-life (default 30s, applied by
+	// NewRangeLoadTracker).
 	HalfLife sim.Duration
 	// SplitQPS is the rate above which a range splits at a load-weighted
 	// key (default 500).
@@ -32,16 +33,13 @@ const (
 	// lease.
 	leaseShare = 0.66
 	// leaseTicks is how many consecutive ticks the same region must
-	// dominate before the lease (or a replica) moves.
+	// dominate before the lease moves.
 	leaseTicks = 2
 )
 
 func (lc LoadConfig) withDefaults() LoadConfig {
 	if lc.Interval <= 0 {
 		lc.Interval = 10 * sim.Second
-	}
-	if lc.HalfLife <= 0 {
-		lc.HalfLife = 30 * sim.Second
 	}
 	if lc.SplitQPS <= 0 {
 		lc.SplitQPS = 500
@@ -58,12 +56,11 @@ func (lc LoadConfig) withDefaults() LoadConfig {
 // RangeDecisions counts the allocator loop's actions on one range; surfaced
 // through mrdb_internal.ranges.
 type RangeDecisions struct {
-	Splits, Merges, LeaseMoves, ReplicaMoves int64
+	Splits, Merges, LeaseMoves int64
 }
 
 func (d RangeDecisions) String() string {
-	return fmt.Sprintf("splits=%d merges=%d lease_moves=%d replica_moves=%d",
-		d.Splits, d.Merges, d.LeaseMoves, d.ReplicaMoves)
+	return fmt.Sprintf("splits=%d merges=%d lease_moves=%d", d.Splits, d.Merges, d.LeaseMoves)
 }
 
 // Decisions returns the allocator loop's decision counts for a range.
@@ -228,15 +225,13 @@ func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
 }
 
 // StartLoadQueue runs the allocator loop: split hot ranges at a load-weighted
-// key, merge cold adjacent ranges, and move leases and replicas toward
-// traffic while honoring zone configs. It returns a stop
-// function. All decisions run on the virtual clock over deterministic
-// traffic accounting, so same-seed runs make identical decisions.
+// key, merge cold adjacent ranges, and move leases toward traffic while
+// honoring lease preferences. Replicas never move for load: a zone config
+// fixes each voter's region. It returns a stop function. All decisions run
+// on the virtual clock over deterministic traffic accounting, so same-seed
+// runs make identical decisions.
 func (a *Admin) StartLoadQueue(lc LoadConfig) (stop func()) {
 	lc = lc.withDefaults()
-	if a.Load == nil {
-		a.Load = NewRangeLoadTracker(a.Sim, lc.HalfLife)
-	}
 	coldTicks := map[RangeID]int{}
 	hotTicks := map[RangeID]int{}
 	hotRegion := map[RangeID]simnet.Region{}
@@ -299,9 +294,8 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 		if coldTicks[cl.RangeID] < lc.MergeTicks || coldTicks[cr.RangeID] < lc.MergeTicks {
 			continue
 		}
-		if cl.Policy != cr.Policy || !a.configsMergeable(cl.RangeID, cr.RangeID) {
-			continue
-		}
+		// MergeRanges refuses mismatched policies and zone configs before
+		// any side effect.
 		if err := a.MergeRanges(p, cl.RangeID); err != nil {
 			continue
 		}
@@ -311,7 +305,8 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 		a.bumpDecision(cl.RangeID, func(rd *RangeDecisions) { rd.Merges++ })
 	}
 
-	// 3. Move leases (and, when needed, replicas) toward traffic.
+	// 3. Move leases toward traffic: to the hot region's lowest-numbered
+	// voter, unless the lease preferences pin the lease elsewhere.
 	for _, d := range a.Catalog.All() {
 		shares := a.Load.RegionShares(d.RangeID)
 		if len(shares) == 0 || shares[0].Share < leaseShare {
@@ -332,110 +327,22 @@ func (a *Admin) loadTick(p *sim.Proc, lc LoadConfig, coldTicks, hotTicks map[Ran
 		if !ok || a.regionOf(cur.Leaseholder) == top {
 			continue
 		}
-		cfg, hasCfg := a.Catalog.ZoneConfig(cur.RangeID)
-		if hasCfg && len(cfg.LeasePreferences) > 0 && !regionInPrefs(top, cfg.LeasePreferences) {
-			// The config pins the lease elsewhere; respect it.
+		if cfg, ok := a.Catalog.ZoneConfig(cur.RangeID); ok && len(cfg.LeasePreferences) > 0 && !cfg.Prefers(top) {
 			continue
 		}
-		// Prefer a lease transfer to an existing voter in the hot region.
 		var target simnet.NodeID
 		for _, v := range cur.Voters {
 			if a.regionOf(v) == top && (target == 0 || v < target) {
 				target = v
 			}
 		}
-		if target != 0 {
-			if err := a.TransferLease(p, cur.RangeID, target); err == nil {
-				a.LeaseMoves++
-				a.bumpDecision(cur.RangeID, func(rd *RangeDecisions) { rd.LeaseMoves++ })
-				hotTicks[cur.RangeID] = 0
-			}
+		if target == 0 {
 			continue
 		}
-		// No voter in the hot region: swap one in if the config allows it.
-		if !hasCfg {
-			continue
-		}
-		if a.rebalanceReplica(p, cur, cfg, top, shares) {
-			a.ReplicaMoves++
-			a.bumpDecision(cur.RangeID, func(rd *RangeDecisions) { rd.ReplicaMoves++ })
+		if err := a.TransferLease(p, cur.RangeID, target); err == nil {
+			a.LeaseMoves++
+			a.bumpDecision(cur.RangeID, func(rd *RangeDecisions) { rd.LeaseMoves++ })
 			hotTicks[cur.RangeID] = 0
-		}
-	}
-}
-
-func regionInPrefs(r simnet.Region, prefs []simnet.Region) bool {
-	for _, p := range prefs {
-		if p == r {
-			return true
-		}
-	}
-	return false
-}
-
-// rebalanceReplica swaps the lowest-traffic droppable voter for a node in
-// the hot region, keeping the zone config exactly satisfied throughout
-// (validated before acting). Returns whether a move was made.
-func (a *Admin) rebalanceReplica(p *sim.Proc, d *RangeDescriptor, cfg zones.Config, hot simnet.Region, shares []RegionShare) bool {
-	onRange := map[simnet.NodeID]bool{}
-	for _, id := range d.Replicas() {
-		onRange[id] = true
-	}
-	// Candidate to add: lowest-ID free node in the hot region.
-	var add simnet.NodeID
-	for _, id := range a.Topo.NodesInRegion(hot) {
-		if _, ok := a.Stores[id]; ok && !onRange[id] {
-			add = id
-			break
-		}
-	}
-	if add == 0 {
-		return false
-	}
-	shareOf := map[simnet.Region]float64{}
-	for _, s := range shares {
-		shareOf[s.Region] = s.Share
-	}
-	// Candidates to drop: voters other than the leaseholder, coldest
-	// region first (node ID breaks ties).
-	drops := append([]simnet.NodeID(nil), d.Voters...)
-	sortNodeIDs(drops, func(x, y simnet.NodeID) bool {
-		sx, sy := shareOf[a.regionOf(x)], shareOf[a.regionOf(y)]
-		if sx != sy {
-			return sx < sy
-		}
-		return x < y
-	})
-	checker := &zones.Allocator{Topo: a.Topo}
-	for _, drop := range drops {
-		if drop == d.Leaseholder {
-			continue
-		}
-		var voters []simnet.NodeID
-		for _, v := range d.Voters {
-			if v == drop {
-				voters = append(voters, add)
-			} else {
-				voters = append(voters, v)
-			}
-		}
-		pl := zones.Placement{
-			Voters:      voters,
-			NonVoters:   append([]simnet.NodeID(nil), d.NonVoters...),
-			Leaseholder: d.Leaseholder,
-		}
-		if checker.CheckPlacement(cfg, pl) != nil {
-			continue
-		}
-		return a.Relocate(p, d.RangeID, pl, d.Policy, nil) == nil
-	}
-	return false
-}
-
-func sortNodeIDs(ids []simnet.NodeID, less func(x, y simnet.NodeID) bool) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && less(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
 		}
 	}
 }

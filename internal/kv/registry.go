@@ -274,18 +274,8 @@ func (r *TxnRegistry) WaitFinished(p *sim.Proc, id mvcc.TxnID, timeout sim.Durat
 	if rec.finished == nil {
 		rec.finished = sim.NewCond(r.sim)
 	}
-	expired := false
-	if timeout > 0 {
-		r.sim.After(timeout, func() {
-			if rec.status == mvcc.Pending {
-				expired = true
-				rec.finished.Broadcast()
-			}
-		})
-	}
-	for rec.status == mvcc.Pending && !expired {
-		rec.finished.Wait(p)
-	}
+	// Every Broadcast on finished ends Pending, so one timed wait is enough.
+	rec.finished.WaitTimeout(p, timeout)
 	return rec.status, rec.commitTS
 }
 

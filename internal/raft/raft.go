@@ -135,9 +135,9 @@ type HardState struct {
 	Vote simnet.NodeID
 }
 
-// Storage persists Raft state for one replica. A nil Storage in Config
-// keeps the historical fully-synchronous in-memory behavior: a completion
-// runs before persisting returns and nothing survives a crash.
+// Storage persists Raft state for one replica. A node built without one
+// keeps its state in memory only (memStorage): a completion runs before
+// persisting returns and nothing survives a crash.
 //
 // Every Append carries a Completion: the promise the node withholds until
 // the append is durable (a vote request, a granted vote, the leader's count
@@ -163,6 +163,14 @@ type Storage interface {
 	// ApplySnapshot callback before Reset is called.
 	Reset(index, term uint64, hs HardState)
 }
+
+// memStorage is the Storage of a node built without one: every Append is
+// durable at once, and there is no durable log to rewrite.
+type memStorage struct{}
+
+func (memStorage) Append(_ HardState, _ []Entry, c Completion) { c.Run() }
+func (memStorage) Compact(uint64, uint64, []Entry, HardState)  {}
+func (memStorage) Reset(uint64, uint64, HardState)             {}
 
 // Completion is a promise a node withholds until an Append is durable. It
 // is a plain value, so a storage can carry it in the event that completes
@@ -225,10 +233,10 @@ type Config struct {
 	// OnHeartbeat, if set, receives a non-zero Closed on followers/learners.
 	OnHeartbeat func(closed hlc.Timestamp)
 
-	// Storage, if set, persists hard state and log entries; promises to
-	// peers (votes, append acks, the leader's own match index) are then
-	// withheld until the corresponding fsync completes (see Completion).
-	// Nil keeps the historical synchronous in-memory behavior exactly.
+	// Storage persists hard state and log entries; promises to peers
+	// (votes, append acks, the leader's own match index) are withheld
+	// until the corresponding fsync completes (see Completion). Nil keeps
+	// state in memory only, where every append is durable at once.
 	Storage Storage
 	// Snapshot, if set, serializes the applied state machine as of
 	// (index, term), this node's applied position. The leader calls it when
@@ -304,8 +312,8 @@ type Node struct {
 	commitIndex uint64
 	applied     uint64
 	// durableIndex is the highest log index known fsynced locally; the
-	// node never tells a leader it matched an entry beyond it. With nil
-	// Storage it tracks LastIndex.
+	// node never tells a leader it matched an entry beyond it. In memory
+	// only it tracks LastIndex.
 	durableIndex uint64
 	// persisted is the hard state last handed to persist.
 	persisted HardState
@@ -367,6 +375,9 @@ type proposal struct {
 // NewNode constructs a replica. If the node appears in cfg.Learners it
 // starts as a Learner, otherwise as a Follower. Call Start to arm timers.
 func NewNode(cfg Config) *Node {
+	if cfg.Storage == nil {
+		cfg.Storage = memStorage{}
+	}
 	n := &Node{
 		cfg:               cfg,
 		heartbeatInterval: DefaultHeartbeatInterval,
@@ -453,16 +464,10 @@ func (n *Node) offset() uint64 { return n.log[0].Index }
 func (n *Node) at(idx uint64) Entry { return n.log[idx-n.offset()] }
 
 // persist stages the current hard state plus entries and runs c once
-// durable. With nil Storage it completes synchronously, preserving the
-// historical in-memory semantics event-for-event.
+// durable.
 func (n *Node) persist(entries []Entry, c Completion) {
 	n.persisted = HardState{Term: n.term, Vote: n.votedFor}
 	c.n = n
-	if n.cfg.Storage == nil {
-		n.durableIndex = n.LastIndex()
-		n.complete(c)
-		return
-	}
 	n.cfg.Storage.Append(n.persisted, entries, c)
 }
 
@@ -1098,11 +1103,9 @@ func (n *Node) handleSnap(msg Message) {
 	n.commitIndex = msg.SnapIndex
 	n.applied = msg.SnapIndex
 	n.durableIndex = msg.SnapIndex
-	if n.cfg.Storage != nil {
-		// ApplySnapshot persisted the checkpoint; now the durable log is
-		// reset around it (both atomic, so the ack below is safe).
-		n.cfg.Storage.Reset(msg.SnapIndex, msg.SnapTerm, HardState{Term: n.term, Vote: n.votedFor})
-	}
+	// ApplySnapshot persisted the checkpoint; now the durable log is reset
+	// around it (both atomic, so the ack below is safe).
+	n.cfg.Storage.Reset(msg.SnapIndex, msg.SnapTerm, HardState{Term: n.term, Vote: n.votedFor})
 	n.send(msg.From, Message{
 		Kind: MsgAppResp, Term: n.term, From: n.cfg.ID, Success: true,
 		MatchIndex: msg.SnapIndex,
@@ -1146,11 +1149,9 @@ func (n *Node) Compact(upTo uint64) {
 	log[0] = Entry{Index: upTo, Term: n.at(upTo).Term}
 	copy(log[1:], rest)
 	n.log = log
-	if n.cfg.Storage != nil {
-		n.cfg.Storage.Compact(upTo, log[0].Term, log[1:], HardState{Term: n.term, Vote: n.votedFor})
-		// The rewrite persists the whole remaining tail at once.
-		n.durableIndex = n.LastIndex()
-	}
+	n.cfg.Storage.Compact(upTo, log[0].Term, log[1:], HardState{Term: n.term, Vote: n.votedFor})
+	// The rewrite persists the whole remaining tail at once.
+	n.durableIndex = n.LastIndex()
 }
 
 // Restore primes a freshly-constructed node from recovered durable state:

@@ -219,10 +219,10 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	// ranges table held.
 	const goldenSpanHash = 0xbdaf1c8ab71b3401
 	const goldenRanges = `range_id|start_key|end_key|leaseholder|lease_epoch|lease_region|policy|voters|non_voters|qps|decisions
-1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0 replica_moves=0
-2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0 replica_moves=0
-3|"/t000002/i001/"|"/t000002/i0010"|3|1|us-east1|LEAD|[3 1 2]|[5]|0.0|splits=0 merges=0 lease_moves=0 replica_moves=0
-4|"rb/"|"rb0"|6|1|europe-west2|LAG|[7 6 2]|[]|0.0|splits=1 merges=1 lease_moves=1 replica_moves=0
+1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0
+2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0
+3|"/t000002/i001/"|"/t000002/i0010"|3|1|us-east1|LEAD|[3 1 2]|[5]|0.0|splits=0 merges=0 lease_moves=0
+4|"rb/"|"rb0"|6|1|europe-west2|LAG|[7 6 2]|[]|0.0|splits=1 merges=1 lease_moves=1
 `
 	if a.spanHash != goldenSpanHash {
 		t.Errorf("span hash %016x, want %016x", a.spanHash, uint64(goldenSpanHash))

@@ -68,6 +68,16 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// Prefers reports whether r is one of the config's lease preferences.
+func (c Config) Prefers(r simnet.Region) bool {
+	for _, pref := range c.LeasePreferences {
+		if pref == r {
+			return true
+		}
+	}
+	return false
+}
+
 // String renders the config in the paper's Listing 1 style.
 func (c Config) String() string {
 	s := fmt.Sprintf("num_replicas=%d num_voters=%d", c.NumReplicas, c.NumVoters)
@@ -246,8 +256,9 @@ func (a *Allocator) chooseLeaseholder(cfg Config, voters []simnet.NodeID) simnet
 	return 0
 }
 
-// CheckPlacement verifies that a placement satisfies cfg; used by tests and
-// by the rebalancer to detect drift after topology changes.
+// CheckPlacement verifies that a placement satisfies cfg exactly: the
+// configured counts, everything CheckPlacementDuring checks, and a lease
+// preference that some voter could satisfy.
 func (a *Allocator) CheckPlacement(cfg Config, p Placement) error {
 	if len(p.Voters) != cfg.NumVoters {
 		return fmt.Errorf("zones: %d voters, want %d", len(p.Voters), cfg.NumVoters)
@@ -255,54 +266,21 @@ func (a *Allocator) CheckPlacement(cfg Config, p Placement) error {
 	if len(p.Voters)+len(p.NonVoters) != cfg.NumReplicas {
 		return fmt.Errorf("zones: %d replicas, want %d", len(p.Voters)+len(p.NonVoters), cfg.NumReplicas)
 	}
-	perRegion := map[simnet.Region]int{}
-	votersPerRegion := map[simnet.Region]int{}
-	seen := map[simnet.NodeID]bool{}
-	for _, id := range p.Replicas() {
-		if seen[id] {
-			return fmt.Errorf("zones: node %d placed twice", id)
-		}
-		seen[id] = true
-		l, ok := a.Topo.LocalityOf(id)
-		if !ok {
-			return fmt.Errorf("zones: node %d not in topology", id)
-		}
-		perRegion[l.Region]++
+	if err := a.CheckPlacementDuring(cfg, p); err != nil {
+		return err
 	}
-	for _, id := range p.Voters {
-		l, _ := a.Topo.LocalityOf(id)
-		votersPerRegion[l.Region]++
+	if p.Leaseholder == 0 {
+		return nil
 	}
-	for r, n := range cfg.Constraints {
-		if perRegion[r] < n {
-			return fmt.Errorf("zones: region %s has %d replicas, constraint wants %d", r, perRegion[r], n)
-		}
+	l, _ := a.Topo.LocalityOf(p.Leaseholder)
+	if cfg.Prefers(l.Region) {
+		return nil
 	}
-	for r, n := range cfg.VoterConstraints {
-		if votersPerRegion[r] < n {
-			return fmt.Errorf("zones: region %s has %d voters, voter_constraint wants %d", r, votersPerRegion[r], n)
-		}
-	}
-	if len(cfg.LeasePreferences) > 0 && p.Leaseholder != 0 {
-		l, _ := a.Topo.LocalityOf(p.Leaseholder)
-		match := false
-		for _, pref := range cfg.LeasePreferences {
-			if l.Region == pref {
-				match = true
-				break
-			}
-		}
-		// A preference violation is only an error when some voter could
-		// satisfy it.
-		if !match {
-			for _, pref := range cfg.LeasePreferences {
-				for _, v := range p.Voters {
-					vl, _ := a.Topo.LocalityOf(v)
-					if vl.Region == pref {
-						return fmt.Errorf("zones: leaseholder in %s violates satisfiable preference %v", l.Region, cfg.LeasePreferences)
-					}
-				}
-			}
+	// A preference violation is only an error when some voter could
+	// satisfy it.
+	for _, v := range p.Voters {
+		if vl, _ := a.Topo.LocalityOf(v); cfg.Prefers(vl.Region) {
+			return fmt.Errorf("zones: leaseholder in %s violates satisfiable preference %v", l.Region, cfg.LeasePreferences)
 		}
 	}
 	return nil

@@ -235,3 +235,42 @@ func TestQuickAllocateSatisfies(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCheckPlacementRejects pins each rule CheckPlacement enforces: the
+// exact counts, then CheckPlacementDuring's, then a lease preference that
+// some voter could satisfy.
+func TestCheckPlacementRejects(t *testing.T) {
+	a := &Allocator{Topo: topo(3, 3, 1)} // region-0: n1-n3, region-1: n4-n6, region-2: n7-n9
+	cfg := Config{
+		NumReplicas: 5, NumVoters: 3,
+		VoterConstraints: map[simnet.Region]int{"region-0": 3},
+		Constraints:      map[simnet.Region]int{"region-1": 1, "region-2": 1},
+		LeasePreferences: []simnet.Region{"region-0"},
+	}
+	ids := func(v ...simnet.NodeID) []simnet.NodeID { return v }
+	for _, c := range []struct {
+		name string
+		p    Placement
+		want string // "" when the placement satisfies cfg
+	}{
+		{"satisfied", Placement{ids(1, 2, 3), ids(4, 7), 1}, ""},
+		{"extra voter", Placement{ids(1, 2, 3, 4), ids(7), 1}, "4 voters, want 3"},
+		{"extra replica", Placement{ids(1, 2, 3), ids(4, 7, 8), 1}, "6 replicas, want 5"},
+		{"node twice", Placement{ids(1, 2, 3), ids(4, 1), 1}, "node 1 placed twice"},
+		{"unknown node", Placement{ids(1, 2, 3), ids(4, 99), 1}, "node 99 not in topology"},
+		{"constraint", Placement{ids(1, 2, 3), ids(4, 5), 1}, "region region-2 has 0 replicas"},
+		{"voter constraint", Placement{ids(1, 2, 4), ids(3, 7), 1}, "region region-0 has 2 voters"},
+		{"satisfiable preference", Placement{ids(1, 2, 3), ids(4, 7), 4}, "violates satisfiable preference"},
+	} {
+		err := a.CheckPlacement(cfg, c.p)
+		if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+			t.Errorf("%s: CheckPlacement = %v, want %q", c.name, err, c.want)
+		}
+	}
+	// A preference no voter can satisfy is not a violation.
+	unsat := cfg.Clone()
+	unsat.LeasePreferences = []simnet.Region{"region-1"}
+	if err := a.CheckPlacement(unsat, Placement{ids(1, 2, 3), ids(4, 7), 1}); err != nil {
+		t.Errorf("unsatisfiable preference: %v", err)
+	}
+}
