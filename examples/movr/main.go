@@ -16,6 +16,7 @@ import (
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/sql"
+	"mrdb/internal/txn"
 )
 
 func main() {
@@ -105,14 +106,13 @@ func main() {
 
 		fmt.Println("\n-- Rides insert locally and join against the GLOBAL promo table without leaving the region:")
 		txStart := p.Now()
-		tx := london.BeginTxn()
-		if _, err := london.ExecTxn(p, tx, `SELECT description FROM promo_codes WHERE code = 'RIDE5'`); err != nil {
-			panic(err)
-		}
-		if _, err := london.ExecTxn(p, tx, `INSERT INTO rides (id, city, rider_id, vehicle) VALUES (100, 'london', 2, 'scooter')`); err != nil {
-			panic(err)
-		}
-		if err := london.CommitTxn(p); err != nil {
+		if err := london.RunTxn(p, func(tx *txn.Txn) error {
+			if _, err := london.ExecTxn(p, tx, `SELECT description FROM promo_codes WHERE code = 'RIDE5'`); err != nil {
+				return err
+			}
+			_, err := london.ExecTxn(p, tx, `INSERT INTO rides (id, city, rider_id, vehicle) VALUES (100, 'london', 2, 'scooter')`)
+			return err
+		}); err != nil {
 			panic(err)
 		}
 		fmt.Printf("  %-46s %10s @ %s\n", "txn: read promo + insert ride", p.Now().Sub(txStart), london.Region())

@@ -29,10 +29,11 @@ import (
 	"mrdb/internal/zones"
 )
 
-// Options parameterizes a chaos run. Zero values take defaults.
+// Options parameterizes a chaos run. Zero values of the schedule shape
+// (MeanHold, MeanPause, Movers) take defaults; Faults is taken as given.
 type Options struct {
 	Seed   int64
-	Faults int // fault/heal pairs to inject (2*Faults events total)
+	Faults int // fault/heal pairs to inject (2*Faults events total; 0 = none)
 
 	// MeanHold/MeanPause shape the schedule: each fault holds for a
 	// uniform duration in [Mean/2, 3*Mean/2], with a similar pause between
@@ -57,8 +58,7 @@ type Options struct {
 	// Elastic enables the load-based allocator and the elastic workloads:
 	// a hot single-region range that must attract load splits and a lease
 	// move, plus a migrator that relocates the bank range back and forth so
-	// the placement checker observes live replica migrations. With Elastic
-	// set, Faults: 0 really means a nemesis-free run (no default kicks in).
+	// the placement checker observes live replica migrations.
 	Elastic bool
 	// Verbose prints events as they are injected.
 	Verbose bool
@@ -80,9 +80,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.Faults == 0 && !o.Elastic {
-		o.Faults = 10
-	}
 	if o.MeanHold == 0 {
 		o.MeanHold = 4 * sim.Second
 	}

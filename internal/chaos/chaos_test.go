@@ -136,6 +136,21 @@ func TestSeedsDiffer(t *testing.T) {
 	}
 }
 
+// TestZeroFaultsInjectsNothing: Faults means what it says. Zero is a
+// nemesis-free run, not a request for the default schedule.
+func TestZeroFaultsInjectsNothing(t *testing.T) {
+	rep, err := Run(Options{Seed: 1, Faults: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Events) != 0 {
+		t.Fatalf("Faults: 0 injected %d events:\n%s", len(rep.Events), rep.Schedule())
+	}
+	if !rep.OK() {
+		t.Fatalf("invariants violated:\n%s", rep)
+	}
+}
+
 // TestClosedTSMonitorIsPerIncarnation: the monitor is strict while the same
 // replica answers for a (node, range) slot and re-baselines when a
 // relocation (or a restart) put a new replica there — a re-created replica

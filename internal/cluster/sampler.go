@@ -15,8 +15,8 @@ import (
 // tests assert this the same way they do for tracing).
 //
 // Series layout: per-node state (replica counts, leases held, liveness) is
-// recorded under that node's ID; the shared metrics registry — counters,
-// gauges, and histogram rollups — is cluster-wide, so the lowest-numbered
+// recorded under that node's ID; the shared metrics registry — counters
+// and histogram rollups — is cluster-wide, so the lowest-numbered
 // node's sampler snapshots it exactly once per tick under the reserved
 // node 0.
 
@@ -63,17 +63,14 @@ func (c *Cluster) sampleNode(id simnet.NodeID, registry bool) {
 	}
 }
 
-// sampleRegistry snapshots every registry metric under node 0. Counters and
-// gauges sample their cumulative/instantaneous value (rates are derivable
-// from a bucket's max-min over its width); each histogram samples its
+// sampleRegistry snapshots every registry metric under node 0. Counters
+// sample their cumulative value (rates are derivable from a bucket's
+// max-min over its width); each histogram samples its
 // cumulative count and sum plus running p50/p99/max, so latency trajectories
 // survive even though the histogram itself never resets.
 func (c *Cluster) sampleRegistry(now sim.Time) {
 	for _, n := range c.Metrics.Counters() {
 		c.TSDB.Observe(n, 0, now, c.Metrics.Counter(n).Value())
-	}
-	for _, n := range c.Metrics.Gauges() {
-		c.TSDB.Observe(n, 0, now, c.Metrics.Gauge(n).Value())
 	}
 	for _, n := range c.Metrics.Histograms() {
 		h := c.Metrics.Histogram(n)

@@ -74,9 +74,6 @@ type Replica struct {
 	LeaseAcquisitions int64
 }
 
-// Desc returns the replica's view of the range descriptor.
-func (r *Replica) Desc() *RangeDescriptor { return r.desc }
-
 // LeaseEpoch returns the liveness epoch the current lease is bound to, as
 // published at replica creation or the last lease transfer applied here.
 func (r *Replica) LeaseEpoch() int64 { return r.leaseEpoch }

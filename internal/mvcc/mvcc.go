@@ -316,11 +316,6 @@ func (e *Engine) Put(key Key, value Value, ts hlc.Timestamp, txn *TxnMeta) (hlc.
 	return ts, nil
 }
 
-// Delete writes a tombstone; semantics match Put.
-func (e *Engine) Delete(key Key, ts hlc.Timestamp, txn *TxnMeta) (hlc.Timestamp, error) {
-	return e.Put(key, nil, ts, txn)
-}
-
 // GetIntent returns the intent on key, if any.
 func (e *Engine) GetIntent(key Key) (TxnMeta, bool) {
 	c := e.chain(key)

@@ -48,7 +48,7 @@ func TestPutGetBasic(t *testing.T) {
 func TestTombstone(t *testing.T) {
 	e := NewEngine(1)
 	mustPut(t, e, "a", "v1", 10, nil)
-	if _, err := e.Delete(k("a"), ts(20), nil); err != nil {
+	if _, err := e.Put(k("a"), nil, ts(20), nil); err != nil {
 		t.Fatal(err)
 	}
 	val, _, _ := e.Get(k("a"), ts(25), GetOptions{})
@@ -234,7 +234,7 @@ func TestScan(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		mustPut(t, e, fmt.Sprintf("k%02d", i), fmt.Sprintf("v%d", i), 10, nil)
 	}
-	e.Delete(k("k03"), ts(20), nil)
+	e.Put(k("k03"), nil, ts(20), nil)
 
 	kvs, err := e.Scan(k("k02"), k("k07"), ts(30), 0, GetOptions{})
 	if err != nil {

@@ -89,19 +89,13 @@ func OpenMetrics(w io.Writer, db *tsdb.DB) error {
 }
 
 // RegistrySnapshot writes the metrics registry as a point-in-time
-// Prometheus exposition dump: counters and gauges verbatim, histograms as
+// Prometheus exposition dump: counters verbatim, histograms as
 // summaries (quantile values are the histogram's raw int64 samples —
 // virtual-time nanoseconds for latency metrics).
 func RegistrySnapshot(w io.Writer, reg *obs.Registry) error {
 	for _, n := range reg.Counters() {
 		name := sanitize(n) + "_total"
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, reg.Counter(n).Value()); err != nil {
-			return err
-		}
-	}
-	for _, n := range reg.Gauges() {
-		name := sanitize(n)
-		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", name, name, reg.Gauge(n).Value()); err != nil {
 			return err
 		}
 	}

@@ -26,13 +26,12 @@ func fixtureTSDB() *tsdb.DB {
 	return db
 }
 
-// fixtureRegistry holds two counters, a gauge and a histogram, registered
+// fixtureRegistry holds two counters and a histogram, registered
 // out of name order.
 func fixtureRegistry() *obs.Registry {
 	reg := obs.NewRegistry()
 	reg.Counter("txn.commits").Add(3)
 	reg.Counter("ds.rpc.wan").Inc()
-	reg.Gauge("node.live").Set(9)
 	h := reg.Histogram("ds.batch.size")
 	for v := int64(1); v <= 10; v++ {
 		h.Record(v)
@@ -91,8 +90,6 @@ const goldenRegistry = `# TYPE mrdb_ds_rpc_wan_total counter
 mrdb_ds_rpc_wan_total 1
 # TYPE mrdb_txn_commits_total counter
 mrdb_txn_commits_total 3
-# TYPE mrdb_node_live gauge
-mrdb_node_live 9
 # TYPE mrdb_ds_batch_size summary
 mrdb_ds_batch_size{quantile="0.5"} 6
 mrdb_ds_batch_size{quantile="0.9"} 10
@@ -210,7 +207,7 @@ const goldenJaegerEmpty = `{
 
 // TestExportGoldens pins each exporter's exact bytes: the fixed 2020-01-01
 // epoch, canonical (sorted) ordering whatever the recording order,
-// counter/gauge/summary rendering with quantiles, CHILD_OF references, the
+// counter/summary rendering with quantiles, CHILD_OF references, the
 // boolean error=true tag on SetError spans, and the degenerate inputs
 // (nil TSDB, nil/empty registry, no traces) that WriteDir promises still
 // produce a well-formed file.

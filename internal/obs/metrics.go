@@ -9,13 +9,12 @@ import (
 	"mrdb/internal/sim"
 )
 
-// Registry is a named collection of counters, gauges and histograms.
+// Registry is a named collection of counters and histograms.
 // Metric methods get-or-create, so instrumentation sites never register up
 // front. Like the tracer it is touched only from Procs and needs no
 // locking; a nil Registry degrades every method to a no-op.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -23,7 +22,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{
 		counters: map[string]*Counter{},
-		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 	}
 }
@@ -39,19 +37,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the gauge with the given name, creating it if needed.
-func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the histogram with the given name, creating it if
@@ -81,19 +66,6 @@ func (r *Registry) Counters() []string {
 	return names
 }
 
-// Gauges returns the recorded gauge names in sorted order.
-func (r *Registry) Gauges() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.gauges))
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // Histograms returns the recorded histogram names in sorted order.
 func (r *Registry) Histograms() []string {
 	if r == nil {
@@ -113,21 +85,8 @@ func (r *Registry) String() string {
 		return ""
 	}
 	var b strings.Builder
-	var names []string
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range r.Counters() {
 		fmt.Fprintf(&b, "counter %-32s %d\n", n, r.counters[n].Value())
-	}
-	names = names[:0]
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		fmt.Fprintf(&b, "gauge   %-32s %d\n", n, r.gauges[n].Value())
 	}
 	for _, n := range r.Histograms() {
 		fmt.Fprintf(&b, "hist    %-32s %s\n", n, r.hists[n].Summary())
@@ -154,31 +113,6 @@ func (c *Counter) Value() int64 {
 		return 0
 	}
 	return c.v
-}
-
-// Gauge is an instantaneous value.
-type Gauge struct{ v int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) {
-	if g != nil {
-		g.v = n
-	}
-}
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) {
-	if g != nil {
-		g.v += n
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
 }
 
 // Histogram approximation parameters: log-linear buckets, HDR style. Each

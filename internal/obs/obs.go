@@ -1,6 +1,6 @@
 // Package obs is mrdb's deterministic observability layer: hierarchical
-// spans stamped with virtual time, and a metrics registry (counters,
-// gauges, HDR-style histograms).
+// spans stamped with virtual time, and a metrics registry (counters and
+// HDR-style histograms).
 //
 // Everything here is driven by the simulation clock, never the wall clock,
 // and records strictly passively: no method sleeps, schedules events, or

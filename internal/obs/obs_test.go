@@ -176,7 +176,7 @@ func TestHashDeterminism(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistry covers counters, gauges and nil-registry no-ops.
+// TestMetricsRegistry covers counters and nil-registry no-ops.
 func TestMetricsRegistry(t *testing.T) {
 	r := obs.NewRegistry()
 	r.Counter("a").Inc()
@@ -184,18 +184,12 @@ func TestMetricsRegistry(t *testing.T) {
 	if v := r.Counter("a").Value(); v != 3 {
 		t.Errorf("counter = %d", v)
 	}
-	r.Gauge("g").Set(10)
-	r.Gauge("g").Add(-3)
-	if v := r.Gauge("g").Value(); v != 7 {
-		t.Errorf("gauge = %d", v)
-	}
 	dump := r.String()
-	if !strings.Contains(dump, "a") || !strings.Contains(dump, "g") {
+	if !strings.Contains(dump, "a") {
 		t.Errorf("dump missing metrics:\n%s", dump)
 	}
 	var nilReg *obs.Registry
 	nilReg.Counter("x").Inc()
-	nilReg.Gauge("x").Set(1)
 	nilReg.Histogram("x").Record(1)
 	if nilReg.String() != "" || nilReg.Histograms() != nil {
 		t.Error("nil registry misbehaves")

@@ -190,45 +190,6 @@ func TestPointOpsDoNotAllocate(t *testing.T) {
 	_ = sink
 }
 
-// TestDeleteRecyclesCellAndSlot: a deleted key is gone from the towers and
-// from the index (keys that probed past its slot are still found), and its
-// value cell is the next one handed out.
-func TestDeleteRecyclesCellAndSlot(t *testing.T) {
-	const n = 5000
-	m := NewMap[int](9)
-	for i := 0; i < n; i++ {
-		m.Set(sqlKey(i), i)
-	}
-	cells := m.cells
-	for i := 0; i < n; i += 2 {
-		if v, ok := m.Delete(sqlKey(i)); !ok || v != i {
-			t.Fatalf("Delete(%d) = %d, %v", i, v, ok)
-		}
-	}
-	for i := 0; i < n; i++ {
-		v, ok := m.Get(sqlKey(i))
-		if ok != (i%2 == 1) || (ok && v != i) {
-			t.Fatalf("after deleting the even keys Get(%d) = %d, %v", i, v, ok)
-		}
-	}
-	seen := 0
-	it := m.Iter()
-	for it.First(); it.Valid(); it.Next() {
-		seen++
-	}
-	if seen != n/2 || m.Len() != n/2 {
-		t.Fatalf("scan saw %d, Len %d, want %d", seen, m.Len(), n/2)
-	}
-	for i := 0; i < n; i += 2 {
-		if p, created := m.Upsert(sqlKey(i)); !created || *p != 0 {
-			t.Fatalf("re-inserted key %d: created %v, cell holds %d", i, created, *p)
-		}
-	}
-	if m.cells != cells {
-		t.Fatalf("%d cells handed out, want the %d recycled ones reused", m.cells, cells)
-	}
-}
-
 // TestArenaFullPanics: the 65 537th chunk has no reference; say so.
 func TestArenaFullPanics(t *testing.T) {
 	m := NewMap[int](1)

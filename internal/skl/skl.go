@@ -27,10 +27,9 @@
 //     one hash, one slot load and one bytes.Equal. The towers remain for
 //     ordered access: SeekGE, scans and the insert position of a new key.
 //
-// Delete unlinks the node, removes its index slot and recycles its value
-// cell, but the record's bytes stay dead in their chunk: no caller outside
-// this package's tests deletes (MVCC garbage collection keeps every key's
-// newest version), so there is no compactor.
+// There is no delete: MVCC garbage collection keeps every key's newest
+// version, so a key once inserted stays, and nothing needs to reclaim a
+// record's bytes or its value cell.
 package skl
 
 import (
@@ -89,8 +88,7 @@ type Map[V any] struct {
 	rng    uint64 // splitmix64 state
 
 	slabs [][]V
-	cells uint32   // cells handed out so far
-	free  []uint32 // cells recycled by Delete
+	cells uint32 // cells handed out so far
 
 	// index is open-addressed with linear probing. A slot is 0 when empty,
 	// else tag<<32 | ref, where tag is the key's full 32-bit hash and the
@@ -195,11 +193,6 @@ func (m *Map[V]) cell(i uint32) *V {
 }
 
 func (m *Map[V]) allocCell() uint32 {
-	if n := len(m.free); n > 0 {
-		i := m.free[n-1]
-		m.free = m.free[:n-1]
-		return i
-	}
 	i := m.cells
 	m.cells++
 	if s := bits.Len32(i >> slabShift); s == len(m.slabs) {
@@ -299,25 +292,6 @@ func (m *Map[V]) indexInsert(h, ref uint32) {
 	place(m.index, uint64(h)<<32|uint64(ref))
 }
 
-// indexDelete removes ref's slot by backward shift: each later slot of the
-// run moves up into the hole unless that would put it before its home.
-func (m *Map[V]) indexDelete(h, ref uint32) {
-	mask := uint32(len(m.index) - 1)
-	i := h & mask
-	for uint32(m.index[i]) != ref {
-		i = (i + 1) & mask
-	}
-	for j := (i + 1) & mask; m.index[j] != 0; j = (j + 1) & mask {
-		home := uint32(m.index[j]>>32) & mask
-		// Movable iff home is not cyclically within (i, j].
-		if (j-home)&mask >= (j-i)&mask {
-			m.index[i] = m.index[j]
-			i = j
-		}
-	}
-	m.index[i] = 0
-}
-
 // findGE locates the first node with key >= key. prev, if non-nil, is filled
 // with the rightmost node before the target at every level up to the list's
 // height (0 is the head).
@@ -373,7 +347,7 @@ func (m *Map[V]) insert(key []byte, h uint32) *V {
 }
 
 // Ptr returns the address of key's value, or nil if key is absent. The
-// address stays valid until the key is deleted.
+// address stays valid for the life of the map.
 func (m *Map[V]) Ptr(key []byte) *V { return m.lookup(key, hashKey(key)) }
 
 // Upsert returns the address of key's value, first inserting key with a
@@ -403,40 +377,12 @@ func (m *Map[V]) Get(key []byte) (V, bool) {
 	return zero, false
 }
 
-// Delete removes key, returning its value and whether it was present.
-func (m *Map[V]) Delete(key []byte) (V, bool) {
-	var zero V
-	var prev [maxHeight]uint32
-	n := m.findGE(key, &prev)
-	if n == 0 {
-		return zero, false
-	}
-	rec := m.rec(n)
-	if !bytes.Equal(recKey(rec), key) {
-		return zero, false
-	}
-	for i := recHeight(rec) - 1; i >= 0; i-- {
-		m.setNext(prev[i], i, le.Uint32(rec[recHeader+4*i:]))
-	}
-	m.indexDelete(hashKey(key), n)
-	ci := le.Uint32(rec)
-	p := m.cell(ci)
-	v := *p
-	*p = zero // drop what the value referenced
-	m.free = append(m.free, ci)
-	m.length--
-	return v, true
-}
-
 // Iterator walks entries in key order. It holds references, not slices, so
 // it stays positioned across inserts.
 type Iterator[V any] struct {
 	m   *Map[V]
 	cur uint32
 }
-
-// NewIterator returns an unpositioned iterator; call SeekGE or First.
-func (m *Map[V]) NewIterator() *Iterator[V] { return &Iterator[V]{m: m} }
 
 // Iter returns an unpositioned iterator by value, so iteration-heavy paths
 // (MVCC scans, GC sweeps, snapshot copies) keep it on the stack instead of
@@ -461,9 +407,6 @@ func (it *Iterator[V]) Key() []byte { return recKey(it.m.rec(it.cur)) }
 
 // Ptr returns the address of the current value.
 func (it *Iterator[V]) Ptr() *V { return it.m.cell(le.Uint32(it.m.rec(it.cur))) }
-
-// Value returns the current value.
-func (it *Iterator[V]) Value() V { return *it.Ptr() }
 
 // height returns the current node's tower height.
 func (it *Iterator[V]) height() int { return recHeight(it.m.rec(it.cur)) }

@@ -30,35 +30,6 @@ func TestSetGet(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	l := New(1)
-	for i := 0; i < 100; i++ {
-		l.Set([]byte(fmt.Sprintf("k%03d", i)), i)
-	}
-	v, ok := l.Delete([]byte("k050"))
-	if !ok || v.(int) != 50 {
-		t.Fatalf("Delete = %v, %v", v, ok)
-	}
-	if _, ok := l.Get([]byte("k050")); ok {
-		t.Fatal("deleted key still present")
-	}
-	if _, ok := l.Delete([]byte("k050")); ok {
-		t.Fatal("double delete succeeded")
-	}
-	if l.Len() != 99 {
-		t.Fatalf("Len = %d", l.Len())
-	}
-	// Remaining keys intact and ordered.
-	it := l.NewIterator()
-	n := 0
-	for it.First(); it.Valid(); it.Next() {
-		n++
-	}
-	if n != 99 {
-		t.Fatalf("iterated %d entries", n)
-	}
-}
-
 func TestIterationOrder(t *testing.T) {
 	l := New(2)
 	keys := []string{"delta", "alpha", "echo", "bravo", "charlie"}
@@ -66,7 +37,7 @@ func TestIterationOrder(t *testing.T) {
 		l.Set([]byte(k), i)
 	}
 	var got []string
-	it := l.NewIterator()
+	it := l.Iter()
 	for it.First(); it.Valid(); it.Next() {
 		got = append(got, string(it.Key()))
 	}
@@ -90,7 +61,7 @@ func TestSeekGE(t *testing.T) {
 	cases := []struct{ seek, want string }{
 		{"a", "b"}, {"b", "b"}, {"c", "d"}, {"f", "f"},
 	}
-	it := l.NewIterator()
+	it := l.Iter()
 	for _, c := range cases {
 		it.SeekGE([]byte(c.seek))
 		if !it.Valid() || string(it.Key()) != c.want {
@@ -106,7 +77,7 @@ func TestSeekGE(t *testing.T) {
 func TestSetValueViaIterator(t *testing.T) {
 	l := New(4)
 	l.Set([]byte("x"), 1)
-	it := l.NewIterator()
+	it := l.Iter()
 	it.SeekGE([]byte("x"))
 	*it.Ptr() = 2
 	v, _ := l.Get([]byte("x"))
@@ -132,7 +103,7 @@ func TestDeterministicStructure(t *testing.T) {
 			l.Set([]byte(fmt.Sprintf("%06d", i*7%1000)), i)
 		}
 		var heights []int
-		it := l.NewIterator()
+		it := l.Iter()
 		for it.First(); it.Valid(); it.Next() {
 			heights = append(heights, it.height())
 		}
@@ -152,15 +123,15 @@ func TestDeterministicStructure(t *testing.T) {
 var modelKeyLens = []int{0, 1, 7, 8, 9, 70000}
 
 // modelKey maps k onto eight keys of each length, few enough that a random
-// op sequence keeps meeting keys it has already inserted or deleted.
+// op sequence keeps meeting keys it has already inserted.
 func modelKey(k uint8) []byte {
 	n := len(modelKeyLens)
 	return bytes.Repeat([]byte{k / uint8(n) % 8}, modelKeyLens[int(k)%n])
 }
 
 // Property: the skiplist behaves exactly like a map + sorted keys under a
-// random op sequence, through every way in: Set, Get, Delete, Upsert, Ptr
-// and a seek.
+// random op sequence, through every way in: Set, Get, Upsert, Ptr and a
+// seek.
 func TestQuickModelCheck(t *testing.T) {
 	type op struct {
 		Kind byte
@@ -173,7 +144,7 @@ func TestQuickModelCheck(t *testing.T) {
 		for _, o := range ops {
 			k := modelKey(o.Key)
 			mv, mok := model[string(k)]
-			switch o.Kind % 6 {
+			switch o.Kind % 5 {
 			case 0:
 				prev, replaced := l.Set(k, o.Val)
 				if replaced != mok || (mok && prev.(int) != mv) {
@@ -186,24 +157,18 @@ func TestQuickModelCheck(t *testing.T) {
 					return false
 				}
 			case 2:
-				v, ok := l.Delete(k)
-				if ok != mok || (ok && v.(int) != mv) {
-					return false
-				}
-				delete(model, string(k))
-			case 3:
 				p, created := l.Upsert(k)
 				if created == mok || (created && *p != nil) || (mok && (*p).(int) != mv) {
 					return false
 				}
 				*p = o.Val
 				model[string(k)] = o.Val
-			case 4:
+			case 3:
 				p := l.Ptr(k)
 				if (p != nil) != mok || (mok && (*p).(int) != mv) {
 					return false
 				}
-			case 5:
+			case 4:
 				// A seek lands on the smallest key >= k, and its cell is
 				// the one the index leads to.
 				want, found := "", false
@@ -231,13 +196,13 @@ func TestQuickModelCheck(t *testing.T) {
 			want = append(want, k)
 		}
 		sort.Strings(want)
-		it := l.NewIterator()
+		it := l.Iter()
 		i := 0
 		for it.First(); it.Valid(); it.Next() {
 			if i >= len(want) || string(it.Key()) != want[i] {
 				return false
 			}
-			if it.Value().(int) != model[want[i]] || (*it.Ptr()).(int) != model[want[i]] {
+			if (*it.Ptr()).(int) != model[want[i]] {
 				return false
 			}
 			i++
@@ -258,7 +223,7 @@ func TestLargeScaleOrdered(t *testing.T) {
 		rng.Read(k)
 		l.Set(k, i)
 	}
-	it := l.NewIterator()
+	it := l.Iter()
 	var prev []byte
 	count := 0
 	for it.First(); it.Valid(); it.Next() {

@@ -238,9 +238,6 @@ func NewCatalog() *Catalog {
 // mutation.
 func (c *Catalog) Bump() { c.version++ }
 
-// Version returns the schema/zone-config version counter.
-func (c *Catalog) Version() uint64 { return c.version }
-
 // CreateDatabase registers a database.
 func (c *Catalog) CreateDatabase(db *core.Database) error {
 	if _, ok := c.Databases[db.Name]; ok {

@@ -33,9 +33,6 @@ type Session struct {
 	UniquenessChecks        bool // enable_uniqueness_checks
 	DisableOnePC            bool // disable one-phase commits (ablations)
 
-	// explicit transaction, when the caller manages one.
-	activeTxn *txn.Txn
-
 	// --- statement-execution fast path state ---
 
 	// curFP is the fingerprint of the statement currently executing, when
@@ -113,22 +110,14 @@ func (s *Session) takeResult() *Result {
 }
 
 // Exec parses and executes one statement. DML runs in its own transaction
-// with automatic retries unless the session has an explicit transaction.
+// with automatic retries; a multi-statement transaction is the caller's
+// (RunTxn, ExecTxn).
 func (s *Session) Exec(p *sim.Proc, sqlText string) (*Result, error) {
 	stmt, err := Parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
 	return s.ExecStmt(p, stmt)
-}
-
-// MustExec is Exec that panics on error; for tests and examples.
-func (s *Session) MustExec(p *sim.Proc, sqlText string) *Result {
-	res, err := s.Exec(p, sqlText)
-	if err != nil {
-		panic(fmt.Sprintf("sql: %v", err))
-	}
-	return res
 }
 
 // ExecStmt executes a parsed statement. When cluster tracing is enabled it
@@ -224,31 +213,6 @@ func (s *Session) execStmt(p *sim.Proc, stmt Statement) (*Result, error) {
 	return nil, fmt.Errorf("sql: unhandled statement %T", stmt)
 }
 
-// BeginTxn starts an explicit transaction; subsequent Exec calls run inside
-// it until CommitTxn or RollbackTxn.
-func (s *Session) BeginTxn() *txn.Txn {
-	s.activeTxn = s.Coord.Begin(0)
-	return s.activeTxn
-}
-
-// CommitTxn commits the explicit transaction.
-func (s *Session) CommitTxn(p *sim.Proc) error {
-	if s.activeTxn == nil {
-		return fmt.Errorf("sql: no transaction in progress")
-	}
-	t := s.activeTxn
-	s.activeTxn = nil
-	return t.Commit(p)
-}
-
-// RollbackTxn aborts the explicit transaction.
-func (s *Session) RollbackTxn(p *sim.Proc) {
-	if s.activeTxn != nil {
-		s.activeTxn.Abort(p)
-		s.activeTxn = nil
-	}
-}
-
 // RunTxn executes fn inside a retrying transaction; statements issued via
 // ExecTxn within fn share it. Like ExecStmt it roots a trace when tracing
 // is enabled and no span is already in flight.
@@ -271,9 +235,6 @@ func (s *Session) execDML(p *sim.Proc, stmt Statement) (*Result, error) {
 		}
 		// Virtual tables read in-memory cluster state; no transaction.
 		return s.execVirtualSelect(sel)
-	}
-	if s.activeTxn != nil {
-		return s.execDMLInTxn(p, s.activeTxn, stmt)
 	}
 	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
 		// Stale reads run outside transactions (§5.3).
@@ -309,8 +270,7 @@ func (s *Session) ExecTxn(p *sim.Proc, tx *txn.Txn, sqlText string) (*Result, er
 }
 
 // execDMLInTxn is the one way a statement runs inside a transaction, whether
-// the session's own (BeginTxn), an auto-commit one, or the caller's (ExecTxn,
-// ExecPreparedTxn).
+// an auto-commit one or the caller's (ExecTxn, ExecPreparedTxn).
 func (s *Session) execDMLInTxn(p *sim.Proc, tx *txn.Txn, stmt Statement) (*Result, error) {
 	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
 		return nil, fmt.Errorf("sql: AS OF SYSTEM TIME not allowed in a read-write transaction")

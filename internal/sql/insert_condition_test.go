@@ -79,9 +79,9 @@ func TestInsertDuplicateErrorText(t *testing.T) {
 			if _, err := s.Exec(p, c.stmt); err == nil || err.Error() != c.want {
 				t.Errorf("auto-commit %s: %v, want %q", c.stmt, err, c.want)
 			}
-			s.BeginTxn()
-			_, err := s.Exec(p, c.stmt)
-			s.RollbackTxn(p)
+			tx := s.Coord.Begin(0)
+			_, err := s.ExecTxn(p, tx, c.stmt)
+			tx.Abort(p)
 			if err == nil || err.Error() != c.want {
 				t.Errorf("explicit transaction %s: %v, want %q", c.stmt, err, c.want)
 			}
@@ -108,22 +108,22 @@ func TestInsertConditionWithinTransaction(t *testing.T) {
 	h := newSQLHarness(602)
 	h.run(t, func(p *sim.Proc) {
 		s := h.setupKVT(t, p)
-		s.BeginTxn()
-		mustExec(t, p, s, `INSERT INTO kvt (k, v) VALUES (5, 'first')`)
-		_, err := s.Exec(p, `INSERT INTO kvt (k, v) VALUES (5, 'second')`)
-		s.RollbackTxn(p)
+		tx := s.Coord.Begin(0)
+		mustExecTxn(t, p, s, tx, `INSERT INTO kvt (k, v) VALUES (5, 'first')`)
+		_, err := s.ExecTxn(p, tx, `INSERT INTO kvt (k, v) VALUES (5, 'second')`)
+		tx.Abort(p)
 		if want := `sql: duplicate key value violates unique constraint "primary" (region )`; err == nil || err.Error() != want {
 			t.Errorf("INSERT k; INSERT k: %v, want %q", err, want)
 		}
 
-		s.BeginTxn()
-		mustExec(t, p, s, `INSERT INTO kvt (k, v) VALUES (6, 'first')`)
-		mustExec(t, p, s, `DELETE FROM kvt WHERE k = 6`)
-		mustExec(t, p, s, `INSERT INTO kvt (k, v) VALUES (6, 'again')`)
-		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (7, 'u7@x.com', 'first')`)
-		mustExec(t, p, s, `DELETE FROM users WHERE id = 7`)
-		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (7, 'u7@x.com', 'again')`)
-		if err := s.CommitTxn(p); err != nil {
+		tx = s.Coord.Begin(0)
+		mustExecTxn(t, p, s, tx, `INSERT INTO kvt (k, v) VALUES (6, 'first')`)
+		mustExecTxn(t, p, s, tx, `DELETE FROM kvt WHERE k = 6`)
+		mustExecTxn(t, p, s, tx, `INSERT INTO kvt (k, v) VALUES (6, 'again')`)
+		mustExecTxn(t, p, s, tx, `INSERT INTO users (id, email, name) VALUES (7, 'u7@x.com', 'first')`)
+		mustExecTxn(t, p, s, tx, `DELETE FROM users WHERE id = 7`)
+		mustExecTxn(t, p, s, tx, `INSERT INTO users (id, email, name) VALUES (7, 'u7@x.com', 'again')`)
+		if err := tx.Commit(p); err != nil {
 			t.Fatalf("INSERT k; DELETE k; INSERT k: %v", err)
 		}
 		if res := mustExec(t, p, s, `SELECT v FROM kvt WHERE k = 6`); len(res.Rows) != 1 || res.Rows[0][0] != "again" {
@@ -143,11 +143,11 @@ func TestInsertPartlyAppliedCannotCommit(t *testing.T) {
 	h.run(t, func(p *sim.Proc) {
 		s := h.setupMovr(t, p)
 		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (1, 'a@x.com', 'alice')`)
-		s.BeginTxn()
-		if _, err := s.Exec(p, `INSERT INTO users (id, email, name) VALUES (2, 'a@x.com', 'bob')`); err == nil {
+		tx := s.Coord.Begin(0)
+		if _, err := s.ExecTxn(p, tx, `INSERT INTO users (id, email, name) VALUES (2, 'a@x.com', 'bob')`); err == nil {
 			t.Fatal("duplicate email accepted")
 		}
-		if err := s.CommitTxn(p); err == nil {
+		if err := tx.Commit(p); err == nil {
 			t.Error("a transaction with a half-applied INSERT committed")
 		}
 		if res := mustExec(t, p, s, `SELECT id FROM users WHERE id = 2`); len(res.Rows) != 0 {

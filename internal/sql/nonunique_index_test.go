@@ -33,9 +33,9 @@ func TestNonUniqueIndexEqualityFindsEveryRow(t *testing.T) {
 		if got := ids(mustExec(t, p, s, q)); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 			t.Errorf("outside a transaction: ids %v, want [1 2]", got)
 		}
-		s.BeginTxn()
-		got := ids(mustExec(t, p, s, q))
-		if err := s.CommitTxn(p); err != nil {
+		tx := s.Coord.Begin(0)
+		got := ids(mustExecTxn(t, p, s, tx, q))
+		if err := tx.Commit(p); err != nil {
 			t.Fatal(err)
 		}
 		if len(got) != 2 || got[0] != 1 || got[1] != 2 {

@@ -7,12 +7,23 @@ import (
 	"mrdb/internal/cluster"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/txn"
 )
 
 // mustExec executes one statement and fails the test on error.
 func mustExec(t *testing.T, p *sim.Proc, s *Session, stmt string) *Result {
 	t.Helper()
 	res, err := s.Exec(p, stmt)
+	if err != nil {
+		t.Fatalf("%s: %v", stmt, err)
+	}
+	return res
+}
+
+// mustExecTxn executes one statement inside tx and fails the test on error.
+func mustExecTxn(t *testing.T, p *sim.Proc, s *Session, tx *txn.Txn, stmt string) *Result {
+	t.Helper()
+	res, err := s.ExecTxn(p, tx, stmt)
 	if err != nil {
 		t.Fatalf("%s: %v", stmt, err)
 	}

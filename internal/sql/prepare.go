@@ -24,9 +24,6 @@ type Prepared struct {
 	res Result
 }
 
-// Fingerprint returns the statement's fingerprint (computed at Prepare).
-func (ps *Prepared) Fingerprint() string { return ps.fp }
-
 // NumArgs returns how many placeholder arguments each execution takes.
 func (ps *Prepared) NumArgs() int { return ps.numArgs }
 

@@ -161,7 +161,7 @@ func TestSQLLocalityOptimizedSearch(t *testing.T) {
 		}
 		// With LOS disabled every lookup fans out: local reads also pay
 		// cross-region latency (§7.2.1 "Unoptimized").
-		eu.MustExec(p, `SET enable_locality_optimized_search = off`)
+		mustExec(t, p, eu, `SET enable_locality_optimized_search = off`)
 		start = p.Now()
 		if _, err := eu.Exec(p, `SELECT name FROM users WHERE email = 'eu@x.com'`); err != nil {
 			t.Error(err)
@@ -262,7 +262,7 @@ func TestSQLAutoRehoming(t *testing.T) {
 			t.Errorf("row rehomed with setting off: %v", res.Rows[0][0])
 		}
 		// With auto-rehoming on, the update moves the row (§2.3.2).
-		eu.MustExec(p, `SET enable_auto_rehoming = on`)
+		mustExec(t, p, eu, `SET enable_auto_rehoming = on`)
 		if _, err := eu.Exec(p, `UPDATE users SET name = 'moved2' WHERE id = 10`); err != nil {
 			t.Error(err)
 			return
@@ -321,9 +321,8 @@ func TestSQLStaleReads(t *testing.T) {
 }
 
 // TestAsOfSystemTimeRejectedInEveryTransaction: a stale read cannot run
-// inside a read-write transaction, however the statement enters it — ExecTxn,
-// ExecPreparedTxn, or Exec in a transaction opened by BeginTxn. Outside one
-// the same statement is a stale read.
+// inside a read-write transaction, however the statement enters it — ExecTxn
+// or ExecPreparedTxn. Outside one the same statement is a stale read.
 func TestAsOfSystemTimeRejectedInEveryTransaction(t *testing.T) {
 	h := newSQLHarness(9)
 	h.run(t, func(p *sim.Proc) {
@@ -348,12 +347,6 @@ func TestAsOfSystemTimeRejectedInEveryTransaction(t *testing.T) {
 					_, err := s.ExecPreparedTxn(p, tx, ps)
 					return err
 				})
-			}},
-			{"Exec after BeginTxn", func() error {
-				s.BeginTxn()
-				defer s.RollbackTxn(p)
-				_, err := s.Exec(p, stmt)
-				return err
 			}},
 		} {
 			if err := c.exec(); err == nil || err.Error() != want {

@@ -20,9 +20,9 @@ const emailDuplicate = `sql: duplicate key value violates unique constraint "use
 // rolled back, and returns both errors.
 func execBoth(p *sim.Proc, s *Session, stmt string) (autoErr, txnErr error) {
 	_, autoErr = s.Exec(p, stmt)
-	s.BeginTxn()
-	_, txnErr = s.Exec(p, stmt)
-	s.RollbackTxn(p)
+	tx := s.Coord.Begin(0)
+	_, txnErr = s.ExecTxn(p, tx, stmt)
+	tx.Abort(p)
 	return autoErr, txnErr
 }
 
@@ -128,11 +128,11 @@ func TestUpdateUniqueToItself(t *testing.T) {
 		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (1, 'a@x.com', 'a')`)
 		mustExec(t, p, s, `UPDATE users SET email = email, name = 'a2' WHERE id = 1`)
 
-		s.BeginTxn()
-		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (2, 'b@x.com', 'b')`)
-		mustExec(t, p, s, `UPDATE users SET email = email WHERE id = 2`)
-		mustExec(t, p, s, `UPDATE users SET email = 'b@x.com' WHERE id = 2`)
-		if err := s.CommitTxn(p); err != nil {
+		tx := s.Coord.Begin(0)
+		mustExecTxn(t, p, s, tx, `INSERT INTO users (id, email, name) VALUES (2, 'b@x.com', 'b')`)
+		mustExecTxn(t, p, s, tx, `UPDATE users SET email = email WHERE id = 2`)
+		mustExecTxn(t, p, s, tx, `UPDATE users SET email = 'b@x.com' WHERE id = 2`)
+		if err := tx.Commit(p); err != nil {
 			t.Fatalf("INSERT; UPDATE SET email = email: %v", err)
 		}
 		wantEmails(t, p, s, map[int64]string{1: "a@x.com", 2: "b@x.com"})

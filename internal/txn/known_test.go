@@ -129,7 +129,7 @@ func TestGetOfASentWriteSendsNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tx.Del(p, mvcc.Key("k/b")); err != nil {
+		if err := tx.Put(p, mvcc.Key("k/b"), nil); err != nil {
 			t.Fatal(err)
 		}
 		v, err = tx.Get(p, mvcc.Key("k/c"))

@@ -39,19 +39,20 @@ func writesOf(ks ...string) []mvcc.KeyValue {
 
 // TestOneCoordinatorPath runs one fixed script through every point-read and
 // write entry point of the coordinator — Get, GetForUpdate and GetParallel
-// of one and of several keys; Put, Del and PutParallel with and without
-// one-phase commit; a read of a pending write; a declined 1PC; Commit and
-// Abort — from a remote gateway over a LAG and a GLOBAL range. After every
-// step it records the virtual time since the script began and the gateway
-// DistSender's RPC and cross-region RPC counts (asynchronous intent
-// resolution included). Unconditional writes send nothing: they ride the
-// next read, conditional write or commit, and an aborted transaction whose
-// writes never left sends nothing at all. A point read of a key the
-// transaction already read sends nothing either (get-parallel-4 sends only
-// the g/ keys, get-global nothing), and the commit refreshes each key once.
-// A change that adds, drops or reroutes a message, or moves virtual time,
-// fails here. The times moved, and the counts held at every step, when the
-// network's jitter got a random stream of its own.
+// of one and of several keys; Put of a value and of a tombstone, and
+// PutParallel, with and without one-phase commit; a read of a pending write;
+// a declined 1PC; Commit and Abort — from a remote gateway over a LAG and a
+// GLOBAL range. After every step it records the virtual time since the
+// script began and the gateway DistSender's RPC and cross-region RPC counts
+// (asynchronous intent resolution included). Unconditional writes send
+// nothing: they ride the next read, conditional write or commit, and an
+// aborted transaction whose writes never left sends nothing at all. A point
+// read of a key the transaction already read sends nothing either
+// (get-parallel-4 sends only the g/ keys, get-global nothing), and the
+// commit refreshes each key once. A change that adds, drops or reroutes a
+// message, or moves virtual time, fails here. The times moved, and the
+// counts held at every step, when the network's jitter got a random stream
+// of its own.
 func TestOneCoordinatorPath(t *testing.T) {
 	h := newHarness(t, 27)
 	h.globalRange(t)
@@ -104,7 +105,7 @@ func TestOneCoordinatorPath(t *testing.T) {
 		v, err = tx.Get(p, mvcc.Key("g/a"))
 		value("get-global", v, err, "v-g/a")
 		step("put", tx.Put(p, mvcc.Key("k/d"), mvcc.Value("v-k/d")))
-		step("del", tx.Del(p, mvcc.Key("k/b")))
+		step("del", tx.Put(p, mvcc.Key("k/b"), nil))
 		step("put-parallel", tx.PutParallel(p, writesOf("k/e", "g/b"), []bool{true, false}))
 		step("commit", tx.Commit(p))
 
@@ -122,7 +123,7 @@ func TestOneCoordinatorPath(t *testing.T) {
 
 		tx = co.Begin(0)
 		tx.AllowOnePC = true
-		step("1pc-del", tx.Del(p, mvcc.Key("k/f")))
+		step("1pc-del", tx.Put(p, mvcc.Key("k/f"), nil))
 		step("1pc-del-commit", tx.Commit(p))
 
 		tx = co.Begin(0)

@@ -66,10 +66,10 @@ func TestReadsOfPendingWritesComeFromTheBuffer(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := tx.Del(p, mvcc.Key("k/b")); err != nil {
+		if err := tx.Put(p, mvcc.Key("k/b"), nil); err != nil {
 			t.Fatal(err)
 		}
-		sent("Put and Del", 0, 0)
+		sent("Put of values and of a tombstone", 0, 0)
 
 		if v, err := tx.Get(p, mvcc.Key("k/a")); err != nil || string(v) != "new-a" {
 			t.Errorf("Get of a pending write: %q, %v", v, err)
@@ -116,7 +116,7 @@ func TestScanSeesPendingWrites(t *testing.T) {
 		if err := tx.Put(p, mvcc.Key("k/s2"), mvcc.Value("mine")); err != nil {
 			t.Fatal(err)
 		}
-		if err := tx.Del(p, mvcc.Key("k/s1")); err != nil {
+		if err := tx.Put(p, mvcc.Key("k/s1"), nil); err != nil {
 			t.Fatal(err)
 		}
 		rows, err := tx.Scan(p, mvcc.Key("k/s"), mvcc.Key("k/t"), 0)
@@ -155,7 +155,7 @@ func TestPendingWritesAndTheInsertCondition(t *testing.T) {
 		if co.Sender.Sent != sent {
 			t.Errorf("the rejected INSERT sent %d RPCs, want 0", co.Sender.Sent-sent)
 		}
-		if err := tx.Del(p, mvcc.Key("k/del")); err != nil {
+		if err := tx.Put(p, mvcc.Key("k/del"), nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := tx.PutParallel(p, []mvcc.KeyValue{{Key: mvcc.Key("k/del"), Value: mvcc.Value("again")}}, []bool{true}); err != nil {
@@ -212,7 +212,7 @@ func TestFailedInsertOverAPendingDeleteCannotCommit(t *testing.T) {
 	h.run(t, func(p *sim.Proc) {
 		h.seedKeys(t, p, writesOf("k/row", "k/dup"))
 		tx := h.coord(simnet.USEast1).Begin(0)
-		if err := tx.Del(p, mvcc.Key("k/row")); err != nil {
+		if err := tx.Put(p, mvcc.Key("k/row"), nil); err != nil {
 			t.Fatal(err)
 		}
 		var cf *kv.ConditionFailedError

@@ -388,9 +388,6 @@ func (t *Txn) Put(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 	return t.write(p, []mvcc.KeyValue{{Key: key, Value: value}}, nil)
 }
 
-// Del deletes key (writes a tombstone).
-func (t *Txn) Del(p *sim.Proc, key mvcc.Key) error { return t.Put(p, key, nil) }
-
 // PutParallel writes kvs as one batch; it models CockroachDB's
 // batched/pipelined writes so that multi-key statements pay the max, not the
 // sum, of per-range latencies. Unconditional writes are sent with the

@@ -168,21 +168,7 @@ func (f *FollowTheSun) client(wp *sim.Proc, rng *rand.Rand, ri int, region simne
 	ps := m.prepare(s)
 	var firstErr error
 	for wp.Now() < deadline {
-		roll := rng.Float64()
-		start := wp.Now()
-		var err error
-		switch {
-		case roll < 0.70:
-			err = m.browse(wp, s, ps, rng.Intn(m.Promos))
-			record(m.BrowseLat, wp.Now().Sub(start), err)
-		case roll < 0.95:
-			userID := ri*m.UsersPerRegion + 1 + rng.Intn(m.UsersPerRegion)
-			err = m.startRide(wp, s, ps, userID, rng.Intn(m.Promos))
-			record(m.RideLat, wp.Now().Sub(start), err)
-		default:
-			err = m.signup(wp, s, ps)
-			record(m.SignupLat, wp.Now().Sub(start), err)
-		}
+		start, err := m.op(wp, s, ps, rng, ri)
 		lat := wp.Now().Sub(start)
 		f.Windows.Record(start, lat, err)
 		if hot {

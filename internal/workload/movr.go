@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 
 	"mrdb/internal/cluster"
 	"mrdb/internal/hlc"
@@ -140,8 +141,8 @@ func (m *Movr) prepare(s *sql.Session) *movrStmts {
 	}
 }
 
-// Run executes ops per client in every region: a mix of promo browsing
-// (70%), ride starts (25%) and signups (5%).
+// Run has every client in every region run opsPerClient operations of the
+// MovR mix (op).
 func (m *Movr) Run(p *sim.Proc, clientsPerRegion, opsPerClient int) error {
 	wg := sim.NewWaitGroup(m.Cluster.Sim)
 	var firstErr error
@@ -154,23 +155,8 @@ func (m *Movr) Run(p *sim.Proc, clientsPerRegion, opsPerClient int) error {
 				s := m.session(region)
 				ps := m.prepare(s)
 				rng := clientStream(m.Cluster, "movr", region, cl)
-				for op := 0; op < opsPerClient; op++ {
-					roll := rng.Float64()
-					start := wp.Now()
-					var err error
-					switch {
-					case roll < 0.70:
-						err = m.browse(wp, s, ps, rng.Intn(m.Promos))
-						record(m.BrowseLat, wp.Now().Sub(start), err)
-					case roll < 0.95:
-						userID := ri*m.UsersPerRegion + 1 + rng.Intn(m.UsersPerRegion)
-						err = m.startRide(wp, s, ps, userID, rng.Intn(m.Promos))
-						record(m.RideLat, wp.Now().Sub(start), err)
-					default:
-						err = m.signup(wp, s, ps)
-						record(m.SignupLat, wp.Now().Sub(start), err)
-					}
-					if err != nil && firstErr == nil {
+				for range opsPerClient {
+					if _, err := m.op(wp, s, ps, rng, ri); err != nil && firstErr == nil {
 						firstErr = err
 					}
 				}
@@ -179,6 +165,28 @@ func (m *Movr) Run(p *sim.Proc, clientsPerRegion, opsPerClient int) error {
 	}
 	wg.Wait(p)
 	return firstErr
+}
+
+// op runs one operation of the MovR mix for a client in the ri'th region:
+// promo browsing (70%), ride starts by one of the region's own users (25%)
+// and signups (5%). It records the latency under the operation's class and
+// returns when the operation started.
+func (m *Movr) op(p *sim.Proc, s *sql.Session, ps *movrStmts, rng *rand.Rand, ri int) (start sim.Time, err error) {
+	roll := rng.Float64()
+	start = p.Now()
+	switch {
+	case roll < 0.70:
+		err = m.browse(p, s, ps, rng.Intn(m.Promos))
+		record(m.BrowseLat, p.Now().Sub(start), err)
+	case roll < 0.95:
+		userID := ri*m.UsersPerRegion + 1 + rng.Intn(m.UsersPerRegion)
+		err = m.startRide(p, s, ps, userID, rng.Intn(m.Promos))
+		record(m.RideLat, p.Now().Sub(start), err)
+	default:
+		err = m.signup(p, s, ps)
+		record(m.SignupLat, p.Now().Sub(start), err)
+	}
+	return start, err
 }
 
 func (m *Movr) browse(p *sim.Proc, s *sql.Session, ps *movrStmts, promo int) error {

@@ -57,5 +57,4 @@ func TestMovrWorkload(t *testing.T) {
 	if p50 := m.RideLat.Percentile(50); p50 > 500*sim.Millisecond {
 		t.Errorf("ride p50 = %v", p50)
 	}
-	t.Logf("%s", Table(m.BrowseLat, m.RideLat, m.SignupLat))
 }

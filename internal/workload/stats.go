@@ -1,15 +1,13 @@
 // Package workload implements the benchmark workloads of the paper's
-// evaluation: YCSB variants A/B/D with zipf/uniform/latest key choosers
+// evaluation: YCSB variants A/B/D with zipfian or uniform key choosers
 // (§7.1–§7.3), TPC-C (§7.4), and the movr application schema (§7.5), plus
 // the latency recorders the harness uses to regenerate figures.
 package workload
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"mrdb/internal/sim"
 )
@@ -71,18 +69,6 @@ func (r *LatencyRecorder) Percentile(q float64) sim.Duration {
 	return s[idx]
 }
 
-// Mean returns the average latency.
-func (r *LatencyRecorder) Mean() sim.Duration {
-	if len(r.samples) == 0 {
-		return 0
-	}
-	var total sim.Duration
-	for _, s := range r.samples {
-		total += s
-	}
-	return total / sim.Duration(len(r.samples))
-}
-
 // Max returns the maximum sample.
 func (r *LatencyRecorder) Max() sim.Duration {
 	var m sim.Duration
@@ -131,47 +117,6 @@ func (r *LatencyRecorder) Box() BoxStats {
 	return b
 }
 
-// CDF returns (latency, cumulative fraction) points for plotting, at the
-// given resolution.
-func (r *LatencyRecorder) CDF(points int) [][2]float64 {
-	s := r.sorted()
-	if len(s) == 0 {
-		return nil
-	}
-	if points <= 0 {
-		points = 100
-	}
-	var out [][2]float64
-	for i := 1; i <= points; i++ {
-		frac := float64(i) / float64(points)
-		idx := int(frac*float64(len(s))) - 1
-		if idx < 0 {
-			idx = 0
-		}
-		out = append(out, [2]float64{float64(s[idx]) / float64(sim.Millisecond), frac})
-	}
-	return out
-}
-
-// String renders a one-line summary.
-func (r *LatencyRecorder) String() string {
-	return fmt.Sprintf("%-28s n=%-7d p50=%-10v p90=%-10v p99=%-10v max=%-10v errs=%d",
-		r.Name, r.Count(), r.Percentile(50), r.Percentile(90), r.Percentile(99), r.Max(), r.Errors)
-}
-
-// Table renders recorders as an aligned text table.
-func Table(recs ...*LatencyRecorder) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-28s %8s %10s %10s %10s %10s %10s %6s\n",
-		"operation", "count", "p25", "p50", "p75", "p90", "p99", "errs")
-	for _, r := range recs {
-		fmt.Fprintf(&b, "%-28s %8d %10v %10v %10v %10v %10v %6d\n",
-			r.Name, r.Count(), r.Percentile(25), r.Percentile(50), r.Percentile(75),
-			r.Percentile(90), r.Percentile(99), r.Errors)
-	}
-	return b.String()
-}
-
 // --- Key choosers ---
 
 // KeyChooser selects keys for YCSB operations.
@@ -186,40 +131,19 @@ type UniformChooser struct{ N int }
 // Next implements KeyChooser.
 func (u UniformChooser) Next(rng *rand.Rand) int { return rng.Intn(u.N) }
 
-// ZipfChooser picks keys with a zipfian distribution (YCSB default
-// theta=0.99), favoring low-numbered keys; used by YCSB-A/B (§7.1.1).
+// ZipfChooser picks keys with a zipfian distribution favoring low-numbered
+// keys; used by YCSB-A/B (§7.1.1). It draws P(k) ∝ (1+k)^-1.1: Go's
+// rand.Zipf needs an exponent s > 1, so YCSB's theta = 0.99 is not
+// available.
 type ZipfChooser struct {
-	n    int
 	zipf *rand.Zipf
 }
 
-// NewZipfChooser builds a zipf chooser over n keys using the given rng for
-// construction (the distribution object is deterministic).
+// NewZipfChooser builds a zipf chooser over keys [0, n). Every draw comes
+// from rng; Next ignores its argument.
 func NewZipfChooser(n int, rng *rand.Rand) *ZipfChooser {
-	return &ZipfChooser{n: n, zipf: rand.NewZipf(rng, 1.1, 1, uint64(n-1))}
+	return &ZipfChooser{zipf: rand.NewZipf(rng, 1.1, 1, uint64(n-1))}
 }
 
 // Next implements KeyChooser.
 func (z *ZipfChooser) Next(rng *rand.Rand) int { return int(z.zipf.Uint64()) }
-
-// LatestChooser favors recently inserted keys (YCSB-D).
-type LatestChooser struct {
-	// Insert tracking: the caller bumps Max as inserts happen.
-	Max  int
-	zipf *rand.Zipf
-}
-
-// NewLatestChooser builds a latest-distribution chooser.
-func NewLatestChooser(initial int, rng *rand.Rand) *LatestChooser {
-	return &LatestChooser{Max: initial, zipf: rand.NewZipf(rng, 1.1, 1, 1<<20)}
-}
-
-// Next implements KeyChooser.
-func (l *LatestChooser) Next(rng *rand.Rand) int {
-	off := int(l.zipf.Uint64())
-	k := l.Max - 1 - off
-	if k < 0 {
-		k = 0
-	}
-	return k
-}

@@ -59,5 +59,4 @@ func TestTPCCSmoke(t *testing.T) {
 		t.Error("tpmC not positive")
 	}
 	t.Logf("tpmC=%.1f over %v", w.TpmC(), w.Elapsed)
-	t.Logf("%s", Table(w.NewOrderLat, w.PaymentLat, w.OrderStatusLat, w.DeliveryLat, w.StockLevelLat))
 }

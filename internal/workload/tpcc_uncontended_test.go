@@ -48,5 +48,4 @@ func TestTPCCUncontended(t *testing.T) {
 	if p50 := w.PaymentLat.Percentile(50); p50 > 60*sim.Millisecond {
 		t.Errorf("payment p50 = %v, want region-local", p50)
 	}
-	t.Logf("%s", Table(w.NewOrderLat, w.PaymentLat, w.OrderStatusLat, w.DeliveryLat, w.StockLevelLat))
 }

@@ -37,14 +37,19 @@ func (v YCSBVariant) String() string {
 	return "ycsb-?"
 }
 
+const (
+	// ycsbTable is the table Setup creates and every operation targets.
+	ycsbTable = "usertable"
+	// ycsbMaxStaleness bounds a read under StaleReads.
+	ycsbMaxStaleness = 30 * sim.Second
+)
+
 // YCSBConfig parameterizes a YCSB run.
 type YCSBConfig struct {
 	Variant YCSBVariant
-	// Table is the target table name (created by Setup).
-	Table string
 	// RecordCount is the number of preloaded keys.
 	RecordCount int
-	// Distribution: "zipfian", "uniform" or "latest".
+	// Distribution: "zipfian" or "uniform" (the default).
 	Distribution string
 	// OpsPerClient is the closed-loop operation count per client.
 	OpsPerClient int
@@ -59,10 +64,8 @@ type YCSBConfig struct {
 	// remote blocks.
 	SharedRemoteKeys bool
 	// StaleReads serves reads with bounded staleness (§5.3.2) instead of
-	// fresh reads.
+	// fresh reads, at most ycsbMaxStaleness old.
 	StaleReads bool
-	// MaxStaleness is the staleness bound for StaleReads (default 30s).
-	MaxStaleness sim.Duration
 	// Rehoming enables auto-rehoming on the client sessions.
 	Rehoming bool
 	// DisableLOS turns off locality optimized search ("Unoptimized").
@@ -109,12 +112,6 @@ type YCSB struct {
 
 // NewYCSB builds the workload harness over an existing cluster.
 func NewYCSB(c *cluster.Cluster, catalog *sql.Catalog, cfg YCSBConfig) *YCSB {
-	if cfg.Table == "" {
-		cfg.Table = "usertable"
-	}
-	if cfg.MaxStaleness == 0 {
-		cfg.MaxStaleness = 30 * sim.Second
-	}
 	y := &YCSB{
 		Cfg: cfg, Cluster: c, Catalog: catalog,
 		Sessions:       map[simnet.Region]*sql.Session{},
@@ -156,12 +153,12 @@ func (y *YCSB) SetupSchema(p *sim.Proc, localityClause string) error {
 	if stmt == "" {
 		stmt = fmt.Sprintf(
 			`CREATE TABLE %s (ycsb_key STRING PRIMARY KEY, field0 STRING) %s`,
-			y.Cfg.Table, localityClause)
+			ycsbTable, localityClause)
 	}
 	if _, err := s.Exec(p, stmt); err != nil {
 		return err
 	}
-	t, ok := y.Catalog.Table("ycsb", y.Cfg.Table)
+	t, ok := y.Catalog.Table("ycsb", ycsbTable)
 	if !ok {
 		return fmt.Errorf("ycsb: table missing after create")
 	}
@@ -295,8 +292,6 @@ func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx in
 		chooser = UniformChooser{N: y.Cfg.RecordCount}
 	case "zipfian":
 		chooser = NewZipfChooser(y.Cfg.RecordCount, rng)
-	case "latest":
-		chooser = NewLatestChooser(y.Cfg.RecordCount, rng)
 	default:
 		return fmt.Errorf("ycsb: unknown distribution %q", y.Cfg.Distribution)
 	}
@@ -367,11 +362,11 @@ func (y *YCSB) whereForKey(key int) *sql.Where {
 
 func (y *YCSB) doRead(p *sim.Proc, s *sql.Session, key int) error {
 	sel := &sql.Select{
-		Table: y.Cfg.Table,
+		Table: ycsbTable,
 		Where: y.whereForKey(key),
 	}
 	if y.Cfg.StaleReads {
-		sel.AsOf = &sql.AsOf{MaxStaleness: &sql.Lit{Val: y.Cfg.MaxStaleness.String()}}
+		sel.AsOf = &sql.AsOf{MaxStaleness: &sql.Lit{Val: ycsbMaxStaleness.String()}}
 	}
 	res, err := s.ExecStmt(p, sel)
 	if err != nil {
@@ -389,7 +384,7 @@ func (y *YCSB) doUpdate(p *sim.Proc, s *sql.Session, key, op int) error {
 		// set, so contended writers bump past each other (write-too-old)
 		// instead of serializing on refresh restarts.
 		up := &sql.Insert{
-			Table:   y.Cfg.Table,
+			Table:   ycsbTable,
 			Columns: []string{"ycsb_key", "field0"},
 			Rows: [][]sql.Expr{{
 				&sql.Lit{Val: y.keyString(key)},
@@ -401,7 +396,7 @@ func (y *YCSB) doUpdate(p *sim.Proc, s *sql.Session, key, op int) error {
 		return err
 	}
 	up := &sql.Update{
-		Table: y.Cfg.Table,
+		Table: ycsbTable,
 		Set:   []sql.Assignment{{Col: "field0", Val: &sql.Lit{Val: fmt.Sprintf("u%d", op)}}},
 		Where: y.whereForKey(key),
 	}
@@ -417,7 +412,7 @@ func (y *YCSB) doInsert(p *sim.Proc, s *sql.Session, region simnet.Region) error
 		y.insertedRegion[k] = region
 	}
 	in := &sql.Insert{
-		Table:   y.Cfg.Table,
+		Table:   ycsbTable,
 		Columns: []string{"ycsb_key", "field0"},
 		Rows: [][]sql.Expr{{
 			&sql.Lit{Val: y.keyString(k)},

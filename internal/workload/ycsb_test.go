@@ -24,16 +24,9 @@ func TestLatencyRecorder(t *testing.T) {
 	if got := r.Max(); got != 100*sim.Millisecond {
 		t.Errorf("max = %v", got)
 	}
-	if got := r.Mean(); got != 50500*sim.Microsecond {
-		t.Errorf("mean = %v", got)
-	}
 	box := r.Box()
 	if box.P25 != 25*sim.Millisecond || box.P75 != 75*sim.Millisecond {
 		t.Errorf("box = %+v", box)
-	}
-	cdf := r.CDF(10)
-	if len(cdf) != 10 || cdf[9][1] != 1.0 {
-		t.Errorf("cdf = %v", cdf)
 	}
 }
 
@@ -57,12 +50,6 @@ func TestKeyChoosers(t *testing.T) {
 	// Zipf must skew toward low keys.
 	if counts[0] < counts[50]*2 {
 		t.Errorf("zipf not skewed: counts[0]=%d counts[50]=%d", counts[0], counts[50])
-	}
-	l := NewLatestChooser(100, rng)
-	for i := 0; i < 1000; i++ {
-		if k := l.Next(rng); k < 0 || k >= 100 {
-			t.Fatalf("latest out of range: %d", k)
-		}
 	}
 }
 
@@ -117,10 +104,6 @@ func TestYCSBSmoke(t *testing.T) {
 	// With 95% locality and LOS, the median read is region-local.
 	if p50 := reads.Percentile(50); p50 > 20*sim.Millisecond {
 		t.Errorf("read p50 = %v, want local latency", p50)
-	}
-	for _, r := range c.Regions() {
-		t.Logf("%s", y.ReadLat[r])
-		t.Logf("%s", y.WriteLat[r])
 	}
 }
 
