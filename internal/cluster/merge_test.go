@@ -236,7 +236,7 @@ func TestStaleRouteAfterMerge(t *testing.T) {
 			return
 		}
 		// Stale-routed RPC: old range ID straight at the old leaseholder.
-		raw, rpcErr := c.Net.SendRPC(p, gw, staleLease, kv.BatchRequest{
+		raw, rpcErr := c.Net.SendRPC(p, gw, staleLease, &kv.BatchRequest{
 			RangeID: staleID,
 			Reqs: []interface{}{&kv.GetRequest{
 				Key:       key(6),
@@ -247,7 +247,7 @@ func TestStaleRouteAfterMerge(t *testing.T) {
 			t.Errorf("stale route rpc: %v", rpcErr)
 			return
 		}
-		resp := raw.(*kv.BatchResponse).Resps[0]
+		resp := raw.(*kv.BatchRequest).Resps[0]
 		var rkm *kv.RangeKeyMismatchError
 		if resp.Err == nil || !errors.As(resp.Err, &rkm) {
 			t.Errorf("stale route: err = %v, want RangeKeyMismatchError", resp.Err)

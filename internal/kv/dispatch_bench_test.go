@@ -95,19 +95,21 @@ func BenchmarkDistSenderSingleDispatch(b *testing.B) {
 }
 
 // TestSingleGetRoundTripAllocs pins what one successful point read costs in
-// objects, gateway to leaseholder and back, at 7: the RPC's three and the
-// batch, response and attempt bookkeeping around them. It was 8 while the
-// replica ran a lone request through the fan-out's closure, 9 while the
-// reply was a BatchResponse boxed by value beside its own one-element
-// response slice (it now travels by pointer with the response inline), 10
-// while the latch check converted the key to a string, and 16 while
-// sendToRange declared its three errors.As targets before looking at
-// resp.Err and evalGet its two before looking at err (a target escapes, so
-// each was an object per success), and while the timestamp cache converted
-// the key to a string it then stored again. A batch of one — how a
-// transaction sends every point read and write — costs the same: it is its
-// own single-range sub-batch, and SendBatch hands sendToRange's responses
-// back as they are.
+// objects, gateway to leaseholder and back: the GetResponse it returns, and
+// nothing else. The exchange record, the envelope with its reply space and
+// the one-request batch Send builds on its stack are all reused or never
+// escape. A batch of one — how a transaction sends every point read and
+// write — adds the response slice SendBatch returns. Both were 7 while the
+// RPC's record and its two callbacks were made per round trip, the envelope
+// was boxed by value, the reply was a BatchResponse of its own and Send
+// built a fresh request slice; 8 while the replica ran a lone request
+// through the fan-out's closure, 9 while the reply was a BatchResponse boxed
+// by value beside its own one-element response slice, 10 while the latch
+// check converted the key to a string, and 16 while sendToRange declared its
+// three errors.As targets before looking at resp.Err and evalGet its two
+// before looking at err (a target escapes, so each was an object per
+// success), and while the timestamp cache converted the key to a string it
+// then stored again.
 func TestSingleGetRoundTripAllocs(t *testing.T) {
 	c, ds := benchCluster(t, 8)
 	req := &kv.GetRequest{
@@ -132,10 +134,10 @@ func TestSingleGetRoundTripAllocs(t *testing.T) {
 		batchAllocs = testing.AllocsPerRun(200, batch)
 	})
 	c.Sim.Run()
-	if sendAllocs != 7 {
-		t.Errorf("a point read round trip allocates %.0f objects, want 7", sendAllocs)
+	if sendAllocs != 1 {
+		t.Errorf("a point read round trip allocates %.0f objects, want 1", sendAllocs)
 	}
-	if batchAllocs != 7 {
-		t.Errorf("a batch of one point read allocates %.0f objects, want 7", batchAllocs)
+	if batchAllocs != 2 {
+		t.Errorf("a batch of one point read allocates %.0f objects, want 2", batchAllocs)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"mrdb/internal/hlc"
@@ -65,6 +66,12 @@ type DistSender struct {
 	// backoffRand is the "kv/backoff" stream, which every sender shares;
 	// the first backoff fetches it.
 	backoffRand *rand.Rand
+
+	// freeBatches and freeFans are the sender's free lists of RPC envelopes
+	// and of multi-range dispatch scratch. The sender takes both and puts
+	// both back, so no one-way flow can drain or swell them.
+	freeBatches []*BatchRequest
+	freeFans    []*fanBatch
 }
 
 // live reports whether the sender should route to id.
@@ -84,16 +91,20 @@ func (ds *DistSender) nearestReplica(d *RangeDescriptor) simnet.NodeID {
 func (ds *DistSender) nearestReplicaExcluding(d *RangeDescriptor, skip simnet.NodeID) simnet.NodeID {
 	best, bestAny := simnet.NodeID(0), simnet.NodeID(0)
 	var bestRTT, bestAnyRTT sim.Duration
-	for _, id := range d.Replicas() {
-		if id == skip {
-			continue
-		}
-		rtt := ds.Topo.NodeRTT(ds.NodeID, id)
-		if bestAny == 0 || rtt < bestAnyRTT {
-			bestAny, bestAnyRTT = id, rtt
-		}
-		if ds.live(id) && (best == 0 || rtt < bestRTT) {
-			best, bestRTT = id, rtt
+	// Voters, then non-voters: the order Replicas lists them in, walked in
+	// place.
+	for _, ids := range [2][]simnet.NodeID{d.Voters, d.NonVoters} {
+		for _, id := range ids {
+			if id == skip {
+				continue
+			}
+			rtt := ds.Topo.NodeRTT(ds.NodeID, id)
+			if bestAny == 0 || rtt < bestAnyRTT {
+				bestAny, bestAnyRTT = id, rtt
+			}
+			if ds.live(id) && (best == 0 || rtt < bestRTT) {
+				best, bestRTT = id, rtt
+			}
 		}
 	}
 	if best != 0 {
@@ -109,7 +120,8 @@ func (ds *DistSender) nearestReplicaExcluding(d *RangeDescriptor, skip simnet.No
 // with live replicas ahead of liveness-expired ones (which still get tried
 // last: the record may be stale).
 func (ds *DistSender) replicasByPreference(d *RangeDescriptor) []simnet.NodeID {
-	out := append([]simnet.NodeID(nil), d.Replicas()...)
+	out := make([]simnet.NodeID, 0, len(d.Voters)+len(d.NonVoters))
+	out = append(append(out, d.Voters...), d.NonVoters...)
 	sort.SliceStable(out, func(i, j int) bool {
 		li, lj := ds.live(out[i]), ds.live(out[j])
 		if li != lj {
@@ -186,7 +198,9 @@ func (ds *DistSender) Send(p *sim.Proc, req interface{}) Response {
 	if sc, ok := req.(*ScanRequest); ok {
 		return ds.sendScan(p, sc)
 	}
-	return ds.sendToRange(p, []interface{}{req}, 0)[0]
+	reqs, out := [1]interface{}{req}, [1]Response{}
+	ds.sendToRange(p, reqs[:], out[:], 0)
+	return out[0]
 }
 
 // SendBatch routes a batch of point requests: it groups them by range
@@ -198,12 +212,13 @@ func (ds *DistSender) SendBatch(p *sim.Proc, reqs []interface{}) []Response {
 	if len(reqs) == 0 {
 		return nil
 	}
+	out := make([]Response, len(reqs))
 	sp, finish := ds.Tracer.StartIn(p, "ds.batch")
 	defer finish()
 	if sp != nil {
 		sp.SetTag("req", reqName(reqs[0])).SetTagInt("reqs", int64(len(reqs)))
 	}
-	resps, ranges := ds.sendBatchInner(p, reqs, 0)
+	ranges := ds.sendBatchInner(p, reqs, out, 0)
 	sp.SetTagInt("ranges", int64(ranges))
 	ds.Batches++
 	ds.BatchedReqs += int64(len(reqs))
@@ -211,76 +226,63 @@ func (ds *DistSender) SendBatch(p *sim.Proc, reqs []interface{}) []Response {
 		ds.Metrics.Histogram("ds.batch.size").Record(int64(len(reqs)))
 		ds.Metrics.Histogram("ds.batch.ranges").Record(int64(ranges))
 	}
-	return resps
-}
-
-// batchGroup is one per-range slice of request indices within a batch.
-type batchGroup struct {
-	rid  RangeID
-	idxs []int32
+	return out
 }
 
 // sendBatchInner splits reqs into per-range groups (first-occurrence
-// order) and dispatches them; it returns the merged responses in request
-// order plus the number of ranges touched.
+// order), dispatches them and writes the responses into out, in request
+// order; it returns the number of ranges touched.
 //
 // A batch that lands entirely on one range — the overwhelmingly common
 // case, every point read and write of a transaction included — is the
-// sub-batch itself: sendToRange's responses are returned as they are, with
-// no grouping or merge buffers at all. Otherwise grouping is slice-based
-// rather than map-based: requests are assigned a group ordinal in one pass
-// (memoizing the last descriptor, since batches are usually key-ordered and
-// range-clustered).
-func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, depth int) ([]Response, int) {
+// sub-batch itself, with no grouping at all. Otherwise grouping is
+// slice-based rather than map-based: requests are assigned a group ordinal in
+// one pass (memoizing the last descriptor, since batches are usually
+// key-ordered and range-clustered).
+func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, out []Response, depth int) int {
 	if q, err := asRequest(reqs[0]); err == nil {
 		if d, err := ds.Catalog.Lookup(q.routingKey()); err == nil && descContainsAll(d, reqs) {
-			return ds.sendToRange(p, reqs, depth), 1
+			ds.sendToRange(p, reqs, out, depth)
+			return 1
 		}
 	}
-	resps := make([]Response, len(reqs))
-	var groups []batchGroup
+	f := ds.getFan(depth)
 	var desc *RangeDescriptor // memoized last descriptor
-	gid := -1                 // memoized group ordinal for desc
+	gid := int32(-1)          // memoized group ordinal for desc
 	for i, req := range reqs {
 		q, err := asRequest(req)
 		if err != nil {
-			resps[i] = Response{Err: err}
+			out[i] = Response{Err: err}
+			f.gids = append(f.gids, -1)
 			continue
 		}
 		key := q.routingKey()
 		if desc == nil || !desc.ContainsKey(key) {
 			d, err := ds.Catalog.Lookup(key)
 			if err != nil {
-				resps[i] = Response{Err: err}
+				out[i] = Response{Err: err}
+				f.gids = append(f.gids, -1)
 				continue
 			}
 			desc = d
 			gid = -1
-			for g := range groups {
-				if groups[g].rid == d.RangeID {
-					gid = g
+			for g, rid := range f.rids {
+				if rid == d.RangeID {
+					gid = int32(g)
 					break
 				}
 			}
 			if gid == -1 {
-				gid = len(groups)
-				groups = append(groups, batchGroup{rid: d.RangeID})
+				gid = int32(len(f.rids))
+				f.rids = append(f.rids, d.RangeID)
 			}
 		}
-		groups[gid].idxs = append(groups[gid].idxs, int32(i))
+		f.gids = append(f.gids, gid)
 	}
-	p.Fanout("ds/batch-range", len(groups), func(wp *sim.Proc, g int) {
-		idxs := groups[g].idxs
-		sub := make([]interface{}, len(idxs))
-		for j, i := range idxs {
-			sub[j] = reqs[i]
-		}
-		out := ds.sendToRange(wp, sub, depth)
-		for j, i := range idxs {
-			resps[i] = out[j]
-		}
-	})
-	return resps, len(groups)
+	ranges := len(f.rids)
+	f.dispatch(p, "ds/batch-range", ranges, reqs, out)
+	ds.putFan(f)
+	return ranges
 }
 
 // descContainsAll reports whether d owns the routing key of every request.
@@ -294,25 +296,26 @@ func descContainsAll(d *RangeDescriptor, reqs []interface{}) bool {
 	return true
 }
 
-// errResponses fills one error Response per request.
-func errResponses(n int, err error) []Response {
-	resps := make([]Response, n)
-	for i := range resps {
-		resps[i] = Response{Err: err}
+// fillErr answers every slot of out with err.
+func fillErr(out []Response, err error) {
+	for i := range out {
+		out[i] = Response{Err: err}
 	}
-	return resps
 }
 
 // sendToRange dispatches a per-range sub-batch (usually a singleton) as one
 // RPC, retrying around leaseholder moves, follower-read misses, and range
-// moves. A retriable error on any response retries the whole sub-batch; if
-// a split moved some keys out of the range mid-flight, the sub-batch is
-// re-split through sendBatchInner. A sub-batch that mixes follower-eligible
-// reads with leaseholder-only requests goes out as two RPCs (sendSplit).
-func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []Response {
+// moves, and writes the responses into out. A retriable error on any response
+// retries the whole sub-batch; if a split moved some keys out of the range
+// mid-flight, the sub-batch is re-split through sendBatchInner. A sub-batch
+// that mixes follower-eligible reads with leaseholder-only requests goes out
+// as two RPCs (sendSplit). It keeps neither reqs nor out: each attempt copies
+// the requests into an envelope, and the responses out of it.
+func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, out []Response, depth int) {
 	first, err := asRequest(reqs[0])
 	if err != nil {
-		return errResponses(len(reqs), err)
+		fillErr(out, err)
+		return
 	}
 	followers := 0
 	for _, r := range reqs {
@@ -321,7 +324,8 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		}
 	}
 	if followers > 0 && followers < len(reqs) {
-		return ds.sendSplit(p, reqs, depth)
+		ds.sendSplit(p, reqs, out, depth)
+		return
 	}
 	follower := followers > 0
 	key := first.routingKey()
@@ -350,14 +354,15 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		desc, err := ds.Catalog.Lookup(key)
 		if err != nil {
 			sp.SetError(err)
-			return errResponses(len(reqs), err)
+			fillErr(out, err)
+			return
 		}
 		if len(reqs) > 1 && depth < maxBatchSplitDepth && !descContainsAll(desc, reqs) {
 			// The range split under the batch: re-split against the fresh
 			// descriptors.
 			sp.SetTag("resplit", "true")
-			resps, _ := ds.sendBatchInner(p, reqs, depth+1)
-			return resps
+			ds.sendBatchInner(p, reqs, out, depth+1)
+			return
 		}
 		if attempt == 0 && ds.Load != nil {
 			// Charge the sub-batch to the range once (not per retry),
@@ -385,11 +390,13 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 		}
 		asp, attemptDone := ds.Tracer.StartIn(p, "ds.rpc")
 		asp.SetTagInt("attempt", int64(attempt)).SetTagInt("target", int64(target))
-		raw, rpcErr := ds.Net.SendRPC(p, ds.NodeID, target,
-			BatchRequest{RangeID: desc.RangeID, Reqs: reqs, Trace: asp.Ctx()}, 0)
+		b := ds.getBatch()
+		b.RangeID, b.Reqs, b.Trace = desc.RangeID, append(b.Reqs, reqs...), asp.Ctx()
+		raw, rpcErr := ds.Net.SendRPC(p, ds.NodeID, target, b, 0)
 		if rpcErr != nil {
 			// Node unreachable: back off and re-route (the descriptor or
-			// lease may move during failover).
+			// lease may move during failover). The envelope stays out of
+			// the free list: its replica may still evaluate into it.
 			lastErr = rpcErr
 			asp.SetError(rpcErr)
 			ds.Retries++
@@ -398,7 +405,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			backoff(asp, desc)
 			continue
 		}
-		resps := raw.(*BatchResponse).Resps
+		resps := raw.(*BatchRequest).Resps
 		// A retriable error on any response retries the whole sub-batch
 		// (requests are idempotent at the MVCC layer: re-evaluating a
 		// write lays down the same intent, and a MustNotExist write is
@@ -457,10 +464,13 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			}
 		}
 		if retriable {
+			ds.putBatch(b)
 			continue
 		}
 		attemptDone()
-		return resps
+		copy(out, resps)
+		ds.putBatch(b)
+		return
 	}
 	err = fmt.Errorf("kv: request to %q failed after %d attempts", key, maxSendAttempts)
 	if lastErr != nil {
@@ -468,31 +478,143 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, depth int) []
 			key, maxSendAttempts, lastErr)
 	}
 	sp.SetError(err)
-	return errResponses(len(reqs), err)
+	fillErr(out, err)
 }
 
 // sendSplit sends one range's sub-batch as two RPCs in parallel: the
 // follower-eligible reads to the nearest replica and everything else to the
 // leaseholder. A write riding beside a GLOBAL-table read then costs the read
 // nothing: the read stays local, and the batch pays the write's trip alone.
-func (ds *DistSender) sendSplit(p *sim.Proc, reqs []interface{}, depth int) []Response {
-	var parts [2][]interface{}
-	var idxs [2][]int
-	for i, r := range reqs {
-		k := 0
+func (ds *DistSender) sendSplit(p *sim.Proc, reqs []interface{}, out []Response, depth int) {
+	f := ds.getFan(depth)
+	for _, r := range reqs {
+		g := int32(0)
 		if q, err := asRequest(r); err == nil && q.followerOK() {
-			k = 1
+			g = 1
 		}
-		parts[k] = append(parts[k], r)
-		idxs[k] = append(idxs[k], i)
+		f.gids = append(f.gids, g)
 	}
-	resps := make([]Response, len(reqs))
-	p.Fanout("ds/follower-split", 2, func(wp *sim.Proc, k int) {
-		for j, resp := range ds.sendToRange(wp, parts[k], depth) {
-			resps[idxs[k][j]] = resp
+	f.dispatch(p, "ds/follower-split", 2, reqs, out)
+	ds.putFan(f)
+}
+
+// fanBatch is the working storage of one call that sends a batch as several
+// sub-batches at once: a multi-range batch, or one range's reads and writes
+// split apart (sendSplit). The call takes it from its sender's free list and
+// gives it back when every sub-batch has returned, so grouping, merging and
+// starting the sub-batches allocate nothing once the lists have grown.
+type fanBatch struct {
+	ds    *DistSender
+	depth int
+	// gids[i] is the group of the caller's request i, -1 when the request
+	// was answered already (it could not be routed).
+	gids []int32
+	// rids is the range of each group, while sendBatchInner groups.
+	rids []RangeID
+	// sub holds the requests group by group, each group in request order:
+	// group g is sub[ends[g-1]:ends[g]]. at[j] is the caller's index of
+	// sub[j], and resps[j] answers it.
+	sub   []interface{}
+	at    []int32
+	ends  []int32
+	resps []Response
+	send  func(wp *sim.Proc, g int) // f.sendGroup, bound once
+}
+
+// maxFreeFans bounds a DistSender's free list of fan-out scratch.
+const maxFreeFans = 16
+
+// getFan returns empty fan-out scratch whose sub-batches recurse at depth.
+func (ds *DistSender) getFan(depth int) *fanBatch {
+	var f *fanBatch
+	if n := len(ds.freeFans); n > 0 {
+		f = ds.freeFans[n-1]
+		ds.freeFans[n-1] = nil
+		ds.freeFans = ds.freeFans[:n-1]
+	} else {
+		f = &fanBatch{ds: ds}
+		f.send = f.sendGroup
+	}
+	f.depth = depth
+	return f
+}
+
+// putFan clears f, so it pins no request or response, and keeps it unless
+// the list is full.
+func (ds *DistSender) putFan(f *fanBatch) {
+	clear(f.sub)
+	clear(f.resps)
+	f.gids, f.rids, f.sub, f.at, f.ends, f.resps = f.gids[:0], f.rids[:0], f.sub[:0], f.at[:0], f.ends[:0], f.resps[:0]
+	if len(ds.freeFans) < maxFreeFans {
+		ds.freeFans = append(ds.freeFans, f)
+	}
+}
+
+// dispatch sends the groups of reqs that gids assigns as one sub-batch each,
+// in parallel on children named name, and writes every response into out at
+// its request's index.
+func (f *fanBatch) dispatch(p *sim.Proc, name string, groups int, reqs []interface{}, out []Response) {
+	// Count each group, turn the counts into starts, then place each request
+	// at its group's next slot: ends[g] ends up where group g ends.
+	ends := slices.Grow(f.ends[:0], groups)[:groups]
+	clear(ends)
+	for _, g := range f.gids {
+		if g >= 0 {
+			ends[g]++
 		}
-	})
-	return resps
+	}
+	n := int32(0)
+	for g, c := range ends {
+		ends[g] = n
+		n += c
+	}
+	f.sub, f.at, f.resps = slices.Grow(f.sub, int(n))[:n], slices.Grow(f.at, int(n))[:n], slices.Grow(f.resps, int(n))[:n]
+	for i, g := range f.gids {
+		if g >= 0 {
+			j := ends[g]
+			ends[g]++
+			f.sub[j], f.at[j] = reqs[i], int32(i)
+		}
+	}
+	f.ends = ends
+	p.Fanout(name, groups, f.send)
+	for j, i := range f.at {
+		out[i] = f.resps[j]
+	}
+}
+
+// sendGroup sends group g as one sub-batch.
+func (f *fanBatch) sendGroup(wp *sim.Proc, g int) {
+	lo, hi := int32(0), f.ends[g]
+	if g > 0 {
+		lo = f.ends[g-1]
+	}
+	f.ds.sendToRange(wp, f.sub[lo:hi], f.resps[lo:hi], f.depth)
+}
+
+// maxFreeBatches bounds a DistSender's free list of envelopes.
+const maxFreeBatches = 16
+
+// getBatch returns an empty envelope, recycled if one is free.
+func (ds *DistSender) getBatch() *BatchRequest {
+	if n := len(ds.freeBatches); n > 0 {
+		b := ds.freeBatches[n-1]
+		ds.freeBatches[n-1] = nil
+		ds.freeBatches = ds.freeBatches[:n-1]
+		return b
+	}
+	return new(BatchRequest)
+}
+
+// putBatch clears an envelope whose reply landed, so it pins no request or
+// response, and keeps it unless the list is full.
+func (ds *DistSender) putBatch(b *BatchRequest) {
+	clear(b.Reqs)
+	clear(b.Resps)
+	b.RangeID, b.Reqs, b.Trace, b.Resps = 0, b.Reqs[:0], obs.SpanContext{}, b.Resps[:0]
+	if len(ds.freeBatches) < maxFreeBatches {
+		ds.freeBatches = append(ds.freeBatches, b)
+	}
 }
 
 // sendScan executes a scan that may span multiple ranges: it looks up every
@@ -551,7 +673,7 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 		}
 		resps := make([]Response, len(subs))
 		p.Fanout("ds/scan-range", len(subs), func(wp *sim.Proc, i int) {
-			resps[i] = ds.sendToRange(wp, subs[i:i+1], 0)[0]
+			ds.sendToRange(wp, subs[i:i+1], resps[i:i+1], 0)
 		})
 		var resume mvcc.Key
 		full := false
@@ -630,14 +752,16 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 			var lastErr error
 			answered := false
 			for _, target := range ds.replicasByPreference(desc) {
-				raw, err := ds.Net.SendRPC(p, ds.NodeID, target,
-					BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&NegotiateRequest{StartKey: span[0], EndKey: span[1]}}}, 0)
+				b := ds.getBatch()
+				b.RangeID, b.Reqs = desc.RangeID, append(b.Reqs, &NegotiateRequest{StartKey: span[0], EndKey: span[1]})
+				raw, err := ds.Net.SendRPC(p, ds.NodeID, target, b, 0)
 				if err != nil {
 					ds.Retries++
 					lastErr = err
 					continue
 				}
-				resp := raw.(*BatchResponse).Resps[0]
+				resp := raw.(*BatchRequest).Resps[0]
+				ds.putBatch(b)
 				if resp.Err != nil {
 					ds.Retries++
 					lastErr = resp.Err

@@ -105,3 +105,89 @@ func TestDroppedRaftMessageIsNotPooledTwice(t *testing.T) {
 		t.Fatalf("n3 applied %d of %d entries after rejoining", r3.raft.Applied(), r1.raft.Applied())
 	}
 }
+
+// TestTimedOutEnvelopeIsNeverReused: a sub-batch (a write and a read) reaches
+// its leaseholder, which is cut off from every other node while the write
+// waits to replicate. The reply cannot come back, so the attempt times out.
+// Its envelope is left to the collector: the retry, which goes to the new
+// leaseholder once the lease moved, travels in another envelope and returns
+// the right values, and the cut-off replica, which answers into the old
+// envelope once the partition heals, reaches nobody. Putting the envelope
+// back at the timeout would hand it to the retry.
+func TestTimedOutEnvelopeIsNeverReused(t *testing.T) {
+	h := newRecoveryHarness(t, 4, 0)
+	h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	h.s.RunFor(5 * sim.Second)
+	const gateway = simnet.NodeID(4)
+	ds := &DistSender{NodeID: gateway, Net: h.net, Topo: h.topo, Catalog: h.cat, Liveness: h.nl}
+	clock := h.stores[gateway].Clock
+	h.run(t, 5*sim.Second, func(p *sim.Proc) error {
+		return ds.Send(p, &PutRequest{Key: mvcc.Key("k2"), Value: mvcc.Value("v2"), Timestamp: clock.Now()}).Err
+	})
+
+	// Every envelope of the batch a store is handed, and when n1's arrives,
+	// the cut.
+	var stale *BatchRequest
+	served := map[*BatchRequest]simnet.NodeID{}
+	for id, st := range h.stores {
+		h.net.Register(id, func(m simnet.Message) {
+			if req, ok := m.Payload.(*simnet.RPCRequest); ok {
+				if b := req.Payload.(*BatchRequest); len(b.Reqs) == 2 {
+					served[b] = id
+					if id == 1 && stale == nil {
+						stale = b
+						for _, peer := range []simnet.NodeID{2, 3, 4} {
+							h.net.Partition(1, peer)
+						}
+					}
+				}
+			}
+			st.handleMessage(m)
+		})
+	}
+	var resps []Response
+	h.run(t, 40*sim.Second, func(p *sim.Proc) error {
+		resps = ds.SendBatch(p, []interface{}{
+			&PutRequest{Key: mvcc.Key("k1"), Value: mvcc.Value("v1"), Timestamp: clock.Now()},
+			&GetRequest{Key: mvcc.Key("k2"), Timestamp: clock.Now()},
+		})
+		return nil
+	})
+	if stale == nil {
+		t.Fatal("setup: the batch never reached n1")
+	}
+	if resps[0].Err != nil || resps[1].Err != nil || string(resps[1].Get.Value) != "v2" {
+		t.Fatalf("batch after the failover: put %v, get %+v; want the put applied and v2", resps[0].Err, resps[1])
+	}
+	var retriedOn simnet.NodeID
+	for b, id := range served {
+		if b != stale {
+			retriedOn = id
+		}
+	}
+	if served[stale] != 1 || retriedOn == 0 || retriedOn == 1 {
+		t.Fatalf("the timed-out envelope went to n%d and the retry's to n%d: want n1, and the retry in another envelope on a survivor", served[stale], retriedOn)
+	}
+
+	// The partition heals: n1's evaluation ends and answers into the
+	// abandoned envelope, which must still be out of the sender's free list.
+	for _, peer := range []simnet.NodeID{2, 3, 4} {
+		h.net.Heal(1, peer)
+	}
+	h.s.RunFor(20 * sim.Second)
+	if len(stale.Resps) != 2 || stale.Resps[0].Err == nil {
+		t.Fatalf("setup: n1 answered %+v into the abandoned envelope, want the write's failure", stale.Resps)
+	}
+	for _, b := range ds.freeBatches {
+		if b == stale {
+			t.Fatal("the timed-out envelope is in the sender's free list")
+		}
+	}
+	h.run(t, 5*sim.Second, func(p *sim.Proc) error {
+		resp := ds.Send(p, &GetRequest{Key: mvcc.Key("k1"), Timestamp: clock.Now()})
+		if resp.Err != nil || string(resp.Get.Value) != "v1" {
+			t.Errorf("k1 after the heal: %+v, want v1", resp)
+		}
+		return nil
+	})
+}

@@ -142,55 +142,50 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 	return q.eval(r, p)
 }
 
-// evaluateBatch evaluates the requests of one RPC; the responses come back in
-// request order in the reply. A lone request runs on p. Of several, each
-// read and write runs on a proc of its own, and they contend on latches like
-// independent RPCs would: an intent wait's push timer starts when its wait
-// does, so running them in turn would move the pushes. Where the order cannot
-// matter, the requests run on p: the resolutions of one transaction become
-// one resolveIntents call (one command for the range), and the QueryIntents
-// of a commit's proofs wait out their latches in turn, each wait ending when
-// its latch frees, so the last answer lands when it would have anyway.
-func (r *Replica) evaluateBatch(p *sim.Proc, reqs []interface{}) *BatchResponse {
-	br := newBatchResponse(len(reqs))
+// evaluateBatch evaluates the requests of one RPC into the envelope's reply
+// space, in request order, and returns it. A lone request runs on p. Of
+// several, each read and write runs on a child of its own, and they contend on
+// latches like independent RPCs would: an intent wait's push timer starts when
+// its wait does, so running them in turn would move the pushes. Where the
+// order cannot matter, the requests run on p: the resolutions of one
+// transaction become one resolveIntents call (one command for the range), and
+// the QueryIntents of a commit's proofs wait out their latches in turn, each
+// wait ending when its latch frees, so the last answer lands when it would
+// have anyway.
+func (r *Replica) evaluateBatch(p *sim.Proc, b *BatchRequest) []Response {
+	reqs, resps := b.Reqs, b.reply()
 	ctx := p.ObsCtx()
 	if len(reqs) == 1 {
-		br.Resps[0] = r.evaluate(p, reqs[0])
+		resps[0] = r.evaluate(p, reqs[0])
 		p.SetObsCtx(ctx)
-		return br
+		return resps
 	}
-	var wg *sim.WaitGroup
+	var g *sim.Group
 	for i, req := range reqs {
 		switch req.(type) {
 		case *ResolveIntentRequest, *QueryIntentRequest:
 			continue
 		}
-		if wg == nil {
-			wg = r.store.Sim.GetWaitGroup()
+		if g == nil {
+			g = p.Group(func(cp *sim.Proc, i int) { resps[i] = r.evaluate(cp, reqs[i]) })
 		}
-		wg.Add(1)
-		r.store.Sim.Spawn("replica/batch-req", func(cp *sim.Proc) {
-			defer wg.Done()
-			cp.SetObsCtx(ctx)
-			br.Resps[i] = r.evaluate(cp, req)
-		})
+		g.Go("replica/batch-req", i)
 	}
 	for i, req := range reqs {
 		switch q := req.(type) {
 		case *ResolveIntentRequest:
-			if br.Resps[i].Resolve == nil && br.Resps[i].Err == nil {
-				r.resolveGroup(p, reqs[i:], br.Resps[i:], q)
+			if resps[i].Resolve == nil && resps[i].Err == nil {
+				r.resolveGroup(p, reqs[i:], resps[i:], q)
 			}
 		case *QueryIntentRequest:
-			br.Resps[i] = r.evaluate(p, q)
+			resps[i] = r.evaluate(p, q)
 			p.SetObsCtx(ctx)
 		}
 	}
-	if wg != nil {
-		wg.Wait(p)
-		wg.Release()
+	if g != nil {
+		g.Wait(p)
 	}
-	return br
+	return resps
 }
 
 // resolveGroup resolves, in one resolveIntents call, first's intent and

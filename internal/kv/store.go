@@ -160,14 +160,18 @@ func (s *Store) handleMessage(m simnet.Message) {
 			s.firstAcker = m.From
 		}
 	case *simnet.RPCRequest:
-		batch, ok := payload.Payload.(BatchRequest)
+		batch, ok := payload.Payload.(*BatchRequest)
 		if !ok {
-			payload.Reply(&BatchResponse{Resps: errResponses(1, fmt.Errorf("kv: unexpected RPC payload %T", payload.Payload))})
+			payload.Reply(&BatchRequest{Resps: []Response{{Err: fmt.Errorf("kv: unexpected RPC payload %T", payload.Payload)}}})
 			return
 		}
 		r, ok := s.replicas[batch.RangeID]
 		if !ok {
-			payload.Reply(&BatchResponse{Resps: errResponses(len(batch.Reqs), &RangeKeyMismatchError{})})
+			resps, err := batch.reply(), &RangeKeyMismatchError{}
+			for i := range resps {
+				resps[i] = Response{Err: err}
+			}
+			payload.Reply(batch)
 			return
 		}
 		p := payload.Proc
@@ -181,12 +185,12 @@ func (s *Store) handleMessage(m simnet.Message) {
 			}
 			obs.SetProcSpan(p, sp)
 		}
-		br := r.evaluateBatch(p, batch.Reqs)
-		if sp != nil && len(br.Resps) == 1 && br.Resps[0].Err != nil {
-			sp.SetError(br.Resps[0].Err)
+		resps := r.evaluateBatch(p, batch)
+		if sp != nil && len(resps) == 1 && resps[0].Err != nil {
+			sp.SetError(resps[0].Err)
 		}
 		sp.Finish()
-		payload.Reply(br)
+		payload.Reply(batch)
 	}
 }
 

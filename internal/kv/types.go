@@ -528,35 +528,41 @@ type Response struct {
 
 // BatchRequest is the one RPC envelope dispatched to a Replica: the
 // requests bound for one range, whether a lone request or the sub-batch the
-// DistSender split out of a larger batch. A replica evaluates the requests
-// concurrently and replies with a BatchResponse whose responses are in
-// request order. The element type is interface{} only because the caller's
-// slice from SendBatch travels in it uncopied; every element is a request.
+// DistSender split out of a larger batch. It carries its own reply space: a
+// replica evaluates the requests concurrently, fills Resps in request order
+// and replies with the envelope itself, so a round trip allocates no reply.
+//
+// A DistSender takes its envelopes from its own free list and is the one that
+// puts them back, after it copied the responses out. An envelope goes back
+// only once its reply landed: one whose attempt failed after it was sent is
+// left to the collector, since its replica may still be evaluating into it.
 type BatchRequest struct {
 	RangeID RangeID
-	Reqs    []interface{}
+	// Reqs holds one request per element; the element type is interface{}
+	// because SendBatch takes the batch its callers build as []interface{}.
+	Reqs []interface{}
 	// Trace carries the sender's span context to the serving replica, so
 	// server-side evaluation spans join the request's trace.
 	Trace obs.SpanContext
-}
-
-// BatchResponse is the reply to a BatchRequest: one Response per request,
-// in request order. It travels by pointer, and a lone request's Response
-// lives inline in one, so the reply to a point read is a single object.
-type BatchResponse struct {
+	// Resps is the reply, one Response per request in request order.
 	Resps []Response
-	one   [1]Response
+	// one backs Resps while it needs no more room, as it does for a lone
+	// request.
+	one [1]Response
 }
 
-// newBatchResponse returns a reply with room for n responses.
-func newBatchResponse(n int) *BatchResponse {
-	br := &BatchResponse{}
-	if n == 1 {
-		br.Resps = br.one[:]
-	} else {
-		br.Resps = make([]Response, n)
+// reply returns Resps sized for Reqs: the space a replica answers in. It is
+// zeroed, since a fresh envelope's is and putBatch clears what a reply filled.
+func (b *BatchRequest) reply() []Response {
+	n := len(b.Reqs)
+	if b.Resps == nil {
+		b.Resps = b.one[:0]
 	}
-	return br
+	if cap(b.Resps) < n {
+		b.Resps = make([]Response, n)
+	}
+	b.Resps = b.Resps[:n]
+	return b.Resps
 }
 
 // RaftEnvelope carries a Raft message for one range between stores. It

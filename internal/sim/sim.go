@@ -212,8 +212,9 @@ type Simulation struct {
 	seed    int64
 	streams map[string]*rand.Rand
 
-	freeProcs []*Proc      // finished procs parked for reuse
-	freeWGs   []*WaitGroup // released WaitGroups
+	freeProcs  []*Proc      // finished procs parked for reuse
+	freeWGs    []*WaitGroup // released WaitGroups
+	freeGroups []*Group     // groups whose Wait returned
 	// coroutines counts the coroutines iter.Pull started whose run has not
 	// returned: the goroutines this simulation holds.
 	coroutines int
@@ -519,7 +520,8 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // Future is a single-assignment value that processes can wait on. The zero
 // Future is empty and ready to use, so a record that carries one can embed it
 // by value; it learns its simulation from the processes that wait on it. A
-// Future must not be copied once a process has waited on it.
+// Future must not be copied once a process has waited on it; assigning it
+// the zero Future empties it for reuse once none waits on it any more.
 //
 // There are two ways to fulfil one. Set may be called from anywhere, any
 // number of statements before its caller is done: it queues a wake per waiter
@@ -576,13 +578,15 @@ func (f *Future[T]) Set(v T) {
 
 // Deliver fulfils the future and resumes every waiter, in the order they
 // began to wait, before it returns; then it runs the Notify callback, if
-// any. See Future for when it may be called.
+// any. See Future for when it may be called. Deliver reads nothing of f once
+// the first waiter runs, so a waiter may empty f for reuse.
 func (f *Future[T]) Deliver(v T) {
+	notify := f.notify
 	for _, w := range f.fulfil(v) {
 		w.resumeNow()
 	}
-	if f.notify != nil {
-		f.notify()
+	if notify != nil {
+		notify()
 	}
 }
 
@@ -722,17 +726,89 @@ func (p *Proc) Fanout(name string, n int, fn func(cp *Proc, i int)) {
 		p.obsctx = ctx
 		return
 	}
-	wg := p.sim.GetWaitGroup()
-	wg.Add(n)
+	g := p.Group(fn)
 	for i := 0; i < n; i++ {
-		p.sim.Spawn(name, func(cp *Proc) {
-			defer wg.Done()
-			cp.obsctx = p.obsctx
-			fn(cp, i)
-		})
+		g.Go(name, i)
 	}
-	wg.Wait(p)
-	wg.Release()
+	g.Wait(p)
+}
+
+// maxFreeGroups caps the Group free list.
+const maxFreeGroups = 32
+
+// Group runs fn(cp, i) on a child process of its own for each index i handed
+// to Go, and lets the process that made it wait for all of them. Children
+// start in the order Go was called (each is a wake at its Go's instant, and
+// the queue runs those in order), so a child takes its index from the group's
+// list rather than from a closure of its own: once the list has grown,
+// starting a child allocates nothing. Every child starts with the
+// observability context its parent had when it made the group. Groups come
+// from the simulation's free list, and Wait gives the group back.
+type Group struct {
+	sim    *Simulation
+	ctx    interface{}
+	fn     func(cp *Proc, i int)
+	idxs   []int // the indices handed to Go, in start order
+	next   int   // children started so far
+	live   int   // children not yet returned
+	waiter *Proc
+	run    func(cp *Proc) // g.child, bound once
+}
+
+// Group returns an empty group that runs fn, from the simulation's free list.
+func (p *Proc) Group(fn func(cp *Proc, i int)) *Group {
+	s := p.sim
+	var g *Group
+	if n := len(s.freeGroups); n > 0 {
+		g = s.freeGroups[n-1]
+		s.freeGroups[n-1] = nil
+		s.freeGroups = s.freeGroups[:n-1]
+	} else {
+		g = &Group{sim: s}
+		g.run = g.child
+	}
+	g.ctx, g.fn = p.obsctx, fn
+	return g
+}
+
+// Go spawns the child that runs fn for index i at the current instant.
+func (g *Group) Go(name string, i int) {
+	g.idxs = append(g.idxs, i)
+	g.live++
+	g.sim.Spawn(name, g.run)
+}
+
+// child is the body of every child process.
+func (g *Group) child(cp *Proc) {
+	i := g.idxs[g.next]
+	g.next++
+	defer g.done()
+	cp.obsctx = g.ctx
+	g.fn(cp, i)
+}
+
+// done notes a returned child and wakes the waiter after the last one.
+func (g *Group) done() {
+	g.live--
+	if g.live == 0 && g.waiter != nil {
+		w := g.waiter
+		g.waiter = nil
+		g.sim.wakeAt(g.sim.now, w)
+	}
+}
+
+// Wait parks p until every child has returned, then gives the group back to
+// the free list: the caller must not touch it again.
+func (g *Group) Wait(p *Proc) {
+	if g.live > 0 {
+		g.waiter = p
+		p.park()
+	}
+	s := g.sim
+	g.ctx, g.fn, g.idxs, g.next = nil, nil, g.idxs[:0], 0
+	if len(s.freeGroups) < maxFreeGroups {
+		s.freeGroups = append(s.freeGroups, g)
+	}
 }
 
 // Cond is a waiting-room: processes park on it and are woken explicitly.

@@ -375,6 +375,49 @@ func TestFanout(t *testing.T) {
 	}
 }
 
+// TestGroupStartsChildrenWithoutAllocating: a group's children start in the
+// order Go was called, each with the index handed to Go and the observability
+// context its parent had when it made the group, and Wait returns when the
+// slowest has returned. A child learns its index from the group, not from a
+// closure of its own, so once the free lists have grown a fan-out of four
+// allocates nothing.
+func TestGroupStartsChildrenWithoutAllocating(t *testing.T) {
+	s := New(1)
+	order := make([]int, 0, 1024)
+	fn := func(cp *Proc, i int) {
+		if cp.ObsCtx() != "ctx" {
+			t.Errorf("child %d: obsctx %v, want ctx", i, cp.ObsCtx())
+		}
+		order = append(order, i)
+		cp.Sleep(Duration(i) * Millisecond)
+	}
+	var allocs float64
+	s.Spawn("parent", func(p *Proc) {
+		p.SetObsCtx("ctx")
+		g := p.Group(fn)
+		p.SetObsCtx("later")
+		for _, i := range []int{3, 0, 2} {
+			g.Go("child", i)
+		}
+		start := p.Now()
+		g.Wait(p)
+		if !slices.Equal(order, []int{3, 0, 2}) || p.Now().Sub(start) != 3*Millisecond {
+			t.Errorf("children started in order %v and were joined after %v, want [3 0 2] and 3ms", order, p.Now().Sub(start))
+		}
+		if p.Group(fn) != g {
+			t.Error("Wait did not give the group back to the free list")
+		}
+		p.SetObsCtx("ctx")
+		fan := func() { p.Fanout("child", 4, fn) }
+		fan() // the procs, the group's index list, the queue
+		allocs = testing.AllocsPerRun(50, fan)
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Fatalf("a fan-out of four allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestFanoutOfOneRunsOnCaller: a fan-out of one is a call. It consumes no
 // event, runs at the caller's instant on the caller's process, and a child
 // that replaces the observability context (obs.SetProcSpan does) leaves the

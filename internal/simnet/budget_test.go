@@ -121,9 +121,12 @@ func TestSendAllocatesNothingInFlight(t *testing.T) {
 	}
 }
 
-// TestRPCRoundTripAllocs: one record for the exchange (request, reply slot,
-// waiter) and the two delivery callbacks bound to it. The future, the wake
-// and timeout closures and what they captured made it seven.
+// TestRPCRoundTripAllocs: an echo round trip allocates nothing. The record
+// for the exchange (request, reply slot, waiter) and the two delivery
+// callbacks bound to it come back from the network's free list once the
+// reply has landed. They were three objects per round trip while each
+// exchange made its own record, and seven while the future, the wake and
+// timeout closures and what they captured were objects of their own.
 func TestRPCRoundTripAllocs(t *testing.T) {
 	s := sim.New(1)
 	n := twoNodeNet(s)
@@ -136,12 +139,63 @@ func TestRPCRoundTripAllocs(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		rpc() // the handler's process, the queue
+		rpc() // the handler's process, the queue, the record
 		allocs = testing.AllocsPerRun(100, rpc)
 	})
 	s.Run()
-	if allocs != 3 {
-		t.Fatalf("an echo round trip allocates %.1f objects, want 3", allocs)
+	if allocs != 0 {
+		t.Fatalf("an echo round trip allocates %.1f objects, want 0", allocs)
+	}
+	if len(n.freeRPCs) != 1 || n.freeRPCs[0].Payload != nil || n.freeRPCs[0].resp != nil {
+		t.Fatalf("free list holds %d records after back-to-back round trips, want one, cleared", len(n.freeRPCs))
+	}
+}
+
+// TestLateReplyIsNeverRecycled: a handler replies after its caller's
+// deadline. The caller's record is abandoned, never reused, so the late reply
+// writes into a record nobody reads, and the next exchange, in flight when
+// the late reply is sent, still receives its own reply. Recycling the record
+// at the timeout would hand it to the next exchange, whose caller would then
+// take the late reply for its own.
+func TestLateReplyIsNeverRecycled(t *testing.T) {
+	s := sim.New(1)
+	n := twoNodeNet(s)
+	var late *RPCRequest
+	n.Register(2, func(m Message) {
+		req := m.Payload.(*RPCRequest)
+		switch req.Payload {
+		case "slow": // replies 300ms after its delivery
+			late = req
+			req.Proc.Sleep(300 * sim.Millisecond)
+			req.Reply("late")
+		default: // replies 250ms after its delivery, after the late reply
+			req.Proc.Sleep(250 * sim.Millisecond)
+			req.Reply(req.Payload)
+		}
+	})
+	var first, second interface{}
+	var firstErr, secondErr error
+	s.Spawn("client", func(p *sim.Proc) {
+		first, firstErr = n.SendRPC(p, 1, 2, "slow", 100*sim.Millisecond)
+		second, secondErr = n.SendRPC(p, 1, 2, "fast", 0)
+	})
+	s.Run()
+	if _, ok := firstErr.(*ErrRPC); !ok || first != nil {
+		t.Fatalf("first exchange returned (%v, %v), want a timeout", first, firstErr)
+	}
+	if secondErr != nil || second != "fast" {
+		t.Fatalf("second exchange returned (%v, %v), want its own reply, fast", second, secondErr)
+	}
+	if late.resp != "late" {
+		t.Fatalf("the late reply left %v in its record, want late", late.resp)
+	}
+	for _, r := range n.freeRPCs {
+		if r == late {
+			t.Fatal("the timed-out exchange's record is in the free list")
+		}
+	}
+	if len(n.freeRPCs) != 1 {
+		t.Fatalf("free list holds %d records, want the second exchange's", len(n.freeRPCs))
 	}
 }
 

@@ -21,7 +21,8 @@ type Message struct {
 // should be spawned as a Proc. A request (SendRPC) arrives as an *RPCRequest
 // payload on a process of its own, RPCRequest.Proc, started at the delivery
 // instant: the handler runs on that process and may block on it before it
-// calls Reply.
+// calls Reply. Reply is the handler's last touch of the request: once the
+// reply lands, the caller reuses the record, and with it what it carried.
 type Handler func(msg Message)
 
 // Network delivers messages between nodes with topology-derived latency,
@@ -66,6 +67,9 @@ type Network struct {
 	// free holds the in-flight records of delivered messages for the next
 	// Send to reuse.
 	free []*flight
+	// freeRPCs holds the records of exchanges whose reply landed, for the
+	// next SendRPC to reuse.
+	freeRPCs []*RPCRequest
 }
 
 // netMetrics is the network's counters as resolved from one registry.
@@ -310,6 +314,14 @@ func (n *Network) deliver(msg Message) {
 // reply lands in and the caller waiting on that slot are a single record, and
 // a round trip is two events — the request's delivery, which starts Proc, and
 // the reply's, which resumes the caller — with nothing left queued after it.
+//
+// Records are recycled through Network.freeRPCs, and the two delivery
+// callbacks are the record's own methods, bound once when it is made, so a
+// round trip allocates nothing. A record goes back only once its reply has
+// landed, which is after the handler's Reply, its last touch. A record whose
+// caller timed out, or whose request or reply was dropped, is never reused:
+// its handler may still be running, and a late Reply then writes only into a
+// record nobody reads.
 type RPCRequest struct {
 	From    NodeID
 	Payload interface{}
@@ -322,6 +334,34 @@ type RPCRequest struct {
 	replied bool
 	resp    interface{}
 	reply   sim.Future[interface{}] // fulfilled by the reply's delivery
+	serveFn func(*sim.Proc)         // r.serve
+	landFn  func()                  // r.land
+}
+
+// maxFreeRPCs caps the free list of exchange records.
+const maxFreeRPCs = 128
+
+// newRPC returns a cleared exchange record, recycled if one is free.
+func (n *Network) newRPC() *RPCRequest {
+	if k := len(n.freeRPCs); k > 0 {
+		r := n.freeRPCs[k-1]
+		n.freeRPCs[k-1] = nil
+		n.freeRPCs = n.freeRPCs[:k-1]
+		return r
+	}
+	r := &RPCRequest{net: n}
+	r.serveFn, r.landFn = r.serve, r.land
+	return r
+}
+
+// recycle clears the record of an exchange whose reply landed, so it pins
+// neither request nor reply, and keeps it unless the list is full.
+func (n *Network) recycle(r *RPCRequest) {
+	r.From, r.Payload, r.Proc, r.to, r.replied, r.resp = 0, nil, nil, 0, false, nil
+	r.reply = sim.Future[interface{}]{}
+	if len(n.freeRPCs) < maxFreeRPCs {
+		n.freeRPCs = append(n.freeRPCs, r)
+	}
 }
 
 // serve is the request's delivery, the body of Proc.
@@ -331,7 +371,8 @@ func (r *RPCRequest) serve(p *sim.Proc) {
 }
 
 // Reply sends the response back to the caller with network latency. A request
-// is answered once: later calls are ignored.
+// is answered once: later calls are ignored. It is the handler's last touch of
+// the request (see RPCRequest).
 func (r *RPCRequest) Reply(resp interface{}) {
 	if r.replied {
 		return
@@ -343,7 +384,7 @@ func (r *RPCRequest) Reply(resp interface{}) {
 		return
 	}
 	r.resp = resp
-	n.Sim.After(n.delay(r.to, r.From), r.land)
+	n.Sim.After(n.delay(r.to, r.From), r.landFn)
 }
 
 // land is the reply's delivery: it hands the response to the caller and runs
@@ -355,10 +396,21 @@ func (r *RPCRequest) land() {
 	r.reply.Deliver(r.resp)
 }
 
-// ErrRPC represents an RPC transport failure (timeout / unreachable).
-type ErrRPC struct{ Reason string }
+// ErrRPC represents an RPC transport failure: the destination was unreachable
+// when the request was sent, or no reply came within Timeout. Its text is
+// built when asked for, not on every failed attempt.
+type ErrRPC struct {
+	From, To NodeID
+	// Timeout is the wait that expired; zero when To was unreachable.
+	Timeout sim.Duration
+}
 
-func (e *ErrRPC) Error() string { return "rpc: " + e.Reason }
+func (e *ErrRPC) Error() string {
+	if e.Timeout == 0 {
+		return fmt.Sprintf("rpc: node %d unreachable from %d", e.To, e.From)
+	}
+	return fmt.Sprintf("rpc: timeout after %s calling node %d", e.Timeout, e.To)
+}
 
 // SendRPC issues a request to the destination node and parks p until a reply
 // arrives or the timeout expires. The destination handler receives an
@@ -386,27 +438,29 @@ func (n *Network) SendRPC(p *sim.Proc, from, to NodeID, payload interface{}, tim
 	n.countSent(payload, wan)
 	if n.blocked(from, to) {
 		n.MessagesDropped++
-		err := &ErrRPC{Reason: fmt.Sprintf("node %d unreachable from %d", to, from)}
+		err := &ErrRPC{From: from, To: to}
 		sp.SetError(err)
 		sp.Finish()
 		return nil, err
 	}
 	d := n.delay(from, to)
 	sp.SetTagDuration("req_delay", d)
-	req := &RPCRequest{From: from, Payload: payload, net: n, to: to}
+	req := n.newRPC()
+	req.From, req.Payload, req.to = from, payload, to
 	start := n.Sim.Now()
-	n.Sim.SpawnAt(start.Add(d), "net/rpc", req.serve)
+	n.Sim.SpawnAt(start.Add(d), "net/rpc", req.serveFn)
 	if timeout <= 0 {
 		timeout = 10 * sim.Second
 	}
 	v, ok := req.reply.WaitTimeout(p, timeout)
 	m.rtt.RecordDuration(n.Sim.Now().Sub(start))
 	if !ok {
-		err := &ErrRPC{Reason: fmt.Sprintf("timeout after %s calling node %d", timeout, to)}
+		err := &ErrRPC{From: from, To: to, Timeout: timeout}
 		sp.SetError(err)
 		sp.Finish()
 		return nil, err
 	}
+	n.recycle(req)
 	sp.Finish()
 	return v, nil
 }

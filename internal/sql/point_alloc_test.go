@@ -17,11 +17,13 @@ import (
 // in objects, end to end on a three-region cluster: a prepared SELECT of
 // one column by primary key with locality-optimized search on, from the
 // us-east1 gateway. A local hit is one round trip to the gateway's own
-// partition, at 18 objects. A remote miss misses there, then probes both
+// partition, at 14 objects. A remote miss misses there, then probes both
 // remote partitions and returns on europe-west2's hit while
 // asia-northeast1's probe is still in flight (its objects land in the next
-// execution's count), at 55. The counts cover everything the simulation
-// runs meanwhile, so they are exact for this seed. They were 19 and 58
+// execution's count), at 43. The counts cover everything the simulation
+// runs meanwhile, so they are exact for this seed. They were 18 and 55
+// while every KV round trip made its RPC record, that record's two
+// callbacks, a boxed envelope and a reply of its own, 19 and 58
 // while a replica ran a lone request through its fan-out's closure, 34 and 75
 // while every string column of the row was decoded, the lookup tuples of an
 // LOS plan were fresh slices, the fetcher was boxed, the projection and the
@@ -59,11 +61,11 @@ func TestPointSelectAllocs(t *testing.T) {
 		remote = testing.AllocsPerRun(100, remoteRead)
 		p.Sleep(sim.Second) // the last remote probe lands
 	})
-	if local != 18 {
-		t.Errorf("a local point SELECT allocates %.0f objects, want 18", local)
+	if local != 14 {
+		t.Errorf("a local point SELECT allocates %.0f objects, want 14", local)
 	}
-	if remote != 55 {
-		t.Errorf("a remote point SELECT allocates %.0f objects, want 55", remote)
+	if remote != 43 {
+		t.Errorf("a remote point SELECT allocates %.0f objects, want 43", remote)
 	}
 }
 

@@ -231,7 +231,7 @@ func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
 		readTS := rep.ClosedTimestamp()
 		limit := readTS.Add(250 * sim.Millisecond)
 		scan := func() kv.Response {
-			raw, err := h.c.Net.SendRPC(p, gw, node, kv.BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&kv.ScanRequest{
+			raw, err := h.c.Net.SendRPC(p, gw, node, &kv.BatchRequest{RangeID: desc.RangeID, Reqs: []interface{}{&kv.ScanRequest{
 				StartKey: mvcc.Key("g/"), EndKey: mvcc.Key("g0"), Timestamp: readTS,
 				Txn:         &kv.Txn{ReadTimestamp: readTS, GlobalUncertaintyLimit: limit},
 				Uncertainty: true, FollowerRead: true,
@@ -239,7 +239,7 @@ func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			return raw.(*kv.BatchResponse).Resps[0]
+			return raw.(*kv.BatchRequest).Resps[0]
 		}
 		var unavailable *kv.FollowerReadUnavailableError
 		if resp := scan(); !errors.As(resp.Err, &unavailable) {
