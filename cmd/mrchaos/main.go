@@ -24,7 +24,6 @@ import (
 	"runtime/pprof"
 
 	"mrdb/internal/chaos"
-	"mrdb/internal/sim"
 )
 
 func main() {
@@ -36,9 +35,6 @@ func main() {
 func run() int {
 	seed := flag.Int64("seed", 1, "simulation seed (same seed => same run)")
 	faults := flag.Int("faults", 10, "number of fault/heal pairs to inject")
-	hold := flag.Duration("hold", 4*sim.Second, "mean fault hold duration (virtual)")
-	pause := flag.Duration("pause", 6*sim.Second, "mean pause between faults (virtual)")
-	movers := flag.Int("movers", 3, "concurrent bank-transfer workers")
 	verbose := flag.Bool("v", false, "print events as they are injected")
 	verify := flag.Bool("verify", false, "run twice and verify determinism")
 	metrics := flag.Bool("metrics", false, "dump the full metrics registry into the report (covered by -verify)")
@@ -96,9 +92,6 @@ func run() int {
 	opts := chaos.Options{
 		Seed:        *seed,
 		Faults:      *faults,
-		MeanHold:    *hold,
-		MeanPause:   *pause,
-		Movers:      *movers,
 		Metrics:     *metrics,
 		CrashesOnly: *crashes,
 		Elastic:     *elastic,

@@ -2,8 +2,9 @@
 // Jepsen: randomized faults (node crashes, region failures, symmetric and
 // one-way partitions, slow links) are injected into a running cluster from
 // the seeded "chaos/nemesis" stream while concurrent workloads check
-// invariants — bank-sum conservation, single-key linearizability,
-// closed-timestamp monotonicity — and a prober measures virtual-time
+// invariants — bank-sum conservation in KV and in SQL on a REGIONAL BY ROW
+// table, single-key linearizability, closed-timestamp monotonicity, locality
+// changes that leave their table intact — and a prober measures virtual-time
 // recovery (RTO).
 //
 // Because every source of randomness is a stream of the seed and all state
@@ -25,24 +26,15 @@ import (
 	"mrdb/internal/obs/export"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/sql"
 	"mrdb/internal/txn"
 	"mrdb/internal/zones"
 )
 
-// Options parameterizes a chaos run. Zero values of the schedule shape
-// (MeanHold, MeanPause, Movers) take defaults; Faults is taken as given.
+// Options parameterizes a chaos run.
 type Options struct {
 	Seed   int64
 	Faults int // fault/heal pairs to inject (2*Faults events total; 0 = none)
-
-	// MeanHold/MeanPause shape the schedule: each fault holds for a
-	// uniform duration in [Mean/2, 3*Mean/2], with a similar pause between
-	// faults. One fault is active at a time, so quorum is never lost on a
-	// REGION-survivable range.
-	MeanHold  sim.Duration
-	MeanPause sim.Duration
-
-	Movers int
 
 	// Metrics dumps the full metrics registry into the report, making it
 	// part of the -verify determinism comparison.
@@ -65,8 +57,16 @@ type Options struct {
 }
 
 const (
+	// meanHold and meanPause shape the schedule: each fault holds for a
+	// uniform duration in [mean/2, 3*mean/2], with a similar pause between
+	// faults. One fault is active at a time, so quorum is never lost on a
+	// REGION-survivable range.
+	meanHold  = 4 * sim.Second
+	meanPause = 6 * sim.Second
+	// movers is the number of KV bank-transfer workers.
+	movers = 3
 	// The bank has accounts rows of initialBalance each; transfers
-	// conserve the total.
+	// conserve the total. The SQL bank has the same accounts.
 	accounts       = 8
 	initialBalance = 100
 	// settle is quiet time after the last heal before final audits.
@@ -78,19 +78,6 @@ const (
 	// finishes.
 	elasticRun = 90 * sim.Second
 )
-
-func (o Options) withDefaults() Options {
-	if o.MeanHold == 0 {
-		o.MeanHold = 4 * sim.Second
-	}
-	if o.MeanPause == 0 {
-		o.MeanPause = 6 * sim.Second
-	}
-	if o.Movers == 0 {
-		o.Movers = 3
-	}
-	return o
-}
 
 // EventKind enumerates nemesis actions.
 type EventKind int8
@@ -203,6 +190,11 @@ type harness struct {
 	// closedLast holds the closed-timestamp monitor's high-water baseline
 	// per (node, range), together with the replica it was read from.
 	closedLast map[string]closedSample
+
+	// catalog is the SQL catalog of the database bank (see setupSQL), and
+	// sqlLoaded the instant its rows were all in.
+	catalog   *sql.Catalog
+	sqlLoaded sim.Time
 }
 
 // closedSample is one closed-timestamp reading. Monotonicity is per replica
@@ -218,7 +210,6 @@ type closedSample struct {
 // Run executes a chaos schedule and returns the report. The error is only
 // non-nil for setup failures; invariant violations are reported in Report.
 func Run(opts Options) (*Report, error) {
-	opts = opts.withDefaults()
 	return runOn(newCluster(opts), opts)
 }
 
@@ -344,7 +335,7 @@ func runOn(c *cluster.Cluster, opts Options) (*Report, error) {
 		setupErr = h.run(p)
 	})
 	// Generous virtual budget; the orchestrator stops the sim when done.
-	budget := sim.Duration(opts.Faults+2)*(opts.MeanHold+opts.MeanPause)*2 + 5*sim.Minute
+	budget := sim.Duration(opts.Faults+2)*(meanHold+meanPause)*2 + 5*sim.Minute
 	c.Sim.RunFor(budget)
 	h.rep.Elapsed = sim.Duration(c.Sim.Now())
 	h.rep.LeaseAcquisitions = h.leaseAcquisitions()
@@ -501,9 +492,15 @@ func (h *harness) run(p *sim.Proc) error {
 			return fmt.Errorf("chaos: %s seed: %w", g.key, err)
 		}
 	}
+	if err := h.setupSQL(p); err != nil {
+		return err
+	}
 
 	wg := sim.NewWaitGroup(c.Sim)
 	h.spawnMovers(wg)
+	h.spawnSQLMovers(wg)
+	h.spawnSQLAuditor(wg)
+	h.spawnCycler(wg)
 	h.spawnLinWriter(wg)
 	h.spawnLinReaders(wg)
 	h.spawnGlobalWorkloads(wg)
@@ -557,7 +554,7 @@ func (h *harness) run(p *sim.Proc) error {
 	if finalErr != nil {
 		return fmt.Errorf("chaos: final audit: %w", finalErr)
 	}
-	return nil
+	return h.finalSQLAudit(p)
 }
 
 // --- Nemesis ---
@@ -575,7 +572,7 @@ func (h *harness) nemesis(p *sim.Proc) {
 	nodes := c.Topo.Nodes()
 	regions := c.Regions()
 	for i := 0; i < opts.Faults; i++ {
-		p.Sleep(uniformAround(rng, opts.MeanPause))
+		p.Sleep(uniformAround(rng, meanPause))
 		var fault, heal Event
 		pick := rng.Intn(5)
 		if opts.CrashesOnly {
@@ -605,7 +602,7 @@ func (h *harness) nemesis(p *sim.Proc) {
 			heal = Event{Kind: EvHealLink, A: a, B: b}
 		}
 		h.apply(p, fault)
-		p.Sleep(uniformAround(rng, opts.MeanHold))
+		p.Sleep(uniformAround(rng, meanHold))
 		h.apply(p, heal)
 	}
 }
@@ -676,7 +673,7 @@ func (h *harness) apply(p *sim.Proc, e Event) {
 // windows); the invariant is that the money supply never changes.
 func (h *harness) spawnMovers(wg *sim.WaitGroup) {
 	regions := h.c.Regions()
-	for m := 0; m < h.opts.Movers; m++ {
+	for m := 0; m < movers; m++ {
 		m := m
 		region := regions[m%len(regions)]
 		wg.Add(1)
@@ -766,10 +763,17 @@ func (h *harness) write(p *sim.Proc, co *txn.Coordinator, g *register, val int) 
 }
 
 // read reads g through co and records what it saw if the read succeeded.
-func (h *harness) read(p *sim.Proc, co *txn.Coordinator, g *register) {
+// A non-nil beside is a key of g's range the read's transaction writes
+// first: the write rides the read's batch, which the DistSender splits.
+func (h *harness) read(p *sim.Proc, co *txn.Coordinator, g *register, beside mvcc.Key) {
 	start := p.Now()
 	var raw mvcc.Value
 	err := co.Run(p, func(tx *txn.Txn) error {
+		if beside != nil {
+			if err := tx.Put(p, beside, mvcc.Value("1")); err != nil {
+				return err
+			}
+		}
 		v, err := tx.Get(p, g.key)
 		raw = v
 		return err
@@ -790,7 +794,7 @@ func (h *harness) spawnLinReaders(wg *sim.WaitGroup) {
 			defer wg.Done()
 			co := h.coordAt(h.c.GatewayFor(region))
 			for !h.stopped {
-				h.read(p, co, &h.lin)
+				h.read(p, co, &h.lin, nil)
 				p.Sleep(400 * sim.Millisecond)
 			}
 		})
@@ -804,7 +808,10 @@ func (h *harness) spawnLinReaders(wg *sim.WaitGroup) {
 //     region. A write returns only once its future timestamp has passed on
 //     the writer's clock (commit wait); without that wait, a read that
 //     starts after the write returned reads below the write's timestamp by
-//     more than the uncertainty interval, and misses it.
+//     more than the uncertainty interval, and misses it. Every other read
+//     runs in a transaction that first writes the reader's own scratch key
+//     of the range: the write rides the read's batch, so the follower read
+//     goes to the nearest replica and the write to the leaseholder.
 //   - raw: one client that writes on globalWriter and, one network hop after
 //     the write returned, reads through rawReader in the same region. The
 //     hop (~1 ms) is shorter than the gap between the two clocks (up to the
@@ -846,7 +853,7 @@ func (h *harness) spawnGlobalWorkloads(wg *sim.WaitGroup) {
 			if !down(h.globalWriter, h.rawReader) && h.write(p, writer, &h.raw, next) {
 				next++
 				p.Sleep(hop)
-				h.read(p, reader, &h.raw)
+				h.read(p, reader, &h.raw, nil)
 				p.Sleep(300 * sim.Millisecond)
 			} else {
 				p.Sleep(500 * sim.Millisecond)
@@ -856,13 +863,18 @@ func (h *harness) spawnGlobalWorkloads(wg *sim.WaitGroup) {
 	for i, region := range h.c.Regions() {
 		region := region
 		wg.Add(1)
+		scratch := mvcc.Key(fmt.Sprintf("glob/s%d", i))
 		h.c.Sim.Spawn(fmt.Sprintf("chaos/global-reader%d", i), func(p *sim.Proc) {
 			defer wg.Done()
 			gw := h.c.GatewayFor(region)
 			co := h.coordAt(gw)
-			for !h.stopped {
+			for n := 0; !h.stopped; n++ {
 				if !down(gw) {
-					h.read(p, co, &h.global)
+					var beside mvcc.Key
+					if n%2 == 1 {
+						beside = scratch
+					}
+					h.read(p, co, &h.global, beside)
 				}
 				p.Sleep(100 * sim.Millisecond)
 			}

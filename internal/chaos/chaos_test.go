@@ -173,3 +173,33 @@ func TestClosedTSMonitorIsPerIncarnation(t *testing.T) {
 			h.rep.ClosedTSRegressions, h.rep.ClosedTSSamples)
 	}
 }
+
+// TestSQLTrafficInEveryConfiguration runs the five configurations CI runs
+// mrchaos in and requires the SQL workloads to have done their work in each:
+// SQL bank audits, in a consistent read and in a bounded-staleness scan,
+// with none reading a wrong total and the final total the initial one; at
+// least three locality changes of the ledger, each of them ok, or failed
+// with the table as it was; and every other invariant.
+func TestSQLTrafficInEveryConfiguration(t *testing.T) {
+	for _, opts := range []Options{
+		{Seed: 1, Faults: 12},
+		{Seed: 3, Faults: 12, CrashesOnly: true},
+		{Seed: 5, Faults: 12, CrashesOnly: true},
+		{Seed: 23, Elastic: true},
+		{Seed: 1, Elastic: true, Faults: 12},
+	} {
+		rep, err := Run(opts)
+		if err != nil {
+			t.Fatalf("%+v: %v", opts, err)
+		}
+		if rep.SQLAudits == 0 || rep.StaleAudits == 0 || rep.SQLTransfersOK == 0 {
+			t.Errorf("%+v: SQL bank made no progress:\n%s", opts, rep)
+		}
+		if len(rep.LocalityChanges) < 3 {
+			t.Errorf("%+v: %d locality changes, want >= 3", opts, len(rep.LocalityChanges))
+		}
+		if !rep.OK() {
+			t.Errorf("%+v: invariants violated:\n%s", opts, rep)
+		}
+	}
+}

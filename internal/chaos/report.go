@@ -26,6 +26,21 @@ type Report struct {
 	TransfersOK     int64
 	TransfersFailed int64
 
+	// The SQL bank on a REGIONAL BY ROW table: its final total, audits in a
+	// consistent read and in a bounded-staleness scan (each with the count
+	// that missed a row or summed wrong), and transfers.
+	SQLBankFinal       int
+	SQLAudits          int
+	SQLAuditBad        int
+	StaleAudits        int
+	StaleAuditBad      int
+	SQLTransfersOK     int64
+	SQLTransfersFailed int64
+
+	// LocalityChanges holds the cycler's locality changes of the ledger
+	// table, in order.
+	LocalityChanges []LocalityChange
+
 	// Single-key linearizability (single-writer monotonic registers): the
 	// totals over Registers.
 	LinWrites     int
@@ -138,9 +153,22 @@ func (r *Report) MaxRTO() sim.Duration {
 	return max
 }
 
+// LocalityChangesBad counts the locality changes that broke the table.
+func (r *Report) LocalityChangesBad() int {
+	n := 0
+	for _, lc := range r.LocalityChanges {
+		if lc.Bad() {
+			n++
+		}
+	}
+	return n
+}
+
 // OK reports whether every invariant held.
 func (r *Report) OK() bool {
 	return r.FinalAuditOK && r.BankAuditBad == 0 && r.LinViolations == 0 &&
+		r.SQLBankFinal == r.BankExpected && r.SQLAuditBad == 0 && r.StaleAuditBad == 0 &&
+		r.LocalityChangesBad() == 0 &&
 		r.ClosedTSRegressions == 0 && r.RecoveryFailures == 0 &&
 		r.PlacementViolations == 0
 }
@@ -153,6 +181,12 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "  bank: final=%d/%d audits=%d bad=%d transfers ok=%d failed=%d\n",
 		r.BankFinal, r.BankExpected, r.BankAudits, r.BankAuditBad,
 		r.TransfersOK, r.TransfersFailed)
+	fmt.Fprintf(&b, "  sql bank: final=%d/%d audits=%d bad=%d stale-audits=%d bad=%d transfers ok=%d failed=%d\n",
+		r.SQLBankFinal, r.BankExpected, r.SQLAudits, r.SQLAuditBad, r.StaleAudits, r.StaleAuditBad,
+		r.SQLTransfersOK, r.SQLTransfersFailed)
+	for _, lc := range r.LocalityChanges {
+		fmt.Fprintf(&b, "  locality-change %s\n", lc)
+	}
 	for _, g := range r.Registers {
 		fmt.Fprintf(&b, "  linearizability %s: writes=%d reads=%d violations=%d\n",
 			g.Key, g.Writes, g.Reads, g.Violations)

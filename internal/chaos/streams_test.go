@@ -6,7 +6,6 @@ import "testing"
 // jitter and returns the events the nemesis injected.
 func faultList(t *testing.T, opts Options, jitter float64) []Event {
 	t.Helper()
-	opts = opts.withDefaults()
 	c := newCluster(opts)
 	c.Topo.Jitter = jitter
 	rep, err := runOn(c, opts)

@@ -60,7 +60,7 @@ func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
 func TestChaosExportDeterminism(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	run := func(dir string) *Report {
-		rep, err := Run(Options{Seed: 23, Faults: 5, ExportDir: dir})
+		rep, err := Run(Options{Seed: 24, Faults: 5, ExportDir: dir})
 		if err != nil {
 			t.Fatalf("chaos run failed: %v", err)
 		}

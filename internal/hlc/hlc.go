@@ -47,29 +47,9 @@ func (t Timestamp) LessEq(u Timestamp) bool { return !u.Less(t) }
 // Equal reports t == u.
 func (t Timestamp) Equal(u Timestamp) bool { return t == u }
 
-// Compare returns -1, 0 or +1 as t is before, equal to, or after u.
-func (t Timestamp) Compare(u Timestamp) int {
-	switch {
-	case t.Less(u):
-		return -1
-	case u.Less(t):
-		return 1
-	default:
-		return 0
-	}
-}
-
 // Max returns the later of t and u.
 func (t Timestamp) Max(u Timestamp) Timestamp {
 	if t.Less(u) {
-		return u
-	}
-	return t
-}
-
-// Min returns the earlier of t and u.
-func (t Timestamp) Min(u Timestamp) Timestamp {
-	if u.Less(t) {
 		return u
 	}
 	return t
@@ -136,9 +116,6 @@ type ManualWallSource struct{ Wall int64 }
 
 // WallNow implements WallSource.
 func (m *ManualWallSource) WallNow() int64 { return m.Wall }
-
-// Advance moves the manual clock forward by d.
-func (m *ManualWallSource) Advance(d sim.Duration) { m.Wall += int64(d) }
 
 // Clock is a hybrid logical clock. It is not internally synchronized: in the
 // simulator all callers run under the cooperative scheduler, and real

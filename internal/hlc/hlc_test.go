@@ -56,13 +56,10 @@ func TestTimestampNextPrev(t *testing.T) {
 	}
 }
 
-func TestTimestampMaxMin(t *testing.T) {
+func TestTimestampMax(t *testing.T) {
 	a, b := ts(1, 5), ts(2, 0)
 	if a.Max(b) != b || b.Max(a) != b {
 		t.Error("Max wrong")
-	}
-	if a.Min(b) != a || b.Min(a) != a {
-		t.Error("Min wrong")
 	}
 }
 
@@ -78,7 +75,7 @@ func TestClockMonotonic(t *testing.T) {
 		}
 		prev = cur
 	}
-	src.Advance(50)
+	src.Wall += 50
 	cur := c.Now()
 	if cur.WallTime != 150 || cur.Logical != 0 {
 		t.Fatalf("clock did not adopt advanced wall time: %v", cur)
@@ -112,32 +109,12 @@ func TestNowAfterCommitWait(t *testing.T) {
 	if c.NowAfter(ts(999, 5)) != 0 {
 		t.Fatal("past timestamp should not wait")
 	}
-	src.Advance(sim.Duration(d))
+	src.Wall += int64(d)
 	if c.NowAfter(ts(1200, 0)) != 0 {
 		t.Fatal("wait did not satisfy NowAfter")
 	}
 	if got := c.Now(); !ts(1200, 0).Less(got) {
 		t.Fatalf("after waiting, Now = %v, want > 1200", got)
-	}
-}
-
-// Property: Compare is a total order consistent with Less.
-func TestQuickCompareTotalOrder(t *testing.T) {
-	f := func(aw, bw uint32, al, bl uint8) bool {
-		a := ts(int64(aw), int32(al))
-		b := ts(int64(bw), int32(bl))
-		c := a.Compare(b)
-		switch {
-		case a.Less(b):
-			return c == -1 && b.Compare(a) == 1
-		case b.Less(a):
-			return c == 1 && b.Compare(a) == -1
-		default:
-			return c == 0 && a == b
-		}
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -152,7 +129,7 @@ func TestQuickClockMonotonicAcrossWallAdvances(t *testing.T) {
 			if op%2 == 0 {
 				seen = append(seen, c.Now())
 			} else {
-				src.Advance(sim.Duration(op % 100))
+				src.Wall += int64(op % 100)
 			}
 		}
 		return sort.SliceIsSorted(seen, func(i, j int) bool { return seen[i].Less(seen[j]) })

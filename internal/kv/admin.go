@@ -54,15 +54,16 @@ func (a *Admin) CreateRange(start, end mvcc.Key, placement zones.Placement, poli
 		Policy:      policy,
 		Generation:  1,
 	}
+	for _, id := range desc.Replicas() {
+		if st, ok := a.Stores[id]; !ok || st.Down() {
+			return nil, fmt.Errorf("kv: no live store on node %d", id)
+		}
+	}
 	if err := a.Catalog.Insert(desc); err != nil {
 		return nil, err
 	}
 	for _, id := range desc.Replicas() {
-		st, ok := a.Stores[id]
-		if !ok {
-			return nil, fmt.Errorf("kv: no store on node %d", id)
-		}
-		st.CreateReplica(desc)
+		a.Stores[id].CreateReplica(desc)
 	}
 	// Elect the leaseholder as Raft leader.
 	lh := a.Stores[desc.Leaseholder]
@@ -233,13 +234,20 @@ func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 			continue
 		}
 		st, ok := a.Stores[id]
-		if !ok {
-			return fmt.Errorf("kv: no store on node %d", id)
+		if !ok || st.Down() {
+			return fmt.Errorf("kv: no live store on node %d", id)
 		}
 		if _, ok := st.Replica(rangeID); ok {
 			continue
 		}
-		st.CreateReplica(newDesc)
+		// The replica starts as what the conf change below makes it: a
+		// learner of the current membership. Built from the new descriptor
+		// it would count itself a voter, and the replicas this relocation
+		// creates could elect one of themselves with an empty log while
+		// the range's voters are cut off from them.
+		joining := old.Clone()
+		joining.NonVoters = append(joining.NonVoters, id)
+		st.CreateReplica(joining)
 		if err := propose(raft.ConfChange{Type: raft.AddLearner, Node: id}); err != nil {
 			st.RemoveReplica(rangeID)
 			return err

@@ -268,6 +268,7 @@ func (s *Store) Crash() {
 		s.replicas[id].raft.Stop()
 	}
 	s.replicas = map[RangeID]*Replica{}
+	s.down = true
 	s.forgetAcks()
 	if s.Disk != nil {
 		s.Disk.Crash()
@@ -383,6 +384,7 @@ func (s *Store) Recover(p *sim.Proc) (stats RecoveryStats, err error) {
 	if s.ckptInterval > 0 {
 		s.startCkptTicker()
 	}
+	s.down = false
 	return stats, nil
 }
 

@@ -88,9 +88,9 @@ func floorHolds(t *testing.T, seed int64, plain, floored *Replica) int {
 			above++
 		}
 	}
-	if n := floored.tscache.Len(); n != above {
+	if n := len(floored.tscache.reads); n != above {
 		t.Fatalf("seed %d: the floored cache holds %d entries, %d lie above the promise %v",
 			seed, n, above, floored.closed.issued)
 	}
-	return plain.tscache.Len() - above
+	return len(plain.tscache.reads) - above
 }

@@ -30,8 +30,8 @@ func TestTimestampCacheBasics(t *testing.T) {
 	}
 	// Reads at or below the low water mark are not recorded.
 	c.RecordRead(mvcc.Key("b"), ts(5), 1)
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.reads) != 1 {
+		t.Fatalf("Len = %d", len(c.reads))
 	}
 }
 
@@ -66,11 +66,11 @@ func TestTimestampCacheLowWater(t *testing.T) {
 	}
 	// Ratchets only forward.
 	c.SetLowWater(ts(20))
-	if c.LowWater() != ts(30) {
+	if c.lowWater != ts(30) {
 		t.Fatal("low water regressed")
 	}
 	c.RecordReadSpan(mvcc.Key("a"), mvcc.Key("z"), ts(40))
-	if c.LowWater() != ts(40) {
+	if c.lowWater != ts(40) {
 		t.Fatal("span read did not ratchet low water")
 	}
 }
@@ -104,8 +104,8 @@ func TestTimestampCacheRereadAllocs(t *testing.T) {
 	if got, own := c.MaxRead(key, 7); got != ts(at) || own {
 		t.Fatalf("MaxRead = %v own=%v: the exemption must not survive a second reader", got, own)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d", c.Len())
+	if len(c.reads) != 1 {
+		t.Fatalf("Len = %d", len(c.reads))
 	}
 }
 

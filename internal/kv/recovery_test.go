@@ -164,8 +164,8 @@ func TestRestartDropsVolatileState(t *testing.T) {
 	if len(nr1.latches.held) != 0 {
 		t.Fatalf("pre-crash latches held after restart: %v", nr1.latches.held)
 	}
-	if nr1.tscache.LowWater().Less(restartAt) {
-		t.Fatalf("tscache low-water %v below restart time %v", nr1.tscache.LowWater(), restartAt)
+	if nr1.tscache.lowWater.Less(restartAt) {
+		t.Fatalf("tscache low-water %v below restart time %v", nr1.tscache.lowWater, restartAt)
 	}
 	h.net.RestartNode(1)
 	h.net.Heal(1, 2)

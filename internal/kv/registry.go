@@ -285,6 +285,3 @@ func (r *TxnRegistry) GC(id mvcc.TxnID) {
 		delete(r.records, id)
 	}
 }
-
-// Len returns the number of live records (testing hook).
-func (r *TxnRegistry) Len() int { return len(r.records) }

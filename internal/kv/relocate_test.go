@@ -94,3 +94,32 @@ func TestRelocateAgainAfterFailedConfChange(t *testing.T) {
 		})
 	}
 }
+
+// TestRelocatedReplicasJoinAsLearners: a relocation creates each new replica
+// as a learner of the range's current membership, which its conf changes
+// then promote. Built from the new descriptor, the new replicas counted
+// themselves voters: cut off from the range's voters, three of them elected
+// one of their own with an empty log, a second leader whose appends made
+// the range's followers ack entries it never had.
+func TestRelocatedReplicasJoinAsLearners(t *testing.T) {
+	h := newRecoveryHarness(t, 6, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	for _, a := range []simnet.NodeID{1, 2, 3} {
+		for _, b := range []simnet.NodeID{4, 5, 6} {
+			h.net.Partition(a, b)
+		}
+	}
+	h.s.Spawn("relocate", func(p *sim.Proc) {
+		// Cut off from its new voters, the relocation cannot finish.
+		_ = h.admin.Relocate(p, desc.RangeID, zones.Placement{Voters: []simnet.NodeID{4, 5, 6}, Leaseholder: 4}, ClosedTSLag, nil)
+	})
+	h.s.RunFor(10 * sim.Second)
+	for _, id := range []simnet.NodeID{4, 5, 6} {
+		if r, ok := h.stores[id].Replica(desc.RangeID); ok && r.raft.IsLeader() {
+			t.Fatalf("n%d, a replica the relocation created, leads the range while cut off from its voters", id)
+		}
+	}
+	if r, _ := h.stores[1].Replica(desc.RangeID); !r.raft.IsLeader() {
+		t.Fatal("n1 lost the lead of its range")
+	}
+}

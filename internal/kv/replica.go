@@ -135,9 +135,9 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 	if r.subsumed {
 		return Response{Err: &RangeKeyMismatchError{RequestedKey: r.desc.StartKey}}
 	}
-	q, err := asRequest(req)
-	if err != nil {
-		return Response{Err: err}
+	q, ok := req.(evaluator)
+	if !ok {
+		return Response{Err: fmt.Errorf("kv: cannot evaluate %T", req)}
 	}
 	return q.eval(r, p)
 }
@@ -1023,6 +1023,23 @@ func (r *Replica) onLeaderChange(leader simnet.NodeID, _ uint64) {
 	if r.hasValidLease() || r.leaseAcqActive {
 		return
 	}
+	r.startLeaseAcquisition()
+}
+
+// reclaimFencedLease starts a lease acquisition on a leader whose own lease
+// was fenced while it kept its leadership. A peer that bumps this node's
+// epoch to take one range's lease fences every lease the node holds, and
+// a range whose voters share a region keeps its leader through a failure
+// of that region: no leader change comes to start an acquisition
+// (onLeaderChange), and the range would stay without a usable lease.
+func (r *Replica) reclaimFencedLease() {
+	if r.raft.IsLeader() && r.isLeaseholder() && r.store.liveness != nil && r.store.SelfLive() && !r.leaseAcqActive {
+		r.startLeaseAcquisition()
+	}
+}
+
+// startLeaseAcquisition runs maybeAcquireLease on a proc of its own.
+func (r *Replica) startLeaseAcquisition() {
 	r.leaseAcqActive = true
 	r.store.Sim.Spawn(fmt.Sprintf("n%d/r%d/lease-acq", r.store.NodeID, r.desc.RangeID), func(p *sim.Proc) {
 		defer func() { r.leaseAcqActive = false }()
@@ -1143,9 +1160,11 @@ func (r *Replica) engineFor(key mvcc.Key) *mvcc.Engine {
 }
 
 // heartbeatPayload is the closed-timestamp promise the leader attaches to
-// each append, the side transport of paper §5.1.1 (zero: none).
+// each append, the side transport of paper §5.1.1 (zero: none). A leader
+// that finds its own lease fenced here reclaims it.
 func (r *Replica) heartbeatPayload() hlc.Timestamp {
 	if !r.hasValidLease() {
+		r.reclaimFencedLease()
 		return hlc.Timestamp{}
 	}
 	return r.closed.issue(r.store.Clock.Now())

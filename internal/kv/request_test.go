@@ -11,7 +11,7 @@ import (
 // the span renderer about itself: typeName is exactly what %T prints (span
 // trees that determinism oracles hash carry it), routingKey is the key whose
 // range serves the request, and followerOK is true only for reads that asked
-// for it (and always for negotiation).
+// for it.
 func TestRequestMethods(t *testing.T) {
 	k, end := mvcc.Key("k"), mvcc.Key("z")
 	cases := []struct {
@@ -29,7 +29,6 @@ func TestRequestMethods(t *testing.T) {
 		{&ResolveIntentRequest{Key: k}, k, false},
 		{&RefreshRequest{Key: k, EndKey: end}, k, false},
 		{&RefreshRequest{Key: k, FollowerRead: true}, k, true},
-		{&NegotiateRequest{StartKey: k, EndKey: end}, k, true},
 	}
 	seen := map[string]bool{}
 	for _, c := range cases {
@@ -48,8 +47,8 @@ func TestRequestMethods(t *testing.T) {
 			t.Errorf("%s: asRequest = %v, %v", want, q, err)
 		}
 	}
-	if len(seen) != 8 {
-		t.Errorf("table covers %d request types, want 8", len(seen))
+	if len(seen) != 7 {
+		t.Errorf("table covers %d request types, want 7", len(seen))
 	}
 	if _, err := asRequest(struct{}{}); err == nil || err.Error() != "kv: cannot route struct {}" {
 		t.Errorf("asRequest(struct{}{}) err = %v", err)

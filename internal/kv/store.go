@@ -44,6 +44,9 @@ type Store struct {
 	Disk *storage.Disk
 
 	replicas map[RangeID]*Replica
+	// down is set from Crash until Recover has rebuilt the store: a down
+	// store takes no new replica (see Down).
+	down bool
 	// engineSeed derives per-replica skiplist seeds deterministically.
 	engineSeed int64
 
@@ -285,6 +288,11 @@ func (s *Store) CreateReplica(desc *RangeDescriptor) *Replica {
 	r.raft.Start()
 	return r
 }
+
+// Down reports whether the node crashed and has not recovered yet. A range
+// must not be created or grown onto a down store: the replica would live in
+// memory the crash emptied, and the restart refuses to recover over it.
+func (s *Store) Down() bool { return s.down }
 
 // buildReplica constructs a replica and its Raft node without registering
 // or starting them, so recovery can prime engine and log state first.

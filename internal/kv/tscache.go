@@ -83,9 +83,6 @@ func (c *TimestampCache) MaxRead(key mvcc.Key, writer mvcc.TxnID) (hlc.Timestamp
 	return ts, own
 }
 
-// LowWater returns the cache-wide floor.
-func (c *TimestampCache) LowWater() hlc.Timestamp { return c.lowWater }
-
 // SetLowWater ratchets the floor (never backwards) and drops the entries
 // it covers.
 func (c *TimestampCache) SetLowWater(ts hlc.Timestamp) {
@@ -99,6 +96,3 @@ func (c *TimestampCache) SetLowWater(ts hlc.Timestamp) {
 		}
 	}
 }
-
-// Len returns the number of per-key entries (testing hook).
-func (c *TimestampCache) Len() int { return len(c.reads) }

@@ -104,10 +104,21 @@ func (t *Txn) id() mvcc.TxnID {
 
 // --- Requests ---
 
-// request is the sealed set of KV requests. Everything the DistSender and
-// the Replica decide per request type is a method implemented beside the
-// type's definition, so adding a request means writing one block here.
+// evaluator is what a replica needs of a request: how to evaluate it. The
+// bounded-staleness negotiation is only that: NegotiateBoundedStaleness
+// sends it to one replica after another itself, and the DistSender never
+// routes it.
+type evaluator interface {
+	// eval evaluates the request on r, blocking p as needed.
+	eval(r *Replica, p *sim.Proc) Response
+}
+
+// request is the sealed set of KV requests the DistSender routes.
+// Everything the DistSender and the Replica decide per request type is a
+// method implemented beside the type's definition, so adding a request
+// means writing one block here.
 type request interface {
+	evaluator
 	// routingKey is the key whose range serves the request.
 	routingKey() mvcc.Key
 	// typeName is what %T prints for the request, as a constant: it lands
@@ -118,8 +129,6 @@ type request interface {
 	// followerOK reports whether any replica, not only the leaseholder,
 	// may serve the request.
 	followerOK() bool
-	// eval evaluates the request on r, blocking p as needed.
-	eval(r *Replica, p *sim.Proc) Response
 }
 
 // asRequest is the one place a value that came through the interface{}
@@ -427,14 +436,11 @@ type RefreshResponse struct {
 
 // NegotiateRequest implements the bounded-staleness negotiation phase
 // (§5.3.2): it asks a replica for the highest timestamp at which the key
-// span can be served locally without blocking.
+// span can be served locally without blocking. Any replica may answer it.
 type NegotiateRequest struct {
 	StartKey, EndKey mvcc.Key
 }
 
-func (q *NegotiateRequest) routingKey() mvcc.Key                  { return q.StartKey }
-func (q *NegotiateRequest) typeName() string                      { return "*kv.NegotiateRequest" }
-func (q *NegotiateRequest) followerOK() bool                      { return true }
 func (q *NegotiateRequest) eval(r *Replica, p *sim.Proc) Response { return r.evalNegotiate(q) }
 
 // NegotiateResponse returns the local resolved timestamp.

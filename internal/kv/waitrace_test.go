@@ -275,3 +275,40 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 		t.Errorf("DistSender QueryIntent = %+v (err %v), want the right-hand range's Found", routed.QueryIntent, routed.Err)
 	}
 }
+
+// TestLeaderReclaimsItsFencedLease: a peer that bumps a node's epoch to take
+// one range's lease fences every lease the node holds. A range whose leader
+// is that node and keeps leading — its voters share a region that failed
+// and recovered as a whole — gets no leader change to start an acquisition,
+// and its lease once stayed fenced for good: every request bounced off the
+// leaseholder until the sender gave up. The leader reclaims the lease under
+// its new epoch and serves again.
+func TestLeaderReclaimsItsFencedLease(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	rep, _ := h.stores[1].Replica(desc.RangeID)
+	h.run(t, 15*sim.Second, func(p *sim.Proc) error {
+		if err := h.admin.WaitReady(p, desc.RangeID); err != nil {
+			return err
+		}
+		// Another range's acquisition found n1's record expired and fenced it.
+		h.nl.recs[1].Expiration = p.Now() - 1
+		if !h.nl.IncrementEpoch(1, p.Now()) {
+			t.Fatal("could not fence n1")
+		}
+		p.Sleep(5 * sim.Second)
+		return nil
+	})
+	if !rep.raft.IsLeader() || !rep.isLeaseholder() || !rep.hasValidLease() || rep.leaseEpoch != h.nl.Epoch(1) {
+		t.Fatalf("n1 leader %v, named leaseholder %v, lease valid %v (lease epoch %d, node epoch %d): want a reclaimed lease",
+			rep.raft.IsLeader(), rep.isLeaseholder(), rep.hasValidLease(), rep.leaseEpoch, h.stores[1].CurrentEpoch())
+	}
+	var resp Response
+	h.run(t, sim.Second, func(p *sim.Proc) error {
+		resp = rep.evaluate(p, &GetRequest{Key: mvcc.Key("k"), Timestamp: h.stores[1].Clock.Now()})
+		return nil
+	})
+	if resp.Err != nil {
+		t.Fatalf("read at the leaseholder after the reclaim: %v", resp.Err)
+	}
+}

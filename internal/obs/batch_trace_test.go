@@ -44,7 +44,7 @@ func TestTraceBatchedInsertOneRPCPerRange(t *testing.T) {
 		const touchedRanges = 3
 		perType := map[string]int{}
 		putReqs := int64(0)
-		for _, sp := range trace.FindAll("ds.send") {
+		for _, sp := range findAll(trace, "ds.send") {
 			typ, _ := sp.Tag("req")
 			perType[typ]++
 			if typ == "*kv.PutRequest" {
@@ -72,7 +72,7 @@ func TestTraceBatchedInsertOneRPCPerRange(t *testing.T) {
 		}
 		// Total attempts stay bounded by phases x ranges, far below the
 		// per-key count (>= 40 RPCs for 10 rows before batching).
-		if rpcs := len(trace.FindAll("ds.rpc")); rpcs >= 20 {
+		if rpcs := len(findAll(trace, "ds.rpc")); rpcs >= 20 {
 			t.Errorf("kv rpcs = %d, want < 20 (bounded by touched ranges, not rows):\n%s", rpcs, trace)
 		}
 	})
@@ -157,7 +157,7 @@ func TestTraceMultiRangeScanLatencyIsMax(t *testing.T) {
 		if scan == nil {
 			t.Fatalf("no ds.scan span:\n%s", trace)
 		}
-		sends := trace.FindAll("ds.send")
+		sends := findAll(trace, "ds.send")
 		if len(sends) != 3 {
 			t.Fatalf("ds.send spans = %d, want 3 (one per range):\n%s", len(sends), trace)
 		}

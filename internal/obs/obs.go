@@ -181,20 +181,6 @@ func (t *Trace) Find(name string) *Span {
 	return nil
 }
 
-// FindAll returns every span with the given name, in creation order.
-func (t *Trace) FindAll(name string) []*Span {
-	if t == nil {
-		return nil
-	}
-	var out []*Span
-	for _, s := range t.Spans {
-		if s.Name == name {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
 // String renders the trace as an indented tree in canonical form: children
 // in creation order, each line carrying name, [start, end) virtual times
 // and tags in insertion order. Two runs with the same seed produce
@@ -238,13 +224,6 @@ func (t *Trace) String() string {
 		render(r, 0)
 	}
 	return b.String()
-}
-
-// Hash returns an FNV-1a hash of the canonical rendering.
-func (t *Trace) Hash() uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(t.String()))
-	return h.Sum64()
 }
 
 // Tracer creates and retains spans. It is owned by a single Simulation and

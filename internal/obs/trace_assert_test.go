@@ -21,6 +21,17 @@ import (
 	"mrdb/internal/zones"
 )
 
+// findAll returns every span of t with the given name, in creation order.
+func findAll(t *obs.Trace, name string) []*obs.Span {
+	var out []*obs.Span
+	for _, s := range t.Spans {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
 // traceHarness is a 3-region cluster with one SQL session per region and
 // tracing initially off, so setup DDL stays out of the collected traces.
 type traceHarness struct {
@@ -97,7 +108,7 @@ func lastTrace(tr *obs.Tracer, rootName string) *obs.Trace {
 // also requires at least one hop, so the assertion can't pass vacuously.
 func assertNoWAN(t *testing.T, trace *obs.Trace, what string) {
 	t.Helper()
-	hops := trace.FindAll("net.rpc")
+	hops := findAll(trace, "net.rpc")
 	if len(hops) == 0 {
 		t.Fatalf("%s: no net.rpc spans recorded:\n%s", what, trace)
 	}
@@ -134,7 +145,7 @@ func TestTraceStaleReadStaysLocal(t *testing.T) {
 		}
 		assertNoWAN(t, trace, "stale read from asia")
 		followed := false
-		for _, sp := range trace.FindAll("replica.eval") {
+		for _, sp := range findAll(trace, "replica.eval") {
 			if v, _ := sp.Tag("follower_read"); v == "true" {
 				followed = true
 			}
@@ -168,7 +179,7 @@ func TestTraceHomeWriteOneWANQuorumTrip(t *testing.T) {
 		assertNoWAN(t, trace, "home-region write")
 		// Exactly one consensus round, acknowledged by exactly one remote
 		// voter: the quorum never waits for the slower WAN replicas.
-		reps := trace.FindAll("raft.replicate")
+		reps := findAll(trace, "raft.replicate")
 		if len(reps) != 1 {
 			t.Fatalf("raft.replicate spans = %d, want 1 (one-phase commit):\n%s", len(reps), trace)
 		}
@@ -208,7 +219,7 @@ func TestTraceGlobalReadServedLocally(t *testing.T) {
 		}
 		assertNoWAN(t, trace, "global read from europe")
 		followed := false
-		for _, sp := range trace.FindAll("replica.eval") {
+		for _, sp := range findAll(trace, "replica.eval") {
 			if v, _ := sp.Tag("follower_read"); v == "true" {
 				followed = true
 			}

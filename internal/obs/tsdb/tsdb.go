@@ -122,14 +122,6 @@ func (s *Series) Buckets() []BucketAt {
 	return out
 }
 
-// Width returns the series' bucket width.
-func (s *Series) Width() sim.Duration {
-	if s == nil {
-		return 0
-	}
-	return s.width
-}
-
 // DB holds every series of one run. Like the metrics registry it is touched
 // only from Procs (no locking) and a nil DB degrades every method to a
 // no-op, so instrumentation sites need no "is collection on" checks.

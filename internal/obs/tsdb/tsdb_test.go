@@ -81,7 +81,7 @@ func TestNilSafety(t *testing.T) {
 		t.Error("nil DB returned data")
 	}
 	var s *Series
-	if s.Buckets() != nil || s.Width() != 0 {
+	if s.Buckets() != nil {
 		t.Error("nil Series returned data")
 	}
 }

@@ -241,7 +241,7 @@ func promotionWindow(t *testing.T, durable bool) {
 
 	h.s.RunFor(3 * sim.Second)
 	if !f.IsLeader() {
-		t.Fatalf("node 2 is %v after its campaign", f.Role())
+		t.Fatalf("node 2 is %v after its campaign", f.role)
 	}
 	stopped = true
 	h.s.RunFor(2 * sim.Second)

@@ -426,14 +426,8 @@ func (n *Node) send(to simnet.NodeID, msg Message) {
 	n.cfg.Transport.Send(to, msg)
 }
 
-// Role returns the replica's current role.
-func (n *Node) Role() Role { return n.role }
-
 // Term returns the current term.
 func (n *Node) Term() uint64 { return n.term }
-
-// Leader returns the last known leader (0 if unknown).
-func (n *Node) Leader() simnet.NodeID { return n.leader }
 
 // IsLeader reports whether this replica currently leads.
 func (n *Node) IsLeader() bool { return n.role == Leader }

@@ -166,8 +166,8 @@ func TestElectLeader(t *testing.T) {
 	// All voters agree on the leader after propagation.
 	h.s.RunFor(2 * sim.Second)
 	for id, n := range h.nodes {
-		if n.Leader() != l.ID() {
-			t.Errorf("node %d thinks leader is %d, want %d", id, n.Leader(), l.ID())
+		if n.leader != l.ID() {
+			t.Errorf("node %d thinks leader is %d, want %d", id, n.leader, l.ID())
 		}
 	}
 }
@@ -249,8 +249,8 @@ func TestLearnerReplicatesButNeverVotes(t *testing.T) {
 		if len(h.applied[id]) != 3 {
 			t.Fatalf("learner %d applied %d entries", id, len(h.applied[id]))
 		}
-		if h.nodes[id].Role() != Learner {
-			t.Fatalf("learner %d has role %v", id, h.nodes[id].Role())
+		if h.nodes[id].role != Learner {
+			t.Fatalf("learner %d has role %v", id, h.nodes[id].role)
 		}
 	}
 }
@@ -339,7 +339,7 @@ func TestLeadershipTransfer(t *testing.T) {
 	h.s.RunFor(3 * sim.Second)
 	if !h.nodes[3].IsLeader() {
 		t.Fatalf("transfer failed; roles: %v %v %v",
-			h.nodes[1].Role(), h.nodes[2].Role(), h.nodes[3].Role())
+			h.nodes[1].role, h.nodes[2].role, h.nodes[3].role)
 	}
 }
 
@@ -360,7 +360,7 @@ func TestConfChangeAddLearnerThenPromote(t *testing.T) {
 	if !h.nodes[1].IsVoter(4) {
 		t.Fatal("leader does not see node 4 as voter")
 	}
-	if h.nodes[4].Role() == Learner {
+	if h.nodes[4].role == Learner {
 		t.Fatal("node 4 still a learner after promotion")
 	}
 	// Quorum is now 3 of 4; crash two voters, leaving 1 and 4: no commit.
@@ -642,7 +642,7 @@ func TestDeposedLeaderCannotMutateInFlightEntries(t *testing.T) {
 	h.nodes[2].Campaign()
 	h.s.RunFor(sim.Second)
 	if !h.nodes[2].IsLeader() || old.IsLeader() {
-		t.Fatalf("setup: roles %v %v", old.Role(), h.nodes[2].Role())
+		t.Fatalf("setup: roles %v %v", old.role, h.nodes[2].role)
 	}
 	h.s.Spawn("proposer", func(p *sim.Proc) {
 		for _, v := range []string{"y1", "y2", "y3", "y4"} {
@@ -737,7 +737,7 @@ func (h *harness) elect(t *testing.T) *Node {
 	l.Campaign()
 	h.s.RunFor(2 * beat)
 	if !l.IsLeader() || l.CommitIndex() != l.LastIndex() {
-		t.Fatalf("setup: node 1 is %v, commit %d of %d", l.Role(), l.CommitIndex(), l.LastIndex())
+		t.Fatalf("setup: node 1 is %v, commit %d of %d", l.role, l.CommitIndex(), l.LastIndex())
 	}
 	return l
 }
@@ -834,12 +834,12 @@ func TestRegainedLeadershipKeepsOneHeartbeatChain(t *testing.T) {
 	l.TransferLeadership(2)
 	h.s.RunFor(20 * sim.Millisecond)
 	if !h.nodes[2].IsLeader() || l.IsLeader() {
-		t.Fatalf("setup: roles %v %v after the first transfer", l.Role(), h.nodes[2].Role())
+		t.Fatalf("setup: roles %v %v after the first transfer", l.role, h.nodes[2].role)
 	}
 	h.nodes[2].TransferLeadership(1)
 	h.s.RunFor(20 * sim.Millisecond)
 	if !l.IsLeader() {
-		t.Fatalf("setup: node 1 is %v after the transfer back", l.Role())
+		t.Fatalf("setup: node 1 is %v after the transfer back", l.role)
 	}
 	h.s.RunFor(beat) // the no-op's replication is not the timer's doing
 	for window := 0; window < 2; window++ {
@@ -903,7 +903,7 @@ func TestNewLeaderLearnsMatchWithoutHeartbeatAcks(t *testing.T) {
 	l.Campaign()
 	h.s.RunFor(beat / 2)
 	if !l.IsLeader() || dropped != 2 || l.CommitIndex() == l.LastIndex() {
-		t.Fatalf("setup: %v, %d acks dropped, commit %d of %d", l.Role(), dropped, l.CommitIndex(), l.LastIndex())
+		t.Fatalf("setup: %v, %d acks dropped, commit %d of %d", l.role, dropped, l.CommitIndex(), l.LastIndex())
 	}
 	h.sent = map[msgClass]int{}
 	h.s.RunFor(beat)
@@ -965,7 +965,7 @@ func TestIdleDurableFollowerWritesNothing(t *testing.T) {
 		syncAll()
 	}
 	if !l.IsLeader() || l.CommitIndex() != l.LastIndex() {
-		t.Fatalf("setup: node 1 is %v, commit %d of %d", l.Role(), l.CommitIndex(), l.LastIndex())
+		t.Fatalf("setup: node 1 is %v, commit %d of %d", l.role, l.CommitIndex(), l.LastIndex())
 	}
 	f, disk := h.nodes[2], disks[2]
 	if f.DurableIndex() != f.LastIndex() {

@@ -158,8 +158,6 @@ func (m *Map[V]) rec(ref uint32) []byte {
 	return m.chunks[ref>>chunkShift][ref&(chunkSize-1):]
 }
 
-func recHeight(rec []byte) int { return int(rec[4]) }
-
 func recKey(rec []byte) []byte {
 	hdr := le.Uint32(rec[4:])
 	lo := recHeader + 4*int(hdr&0xff)
@@ -407,6 +405,3 @@ func (it *Iterator[V]) Key() []byte { return recKey(it.m.rec(it.cur)) }
 
 // Ptr returns the address of the current value.
 func (it *Iterator[V]) Ptr() *V { return it.m.cell(le.Uint32(it.m.rec(it.cur))) }
-
-// height returns the current node's tower height.
-func (it *Iterator[V]) height() int { return recHeight(it.m.rec(it.cur)) }

@@ -105,7 +105,7 @@ func TestDeterministicStructure(t *testing.T) {
 		var heights []int
 		it := l.Iter()
 		for it.First(); it.Valid(); it.Next() {
-			heights = append(heights, it.height())
+			heights = append(heights, int(it.m.rec(it.cur)[4])) // the tower height
 		}
 		return heights
 	}

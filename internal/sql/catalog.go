@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mrdb/internal/core"
@@ -159,16 +160,6 @@ func (t *Table) ColumnByID(id ColumnID) (*Column, bool) {
 // Primary returns the primary index.
 func (t *Table) Primary() *Index { return t.Indexes[0] }
 
-// Index returns the index with the given name.
-func (t *Table) Index(name string) (*Index, bool) {
-	for _, idx := range t.Indexes {
-		if idx.Name == name {
-			return idx, true
-		}
-	}
-	return nil, false
-}
-
 // AddColumn appends a column, assigning its ID.
 func (t *Table) AddColumn(c *Column) *Column {
 	t.nextColID++
@@ -183,6 +174,17 @@ func (t *Table) AddIndex(idx *Index) *Index {
 	idx.ID = t.nextIdxID
 	t.Indexes = append(t.Indexes, idx)
 	return idx
+}
+
+// clone returns a copy of t with column and index lists of its own, so a
+// schema change can build the table it leaves behind without touching t.
+// The copy starts a fresh key-prefix memo.
+func (t *Table) clone() *Table {
+	c := *t
+	c.Columns = slices.Clone(t.Columns)
+	c.Indexes = slices.Clone(t.Indexes)
+	c.prefixes = nil
+	return &c
 }
 
 // AppendVisibleColumns appends the non-hidden columns, in declaration order,

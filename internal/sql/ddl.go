@@ -171,22 +171,27 @@ func (s *Session) reconfigureAllTables(p *sim.Proc, db *core.Database) error {
 	s.Catalog.Bump()
 	alloc := s.Cluster.Allocator()
 	for _, t := range s.Catalog.Tables(db.Name) {
-		err := s.forEachRange(t, t.Indexes, partitionsOf(t, db), true, func(idx *Index, region simnet.Region, desc *kv.RangeDescriptor) error {
-			cfg, policy, err := spanPlacement(db, t, idx, region)
-			if err != nil {
-				return err
-			}
-			placement, err := alloc.Allocate(cfg)
-			if err != nil {
-				return err
-			}
-			return s.Cluster.Admin.Relocate(p, desc.RangeID, placement, policy, &cfg)
-		})
-		if err != nil {
+		if err := s.reconfigureTable(p, db, t, alloc); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// reconfigureTable relocates every range of t to the placement
+// spanPlacement derives for it, from the allocator snapshot alloc.
+func (s *Session) reconfigureTable(p *sim.Proc, db *core.Database, t *Table, alloc *zones.Allocator) error {
+	return s.forEachRange(t, t.Indexes, partitionsOf(t, db), true, func(idx *Index, region simnet.Region, desc *kv.RangeDescriptor) error {
+		cfg, policy, err := spanPlacement(db, t, idx, region)
+		if err != nil {
+			return err
+		}
+		placement, err := alloc.Allocate(cfg)
+		if err != nil {
+			return err
+		}
+		return s.Cluster.Admin.Relocate(p, desc.RangeID, placement, policy, &cfg)
+	})
 }
 
 // --- Span placement (§3.3) ---
@@ -449,23 +454,16 @@ func (s *Session) execCreateIndex(p *sim.Proc, st *CreateIndex) (*Result, error)
 		}
 		ids = append(ids, c.ID)
 	}
-	idx := t.AddIndex(&Index{Name: st.Name, Unique: st.Unique, Cols: ids})
-	// Bump before the range builds below yield: index choice is cached.
-	s.Catalog.Bump()
-	if err := s.createIndexRanges(t, db, idx); err != nil {
-		return nil, err
-	}
-	// Backfill from the primary index.
-	if err := s.backfillIndex(p, t, db, idx); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
+	next := t.clone()
+	idx := next.AddIndex(&Index{Name: st.Name, Unique: st.Unique, Cols: ids})
+	return s.swapIndexes(p, t, next, db, []*Index{idx}, nil)
 }
 
 // execAlterTableLocality implements ALTER TABLE ... SET LOCALITY. Changing
 // to or from REGIONAL BY ROW rebuilds every index under a new index ID with
 // the partitioning prefix added or removed, then swaps (§2.4.2); other
-// changes only move replicas.
+// changes only move replicas. Either way the table changes in one step,
+// after everything that can fail: a failed ALTER leaves it as it was.
 func (s *Session) execAlterTableLocality(p *sim.Proc, st *AlterTableLocality) (*Result, error) {
 	t, db, err := s.table(st.Table)
 	if err != nil {
@@ -479,55 +477,55 @@ func (s *Session) execAlterTableLocality(p *sim.Proc, st *AlterTableLocality) (*
 	if t.DuplicateIndexes {
 		return nil, fmt.Errorf("sql: cannot change locality of a duplicate-indexes table")
 	}
-	repartition := (t.Locality == core.RegionalByRow) != (newLoc == core.RegionalByRow)
-	if !repartition {
+	next := t.clone()
+	next.Locality, next.HomeRegion = newLoc, newHome
+	if t.IsPartitioned() == next.IsPartitioned() {
 		// Metadata + zone-config change only (§2.4.2).
-		t.Locality = newLoc
-		t.HomeRegion = newHome
+		if err := s.reconfigureTable(p, db, next, s.Cluster.Allocator()); err != nil {
+			return nil, err
+		}
+		*t = *next
 		s.Catalog.Bump()
-		return &Result{}, s.reconfigureAllTables(p, db)
+		return &Result{}, nil
 	}
-
-	// Index swap: build new indexes with/without the region prefix.
-	oldIndexes := t.Indexes
-	oldPartitioned := t.IsPartitioned()
-	oldRegions := partitionsOf(t, db)
-
-	// Adding the partition column when converting to RBR.
-	t.Locality = newLoc
-	t.HomeRegion = newHome
-	if newLoc == core.RegionalByRow && t.RegionColumn == 0 {
-		col := t.AddColumn(&Column{
+	// Index swap: a new index set with or without the region prefix, and
+	// the partitioning column when converting to REGIONAL BY ROW.
+	if next.IsPartitioned() && next.RegionColumn == 0 {
+		col := next.AddColumn(&Column{
 			Name: RegionColumnName, Type: TRegion, NotNull: true, Hidden: true,
 			Default: &FuncCall{Name: "gateway_region"},
 		})
-		t.RegionColumn = col.ID
+		next.RegionColumn = col.ID
 	}
+	next.Indexes = nil
+	for _, old := range t.Indexes {
+		next.AddIndex(&Index{Name: old.Name, Unique: old.Unique, Cols: old.Cols, Storing: old.Storing})
+	}
+	return s.swapIndexes(p, t, next, db, next.Indexes, t.Indexes)
+}
 
-	// Locality and the column/index set are changing across yields below;
-	// bump at every mutation so no cached plan spans a partial swap.
-	s.Catalog.Bump()
-	var newIndexes []*Index
-	for _, old := range oldIndexes {
-		ni := t.AddIndex(&Index{Name: old.Name, Unique: old.Unique, Cols: old.Cols, Storing: old.Storing})
-		newIndexes = append(newIndexes, ni)
-		s.Catalog.Bump()
-		if err := s.createIndexRanges(t, db, ni); err != nil {
-			return nil, err
-		}
+// swapIndexes turns t into next, a clone of t that adds the indexes built
+// and lacks the indexes dropped. It creates the ranges of built under next's
+// partitioning, waits for them to serve and backfills them from t's primary
+// index; then t becomes next in one step with one catalog bump, and the
+// ranges of dropped go. If anything before the step fails, the new ranges
+// go instead and t is unchanged.
+func (s *Session) swapIndexes(p *sim.Proc, t, next *Table, db *core.Database, built, dropped []*Index) (*Result, error) {
+	regions := partitionsOf(next, db)
+	err := s.createRanges(next, db, built, regions, s.Cluster.Allocator())
+	if err == nil {
+		err = s.waitRangesReady(p, next, built, regions)
 	}
-	if p != nil {
-		if err := s.waitRangesReady(p, t, t.Indexes, partitionsOf(t, db)); err != nil {
-			return nil, err
-		}
+	if err == nil {
+		err = s.backfill(p, db, t, next, built)
 	}
-	// Backfill rows from the old primary index into the new indexes.
-	if err := s.backfillLocalityChange(p, t, db, oldIndexes[0], oldPartitioned, newIndexes); err != nil {
+	if err != nil {
+		s.dropRanges(next, built, regions)
 		return nil, err
 	}
-	// Swap: the new indexes replace the old; drop old ranges.
-	t.Indexes = newIndexes
+	oldRegions := partitionsOf(t, db)
+	*t = *next
 	s.Catalog.Bump()
-	s.dropRanges(t, oldIndexes, oldRegions)
+	s.dropRanges(t, dropped, oldRegions)
 	return &Result{}, nil
 }

@@ -598,81 +598,45 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, err
 	return res, nil
 }
 
-// --- Backfills ---
+// --- Backfill ---
 
-// backfillIndex populates a newly created secondary index from the primary
-// index.
-func (s *Session) backfillIndex(p *sim.Proc, t *Table, db *core.Database, idx *Index) error {
+// backfill copies every row of src's primary index, read under src's
+// partitioning, into the indexes idxs of dst: CREATE INDEX builds one new
+// index of the same table, SET LOCALITY rebuilds every index under the new
+// partitioning (§2.4.2). It changes neither table and leaves the catalog
+// alone, so idxs need not be dst's until the caller swaps them in. A row
+// gaining a crdb_region column in a conversion to REGIONAL BY ROW adopts the
+// column's default at the session's gateway.
+func (s *Session) backfill(p *sim.Proc, db *core.Database, src, dst *Table, idxs []*Index) error {
 	return s.Coord.Run(p, func(tx *txn.Txn) error {
-		for _, region := range partitionsOf(t, db) {
-			start, end := IndexSpan(t, t.Primary().ID, region)
-			kvs, err := tx.Scan(p, start, end, 0)
+		for _, srcRegion := range partitionsOf(src, db) {
+			start, end := IndexSpan(src, src.Primary().ID, srcRegion)
+			rows, err := tx.Scan(p, start, end, 0)
 			if err != nil {
 				return err
 			}
-			for _, kvp := range kvs {
-				vals, err := DecodeRow(kvp.Value)
+			var kvs []mvcc.KeyValue
+			for _, row := range rows {
+				vals, err := DecodeRow(row.Value)
 				if err != nil {
 					return err
 				}
-				e := indexEntry(t, idx, region, vals, true)
-				if err := tx.Put(p, e.Key, e.Value); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// backfillLocalityChange copies all rows from the old primary index into
-// the new index set during an ALTER ... SET LOCALITY repartition (§2.4.2).
-// Rows gaining a crdb_region column during conversion to REGIONAL BY ROW
-// adopt the column's default at the ALTER's gateway.
-func (s *Session) backfillLocalityChange(p *sim.Proc, t *Table, db *core.Database, oldPrimary *Index, oldPartitioned bool, newIndexes []*Index) error {
-	oldRegions := []simnet.Region{""}
-	if oldPartitioned {
-		oldRegions = db.Regions()
-	}
-	return s.Coord.Run(p, func(tx *txn.Txn) error {
-		for _, oldRegion := range oldRegions {
-			start, end := IndexSpan(t, oldPrimary.ID, oldRegion)
-			kvs, err := tx.Scan(p, start, end, 0)
-			if err != nil {
-				return err
-			}
-			for _, kvp := range kvs {
-				vals, err := DecodeRow(kvp.Value)
-				if err != nil {
-					return err
-				}
-				if t.IsPartitioned() {
-					if _, ok := vals[t.RegionColumn].(string); !ok {
-						col, _ := t.ColumnByID(t.RegionColumn)
-						v, err := s.evalExpr(col.Default, &evalCtx{session: s, row: t.namedVals(vals)})
-						if err != nil {
-							return err
-						}
-						vals[t.RegionColumn] = v
+				if _, ok := vals[dst.RegionColumn].(string); dst.IsPartitioned() && !ok {
+					col, _ := dst.ColumnByID(dst.RegionColumn)
+					if vals[dst.RegionColumn], err = s.evalExpr(col.Default, &evalCtx{session: s, row: dst.namedVals(vals)}); err != nil {
+						return err
 					}
 				}
-				region, err := rowRegion(t, vals)
+				region, err := rowRegion(dst, vals)
 				if err != nil {
 					return err
 				}
-				// Write through the new index set only. The write yields, so
-				// bump across the swap: a concurrent session must not cache
-				// a plan against the transient index set (or keep one from
-				// before the restore).
-				saved := t.Indexes
-				t.Indexes = newIndexes
-				s.Catalog.Bump()
-				err = tx.PutParallel(p, rowKVs(t, region, vals), nil)
-				t.Indexes = saved
-				s.Catalog.Bump()
-				if err != nil {
-					return err
+				for _, idx := range idxs {
+					kvs = append(kvs, indexEntry(dst, idx, region, vals, true))
 				}
+			}
+			if err := tx.PutParallel(p, kvs, nil); err != nil {
+				return err
 			}
 		}
 		return nil

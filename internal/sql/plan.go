@@ -321,11 +321,16 @@ func pickIndex(t *Table, local simnet.Region, cons map[string][]Datum) *Index {
 	return nil
 }
 
-// rowFetcher abstracts fresh (transactional) vs stale reads. A point read is
-// always a batch: every key of one phase of a statement goes out together,
-// one RPC per touched range.
-type rowFetcher interface {
+// batchReader is a multi-key point read: every key of one phase of a
+// statement goes out together, one RPC per touched range.
+type batchReader interface {
 	getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error)
+}
+
+// rowFetcher abstracts fresh (transactional) vs stale reads. A point read is
+// always a batch.
+type rowFetcher interface {
+	batchReader
 	scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error)
 }
 
@@ -346,6 +351,30 @@ type lockingFetcher struct{ txnFetcher }
 
 func (f lockingFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
 	return f.tx.GetParallelForUpdate(p, keys)
+}
+
+// probeReader reads through one first-hit probe of a transaction (see
+// txn.Probe and lookupFirstHit).
+type probeReader struct{ pr *txn.Probe }
+
+func (f probeReader) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
+	return f.pr.GetParallel(p, keys)
+}
+
+// probeOf returns what one first-hit probe of a statement fetching through f
+// reads through, and the transaction's probe behind it (nil for a stale
+// read, which has no transaction to outlive).
+func probeOf(f rowFetcher) (batchReader, *txn.Probe) {
+	var pr *txn.Probe
+	switch f := f.(type) {
+	case txnFetcher:
+		pr = f.tx.Probe(false)
+	case lockingFetcher:
+		pr = f.tx.Probe(true)
+	default:
+		return f, nil
+	}
+	return probeReader{pr}, pr
 }
 
 // staleFetcher reads at a fixed timestamp from the nearest replica.
@@ -411,42 +440,103 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 // parallel, and resolves each tuple on its first hit: it returns once every
 // tuple is found or every region has answered. Only sound for unique
 // indexes. Slower batches continue harmlessly in the background, as in a
-// real distributed cancellation. A probe is handed its region's keys, never
-// the tuples: those are session scratch, which the session's next statement
-// refills while a slow probe may still be waiting for its reply.
+// real distributed cancellation: each reads through a transaction's probe,
+// which leaves the transaction alone, and the statement, on its own proc,
+// adopts the probes whose replies it used. A probe that failed while the
+// statement waited is the statement's to recover: it refreshes past an
+// uncertain value, then reads that region's batch again itself. A probe is handed its region's keys, never the tuples: those are
+// session scratch, which the session's next statement refills while a slow
+// probe may still be waiting for its reply.
 func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index, cols []ColumnID, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
-	res := sim.NewFuture[error](p.Sim())
-	found := make([]tableRow, len(tuples))
-	missing, pending := len(tuples), len(regions)
+	fh := &firstHit{found: make([]tableRow, len(tuples)), missing: len(tuples), pending: len(regions)}
 	parent := obs.ProcSpan(p)
 	for r := range regions {
 		rows, keys := lookupKeys(t, idx, regions[r:r+1], tuples)
+		reader, probe := probeOf(f)
 		p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 			obs.SetProcSpan(wp, parent)
-			err := s.lookup(wp, f, t, idx, cols, rows, keys)
-			pending--
-			if res.Done() {
-				return
-			}
-			if err != nil {
-				res.Set(err)
-				return
-			}
-			for i, row := range rows {
-				if row.vals != nil && found[i].vals == nil {
-					found[i] = row
-					missing--
-				}
-			}
-			if missing == 0 || pending == 0 {
-				res.Set(nil)
-			}
+			fh.land(probe, regions[r], rows, s.lookup(wp, reader, t, idx, cols, rows, keys))
 		})
 	}
-	if err := res.Wait(p); err != nil {
-		return nil, err
+	defer func() { fh.returned = true }()
+	for {
+		fh.wake = sim.NewFuture[struct{}](p.Sim())
+		if len(fh.failed) == 0 && fh.missing > 0 && fh.pending > 0 {
+			fh.wake.Wait(p)
+		}
+		for _, probe := range fh.answered {
+			probe.Use(p)
+		}
+		fh.answered = fh.answered[:0]
+		if len(fh.failed) == 0 {
+			return hits(fh.found), nil
+		}
+		fl := fh.failed[0]
+		fh.failed = fh.failed[1:]
+		err := fl.err
+		if fl.probe != nil {
+			err = fl.probe.Use(p)
+		}
+		if err != nil {
+			return nil, err
+		}
+		rows, keys := lookupKeys(t, idx, []simnet.Region{fl.region}, tuples)
+		if err := s.lookup(p, f, t, idx, cols, rows, keys); err != nil {
+			return nil, err
+		}
+		fh.merge(rows)
 	}
-	return hits(found), nil
+}
+
+// firstHit is what a first-hit read's probes share with its statement.
+type firstHit struct {
+	found    []tableRow
+	missing  int                   // tuples not found yet
+	pending  int                   // probes not landed yet
+	answered []*txn.Probe          // transaction probes that answered, not adopted yet, in order
+	failed   []probeFailure        // probes that failed, not recovered yet
+	wake     *sim.Future[struct{}] // set when the statement has work
+	returned bool                  // the statement returned: later probes are dropped
+}
+
+// probeFailure is a first-hit probe that failed: the transaction's probe
+// (nil for a stale read), its region and its error.
+type probeFailure struct {
+	probe  *txn.Probe
+	region simnet.Region
+	err    error
+}
+
+// land takes the reply of the probe of region, which read rows (tuple i of
+// the read is rows[i]) and failed with err if non-nil, and wakes the
+// statement once it has a failure to recover or nothing left to wait for.
+func (fh *firstHit) land(probe *txn.Probe, region simnet.Region, rows []tableRow, err error) {
+	fh.pending--
+	if fh.returned {
+		return
+	}
+	if err != nil {
+		fh.failed = append(fh.failed, probeFailure{probe, region, err})
+	} else {
+		if probe != nil {
+			fh.answered = append(fh.answered, probe)
+		}
+		fh.merge(rows)
+	}
+	if (err != nil || fh.missing == 0 || fh.pending == 0) && !fh.wake.Done() {
+		fh.wake.Set(struct{}{})
+	}
+}
+
+// merge resolves each tuple not found yet whose row rows holds (tuple i's is
+// rows[i]).
+func (fh *firstHit) merge(rows []tableRow) {
+	for i, row := range rows {
+		if row.vals != nil && fh.found[i].vals == nil {
+			fh.found[i] = row
+			fh.missing--
+		}
+	}
 }
 
 // hits drops the misses (rows without values) from rows, in place.
@@ -479,7 +569,7 @@ func lookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum)
 // a second. A row found gets the values of cols (every column when nil); a
 // miss keeps none. Row maps come from the session pool; the statement hands
 // them back through releaseRows.
-func (s *Session) lookup(p *sim.Proc, f rowFetcher, t *Table, idx *Index, cols []ColumnID, rows []tableRow, keys []mvcc.Key) error {
+func (s *Session) lookup(p *sim.Proc, f batchReader, t *Table, idx *Index, cols []ColumnID, rows []tableRow, keys []mvcc.Key) error {
 	vals, err := f.getBatch(p, keys)
 	if err != nil {
 		return err
@@ -510,7 +600,7 @@ func covering(t *Table, idx *Index) bool {
 // rows[j].region, the entry's own partition; the values of the row's cols
 // (every column when nil) land in rows[j].vals. An entry is always decoded
 // whole. Row maps come from the session pool.
-func (s *Session) primaryRows(p *sim.Proc, f rowFetcher, t *Table, cols []ColumnID, entries []mvcc.Value, rows []tableRow) error {
+func (s *Session) primaryRows(p *sim.Proc, f batchReader, t *Table, cols []ColumnID, entries []mvcc.Value, rows []tableRow) error {
 	primary := t.Primary()
 	var keys []mvcc.Key
 	var at []int // at[k] is the row keys[k] reads

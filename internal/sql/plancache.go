@@ -162,13 +162,6 @@ func (c *Catalog) PlanCacheStats() (hits, misses uint64) {
 	return c.plans.hits, c.plans.misses
 }
 
-// PlanCacheLen returns the number of cached statement shapes at the current
-// catalog version.
-func (c *Catalog) PlanCacheLen() int {
-	c.plans.sync(c.version)
-	return len(c.plans.reads) + len(c.plans.inserts)
-}
-
 // --- cache keys ---
 
 // stmtFingerprint returns the current statement's fingerprint: the one the

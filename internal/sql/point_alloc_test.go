@@ -20,8 +20,11 @@ import (
 // partition, at 14 objects. A remote miss misses there, then probes both
 // remote partitions and returns on europe-west2's hit while
 // asia-northeast1's probe is still in flight (its objects land in the next
-// execution's count), at 43. The counts cover everything the simulation
-// runs meanwhile, so they are exact for this seed. They were 18 and 55
+// execution's count), at 44: each probe's reads wait in a txn.Probe of
+// their own until the statement adopts them, so a probe that loses the race
+// leaves the transaction alone. The counts cover everything the simulation
+// runs meanwhile, so they are exact for this seed. They were 14 and 43
+// while a probe read through the transaction itself, 18 and 55
 // while every KV round trip made its RPC record, that record's two
 // callbacks, a boxed envelope and a reply of its own, 19 and 58
 // while a replica ran a lone request through its fan-out's closure, 34 and 75
@@ -64,8 +67,8 @@ func TestPointSelectAllocs(t *testing.T) {
 	if local != 14 {
 		t.Errorf("a local point SELECT allocates %.0f objects, want 14", local)
 	}
-	if remote != 43 {
-		t.Errorf("a remote point SELECT allocates %.0f objects, want 43", remote)
+	if remote != 44 {
+		t.Errorf("a remote point SELECT allocates %.0f objects, want 44", remote)
 	}
 }
 

@@ -172,8 +172,13 @@ func TestUpdateOwnPartitionNotRead(t *testing.T) {
 		s := h.setupMovr(t, p)
 		mustExec(t, p, s, `INSERT INTO users (id, email, name) VALUES (1, 'a@x.com', 'a')`)
 		tbl, _ := h.catalog.Table("movr", "users")
-		email, ok := tbl.Index("users_email_key")
-		if !ok {
+		var email *Index
+		for _, idx := range tbl.Indexes {
+			if idx.Name == "users_email_key" {
+				email = idx
+			}
+		}
+		if email == nil {
 			t.Fatal("no index users_email_key")
 		}
 		gets := map[simnet.Region]int{}

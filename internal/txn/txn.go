@@ -146,7 +146,7 @@ func (t *Txn) restartError(reason string, minTS hlc.Timestamp) error {
 // Get reads key at the transaction's read timestamp.
 func (t *Txn) Get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 	var v [1]mvcc.Value
-	err := t.read(p, []mvcc.Key{key}, v[:], false)
+	err := t.read(p, []mvcc.Key{key}, v[:], false, nil)
 	return v[0], err
 }
 
@@ -157,7 +157,7 @@ func (t *Txn) Get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 // lock when it rides the transaction's next batch.
 func (t *Txn) GetForUpdate(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 	var v [1]mvcc.Value
-	err := t.read(p, []mvcc.Key{key}, v[:], true)
+	err := t.read(p, []mvcc.Key{key}, v[:], true, nil)
 	return v[0], err
 }
 
@@ -175,10 +175,53 @@ func (t *Txn) GetParallelForUpdate(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, 
 
 func (t *Txn) getParallel(p *sim.Proc, keys []mvcc.Key, forUpdate bool) ([]mvcc.Value, error) {
 	out := make([]mvcc.Value, len(keys))
-	if err := t.read(p, keys, out, forUpdate); err != nil {
+	if err := t.read(p, keys, out, forUpdate, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Probe is one batch of a first-hit read (§4.2): a statement sends one probe
+// to every remote region at once and returns on the first that finds its
+// rows, so a probe may land after its statement, and even its transaction,
+// is done. A probe's read is therefore the point read without what would
+// outlive the statement: it carries no pending write, records no read, moves
+// no timestamp, and returns an uncertain value as an error rather than
+// refreshing. The statement, on its own proc, passes each probe whose reply
+// it used to Use.
+type Probe struct {
+	t         *Txn
+	forUpdate bool
+	reads     []readSpan
+	err       error
+}
+
+// Probe starts a probe of t whose reads lock, as GetForUpdate does, when
+// forUpdate is set.
+func (t *Txn) Probe(forUpdate bool) *Probe { return &Probe{t: t, forUpdate: forUpdate} }
+
+// GetParallel reads keys as one batch, as Txn.GetParallel does, within the
+// limits of a probe. The probe keeps keys, which must not change after.
+func (pr *Probe) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
+	out := make([]mvcc.Value, len(keys))
+	if err := pr.t.read(p, keys, out, pr.forUpdate, pr); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Use adopts a probe whose reply the statement used, on the statement's
+// proc. The reads of a probe that answered become the transaction's, so
+// that refreshes and the commit validate them. A probe that failed is
+// digested as the point read digests its own failures: after an uncertain
+// value Use refreshes the transaction past it and returns nil, and the
+// caller may read again; any other error it returns.
+func (pr *Probe) Use(p *sim.Proc) error {
+	if pr.err != nil {
+		return pr.t.handleReadErr(p, pr.err)
+	}
+	pr.t.reads = append(pr.t.reads, pr.reads...)
+	return nil
 }
 
 // read is the one point-read path. A key the transaction already knows (see
@@ -186,8 +229,10 @@ func (t *Txn) getParallel(p *sim.Proc, keys []mvcc.Key, forUpdate bool) ([]mvcc.
 // The other keys go out as one batch that also carries every pending write;
 // a rider that fails fails the read. The values land in out, and after a
 // successful uncertainty refresh the reads are re-sent at the new read
-// timestamp.
-func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate bool) error {
+// timestamp. A probe's read (non-nil probe) carries no rider, never lets
+// the leaseholder bump its timestamp, notes its reads in the probe instead
+// of the transaction, and returns its first error.
+func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate bool, probe *Probe) error {
 	send, at := keys, []int(nil) // at[j] is send[j]'s index in keys; nil when send is keys
 	if t.knowsAny(keys) {
 		send = nil
@@ -203,13 +248,16 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 			return nil
 		}
 	}
-	riders := t.pending
-	t.pending = nil
+	var riders []bufferedPut
+	if probe == nil {
+		riders = t.pending
+		t.pending = nil
+	}
 	for {
 		// The leaseholder may ratchet the read timestamp past an uncertain
 		// value only when no other read of the transaction could be
 		// invalidated by the bump.
-		canBump := len(t.reads) == 0 && len(send) == 1
+		canBump := probe == nil && len(t.reads) == 0 && len(send) == 1
 		reqs := make([]interface{}, len(riders)+len(send))
 		t.putRequests(reqs, riders)
 		getReqs := make([]kv.GetRequest, len(send))
@@ -250,9 +298,17 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		riders = nil
 		if firstErr == nil {
 			for j, key := range send {
-				t.recordRead(key, nil, gets[j].Get.Value)
+				if probe != nil {
+					probe.reads = append(probe.reads, readSpan{key: key, value: gets[j].Get.Value})
+				} else {
+					t.recordRead(key, nil, gets[j].Get.Value)
+				}
 			}
 			return nil
+		}
+		if probe != nil {
+			probe.err = firstErr
+			return firstErr
 		}
 		if err := t.handleReadErr(p, firstErr); err != nil {
 			return err

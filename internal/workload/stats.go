@@ -69,17 +69,6 @@ func (r *LatencyRecorder) Percentile(q float64) sim.Duration {
 	return s[idx]
 }
 
-// Max returns the maximum sample.
-func (r *LatencyRecorder) Max() sim.Duration {
-	var m sim.Duration
-	for _, s := range r.samples {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
 // BoxStats summarizes the distribution the way the paper's Fig. 3 box
 // plots do: quartiles plus 1.5×IQR whiskers.
 type BoxStats struct {

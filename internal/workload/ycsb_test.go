@@ -21,7 +21,7 @@ func TestLatencyRecorder(t *testing.T) {
 	if got := r.Percentile(99); got != 99*sim.Millisecond {
 		t.Errorf("p99 = %v", got)
 	}
-	if got := r.Max(); got != 100*sim.Millisecond {
+	if got := r.Percentile(100); got != 100*sim.Millisecond {
 		t.Errorf("max = %v", got)
 	}
 	box := r.Box()

@@ -174,7 +174,9 @@ func (a *Allocator) pick(candidates []simnet.NodeID, count int, chosen *[]simnet
 	return out, nil
 }
 
-// Allocate computes a placement for cfg over the current topology.
+// Allocate computes a placement for cfg over the current topology. The
+// placement must satisfy cfg exactly (CheckPlacement): one that does not is
+// an allocator bug, reported as an error rather than placed.
 func (a *Allocator) Allocate(cfg Config) (Placement, error) {
 	if err := cfg.Validate(); err != nil {
 		return Placement{}, err
@@ -236,6 +238,9 @@ func (a *Allocator) Allocate(cfg Config) (Placement, error) {
 
 	p := Placement{Voters: voters, NonVoters: nonVoters}
 	p.Leaseholder = a.chooseLeaseholder(cfg, voters)
+	if err := a.CheckPlacement(cfg, p); err != nil {
+		return Placement{}, err
+	}
 	return p, nil
 }
 
