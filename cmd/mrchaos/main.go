@@ -1,14 +1,14 @@
 // Command mrchaos runs the deterministic chaos (nemesis) harness against a
 // simulated three-region cluster: randomized crashes, region failures,
-// partitions, and slow links are injected while bank-transfer and
-// linearizability workloads verify invariants and a prober measures
-// virtual-time recovery.
+// partitions, and slow links are injected while the load-based allocator and
+// a replica migrator reshape the cluster, bank-transfer and linearizability
+// workloads verify invariants, and a prober measures virtual-time recovery.
+// Every run has all of it; -faults 0 is the same run without the nemesis.
 //
 // Usage:
 //
 //	mrchaos -seed 42 -faults 25 -v
 //	mrchaos -seed 42 -verify   # run twice, check schedules match
-//	mrchaos -seed 42 -metrics  # include the full metrics registry in the report
 //	mrchaos -seed 42 -export-dir out  # write OpenMetrics + Jaeger artifacts
 //
 // -cpuprofile FILE / -memprofile FILE write pprof profiles covering the
@@ -37,9 +37,6 @@ func run() int {
 	faults := flag.Int("faults", 10, "number of fault/heal pairs to inject")
 	verbose := flag.Bool("v", false, "print events as they are injected")
 	verify := flag.Bool("verify", false, "run twice and verify determinism")
-	metrics := flag.Bool("metrics", false, "dump the full metrics registry into the report (covered by -verify)")
-	crashes := flag.Bool("crashes", false, "restrict the nemesis to crash/restart-from-disk faults")
-	elastic := flag.Bool("elastic", false, "enable the load-based allocator and replica migrator (nemesis-free unless -faults is set)")
 	exportDir := flag.String("export-dir", "", "write OpenMetrics timeseries and Jaeger traces into DIR after the run")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile covering the whole run to FILE")
 	memprofile := flag.String("memprofile", "", "write an allocation profile to FILE on exit")
@@ -75,28 +72,11 @@ func run() int {
 		}()
 	}
 
-	if *elastic {
-		// Elastic runs default to nemesis-free so placement invariants are
-		// checked in isolation; an explicit -faults combines both.
-		explicit := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "faults" {
-				explicit = true
-			}
-		})
-		if !explicit {
-			*faults = 0
-		}
-	}
-
 	opts := chaos.Options{
-		Seed:        *seed,
-		Faults:      *faults,
-		Metrics:     *metrics,
-		CrashesOnly: *crashes,
-		Elastic:     *elastic,
-		ExportDir:   *exportDir,
-		Verbose:     *verbose,
+		Seed:      *seed,
+		Faults:    *faults,
+		ExportDir: *exportDir,
+		Verbose:   *verbose,
 	}
 	rep, err := chaos.Run(opts)
 	if err != nil {

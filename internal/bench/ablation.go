@@ -8,6 +8,7 @@ import (
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/sql"
 	"mrdb/internal/txn"
 	"mrdb/internal/workload"
 	"mrdb/internal/zones"
@@ -22,7 +23,7 @@ func AblationCommitWait(w io.Writer, scale Scale) error {
 	header(w, "Ablation: commit wait concurrent with lock release (paper) vs holding locks (Spanner-style)")
 	for i, spanner := range []bool{false, true} {
 		c := paperCluster(700+int64(i), 250*sim.Millisecond)
-		catalog := newCatalog()
+		catalog := sql.NewCatalog()
 		y := workload.NewYCSB(c, catalog, workload.YCSBConfig{
 			Variant:           workload.YCSBA,
 			RecordCount:       scale.RecordCount / 4, // extra contention

@@ -14,7 +14,6 @@ import (
 	"mrdb/internal/cluster"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
-	"mrdb/internal/sql"
 	"mrdb/internal/workload"
 )
 
@@ -170,6 +169,3 @@ func mergeRecorders(name string, recs map[simnet.Region]*workload.LatencyRecorde
 func header(w io.Writer, title string) {
 	fmt.Fprintf(w, "\n%s\n%s\n", title, strings.Repeat("=", len(title)))
 }
-
-// newCatalog returns a fresh SQL catalog for one experiment's cluster.
-func newCatalog() *sql.Catalog { return sql.NewCatalog() }

@@ -168,10 +168,9 @@ func exportScenario(c *cluster.Cluster, name string) error {
 // shifted mix.
 func elasticFollowTheSun(phaseDur sim.Duration, window sim.Duration) (*elasticScenario, error) {
 	c := elasticCluster(801, kv.LoadConfig{})
-	catalog := newCatalog()
+	catalog := sql.NewCatalog()
 	m := workload.NewMovr(c, catalog)
 	fts := workload.NewFollowTheSun(m, window)
-	fts.Think = 1 * sim.Second
 	phases := []workload.SunPhase{
 		{Hot: simnet.USEast1, Duration: phaseDur},
 		{Hot: simnet.EuropeW2, Duration: phaseDur},
@@ -212,15 +211,12 @@ func elasticHotspot(scale Scale, phaseDur sim.Duration, window sim.Duration) (*e
 		MergeQPS:   0.8,
 		MergeTicks: 2,
 	})
-	catalog := newCatalog()
+	catalog := sql.NewCatalog()
 	y := workload.NewYCSB(c, catalog, workload.YCSBConfig{
 		RecordCount:  scale.RecordCount,
 		Distribution: "uniform",
 	})
 	hs := workload.NewMigratingHotspot(y, window)
-	hs.ClientsPerRegion = 3
-	hs.Think = 300 * sim.Millisecond
-	hs.Regions = []simnet.Region{simnet.USEast1}
 	n := scale.RecordCount
 	phases := []workload.HotspotPhase{
 		{Start: 0, Duration: phaseDur},
@@ -262,11 +258,10 @@ func elasticHotspot(scale Scale, phaseDur sim.Duration, window sim.Duration) (*e
 // not knock the running traffic's latency shape out of the gate.
 func elasticRegionAdd(phaseDur sim.Duration, window sim.Duration) (*elasticScenario, error) {
 	c := elasticCluster(803, kv.LoadConfig{})
-	catalog := newCatalog()
+	catalog := sql.NewCatalog()
 	m := workload.NewMovr(c, catalog)
 	m.SetRegions([]simnet.Region{simnet.USEast1, simnet.EuropeW2})
 	fts := workload.NewFollowTheSun(m, window)
-	fts.Think = 1 * sim.Second
 	phases := []workload.SunPhase{
 		{Hot: simnet.USEast1, Duration: phaseDur},
 		{Hot: simnet.USEast1, Duration: phaseDur},

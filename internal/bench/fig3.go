@@ -11,6 +11,7 @@ import (
 	"mrdb/internal/obs"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/sql"
 	"mrdb/internal/workload"
 )
 
@@ -38,7 +39,7 @@ func fig3Run(seed int64, maxOffset sim.Duration, scale Scale, locality string, s
 	if Trace {
 		c.EnableTracing()
 	}
-	catalog := newCatalog()
+	catalog := sql.NewCatalog()
 	cfg := workload.YCSBConfig{
 		Variant:          workload.YCSBA,
 		RecordCount:      scale.RecordCount,

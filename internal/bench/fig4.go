@@ -5,13 +5,14 @@ import (
 	"io"
 
 	"mrdb/internal/sim"
+	"mrdb/internal/sql"
 	"mrdb/internal/workload"
 )
 
 // fig4Cluster builds the §7.2 environment: 3 regions, 9 nodes.
 func fig4Run(seed int64, scale Scale, cfg workload.YCSBConfig, schema string) (*workload.YCSB, error) {
 	c := threeRegionCluster(seed, 250*sim.Millisecond)
-	catalog := newCatalog()
+	catalog := sql.NewCatalog()
 	cfg.RecordCount = scale.RecordCount
 	cfg.OpsPerClient = scale.OpsPerClient
 	if cfg.ClientsPerRegion == 0 {

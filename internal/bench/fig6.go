@@ -60,7 +60,7 @@ func fig6Run(seed int64, scale Scale, nRegions int, restricted bool) (*fig6Resul
 		RTT:       rtt,
 		Jitter:    0.02,
 	})
-	catalog := newCatalog()
+	catalog := sql.NewCatalog()
 	cfg := workload.DefaultTPCCConfig()
 	cfg.TxnsPerTerminal = scale.TPCCTxnsPerTerminal
 	// A fixed measurement window keeps tpmC free of straggler skew.

@@ -1,11 +1,13 @@
 // Package chaos implements a deterministic nemesis harness in the spirit of
 // Jepsen: randomized faults (node crashes, region failures, symmetric and
 // one-way partitions, slow links) are injected into a running cluster from
-// the seeded "chaos/nemesis" stream while concurrent workloads check
-// invariants — bank-sum conservation in KV and in SQL on a REGIONAL BY ROW
-// table, single-key linearizability, closed-timestamp monotonicity, locality
-// changes that leave their table intact — and a prober measures virtual-time
-// recovery (RTO).
+// the seeded "chaos/nemesis" stream, while the load-based allocator splits
+// ranges and moves leases, a migrator relocates the bank range's replicas,
+// and concurrent workloads check invariants — bank-sum conservation in KV
+// and in SQL on a REGIONAL BY ROW table, single-key linearizability,
+// closed-timestamp monotonicity, placement, locality changes that leave
+// their table intact — and a prober measures virtual-time recovery (RTO).
+// Every run has all of it; only the seed and the number of faults vary.
 //
 // Because every source of randomness is a stream of the seed and all state
 // iteration is order-stable, a fixed seed reproduces the exact same fault
@@ -36,22 +38,11 @@ type Options struct {
 	Seed   int64
 	Faults int // fault/heal pairs to inject (2*Faults events total; 0 = none)
 
-	// Metrics dumps the full metrics registry into the report, making it
-	// part of the -verify determinism comparison.
-	Metrics bool
-	// CrashesOnly restricts the nemesis to crash/restart pairs, exercising
-	// the restart-from-disk path on every single fault.
-	CrashesOnly bool
 	// ExportDir, when non-empty, writes the run's observability state after
 	// the run finishes: chaos_metrics.prom (OpenMetrics timeseries),
 	// chaos_registry.prom (point-in-time dump) and chaos_traces.json
 	// (Jaeger UI upload format). Same seed, same bytes.
 	ExportDir string
-	// Elastic enables the load-based allocator and the elastic workloads:
-	// a hot single-region range that must attract load splits and a lease
-	// move, plus a migrator that relocates the bank range back and forth so
-	// the placement checker observes live replica migrations.
-	Elastic bool
 	// Verbose prints events as they are injected.
 	Verbose bool
 }
@@ -74,8 +65,8 @@ const (
 	// rtoThreshold classifies a probe as an outage: any successful probe
 	// whose end-to-end latency exceeds it records a recovery interval.
 	rtoThreshold = 1500 * sim.Millisecond
-	// elasticRun is how long the elastic workloads run after the nemesis
-	// finishes.
+	// elasticRun is how long the workloads, with the allocator and the
+	// migrator, run on after the nemesis finishes.
 	elasticRun = 90 * sim.Second
 )
 
@@ -230,9 +221,9 @@ func newCluster(opts Options) *cluster.Cluster {
 		// 2s rollup buckets resolve individual fault windows (mean hold 4s).
 		Sampling:     true,
 		SampleBucket: 2 * sim.Second,
-		// Elastic runs add the load-based split/merge/rebalance queue, tuned
-		// hot enough that the chaos-scale traffic actually triggers it.
-		LoadBased: opts.Elastic,
+		// The load-based split/merge/lease queue, tuned hot enough that the
+		// chaos-scale traffic triggers it while the nemesis runs.
+		LoadBased: true,
 		Load: kv.LoadConfig{
 			Interval: 5 * sim.Second, HalfLife: 10 * sim.Second,
 			SplitQPS: 30, MergeQPS: 2, MergeTicks: 2,
@@ -315,18 +306,16 @@ func runOn(c *cluster.Cluster, opts Options) (*Report, error) {
 	if _, err := c.CreateRangeWithZoneConfig([]byte("glob/"), []byte("glob0"), globCfg, kv.ClosedTSLead); err != nil {
 		return nil, err
 	}
-	if opts.Elastic {
-		// Elastic range: one voter per region, NO lease preferences, so the
-		// load queue is free to chase its traffic with the lease.
-		elasCfg := zones.Config{
-			NumReplicas: 3, NumVoters: 3,
-			VoterConstraints: map[simnet.Region]int{
-				simnet.USEast1: 1, simnet.EuropeW2: 1, simnet.AsiaNE1: 1,
-			},
-		}
-		if _, err := c.CreateRangeWithZoneConfig([]byte("elas/"), []byte("elas0"), elasCfg, kv.ClosedTSLag); err != nil {
-			return nil, err
-		}
+	// Elastic range: one voter per region, NO lease preferences, so the
+	// load queue is free to chase its traffic with the lease.
+	elasCfg := zones.Config{
+		NumReplicas: 3, NumVoters: 3,
+		VoterConstraints: map[simnet.Region]int{
+			simnet.USEast1: 1, simnet.EuropeW2: 1, simnet.AsiaNE1: 1,
+		},
+	}
+	if _, err := c.CreateRangeWithZoneConfig([]byte("elas/"), []byte("elas0"), elasCfg, kv.ClosedTSLag); err != nil {
+		return nil, err
 	}
 
 	var setupErr error
@@ -352,9 +341,6 @@ func runOn(c *cluster.Cluster, opts Options) (*Report, error) {
 			h.rep.RTOByFault = append(h.rep.RTOByFault,
 				fmt.Sprintf("%s %s", strings.TrimPrefix(name, "chaos.rto."), c.Metrics.Histogram(name).Summary()))
 		}
-	}
-	if opts.Metrics {
-		h.rep.MetricsDump = c.Metrics.String()
 	}
 	h.rep.FaultWindows = h.faultWindows()
 	h.checkLinearizability()
@@ -468,7 +454,7 @@ func (h *harness) coordAt(gw simnet.NodeID) *txn.Coordinator {
 }
 
 func (h *harness) run(p *sim.Proc) error {
-	c, opts, rep := h.c, h.opts, h.rep
+	c, rep := h.c, h.rep
 	if err := c.Admin.WaitAllReady(p); err != nil {
 		return err
 	}
@@ -508,18 +494,13 @@ func (h *harness) run(p *sim.Proc) error {
 	h.spawnAuditor(wg)
 	stopMon := h.startClosedTSMonitor()
 	stopPlacement := h.startPlacementMonitor()
-	if opts.Elastic {
-		h.spawnElasticWriters(wg)
-		h.spawnMigrator(wg)
-	}
+	h.spawnElasticWriters(wg)
+	h.spawnMigrator(wg)
 
 	h.nemesis(p)
-	if opts.Elastic {
-		// Keep the elastic workloads (and the placement checker watching
-		// their migrations) running past the nemesis window.
-		p.Sleep(elasticRun)
-	}
-
+	// Keep the workloads (and the placement checker watching the migrator's
+	// relocations) running past the nemesis window.
+	p.Sleep(elasticRun)
 	p.Sleep(settle)
 	h.stopped = true
 	wg.Wait(p)
@@ -574,11 +555,7 @@ func (h *harness) nemesis(p *sim.Proc) {
 	for i := 0; i < opts.Faults; i++ {
 		p.Sleep(uniformAround(rng, meanPause))
 		var fault, heal Event
-		pick := rng.Intn(5)
-		if opts.CrashesOnly {
-			pick = 0
-		}
-		switch pick {
+		switch rng.Intn(5) {
 		case 0:
 			n := nodes[rng.Intn(len(nodes))]
 			fault = Event{Kind: EvCrashNode, A: n}

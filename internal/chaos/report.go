@@ -59,8 +59,8 @@ type Report struct {
 	PlacementViolations int64
 	PlacementFirstBad   string
 
-	// Elastic activity (Options.Elastic): load-queue decisions plus the
-	// migrator's completed bank-range relocations.
+	// Elastic activity: load-queue decisions plus the migrator's completed
+	// bank-range relocations.
 	LoadSplits  int64
 	LoadMerges  int64
 	LeaseMoves  int64
@@ -81,11 +81,6 @@ type Report struct {
 	// SpanHash is the FNV-1a hash over every recorded trace's canonical
 	// rendering; with a fixed seed it must be bit-for-bit reproducible.
 	SpanHash uint64
-
-	// MetricsDump, when Options.Metrics is set, is the canonical rendering
-	// of the full metrics registry; being part of String() it joins the
-	// -verify determinism comparison.
-	MetricsDump string
 
 	// Recovery machinery counters.
 	LeaseAcquisitions int64
@@ -193,17 +188,13 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "  closed-ts: samples=%d regressions=%d\n",
 		r.ClosedTSSamples, r.ClosedTSRegressions)
-	if r.PlacementChecks > 0 {
-		fmt.Fprintf(&b, "  placement: checks=%d violations=%d\n",
-			r.PlacementChecks, r.PlacementViolations)
-		if r.PlacementFirstBad != "" {
-			fmt.Fprintf(&b, "    first: %s\n", r.PlacementFirstBad)
-		}
+	fmt.Fprintf(&b, "  placement: checks=%d violations=%d\n",
+		r.PlacementChecks, r.PlacementViolations)
+	if r.PlacementFirstBad != "" {
+		fmt.Fprintf(&b, "    first: %s\n", r.PlacementFirstBad)
 	}
-	if r.LoadSplits+r.LoadMerges+r.LeaseMoves+int64(r.Relocations) > 0 {
-		fmt.Fprintf(&b, "  elastic: load-splits=%d merges=%d lease-moves=%d relocations=%d\n",
-			r.LoadSplits, r.LoadMerges, r.LeaseMoves, r.Relocations)
-	}
+	fmt.Fprintf(&b, "  elastic: load-splits=%d merges=%d lease-moves=%d relocations=%d\n",
+		r.LoadSplits, r.LoadMerges, r.LeaseMoves, r.Relocations)
 	fmt.Fprintf(&b, "  probes: ok=%d failed=%d outages=%d max-rto=%v\n",
 		r.ProbesOK, r.ProbesFailed, len(r.Recoveries), r.MaxRTO())
 	for _, line := range r.RTOByFault {
@@ -213,12 +204,6 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  fault-window %s\n", fw)
 	}
 	fmt.Fprintf(&b, "  trace: span-hash=%016x\n", r.SpanHash)
-	if r.MetricsDump != "" {
-		b.WriteString("  metrics:\n")
-		for _, line := range strings.Split(strings.TrimRight(r.MetricsDump, "\n"), "\n") {
-			fmt.Fprintf(&b, "    %s\n", line)
-		}
-	}
 	fmt.Fprintf(&b, "  recovery: lease-acquisitions=%d epoch-bumps=%d region-failures=%d\n",
 		r.LeaseAcquisitions, r.EpochBumps, r.RegionFailures)
 	if r.Restarts > 0 || r.RecoveryFailures > 0 {

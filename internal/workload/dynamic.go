@@ -95,11 +95,12 @@ type SunPhase struct {
 	Duration sim.Duration
 }
 
-// Closed-loop client counts of a FollowTheSun phase: the hot region's and
-// each other region's.
+// Closed-loop client counts of a FollowTheSun phase, the hot region's and
+// each other region's, and the pause each client takes between operations.
 const (
 	sunHotClients  = 4
 	sunColdClients = 1
+	sunThink       = 1 * sim.Second
 )
 
 // FollowTheSun drives MovR traffic whose dominant region rotates phase by
@@ -108,8 +109,6 @@ const (
 // mix the load queue observes genuinely shifts.
 type FollowTheSun struct {
 	M *Movr
-	// Think is an optional pause between operations.
-	Think sim.Duration
 
 	// Windows collects every operation; HotWindows only those issued from
 	// the phase's hot region (the convergence signal benchmarks gate on).
@@ -177,9 +176,7 @@ func (f *FollowTheSun) client(wp *sim.Proc, rng *rand.Rand, ri int, region simne
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if f.Think > 0 {
-			wp.Sleep(f.Think)
-		}
+		wp.Sleep(sunThink)
 	}
 	return firstErr
 }
@@ -193,10 +190,13 @@ type HotspotPhase struct {
 
 // The MigratingHotspot mix: hotspotHotFrac of the operations land in the hot
 // window, a tenth of the keys wide, and hotspotWriteFrac of them update
-// (YCSB-B's mix).
+// (YCSB-B's mix). hotspotClients closed-loop clients run at the gateway of
+// the cluster's first region, each pausing hotspotThink between operations.
 const (
 	hotspotHotFrac   = 0.9
 	hotspotWriteFrac = 0.05
+	hotspotClients   = 3
+	hotspotThink     = 300 * sim.Millisecond
 )
 
 // MigratingHotspot drives YCSB-style reads/updates where most operations
@@ -205,15 +205,8 @@ const (
 // reclaim the cold remnants).
 type MigratingHotspot struct {
 	Y *YCSB
-	// ClientsPerRegion closed-loop clients run at each region's gateway
-	// (default 2).
-	ClientsPerRegion int
-	// Think is an optional pause between operations.
-	Think sim.Duration
-	// Regions restricts the client regions (default: all cluster regions).
-	Regions []simnet.Region
 
-	// Windows collects every operation across all regions.
+	// Windows collects every operation.
 	Windows *WindowedRecorder
 
 	// PhaseStarts records the virtual time each phase began, in order.
@@ -223,37 +216,30 @@ type MigratingHotspot struct {
 // NewMigratingHotspot wraps an already set-up YCSB harness.
 func NewMigratingHotspot(y *YCSB, windowWidth sim.Duration) *MigratingHotspot {
 	return &MigratingHotspot{
-		Y:                y,
-		ClientsPerRegion: 2,
-		Windows:          NewWindowedRecorder(windowWidth),
+		Y:       y,
+		Windows: NewWindowedRecorder(windowWidth),
 	}
 }
 
-// Run executes the phases sequentially, spawning clients in region order
-// each phase and joining them at the phase boundary.
+// Run executes the phases sequentially, spawning the clients each phase and
+// joining them at the phase boundary.
 func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
-	regions := h.Regions
-	if len(regions) == 0 {
-		regions = h.Y.Cluster.Regions()
-	}
+	region := h.Y.Cluster.Regions()[0]
 	var firstErr error
 	for pi, ph := range phases {
 		h.PhaseStarts = append(h.PhaseStarts, p.Now())
 		deadline := p.Now().Add(ph.Duration)
 		wg := sim.NewWaitGroup(h.Y.Cluster.Sim)
-		for _, region := range regions {
-			for cl := 0; cl < h.ClientsPerRegion; cl++ {
-				region := region
-				hotStart := ph.Start
-				wg.Add(1)
-				rng := clientStream(h.Y.Cluster, "hotspot", region, cl)
-				h.Y.Cluster.Sim.Spawn(fmt.Sprintf("hotspot/%d/%s/%d", pi, region, cl), func(wp *sim.Proc) {
-					defer wg.Done()
-					if err := h.client(wp, rng, region, hotStart, deadline); err != nil && firstErr == nil {
-						firstErr = err
-					}
-				})
-			}
+		for cl := 0; cl < hotspotClients; cl++ {
+			hotStart := ph.Start
+			wg.Add(1)
+			rng := clientStream(h.Y.Cluster, "hotspot", region, cl)
+			h.Y.Cluster.Sim.Spawn(fmt.Sprintf("hotspot/%d/%s/%d", pi, region, cl), func(wp *sim.Proc) {
+				defer wg.Done()
+				if err := h.client(wp, rng, region, hotStart, deadline); err != nil && firstErr == nil {
+					firstErr = err
+				}
+			})
 		}
 		wg.Wait(p)
 	}
@@ -289,9 +275,7 @@ func (h *MigratingHotspot) client(wp *sim.Proc, rng *rand.Rand, region simnet.Re
 		if err != nil && firstErr == nil {
 			firstErr = err
 		}
-		if h.Think > 0 {
-			wp.Sleep(h.Think)
-		}
+		wp.Sleep(hotspotThink)
 	}
 	return firstErr
 }
