@@ -23,8 +23,9 @@
 //
 // ledger [row ...] runs the ledger's rows (fig3, fig6-4, fig6-26; default
 // all three) and prints what each layer counted per transaction, the lines
-// scripts/ledger.sh writes to results/ledger.txt. The 26-region row takes
-// about a minute and over a GiB of heap.
+// scripts/ledger.sh writes to results/ledger.txt; the 4-region row also
+// prints the objects each layer allocated, with every allocation profiled.
+// The 26-region row takes about a minute and over a GiB of heap.
 //
 // -trace enables span recording during fig3, writes per-phase span
 // histograms to results/fig3_phases.txt, and fails the run if any

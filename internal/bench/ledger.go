@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"mrdb/internal/cluster"
@@ -14,16 +15,18 @@ import (
 )
 
 // ledgerRow is one run the ledger counts: a name and the run, which returns
-// its cluster and the transactions it committed.
+// its cluster and the transactions it committed. A row with allocs also
+// counts the objects each layer allocated (see allocsByLayer).
 type ledgerRow struct {
-	name string
-	run  func() (*cluster.Cluster, int, error)
+	name   string
+	run    func() (*cluster.Cluster, int, error)
+	allocs bool
 }
 
 // ledgerRows are the ledger's runs: the Fig. 3 GLOBAL variant at quick
 // scale, and the quick Fig. 6 point at seed 602 with 4 and 26 regions.
 var ledgerRows = []ledgerRow{
-	{"fig3", func() (*cluster.Cluster, int, error) {
+	{name: "fig3", run: func() (*cluster.Cluster, int, error) {
 		y, c, err := fig3Run(100, 250*sim.Millisecond, Quick(), "LOCALITY GLOBAL", false, false)
 		if err != nil {
 			return nil, 0, err
@@ -37,8 +40,8 @@ var ledgerRows = []ledgerRow{
 		}
 		return c, n, nil
 	}},
-	{"fig6-4", fig6LedgerRun(4)},
-	{"fig6-26", fig6LedgerRun(26)},
+	{"fig6-4", fig6LedgerRun(4), true},
+	{"fig6-26", fig6LedgerRun(26), false},
 }
 
 func fig6LedgerRun(regions int) func() (*cluster.Cluster, int, error) {
@@ -59,7 +62,10 @@ func fig6LedgerRun(regions int) func() (*cluster.Cluster, int, error) {
 // by kind; and, at the end, the replicas and the Raft entries they retain.
 // A counter that stayed zero is left out. Every count is a function of the
 // seed. The two "host." lines, wall time and HeapInuse when the run ends, are
-// not: a diff of the ledger leaves them out.
+// not: a diff of the ledger leaves them out. The 4-region row also prints an
+// "alloc." line per layer, the objects the run allocated by the package of
+// the innermost mrdb frame; these are exact counts of one run but move with
+// the Go runtime, so they are held within a tolerance rather than diffed.
 func Ledger(w io.Writer, names []string) error {
 	rows := ledgerRows
 	if len(names) > 0 {
@@ -77,16 +83,30 @@ func Ledger(w io.Writer, names []string) error {
 		}
 	}
 	for _, row := range rows {
+		var before map[[32]uintptr]int64
+		rate := runtime.MemProfileRate
+		if row.allocs {
+			// Every allocation from here on is recorded.
+			runtime.MemProfileRate = 1
+			before = allocProfile()
+		}
 		runtime.GC()
 		start := time.Now()
 		c, txns, err := row.run()
 		wall := time.Since(start)
 		if err != nil {
+			runtime.MemProfileRate = rate
 			return fmt.Errorf("ledger %s: %w", row.name, err)
+		}
+		var layers map[string]int64
+		if row.allocs {
+			layers = allocsByLayer(before, allocProfile())
+			runtime.MemProfileRate = rate
 		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		writeledgerRow(w, row.name, c, txns)
+		writeAllocRows(w, row.name, layers, txns)
 		fmt.Fprintf(w, "%s host.wall_s %.1f\n", row.name, wall.Seconds())
 		fmt.Fprintf(w, "%s host.heap_inuse_mb %.0f\n", row.name, float64(ms.HeapInuse)/(1<<20))
 	}
@@ -136,4 +156,84 @@ func writeledgerRow(w io.Writer, name string, c *cluster.Cluster, txns int) {
 	}
 	line("kv.replicas", sum.Replicas)
 	line("raft.retained_entries", sum.Retained)
+}
+
+// allocProfile returns the objects allocated so far by stack, from the
+// memory profile as of a garbage collection it runs first (a collection
+// publishes the allocations made before it).
+func allocProfile() map[[32]uintptr]int64 {
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	n, _ := runtime.MemProfile(nil, true)
+	for {
+		recs = make([]runtime.MemProfileRecord, n+64)
+		var ok bool
+		if n, ok = runtime.MemProfile(recs, true); ok {
+			break
+		}
+	}
+	out := make(map[[32]uintptr]int64, n)
+	for _, r := range recs[:n] {
+		out[r.Stack0] += r.AllocObjects
+	}
+	return out
+}
+
+// allocsByLayer attributes the objects allocated between two profiles to
+// the package of each stack's innermost mrdb frame ("main" for a command's
+// own code, "runtime" for a stack without one): an object a runtime or
+// standard-library function allocates on a layer's behalf is the layer's.
+func allocsByLayer(before, after map[[32]uintptr]int64) map[string]int64 {
+	layers := map[string]int64{}
+	for stack, n := range after {
+		if n -= before[stack]; n == 0 {
+			continue
+		}
+		pcs := stack[:]
+		for i, pc := range pcs {
+			if pc == 0 {
+				pcs = pcs[:i]
+				break
+			}
+		}
+		layer := "runtime"
+		frames := runtime.CallersFrames(pcs)
+		for {
+			f, more := frames.Next()
+			if l, ok := mrdbPackage(f.Function); ok {
+				layer = l
+				break
+			}
+			if !more {
+				break
+			}
+		}
+		layers[layer] += n
+	}
+	return layers
+}
+
+// mrdbPackage returns the last element of the package path of fn, a
+// function name as the runtime prints it, when the package is mrdb's.
+func mrdbPackage(fn string) (string, bool) {
+	if strings.HasPrefix(fn, "main.") {
+		return "main", true
+	}
+	if !strings.HasPrefix(fn, "mrdb/") {
+		return "", false
+	}
+	last := fn[strings.LastIndexByte(fn, '/')+1:]
+	return last[:strings.IndexByte(last, '.')], true
+}
+
+// writeAllocRows prints the "alloc." lines of one row, by layer name.
+func writeAllocRows(w io.Writer, name string, layers map[string]int64, txns int) {
+	names := make([]string, 0, len(layers))
+	for l := range layers {
+		names = append(names, l)
+	}
+	sort.Strings(names)
+	for _, l := range names {
+		fmt.Fprintf(w, "%s alloc.%s %d %.2f\n", name, l, layers[l], float64(layers[l])/float64(max(txns, 1)))
+	}
 }

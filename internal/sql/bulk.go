@@ -25,7 +25,7 @@ func (s *Session) BulkLoadRow(t *Table, colVals map[string]Datum, ts hlc.Timesta
 	// Computed columns.
 	for _, c := range t.Columns {
 		if c.Computed != nil {
-			v, err := s.evalExpr(c.Computed, &evalCtx{session: s, row: t.namedVals(vals)})
+			v, err := s.evalExpr(c.Computed, s.rowCtx(t, vals))
 			if err != nil {
 				return err
 			}
@@ -36,7 +36,7 @@ func (s *Session) BulkLoadRow(t *Table, colVals map[string]Datum, ts hlc.Timesta
 	if err != nil {
 		return err
 	}
-	for _, e := range rowKVs(t, region, vals) {
+	for _, e := range rowKVs(nil, t, region, vals) {
 		if err := s.bulkPut(e.Key, e.Value, ts); err != nil {
 			return err
 		}

@@ -128,6 +128,14 @@ type Table struct {
 	// serializes sessions, so no locking is needed (same argument as
 	// StmtStats).
 	prefixes []prefixEntry
+	// implied memoizes regionImplied per unique index, the same way.
+	implied []impliedEntry
+}
+
+// impliedEntry memoizes whether one index's columns fix a row's partition.
+type impliedEntry struct {
+	idx     IndexID
+	implied bool
 }
 
 // prefixEntry memoizes one index partition's key prefix.
@@ -178,12 +186,12 @@ func (t *Table) AddIndex(idx *Index) *Index {
 
 // clone returns a copy of t with column and index lists of its own, so a
 // schema change can build the table it leaves behind without touching t.
-// The copy starts a fresh key-prefix memo.
+// The copy starts fresh memos.
 func (t *Table) clone() *Table {
 	c := *t
 	c.Columns = slices.Clone(t.Columns)
 	c.Indexes = slices.Clone(t.Indexes)
-	c.prefixes = nil
+	c.prefixes, c.implied = nil, nil
 	return &c
 }
 
@@ -329,6 +337,25 @@ func PrefixEnd(prefix mvcc.Key) mvcc.Key {
 // indexes). The prefix comes from the table's memo, so a key costs one
 // exact-capacity allocation.
 func EncodeIndexKey(t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
+	return encodeIndexKey(t, idx, region, vals, 0)
+}
+
+// encodeIndexKey is EncodeIndexKey with room for extra more bytes, the
+// primary-key suffix of a non-unique index's key.
+func encodeIndexKey(t *Table, idx *Index, region simnet.Region, vals []Datum, extra int) mvcc.Key {
+	prefix := t.indexPrefix(idx, region)
+	key := append(make(mvcc.Key, 0, len(prefix)+KeyTupleSize(vals)+extra), prefix...)
+	return AppendKeyTuple(key, vals)
+}
+
+// appendIndexKey appends the key of idx's entry for vals in region's
+// partition to buf.
+func appendIndexKey(buf []byte, t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
+	return AppendKeyTuple(append(buf, t.indexPrefix(idx, region)...), vals)
+}
+
+// indexPrefix returns IndexPrefix(t, idx.ID, region) from the table's memo.
+func (t *Table) indexPrefix(idx *Index, region simnet.Region) mvcc.Key {
 	var prefix mvcc.Key
 	for i := range t.prefixes {
 		e := &t.prefixes[i]
@@ -341,17 +368,11 @@ func EncodeIndexKey(t *Table, idx *Index, region simnet.Region, vals []Datum) mv
 		prefix = IndexPrefix(t, idx.ID, region)
 		t.prefixes = append(t.prefixes, prefixEntry{idx: idx.ID, region: region, key: prefix})
 	}
-	key := make(mvcc.Key, len(prefix), len(prefix)+KeyTupleSize(vals))
-	copy(key, prefix)
-	return AppendKeyTuple(key, vals)
+	return prefix
 }
 
-// EncodeTupleSuffix encodes datums without an index prefix; used to append
-// primary-key columns to non-unique secondary index keys.
-func EncodeTupleSuffix(vals []Datum) mvcc.Key {
-	var key mvcc.Key
-	for _, v := range vals {
-		key = EncodeKeyDatum(key, v)
-	}
-	return key
+// EncodeTupleSuffix appends datums to key without an index prefix; used to
+// append primary-key columns to non-unique secondary index keys.
+func EncodeTupleSuffix(key mvcc.Key, vals []Datum) mvcc.Key {
+	return AppendKeyTuple(key, vals)
 }

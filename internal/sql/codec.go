@@ -122,18 +122,40 @@ func AppendKeyTuple(buf mvcc.Key, vals []Datum) mvcc.Key {
 
 // EncodeRow encodes column values (by column ID) as a row value.
 func EncodeRow(vals map[ColumnID]Datum) mvcc.Value {
-	var buf []byte
-	buf = binary.AppendUvarint(buf, uint64(len(vals)))
-	// Deterministic order: ascending column ID.
-	ids := make([]ColumnID, 0, len(vals))
+	var buf [16]ColumnID
+	ids := buf[:0]
 	for id := range vals {
 		ids = append(ids, id)
 	}
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
+	return encodeRow(vals, ids)
+}
+
+// encodeRow encodes the columns ids of vals, in ascending ID order (ids is
+// sorted in place). The value is allocated once at its exact size: every
+// replica's engine and the Raft log keep it, capacity included.
+func encodeRow(vals map[ColumnID]Datum, ids []ColumnID) mvcc.Value {
+	slices.Sort(ids)
+	size := uvarintLen(uint64(len(ids)))
+	for _, id := range ids {
+		size += uvarintLen(uint64(id)) + 1
+		switch v := vals[id].(type) {
+		case nil:
+		case string:
+			size += uvarintLen(uint64(len(v))) + len(v)
+		case int64:
+			size += varintLen(v)
+		case int:
+			size += varintLen(int64(v))
+		case float64:
+			size += 8
+		case bool:
+			size++
+		default:
+			panic(fmt.Sprintf("sql: cannot encode %T", vals[id]))
 		}
 	}
+	buf := make([]byte, 0, size)
+	buf = binary.AppendUvarint(buf, uint64(len(ids)))
 	for _, id := range ids {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		switch v := vals[id].(type) {
@@ -151,21 +173,35 @@ func EncodeRow(vals map[ColumnID]Datum) mvcc.Value {
 			buf = binary.AppendVarint(buf, int64(v))
 		case float64:
 			buf = append(buf, tagFloat)
-			var b [8]byte
-			binary.BigEndian.PutUint64(b[:], math.Float64bits(v))
-			buf = append(buf, b[:]...)
+			buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v))
 		case bool:
-			buf = append(buf, tagBool)
 			if v {
-				buf = append(buf, 1)
+				buf = append(buf, tagBool, 1)
 			} else {
-				buf = append(buf, 0)
+				buf = append(buf, tagBool, 0)
 			}
-		default:
-			panic(fmt.Sprintf("sql: cannot encode %T", vals[id]))
 		}
 	}
 	return mvcc.Value(buf)
+}
+
+// uvarintLen is the length of binary.AppendUvarint's encoding of x.
+func uvarintLen(x uint64) int {
+	n := 1
+	for x >= 0x80 {
+		x >>= 7
+		n++
+	}
+	return n
+}
+
+// varintLen is the length of binary.AppendVarint's encoding of x.
+func varintLen(x int64) int {
+	ux := uint64(x) << 1
+	if x < 0 {
+		ux = ^ux
+	}
+	return uvarintLen(ux)
 }
 
 // DecodeRow decodes a row value back into column values.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 
 	"mrdb/internal/core"
 	"mrdb/internal/hlc"
@@ -156,24 +157,32 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	if err != nil {
 		return nil, err
 	}
-	var rows []uniqueRow
+	// The rows, their maps and the writes are statement scratch: the
+	// transaction keeps the keys and values it is given, never the slices.
+	rows, kvs := s.insertRows[:0], s.kvScratch[:0]
+	defer func() {
+		for _, r := range rows {
+			s.putRowMap(r.vals)
+		}
+		s.insertRows, s.kvScratch = emptied(rows), emptied(kvs)
+	}()
 	for _, rowExprs := range st.Rows {
 		vals, err := s.insertRowValues(ci, t, db, rowExprs)
 		if err != nil {
 			return nil, err
 		}
-		region, err := rowRegion(t, vals)
-		if err != nil {
+		rows = append(rows, uniqueRow{vals: vals})
+		if rows[len(rows)-1].region, err = rowRegion(t, vals); err != nil {
 			return nil, err
 		}
-		rows = append(rows, uniqueRow{vals: vals, region: region})
 	}
 	if st.Upsert {
 		if err := upsertable(t); err != nil {
 			return nil, err
 		}
 		for _, r := range rows {
-			if err := tx.PutParallel(p, rowKVs(t, "", r.vals), nil); err != nil {
+			kvs = rowKVs(kvs[:0], t, "", r.vals)
+			if err := tx.PutParallel(p, kvs, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -184,16 +193,16 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	// Every unique entry is checked. All rows' index entries go out as one
 	// batch: the DistSender splits it by range and the statement pays the
 	// max, not the sum, of per-range round trips.
-	var unique []*Index
+	unique := s.uniqueIdx[:0]
 	for _, idx := range t.Indexes {
 		if idx.Unique {
 			unique = append(unique, idx)
 		}
 	}
-	var kvs []mvcc.KeyValue
+	s.uniqueIdx = unique
 	for i := range rows {
 		rows[i].indexes = unique
-		kvs = append(kvs, rowKVs(t, rows[i].region, rows[i].vals)...)
+		kvs = rowKVs(kvs, t, rows[i].region, rows[i].vals)
 	}
 	mustNotExist, err := s.checkUnique(p, tx, t, db, rows, kvs, ci.fromDefault)
 	if err != nil {
@@ -205,6 +214,13 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	res := s.takeResult()
 	res.RowsAffected = len(rows)
 	return res, nil
+}
+
+// emptied returns statement scratch for the next statement: empty, and
+// cleared so that it holds on to nothing this statement made.
+func emptied[T any](scratch []T) []T {
+	clear(scratch)
+	return scratch[:0]
 }
 
 // uniqueRow is a row write as its uniqueness checks (paper §4.1) see it.
@@ -224,40 +240,43 @@ type uniqueRow struct {
 // out first as one batched read — one KV RPC per touched range instead of
 // one per row. A row's own old entry is never a duplicate: a key kvs
 // tombstone is not probed. No checked entry means no conditions: nil.
+// What it builds is statement scratch, the conditions included (valid until
+// the next call), except the probe keys, which the transaction keeps.
 func (s *Session) checkUnique(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Database, rows []uniqueRow, kvs []mvcc.KeyValue, fromDefault map[ColumnID]bool) ([]bool, error) {
-	var probeKeys []mvcc.Key
-	type probeRef struct {
-		idx    *Index
-		region simnet.Region
-	}
-	var probeRefs []probeRef
-	written := map[string]bool{} // the checked entries of the rows so far
+	// checked holds the rows' own checked entries so far.
+	checked, probeKeys, probeRefs := s.checked[:0], s.probeKeys[:0], s.probeRefs[:0]
+	defer func() {
+		s.checked, s.probeKeys, s.probeRefs = emptied(checked), emptied(probeKeys), emptied(probeRefs)
+	}()
 	for _, r := range rows {
 		for _, idx := range r.indexes {
-			var tuple []Datum
+			tuple := s.checkTuple[:0]
 			for _, cid := range idx.Cols {
 				tuple = append(tuple, r.vals[cid])
 			}
-			for _, pr := range uniqueProbeRegions(t, db, idx, r.region, fromDefault, s.UniquenessChecks) {
-				key := EncodeIndexKey(t, idx, pr, tuple)
+			s.checkTuple = tuple
+			s.probeRegions = uniqueProbeRegions(s.probeRegions[:0], t, db, idx, r.region, fromDefault, s.UniquenessChecks)
+			for _, pr := range s.probeRegions {
+				s.keyScratch = appendIndexKey(s.keyScratch[:0], t, idx, pr, tuple)
+				key := mvcc.Key(s.keyScratch)
 				switch {
-				case written[string(key)]:
+				case containsKey(checked, key):
 					return nil, duplicateKey(idx, pr)
 				case pr == r.region:
-					written[string(key)] = true
+					checked = append(checked, ownKey(kvs, key))
 				case !deletes(kvs, key):
-					probeKeys = append(probeKeys, key)
+					probeKeys = append(probeKeys, slices.Clone(key))
 					probeRefs = append(probeRefs, probeRef{idx: idx, region: pr})
 				}
 			}
 		}
 	}
-	if len(written) == 0 {
+	if len(checked) == 0 {
 		return nil, nil
 	}
 	if len(probeKeys) > 0 {
-		found, err := tx.GetParallel(p, probeKeys)
-		if err != nil {
+		found := s.values(len(probeKeys))
+		if err := tx.GetParallel(p, probeKeys, found); err != nil {
 			return nil, err
 		}
 		for i, v := range found {
@@ -266,11 +285,38 @@ func (s *Session) checkUnique(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Datab
 			}
 		}
 	}
-	mustNotExist := make([]bool, len(kvs))
-	for i, e := range kvs {
-		mustNotExist[i] = written[string(e.Key)]
+	mustNotExist := s.conditions[:0]
+	for _, e := range kvs {
+		mustNotExist = append(mustNotExist, containsKey(checked, e.Key))
 	}
+	s.conditions = mustNotExist
 	return mustNotExist, nil
+}
+
+// probeRef names the unique index and partition of a uniqueness probe.
+type probeRef struct {
+	idx    *Index
+	region simnet.Region
+}
+
+// containsKey reports whether keys holds key.
+func containsKey(keys []mvcc.Key, key mvcc.Key) bool {
+	for _, k := range keys {
+		if bytes.Equal(k, key) {
+			return true
+		}
+	}
+	return false
+}
+
+// ownKey returns kvs' copy of key, or a copy of its own when kvs lacks it.
+func ownKey(kvs []mvcc.KeyValue, key mvcc.Key) mvcc.Key {
+	for _, e := range kvs {
+		if bytes.Equal(e.Key, key) {
+			return e.Key
+		}
+	}
+	return slices.Clone(key)
 }
 
 // deletes reports whether kvs tombstone key.
@@ -309,54 +355,50 @@ func uniqueViolation(t *Table, db *core.Database, err error) error {
 	return err
 }
 
-// uniqueProbeRegions returns the partitions a unique-index check must probe
-// for a row homed in region: the local partition always, plus every remote
-// partition unless the check can be elided (paper §4.1): the value came
-// from gen_random_uuid() (case 1), the region column is part of the index
-// (case 2), or the region is computed from the indexed columns (case 3).
-func uniqueProbeRegions(t *Table, db *core.Database, idx *Index, region simnet.Region, fromDefault map[ColumnID]bool, remoteChecks bool) []simnet.Region {
-	checkRegions := []simnet.Region{region}
+// uniqueProbeRegions appends to dst the partitions a unique-index check
+// must probe for a row homed in region: the local partition always, plus
+// every remote partition unless the check can be elided (paper §4.1): the
+// value came from gen_random_uuid() (case 1), or the index's columns fix the
+// row's partition (cases 2 and 3, see regionImplied).
+func uniqueProbeRegions(dst []simnet.Region, t *Table, db *core.Database, idx *Index, region simnet.Region, fromDefault map[ColumnID]bool, remoteChecks bool) []simnet.Region {
+	dst = append(dst, region)
 	if !t.IsPartitioned() || !remoteChecks {
-		return checkRegions
+		return dst
 	}
-	elide := false
 	// §4.1 (1): generated UUIDs never collide; skip remote checks.
-	if len(idx.Cols) == 1 && fromDefault[idx.Cols[0]] {
-		elide = true
+	if len(idx.Cols) == 1 && fromDefault[idx.Cols[0]] || t.regionImplied(idx) {
+		return dst
 	}
-	// §4.1 (2): the region column is part of the unique constraint.
-	for _, cid := range idx.Cols {
-		if cid == t.RegionColumn {
-			elide = true
+	for _, r := range db.Regions() {
+		if r != region {
+			dst = append(dst, r)
 		}
 	}
-	// §4.1 (3): the region is computed from the unique columns, so
-	// per-partition uniqueness implies global uniqueness.
-	if regionCol, ok := t.ColumnByID(t.RegionColumn); ok && regionCol.Computed != nil {
+	return dst
+}
+
+// regionImplied reports whether the unique columns of idx fix a row's
+// partition, so that per-partition uniqueness implies global uniqueness: the
+// region column is one of them (§4.1 (2)), or the region is computed from
+// them alone (§4.1 (3)). It is a function of the schema, memoized per index.
+func (t *Table) regionImplied(idx *Index) bool {
+	for _, e := range t.implied {
+		if e.idx == idx.ID {
+			return e.implied
+		}
+	}
+	implied := slices.Contains(idx.Cols, t.RegionColumn)
+	if regionCol, ok := t.ColumnByID(t.RegionColumn); ok && regionCol.Computed != nil && !implied {
 		deps := exprColumnDeps(regionCol.Computed)
-		idxNames := map[string]bool{}
-		for _, cid := range idx.Cols {
-			c, _ := t.ColumnByID(cid)
-			idxNames[c.Name] = true
-		}
-		covered := true
+		implied = len(deps) > 0
 		for _, d := range deps {
-			if !idxNames[d] {
-				covered = false
-			}
-		}
-		if covered && len(deps) > 0 {
-			elide = true
-		}
-	}
-	if !elide {
-		for _, r := range db.Regions() {
-			if r != region {
-				checkRegions = append(checkRegions, r)
+			if c, ok := t.Column(d); !ok || !slices.Contains(idx.Cols, c.ID) {
+				implied = false
 			}
 		}
 	}
-	return checkRegions
+	t.implied = append(t.implied, impliedEntry{idx: idx.ID, implied: implied})
+	return implied
 }
 
 // rowRegion extracts the partition region of a row.
@@ -406,52 +448,51 @@ func upsertable(t *Table) error {
 //     every other index holds the primary-key columns.
 //
 // Without withValue the entry's Value is nil: a tombstone, or just a key.
+// The key and the value are fresh, each allocated once at its exact size.
 func indexEntry(t *Table, idx *Index, region simnet.Region, vals map[ColumnID]Datum, withValue bool) mvcc.KeyValue {
 	if idx.PinnedRegion != "" && !t.IsPartitioned() {
 		region = ""
 	}
-	tuple := make([]Datum, len(idx.Cols))
-	for i, cid := range idx.Cols {
-		tuple[i] = vals[cid]
+	var tupleBuf, pkBuf [8]Datum
+	tuple := tupleBuf[:0]
+	for _, cid := range idx.Cols {
+		tuple = append(tuple, vals[cid])
 	}
-	key := EncodeIndexKey(t, idx, region, tuple)
 	primary := t.Primary()
-	if !idx.Unique {
-		pk := make([]Datum, len(primary.Cols))
-		for i, cid := range primary.Cols {
-			pk[i] = vals[cid]
+	var key mvcc.Key
+	if idx.Unique {
+		key = EncodeIndexKey(t, idx, region, tuple)
+	} else {
+		pk := pkBuf[:0]
+		for _, cid := range primary.Cols {
+			pk = append(pk, vals[cid])
 		}
-		key = append(key, EncodeTupleSuffix(pk)...)
+		key = EncodeTupleSuffix(encodeIndexKey(t, idx, region, tuple, KeyTupleSize(pk)), pk)
 	}
 	if !withValue {
 		return mvcc.KeyValue{Key: key}
 	}
-	if idx.ID == primary.ID || len(idx.Storing) > 0 {
+	if covering(t, idx) {
 		return mvcc.KeyValue{Key: key, Value: EncodeRow(vals)}
 	}
-	pkVals := make(map[ColumnID]Datum, len(primary.Cols))
-	for _, cid := range primary.Cols {
-		pkVals[cid] = vals[cid]
-	}
-	return mvcc.KeyValue{Key: key, Value: EncodeRow(pkVals)}
+	var ids [8]ColumnID
+	return mvcc.KeyValue{Key: key, Value: encodeRow(vals, append(ids[:0], primary.Cols...))}
 }
 
-// rowKVs builds the primary-row and index-entry writes for one row.
-func rowKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
-	kvs := make([]mvcc.KeyValue, len(t.Indexes))
-	for i, idx := range t.Indexes {
-		kvs[i] = indexEntry(t, idx, region, vals, true)
+// rowKVs appends the primary-row and index-entry writes for one row to dst.
+func rowKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
+	for _, idx := range t.Indexes {
+		dst = append(dst, indexEntry(t, idx, region, vals, true))
 	}
-	return kvs
+	return dst
 }
 
-// deleteKVs builds the tombstone writes removing one row.
-func deleteKVs(t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
-	kvs := make([]mvcc.KeyValue, len(t.Indexes))
-	for i, idx := range t.Indexes {
-		kvs[i] = indexEntry(t, idx, region, vals, false)
+// deleteKVs appends the tombstone writes removing one row to dst.
+func deleteKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
+	for _, idx := range t.Indexes {
+		dst = append(dst, indexEntry(t, idx, region, vals, false))
 	}
-	return kvs
+	return dst
 }
 
 // --- UPDATE ---
@@ -465,13 +506,25 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 	for _, cid := range t.Primary().Cols {
 		pkSet[cid] = true
 	}
+	if s.changed == nil {
+		s.changed = map[ColumnID]bool{}
+	}
+	// Each row's new values, writes and checks are statement scratch: the
+	// transaction keeps the keys and values it is given, never the slices.
+	newVals, changed, kvs := s.getRowMap(), s.changed, s.kvScratch[:0]
+	defer func() {
+		s.putRowMap(newVals)
+		clear(changed)
+		s.kvScratch = emptied(kvs)
+	}()
 	updated := 0
 	for _, row := range rows {
-		newVals := map[ColumnID]Datum{}
+		clear(newVals)
+		clear(changed)
 		for k, v := range row.vals {
 			newVals[k] = v
 		}
-		changed := map[ColumnID]bool{}
+		ctx := s.rowCtx(t, row.vals)
 		for _, a := range st.Set {
 			c, ok := t.Column(a.Col)
 			if !ok {
@@ -480,7 +533,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 			if pkSet[c.ID] {
 				return nil, fmt.Errorf("sql: updating primary key column %q is not supported", a.Col)
 			}
-			v, err := s.evalExpr(a.Val, &evalCtx{session: s, row: t.namedVals(row.vals)})
+			v, err := s.evalExpr(a.Val, ctx)
 			if err != nil {
 				return nil, err
 			}
@@ -501,14 +554,16 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 			}
 		}
 		// Recompute computed columns over the new row.
+		ctx = s.rowCtx(t, newVals)
 		for _, c := range t.Columns {
 			if c.Computed != nil {
-				v, err := s.evalExpr(c.Computed, &evalCtx{session: s, row: t.namedVals(newVals)})
+				v, err := s.evalExpr(c.Computed, ctx)
 				if err != nil {
 					return nil, err
 				}
 				if !DatumsEqual(v, newVals[c.ID]) {
 					newVals[c.ID] = v
+					ctx.row[c.Name] = v
 					changed[c.ID] = true
 				}
 			}
@@ -520,26 +575,26 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 		if t.IsPartitioned() && !db.CanWriteRegion(newRegion) {
 			return nil, fmt.Errorf("sql: region %q is not writable", newRegion)
 		}
-		var kvs []mvcc.KeyValue
 		if newRegion != row.region && t.IsPartitioned() {
 			// Cross-partition move (rehoming): delete + reinsert.
-			kvs = append(deleteKVs(t, row.region, row.vals), rowKVs(t, newRegion, newVals)...)
+			kvs = rowKVs(deleteKVs(kvs[:0], t, row.region, row.vals), t, newRegion, newVals)
 		} else {
-			kvs = updateKVs(t, row.region, row.vals, newVals, changed)
+			kvs = updateKVs(kvs[:0], t, row.region, row.vals, newVals, changed)
 		}
 		// A unique entry is checked only when its key bytes change; the
 		// primary key cannot change, so a row moving partitions keeps a
 		// primary key no other row holds. Rows are checked one at a time,
 		// against the table as the rows before them left it, so a swap of
 		// two rows' values fails.
-		check := uniqueRow{vals: newVals, region: newRegion}
+		check := [1]uniqueRow{{vals: newVals, region: newRegion, indexes: s.uniqueIdx[:0]}}
 		for _, idx := range t.Indexes {
 			if idx.Unique && idx.ID != t.Primary().ID &&
 				!bytes.Equal(indexEntry(t, idx, row.region, row.vals, false).Key, indexEntry(t, idx, newRegion, newVals, false).Key) {
-				check.indexes = append(check.indexes, idx)
+				check[0].indexes = append(check[0].indexes, idx)
 			}
 		}
-		mustNotExist, err := s.checkUnique(p, tx, t, db, []uniqueRow{check}, kvs, nil)
+		s.uniqueIdx = check[0].indexes
+		mustNotExist, err := s.checkUnique(p, tx, t, db, check[:], kvs, nil)
 		if err != nil {
 			return nil, err
 		}
@@ -554,11 +609,10 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 	return res, nil
 }
 
-// updateKVs builds the writes rewriting a row in place within its
+// updateKVs appends to dst the writes rewriting a row in place within its
 // partition: every entry whose key changed is tombstoned and laid down anew,
 // and entries that hold row columns are rewritten.
-func updateKVs(t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) []mvcc.KeyValue {
-	var kvs []mvcc.KeyValue
+func updateKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) []mvcc.KeyValue {
 	for _, idx := range t.Indexes {
 		keyChanged := false
 		for _, cid := range idx.Cols {
@@ -567,13 +621,13 @@ func updateKVs(t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Dat
 			}
 		}
 		if keyChanged {
-			kvs = append(kvs, indexEntry(t, idx, region, oldVals, false))
+			dst = append(dst, indexEntry(t, idx, region, oldVals, false))
 		}
-		if keyChanged || idx.ID == t.Primary().ID || len(idx.Storing) > 0 {
-			kvs = append(kvs, indexEntry(t, idx, region, newVals, true))
+		if keyChanged || covering(t, idx) {
+			dst = append(dst, indexEntry(t, idx, region, newVals, true))
 		}
 	}
-	return kvs
+	return dst
 }
 
 // --- DELETE ---
@@ -584,11 +638,13 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, err
 		return nil, err
 	}
 	// All rows' tombstones go out as one per-range-batched write.
-	var kvs []mvcc.KeyValue
+	kvs := s.kvScratch[:0]
 	for _, row := range rows {
-		kvs = append(kvs, deleteKVs(t, row.region, row.vals)...)
+		kvs = deleteKVs(kvs, t, row.region, row.vals)
 	}
-	if err := tx.PutParallel(p, kvs, nil); err != nil {
+	err = tx.PutParallel(p, kvs, nil)
+	s.kvScratch = emptied(kvs)
+	if err != nil {
 		return nil, err
 	}
 	n := len(rows)
@@ -623,7 +679,7 @@ func (s *Session) backfill(p *sim.Proc, db *core.Database, src, dst *Table, idxs
 				}
 				if _, ok := vals[dst.RegionColumn].(string); dst.IsPartitioned() && !ok {
 					col, _ := dst.ColumnByID(dst.RegionColumn)
-					if vals[dst.RegionColumn], err = s.evalExpr(col.Default, &evalCtx{session: s, row: dst.namedVals(vals)}); err != nil {
+					if vals[dst.RegionColumn], err = s.evalExpr(col.Default, s.rowCtx(dst, vals)); err != nil {
 						return err
 					}
 				}

@@ -10,6 +10,7 @@ import (
 	"mrdb/internal/core"
 	"mrdb/internal/hlc"
 	"mrdb/internal/kv"
+	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
@@ -63,6 +64,31 @@ type Session struct {
 	// crRow/crCtx back computedRegionFromConstraints.
 	crRow map[string]Datum
 	crCtx evalCtx
+	// rowNames/rowEval back rowCtx.
+	rowNames map[string]Datum
+	rowEval  evalCtx
+	// valScratch backs values.
+	valScratch []mvcc.Value
+	// The write path's statement scratch (dml.go): the rows an INSERT
+	// writes, the unique indexes it checks, the writes a statement sends
+	// and the columns an UPDATE changed. A transaction keeps the keys and
+	// values it is given, never these slices.
+	insertRows []uniqueRow
+	uniqueIdx  []*Index
+	kvScratch  []mvcc.KeyValue
+	changed    map[ColumnID]bool
+	// checkUnique's scratch: an index tuple, the partitions it probes, the
+	// entries checked so far, the probes sent and the writes' conditions.
+	checkTuple   []Datum
+	probeRegions []simnet.Region
+	checked      []mvcc.Key
+	probeKeys    []mvcc.Key
+	probeRefs    []probeRef
+	conditions   []bool
+	// regionDatums are the boxed names of regionsBoxed, a database's region
+	// list (see mapToRegion).
+	regionsBoxed []simnet.Region
+	regionDatums []Datum
 
 	// uuids is the "sql/uuid" stream, which gen_random_uuid draws from in
 	// every session.
@@ -369,7 +395,7 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 				if err != nil {
 					return err
 				}
-				if err := tx.PutParallel(p, deleteKVs(t, region, vals), nil); err != nil {
+				if err := tx.PutParallel(p, deleteKVs(nil, t, region, vals), nil); err != nil {
 					return err
 				}
 				deleted++
@@ -595,6 +621,14 @@ func (s *Session) mapToRegion(v Datum) (Datum, error) {
 	if len(regions) == 0 {
 		return nil, fmt.Errorf("sql: database has no regions")
 	}
+	// A region change gives the database a new list, so the memo holds for
+	// as long as the list it boxed is the database's.
+	if len(s.regionsBoxed) != len(regions) || &s.regionsBoxed[0] != &regions[0] {
+		s.regionsBoxed, s.regionDatums = regions, make([]Datum, len(regions))
+		for i, r := range regions {
+			s.regionDatums[i] = string(r)
+		}
+	}
 	var h uint64
 	switch x := v.(type) {
 	case int64:
@@ -606,7 +640,19 @@ func (s *Session) mapToRegion(v Datum) (Datum, error) {
 	default:
 		return nil, fmt.Errorf("sql: cannot map %T to a region", v)
 	}
-	return string(regions[h%uint64(len(regions))]), nil
+	return s.regionDatums[h%uint64(len(regions))], nil
+}
+
+// values returns n cleared value slots of session scratch, for a batch read
+// on the statement's proc; valid until the next call. A first-hit probe,
+// which may outlive its statement, reads into slots of its own.
+func (s *Session) values(n int) []mvcc.Value {
+	if cap(s.valScratch) < n {
+		s.valScratch = make([]mvcc.Value, n)
+	}
+	vals := s.valScratch[:n]
+	clear(vals)
+	return vals
 }
 
 // parseDuration parses interval strings like '30s', '-4.8s', '500ms'.

@@ -26,17 +26,19 @@ type tableRow struct {
 	region simnet.Region
 }
 
-// namedVals converts a row to a name→value map for expression evaluation.
-func (t *Table) namedVals(vals map[ColumnID]Datum) map[string]Datum {
-	out := map[string]Datum{}
-	for _, c := range t.Columns {
-		if v, ok := vals[c.ID]; ok {
-			out[c.Name] = v
-		} else {
-			out[c.Name] = nil
-		}
+// rowCtx returns an evaluation context over vals, a row of t, by column
+// name. The context and its map are session scratch, valid until the next
+// rowCtx call.
+func (s *Session) rowCtx(t *Table, vals map[ColumnID]Datum) *evalCtx {
+	if s.rowNames == nil {
+		s.rowNames = map[string]Datum{}
 	}
-	return out
+	clear(s.rowNames)
+	for _, c := range t.Columns {
+		s.rowNames[c.Name] = vals[c.ID]
+	}
+	s.rowEval = evalCtx{session: s, row: s.rowNames}
+	return &s.rowEval
 }
 
 // readPlan describes how to fetch rows.
@@ -322,9 +324,11 @@ func pickIndex(t *Table, local simnet.Region, cons map[string][]Datum) *Index {
 }
 
 // batchReader is a multi-key point read: every key of one phase of a
-// statement goes out together, one RPC per touched range.
+// statement goes out together, one RPC per touched range, and vals[i]
+// receives keys[i]'s value. A transaction keeps the keys (fresh ones, never
+// scratch); the slices keys and vals are the caller's again on return.
 type batchReader interface {
-	getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error)
+	getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error
 }
 
 // rowFetcher abstracts fresh (transactional) vs stale reads. A point read is
@@ -338,8 +342,8 @@ type rowFetcher interface {
 // a rowFetcher without an allocation.
 type txnFetcher struct{ tx *txn.Txn }
 
-func (f txnFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	return f.tx.GetParallel(p, keys)
+func (f txnFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error {
+	return f.tx.GetParallel(p, keys, vals)
 }
 func (f txnFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
 	return f.tx.Scan(p, start, end, max)
@@ -349,16 +353,16 @@ func (f txnFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyV
 // (the implicit SELECT FOR UPDATE of UPDATE/DELETE).
 type lockingFetcher struct{ txnFetcher }
 
-func (f lockingFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	return f.tx.GetParallelForUpdate(p, keys)
+func (f lockingFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error {
+	return f.tx.GetParallelForUpdate(p, keys, vals)
 }
 
 // probeReader reads through one first-hit probe of a transaction (see
 // txn.Probe and lookupFirstHit).
 type probeReader struct{ pr *txn.Probe }
 
-func (f probeReader) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	return f.pr.GetParallel(p, keys)
+func (f probeReader) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error {
+	return f.pr.GetParallel(p, keys, vals)
 }
 
 // probeOf returns what one first-hit probe of a statement fetching through f
@@ -383,8 +387,10 @@ type staleFetcher struct {
 	ts hlc.Timestamp
 }
 
-func (f *staleFetcher) getBatch(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	return f.co.ExactStaleReads(p, keys, f.ts)
+func (f *staleFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error {
+	got, err := f.co.ExactStaleReads(p, keys, f.ts)
+	copy(vals, got)
+	return err
 }
 func (f *staleFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
 	return f.co.StaleScan(p, start, end, max, f.ts)
@@ -409,12 +415,12 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 	t, idx, cols := plan.t, plan.index, plan.cols
 	if !plan.los || len(plan.regions) < 2 || !idx.Unique {
 		rows, keys := lookupKeys(t, idx, plan.regions, plan.lookups)
-		err := s.lookup(p, f, t, idx, cols, rows, keys)
+		err := s.lookup(p, f, t, idx, cols, rows, keys, s.values(len(keys)))
 		return hits(rows), err
 	}
 	// Phase 1: local partition only (§4.2).
 	rows, keys := lookupKeys(t, idx, plan.regions[:1], plan.lookups)
-	err := s.lookup(p, f, t, idx, cols, rows, keys)
+	err := s.lookup(p, f, t, idx, cols, rows, keys, s.values(len(keys)))
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +461,8 @@ func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index
 		reader, probe := probeOf(f)
 		p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 			obs.SetProcSpan(wp, parent)
-			fh.land(probe, regions[r], rows, s.lookup(wp, reader, t, idx, cols, rows, keys))
+			vals := make([]mvcc.Value, len(keys)) // the probe's own: it may outlive the statement
+			fh.land(probe, regions[r], rows, s.lookup(wp, reader, t, idx, cols, rows, keys, vals))
 		})
 	}
 	defer func() { fh.returned = true }()
@@ -481,7 +488,7 @@ func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index
 			return nil, err
 		}
 		rows, keys := lookupKeys(t, idx, []simnet.Region{fl.region}, tuples)
-		if err := s.lookup(p, f, t, idx, cols, rows, keys); err != nil {
+		if err := s.lookup(p, f, t, idx, cols, rows, keys, s.values(len(keys))); err != nil {
 			return nil, err
 		}
 		fh.merge(rows)
@@ -564,13 +571,13 @@ func lookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum)
 	return rows, keys
 }
 
-// lookup reads keys, the index keys of rows (see lookupKeys), as one batch,
-// then follows the entries of a non-storing secondary index to their rows as
-// a second. A row found gets the values of cols (every column when nil); a
-// miss keeps none. Row maps come from the session pool; the statement hands
-// them back through releaseRows.
-func (s *Session) lookup(p *sim.Proc, f batchReader, t *Table, idx *Index, cols []ColumnID, rows []tableRow, keys []mvcc.Key) error {
-	vals, err := f.getBatch(p, keys)
+// lookup reads keys, the index keys of rows (see lookupKeys), as one batch
+// into vals, then follows the entries of a non-storing secondary index to
+// their rows as a second. A row found gets the values of cols (every column
+// when nil); a miss keeps none. Row maps come from the session pool; the
+// statement hands them back through releaseRows.
+func (s *Session) lookup(p *sim.Proc, f batchReader, t *Table, idx *Index, cols []ColumnID, rows []tableRow, keys []mvcc.Key, vals []mvcc.Value) error {
+	err := f.getBatch(p, keys, vals)
 	if err != nil {
 		return err
 	}
@@ -599,7 +606,8 @@ func covering(t *Table, idx *Index) bool {
 // Each non-nil entries[j] holds a primary key, and its row lives in
 // rows[j].region, the entry's own partition; the values of the row's cols
 // (every column when nil) land in rows[j].vals. An entry is always decoded
-// whole. Row maps come from the session pool.
+// whole; the rows' values are then read into entries. Row maps come from the
+// session pool.
 func (s *Session) primaryRows(p *sim.Proc, f batchReader, t *Table, cols []ColumnID, entries []mvcc.Value, rows []tableRow) error {
 	primary := t.Primary()
 	var keys []mvcc.Key
@@ -623,14 +631,15 @@ func (s *Session) primaryRows(p *sim.Proc, f batchReader, t *Table, cols []Colum
 	if len(keys) == 0 {
 		return nil
 	}
-	vals, err := f.getBatch(p, keys)
-	if err != nil {
+	vals := entries[:len(keys)]
+	if err := f.getBatch(p, keys, vals); err != nil {
 		return err
 	}
 	for k, val := range vals {
 		if val == nil {
 			continue
 		}
+		var err error
 		if rows[at[k]].vals, err = s.decodeRowPooled(val, cols); err != nil {
 			return err
 		}
@@ -705,7 +714,7 @@ func (s *Session) filterRows(t *Table, rows []tableRow, w *Where) ([]tableRow, e
 	}
 	var out []tableRow
 	for _, row := range rows {
-		named := t.namedVals(row.vals)
+		named := s.rowCtx(t, row.vals).row
 		match := true
 		for _, c := range w.Conds {
 			v, ok := named[c.Col]

@@ -442,13 +442,15 @@ func buildCachedInsert(st *Insert, t *Table) (*cachedInsert, error) {
 // insertRowValues evaluates one VALUES row over an insert shape: provided
 // expressions in column order, then defaults, then computed columns over
 // the full row, then NOT NULL and region writability (a READ ONLY region
-// mid DROP REGION, §2.4.1, rejects writes). One name→value map is built
-// per row and updated as defaults and computed columns fill in.
+// mid DROP REGION, §2.4.1, rejects writes). The row's map comes from the
+// session pool, for the statement to put back; the name→value map of its
+// expressions is the session's (rowCtx), updated as defaults and computed
+// columns fill in.
 func (s *Session) insertRowValues(ci *cachedInsert, t *Table, db *core.Database, exprs []Expr) (map[ColumnID]Datum, error) {
 	if len(exprs) != len(ci.cols) {
 		return nil, fmt.Errorf("sql: %d values for %d columns", len(exprs), len(ci.cols))
 	}
-	vals := make(map[ColumnID]Datum, len(t.Columns))
+	vals := s.getRowMap()
 	for i, cid := range ci.cols {
 		v, err := s.evalExpr(exprs[i], nil)
 		if err != nil {
@@ -458,7 +460,7 @@ func (s *Session) insertRowValues(ci *cachedInsert, t *Table, db *core.Database,
 	}
 	var ctx *evalCtx
 	if len(ci.defaults)+len(ci.computed) > 0 {
-		ctx = &evalCtx{session: s, row: t.namedVals(vals)}
+		ctx = s.rowCtx(t, vals)
 	}
 	for _, c := range ci.defaults {
 		v, err := s.evalExpr(c.Default, ctx)

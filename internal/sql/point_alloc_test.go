@@ -17,13 +17,16 @@ import (
 // in objects, end to end on a three-region cluster: a prepared SELECT of
 // one column by primary key with locality-optimized search on, from the
 // us-east1 gateway. A local hit is one round trip to the gateway's own
-// partition, at 14 objects. A remote miss misses there, then probes both
+// partition, at 11 objects. A remote miss misses there, then probes both
 // remote partitions and returns on europe-west2's hit while
 // asia-northeast1's probe is still in flight (its objects land in the next
-// execution's count), at 44: each probe's reads wait in a txn.Probe of
+// execution's count), at 37: each probe's reads wait in a txn.Probe of
 // their own until the statement adopts them, so a probe that loses the race
 // leaves the transaction alone. The counts cover everything the simulation
-// runs meanwhile, so they are exact for this seed. They were 14 and 43
+// runs meanwhile, so they are exact for this seed. They were 14 and 44
+// while the transaction copied every key it read, built each batch's
+// request list on the heap and returned a fresh value slice per read, 14
+// and 43
 // while a probe read through the transaction itself, 18 and 55
 // while every KV round trip made its RPC record, that record's two
 // callbacks, a boxed envelope and a reply of its own, 19 and 58
@@ -64,11 +67,11 @@ func TestPointSelectAllocs(t *testing.T) {
 		remote = testing.AllocsPerRun(100, remoteRead)
 		p.Sleep(sim.Second) // the last remote probe lands
 	})
-	if local != 14 {
-		t.Errorf("a local point SELECT allocates %.0f objects, want 14", local)
+	if local != 11 {
+		t.Errorf("a local point SELECT allocates %.0f objects, want 11", local)
 	}
-	if remote != 44 {
-		t.Errorf("a remote point SELECT allocates %.0f objects, want 44", remote)
+	if remote != 37 {
+		t.Errorf("a remote point SELECT allocates %.0f objects, want 37", remote)
 	}
 }
 

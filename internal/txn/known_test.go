@@ -56,7 +56,7 @@ func TestRepeatedGetSendsNothing(t *testing.T) {
 		wantValue(t, "repeated Get of an absent key", v, err, "")
 		sent("repeated Get of an absent key", 0)
 		reqs := co.Sender.BatchedReqs
-		vs, err := tx.GetParallel(p, keysOf("k/a", "k/b", "k/none"))
+		vs, err := getAll(p, tx, keysOf("k/a", "k/b", "k/none"))
 		if err != nil || string(vs[0]) != "v-k/a" || string(vs[1]) != "v-k/b" || vs[2] != nil {
 			t.Errorf("GetParallel of two known keys and one unknown: %q, %v", vs, err)
 		}
@@ -142,7 +142,7 @@ func TestGetOfASentWriteSendsNothing(t *testing.T) {
 		wantValue(t, "Get of a sent tombstone", v, err, "")
 		v, err = tx.GetForUpdate(p, mvcc.Key("k/d"))
 		wantValue(t, "GetForUpdate of a key read then written", v, err, "new-d")
-		vs, err := tx.GetParallel(p, keysOf("k/a", "k/b", "k/c", "k/d"))
+		vs, err := getAll(p, tx, keysOf("k/a", "k/b", "k/c", "k/d"))
 		if err != nil || string(vs[0]) != "new-a" || vs[1] != nil || vs[2] != nil || string(vs[3]) != "new-d" {
 			t.Errorf("GetParallel of known keys: %q, %v", vs, err)
 		}

@@ -1,0 +1,127 @@
+package txn_test
+
+import (
+	"fmt"
+	"testing"
+
+	"mrdb/internal/mvcc"
+	"mrdb/internal/sim"
+	"mrdb/internal/simnet"
+	"mrdb/internal/txn"
+)
+
+// TestLateEvaluationWritesOnlyItsOwnKeys: a transaction's batch reaches its
+// leaseholder and queues there behind another transaction's lock; the
+// gateway is then cut off from the leaseholder, so every attempt times out
+// and the batch fails, and the transaction goes on sending batches once the
+// cut heals. When the lock is released, the leaseholder's evaluation of the
+// first batch — left running by its timed-out attempt — resumes, and it
+// must lock and write the key that batch was sent with. A request struct
+// handed out again for a later batch would have it write that batch's key
+// instead.
+func TestLateEvaluationWritesOnlyItsOwnKeys(t *testing.T) {
+	h := newHarness(t, 1)
+	lh := h.desc.Leaseholder
+	gw := h.c.GatewayFor(simnet.EuropeW2)
+	h.run(t, func(p *sim.Proc) {
+		holder := h.coord(simnet.USEast1).Begin(0)
+		if _, err := holder.GetForUpdate(p, mvcc.Key("k/a")); err != nil {
+			t.Fatal(err)
+		}
+		tx := h.coord(simnet.EuropeW2).Begin(0)
+		if err := tx.Put(p, mvcc.Key("k/a"), mvcc.Value("late")); err != nil {
+			t.Fatal(err)
+		}
+		failed := sim.NewFuture[error](h.c.Sim)
+		h.c.Sim.Spawn("txn/first-batch", func(fp *sim.Proc) {
+			// The pending write of k/a rides this read and queues on the lock.
+			_, err := tx.Get(fp, mvcc.Key("k/b"))
+			failed.Set(err)
+		})
+		p.Sleep(sim.Second)
+		h.c.Net.Partition(gw, lh)
+		if err := failed.Wait(p); err == nil {
+			t.Fatal("setup: the batch cut off from its leaseholder succeeded")
+		}
+		h.c.Net.Heal(gw, lh)
+		for _, k := range []string{"k/c", "k/d", "k/e"} {
+			if err := tx.Put(p, mvcc.Key(k), mvcc.Value("later")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Get(p, mvcc.Key(k+"/read")); err != nil {
+				t.Fatalf("a batch after the heal: %v", err)
+			}
+		}
+		if err := holder.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		p.Sleep(sim.Second) // the late evaluation runs and replicates
+		rep, ok := h.c.Stores[lh].Replica(h.desc.RangeID)
+		if !ok {
+			t.Fatalf("setup: n%d lost its replica", lh)
+		}
+		meta, ok := rep.EngineForBulkLoad().GetIntent(mvcc.Key("k/a"))
+		if !ok || meta.ID != tx.ID() {
+			t.Errorf("k/a's intent after the late evaluation: %+v (found %v), want the transaction's: the evaluation wrote another key", meta, ok)
+		}
+		tx.Abort(p)
+	})
+}
+
+// TestTxnBookkeepingDoesNotScaleWithKeys pins what a transaction that reads
+// k keys of one range as one batch and writes k other keys of it as one
+// batch costs in objects, end to end, at k = 4 and k = 32. The transaction
+// owns the keys it is given, so it copies none; its requests come from
+// slabs, one chunk per batch; its request lists live on the sender's stack
+// up to 16 entries (the 32-key batches allocate theirs); and its reads,
+// writes and pending writes grow once per batch. What still scales with k is
+// made outside the transaction, per key: a KV response per read and per
+// write, a latch and a lock per write, a proposal per write (its future,
+// its command, its Raft entries and the envelopes and messages that carry
+// them to each follower), the replica's evaluation procs, and an MVCC
+// version per write on every replica. The counts cover everything the
+// simulation runs meanwhile, so they are exact for this seed. They were 140
+// and 794 while the transaction copied every key it read or buffered and
+// built one request, proof and resolution per key.
+func TestTxnBookkeepingDoesNotScaleWithKeys(t *testing.T) {
+	h := newHarness(t, 1)
+	got := map[int]float64{}
+	h.run(t, func(p *sim.Proc) {
+		co := h.coord(simnet.USEast1)
+		for _, k := range []int{4, 32} {
+			// Every run writes keys of its own, made before the count, so no
+			// run meets the intents of the one before.
+			const runs = 100
+			reads, writes := make([]mvcc.Key, k), make([][]mvcc.KeyValue, runs+1)
+			for i := range reads {
+				reads[i] = mvcc.Key(fmt.Sprintf("k/%d/%02d/r", k, i))
+			}
+			for r := range writes {
+				writes[r] = make([]mvcc.KeyValue, k)
+				for i := range writes[r] {
+					writes[r][i] = mvcc.KeyValue{Key: mvcc.Key(fmt.Sprintf("k/%d/%02d/w%03d", k, i, r)), Value: mvcc.Value("v")}
+				}
+			}
+			out := make([]mvcc.Value, k)
+			run := 0
+			readWrite := func() {
+				if err := co.Run(p, func(tx *txn.Txn) error {
+					if err := tx.GetParallel(p, reads, out); err != nil {
+						return err
+					}
+					return tx.PutParallel(p, writes[run], nil)
+				}); err != nil {
+					t.Fatal(err)
+				}
+				run++
+			}
+			got[k] = testing.AllocsPerRun(runs, readWrite)
+			p.Sleep(sim.Second)
+		}
+	})
+	for k, want := range map[int]float64{4: 115, 32: 622} {
+		if got[k] != want {
+			t.Errorf("a transaction of %d reads and %d writes allocates %.0f objects, want %.0f", k, k, got[k], want)
+		}
+	}
+}

@@ -29,6 +29,15 @@ func keysOf(ks ...string) []mvcc.Key {
 	return out
 }
 
+// getAll reads keys as one batch and returns their values in order.
+func getAll(p *sim.Proc, tx *txn.Txn, keys []mvcc.Key) ([]mvcc.Value, error) {
+	out := make([]mvcc.Value, len(keys))
+	if err := tx.GetParallel(p, keys, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
 func writesOf(ks ...string) []mvcc.KeyValue {
 	out := make([]mvcc.KeyValue, len(ks))
 	for i, k := range ks {
@@ -92,12 +101,12 @@ func TestOneCoordinatorPath(t *testing.T) {
 		value("get", v, err, "v-k/a")
 		v, err = tx.GetForUpdate(p, mvcc.Key("k/b"))
 		value("get-for-update", v, err, "v-k/b")
-		vs, err := tx.GetParallel(p, keysOf("k/c"))
+		vs, err := getAll(p, tx, keysOf("k/c"))
 		if err == nil {
 			v = vs[0]
 		}
 		value("get-parallel-1", v, err, "v-k/c")
-		vs, err = tx.GetParallel(p, keysOf("k/a", "k/c", "g/a", "g/none"))
+		vs, err = getAll(p, tx, keysOf("k/a", "k/c", "g/a", "g/none"))
 		if err == nil && (string(vs[0]) != "v-k/a" || string(vs[2]) != "v-g/a" || vs[3] != nil) {
 			t.Errorf("get-parallel-4 read %q", vs)
 		}

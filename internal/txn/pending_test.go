@@ -79,14 +79,14 @@ func TestReadsOfPendingWritesComeFromTheBuffer(t *testing.T) {
 			t.Errorf("GetForUpdate of a pending tombstone: %q, %v", v, err)
 		}
 		sent("GetForUpdate", 0, 0)
-		vs, err := tx.GetParallel(p, keysOf("k/c", "k/d", "k/b"))
+		vs, err := getAll(p, tx, keysOf("k/c", "k/d", "k/b"))
 		if err != nil || string(vs[0]) != "new-c" || string(vs[1]) != "new-d" || vs[2] != nil {
 			t.Errorf("GetParallel of pending writes: %q, %v", vs, err)
 		}
 		sent("GetParallel", 0, 0)
 
 		// k/e has no pending write: its read carries the four pending writes.
-		vs, err = tx.GetParallel(p, keysOf("k/a", "k/e", "k/b"))
+		vs, err = getAll(p, tx, keysOf("k/a", "k/e", "k/b"))
 		if err != nil || string(vs[0]) != "new-a" || string(vs[1]) != "v-k/e" || vs[2] != nil {
 			t.Errorf("GetParallel beside pending writes: %q, %v", vs, err)
 		}

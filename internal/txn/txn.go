@@ -58,6 +58,11 @@ func (c *Coordinator) tracer() *obs.Tracer {
 // Txn is one transaction attempt. It is never restarted in place: on a
 // retryable error Run aborts it and begins a fresh Txn (new ID, new
 // timestamp).
+//
+// A key given to a transaction belongs to it. Every method that takes keys
+// keeps them as given — as the reads a refresh re-validates, the writes an
+// abort resolves, the requests a late evaluation may still read — so the
+// caller must not change a key's bytes after the call.
 type Txn struct {
 	co *Coordinator
 	kv *kv.Txn
@@ -90,6 +95,63 @@ type Txn struct {
 	partial      error
 	finished     bool
 	committed1PC bool
+
+	// The transaction's requests (see slab).
+	gets     slab[kv.GetRequest]
+	puts     slab[kv.PutRequest]
+	proofReq slab[kv.QueryIntentRequest]
+	resolves slab[kv.ResolveIntentRequest]
+}
+
+// slab hands out request structs that are written once. A request may still
+// be evaluated after its attempt gave up — a replica cut off mid-evaluation
+// answers when the partition heals, and a DistSender leaves such an envelope
+// to the collector — so a struct put back and refilled would have that late
+// evaluation read, lock or write another key. A slab therefore only grows: it
+// takes the requests of a batch from its current chunk and starts a chunk
+// twice the last one's size when that is used up. The chunks die with the
+// transaction and its last envelope.
+type slab[T any] struct {
+	free []T
+	next int // the size of the next chunk
+}
+
+// take returns n zeroed structs no one has been handed before.
+func (s *slab[T]) take(n int) []T {
+	if len(s.free) < n {
+		s.next = max(2*s.next, 4)
+		s.free = make([]T, max(n, s.next))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// grow returns s with room for n more elements, so that a batch's keys
+// grow the transaction's lists once rather than once per doubling.
+// (slices.Grow would do, but allocates a second array under the race
+// detector.)
+func grow[T any](s []T, n int) []T {
+	if n <= cap(s)-len(s) {
+		return s
+	}
+	out := make([]T, len(s), max(len(s)+n, 2*cap(s)))
+	copy(out, s)
+	return out
+}
+
+// batchScratch is the size of the request list a batch builds on its
+// sender's stack. The list is per call, never the transaction's: a
+// statement's first-hit probes read through one transaction at once, each
+// on its own proc. The DistSender keeps only the requests it points at.
+const batchScratch = 16
+
+// requestList returns n slots for a batch's requests: buf's when they fit.
+func requestList(buf *[batchScratch]interface{}, n int) []interface{} {
+	if n <= len(buf) {
+		return buf[:n]
+	}
+	return make([]interface{}, n)
 }
 
 // write is one key the transaction wrote.
@@ -143,7 +205,8 @@ func (t *Txn) restartError(reason string, minTS hlc.Timestamp) error {
 	return &kv.RetryableTxnError{TxnID: t.kv.Meta.ID, Reason: reason, MinTimestamp: minTS}
 }
 
-// Get reads key at the transaction's read timestamp.
+// Get reads key at the transaction's read timestamp. The transaction keeps
+// key, which must not change after.
 func (t *Txn) Get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 	var v [1]mvcc.Value
 	err := t.read(p, []mvcc.Key{key}, v[:], false, nil)
@@ -154,31 +217,27 @@ func (t *Txn) Get(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 // (SELECT FOR UPDATE), serializing read-modify-write transactions without
 // restarts. Locking reads always go to the leaseholder. A key the
 // transaction already knows is not sent: the write that follows takes its
-// lock when it rides the transaction's next batch.
+// lock when it rides the transaction's next batch. The transaction keeps
+// key, which must not change after.
 func (t *Txn) GetForUpdate(p *sim.Proc, key mvcc.Key) (mvcc.Value, error) {
 	var v [1]mvcc.Value
 	err := t.read(p, []mvcc.Key{key}, v[:], true, nil)
 	return v[0], err
 }
 
-// GetParallel reads keys as one batch (one RPC per touched range),
-// preserving input order in the results.
-func (t *Txn) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	return t.getParallel(p, keys, false)
+// GetParallel reads keys as one batch (one RPC per touched range) into out,
+// which must be as long as keys: out[i] is keys[i]'s value. The transaction
+// keeps the keys, which must not change after; the slice keys is the
+// caller's again once the call returns.
+func (t *Txn) GetParallel(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value) error {
+	return t.read(p, keys, out, false, nil)
 }
 
-// GetParallelForUpdate reads keys as one batch and locks each of them as
-// GetForUpdate does.
-func (t *Txn) GetParallelForUpdate(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	return t.getParallel(p, keys, true)
-}
-
-func (t *Txn) getParallel(p *sim.Proc, keys []mvcc.Key, forUpdate bool) ([]mvcc.Value, error) {
-	out := make([]mvcc.Value, len(keys))
-	if err := t.read(p, keys, out, forUpdate, nil); err != nil {
-		return nil, err
-	}
-	return out, nil
+// GetParallelForUpdate reads keys as one batch into out and locks each of
+// them as GetForUpdate does. The transaction keeps the keys, as GetParallel
+// does.
+func (t *Txn) GetParallelForUpdate(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value) error {
+	return t.read(p, keys, out, true, nil)
 }
 
 // Probe is one batch of a first-hit read (§4.2): a statement sends one probe
@@ -200,14 +259,11 @@ type Probe struct {
 // forUpdate is set.
 func (t *Txn) Probe(forUpdate bool) *Probe { return &Probe{t: t, forUpdate: forUpdate} }
 
-// GetParallel reads keys as one batch, as Txn.GetParallel does, within the
-// limits of a probe. The probe keeps keys, which must not change after.
-func (pr *Probe) GetParallel(p *sim.Proc, keys []mvcc.Key) ([]mvcc.Value, error) {
-	out := make([]mvcc.Value, len(keys))
-	if err := pr.t.read(p, keys, out, pr.forUpdate, pr); err != nil {
-		return nil, err
-	}
-	return out, nil
+// GetParallel reads keys as one batch into out, as Txn.GetParallel does,
+// within the limits of a probe. The probe keeps keys, which must not change
+// after.
+func (pr *Probe) GetParallel(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value) error {
+	return pr.t.read(p, keys, out, pr.forUpdate, pr)
 }
 
 // Use adopts a probe whose reply the statement used, on the statement's
@@ -258,9 +314,10 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		// value only when no other read of the transaction could be
 		// invalidated by the bump.
 		canBump := probe == nil && len(t.reads) == 0 && len(send) == 1
-		reqs := make([]interface{}, len(riders)+len(send))
+		var buf [batchScratch]interface{}
+		reqs := requestList(&buf, len(riders)+len(send))
 		t.putRequests(reqs, riders)
-		getReqs := make([]kv.GetRequest, len(send))
+		getReqs := t.gets.take(len(send))
 		for j, key := range send {
 			getReqs[j] = kv.GetRequest{
 				Key:           key,
@@ -295,8 +352,14 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 				out[j] = resp.Get.Value
 			}
 		}
-		riders = nil
+		if riders != nil {
+			t.reuse(riders)
+			riders = nil
+		}
 		if firstErr == nil {
+			if probe == nil {
+				t.reads = grow(t.reads, len(send))
+			}
 			for j, key := range send {
 				if probe != nil {
 					probe.reads = append(probe.reads, readSpan{key: key, value: gets[j].Get.Value})
@@ -318,13 +381,10 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 
 // recordRead notes a span the transaction read ([key, end), or the point key
 // when end is nil), so refreshes and a one-phase commit can re-validate it.
-// A point read also notes the value it returned.
+// A point read also notes the value it returned. The keys are the caller's,
+// which the transaction now owns.
 func (t *Txn) recordRead(key, end mvcc.Key, value mvcc.Value) {
-	t.reads = append(t.reads, readSpan{
-		key:   append(mvcc.Key(nil), key...),
-		end:   append(mvcc.Key(nil), end...),
-		value: value,
-	})
+	t.reads = append(t.reads, readSpan{key: key, end: end, value: value})
 }
 
 // knowsAny reports whether the transaction knows what any of keys holds.
@@ -358,7 +418,8 @@ func (t *Txn) known(key mvcc.Key) (mvcc.Value, bool) {
 }
 
 // Scan reads [start, end) up to max rows. It first sends the pending writes,
-// so it sees the transaction's own.
+// so it sees the transaction's own. The transaction keeps start and end,
+// which must not change after.
 func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
 	if err := t.sendWrites(p, 0); err != nil {
 		return nil, err
@@ -439,7 +500,7 @@ func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 }
 
 // Put writes key=value. The write is sent with the transaction's next
-// batch.
+// batch. The transaction keeps key and value, which must not change after.
 func (t *Txn) Put(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 	return t.write(p, []mvcc.KeyValue{{Key: key, Value: value}}, nil)
 }
@@ -458,7 +519,9 @@ func (t *Txn) Put(p *sim.Proc, key mvcc.Key, value mvcc.Value) error {
 //
 // Every write the leaseholders accepted is recorded, even when another one
 // failed, so that Abort resolves all the intents the batch laid; the error
-// returned is the batch's first failure.
+// returned is the batch's first failure. The transaction keeps every key and
+// value of kvs, which must not change after; the slice kvs itself is the
+// caller's again once the call returns.
 func (t *Txn) PutParallel(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error {
 	return t.write(p, kvs, mustNotExist)
 }
@@ -484,6 +547,7 @@ func (t *Txn) write(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error
 	}
 	earlier := len(t.pending)
 	rewrote := false // an earlier statement's pending write now holds one of ours
+	t.pending = grow(t.pending, len(kvs))
 	for i, w := range kvs {
 		if t.buffer(w, mustNotExist != nil && mustNotExist[i]) < earlier {
 			rewrote = true
@@ -506,17 +570,27 @@ func (t *Txn) write(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error
 
 // buffer adds a write to the pending writes and returns its entry's index.
 // A key already pending keeps its one entry, which takes the new value and
-// keeps the first write's condition.
+// keeps the first write's condition. The entry holds the caller's key.
 func (t *Txn) buffer(w mvcc.KeyValue, mustNotExist bool) int {
 	if i := t.pendingIndex(w.Key); i >= 0 {
 		t.pending[i].Value = w.Value
 		return i
 	}
 	t.pending = append(t.pending, bufferedPut{
-		KeyValue:     mvcc.KeyValue{Key: append(mvcc.Key(nil), w.Key...), Value: w.Value},
+		KeyValue:     mvcc.KeyValue{Key: w.Key, Value: w.Value},
 		mustNotExist: mustNotExist,
 	})
 	return len(t.pending) - 1
+}
+
+// reuse gives the pending writes the array of sent, writes a batch carried
+// and landed has recorded: the requests hold their own copies of each key and
+// value, so nothing reads the array again.
+func (t *Txn) reuse(sent []bufferedPut) {
+	if len(t.pending) == 0 && !t.finished {
+		clear(sent)
+		t.pending = sent[:0]
+	}
 }
 
 // pendingIndex returns the index of key's pending write, or -1.
@@ -544,9 +618,12 @@ func (t *Txn) sendWrites(p *sim.Proc, own int) error {
 	if len(sent) == 0 {
 		return nil
 	}
-	reqs := make([]interface{}, len(sent))
+	var buf [batchScratch]interface{}
+	reqs := requestList(&buf, len(sent))
 	t.putRequests(reqs, sent)
-	return t.landed(p, sent, t.co.Sender.SendBatch(p, reqs), own)
+	err := t.landed(p, sent, t.co.Sender.SendBatch(p, reqs), own)
+	t.reuse(sent)
+	return err
 }
 
 // putRequests fills the head of reqs with puts of ws, deciding for each
@@ -556,12 +633,14 @@ func (t *Txn) putRequests(reqs []interface{}, ws []bufferedPut) {
 		return
 	}
 	toRecord, _, recordOK := t.co.Sender.WriteRTTs(t.kv.Meta.Key)
+	puts := t.puts.take(len(ws))
 	for i := range ws {
 		ws[i].replicate = recordOK && t.replicateFirst(ws[i].Key, toRecord)
-		reqs[i] = &kv.PutRequest{
+		puts[i] = kv.PutRequest{
 			Key: ws[i].Key, Value: ws[i].Value, Timestamp: t.kv.Meta.WriteTimestamp, Txn: t.kv,
 			Pipelined: !ws[i].replicate, MustNotExist: ws[i].mustNotExist,
 		}
+		reqs[i] = &puts[i]
 	}
 }
 
@@ -592,6 +671,7 @@ func (t *Txn) replicateFirst(key mvcc.Key, toRecord sim.Duration) bool {
 func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own int) error {
 	var firstErr error
 	clean := own > 0
+	t.writes = grow(t.writes, len(sent))
 	for i := range sent {
 		failed := resps[i].Err != nil
 		if failed != (i >= len(sent)-own) {
@@ -822,15 +902,23 @@ func (t *Txn) Commit(p *sim.Proc) error {
 // pipelined one. The decision was recorded when each write was sent, and is
 // not taken again here: the lease may have moved since.
 func (t *Txn) proofs() []interface{} {
-	var reqs []interface{}
+	n := 0
+	for _, w := range t.writes {
+		if !w.proven {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	reqs, qs := make([]interface{}, 0, n), t.proofReq.take(n)
 	for _, w := range t.writes {
 		if w.proven {
 			continue
 		}
-		if reqs == nil {
-			reqs = make([]interface{}, 0, len(t.writes))
-		}
-		reqs = append(reqs, &kv.QueryIntentRequest{Key: w.key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch})
+		q := &qs[len(reqs)]
+		*q = kv.QueryIntentRequest{Key: w.key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch}
+		reqs = append(reqs, q)
 	}
 	return reqs
 }
@@ -920,11 +1008,12 @@ func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Time
 	s := t.co.Store.Sim
 	id := t.kv.Meta.ID
 	parent := obs.ProcSpan(p)
-	reqs := make([]interface{}, len(t.writes))
+	reqs, rs := make([]interface{}, len(t.writes)), t.resolves.take(len(t.writes))
 	for i, w := range t.writes {
-		reqs[i] = &kv.ResolveIntentRequest{
+		rs[i] = kv.ResolveIntentRequest{
 			Key: w.key, TxnID: id, Status: status, CommitTS: commitTS,
 		}
+		reqs[i] = &rs[i]
 	}
 	s.Spawn("txn/resolve", func(rp *sim.Proc) {
 		sp := t.co.tracer().StartChild("txn.resolve", parent)

@@ -8,8 +8,11 @@
 # counted, whole-run totals and per committed transaction, to OUT (default
 # results/ledger.txt). The counts are a function of the seeds, so a
 # `git diff` on the file shows exactly what a change moved; the "host." lines
-# (wall time, HeapInuse) are measurements and vary run to run. The 26-region
-# row takes about a minute and over a GiB of heap.
+# (wall time, HeapInuse) are measurements and vary run to run. The 4-region
+# row also lists the objects each layer allocated ("alloc." lines, exact
+# memory profile), which move with the Go runtime and map layouts by a few
+# tens of objects. The 26-region row takes about a minute and over a GiB of
+# heap.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-results/ledger.txt}"
