@@ -77,8 +77,8 @@ func main() {
 		defer c.Sim.Stop()
 		session := sql.NewSession(c, catalog, c.GatewayFor(specs[0].Name))
 		// Repeated DML lines re-execute through a per-session prepared
-		// statement, so the shell benefits from the plan cache like a
-		// driver using the extended protocol would.
+		// statement, which reuses its shape, as a client of the extended
+		// protocol would.
 		prepared := map[string]*sql.Prepared{}
 		showTiming := true
 		for {

@@ -22,7 +22,7 @@ import (
 func AblationCommitWait(w io.Writer, scale Scale) error {
 	header(w, "Ablation: commit wait concurrent with lock release (paper) vs holding locks (Spanner-style)")
 	for i, spanner := range []bool{false, true} {
-		c := paperCluster(700+int64(i), 250*sim.Millisecond)
+		c := paperCluster(700+int64(i), 250*sim.Millisecond, false)
 		catalog := sql.NewCatalog()
 		y := workload.NewYCSB(c, catalog, workload.YCSBConfig{
 			Variant:           workload.YCSBA,
@@ -100,7 +100,7 @@ func AblationNonVoters(w io.Writer, scale Scale) error {
 		},
 	}
 	for i, v := range variants {
-		c := paperCluster(720+int64(i), 250*sim.Millisecond)
+		c := paperCluster(720+int64(i), 250*sim.Millisecond, false)
 		if _, err := c.CreateRangeWithZoneConfig([]byte("a/"), []byte("a0"), v.cfg, kv.ClosedTSLag); err != nil {
 			return err
 		}

@@ -98,13 +98,14 @@ func runSim(c *cluster.Cluster, budget sim.Duration, fn func(p *sim.Proc) error)
 }
 
 // paperCluster builds the 5-region cluster of §7.1 with the given maximum
-// clock offset.
-func paperCluster(seed int64, maxOffset sim.Duration) *cluster.Cluster {
+// clock offset, recording spans from the start when tracing is set.
+func paperCluster(seed int64, maxOffset sim.Duration, tracing bool) *cluster.Cluster {
 	return cluster.New(cluster.Config{
 		Seed:      seed,
 		Regions:   cluster.PaperRegions(),
 		MaxOffset: maxOffset,
 		Jitter:    0.02,
+		Tracing:   tracing,
 	})
 }
 

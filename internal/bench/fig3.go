@@ -35,10 +35,7 @@ const commitWaitGate = 10 * sim.Millisecond
 // primary) against one table configuration and returns the workload with
 // its recorders, plus the cluster for trace inspection.
 func fig3Run(seed int64, maxOffset sim.Duration, scale Scale, locality string, stale bool, dupIndexes bool) (*workload.YCSB, *cluster.Cluster, error) {
-	c := paperCluster(seed, maxOffset)
-	if Trace {
-		c.EnableTracing()
-	}
+	c := paperCluster(seed, maxOffset, Trace)
 	catalog := sql.NewCatalog()
 	cfg := workload.YCSBConfig{
 		Variant:          workload.YCSBA,

@@ -51,7 +51,7 @@ type Config struct {
 	// Tracing enables span recording from the start. Tracing is purely
 	// passive over virtual time — it never changes the simulation schedule
 	// or any latency — so it can also be switched on later with
-	// EnableTracing.
+	// Tracer.SetEnabled.
 	Tracing bool
 	// Sampling starts the virtual-time timeseries store (internal/obs/tsdb)
 	// and its samplers: one lightweight proc per node snapshots that node's
@@ -224,9 +224,6 @@ func New(cfg Config) *Cluster {
 	}
 	return c
 }
-
-// EnableTracing switches span recording on for subsequent requests.
-func (c *Cluster) EnableTracing() { c.Tracer.SetEnabled(true) }
 
 // CrashNode fails a node honestly: it becomes unreachable AND loses all
 // volatile state (replicas, latches, tscache, un-fsynced WAL tails). With

@@ -28,7 +28,7 @@ func TestTraceBatchedInsertOneRPCPerRange(t *testing.T) {
 	h.run(t, func(p *sim.Proc) {
 		s := h.setup(t, p, false)
 		s.UniquenessChecks = false // remote probes off; local probes remain
-		h.c.EnableTracing()
+		h.c.Tracer.SetEnabled(true)
 		if _, err := s.Exec(p, `INSERT INTO users (id, name, crdb_region) VALUES
 			(1, 'a', 'us-east1'), (2, 'b', 'europe-west2'), (3, 'c', 'asia-northeast1'),
 			(4, 'd', 'us-east1'), (5, 'e', 'europe-west2'), (6, 'f', 'asia-northeast1'),

@@ -132,7 +132,7 @@ func TestTraceStaleReadStaysLocal(t *testing.T) {
 			return
 		}
 		p.Sleep(6 * sim.Second) // age the row past the staleness bound
-		h.c.EnableTracing()
+		h.c.Tracer.SetEnabled(true)
 		asia := h.sessions[simnet.AsiaNE1]
 		res, err := asia.Exec(p, `SELECT name FROM users AS OF SYSTEM TIME '-5s' WHERE id = 1`)
 		if err != nil || len(res.Rows) != 1 {
@@ -166,7 +166,7 @@ func TestTraceHomeWriteOneWANQuorumTrip(t *testing.T) {
 	h.run(t, func(p *sim.Proc) {
 		s := h.setup(t, p, true)
 		s.UniquenessChecks = false
-		h.c.EnableTracing()
+		h.c.Tracer.SetEnabled(true)
 		if _, err := s.Exec(p, `INSERT INTO users (id, name) VALUES (2, 'bob')`); err != nil {
 			t.Error(err)
 			return
@@ -206,7 +206,7 @@ func TestTraceGlobalReadServedLocally(t *testing.T) {
 			return
 		}
 		p.Sleep(2 * sim.Second) // let the lead closed timestamp cover the write
-		h.c.EnableTracing()
+		h.c.Tracer.SetEnabled(true)
 		eu := h.sessions[simnet.EuropeW2]
 		res, err := eu.Exec(p, `SELECT description FROM promo_codes WHERE code = 'GLOBAL10'`)
 		if err != nil || len(res.Rows) != 1 {

@@ -221,19 +221,16 @@ type Catalog struct {
 	tables    map[string]*Table // key: db.table
 	nextTable TableID
 
-	// noPlanCache makes every statement plan from scratch. The from-scratch
-	// planner is the reference the plan cache is tested against; only this
-	// package's tests set the field.
-	noPlanCache bool
-
-	// version counts schema and zone-config changes. Cached plans record
-	// the version they were built under and are dropped wholesale when it
-	// moves, so DDL, ALTER ... LOCALITY and ADD/DROP REGION can never be
-	// served a stale plan. Every mutation site bumps before its next yield
-	// point, which under the cooperative scheduler makes invalidation
-	// atomic with the catalog change.
+	// version counts schema and zone-config changes. A prepared statement
+	// records the version its shape was derived under and derives a new one
+	// once it moves, so DDL, ALTER ... LOCALITY and ADD/DROP REGION can
+	// never be served a stale shape. Every mutation site bumps before its
+	// next yield point, which under the cooperative scheduler makes
+	// invalidation atomic with the catalog change.
 	version uint64
-	plans   PlanCache
+	// shapeHits and shapeMisses count statement executions that reused
+	// their shape and that derived one (PlanCacheStats).
+	shapeHits, shapeMisses uint64
 }
 
 // NewCatalog returns an empty catalog.
@@ -244,8 +241,8 @@ func NewCatalog() *Catalog {
 	}
 }
 
-// Bump invalidates all cached plans; called by every DDL or zone-config
-// mutation.
+// Bump invalidates every prepared statement's shape; called by every DDL or
+// zone-config mutation.
 func (c *Catalog) Bump() { c.version++ }
 
 // CreateDatabase registers a database.

@@ -95,8 +95,8 @@ func (s *Session) execAddRegion(p *sim.Proc, db *core.Database, region simnet.Re
 	if err := db.AddRegion(region); err != nil {
 		return nil, err
 	}
-	// Invalidate cached plans before the partition builds below can yield:
-	// region sets feed cached search orders and partition lists.
+	// Invalidate prepared shapes before the partition builds below can
+	// yield: region sets feed their search orders and partition lists.
 	s.Catalog.Bump()
 	// New partitions for REGIONAL BY ROW tables, one allocator snapshot per
 	// table.
@@ -150,7 +150,7 @@ func (s *Session) execDropRegion(p *sim.Proc, db *core.Database, region simnet.R
 		return nil, err
 	}
 	// The region set changed (and transitioned through READ ONLY during
-	// validation); no cached plan may keep probing the dropped partition.
+	// validation); no prepared shape may keep probing the dropped partition.
 	s.Catalog.Bump()
 	// Remove the dropped region's partitions.
 	for _, t := range s.Catalog.Tables(db.Name) {
@@ -165,7 +165,7 @@ func (s *Session) execDropRegion(p *sim.Proc, db *core.Database, region simnet.R
 // database and relocates replicas accordingly (survivability, placement or
 // region-set changes). One allocator snapshot places every range.
 func (s *Session) reconfigureAllTables(p *sim.Proc, db *core.Database) error {
-	// Zone-config changes invalidate cached plans too (defensive: plan
+	// Zone-config changes invalidate prepared shapes too (defensive:
 	// shapes derive from the catalog, but placement moves change which
 	// gateway-first orders are profitable and this path is never hot).
 	s.Catalog.Bump()

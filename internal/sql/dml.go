@@ -17,17 +17,18 @@ import (
 
 // --- SELECT ---
 
-func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, error) {
-	t, _, fetched, rows, err := s.readRows(p, tx, st, st.Table, st.Where, st.Limit)
+func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
+	st := ps.Stmt.(*Select)
+	t, _, fetched, rows, err := s.readRows(p, tx, ps, st.Table, st.Where, st.Limit)
 	if err != nil {
 		return nil, err
 	}
-	res, err := s.project(t, rows, st.Columns, st.Limit)
+	res, err := s.project(ps.result(), t, rows, st.Columns, st.Limit)
 	s.releaseRows(fetched)
 	return res, err
 }
 
-// readRows is the read step of SELECT, UPDATE and DELETE: it plans st's read
+// readRows is the read step of SELECT, UPDATE and DELETE: it plans ps's read
 // of table, fetches the rows and filters them by where unless the plan
 // already guarantees it. It returns every fetched row, for releaseRows once
 // the statement is done, and the matching ones. The reads go through tx,
@@ -35,17 +36,17 @@ func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, st *Select) (*Result, err
 // outside any transaction as a stale read at the timestamp the clause picks.
 // UPDATE and DELETE reads lock their rows (implicit SELECT FOR UPDATE), so
 // read-modify-write transactions queue rather than restart.
-func (s *Session) readRows(p *sim.Proc, tx *txn.Txn, st Statement, table string, where *Where, limit int) (*Table, *core.Database, []tableRow, []tableRow, error) {
+func (s *Session) readRows(p *sim.Proc, tx *txn.Txn, ps *Prepared, table string, where *Where, limit int) (*Table, *core.Database, []tableRow, []tableRow, error) {
 	t, db, err := s.table(table)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	plan, err := s.planReadCached(st, t, db, where, limit)
+	plan, err := s.planPrepared(ps, t, db, where, limit)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
 	var f rowFetcher
-	if sel, ok := st.(*Select); !ok && plan.lookups != nil {
+	if sel, ok := ps.Stmt.(*Select); !ok && plan.lookups != nil {
 		f = lockingFetcher{txnFetcher{tx}}
 	} else if !ok || sel.AsOf == nil {
 		f = txnFetcher{tx}
@@ -104,9 +105,9 @@ func (s *Session) asOfTimestamp(p *sim.Proc, asOf *AsOf, t *Table, plan *readPla
 	return s.Coord.BoundedStalenessTimestamp(p, spans, minTS)
 }
 
-// project builds the result set: named columns, or all visible columns for
-// SELECT * (hidden columns like crdb_region stay hidden, §2.3.2).
-func (s *Session) project(t *Table, rows []tableRow, cols []string, limit int) (*Result, error) {
+// project fills res with the result set: named columns, or all visible
+// columns for SELECT * (hidden columns like crdb_region stay hidden, §2.3.2).
+func (s *Session) project(res *Result, t *Table, rows []tableRow, cols []string, limit int) (*Result, error) {
 	outCols := s.colScratch[:0]
 	if cols == nil {
 		outCols = t.AppendVisibleColumns(outCols)
@@ -120,7 +121,6 @@ func (s *Session) project(t *Table, rows []tableRow, cols []string, limit int) (
 		}
 	}
 	s.colScratch = outCols
-	res := s.takeResult()
 	if res.Columns == nil {
 		for _, c := range outCols {
 			res.Columns = append(res.Columns, c.Name)
@@ -148,12 +148,13 @@ func (s *Session) project(t *Table, rows []tableRow, cols []string, limit int) (
 
 // --- INSERT ---
 
-func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, error) {
+func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
+	st := ps.Stmt.(*Insert)
 	t, db, err := s.table(st.Table)
 	if err != nil {
 		return nil, err
 	}
-	ci, err := s.insertPlan(st, t)
+	ci, err := s.insertShape(ps, t)
 	if err != nil {
 		return nil, err
 	}
@@ -186,7 +187,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 				return nil, err
 			}
 		}
-		res := s.takeResult()
+		res := ps.result()
 		res.RowsAffected = len(rows)
 		return res, nil
 	}
@@ -211,7 +212,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, st *Insert) (*Result, err
 	if err := tx.PutParallel(p, kvs, mustNotExist); err != nil {
 		return nil, uniqueViolation(t, db, err)
 	}
-	res := s.takeResult()
+	res := ps.result()
 	res.RowsAffected = len(rows)
 	return res, nil
 }
@@ -257,8 +258,8 @@ func (s *Session) checkUnique(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Datab
 			s.checkTuple = tuple
 			s.probeRegions = uniqueProbeRegions(s.probeRegions[:0], t, db, idx, r.region, fromDefault, s.UniquenessChecks)
 			for _, pr := range s.probeRegions {
-				s.keyScratch = appendIndexKey(s.keyScratch[:0], t, idx, pr, tuple)
-				key := mvcc.Key(s.keyScratch)
+				s.checkKey = appendIndexKey(s.checkKey[:0], t, idx, pr, tuple)
+				key := mvcc.Key(s.checkKey)
 				switch {
 				case containsKey(checked, key):
 					return nil, duplicateKey(idx, pr)
@@ -497,8 +498,9 @@ func deleteKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, vals map[Col
 
 // --- UPDATE ---
 
-func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, error) {
-	t, db, fetched, rows, err := s.readRows(p, tx, st, st.Table, st.Where, 0)
+func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
+	st := ps.Stmt.(*Update)
+	t, db, fetched, rows, err := s.readRows(p, tx, ps, st.Table, st.Where, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -604,7 +606,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, st *Update) (*Result, err
 		updated++
 	}
 	s.releaseRows(fetched)
-	res := s.takeResult()
+	res := ps.result()
 	res.RowsAffected = updated
 	return res, nil
 }
@@ -632,8 +634,9 @@ func updateKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, oldVals, new
 
 // --- DELETE ---
 
-func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, error) {
-	t, _, fetched, rows, err := s.readRows(p, tx, st, st.Table, st.Where, 0)
+func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
+	st := ps.Stmt.(*Delete)
+	t, _, fetched, rows, err := s.readRows(p, tx, ps, st.Table, st.Where, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -649,7 +652,7 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, st *Delete) (*Result, err
 	}
 	n := len(rows)
 	s.releaseRows(fetched)
-	res := s.takeResult()
+	res := ps.result()
 	res.RowsAffected = n
 	return res, nil
 }

@@ -23,14 +23,16 @@ type elasticLoopResult struct {
 	loadSplits int64
 	merges     int64
 	leaseMoves int64
+	hits       uint64 // executions that reused their shape
 }
 
 // runElasticLoop drives the full elastic cycle on one cluster: hot SQL
 // traffic that load-splits a table partition, a region added and dropped
 // mid-run, single-region KV traffic that attracts a lease move, and a cold
-// tail in which the split remnants merge back. planCacheOff runs the loop
-// on the from-scratch reference planner.
-func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResult {
+// tail in which the split remnants merge back. The hot reads are one
+// prepared statement, or with adHoc the same statement as literal text,
+// which derives its shape on every execution.
+func runElasticLoop(t *testing.T, seed int64, adHoc bool) elasticLoopResult {
 	t.Helper()
 	c := cluster.New(cluster.Config{
 		Seed:      seed,
@@ -45,8 +47,15 @@ func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResu
 		},
 	})
 	catalog := NewCatalog()
-	catalog.noPlanCache = planCacheOff
 	us := NewSession(c, catalog, c.GatewayFor(simnet.USEast1))
+	hot := func(p *sim.Proc, ps *Prepared, id int) error {
+		if adHoc {
+			_, err := us.Exec(p, fmt.Sprintf(`SELECT name FROM users WHERE id = %d AND crdb_region = 'us-east1'`, id))
+			return err
+		}
+		_, err := us.ExecPrepared(p, ps, int64(id))
+		return err
+	}
 	var out elasticLoopResult
 	c.Sim.Spawn("test", func(p *sim.Proc) {
 		defer c.Sim.Stop()
@@ -91,10 +100,10 @@ func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResu
 
 		// Phase 1 — hot: point reads hammer the us-east users partition
 		// until the load queue splits it.
+		ps := us.MustPrepare(`SELECT name FROM users WHERE id = $1 AND crdb_region = 'us-east1'`)
 		deadline := p.Now().Add(30 * sim.Second)
 		for i := 0; p.Now() < deadline; i++ {
-			q := fmt.Sprintf(`SELECT name FROM users WHERE id = %d AND crdb_region = 'us-east1'`, i%userCount)
-			if _, err := us.Exec(p, q); err != nil {
+			if err := hot(p, ps, i%userCount); err != nil {
 				t.Errorf("hot read: %v", err)
 				return
 			}
@@ -109,8 +118,7 @@ func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResu
 		}
 		deadline = p.Now().Add(10 * sim.Second)
 		for i := 0; p.Now() < deadline; i++ {
-			q := fmt.Sprintf(`SELECT name FROM users WHERE id = %d AND crdb_region = 'us-east1'`, i%userCount)
-			if _, err := us.Exec(p, q); err != nil {
+			if err := hot(p, ps, i%userCount); err != nil {
 				t.Errorf("read during region add: %v", err)
 				return
 			}
@@ -156,6 +164,7 @@ func runElasticLoop(t *testing.T, seed int64, planCacheOff bool) elasticLoopResu
 	out.loadSplits = c.Admin.LoadSplits
 	out.merges = c.Admin.Merges
 	out.leaseMoves = c.Admin.LeaseMoves
+	out.hits, _ = catalog.PlanCacheStats()
 	return out
 }
 

@@ -34,23 +34,11 @@ type Session struct {
 	UniquenessChecks        bool // enable_uniqueness_checks
 	DisableOnePC            bool // disable one-phase commits (ablations)
 
-	// --- statement-execution fast path state ---
-
-	// curFP is the fingerprint of the statement currently executing, when
-	// the entry point already computed it (ExecStmt, ExecPrepared); the
-	// plan cache and StmtStats reuse it instead of recomputing.
-	curFP string
-	// phArgs are the placeholder arguments bound by ExecPrepared.
+	// phArgs are the placeholder arguments of the executing statement.
 	phArgs []Datum
-	// curRes is the prepared statement's reusable result buffer.
-	curRes *Result
-	// lastPlanCache records the plan-cache outcome ("hit"/"miss"/"off") of
-	// the last planned statement, for EXPLAIN ANALYZE.
-	lastPlanCache string
 
 	// Per-statement scratch reused across executions (the cooperative
 	// scheduler runs one statement of this session at a time).
-	keyScratch    []byte
 	planScratch   readPlan
 	tupleScratch  []Datum
 	lookupScratch [][]Datum
@@ -77,9 +65,11 @@ type Session struct {
 	uniqueIdx  []*Index
 	kvScratch  []mvcc.KeyValue
 	changed    map[ColumnID]bool
-	// checkUnique's scratch: an index tuple, the partitions it probes, the
-	// entries checked so far, the probes sent and the writes' conditions.
+	// checkUnique's scratch: an index tuple and its key, the partitions it
+	// probes, the entries checked so far, the probes sent and the writes'
+	// conditions.
 	checkTuple   []Datum
+	checkKey     []byte
 	probeRegions []simnet.Region
 	checked      []mvcc.Key
 	probeKeys    []mvcc.Key
@@ -121,58 +111,30 @@ type Result struct {
 	RowsAffected int
 }
 
-// takeResult returns the prepared statement's reusable result buffer
-// (truncated for refill) when one is bound, or a fresh Result. A reused
-// Result is valid until the next ExecPrepared on the same Prepared.
-func (s *Session) takeResult() *Result {
-	r := s.curRes
-	if r == nil {
-		return &Result{}
-	}
-	s.curRes = nil
-	r.Rows = r.Rows[:0]
-	r.RowsAffected = 0
-	return r
-}
-
-// Exec parses and executes one statement. DML runs in its own transaction
-// with automatic retries; a multi-statement transaction is the caller's
-// (RunTxn, ExecTxn).
+// Exec parses and executes one statement. A DML statement runs as a
+// one-shot prepared statement (ExecPrepared), which derives its shape and
+// drops it; every other statement runs directly, under the same root span.
+// A multi-statement transaction is the caller's (RunTxn, ExecTxn).
 func (s *Session) Exec(p *sim.Proc, sqlText string) (*Result, error) {
 	stmt, err := Parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	return s.ExecStmt(p, stmt)
-}
-
-// ExecStmt executes a parsed statement. When cluster tracing is enabled it
-// is the root of the request path's trace: every downstream span —
-// transaction phases, DistSender attempts, network RPCs, replica
-// evaluation, Raft replication — hangs off the "sql.exec" span started
-// here (unless the caller already carries a span, in which case execution
-// joins the caller's trace).
-func (s *Session) ExecStmt(p *sim.Proc, stmt Statement) (*Result, error) {
-	var fp string
-	switch stmt.(type) {
-	case *Insert, *Update, *Delete, *Select:
-		if !isVirtualStmt(stmt) {
-			// Computed once here, then shared by the plan-cache key and the
-			// statistics record.
-			fp = Fingerprint(stmt)
-		}
+	if ps := newPrepared(stmt); ps != nil {
+		return s.ExecPrepared(p, ps)
 	}
-	s.curFP = fp
-	res, err := s.runStmt(p, stmt, fp, func() (*Result, error) { return s.execStmt(p, stmt) })
-	s.curFP = ""
-	return res, err
+	return s.runStmt(p, stmt, "", func() (*Result, error) { return s.execStmt(p, stmt) })
 }
 
-// runStmt runs exec as one statement under the root "sql.exec" span (see
-// ExecStmt). With a fingerprint, which DML against real tables has, the
-// statement folds into the statement-statistics registry: virtual-time
-// latency plus the statement's delta of the coordinator's restart count and
-// the shared sender's WAN RPC count.
+// runStmt runs exec as one statement under the root "sql.exec" span: when
+// cluster tracing is enabled, every downstream span — transaction phases,
+// DistSender attempts, network RPCs, replica evaluation, Raft replication —
+// hangs off it (unless the caller already carries a span, in which case
+// execution joins the caller's trace). With a fingerprint, which DML
+// against real tables has, the statement folds into the
+// statement-statistics registry: virtual-time latency plus the statement's
+// delta of the coordinator's restart count and the shared sender's WAN RPC
+// count.
 func (s *Session) runStmt(p *sim.Proc, stmt Statement, fp string, exec func() (*Result, error)) (*Result, error) {
 	sp, done := s.Cluster.Tracer.StartRootIn(p, "sql.exec")
 	if sp != nil {
@@ -233,14 +195,12 @@ func (s *Session) execStmt(p *sim.Proc, stmt Statement) (*Result, error) {
 		return s.execExplain(st)
 	case *ExplainAnalyze:
 		return s.execExplainAnalyze(p, st)
-	case *Insert, *Update, *Delete, *Select:
-		return s.execDML(p, stmt)
 	}
 	return nil, fmt.Errorf("sql: unhandled statement %T", stmt)
 }
 
 // RunTxn executes fn inside a retrying transaction; statements issued via
-// ExecTxn within fn share it. Like ExecStmt it roots a trace when tracing
+// ExecTxn within fn share it. Like Exec it roots a trace when tracing
 // is enabled and no span is already in flight.
 func (s *Session) RunTxn(p *sim.Proc, fn func(tx *txn.Txn) error) error {
 	sp, done := s.Cluster.Tracer.StartRootIn(p, "sql.txn")
@@ -253,18 +213,18 @@ func (s *Session) RunTxn(p *sim.Proc, fn func(tx *txn.Txn) error) error {
 	return err
 }
 
-func (s *Session) execDML(p *sim.Proc, stmt Statement) (*Result, error) {
-	if isVirtualStmt(stmt) {
-		sel, ok := stmt.(*Select)
+func (s *Session) execDML(p *sim.Proc, ps *Prepared) (*Result, error) {
+	if isVirtualStmt(ps.Stmt) {
+		sel, ok := ps.Stmt.(*Select)
 		if !ok {
 			return nil, fmt.Errorf("sql: %s tables are read-only", VirtualSchema)
 		}
 		// Virtual tables read in-memory cluster state; no transaction.
 		return s.execVirtualSelect(sel)
 	}
-	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
+	if sel, ok := ps.Stmt.(*Select); ok && sel.AsOf != nil {
 		// Stale reads run outside transactions (§5.3).
-		return s.execSelect(p, nil, sel)
+		return s.execSelect(p, nil, ps)
 	}
 	var res *Result
 	err := s.Coord.Run(p, func(tx *txn.Txn) error {
@@ -273,10 +233,10 @@ func (s *Session) execDML(p *sim.Proc, stmt Statement) (*Result, error) {
 		// its leaseholder, so no intent ever blocks other transactions.
 		tx.AllowOnePC = !s.DisableOnePC
 		var err error
-		res, err = s.execDMLInTxn(p, tx, stmt)
+		res, err = s.execDMLInTxn(p, tx, ps)
 		return err
 	})
-	if ins, ok := stmt.(*Insert); ok && err != nil {
+	if ins, ok := ps.Stmt.(*Insert); ok && err != nil {
 		// A buffered one-row INSERT meets its uniqueness condition at
 		// commit, outside execInsert.
 		if t, db, terr := s.table(ins.Table); terr == nil {
@@ -286,39 +246,44 @@ func (s *Session) execDML(p *sim.Proc, stmt Statement) (*Result, error) {
 	return res, err
 }
 
-// ExecTxn executes a DML statement inside the given transaction.
+// ExecTxn executes a DML statement inside the given transaction, as a
+// one-shot prepared statement (ExecPreparedTxn).
 func (s *Session) ExecTxn(p *sim.Proc, tx *txn.Txn, sqlText string) (*Result, error) {
 	stmt, err := Parse(sqlText)
 	if err != nil {
 		return nil, err
 	}
-	return s.execDMLInTxn(p, tx, stmt)
+	ps := newPrepared(stmt)
+	if ps == nil {
+		return nil, fmt.Errorf("sql: %T is not DML", stmt)
+	}
+	return s.ExecPreparedTxn(p, tx, ps)
 }
 
 // execDMLInTxn is the one way a statement runs inside a transaction, whether
 // an auto-commit one or the caller's (ExecTxn, ExecPreparedTxn).
-func (s *Session) execDMLInTxn(p *sim.Proc, tx *txn.Txn, stmt Statement) (*Result, error) {
-	if sel, ok := stmt.(*Select); ok && sel.AsOf != nil {
+func (s *Session) execDMLInTxn(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
+	if sel, ok := ps.Stmt.(*Select); ok && sel.AsOf != nil {
 		return nil, fmt.Errorf("sql: AS OF SYSTEM TIME not allowed in a read-write transaction")
 	}
-	if isVirtualStmt(stmt) {
-		sel, ok := stmt.(*Select)
+	if isVirtualStmt(ps.Stmt) {
+		sel, ok := ps.Stmt.(*Select)
 		if !ok {
 			return nil, fmt.Errorf("sql: %s tables are read-only", VirtualSchema)
 		}
 		return s.execVirtualSelect(sel)
 	}
-	switch st := stmt.(type) {
+	switch ps.Stmt.(type) {
 	case *Insert:
-		return s.execInsert(p, tx, st)
+		return s.execInsert(p, tx, ps)
 	case *Select:
-		return s.execSelect(p, tx, st)
+		return s.execSelect(p, tx, ps)
 	case *Update:
-		return s.execUpdate(p, tx, st)
+		return s.execUpdate(p, tx, ps)
 	case *Delete:
-		return s.execDelete(p, tx, st)
+		return s.execDelete(p, tx, ps)
 	}
-	return nil, fmt.Errorf("sql: %T is not DML", stmt)
+	return nil, fmt.Errorf("sql: %T is not DML", ps.Stmt)
 }
 
 func (s *Session) execSetVar(st *SetVar) (*Result, error) {

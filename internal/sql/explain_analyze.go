@@ -24,9 +24,8 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 		defer tr.SetEnabled(false)
 	}
 	sp, done := tr.StartRootIn(p, "sql.analyze")
-	s.lastPlanCache = ""
 	start := p.Now()
-	inner, execErr := s.execDML(p, st.Stmt)
+	inner, execErr := s.execDML(p, newPrepared(st.Stmt))
 	elapsed := p.Now().Sub(start)
 	done()
 	if execErr != nil {
@@ -102,9 +101,6 @@ func (s *Session) execExplainAnalyze(p *sim.Proc, st *ExplainAnalyze) (*Result, 
 				add("locality optimized search", fmt.Sprintf("%v", plan.los))
 			}
 		}
-	}
-	if s.lastPlanCache != "" {
-		add("plan cache", s.lastPlanCache)
 	}
 	add("rows", fmt.Sprintf("%d", len(inner.Rows)))
 	add("rows affected", fmt.Sprintf("%d", inner.RowsAffected))

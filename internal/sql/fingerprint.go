@@ -105,7 +105,7 @@ func fingerprintExpr(e Expr) string {
 		return "_"
 	case *Placeholder:
 		// Placeholders fingerprint like literals, so a prepared statement
-		// shares its fingerprint — and cached plan — with its ad-hoc form.
+		// shares its statement statistics with its ad-hoc form.
 		return "_"
 	case *ColRef:
 		return ex.Name

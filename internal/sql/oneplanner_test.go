@@ -14,19 +14,21 @@ import (
 )
 
 // planArmCase is one statement text and the argument sets it is planned
-// with; the first set warms the cache, every set is then bound to the
-// warmed shape.
+// with; the first set derives the prepared statement's shape, every set is
+// then bound to that shape.
 type planArmCase struct {
 	db, text string
 	args     [][]Datum
 }
 
-// planOf plans a prepared statement's read (or builds its insert shape)
+// planOf plans a prepared statement's read (or loads its insert shape)
 // and renders every field of the result the arms must agree on.
 func planOf(t *testing.T, s *Session, ps *Prepared, args []Datum) string {
 	t.Helper()
-	s.bindPrepared(ps, args)
-	defer s.unbindPrepared()
+	if err := s.bind(ps, args); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { s.phArgs = nil }()
 	var table string
 	var where *Where
 	limit := 0
@@ -42,7 +44,7 @@ func planOf(t *testing.T, s *Session, ps *Prepared, args []Datum) string {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ci, err := s.insertPlan(st, tbl)
+		ci, err := s.insertShape(ps, tbl)
 		if err != nil {
 			t.Fatalf("%s: %v", Fingerprint(ps.Stmt), err)
 		}
@@ -52,7 +54,7 @@ func planOf(t *testing.T, s *Session, ps *Prepared, args []Datum) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, err := s.planReadCached(ps.Stmt, tbl, db, where, limit)
+	plan, err := s.planPrepared(ps, tbl, db, where, limit)
 	if err != nil {
 		t.Fatalf("%s %v: %v", Fingerprint(ps.Stmt), args, err)
 	}
@@ -65,13 +67,13 @@ func planOf(t *testing.T, s *Session, ps *Prepared, args []Datum) string {
 
 // TestPlanParityAcrossCacheArms: a statement's plan is the same field for
 // field — index, lookups, regions, regionPinned, los, filterRedundant and
-// the decoded columns — whether its shape was loaded from the cache (hit),
-// derived and stored (miss) or derived with memoization off, from every
-// gateway. The texts are
-// the benchmark's YCSB and TPC-C statements plus an IN list, a computed
-// region (one argument does not evaluate to a region, so the cached
-// computed shape must search), a REGIONAL BY ROW search, a duplicate index
-// and a WHERE clause that constrains one column twice.
+// the decoded columns — whether the prepared statement reused its shape
+// (hit), derived it again after a catalog change (miss), or a fresh ad-hoc
+// statement derived its own, from every gateway. The texts are the
+// benchmark's YCSB and TPC-C statements plus an IN list, a computed region
+// (one argument does not evaluate to a region, so the reused computed shape
+// must search), a REGIONAL BY ROW search, a duplicate index and a WHERE
+// clause that constrains one column twice.
 func TestPlanParityAcrossCacheArms(t *testing.T) {
 	h := newSQLHarness(931)
 	h.run(t, func(p *sim.Proc) {
@@ -133,7 +135,7 @@ func TestPlanParityAcrossCacheArms(t *testing.T) {
 			// Duplicate indexes: each gateway reads its own pinned copy.
 			{"ycsb", `SELECT v FROM dup_codes WHERE code = $1`, [][]Datum{w("GO")}},
 			{"ycsb", `SELECT v FROM dup_codes WHERE v = $1`, [][]Datum{w("x")}},
-			// TestPlanConstraintIntersection's repeated column: never cached.
+			// TestPlanConstraintIntersection's repeated column: never reused.
 			{"ycsb", `SELECT name FROM users WHERE id IN (1, 2) AND id = $1`, [][]Datum{w(int64(2)), w(int64(3))}},
 		}
 		for _, r := range h.c.Regions() {
@@ -141,56 +143,57 @@ func TestPlanParityAcrossCacheArms(t *testing.T) {
 			for _, c := range cases {
 				gs.Database = c.db
 				ps := gs.MustPrepare(c.text)
-				h.catalog.noPlanCache = false
-				h.catalog.Bump()
 				planOf(t, gs, ps, c.args[0])
 				cacheable := true
 				if st, ok := ps.Stmt.(*Select); ok {
 					cacheable = cacheableWhere(st.Where)
 				}
 				for _, args := range c.args {
+					delta := shapeDelta(h.catalog)
 					hit := planOf(t, gs, ps, args)
-					hitArm := gs.lastPlanCache
-					if cacheable && hitArm != planCacheHit {
-						t.Errorf("%s: first arm was %q, want a hit", c.text, hitArm)
+					if hits, _ := delta(); cacheable && hits != 1 {
+						t.Errorf("%s: first arm made %d hits, want 1", c.text, hits)
 					}
 					h.catalog.Bump()
+					delta = shapeDelta(h.catalog)
 					miss := planOf(t, gs, ps, args)
-					if gs.lastPlanCache != planCacheMiss {
-						t.Errorf("%s: second arm was %q, want a miss", c.text, gs.lastPlanCache)
+					if _, misses := delta(); misses != 1 {
+						t.Errorf("%s: second arm made %d misses, want 1", c.text, misses)
 					}
-					h.catalog.noPlanCache = true
-					off := planOf(t, gs, ps, args)
-					h.catalog.noPlanCache = false
-					if hit != miss || hit != off {
-						t.Errorf("gateway %s, %s %v: plans differ across arms\n %4s: %s\nmiss: %s\n off: %s",
-							r, c.text, args, hitArm, hit, miss, off)
+					fresh := planOf(t, gs, newPrepared(ps.Stmt), args)
+					if hit != miss || hit != fresh {
+						t.Errorf("gateway %s, %s %v: plans differ across arms\n  hit: %s\n miss: %s\nfresh: %s",
+							r, c.text, args, hit, miss, fresh)
 					}
 				}
 			}
 		}
 
-		// A cached computed-region shape whose value does not evaluate
+		// A reused computed-region shape whose value does not evaluate
 		// searches, gateway first, with LOS: what a fresh derivation picks.
 		s.Database = "tpcc"
 		ps := s.MustPrepare(`SELECT w_tax FROM warehouse WHERE w_id = $1`)
 		planOf(t, s, ps, w(int64(1)))
-		if got := planOf(t, s, ps, w(true)); s.lastPlanCache != planCacheHit ||
-			!strings.Contains(got, "regions=[us-east1 ") || !strings.Contains(got, "regionPinned=false los=true") {
-			t.Errorf("non-evaluating computed region (%s): %s", s.lastPlanCache, got)
+		delta := shapeDelta(h.catalog)
+		if got := planOf(t, s, ps, w(true)); !strings.Contains(got, "regions=[us-east1 ") || !strings.Contains(got, "regionPinned=false los=true") {
+			t.Errorf("non-evaluating computed region: %s", got)
+		}
+		if hits, _ := delta(); hits != 1 {
+			t.Errorf("non-evaluating computed region made %d hits, want 1", hits)
 		}
 
-		// An INSERT naming an unknown column fails the same way on every arm.
+		// An INSERT naming an unknown column fails the same way whether it
+		// is prepared or ad hoc.
 		s.Database = "ycsb"
 		var errs []string
-		for _, off := range []bool{false, false, true} {
-			h.catalog.noPlanCache = off
+		for i := 0; i < 2; i++ {
 			_, err := s.Exec(p, `INSERT INTO users (id, bogus) VALUES (1, 2)`)
 			errs = append(errs, fmt.Sprint(err))
 		}
-		h.catalog.noPlanCache = false
+		_, err := s.ExecPrepared(p, s.MustPrepare(`INSERT INTO users (id, bogus) VALUES ($1, $2)`), int64(1), int64(2))
+		errs = append(errs, fmt.Sprint(err))
 		if want := `sql: unknown column "bogus"`; errs[0] != want || errs[1] != want || errs[2] != want {
-			t.Errorf("unknown-column INSERT errors (miss, miss, off) = %q, want %q each", errs, want)
+			t.Errorf("unknown-column INSERT errors (ad hoc, ad hoc, prepared) = %q, want %q each", errs, want)
 		}
 	})
 }

@@ -18,7 +18,7 @@ import (
 // (paper §4.2): probe the gateway's local partition first and fan out to
 // remote partitions only on a miss. It has two halves: deriveRead makes
 // those decisions as a shape (cachedRead) and bindRead binds the shape to
-// one execution's values; the plan cache memoizes the first half.
+// one execution's values; a prepared statement keeps the first half.
 
 // tableRow is a fetched row plus the partition it lives in.
 type tableRow struct {
@@ -196,9 +196,9 @@ func walkExpr(e Expr, fn func(Expr)) {
 	}
 }
 
-// planRead plans a read without the plan cache and without a statement, so
-// the plan decodes every column (EXPLAIN and tests): this execution's
-// constraint sets decide the shape, and their values are bound to it.
+// planRead plans a read without a statement, so the plan decodes every
+// column (EXPLAIN and tests): this execution's constraint sets decide the
+// shape, and their values are bound to it.
 func (s *Session) planRead(t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
 	cons, err := s.constraints(w, nil)
 	if err != nil {
@@ -209,8 +209,8 @@ func (s *Session) planRead(t *Table, db *core.Database, w *Where, limit int) (*r
 
 // deriveRead makes every shape decision of st's read from the table, the
 // database, the gateway and the constraint sets. It looks only at how many
-// candidate values each column has, never at the values, which is why the
-// plan cache can key a shape by the WHERE clause's arities.
+// candidate values each column has, never at the values, which is why a
+// prepared statement, whose arities are fixed, can keep its shape.
 func (s *Session) deriveRead(st Statement, t *Table, db *core.Database, w *Where, cons map[string][]Datum, limit int) *cachedRead {
 	cr := &cachedRead{}
 	switch {
@@ -227,6 +227,7 @@ func (s *Session) deriveRead(st Statement, t *Table, db *core.Database, w *Where
 			cr.mode = modeComputed
 		}
 		local := s.Region()
+		cr.regions = make([]simnet.Region, 0, len(db.Regions()))
 		if db.HasRegion(local) {
 			cr.regions = append(cr.regions, local)
 		}
@@ -252,14 +253,15 @@ func (s *Session) deriveRead(st Statement, t *Table, db *core.Database, w *Where
 		cr.cols = decodedColumns(t, st, w, false) // a scan filters every row
 		return cr
 	}
+	cr.colNames = make([]string, 0, len(cr.index.Cols))
 	for _, cid := range cr.index.Cols {
 		col, _ := t.ColumnByID(cid)
 		cr.colNames = append(cr.colNames, col.Name)
 	}
-	// LOS applies when the row count is bounded (unique index or LIMIT,
-	// §4.2) and the feature is enabled; bindRead drops it when the
-	// partition set turns out pinned.
-	cr.los = s.LocalityOptimizedSearch && (cr.index.Unique || limit > 0)
+	// LOS may apply when the row count is bounded (unique index or LIMIT,
+	// §4.2); bindRead applies it when the session enables it and the
+	// partition set is not pinned.
+	cr.los = cr.index.Unique || limit > 0
 	cr.filterRedundant = filterCoveredByLookup(t, cr.index, w)
 	cr.cols = decodedColumns(t, st, w, cr.filterRedundant)
 	return cr
@@ -271,7 +273,7 @@ func (s *Session) deriveRead(st Statement, t *Table, db *core.Database, w *Where
 // decodes every column: for SELECT *, a filter that runs, UPDATE and DELETE
 // (which rewrite whole rows), no statement, and a projection naming an
 // unknown column, which project then reports. The set is a function of the
-// statement and the table, so it belongs to the cached shape.
+// statement and the table, so it belongs to the shape.
 func decodedColumns(t *Table, st Statement, w *Where, filterRedundant bool) []ColumnID {
 	sel, ok := st.(*Select)
 	if !ok || sel.Columns == nil || (w != nil && !filterRedundant) {

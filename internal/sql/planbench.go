@@ -4,17 +4,16 @@ import "fmt"
 
 // PlanForBench runs the planning path for one prepared DML statement with
 // the given placeholder arguments, without executing it: SELECT, UPDATE and
-// DELETE go through the plan cache's read planner, INSERT through its
-// shape lookup. It exists so `go run ./benchmark` can measure planning
-// throughput — the work the plan cache amortizes — in isolation: in the
-// macro workloads statement execution is dominated by the simulated
-// replication and network layers, which the cache leaves bit-identical.
+// DELETE bind values to the statement's read shape, INSERT loads its insert
+// shape. It exists so `go run ./benchmark` can measure planning throughput —
+// the work a prepared statement's shape saves — in isolation: in the macro
+// workloads statement execution is dominated by the simulated replication
+// and network layers, which reusing a shape leaves bit-identical.
 func (s *Session) PlanForBench(ps *Prepared, args ...Datum) error {
-	if len(args) != ps.numArgs {
-		return fmt.Errorf("sql: prepared statement wants %d args, got %d", ps.numArgs, len(args))
+	if err := s.bind(ps, args); err != nil {
+		return err
 	}
-	s.bindPrepared(ps, args)
-	defer s.unbindPrepared()
+	defer func() { s.phArgs = nil }()
 	var table string
 	var where *Where
 	limit := 0
@@ -30,7 +29,7 @@ func (s *Session) PlanForBench(ps *Prepared, args ...Datum) error {
 		if err != nil {
 			return err
 		}
-		_, err = s.insertPlan(st, t)
+		_, err = s.insertShape(ps, t)
 		return err
 	default:
 		return fmt.Errorf("sql: cannot plan %T", ps.Stmt)
@@ -39,6 +38,6 @@ func (s *Session) PlanForBench(ps *Prepared, args ...Datum) error {
 	if err != nil {
 		return err
 	}
-	_, err = s.planReadCached(ps.Stmt, t, db, where, limit)
+	_, err = s.planPrepared(ps, t, db, where, limit)
 	return err
 }

@@ -61,7 +61,7 @@ func TestPointSelectAllocs(t *testing.T) {
 		}
 		localRead := read([]Datum{"user-local"}, "v0")
 		remoteRead := read([]Datum{"user-remote"}, "w0")
-		localRead() // the plan cache, the pools, the range caches
+		localRead() // the statement's shape, the pools, the range caches
 		remoteRead()
 		local = testing.AllocsPerRun(100, localRead)
 		remote = testing.AllocsPerRun(100, remoteRead)
@@ -109,13 +109,13 @@ func TestDecodeRowIntoColumnSubset(t *testing.T) {
 }
 
 // TestColumnSubsetDecodeParity: every read returns exactly what it returns
-// when each row is decoded whole, on the plan-cache arm (a miss derives and
-// stores the shape, a hit loads it) and with the cache off, from every
+// when each row is decoded whole, as a prepared statement (its first
+// execution derives the shape, its second reuses it) and ad hoc, from every
 // gateway: a primary-key point lookup, unique secondary indexes that store
 // the row and that do not, SELECT *, a WHERE clause whose filter reads an
 // unprojected column, AS OF SYSTEM TIME, scans with and without a filter,
 // and a multi-tuple IN on a REGIONAL BY ROW table with remote tuples. The
-// whole-row arm is the stored shape with its column set cleared. Each case
+// whole-row arm is the prepared shape with its column set cleared. Each case
 // also names the columns its rows decode to, "all" for every column.
 func TestColumnSubsetDecodeParity(t *testing.T) {
 	h := newSQLHarness(961)
@@ -149,8 +149,7 @@ func TestColumnSubsetDecodeParity(t *testing.T) {
 			{"users", `SELECT name, id FROM users WHERE id IN (1, 2, 3, 5, 6, 99)`, "[name id]"},
 			{"mixed", `SELECT tag FROM mixed WHERE id IN (3, 2, 7)`, "[tag]"},
 		}
-		render := func(gs *Session, text string) string {
-			res := mustExec(t, p, gs, text)
+		render := func(res *Result) string {
 			return fmt.Sprintf("%v %v", res.Columns, res.Rows)
 		}
 		for _, r := range h.c.Regions() {
@@ -160,36 +159,31 @@ func TestColumnSubsetDecodeParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				h.catalog.noPlanCache = false
-				h.catalog.Bump()
-				miss := render(gs, c.text)
-				hit := render(gs, c.text)
-				if gs.lastPlanCache != planCacheHit {
-					t.Fatalf("%s: second execution was a %s", c.text, gs.lastPlanCache)
+				ps := gs.MustPrepare(c.text)
+				miss := render(mustExecPrepared(t, p, gs, ps))
+				delta := shapeDelta(h.catalog)
+				hit := render(mustExecPrepared(t, p, gs, ps))
+				if hits, _ := delta(); hits != 1 {
+					t.Fatalf("%s: second execution made %d hits, want 1", c.text, hits)
 				}
-				h.catalog.plans.sync(h.catalog.version)
 				decodes := "all"
-				for _, cr := range h.catalog.plans.reads {
-					if cr.cols != nil {
-						var names []string
-						for _, id := range cr.cols {
-							col, _ := tbl.ColumnByID(id)
-							names = append(names, col.Name)
-						}
-						decodes = fmt.Sprint(names)
+				if cols := ps.read.cols; cols != nil {
+					var names []string
+					for _, id := range cols {
+						col, _ := tbl.ColumnByID(id)
+						names = append(names, col.Name)
 					}
-					cr.cols = nil
+					decodes = fmt.Sprint(names)
 				}
-				whole := render(gs, c.text)
-				h.catalog.noPlanCache = true
-				off := render(gs, c.text)
-				h.catalog.noPlanCache = false
+				ps.read.cols = nil
+				whole := render(mustExecPrepared(t, p, gs, ps))
+				adHoc := render(mustExec(t, p, gs, c.text))
 				if decodes != c.decodes {
 					t.Errorf("%s: rows decode to %s, want %s", c.text, decodes, c.decodes)
 				}
-				if miss != whole || hit != whole || off != whole {
-					t.Errorf("gateway %s, %s: column-subset reads differ from whole-row decoding\n miss: %s\n  hit: %s\n  off: %s\nwhole: %s",
-						r, c.text, miss, hit, off, whole)
+				if miss != whole || hit != whole || adHoc != whole {
+					t.Errorf("gateway %s, %s: column-subset reads differ from whole-row decoding\n  miss: %s\n   hit: %s\nad hoc: %s\n whole: %s",
+						r, c.text, miss, hit, adHoc, whole)
 				}
 			}
 		}
@@ -301,7 +295,7 @@ func TestLateProbeLeavesNextStatementAlone(t *testing.T) {
 			}
 			return rowSet(res.Rows)
 		}
-		exec(3, 5) // warm the plan cache and the range caches
+		exec(3, 5) // derive the statement's shape and warm the range caches
 		p.Sleep(sim.Second)
 
 		toEU := h.c.Topo.RegionRTT(simnet.USEast1, simnet.EuropeW2)

@@ -4,28 +4,64 @@ import (
 	"fmt"
 
 	"mrdb/internal/sim"
+	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
 )
 
-// Prepared statements: parse and fingerprint a DML statement once, then
-// execute it repeatedly with placeholder arguments. Combined with the plan
-// cache this takes parsing, fingerprinting and plan-shape work off the hot
-// path entirely — each execution binds values into a cached plan.
+// Prepared statements: every DML statement runs as one. Prepare parses and
+// fingerprints a statement once for repeated execution with placeholder
+// arguments; an ad-hoc statement (Exec, ExecTxn) is a one-shot Prepared.
+// The statement owns its shape (DESIGN §13): the first execution derives
+// it, and later ones bind values to it for as long as the catalog version,
+// the session's database and the gateway region are the ones it was
+// derived under.
 
 // Prepared is a parsed, fingerprinted DML statement with $n placeholders.
 type Prepared struct {
 	Stmt Statement
-	fp   string
+	// fp is the statement-statistics key; empty for a virtual table.
+	fp string
 	// numArgs is the highest placeholder index referenced.
 	numArgs int
 	// res is the reusable result buffer; ExecPrepared returns it (or a view
 	// of it), so a result is valid only until the next execution of the
 	// same Prepared.
 	res Result
+
+	// The statement's shape — read for SELECT, UPDATE and DELETE, insert
+	// for INSERT — and what it was derived under.
+	read    *cachedRead
+	insert  *cachedInsert
+	derived shapeKey
+}
+
+// shapeKey is what a shape depends on beyond its statement: the catalog
+// version (every schema, locality, region and zone-config change moves it),
+// the database the statement's table names resolve in, and the gateway
+// region, which orders a search and picks a duplicate index. The statement
+// fixes the rest, WHERE-clause arities included.
+type shapeKey struct {
+	version uint64
+	db      string
+	region  simnet.Region
 }
 
 // NumArgs returns how many placeholder arguments each execution takes.
 func (ps *Prepared) NumArgs() int { return ps.numArgs }
+
+// newPrepared prepares a DML statement; any other statement gives nil.
+func newPrepared(stmt Statement) *Prepared {
+	switch stmt.(type) {
+	case *Insert, *Select, *Update, *Delete:
+	default:
+		return nil
+	}
+	ps := &Prepared{Stmt: stmt, numArgs: maxPlaceholder(stmt)}
+	if !isVirtualStmt(stmt) {
+		ps.fp = Fingerprint(stmt)
+	}
+	return ps
+}
 
 // Prepare parses and prepares one DML statement for repeated execution.
 func (s *Session) Prepare(sqlText string) (*Prepared, error) {
@@ -33,7 +69,11 @@ func (s *Session) Prepare(sqlText string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.PrepareStmt(stmt)
+	ps := newPrepared(stmt)
+	if ps == nil {
+		return nil, fmt.Errorf("sql: cannot prepare %T (DML only)", stmt)
+	}
+	return ps, nil
 }
 
 // MustPrepare is Prepare that panics on error; for tests and workloads.
@@ -45,36 +85,17 @@ func (s *Session) MustPrepare(sqlText string) *Prepared {
 	return ps
 }
 
-// PrepareStmt prepares an already-parsed DML statement.
-func (s *Session) PrepareStmt(stmt Statement) (*Prepared, error) {
-	switch stmt.(type) {
-	case *Insert, *Select, *Update, *Delete:
-	default:
-		return nil, fmt.Errorf("sql: cannot prepare %T (DML only)", stmt)
-	}
-	return &Prepared{
-		Stmt:    stmt,
-		fp:      Fingerprint(stmt),
-		numArgs: maxPlaceholder(stmt),
-	}, nil
-}
-
 // ExecPrepared executes a prepared statement with the given placeholder
-// arguments. Semantics match ExecStmt (auto-commit transaction with
-// retries, root trace span, statement statistics under the prepared
-// fingerprint); only the per-execution parse/fingerprint work and the
-// result allocation are gone.
+// arguments in its own transaction, with automatic retries. When cluster
+// tracing is enabled it is the root of the request path's trace (see
+// runStmt), and a statement against a real table folds into the statement
+// statistics under its fingerprint.
 func (s *Session) ExecPrepared(p *sim.Proc, ps *Prepared, args ...Datum) (*Result, error) {
-	if len(args) != ps.numArgs {
-		return nil, fmt.Errorf("sql: prepared statement wants %d args, got %d", ps.numArgs, len(args))
+	if err := s.bind(ps, args); err != nil {
+		return nil, err
 	}
-	s.bindPrepared(ps, args)
-	fp := ps.fp
-	if isVirtualStmt(ps.Stmt) {
-		fp = ""
-	}
-	res, err := s.runStmt(p, ps.Stmt, fp, func() (*Result, error) { return s.execDML(p, ps.Stmt) })
-	s.unbindPrepared()
+	res, err := s.runStmt(p, ps.Stmt, ps.fp, func() (*Result, error) { return s.execDML(p, ps) })
+	s.phArgs = nil
 	return res, err
 }
 
@@ -82,25 +103,29 @@ func (s *Session) ExecPrepared(p *sim.Proc, ps *Prepared, args ...Datum) (*Resul
 // transaction: no statistics record, no root span — the enclosing RunTxn
 // carries the trace.
 func (s *Session) ExecPreparedTxn(p *sim.Proc, tx *txn.Txn, ps *Prepared, args ...Datum) (*Result, error) {
-	if len(args) != ps.numArgs {
-		return nil, fmt.Errorf("sql: prepared statement wants %d args, got %d", ps.numArgs, len(args))
+	if err := s.bind(ps, args); err != nil {
+		return nil, err
 	}
-	s.bindPrepared(ps, args)
-	res, err := s.execDMLInTxn(p, tx, ps.Stmt)
-	s.unbindPrepared()
+	res, err := s.execDMLInTxn(p, tx, ps)
+	s.phArgs = nil
 	return res, err
 }
 
-func (s *Session) bindPrepared(ps *Prepared, args []Datum) {
+// bind makes args the values of ps's placeholders until the execution
+// clears them.
+func (s *Session) bind(ps *Prepared, args []Datum) error {
+	if len(args) != ps.numArgs {
+		return fmt.Errorf("sql: statement wants %d placeholder args, got %d", ps.numArgs, len(args))
+	}
 	s.phArgs = args
-	s.curFP = ps.fp
-	s.curRes = &ps.res
+	return nil
 }
 
-func (s *Session) unbindPrepared() {
-	s.phArgs = nil
-	s.curFP = ""
-	s.curRes = nil
+// result returns ps's result buffer, emptied for refill.
+func (ps *Prepared) result() *Result {
+	ps.res.Rows = ps.res.Rows[:0]
+	ps.res.RowsAffected = 0
+	return &ps.res
 }
 
 // maxPlaceholder returns the highest $n index in a statement.

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"encoding/binary"
 	"fmt"
 	"slices"
 
@@ -9,28 +8,19 @@ import (
 	"mrdb/internal/simnet"
 )
 
-// Plan cache: memoized statement shapes. Every statement is planned as a
-// shape bound to values: a read's shape (cachedRead) is every decision
-// deriveRead makes — index choice, partition-resolution mode, search
-// order, locality-optimized-search eligibility, the filter no-op — and an
-// INSERT's (cachedInsert) is its resolved columns and default/computed
-// schedule. A shape is a pure function of the fingerprint, catalog
-// version, gateway region and WHERE-clause arities, so the cache derives
-// it once per key and loads it afterwards. Values (constraint values,
-// lookup tuples, computed regions, row values) are evaluated once per
-// execution on every arm — hit, miss, or cache off — by the same code,
-// which keeps RNG and clock draws, and therefore span trees and statement
-// statistics, byte-identical with the cache on or off (package tests
-// switch memoization off through Catalog.noPlanCache).
+// Statement shapes. Every statement is planned as a shape bound to values:
+// a read's shape (cachedRead) is every decision deriveRead makes — index
+// choice, partition-resolution mode, search order, locality-optimized-search
+// eligibility, the filter no-op — and an INSERT's (cachedInsert) is its
+// resolved columns and default/computed schedule. A shape is a pure function
+// of the statement and its shapeKey, so a Prepared derives it once and loads
+// it afterwards (see Prepared). Values (constraint values, lookup tuples,
+// computed regions, row values) are evaluated once per execution whether
+// the shape was loaded or derived, by the same code, which keeps RNG and
+// clock draws, and therefore span trees and statement statistics,
+// byte-identical between a prepared statement and its ad-hoc form.
 
-// planCache outcome labels rendered by EXPLAIN ANALYZE.
-const (
-	planCacheHit  = "hit"
-	planCacheMiss = "miss"
-	planCacheOff  = "off"
-)
-
-// regionMode classifies how a cached read plan resolves its candidate
+// regionMode classifies how a read shape resolves its candidate
 // partitions on each execution.
 type regionMode int8
 
@@ -49,8 +39,9 @@ const (
 )
 
 // cachedRead is the shape half of a read plan (deriveRead's output): every
-// decision that is a pure function of the cache key. bindRead binds it to
-// one execution's constraint values.
+// decision that is a pure function of the statement and its shapeKey.
+// bindRead binds it to one execution's constraint values and session
+// settings.
 type cachedRead struct {
 	index *Index
 	// colNames are index.Cols resolved to names, for constraint lookup
@@ -59,12 +50,12 @@ type cachedRead struct {
 	// scan means no usable index: full scan of index, no lookup tuples.
 	scan bool
 	mode regionMode
-	// regions is the memoized gateway-first search order (modeSearch and
+	// regions is the gateway-first search order (modeSearch and
 	// modeComputed); shared read-only across executions.
 	regions []simnet.Region
-	// los is the locality-optimized-search decision (§4.2) for a plan whose
-	// partitions are searched; the LOS session setting is part of the cache
-	// key, so the bit is fully determined.
+	// los means the row count is bounded (unique index or LIMIT), so a
+	// search may apply locality-optimized search (§4.2); bindRead applies it
+	// when the session enables it and the partitions are not pinned.
 	los bool
 	// filterRedundant means every WHERE conjunct is enforced by the lookup
 	// tuples themselves (literal/placeholder values on indexed columns), so
@@ -88,130 +79,29 @@ type cachedInsert struct {
 	fromDefault map[ColumnID]bool
 }
 
-// PlanCache holds cached statement shapes keyed by fingerprint-derived
-// strings. It is cluster-shared state on the Catalog (like StmtStats) and
-// is invalidated wholesale when the catalog version moves: DDL,
-// ALTER TABLE ... LOCALITY, ALTER DATABASE ADD/DROP REGION, survivability,
-// placement and primary-region changes all bump the version.
-type PlanCache struct {
-	version uint64
-	reads   map[string]*cachedRead
-	inserts map[string]*cachedInsert
-	hits    uint64
-	misses  uint64
-}
-
-// planCacheMaxEntries bounds each shape map; workloads have a handful of
-// statement shapes, so hitting the bound means something is generating
-// unbounded shapes and caching them would only burn memory.
-const planCacheMaxEntries = 4096
-
-// sync drops every entry when the catalog version has moved since the last
-// access: O(1) invalidation, no stale plan can survive a schema change.
-func (pc *PlanCache) sync(version uint64) {
-	if pc.version != version {
-		pc.reads, pc.inserts = nil, nil
-		pc.version = version
-	}
-}
-
-func (pc *PlanCache) getRead(version uint64, key []byte) *cachedRead {
-	pc.sync(version)
-	cr := pc.reads[string(key)]
-	if cr != nil {
-		pc.hits++
-	} else {
-		pc.misses++
-	}
-	return cr
-}
-
-func (pc *PlanCache) putRead(version uint64, key string, cr *cachedRead) {
-	pc.sync(version)
-	if pc.reads == nil {
-		pc.reads = map[string]*cachedRead{}
-	}
-	if len(pc.reads) < planCacheMaxEntries {
-		pc.reads[key] = cr
-	}
-}
-
-func (pc *PlanCache) getInsert(version uint64, key []byte) *cachedInsert {
-	pc.sync(version)
-	ci := pc.inserts[string(key)]
-	if ci != nil {
-		pc.hits++
-	} else {
-		pc.misses++
-	}
-	return ci
-}
-
-func (pc *PlanCache) putInsert(version uint64, key string, ci *cachedInsert) {
-	pc.sync(version)
-	if pc.inserts == nil {
-		pc.inserts = map[string]*cachedInsert{}
-	}
-	if len(pc.inserts) < planCacheMaxEntries {
-		pc.inserts[key] = ci
-	}
-}
-
-// PlanCacheStats returns the cumulative hit and miss counts.
+// PlanCacheStats returns how many statement executions reused their
+// prepared statement's shape (hits) and how many derived one (misses).
 func (c *Catalog) PlanCacheStats() (hits, misses uint64) {
-	return c.plans.hits, c.plans.misses
+	return c.shapeHits, c.shapeMisses
 }
 
-// --- cache keys ---
-
-// stmtFingerprint returns the current statement's fingerprint: the one the
-// prepared-statement path or ExecStmt already computed, or a fresh one.
-func (s *Session) stmtFingerprint(stmt Statement) string {
-	if s.curFP != "" {
-		return s.curFP
+// reuse reports whether ps holds a shape derived under what s executes it
+// under now, which it returns, and counts the outcome.
+func (s *Session) reuse(ps *Prepared) (shapeKey, bool) {
+	k := shapeKey{version: s.Catalog.version, db: s.Database, region: s.Region()}
+	if ps.derived == k && (ps.read != nil || ps.insert != nil) {
+		s.Catalog.shapeHits++
+		return k, true
 	}
-	return Fingerprint(stmt)
-}
-
-// readPlanKey builds the read-plan cache key into the session scratch
-// buffer: database, fingerprint, gateway region, LOS setting and the
-// per-conjunct value arities. Fingerprints erase IN-list arity, but tuple
-// counts and computed-region eligibility depend on it, so arities must key
-// the cache. The returned slice aliases session scratch.
-func (s *Session) readPlanKey(fp string, w *Where) []byte {
-	b := append(s.keyScratch[:0], s.Database...)
-	b = append(b, 0)
-	b = append(b, fp...)
-	b = append(b, 0)
-	b = append(b, s.Region()...)
-	if s.LocalityOptimizedSearch {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	if w != nil {
-		for _, c := range w.Conds {
-			b = binary.AppendUvarint(b, uint64(len(c.Vals)))
-		}
-	}
-	s.keyScratch = b
-	return b
-}
-
-// insertPlanKey builds the INSERT cache key (database + fingerprint; the
-// fingerprint already pins table, column list and row shape).
-func (s *Session) insertPlanKey(fp string) []byte {
-	b := append(s.keyScratch[:0], s.Database...)
-	b = append(b, 0)
-	b = append(b, fp...)
-	s.keyScratch = b
-	return b
+	s.Catalog.shapeMisses++
+	return k, false
 }
 
 // cacheableWhere rejects WHERE clauses that constrain the same column more
 // than once: conjunct intersection can empty a value set depending on the
 // concrete values, which makes index usability — and with it the whole plan
-// shape — value-dependent rather than shape-determined.
+// shape — value-dependent rather than shape-determined, so such a
+// statement derives its shape on every execution.
 func cacheableWhere(w *Where) bool {
 	if w == nil {
 		return true
@@ -231,7 +121,7 @@ func cacheableWhere(w *Where) bool {
 // literal/placeholder values, so rows fetched via the lookup tuples satisfy
 // the WHERE clause by construction. Non-pure values (function calls) keep
 // the filter, both for correctness and because skipping their per-row
-// re-evaluation would desynchronize RNG draws from the cache-off path.
+// re-evaluation would change the RNG draws a statement makes.
 func filterCoveredByLookup(t *Table, idx *Index, w *Where) bool {
 	if w == nil {
 		return true
@@ -267,35 +157,21 @@ func filterCoveredByLookup(t *Table, idx *Index, w *Where) bool {
 // unpartitionedRegions is the shared single-"" partition list.
 var unpartitionedRegions = []simnet.Region{""}
 
-// planReadCached plans a read through the plan cache: a hit loads the
-// shape, a miss derives and stores it, and with the cache off (the tests'
-// memoization-off arm) or an uncacheable WHERE clause it is derived and
-// not stored. Every arm evaluates the constraint values once and binds
-// them to the shape.
-func (s *Session) planReadCached(stmt Statement, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
-	var key []byte
-	var cr *cachedRead
-	switch {
-	case s.Catalog.noPlanCache:
-		s.lastPlanCache = planCacheOff
-	case !cacheableWhere(w):
-		s.lastPlanCache = planCacheMiss
-	default:
-		key = s.readPlanKey(s.stmtFingerprint(stmt), w)
-		cr = s.Catalog.plans.getRead(s.Catalog.version, key)
-		s.lastPlanCache = planCacheMiss
-		if cr != nil {
-			s.lastPlanCache = planCacheHit
-		}
-	}
+// planPrepared plans ps's read: it loads ps's shape when reuse allows,
+// or derives one, which ps keeps unless its WHERE clause is uncacheable.
+// Either way it evaluates the constraint values once and binds them to the
+// shape.
+func (s *Session) planPrepared(ps *Prepared, t *Table, db *core.Database, w *Where, limit int) (*readPlan, error) {
+	k, ok := s.reuse(ps)
 	cons, err := s.constraints(w, nil)
 	if err != nil {
 		return nil, err
 	}
-	if cr == nil {
-		cr = s.deriveRead(stmt, t, db, w, cons, limit)
-		if key != nil {
-			s.Catalog.plans.putRead(s.Catalog.version, string(key), cr)
+	cr := ps.read
+	if !ok {
+		cr = s.deriveRead(ps.Stmt, t, db, w, cons, limit)
+		if cacheableWhere(w) {
+			ps.read, ps.derived = cr, k
 		}
 	}
 	return s.bindRead(cr, t, cons, limit)
@@ -345,7 +221,7 @@ func (s *Session) bindRead(cr *cachedRead, t *Table, cons map[string][]Datum, li
 	if cr.scan {
 		return plan, nil
 	}
-	plan.los = cr.los && !plan.regionPinned
+	plan.los = cr.los && s.LocalityOptimizedSearch && !plan.regionPinned
 	// Lookup tuples: the cartesian product of the per-column candidate
 	// values, first column slowest, in session scratch. First-hit probes may
 	// outlive the statement, but they hold encoded keys, never these tuples
@@ -380,24 +256,18 @@ func (s *Session) bindRead(cr *cachedRead, t *Table, cons map[string][]Datum, li
 
 // --- insert path ---
 
-// insertPlan loads the shape of an INSERT, or builds it: stored on a miss,
-// not stored with the cache off.
-func (s *Session) insertPlan(st *Insert, t *Table) (*cachedInsert, error) {
-	if s.Catalog.noPlanCache {
-		s.lastPlanCache = planCacheOff
-		return buildCachedInsert(st, t)
+// insertShape loads ps's INSERT shape when reuse allows, or builds one for
+// ps to keep.
+func (s *Session) insertShape(ps *Prepared, t *Table) (*cachedInsert, error) {
+	k, ok := s.reuse(ps)
+	if ok {
+		return ps.insert, nil
 	}
-	key := s.insertPlanKey(s.stmtFingerprint(st))
-	if ci := s.Catalog.plans.getInsert(s.Catalog.version, key); ci != nil {
-		s.lastPlanCache = planCacheHit
-		return ci, nil
-	}
-	s.lastPlanCache = planCacheMiss
-	ci, err := buildCachedInsert(st, t)
+	ci, err := buildCachedInsert(ps.Stmt.(*Insert), t)
 	if err != nil {
 		return nil, err
 	}
-	s.Catalog.plans.putInsert(s.Catalog.version, string(key), ci)
+	ps.insert, ps.derived = ci, k
 	return ci, nil
 }
 
@@ -410,25 +280,24 @@ func buildCachedInsert(st *Insert, t *Table) (*cachedInsert, error) {
 			cols = append(cols, c.Name)
 		}
 	}
-	ci := &cachedInsert{fromDefault: map[ColumnID]bool{}}
-	provided := map[ColumnID]bool{}
+	ci := &cachedInsert{cols: make([]ColumnID, 0, len(cols))}
 	for _, name := range cols {
 		c, ok := t.Column(name)
 		if !ok {
 			return nil, fmt.Errorf("sql: unknown column %q", name)
 		}
 		ci.cols = append(ci.cols, c.ID)
-		provided[c.ID] = true
 	}
 	for _, c := range t.Columns {
-		if provided[c.ID] || c.Computed != nil {
+		if c.Default == nil || c.Computed != nil || slices.Contains(ci.cols, c.ID) {
 			continue
 		}
-		if c.Default != nil {
-			ci.defaults = append(ci.defaults, c)
-			if fc, ok := c.Default.(*FuncCall); ok && fc.Name == "gen_random_uuid" {
-				ci.fromDefault[c.ID] = true
+		ci.defaults = append(ci.defaults, c)
+		if fc, ok := c.Default.(*FuncCall); ok && fc.Name == "gen_random_uuid" {
+			if ci.fromDefault == nil {
+				ci.fromDefault = map[ColumnID]bool{}
 			}
+			ci.fromDefault[c.ID] = true
 		}
 	}
 	for _, c := range t.Columns {

@@ -44,7 +44,7 @@ func TestFirstHitAdoptsEachProbeOnce(t *testing.T) {
 				h.c.Net.HealOneWay(us.Gateway, lh)
 			}
 		})
-		h.c.EnableTracing()
+		h.c.Tracer.SetEnabled(true)
 		var rows string
 		err = us.RunTxn(p, func(tx *txn.Txn) error {
 			res, err := us.ExecTxn(p, tx, `SELECT id, name FROM users WHERE id IN (1, 5)`)
@@ -135,7 +135,7 @@ func TestWriteStatementAllocs(t *testing.T) {
 			insertOne()
 		}
 		doUpdate := runTxn(upd, updateArgs)
-		doInsert() // the plan cache, the pools, the range caches
+		doInsert() // the statements' shapes, the pools, the range caches
 		doUpdate()
 		insert = testing.AllocsPerRun(runs, doInsert)
 		update = testing.AllocsPerRun(runs, doUpdate)

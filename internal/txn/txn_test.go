@@ -279,7 +279,7 @@ func TestPipelinedWritesProveAtCommit(t *testing.T) {
 // parallel, exactly once each, and no other coordinator span appears.
 func TestCommitIsStagedAndProved(t *testing.T) {
 	h := newHarness(t, 9)
-	h.c.EnableTracing()
+	h.c.Tracer.SetEnabled(true)
 	h.run(t, func(p *sim.Proc) {
 		co := h.coord(simnet.USEast1)
 		root, done := h.c.Tracer.StartRootIn(p, "test.commit")

@@ -246,10 +246,11 @@ func (h *MigratingHotspot) Run(p *sim.Proc, phases []HotspotPhase) error {
 	return firstErr
 }
 
-// client runs the read/update mix in a closed loop until the phase deadline.
+// client runs the read/update mix in a closed loop until the phase deadline,
+// on a session of its own: a session runs one statement at a time.
 func (h *MigratingHotspot) client(wp *sim.Proc, rng *rand.Rand, region simnet.Region, hotStart int, deadline sim.Time) error {
 	y := h.Y
-	s := y.Sessions[region]
+	ops := y.prepare(y.newSession(region))
 	windowKeys := max(y.Cfg.RecordCount/10, 1)
 	op := 0
 	var firstErr error
@@ -267,9 +268,9 @@ func (h *MigratingHotspot) client(wp *sim.Proc, rng *rand.Rand, region simnet.Re
 		start := wp.Now()
 		var err error
 		if rng.Float64() < hotspotWriteFrac {
-			err = y.doUpdate(wp, s, key, op)
+			err = y.doUpdate(wp, ops, key, op)
 		} else {
-			err = y.doRead(wp, s, key)
+			err = y.doRead(wp, ops, key)
 		}
 		h.Windows.Record(start, wp.Now().Sub(start), err)
 		if err != nil && firstErr == nil {

@@ -40,17 +40,10 @@ func TestGlobalHotKeyBounded(t *testing.T) {
 				defer wg.Done()
 				s := sql.NewSession(c, catalog, c.GatewayFor(region))
 				s.Database = "ycsb"
+				upsert := s.MustPrepare(`UPSERT INTO usertable (ycsb_key, field0) VALUES ($1, $2)`)
 				for op := 0; op < 5; op++ {
 					start := wp.Now()
-					_, err := s.ExecStmt(wp, &sql.Insert{
-						Table:   "usertable",
-						Columns: []string{"ycsb_key", "field0"},
-						Rows: [][]sql.Expr{{
-							&sql.Lit{Val: keyName(0)},
-							&sql.Lit{Val: fmt.Sprintf("w%d-%d", i, op)},
-						}},
-						Upsert: true,
-					})
+					_, err := s.ExecPrepared(wp, upsert, keyName(0), fmt.Sprintf("w%d-%d", i, op))
 					if err != nil {
 						t.Errorf("writer %d op %d: %v", i, op, err)
 						return

@@ -123,8 +123,8 @@ func (m *Movr) Load(p *sim.Proc) error {
 }
 
 // movrStmts is the per-client prepared-statement set. Each client
-// prepares once and binds values per op, so repeated shapes hit the
-// session's plan cache instead of re-planning.
+// prepares once and binds values per op, so repeated executions reuse
+// each statement's shape instead of re-planning.
 type movrStmts struct {
 	browsePromo *sql.Prepared
 	userByID    *sql.Prepared

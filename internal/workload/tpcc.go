@@ -247,7 +247,7 @@ const lineNums = "0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14"
 
 // tpccStmts is the per-terminal prepared-statement set: every statement
 // shape in the five transactions, prepared once so repeated executions
-// bind values into a cached plan.
+// bind values into the statement's shape.
 type tpccStmts struct {
 	warehouseTax *sql.Prepared
 	districtBump *sql.Prepared

@@ -91,10 +91,9 @@ type YCSBConfig struct {
 
 // YCSB drives the workload against a cluster.
 type YCSB struct {
-	Cfg      YCSBConfig
-	Cluster  *cluster.Cluster
-	Catalog  *sql.Catalog
-	Sessions map[simnet.Region]*sql.Session
+	Cfg     YCSBConfig
+	Cluster *cluster.Cluster
+	Catalog *sql.Catalog
 
 	// Recorders per (region, op) pair.
 	ReadLat  map[simnet.Region]*LatencyRecorder
@@ -114,28 +113,32 @@ type YCSB struct {
 func NewYCSB(c *cluster.Cluster, catalog *sql.Catalog, cfg YCSBConfig) *YCSB {
 	y := &YCSB{
 		Cfg: cfg, Cluster: c, Catalog: catalog,
-		Sessions:       map[simnet.Region]*sql.Session{},
 		ReadLat:        map[simnet.Region]*LatencyRecorder{},
 		WriteLat:       map[simnet.Region]*LatencyRecorder{},
 		insertedRegion: map[int]simnet.Region{},
 	}
 	for _, r := range c.Regions() {
-		s := sql.NewSession(c, catalog, c.GatewayFor(r))
-		s.Database = "ycsb"
-		s.AutoRehoming = cfg.Rehoming
-		s.LocalityOptimizedSearch = !cfg.DisableLOS
-		y.Sessions[r] = s
 		y.ReadLat[r] = NewLatencyRecorder(fmt.Sprintf("read/%s", r))
 		y.WriteLat[r] = NewLatencyRecorder(fmt.Sprintf("write/%s", r))
 	}
 	return y
 }
 
+// newSession opens a session on the ycsb database at region's gateway, with
+// the run's rehoming and locality-optimized-search settings.
+func (y *YCSB) newSession(region simnet.Region) *sql.Session {
+	s := sql.NewSession(y.Cluster, y.Catalog, y.Cluster.GatewayFor(region))
+	s.Database = "ycsb"
+	s.AutoRehoming = y.Cfg.Rehoming
+	s.LocalityOptimizedSearch = !y.Cfg.DisableLOS
+	return s
+}
+
 // SetupSchema creates the database and table with the given locality
 // clause (e.g. "LOCALITY GLOBAL", "LOCALITY REGIONAL BY ROW").
 func (y *YCSB) SetupSchema(p *sim.Proc, localityClause string) error {
 	regions := y.Cluster.Regions()
-	s := y.Sessions[regions[0]]
+	s := y.newSession(regions[0])
 	create := fmt.Sprintf(`CREATE DATABASE ycsb PRIMARY REGION "%s"`, regions[0])
 	if len(regions) > 1 {
 		create += " REGIONS "
@@ -196,7 +199,7 @@ func (y *YCSB) regionOfKey(i int) simnet.Region {
 // Load bulk-loads RecordCount rows at a past timestamp. REGIONAL BY ROW
 // tables get keys homed per the blocked layout.
 func (y *YCSB) Load(p *sim.Proc) error {
-	s := y.Sessions[y.Cluster.Regions()[0]]
+	s := y.newSession(y.Cluster.Regions()[0])
 	ts := hlc.Timestamp{WallTime: 1} // before all measurement traffic
 	for i := 0; i < y.Cfg.RecordCount; i++ {
 		vals := map[string]sql.Datum{
@@ -274,10 +277,8 @@ func clientStream(c *cluster.Cluster, kind string, region simnet.Region, client 
 func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx int) error {
 	// Each client gets its own session (so rehoming uses its gateway)
 	// but clients in a region share the gateway node.
-	s := sql.NewSession(y.Cluster, y.Catalog, y.Cluster.GatewayFor(region))
-	s.Database = "ycsb"
-	s.AutoRehoming = y.Cfg.Rehoming
-	s.LocalityOptimizedSearch = !y.Cfg.DisableLOS
+	s := y.newSession(region)
+	ops := y.prepare(s)
 	s.Coord.SpannerCommitWait = y.Cfg.SpannerCommitWait
 	s.DisableOnePC = y.Cfg.DisableOnePC
 	// The manually partitioned baseline cannot enforce global uniqueness
@@ -323,11 +324,11 @@ func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx in
 		var err error
 		switch {
 		case isWrite && isInsert:
-			err = y.doInsert(p, s, region)
+			err = y.doInsert(p, ops, region)
 		case isWrite:
-			err = y.doUpdate(p, s, k, op)
+			err = y.doUpdate(p, ops, k, op)
 		default:
-			err = y.doRead(p, s, k)
+			err = y.doRead(p, ops, k)
 		}
 		lat := p.Now().Sub(start)
 		if isWrite {
@@ -347,28 +348,50 @@ func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx in
 	return nil
 }
 
-// whereForKey builds the WHERE clause; the manual baseline adds the
-// key's region, pinning the query to one partition (§7.2).
-func (y *YCSB) whereForKey(key int) *sql.Where {
-	conds := []sql.Cond{{Col: "ycsb_key", Op: sql.OpEq, Vals: []sql.Expr{&sql.Lit{Val: y.keyString(key)}}}}
-	if y.Cfg.BaselineManual && y.table.IsPartitioned() {
-		conds = append(conds, sql.Cond{
-			Col: sql.RegionColumnName, Op: sql.OpEq,
-			Vals: []sql.Expr{&sql.Lit{Val: string(y.regionOfKey(key))}},
-		})
-	}
-	return &sql.Where{Conds: conds}
+// ycsbOps are one session's prepared operations.
+type ycsbOps struct {
+	s                    *sql.Session
+	read, update, insert *sql.Prepared
 }
 
-func (y *YCSB) doRead(p *sim.Proc, s *sql.Session, key int) error {
-	sel := &sql.Select{
-		Table: ycsbTable,
-		Where: y.whereForKey(key),
+// prepare prepares the operations on s. The manual baseline adds the key's
+// region to every WHERE clause, pinning the query to one partition (§7.2).
+// On a table that is not REGIONAL BY ROW an update is a blind write, as the
+// CockroachDB YCSB harness issues: no read set, so contended writers bump
+// past each other (write-too-old) instead of serializing on refresh
+// restarts.
+func (y *YCSB) prepare(s *sql.Session) ycsbOps {
+	readPin, updatePin := "", ""
+	if y.pinned() {
+		readPin, updatePin = " AND crdb_region = $2", " AND crdb_region = $3"
 	}
+	asOf := ""
 	if y.Cfg.StaleReads {
-		sel.AsOf = &sql.AsOf{MaxStaleness: &sql.Lit{Val: ycsbMaxStaleness.String()}}
+		asOf = fmt.Sprintf(" AS OF SYSTEM TIME with_max_staleness('%s')", ycsbMaxStaleness)
 	}
-	res, err := s.ExecStmt(p, sel)
+	update := `UPDATE ` + ycsbTable + ` SET field0 = $2 WHERE ycsb_key = $1` + updatePin
+	if !y.table.IsPartitioned() {
+		update = `UPSERT INTO ` + ycsbTable + ` (ycsb_key, field0) VALUES ($1, $2)`
+	}
+	return ycsbOps{
+		s:      s,
+		read:   s.MustPrepare(`SELECT * FROM ` + ycsbTable + asOf + ` WHERE ycsb_key = $1` + readPin),
+		update: s.MustPrepare(update),
+		insert: s.MustPrepare(`INSERT INTO ` + ycsbTable + ` (ycsb_key, field0) VALUES ($1, $2)`),
+	}
+}
+
+// pinned reports whether the operations name their key's region.
+func (y *YCSB) pinned() bool { return y.Cfg.BaselineManual && y.table.IsPartitioned() }
+
+func (y *YCSB) doRead(p *sim.Proc, ops ycsbOps, key int) error {
+	var res *sql.Result
+	var err error
+	if y.pinned() {
+		res, err = ops.s.ExecPrepared(p, ops.read, y.keyString(key), string(y.regionOfKey(key)))
+	} else {
+		res, err = ops.s.ExecPrepared(p, ops.read, y.keyString(key))
+	}
 	if err != nil {
 		return err
 	}
@@ -378,48 +401,24 @@ func (y *YCSB) doRead(p *sim.Proc, s *sql.Session, key int) error {
 	return nil
 }
 
-func (y *YCSB) doUpdate(p *sim.Proc, s *sql.Session, key, op int) error {
-	if !y.table.IsPartitioned() {
-		// Blind write, as the CockroachDB YCSB harness issues: no read
-		// set, so contended writers bump past each other (write-too-old)
-		// instead of serializing on refresh restarts.
-		up := &sql.Insert{
-			Table:   ycsbTable,
-			Columns: []string{"ycsb_key", "field0"},
-			Rows: [][]sql.Expr{{
-				&sql.Lit{Val: y.keyString(key)},
-				&sql.Lit{Val: fmt.Sprintf("u%d", op)},
-			}},
-			Upsert: true,
-		}
-		_, err := s.ExecStmt(p, up)
-		return err
+func (y *YCSB) doUpdate(p *sim.Proc, ops ycsbOps, key, op int) error {
+	var err error
+	if y.pinned() {
+		_, err = ops.s.ExecPrepared(p, ops.update, y.keyString(key), fmt.Sprintf("u%d", op), string(y.regionOfKey(key)))
+	} else {
+		_, err = ops.s.ExecPrepared(p, ops.update, y.keyString(key), fmt.Sprintf("u%d", op))
 	}
-	up := &sql.Update{
-		Table: ycsbTable,
-		Set:   []sql.Assignment{{Col: "field0", Val: &sql.Lit{Val: fmt.Sprintf("u%d", op)}}},
-		Where: y.whereForKey(key),
-	}
-	_, err := s.ExecStmt(p, up)
 	return err
 }
 
-func (y *YCSB) doInsert(p *sim.Proc, s *sql.Session, region simnet.Region) error {
+func (y *YCSB) doInsert(p *sim.Proc, ops ycsbOps, region simnet.Region) error {
 	y.nextKey++
 	k := y.nextKey
 	if y.Cfg.RegionPrefixedKeys {
 		// The inserting client homes the key in its own region.
 		y.insertedRegion[k] = region
 	}
-	in := &sql.Insert{
-		Table:   ycsbTable,
-		Columns: []string{"ycsb_key", "field0"},
-		Rows: [][]sql.Expr{{
-			&sql.Lit{Val: y.keyString(k)},
-			&sql.Lit{Val: fmt.Sprintf("i%d", k)},
-		}},
-	}
-	_, err := s.ExecStmt(p, in)
+	_, err := ops.s.ExecPrepared(p, ops.insert, y.keyString(k), fmt.Sprintf("i%d", k))
 	return err
 }
 
