@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"fmt"
 	"testing"
 
 	"mrdb/internal/hlc"
@@ -200,5 +201,28 @@ func TestSQLTrafficInEveryConfiguration(t *testing.T) {
 		if !rep.OK() {
 			t.Errorf("%+v: invariants violated:\n%s", opts, rep)
 		}
+	}
+}
+
+// TestLogDecidesEveryProposal runs the seeds whose failures were traced to a
+// proposal resolved by something other than its range's log, or to a log
+// position a read did not wait for, and requires every invariant of each:
+//   - seed 20: a step-down failed a pipelined write and released its latch,
+//     the next leader committed the write, and a bank audit read 805 of 800;
+//   - seed 59: r1 answered "not leaseholder" for the rest of the run;
+//   - seed 223: a leaseholder that had proposed a lease transfer evaluated a
+//     write behind it, and the new leaseholder, serving from the transfer's
+//     position, returned a locking read without that write.
+func TestLogDecidesEveryProposal(t *testing.T) {
+	for _, seed := range []int64{20, 59, 223} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rep, err := Run(Options{Seed: seed, Faults: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Errorf("invariants violated:\n%s", rep)
+			}
+		})
 	}
 }

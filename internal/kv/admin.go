@@ -153,7 +153,10 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 		ClosedTS:   r.closed.issued,
 		LeaseEpoch: epoch,
 	}
-	if err := r.propose(p, cmd); err != nil {
+	r.transferring = true
+	err = r.propose(p, cmd)
+	r.transferring = false
+	if err != nil {
 		return err
 	}
 	r.raft.TransferLeadership(target)

@@ -1,22 +1,25 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
 
+	"mrdb/internal/raft"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/zones"
 )
 
 // TestRelocateAgainAfterFailedConfChange fails a conf change in the middle of
-// a relocation — n2 campaigns, so the leaseholder's proposals die with its
-// leadership — and relocates again once n2 has handed leadership back. The
-// failed attempt leaves the descriptor as it was, so the second attempt starts
-// over at "create the new replicas", and used to die there on the replica the
-// first had left behind (panic: replica of r1 already on n4). Two ways to
-// leave one:
+// a relocation — the leaseholder is cut off while the change is in flight and
+// n2 campaigns, so n2's first entry overwrites the change in the
+// leaseholder's log — and relocates again once n2 has handed leadership back.
+// The failed attempt leaves the descriptor as it was, so the second attempt
+// starts over at "create the new replicas", and used to die there on the
+// replica the first had left behind (panic: replica of r1 already on n4). Two
+// ways to leave one:
 //
 //   - the replica's own AddLearner fails: nothing but the relocation knows
 //     the replica, and it must be gone afterwards;
@@ -26,7 +29,9 @@ func TestRelocateAgainAfterFailedConfChange(t *testing.T) {
 	grown := zones.Placement{Voters: []simnet.NodeID{1, 2, 3, 4, 5}, Leaseholder: 1}
 	for _, c := range []struct {
 		name string
-		// strike reports when n2 should campaign, given the leader's replica.
+		// strike reports when n2 should campaign, given the leader's replica:
+		// the conf change that is to fail has been proposed and has reached
+		// no other replica yet.
 		strike func(h *recoveryHarness, r1 *Replica) bool
 		// left lists the new replicas the failed attempt must leave in place.
 		left []simnet.NodeID
@@ -51,15 +56,22 @@ func TestRelocateAgainAfterFailedConfChange(t *testing.T) {
 				for !c.strike(h, r1) {
 					p.Sleep(100 * sim.Microsecond)
 				}
+				for id := simnet.NodeID(2); id <= 5; id++ {
+					h.net.Partition(1, id)
+				}
 				r2.raft.Campaign()
+				p.Sleep(100 * sim.Millisecond)
+				for id := simnet.NodeID(2); id <= 5; id++ {
+					h.net.Heal(1, id)
+				}
 			})
 			var failed error
 			h.run(t, 10*sim.Second, func(p *sim.Proc) error {
 				failed = h.admin.Relocate(p, desc.RangeID, grown, ClosedTSLag, nil)
 				return nil
 			})
-			if failed == nil {
-				t.Fatal("relocation survived losing leadership")
+			if !errors.Is(failed, raft.ErrProposalDropped) {
+				t.Fatalf("relocation returned %v, want its overwritten conf change dropped", failed)
 			}
 			var left []simnet.NodeID
 			for _, id := range []simnet.NodeID{4, 5} {

@@ -61,6 +61,10 @@ type Replica struct {
 	leaseEpoch int64
 	// leaseAcqActive guards against concurrent lease-acquisition loops.
 	leaseAcqActive bool
+	// transferring is set while a lease transfer this replica proposed is
+	// undecided: it fences the lease (hasValidLease), so nothing lands in the
+	// log behind the transfer and no promise exceeds the floor it hands on.
+	transferring bool
 	// ckptSize is the length of this replica's latest checkpoint blob; it
 	// sizes the buffer the next checkpoint or snapshot is built in.
 	ckptSize int
@@ -97,9 +101,10 @@ func (r *Replica) isLeaseholder() bool {
 // node must believe its own liveness record is current and the lease's
 // epoch must match — if a peer bumped our epoch after our record expired,
 // the lease is fenced and another replica may already hold a new one
-// (CockroachDB's epoch-based lease invalidation).
+// (CockroachDB's epoch-based lease invalidation). A lease being transferred
+// away is not usable either.
 func (r *Replica) hasValidLease() bool {
-	if !r.isLeaseholder() {
+	if !r.isLeaseholder() || r.transferring {
 		return false
 	}
 	if r.store.liveness == nil {
@@ -521,9 +526,8 @@ type pipelinedWrite struct {
 
 // releaseOne releases the latch of the earliest resolved pipelined write.
 // It runs once per resolution, in the event the resolution queued (Future
-// Notify) — when the write's entry applies here or its proposal fails — and
-// resolutions come in proposal order, so it frees exactly the write whose
-// resolution queued it.
+// Notify) — when the write's entry applies here or the log drops it — so the
+// writes it frees are exactly the resolved ones.
 func (r *Replica) releaseOne() {
 	for i, w := range r.pipelined {
 		if w.f.Done() {
@@ -568,11 +572,6 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 	}
 	cmd := Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, ClosedTS: target}
 	if err := r.propose(p, cmd); err != nil {
-		// The entry entered the log and leadership was lost with it in
-		// flight (raft.ErrLeadershipLost): the record says committed, the
-		// value may or may not apply. Closing that corner needs the record
-		// to live in the range's log (ROADMAP "crash-honest transaction
-		// records"); until then the coordinator sees the error.
 		return Response{Err: err}
 	}
 	return Response{Put: &PutResponse{WriteTimestamp: ts, Committed: true}}
@@ -1020,7 +1019,7 @@ func (r *Replica) onLeaderChange(leader simnet.NodeID, _ uint64) {
 	if leader != r.store.NodeID || r.store.liveness == nil {
 		return
 	}
-	if r.hasValidLease() || r.leaseAcqActive {
+	if r.hasValidLease() || r.leaseAcqActive || r.transferring {
 		return
 	}
 	r.startLeaseAcquisition()
@@ -1033,7 +1032,7 @@ func (r *Replica) onLeaderChange(leader simnet.NodeID, _ uint64) {
 // of that region: no leader change comes to start an acquisition
 // (onLeaderChange), and the range would stay without a usable lease.
 func (r *Replica) reclaimFencedLease() {
-	if r.raft.IsLeader() && r.isLeaseholder() && r.store.liveness != nil && r.store.SelfLive() && !r.leaseAcqActive {
+	if r.raft.IsLeader() && r.isLeaseholder() && r.store.liveness != nil && r.store.SelfLive() && !r.leaseAcqActive && !r.transferring {
 		r.startLeaseAcquisition()
 	}
 }
@@ -1160,12 +1159,22 @@ func (r *Replica) engineFor(key mvcc.Key) *mvcc.Engine {
 }
 
 // heartbeatPayload is the closed-timestamp promise the leader attaches to
-// each append, the side transport of paper §5.1.1 (zero: none). A leader
-// that finds its own lease fenced here reclaims it.
-func (r *Replica) heartbeatPayload() hlc.Timestamp {
+// each append, the side transport of paper §5.1.1 (zero: none), with the log
+// position it covers: the highest uncommitted entry a read at or below the
+// promise could see — any but a write above it — or the commit index if there
+// is none. A follower uses the promise once it has applied through that
+// position, so no write below the promise that can still commit is missing
+// from it. A leader that finds its own lease fenced here reclaims it.
+func (r *Replica) heartbeatPayload(uncommitted []raft.Entry) (hlc.Timestamp, uint64) {
 	if !r.hasValidLease() {
 		r.reclaimFencedLease()
-		return hlc.Timestamp{}
+		return hlc.Timestamp{}, 0
 	}
-	return r.closed.issue(r.store.Clock.Now())
+	closed := r.closed.issue(r.store.Clock.Now())
+	for i := len(uncommitted) - 1; i >= 0; i-- {
+		if cmd, ok := uncommitted[i].Data.(Command); !ok || cmd.Kind != CmdPut || !closed.Less(cmd.Ts) {
+			return closed, uncommitted[i].Index
+		}
+	}
+	return closed, r.raft.CommitIndex()
 }

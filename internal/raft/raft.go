@@ -92,7 +92,10 @@ type Message struct {
 	Success      bool
 	MatchIndex   uint64
 	// Closed is the leader's closed-timestamp promise (§5.1.1); zero: none.
-	Closed hlc.Timestamp
+	// ClosedIndex is the log position it covers: a follower uses the
+	// promise only once it has applied through that index.
+	Closed      hlc.Timestamp
+	ClosedIndex uint64
 
 	// Snapshot install (leader → peer whose needed entries were compacted
 	// away). Snapshot is opaque to raft: the bytes the leader's
@@ -228,9 +231,12 @@ type Config struct {
 	Apply func(e Entry)
 	// OnLeaderChange fires when this node learns of a new leader.
 	OnLeaderChange func(leader simnet.NodeID, term uint64)
-	// HeartbeatPayload, if set on the leader, gives each append's Closed.
-	HeartbeatPayload func() hlc.Timestamp
-	// OnHeartbeat, if set, receives a non-zero Closed on followers/learners.
+	// HeartbeatPayload, if set on the leader, gives each append's Closed and
+	// ClosedIndex, given the entries past the commit index. It must not
+	// retain uncommitted.
+	HeartbeatPayload func(uncommitted []Entry) (closed hlc.Timestamp, index uint64)
+	// OnHeartbeat, if set, receives a non-zero Closed on followers/learners
+	// once this replica has applied through its ClosedIndex.
 	OnHeartbeat func(closed hlc.Timestamp)
 
 	// Storage persists hard state and log entries; promises to peers
@@ -257,9 +263,9 @@ func (e *ErrNotLeader) Error() string {
 	return fmt.Sprintf("raft: not leader (known leader: n%d)", e.Leader)
 }
 
-// ErrLeadershipLost fails proposals that were in flight when the leader
-// stepped down; the command may or may not eventually commit.
-var ErrLeadershipLost = fmt.Errorf("raft: leadership lost with proposal in flight")
+// ErrProposalDropped fails a proposal whose entry this replica's log discarded
+// (a conflicting append, a snapshot install) or whose node stopped.
+var ErrProposalDropped = fmt.Errorf("raft: this replica will not see the entry apply; it may or may not have committed")
 
 // ProposeResult reports the fate of a proposal.
 type ProposeResult struct {
@@ -329,10 +335,14 @@ type Node struct {
 	// Leader state: one progress per replica (self included, for match),
 	// rebuilt by becomeLeader.
 	progress map[simnet.NodeID]*progress
-	// pending holds the futures of the proposals in flight, in index
-	// order: applyCommitted pops the head as its entry applies and
-	// failPending fails them all in order.
+	// pending holds the futures of the proposals in flight, in index order.
+	// Only this replica's log resolves them, never its role: applyCommitted
+	// pops the head as its entry applies and dropFrom fails a suffix.
 	pending []proposal
+	// promised holds closed-timestamp promises received before this replica
+	// applied through their index: [0] the oldest, kept until its index
+	// applies, and [1] the latest since, which a later one replaces.
+	promised [2]promise
 	// applying is set while applyCommitted runs.
 	applying bool
 
@@ -372,6 +382,12 @@ type proposal struct {
 	f     *sim.Future[ProposeResult]
 }
 
+// promise is a closed timestamp and the log index it covers.
+type promise struct {
+	closed hlc.Timestamp
+	index  uint64
+}
+
 // NewNode constructs a replica. If the node appears in cfg.Learners it
 // starts as a Learner, otherwise as a Follower. Call Start to arm timers.
 func NewNode(cfg Config) *Node {
@@ -405,10 +421,10 @@ func (n *Node) Start() {
 	n.scheduleElectionCheck()
 }
 
-// Stop halts timers and fails pending proposals.
+// Stop halts timers and drops pending proposals.
 func (n *Node) Stop() {
 	n.stopped = true
-	n.failPending()
+	n.dropFrom(0)
 }
 
 // --- Introspection ---
@@ -621,7 +637,6 @@ func (n *Node) becomeLeader() {
 }
 
 func (n *Node) stepDown(term uint64, leader simnet.NodeID) {
-	wasLeader := n.role == Leader
 	if term > n.term {
 		n.term = term
 		n.votedFor = 0
@@ -635,18 +650,16 @@ func (n *Node) stepDown(term uint64, leader simnet.NodeID) {
 			n.cfg.OnLeaderChange(leader, n.term)
 		}
 	}
-	if wasLeader {
-		n.failPending()
-	}
 }
 
-// failPending fails every proposal in flight, in index order.
-func (n *Node) failPending() {
-	for _, p := range n.pending {
-		p.f.Set(ProposeResult{Index: p.index, Err: ErrLeadershipLost})
+// dropFrom fails the proposals from index on, whose entries will not apply.
+func (n *Node) dropFrom(index uint64) {
+	i := sort.Search(len(n.pending), func(j int) bool { return n.pending[j].index >= index })
+	for _, p := range n.pending[i:] {
+		p.f.Set(ProposeResult{Index: p.index, Err: ErrProposalDropped})
 	}
-	clear(n.pending)
-	n.pending = n.pending[:0]
+	clear(n.pending[i:])
+	n.pending = n.pending[:i]
 }
 
 // SetHeartbeatInterval retunes the leader's append/heartbeat cadence (the kv
@@ -723,7 +736,7 @@ func (n *Node) appendLocal(e Entry) uint64 {
 }
 
 // Propose replicates data, returning a future resolved once the entry
-// commits and applies on this leader (or fails on leadership loss).
+// applies on this replica, or fails once this replica's log discards it.
 func (n *Node) Propose(data interface{}) (*sim.Future[ProposeResult], error) {
 	return n.proposeEntry(Entry{Data: data})
 }
@@ -788,7 +801,7 @@ func (n *Node) sendAppend(to simnet.NodeID) {
 		Entries: n.log[lo:hi:hi], LeaderCommit: n.commitIndex,
 	}
 	if n.cfg.HeartbeatPayload != nil {
-		msg.Closed = n.cfg.HeartbeatPayload()
+		msg.Closed, msg.ClosedIndex = n.cfg.HeartbeatPayload(n.log[n.commitIndex-n.offset()+1:])
 	}
 	n.send(to, msg)
 }
@@ -870,6 +883,30 @@ func (n *Node) applyCommitted() {
 		}
 	}
 	n.applying = false
+	n.deliverPromises()
+}
+
+// receivePromise takes a leader's closed-timestamp promise. One this replica
+// has applied far enough to use supersedes any held before it.
+func (n *Node) receivePromise(p promise) {
+	switch {
+	case n.applied >= p.index:
+		n.promised = [2]promise{p}
+	case n.promised[0].closed.IsEmpty():
+		n.promised[0] = p
+	default:
+		n.promised[1] = p
+	}
+	n.deliverPromises()
+}
+
+// deliverPromises hands OnHeartbeat, in order, every held promise whose index
+// this replica has applied.
+func (n *Node) deliverPromises() {
+	for !n.promised[0].closed.IsEmpty() && n.applied >= n.promised[0].index {
+		n.cfg.OnHeartbeat(n.promised[0].closed)
+		n.promised = [2]promise{n.promised[1]}
+	}
 }
 
 func (n *Node) applyConfChange(cc ConfChange) {
@@ -893,9 +930,6 @@ func (n *Node) applyConfChange(cc ConfChange) {
 				n.role = Follower
 			}
 		case AddLearner, RemoveVoter:
-			if n.role == Leader {
-				n.failPending()
-			}
 			n.role = Learner
 		}
 	}
@@ -1033,6 +1067,7 @@ func (n *Node) handleApp(msg Message) {
 			// Copy-on-truncate: this log may back appends still in flight
 			// from when this node led, so the overwrite goes to a new array.
 			n.log = n.log[:cut:cut]
+			n.dropFrom(appended[0].Index)
 			if n.durableIndex > n.LastIndex() {
 				n.durableIndex = n.LastIndex()
 			}
@@ -1044,7 +1079,7 @@ func (n *Node) handleApp(msg Message) {
 		n.applyCommitted()
 	}
 	if n.cfg.OnHeartbeat != nil && !msg.Closed.IsEmpty() {
-		n.cfg.OnHeartbeat(msg.Closed)
+		n.receivePromise(promise{msg.Closed, msg.ClosedIndex})
 	}
 	// An empty append that matched needs no answer. The leader sends one
 	// only when its next for this peer is past its log end, which only this
@@ -1097,6 +1132,8 @@ func (n *Node) handleSnap(msg Message) {
 	n.commitIndex = msg.SnapIndex
 	n.applied = msg.SnapIndex
 	n.durableIndex = msg.SnapIndex
+	n.dropFrom(0)
+	n.deliverPromises()
 	// ApplySnapshot persisted the checkpoint; now the durable log is reset
 	// around it (both atomic, so the ack below is safe).
 	n.cfg.Storage.Reset(msg.SnapIndex, msg.SnapTerm, HardState{Term: n.term, Vote: n.votedFor})
@@ -1181,6 +1218,11 @@ func (n *Node) handleAppResp(msg Message) {
 			pr.next = msg.MatchIndex + 1
 		}
 		n.maybeCommit()
+		// The commit may have applied a conf change that removed the peer,
+		// or this leader.
+		if pr = n.progress[msg.From]; pr == nil || n.role != Leader {
+			return
+		}
 		// Every proposal already shipped itself, so an ack answers with
 		// another append only when entries were never sent: after a reject,
 		// a snapshot, or a send truncated at maxBatch. Re-sending whenever

@@ -409,11 +409,11 @@ func TestHeartbeatPayloadDelivery(t *testing.T) {
 		}
 		if id == 1 {
 			// Every third append carries no promise.
-			cfg.HeartbeatPayload = func() hlc.Timestamp {
+			cfg.HeartbeatPayload = func([]Entry) (hlc.Timestamp, uint64) {
 				if seq++; seq%3 == 0 {
-					return hlc.Timestamp{}
+					return hlc.Timestamp{}, 0
 				}
-				return hlc.Timestamp{WallTime: seq}
+				return hlc.Timestamp{WallTime: seq}, 0
 			}
 		}
 		n := NewNode(cfg)
@@ -1074,5 +1074,124 @@ func TestQuorumShrinkingConfChangeResolvesLaterProposals(t *testing.T) {
 		if !f.Done() {
 			t.Fatalf("write %d applied but its proposal never resolved", i)
 		}
+	}
+}
+
+// TestPromiseWaitsForItsIndex: a follower uses a closed-timestamp promise only
+// once it has applied through the index the promise covers. Here the leader's
+// promises cover its uncommitted entries, and no ack reaches it, so nothing
+// commits: node 3 receives every promise and may use none until the acks flow
+// again and the entries apply.
+func TestPromiseWaitsForItsIndex(t *testing.T) {
+	h := newLinkHarness(t, 12, []simnet.NodeID{1, 2, 3}, nil, linkDelay, beat)
+	l := h.elect(t)
+	covers := map[int64]uint64{}
+	l.cfg.HeartbeatPayload = func(uncommitted []Entry) (hlc.Timestamp, uint64) {
+		closed := hlc.Timestamp{WallTime: int64(h.s.Now())}
+		covers[closed.WallTime] = l.CommitIndex()
+		if len(uncommitted) > 0 {
+			covers[closed.WallTime] = uncommitted[len(uncommitted)-1].Index
+		}
+		return closed, covers[closed.WallTime]
+	}
+	f3 := h.nodes[3]
+	var used []int64
+	f3.cfg.OnHeartbeat = func(closed hlc.Timestamp) {
+		if f3.Applied() < covers[closed.WallTime] {
+			t.Errorf("promise %d used at applied index %d, it covers %d", closed.WallTime, f3.Applied(), covers[closed.WallTime])
+		}
+		used = append(used, closed.WallTime)
+	}
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool { return msg.Kind == MsgAppResp }
+	if _, err := l.Propose("w"); err != nil {
+		t.Fatal(err)
+	}
+	h.s.RunFor(4 * beat)
+	if l.CommitIndex() == l.LastIndex() || len(used) != 0 {
+		t.Fatalf("setup: commit %d of %d; node 3 used %d promises", l.CommitIndex(), l.LastIndex(), len(used))
+	}
+	h.intercept = nil
+	h.s.RunFor(4 * beat)
+	if len(used) == 0 || f3.Applied() != l.LastIndex() {
+		t.Fatalf("node 3 applied %d of %d and used %d promises", f3.Applied(), l.LastIndex(), len(used))
+	}
+}
+
+// TestProposalOutlivesStepDown: a leader's step-down resolves none of its
+// proposals; only its log does. One entry reached a follower, which takes
+// over and commits it, and the deposed leader's proposal succeeds when the
+// entry applies there. The entries that reached no one are overwritten by
+// the new leader's, and exactly those proposals fail.
+func TestProposalOutlivesStepDown(t *testing.T) {
+	h := newLinkHarness(t, 13, []simnet.NodeID{1, 2, 3}, nil, linkDelay, 30*sim.Second)
+	old := h.elect(t)
+	// Node 2 receives the first entry; its ack and everything after it are
+	// lost.
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool {
+		if from == 1 && to == 2 && msg.Kind == MsgApp && len(msg.Entries) > 0 && msg.Entries[len(msg.Entries)-1].Data == "kept" {
+			return false
+		}
+		return from == 1 || to == 1
+	}
+	results := make([]*ProposeResult, 3)
+	for i, v := range []string{"kept", "lost1", "lost2"} {
+		f, err := old.Propose(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.s.Spawn("waiter", func(p *sim.Proc) {
+			res := f.Wait(p)
+			results[i] = &res
+		})
+	}
+	h.s.RunFor(sim.Second)
+	h.nodes[2].Campaign()
+	h.s.RunFor(sim.Second)
+	if !h.nodes[2].IsLeader() {
+		t.Fatal("setup: node 2 did not take over")
+	}
+	h.intercept = nil
+	old.Step(Message{Kind: MsgVote, Term: h.nodes[2].Term(), From: 2, LastLogIndex: h.nodes[2].LastIndex(), LastLogTerm: h.nodes[2].Term()})
+	if old.IsLeader() {
+		t.Fatal("setup: node 1 still leads")
+	}
+	h.s.RunFor(sim.Millisecond)
+	for i, res := range results {
+		if res != nil {
+			t.Fatalf("proposal %d resolved on the step-down: %+v", i, *res)
+		}
+	}
+	if _, err := h.nodes[2].Propose("next"); err != nil {
+		t.Fatal(err)
+	}
+	h.s.RunFor(sim.Second)
+	for i, want := range []error{nil, ErrProposalDropped, ErrProposalDropped} {
+		if res := results[i]; res == nil || res.Err != want {
+			t.Fatalf("proposal %d resolved to %+v, want error %v", i, res, want)
+		}
+	}
+}
+
+// TestRemovedPeerAckCommitsItsOwnRemoval: a peer's ack commits the conf
+// change that removes it, while the leader still has entries it never sent
+// that peer. The commit forgets the peer's progress, and the ack must not
+// then answer with an append to it.
+func TestRemovedPeerAckCommitsItsOwnRemoval(t *testing.T) {
+	h := newLinkHarness(t, 14, []simnet.NodeID{1, 2, 3}, nil, linkDelay, 0)
+	l := h.elect(t)
+	h.intercept = func(from, to simnet.NodeID, msg Message) bool { return from == 2 || to == 2 }
+	if _, err := l.ProposeConfChange(ConfChange{Type: RemoveVoter, Node: 3}); err != nil {
+		t.Fatal(err)
+	}
+	// More entries than one append carries: node 3's first ack commits the
+	// removal while the tail was never sent to it.
+	for i := 0; i < maxBatch+8; i++ {
+		if _, err := l.Propose(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	h.s.RunFor(sim.Second)
+	if !l.IsLeader() || l.IsVoter(3) || l.progress[3] != nil {
+		t.Fatalf("leader %v, node 3 voter %v with progress %+v", l.IsLeader(), l.IsVoter(3), l.progress[3])
 	}
 }

@@ -1,14 +1,12 @@
 package txn_test
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"mrdb/internal/cluster"
 	"mrdb/internal/kv"
 	"mrdb/internal/mvcc"
-	"mrdb/internal/raft"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
@@ -261,18 +259,23 @@ func TestLostPipelinedWriteRestarts(t *testing.T) {
 	})
 }
 
-// TestLeadershipLostWriteBlocksCommit: a write that replicates first can fail
-// after its entry is in the log. From us-east1, a transaction writes its
-// record key k/a and then INSERTs z/a on a europe-west2 ZONE range, where the
-// write replicates first. Once z/'s leaseholder has proposed the entry, its
-// followers' acks are dropped and it hands Raft leadership to one of them; the
-// new leader has the entry and commits it, and when the old one hears of the
-// new term it fails the pending proposal, so the statement returns
-// raft.ErrLeadershipLost although its write applied. The transaction must
-// then refuse to commit, and its abort must remove the intent: a coordinator
-// that took the error for a refusal would commit without z/a among its
-// writes, and the next reader of z/a would resolve the intent as committed —
-// a statement reported as failed would be applied.
+// TestLeadershipLostWriteBlocksCommit: a write that replicates first is
+// decided by its range's log, not by its leaseholder's leadership, and one
+// whose statement fails after it applied blocks the commit. From us-east1, a
+// transaction writes its record key k/a and then INSERTs z/a on a
+// europe-west2 ZONE range, where the write replicates first. Once z/'s
+// leaseholder has proposed the entry, its followers' acks are dropped and it
+// hands Raft leadership to one of them; the new leader has the entry and
+// commits it. The step-down resolves nothing: the statement returns once the
+// entry applies on the old leader, and the transaction commits z/a.
+//
+// A second transaction's INSERT of z/b applies too, but no reply from z/'s
+// replicas reaches the gateway until the sender gives up, so the statement
+// fails. The transaction must then refuse to commit, and its abort must
+// remove the intent: a coordinator that took the error for a refusal would
+// commit without z/b among its writes, and the next reader of z/b would
+// resolve the intent as committed — a statement reported as failed would be
+// applied.
 func TestLeadershipLostWriteBlocksCommit(t *testing.T) {
 	h := newHarness(t, 55)
 	z := h.homedRange(t, "z/", "z0", simnet.EuropeW2, nil, kv.ClosedTSLag)
@@ -290,7 +293,7 @@ func TestLeadershipLostWriteBlocksCommit(t *testing.T) {
 				next, _ = h.c.Stores[v].Replica(z.RangeID)
 			}
 		}
-		proposed := rep.Raft().LastIndex()
+		proposed, term := rep.Raft().LastIndex(), rep.Raft().Term()
 		h.c.Sim.Spawn("transfer", func(wp *sim.Proc) {
 			for rep.Raft().LastIndex() == proposed {
 				wp.Sleep(sim.Millisecond)
@@ -308,26 +311,50 @@ func TestLeadershipLostWriteBlocksCommit(t *testing.T) {
 				}
 			}
 		})
-		err := tx.PutParallel(p, writesOf("z/a"), []bool{true})
-		if !errors.Is(err, raft.ErrLeadershipLost) {
-			t.Fatalf("INSERT of z/a returned %v, want %v", err, raft.ErrLeadershipLost)
+		if err := tx.PutParallel(p, writesOf("z/a"), []bool{true}); err != nil {
+			t.Fatalf("INSERT of z/a across its leaseholder's step-down: %v", err)
 		}
-		p.Sleep(sim.Second)
-		if !appliedAt(next, tx, "z/a") {
-			t.Fatal("setup: the new leader did not apply the write whose statement failed")
+		if rep.Raft().Term() == term {
+			t.Fatal("setup: z/'s leadership never changed hands")
 		}
-		if err := tx.Commit(p); err == nil {
+		if err := tx.Commit(p); err != nil {
+			t.Fatalf("commit after the step-down: %v", err)
+		}
+		if v := h.readBack(t, p, "z/a"); string(v) != "v-z/a" {
+			t.Errorf("z/a = %q after the commit, want v-z/a", v)
+		}
+
+		tx2 := co.Begin(0)
+		if err := tx2.PutParallel(p, writesOf("k/b"), []bool{true}); err != nil {
+			t.Fatal(err)
+		}
+		gw := co.Sender.NodeID
+		for _, id := range z.Replicas() {
+			h.c.Net.PartitionOneWay(id, gw)
+		}
+		err := tx2.PutParallel(p, writesOf("z/b"), []bool{true})
+		for _, id := range z.Replicas() {
+			h.c.Net.HealOneWay(id, gw)
+		}
+		if err == nil {
+			t.Fatal("setup: INSERT of z/b succeeded with every reply lost")
+		}
+		d, _ := h.c.Catalog.LookupByID(z.RangeID)
+		if r, _ := h.c.Stores[d.Leaseholder].Replica(z.RangeID); !appliedAt(r, tx2, "z/b") {
+			t.Fatalf("setup: the write whose statement failed (%v) did not apply", err)
+		}
+		if err := tx2.Commit(p); err == nil {
 			t.Fatal("the transaction committed after a write that may have applied failed")
 		}
 		p.Sleep(sim.Second)
 		for _, id := range z.Replicas() {
 			r, _ := h.c.Stores[id].Replica(z.RangeID)
-			if meta, ok := r.EngineForBulkLoad().GetIntent(mvcc.Key("z/a")); ok {
-				t.Errorf("n%d still holds the aborted transaction's intent on z/a (txn %d)", id, meta.ID)
+			if meta, ok := r.EngineForBulkLoad().GetIntent(mvcc.Key("z/b")); ok {
+				t.Errorf("n%d still holds the aborted transaction's intent on z/b (txn %d)", id, meta.ID)
 			}
 		}
-		if v := h.readBack(t, p, "z/a"); v != nil {
-			t.Errorf("z/a = %q after the abort, want no value", v)
+		if v := h.readBack(t, p, "z/b"); v != nil {
+			t.Errorf("z/b = %q after the abort, want no value", v)
 		}
 	})
 }

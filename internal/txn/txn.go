@@ -698,9 +698,8 @@ func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own i
 // mayHaveLanded reports whether a write that failed with err may still
 // apply. Only a refusal on evaluation — a failed condition, a conflicting
 // intent, an aborted or restarting transaction — says that nothing was
-// proposed. A write replicated before its reply can fail after its entry is
-// in the log (raft.ErrLeadershipLost: the next leader may still commit it),
-// and a send that gave up may have lost the reply to an attempt that landed.
+// proposed. A send that gave up may have lost the reply to an attempt that
+// landed.
 func mayHaveLanded(err error) bool {
 	var cf *kv.ConditionFailedError
 	var wi *mvcc.WriteIntentError
