@@ -252,8 +252,8 @@ func TestStaleRouteAfterMerge(t *testing.T) {
 		if resp.Err == nil || !errors.As(resp.Err, &rkm) {
 			t.Errorf("stale route: err = %v, want RangeKeyMismatchError", resp.Err)
 		}
-		if resp.Get != nil {
-			t.Errorf("stale route returned data: %v", resp.Get)
+		if resp.Get.ServedBy != 0 {
+			t.Errorf("stale route returned data: %+v", resp.Get)
 		}
 		// The DistSender path (fresh catalog lookup + mismatch retry) serves
 		// the post-merge value.

@@ -54,7 +54,8 @@ type DistSender struct {
 	Retries          int64
 	FollowerMisses   int64
 	LeaseholderHints int64
-	// Batches counts SendBatch calls; BatchedReqs the requests they carried.
+	// Batches counts the batches SendBatchInto routed; BatchedReqs the
+	// requests they carried.
 	Batches     int64
 	BatchedReqs int64
 	// WANRPCs counts attempts routed to a node in another region; sessions
@@ -203,16 +204,31 @@ func (ds *DistSender) Send(p *sim.Proc, req interface{}) Response {
 	return out[0]
 }
 
-// SendBatch routes a batch of point requests: it groups them by range
-// descriptor, dispatches one RPC per touched range in parallel (virtual
-// latency is the max over ranges, not the sum), and returns responses in
-// request order. Unroutable requests get per-slot errors; the rest of the
-// batch still dispatches.
+// SendBatch is SendBatchInto with a result slice of its own, which it
+// returns.
 func (ds *DistSender) SendBatch(p *sim.Proc, reqs []interface{}) []Response {
 	if len(reqs) == 0 {
 		return nil
 	}
 	out := make([]Response, len(reqs))
+	ds.SendBatchInto(p, reqs, out)
+	return out
+}
+
+// SendBatchInto routes a batch of point requests: it groups them by range
+// descriptor, dispatches one RPC per touched range in parallel (virtual
+// latency is the max over ranges, not the sum), and writes the responses into
+// out, which must be as long as reqs: out[i] answers reqs[i]. Unroutable
+// requests get per-slot errors; the rest of the batch still dispatches.
+//
+// out is the caller's space, a stack array for instance: the sender writes it
+// only before it returns, copying each reply out of an envelope whose reply
+// landed. A replica never answers into it, so an attempt that timed out and
+// answers later cannot reach it.
+func (ds *DistSender) SendBatchInto(p *sim.Proc, reqs []interface{}, out []Response) {
+	if len(reqs) == 0 {
+		return
+	}
 	sp, finish := ds.Tracer.StartIn(p, "ds.batch")
 	defer finish()
 	if sp != nil {
@@ -226,7 +242,6 @@ func (ds *DistSender) SendBatch(p *sim.Proc, reqs []interface{}) []Response {
 		ds.Metrics.Histogram("ds.batch.size").Record(int64(len(reqs)))
 		ds.Metrics.Histogram("ds.batch.ranges").Record(int64(ranges))
 	}
-	return out
 }
 
 // sendBatchInner splits reqs into per-range groups (first-occurrence
@@ -411,7 +426,8 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, out []Respons
 		// write lays down the same intent, and a MustNotExist write is
 		// satisfied by the intent its first attempt laid).
 		retriable := false
-		for _, resp := range resps {
+		for i := range resps {
+			resp := &resps[i]
 			if resp.Err == nil {
 				// Before the errors.As targets below, which escape: three
 				// objects per successful response otherwise.
@@ -725,7 +741,7 @@ func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
 	if ds.Metrics != nil {
 		ds.Metrics.Histogram("ds.scan.ranges").Record(int64(ranges))
 	}
-	return Response{Scan: &ScanResponse{Rows: rows, ServedBy: served}}
+	return Response{Scan: ScanResponse{Rows: rows, ServedBy: served}}
 }
 
 // NegotiateBoundedStaleness implements the two-phase bounded staleness

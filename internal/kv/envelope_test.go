@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -112,8 +113,11 @@ func TestDroppedRaftMessageIsNotPooledTwice(t *testing.T) {
 // Its envelope is left to the collector: the retry, which goes to the new
 // leaseholder once the lease moved, travels in another envelope and returns
 // the right values, and the cut-off replica, which answers into the old
-// envelope once the partition heals, reaches nobody. Putting the envelope
-// back at the timeout would hand it to the retry.
+// envelope once the partition heals, reaches nobody: neither the envelope
+// pool nor the result space the caller sent the batch into, which keeps the
+// retry's answers. Putting the envelope back at the timeout would hand it to
+// the retry; answering into the caller's space would let the late reply
+// overwrite them.
 func TestTimedOutEnvelopeIsNeverReused(t *testing.T) {
 	h := newRecoveryHarness(t, 4, 0)
 	h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
@@ -145,14 +149,15 @@ func TestTimedOutEnvelopeIsNeverReused(t *testing.T) {
 			st.handleMessage(m)
 		})
 	}
-	var resps []Response
+	var resps [2]Response // the caller's result space
 	h.run(t, 40*sim.Second, func(p *sim.Proc) error {
-		resps = ds.SendBatch(p, []interface{}{
+		ds.SendBatchInto(p, []interface{}{
 			&PutRequest{Key: mvcc.Key("k1"), Value: mvcc.Value("v1"), Timestamp: clock.Now()},
 			&GetRequest{Key: mvcc.Key("k2"), Timestamp: clock.Now()},
-		})
+		}, resps[:])
 		return nil
 	})
+	answered := fmt.Sprintf("%+v", resps)
 	if stale == nil {
 		t.Fatal("setup: the batch never reached n1")
 	}
@@ -177,6 +182,9 @@ func TestTimedOutEnvelopeIsNeverReused(t *testing.T) {
 	h.s.RunFor(20 * sim.Second)
 	if len(stale.Resps) != 2 || stale.Resps[0].Err == nil {
 		t.Fatalf("setup: n1 answered %+v into the abandoned envelope, want the write's failure", stale.Resps)
+	}
+	if got := fmt.Sprintf("%+v", resps); got != answered {
+		t.Fatalf("the late reply landed in the caller's result space: %s, was %s", got, answered)
 	}
 	for _, b := range ds.freeBatches {
 		if b == stale {

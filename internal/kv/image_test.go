@@ -136,7 +136,7 @@ func TestSnapshotInstallsClosedTimestamp(t *testing.T) {
 	if !issued {
 		t.Fatal("setup: the follower was not sent a snapshot")
 	}
-	if got.Err != nil || got.Get == nil || got.Get.ServedBy != 3 {
+	if got.Err != nil || got.Get.ServedBy != 3 {
 		t.Errorf("follower read at the install instant: %+v, want served by n3", got)
 	}
 }

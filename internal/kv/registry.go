@@ -23,8 +23,12 @@ type TxnRegistry struct {
 	sim  *sim.Simulation
 	topo *simnet.Topology
 
-	nextID  mvcc.TxnID
-	records map[mvcc.TxnID]*txnRecord
+	nextID mvcc.TxnID
+	// records holds each record by value, so beginning a transaction makes
+	// no object of its own; a change is written back. The map, not a
+	// kv.Txn, holds it: a writing transaction's record outlives the
+	// transaction.
+	records map[mvcc.TxnID]txnRecord
 	// waitsFor tracks which transaction each blocked transaction is
 	// waiting on, for deadlock detection.
 	waitsFor map[mvcc.TxnID]mvcc.TxnID
@@ -35,12 +39,14 @@ type TxnRegistry struct {
 	envelopes envelopePool
 }
 
+// txnRecord is a transaction's record, without its ID: the map's key is
+// that. A writing transaction's record stays in the map for the rest of the
+// run, so its size is most of what the registry costs.
 type txnRecord struct {
-	id         mvcc.TxnID
-	status     mvcc.TxnStatus
 	commitTS   hlc.Timestamp
 	anchorNode simnet.NodeID
 	priority   int64
+	status     mvcc.TxnStatus
 	// staging marks a parallel commit in progress: the commit record is
 	// written but the pipelined writes are still being proved. Pushers
 	// must not abort a staging transaction (it may already be implicitly
@@ -56,7 +62,7 @@ type txnRecord struct {
 func NewTxnRegistry(s *sim.Simulation, topo *simnet.Topology) *TxnRegistry {
 	return &TxnRegistry{
 		sim: s, topo: topo,
-		records:  map[mvcc.TxnID]*txnRecord{},
+		records:  map[mvcc.TxnID]txnRecord{},
 		waitsFor: map[mvcc.TxnID]mvcc.TxnID{},
 	}
 }
@@ -67,8 +73,7 @@ func NewTxnRegistry(s *sim.Simulation, topo *simnet.Topology) *TxnRegistry {
 func (r *TxnRegistry) Begin(anchorNode simnet.NodeID, priority int64) mvcc.TxnID {
 	r.nextID++
 	id := r.nextID
-	r.records[id] = &txnRecord{
-		id:         id,
+	r.records[id] = txnRecord{
 		status:     mvcc.Pending,
 		anchorNode: anchorNode,
 		priority:   priority,
@@ -112,6 +117,7 @@ func (r *TxnRegistry) TryCommit(id mvcc.TxnID, commitTS hlc.Timestamp) error {
 	rec.status = mvcc.Committed
 	rec.staging = false
 	rec.commitTS = commitTS
+	r.records[id] = rec
 	rec.finished.Broadcast()
 	return nil
 }
@@ -137,6 +143,7 @@ func (r *TxnRegistry) TryStage(id mvcc.TxnID, commitTS hlc.Timestamp) error {
 	}
 	rec.staging = true
 	rec.commitTS = commitTS
+	r.records[id] = rec
 	return nil
 }
 
@@ -149,6 +156,7 @@ func (r *TxnRegistry) FinalizeStaged(id mvcc.TxnID) error {
 	}
 	rec.staging = false
 	rec.status = mvcc.Committed
+	r.records[id] = rec
 	rec.finished.Broadcast()
 	return nil
 }
@@ -158,6 +166,7 @@ func (r *TxnRegistry) AbortStaged(id mvcc.TxnID) {
 	if rec, ok := r.records[id]; ok && rec.staging && rec.status == mvcc.Pending {
 		rec.staging = false
 		rec.status = mvcc.Aborted
+		r.records[id] = rec
 		rec.finished.Broadcast()
 	}
 }
@@ -170,6 +179,7 @@ func (r *TxnRegistry) Abort(id mvcc.TxnID) bool {
 	}
 	if rec.status == mvcc.Pending {
 		rec.status = mvcc.Aborted
+		r.records[id] = rec
 		rec.finished.Broadcast()
 	}
 	return true
@@ -199,21 +209,23 @@ func (r *TxnRegistry) PushTxn(p *sim.Proc, fromNode simnet.NodeID, pusherID, pus
 	if !ok {
 		return mvcc.Aborted, hlc.Timestamp{}
 	}
-	// Pay the RTT to the anchor node (txn-record lookup).
+	// Pay the RTT to the anchor node (txn-record lookup). The record may
+	// change meanwhile, or be collected once finished, so it is read again.
 	if rtt := r.topo.NodeRTT(fromNode, rec.anchorNode); rtt > 0 {
 		p.Sleep(rtt)
 	}
-	if rec.status != mvcc.Pending {
-		return rec.status, rec.commitTS
+	if st, ts := r.Status(pusheeID); st != mvcc.Pending {
+		return st, ts
 	}
 	if cycle := r.findCycle(pusherID, pusheeID); len(cycle) > 0 {
 		if victim := r.chooseVictim(cycle); victim != 0 {
 			v := r.records[victim]
 			v.status = mvcc.Aborted
+			r.records[victim] = v
 			v.finished.Broadcast()
 		}
 	}
-	return rec.status, rec.commitTS
+	return r.Status(pusheeID)
 }
 
 // findCycle follows waits-for edges from pushee; if the chain reaches
@@ -246,16 +258,16 @@ func (r *TxnRegistry) findCycle(pusherID, pusheeID mvcc.TxnID) []mvcc.TxnID {
 // chooseVictim picks the youngest (highest-ID, lowest-priority) pending,
 // non-staging member of the cycle.
 func (r *TxnRegistry) chooseVictim(cycle []mvcc.TxnID) mvcc.TxnID {
-	var victim mvcc.TxnID
-	var vrec *txnRecord
+	var victim mvcc.TxnID // IDs start at 1
+	var priority int64
 	for _, id := range cycle {
 		rec, ok := r.records[id]
 		if !ok || rec.status != mvcc.Pending || rec.staging {
 			continue
 		}
-		if vrec == nil || rec.priority < vrec.priority ||
-			(rec.priority == vrec.priority && id > victim) {
-			victim, vrec = id, rec
+		if victim == 0 || rec.priority < priority ||
+			(rec.priority == priority && id > victim) {
+			victim, priority = id, rec.priority
 		}
 	}
 	return victim
@@ -273,10 +285,12 @@ func (r *TxnRegistry) WaitFinished(p *sim.Proc, id mvcc.TxnID, timeout sim.Durat
 	}
 	if rec.finished == nil {
 		rec.finished = sim.NewCond(r.sim)
+		r.records[id] = rec
 	}
 	// Every Broadcast on finished ends Pending, so one timed wait is enough.
+	// The record is read again after it, as it may have been collected.
 	rec.finished.WaitTimeout(p, timeout)
-	return rec.status, rec.commitTS
+	return r.Status(id)
 }
 
 // GC drops the record of a finished transaction.

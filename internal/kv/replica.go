@@ -179,7 +179,7 @@ func (r *Replica) evaluateBatch(p *sim.Proc, b *BatchRequest) []Response {
 	for i, req := range reqs {
 		switch q := req.(type) {
 		case *ResolveIntentRequest:
-			if resps[i].Resolve == nil && resps[i].Err == nil {
+			if !resolvedBefore(reqs[:i], q) {
 				r.resolveGroup(p, reqs[i:], resps[i:], q)
 			}
 		case *QueryIntentRequest:
@@ -209,7 +209,7 @@ func (r *Replica) resolveGroup(p *sim.Proc, reqs []interface{}, resps []Response
 			keys = append(keys, q.Key)
 		}
 	}
-	resp := Response{Resolve: &ResolveIntentResponse{}}
+	var resp Response
 	if r.subsumed {
 		resp = Response{Err: &RangeKeyMismatchError{RequestedKey: r.desc.StartKey}}
 	} else if _, err := r.resolveIntents(p, first.TxnID, first.Status, first.CommitTS, keys); err != nil {
@@ -220,6 +220,17 @@ func (r *Replica) resolveGroup(p *sim.Proc, reqs []interface{}, resps []Response
 			resps[i] = resp
 		}
 	}
+}
+
+// resolvedBefore reports whether one of earlier resolves q's transaction to
+// q's outcome: the group of the first such request answered q already.
+func resolvedBefore(earlier []interface{}, q *ResolveIntentRequest) bool {
+	for _, req := range earlier {
+		if e, ok := req.(*ResolveIntentRequest); ok && e.sameOutcome(q) {
+			return true
+		}
+	}
+	return false
 }
 
 // replicaRead is a request evalRead serves: GetRequest, ScanRequest and
@@ -481,7 +492,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				// finds its own committed value: that is this write, not a
 				// duplicate.
 				if st, cts := r.store.Registry.Status(txnMeta.ID); st == mvcc.Committed && cts == cf.Existing {
-					return Response{Put: &PutResponse{WriteTimestamp: cts, Committed: true}}
+					return Response{Put: PutResponse{WriteTimestamp: cts, Committed: true}}
 				}
 			}
 			return Response{Err: err}
@@ -508,12 +519,12 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 			releaseOnReturn = false
 			r.pipelined = append(r.pipelined, pipelinedWrite{f: f, latched: latched})
 			f.Notify(r.store.Sim, r.releaseResolved)
-			return Response{Put: &PutResponse{WriteTimestamp: ts}}
+			return Response{Put: PutResponse{WriteTimestamp: ts}}
 		}
 		if err := r.propose(p, cmd); err != nil {
 			return Response{Err: err}
 		}
-		return Response{Put: &PutResponse{WriteTimestamp: ts}}
+		return Response{Put: PutResponse{WriteTimestamp: ts}}
 	}
 }
 
@@ -553,7 +564,7 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 				(end == nil || r.desc.ContainsKey(end) || string(end) == string(r.desc.EndKey))
 			refresh := RefreshRequest{Key: start, EndKey: end, FromTS: req.ReadFromTS, ToTS: ts, TxnID: req.Txn.Meta.ID}
 			if !inRange || refresh.newer(r.engine) {
-				return Response{Put: &PutResponse{Declined1PC: true}}
+				return Response{Put: PutResponse{Declined1PC: true}}
 			}
 		}
 	}
@@ -574,7 +585,7 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 	if err := r.propose(p, cmd); err != nil {
 		return Response{Err: err}
 	}
-	return Response{Put: &PutResponse{WriteTimestamp: ts, Committed: true}}
+	return Response{Put: PutResponse{WriteTimestamp: ts, Committed: true}}
 }
 
 // evalQueryIntent proves a pipelined write: after waiting out in-flight
@@ -595,7 +606,7 @@ func (r *Replica) evalQueryIntent(p *sim.Proc, req *QueryIntentRequest) Response
 	}
 	meta, ok := r.engine.GetIntent(req.Key)
 	found := ok && meta.ID == req.TxnID && meta.Epoch == req.Epoch
-	return Response{QueryIntent: &QueryIntentResponse{Found: found}}
+	return Response{QueryIntent: QueryIntentResponse{Found: found}}
 }
 
 // checkPut validates a write without mutating: it surfaces intent conflicts,
@@ -708,7 +719,7 @@ func (r *Replica) evalEndTxn(p *sim.Proc, req *EndTxnRequest) Response {
 	if err := r.propose(p, cmd); err != nil {
 		return Response{Err: err}
 	}
-	return Response{EndTxn: &EndTxnResponse{Status: status}}
+	return Response{EndTxn: EndTxnResponse{Status: status}}
 }
 
 // resolveIntents resolves txn's intents on keys, which must all lie in this
@@ -759,7 +770,7 @@ func (r *Replica) evalNegotiate(req *NegotiateRequest) Response {
 	if its, ok := r.engine.MinIntentTS(req.StartKey, req.EndKey); ok && its.LessEq(maxTS) {
 		maxTS = its.Prev()
 	}
-	return Response{Negot: &NegotiateResponse{MaxTimestamp: maxTS}}
+	return Response{Negot: NegotiateResponse{MaxTimestamp: maxTS}}
 }
 
 // --- Lock waiting ---

@@ -53,7 +53,7 @@ func TestSendBatchUnroutableSlot(t *testing.T) {
 			t.Errorf("slot 1: err = %v, want cannot route", err)
 		}
 		for i, want := range map[int]string{0: "u/a", 2: "u/b"} {
-			if resps[i].Err != nil || resps[i].Get == nil || string(resps[i].Get.Value) != want {
+			if resps[i].Err != nil || string(resps[i].Get.Value) != want {
 				t.Errorf("slot %d: %+v, want value %q", i, resps[i], want)
 			}
 		}

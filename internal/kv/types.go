@@ -192,7 +192,7 @@ func (q *GetRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions) 
 	if q.Timestamp.Less(ts) { // an uncertainty refresh moved the read
 		bumped = ts
 	}
-	return Response{Get: &GetResponse{Value: val, Timestamp: vts, ServedBy: r.store.NodeID, BumpedTS: bumped}}, nil
+	return Response{Get: GetResponse{Value: val, Timestamp: vts, ServedBy: r.store.NodeID, BumpedTS: bumped}}, nil
 }
 
 // GetResponse carries the read result.
@@ -235,7 +235,7 @@ func (q *ScanRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions)
 	if err != nil {
 		return Response{}, err
 	}
-	return Response{Scan: &ScanResponse{Rows: rows, ServedBy: r.store.NodeID,
+	return Response{Scan: ScanResponse{Rows: rows, ServedBy: r.store.NodeID,
 		ResumeKey: scanResume(q, rows, end, rangeResume)}}, nil
 }
 
@@ -367,7 +367,7 @@ func (q *ResolveIntentRequest) eval(r *Replica, p *sim.Proc) Response {
 	if _, err := r.resolveIntents(p, q.TxnID, q.Status, q.CommitTS, []mvcc.Key{q.Key}); err != nil {
 		return Response{Err: err}
 	}
-	return Response{Resolve: &ResolveIntentResponse{}}
+	return Response{}
 }
 
 // sameOutcome reports whether o resolves intents of q's transaction to the
@@ -375,9 +375,6 @@ func (q *ResolveIntentRequest) eval(r *Replica, p *sim.Proc) Response {
 func (q *ResolveIntentRequest) sameOutcome(o *ResolveIntentRequest) bool {
 	return o.TxnID == q.TxnID && o.Status == q.Status && o.CommitTS == q.CommitTS
 }
-
-// ResolveIntentResponse is empty; resolution is idempotent.
-type ResolveIntentResponse struct{}
 
 // RefreshRequest verifies that no value was written to Key — or to the span
 // [Key, EndKey) when EndKey is set — in (FromTS, ToTS], allowing a
@@ -407,7 +404,7 @@ func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response {
 }
 
 func (q *RefreshRequest) readAt(r *Replica, _ hlc.Timestamp, _ mvcc.GetOptions) (Response, error) {
-	return Response{Refresh: &RefreshResponse{Success: !q.newer(r.engine)}}, nil
+	return Response{Refresh: RefreshResponse{Success: !q.newer(r.engine)}}, nil
 }
 
 // newer reports whether e holds another transaction's write in (FromTS, ToTS]
@@ -519,17 +516,19 @@ func (e *RetryableTxnError) Error() string {
 	return fmt.Sprintf("txn %d must retry: %s", e.TxnID, e.Reason)
 }
 
-// Response is the union returned over RPC: exactly one field set.
+// Response answers one request: Err, or the field of the request's kind
+// (a resolution has none; it is idempotent). Every kind is held by value, so
+// a reply is a value that lands in the space its caller owns — an envelope's
+// Resps, a sender's result slice — and a round trip boxes none.
 type Response struct {
-	Get         *GetResponse
-	Scan        *ScanResponse
-	Put         *PutResponse
-	EndTxn      *EndTxnResponse
-	Resolve     *ResolveIntentResponse
-	Refresh     *RefreshResponse
-	Negot       *NegotiateResponse
-	QueryIntent *QueryIntentResponse
+	Get         GetResponse
+	Scan        ScanResponse
+	Put         PutResponse
+	Negot       NegotiateResponse
 	Err         error
+	EndTxn      EndTxnResponse
+	Refresh     RefreshResponse
+	QueryIntent QueryIntentResponse
 }
 
 // BatchRequest is the one RPC envelope dispatched to a Replica: the

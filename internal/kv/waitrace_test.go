@@ -101,7 +101,7 @@ func TestFencedLeaseholderRefreshIsAFollowerRead(t *testing.T) {
 	if !errors.As(above.Err, &unavailable) {
 		t.Errorf("refresh above the fenced replica's closed timestamp: %+v, want FollowerReadUnavailableError", above)
 	}
-	if below.Err != nil || below.Refresh == nil || !below.Refresh.Success {
+	if below.Err != nil || !below.Refresh.Success {
 		t.Errorf("refresh below the fenced replica's closed timestamp: %+v, want Success", below)
 	}
 	if after, _ := rep.tscache.MaxRead(key, 0); after != before {
@@ -120,6 +120,7 @@ func TestRefreshWaitsForInFlightWrite(t *testing.T) {
 	key := mvcc.Key("k")
 
 	var resp Response
+	answered := false
 	h.run(t, sim.Second, func(p *sim.Proc) error {
 		from := st.Clock.Now()
 		p.Sleep(sim.Millisecond)
@@ -133,10 +134,11 @@ func TestRefreshWaitsForInFlightWrite(t *testing.T) {
 		h.s.Spawn("refresh", func(rp *sim.Proc) {
 			defer done.Done()
 			resp = rep.evaluate(rp, &RefreshRequest{Key: key, FromTS: from, ToTS: to, TxnID: 7})
+			answered = true
 		})
 		p.Sleep(10 * sim.Millisecond)
-		if resp.Refresh != nil {
-			t.Errorf("refresh answered %+v while a write on the key was in flight", resp.Refresh)
+		if answered {
+			t.Errorf("refresh answered %+v while a write on the key was in flight", resp)
 		}
 		if _, err := rep.engine.Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
 			return err
@@ -145,7 +147,7 @@ func TestRefreshWaitsForInFlightWrite(t *testing.T) {
 		done.Wait(p)
 		return nil
 	})
-	if resp.Err != nil || resp.Refresh == nil || resp.Refresh.Success {
+	if resp.Err != nil || resp.Refresh.Success {
 		t.Fatalf("refresh across an applied write: %+v, want Success=false", resp)
 	}
 }
@@ -186,6 +188,7 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 	key := mvcc.Key("m")
 
 	var got Response
+	answered := false
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
 		lhs.latches.acquire(p, key) // the in-flight write…
 		writeTS := st.Clock.Now()   // …evaluated at this timestamp
@@ -199,9 +202,10 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 		h.s.Spawn("get", func(gp *sim.Proc) {
 			defer done.Done()
 			got = rhs.evaluate(gp, &GetRequest{Key: key, Timestamp: st.Clock.Now()})
+			answered = true
 		})
 		p.Sleep(10 * sim.Millisecond)
-		if got.Get != nil || got.Err != nil {
+		if answered {
 			t.Errorf("right half read around an in-flight left-half write: %+v", got)
 		}
 		// The write applies (into the right half's engine), then unlatches.
@@ -212,7 +216,7 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 		done.Wait(p)
 		return nil
 	})
-	if got.Err != nil || got.Get == nil || string(got.Get.Value) != "v" {
+	if got.Err != nil || string(got.Get.Value) != "v" {
 		t.Fatalf("read after the write applied: %+v", got)
 	}
 }
@@ -271,7 +275,7 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 	if !errors.As(direct.Err, &mismatch) {
 		t.Errorf("QueryIntent evaluated on the left-hand side after the split: %+v", direct)
 	}
-	if routed.Err != nil || routed.QueryIntent == nil || !routed.QueryIntent.Found {
+	if routed.Err != nil || !routed.QueryIntent.Found {
 		t.Errorf("DistSender QueryIntent = %+v (err %v), want the right-hand range's Found", routed.QueryIntent, routed.Err)
 	}
 }

@@ -57,6 +57,10 @@ type Session struct {
 	rowEval  evalCtx
 	// valScratch backs values.
 	valScratch []mvcc.Value
+	// lookupRowScratch and lookupKeyScratch back scratchLookupKeys: the rows
+	// and index keys of the point lookups a statement reads on its own proc.
+	lookupRowScratch []tableRow
+	lookupKeyScratch []mvcc.Key
 	// The write path's statement scratch (dml.go): the rows an INSERT
 	// writes, the unique indexes it checks, the writes a statement sends
 	// and the columns an UPDATE changed. A transaction keeps the keys and

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 
 	"mrdb/internal/core"
 	"mrdb/internal/hlc"
@@ -415,13 +416,14 @@ func (s *Session) fetchRows(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 // the row is found, there is no need to fan out to remote regions").
 func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableRow, error) {
 	t, idx, cols := plan.t, plan.index, plan.cols
+	s.lookupRowScratch, s.lookupKeyScratch = emptied(s.lookupRowScratch), emptied(s.lookupKeyScratch)
 	if !plan.los || len(plan.regions) < 2 || !idx.Unique {
-		rows, keys := lookupKeys(t, idx, plan.regions, plan.lookups)
+		rows, keys := s.scratchLookupKeys(t, idx, plan.regions, plan.lookups)
 		err := s.lookup(p, f, t, idx, cols, rows, keys, s.values(len(keys)))
 		return hits(rows), err
 	}
 	// Phase 1: local partition only (§4.2).
-	rows, keys := lookupKeys(t, idx, plan.regions[:1], plan.lookups)
+	rows, keys := s.scratchLookupKeys(t, idx, plan.regions[:1], plan.lookups)
 	err := s.lookup(p, f, t, idx, cols, rows, keys, s.values(len(keys)))
 	if err != nil {
 		return nil, err
@@ -452,9 +454,10 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 // which leaves the transaction alone, and the statement, on its own proc,
 // adopts the probes whose replies it used. A probe that failed while the
 // statement waited is the statement's to recover: it refreshes past an
-// uncertain value, then reads that region's batch again itself. A probe is handed its region's keys, never the tuples: those are
-// session scratch, which the session's next statement refills while a slow
-// probe may still be waiting for its reply.
+// uncertain value, then reads that region's batch again itself, in session
+// scratch. A probe is handed lists of its own, its region's rows and keys,
+// never the tuples or the scratch: the session's next statement refills those
+// while a slow probe may still be waiting for its reply.
 func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index, cols []ColumnID, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
 	fh := &firstHit{found: make([]tableRow, len(tuples)), missing: len(tuples), pending: len(regions)}
 	parent := obs.ProcSpan(p)
@@ -489,7 +492,7 @@ func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index
 		if err != nil {
 			return nil, err
 		}
-		rows, keys := lookupKeys(t, idx, []simnet.Region{fl.region}, tuples)
+		rows, keys := s.scratchLookupKeys(t, idx, []simnet.Region{fl.region}, tuples)
 		if err := s.lookup(p, f, t, idx, cols, rows, keys, s.values(len(keys))); err != nil {
 			return nil, err
 		}
@@ -559,18 +562,40 @@ func hits(rows []tableRow) []tableRow {
 	return out
 }
 
-// lookupKeys encodes the index key of every tuple in every region: row and
-// key r*len(tuples)+i are tuples[i]'s in regions[r].
+// lookupKeys returns the rows and index keys of a lookup of every tuple in
+// every region, in lists of their own: row and key r*len(tuples)+i are
+// tuples[i]'s in regions[r]. It is what a first-hit probe reads, which may
+// outlive its statement.
 func lookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, []mvcc.Key) {
-	rows := make([]tableRow, len(regions)*len(tuples))
-	keys := make([]mvcc.Key, len(rows))
+	n := len(regions) * len(tuples)
+	rows, keys := make([]tableRow, n), make([]mvcc.Key, n)
+	encodeLookups(rows, keys, t, idx, regions, tuples)
+	return rows, keys
+}
+
+// scratchLookupKeys is lookupKeys in statement scratch, for a read on the
+// statement's proc. Each call takes the lists after those the statement took
+// before, so a first-hit recovery read leaves phase 1's rows alone;
+// fetchPoint starts the scratch over.
+func (s *Session) scratchLookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, []mvcc.Key) {
+	lo, hi := len(s.lookupRowScratch), len(s.lookupRowScratch)+len(regions)*len(tuples)
+	s.lookupRowScratch = slices.Grow(s.lookupRowScratch, hi-lo)[:hi]
+	s.lookupKeyScratch = slices.Grow(s.lookupKeyScratch, hi-lo)[:hi]
+	rows, keys := s.lookupRowScratch[lo:hi:hi], s.lookupKeyScratch[lo:hi:hi]
+	encodeLookups(rows, keys, t, idx, regions, tuples)
+	return rows, keys
+}
+
+// encodeLookups fills rows and keys, len(regions)*len(tuples) long each:
+// row r*len(tuples)+i is a row of regions[r] with no values yet, and key
+// r*len(tuples)+i is tuples[i]'s index key there.
+func encodeLookups(rows []tableRow, keys []mvcc.Key, t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) {
 	for r, region := range regions {
 		for i, tuple := range tuples {
-			rows[r*len(tuples)+i].region = region
+			rows[r*len(tuples)+i] = tableRow{region: region}
 			keys[r*len(tuples)+i] = EncodeIndexKey(t, idx, region, tuple)
 		}
 	}
-	return rows, keys
 }
 
 // lookup reads keys, the index keys of rows (see lookupKeys), as one batch

@@ -1,29 +1,39 @@
 package sql
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
+	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 )
 
 // A point read allocates what it returns: a SELECT decodes only the columns
-// it returns, its lookup tuples are session scratch on every plan, and the
-// reply to a point read is one object.
+// it returns, its lookup tuples and lookup lists are session scratch, its
+// reply is a value in its caller's space and its transaction record is no
+// object of its own.
 
-// TestPointSelectAllocs pins what the benchmark's REGIONAL BY ROW read costs
-// in objects, end to end on a three-region cluster: a prepared SELECT of
+// TestPointSelectAllocs pins what the benchmark's REGIONAL BY ROW operations
+// cost in objects, end to end on a three-region cluster: a prepared SELECT of
 // one column by primary key with locality-optimized search on, from the
-// us-east1 gateway. A local hit is one round trip to the gateway's own
-// partition, at 11 objects. A remote miss misses there, then probes both
-// remote partitions and returns on europe-west2's hit while
-// asia-northeast1's probe is still in flight (its objects land in the next
-// execution's count), at 37: each probe's reads wait in a txn.Probe of
-// their own until the statement adopts them, so a probe that loses the race
-// leaves the transaction alone. The counts cover everything the simulation
-// runs meanwhile, so they are exact for this seed. They were 14 and 44
+// us-east1 gateway, and the prepared UPDATE of one column by primary key
+// that the benchmark's writes run. A local hit is one round trip to the
+// gateway's own partition, at 6 objects for the SELECT and 25 for the
+// UPDATE. A remote miss misses there, then probes both remote partitions and
+// returns on europe-west2's hit while asia-northeast1's probe is still in
+// flight (its objects land in the next execution's count), at 28 and 51:
+// each probe's reads wait in a txn.Probe of their own until the statement
+// adopts them, so a probe that loses the race leaves the transaction alone.
+// The counts cover everything the simulation runs meanwhile, so they are
+// exact for this seed. They were 11, 31, 37 and 61 while the statement's
+// lookup lists were fresh slices, every reply boxed its kind, SendBatch
+// returned the transaction a fresh result slice and every transaction record
+// was an object of its own; 14 and 44 (the SELECTs)
 // while the transaction copied every key it read, built each batch's
 // request list on the heap and returned a fresh value slice per read, 14
 // and 43
@@ -38,7 +48,7 @@ import (
 // condition and the reply was boxed by value.
 func TestPointSelectAllocs(t *testing.T) {
 	h := newSQLHarness(960)
-	var local, remote float64
+	var local, remote, localUpd, remoteUpd float64
 	h.run(t, func(p *sim.Proc) {
 		s := h.sessions[simnet.USEast1]
 		mustExec(t, p, s, `CREATE DATABASE ycsb PRIMARY REGION "us-east1" REGIONS "europe-west2", "asia-northeast1"`)
@@ -59,19 +69,42 @@ func TestPointSelectAllocs(t *testing.T) {
 				}
 			}
 		}
+		upd := s.MustPrepare(`UPDATE usertable SET field0 = $2 WHERE ycsb_key = $1`)
+		update := func(args []Datum) func() {
+			return func() {
+				if _, err := s.ExecPrepared(p, upd, args...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
 		localRead := read([]Datum{"user-local"}, "v0")
 		remoteRead := read([]Datum{"user-remote"}, "w0")
-		localRead() // the statement's shape, the pools, the range caches
+		localUpdate := update([]Datum{"user-local", "v0"})
+		remoteUpdate := update([]Datum{"user-remote", "w0"})
+		localRead() // the statements' shapes, the pools, the range caches
 		remoteRead()
+		localUpdate()
+		remoteUpdate()
+		p.Sleep(sim.Second)
 		local = testing.AllocsPerRun(100, localRead)
 		remote = testing.AllocsPerRun(100, remoteRead)
 		p.Sleep(sim.Second) // the last remote probe lands
+		localUpd = testing.AllocsPerRun(100, localUpdate)
+		remoteUpd = testing.AllocsPerRun(100, remoteUpdate)
+		p.Sleep(sim.Second)
 	})
-	if local != 11 {
-		t.Errorf("a local point SELECT allocates %.0f objects, want 11", local)
-	}
-	if remote != 37 {
-		t.Errorf("a remote point SELECT allocates %.0f objects, want 37", remote)
+	for _, c := range []struct {
+		what      string
+		got, want float64
+	}{
+		{"a local point SELECT", local, 6},
+		{"a remote point SELECT", remote, 28},
+		{"a local point UPDATE", localUpd, 25},
+		{"a remote point UPDATE", remoteUpd, 51},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s allocates %.0f objects, want %.0f", c.what, c.got, c.want)
+		}
 	}
 }
 
@@ -278,7 +311,10 @@ func TestBindReadTupleOrder(t *testing.T) {
 // the farther one is still in flight, and the session at once runs the
 // same prepared statement with other tuples, which refill the lookup
 // scratch. Both statements return their own rows, and so does a third after
-// the late probe has landed.
+// the late probe has landed. A probe reads lists of its own: a first-hit
+// read whose farther probe finds its row after the statement returned
+// writes that row into the probe's rows, not the session's, and no probe is
+// handed keys of the session's scratch.
 func TestLateProbeLeavesNextStatementAlone(t *testing.T) {
 	h := newSQLHarness(962)
 	h.run(t, func(p *sim.Proc) {
@@ -316,5 +352,77 @@ func TestLateProbeLeavesNextStatementAlone(t *testing.T) {
 		if got, want := exec(5, 1), "[1 user-1] [5 user-5]"; got != want {
 			t.Errorf("third SELECT read %s, want %s", got, want)
 		}
+
+		users, _, err := us.table("users")
+		if err != nil {
+			t.Fatal(err)
+		}
+		const delay = sim.Second
+		f := &lateFetcher{t: t, s: us, near: IndexPrefix(users, users.Primary().ID, simnet.EuropeW2), delay: delay,
+			row: EncodeRow(map[ColumnID]Datum{1: int64(9), 3: "user-9"})}
+		plan := &readPlan{t: users, index: users.Primary(), lookups: [][]Datum{{int64(9)}},
+			regions: []simnet.Region{simnet.USEast1, simnet.EuropeW2, simnet.AsiaNE1}, los: true}
+		rows, err := us.fetchRows(p, f, plan)
+		if err != nil || len(rows) != 1 || rows[0].region != simnet.EuropeW2 {
+			t.Fatalf("first-hit read through the late fetcher: %+v, %v; want europe-west2's row", rows, err)
+		}
+		us.releaseRows(rows)
+		scratch := slices.Clone(us.lookupRowScratch[:cap(us.lookupRowScratch)])
+		p.Sleep(2 * delay) // asia-northeast1's probe finds the row
+		if got, want := fmt.Sprint(us.lookupRowScratch[:cap(us.lookupRowScratch)]), fmt.Sprint(scratch); got != want {
+			t.Errorf("a probe that landed after its statement wrote into the session's lookup rows: %s, were %s", got, want)
+		}
+		if f.probes != 2 {
+			t.Errorf("the first-hit read sent %d probes, want 2", f.probes)
+		}
 	})
+}
+
+// lateFetcher serves a first-hit read of one table without a cluster: a batch
+// the statement reads on its own proc misses, a probe of the partition whose
+// keys start with near finds every key at once, and any other probe finds
+// every key after delay, as row. It fails the test when a probe is handed
+// keys of the session's scratch.
+type lateFetcher struct {
+	t      *testing.T
+	s      *Session
+	near   mvcc.Key
+	delay  sim.Duration
+	row    mvcc.Value
+	probes int
+}
+
+func (f *lateFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error {
+	if p.Name() != "sql/probe" {
+		return nil
+	}
+	f.probes++
+	if within(keys, f.s.lookupKeyScratch) {
+		f.t.Errorf("a first-hit probe was handed the session's lookup keys")
+	}
+	if !bytes.HasPrefix(keys[0], f.near) {
+		p.Sleep(f.delay)
+	}
+	for i := range vals {
+		vals[i] = f.row
+	}
+	return nil
+}
+
+func (f *lateFetcher) scan(*sim.Proc, mvcc.Key, mvcc.Key, int) ([]mvcc.KeyValue, error) {
+	return nil, errors.New("lateFetcher: no scans")
+}
+
+// within reports whether s starts inside the array behind scratch.
+func within[T any](s, scratch []T) bool {
+	if len(s) == 0 {
+		return false
+	}
+	full := scratch[:cap(scratch)]
+	for i := range full {
+		if &full[i] == &s[0] {
+			return true
+		}
+	}
+	return false
 }

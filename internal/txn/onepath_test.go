@@ -257,7 +257,7 @@ func TestFollowerScanCoversUncertaintyInterval(t *testing.T) {
 		for rep.ClosedTimestamp().LessEq(limit) {
 			p.Sleep(50 * sim.Millisecond)
 		}
-		if resp := scan(); resp.Err != nil || resp.Scan == nil || len(resp.Scan.Rows) != 2 {
+		if resp := scan(); resp.Err != nil || len(resp.Scan.Rows) != 2 {
 			t.Errorf("follower scan once its closed timestamp passed the limit: %+v, want both rows", resp)
 		}
 	})

@@ -140,18 +140,20 @@ func grow[T any](s []T, n int) []T {
 	return out
 }
 
-// batchScratch is the size of the request list a batch builds on its
-// sender's stack. The list is per call, never the transaction's: a
-// statement's first-hit probes read through one transaction at once, each
-// on its own proc. The DistSender keeps only the requests it points at.
+// batchScratch is the size of the request list, and of the response list, a
+// batch builds on its sender's stack. The lists are per call, never the
+// transaction's: a statement's first-hit probes read through one transaction
+// at once, each on its own proc. The DistSender keeps only the requests the
+// list points at, and writes the responses before it returns.
 const batchScratch = 16
 
-// requestList returns n slots for a batch's requests: buf's when they fit.
-func requestList(buf *[batchScratch]interface{}, n int) []interface{} {
+// scratchList returns n slots for a batch's requests or responses: buf's
+// when they fit.
+func scratchList[T any](buf *[batchScratch]T, n int) []T {
 	if n <= len(buf) {
 		return buf[:n]
 	}
-	return make([]interface{}, n)
+	return make([]T, n)
 }
 
 // write is one key the transaction wrote.
@@ -315,7 +317,8 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		// invalidated by the bump.
 		canBump := probe == nil && len(t.reads) == 0 && len(send) == 1
 		var buf [batchScratch]interface{}
-		reqs := requestList(&buf, len(riders)+len(send))
+		var respBuf [batchScratch]kv.Response
+		reqs := scratchList(&buf, len(riders)+len(send))
 		t.putRequests(reqs, riders)
 		getReqs := t.gets.take(len(send))
 		for j, key := range send {
@@ -330,13 +333,15 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 			}
 			reqs[len(riders)+j] = &getReqs[j]
 		}
-		resps := t.co.Sender.SendBatch(p, reqs)
+		resps := scratchList(&respBuf, len(reqs))
+		t.co.Sender.SendBatchInto(p, reqs, resps)
 		if err := t.landed(p, riders, resps, 0); err != nil {
 			return err
 		}
 		var firstErr error
 		gets := resps[len(riders):]
-		for j, resp := range gets {
+		for j := range gets {
+			resp := &gets[j]
 			if resp.Err != nil {
 				if firstErr == nil {
 					firstErr = resp.Err
@@ -619,9 +624,11 @@ func (t *Txn) sendWrites(p *sim.Proc, own int) error {
 		return nil
 	}
 	var buf [batchScratch]interface{}
-	reqs := requestList(&buf, len(sent))
+	var respBuf [batchScratch]kv.Response
+	reqs, resps := scratchList(&buf, len(sent)), scratchList(&respBuf, len(sent))
 	t.putRequests(reqs, sent)
-	err := t.landed(p, sent, t.co.Sender.SendBatch(p, reqs), own)
+	t.co.Sender.SendBatchInto(p, reqs, resps)
+	err := t.landed(p, sent, resps, own)
 	t.reuse(sent)
 	return err
 }
@@ -929,11 +936,14 @@ func (t *Txn) proveWrites(p *sim.Proc, reqs []interface{}) error {
 	defer done()
 	sp.SetTagInt("writes", int64(len(reqs)))
 	missing := false
-	for _, resp := range t.co.Sender.SendBatch(p, reqs) {
-		if resp.Err != nil {
-			return resp.Err
+	var respBuf [batchScratch]kv.Response
+	resps := scratchList(&respBuf, len(reqs))
+	t.co.Sender.SendBatchInto(p, reqs, resps)
+	for i := range resps {
+		if resps[i].Err != nil {
+			return resps[i].Err
 		}
-		if !resp.QueryIntent.Found {
+		if !resps[i].QueryIntent.Found {
 			missing = true
 		}
 	}
@@ -1017,7 +1027,8 @@ func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Time
 	s.Spawn("txn/resolve", func(rp *sim.Proc) {
 		sp := t.co.tracer().StartChild("txn.resolve", parent)
 		obs.SetProcSpan(rp, sp)
-		t.co.Sender.SendBatch(rp, reqs)
+		var respBuf [batchScratch]kv.Response
+		t.co.Sender.SendBatchInto(rp, reqs, scratchList(&respBuf, len(reqs)))
 		sp.Finish()
 	})
 }
