@@ -226,3 +226,29 @@ func TestLogDecidesEveryProposal(t *testing.T) {
 		})
 	}
 }
+
+// TestLeaseFollowsLeadership runs the seeds whose failures were traced to a
+// range whose lease and Raft leadership came apart with nothing to join them
+// again (the lease rule, kv's Replica.ensureLease, now does on every append):
+//   - seeds 59 and 212: a lease transfer committed while its proposer kept
+//     leading, and r1 answered "not leaseholder" for 40 s and 51 s, until a
+//     later fault moved leadership. Their max RTO must stay under 20 s;
+//   - seeds 248, 317 and 392: r1's leaseholder was fenced by an epoch bump
+//     while another node led, r1's closed timestamp stopped, and the final
+//     audit's follower read was unavailable. They must keep every invariant.
+func TestLeaseFollowsLeadership(t *testing.T) {
+	for _, seed := range []int64{59, 212, 248, 317, 392} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rep, err := Run(Options{Seed: seed, Faults: 12})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Errorf("invariants violated:\n%s", rep)
+			}
+			if rto := rep.MaxRTO(); rto >= 20*sim.Second {
+				t.Errorf("max RTO %v, want under 20s", rto)
+			}
+		})
+	}
+}

@@ -142,16 +142,12 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 	// (plus max offset) as the new tscache low-water mark, the old
 	// closed-timestamp promise floor, and the target's liveness epoch the
 	// new lease binds to.
-	var epoch int64
-	if nl := r.store.Liveness(); nl != nil {
-		epoch = nl.Epoch(target)
-	}
 	cmd := Command{
 		Kind:       CmdLeaseTransfer,
 		Desc:       desc,
 		Ts:         r.store.Clock.Now().Add(r.store.Clock.MaxOffset()),
 		ClosedTS:   r.closed.issued,
-		LeaseEpoch: epoch,
+		LeaseEpoch: r.store.liveness.Epoch(target),
 	}
 	r.transferring = true
 	err = r.propose(p, cmd)
@@ -367,15 +363,15 @@ func (a *Admin) SplitRange(p *sim.Proc, rangeID RangeID, splitKey mvcc.Key) (*Ra
 	}
 	// The right half's replicas appear as the split applies on each
 	// store, so the leaseholder's initial campaign races replica creation.
-	// Align Raft leadership with the lease.
+	// Wait until Raft leadership sits with the lease.
 	if err := a.alignLeadership(p, newDesc); err != nil {
 		return nil, err
 	}
 	return newDesc, nil
 }
 
-// alignLeadership waits for the range to elect a leader and moves
-// leadership to the leaseholder if someone else won.
+// alignLeadership waits until the range's leaseholder leads it. Another
+// winner hands leadership back by the lease rule (Replica.ensureLease).
 func (a *Admin) alignLeadership(p *sim.Proc, desc *RangeDescriptor) error {
 	recampaigned := false
 	for i := 0; i < 2000; i++ {
@@ -394,12 +390,10 @@ func (a *Admin) alignLeadership(p *sim.Proc, desc *RangeDescriptor) error {
 				}
 			}
 		}
-		if leader != nil {
-			if leader.store.NodeID == desc.Leaseholder {
-				return nil
-			}
-			leader.raft.TransferLeadership(desc.Leaseholder)
-		} else if !recampaigned && present > len(desc.Voters)/2 {
+		if leader != nil && leader.store.NodeID == desc.Leaseholder {
+			return nil
+		}
+		if leader == nil && !recampaigned && present > len(desc.Voters)/2 {
 			// The leaseholder campaigned as the split applied locally, which
 			// is before any follower learns the split committed: the vote
 			// requests found no replica and were dropped, and Raft would

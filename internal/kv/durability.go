@@ -364,15 +364,13 @@ func (s *Store) Recover(p *sim.Proc) (stats RecoveryStats, err error) {
 	// Fence the past: bump the liveness epoch past the persisted one so no
 	// lease bound to a pre-crash epoch can ever be considered valid again,
 	// and persist the bump before serving anything.
-	if s.liveness != nil {
-		var epoch int64
-		if b, ok := s.Disk.GetBlob("nodemeta"); ok {
-			if epoch, err = decodeNodeMeta(b); err != nil {
-				return stats, fmt.Errorf("kv: nodemeta: %w", err)
-			}
+	var epoch int64
+	if b, ok := s.Disk.GetBlob("nodemeta"); ok {
+		if epoch, err = decodeNodeMeta(b); err != nil {
+			return stats, fmt.Errorf("kv: nodemeta: %w", err)
 		}
-		s.persistNodeMeta(s.liveness.SelfRestart(s.NodeID, epoch))
 	}
+	s.persistNodeMeta(s.liveness.SelfRestart(s.NodeID, epoch))
 	// The node must not believe it is live until a peer acks a fresh
 	// heartbeat under the new epoch.
 	s.forgetAcks()

@@ -169,6 +169,7 @@ func loadedStore(t testing.TB, keys int) (*Store, *Replica) {
 	topo.AddNode(1, simnet.Locality{Region: simnet.USEast1, Zone: "us-east1-a"})
 	st := NewStore(1, s, simnet.NewNetwork(s, topo), topo, hlc.NewClock(hlc.SimWallSource{Sim: s}, 250*sim.Millisecond), NewTxnRegistry(s, topo))
 	st.Disk = storage.NewDisk(s, 1, nil)
+	st.StartLiveness(NewNodeLiveness(s))
 	r := st.CreateReplica(&RangeDescriptor{RangeID: 1, StartKey: mvcc.Key("a"), Voters: []simnet.NodeID{1}, Leaseholder: 1})
 	for i := 0; i < keys; i++ {
 		if _, err := r.engine.Put(mvcc.Key(fmt.Sprintf("usertable/user%012d", i)), bytes.Repeat([]byte("f"), 100), hlc.Timestamp{WallTime: int64(i + 1)}, nil); err != nil {

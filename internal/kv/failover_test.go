@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"fmt"
 	"testing"
 
 	"mrdb/internal/mvcc"
@@ -229,6 +230,104 @@ func TestTransferLeaseToLaggingFollower(t *testing.T) {
 	cur, _ := h.cat.LookupByID(desc.RangeID)
 	if !r2.hasValidLease() || cur.Leaseholder != 2 || r2.LeaseAcquisitions != 0 {
 		t.Fatalf("n2 valid lease=%v, catalog leaseholder n%d, %d acquisitions; want the transferred lease kept", r2.hasValidLease(), cur.Leaseholder, r2.LeaseAcquisitions)
+	}
+}
+
+// TestLeadershipFollowsATransferredLease: a lease transfer commits, but the
+// target's TimeoutNow is lost, so its proposer keeps leading. The new
+// leaseholder cannot propose, and no leader change comes. The old leader's
+// next append checks the lease rule, which asks the leaseholder to campaign
+// again: it leads within one heartbeat interval plus a round trip of the
+// transfer applying, and serves writes.
+func TestLeadershipFollowsATransferredLease(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	r1, _ := h.stores[1].Replica(desc.RangeID)
+	r2, _ := h.stores[2].Replica(desc.RangeID)
+	lost := false
+	h.net.Register(2, func(m simnet.Message) {
+		if env, ok := m.Payload.(*RaftEnvelope); ok && env.Msg.Kind == raft.MsgTimeoutNow && !lost {
+			lost = true
+			return
+		}
+		h.stores[2].handleMessage(m)
+	})
+	var applied, led sim.Time
+	h.s.Spawn("watch", func(p *sim.Proc) {
+		for !r2.raft.IsLeader() {
+			if r1.desc.Leaseholder != 2 {
+				applied = p.Now()
+			}
+			p.Sleep(sim.Millisecond)
+		}
+		led = p.Now()
+	})
+	var put Response
+	h.run(t, 15*sim.Second, func(p *sim.Proc) error {
+		if err := h.admin.TransferLease(p, desc.RangeID, 2); err != nil {
+			return err
+		}
+		put = r2.evaluate(p, &PutRequest{Key: mvcc.Key("k"), Value: mvcc.Value("v"), Timestamp: h.stores[2].Clock.Now()})
+		return nil
+	})
+	if !lost {
+		t.Fatal("setup: no TimeoutNow reached n2")
+	}
+	// TimeoutNow travels one way, and the vote takes a replication round.
+	bound := raft.DefaultHeartbeatInterval + h.quorumRound(1, 2) + h.topo.OneWay(1, 2) + sim.Millisecond
+	if d := led.Sub(applied); d > bound {
+		t.Errorf("n2 led %v after the transfer applied, want within %v", d, bound)
+	}
+	if put.Err != nil {
+		t.Errorf("write at the new leaseholder: %v", put.Err)
+	}
+}
+
+// TestFencedLeaseholderServesAgain: the leaseholder's epoch is bumped — by
+// another range's acquisition — while another voter leads. Here n2 holds the
+// lease through a transfer proposed without asking n2 to campaign (as if its
+// TimeoutNow were lost), so n1 still leads, and n2 is fenced in the instant
+// the transfer applies. No leader change comes. The leader's lease rule still
+// runs on its next append, and the range serves again within one liveness
+// heartbeat interval, one heartbeat interval and a few replication rounds of
+// the fence.
+func TestFencedLeaseholderServesAgain(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	h.s.RunFor(2 * sim.Second)
+	r1, _ := h.stores[1].Replica(desc.RangeID)
+	var fenced, served sim.Time
+	var put Response
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		nd := r1.desc.Clone()
+		nd.Leaseholder = 2
+		nd.Generation++
+		if err := r1.propose(p, Command{
+			Kind: CmdLeaseTransfer, Desc: nd, LeaseEpoch: h.nl.Epoch(2),
+			Ts: r1.store.Clock.Now().Add(r1.store.Clock.MaxOffset()), ClosedTS: r1.closed.issued,
+		}); err != nil {
+			return err
+		}
+		h.nl.recs[2].Expiration = p.Now() - 1
+		if !h.nl.IncrementEpoch(2, p.Now()) {
+			t.Fatal("setup: could not fence n2")
+		}
+		fenced = p.Now()
+		for p.Now() < fenced.Add(20*sim.Second) {
+			for _, id := range desc.Voters {
+				if r, _ := h.stores[id].Replica(desc.RangeID); r.raft.IsLeader() && r.hasValidLease() {
+					put = r.evaluate(p, &PutRequest{Key: mvcc.Key("k"), Value: mvcc.Value("v"), Timestamp: r.store.Clock.Now()})
+					served = p.Now()
+					return put.Err
+				}
+			}
+			p.Sleep(sim.Millisecond)
+		}
+		return fmt.Errorf("no replica leads with a valid lease 20s after the fence")
+	})
+	bound := LivenessHeartbeatInterval + raft.DefaultHeartbeatInterval + 4*h.quorumRound(1, 2)
+	if d := served.Sub(fenced); d > bound {
+		t.Errorf("the range served %v after its leaseholder was fenced, want within %v", d, bound)
 	}
 }
 

@@ -144,38 +144,38 @@ func TestSnapshotInstallsClosedTimestamp(t *testing.T) {
 // TestSnapshotCarriesLeaseEpoch: a lease that reaches a replica only
 // through a snapshot is bound to the epoch its lease command recorded,
 // because the epoch is replicated state and the image carries it. Here the
-// lease moves to a node cut off from the group, after its epoch was bumped.
+// leader's lease is fenced by an epoch bump while n3 is cut off from the
+// group, and the leader takes it again under its new epoch; n3 learns of
+// that lease only from the snapshot it installs once healed.
 func TestSnapshotCarriesLeaseEpoch(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
 	leader, _ := h.stores[1].Replica(desc.RangeID)
 	target, _ := h.stores[3].Replica(desc.RangeID)
 	h.cutOff(t, leader, 3, 12*sim.Second)
-	if !h.nl.IncrementEpoch(3, h.s.Now()) {
-		t.Fatal("setup: n3's liveness record has not expired")
+	h.nl.recs[1].Expiration = h.s.Now() - 1
+	if !h.nl.IncrementEpoch(1, h.s.Now()) {
+		t.Fatal("setup: could not fence n1")
 	}
-	epoch := h.nl.Epoch(3)
+	epoch := h.nl.Epoch(1)
 	if target.leaseEpoch == epoch {
 		t.Fatalf("setup: n3's replica already records epoch %d", epoch)
 	}
-	h.run(t, 10*sim.Second, func(p *sim.Proc) error {
-		nd := leader.desc.Clone()
-		nd.Leaseholder = 3
-		nd.Generation++
-		return leader.propose(p, Command{
-			Kind: CmdLeaseTransfer, Desc: nd, LeaseEpoch: epoch,
-			Ts: leader.store.Clock.Now().Add(leader.store.Clock.MaxOffset()), ClosedTS: leader.closed.issued,
-		})
-	})
+	for i := 0; i < 10000 && (!leader.hasValidLease() || leader.leaseEpoch != epoch); i++ {
+		h.s.RunFor(sim.Millisecond)
+	}
+	if !leader.hasValidLease() || leader.leaseEpoch != epoch {
+		t.Fatalf("setup: n1 lease valid %v at epoch %d, want it taken again at epoch %d", leader.hasValidLease(), leader.leaseEpoch, epoch)
+	}
 	h.heal(3)
 	for i := 0; i < 2000 && h.stores[3].SnapshotsApplied == 0; i++ {
 		h.s.RunFor(sim.Millisecond)
 	}
-	if h.stores[3].SnapshotsApplied != 1 || target.desc.Leaseholder != 3 {
+	if h.stores[3].SnapshotsApplied != 1 || target.desc.Leaseholder != 1 {
 		t.Fatalf("setup: n3 installed %d snapshots and names n%d leaseholder", h.stores[3].SnapshotsApplied, target.desc.Leaseholder)
 	}
 	if target.LeaseEpoch() != epoch {
-		t.Fatalf("n3 took the lease through a snapshot bound to epoch %d, its command recorded %d", target.LeaseEpoch(), epoch)
+		t.Fatalf("n3 learned n1's lease through a snapshot bound to epoch %d, its command recorded %d", target.LeaseEpoch(), epoch)
 	}
 }
 

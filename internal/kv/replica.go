@@ -104,13 +104,7 @@ func (r *Replica) isLeaseholder() bool {
 // (CockroachDB's epoch-based lease invalidation). A lease being transferred
 // away is not usable either.
 func (r *Replica) hasValidLease() bool {
-	if !r.isLeaseholder() || r.transferring {
-		return false
-	}
-	if r.store.liveness == nil {
-		return true
-	}
-	return r.store.SelfLive() && r.store.CurrentEpoch() == r.leaseEpoch
+	return r.isLeaseholder() && !r.transferring && r.store.SelfLive() && r.store.CurrentEpoch() == r.leaseEpoch
 }
 
 // errNotLeaseholder builds the redirect error from the local descriptor.
@@ -1014,42 +1008,29 @@ func (r *Replica) applyLeaseTransfer(cmd Command) {
 	}
 }
 
-// --- Lease acquisition on leadership change ---
+// --- The lease follows Raft leadership ---
 
 // onLeaderChange runs whenever this replica's Raft group elects (or learns
-// of) a new leader. If we just became leader but do not hold the lease, we
-// reconcile the two: CockroachDB colocates the leaseholder with the Raft
-// leader, so either leadership goes back to a live leaseholder, or — if the
-// leaseholder is dead by liveness — we fence it with an epoch bump and take
-// the lease ourselves. This is what makes FailRegion/CrashNode heal with no
-// admin intervention.
-func (r *Replica) onLeaderChange(leader simnet.NodeID, _ uint64) {
+// of) a new leader. A winner checks the lease rule at once: a range with no
+// peers sends no appends, so heartbeatPayload would never check it.
+func (r *Replica) onLeaderChange(simnet.NodeID, uint64) {
 	// An acquisition parked in an earlier leadership looks again: a single
 	// voter's no-op may apply before it runs, outside any Step.
 	r.leaderApplied.Broadcast()
-	if leader != r.store.NodeID || r.store.liveness == nil {
-		return
-	}
-	if r.hasValidLease() || r.leaseAcqActive || r.transferring {
-		return
-	}
-	r.startLeaseAcquisition()
+	r.ensureLease()
 }
 
-// reclaimFencedLease starts a lease acquisition on a leader whose own lease
-// was fenced while it kept its leadership. A peer that bumps this node's
-// epoch to take one range's lease fences every lease the node holds, and
-// a range whose voters share a region keeps its leader through a failure
-// of that region: no leader change comes to start an acquisition
-// (onLeaderChange), and the range would stay without a usable lease.
-func (r *Replica) reclaimFencedLease() {
-	if r.raft.IsLeader() && r.isLeaseholder() && r.store.liveness != nil && r.store.SelfLive() && !r.leaseAcqActive && !r.transferring {
-		r.startLeaseAcquisition()
+// ensureLease is the one rule that keeps a range's lease with its Raft
+// leader (CockroachDB colocates the two): a leader without a valid lease —
+// held elsewhere, fenced by an epoch bump, or transferred while leadership
+// stayed — starts an acquisition, unless one is running or a transfer it
+// proposed is undecided. It is checked on every append the leader sends and
+// when it wins an election, so it holds whatever moved the lease or the
+// leadership.
+func (r *Replica) ensureLease() {
+	if !r.raft.IsLeader() || r.hasValidLease() || r.leaseAcqActive || r.transferring {
+		return
 	}
-}
-
-// startLeaseAcquisition runs maybeAcquireLease on a proc of its own.
-func (r *Replica) startLeaseAcquisition() {
 	r.leaseAcqActive = true
 	r.store.Sim.Spawn(fmt.Sprintf("n%d/r%d/lease-acq", r.store.NodeID, r.desc.RangeID), func(p *sim.Proc) {
 		defer func() { r.leaseAcqActive = false }()
@@ -1080,8 +1061,9 @@ func (r *Replica) awaitLeaderApplied(p *sim.Proc) bool {
 	return r.raft.IsLeader()
 }
 
-// maybeAcquireLease runs on a fresh Raft leader without a valid lease. Each
-// wait in it ends on the event it is for, not on a timer standing in for one.
+// maybeAcquireLease runs on a Raft leader without a valid lease
+// (ensureLease). Each wait in it ends on the event it is for, not on a timer
+// standing in for one.
 func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 	nl := r.store.liveness
 	// Settle first (awaitLeaderApplied): a cooperative lease transfer to this
@@ -1175,10 +1157,11 @@ func (r *Replica) engineFor(key mvcc.Key) *mvcc.Engine {
 // promise could see — any but a write above it — or the commit index if there
 // is none. A follower uses the promise once it has applied through that
 // position, so no write below the promise that can still commit is missing
-// from it. A leader that finds its own lease fenced here reclaims it.
+// from it. A leader without a valid lease promises nothing, and checks the
+// lease rule (ensureLease): every append it sends does.
 func (r *Replica) heartbeatPayload(uncommitted []raft.Entry) (hlc.Timestamp, uint64) {
 	if !r.hasValidLease() {
-		r.reclaimFencedLease()
+		r.ensureLease()
 		return hlc.Timestamp{}, 0
 	}
 	closed := r.closed.issue(r.store.Clock.Now())

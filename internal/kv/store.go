@@ -150,10 +150,8 @@ func (s *Store) handleMessage(m simnet.Message) {
 			r.step(msg)
 		}
 	case livenessPing:
-		if s.liveness != nil {
-			s.liveness.Heartbeat(m.From, payload.Expiration)
-			s.Net.Send(s.NodeID, m.From, livenessAck{Epoch: s.liveness.Epoch(m.From)})
-		}
+		s.liveness.Heartbeat(m.From, payload.Expiration)
+		s.Net.Send(s.NodeID, m.From, livenessAck{Epoch: s.liveness.Epoch(m.From)})
 	case livenessAck:
 		// A peer confirmed our record: we are provably connected, and
 		// payload.Epoch is the epoch our leases must be bound to.
@@ -206,7 +204,8 @@ func (s *Store) handleMessage(m simnet.Message) {
 // can reach anyone renews at least every second round and background
 // traffic grows with the node count, not its square. Crashes and partitions
 // stop the pings, so the record expires LivenessTTL after the last delivered
-// one and the node becomes eligible for an epoch bump. Returns a stop
+// one and the node becomes eligible for an epoch bump. Every store runs it
+// before it serves: its leases are bound to its epoch. Returns a stop
 // function.
 func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 	s.liveness = nl
@@ -229,18 +228,12 @@ func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 	})
 }
 
-// Liveness returns the shared liveness registry (nil if not started).
-func (s *Store) Liveness() *NodeLiveness { return s.liveness }
-
 // SelfLive reports whether this node believes its own liveness record is
 // current: a peer acked a heartbeat within the TTL. A node cut off from all
 // peers loses this and must stop serving as a leaseholder, since others may
 // have bumped its epoch. Single-node liveness domains are trivially live.
 func (s *Store) SelfLive() bool {
-	if s.liveness == nil || len(s.liveness.Nodes()) <= 1 {
-		return true
-	}
-	return s.acked && s.Sim.Now() <= s.lastAck.Add(LivenessTTL)
+	return len(s.liveness.Nodes()) <= 1 || s.acked && s.Sim.Now() <= s.lastAck.Add(LivenessTTL)
 }
 
 // forgetAcks returns the node to "no peer has confirmed my record": it does
@@ -254,12 +247,7 @@ func (s *Store) forgetAcks() {
 
 // CurrentEpoch is the epoch of this node's record as last confirmed by a
 // peer; leases this store acquires are bound to it.
-func (s *Store) CurrentEpoch() int64 {
-	if s.liveness == nil {
-		return 0
-	}
-	return s.ackEpoch
-}
+func (s *Store) CurrentEpoch() int64 { return s.ackEpoch }
 
 // raftTransport adapts the network for one range's Raft node.
 type raftTransport struct {

@@ -225,8 +225,14 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	// where their order cannot matter: fewer messages, so other jitter draws.
 	// It moved from b0b6c9f016cb53ba when every random consumer got a stream
 	// of its own (Simulation.Stream): other jitter and election draws; the
-	// ranges table held.
-	const goldenSpanHash = 0xbdaf1c8ab71b3401
+	// ranges table held. It moved from bdaf1c8ab71b3401 when a leader
+	// without a valid lease began to check the lease rule on every append
+	// (kv's Replica.ensureLease): the first diverging event is at 31.18 s,
+	// where ADD REGION's relocation transfers r3's lease from n2 to n1. The
+	// eager TimeoutNow goes out as before, and n2's rule repeats it, with its
+	// append, in the same instant; the repeat draws jitter, which moves every
+	// later draw. The ranges table held.
+	const goldenSpanHash = 0x3770bf0fde68058a
 	const goldenRanges = `range_id|start_key|end_key|leaseholder|lease_epoch|lease_region|policy|voters|non_voters|qps|decisions
 1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0
 2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0
