@@ -182,7 +182,8 @@ func allocProfile() map[[32]uintptr]int64 {
 // allocsByLayer attributes the objects allocated between two profiles to
 // the package of each stack's innermost mrdb frame ("main" for a command's
 // own code, "runtime" for a stack without one): an object a runtime or
-// standard-library function allocates on a layer's behalf is the layer's.
+// standard-library function allocates on a layer's behalf is the layer's,
+// and so is a chunk the slab package carves for it.
 func allocsByLayer(before, after map[[32]uintptr]int64) map[string]int64 {
 	layers := map[string]int64{}
 	for stack, n := range after {
@@ -200,7 +201,7 @@ func allocsByLayer(before, after map[[32]uintptr]int64) map[string]int64 {
 		frames := runtime.CallersFrames(pcs)
 		for {
 			f, more := frames.Next()
-			if l, ok := mrdbPackage(f.Function); ok {
+			if l, ok := mrdbPackage(f.Function); ok && l != "slab" {
 				layer = l
 				break
 			}

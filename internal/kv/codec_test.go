@@ -58,8 +58,8 @@ func someDesc(rng *rand.Rand) *RangeDescriptor {
 	}
 }
 
-func randCommand(rng *rand.Rand, kind CommandKind) Command {
-	c := Command{
+func randCommand(rng *rand.Rand, kind CommandKind) *Command {
+	c := &Command{
 		Kind: kind, Key: randBytes(rng), Value: randBytes(rng), Ts: randTS(rng),
 		Status: mvcc.TxnStatus(rng.Intn(3)), CommitTS: randTS(rng), ClosedTS: randTS(rng),
 		Desc: randDesc(rng), SplitDesc: randDesc(rng),

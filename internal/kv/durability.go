@@ -2,7 +2,7 @@ package kv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mrdb/internal/hlc"
 	"mrdb/internal/mvcc"
@@ -152,7 +152,7 @@ func (s *Store) sortedRangeIDs() []RangeID {
 	for id := range s.replicas {
 		ids = append(ids, id)
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
 	return ids
 }
 

@@ -142,7 +142,7 @@ func TestSnapshotInstallPersistsReceivedBytes(t *testing.T) {
 
 // onePutBatch is the persist batch of a steady-state write.
 func onePutBatch() (raft.HardState, []raft.Entry) {
-	cmd := Command{Kind: CmdPut, Key: mvcc.Key("usertable/user000000000042"), Value: mvcc.Value(bytes.Repeat([]byte("v"), 100)),
+	cmd := &Command{Kind: CmdPut, Key: mvcc.Key("usertable/user000000000042"), Value: mvcc.Value(bytes.Repeat([]byte("v"), 100)),
 		Ts: hlc.Timestamp{WallTime: 12_345_678_901}, ClosedTS: hlc.Timestamp{WallTime: 9_345_678_901}}
 	return raft.HardState{Term: 3, Vote: 2}, []raft.Entry{{Term: 3, Index: 1234, Data: cmd}}
 }

@@ -302,7 +302,7 @@ func TestFencedLeaseholderServesAgain(t *testing.T) {
 		nd := r1.desc.Clone()
 		nd.Leaseholder = 2
 		nd.Generation++
-		if err := r1.propose(p, Command{
+		if err := r1.propose(p, &Command{
 			Kind: CmdLeaseTransfer, Desc: nd, LeaseEpoch: h.nl.Epoch(2),
 			Ts: r1.store.Clock.Now().Add(r1.store.Clock.MaxOffset()), ClosedTS: r1.closed.issued,
 		}); err != nil {

@@ -89,8 +89,8 @@ func (h *recoveryHarness) createRange(t *testing.T, voters []simnet.NodeID, leas
 	return desc
 }
 
-func putCmd(st *Store, key, val string) Command {
-	return Command{Kind: CmdPut, Key: mvcc.Key(key), Value: mvcc.Value(val), Ts: st.Clock.Now()}
+func putCmd(st *Store, key, val string) *Command {
+	return &Command{Kind: CmdPut, Key: mvcc.Key(key), Value: mvcc.Value(val), Ts: st.Clock.Now()}
 }
 
 // hasKey reports whether r's engine holds a version or an intent of key.
@@ -423,7 +423,7 @@ func TestReplayResolvesEveryKeyOfAResolution(t *testing.T) {
 	keys := []mvcc.Key{mvcc.Key("k1"), mvcc.Key("k2"), mvcc.Key("k3")}
 	h.run(t, 10*sim.Second, func(p *sim.Proc) error {
 		for _, k := range keys {
-			cmd := Command{Kind: CmdPut, Key: k, Value: mvcc.Value("v-" + string(k)), Ts: tx.Meta.WriteTimestamp, Txn: &tx.Meta}
+			cmd := &Command{Kind: CmdPut, Key: k, Value: mvcc.Value("v-" + string(k)), Ts: tx.Meta.WriteTimestamp, Txn: &tx.Meta}
 			if err := r1.propose(p, cmd); err != nil {
 				return err
 			}

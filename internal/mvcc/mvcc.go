@@ -7,6 +7,14 @@
 // snapshot timestamp and report the conflicts that drive the transaction
 // protocol upstairs: write intents (locks), reads within the uncertainty
 // interval (paper §6.1), and write-too-old conditions.
+//
+// A key's skiplist cell holds its intent and the head of its chain: linked
+// nodes {ts, val, next}, newest first, carved from chunks the engine owns
+// (slab.Of). A committed write or a resolution links one node at the head;
+// GC unlinks the nodes it collects, clears their values and keeps them on
+// the engine's free list for its next write. A node is never handed to
+// another engine, and nothing outside the engine holds one: readers get
+// values, never nodes.
 package mvcc
 
 import (
@@ -16,6 +24,7 @@ import (
 
 	"mrdb/internal/hlc"
 	"mrdb/internal/skl"
+	"mrdb/internal/slab"
 	"mrdb/internal/wire"
 )
 
@@ -63,18 +72,19 @@ func (s TxnStatus) String() string {
 	return "UNKNOWN"
 }
 
-// version is one committed value.
+// version is one committed value, a node of its key's chain.
 type version struct {
-	ts  hlc.Timestamp
-	val Value
+	ts   hlc.Timestamp
+	val  Value
+	next *version // the next older version
 }
 
-// versions is the per-key chain: newest first, plus an optional intent. It
-// is the skiplist's value type, so a chain lives in the list's cell: no
-// object per key besides the version slice.
+// versions is the per-key chain, newest first, plus an optional intent. It
+// is the skiplist's value type, so a chain lives in the list's cell and its
+// nodes in the engine's chunks: no object per key.
 type versions struct {
 	intent *intentRecord
-	vals   []version // sorted by descending ts
+	head   *version // sorted by descending ts
 }
 
 type intentRecord struct {
@@ -132,6 +142,10 @@ type Engine struct {
 	// freeIntents recycles resolved intent records: the write path of every
 	// transactional workload allocates one per intent otherwise.
 	freeIntents []*intentRecord
+	// nodes carves version nodes; free lists, through next, the nodes GC
+	// collected, values cleared, for the next write to link.
+	nodes slab.Of[version]
+	free  *version
 }
 
 // NewEngine returns an empty engine whose internal skiplist derives tower
@@ -150,13 +164,44 @@ func (e *Engine) chainOrCreate(key Key) *versions {
 	return c
 }
 
-// prependVersion pushes v onto the front of the chain in place, reusing the
-// chain's backing array instead of allocating a fresh slice per committed
-// write (version chains are newest-first).
-func prependVersion(c *versions, v version) {
-	c.vals = append(c.vals, version{})
-	copy(c.vals[1:], c.vals[:len(c.vals)-1])
-	c.vals[0] = v
+// newVersion returns a node holding (ts, val) in front of next: a collected
+// node when GC left one, otherwise a fresh one from the engine's chunks.
+func (e *Engine) newVersion(ts hlc.Timestamp, val Value, next *version) *version {
+	v := e.free
+	if v != nil {
+		e.free = v.next
+	} else {
+		v = e.nodes.New()
+	}
+	*v = version{ts: ts, val: val, next: next}
+	return v
+}
+
+// appendVersion links a node holding (ts, val) after tail, or at c's head
+// when tail is nil, and returns it: the way a chain is built oldest last.
+func (e *Engine) appendVersion(c *versions, tail *version, ts hlc.Timestamp, val Value) *version {
+	v := e.newVersion(ts, val, nil)
+	if tail == nil {
+		c.head = v
+	} else {
+		tail.next = v
+	}
+	return v
+}
+
+// freeVersions hands the chain from v on to the free list, values cleared so
+// that a collected version's bytes are no longer reachable from the engine,
+// and returns how many nodes it freed.
+func (e *Engine) freeVersions(v *version) int {
+	n := 0
+	for v != nil {
+		next := v.next
+		*v = version{next: e.free}
+		e.free = v
+		v = next
+		n++
+	}
+	return n
 }
 
 // GetOptions tunes visibility for Get and Scan.
@@ -210,7 +255,7 @@ func (e *Engine) getFromChain(key Key, c *versions, ts hlc.Timestamp, opts GetOp
 	}
 	// Uncertainty: any committed value in (ts, uncertaintyLimit]?
 	if !opts.UncertaintyLimit.IsEmpty() {
-		for _, v := range c.vals {
+		for v := c.head; v != nil; v = v.next {
 			if v.ts.LessEq(ts) {
 				break
 			}
@@ -224,7 +269,7 @@ func (e *Engine) getFromChain(key Key, c *versions, ts hlc.Timestamp, opts GetOp
 			}
 		}
 	}
-	for _, v := range c.vals {
+	for v := c.head; v != nil; v = v.next {
 		if v.ts.LessEq(ts) {
 			if v.val == nil {
 				return nil, v.ts, nil // tombstone
@@ -285,11 +330,11 @@ func (e *Engine) Put(key Key, value Value, ts hlc.Timestamp, txn *TxnMeta) (hlc.
 		}
 	}
 	// Write-too-old: cannot write below an existing committed version.
-	if len(c.vals) > 0 && ts.LessEq(c.vals[0].ts) {
+	if c.head != nil && ts.LessEq(c.head.ts) {
 		return hlc.Timestamp{}, &WriteTooOldError{
 			Key:             append(Key(nil), key...),
 			Timestamp:       ts,
-			ActualTimestamp: c.vals[0].ts.Next(),
+			ActualTimestamp: c.head.ts.Next(),
 		}
 	}
 	if txn != nil {
@@ -312,7 +357,7 @@ func (e *Engine) Put(key Key, value Value, ts hlc.Timestamp, txn *TxnMeta) (hlc.
 		}
 		return ts, nil
 	}
-	prependVersion(c, version{ts: ts, val: value})
+	c.head = e.newVersion(ts, value, c.head)
 	return ts, nil
 }
 
@@ -348,10 +393,10 @@ func (e *Engine) ResolveIntent(key Key, txnID TxnID, status TxnStatus, commitTS 
 	if ts.IsEmpty() {
 		ts = in.txn.WriteTimestamp
 	}
-	if len(c.vals) > 0 && ts.LessEq(c.vals[0].ts) {
-		return fmt.Errorf("mvcc: commit at %s below existing version %s", ts, c.vals[0].ts)
+	if c.head != nil && ts.LessEq(c.head.ts) {
+		return fmt.Errorf("mvcc: commit at %s below existing version %s", ts, c.head.ts)
 	}
-	prependVersion(c, version{ts: ts, val: in.val})
+	c.head = e.newVersion(ts, in.val, c.head)
 	e.recycleIntent(in)
 	return nil
 }
@@ -372,20 +417,19 @@ func (e *Engine) recycleIntent(in *intentRecord) {
 
 // GC removes committed versions older than threshold on every key, keeping
 // at least the newest version (so reads at or above threshold still see
-// data). It returns the number of versions collected.
+// data). The collected nodes go to the free list with their values
+// cleared. It returns the number of versions collected.
 func (e *Engine) GC(threshold hlc.Timestamp) int {
 	collected := 0
 	it := e.list.Iter()
 	for it.First(); it.Valid(); it.Next() {
-		c := it.Ptr()
 		// Find the newest version <= threshold; everything older than it
 		// is invisible to any read at >= threshold.
-		for i, v := range c.vals {
+		for v := it.Ptr().head; v != nil; v = v.next {
 			if v.ts.LessEq(threshold) {
-				if cut := len(c.vals) - (i + 1); cut > 0 {
-					collected += cut
-					c.vals = c.vals[:i+1]
-				}
+				cut := v.next
+				v.next = nil
+				collected += e.freeVersions(cut)
 				break
 			}
 		}
@@ -402,6 +446,15 @@ func (e *Engine) HasNewerVersion(key Key, fromTS, toTS hlc.Timestamp, ignoreTxn 
 	return c != nil && c.hasNewer(fromTS, toTS, ignoreTxn)
 }
 
+// len returns the number of committed versions in c.
+func (c *versions) len() int {
+	n := 0
+	for v := c.head; v != nil; v = v.next {
+		n++
+	}
+	return n
+}
+
 func (c *versions) hasNewer(fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
 	if c.intent != nil && c.intent.txn.ID != ignoreTxn {
 		its := c.intent.txn.WriteTimestamp
@@ -409,7 +462,7 @@ func (c *versions) hasNewer(fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
 			return true
 		}
 	}
-	for _, v := range c.vals {
+	for v := c.head; v != nil; v = v.next {
 		if v.ts.LessEq(fromTS) {
 			break
 		}
@@ -465,18 +518,22 @@ func (e *Engine) CopyTo(dst *Engine, start, end Key) {
 			break
 		}
 		src := it.Ptr()
-		cp := versions{vals: make([]version, len(src.vals))}
-		for i, v := range src.vals {
+		var cp versions
+		var tail *version
+		for v := src.head; v != nil; v = v.next {
 			// bytes.Clone, not append: an empty value must not come out
 			// nil, which is a tombstone.
-			cp.vals[i] = version{ts: v.ts, val: bytes.Clone(v.val)}
+			tail = dst.appendVersion(&cp, tail, v.ts, bytes.Clone(v.val))
 		}
 		if src.intent != nil {
 			cp.intent = &intentRecord{txn: src.intent.txn, val: bytes.Clone(src.intent.val)}
 			dst.intents++
 		}
-		if old, replaced := dst.list.Set(it.Key(), cp); replaced && old.intent != nil {
-			dst.intents--
+		if old, replaced := dst.list.Set(it.Key(), cp); replaced {
+			dst.freeVersions(old.head)
+			if old.intent != nil {
+				dst.intents--
+			}
 		}
 	}
 }
@@ -511,10 +568,10 @@ func (e *Engine) Snapshot() []SnapshotKey {
 		sk := SnapshotKey{Key: append(Key(nil), it.Key()...)}
 		// bytes.Clone, as in CopyTo: an empty value must stay empty, not
 		// become a nil tombstone.
-		if len(src.vals) > 0 {
-			sk.Versions = make([]SnapshotVersion, len(src.vals))
-			for i, v := range src.vals {
-				sk.Versions[i] = SnapshotVersion{Ts: v.ts, Val: bytes.Clone(v.val)}
+		if n := src.len(); n > 0 {
+			sk.Versions = make([]SnapshotVersion, 0, n)
+			for v := src.head; v != nil; v = v.next {
+				sk.Versions = append(sk.Versions, SnapshotVersion{Ts: v.ts, Val: bytes.Clone(v.val)})
 			}
 		}
 		if src.intent != nil {
@@ -548,8 +605,8 @@ func (e *Engine) AppendSnapshot(dst []byte) []byte {
 	it := e.list.Iter()
 	for it.First(); it.Valid(); it.Next() {
 		c := it.Ptr()
-		dst = binary.AppendUvarint(wire.AppendBytes(dst, it.Key()), uint64(len(c.vals)))
-		for _, v := range c.vals {
+		dst = binary.AppendUvarint(wire.AppendBytes(dst, it.Key()), uint64(c.len()))
+		for v := c.head; v != nil; v = v.next {
 			dst = wire.AppendBytes(wire.AppendTimestamp(dst, v.ts), v.val)
 		}
 		if c.intent == nil {
@@ -574,8 +631,9 @@ func (e *Engine) LoadSnapshot(data []byte) error {
 	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
 		key := d.Bytes()
 		var c versions
+		var tail *version
 		for nv := d.Uvarint(); nv > 0 && d.Err() == nil; nv-- {
-			c.vals = append(c.vals, version{ts: d.Timestamp(), val: bytes.Clone(d.Bytes())})
+			tail = e.appendVersion(&c, tail, d.Timestamp(), bytes.Clone(d.Bytes()))
 		}
 		if d.Byte() != 0 {
 			c.intent = &intentRecord{txn: DecodeTxnMeta(d), val: bytes.Clone(d.Bytes())}

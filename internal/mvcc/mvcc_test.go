@@ -298,7 +298,7 @@ func TestGC(t *testing.T) {
 	for i := int64(1); i <= 10; i++ {
 		mustPut(t, e, "a", fmt.Sprintf("v%d", i), i*10, nil)
 	}
-	if n := len(e.chain(k("a")).vals); n != 10 {
+	if n := e.chain(k("a")).len(); n != 10 {
 		t.Fatalf("versions = %d", n)
 	}
 	collected := e.GC(ts(55))

@@ -82,15 +82,16 @@ func (g *queueGroup) deliver() {
 	}
 }
 
-// command is a proposal's payload: a struct, so boxing it allocates.
+// command is a proposal's payload. The proposer owns it and proposes a
+// pointer, as the kv layer proposes a *kv.Command from its replica's chunks.
 type command struct{ a, b uint64 }
 
 // TestProposalRoundAllocs pins what a steady-state proposal round costs in
 // objects on three voters and two learners, from Propose to the entry
-// applied on all five and its future set: the boxed command and the future,
-// nothing else. Persisting an append, committing it and naming its quorum
-// allocate nothing — with nil Storage, and with a Storage whose fsyncs
-// complete later.
+// applied on all five and its future set: nothing. The command is the
+// proposer's, the future comes from the node's chunks, and persisting an
+// append, committing it and naming its quorum allocate nothing — with nil
+// Storage, and with a Storage whose fsyncs complete later.
 func TestProposalRoundAllocs(t *testing.T) {
 	for _, durable := range []bool{false, true} {
 		g := newQueueGroup([]simnet.NodeID{1, 2, 3}, []simnet.NodeID{4, 5}, durable)
@@ -101,11 +102,13 @@ func TestProposalRoundAllocs(t *testing.T) {
 			t.Fatalf("durable=%v: node 1 did not win its election", durable)
 		}
 		var f *sim.Future[ProposeResult]
+		cmds := make([]command, 402)
 		i := uint64(0)
 		round := func() {
 			i++
+			cmds[i] = command{i, i}
 			var err error
-			if f, err = l.Propose(command{i, i}); err != nil {
+			if f, err = l.Propose(&cmds[i]); err != nil {
 				t.Fatal(err)
 			}
 			g.deliver()
@@ -128,8 +131,8 @@ func TestProposalRoundAllocs(t *testing.T) {
 				t.Fatalf("durable=%v: node %d applied %d of %d", durable, id, n.Applied(), l.LastIndex())
 			}
 		}
-		if allocs != 2 {
-			t.Errorf("durable=%v: a proposal round allocates %v objects, want 2 (the boxed command and the future)", durable, allocs)
+		if allocs != 0 {
+			t.Errorf("durable=%v: a proposal round allocates %v objects, want 0 (neither a boxed command nor a future of its own)", durable, allocs)
 		}
 	}
 }

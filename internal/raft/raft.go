@@ -19,6 +19,7 @@ import (
 	"mrdb/internal/hlc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/slab"
 )
 
 // Role is a replica's current consensus role.
@@ -339,6 +340,9 @@ type Node struct {
 	// Only this replica's log resolves them, never its role: applyCommitted
 	// pops the head as its entry applies and dropFrom fails a suffix.
 	pending []proposal
+	// futures carves the proposals' futures. A proposer may hold its future
+	// long after it resolved, so none is handed out twice.
+	futures slab.Of[sim.Future[ProposeResult]]
 	// promised holds closed-timestamp promises received before this replica
 	// applied through their index: [0] the oldest, kept until its index
 	// applies, and [1] the latest since, which a later one replaces.
@@ -359,6 +363,10 @@ type Node struct {
 	stopped   bool
 	// election is the "raft/election" stream, which every node shares.
 	election *rand.Rand
+	// checkElection is electionCheck bound once per node, and beat is
+	// heartbeat bound to the term this node last became leader in: the
+	// timers re-arm with them rather than with a closure per fire.
+	checkElection, beat func()
 }
 
 // progress is the leader's replication bookkeeping for one peer. Every
@@ -402,6 +410,7 @@ func NewNode(cfg Config) *Node {
 		learners:          map[simnet.NodeID]bool{},
 		election:          cfg.Sim.Stream("raft/election"),
 	}
+	n.checkElection = n.electionCheck
 	for _, v := range cfg.Voters {
 		n.voters[v] = true
 	}
@@ -553,17 +562,21 @@ func (n *Node) scheduleElectionCheck() {
 	// Perturb the check interval so that two followers rarely campaign
 	// simultaneously.
 	d := electionTimeout/2 + sim.Duration(n.election.Int63n(int64(electionTimeout)))
-	n.cfg.Sim.After(d, func() {
-		if n.stopped {
-			return
+	n.cfg.Sim.After(d, n.checkElection)
+}
+
+// electionCheck campaigns if no leader was heard from for an election
+// timeout, and re-arms.
+func (n *Node) electionCheck() {
+	if n.stopped {
+		return
+	}
+	if n.role != Leader && n.role != Learner {
+		if n.cfg.Sim.Now().Sub(n.lastHeard) >= electionTimeout {
+			n.Campaign()
 		}
-		if n.role != Leader && n.role != Learner {
-			if n.cfg.Sim.Now().Sub(n.lastHeard) >= electionTimeout {
-				n.Campaign()
-			}
-		}
-		n.scheduleElectionCheck()
-	})
+	}
+	n.scheduleElectionCheck()
 }
 
 // heartbeat is the one timer of the leadership won at term: it keeps any
@@ -573,7 +586,7 @@ func (n *Node) scheduleElectionCheck() {
 // the heartbeat payload, so the timer sends only when none was that recent
 // and otherwise sleeps until the latest one is an interval old. A node
 // leads at most once per term, so the term tells a regained leadership's
-// timer from the lost one's.
+// timer from the lost one's; while it leads, n.beat is this term's timer.
 func (n *Node) heartbeat(term uint64) {
 	if n.stopped || n.role != Leader || n.term != term {
 		return
@@ -581,7 +594,7 @@ func (n *Node) heartbeat(term uint64) {
 	if n.cfg.Sim.Now().Sub(n.lastBroadcast) >= n.heartbeatInterval {
 		n.broadcastAppend()
 	}
-	n.cfg.Sim.Schedule(n.lastBroadcast.Add(n.heartbeatInterval), func() { n.heartbeat(term) })
+	n.cfg.Sim.Schedule(n.lastBroadcast.Add(n.heartbeatInterval), n.beat)
 }
 
 // --- Elections ---
@@ -633,7 +646,9 @@ func (n *Node) becomeLeader() {
 	// commit (Raft §5.4.2).
 	n.appendLocal(Entry{Data: nil})
 	n.broadcastAppend()
-	n.heartbeat(n.term)
+	term := n.term
+	n.beat = func() { n.heartbeat(term) }
+	n.heartbeat(term)
 }
 
 func (n *Node) stepDown(term uint64, leader simnet.NodeID) {
@@ -754,7 +769,7 @@ func (n *Node) proposeEntry(e Entry) (*sim.Future[ProposeResult], error) {
 		return nil, &ErrNotLeader{Leader: n.leader}
 	}
 	idx := n.appendLocal(e)
-	f := sim.NewFuture[ProposeResult](n.cfg.Sim)
+	f := n.futures.New()
 	n.pending = append(n.pending, proposal{index: idx, f: f})
 	n.broadcastAppend()
 	return f, nil

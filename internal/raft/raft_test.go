@@ -760,6 +760,36 @@ func TestIdleGroupTraffic(t *testing.T) {
 	}
 }
 
+// TestIdleHeartbeatAllocs pins an idle group's heartbeat interval at 0
+// objects: the leader's timer fires, sends an empty append to each of four
+// peers, which step it, and re-arms with the closure its leadership bound
+// once rather than with a closure per fire.
+func TestIdleHeartbeatAllocs(t *testing.T) {
+	g := newQueueGroup([]simnet.NodeID{1, 2, 3}, []simnet.NodeID{4, 5}, false)
+	l := g.nodes[1]
+	l.Campaign()
+	g.deliver()
+	if !l.IsLeader() {
+		t.Fatal("node 1 did not win its election")
+	}
+	s := l.cfg.Sim
+	interval := func() {
+		s.RunFor(DefaultHeartbeatInterval)
+		g.deliver()
+	}
+	for k := 0; k < 10; k++ {
+		interval()
+	}
+	before := l.Sent[MsgApp][0]
+	allocs := testing.AllocsPerRun(100, interval)
+	if sent := l.Sent[MsgApp][0] - before; sent != 101*4 {
+		t.Fatalf("%d empty appends in 101 intervals to 4 peers, want %d", sent, 101*4)
+	}
+	if allocs != 0 {
+		t.Errorf("an idle heartbeat interval allocates %v objects, want 0", allocs)
+	}
+}
+
 // TestBusyLeaderSendsNoTimerHeartbeats: every proposal's broadcast is a
 // heartbeat, so a leader that proposes more often than the interval sends
 // no empty append at all, and however bursts and pauses alternate no link

@@ -1,0 +1,47 @@
+// Package slab carves structs that are written once out of shared chunks.
+//
+// A struct that others may still read after its writer is done with it — a
+// request a late evaluation reads, a Raft command a follower's log shares, a
+// version node a reader walks, a future a waiter holds — cannot be put back
+// and refilled, or the late reader would see another owner's contents. An Of
+// therefore only grows: it hands out each struct once, from its current
+// chunk, and starts a new chunk when that one is used up, never refilling
+// one. A chunk is one heap object, so n structs cost the collector about one
+// object per chunk instead of n; the chunk lives while any struct carved
+// from it is reachable.
+package slab
+
+import "unsafe"
+
+// maxChunkBytes caps a chunk's size. Chunks double from a few structs, so a
+// short-lived owner stays small, until they reach the cap, so a long-lived
+// owner's chunk that one survivor pins (the last command a Raft log keeps, a
+// version a cold key keeps) holds at most this much beside it.
+const maxChunkBytes = 8 << 10
+
+// Of hands out zeroed structs of type T that no one has been handed before.
+// The zero Of is ready to use.
+type Of[T any] struct {
+	free []T
+	next int // the size of the next chunk
+}
+
+// Take returns n zeroed structs no one has been handed before, contiguous,
+// with their capacity clipped so appending to the result cannot reach
+// another caller's structs.
+func (s *Of[T]) Take(n int) []T {
+	if len(s.free) < n {
+		var zero T
+		limit := max(1, maxChunkBytes/max(1, int(unsafe.Sizeof(zero))))
+		s.next = min(max(2*s.next, 4), limit)
+		s.free = make([]T, max(n, s.next))
+	}
+	out := s.free[:n:n]
+	s.free = s.free[n:]
+	return out
+}
+
+// New returns one zeroed struct no one has been handed before.
+func (s *Of[T]) New() *T {
+	return &s.Take(1)[0]
+}

@@ -23,14 +23,17 @@ import (
 // one column by primary key with locality-optimized search on, from the
 // us-east1 gateway, and the prepared UPDATE of one column by primary key
 // that the benchmark's writes run. A local hit is one round trip to the
-// gateway's own partition, at 6 objects for the SELECT and 25 for the
+// gateway's own partition, at 6 objects for the SELECT and 23 for the
 // UPDATE. A remote miss misses there, then probes both remote partitions and
 // returns on europe-west2's hit while asia-northeast1's probe is still in
-// flight (its objects land in the next execution's count), at 28 and 51:
+// flight (its objects land in the next execution's count), at 27 and 46:
 // each probe's reads wait in a txn.Probe of their own until the statement
 // adopts them, so a probe that loses the race leaves the transaction alone.
 // The counts cover everything the simulation runs meanwhile, so they are
-// exact for this seed. They were 11, 31, 37 and 61 while the statement's
+// exact for this seed. They were 6, 25, 28 and 51 while every proposal boxed
+// its command and took a future of its own, a resolution built its own
+// TxnMeta and key list, every version slice grew per key and the Raft timers
+// re-armed with a closure per fire; 11, 31, 37 and 61 while the statement's
 // lookup lists were fresh slices, every reply boxed its kind, SendBatch
 // returned the transaction a fresh result slice and every transaction record
 // was an object of its own; 14 and 44 (the SELECTs)
@@ -98,9 +101,9 @@ func TestPointSelectAllocs(t *testing.T) {
 		got, want float64
 	}{
 		{"a local point SELECT", local, 6},
-		{"a remote point SELECT", remote, 28},
-		{"a local point UPDATE", localUpd, 25},
-		{"a remote point UPDATE", remoteUpd, 51},
+		{"a remote point SELECT", remote, 27},
+		{"a local point UPDATE", localUpd, 23},
+		{"a remote point UPDATE", remoteUpd, 46},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s allocates %.0f objects, want %.0f", c.what, c.got, c.want)

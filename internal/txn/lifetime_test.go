@@ -2,6 +2,8 @@ package txn_test
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"mrdb/internal/mvcc"
@@ -76,11 +78,14 @@ func TestLateEvaluationWritesOnlyItsOwnKeys(t *testing.T) {
 // sender's stack up to 16 entries (the 32-key batches allocate theirs); its
 // replies are values; and its reads, writes and pending writes grow once per
 // batch. What still scales with k is made outside the transaction, per key: a
-// latch and a lock per write, a proposal per write (its future, its command,
-// its Raft entries and the envelopes and messages that carry them to each
-// follower), the replica's evaluation procs, and an MVCC
-// version per write on every replica. The counts cover everything the
-// simulation runs meanwhile, so they are exact for this seed. They were 115
+// latch and a lock per write, a proposal per write (its Raft entries and the
+// envelopes and messages that carry them to each follower; its command and
+// its future come from chunks), and the replica's evaluation procs. The
+// counts cover everything the simulation runs meanwhile, and are means
+// pinned to ±0.1 (meanAllocs). Rounded down, they were 97 and 524 while
+// every proposal boxed its command
+// and took a future of its own, a resolution built its own TxnMeta and key
+// list, and every replica grew a version slice per written key; 115
 // and 622 while every reply boxed its kind, SendBatch returned the
 // transaction a fresh result slice and the transaction record was an object
 // of its own; 140 and 794 while the transaction copied every key it read or
@@ -117,13 +122,30 @@ func TestTxnBookkeepingDoesNotScaleWithKeys(t *testing.T) {
 				}
 				run++
 			}
-			got[k] = testing.AllocsPerRun(runs, readWrite)
+			got[k] = meanAllocs(runs, readWrite)
 			p.Sleep(sim.Second)
 		}
 	})
-	for k, want := range map[int]float64{4: 97, 32: 524} {
-		if got[k] != want {
-			t.Errorf("a transaction of %d reads and %d writes allocates %.0f objects, want %.0f", k, k, got[k], want)
+	for k, want := range map[int]float64{4: 68.2, 32: 356} {
+		if math.Abs(got[k]-want) > 0.1 {
+			t.Errorf("a transaction of %d reads and %d writes allocates %.2f objects, want %.1f ± 0.1", k, k, got[k], want)
 		}
 	}
+}
+
+// meanAllocs is testing.AllocsPerRun without its rounding down: the mean
+// objects per call of f over runs calls, after one warm-up. The count is
+// exact but for the lock table's map, whose growth moves with its hash
+// seed by a few objects per hundred transactions, so a pin on the mean
+// holds to ±0.1 where the rounded count would flip at a whole number.
+func meanAllocs(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

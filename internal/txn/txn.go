@@ -19,6 +19,7 @@ import (
 	"mrdb/internal/obs"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/slab"
 )
 
 // Coordinator creates transactions on one gateway node.
@@ -96,35 +97,16 @@ type Txn struct {
 	finished     bool
 	committed1PC bool
 
-	// The transaction's requests (see slab).
-	gets     slab[kv.GetRequest]
-	puts     slab[kv.PutRequest]
-	proofReq slab[kv.QueryIntentRequest]
-	resolves slab[kv.ResolveIntentRequest]
-}
-
-// slab hands out request structs that are written once. A request may still
-// be evaluated after its attempt gave up — a replica cut off mid-evaluation
-// answers when the partition heals, and a DistSender leaves such an envelope
-// to the collector — so a struct put back and refilled would have that late
-// evaluation read, lock or write another key. A slab therefore only grows: it
-// takes the requests of a batch from its current chunk and starts a chunk
-// twice the last one's size when that is used up. The chunks die with the
-// transaction and its last envelope.
-type slab[T any] struct {
-	free []T
-	next int // the size of the next chunk
-}
-
-// take returns n zeroed structs no one has been handed before.
-func (s *slab[T]) take(n int) []T {
-	if len(s.free) < n {
-		s.next = max(2*s.next, 4)
-		s.free = make([]T, max(n, s.next))
-	}
-	out := s.free[:n:n]
-	s.free = s.free[n:]
-	return out
+	// The transaction's requests, each written once (slab.Of). A request
+	// may still be evaluated after its attempt gave up — a replica cut off
+	// mid-evaluation answers when the partition heals, and a DistSender
+	// leaves such an envelope to the collector — so a struct put back and
+	// refilled would have that late evaluation read, lock or write another
+	// key. The chunks die with the transaction and its last envelope.
+	gets     slab.Of[kv.GetRequest]
+	puts     slab.Of[kv.PutRequest]
+	proofReq slab.Of[kv.QueryIntentRequest]
+	resolves slab.Of[kv.ResolveIntentRequest]
 }
 
 // grow returns s with room for n more elements, so that a batch's keys
@@ -320,7 +302,7 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		var respBuf [batchScratch]kv.Response
 		reqs := scratchList(&buf, len(riders)+len(send))
 		t.putRequests(reqs, riders)
-		getReqs := t.gets.take(len(send))
+		getReqs := t.gets.Take(len(send))
 		for j, key := range send {
 			getReqs[j] = kv.GetRequest{
 				Key:           key,
@@ -640,7 +622,7 @@ func (t *Txn) putRequests(reqs []interface{}, ws []bufferedPut) {
 		return
 	}
 	toRecord, _, recordOK := t.co.Sender.WriteRTTs(t.kv.Meta.Key)
-	puts := t.puts.take(len(ws))
+	puts := t.puts.Take(len(ws))
 	for i := range ws {
 		ws[i].replicate = recordOK && t.replicateFirst(ws[i].Key, toRecord)
 		puts[i] = kv.PutRequest{
@@ -917,7 +899,7 @@ func (t *Txn) proofs() []interface{} {
 	if n == 0 {
 		return nil
 	}
-	reqs, qs := make([]interface{}, 0, n), t.proofReq.take(n)
+	reqs, qs := make([]interface{}, 0, n), t.proofReq.Take(n)
 	for _, w := range t.writes {
 		if w.proven {
 			continue
@@ -1017,7 +999,7 @@ func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Time
 	s := t.co.Store.Sim
 	id := t.kv.Meta.ID
 	parent := obs.ProcSpan(p)
-	reqs, rs := make([]interface{}, len(t.writes)), t.resolves.take(len(t.writes))
+	reqs, rs := make([]interface{}, len(t.writes)), t.resolves.Take(len(t.writes))
 	for i, w := range t.writes {
 		rs[i] = kv.ResolveIntentRequest{
 			Key: w.key, TxnID: id, Status: status, CommitTS: commitTS,
