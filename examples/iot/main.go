@@ -107,7 +107,7 @@ func main() {
 				nd := d.Clone()
 				nd.Leaseholder = target
 				nd.Generation++
-				if f, err := sr.Raft().Propose(kv.Command{Kind: kv.CmdLeaseTransfer, Desc: nd, Ts: c.Stores[target].Clock.Now().Add(c.MaxOffset)}); err == nil {
+				if f, err := sr.Raft().Propose(&kv.Command{Kind: kv.CmdLeaseTransfer, Desc: nd, Ts: c.Stores[target].Clock.Now().Add(c.MaxOffset)}); err == nil {
 					f.Wait(p)
 				}
 				c.Catalog.Update(nd)
