@@ -331,6 +331,56 @@ func TestFencedLeaseholderServesAgain(t *testing.T) {
 	}
 }
 
+// TestOneDeathIsOneEpochBump: in TestFencedLeaseholderServesAgain's setup,
+// n2's epoch is bumped once, fencing the lease the range just bound to its
+// old epoch, and n2 stays expired. The voter that claims the lease finds it
+// bound below n2's epoch, already fenced, and claims it without a second
+// bump of n2's epoch: one death, one bump.
+func TestOneDeathIsOneEpochBump(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	h.s.RunFor(2 * sim.Second)
+	r1, _ := h.stores[1].Replica(desc.RangeID)
+	var bumps, epochs int64
+	var claimed *Replica
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		nd := r1.desc.Clone()
+		nd.Leaseholder = 2
+		nd.Generation++
+		if err := r1.propose(p, &Command{
+			Kind: CmdLeaseTransfer, Desc: nd, LeaseEpoch: h.nl.Epoch(2),
+			Ts: r1.store.Clock.Now().Add(r1.store.Clock.MaxOffset()), ClosedTS: r1.closed.issued,
+		}); err != nil {
+			return err
+		}
+		// n2 stays cut off, so its record stays expired and only a claim by
+		// another voter brings the range back.
+		h.net.Partition(2, 1)
+		h.net.Partition(2, 3)
+		h.nl.recs[2].Expiration = p.Now() - 1
+		before, epoch := h.nl.EpochBumps, h.nl.Epoch(2)
+		if !h.nl.IncrementEpoch(2, p.Now()) {
+			t.Fatal("setup: could not fence n2")
+		}
+		for start := p.Now(); p.Now() < start.Add(20*sim.Second); p.Sleep(sim.Millisecond) {
+			for _, id := range []simnet.NodeID{1, 3} {
+				if r, _ := h.stores[id].Replica(desc.RangeID); r.raft.IsLeader() && r.hasValidLease() {
+					claimed, bumps, epochs = r, h.nl.EpochBumps-before, h.nl.Epoch(2)-epoch
+					return nil
+				}
+			}
+		}
+		return fmt.Errorf("no other voter leads with a valid lease 20s after the fence")
+	})
+	if claimed == nil {
+		t.Fatal("no voter claimed the fenced lease")
+	}
+	if bumps != 1 || epochs != 1 {
+		t.Errorf("n%d claimed the lease after %d epoch bumps (n2's epoch moved by %d), want 1: the fence and no second one",
+			claimed.store.NodeID, bumps, epochs)
+	}
+}
+
 // TestSingleVoterReacquiresLeaseAfterRestart: a restarted single-voter
 // range commits its new term's no-op with its own fsync, so no message
 // reports that the no-op applied. The replica must still settle and take its

@@ -50,8 +50,8 @@ func floorRun(t *testing.T, seed int64, offset sim.Duration) (ownPruned int) {
 		at := now.Add(-sim.Duration(rng.Int63n(int64(5 * sim.Second))))
 		switch rng.Intn(4) {
 		case 0:
-			plain.tscache.RecordRead(key, at, txn)
-			floored.tscache.RecordRead(key, at, txn)
+			plain.tscache.RecordRead(key, "", at, txn)
+			floored.tscache.RecordRead(key, "", at, txn)
 		case 1: // a closed-timestamp publication
 			plain.closed.issue(now)
 			floored.closed.issue(now)

@@ -19,17 +19,17 @@ func TestTimestampCacheBasics(t *testing.T) {
 	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(10) {
 		t.Fatalf("empty cache MaxRead = %v, want low water", got)
 	}
-	c.RecordRead(mvcc.Key("a"), ts(20), 1)
+	c.RecordRead(mvcc.Key("a"), "", ts(20), 1)
 	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(20) {
 		t.Fatalf("MaxRead = %v", got)
 	}
 	// Lower reads don't regress the entry.
-	c.RecordRead(mvcc.Key("a"), ts(15), 2)
+	c.RecordRead(mvcc.Key("a"), "", ts(15), 2)
 	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(20) {
 		t.Fatalf("MaxRead regressed to %v", got)
 	}
 	// Reads at or below the low water mark are not recorded.
-	c.RecordRead(mvcc.Key("b"), ts(5), 1)
+	c.RecordRead(mvcc.Key("b"), "", ts(5), 1)
 	if len(c.reads) != 1 {
 		t.Fatalf("Len = %d", len(c.reads))
 	}
@@ -37,7 +37,7 @@ func TestTimestampCacheBasics(t *testing.T) {
 
 func TestTimestampCacheSelfExemption(t *testing.T) {
 	c := NewTimestampCache(hlc.Timestamp{})
-	c.RecordRead(mvcc.Key("k"), ts(30), 7)
+	c.RecordRead(mvcc.Key("k"), "", ts(30), 7)
 	// The reader itself may write AT its read timestamp…
 	if got, own := c.MaxRead(mvcc.Key("k"), 7); !own || got != ts(30) {
 		t.Fatalf("owner MaxRead = %v own=%v", got, own)
@@ -47,7 +47,7 @@ func TestTimestampCacheSelfExemption(t *testing.T) {
 		t.Fatal("non-owner got the exemption")
 	}
 	// A second reader at the same timestamp destroys the exemption.
-	c.RecordRead(mvcc.Key("k"), ts(30), 9)
+	c.RecordRead(mvcc.Key("k"), "", ts(30), 9)
 	if _, own := c.MaxRead(mvcc.Key("k"), 7); own {
 		t.Fatal("exemption survived a second reader")
 	}
@@ -55,8 +55,8 @@ func TestTimestampCacheSelfExemption(t *testing.T) {
 
 func TestTimestampCacheLowWater(t *testing.T) {
 	c := NewTimestampCache(hlc.Timestamp{})
-	c.RecordRead(mvcc.Key("a"), ts(10), 1)
-	c.RecordRead(mvcc.Key("b"), ts(50), 1)
+	c.RecordRead(mvcc.Key("a"), "", ts(10), 1)
+	c.RecordRead(mvcc.Key("b"), "", ts(50), 1)
 	c.SetLowWater(ts(30))
 	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(30) {
 		t.Fatalf("entry below low water not floored: %v", got)
@@ -83,11 +83,11 @@ func TestTimestampCacheLowWater(t *testing.T) {
 func TestTimestampCacheRereadAllocs(t *testing.T) {
 	c := NewTimestampCache(hlc.Timestamp{})
 	key := mvcc.Key("/t/usertable/1/us-east1/user00000042")
-	c.RecordRead(key, ts(10), 7)
+	c.RecordRead(key, "", ts(10), 7)
 	at := int64(10)
 	if n := testing.AllocsPerRun(100, func() {
 		at++
-		c.RecordRead(key, ts(at), 7)
+		c.RecordRead(key, "", ts(at), 7)
 	}); n != 0 {
 		t.Errorf("re-read at a higher timestamp allocates %.0f", n)
 	}
@@ -97,7 +97,7 @@ func TestTimestampCacheRereadAllocs(t *testing.T) {
 	reader := mvcc.TxnID(8)
 	if n := testing.AllocsPerRun(100, func() {
 		reader++
-		c.RecordRead(key, ts(at), reader)
+		c.RecordRead(key, "", ts(at), reader)
 	}); n != 0 {
 		t.Errorf("a second reader at the same timestamp allocates %.0f", n)
 	}
@@ -120,7 +120,7 @@ func TestQuickTimestampCacheMonotone(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			k := mvcc.Key{keys[i]}
-			c.RecordRead(k, ts(int64(walls[i])), mvcc.TxnID(i))
+			c.RecordRead(k, "", ts(int64(walls[i])), mvcc.TxnID(i))
 			got, _ := c.MaxRead(k, 0)
 			if got.Less(last[keys[i]]) {
 				return false
@@ -141,7 +141,7 @@ func TestLatchManagerExclusion(t *testing.T) {
 	m := newLatchManager(s)
 	var order []int
 	s.Spawn("a", func(p *sim.Proc) {
-		m.acquire(p, mvcc.Key("k"))
+		m.acquire(p, "k")
 		order = append(order, 1)
 		p.Sleep(10 * sim.Millisecond)
 		order = append(order, 2)
@@ -149,7 +149,7 @@ func TestLatchManagerExclusion(t *testing.T) {
 	})
 	s.Spawn("b", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		m.acquire(p, mvcc.Key("k"))
+		m.acquire(p, "k")
 		order = append(order, 3)
 		m.release("k")
 	})
@@ -167,7 +167,7 @@ func TestLatchWaitFree(t *testing.T) {
 	m := newLatchManager(s)
 	var readAt sim.Time
 	s.Spawn("writer", func(p *sim.Proc) {
-		m.acquire(p, mvcc.Key("k"))
+		m.acquire(p, "k")
 		p.Sleep(20 * sim.Millisecond)
 		m.release("k")
 	})

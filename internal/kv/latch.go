@@ -21,24 +21,22 @@ func newLatchManager(s *sim.Simulation) *latchManager {
 	return &latchManager{sim: s, held: map[string]bool{}, queues: map[string][]*sim.Cond{}}
 }
 
-// Lookups index the maps with string(key) in place, which converts without
-// copying. Only acquire pays for a string of the key, the one the held map
-// keeps; it hands that string back, and release deletes with it, so a write
-// latch costs one string however long its key. A waiter queueing converts
-// once more.
+// A write latch is named by the string its caller already keeps for the key
+// (the replica's lock-table entry), which the held map and the wait queue
+// store as is, so a latch makes no string of its own. Reads' lookups index
+// the maps with string(key) in place, which converts without copying; a
+// reader queueing converts once.
 
-// acquire takes the exclusive latch on key, parking p while another writer
-// holds it, and returns the key string that release takes.
-func (m *latchManager) acquire(p *sim.Proc, key mvcc.Key) string {
-	for m.held[string(key)] {
-		m.wait(p, string(key))
+// acquire takes the exclusive latch on k, parking p while another writer
+// holds it. release takes the same string.
+func (m *latchManager) acquire(p *sim.Proc, k string) {
+	for m.held[k] {
+		m.wait(p, k)
 	}
-	k := string(key)
 	m.held[k] = true
-	return k
 }
 
-// release frees the latch acquire returned k for and wakes the next waiter.
+// release frees the latch on k and wakes the next waiter.
 func (m *latchManager) release(k string) {
 	if !m.held[k] {
 		panic("kv: releasing unheld latch")

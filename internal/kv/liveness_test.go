@@ -54,7 +54,7 @@ func newLivenessHarness(t *testing.T, durable bool) *livenessHarness {
 		h.stores[id] = st
 		h.net.Register(id, func(m simnet.Message) {
 			switch m.Payload.(type) {
-			case livenessPing:
+			case *livenessPing:
 				h.pings[[2]simnet.NodeID{m.From, m.To}]++
 			case livenessAck:
 				h.acks[[2]simnet.NodeID{m.From, m.To}]++

@@ -29,7 +29,9 @@ type rangeLoad struct {
 	regions map[simnet.Region]float64
 
 	// samples is a bounded ring of recently touched keys; SplitKey picks
-	// the median, approximating the key that halves the load.
+	// the median, approximating the key that halves the load. The ring owns
+	// its keys' arrays: once it is full, a sample overwrites the oldest
+	// slot's array in place, so SplitKey hands out a copy.
 	samples   []mvcc.Key
 	sampleIdx int
 }
@@ -85,11 +87,10 @@ func (t *RangeLoadTracker) Record(id RangeID, key mvcc.Key, region simnet.Region
 	rl.decayTo(t.Sim.Now(), t.HalfLife)
 	rl.count += float64(n)
 	rl.regions[region] += float64(n)
-	k := append(mvcc.Key(nil), key...)
 	if len(rl.samples) < loadSampleSize {
-		rl.samples = append(rl.samples, k)
+		rl.samples = append(rl.samples, append(mvcc.Key(nil), key...))
 	} else {
-		rl.samples[rl.sampleIdx] = k
+		rl.samples[rl.sampleIdx] = append(rl.samples[rl.sampleIdx][:0], key...)
 	}
 	rl.sampleIdx = (rl.sampleIdx + 1) % loadSampleSize
 }
@@ -145,9 +146,9 @@ func (t *RangeLoadTracker) RegionShares(id RangeID) []RegionShare {
 	return out
 }
 
-// SplitKey returns the load-weighted split point for a range: the median of
-// the sampled keys restricted to (start, end). It returns nil when the
-// samples cannot produce a key strictly inside the range — e.g. when all
+// SplitKey returns the load-weighted split point for a range: a copy of the
+// median of the sampled keys restricted to (start, end). It returns nil when
+// the samples cannot produce a key strictly inside the range — e.g. when all
 // traffic hits a single key, which splitting cannot spread.
 func (t *RangeLoadTracker) SplitKey(id RangeID, start, end mvcc.Key) mvcc.Key {
 	if t == nil {
@@ -171,7 +172,7 @@ func (t *RangeLoadTracker) SplitKey(id RangeID, start, end mvcc.Key) mvcc.Key {
 		return nil
 	}
 	sort.Slice(in, func(i, j int) bool { return bytes.Compare(in[i], in[j]) < 0 })
-	return in[len(in)/2]
+	return append(mvcc.Key(nil), in[len(in)/2]...)
 }
 
 // Forget drops a range's accounting (after a merge removed it).

@@ -125,7 +125,7 @@ func TestRestartDropsVolatileState(t *testing.T) {
 		// An in-flight request's latch, never released (its holder dies
 		// with the node).
 		h.s.Spawn("latch-holder", func(lp *sim.Proc) {
-			r1.latches.acquire(lp, mvcc.Key("k2"))
+			r1.latches.acquire(lp, "k2")
 		})
 		return nil
 	})

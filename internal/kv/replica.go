@@ -38,11 +38,14 @@ type Replica struct {
 	pipelined       []pipelinedWrite
 	releaseResolved func()
 
-	// lockTable holds exclusive unreplicated locks (SELECT FOR UPDATE):
-	// key -> holder transaction. Entries are stolen lazily once the
-	// holder finishes; they are leaseholder-local state and vanish on
-	// lease transfers, which is safe (they only order writers).
-	lockTable map[string]mvcc.TxnID
+	// lockTable holds exclusive unreplicated locks (SELECT FOR UPDATE and
+	// every transactional write): key -> entry. Entries are stolen lazily
+	// once the holder finishes and never deleted (a split moves the right
+	// span's to the new range), so an entry's string names its key for the
+	// replica's lifetime: the write latch and a new timestamp-cache entry
+	// reuse it. They are leaseholder-local state and vanish on lease
+	// transfers, which is safe (they only order writers).
+	lockTable map[string]lockEntry
 	// leaderApplied wakes a fresh Raft leader waiting to apply the no-op its
 	// term opened with (awaitLeaderApplied).
 	leaderApplied *sim.Cond
@@ -267,7 +270,7 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 	if leaseholder && a.forUpdate && a.txn != nil {
 		// SELECT FOR UPDATE: take the unreplicated lock before reading so
 		// read-modify-write transactions queue instead of racing.
-		if err := r.acquireLock(p, a.latchKey, a.txn); err != nil {
+		if _, err := r.acquireLock(p, a.latchKey, a.txn); err != nil {
 			return Response{Err: err}
 		}
 	}
@@ -431,13 +434,19 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	// covers evaluation+replication. Acquiring in the other order
 	// deadlocks: a latch holder waiting on the lock blocks the lock
 	// holder's own write.
+	// The latch is named by the lock entry's string, so a key the replica
+	// has locked before costs the write no string.
+	var latched string
 	if req.Txn != nil {
-		if err := r.acquireLock(p, req.Key, req.Txn); err != nil {
+		var err error
+		if latched, err = r.acquireLock(p, req.Key, req.Txn); err != nil {
 			return Response{Err: err}
 		}
+	} else {
+		latched = string(req.Key)
 	}
 	lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
-	latched := r.latches.acquire(p, req.Key)
+	r.latches.acquire(p, latched)
 	lsp.Finish()
 	releaseOnReturn := true
 	defer func() {
@@ -474,7 +483,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				// and other readers are not blocked behind us.
 				r.latches.release(latched)
 				werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, true)
-				latched = r.latches.acquire(p, req.Key)
+				r.latches.acquire(p, latched)
 				if werr != nil {
 					return Response{Err: werr}
 				}
@@ -792,25 +801,43 @@ func (r *Replica) evalNegotiate(req *NegotiateRequest) Response {
 
 // --- Lock waiting ---
 
+// lockEntry is a lock-table entry: the string it is stored under, made when
+// the replica first locked the key, and the transaction holding the lock.
+type lockEntry struct {
+	key    string
+	holder mvcc.TxnID
+}
+
 // acquireLock takes (or confirms) the exclusive unreplicated lock on key
-// for the requesting transaction, queueing behind live holders. Finished
-// holders' locks are stolen lazily.
-func (r *Replica) acquireLock(p *sim.Proc, key mvcc.Key, txn *Txn) error {
-	k := string(key)
+// for the requesting transaction, queueing behind live holders, and returns
+// the entry's string. Finished holders' locks are stolen lazily. Lookups
+// index the table with string(key) in place, which converts without
+// copying, so only a key's first lock makes a string.
+func (r *Replica) acquireLock(p *sim.Proc, key mvcc.Key, txn *Txn) (string, error) {
 	wait := pushDelay
 	for {
-		holder, ok := r.lockTable[k]
-		if ok && holder != txn.Meta.ID {
-			if _, _, err := r.waitForHolder(p, txn.Meta.ID, holder, &wait); err != nil {
-				return err
+		e, ok := r.lockTable[string(key)]
+		if ok && e.holder != txn.Meta.ID {
+			if _, _, err := r.waitForHolder(p, txn.Meta.ID, e.holder, &wait); err != nil {
+				return "", err
 			}
-			if r.lockTable[k] != holder {
+			if r.lockTable[string(key)] != e {
 				continue // another waiter took the finished holder's lock first
 			}
 		}
-		r.lockTable[k] = txn.Meta.ID
-		return nil
+		if !ok {
+			e.key = string(key)
+		}
+		e.holder = txn.Meta.ID
+		r.lockTable[e.key] = e
+		return e.key, nil
 	}
+}
+
+// recordRead notes a read of key at ts by txn in the timestamp cache, whose
+// new entry names the key with its lock entry's string when it has one.
+func (r *Replica) recordRead(key mvcc.Key, ts hlc.Timestamp, txn mvcc.TxnID) {
+	r.tscache.RecordRead(key, r.lockTable[string(key)].key, ts, txn)
 }
 
 // waitForHolder parks p until the transaction holder finishes and returns
@@ -975,9 +1002,9 @@ func (r *Replica) applySplit(cmd *Command) {
 		nr.inherit(r.closed.closed, cmd.ClosedTS, cmd.Ts)
 		// The right span's unreplicated locks (held on the leaseholder only)
 		// go with their keys, so a locking read queued on one keeps waiting.
-		for k, holder := range r.lockTable {
+		for k, e := range r.lockTable {
 			if newDesc.ContainsKey(mvcc.Key(k)) {
-				nr.lockTable[k] = holder
+				nr.lockTable[k] = e
 				delete(r.lockTable, k)
 			}
 		}
@@ -1132,12 +1159,15 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 			}
 			p.SleepUntil(wake)
 			continue
-		} else if !nl.IncrementEpoch(prev, p.Now()) {
+		} else if r.leaseEpoch >= nl.Epoch(prev) && !nl.IncrementEpoch(prev, p.Now()) {
 			p.Sleep(LivenessHeartbeatInterval / 2)
 			continue
 		}
-		// The old lease is fenced; claim it for ourselves through the log
-		// so every replica learns the same lease at the same position.
+		// The old lease is fenced: by the bump above, or before it when the
+		// lease is bound below the incumbent's epoch (another range's claim
+		// or the incumbent's restart bumped it, and one death is one bump).
+		// Claim it for ourselves through the log so every replica learns the
+		// same lease at the same position.
 		nd := r.desc.Clone()
 		nd.Leaseholder = r.store.NodeID
 		nd.Generation++

@@ -9,6 +9,7 @@ import (
 	"mrdb/internal/raft"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/slab"
 	"mrdb/internal/storage"
 )
 
@@ -65,6 +66,10 @@ type Store struct {
 	lastAck    sim.Time
 	ackEpoch   int64
 	firstAcker simnet.NodeID
+	// pings carves the heartbeats the store sends, each written once: a
+	// ping in flight when the next round starts is still the receiver's to
+	// read.
+	pings slab.Of[livenessPing]
 
 	// GCCollected counts MVCC versions collected by the GC loop.
 	GCCollected int64
@@ -149,7 +154,7 @@ func (s *Store) handleMessage(m simnet.Message) {
 		if r, ok := s.replicas[rangeID]; ok {
 			r.step(msg)
 		}
-	case livenessPing:
+	case *livenessPing:
 		s.liveness.Heartbeat(m.From, payload.Expiration)
 		s.Net.Send(s.NodeID, m.From, livenessAck{Epoch: s.liveness.Epoch(m.From)})
 	case livenessAck:
@@ -223,7 +228,9 @@ func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 			if peer == s.NodeID || (only != 0 && peer != only) {
 				continue
 			}
-			s.Net.Send(s.NodeID, peer, livenessPing{Expiration: exp})
+			ping := s.pings.New()
+			ping.Expiration = exp
+			s.Net.Send(s.NodeID, peer, ping)
 		}
 	})
 }
@@ -291,7 +298,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 		engine:     mvcc.NewEngine(s.engineSeed + int64(desc.RangeID)),
 		tscache:    NewTimestampCache(hlc.Timestamp{}),
 		latches:    newLatchManager(s.Sim),
-		lockTable:  map[string]mvcc.TxnID{},
+		lockTable:  map[string]lockEntry{},
 		leaseEpoch: s.CurrentEpoch(),
 	}
 	r.leaderApplied = sim.NewCond(s.Sim)

@@ -42,15 +42,20 @@ func NewTimestampCache(lowWater hlc.Timestamp) *TimestampCache {
 }
 
 // RecordRead notes a read of key at ts by txn (0 for non-transactional).
-func (c *TimestampCache) RecordRead(key mvcc.Key, ts hlc.Timestamp, txn mvcc.TxnID) {
+// name, when not empty, is a string of key that someone already keeps (the
+// replica's lock-table entry for it): a new entry keeps it instead of
+// making a string of its own.
+func (c *TimestampCache) RecordRead(key mvcc.Key, name string, ts hlc.Timestamp, txn mvcc.TxnID) {
 	if ts.LessEq(c.lowWater) {
 		return
 	}
 	cur, ok := c.reads[string(key)]
 	switch {
 	case !ok:
-		k := string(key)
-		c.reads[k] = tsEntry{key: k, ts: ts, txn: txn}
+		if name == "" {
+			name = string(key)
+		}
+		c.reads[name] = tsEntry{key: name, ts: ts, txn: txn}
 	case cur.ts.Less(ts):
 		cur.ts, cur.txn = ts, txn
 		c.reads[cur.key] = cur

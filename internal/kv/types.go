@@ -176,7 +176,7 @@ func (q *GetRequest) typeName() string        { return "*kv.GetRequest" }
 func (q *GetRequest) followerOK() bool        { return q.FollowerRead }
 func (q *GetRequest) bounds(r *Replica) error { return r.ownKey(q.Key) }
 func (q *GetRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
-	r.tscache.RecordRead(q.Key, ts, q.Txn.id())
+	r.recordRead(q.Key, ts, q.Txn.id())
 }
 func (q *GetRequest) eval(r *Replica, p *sim.Proc) Response {
 	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty,
@@ -422,7 +422,7 @@ func (q *RefreshRequest) record(r *Replica, ts hlc.Timestamp, resp Response) {
 	case q.EndKey != nil:
 		r.tscache.RecordReadSpan(q.Key, q.EndKey, ts)
 	default:
-		r.tscache.RecordRead(q.Key, ts, q.TxnID)
+		r.recordRead(q.Key, ts, q.TxnID)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 	var get, put Response
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
 		// A writer holds the latch while both requests arrive…
-		rep.latches.acquire(p, key)
+		rep.latches.acquire(p, string(key))
 		done := sim.NewWaitGroup(h.s)
 		done.Add(2)
 		h.s.Spawn("get", func(gp *sim.Proc) {
@@ -128,7 +128,7 @@ func TestRefreshWaitsForInFlightWrite(t *testing.T) {
 		p.Sleep(sim.Millisecond)
 		to := st.Clock.Now()
 		// The write is evaluated (latch held) but not yet applied.
-		rep.latches.acquire(p, key)
+		rep.latches.acquire(p, string(key))
 		done := sim.NewWaitGroup(h.s)
 		done.Add(1)
 		h.s.Spawn("refresh", func(rp *sim.Proc) {
@@ -190,8 +190,8 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 	var got Response
 	answered := false
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		lhs.latches.acquire(p, key) // the in-flight write…
-		writeTS := st.Clock.Now()   // …evaluated at this timestamp
+		lhs.latches.acquire(p, string(key)) // the in-flight write…
+		writeTS := st.Clock.Now()           // …evaluated at this timestamp
 		rdesc, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h"))
 		if err != nil {
 			return err
@@ -241,7 +241,7 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 	var direct, routed, put Response
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
 		// A writer holds the latch while both queries arrive…
-		rep.latches.acquire(p, key)
+		rep.latches.acquire(p, string(key))
 		done := sim.NewWaitGroup(h.s)
 		done.Add(3)
 		h.s.Spawn("query-intent", func(qp *sim.Proc) {

@@ -36,7 +36,7 @@ func (s *Session) BulkLoadRow(t *Table, colVals map[string]Datum, ts hlc.Timesta
 	if err != nil {
 		return err
 	}
-	for _, e := range rowKVs(nil, t, region, vals) {
+	for _, e := range s.rowKVs(nil, t, region, vals) {
 		if err := s.bulkPut(e.Key, e.Value, ts); err != nil {
 			return err
 		}

@@ -8,6 +8,7 @@ import (
 	"mrdb/internal/core"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/simnet"
+	"mrdb/internal/slab"
 )
 
 // TableID identifies a table.
@@ -329,19 +330,15 @@ func PrefixEnd(prefix mvcc.Key) mvcc.Key {
 	return nil // prefix is all 0xFF: no end
 }
 
-// EncodeIndexKey builds the full key for an index entry: prefix + encoded
-// index column values (callers append PK columns for non-unique secondary
-// indexes). The prefix comes from the table's memo, so a key costs one
-// exact-capacity allocation.
-func EncodeIndexKey(t *Table, idx *Index, region simnet.Region, vals []Datum) mvcc.Key {
-	return encodeIndexKey(t, idx, region, vals, 0)
-}
-
-// encodeIndexKey is EncodeIndexKey with room for extra more bytes, the
-// primary-key suffix of a non-unique index's key.
-func encodeIndexKey(t *Table, idx *Index, region simnet.Region, vals []Datum, extra int) mvcc.Key {
+// encodeIndexKey builds the full key for an index entry: prefix + encoded
+// index column values, with room for extra more bytes, the primary-key
+// suffix of a non-unique index's key. It is carved from keys at its exact
+// size; the prefix comes from the table's memo. The carver never hands the
+// bytes out again, so whoever the key is given to owns it; its capacity is
+// clipped, so appending the suffix cannot reach another key.
+func encodeIndexKey(keys *slab.Of[byte], t *Table, idx *Index, region simnet.Region, vals []Datum, extra int) mvcc.Key {
 	prefix := t.indexPrefix(idx, region)
-	key := append(make(mvcc.Key, 0, len(prefix)+KeyTupleSize(vals)+extra), prefix...)
+	key := append(keys.Take(len(prefix) + KeyTupleSize(vals) + extra)[:0], prefix...)
 	return AppendKeyTuple(key, vals)
 }
 

@@ -182,7 +182,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 			return nil, err
 		}
 		for _, r := range rows {
-			kvs = rowKVs(kvs[:0], t, "", r.vals)
+			kvs = s.rowKVs(kvs[:0], t, "", r.vals)
 			if err := tx.PutParallel(p, kvs, nil); err != nil {
 				return nil, err
 			}
@@ -203,7 +203,7 @@ func (s *Session) execInsert(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 	s.uniqueIdx = unique
 	for i := range rows {
 		rows[i].indexes = unique
-		kvs = rowKVs(kvs, t, rows[i].region, rows[i].vals)
+		kvs = s.rowKVs(kvs, t, rows[i].region, rows[i].vals)
 	}
 	mustNotExist, err := s.checkUnique(p, tx, t, db, rows, kvs, ci.fromDefault)
 	if err != nil {
@@ -266,7 +266,9 @@ func (s *Session) checkUnique(p *sim.Proc, tx *txn.Txn, t *Table, db *core.Datab
 				case pr == r.region:
 					checked = append(checked, ownKey(kvs, key))
 				case !deletes(kvs, key):
-					probeKeys = append(probeKeys, slices.Clone(key))
+					probe := s.keys.Take(len(key))
+					copy(probe, key)
+					probeKeys = append(probeKeys, probe)
 					probeRefs = append(probeRefs, probeRef{idx: idx, region: pr})
 				}
 			}
@@ -449,8 +451,9 @@ func upsertable(t *Table) error {
 //     every other index holds the primary-key columns.
 //
 // Without withValue the entry's Value is nil: a tombstone, or just a key.
-// The key and the value are fresh, each allocated once at its exact size.
-func indexEntry(t *Table, idx *Index, region simnet.Region, vals map[ColumnID]Datum, withValue bool) mvcc.KeyValue {
+// The key is carved from the session's keys and the value allocated, each
+// once at its exact size.
+func (s *Session) indexEntry(t *Table, idx *Index, region simnet.Region, vals map[ColumnID]Datum, withValue bool) mvcc.KeyValue {
 	if idx.PinnedRegion != "" && !t.IsPartitioned() {
 		region = ""
 	}
@@ -462,13 +465,13 @@ func indexEntry(t *Table, idx *Index, region simnet.Region, vals map[ColumnID]Da
 	primary := t.Primary()
 	var key mvcc.Key
 	if idx.Unique {
-		key = EncodeIndexKey(t, idx, region, tuple)
+		key = encodeIndexKey(&s.keys, t, idx, region, tuple, 0)
 	} else {
 		pk := pkBuf[:0]
 		for _, cid := range primary.Cols {
 			pk = append(pk, vals[cid])
 		}
-		key = EncodeTupleSuffix(encodeIndexKey(t, idx, region, tuple, KeyTupleSize(pk)), pk)
+		key = EncodeTupleSuffix(encodeIndexKey(&s.keys, t, idx, region, tuple, KeyTupleSize(pk)), pk)
 	}
 	if !withValue {
 		return mvcc.KeyValue{Key: key}
@@ -481,17 +484,17 @@ func indexEntry(t *Table, idx *Index, region simnet.Region, vals map[ColumnID]Da
 }
 
 // rowKVs appends the primary-row and index-entry writes for one row to dst.
-func rowKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
+func (s *Session) rowKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
 	for _, idx := range t.Indexes {
-		dst = append(dst, indexEntry(t, idx, region, vals, true))
+		dst = append(dst, s.indexEntry(t, idx, region, vals, true))
 	}
 	return dst
 }
 
 // deleteKVs appends the tombstone writes removing one row to dst.
-func deleteKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
+func (s *Session) deleteKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, vals map[ColumnID]Datum) []mvcc.KeyValue {
 	for _, idx := range t.Indexes {
-		dst = append(dst, indexEntry(t, idx, region, vals, false))
+		dst = append(dst, s.indexEntry(t, idx, region, vals, false))
 	}
 	return dst
 }
@@ -579,9 +582,9 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 		}
 		if newRegion != row.region && t.IsPartitioned() {
 			// Cross-partition move (rehoming): delete + reinsert.
-			kvs = rowKVs(deleteKVs(kvs[:0], t, row.region, row.vals), t, newRegion, newVals)
+			kvs = s.rowKVs(s.deleteKVs(kvs[:0], t, row.region, row.vals), t, newRegion, newVals)
 		} else {
-			kvs = updateKVs(kvs[:0], t, row.region, row.vals, newVals, changed)
+			kvs = s.updateKVs(kvs[:0], t, row.region, row.vals, newVals, changed)
 		}
 		// A unique entry is checked only when its key bytes change; the
 		// primary key cannot change, so a row moving partitions keeps a
@@ -591,7 +594,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 		check := [1]uniqueRow{{vals: newVals, region: newRegion, indexes: s.uniqueIdx[:0]}}
 		for _, idx := range t.Indexes {
 			if idx.Unique && idx.ID != t.Primary().ID &&
-				!bytes.Equal(indexEntry(t, idx, row.region, row.vals, false).Key, indexEntry(t, idx, newRegion, newVals, false).Key) {
+				!bytes.Equal(s.indexEntry(t, idx, row.region, row.vals, false).Key, s.indexEntry(t, idx, newRegion, newVals, false).Key) {
 				check[0].indexes = append(check[0].indexes, idx)
 			}
 		}
@@ -614,7 +617,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 // updateKVs appends to dst the writes rewriting a row in place within its
 // partition: every entry whose key changed is tombstoned and laid down anew,
 // and entries that hold row columns are rewritten.
-func updateKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) []mvcc.KeyValue {
+func (s *Session) updateKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, oldVals, newVals map[ColumnID]Datum, changed map[ColumnID]bool) []mvcc.KeyValue {
 	for _, idx := range t.Indexes {
 		keyChanged := false
 		for _, cid := range idx.Cols {
@@ -623,10 +626,10 @@ func updateKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region, oldVals, new
 			}
 		}
 		if keyChanged {
-			dst = append(dst, indexEntry(t, idx, region, oldVals, false))
+			dst = append(dst, s.indexEntry(t, idx, region, oldVals, false))
 		}
 		if keyChanged || covering(t, idx) {
-			dst = append(dst, indexEntry(t, idx, region, newVals, true))
+			dst = append(dst, s.indexEntry(t, idx, region, newVals, true))
 		}
 	}
 	return dst
@@ -643,7 +646,7 @@ func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 	// All rows' tombstones go out as one per-range-batched write.
 	kvs := s.kvScratch[:0]
 	for _, row := range rows {
-		kvs = deleteKVs(kvs, t, row.region, row.vals)
+		kvs = s.deleteKVs(kvs, t, row.region, row.vals)
 	}
 	err = tx.PutParallel(p, kvs, nil)
 	s.kvScratch = emptied(kvs)
@@ -691,7 +694,7 @@ func (s *Session) backfill(p *sim.Proc, db *core.Database, src, dst *Table, idxs
 					return err
 				}
 				for _, idx := range idxs {
-					kvs = append(kvs, indexEntry(dst, idx, region, vals, true))
+					kvs = append(kvs, s.indexEntry(dst, idx, region, vals, true))
 				}
 			}
 			if err := tx.PutParallel(p, kvs, nil); err != nil {

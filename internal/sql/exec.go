@@ -13,6 +13,7 @@ import (
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/slab"
 	"mrdb/internal/txn"
 )
 
@@ -79,6 +80,12 @@ type Session struct {
 	probeKeys    []mvcc.Key
 	probeRefs    []probeRef
 	conditions   []bool
+	// keys carves every index key the session's statements encode, each at
+	// its exact size and never handed out again (encodeIndexKey): a key
+	// outlives its statement in the transaction's read set and intents, in
+	// the Raft command its followers' logs share and in a late first-hit
+	// probe, so its bytes must stay its own.
+	keys slab.Of[byte]
 	// regionDatums are the boxed names of regionsBoxed, a database's region
 	// list (see mapToRegion).
 	regionsBoxed []simnet.Region
@@ -364,7 +371,7 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 				if err != nil {
 					return err
 				}
-				if err := tx.PutParallel(p, deleteKVs(nil, t, region, vals), nil); err != nil {
+				if err := tx.PutParallel(p, s.deleteKVs(nil, t, region, vals), nil); err != nil {
 					return err
 				}
 				deleted++

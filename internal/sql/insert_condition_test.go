@@ -38,7 +38,7 @@ func (h *sqlHarness) kvtRow(t *testing.T, k int64, v string) []mvcc.KeyValue {
 	}
 	kc, _ := tbl.Column("k")
 	vc, _ := tbl.Column("v")
-	return rowKVs(nil, tbl, "", map[ColumnID]Datum{kc.ID: k, vc.ID: v})
+	return new(Session).rowKVs(nil, tbl, "", map[ColumnID]Datum{kc.ID: k, vc.ID: v})
 }
 
 // otherVoter returns a voter of the range holding key that is not its

@@ -462,7 +462,7 @@ func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index
 	fh := &firstHit{found: make([]tableRow, len(tuples)), missing: len(tuples), pending: len(regions)}
 	parent := obs.ProcSpan(p)
 	for r := range regions {
-		rows, keys := lookupKeys(t, idx, regions[r:r+1], tuples)
+		rows, keys := s.lookupKeys(t, idx, regions[r:r+1], tuples)
 		reader, probe := probeOf(f)
 		p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
 			obs.SetProcSpan(wp, parent)
@@ -565,11 +565,11 @@ func hits(rows []tableRow) []tableRow {
 // lookupKeys returns the rows and index keys of a lookup of every tuple in
 // every region, in lists of their own: row and key r*len(tuples)+i are
 // tuples[i]'s in regions[r]. It is what a first-hit probe reads, which may
-// outlive its statement.
-func lookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, []mvcc.Key) {
+// outlive its statement; the keys are carved, so they stay the probe's.
+func (s *Session) lookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, []mvcc.Key) {
 	n := len(regions) * len(tuples)
 	rows, keys := make([]tableRow, n), make([]mvcc.Key, n)
-	encodeLookups(rows, keys, t, idx, regions, tuples)
+	s.encodeLookups(rows, keys, t, idx, regions, tuples)
 	return rows, keys
 }
 
@@ -582,18 +582,19 @@ func (s *Session) scratchLookupKeys(t *Table, idx *Index, regions []simnet.Regio
 	s.lookupRowScratch = slices.Grow(s.lookupRowScratch, hi-lo)[:hi]
 	s.lookupKeyScratch = slices.Grow(s.lookupKeyScratch, hi-lo)[:hi]
 	rows, keys := s.lookupRowScratch[lo:hi:hi], s.lookupKeyScratch[lo:hi:hi]
-	encodeLookups(rows, keys, t, idx, regions, tuples)
+	s.encodeLookups(rows, keys, t, idx, regions, tuples)
 	return rows, keys
 }
 
 // encodeLookups fills rows and keys, len(regions)*len(tuples) long each:
 // row r*len(tuples)+i is a row of regions[r] with no values yet, and key
-// r*len(tuples)+i is tuples[i]'s index key there.
-func encodeLookups(rows []tableRow, keys []mvcc.Key, t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) {
+// r*len(tuples)+i is tuples[i]'s index key there, carved from the session's
+// keys.
+func (s *Session) encodeLookups(rows []tableRow, keys []mvcc.Key, t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) {
 	for r, region := range regions {
 		for i, tuple := range tuples {
 			rows[r*len(tuples)+i] = tableRow{region: region}
-			keys[r*len(tuples)+i] = EncodeIndexKey(t, idx, region, tuple)
+			keys[r*len(tuples)+i] = encodeIndexKey(&s.keys, t, idx, region, tuple, 0)
 		}
 	}
 }
@@ -652,7 +653,7 @@ func (s *Session) primaryRows(p *sim.Proc, f batchReader, t *Table, cols []Colum
 			pkTuple[c] = pkVals[cid]
 		}
 		s.putRowMap(pkVals)
-		keys = append(keys, EncodeIndexKey(t, primary, rows[j].region, pkTuple))
+		keys = append(keys, encodeIndexKey(&s.keys, t, primary, rows[j].region, pkTuple, 0))
 		at = append(at, j)
 	}
 	if len(keys) == 0 {

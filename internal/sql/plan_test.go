@@ -11,6 +11,7 @@ import (
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/slab"
 	"mrdb/internal/txn"
 )
 
@@ -241,7 +242,7 @@ func TestIndexSpanNesting(t *testing.T) {
 		t.Fatal("partition spans overlap")
 	}
 	// Keys encode inside their partition span.
-	key := EncodeIndexKey(tbl, tbl.Primary(), simnet.USEast1, []Datum{int64(5)})
+	key := encodeIndexKey(new(slab.Of[byte]), tbl, tbl.Primary(), simnet.USEast1, []Datum{int64(5)}, 0)
 	if string(key) < string(s1) || string(key) >= string(e1) {
 		t.Fatal("encoded key outside its partition span")
 	}
@@ -418,7 +419,7 @@ func TestMultiTupleUpdateLocksWhatItsSingleTuplesLock(t *testing.T) {
 		var names []string
 		for _, region := range h.c.Regions() {
 			for _, id := range ids {
-				keys = append(keys, EncodeIndexKey(tbl, tbl.Primary(), region, []Datum{id}))
+				keys = append(keys, encodeIndexKey(new(slab.Of[byte]), tbl, tbl.Primary(), region, []Datum{id}, 0))
 				names = append(names, fmt.Sprintf("%s/%d", region, id))
 			}
 		}

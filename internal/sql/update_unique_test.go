@@ -7,6 +7,7 @@ import (
 	"mrdb/internal/obs"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/slab"
 )
 
 // An UPDATE that changes a unique column runs the same global uniqueness
@@ -188,7 +189,7 @@ func TestUpdateOwnPartitionNotRead(t *testing.T) {
 			}
 			key, _ := span.Tag("key")
 			for _, region := range h.c.Regions() {
-				if key == string(EncodeIndexKey(tbl, email, region, []Datum{"new@x.com"})) {
+				if key == string(encodeIndexKey(new(slab.Of[byte]), tbl, email, region, []Datum{"new@x.com"}, 0)) {
 					gets[region]++
 				}
 			}
