@@ -226,7 +226,7 @@ func New(cfg Config) *Cluster {
 }
 
 // CrashNode fails a node honestly: it becomes unreachable AND loses all
-// volatile state (replicas, latches, tscache, un-fsynced WAL tails). With
+// volatile state (replicas, their latches, locks and reads, un-fsynced WAL tails). With
 // Durability off this degrades to the historical network-only crash, since
 // there is no disk to recover from.
 func (c *Cluster) CrashNode(id simnet.NodeID) {

@@ -139,7 +139,7 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 	desc.Leaseholder = target
 	desc.Generation++
 	// The transfer command carries the old leaseholder's clock reading
-	// (plus max offset) as the new tscache low-water mark, the old
+	// (plus max offset) as the new leaseholder's read floor, the old
 	// closed-timestamp promise floor, and the target's liveness epoch the
 	// new lease binds to.
 	cmd := r.command(Command{

@@ -41,7 +41,7 @@ import (
 // leader emerges, so recovery can never apply an uncommitted suffix.
 
 // DefaultCheckpointInterval is the cadence of the per-store loop that
-// checkpoints (on a disk), truncates Raft logs and raises timestamp-cache
+// checkpoints (on a disk), truncates Raft logs and raises key-table read
 // floors.
 const DefaultCheckpointInterval = 5 * sim.Second
 
@@ -201,7 +201,7 @@ func (s *Store) persistNodeMeta(epoch int64) {
 // CheckpointNow is one turn of the store loop. A store with a disk first
 // checkpoints every replica; then every store truncates each replica's Raft
 // log through its applied index (as far as raft.Node.Compact allows) and
-// raises its timestamp-cache floor to the closed timestamp it has promised.
+// raises its key table's read floor to the closed timestamp it has promised.
 // All engines snapshot before any log shrinks, and within one scheduler
 // step: writes a replica forwarded into a sibling's engine during a split
 // are therefore captured by the sibling's checkpoint before the forwarding
@@ -220,13 +220,13 @@ func (s *Store) CheckpointNow() {
 	}
 }
 
-// raiseReadFloor drops the timestamp-cache entries the closed timestamp
-// already covers. Every write this replica evaluates lands above the
-// promise it issues (writeTimestamp), which is never below r.closed.issued,
-// so a read at or below issued can no longer push a write: raising the
-// floor there changes no write timestamp, own reads included.
+// raiseReadFloor sweeps the key table at the closed timestamp the replica
+// issued. Every write this replica evaluates lands above the promise it
+// issues (writeTimestamp), which is never below r.closed.issued, so a read
+// at or below issued can no longer push a write: raising the floor there
+// changes no write timestamp, own reads included.
 func (r *Replica) raiseReadFloor() {
-	r.tscache.SetLowWater(r.closed.issued)
+	r.keys.sweep(r.closed.issued, r.store.Registry)
 }
 
 // StartCheckpoints begins the periodic store loop (CheckpointNow) on every
@@ -254,7 +254,7 @@ func (s *Store) startCkptTicker() {
 // --- Crash and recovery ---
 
 // Crash wipes the node's volatile state, exactly as power loss would: every
-// replica (engine, tscache, latches, unapplied Raft state) is discarded, the
+// replica (engine, key table, unapplied Raft state) is discarded, the
 // checkpoint loop dies with the process, and the disk loses its un-fsynced
 // WAL tails. The network handler and liveness ticker survive as objects but
 // are inert while the node is partitioned off by simnet.CrashNode; Recover
@@ -393,7 +393,7 @@ func (s *Store) Recover(p *sim.Proc) (stats RecoveryStats, err error) {
 func (s *Store) recoverReplica(ckpt *checkpointRec, hs raft.HardState, tail []raft.Entry) error {
 	r := s.buildReplica(&ckpt.Desc)
 	// The recovered node no longer remembers pre-crash reads: ratchet the
-	// tscache low-water past restart time plus the clock uncertainty so a
+	// read floor past restart time plus the clock uncertainty so a
 	// recovered leaseholder cannot permit a write under a forgotten read.
 	if err := r.install(ckpt, s.Clock.Now().Add(s.Clock.MaxOffset())); err != nil {
 		return err
@@ -430,7 +430,7 @@ func (r *Replica) applySnapshotData(data []byte, index, term uint64) {
 // install makes r the replica an image describes, on recovery and on a
 // snapshot install alike: a fresh engine loaded from the image's stream, its
 // descriptor and lease epoch, and its closed timestamp and promise floor
-// inherited, with readFloor as the timestamp cache's floor. On an error r is
+// inherited, with readFloor as the key table's read floor. On an error r is
 // to be discarded.
 func (r *Replica) install(c *checkpointRec, readFloor hlc.Timestamp) error {
 	eng := mvcc.NewEngine(r.store.engineSeed + int64(c.Desc.RangeID))

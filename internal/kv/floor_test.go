@@ -9,12 +9,12 @@ import (
 	"mrdb/internal/sim"
 )
 
-// TestTimestampCacheFloorIsInvisibleToWrites: the store loop floors a
-// replica's timestamp cache at the closed timestamp it has issued. Two
+// TestTimestampCacheFloorIsInvisibleToWrites: the store loop floors the
+// reads in a replica's key table at the closed timestamp it has issued. Two
 // replicas see the same seeded run of reads, closed-timestamp promises and
 // writes; only one of them has its floor raised. Every write lands at the
 // same timestamp on both, including the writes whose own earlier read the
-// floor pruned (the self-exemption), and the floored cache keeps only the
+// floor pruned (the self-exemption), and the floored table keeps only the
 // entries above the promise.
 func TestTimestampCacheFloorIsInvisibleToWrites(t *testing.T) {
 	for _, offset := range []sim.Duration{-DefaultCloseLag, 600 * sim.Millisecond} {
@@ -34,8 +34,8 @@ func floorRun(t *testing.T, seed int64, offset sim.Duration) (ownPruned int) {
 	t.Helper()
 	pruned := 0
 	rng := rand.New(rand.NewSource(seed))
-	plain := &Replica{tscache: NewTimestampCache(hlc.Timestamp{}), closed: closedTracker{offset: offset}}
-	floored := &Replica{tscache: NewTimestampCache(hlc.Timestamp{}), closed: closedTracker{offset: offset}}
+	plain := &Replica{store: &Store{}, keys: newKeyTable(), closed: closedTracker{offset: offset}}
+	floored := &Replica{store: &Store{}, keys: newKeyTable(), closed: closedTracker{offset: offset}}
 	keys := make([]mvcc.Key, 16)
 	for i := range keys {
 		keys[i] = mvcc.Key{'a' + byte(i)}
@@ -50,8 +50,8 @@ func floorRun(t *testing.T, seed int64, offset sim.Duration) (ownPruned int) {
 		at := now.Add(-sim.Duration(rng.Int63n(int64(5 * sim.Second))))
 		switch rng.Intn(4) {
 		case 0:
-			plain.tscache.RecordRead(key, "", at, txn)
-			floored.tscache.RecordRead(key, "", at, txn)
+			plain.keys.recordRead(key, at, txn)
+			floored.keys.recordRead(key, at, txn)
 		case 1: // a closed-timestamp publication
 			plain.closed.issue(now)
 			floored.closed.issue(now)
@@ -59,8 +59,8 @@ func floorRun(t *testing.T, seed int64, offset sim.Duration) (ownPruned int) {
 			floored.raiseReadFloor()
 			pruned += floorHolds(t, seed, plain, floored)
 		case 3:
-			_, ownPlain := plain.tscache.MaxRead(key, txn)
-			_, ownFloored := floored.tscache.MaxRead(key, txn)
+			_, ownPlain := plain.keys.maxRead(key, txn)
+			_, ownFloored := floored.keys.maxRead(key, txn)
 			if ownPlain && !ownFloored {
 				ownPruned++
 			}
@@ -78,19 +78,19 @@ func floorRun(t *testing.T, seed int64, offset sim.Duration) (ownPruned int) {
 	return ownPruned
 }
 
-// floorHolds checks that the floored cache holds exactly the plain cache's
+// floorHolds checks that the floored table holds exactly the plain table's
 // entries above the issued promise, and returns how many it pruned.
 func floorHolds(t *testing.T, seed int64, plain, floored *Replica) int {
 	t.Helper()
 	above := 0
-	for _, e := range plain.tscache.reads {
-		if plain.closed.issued.Less(e.ts) {
+	for _, e := range plain.keys.entries {
+		if plain.closed.issued.Less(e.read) {
 			above++
 		}
 	}
-	if n := len(floored.tscache.reads); n != above {
-		t.Fatalf("seed %d: the floored cache holds %d entries, %d lie above the promise %v",
+	if n := len(floored.keys.entries); n != above {
+		t.Fatalf("seed %d: the floored table holds %d entries, %d lie above the promise %v",
 			seed, n, above, floored.closed.issued)
 	}
-	return len(plain.tscache.reads) - above
+	return len(plain.keys.entries) - above
 }

@@ -16,10 +16,10 @@ func sameString(a, b string) bool {
 }
 
 // TestSecondWriteOfAKeyMakesNoKeyString: a leaseholder makes a string of a
-// key the first time a transaction locks it, and names the key with that
-// string from then on. A transaction's second write of the key takes its
-// lock and latch without allocating, and the latch its pipelined write holds
-// is the lock entry's string.
+// key the first time the key needs an entry in its key table, and names the
+// key's lock and latch with that string from then on. A transaction's second
+// write of the key takes its lock and latch without allocating, and leaves
+// the entry under the string the first write made.
 func TestSecondWriteOfAKeyMakesNoKeyString(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
@@ -37,17 +37,16 @@ func TestSecondWriteOfAKeyMakesNoKeyString(t *testing.T) {
 	h.run(t, 5*sim.Second, func(p *sim.Proc) error {
 		write(p, "v1")
 		p.Sleep(sim.Second) // the write applies and releases its latch
-		entry, ok := rep.lockTable[string(key)]
-		if !ok || entry.holder != tx.Meta.ID {
-			t.Fatalf("after the first write the lock table holds %+v (found %v), want the transaction's lock", entry, ok)
+		entry, ok := rep.keys.entries[string(key)]
+		if !ok || entry.holder != tx.Meta.ID || entry.latched {
+			t.Fatalf("after the first write the key table holds %+v (found %v), want the transaction's lock and no latch", entry, ok)
 		}
 		if n := testing.AllocsPerRun(100, func() {
-			k, err := rep.acquireLock(p, key, tx)
-			if err != nil {
+			if err := rep.acquireLock(p, key, tx); err != nil {
 				t.Fatal(err)
 			}
-			rep.latches.acquire(p, k)
-			rep.latches.release(k)
+			rep.latch(p, key)
+			rep.unlatch(key)
 		}); n != 0 {
 			t.Errorf("locking and latching a key locked before allocates %.0f objects, want 0", n)
 		}
@@ -55,13 +54,11 @@ func TestSecondWriteOfAKeyMakesNoKeyString(t *testing.T) {
 		if len(rep.pipelined) != 1 {
 			t.Fatalf("the second write left %d pipelined writes, want 1", len(rep.pipelined))
 		}
-		if w := rep.pipelined[0]; !sameString(w.latched, entry.key) {
-			t.Errorf("the second write's latch %q is a string of its own, not its lock entry's", w.latched)
+		if e := rep.keys.entries[string(key)]; !e.latched || !sameString(e.key, entry.key) {
+			t.Errorf("the second write's latch (held %v) is not under the string its first write made", e.latched)
 		}
-		for k := range rep.latches.held {
-			if !sameString(k, entry.key) {
-				t.Errorf("the latch table holds %q as a string of its own, not the lock entry's", k)
-			}
+		if len(rep.keys.entries) != 1 {
+			t.Errorf("the key table holds %d entries, want the key's one", len(rep.keys.entries))
 		}
 		p.Sleep(sim.Second)
 		return nil
@@ -69,8 +66,8 @@ func TestSecondWriteOfAKeyMakesNoKeyString(t *testing.T) {
 }
 
 // TestReadOfALockedKeyMakesNoCacheString: a read of a key the leaseholder
-// has locked before records it in the timestamp cache under the lock
-// entry's string, making none of its own.
+// has locked before is recorded in the key's entry, making no string of its
+// own; a read of a key without an entry makes the key's one string.
 func TestReadOfALockedKeyMakesNoCacheString(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
@@ -83,21 +80,21 @@ func TestReadOfALockedKeyMakesNoCacheString(t *testing.T) {
 		if resp := rep.evaluate(p, &PutRequest{Key: locked, Value: mvcc.Value("v"), Timestamp: tx.ReadTimestamp, Txn: tx}); resp.Err != nil {
 			t.Fatalf("write: %v", resp.Err)
 		}
+		entry := rep.keys.entries[string(locked)]
+		if _, ok := rep.keys.entries[string(other)]; ok || !entry.read.IsEmpty() {
+			t.Fatalf("setup: a read is recorded before the reads (other's entry: %v)", ok)
+		}
 		for _, key := range []mvcc.Key{locked, other} {
-			if _, ok := rep.tscache.reads[string(key)]; ok {
-				t.Fatalf("setup: %s is in the timestamp cache before its read", key)
-			}
 			tx.ReadTimestamp = st.Clock.Now()
 			if resp := rep.evaluate(p, &GetRequest{Key: key, Timestamp: tx.ReadTimestamp, Txn: tx}); resp.Err != nil {
 				t.Fatalf("read of %s: %v", key, resp.Err)
 			}
 		}
-		entry := rep.lockTable[string(locked)]
-		if e, ok := rep.tscache.reads[string(locked)]; !ok || !sameString(e.key, entry.key) {
-			t.Errorf("the read of the locked key is cached under a string of its own (found %v), not its lock entry's", ok)
+		if e := rep.keys.entries[string(locked)]; e.read.IsEmpty() || !sameString(e.key, entry.key) {
+			t.Errorf("the read of the locked key is not recorded under its lock's string (read %v)", e.read)
 		}
-		if e, ok := rep.tscache.reads[string(other)]; !ok || e.key != string(other) {
-			t.Errorf("the read of an unlocked key is not cached under its own string (found %v)", ok)
+		if e, ok := rep.keys.entries[string(other)]; !ok || e.read.IsEmpty() || e.key != string(other) {
+			t.Errorf("the read of an unlocked key is not recorded under its own string (found %v)", ok)
 		}
 		return nil
 	})

@@ -12,107 +12,117 @@ import (
 
 func ts(w int64) hlc.Timestamp { return hlc.Timestamp{WallTime: w} }
 
-// --- TimestampCache ---
+// --- The key table: reads ---
+
+// tableAt returns an empty key table whose floor is floor.
+func tableAt(floor hlc.Timestamp) *keyTable {
+	t := newKeyTable()
+	t.floor = floor
+	return &t
+}
 
 func TestTimestampCacheBasics(t *testing.T) {
-	c := NewTimestampCache(ts(10))
-	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(10) {
-		t.Fatalf("empty cache MaxRead = %v, want low water", got)
+	c := tableAt(ts(10))
+	if got, _ := c.maxRead(mvcc.Key("a"), 0); got != ts(10) {
+		t.Fatalf("empty table maxRead = %v, want the floor", got)
 	}
-	c.RecordRead(mvcc.Key("a"), "", ts(20), 1)
-	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(20) {
-		t.Fatalf("MaxRead = %v", got)
+	c.recordRead(mvcc.Key("a"), ts(20), 1)
+	if got, _ := c.maxRead(mvcc.Key("a"), 0); got != ts(20) {
+		t.Fatalf("maxRead = %v", got)
 	}
 	// Lower reads don't regress the entry.
-	c.RecordRead(mvcc.Key("a"), "", ts(15), 2)
-	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(20) {
-		t.Fatalf("MaxRead regressed to %v", got)
+	c.recordRead(mvcc.Key("a"), ts(15), 2)
+	if got, _ := c.maxRead(mvcc.Key("a"), 0); got != ts(20) {
+		t.Fatalf("maxRead regressed to %v", got)
 	}
-	// Reads at or below the low water mark are not recorded.
-	c.RecordRead(mvcc.Key("b"), "", ts(5), 1)
-	if len(c.reads) != 1 {
-		t.Fatalf("Len = %d", len(c.reads))
+	// Reads at or below the floor are not recorded.
+	c.recordRead(mvcc.Key("b"), ts(5), 1)
+	if len(c.entries) != 1 {
+		t.Fatalf("Len = %d", len(c.entries))
 	}
 }
 
 func TestTimestampCacheSelfExemption(t *testing.T) {
-	c := NewTimestampCache(hlc.Timestamp{})
-	c.RecordRead(mvcc.Key("k"), "", ts(30), 7)
+	c := tableAt(hlc.Timestamp{})
+	c.recordRead(mvcc.Key("k"), ts(30), 7)
 	// The reader itself may write AT its read timestamp…
-	if got, own := c.MaxRead(mvcc.Key("k"), 7); !own || got != ts(30) {
-		t.Fatalf("owner MaxRead = %v own=%v", got, own)
+	if got, own := c.maxRead(mvcc.Key("k"), 7); !own || got != ts(30) {
+		t.Fatalf("owner maxRead = %v own=%v", got, own)
 	}
 	// …anyone else must write above it.
-	if _, own := c.MaxRead(mvcc.Key("k"), 8); own {
+	if _, own := c.maxRead(mvcc.Key("k"), 8); own {
 		t.Fatal("non-owner got the exemption")
 	}
 	// A second reader at the same timestamp destroys the exemption.
-	c.RecordRead(mvcc.Key("k"), "", ts(30), 9)
-	if _, own := c.MaxRead(mvcc.Key("k"), 7); own {
+	c.recordRead(mvcc.Key("k"), ts(30), 9)
+	if _, own := c.maxRead(mvcc.Key("k"), 7); own {
 		t.Fatal("exemption survived a second reader")
 	}
 }
 
 func TestTimestampCacheLowWater(t *testing.T) {
-	c := NewTimestampCache(hlc.Timestamp{})
-	c.RecordRead(mvcc.Key("a"), "", ts(10), 1)
-	c.RecordRead(mvcc.Key("b"), "", ts(50), 1)
-	c.SetLowWater(ts(30))
-	if got, _ := c.MaxRead(mvcc.Key("a"), 0); got != ts(30) {
-		t.Fatalf("entry below low water not floored: %v", got)
+	c := tableAt(hlc.Timestamp{})
+	c.recordRead(mvcc.Key("a"), ts(10), 1)
+	c.recordRead(mvcc.Key("b"), ts(50), 1)
+	c.sweep(ts(30), nil)
+	if got, _ := c.maxRead(mvcc.Key("a"), 0); got != ts(30) {
+		t.Fatalf("entry below the floor not floored: %v", got)
 	}
-	if got, _ := c.MaxRead(mvcc.Key("b"), 0); got != ts(50) {
-		t.Fatalf("entry above low water clobbered: %v", got)
+	if got, _ := c.maxRead(mvcc.Key("b"), 0); got != ts(50) {
+		t.Fatalf("entry above the floor clobbered: %v", got)
+	}
+	if len(c.entries) != 1 {
+		t.Fatalf("the sweep kept %d entries, want the one above the floor", len(c.entries))
 	}
 	// Ratchets only forward.
-	c.SetLowWater(ts(20))
-	if c.lowWater != ts(30) {
-		t.Fatal("low water regressed")
+	c.sweep(ts(20), nil)
+	if c.floor != ts(30) {
+		t.Fatal("floor regressed")
 	}
-	c.RecordReadSpan(mvcc.Key("a"), mvcc.Key("z"), ts(40))
-	if c.lowWater != ts(40) {
-		t.Fatal("span read did not ratchet low water")
+	c.raiseFloor(ts(40))
+	if c.floor != ts(40) {
+		t.Fatal("span read did not ratchet the floor")
 	}
 }
 
-// TestTimestampCacheRereadAllocs: a read of a key the cache already holds
+// TestTimestampCacheRereadAllocs: a read of a key the table already holds
 // re-stores its entry under the key string the entry carries, so it
 // allocates nothing. Every point read passes through here, and a fresh
 // entry per read was the most expensive line of evalGet once the engine
 // read got cheap.
 func TestTimestampCacheRereadAllocs(t *testing.T) {
-	c := NewTimestampCache(hlc.Timestamp{})
+	c := tableAt(hlc.Timestamp{})
 	key := mvcc.Key("/t/usertable/1/us-east1/user00000042")
-	c.RecordRead(key, "", ts(10), 7)
+	c.recordRead(key, ts(10), 7)
 	at := int64(10)
 	if n := testing.AllocsPerRun(100, func() {
 		at++
-		c.RecordRead(key, "", ts(at), 7)
+		c.recordRead(key, ts(at), 7)
 	}); n != 0 {
 		t.Errorf("re-read at a higher timestamp allocates %.0f", n)
 	}
-	if got, own := c.MaxRead(key, 7); got != ts(at) || !own {
-		t.Fatalf("MaxRead = %v own=%v, want %v and the exemption", got, own, ts(at))
+	if got, own := c.maxRead(key, 7); got != ts(at) || !own {
+		t.Fatalf("maxRead = %v own=%v, want %v and the exemption", got, own, ts(at))
 	}
 	reader := mvcc.TxnID(8)
 	if n := testing.AllocsPerRun(100, func() {
 		reader++
-		c.RecordRead(key, "", ts(at), reader)
+		c.recordRead(key, ts(at), reader)
 	}); n != 0 {
 		t.Errorf("a second reader at the same timestamp allocates %.0f", n)
 	}
-	if got, own := c.MaxRead(key, 7); got != ts(at) || own {
-		t.Fatalf("MaxRead = %v own=%v: the exemption must not survive a second reader", got, own)
+	if got, own := c.maxRead(key, 7); got != ts(at) || own {
+		t.Fatalf("maxRead = %v own=%v: the exemption must not survive a second reader", got, own)
 	}
-	if len(c.reads) != 1 {
-		t.Fatalf("Len = %d", len(c.reads))
+	if len(c.entries) != 1 {
+		t.Fatalf("Len = %d", len(c.entries))
 	}
 }
 
-// Property: MaxRead never decreases as reads are recorded.
+// Property: maxRead never decreases as reads are recorded.
 func TestQuickTimestampCacheMonotone(t *testing.T) {
 	f := func(keys []uint8, walls []uint8) bool {
-		c := NewTimestampCache(hlc.Timestamp{})
+		c := tableAt(hlc.Timestamp{})
 		last := map[byte]hlc.Timestamp{}
 		n := len(keys)
 		if len(walls) < n {
@@ -120,8 +130,8 @@ func TestQuickTimestampCacheMonotone(t *testing.T) {
 		}
 		for i := 0; i < n; i++ {
 			k := mvcc.Key{keys[i]}
-			c.RecordRead(k, "", ts(int64(walls[i])), mvcc.TxnID(i))
-			got, _ := c.MaxRead(k, 0)
+			c.recordRead(k, ts(int64(walls[i])), mvcc.TxnID(i))
+			got, _ := c.maxRead(k, 0)
 			if got.Less(last[keys[i]]) {
 				return false
 			}
@@ -134,46 +144,52 @@ func TestQuickTimestampCacheMonotone(t *testing.T) {
 	}
 }
 
-// --- Latch manager ---
+// --- The key table: latches ---
+
+// latchReplica is a replica owning every key, with nothing but a key table.
+func latchReplica() *Replica {
+	return &Replica{desc: &RangeDescriptor{}, keys: newKeyTable()}
+}
 
 func TestLatchManagerExclusion(t *testing.T) {
 	s := sim.New(1)
-	m := newLatchManager(s)
+	m := latchReplica()
+	k := mvcc.Key("k")
 	var order []int
 	s.Spawn("a", func(p *sim.Proc) {
-		m.acquire(p, "k")
+		m.latch(p, k)
 		order = append(order, 1)
 		p.Sleep(10 * sim.Millisecond)
 		order = append(order, 2)
-		m.release("k")
+		m.unlatch(k)
 	})
 	s.Spawn("b", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		m.acquire(p, "k")
+		m.latch(p, k)
 		order = append(order, 3)
-		m.release("k")
+		m.unlatch(k)
 	})
 	s.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	if len(m.held) != 0 {
+	if m.keys.latched != 0 || len(m.keys.entries[string(k)].waiters) != 0 {
 		t.Fatal("latches leaked")
 	}
 }
 
 func TestLatchWaitFree(t *testing.T) {
 	s := sim.New(2)
-	m := newLatchManager(s)
+	m := latchReplica()
 	var readAt sim.Time
 	s.Spawn("writer", func(p *sim.Proc) {
-		m.acquire(p, "k")
+		m.latch(p, mvcc.Key("k"))
 		p.Sleep(20 * sim.Millisecond)
-		m.release("k")
+		m.unlatch(mvcc.Key("k"))
 	})
 	s.Spawn("reader", func(p *sim.Proc) {
 		p.Sleep(sim.Millisecond)
-		m.waitFree(p, mvcc.Key("k"))
+		m.waitUnlatched(p, mvcc.Key("k"))
 		readAt = p.Now()
 	})
 	s.Run()

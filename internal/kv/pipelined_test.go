@@ -37,13 +37,13 @@ func TestPipelinedWriteLatchFollowsItsProposal(t *testing.T) {
 					t.Errorf("pipelined write: %v", resp.Err)
 					return
 				}
-				if len(rep.pipelined) != 1 || !rep.latches.held[string(key)] {
-					t.Errorf("after the reply: %d pipelined writes, latch held %v", len(rep.pipelined), rep.latches.held[string(key)])
+				if len(rep.pipelined) != 1 || !rep.keys.entries[string(key)].latched {
+					t.Errorf("after the reply: %d pipelined writes, latch held %v", len(rep.pipelined), rep.keys.entries[string(key)].latched)
 					return
 				}
 				f := rep.pipelined[0].f
 				h.s.Spawn("reader", func(rp *sim.Proc) {
-					rep.latches.waitFree(rp, key)
+					rep.waitUnlatched(rp, key)
 					readerWoke = rp.Now()
 					readerSaw = hasKey(rep, "k")
 				})
@@ -54,9 +54,9 @@ func TestPipelinedWriteLatchFollowsItsProposal(t *testing.T) {
 					rep.raft.Step(raft.Message{Kind: raft.MsgVote, Term: rep.raft.Term() + 1, From: 2,
 						LastLogIndex: rep.raft.LastIndex(), LastLogTerm: rep.raft.Term() + 1})
 					p.Yield()
-					if rep.raft.IsLeader() || f.Done() || !rep.latches.held[string(key)] {
+					if rep.raft.IsLeader() || f.Done() || !rep.keys.entries[string(key)].latched {
 						t.Errorf("after the step-down: leader %v, proposal resolved %v, latch held %v",
-							rep.raft.IsLeader(), f.Done(), rep.latches.held[string(key)])
+							rep.raft.IsLeader(), f.Done(), rep.keys.entries[string(key)].latched)
 					}
 				}
 				res = f.Wait(p)
@@ -67,8 +67,8 @@ func TestPipelinedWriteLatchFollowsItsProposal(t *testing.T) {
 			if readerWoke == 0 || readerWoke != resolvedAt {
 				t.Fatalf("reader woke at %v, the proposal resolved at %v", readerWoke, resolvedAt)
 			}
-			if len(rep.pipelined) != 0 || rep.latches.held[string(key)] {
-				t.Fatalf("after resolution: %d pipelined writes, latch held %v", len(rep.pipelined), rep.latches.held[string(key)])
+			if len(rep.pipelined) != 0 || rep.keys.entries[string(key)].latched {
+				t.Fatalf("after resolution: %d pipelined writes, latch held %v", len(rep.pipelined), rep.keys.entries[string(key)].latched)
 			}
 			if res.Err != nil || !readerSaw {
 				t.Fatalf("proposal %+v; reader saw the write: %v", res, readerSaw)

@@ -125,11 +125,11 @@ func TestRestartDropsVolatileState(t *testing.T) {
 		// An in-flight request's latch, never released (its holder dies
 		// with the node).
 		h.s.Spawn("latch-holder", func(lp *sim.Proc) {
-			r1.latches.acquire(lp, "k2")
+			r1.latch(lp, mvcc.Key("k2"))
 		})
 		return nil
 	})
-	if len(r1.latches.held) == 0 {
+	if r1.keys.latched == 0 {
 		t.Fatal("latch not held before crash")
 	}
 	lastDurable = r1.raft.DurableIndex()
@@ -161,11 +161,11 @@ func TestRestartDropsVolatileState(t *testing.T) {
 	if got := nr1.raft.LastIndex(); got != lastDurable {
 		t.Fatalf("unflushed entry survived restart: last=%d, want durable %d", got, lastDurable)
 	}
-	if len(nr1.latches.held) != 0 {
-		t.Fatalf("pre-crash latches held after restart: %v", nr1.latches.held)
+	if nr1.keys.latched != 0 {
+		t.Fatalf("pre-crash latches held after restart: %d", nr1.keys.latched)
 	}
-	if nr1.tscache.lowWater.Less(restartAt) {
-		t.Fatalf("tscache low-water %v below restart time %v", nr1.tscache.lowWater, restartAt)
+	if nr1.keys.floor.Less(restartAt) {
+		t.Fatalf("read floor %v below restart time %v", nr1.keys.floor, restartAt)
 	}
 	h.net.RestartNode(1)
 	h.net.Heal(1, 2)

@@ -29,23 +29,19 @@ type Replica struct {
 	engine *mvcc.Engine
 	raft   *raft.Node
 
-	closed  closedTracker
-	tscache *TimestampCache
-	latches *latchManager
+	closed closedTracker
+	// keys holds each key's latch, lock and newest read (keyTable). It is
+	// leaseholder-local state: nothing replicates it, and a lease transfer
+	// leaves it on the old leaseholder until the store loop drops what no
+	// longer lives (a new leaseholder starts above every read the old one
+	// served, and locks only order writers).
+	keys keyTable
 	// pipelined holds the pipelined writes whose latches are held until
 	// their proposals resolve, in proposal order. releaseResolved is
 	// r.releaseOne, kept so that registering it allocates nothing.
 	pipelined       []pipelinedWrite
 	releaseResolved func()
 
-	// lockTable holds exclusive unreplicated locks (SELECT FOR UPDATE and
-	// every transactional write): key -> entry. Entries are stolen lazily
-	// once the holder finishes and never deleted (a split moves the right
-	// span's to the new range), so an entry's string names its key for the
-	// replica's lifetime: the write latch and a new timestamp-cache entry
-	// reuse it. They are leaseholder-local state and vanish on lease
-	// transfers, which is safe (they only order writers).
-	lockTable map[string]lockEntry
 	// leaderApplied wakes a fresh Raft leader waiting to apply the no-op its
 	// term opened with (awaitLeaderApplied).
 	leaderApplied *sim.Cond
@@ -237,7 +233,7 @@ type replicaRead interface {
 	bounds(r *Replica) error
 	// readAt reads once at ts; an intent or an uncertain value is an error.
 	readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions) (Response, error)
-	// record notes resp, served at ts, in the leaseholder's timestamp cache.
+	// record notes resp, served at ts, in the leaseholder's key table.
 	record(r *Replica, ts hlc.Timestamp, resp Response)
 }
 
@@ -270,7 +266,7 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 	if leaseholder && a.forUpdate && a.txn != nil {
 		// SELECT FOR UPDATE: take the unreplicated lock before reading so
 		// read-modify-write transactions queue instead of racing.
-		if _, err := r.acquireLock(p, a.latchKey, a.txn); err != nil {
+		if err := r.acquireLock(p, a.latchKey, a.txn); err != nil {
 			return Response{Err: err}
 		}
 	}
@@ -297,9 +293,9 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 			// Wait out a write between its evaluation and its application.
 			lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
 			if a.span {
-				r.latches.waitSpanFree(p, a.latchKey, a.latchEnd)
+				r.waitSpanUnlatched(p, a.latchKey, a.latchEnd)
 			} else {
-				r.latches.waitFree(p, a.latchKey)
+				r.waitUnlatched(p, a.latchKey)
 			}
 			lsp.Finish()
 		}
@@ -401,7 +397,7 @@ func scanResume(req *ScanRequest, rows []mvcc.KeyValue, end, rangeResume mvcc.Ke
 func (r *Replica) writeTimestamp(p *sim.Proc, key mvcc.Key, writer mvcc.TxnID, ts, now hlc.Timestamp) (hlc.Timestamp, hlc.Timestamp) {
 	// Writes may not invalidate served reads — except the transaction's own
 	// (self-exemption avoids forcing a refresh on every read-modify-write).
-	if tsc, own := r.tscache.MaxRead(key, writer); own {
+	if tsc, own := r.keys.maxRead(key, writer); own {
 		if ts.Less(tsc) {
 			ts = tsc
 		}
@@ -413,7 +409,7 @@ func (r *Replica) writeTimestamp(p *sim.Proc, key mvcc.Key, writer mvcc.TxnID, t
 	// policy this is what pushes writes into the future (paper §6.2.1: "the
 	// transaction's timestamp is advanced immediately past the closed
 	// timestamp target"). The promise is never below closed.issued, which is
-	// why the store loop may floor the timestamp cache there.
+	// why the store loop may floor the key table's reads there.
 	target := r.closed.issue(now)
 	if ts.LessEq(target) {
 		ts = target.Next()
@@ -434,24 +430,18 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	// covers evaluation+replication. Acquiring in the other order
 	// deadlocks: a latch holder waiting on the lock blocks the lock
 	// holder's own write.
-	// The latch is named by the lock entry's string, so a key the replica
-	// has locked before costs the write no string.
-	var latched string
 	if req.Txn != nil {
-		var err error
-		if latched, err = r.acquireLock(p, req.Key, req.Txn); err != nil {
+		if err := r.acquireLock(p, req.Key, req.Txn); err != nil {
 			return Response{Err: err}
 		}
-	} else {
-		latched = string(req.Key)
 	}
 	lsp := r.store.Obs.StartChild("latch.wait", obs.ProcSpan(p))
-	r.latches.acquire(p, latched)
+	r.latch(p, req.Key)
 	lsp.Finish()
 	releaseOnReturn := true
 	defer func() {
 		if releaseOnReturn {
-			r.latches.release(latched)
+			r.unlatch(req.Key)
 		}
 	}()
 	r.WritesEvaluated++
@@ -481,9 +471,9 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				// Drop the latch while queued on the lock (as CockroachDB's
 				// lock table does) so the holder's commit-time QueryIntent
 				// and other readers are not blocked behind us.
-				r.latches.release(latched)
+				r.unlatch(req.Key)
 				werr := r.waitOnIntent(p, req.Key, wie.Txn, req.Txn, true)
-				r.latches.acquire(p, latched)
+				r.latch(p, req.Key)
 				if werr != nil {
 					return Response{Err: werr}
 				}
@@ -520,7 +510,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				return Response{Err: err}
 			}
 			releaseOnReturn = false
-			r.pipelined = append(r.pipelined, pipelinedWrite{f: f, latched: latched})
+			r.pipelined = append(r.pipelined, pipelinedWrite{f: f, key: req.Key})
 			f.Notify(r.store.Sim, r.releaseResolved)
 			return Response{Put: PutResponse{WriteTimestamp: ts}}
 		}
@@ -531,11 +521,11 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	}
 }
 
-// pipelinedWrite is a write replied to before it applied: its latch, named
-// by the string acquire returned, is held until its proposal resolves.
+// pipelinedWrite is a write replied to before it applied: the latch of its
+// key (which its command keeps too) is held until its proposal resolves.
 type pipelinedWrite struct {
-	f       *sim.Future[raft.ProposeResult]
-	latched string
+	f   *sim.Future[raft.ProposeResult]
+	key mvcc.Key
 }
 
 // releaseOne releases the latch of the earliest resolved pipelined write.
@@ -546,7 +536,7 @@ func (r *Replica) releaseOne() {
 	for i, w := range r.pipelined {
 		if w.f.Done() {
 			r.pipelined = slices.Delete(r.pipelined, i, i+1)
-			r.latches.release(w.latched)
+			r.unlatch(w.key)
 			return
 		}
 	}
@@ -603,7 +593,7 @@ func (r *Replica) evalQueryIntent(p *sim.Proc, req *QueryIntentRequest) Response
 	if err := r.ownKey(req.Key); err != nil {
 		return Response{Err: err}
 	}
-	r.latches.waitFree(p, req.Key)
+	r.waitUnlatched(p, req.Key)
 	if err := r.ownKey(req.Key); err != nil {
 		return Response{Err: err}
 	}
@@ -801,43 +791,27 @@ func (r *Replica) evalNegotiate(req *NegotiateRequest) Response {
 
 // --- Lock waiting ---
 
-// lockEntry is a lock-table entry: the string it is stored under, made when
-// the replica first locked the key, and the transaction holding the lock.
-type lockEntry struct {
-	key    string
-	holder mvcc.TxnID
-}
-
 // acquireLock takes (or confirms) the exclusive unreplicated lock on key
-// for the requesting transaction, queueing behind live holders, and returns
-// the entry's string. Finished holders' locks are stolen lazily. Lookups
-// index the table with string(key) in place, which converts without
-// copying, so only a key's first lock makes a string.
-func (r *Replica) acquireLock(p *sim.Proc, key mvcc.Key, txn *Txn) (string, error) {
+// for the requesting transaction, queueing behind live holders. A finished
+// holder's lock is taken without a wait, whether or not the store loop
+// dropped its entry meanwhile.
+func (r *Replica) acquireLock(p *sim.Proc, key mvcc.Key, txn *Txn) error {
 	wait := pushDelay
 	for {
-		e, ok := r.lockTable[string(key)]
-		if ok && e.holder != txn.Meta.ID {
-			if _, _, err := r.waitForHolder(p, txn.Meta.ID, e.holder, &wait); err != nil {
-				return "", err
+		holder := r.keys.entries[string(key)].holder
+		if holder != 0 && holder != txn.Meta.ID {
+			if _, _, err := r.waitForHolder(p, txn.Meta.ID, holder, &wait); err != nil {
+				return err
 			}
-			if r.lockTable[string(key)] != e {
+			if r.keys.entries[string(key)].holder != holder {
 				continue // another waiter took the finished holder's lock first
 			}
 		}
-		if !ok {
-			e.key = string(key)
-		}
+		e := r.keys.entry(key)
 		e.holder = txn.Meta.ID
-		r.lockTable[e.key] = e
-		return e.key, nil
+		r.keys.entries[e.key] = e
+		return nil
 	}
-}
-
-// recordRead notes a read of key at ts by txn in the timestamp cache, whose
-// new entry names the key with its lock entry's string when it has one.
-func (r *Replica) recordRead(key mvcc.Key, ts hlc.Timestamp, txn mvcc.TxnID) {
-	r.tscache.RecordRead(key, r.lockTable[string(key)].key, ts, txn)
 }
 
 // waitForHolder parks p until the transaction holder finishes and returns
@@ -989,25 +963,18 @@ func (r *Replica) applySplit(cmd *Command) {
 	if _, ok := r.store.Replica(newDesc.RangeID); !ok {
 		nr := r.store.CreateReplica(newDesc)
 		r.engine.CopyTo(nr.engine, newDesc.StartKey, newDesc.EndKey)
-		// Writes this range evaluated before the split but that sit behind
-		// it in the log still hold their latches here, and apply into the
-		// right half's engine (engineFor). The two key spans are disjoint,
-		// so the halves share one latch manager: a read on the right half
-		// waits those writes out instead of reading around them.
-		nr.latches = r.latches
+		// The right span's entries go with their keys, whole: a locking read
+		// queued on a lock keeps waiting, a read the left half served keeps
+		// pushing writes, and a write this range evaluated before the split
+		// but that sits behind it in the log keeps its latch, which a read on
+		// the right half waits out (the write applies into the right half's
+		// engine and releases its latch there: owner).
+		r.keys.moveSpan(newDesc, &nr.keys)
 		// The right half carries on the left half's lease: the same epoch,
 		// the closed timestamp and the promise the split was proposed
 		// under, and everything below the split timestamp assumed read.
 		nr.leaseEpoch = r.leaseEpoch
 		nr.inherit(r.closed.closed, cmd.ClosedTS, cmd.Ts)
-		// The right span's unreplicated locks (held on the leaseholder only)
-		// go with their keys, so a locking read queued on one keeps waiting.
-		for k, e := range r.lockTable {
-			if newDesc.ContainsKey(mvcc.Key(k)) {
-				nr.lockTable[k] = e
-				delete(r.lockTable, k)
-			}
-		}
 		if newDesc.Leaseholder == r.store.NodeID {
 			nr.raft.Campaign()
 		}
@@ -1061,7 +1028,7 @@ func (r *Replica) applyLeaseTransfer(cmd *Command) {
 	r.leaseEpoch = cmd.LeaseEpoch
 	if r.desc.Leaseholder == r.store.NodeID {
 		// Fresh leaseholder: assume everything was read up to the
-		// transfer timestamp (tscache low-water ratchet), and carry the
+		// transfer timestamp (the read floor's ratchet), and carry the
 		// closed-timestamp promise floor forward.
 		r.inherit(hlc.Timestamp{}, cmd.ClosedTS, cmd.Ts)
 		if r.store.Catalog != nil {
@@ -1195,27 +1162,33 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 // the range vouched for — a split's left half, a merge's right half, the old
 // leaseholder, an image: its closed timestamp rises to closed; its promise
 // floor to issued, so it never accepts a write at or below a promise made
-// before; and its timestamp cache's floor to readFloor. None of the three ever falls.
+// before; and its key table's floor to readFloor, dropping the entries
+// nothing keeps (keyTable.sweep). None of the three ever falls.
 func (r *Replica) inherit(closed, issued, readFloor hlc.Timestamp) {
 	r.closed.advance(closed)
 	if r.closed.issued.Less(issued) {
 		r.closed.issued = issued
 	}
-	r.tscache.SetLowWater(readFloor)
+	r.keys.sweep(readFloor, r.store.Registry)
 }
 
-// engineFor resolves the engine a key belongs to after splits: normally
-// this replica's own, otherwise the local replica that now owns the key.
-func (r *Replica) engineFor(key mvcc.Key) *mvcc.Engine {
+// owner is the local replica a key belongs to after splits: normally r
+// itself, otherwise the local replica that now owns the key.
+func (r *Replica) owner(key mvcc.Key) *Replica {
 	if r.desc.ContainsKey(key) {
-		return r.engine
+		return r
 	}
 	for _, other := range r.store.replicas {
 		if other != r && other.desc.ContainsKey(key) {
-			return other.engine
+			return other
 		}
 	}
-	return r.engine
+	return r
+}
+
+// engineFor resolves the engine a key belongs to after splits.
+func (r *Replica) engineFor(key mvcc.Key) *mvcc.Engine {
+	return r.owner(key).engine
 }
 
 // heartbeatPayload is the closed-timestamp promise the leader attaches to

@@ -296,9 +296,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 		store:      s,
 		desc:       desc.Clone(),
 		engine:     mvcc.NewEngine(s.engineSeed + int64(desc.RangeID)),
-		tscache:    NewTimestampCache(hlc.Timestamp{}),
-		latches:    newLatchManager(s.Sim),
-		lockTable:  map[string]lockEntry{},
+		keys:       newKeyTable(),
 		leaseEpoch: s.CurrentEpoch(),
 	}
 	r.leaderApplied = sim.NewCond(s.Sim)

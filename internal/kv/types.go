@@ -1,9 +1,9 @@
 // Package kv implements mrdb's distributed, transactional key-value layer:
-// Ranges replicated with Raft (paper §3.1), leaseholders and leases,
-// timestamp caches, a lock wait-queue, closed timestamps with both the
-// lagging policy (follower reads, §5.1) and the leading policy that powers
-// GLOBAL tables (§6.2.1), follower reads with exact and bounded staleness
-// (§5.3), and the request routing layer (DistSender).
+// Ranges replicated with Raft (paper §3.1), leaseholders and leases, a
+// per-key table of latches, locks and served reads, closed timestamps with
+// both the lagging policy (follower reads, §5.1) and the leading policy that
+// powers GLOBAL tables (§6.2.1), follower reads with exact and bounded
+// staleness (§5.3), and the request routing layer (DistSender).
 package kv
 
 import (
@@ -176,7 +176,7 @@ func (q *GetRequest) typeName() string        { return "*kv.GetRequest" }
 func (q *GetRequest) followerOK() bool        { return q.FollowerRead }
 func (q *GetRequest) bounds(r *Replica) error { return r.ownKey(q.Key) }
 func (q *GetRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
-	r.recordRead(q.Key, ts, q.Txn.id())
+	r.keys.recordRead(q.Key, ts, q.Txn.id())
 }
 func (q *GetRequest) eval(r *Replica, p *sim.Proc) Response {
 	return r.evalRead(p, q, readArgs{ts: q.Timestamp, txn: q.Txn, uncertainty: q.Uncertainty,
@@ -241,7 +241,7 @@ func (q *ScanRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions)
 
 // record notes the requested span, which covers the part this range served.
 func (q *ScanRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
-	r.tscache.RecordReadSpan(q.StartKey, q.EndKey, ts)
+	r.keys.raiseFloor(ts)
 }
 
 // ScanResponse carries scan results. A replica truncates the scan to its
@@ -316,7 +316,7 @@ type QueryIntentResponse struct {
 }
 
 // PutResponse reports the timestamp the write was actually evaluated at
-// (possibly above the request timestamp after tscache / closed-timestamp /
+// (possibly above the request timestamp after served-read / closed-timestamp /
 // write-too-old bumps).
 type PutResponse struct {
 	WriteTimestamp hlc.Timestamp
@@ -397,7 +397,7 @@ func (q *RefreshRequest) bounds(r *Replica) error { return r.ownKey(q.Key) }
 
 // eval serves a refresh as a read at ToTS, which a follower can verify once
 // its closed timestamp covers ToTS. A refresh waits out in-flight writes on
-// its key or span: such a write already passed the timestamp cache, so a
+// its key or span: such a write already passed the served reads, so a
 // refresh that looked past it would bless a read the write invalidates.
 func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response {
 	return r.evalRead(p, q, readArgs{ts: q.ToTS, latchKey: q.Key, latchEnd: q.EndKey, span: q.EndKey != nil})
@@ -420,9 +420,9 @@ func (q *RefreshRequest) record(r *Replica, ts hlc.Timestamp, resp Response) {
 	switch {
 	case !resp.Refresh.Success:
 	case q.EndKey != nil:
-		r.tscache.RecordReadSpan(q.Key, q.EndKey, ts)
+		r.keys.raiseFloor(ts)
 	default:
-		r.recordRead(q.Key, ts, q.TxnID)
+		r.keys.recordRead(q.Key, ts, q.TxnID)
 	}
 }
 

@@ -24,7 +24,7 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 	var get, put Response
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
 		// A writer holds the latch while both requests arrive…
-		rep.latches.acquire(p, string(key))
+		rep.latch(p, key)
 		done := sim.NewWaitGroup(h.s)
 		done.Add(2)
 		h.s.Spawn("get", func(gp *sim.Proc) {
@@ -40,7 +40,7 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
 			return err
 		}
-		rep.latches.release(string(key))
+		rep.unlatch(key)
 		done.Wait(p)
 		return nil
 	})
@@ -85,7 +85,7 @@ func TestFencedLeaseholderRefreshIsAFollowerRead(t *testing.T) {
 	}
 
 	key := mvcc.Key("k")
-	before, _ := rep.tscache.MaxRead(key, 0)
+	before, _ := rep.keys.maxRead(key, 0)
 	closed := rep.ClosedTimestamp()
 	if closed.IsEmpty() {
 		t.Fatal("the fenced replica has no closed timestamp")
@@ -104,7 +104,7 @@ func TestFencedLeaseholderRefreshIsAFollowerRead(t *testing.T) {
 	if below.Err != nil || !below.Refresh.Success {
 		t.Errorf("refresh below the fenced replica's closed timestamp: %+v, want Success", below)
 	}
-	if after, _ := rep.tscache.MaxRead(key, 0); after != before {
+	if after, _ := rep.keys.maxRead(key, 0); after != before {
 		t.Errorf("fenced replica recorded a refresh in its timestamp cache: %v -> %v", before, after)
 	}
 }
@@ -128,7 +128,7 @@ func TestRefreshWaitsForInFlightWrite(t *testing.T) {
 		p.Sleep(sim.Millisecond)
 		to := st.Clock.Now()
 		// The write is evaluated (latch held) but not yet applied.
-		rep.latches.acquire(p, string(key))
+		rep.latch(p, key)
 		done := sim.NewWaitGroup(h.s)
 		done.Add(1)
 		h.s.Spawn("refresh", func(rp *sim.Proc) {
@@ -143,7 +143,7 @@ func TestRefreshWaitsForInFlightWrite(t *testing.T) {
 		if _, err := rep.engine.Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
 			return err
 		}
-		rep.latches.release(string(key))
+		rep.unlatch(key)
 		done.Wait(p)
 		return nil
 	})
@@ -190,8 +190,8 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 	var got Response
 	answered := false
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		lhs.latches.acquire(p, string(key)) // the in-flight write…
-		writeTS := st.Clock.Now()           // …evaluated at this timestamp
+		lhs.latch(p, key)         // the in-flight write…
+		writeTS := st.Clock.Now() // …evaluated at this timestamp
 		rdesc, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h"))
 		if err != nil {
 			return err
@@ -212,7 +212,7 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 		if _, err := lhs.engineFor(key).Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
 			return err
 		}
-		lhs.latches.release(string(key))
+		lhs.unlatch(key)
 		done.Wait(p)
 		return nil
 	})
@@ -241,7 +241,7 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 	var direct, routed, put Response
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
 		// A writer holds the latch while both queries arrive…
-		rep.latches.acquire(p, string(key))
+		rep.latch(p, key)
 		done := sim.NewWaitGroup(h.s)
 		done.Add(3)
 		h.s.Spawn("query-intent", func(qp *sim.Proc) {
@@ -254,8 +254,8 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 		})
 		p.Sleep(10 * sim.Millisecond)
 		// …the range splits below the key, and the transaction's write
-		// queues behind the queries for the latch the halves share; it
-		// lays its intent on the right-hand range only.
+		// queues behind the queries for the latch, which moved to the
+		// right-hand range with its key; it lays its intent there only.
 		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
 			return err
 		}
@@ -264,7 +264,7 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 			put = ds.Send(wp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: tx})
 		})
 		p.Sleep(sim.Millisecond)
-		rep.latches.release(string(key))
+		rep.unlatch(key)
 		done.Wait(p)
 		return nil
 	})

@@ -31,7 +31,7 @@ import (
 // 36.26: each probe's reads wait in a txn.Probe of their own until the
 // statement adopts them, so a probe that loses the race leaves the
 // transaction alone. Index keys are carved from the session's chunks, and a
-// leaseholder names a key with its lock entry's string, so a chunk lands in
+// leaseholder names a key with one key-table entry, so a chunk lands in
 // one run of many: the counts cover everything the simulation runs
 // meanwhile and are means pinned to ±0.1 (meanAllocs). As means they were
 // 6.0, 27.2, 23.6 and 46.8 while every index key was an allocation of its
