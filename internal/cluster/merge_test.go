@@ -15,8 +15,8 @@ import (
 
 // TestScanAcrossMerge is the merge-side mirror of TestScanAcrossSplit: a
 // range is split twice and then merged back while reads and writes keep
-// flowing. Scans that hold a resume key across a boundary that merges away
-// between the two halves of the scan, and full scans racing the merges
+// flowing. A scan continued past a boundary that merges away between its
+// two halves, and full scans racing the merges
 // themselves, must return exactly the rows a quiesced cluster returns — no
 // duplicates, no holes, no stale pre-merge copies.
 func TestScanAcrossMerge(t *testing.T) {
@@ -104,9 +104,9 @@ func TestScanAcrossMerge(t *testing.T) {
 			}
 		})
 
-		// A resume-key scan whose boundary disappears mid-scan: read the
-		// first 6 rows (ending inside the middle range), let both merges run,
-		// then continue from the held resume position.
+		// A scan whose boundary disappears mid-scan: read the first 6 rows
+		// (ending inside the middle range), let both merges run, then
+		// continue just past the last row read.
 		var head []mvcc.KeyValue
 		if err := co.Run(p, func(tx *txn.Txn) error {
 			var err error

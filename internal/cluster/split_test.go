@@ -91,11 +91,11 @@ func TestRangeSplit(t *testing.T) {
 }
 
 // TestScanAcrossSplit is the regression test for the cross-range scan hole:
-// replicas must truncate scans to their range bounds and return a resume
-// key. Before the fix, the left replica's engine (which retains a stale
-// copy of the right half's data from the split) answered for the whole
-// span, so a scan could return rows the range no longer owns and miss
-// writes that landed on the right-hand range after the split.
+// the DistSender divides a scan by range, and a replica answers only for a
+// span it holds whole. Before the fix, the left replica's engine (which
+// retains a stale copy of the right half's data from the split) answered for
+// the whole span, so a scan could return rows the range no longer owns and
+// miss writes that landed on the right-hand range after the split.
 func TestScanAcrossSplit(t *testing.T) {
 	c := New(Config{Seed: 43, Regions: ThreeRegions(), MaxOffset: 250 * sim.Millisecond})
 	desc := regionalRange(t, c, "sc")

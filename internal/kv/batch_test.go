@@ -1,99 +1,68 @@
 package kv
 
 import (
+	"errors"
 	"testing"
 
 	"mrdb/internal/mvcc"
 )
 
-func kvRow(k string) mvcc.KeyValue { return mvcc.KeyValue{Key: mvcc.Key(k)} }
-
-// TestScanBoundsTruncation pins the replica-side scan clamp: a request
-// spanning past the range's bounds is truncated, and the resume key points
-// at the next range. This is the fix for the cross-range scan hole (a
-// post-split engine retains copied right-half data, so an unclamped scan
-// could return rows the range does not own).
+// TestScanBoundsTruncation pins the two halves of the rule that a span read
+// never reaches past its range: the DistSender clamps each piece of a span
+// to the range it sends it to, and a replica refuses a span it does not
+// hold whole. A post-split engine retains a copy of the right half's data,
+// so a replica that read past its bounds could return rows the range no
+// longer owns and miss the writes that landed on their owner.
 func TestScanBoundsTruncation(t *testing.T) {
-	r := &Replica{desc: &RangeDescriptor{
-		RangeID: 1, StartKey: mvcc.Key("b"), EndKey: mvcc.Key("m"),
-	}}
-
-	// Fully contained: no clamping, no resume.
-	start, end, resume, err := r.scanBounds(&ScanRequest{StartKey: mvcc.Key("c"), EndKey: mvcc.Key("h")})
-	if err != nil || string(start) != "c" || string(end) != "h" || resume != nil {
-		t.Fatalf("contained: %q %q %q %v", start, end, resume, err)
+	d := &RangeDescriptor{RangeID: 1, StartKey: mvcc.Key("b"), EndKey: mvcc.Key("m")}
+	last := &RangeDescriptor{RangeID: 2, StartKey: mvcc.Key("m")}
+	for _, c := range []struct {
+		d                  *RangeDescriptor
+		start, end         string // "" is nil: unbounded
+		wantStart, wantEnd string
+		holds              bool
+	}{
+		{d, "c", "h", "c", "h", true},
+		{d, "b", "m", "b", "m", true},
+		{d, "c", "z", "c", "m", false}, // past the range: the end clamps
+		{d, "c", "", "c", "m", false},  // unbounded clamps the same way
+		{d, "a", "h", "b", "h", false}, // before the range: the start clamps
+		{d, "n", "z", "n", "m", false}, // no overlap: an empty span
+		{last, "n", "z", "n", "z", true},
+		{last, "n", "", "n", "", true}, // the last range holds an unbounded span
+	} {
+		key := func(s string) mvcc.Key {
+			if s == "" {
+				return nil
+			}
+			return mvcc.Key(s)
+		}
+		start, end := c.d.clamp(key(c.start), key(c.end))
+		if string(start) != c.wantStart || string(end) != c.wantEnd || (c.wantEnd == "") != (end == nil) {
+			t.Errorf("r%d clamp [%q, %q) = [%q, %q), want [%q, %q)", c.d.RangeID, c.start, c.end, start, end, c.wantStart, c.wantEnd)
+		}
+		r := &Replica{desc: c.d}
+		scan := &ScanRequest{StartKey: key(c.start), EndKey: key(c.end)}
+		var mismatch *RangeKeyMismatchError
+		if err := scan.bounds(r); (err == nil) != c.holds || err != nil && !errors.As(err, &mismatch) {
+			t.Errorf("r%d scan [%q, %q): %v, want held %v", c.d.RangeID, c.start, c.end, err, c.holds)
+		}
+		if c.end == "" {
+			continue
+		}
+		refresh := &RefreshRequest{Key: key(c.start), EndKey: key(c.end)}
+		if err := refresh.bounds(r); (err == nil) != c.holds {
+			t.Errorf("r%d span refresh [%q, %q): %v, want held %v", c.d.RangeID, c.start, c.end, err, c.holds)
+		}
 	}
-
-	// Extends past the range: end clamps to the range bound and the
-	// resume key continues there.
-	start, end, resume, err = r.scanBounds(&ScanRequest{StartKey: mvcc.Key("c"), EndKey: mvcc.Key("z")})
-	if err != nil || string(start) != "c" || string(end) != "m" || string(resume) != "m" {
-		t.Fatalf("overhang: %q %q %q %v", start, end, resume, err)
-	}
-
-	// Unbounded scan clamps the same way.
-	_, end, resume, err = r.scanBounds(&ScanRequest{StartKey: mvcc.Key("c")})
-	if err != nil || string(end) != "m" || string(resume) != "m" {
-		t.Fatalf("unbounded: %q %q %v", end, resume, err)
-	}
-
-	// Start before the range start clamps up (resumed scans land here).
-	start, _, _, err = r.scanBounds(&ScanRequest{StartKey: mvcc.Key("a"), EndKey: mvcc.Key("h")})
-	if err != nil || string(start) != "b" {
-		t.Fatalf("start clamp: %q %v", start, err)
-	}
-
-	// Start at or past the range end is a mismatch.
-	if _, _, _, err = r.scanBounds(&ScanRequest{StartKey: mvcc.Key("m"), EndKey: mvcc.Key("z")}); err == nil {
-		t.Fatal("start past range end accepted")
-	}
-
-	// The last range (nil EndKey) never truncates.
-	last := &Replica{desc: &RangeDescriptor{RangeID: 2, StartKey: mvcc.Key("m")}}
-	_, end, resume, err = last.scanBounds(&ScanRequest{StartKey: mvcc.Key("n"), EndKey: mvcc.Key("z")})
-	if err != nil || string(end) != "z" || resume != nil {
-		t.Fatalf("last range: %q %q %v", end, resume, err)
-	}
-}
-
-// TestScanResumeMaxRows pins resume-key selection after evaluation: a
-// MaxRows cut resumes just past the last returned row and takes precedence
-// over the range-bound resume; a completed scan keeps the range-bound
-// resume (or none).
-func TestScanResumeMaxRows(t *testing.T) {
-	rows := []mvcc.KeyValue{kvRow("c"), kvRow("d")}
-
-	// MaxRows hit short of the clamped end: resume just past the last row.
-	got := scanResume(&ScanRequest{MaxRows: 2}, rows, mvcc.Key("m"), mvcc.Key("m"))
-	if string(got) != "d\x00" {
-		t.Fatalf("maxrows resume %q", got)
-	}
-
-	// MaxRows hit exactly at the end of the clamped span: fall back to the
-	// range-bound resume (continue on the next range).
-	got = scanResume(&ScanRequest{MaxRows: 2}, rows, mvcc.Key("d\x00"), mvcc.Key("m"))
-	if string(got) != "m" {
-		t.Fatalf("boundary resume %q", got)
-	}
-
-	// Under MaxRows: range-bound resume only.
-	got = scanResume(&ScanRequest{MaxRows: 5}, rows, mvcc.Key("m"), mvcc.Key("m"))
-	if string(got) != "m" {
-		t.Fatalf("range resume %q", got)
-	}
-
-	// Under MaxRows, range covers the span: no resume.
-	if got = scanResume(&ScanRequest{MaxRows: 5}, rows, mvcc.Key("m"), nil); got != nil {
-		t.Fatalf("spurious resume %q", got)
-	}
-
-	// Unlimited scan never resumes on row count.
-	if got = scanResume(&ScanRequest{}, rows, mvcc.Key("m"), nil); got != nil {
-		t.Fatalf("unlimited resume %q", got)
+	// A point refresh needs only its key.
+	if err := (&RefreshRequest{Key: mvcc.Key("c")}).bounds(&Replica{desc: d}); err != nil {
+		t.Errorf("point refresh in range: %v", err)
 	}
 }
 
-// TestDescContainsAll covers the split-under-batch re-split predicate.
+// TestDescContainsAll covers the predicate by which a batch routed on a
+// descriptor that split since is divided again.
 func TestDescContainsAll(t *testing.T) {
 	d := &RangeDescriptor{StartKey: mvcc.Key("b"), EndKey: mvcc.Key("m")}
 	in := []interface{}{
@@ -106,5 +75,15 @@ func TestDescContainsAll(t *testing.T) {
 	out := append(in, &PutRequest{Key: mvcc.Key("x")})
 	if descContainsAll(d, out) {
 		t.Fatal("escaped key accepted")
+	}
+	// A scan or span refresh is held only whole.
+	if !descContainsAll(d, []interface{}{&ScanRequest{StartKey: mvcc.Key("c"), EndKey: mvcc.Key("m")}}) {
+		t.Fatal("contained scan rejected")
+	}
+	if descContainsAll(d, []interface{}{&ScanRequest{StartKey: mvcc.Key("c"), EndKey: mvcc.Key("n")}}) {
+		t.Fatal("scan crossing the range's end accepted")
+	}
+	if descContainsAll(d, []interface{}{&RefreshRequest{Key: mvcc.Key("c"), EndKey: mvcc.Key("z")}}) {
+		t.Fatal("span refresh crossing the range's end accepted")
 	}
 }

@@ -33,13 +33,15 @@ type DistSender struct {
 	// Tracer, when set, records a "ds.send" span per routed per-range RPC
 	// with a "ds.rpc" child per replica attempt (target, retries, backoff,
 	// and the error that caused each retry). Batches additionally get a
-	// "ds.batch" parent and multi-range scans a "ds.scan" parent. Optional;
-	// nil-safe.
+	// "ds.batch" parent. A scan or span refresh that crosses ranges gets one
+	// "ds.send" per range it is divided among; when its range split under it
+	// mid-flight, the "ds.send" it was routed with, tagged "resplit", is
+	// their parent. Optional; nil-safe.
 	Tracer *obs.Tracer
 
 	// Metrics, when set, records the batch-size and per-batch range fan-out
-	// distributions ("ds.batch.size", "ds.batch.ranges", "ds.scan.ranges").
-	// Optional; nil-safe.
+	// distributions ("ds.batch.size", "ds.batch.ranges"). Optional;
+	// nil-safe.
 	Metrics *obs.Registry
 
 	// Load, when set, is the shared per-range traffic tracker feeding the
@@ -189,18 +191,11 @@ func (ds *DistSender) backoff(p *sim.Proc, n int, routed *RangeDescriptor) {
 // range splits underneath it mid-dispatch.
 const maxBatchSplitDepth = 8
 
-// maxScanHops bounds resume-key following on a multi-range scan.
-const maxScanHops = 64
-
-// Send routes req and returns the typed response. It parks p for network
-// and evaluation time. Scans route through the multi-range scan path;
-// everything else is a single-request batch to one range.
+// Send routes req, a batch of one without a "ds.batch" span, and returns
+// the typed response. It parks p for network and evaluation time.
 func (ds *DistSender) Send(p *sim.Proc, req interface{}) Response {
-	if sc, ok := req.(*ScanRequest); ok {
-		return ds.sendScan(p, sc)
-	}
 	reqs, out := [1]interface{}{req}, [1]Response{}
-	ds.sendToRange(p, reqs[:], out[:], 0)
+	ds.sendBatchInner(p, reqs[:], out[:], 0)
 	return out[0]
 }
 
@@ -215,11 +210,12 @@ func (ds *DistSender) SendBatch(p *sim.Proc, reqs []interface{}) []Response {
 	return out
 }
 
-// SendBatchInto routes a batch of point requests: it groups them by range
-// descriptor, dispatches one RPC per touched range in parallel (virtual
-// latency is the max over ranges, not the sum), and writes the responses into
-// out, which must be as long as reqs: out[i] answers reqs[i]. Unroutable
-// requests get per-slot errors; the rest of the batch still dispatches.
+// SendBatchInto routes a batch: it groups the requests by range descriptor,
+// dividing a scan or span refresh among the ranges its span overlaps,
+// dispatches one RPC per touched range in parallel (virtual latency is the
+// max over ranges, not the sum), and writes the responses into out, which
+// must be as long as reqs: out[i] answers reqs[i]. Unroutable requests get
+// per-slot errors; the rest of the batch still dispatches.
 //
 // out is the caller's space, a stack array for instance: the sender writes it
 // only before it returns, copying each reply out of an envelope whose reply
@@ -244,16 +240,23 @@ func (ds *DistSender) SendBatchInto(p *sim.Proc, reqs []interface{}, out []Respo
 	}
 }
 
-// sendBatchInner splits reqs into per-range groups (first-occurrence
+// sendBatchInner divides reqs into per-range groups (first-occurrence
 // order), dispatches them and writes the responses into out, in request
-// order; it returns the number of ranges touched.
+// order; it returns the number of ranges touched. It is the DistSender's one
+// divider of spans.
 //
 // A batch that lands entirely on one range — the overwhelmingly common
-// case, every point read and write of a transaction included — is the
-// sub-batch itself, with no grouping at all. Otherwise grouping is
-// slice-based rather than map-based: requests are assigned a group ordinal in
-// one pass (memoizing the last descriptor, since batches are usually
-// key-ordered and range-clustered).
+// case, every point read and write of a transaction and every scan of one
+// partition included — is the sub-batch itself, with no grouping at all.
+// Otherwise each request becomes pieces: a point request is one, on the
+// range of its key; a scan or span refresh is one per range its span
+// overlaps, clamped to that range's bounds (the request itself where one
+// range holds it whole). A range answers only for a span it holds whole
+// (RangeKeyMismatchError), so a piece routed on a descriptor that split
+// since is divided again by sendToRange. Grouping is slice-based rather than
+// map-based: pieces are assigned a group ordinal in one pass (memoizing the
+// last descriptor, since batches are usually key-ordered and
+// range-clustered).
 func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, out []Response, depth int) int {
 	if q, err := asRequest(reqs[0]); err == nil {
 		if d, err := ds.Catalog.Lookup(q.routingKey()); err == nil && descContainsAll(d, reqs) {
@@ -268,31 +271,47 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, out []Resp
 		q, err := asRequest(req)
 		if err != nil {
 			out[i] = Response{Err: err}
-			f.gids = append(f.gids, -1)
 			continue
 		}
-		key := q.routingKey()
-		if desc == nil || !desc.ContainsKey(key) {
-			d, err := ds.Catalog.Lookup(key)
-			if err != nil {
-				out[i] = Response{Err: err}
-				f.gids = append(f.gids, -1)
+		start, end, span := spanOf(q)
+		if !span {
+			if key := q.routingKey(); desc == nil || !desc.ContainsKey(key) {
+				if desc, err = ds.Catalog.Lookup(key); err != nil {
+					out[i] = Response{Err: err}
+					continue
+				}
+				gid = f.group(desc)
+			}
+			f.add(req, i, gid)
+			continue
+		}
+		if desc != nil && desc.containsSpan(start, end) {
+			f.add(req, i, gid)
+			continue
+		}
+		descs := ds.Catalog.LookupSpan(start, end)
+		if len(descs) == 0 {
+			out[i] = Response{Err: fmt.Errorf("kv: no range overlaps [%q, %q)", start, end)}
+			continue
+		}
+		for _, d := range descs {
+			desc, gid = d, f.group(d)
+			s, e := d.clamp(start, end)
+			if bytes.Equal(s, start) && bytes.Equal(e, end) {
+				f.add(req, i, gid)
 				continue
 			}
-			desc = d
-			gid = -1
-			for g, rid := range f.rids {
-				if rid == d.RangeID {
-					gid = int32(g)
-					break
-				}
-			}
-			if gid == -1 {
-				gid = int32(len(f.rids))
-				f.rids = append(f.rids, d.RangeID)
+			switch q := q.(type) {
+			case *ScanRequest:
+				piece := *q
+				piece.StartKey, piece.EndKey = s, e
+				f.add(&piece, i, gid)
+			case *RefreshRequest:
+				piece := *q
+				piece.Key, piece.EndKey = s, e
+				f.add(&piece, i, gid)
 			}
 		}
-		f.gids = append(f.gids, gid)
 	}
 	ranges := len(f.rids)
 	f.dispatch(p, "ds/batch-range", ranges, reqs, out)
@@ -300,11 +319,15 @@ func (ds *DistSender) sendBatchInner(p *sim.Proc, reqs []interface{}, out []Resp
 	return ranges
 }
 
-// descContainsAll reports whether d owns the routing key of every request.
+// descContainsAll reports whether d holds every request whole: the key of a
+// point request, the span of a scan or span refresh.
 func descContainsAll(d *RangeDescriptor, reqs []interface{}) bool {
 	for _, r := range reqs {
 		q, err := asRequest(r)
-		if err != nil || !d.ContainsKey(q.routingKey()) {
+		if err != nil {
+			return false
+		}
+		if start, end, span := spanOf(q); span && !d.containsSpan(start, end) || !span && !d.ContainsKey(q.routingKey()) {
 			return false
 		}
 	}
@@ -321,8 +344,9 @@ func fillErr(out []Response, err error) {
 // sendToRange dispatches a per-range sub-batch (usually a singleton) as one
 // RPC, retrying around leaseholder moves, follower-read misses, and range
 // moves, and writes the responses into out. A retriable error on any response
-// retries the whole sub-batch; if a split moved some keys out of the range
-// mid-flight, the sub-batch is re-split through sendBatchInner. A sub-batch
+// retries the whole sub-batch; if a split moved some keys, or part of a span,
+// out of the range mid-flight, the sub-batch is divided again through
+// sendBatchInner, a lone request too. A sub-batch
 // that mixes follower-eligible reads with leaseholder-only requests goes out
 // as two RPCs (sendSplit). It keeps neither reqs nor out: each attempt copies
 // the requests into an envelope, and the responses out of it.
@@ -372,9 +396,9 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, out []Respons
 			fillErr(out, err)
 			return
 		}
-		if len(reqs) > 1 && depth < maxBatchSplitDepth && !descContainsAll(desc, reqs) {
-			// The range split under the batch: re-split against the fresh
-			// descriptors.
+		if depth < maxBatchSplitDepth && !descContainsAll(desc, reqs) {
+			// The range split under the batch: divide it again against the
+			// fresh descriptors.
 			sp.SetTag("resplit", "true")
 			ds.sendBatchInner(p, reqs, out, depth+1)
 			return
@@ -503,12 +527,12 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, out []Respons
 // nothing: the read stays local, and the batch pays the write's trip alone.
 func (ds *DistSender) sendSplit(p *sim.Proc, reqs []interface{}, out []Response, depth int) {
 	f := ds.getFan(depth)
-	for _, r := range reqs {
+	for i, r := range reqs {
 		g := int32(0)
 		if q, err := asRequest(r); err == nil && q.followerOK() {
 			g = 1
 		}
-		f.gids = append(f.gids, g)
+		f.add(r, i, g)
 	}
 	f.dispatch(p, "ds/follower-split", 2, reqs, out)
 	ds.putFan(f)
@@ -522,19 +546,39 @@ func (ds *DistSender) sendSplit(p *sim.Proc, reqs []interface{}, out []Response,
 type fanBatch struct {
 	ds    *DistSender
 	depth int
-	// gids[i] is the group of the caller's request i, -1 when the request
-	// was answered already (it could not be routed).
-	gids []int32
+	// pieces are what the caller's requests became, in request order.
+	pieces []piece
 	// rids is the range of each group, while sendBatchInner groups.
 	rids []RangeID
-	// sub holds the requests group by group, each group in request order:
-	// group g is sub[ends[g-1]:ends[g]]. at[j] is the caller's index of
-	// sub[j], and resps[j] answers it.
+	// sub holds the pieces group by group, each group in piece order: group
+	// g is sub[ends[g-1]:ends[g]], and resps[j] answers sub[j].
 	sub   []interface{}
-	at    []int32
 	ends  []int32
 	resps []Response
 	send  func(wp *sim.Proc, g int) // f.sendGroup, bound once
+}
+
+// piece is a request, or the part of a span request one range holds: of is
+// the caller's index it answers, g its group and at its slot in sub.
+type piece struct {
+	req       interface{}
+	of, g, at int32
+}
+
+// add appends req, which answers the caller's request i, to group g.
+func (f *fanBatch) add(req interface{}, i int, g int32) {
+	f.pieces = append(f.pieces, piece{req: req, of: int32(i), g: g})
+}
+
+// group returns the ordinal of d's group, which it adds if d has none yet.
+func (f *fanBatch) group(d *RangeDescriptor) int32 {
+	for g, rid := range f.rids {
+		if rid == d.RangeID {
+			return int32(g)
+		}
+	}
+	f.rids = append(f.rids, d.RangeID)
+	return int32(len(f.rids) - 1)
 }
 
 // maxFreeFans bounds a DistSender's free list of fan-out scratch.
@@ -558,44 +602,58 @@ func (ds *DistSender) getFan(depth int) *fanBatch {
 // putFan clears f, so it pins no request or response, and keeps it unless
 // the list is full.
 func (ds *DistSender) putFan(f *fanBatch) {
+	clear(f.pieces)
 	clear(f.sub)
 	clear(f.resps)
-	f.gids, f.rids, f.sub, f.at, f.ends, f.resps = f.gids[:0], f.rids[:0], f.sub[:0], f.at[:0], f.ends[:0], f.resps[:0]
+	f.pieces, f.rids, f.sub, f.ends, f.resps = f.pieces[:0], f.rids[:0], f.sub[:0], f.ends[:0], f.resps[:0]
 	if len(ds.freeFans) < maxFreeFans {
 		ds.freeFans = append(ds.freeFans, f)
 	}
 }
 
-// dispatch sends the groups of reqs that gids assigns as one sub-batch each,
-// in parallel on children named name, and writes every response into out at
-// its request's index.
+// dispatch sends each group of pieces as one sub-batch, in parallel on
+// children named name, and writes the responses into out at their requests'
+// indexes. The pieces of one span request fold into its slot in key order:
+// a scan's rows are joined up to its MaxRows, a refresh succeeds only if
+// every piece does, and the first error wins.
 func (f *fanBatch) dispatch(p *sim.Proc, name string, groups int, reqs []interface{}, out []Response) {
-	// Count each group, turn the counts into starts, then place each request
+	// Count each group, turn the counts into starts, then place each piece
 	// at its group's next slot: ends[g] ends up where group g ends.
 	ends := slices.Grow(f.ends[:0], groups)[:groups]
 	clear(ends)
-	for _, g := range f.gids {
-		if g >= 0 {
-			ends[g]++
-		}
+	for _, pc := range f.pieces {
+		ends[pc.g]++
 	}
 	n := int32(0)
 	for g, c := range ends {
 		ends[g] = n
 		n += c
 	}
-	f.sub, f.at, f.resps = slices.Grow(f.sub, int(n))[:n], slices.Grow(f.at, int(n))[:n], slices.Grow(f.resps, int(n))[:n]
-	for i, g := range f.gids {
-		if g >= 0 {
-			j := ends[g]
-			ends[g]++
-			f.sub[j], f.at[j] = reqs[i], int32(i)
-		}
+	f.sub, f.resps = slices.Grow(f.sub, int(n))[:n], slices.Grow(f.resps, int(n))[:n]
+	for k := range f.pieces {
+		pc := &f.pieces[k]
+		pc.at = ends[pc.g]
+		ends[pc.g]++
+		f.sub[pc.at] = pc.req
 	}
 	f.ends = ends
 	p.Fanout(name, groups, f.send)
-	for j, i := range f.at {
-		out[i] = f.resps[j]
+	for k, pc := range f.pieces {
+		i, r := pc.of, &f.resps[pc.at]
+		o := &out[i]
+		switch {
+		case k == 0 || f.pieces[k-1].of != i: // a request's first piece
+			*o = *r
+		case o.Err != nil: // the first error wins
+		case r.Err != nil:
+			*o = Response{Err: r.Err}
+		default: // a later piece of a span request
+			o.Scan.Rows = append(o.Scan.Rows, r.Scan.Rows...)
+			if sc, ok := reqs[i].(*ScanRequest); ok && sc.MaxRows > 0 && len(o.Scan.Rows) > sc.MaxRows {
+				o.Scan.Rows = o.Scan.Rows[:sc.MaxRows]
+			}
+			o.Refresh.Success = o.Refresh.Success && r.Refresh.Success
+		}
 	}
 }
 
@@ -633,121 +691,11 @@ func (ds *DistSender) putBatch(b *BatchRequest) {
 	}
 }
 
-// sendScan executes a scan that may span multiple ranges: it looks up every
-// descriptor overlapping the span, clamps a sub-scan to each range's
-// bounds, dispatches the sub-scans in parallel, and merges rows in range
-// order up to MaxRows. When a replica returns a resume key (its copy of the
-// range was smaller than the catalog promised, or a MaxRows cut), the
-// DistSender follows it until MaxRows or span exhaustion.
-func (ds *DistSender) sendScan(p *sim.Proc, req *ScanRequest) Response {
-	sp, finish := ds.Tracer.StartIn(p, "ds.scan")
-	defer finish()
-	if sp != nil {
-		sp.SetTag("key", string(req.StartKey))
-	}
-	var rows []mvcc.KeyValue
-	served := simnet.NodeID(0)
-	cursor := req.StartKey
-	ranges := 0
-	for hops := 0; ; hops++ {
-		if hops >= maxScanHops {
-			err := fmt.Errorf("kv: scan from %q exceeded %d range hops", req.StartKey, maxScanHops)
-			sp.SetError(err)
-			return Response{Err: err}
-		}
-		remaining := 0
-		if req.MaxRows > 0 {
-			remaining = req.MaxRows - len(rows)
-			if remaining <= 0 {
-				break
-			}
-		}
-		descs := ds.Catalog.LookupSpan(cursor, req.EndKey)
-		if len(descs) == 0 {
-			d, err := ds.Catalog.Lookup(cursor)
-			if err != nil {
-				sp.SetError(err)
-				return Response{Err: err}
-			}
-			descs = []*RangeDescriptor{d}
-		}
-		subs := make([]interface{}, len(descs))
-		var lastEnd mvcc.Key
-		for i, d := range descs {
-			sub := *req
-			sub.StartKey = cursor
-			if bytes.Compare(d.StartKey, sub.StartKey) > 0 {
-				sub.StartKey = d.StartKey
-			}
-			sub.EndKey = req.EndKey
-			if d.EndKey != nil && (sub.EndKey == nil || bytes.Compare(d.EndKey, sub.EndKey) < 0) {
-				sub.EndKey = d.EndKey
-			}
-			sub.MaxRows = remaining
-			subs[i] = &sub
-			lastEnd = sub.EndKey
-		}
-		resps := make([]Response, len(subs))
-		p.Fanout("ds/scan-range", len(subs), func(wp *sim.Proc, i int) {
-			ds.sendToRange(wp, subs[i:i+1], resps[i:i+1], 0)
-		})
-		var resume mvcc.Key
-		full := false
-		for _, resp := range resps {
-			if resp.Err != nil {
-				sp.SetError(resp.Err)
-				return resp
-			}
-			ranges++
-			sr := resp.Scan
-			if served == 0 {
-				served = sr.ServedBy
-			}
-			for _, kvr := range sr.Rows {
-				rows = append(rows, kvr)
-				if req.MaxRows > 0 && len(rows) >= req.MaxRows {
-					full = true
-					break
-				}
-			}
-			if full {
-				break
-			}
-			if sr.ResumeKey != nil {
-				// The replica served less than we asked of it: continue
-				// from its resume key and discard any later ranges'
-				// results (they may overlap the resumed span).
-				resume = sr.ResumeKey
-				break
-			}
-		}
-		if full {
-			break
-		}
-		if resume != nil {
-			cursor = resume
-			continue
-		}
-		// All dispatched sub-scans completed. If the catalog's coverage
-		// stopped short of the requested span, continue from the last
-		// covered key.
-		if lastEnd != nil && (req.EndKey == nil || bytes.Compare(lastEnd, req.EndKey) < 0) {
-			cursor = lastEnd
-			continue
-		}
-		break
-	}
-	sp.SetTagInt("ranges", int64(ranges)).SetTagInt("rows", int64(len(rows)))
-	if ds.Metrics != nil {
-		ds.Metrics.Histogram("ds.scan.ranges").Record(int64(ranges))
-	}
-	return Response{Scan: ScanResponse{Rows: rows, ServedBy: served}}
-}
-
 // NegotiateBoundedStaleness implements the two-phase bounded staleness
 // protocol of §5.3.2 for a set of key spans: ask the nearest replica of
-// each touched range for its locally servable timestamp and take the
-// minimum. The caller compares the result against its staleness bound.
+// each touched range for its locally servable timestamp over the part of the
+// span the range holds, and take the minimum. The caller compares the result
+// against its staleness bound.
 func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key) (hlc.Timestamp, error) {
 	result := hlc.MaxTimestamp
 	for _, span := range spans {
@@ -761,6 +709,7 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 			descs = []*RangeDescriptor{d}
 		}
 		for _, desc := range descs {
+			start, end := desc.clamp(span[0], span[1])
 			// Bounded staleness tolerates replica unavailability (§5.3.2):
 			// try every replica in nearest-first order (live ones ahead of
 			// suspect ones) and take the first answer, rather than failing
@@ -769,7 +718,7 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 			answered := false
 			for _, target := range ds.replicasByPreference(desc) {
 				b := ds.getBatch()
-				b.RangeID, b.Reqs = desc.RangeID, append(b.Reqs, &NegotiateRequest{StartKey: span[0], EndKey: span[1]})
+				b.RangeID, b.Reqs = desc.RangeID, append(b.Reqs, &NegotiateRequest{StartKey: start, EndKey: end})
 				raw, err := ds.Net.SendRPC(p, ds.NodeID, target, b, 0)
 				if err != nil {
 					ds.Retries++

@@ -1,7 +1,6 @@
 package kv
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
@@ -356,39 +355,16 @@ func (r *Replica) ownKey(key mvcc.Key) error {
 	return nil
 }
 
-// scanBounds clamps a requested scan span to this replica's range bounds.
-// resume is the key where the remainder of the request's span continues on
-// another range (the range's end key), or nil when the range covers the
-// rest of the span. Post-split engines can retain copied right-hand data,
-// so evaluating an unclamped span would silently read keys the range does
-// not own — and miss newer writes that landed on their true owner.
-func (r *Replica) scanBounds(req *ScanRequest) (start, end, resume mvcc.Key, err error) {
-	start, end = req.StartKey, req.EndKey
-	if bytes.Compare(start, r.desc.StartKey) < 0 {
-		start = r.desc.StartKey
+// ownSpan is the RangeKeyMismatchError to answer for a span the range does
+// not hold whole. A split leaves this engine a copy of the right half, so a
+// span reaching past the range would read keys the range no longer owns and
+// miss the writes that landed on their owner since; the DistSender divides
+// such a span by range instead.
+func (r *Replica) ownSpan(start, end mvcc.Key) error {
+	if !r.desc.containsSpan(start, end) {
+		return &RangeKeyMismatchError{RequestedKey: start}
 	}
-	if !r.desc.ContainsKey(start) {
-		return nil, nil, nil, &RangeKeyMismatchError{RequestedKey: start}
-	}
-	if r.desc.EndKey != nil && (end == nil || bytes.Compare(r.desc.EndKey, end) < 0) {
-		// Installed descriptors are never mutated: EndKey can be shared.
-		end, resume = r.desc.EndKey, r.desc.EndKey
-	}
-	return start, end, resume, nil
-}
-
-// scanResume computes the resume key of a completed scan: after a MaxRows
-// cut the scan continues just past the last returned row; otherwise it
-// continues on the next range (rangeResume) if the span extends past this
-// one.
-func scanResume(req *ScanRequest, rows []mvcc.KeyValue, end, rangeResume mvcc.Key) mvcc.Key {
-	if req.MaxRows > 0 && len(rows) >= req.MaxRows {
-		next := append(append(mvcc.Key(nil), rows[len(rows)-1].Key...), 0)
-		if end == nil || bytes.Compare(next, end) < 0 {
-			return next
-		}
-	}
-	return rangeResume
+	return nil
 }
 
 // writeTimestamp moves a write of key by writer, proposed at ts, to where it
@@ -552,11 +528,8 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 	// unchanged in (ReadFromTS, ts].
 	if req.ReadFromTS.Less(ts) {
 		for _, span := range req.ReadSpans {
-			start, end := span[0], span[1]
-			inRange := r.desc.ContainsKey(start) &&
-				(end == nil || r.desc.ContainsKey(end) || string(end) == string(r.desc.EndKey))
-			refresh := RefreshRequest{Key: start, EndKey: end, FromTS: req.ReadFromTS, ToTS: ts, TxnID: req.Txn.Meta.ID}
-			if !inRange || refresh.newer(r.engine) {
+			refresh := RefreshRequest{Key: span[0], EndKey: span[1], FromTS: req.ReadFromTS, ToTS: ts, TxnID: req.Txn.Meta.ID}
+			if refresh.bounds(r) != nil || refresh.newer(r.engine) {
 				return Response{Put: PutResponse{Declined1PC: true}}
 			}
 		}
@@ -776,14 +749,17 @@ func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnSta
 // evalNegotiate serves the bounded-staleness negotiation (paper §5.3.2):
 // the highest timestamp this replica can serve locally without blocking is
 // the minimum of its closed timestamp and (any conflicting intent's
-// timestamp - 1) over the span.
+// timestamp - 1) over the part of the span the range holds. Past its
+// bounds, this engine may keep a split's copy of the right half, whose
+// intents the right range resolves.
 func (r *Replica) evalNegotiate(req *NegotiateRequest) Response {
 	maxTS := r.closed.closed
 	if r.hasValidLease() {
 		// The leaseholder can serve up to its clock.
 		maxTS = r.store.Clock.Now()
 	}
-	if its, ok := r.engine.MinIntentTS(req.StartKey, req.EndKey); ok && its.LessEq(maxTS) {
+	start, end := r.desc.clamp(req.StartKey, req.EndKey)
+	if its, ok := r.engine.MinIntentTS(start, end); ok && its.LessEq(maxTS) {
 		maxTS = its.Prev()
 	}
 	return Response{Negot: NegotiateResponse{MaxTimestamp: maxTS}}

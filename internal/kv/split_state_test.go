@@ -104,3 +104,70 @@ func TestResolveIntentChecksRangeBounds(t *testing.T) {
 		}
 	}
 }
+
+// TestScanRoutedOnAStaleDescriptor: a scan routed on a range's descriptor
+// before a split, and evaluated after it, is refused by the left half, which
+// no longer holds its whole span. The DistSender divides the scan again
+// against the fresh descriptors and returns every row exactly once, none from
+// the left engine's copy of the right half.
+func TestScanRoutedOnAStaleDescriptor(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	rep, _ := st.Replica(desc.RangeID)
+	ds := &DistSender{NodeID: 1, Net: h.net, Topo: h.topo, Catalog: h.cat, Liveness: h.nl}
+	keys := []string{"c", "f", "k", "p", "t"}
+	var scan Response
+	var retries int64
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		for _, k := range keys {
+			if r := ds.Send(p, &PutRequest{Key: mvcc.Key(k), Value: mvcc.Value("old-" + k), Timestamp: st.Clock.Now()}); r.Err != nil {
+				return r.Err
+			}
+		}
+		// A write holds a latch in the span while the scan arrives on the
+		// whole range…
+		rep.latch(p, mvcc.Key("m"))
+		done := sim.NewWaitGroup(h.s)
+		done.Add(1)
+		h.s.Spawn("scan", func(sp *sim.Proc) {
+			defer done.Done()
+			// Read a second ahead, so the writes made during the wait
+			// lie below the scan's timestamp.
+			ts := st.Clock.Now().Add(sim.Second)
+			scan = ds.Send(sp, &ScanRequest{StartKey: mvcc.Key("b"), EndKey: mvcc.Key("y"), Timestamp: ts})
+		})
+		p.Sleep(10 * sim.Millisecond)
+		retries = ds.Retries
+		// …and the range splits in the middle of it before the latch frees.
+		// Writes after the split land on the right half only; the left
+		// engine's copy keeps the old values.
+		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
+			return err
+		}
+		for _, k := range []string{"k", "t"} {
+			if r := ds.Send(p, &PutRequest{Key: mvcc.Key(k), Value: mvcc.Value("new-" + k), Timestamp: st.Clock.Now()}); r.Err != nil {
+				return r.Err
+			}
+		}
+		rep.unlatch(mvcc.Key("m"))
+		done.Wait(p)
+		retries = ds.Retries - retries
+		return nil
+	})
+	if scan.Err != nil {
+		t.Fatalf("scan: %v", scan.Err)
+	}
+	if retries == 0 {
+		t.Fatal("the scan was never refused: it no longer meets the split")
+	}
+	want := map[string]string{"c": "old-c", "f": "old-f", "k": "new-k", "p": "old-p", "t": "new-t"}
+	if len(scan.Scan.Rows) != len(keys) {
+		t.Errorf("scan returned %d rows, want %d: %v", len(scan.Scan.Rows), len(keys), scan.Scan.Rows)
+	}
+	for i, row := range scan.Scan.Rows {
+		if i < len(keys) && (string(row.Key) != keys[i] || string(row.Value) != want[keys[i]]) {
+			t.Errorf("row %d: %s=%s, want %s=%s", i, row.Key, row.Value, keys[i], want[keys[i]])
+		}
+	}
+}

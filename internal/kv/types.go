@@ -67,6 +67,25 @@ func (d *RangeDescriptor) ContainsKey(key mvcc.Key) bool {
 	return d.EndKey == nil || bytes.Compare(key, d.EndKey) < 0
 }
 
+// containsSpan reports whether the range holds all of [start, end), end nil
+// meaning unbounded.
+func (d *RangeDescriptor) containsSpan(start, end mvcc.Key) bool {
+	return d.ContainsKey(start) && (d.EndKey == nil || end != nil && bytes.Compare(end, d.EndKey) <= 0)
+}
+
+// clamp is the part of [start, end) the range holds, end nil meaning
+// unbounded: an empty span when the two do not overlap.
+func (d *RangeDescriptor) clamp(start, end mvcc.Key) (mvcc.Key, mvcc.Key) {
+	if bytes.Compare(start, d.StartKey) < 0 {
+		start = d.StartKey
+	}
+	if d.EndKey != nil && (end == nil || bytes.Compare(d.EndKey, end) < 0) {
+		// Installed descriptors are never mutated: EndKey can be shared.
+		end = d.EndKey
+	}
+	return start, end
+}
+
 // Replicas returns all replica node IDs, voters first.
 func (d *RangeDescriptor) Replicas() []simnet.NodeID {
 	return append(append([]simnet.NodeID{}, d.Voters...), d.NonVoters...)
@@ -138,6 +157,19 @@ func asRequest(req interface{}) (request, error) {
 		return q, nil
 	}
 	return nil, fmt.Errorf("kv: cannot route %T", req)
+}
+
+// spanOf is the span [start, end) a scan or a span refresh reads (a scan's
+// end nil: unbounded), which the DistSender divides by range; ok is false
+// for a request that reads or writes one key.
+func spanOf(q request) (start, end mvcc.Key, ok bool) {
+	switch q := q.(type) {
+	case *ScanRequest:
+		return q.StartKey, q.EndKey, true
+	case *RefreshRequest:
+		return q.Key, q.EndKey, q.EndKey != nil
+	}
+	return nil, nil, false
 }
 
 // reqName names a request for span tags.
@@ -224,35 +256,25 @@ func (q *ScanRequest) eval(r *Replica, p *sim.Proc) Response {
 		latchKey: q.StartKey, latchEnd: q.EndKey, span: true})
 }
 
-func (q *ScanRequest) bounds(r *Replica) error {
-	_, _, _, err := r.scanBounds(q)
-	return err
-}
+func (q *ScanRequest) bounds(r *Replica) error { return r.ownSpan(q.StartKey, q.EndKey) }
 
 func (q *ScanRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions) (Response, error) {
-	start, end, rangeResume, _ := r.scanBounds(q)
-	rows, err := r.engine.Scan(start, end, ts, q.MaxRows, opts)
+	rows, err := r.engine.Scan(q.StartKey, q.EndKey, ts, q.MaxRows, opts)
 	if err != nil {
 		return Response{}, err
 	}
-	return Response{Scan: ScanResponse{Rows: rows, ServedBy: r.store.NodeID,
-		ResumeKey: scanResume(q, rows, end, rangeResume)}}, nil
+	return Response{Scan: ScanResponse{Rows: rows, ServedBy: r.store.NodeID}}, nil
 }
 
-// record notes the requested span, which covers the part this range served.
+// record notes the scanned span, which lies in this range.
 func (q *ScanRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
 	r.keys.raiseFloor(ts)
 }
 
-// ScanResponse carries scan results. A replica truncates the scan to its
-// own range bounds; ResumeKey, when set, is where the remainder of the
-// requested span continues (on the next range, or — after a MaxRows cut —
-// later in this one). The DistSender follows resume keys until MaxRows or
-// span exhaustion.
+// ScanResponse carries scan results: at most MaxRows rows, in key order.
 type ScanResponse struct {
-	Rows      []mvcc.KeyValue
-	ServedBy  simnet.NodeID
-	ResumeKey mvcc.Key
+	Rows     []mvcc.KeyValue
+	ServedBy simnet.NodeID
 }
 
 // PutRequest writes a provisional value (intent) for a transaction, or a
@@ -390,10 +412,16 @@ type RefreshRequest struct {
 	FollowerRead bool
 }
 
-func (q *RefreshRequest) routingKey() mvcc.Key    { return q.Key }
-func (q *RefreshRequest) typeName() string        { return "*kv.RefreshRequest" }
-func (q *RefreshRequest) followerOK() bool        { return q.FollowerRead }
-func (q *RefreshRequest) bounds(r *Replica) error { return r.ownKey(q.Key) }
+func (q *RefreshRequest) routingKey() mvcc.Key { return q.Key }
+func (q *RefreshRequest) typeName() string     { return "*kv.RefreshRequest" }
+func (q *RefreshRequest) followerOK() bool     { return q.FollowerRead }
+
+func (q *RefreshRequest) bounds(r *Replica) error {
+	if q.EndKey == nil {
+		return r.ownKey(q.Key)
+	}
+	return r.ownSpan(q.Key, q.EndKey)
+}
 
 // eval serves a refresh as a read at ToTS, which a follower can verify once
 // its closed timestamp covers ToTS. A refresh waits out in-flight writes on

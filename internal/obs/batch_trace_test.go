@@ -79,10 +79,10 @@ func TestTraceBatchedInsertOneRPCPerRange(t *testing.T) {
 }
 
 // TestTraceMultiRangeScanLatencyIsMax pins the scan fan-out: a scan over a
-// table split into 3 ranges dispatches the per-range sub-scans in parallel,
-// so its virtual latency is (about) the max over the per-range sends — and
-// strictly below their sum, which is what a serial resume-key walk would
-// pay.
+// table split into 3 ranges is divided into one piece per range, sent in
+// parallel, so its virtual latency is (about) the max over the per-range
+// sends — and strictly below their sum, which is what a serial walk over the
+// ranges would pay.
 func TestTraceMultiRangeScanLatencyIsMax(t *testing.T) {
 	c := cluster.New(cluster.Config{
 		Seed:      506,
@@ -153,16 +153,17 @@ func TestTraceMultiRangeScanLatencyIsMax(t *testing.T) {
 		if trace == nil {
 			t.Fatal("no trace collected")
 		}
-		scan := trace.Find("ds.scan")
-		if scan == nil {
-			t.Fatalf("no ds.scan span:\n%s", trace)
-		}
+		// The scan's pieces are sent straight under the caller's span.
+		scan := trace.Root()
 		sends := findAll(trace, "ds.send")
 		if len(sends) != 3 {
 			t.Fatalf("ds.send spans = %d, want 3 (one per range):\n%s", len(sends), trace)
 		}
 		var sum, max sim.Duration
 		for _, sp := range sends {
+			if sp.Parent != scan.Context.Span {
+				t.Fatalf("ds.send under another span than the scan's:\n%s", trace)
+			}
 			d := sp.Duration()
 			if d <= 0 {
 				t.Fatalf("ds.send with non-positive duration:\n%s", trace)

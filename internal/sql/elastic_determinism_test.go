@@ -231,8 +231,11 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	// where ADD REGION's relocation transfers r3's lease from n2 to n1. The
 	// eager TimeoutNow goes out as before, and n2's rule repeats it, with its
 	// append, in the same instant; the repeat draws jitter, which moves every
-	// later draw. The ranges table held.
-	const goldenSpanHash = 0x3770bf0fde68058a
+	// later draw. The ranges table held. It moved from 3770bf0fde68058a when
+	// the DistSender's one divider took over scans and a scan lost its
+	// "ds.scan" parent span: the parent commit with only that span removed
+	// hashes 7eaee72c8436e709 too, so no message moved.
+	const goldenSpanHash = 0x7eaee72c8436e709
 	const goldenRanges = `range_id|start_key|end_key|leaseholder|lease_epoch|lease_region|policy|voters|non_voters|qps|decisions
 1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0
 2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0
