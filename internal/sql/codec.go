@@ -7,6 +7,7 @@ import (
 	"slices"
 
 	"mrdb/internal/mvcc"
+	"mrdb/internal/slab"
 )
 
 // Key/value encoding. Keys use an order-preserving tuple encoding (the same
@@ -120,20 +121,19 @@ func AppendKeyTuple(buf mvcc.Key, vals []Datum) mvcc.Key {
 	return buf
 }
 
-// EncodeRow encodes column values (by column ID) as a row value.
-func EncodeRow(vals map[ColumnID]Datum) mvcc.Value {
-	var buf [16]ColumnID
-	ids := buf[:0]
-	for id := range vals {
-		ids = append(ids, id)
+// encodeRow encodes the columns ids of vals as a row value, in ascending ID
+// order (ids is sorted in place); nil ids encodes every column of vals. The
+// value is carved from values at its exact size, so the bytes every
+// replica's engine and the Raft log keep are the row's alone, and appending
+// to it cannot reach another value.
+func encodeRow(values *slab.Of[byte], vals map[ColumnID]Datum, ids []ColumnID) mvcc.Value {
+	if ids == nil {
+		var buf [16]ColumnID
+		ids = buf[:0]
+		for id := range vals {
+			ids = append(ids, id)
+		}
 	}
-	return encodeRow(vals, ids)
-}
-
-// encodeRow encodes the columns ids of vals, in ascending ID order (ids is
-// sorted in place). The value is allocated once at its exact size: every
-// replica's engine and the Raft log keep it, capacity included.
-func encodeRow(vals map[ColumnID]Datum, ids []ColumnID) mvcc.Value {
 	slices.Sort(ids)
 	size := uvarintLen(uint64(len(ids)))
 	for _, id := range ids {
@@ -154,8 +154,7 @@ func encodeRow(vals map[ColumnID]Datum, ids []ColumnID) mvcc.Value {
 			panic(fmt.Sprintf("sql: cannot encode %T", vals[id]))
 		}
 	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, uint64(len(ids)))
+	buf := binary.AppendUvarint(values.Take(size)[:0], uint64(len(ids)))
 	for _, id := range ids {
 		buf = binary.AppendUvarint(buf, uint64(id))
 		switch v := vals[id].(type) {
@@ -207,18 +206,21 @@ func varintLen(x int64) int {
 // DecodeRow decodes a row value back into column values.
 func DecodeRow(val mvcc.Value) (map[ColumnID]Datum, error) {
 	out := map[ColumnID]Datum{}
-	if err := DecodeRowInto(out, val, nil); err != nil {
+	if err := DecodeRowInto(out, val, nil, nil, nil); err != nil {
 		return nil, err
 	}
 	return out, nil
 }
 
-// DecodeRowInto decodes the columns cols of a row value into out, which must
-// be empty; nil cols decodes every column. Other columns are skipped in
-// place, so a string column nobody reads costs neither a string nor its
-// interface box. The read path feeds it pooled maps to avoid per-row map
-// churn.
-func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID) error {
+// DecodeRowInto decodes the columns cols of a row value of table t into out,
+// which must be empty; nil cols decodes every column. Other columns are
+// skipped in place, so a string column nobody reads costs neither a string
+// nor its interface box. A region name in t's region column decodes to the
+// Datum of regions that holds it (the session's boxed names, see
+// Session.regionNames), so it costs neither either; a name regions lacks,
+// or any column of a nil t, decodes to a string of its own. The read path
+// feeds it pooled maps to avoid per-row map churn.
+func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID, t *Table, regions []Datum) error {
 	buf := []byte(val)
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -248,7 +250,11 @@ func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID) erro
 				return fmt.Errorf("sql: truncated string")
 			}
 			if keep {
-				out[ColumnID(id)] = string(buf[sz : sz+int(l)])
+				if name := buf[sz : sz+int(l)]; t != nil && ColumnID(id) == t.RegionColumn {
+					out[ColumnID(id)] = boxedName(regions, name)
+				} else {
+					out[ColumnID(id)] = string(name)
+				}
 			}
 			buf = buf[sz+int(l):]
 		case tagInt:
@@ -281,6 +287,17 @@ func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID) erro
 		}
 	}
 	return nil
+}
+
+// boxedName returns the Datum of names that holds name, or name in a box of
+// its own when none does. The comparison converts nothing.
+func boxedName(names []Datum, name []byte) Datum {
+	for _, d := range names {
+		if d.(string) == string(name) {
+			return d
+		}
+	}
+	return string(name)
 }
 
 // DatumsEqual compares two datums for SQL equality (ints and floats

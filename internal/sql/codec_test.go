@@ -6,6 +6,8 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+
+	"mrdb/internal/slab"
 )
 
 func TestKeyOrderingInts(t *testing.T) {
@@ -123,7 +125,7 @@ func TestRowRoundTrip(t *testing.T) {
 		5: nil,
 		9: "trailing",
 	}
-	enc := EncodeRow(vals)
+	enc := encodeRow(new(slab.Of[byte]), vals, nil)
 	got, err := DecodeRow(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +153,7 @@ func TestQuickRowRoundTrip(t *testing.T) {
 			vals[id] = n
 			id++
 		}
-		got, err := DecodeRow(EncodeRow(vals))
+		got, err := DecodeRow(encodeRow(new(slab.Of[byte]), vals, nil))
 		if err != nil || len(got) != len(vals) {
 			return false
 		}

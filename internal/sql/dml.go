@@ -451,8 +451,8 @@ func upsertable(t *Table) error {
 //     every other index holds the primary-key columns.
 //
 // Without withValue the entry's Value is nil: a tombstone, or just a key.
-// The key is carved from the session's keys and the value allocated, each
-// once at its exact size.
+// The key is carved from the session's keys and the value from its rowVals,
+// each once at its exact size.
 func (s *Session) indexEntry(t *Table, idx *Index, region simnet.Region, vals map[ColumnID]Datum, withValue bool) mvcc.KeyValue {
 	if idx.PinnedRegion != "" && !t.IsPartitioned() {
 		region = ""
@@ -477,10 +477,10 @@ func (s *Session) indexEntry(t *Table, idx *Index, region simnet.Region, vals ma
 		return mvcc.KeyValue{Key: key}
 	}
 	if covering(t, idx) {
-		return mvcc.KeyValue{Key: key, Value: EncodeRow(vals)}
+		return mvcc.KeyValue{Key: key, Value: encodeRow(&s.rowVals, vals, nil)}
 	}
 	var ids [8]ColumnID
-	return mvcc.KeyValue{Key: key, Value: encodeRow(vals, append(ids[:0], primary.Cols...))}
+	return mvcc.KeyValue{Key: key, Value: encodeRow(&s.rowVals, vals, append(ids[:0], primary.Cols...))}
 }
 
 // rowKVs appends the primary-row and index-entry writes for one row to dst.
@@ -551,9 +551,9 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 			regionCol, _ := t.ColumnByID(t.RegionColumn)
 			rehome := s.AutoRehoming || regionCol.OnUpdateRehome
 			if rehome && regionCol.Computed == nil && !changed[t.RegionColumn] {
-				gw := string(s.Region())
-				if db.CanWriteRegion(simnet.Region(gw)) && newVals[t.RegionColumn] != gw {
-					newVals[t.RegionColumn] = gw
+				gw := s.Region()
+				if db.CanWriteRegion(gw) && newVals[t.RegionColumn] != string(gw) {
+					newVals[t.RegionColumn] = boxedName(s.regionNames(), []byte(gw))
 					changed[t.RegionColumn] = true
 				}
 			}

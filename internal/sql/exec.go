@@ -86,8 +86,13 @@ type Session struct {
 	// the Raft command its followers' logs share and in a late first-hit
 	// probe, so its bytes must stay its own.
 	keys slab.Of[byte]
-	// regionDatums are the boxed names of regionsBoxed, a database's region
-	// list (see mapToRegion).
+	// rowVals carves every row value indexEntry encodes, each at its exact
+	// size and never handed out again. It is not keys: a stored value lives
+	// on in every replica's engine, while most keys die with their
+	// statement, and a chunk lives as long as anything carved from it.
+	rowVals slab.Of[byte]
+	// regionDatums are the boxed names of regionsBoxed, the current
+	// database's region list (see regionNames).
 	regionsBoxed []simnet.Region
 	regionDatums []Datum
 
@@ -586,24 +591,39 @@ func (s *Session) evalFunc(fc *FuncCall, ctx *evalCtx) (Datum, error) {
 	return nil, fmt.Errorf("sql: unknown function %q", fc.Name)
 }
 
-// mapToRegion deterministically maps a value onto the current database's
-// regions; the stand-in for user-written CASE mappings in benchmarks.
-func (s *Session) mapToRegion(v Datum) (Datum, error) {
+// regionNames returns the boxed names of the current database's regions,
+// in the database's order; nil without a current database. The memo holds
+// for as long as the list it boxed is the database's: a region change gives
+// the database a new list. Every Datum that names a region comes from here
+// when it can: mapToRegion's, a decoded region column's (DecodeRowInto) and
+// a rehomed row's (execUpdate).
+func (s *Session) regionNames() []Datum {
 	db, ok := s.Catalog.Database(s.Database)
 	if !ok {
-		return nil, fmt.Errorf("sql: no current database")
+		return nil
 	}
 	regions := db.Regions()
 	if len(regions) == 0 {
-		return nil, fmt.Errorf("sql: database has no regions")
+		return nil
 	}
-	// A region change gives the database a new list, so the memo holds for
-	// as long as the list it boxed is the database's.
 	if len(s.regionsBoxed) != len(regions) || &s.regionsBoxed[0] != &regions[0] {
 		s.regionsBoxed, s.regionDatums = regions, make([]Datum, len(regions))
 		for i, r := range regions {
 			s.regionDatums[i] = string(r)
 		}
+	}
+	return s.regionDatums
+}
+
+// mapToRegion deterministically maps a value onto the current database's
+// regions; the stand-in for user-written CASE mappings in benchmarks.
+func (s *Session) mapToRegion(v Datum) (Datum, error) {
+	if _, ok := s.Catalog.Database(s.Database); !ok {
+		return nil, fmt.Errorf("sql: no current database")
+	}
+	regions := s.regionNames()
+	if len(regions) == 0 {
+		return nil, fmt.Errorf("sql: database has no regions")
 	}
 	var h uint64
 	switch x := v.(type) {
@@ -616,7 +636,7 @@ func (s *Session) mapToRegion(v Datum) (Datum, error) {
 	default:
 		return nil, fmt.Errorf("sql: cannot map %T to a region", v)
 	}
-	return s.regionDatums[h%uint64(len(regions))], nil
+	return regions[h%uint64(len(regions))], nil
 }
 
 // values returns n cleared value slots of session scratch, for a batch read

@@ -616,7 +616,7 @@ func (s *Session) lookup(p *sim.Proc, f batchReader, t *Table, idx *Index, cols 
 		if val == nil {
 			continue
 		}
-		if rows[j].vals, err = s.decodeRowPooled(val, cols); err != nil {
+		if rows[j].vals, err = s.decodeRowPooled(t, val, cols); err != nil {
 			return err
 		}
 	}
@@ -645,7 +645,7 @@ func (s *Session) primaryRows(p *sim.Proc, f batchReader, t *Table, cols []Colum
 		if entry == nil {
 			continue
 		}
-		pkVals, err := s.decodeRowPooled(entry, nil)
+		pkVals, err := s.decodeRowPooled(t, entry, nil)
 		if err != nil {
 			return err
 		}
@@ -668,18 +668,23 @@ func (s *Session) primaryRows(p *sim.Proc, f batchReader, t *Table, cols []Colum
 			continue
 		}
 		var err error
-		if rows[at[k]].vals, err = s.decodeRowPooled(val, cols); err != nil {
+		if rows[at[k]].vals, err = s.decodeRowPooled(t, val, cols); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// decodeRowPooled decodes the cols of a row value (every column when nil)
-// into a map drawn from the session pool.
-func (s *Session) decodeRowPooled(val mvcc.Value, cols []ColumnID) (map[ColumnID]Datum, error) {
+// decodeRowPooled decodes the cols of a row value of t (every column when
+// nil) into a map drawn from the session pool; a region column decodes to
+// the session's boxed name.
+func (s *Session) decodeRowPooled(t *Table, val mvcc.Value, cols []ColumnID) (map[ColumnID]Datum, error) {
+	var regions []Datum
+	if t.RegionColumn != 0 {
+		regions = s.regionNames()
+	}
 	m := s.getRowMap()
-	if err := DecodeRowInto(m, val, cols); err != nil {
+	if err := DecodeRowInto(m, val, cols, t, regions); err != nil {
 		s.putRowMap(m)
 		return nil, err
 	}
@@ -718,7 +723,7 @@ func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableR
 			return
 		}
 		for j, kvp := range kvs {
-			if rows[j].vals, err = s.decodeRowPooled(kvp.Value, plan.cols); err != nil {
+			if rows[j].vals, err = s.decodeRowPooled(t, kvp.Value, plan.cols); err != nil {
 				slots[i] = result{err: err}
 				return
 			}

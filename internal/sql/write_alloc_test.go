@@ -86,14 +86,17 @@ func TestFirstHitAdoptsEachProbeOnce(t *testing.T) {
 // (region_from_warehouse), from the gateway of the rows' region. The write
 // path runs on session scratch: the row maps come from the session's pool,
 // the expression context, the uniqueness check, the rows and the writes are
-// statement scratch, the computed region is a memoized boxed name, and a
-// row value is allocated once at its exact size. What is left is what the
+// statement scratch, the computed region and the region the UPDATE reads
+// are memoized boxed names, and a row value is carved from the session's
+// chunks at its exact size. What is left is what the
 // statement hands on or what the replicas keep: its keys and values, the
 // transaction and its record, the request slabs, the replies, proposals and
 // MVCC versions; the keys come from the session's chunks, and a replica
 // names a key's latch, lock and read with one string. The counts cover
 // everything the simulation runs meanwhile and are means pinned to ±0.1
-// (meanAllocs). As means they were 32.82 and 25.46 while a read queueing on a
+// (meanAllocs). As means they were 31.81 and 25.02 while every row value was
+// an allocation of its own and a decoded region a string of its own, 32.82
+// and 25.46 while a read queueing on a
 // write's latch made a string of its key, and 34.75 and 30.55 while every index key was an
 // allocation of its own and a leaseholder made a string of a key for its
 // latch and its lock per write. Rounded down, they were 46 and 44 while every
@@ -160,8 +163,8 @@ func TestWriteStatementAllocs(t *testing.T) {
 		what      string
 		got, want float64
 	}{
-		{"a prepared INSERT in RunTxn", insert, 31.81},
-		{"a prepared UPDATE in RunTxn", update, 25.02},
+		{"a prepared INSERT in RunTxn", insert, 30.88},
+		{"a prepared UPDATE in RunTxn", update, 22.01},
 	} {
 		if math.Abs(c.got-c.want) > 0.1 {
 			t.Errorf("%s allocates %.2f objects, want %.2f ± 0.1", c.what, c.got, c.want)
