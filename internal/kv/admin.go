@@ -411,11 +411,13 @@ func (a *Admin) alignLeadership(p *sim.Proc, desc *RangeDescriptor) error {
 }
 
 // GatewayTxn constructs the coordinator-side Txn state for a transaction
-// starting now at the given gateway store.
-func GatewayTxn(st *Store, anchorKey mvcc.Key, priority int64) *Txn {
+// starting now at the given gateway store. It returns the record by value,
+// for its owner to keep where it likes (a txn.Txn keeps it in a field of
+// its own) and to hand requests a pointer to.
+func GatewayTxn(st *Store, anchorKey mvcc.Key, priority int64) Txn {
 	now := st.Clock.Now()
 	id := st.Registry.Begin(st.NodeID, priority)
-	return &Txn{
+	return Txn{
 		Meta: mvcc.TxnMeta{
 			ID:             id,
 			Key:            append(mvcc.Key(nil), anchorKey...),

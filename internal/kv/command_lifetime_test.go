@@ -99,3 +99,63 @@ func TestCommandByValueIsRejected(t *testing.T) {
 		t.Errorf("entryCommand read %v", got.Kind)
 	}
 }
+
+// TestProposedWriteKeepsItsOwnMeta: a pipelined write's command carries a
+// copy of its transaction's meta, not the coordinator's live record, which
+// moves on once the leaseholder replies (a pushed write timestamp) while the
+// command sits in every replica's log until compaction. After the test
+// changes the record's timestamp and anchor, the logged command still reads
+// the meta it was proposed with, and every replica, applying it after the
+// change, lays the intent the leaseholder evaluated.
+func TestProposedWriteKeepsItsOwnMeta(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	rep, _ := st.Replica(desc.RangeID)
+	key, anchor := mvcc.Key("k/1"), mvcc.Key("k/anchor")
+	var logged []*Command
+	h.net.Register(2, func(m simnet.Message) {
+		if env, ok := m.Payload.(*RaftEnvelope); ok && env.RangeID == desc.RangeID {
+			for _, e := range env.Msg.Entries {
+				if e.Data != nil && entryCommand(e).Kind == CmdPut {
+					logged = append(logged, entryCommand(e))
+				}
+			}
+		}
+		h.stores[2].handleMessage(m)
+	})
+	tx := GatewayTxn(st, anchor, 0)
+	var proposed mvcc.TxnMeta
+	h.run(t, 5*sim.Second, func(p *sim.Proc) error {
+		resp := rep.evaluate(p, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: &tx, Pipelined: true})
+		if resp.Err != nil {
+			return resp.Err
+		}
+		if len(rep.pipelined) != 1 {
+			t.Fatalf("setup: the write left %d pipelined writes, want 1", len(rep.pipelined))
+		}
+		proposed = tx.Meta
+		tx.Meta.WriteTimestamp = tx.Meta.WriteTimestamp.Add(sim.Second)
+		tx.Meta.Key = mvcc.Key("k/elsewhere")
+		p.Sleep(sim.Second)
+		return nil
+	})
+	if len(logged) == 0 {
+		t.Fatal("setup: n2 was sent no entry carrying the write")
+	}
+	for _, cmd := range logged {
+		if cmd.Txn == nil || cmd.Txn == &tx.Meta {
+			t.Errorf("the logged command's meta is %p, the coordinator's record is at %p", cmd.Txn, &tx.Meta)
+			continue
+		}
+		if cmd.Txn.WriteTimestamp != proposed.WriteTimestamp || string(cmd.Txn.Key) != string(anchor) {
+			t.Errorf("the logged command's meta reads %q at %v after the coordinator changed its record, want %q at %v", cmd.Txn.Key, cmd.Txn.WriteTimestamp, anchor, proposed.WriteTimestamp)
+		}
+	}
+	for id, st := range h.stores {
+		r, _ := st.Replica(desc.RangeID)
+		if meta, ok := r.engine.GetIntent(key); !ok || string(meta.Key) != string(anchor) {
+			t.Errorf("n%d holds an intent anchored at %q (found %v), want %q", id, meta.Key, ok, anchor)
+		}
+	}
+}

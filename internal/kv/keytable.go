@@ -4,6 +4,7 @@ import (
 	"mrdb/internal/hlc"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
+	"mrdb/internal/slab"
 )
 
 // keyTable is what a leaseholder knows of each key it orders requests on: its
@@ -17,21 +18,27 @@ import (
 // is instantaneous under the cooperative scheduler. The lock is the
 // transaction-lifetime mutex of SELECT FOR UPDATE and of every transactional
 // write; it only orders writers. The floor is the read every key is assumed
-// to have had (inherit, span reads, the store loop). A key's string is made
-// when the key first needs an entry, and an entry lives while anything in it
-// does (sweep).
+// to have had (inherit, span reads, the store loop). A key's string is carved
+// from the table's chunks when the key first needs an entry, and an entry
+// lives while anything in it does (sweep); a key swept and needed again costs
+// a carve, not a heap object.
 type keyTable struct {
 	floor hlc.Timestamp
 	// entries holds each key's entry by value, under the entry's own string.
 	entries map[string]keyEntry
+	// names holds the bytes of the entries' strings (slab.String). A chunk
+	// lives while a string carved from it names an entry, here or in the
+	// table a split moved the entry to.
+	names slab.Of[byte]
 	// latched counts the held latches: a span read with none to wait out
 	// looks at no entry.
 	latched int
 }
 
 type keyEntry struct {
-	// key is the entry's own map key: an update re-stores the entry under
-	// it, where converting the caller's []byte again would allocate.
+	// key is the entry's own map key, carved from its table's names: an
+	// update re-stores the entry under it, where converting the caller's
+	// []byte again would allocate.
 	key string
 	// waiters are queued on the latch, woken first in, first out.
 	waiters []*sim.Cond
@@ -46,13 +53,13 @@ type keyEntry struct {
 
 func newKeyTable() keyTable { return keyTable{entries: map[string]keyEntry{}} }
 
-// entry returns key's entry, with its string made if the table has none yet.
-// Lookups index the map with string(key) in place, which converts without
-// copying.
+// entry returns key's entry, with its string carved if the table has none
+// yet. Lookups index the map with string(key) in place, which converts
+// without copying.
 func (t *keyTable) entry(key mvcc.Key) keyEntry {
 	e, ok := t.entries[string(key)]
 	if !ok {
-		e.key = string(key)
+		e.key = slab.String(&t.names, key)
 	}
 	return e
 }

@@ -423,9 +423,9 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	r.WritesEvaluated++
 
 	ts := req.Timestamp
-	var txnMeta *mvcc.TxnMeta
+	var meta *mvcc.TxnMeta // the coordinator's, which the command copies
 	if req.Txn != nil {
-		txnMeta = &req.Txn.Meta
+		meta = &req.Txn.Meta
 	}
 	for {
 		if err := r.checkLease(); err != nil {
@@ -440,7 +440,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		}
 		var target hlc.Timestamp
 		ts, target = r.writeTimestamp(p, req.Key, req.Txn.id(), ts, r.store.Clock.Now())
-		newTs, err := r.checkPut(req.Key, ts, txnMeta, req.MustNotExist)
+		newTs, err := r.checkPut(req.Key, ts, meta, req.MustNotExist)
 		if err != nil {
 			var wie *mvcc.WriteIntentError
 			if errors.As(err, &wie) {
@@ -456,22 +456,22 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				continue
 			}
 			var cf *ConditionFailedError
-			if errors.As(err, &cf) && req.Commit1PC && txnMeta != nil {
+			if errors.As(err, &cf) && req.Commit1PC && meta != nil {
 				// A re-sent one-phase commit whose first attempt applied
 				// finds its own committed value: that is this write, not a
 				// duplicate.
-				if st, cts := r.store.Registry.Status(txnMeta.ID); st == mvcc.Committed && cts == cf.Existing {
+				if st, cts := r.store.Registry.Status(meta.ID); st == mvcc.Committed && cts == cf.Existing {
 					return Response{Put: PutResponse{WriteTimestamp: cts, Committed: true}}
 				}
 			}
 			return Response{Err: err}
 		}
 		ts = newTs
-		if req.Commit1PC && txnMeta != nil {
+		if req.Commit1PC && meta != nil {
 			return r.evalPut1PC(p, req, ts, target)
 		}
 		// Replicate the write.
-		cmd := r.command(Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, Txn: txnMeta, ClosedTS: target})
+		cmd := r.command(Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, Txn: meta, ClosedTS: target})
 		if req.Pipelined {
 			// Write pipelining: reply once the proposal is in flight;
 			// the latch is held until the write applies so later reads
@@ -619,11 +619,18 @@ type command struct {
 // the replica's chunks. Once proposed it is written no more: the entry that
 // carries it is shared by the leader's log, every follower's log, and the
 // WAL encoder, so every reader takes *Command and none writes through it.
-// A command whose proposal fails is not reused either.
+// A command whose proposal fails is not reused either. c.Txn is copied into
+// the box: a write's meta is its coordinator's live record, which moves on
+// after the proposal (a pushed timestamp, a commit) and which a log that
+// keeps the command until compaction must neither follow nor keep alive.
 func (r *Replica) command(c Command) *Command {
-	p := &r.cmds.New().Command
-	*p = c
-	return p
+	box := r.cmds.New()
+	box.Command = c
+	if c.Txn != nil {
+		box.meta = *c.Txn
+		box.Txn = &box.meta
+	}
+	return &box.Command
 }
 
 // submit proposes cmd to Raft and counts it.

@@ -20,11 +20,11 @@ func TestSplitCarriesUnreplicatedLocks(t *testing.T) {
 	ds := &DistSender{NodeID: 1, Net: h.net, Topo: h.topo, Catalog: h.cat, Liveness: h.nl}
 	key := mvcc.Key("m")
 	a := GatewayTxn(st, key, 0)
-	var b *Txn
+	var b Txn
 	var bResp Response
 	var committedAt, bDoneAt sim.Time
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		if r := ds.Send(p, &GetRequest{Key: key, Timestamp: a.ReadTimestamp, Txn: a, ForUpdate: true}); r.Err != nil {
+		if r := ds.Send(p, &GetRequest{Key: key, Timestamp: a.ReadTimestamp, Txn: &a, ForUpdate: true}); r.Err != nil {
 			return r.Err
 		}
 		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
@@ -35,7 +35,7 @@ func TestSplitCarriesUnreplicatedLocks(t *testing.T) {
 		done.Add(1)
 		h.s.Spawn("b", func(bp *sim.Proc) {
 			defer done.Done()
-			bResp = ds.Send(bp, &GetRequest{Key: key, Timestamp: b.ReadTimestamp, Txn: b, ForUpdate: true})
+			bResp = ds.Send(bp, &GetRequest{Key: key, Timestamp: b.ReadTimestamp, Txn: &b, ForUpdate: true})
 			bDoneAt = bp.Now()
 		})
 		p.Sleep(500 * sim.Millisecond)
@@ -75,7 +75,7 @@ func TestResolveIntentChecksRangeBounds(t *testing.T) {
 		if right, err = h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
 			return err
 		}
-		put := ds.Send(p, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: tx})
+		put := ds.Send(p, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: &tx})
 		if put.Err != nil {
 			return put.Err
 		}

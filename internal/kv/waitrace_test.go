@@ -261,7 +261,7 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 		}
 		h.s.Spawn("put", func(wp *sim.Proc) {
 			defer done.Done()
-			put = ds.Send(wp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: tx})
+			put = ds.Send(wp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: &tx})
 		})
 		p.Sleep(sim.Millisecond)
 		rep.unlatch(key)

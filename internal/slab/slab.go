@@ -26,6 +26,16 @@ type Of[T any] struct {
 	next int // the size of the next chunk
 }
 
+// Give makes first the chunk s hands out from before it makes one of its
+// own: an owner that usually needs a struct or two keeps them inline, in a
+// field of its own, and carves its first ones from there. Give must come
+// before the first Take, and first must be zeroed and no one else's. Once a
+// Take needs more than first has left, s starts a chunk of its own and never
+// returns to first.
+func (s *Of[T]) Give(first []T) {
+	s.free = first[:len(first):len(first)]
+}
+
 // Take returns n zeroed structs no one has been handed before, contiguous,
 // with their capacity clipped so appending to the result cannot reach
 // another caller's structs.
@@ -44,4 +54,23 @@ func (s *Of[T]) Take(n int) []T {
 // New returns one zeroed struct no one has been handed before.
 func (s *Of[T]) New() *T {
 	return &s.Take(1)[0]
+}
+
+// Copy returns a copy of src carved from s.
+func Copy[T any](s *Of[T], src []T) []T {
+	out := s.Take(len(src))
+	copy(out, src)
+	return out
+}
+
+// String returns a string of b's bytes carved from s, making no heap object
+// of its own (a string(b) conversion makes one per call). The string reads
+// its bytes in place (unsafe.String), which is safe only because no one
+// writes them after this copy: s hands the carve to no one else and never
+// refills it, and String hands out only the string.
+func String(s *Of[byte], b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	return unsafe.String(unsafe.SliceData(Copy(s, b)), len(b))
 }

@@ -1,0 +1,110 @@
+package slab
+
+import (
+	"fmt"
+	"testing"
+	"unsafe"
+)
+
+// overlaps reports whether a and b share any element.
+func overlaps[T any](a, b []T) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	size := unsafe.Sizeof(a[0])
+	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	return a0 < b0+uintptr(len(b))*size && b0 < a0+uintptr(len(a))*size
+}
+
+// TestTakeClipsAndNeverRefills: Take hands out zeroed structs with their
+// capacity clipped, so appending to one result cannot reach the next, and
+// no struct is handed out twice, across chunks too: a struct written after
+// it was handed out keeps what its owner wrote.
+func TestTakeClipsAndNeverRefills(t *testing.T) {
+	var s Of[int]
+	var taken [][]int
+	for i := 0; i < 2000; i++ {
+		n := 1 + i%7
+		out := s.Take(n)
+		if len(out) != n || cap(out) != n {
+			t.Fatalf("Take(%d) returned len %d cap %d", n, len(out), cap(out))
+		}
+		for j := range out {
+			if out[j] != 0 {
+				t.Fatalf("Take(%d) handed out a struct holding %d", n, out[j])
+			}
+			out[j] = i
+		}
+		taken = append(taken, out)
+	}
+	grown := append(taken[0], -1)
+	if overlaps(grown, taken[1]) {
+		t.Error("appending to a result reached the next caller's structs")
+	}
+	for i, out := range taken {
+		for _, v := range out {
+			if v != i {
+				t.Fatalf("result %d reads %d: a struct was handed out twice", i, v)
+			}
+		}
+	}
+}
+
+// TestGivenChunkComesFirst: a given chunk is carved before any chunk of the
+// Of's own, and once a Take needs more than it has left, the Of never
+// returns to it.
+func TestGivenChunkComesFirst(t *testing.T) {
+	var first [3]int
+	var s Of[int]
+	s.Give(first[:])
+	a := s.Take(1)
+	if &a[0] != &first[0] {
+		t.Fatal("the first Take did not carve the given chunk")
+	}
+	b := s.Take(3) // more than the given chunk has left: a chunk of the Of's own
+	if overlaps(b, first[:]) {
+		t.Fatal("a Take larger than the given chunk's rest carved it")
+	}
+	for i := 0; i < 100; i++ {
+		if out := s.Take(1); overlaps(out, first[:]) {
+			t.Fatalf("Take %d after the Of's own chunk returned to the given one", i)
+		}
+	}
+	if first[1] != 0 || first[2] != 0 {
+		t.Error("the given chunk's rest was written")
+	}
+}
+
+// TestCarvedStringsKeepTheirBytes: a string carved from an Of reads the
+// bytes it was given after many more carves, whatever the caller does with
+// its own bytes, and a carved copy shares nothing with its source.
+func TestCarvedStringsKeepTheirBytes(t *testing.T) {
+	var s Of[byte]
+	buf := []byte("k/0")
+	first := String(&s, buf)
+	buf[0] = 'x'
+	if first != "k/0" {
+		t.Fatalf("the carve follows its source: %q", first)
+	}
+	const n = 10000
+	strs := make([]string, n)
+	for i := range strs {
+		buf = fmt.Appendf(buf[:0], "key/%05d", i)
+		strs[i] = String(&s, buf)
+	}
+	for i, str := range strs {
+		if want := fmt.Sprintf("key/%05d", i); str != want {
+			t.Fatalf("carve %d reads %q after %d more carves, want %q", i, str, n-i-1, want)
+		}
+	}
+	if first != "k/0" {
+		t.Errorf("the first carve reads %q", first)
+	}
+	if String(&s, nil) != "" {
+		t.Error("an empty key carved a non-empty string")
+	}
+	c := Copy(&s, buf)
+	if string(c) != string(buf) || overlaps(c, buf) {
+		t.Errorf("Copy returned %q (shares its source: %v)", c, overlaps(c, buf))
+	}
+}

@@ -291,7 +291,7 @@ func TestOnePCReplayIsNotADuplicate(t *testing.T) {
 		row := h.kvtRow(t, 1, "a")[0]
 		ktx := kv.GatewayTxn(s.Coord.Store, row.Key, 0)
 		req := &kv.PutRequest{
-			Key: row.Key, Value: row.Value, Timestamp: ktx.Meta.WriteTimestamp, Txn: ktx,
+			Key: row.Key, Value: row.Value, Timestamp: ktx.Meta.WriteTimestamp, Txn: &ktx,
 			MustNotExist: true, Commit1PC: true, ReadFromTS: ktx.ReadTimestamp,
 		}
 		first := s.Coord.Sender.Send(p, req)

@@ -25,17 +25,20 @@ import (
 // one column by primary key with locality-optimized search on, from the
 // us-east1 gateway, and the prepared UPDATE of one column by primary key
 // that the benchmark's writes run. A local hit is one round trip to the
-// gateway's own partition, at 5.04 objects for the SELECT and 15.65 for the
+// gateway's own partition, at 3.03 objects for the SELECT and 10.71 for the
 // UPDATE. A remote miss misses there, then probes both remote partitions and
 // returns on europe-west2's hit while asia-northeast1's probe is still in
-// flight (its objects land in the next execution's count), at 23.46 and
-// 33.26: each probe's reads wait in a txn.Probe of their own until the
+// flight (its objects land in the next execution's count), at 22.45 and
+// 29.28: each probe's reads wait in a txn.Probe of their own until the
 // statement adopts them, so a probe that loses the race leaves the
 // transaction alone. Index keys are carved from the session's chunks, and a
 // leaseholder names a key with one key-table entry, so a chunk lands in
 // one run of many: the counts cover everything the simulation runs
-// meanwhile and are means pinned to ±0.1 (meanAllocs). The UPDATEs were
-// 18.60 and 36.26 while the row they read made its region name a string of
+// meanwhile and are means pinned to ±0.1 (meanAllocs). They were 5.04,
+// 23.46, 15.65 and 33.26 while a transaction's coordinator state and its
+// record were two objects, its first pending array and first requests
+// objects of their own, its anchor key a copy of its own, and a leaseholder
+// made a key's entry string a heap object of its own. The UPDATEs were 18.60 and 36.26 while the row they read made its region name a string of
 // its own and the row they wrote was a value of its own. As means they were
 // 6.0, 27.2, 23.6 and 46.8 while every index key was an allocation of its
 // own and a leaseholder made a string of a key for its latch, its lock and
@@ -109,10 +112,10 @@ func TestPointSelectAllocs(t *testing.T) {
 		what      string
 		got, want float64
 	}{
-		{"a local point SELECT", local, 5.04},
-		{"a remote point SELECT", remote, 23.46},
-		{"a local point UPDATE", localUpd, 15.65},
-		{"a remote point UPDATE", remoteUpd, 33.26},
+		{"a local point SELECT", local, 3.03},
+		{"a remote point SELECT", remote, 22.45},
+		{"a local point UPDATE", localUpd, 10.71},
+		{"a remote point UPDATE", remoteUpd, 29.28},
 	} {
 		if math.Abs(c.got-c.want) > 0.1 {
 			t.Errorf("%s allocates %.2f objects, want %.2f ± 0.1", c.what, c.got, c.want)

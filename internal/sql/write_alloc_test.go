@@ -90,11 +90,16 @@ func TestFirstHitAdoptsEachProbeOnce(t *testing.T) {
 // are memoized boxed names, and a row value is carved from the session's
 // chunks at its exact size. What is left is what the
 // statement hands on or what the replicas keep: its keys and values, the
-// transaction and its record, the request slabs, the replies, proposals and
-// MVCC versions; the keys come from the session's chunks, and a replica
-// names a key's latch, lock and read with one string. The counts cover
+// transaction (one object, its record and first requests inside), the
+// request slabs, the replies, proposals and MVCC versions; the keys come
+// from the session's chunks, and a replica names a key's latch, lock and
+// read with one string carved from its own. The counts cover
 // everything the simulation runs meanwhile and are means pinned to ±0.1
-// (meanAllocs). As means they were 31.81 and 25.02 while every row value was
+// (meanAllocs). As means they were 30.88 and 22.01 while a transaction's
+// coordinator state and its record were two objects, its first pending
+// array and first requests objects of their own, its anchor key a copy of
+// its own, and a leaseholder made a key's entry string a heap object of its
+// own; 31.81 and 25.02 while every row value was
 // an allocation of its own and a decoded region a string of its own, 32.82
 // and 25.46 while a read queueing on a
 // write's latch made a string of its key, and 34.75 and 30.55 while every index key was an
@@ -163,8 +168,8 @@ func TestWriteStatementAllocs(t *testing.T) {
 		what      string
 		got, want float64
 	}{
-		{"a prepared INSERT in RunTxn", insert, 30.88},
-		{"a prepared UPDATE in RunTxn", update, 22.01},
+		{"a prepared INSERT in RunTxn", insert, 26.04},
+		{"a prepared UPDATE in RunTxn", update, 17.03},
 	} {
 		if math.Abs(c.got-c.want) > 0.1 {
 			t.Errorf("%s allocates %.2f objects, want %.2f ± 0.1", c.what, c.got, c.want)

@@ -41,6 +41,9 @@ type Coordinator struct {
 
 	// backoff is the "txn/backoff" stream, which every coordinator shares.
 	backoff *rand.Rand
+	// anchors holds the copies of its transactions' anchor keys, each
+	// written once.
+	anchors slab.Of[byte]
 }
 
 // NewCoordinator returns a coordinator bound to a gateway store.
@@ -64,9 +67,16 @@ func (c *Coordinator) tracer() *obs.Tracer {
 // keeps them as given — as the reads a refresh re-validates, the writes an
 // abort resolves, the requests a late evaluation may still read — so the
 // caller must not change a key's bytes after the call.
+//
+// A transaction is one heap object in the common case: its record, its
+// first pending write, its first read and its first point read and write
+// requests are fields of its own.
 type Txn struct {
 	co *Coordinator
-	kv *kv.Txn
+	// kv points at rec, the record every request of the transaction
+	// carries.
+	kv  *kv.Txn
+	rec kv.Txn
 
 	// AllowOnePC lets a transaction whose one write is still pending at
 	// commit commit it with a one-phase commit at the leaseholder (no intent
@@ -89,7 +99,9 @@ type Txn struct {
 	// unconditional write waits here for the transaction's next batch — a
 	// point read, a conditional write or the commit — which carries it.
 	// A conditional write waits only as the one-phase-commit candidate.
-	pending []bufferedPut
+	// They start on pendingBuf: most transactions write one key at a time.
+	pending    []bufferedPut
+	pendingBuf [1]bufferedPut
 	// partial is the error of a write batch that half applied its statement
 	// or lost an earlier statement's write (see landed): the transaction can
 	// no longer commit.
@@ -102,11 +114,19 @@ type Txn struct {
 	// mid-evaluation answers when the partition heals, and a DistSender
 	// leaves such an envelope to the collector — so a struct put back and
 	// refilled would have that late evaluation read, lock or write another
-	// key. The chunks die with the transaction and its last envelope.
+	// key. The first point read and the first write are carved from getBuf
+	// and putBuf (slab.Of.Give). Every request points into the transaction
+	// (its Txn is kv; the first ones are fields), so a request still
+	// referenced keeps the whole transaction alive — its reads, writes and
+	// chunks — and the chunks die with the transaction and its last
+	// envelope. A Raft log, which keeps a write's command until compaction,
+	// therefore copies the meta it needs (kv's Replica.command).
 	gets     slab.Of[kv.GetRequest]
 	puts     slab.Of[kv.PutRequest]
 	proofReq slab.Of[kv.QueryIntentRequest]
 	resolves slab.Of[kv.ResolveIntentRequest]
+	getBuf   [1]kv.GetRequest
+	putBuf   [1]kv.PutRequest
 }
 
 // grow returns s with room for n more elements, so that a batch's keys
@@ -165,8 +185,12 @@ type readSpan struct {
 // Begin starts a transaction at the gateway's current HLC time.
 func (c *Coordinator) Begin(priority int64) *Txn {
 	c.Begun++
-	t := &Txn{co: c, kv: kv.GatewayTxn(c.Store, nil, priority)}
+	t := &Txn{co: c, rec: kv.GatewayTxn(c.Store, nil, priority)}
+	t.kv = &t.rec
 	t.reads = t.readBuf[:0]
+	t.pending = t.pendingBuf[:0]
+	t.gets.Give(t.getBuf[:])
+	t.puts.Give(t.putBuf[:])
 	return t
 }
 
@@ -529,8 +553,12 @@ func (t *Txn) write(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error
 		}
 	}
 	if len(t.writes) == 0 && len(t.pending) == 0 {
-		// The first write anchors the transaction record's range.
-		t.kv.Meta.Key = append(mvcc.Key(nil), kvs[0].Key...)
+		// The first write anchors the transaction record's range. The
+		// record's meta outlives the transaction in every replica's
+		// intents and logged commands, so it keeps a copy of the key,
+		// carved from the coordinator's chunks: a copy pins one of those,
+		// not the chunk the caller carved the key from.
+		t.kv.Meta.Key = slab.Copy(&t.co.anchors, kvs[0].Key)
 	}
 	earlier := len(t.pending)
 	rewrote := false // an earlier statement's pending write now holds one of ours
@@ -600,11 +628,11 @@ func (t *Txn) onePC() bool {
 // range. The last own of them are the writes of the statement sending them
 // (see landed).
 func (t *Txn) sendWrites(p *sim.Proc, own int) error {
-	sent := t.pending
-	t.pending = nil
-	if len(sent) == 0 {
+	if len(t.pending) == 0 {
 		return nil
 	}
+	sent := t.pending
+	t.pending = nil
 	var buf [batchScratch]interface{}
 	var respBuf [batchScratch]kv.Response
 	reqs, resps := scratchList(&buf, len(sent)), scratchList(&respBuf, len(sent))
@@ -944,7 +972,8 @@ func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 	for _, rs := range t.reads {
 		spans = append(spans, [2]mvcc.Key{rs.key, rs.end})
 	}
-	req := &kv.PutRequest{
+	req := t.puts.New()
+	*req = kv.PutRequest{
 		Key: b.Key, Value: b.Value,
 		Timestamp:    t.kv.Meta.WriteTimestamp,
 		Txn:          t.kv,
