@@ -62,6 +62,17 @@ type Session struct {
 	// and index keys of the point lookups a statement reads on its own proc.
 	lookupRowScratch []tableRow
 	lookupKeyScratch []mvcc.Key
+	// missScratch backs the tuples fetchPoint's local phase missed.
+	missScratch [][]Datum
+	// A first-hit read's state is carved from these, each struct handed out
+	// once (lookupFirstHit): its probes may outlive the statement while the
+	// session's next statements carve more.
+	firstHits slab.Of[firstHit]
+	probeRuns slab.Of[probeRun]
+	hitRows   slab.Of[tableRow]
+	hitKeys   slab.Of[mvcc.Key]
+	hitVals   slab.Of[mvcc.Value]
+	answered  slab.Of[*txn.Probe]
 	// The write path's statement scratch (dml.go): the rows an INSERT
 	// writes, the unique indexes it checks, the writes a statement sends
 	// and the columns an UPDATE changed. A transaction keeps the keys and
@@ -641,7 +652,7 @@ func (s *Session) mapToRegion(v Datum) (Datum, error) {
 
 // values returns n cleared value slots of session scratch, for a batch read
 // on the statement's proc; valid until the next call. A first-hit probe,
-// which may outlive its statement, reads into slots of its own.
+// which may outlive its statement, reads into carved slots (lookupFirstHit).
 func (s *Session) values(n int) []mvcc.Value {
 	if cap(s.valScratch) < n {
 		s.valScratch = make([]mvcc.Value, n)

@@ -368,22 +368,6 @@ func (f probeReader) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) e
 	return f.pr.GetParallel(p, keys, vals)
 }
 
-// probeOf returns what one first-hit probe of a statement fetching through f
-// reads through, and the transaction's probe behind it (nil for a stale
-// read, which has no transaction to outlive).
-func probeOf(f rowFetcher) (batchReader, *txn.Probe) {
-	var pr *txn.Probe
-	switch f := f.(type) {
-	case txnFetcher:
-		pr = f.tx.Probe(false)
-	case lockingFetcher:
-		pr = f.tx.Probe(true)
-	default:
-		return f, nil
-	}
-	return probeReader{pr}, pr
-}
-
 // staleFetcher reads at a fixed timestamp from the nearest replica.
 type staleFetcher struct {
 	co *txn.Coordinator
@@ -428,12 +412,13 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 	if err != nil {
 		return nil, err
 	}
-	var miss [][]Datum
+	miss := s.missScratch[:0]
 	for i, row := range rows {
 		if row.vals == nil {
 			miss = append(miss, plan.lookups[i])
 		}
 	}
+	s.missScratch = miss
 	out := hits(rows)
 	if len(miss) == 0 {
 		return out, nil
@@ -455,24 +440,37 @@ func (s *Session) fetchPoint(p *sim.Proc, f rowFetcher, plan *readPlan) ([]table
 // adopts the probes whose replies it used. A probe that failed while the
 // statement waited is the statement's to recover: it refreshes past an
 // uncertain value, then reads that region's batch again itself, in session
-// scratch. A probe is handed lists of its own, its region's rows and keys,
-// never the tuples or the scratch: the session's next statement refills those
-// while a slow probe may still be waiting for its reply.
+// scratch.
+//
+// Everything the probes share with the statement is carved from the
+// session's chunks, never the tuples or the scratch: the firstHit, each
+// region's run (its rows, keys and values, and its transaction's probe) and
+// the list of probes that answered. A carve is never handed out again, so a
+// slow probe keeps its lists while the session's next statements carve
+// more. The last one out, the statement returning or the last probe
+// landing, clears what the chunks would otherwise keep alive (letGo).
 func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index, cols []ColumnID, regions []simnet.Region, tuples [][]Datum) ([]tableRow, error) {
-	fh := &firstHit{found: make([]tableRow, len(tuples)), missing: len(tuples), pending: len(regions)}
-	parent := obs.ProcSpan(p)
-	for r := range regions {
-		rows, keys := s.lookupKeys(t, idx, regions[r:r+1], tuples)
-		reader, probe := probeOf(f)
-		p.Sim().Spawn("sql/probe", func(wp *sim.Proc) {
-			obs.SetProcSpan(wp, parent)
-			vals := make([]mvcc.Value, len(keys)) // the probe's own: it may outlive the statement
-			fh.land(probe, regions[r], rows, s.lookup(wp, reader, t, idx, cols, rows, keys, vals))
-		})
+	fh := s.firstHits.New()
+	*fh = firstHit{
+		s: s, t: t, idx: idx, cols: cols, parent: obs.ProcSpan(p),
+		found: s.hitRows.Take(len(tuples)), missing: len(tuples), pending: len(regions),
+		runs: s.probeRuns.Take(len(regions)), answered: s.answered.Take(len(regions))[:0],
 	}
-	defer func() { fh.returned = true }()
+	rows, keys := s.lookupKeys(t, idx, regions, tuples)
+	vals := s.hitVals.Take(len(keys))
+	for r := range fh.runs {
+		lo, hi := r*len(tuples), (r+1)*len(tuples)
+		run := &fh.runs[r]
+		run.region, run.rows, run.keys, run.vals = regions[r], rows[lo:hi:hi], keys[lo:hi:hi], vals[lo:hi:hi]
+		run.readThrough(f)
+	}
+	body := fh.probe // one child body for every region: each takes the next run
+	for range fh.runs {
+		p.Sim().Spawn("sql/probe", body)
+	}
+	defer fh.leave()
 	for {
-		fh.wake = sim.NewFuture[struct{}](p.Sim())
+		fh.wake = sim.Future[struct{}]{} // nothing waits on it: empty it for this round
 		if len(fh.failed) == 0 && fh.missing > 0 && fh.pending > 0 {
 			fh.wake.Wait(p)
 		}
@@ -486,8 +484,8 @@ func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index
 		fl := fh.failed[0]
 		fh.failed = fh.failed[1:]
 		err := fl.err
-		if fl.probe != nil {
-			err = fl.probe.Use(p)
+		if probe := fl.txnProbe(); probe != nil {
+			err = probe.Use(p)
 		}
 		if err != nil {
 			return nil, err
@@ -502,42 +500,120 @@ func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index
 
 // firstHit is what a first-hit read's probes share with its statement.
 type firstHit struct {
+	// What every probe reads with: the session, the table, the index, the
+	// columns and the statement's span.
+	s      *Session
+	t      *Table
+	idx    *Index
+	cols   []ColumnID
+	parent *obs.Span
+
 	found    []tableRow
-	missing  int                   // tuples not found yet
-	pending  int                   // probes not landed yet
-	answered []*txn.Probe          // transaction probes that answered, not adopted yet, in order
-	failed   []probeFailure        // probes that failed, not recovered yet
-	wake     *sim.Future[struct{}] // set when the statement has work
-	returned bool                  // the statement returned: later probes are dropped
+	runs     []probeRun           // one per remote region, in spawn order
+	next     int                  // probes started so far
+	missing  int                  // tuples not found yet
+	pending  int                  // probes not landed yet
+	answered []*txn.Probe         // transaction probes that answered, not adopted yet, in order
+	failed   []*probeRun          // probes that failed, not recovered yet
+	wake     sim.Future[struct{}] // set when the statement has work
+	returned bool                 // the statement returned: later probes are dropped
 }
 
-// probeFailure is a first-hit probe that failed: the transaction's probe
-// (nil for a stale read), its region and its error.
-type probeFailure struct {
-	probe  *txn.Probe
+// probeRun is one region's probe of a first-hit read: tuple i of the read
+// is rows[i], keys[i] and vals[i] there. The probe reads through reader (its
+// txn.Probe for a transactional read, the fetcher for a stale one), and err
+// is its failure.
+type probeRun struct {
 	region simnet.Region
+	rows   []tableRow
+	keys   []mvcc.Key
+	vals   []mvcc.Value
+	reader batchReader
+	probe  txn.Probe
 	err    error
 }
 
-// land takes the reply of the probe of region, which read rows (tuple i of
-// the read is rows[i]) and failed with err if non-nil, and wakes the
-// statement once it has a failure to recover or nothing left to wait for.
-func (fh *firstHit) land(probe *txn.Probe, region simnet.Region, rows []tableRow, err error) {
-	fh.pending--
-	if fh.returned {
+// readThrough makes r read as a first-hit probe of a statement fetching
+// through f: through a probe of the statement's transaction, started in r,
+// or through f itself for a stale read, which has no transaction to outlive.
+func (r *probeRun) readThrough(f rowFetcher) {
+	switch f := f.(type) {
+	case txnFetcher:
+		r.probe.Start(f.tx, false)
+	case lockingFetcher:
+		r.probe.Start(f.tx, true)
+	default:
+		r.reader = f
 		return
 	}
-	if err != nil {
-		fh.failed = append(fh.failed, probeFailure{probe, region, err})
+	r.reader = probeReader{&r.probe}
+}
+
+// txnProbe returns the transaction's probe r reads through, nil for a stale
+// read.
+func (r *probeRun) txnProbe() *txn.Probe {
+	if _, ok := r.reader.(probeReader); ok {
+		return &r.probe
+	}
+	return nil
+}
+
+// probe is the body of every probe's proc. The probes start in the order
+// they were spawned, so each takes the next run, as a sim.Group child takes
+// its index.
+func (fh *firstHit) probe(wp *sim.Proc) {
+	r := &fh.runs[fh.next]
+	fh.next++
+	obs.SetProcSpan(wp, fh.parent)
+	r.err = fh.s.lookup(wp, r.reader, fh.t, fh.idx, fh.cols, r.rows, r.keys, r.vals)
+	fh.land(r)
+}
+
+// land takes the reply of run r, and wakes the statement once it has a
+// failure to recover or nothing left to wait for.
+func (fh *firstHit) land(r *probeRun) {
+	fh.pending--
+	if fh.returned {
+		fh.letGo()
+		return
+	}
+	if r.err != nil {
+		fh.failed = append(fh.failed, r)
 	} else {
-		if probe != nil {
+		if probe := r.txnProbe(); probe != nil {
 			fh.answered = append(fh.answered, probe)
 		}
-		fh.merge(rows)
+		fh.merge(r.rows)
 	}
-	if (err != nil || fh.missing == 0 || fh.pending == 0) && !fh.wake.Done() {
+	if (r.err != nil || fh.missing == 0 || fh.pending == 0) && !fh.wake.Done() {
 		fh.wake.Set(struct{}{})
 	}
+}
+
+// leave notes that the statement returned: later probes are dropped.
+func (fh *firstHit) leave() {
+	fh.returned = true
+	fh.letGo()
+}
+
+// letGo clears the read's state once the statement has returned and every
+// probe has landed. A chunk keeps alive whatever any struct carved from it
+// points at, so a run left as it is would keep its transaction, its values
+// and its row maps alive as long as anything else in its chunks. found
+// stays: the statement returned rows that alias it.
+func (fh *firstHit) letGo() {
+	if !fh.returned || fh.pending > 0 {
+		return
+	}
+	for i := range fh.runs {
+		r := &fh.runs[i]
+		clear(r.rows)
+		clear(r.keys)
+		clear(r.vals)
+	}
+	clear(fh.runs)
+	clear(fh.answered[:cap(fh.answered)])
+	*fh = firstHit{found: fh.found, returned: true}
 }
 
 // merge resolves each tuple not found yet whose row rows holds (tuple i's is
@@ -563,12 +639,13 @@ func hits(rows []tableRow) []tableRow {
 }
 
 // lookupKeys returns the rows and index keys of a lookup of every tuple in
-// every region, in lists of their own: row and key r*len(tuples)+i are
-// tuples[i]'s in regions[r]. It is what a first-hit probe reads, which may
-// outlive its statement; the keys are carved, so they stay the probe's.
+// every region, carved from the session's chunks: row and key
+// r*len(tuples)+i are tuples[i]'s in regions[r]. It is what first-hit probes
+// read, which may outlive their statement; a carve is never handed out
+// again, so the lists stay the probes'.
 func (s *Session) lookupKeys(t *Table, idx *Index, regions []simnet.Region, tuples [][]Datum) ([]tableRow, []mvcc.Key) {
 	n := len(regions) * len(tuples)
-	rows, keys := make([]tableRow, n), make([]mvcc.Key, n)
+	rows, keys := s.hitRows.Take(n), s.hitKeys.Take(n)
 	s.encodeLookups(rows, keys, t, idx, regions, tuples)
 	return rows, keys
 }

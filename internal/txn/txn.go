@@ -44,6 +44,11 @@ type Coordinator struct {
 	// anchors holds the copies of its transactions' anchor keys, each
 	// written once.
 	anchors slab.Of[byte]
+	// The arrays its transactions' and probes' lists grow into past their
+	// inline buffers (see grow).
+	readLists    slab.Of[readSpan]
+	writeLists   slab.Of[write]
+	pendingLists slab.Of[bufferedPut]
 }
 
 // NewCoordinator returns a coordinator bound to a gateway store.
@@ -92,7 +97,8 @@ type Txn struct {
 	// reads are the spans read so far, for refreshes and the one-phase
 	// commit. Together with writes and pending they are what the transaction
 	// knows a key holds (see known). They start on readBuf: most
-	// transactions read one key.
+	// transactions read one key. Like writes and pending, they grow into
+	// arrays carved from the coordinator's chunks (grow).
 	reads   []readSpan
 	readBuf [1]readSpan
 	// pending are the writes not sent yet, in order, one entry per key. An
@@ -130,16 +136,16 @@ type Txn struct {
 }
 
 // grow returns s with room for n more elements, so that a batch's keys
-// grow the transaction's lists once rather than once per doubling.
-// (slices.Grow would do, but allocates a second array under the race
-// detector.)
-func grow[T any](s []T, n int) []T {
+// grow a transaction's list once rather than once per doubling. A list that
+// outgrows its array moves to one carved from c, whose chunks its
+// coordinator owns; a chunk lives while any list carved from it does.
+func grow[T any](c *slab.Of[T], s []T, n int) []T {
 	if n <= cap(s)-len(s) {
 		return s
 	}
-	out := make([]T, len(s), max(len(s)+n, 2*cap(s)))
+	out := c.Take(max(len(s)+n, 2*cap(s)))
 	copy(out, s)
-	return out
+	return out[:len(s)]
 }
 
 // batchScratch is the size of the request list, and of the response list, a
@@ -256,16 +262,24 @@ func (t *Txn) GetParallelForUpdate(p *sim.Proc, keys []mvcc.Key, out []mvcc.Valu
 // no timestamp, and returns an uncertain value as an error rather than
 // refreshing. The statement, on its own proc, passes each probe whose reply
 // it used to Use.
+//
+// A Probe is a value its caller owns and starts in place (Start); its reads
+// start on readBuf, so a probe of one key allocates nothing. It must not be
+// copied once started.
 type Probe struct {
 	t         *Txn
 	forUpdate bool
 	reads     []readSpan
+	readBuf   [1]readSpan
 	err       error
 }
 
-// Probe starts a probe of t whose reads lock, as GetForUpdate does, when
-// forUpdate is set.
-func (t *Txn) Probe(forUpdate bool) *Probe { return &Probe{t: t, forUpdate: forUpdate} }
+// Start makes pr a new probe of t whose reads lock, as GetForUpdate does,
+// when forUpdate is set.
+func (pr *Probe) Start(t *Txn, forUpdate bool) {
+	*pr = Probe{t: t, forUpdate: forUpdate}
+	pr.reads = pr.readBuf[:0]
+}
 
 // GetParallel reads keys as one batch into out, as Txn.GetParallel does,
 // within the limits of a probe. The probe keeps keys, which must not change
@@ -284,7 +298,8 @@ func (pr *Probe) Use(p *sim.Proc) error {
 	if pr.err != nil {
 		return pr.t.handleReadErr(p, pr.err)
 	}
-	pr.t.reads = append(pr.t.reads, pr.reads...)
+	t := pr.t
+	t.reads = append(grow(&t.co.readLists, t.reads, len(pr.reads)), pr.reads...)
 	return nil
 }
 
@@ -369,7 +384,9 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		}
 		if firstErr == nil {
 			if probe == nil {
-				t.reads = grow(t.reads, len(send))
+				t.reads = grow(&t.co.readLists, t.reads, len(send))
+			} else {
+				probe.reads = grow(&t.co.readLists, probe.reads, len(send))
 			}
 			for j, key := range send {
 				if probe != nil {
@@ -395,7 +412,7 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 // A point read also notes the value it returned. The keys are the caller's,
 // which the transaction now owns.
 func (t *Txn) recordRead(key, end mvcc.Key, value mvcc.Value) {
-	t.reads = append(t.reads, readSpan{key: key, end: end, value: value})
+	t.reads = append(grow(&t.co.readLists, t.reads, 1), readSpan{key: key, end: end, value: value})
 }
 
 // knowsAny reports whether the transaction knows what any of keys holds.
@@ -562,7 +579,7 @@ func (t *Txn) write(p *sim.Proc, kvs []mvcc.KeyValue, mustNotExist []bool) error
 	}
 	earlier := len(t.pending)
 	rewrote := false // an earlier statement's pending write now holds one of ours
-	t.pending = grow(t.pending, len(kvs))
+	t.pending = grow(&t.co.pendingLists, t.pending, len(kvs))
 	for i, w := range kvs {
 		if t.buffer(w, mustNotExist != nil && mustNotExist[i]) < earlier {
 			rewrote = true
@@ -591,7 +608,7 @@ func (t *Txn) buffer(w mvcc.KeyValue, mustNotExist bool) int {
 		t.pending[i].Value = w.Value
 		return i
 	}
-	t.pending = append(t.pending, bufferedPut{
+	t.pending = append(grow(&t.co.pendingLists, t.pending, 1), bufferedPut{
 		KeyValue:     mvcc.KeyValue{Key: w.Key, Value: w.Value},
 		mustNotExist: mustNotExist,
 	})
@@ -688,7 +705,7 @@ func (t *Txn) replicateFirst(key mvcc.Key, toRecord sim.Duration) bool {
 func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own int) error {
 	var firstErr error
 	clean := own > 0
-	t.writes = grow(t.writes, len(sent))
+	t.writes = grow(&t.co.writeLists, t.writes, len(sent))
 	for i := range sent {
 		failed := resps[i].Err != nil
 		if failed != (i >= len(sent)-own) {
@@ -700,7 +717,7 @@ func (t *Txn) landed(p *sim.Proc, sent []bufferedPut, resps []kv.Response, own i
 			}
 			if mayHaveLanded(resps[i].Err) {
 				clean = false
-				t.writes = append(t.writes, write{key: sent[i].Key, value: sent[i].Value})
+				t.writes = append(grow(&t.co.writeLists, t.writes, 1), write{key: sent[i].Key, value: sent[i].Value})
 			}
 			continue
 		}
@@ -754,7 +771,7 @@ func (t *Txn) recordWrite(w bufferedPut, ts hlc.Timestamp) {
 	if t.kv.Meta.WriteTimestamp.Less(ts) {
 		t.kv.Meta.WriteTimestamp = ts
 	}
-	t.writes = append(t.writes, write{key: w.Key, value: w.Value, proven: w.replicate})
+	t.writes = append(grow(&t.co.writeLists, t.writes, 1), write{key: w.Key, value: w.Value, proven: w.replicate})
 }
 
 // wrote returns the value of the transaction's latest write of key, pending
