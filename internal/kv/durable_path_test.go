@@ -160,6 +160,30 @@ func TestWALAppendEncodesWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestWALAppendAndSyncAllocateNothing pins a steady-state persist: the
+// record is encoded into the storage's scratch, and its fsync waits in the
+// log's own queue, completed by a method bound once, with the Raft
+// completion carried by value. The warm-up grows the log far enough that
+// its array grows at most once over the measured appends.
+func TestWALAppendAndSyncAllocateNothing(t *testing.T) {
+	s := sim.New(1)
+	rs := &replicaStorage{wal: storage.NewDisk(s, 1, nil).WAL("w")}
+	hs, entries := onePutBatch()
+	persist := func() {
+		rs.Append(hs, entries, raft.Completion{})
+		s.Run() // the fsync completes
+	}
+	for i := 0; i < 1000; i++ {
+		persist()
+	}
+	if n := testing.AllocsPerRun(100, persist); n != 0 {
+		t.Errorf("an append and its fsync allocate %v objects, want 0", n)
+	}
+	if rs.wal.DurableSize() != rs.wal.Size() {
+		t.Errorf("%d of %d bytes durable after the fsyncs", rs.wal.DurableSize(), rs.wal.Size())
+	}
+}
+
 // loadedStore is one durable store holding a range of keys rows bulk-loaded
 // into its engine, checkpointed once.
 func loadedStore(t testing.TB, keys int) (*Store, *Replica) {

@@ -67,8 +67,10 @@ type Replica struct {
 	// ckptSize is the length of this replica's latest checkpoint blob; it
 	// sizes the buffer the next checkpoint or snapshot is built in.
 	ckptSize int
-	// cmds carves the commands this replica proposes (see command).
-	cmds slab.Of[command]
+	// cmds carves the commands this replica proposes (see command), and
+	// cmdKeys the key lists of those that resolve several intents.
+	cmds    slab.Of[command]
+	cmdKeys slab.Short[mvcc.Key]
 
 	// Stats.
 	// Proposed counts the commands this replica proposed, by kind.
@@ -192,9 +194,9 @@ func (r *Replica) evaluateBatch(p *sim.Proc, b *BatchRequest) []Response {
 // those of every later request in reqs that resolves first's transaction
 // to the same outcome, and answers each of them with the same response.
 func (r *Replica) resolveGroup(p *sim.Proc, reqs []interface{}, resps []Response, first *ResolveIntentRequest) {
-	// The keys are scratch (resolveIntents copies what it keeps): up to 16
-	// live on the stack.
-	var buf [16]mvcc.Key
+	// The keys are scratch (resolveIntents copies what it keeps): up to 64,
+	// a commit's whole write set as a rule, live on the stack.
+	var buf [64]mvcc.Key
 	keys := buf[:0]
 	for _, req := range reqs {
 		if q, ok := req.(*ResolveIntentRequest); ok && first.sameOutcome(q) {
@@ -720,7 +722,7 @@ func (r *Replica) evalEndTxn(p *sim.Proc, req *EndTxnRequest) Response {
 // intents it resolved: keys whose intent is already gone are left out, and
 // when none is left nothing is proposed. keys is the caller's scratch: it is
 // filtered in place, and the command keeps a lone key in its own room and
-// several in a copy.
+// several in a copy carved from the replica's chunks.
 func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnStatus, commitTS hlc.Timestamp, keys []mvcc.Key) (int, error) {
 	if err := r.checkLease(); err != nil {
 		return 0, err
@@ -745,8 +747,13 @@ func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnSta
 	}
 	c := r.cmds.New()
 	c.meta.ID = txn
+	own := c.key[:]
+	if len(live) > 1 {
+		own = r.cmdKeys.Take(len(live))
+	}
+	copy(own, live)
 	c.Command = Command{
-		Kind: CmdResolveIntent, Keys: append(c.key[:0], live...), Txn: &c.meta,
+		Kind: CmdResolveIntent, Keys: own, Txn: &c.meta,
 		Status: status, CommitTS: commitTS,
 		ClosedTS: r.closed.issue(r.store.Clock.Now()),
 	}

@@ -811,6 +811,50 @@ func (g *Group) Wait(p *Proc) {
 	}
 }
 
+// Runner starts processes that all run one body, bound once, each on a value
+// of its own: Go queues a value and spawns a process, and the body takes the
+// oldest value queued. Processes start in the order they were spawned (each
+// is a wake at its Go's instant, and the queue runs those in order), so each
+// takes the value its own Go queued, as a Group child takes its index; once
+// the queue has grown, starting one allocates nothing. Every process spawned
+// at an instant starts at that instant, so the queue empties before the
+// clock moves on. Bind must come before the first Go, and the Runner must
+// not move after it. A Runner costs one object, at its first Go, so one that
+// never starts a process costs nothing.
+type Runner[T any] struct {
+	fn    func(p *Proc, v T)
+	run   func(p *Proc) // r.next, bound at the first Go
+	queue []T           // the values of processes not started yet, from head
+	head  int
+}
+
+// Bind makes fn the body every process of r runs.
+func (r *Runner[T]) Bind(fn func(p *Proc, v T)) {
+	r.fn = fn
+}
+
+// Go spawns a process, named name, that runs r's body on v at the current
+// instant.
+func (r *Runner[T]) Go(s *Simulation, name string, v T) {
+	if r.run == nil {
+		r.run = r.next
+	}
+	r.queue = append(r.queue, v)
+	s.Spawn(name, r.run)
+}
+
+// next is the body of every process: it takes the oldest value queued.
+func (r *Runner[T]) next(p *Proc) {
+	v := r.queue[r.head]
+	var zero T
+	r.queue[r.head] = zero
+	r.head++
+	if r.head == len(r.queue) {
+		r.queue, r.head = r.queue[:0], 0
+	}
+	r.fn(p, v)
+}
+
 // Cond is a waiting-room: processes park on it and are woken explicitly.
 // Unlike sync.Cond there is no associated lock; the simulation's cooperative
 // scheduling makes one unnecessary.

@@ -418,6 +418,45 @@ func TestGroupStartsChildrenWithoutAllocating(t *testing.T) {
 	}
 }
 
+// TestRunnerStartsEachOnItsOwnValue: processes a Runner spawns, at one
+// instant or at several, each run the body on the value their own Go
+// queued, including when another process spawns between them, and once the
+// queue has grown, starting one allocates nothing.
+func TestRunnerStartsEachOnItsOwnValue(t *testing.T) {
+	s := New(1)
+	var got []string
+	var r Runner[string]
+	r.Bind(func(p *Proc, v string) {
+		got = append(got, v)
+		p.Sleep(Millisecond)
+		got = append(got, v)
+	})
+	var allocs float64
+	s.Spawn("parent", func(p *Proc) {
+		r.Go(s, "a", "a")
+		s.Spawn("other", func(*Proc) { got = append(got, "other") })
+		r.Go(s, "b", "b")
+		p.Sleep(Microsecond)
+		r.Go(s, "c", "c")
+		p.Sleep(Second)
+		if want := []string{"a", "other", "b", "c", "a", "b", "c"}; !slices.Equal(got, want) {
+			t.Errorf("the bodies ran as %v, want %v", got, want)
+		}
+		got = make([]string, 0, 1024)
+		start := func() {
+			r.Go(s, "d", "d")
+			r.Go(s, "e", "e")
+			p.Sleep(Second)
+		}
+		start() // the procs, the queue
+		allocs = testing.AllocsPerRun(50, start)
+	})
+	s.Run()
+	if allocs != 0 {
+		t.Fatalf("starting two processes allocates %.1f objects, want 0", allocs)
+	}
+}
+
 // TestFanoutOfOneRunsOnCaller: a fan-out of one is a call. It consumes no
 // event, runs at the caller's instant on the caller's process, and a child
 // that replaces the observability context (obs.SetProcSpan does) leaves the

@@ -40,15 +40,42 @@ func (s *Of[T]) Give(first []T) {
 // with their capacity clipped so appending to the result cannot reach
 // another caller's structs.
 func (s *Of[T]) Take(n int) []T {
+	return s.take(n, perChunk[T]())
+}
+
+// perChunk is how many structs of type T a chunk of maxChunkBytes holds.
+func perChunk[T any]() int {
+	var zero T
+	return max(1, maxChunkBytes/max(1, int(unsafe.Sizeof(zero))))
+}
+
+// take is Take with chunks of at most limit structs.
+func (s *Of[T]) take(n, limit int) []T {
 	if len(s.free) < n {
-		var zero T
-		limit := max(1, maxChunkBytes/max(1, int(unsafe.Sizeof(zero))))
 		s.next = min(max(2*s.next, 4), limit)
 		s.free = make([]T, max(n, s.next))
 	}
 	out := s.free[:n:n]
 	s.free = s.free[n:]
 	return out
+}
+
+// shortChunk caps the chunks of a Short, in structs.
+const shortChunk = 128
+
+// Short is an Of whose chunks hold at most shortChunk structs, for structs
+// that point into chunks other owners carved (a request's key, a command's
+// key list) and an owner that lives long. A chunk lives while any struct
+// carved from it does, and keeps alive what all its structs point at, dead
+// ones' included: a long-lived owner's full-sized chunk would keep hundreds
+// of other owners' chunks alive for one survivor. The zero Short is ready
+// to use.
+type Short[T any] struct{ of Of[T] }
+
+// Take returns n zeroed structs no one has been handed before, as Of.Take
+// does.
+func (s *Short[T]) Take(n int) []T {
+	return s.of.take(n, min(shortChunk, perChunk[T]()))
 }
 
 // New returns one zeroed struct no one has been handed before.

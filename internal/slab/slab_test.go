@@ -108,3 +108,31 @@ func TestCarvedStringsKeepTheirBytes(t *testing.T) {
 		t.Errorf("Copy returned %q (shares its source: %v)", c, overlaps(c, buf))
 	}
 }
+
+// TestShortChunksStayShort: a Short's chunks double up to shortChunk
+// structs and no further, a Take larger than that still gets its structs in
+// one piece, and like an Of it never hands a struct out twice.
+func TestShortChunksStayShort(t *testing.T) {
+	var s Short[int]
+	var taken [][]int
+	for i := 0; i < 4*shortChunk; i++ {
+		out := s.Take(1)
+		out[0] = i + 1
+		taken = append(taken, out)
+		if s.of.next > shortChunk {
+			t.Fatalf("after %d takes the next chunk holds %d structs, want at most %d", i+1, s.of.next, shortChunk)
+		}
+	}
+	if s.of.next != shortChunk {
+		t.Errorf("chunks grew to %d structs, want %d", s.of.next, shortChunk)
+	}
+	big := s.Take(3 * shortChunk)
+	if len(big) != 3*shortChunk || cap(big) != 3*shortChunk {
+		t.Fatalf("Take(%d) returned len %d cap %d", 3*shortChunk, len(big), cap(big))
+	}
+	for i, out := range taken {
+		if out[0] != i+1 {
+			t.Fatalf("result %d reads %d: a struct was handed out twice", i, out[0])
+		}
+	}
+}

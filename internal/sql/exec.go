@@ -73,6 +73,9 @@ type Session struct {
 	hitKeys   slab.Of[mvcc.Key]
 	hitVals   slab.Of[mvcc.Value]
 	answered  slab.Of[*txn.Probe]
+	// probes starts every first-hit probe's proc, each on the read its start
+	// queued (probeBody).
+	probes sim.Runner[*firstHit]
 	// The write path's statement scratch (dml.go): the rows an INSERT
 	// writes, the unique indexes it checks, the writes a statement sends
 	// and the columns an UPDATE changed. A transaction keeps the keys and
@@ -114,7 +117,7 @@ type Session struct {
 
 // NewSession opens a session at the given gateway node.
 func NewSession(c *cluster.Cluster, catalog *Catalog, gateway simnet.NodeID) *Session {
-	return &Session{
+	s := &Session{
 		Cluster:                 c,
 		Catalog:                 catalog,
 		Gateway:                 gateway,
@@ -123,6 +126,8 @@ func NewSession(c *cluster.Cluster, catalog *Catalog, gateway simnet.NodeID) *Se
 		UniquenessChecks:        true,
 		uuids:                   c.Sim.Stream("sql/uuid"),
 	}
+	s.probes.Bind(probeBody)
+	return s
 }
 
 // Region returns the gateway's region.

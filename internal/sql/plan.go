@@ -464,9 +464,8 @@ func (s *Session) lookupFirstHit(p *sim.Proc, f rowFetcher, t *Table, idx *Index
 		run.region, run.rows, run.keys, run.vals = regions[r], rows[lo:hi:hi], keys[lo:hi:hi], vals[lo:hi:hi]
 		run.readThrough(f)
 	}
-	body := fh.probe // one child body for every region: each takes the next run
 	for range fh.runs {
-		p.Sim().Spawn("sql/probe", body)
+		s.probes.Go(p.Sim(), "sql/probe", fh)
 	}
 	defer fh.leave()
 	for {
@@ -558,10 +557,11 @@ func (r *probeRun) txnProbe() *txn.Probe {
 	return nil
 }
 
-// probe is the body of every probe's proc. The probes start in the order
-// they were spawned, so each takes the next run, as a sim.Group child takes
-// its index.
-func (fh *firstHit) probe(wp *sim.Proc) {
+// probeBody is the body of every probe's proc, bound once per session: each
+// takes its read from the session's queue, and the next run of that read.
+// The probes start in the order they were spawned, so each takes its own,
+// as a sim.Group child takes its index.
+func probeBody(wp *sim.Proc, fh *firstHit) {
 	r := &fh.runs[fh.next]
 	fh.next++
 	obs.SetProcSpan(wp, fh.parent)

@@ -25,21 +25,26 @@ import (
 // one column by primary key with locality-optimized search on, from the
 // us-east1 gateway, and the prepared UPDATE of one column by primary key
 // that the benchmark's writes run. A local hit is one round trip to the
-// gateway's own partition, at 3.03 objects for the SELECT and 10.71 for the
+// gateway's own partition, at 3.03 objects for the SELECT and 9.72 for the
 // UPDATE. A remote miss misses there, then probes both remote partitions and
 // returns on europe-west2's hit while asia-northeast1's probe is still in
-// flight (its objects land in the next execution's count), at 5.80 and
-// 12.43: each probe's reads wait in its txn.Probe until the statement adopts
+// flight (its objects land in the next execution's count), at 4.79 and
+// 10.44: each probe's reads wait in its txn.Probe until the statement adopts
 // them, so a probe that loses the race leaves the transaction alone, and the
 // probes, their lists and what they share with the statement are carved
 // from the session's chunks, and a transaction's lists from its
-// coordinator's. Index keys are carved from the session's chunks, and a
-// leaseholder names a key with one key-table entry, so a chunk lands in
-// one run of many: the counts cover everything the simulation runs
-// meanwhile and are means pinned to ±0.1 (meanAllocs). The remote ones were
-// 22.45 and 29.28 while a miss made its probes, their closures, their rows,
-// keys and values and its first-hit state as objects of their own, and a
-// transaction's lists grew into arrays of their own. They were 5.04,
+// coordinator's; a one-phase commit's one read span is a field of its
+// transaction (the remote UPDATE's two take an array); every probe's proc
+// runs one body bound once per session. Index keys are carved from
+// the session's chunks, and a leaseholder names a key with one key-table
+// entry, so a chunk lands in one run of many: the counts cover everything
+// the simulation runs meanwhile and are means pinned to ±0.1 (meanAllocs).
+// All but the local SELECT were 5.80, 10.71 and 12.43 while a miss bound
+// its probe body and a one-phase commit appended its read spans to a list
+// of its own. The remote ones were 22.45 and 29.28 while a miss made its
+// probes, their closures, their rows, keys and values and its first-hit
+// state as objects of their own, and a transaction's lists grew into arrays
+// of their own. They were 5.04,
 // 23.46, 15.65 and 33.26 while a transaction's coordinator state and its
 // record were two objects, its first pending array and first requests
 // objects of their own, its anchor key a copy of its own, and a leaseholder
@@ -118,9 +123,9 @@ func TestPointSelectAllocs(t *testing.T) {
 		got, want float64
 	}{
 		{"a local point SELECT", local, 3.03},
-		{"a remote point SELECT", remote, 5.80},
-		{"a local point UPDATE", localUpd, 10.71},
-		{"a remote point UPDATE", remoteUpd, 12.43},
+		{"a remote point SELECT", remote, 4.79},
+		{"a local point UPDATE", localUpd, 9.72},
+		{"a remote point UPDATE", remoteUpd, 10.44},
 	} {
 		if math.Abs(c.got-c.want) > 0.1 {
 			t.Errorf("%s allocates %.2f objects, want %.2f ± 0.1", c.what, c.got, c.want)

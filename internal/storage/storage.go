@@ -154,6 +154,9 @@ type WAL struct {
 	// gen is bumped when the log is rewritten (Reset); it invalidates
 	// in-flight syncs against the old contents.
 	gen uint64
+	// syncs holds the fsyncs in flight, a *syncQueue[T] for the argument
+	// type T of their callbacks (see SyncWith).
+	syncs any
 }
 
 // Append frames and appends one record to the volatile tail. It does not
@@ -183,26 +186,82 @@ func runIfSet(f func()) {
 }
 
 // SyncWith is Sync for a callback that takes an argument: done(arg) runs
-// once the fsync completes, under the same rules. The argument rides in the
-// fsync's one scheduled event, so a caller whose done is a plain function
-// allocates nothing of its own per sync. Syncs complete in the order their
-// delays expire, which is not the order they started in if FsyncDelay
-// changes between them; each still makes durable everything appended
-// before it started.
+// once the fsync completes, under the same rules. The sync waits in a queue
+// the log owns, and its one scheduled event runs a method bound once per
+// queue, so a caller whose done is a plain function allocates nothing of its
+// own per sync. Syncs complete in the order their delays expire, which is
+// not the order they started in if FsyncDelay changes between them; each
+// still makes durable everything appended before it started.
 func SyncWith[T any](w *WAL, done func(T), arg T) {
-	target := len(w.data)
-	inc := w.disk.incarnation
-	gen := w.gen
-	w.disk.sim.After(w.disk.FsyncDelay, func() {
-		if w.disk.incarnation != inc || w.gen != gen {
-			return
-		}
-		if target > w.durableLen {
-			w.durableLen = target
-		}
-		w.disk.metrics.Counter("storage.wal.fsyncs").Inc()
-		done(arg)
+	q, ok := w.syncs.(*syncQueue[T])
+	if !ok {
+		// A log syncs with one callback type. A sync with another starts a
+		// queue of its own, and the old one still completes its syncs:
+		// each event completes a sync of the queue that scheduled it.
+		q = &syncQueue[T]{w: w}
+		q.fire = q.complete
+		w.syncs = q
+	}
+	delay := max(w.disk.FsyncDelay, 0)
+	q.push(pendingSync[T]{
+		due: w.disk.sim.Now().Add(delay), target: len(w.data),
+		inc: w.disk.incarnation, gen: w.gen, done: done, arg: arg,
 	})
+	w.disk.sim.After(delay, q.fire)
+}
+
+// pendingSync is one fsync in flight: the log length it makes durable when
+// it is due, the incarnation and generation it started in, and the callback
+// it runs then.
+type pendingSync[T any] struct {
+	due      sim.Time
+	target   int
+	inc, gen uint64
+	done     func(T)
+	arg      T
+}
+
+// syncQueue holds a log's fsyncs in flight in the order they are due, those
+// due at one instant in the order they started. That is the order their
+// events run in, so the event of each runs complete, which completes the
+// first.
+type syncQueue[T any] struct {
+	w       *WAL
+	pending []pendingSync[T] // from head
+	head    int
+	fire    func() // q.complete, bound once
+}
+
+// push queues s behind every sync due no later than it.
+func (q *syncQueue[T]) push(s pendingSync[T]) {
+	if q.head > 0 && len(q.pending) == cap(q.pending) {
+		n := copy(q.pending, q.pending[q.head:])
+		clear(q.pending[n:])
+		q.pending, q.head = q.pending[:n], 0
+	}
+	q.pending = append(q.pending, s)
+	for i := len(q.pending) - 1; i > q.head && q.pending[i-1].due > s.due; i-- {
+		q.pending[i-1], q.pending[i] = q.pending[i], q.pending[i-1]
+	}
+}
+
+// complete takes the first sync off the queue and completes it, unless a
+// crash or a rewrite of the log since it started dropped it.
+func (q *syncQueue[T]) complete() {
+	s := q.pending[q.head]
+	q.pending[q.head] = pendingSync[T]{}
+	if q.head++; q.head == len(q.pending) {
+		q.pending, q.head = q.pending[:0], 0
+	}
+	w := q.w
+	if w.disk.incarnation != s.inc || w.gen != s.gen {
+		return
+	}
+	if s.target > w.durableLen {
+		w.durableLen = s.target
+	}
+	w.disk.metrics.Counter("storage.wal.fsyncs").Inc()
+	s.done(s.arg)
 }
 
 // ResetDurable atomically replaces the log's contents with the given

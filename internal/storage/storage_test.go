@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 
 	"mrdb/internal/obs"
@@ -236,5 +237,68 @@ func TestFIFOSyncOrdering(t *testing.T) {
 	// When callback 2 fired, both records were durable (FIFO guarantee).
 	if w.DurableSize() != w.Size() {
 		t.Fatalf("durable %d != size %d after both syncs", w.DurableSize(), w.Size())
+	}
+}
+
+// TestSyncsCompleteWhenDue: when the disk gets faster between two syncs, the
+// later one completes first, at its own due time, and each callback gets its
+// own argument; the earlier one still completes, at its due time, and makes
+// durable no less than the later one did.
+func TestSyncsCompleteWhenDue(t *testing.T) {
+	s, d := newTestDisk(t)
+	w := d.WAL("w")
+	type done struct {
+		arg     string
+		at      sim.Time
+		durable int
+	}
+	var got []done
+	record := func(arg string) { got = append(got, done{arg, s.Now(), w.DurableSize()}) }
+	d.FsyncDelay = 10 * sim.Millisecond
+	w.Append([]byte("slow"))
+	SyncWith(w, record, "slow")
+	d.FsyncDelay = sim.Millisecond
+	w.Append([]byte("fast"))
+	SyncWith(w, record, "fast")
+	fast := w.Size()
+	w.Append([]byte("also fast"))
+	SyncWith(w, record, "also fast")
+	s.Run()
+	want := []done{
+		{"fast", sim.Time(sim.Millisecond), fast},
+		{"also fast", sim.Time(sim.Millisecond), w.Size()},
+		{"slow", sim.Time(10 * sim.Millisecond), w.Size()},
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("syncs completed as %+v, want %+v", got, want)
+	}
+}
+
+// TestInvalidatedSyncsStayDropped: syncs that a crash, or a rewrite of the
+// log, invalidates never complete, while a sync started after it, queued
+// behind them, completes when it is due.
+func TestInvalidatedSyncsStayDropped(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		invalidate func(d *Disk, w *WAL)
+	}{
+		{"crash", func(d *Disk, w *WAL) { d.Crash() }},
+		{"reset", func(d *Disk, w *WAL) { w.ResetDurable(nil) }},
+	} {
+		s, d := newTestDisk(t)
+		w := d.WAL("w")
+		var fired []string
+		record := func(arg string) { fired = append(fired, arg) }
+		w.Append([]byte("lost-1"))
+		SyncWith(w, record, "lost-1")
+		w.Append([]byte("lost-2"))
+		SyncWith(w, record, "lost-2")
+		c.invalidate(d, w)
+		w.Append([]byte("kept"))
+		SyncWith(w, record, "kept")
+		s.Run()
+		if !slices.Equal(fired, []string{"kept"}) || w.DurableSize() != w.Size() {
+			t.Errorf("%s: syncs completed %v with %d of %d bytes durable, want [kept] and all of them", c.name, fired, w.DurableSize(), w.Size())
+		}
 	}
 }

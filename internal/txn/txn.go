@@ -49,11 +49,30 @@ type Coordinator struct {
 	readLists    slab.Of[readSpan]
 	writeLists   slab.Of[write]
 	pendingLists slab.Of[bufferedPut]
+	// A commit's proofs and resolutions, requests that point at no
+	// transaction, and the lists that carry them, each written once. A carve
+	// pins key bytes, never a transaction, and its chunks are short ones
+	// (slab.Short): a chunk keeps alive the keys of every request in it.
+	// What a transaction sends rarely — a refresh, a one-phase commit's read
+	// spans past the first — is an array of its own instead: a chunk that
+	// fills slowly would keep dead requests' keys, and the session chunks
+	// they were carved from, alive for most of the run.
+	proofReqs   slab.Short[kv.QueryIntentRequest]
+	resolveReqs slab.Short[kv.ResolveIntentRequest]
+	reqLists    slab.Short[interface{}]
+	// provers and resolvers start the prove and resolve procs of its
+	// transactions, each proc on the transaction or the resolution its start
+	// queued.
+	provers   sim.Runner[*Txn]
+	resolvers sim.Runner[resolution]
 }
 
 // NewCoordinator returns a coordinator bound to a gateway store.
 func NewCoordinator(store *kv.Store, sender *kv.DistSender) *Coordinator {
-	return &Coordinator{Store: store, Sender: sender, backoff: store.Sim.Stream("txn/backoff")}
+	c := &Coordinator{Store: store, Sender: sender, backoff: store.Sim.Stream("txn/backoff")}
+	c.provers.Bind(proveBody)
+	c.resolvers.Bind(resolveBody)
+	return c
 }
 
 // tracer returns the gateway store's tracer (nil-safe).
@@ -74,8 +93,9 @@ func (c *Coordinator) tracer() *obs.Tracer {
 // caller must not change a key's bytes after the call.
 //
 // A transaction is one heap object in the common case: its record, its
-// first pending write, its first read and its first point read and write
-// requests are fields of its own.
+// first pending write, its first read, its first point read and write
+// requests and its commit's EndTxn request, prove state and one-phase read
+// span are fields of its own.
 type Txn struct {
 	co *Coordinator
 	// kv points at rec, the record every request of the transaction
@@ -127,12 +147,23 @@ type Txn struct {
 	// chunks — and the chunks die with the transaction and its last
 	// envelope. A Raft log, which keeps a write's command until compaction,
 	// therefore copies the meta it needs (kv's Replica.command).
-	gets     slab.Of[kv.GetRequest]
-	puts     slab.Of[kv.PutRequest]
-	proofReq slab.Of[kv.QueryIntentRequest]
-	resolves slab.Of[kv.ResolveIntentRequest]
-	getBuf   [1]kv.GetRequest
-	putBuf   [1]kv.PutRequest
+	gets   slab.Of[kv.GetRequest]
+	puts   slab.Of[kv.PutRequest]
+	getBuf [1]kv.GetRequest
+	putBuf [1]kv.PutRequest
+
+	// end is the one EndTxn request the transaction sends, from Commit or
+	// from Abort, whichever finishes it.
+	end kv.EndTxnRequest
+	// The commit's prove proc: the proofs it sends, the span it joins, its
+	// error and its end.
+	proveReqs []interface{}
+	proveSpan *obs.Span
+	proveErr  error
+	proveDone sim.Future[struct{}]
+	// spanBuf holds a one-phase commit's read span when it read one key, as
+	// an UPDATE does; more spans take an array of their own.
+	spanBuf [1][2]mvcc.Key
 }
 
 // grow returns s with room for n more elements, so that a batch's keys
@@ -155,9 +186,14 @@ func grow[T any](c *slab.Of[T], s []T, n int) []T {
 // list points at, and writes the responses before it returns.
 const batchScratch = 16
 
+// commitScratch is the size of the response list the prove and resolve
+// procs answer in on their stacks: one response per written key, which
+// covers TPC-C's New-Order (up to 33 keys).
+const commitScratch = 64
+
 // scratchList returns n slots for a batch's requests or responses: buf's
 // when they fit.
-func scratchList[T any](buf *[batchScratch]T, n int) []T {
+func scratchList[T any](buf []T, n int) []T {
 	if n <= len(buf) {
 		return buf[:n]
 	}
@@ -339,7 +375,7 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		canBump := probe == nil && len(t.reads) == 0 && len(send) == 1
 		var buf [batchScratch]interface{}
 		var respBuf [batchScratch]kv.Response
-		reqs := scratchList(&buf, len(riders)+len(send))
+		reqs := scratchList(buf[:], len(riders)+len(send))
 		t.putRequests(reqs, riders)
 		getReqs := t.gets.Take(len(send))
 		for j, key := range send {
@@ -354,7 +390,7 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 			}
 			reqs[len(riders)+j] = &getReqs[j]
 		}
-		resps := scratchList(&respBuf, len(reqs))
+		resps := scratchList(respBuf[:], len(reqs))
 		t.co.Sender.SendBatchInto(p, reqs, resps)
 		if err := t.landed(p, riders, resps, 0); err != nil {
 			return err
@@ -511,15 +547,16 @@ func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 	defer done()
 	sp.SetTagInt("spans", int64(len(t.reads)))
 	failed := false
+	reqs := make([]kv.RefreshRequest, len(t.reads)) // one array, not one request per span
 	p.Fanout("txn/refresh", len(t.reads), func(wp *sim.Proc, i int) {
 		span := t.reads[i]
-		req := &kv.RefreshRequest{
+		reqs[i] = kv.RefreshRequest{
 			Key: span.key, EndKey: span.end,
 			FromTS: t.kv.ReadTimestamp, ToTS: newTS,
 			TxnID:        t.kv.Meta.ID,
 			FollowerRead: t.followerOK(span.key),
 		}
-		resp := t.co.Sender.Send(wp, req)
+		resp := t.co.Sender.Send(wp, &reqs[i])
 		if resp.Err != nil || !resp.Refresh.Success {
 			failed = true
 		}
@@ -652,7 +689,7 @@ func (t *Txn) sendWrites(p *sim.Proc, own int) error {
 	t.pending = nil
 	var buf [batchScratch]interface{}
 	var respBuf [batchScratch]kv.Response
-	reqs, resps := scratchList(&buf, len(sent)), scratchList(&respBuf, len(sent))
+	reqs, resps := scratchList(buf[:], len(sent)), scratchList(respBuf[:], len(sent))
 	t.putRequests(reqs, sent)
 	t.co.Sender.SendBatchInto(p, reqs, resps)
 	err := t.landed(p, sent, resps, own)
@@ -860,24 +897,18 @@ func (t *Txn) Commit(p *sim.Proc) error {
 	// single-statement write at two WAN round trips instead of three. A
 	// write that replicated before its reply needs no proof; when no write
 	// is left to prove, the STAGING write is the whole phase.
-	var proveErr error
-	var proveDone *sim.Future[struct{}]
-	if proofs := t.proofs(); len(proofs) > 0 {
-		proveDone = sim.NewFuture[struct{}](t.co.Store.Sim)
-		parent := obs.ProcSpan(p)
-		t.co.Store.Sim.Spawn("txn/prove", func(wp *sim.Proc) {
-			obs.SetProcSpan(wp, parent)
-			proveErr = t.proveWrites(wp, proofs)
-			proveDone.Set(struct{}{})
-		})
+	if t.proveReqs = t.proofs(); len(t.proveReqs) > 0 {
+		t.proveSpan = obs.ProcSpan(p)
+		t.co.provers.Go(t.co.Store.Sim, "txn/prove", t)
 	}
 
 	// The staging phase: the STAGING commit record write overlapped with
 	// the QueryIntent proofs.
 	_, stageDone := t.co.tracer().StartIn(p, "txn.stage")
-	resp := t.co.Sender.Send(p, &kv.EndTxnRequest{Txn: t.kv, Commit: true, CommitTS: commitTS})
-	if proveDone != nil {
-		proveDone.Wait(p)
+	t.end = kv.EndTxnRequest{Txn: t.kv, Commit: true, CommitTS: commitTS}
+	resp := t.co.Sender.Send(p, &t.end)
+	if len(t.proveReqs) > 0 {
+		t.proveDone.Wait(p)
 	}
 	stageDone()
 	if resp.Err != nil {
@@ -905,13 +936,13 @@ func (t *Txn) Commit(p *sim.Proc) error {
 		}
 		return resp.Err
 	}
-	if proveErr != nil {
+	if t.proveErr != nil {
 		// A pipelined write was lost: roll the staged record back
 		// and retry the transaction.
 		t.co.Restarts++
 		t.co.Store.Registry.AbortStaged(t.kv.Meta.ID)
 		t.asyncResolve(p, mvcc.Aborted, hlc.Timestamp{})
-		return proveErr
+		return t.proveErr
 	}
 	if err := t.co.Store.Registry.FinalizeStaged(t.kv.Meta.ID); err != nil {
 		return err
@@ -933,7 +964,8 @@ func (t *Txn) Commit(p *sim.Proc) error {
 
 // proofs returns a QueryIntent request for every write not proven yet: every
 // pipelined one. The decision was recorded when each write was sent, and is
-// not taken again here: the lease may have moved since.
+// not taken again here: the lease may have moved since. The requests and
+// their list are carved from the coordinator's chunks.
 func (t *Txn) proofs() []interface{} {
 	n := 0
 	for _, w := range t.writes {
@@ -944,7 +976,7 @@ func (t *Txn) proofs() []interface{} {
 	if n == 0 {
 		return nil
 	}
-	reqs, qs := make([]interface{}, 0, n), t.proofReq.Take(n)
+	reqs, qs := t.co.reqLists.Take(n)[:0], t.co.proofReqs.Take(n)
 	for _, w := range t.writes {
 		if w.proven {
 			continue
@@ -956,6 +988,15 @@ func (t *Txn) proofs() []interface{} {
 	return reqs
 }
 
+// proveBody is the body of every prove proc: it proves the writes of the
+// transaction its start queued, then ends the proc's part of the staging
+// phase.
+func proveBody(wp *sim.Proc, t *Txn) {
+	obs.SetProcSpan(wp, t.proveSpan)
+	t.proveErr = t.proveWrites(wp, t.proveReqs)
+	t.proveDone.Set(struct{}{})
+}
+
 // proveWrites sends the proofs in parallel and fails if any intent is
 // missing.
 func (t *Txn) proveWrites(p *sim.Proc, reqs []interface{}) error {
@@ -963,8 +1004,8 @@ func (t *Txn) proveWrites(p *sim.Proc, reqs []interface{}) error {
 	defer done()
 	sp.SetTagInt("writes", int64(len(reqs)))
 	missing := false
-	var respBuf [batchScratch]kv.Response
-	resps := scratchList(&respBuf, len(reqs))
+	var respBuf [commitScratch]kv.Response
+	resps := scratchList(respBuf[:], len(reqs))
 	t.co.Sender.SendBatchInto(p, reqs, resps)
 	for i := range resps {
 		if resps[i].Err != nil {
@@ -986,8 +1027,14 @@ func (t *Txn) proveWrites(p *sim.Proc, reqs []interface{}) error {
 func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 	b := t.pending[0]
 	var spans [][2]mvcc.Key
-	for _, rs := range t.reads {
-		spans = append(spans, [2]mvcc.Key{rs.key, rs.end})
+	switch n := len(t.reads); {
+	case n == 1:
+		spans = t.spanBuf[:]
+	case n > 1:
+		spans = make([][2]mvcc.Key, n)
+	}
+	for i, rs := range t.reads {
+		spans[i] = [2]mvcc.Key{rs.key, rs.end}
 	}
 	req := t.puts.New()
 	*req = kv.PutRequest{
@@ -1037,28 +1084,40 @@ func (t *Txn) commitWait(p *sim.Proc, ts hlc.Timestamp) {
 // asyncResolve spawns intent resolution for every written key as one batch
 // (one RPC per touched range). The resolution joins the transaction's trace
 // (under a "txn.resolve" span) but runs concurrently with — never on — the
-// caller's latency path.
+// caller's latency path. The requests and their list are carved from the
+// coordinator's chunks.
 func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Timestamp) {
 	if len(t.writes) == 0 {
 		return
 	}
-	s := t.co.Store.Sim
 	id := t.kv.Meta.ID
-	parent := obs.ProcSpan(p)
-	reqs, rs := make([]interface{}, len(t.writes)), t.resolves.Take(len(t.writes))
+	reqs, rs := t.co.reqLists.Take(len(t.writes)), t.co.resolveReqs.Take(len(t.writes))
 	for i, w := range t.writes {
 		rs[i] = kv.ResolveIntentRequest{
 			Key: w.key, TxnID: id, Status: status, CommitTS: commitTS,
 		}
 		reqs[i] = &rs[i]
 	}
-	s.Spawn("txn/resolve", func(rp *sim.Proc) {
-		sp := t.co.tracer().StartChild("txn.resolve", parent)
-		obs.SetProcSpan(rp, sp)
-		var respBuf [batchScratch]kv.Response
-		t.co.Sender.SendBatchInto(rp, reqs, scratchList(&respBuf, len(reqs)))
-		sp.Finish()
-	})
+	t.co.resolvers.Go(t.co.Store.Sim, "txn/resolve", resolution{co: t.co, reqs: reqs, parent: obs.ProcSpan(p)})
+}
+
+// resolution is what a resolve proc sends: one transaction's resolutions,
+// through its coordinator, under the span they join.
+type resolution struct {
+	co     *Coordinator
+	reqs   []interface{}
+	parent *obs.Span
+}
+
+// resolveBody is the body of every resolve proc: it sends the resolution
+// its start queued.
+func resolveBody(rp *sim.Proc, r resolution) {
+	c := r.co
+	sp := c.tracer().StartChild("txn.resolve", r.parent)
+	obs.SetProcSpan(rp, sp)
+	var respBuf [commitScratch]kv.Response
+	c.Sender.SendBatchInto(rp, r.reqs, scratchList(respBuf[:], len(r.reqs)))
+	sp.Finish()
 }
 
 // Abort rolls the transaction back, resolving its intents as aborted.
@@ -1070,7 +1129,8 @@ func (t *Txn) Abort(p *sim.Proc) {
 	t.pending = nil
 	t.co.Store.Registry.Abort(t.kv.Meta.ID)
 	if len(t.writes) > 0 {
-		t.co.Sender.Send(p, &kv.EndTxnRequest{Txn: t.kv, Commit: false})
+		t.end = kv.EndTxnRequest{Txn: t.kv, Commit: false}
+		t.co.Sender.Send(p, &t.end)
 		t.asyncResolve(p, mvcc.Aborted, hlc.Timestamp{})
 	}
 	t.co.Aborted++
