@@ -40,8 +40,9 @@ type keyEntry struct {
 	// update re-stores the entry under it, where converting the caller's
 	// []byte again would allocate.
 	key string
-	// waiters are queued on the latch, woken first in, first out.
-	waiters []*sim.Cond
+	// waiters are the processes queued on the latch, woken first in, first
+	// out; queueing one allocates nothing.
+	waiters sim.Line
 	// read is the newest read served on the key; reader read it (0 when
 	// unknown or when several read at read: no self-exemption then).
 	read   hlc.Timestamp
@@ -68,26 +69,20 @@ func (t *keyTable) entry(key mvcc.Key) keyEntry {
 
 // wait queues p on key's held latch until the next wake.
 func (t *keyTable) wait(p *sim.Proc, key mvcc.Key) {
-	c := sim.NewCond(p.Sim())
 	e := t.entries[string(key)]
-	e.waiters = append(e.waiters, c)
+	e.waiters.Join(p)
 	t.entries[e.key] = e
-	c.Wait(p)
+	p.Await()
 }
 
 // wakeNext wakes the first waiter queued on key's latch, if any.
 func (t *keyTable) wakeNext(key mvcc.Key) {
 	e := t.entries[string(key)]
-	if len(e.waiters) == 0 {
+	if e.waiters.Empty() {
 		return
 	}
-	next := e.waiters[0]
-	e.waiters = e.waiters[1:]
-	if len(e.waiters) == 0 {
-		e.waiters = nil
-	}
+	e.waiters.WakeFirst()
 	t.entries[e.key] = e
-	next.Broadcast()
 }
 
 // Every latch operation reaches its entry through the replica that owns the
@@ -200,7 +195,7 @@ func (t *keyTable) maxRead(key mvcc.Key, writer mvcc.TxnID) (hlc.Timestamp, bool
 func (t *keyTable) sweep(ts hlc.Timestamp, reg *TxnRegistry) {
 	t.raiseFloor(ts)
 	for k, e := range t.entries {
-		if e.latched || len(e.waiters) > 0 || t.floor.Less(e.read) {
+		if e.latched || !e.waiters.Empty() || t.floor.Less(e.read) {
 			continue
 		}
 		if e.holder != 0 {

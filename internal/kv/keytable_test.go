@@ -126,15 +126,17 @@ func TestStoreLoopDropsDeadEntries(t *testing.T) {
 		rep.latch(p, queuedKey)
 		readers := sim.NewWaitGroup(h.s)
 		readers.Add(2)
+		passed := 0
 		for i := 0; i < 2; i++ {
 			h.s.Spawn("reader", func(rp *sim.Proc) {
 				defer readers.Done()
 				rep.waitUnlatched(rp, queuedKey)
+				passed++
 			})
 		}
 		p.Yield()
-		if n := len(rep.keys.entries[string(queuedKey)].waiters); n != 2 {
-			t.Fatalf("setup: %d readers queued on %s, want 2", n, queuedKey)
+		if passed != 0 || rep.keys.entries[string(queuedKey)].waiters.Empty() {
+			t.Fatalf("setup: %d of 2 readers passed %s's latch, want both queued on it", passed, queuedKey)
 		}
 		if len(rep.keys.entries) != committed+5 {
 			t.Fatalf("setup: the key table holds %d entries, want %d", len(rep.keys.entries), committed+5)

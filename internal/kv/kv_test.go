@@ -1,6 +1,8 @@
 package kv
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -151,6 +153,55 @@ func latchReplica() *Replica {
 	return &Replica{desc: &RangeDescriptor{}, keys: newKeyTable()}
 }
 
+// TestLatchWaitAllocatesNothing: a latch wait queues the waiting proc itself
+// in the key's entry, so queueing and being woken allocate nothing, and the
+// waiters pass the latch in the order they queued, each one event after the
+// release before it.
+func TestLatchWaitAllocatesNothing(t *testing.T) {
+	s := sim.New(1)
+	m := latchReplica()
+	k := mvcc.Key("k")
+	const warm, rounds, waiters = 10, 100, 3
+	const round = 10 * sim.Millisecond
+	const all = warm + rounds + 1 // the last round ends the procs, unmeasured
+	order := make([]int, 0, all*waiters)
+	s.Spawn("holder", func(p *sim.Proc) {
+		for r := 0; r < all; r++ {
+			p.SleepUntil(sim.Time(r) * sim.Time(round))
+			m.latch(p, k)
+			p.Sleep(sim.Millisecond)
+			m.unlatch(k)
+		}
+	})
+	for i := 0; i < waiters; i++ {
+		s.Spawn("waiter", func(p *sim.Proc) {
+			for r := 0; r < all; r++ {
+				p.SleepUntil(sim.Time(r)*sim.Time(round) + sim.Time(i+1)*sim.Time(100*sim.Microsecond))
+				m.latch(p, k)
+				order = append(order, i)
+				m.unlatch(k)
+			}
+		})
+	}
+	s.RunUntil(sim.Time(warm) * sim.Time(round))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.RunUntil(sim.Time(warm+rounds) * sim.Time(round))
+	runtime.ReadMemStats(&after)
+	s.Run()
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("%d rounds of %d latch waits made %d objects, want 0", rounds, waiters, got)
+	}
+	for r := 0; r < all; r++ {
+		if got := order[r*waiters : (r+1)*waiters]; !slices.Equal(got, []int{0, 1, 2}) {
+			t.Fatalf("round %d: waiters passed in order %v, want [0 1 2]", r, got)
+		}
+	}
+	if m.keys.latched != 0 || !m.keys.entries[string(k)].waiters.Empty() {
+		t.Fatal("latches leaked")
+	}
+}
+
 func TestLatchManagerExclusion(t *testing.T) {
 	s := sim.New(1)
 	m := latchReplica()
@@ -173,7 +224,7 @@ func TestLatchManagerExclusion(t *testing.T) {
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
-	if m.keys.latched != 0 || len(m.keys.entries[string(k)].waiters) != 0 {
+	if m.keys.latched != 0 || !m.keys.entries[string(k)].waiters.Empty() {
 		t.Fatal("latches leaked")
 	}
 }

@@ -137,8 +137,11 @@ func (r *Replica) evaluate(p *sim.Proc, req interface{}) Response {
 	if r.subsumed {
 		return Response{Err: &RangeKeyMismatchError{RequestedKey: r.desc.StartKey}}
 	}
-	q, ok := req.(evaluator)
-	if !ok {
+	if n, ok := req.(*NegotiateRequest); ok {
+		return n.eval(r, p)
+	}
+	q, err := asRequest(req) // not req.(evaluator): see asRequest
+	if err != nil {
 		return Response{Err: fmt.Errorf("kv: cannot evaluate %T", req)}
 	}
 	return q.eval(r, p)

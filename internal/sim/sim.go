@@ -380,6 +380,11 @@ type Proc struct {
 	// deadline, maintained by fourAryHeap; -1 while it has none queued.
 	deadline int
 
+	// queued is set while the process waits in a Line, and behind is the
+	// process queued after it there.
+	queued bool
+	behind *Proc
+
 	// obsctx is an opaque slot for the observability layer (the process's
 	// current trace span). sim knows nothing about its type; it exists here
 	// so spans can follow a process across blocking calls without sim
@@ -853,6 +858,55 @@ func (r *Runner[T]) next(p *Proc) {
 		r.queue, r.head = r.queue[:0], 0
 	}
 	r.fn(p, v)
+}
+
+// Line is a first-in, first-out queue of parked processes, linked through
+// the processes themselves, so queueing one allocates nothing. The zero
+// Line is empty. It is a value its owner keeps where it likes (a field of a
+// map entry, say) and stores back after Join and WakeFirst, so a copy is
+// stale once either ran on another.
+type Line struct{ first, last *Proc }
+
+// Empty reports whether no process waits in l.
+func (l Line) Empty() bool { return l.first == nil }
+
+// Join queues p at the back of l. p must park with Await in the same turn,
+// once its owner has stored l back.
+func (l *Line) Join(p *Proc) {
+	if p.queued {
+		panic(fmt.Sprintf("sim: proc %q joined a second line", p.name))
+	}
+	p.queued = true
+	if l.last == nil {
+		l.first = p
+	} else {
+		l.last.behind = p
+	}
+	l.last = p
+}
+
+// WakeFirst takes l's first process off it and wakes it at the current
+// instant, one event, as a Cond's Broadcast wakes its one waiter; an empty
+// line wakes no one.
+func (l *Line) WakeFirst() {
+	p := l.first
+	if p == nil {
+		return
+	}
+	l.first, p.behind, p.queued = p.behind, nil, false
+	if l.first == nil {
+		l.last = nil
+	}
+	p.sim.wakeAt(p.sim.now, p)
+}
+
+// Await parks p, which Join queued in a line, until that line's WakeFirst
+// reaches it. A process in no line panics: nothing would wake it.
+func (p *Proc) Await() {
+	if !p.queued {
+		panic(fmt.Sprintf("sim: proc %q awaits in no line", p.name))
+	}
+	p.park()
 }
 
 // Cond is a waiting-room: processes park on it and are woken explicitly.

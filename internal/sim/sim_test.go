@@ -511,6 +511,59 @@ func TestCondBroadcast(t *testing.T) {
 	}
 }
 
+// TestLineWakesFirstInFirstOut: processes queued in a Line wake one per
+// WakeFirst, in the order they joined, each at the instant of its wake and
+// with one event; a copy of the line is a value its owner stores back; an
+// empty line wakes no one, and a process may not await in no line.
+func TestLineWakesFirstInFirstOut(t *testing.T) {
+	s := New(1)
+	var line Line
+	var order []int
+	var at []Time
+	for i := 0; i < 3; i++ {
+		s.SpawnAt(Time(i+1), "w", func(p *Proc) {
+			l := line
+			l.Join(p)
+			line = l
+			p.Await()
+			order = append(order, i)
+			at = append(at, p.Now())
+		})
+	}
+	s.SpawnAt(Time(Millisecond), "waker", func(p *Proc) {
+		if line.Empty() {
+			t.Error("three processes joined, the line is empty")
+		}
+		for i := 0; i < 4; i++ {
+			events := s.Events()
+			line.WakeFirst()
+			p.Sleep(Millisecond)
+			if got := s.Events() - events; i < 3 && got != 2 {
+				t.Errorf("wake %d and a sleep took %d events, want 2", i, got)
+			}
+		}
+		if !line.Empty() {
+			t.Error("the line is not empty after every process woke")
+		}
+	})
+	s.Run()
+	if !slices.Equal(order, []int{0, 1, 2}) {
+		t.Fatalf("woke in order %v, want [0 1 2]", order)
+	}
+	for i, w := range at {
+		if want := Time((i + 1) * int(Millisecond)); w != want {
+			t.Errorf("process %d woke at %v, want %v", i, w, want)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("a process awaited in no line")
+		}
+	}()
+	s.Spawn("stray", func(p *Proc) { p.Await() })
+	s.Run()
+}
+
 // TestCondWaitTimeout: a Broadcast ends a timed wait at its instant and takes
 // the deadline out of the queue; a wait nobody broadcasts to ends at its
 // deadline and leaves the waiter list, so a later Broadcast wakes nobody. Each

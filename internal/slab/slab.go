@@ -101,3 +101,25 @@ func String(s *Of[byte], b []byte) string {
 	}
 	return unsafe.String(unsafe.SliceData(Copy(s, b)), len(b))
 }
+
+// eface is the layout of an interface value with no methods: its type word
+// and its value word, which points at the value.
+type eface struct {
+	typ, data unsafe.Pointer
+}
+
+// Box returns v as an interface value whose value word points at a slot
+// carved from s, making no heap object of its own (converting v to any
+// makes one per call but for a few small values). The slot is written
+// once, here, and s hands it to no one else and never refills it, so the
+// value reads as v for as long as the interface lives, as a converted one
+// does; the interface keeps its chunk alive. The type word comes from
+// boxing T's zero value, which the runtime points at a shared zero.
+func Box[T string | int64 | float64](s *Of[T], v T) any {
+	slot := s.New()
+	*slot = v
+	var zero T
+	out := any(zero)
+	(*eface)(unsafe.Pointer(&out)).data = unsafe.Pointer(slot)
+	return out
+}

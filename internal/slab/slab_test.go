@@ -2,6 +2,9 @@ package slab
 
 import (
 	"fmt"
+	"math"
+	"reflect"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -133,6 +136,95 @@ func TestShortChunksStayShort(t *testing.T) {
 	for i, out := range taken {
 		if out[0] != i+1 {
 			t.Fatalf("result %d reads %d: a struct was handed out twice", i, out[0])
+		}
+	}
+}
+
+// boxActsLikeAny checks that a value boxed from s reads like any(v): equal
+// to it, asserted and switched on as T, the same map key, printed the same
+// and of the same dynamic type.
+func boxActsLikeAny[T string | int64 | float64](t *testing.T, s *Of[T], v T) any {
+	t.Helper()
+	b, want := Box(s, v), any(v)
+	if b != want {
+		t.Errorf("Box(%v) != any(%v)", v, v)
+	}
+	if got, ok := b.(T); !ok || got != v {
+		t.Errorf("Box(%v).(%T) = %v, %v", v, v, got, ok)
+	}
+	switch x := b.(type) {
+	case T:
+		if x != v {
+			t.Errorf("a type switch on Box(%v) reads %v", v, x)
+		}
+	default:
+		t.Errorf("a type switch on Box(%v) took the default case", v)
+	}
+	if m := map[any]int{want: 1}; m[b] != 1 {
+		t.Errorf("Box(%v) misses the map entry any(%v) keys", v, v)
+	}
+	if got, exp := fmt.Sprintf("%v %T %#v", b, b, b), fmt.Sprintf("%v %T %#v", want, want, want); got != exp {
+		t.Errorf("Box(%v) prints %q, want %q", v, got, exp)
+	}
+	if reflect.TypeOf(b) != reflect.TypeOf(want) {
+		t.Errorf("reflect.TypeOf(Box(%v)) = %v, want %v", v, reflect.TypeOf(b), reflect.TypeOf(want))
+	}
+	return b
+}
+
+// TestBoxActsLikeAny: a string, an int64 and a float64 boxed into carved
+// slots read like the same values converted to any, and keep reading so
+// after their Ofs are dropped and collected; a box costs no object of its
+// own once its chunk is there.
+func TestBoxActsLikeAny(t *testing.T) {
+	var strs Of[string]
+	var bytes Of[byte]
+	var ints Of[int64]
+	var floats Of[float64]
+	var kept []any
+	for i := 0; i < 1000; i++ {
+		str := String(&bytes, fmt.Appendf(nil, "value-%d", i))
+		kept = append(kept,
+			boxActsLikeAny(t, &strs, str),
+			boxActsLikeAny(t, &ints, int64(i)*1000-7),
+			boxActsLikeAny(t, &floats, float64(i)+0.25))
+	}
+	boxActsLikeAny(t, &strs, "")
+	boxActsLikeAny(t, &ints, 0)
+	boxActsLikeAny(t, &floats, math.Inf(-1))
+	strs, bytes, ints, floats = Of[string]{}, Of[byte]{}, Of[int64]{}, Of[float64]{}
+	runtime.GC()
+	runtime.GC()
+	for i := 0; i < 1000; i++ {
+		if want := []any{fmt.Sprintf("value-%d", i), int64(i)*1000 - 7, float64(i) + 0.25}; kept[3*i] != want[0] || kept[3*i+1] != want[1] || kept[3*i+2] != want[2] {
+			t.Fatalf("after a GC the boxes of row %d read %v, want %v", i, kept[3*i:3*i+3], want)
+		}
+	}
+
+	// In steady state a box costs its slot and nothing else: the only
+	// objects are the chunks, one per perChunk boxes.
+	const n = 1 << 14
+	boxes := make([]any, n)
+	for _, c := range []struct {
+		what     string
+		perChunk int
+		box      func(i int)
+	}{
+		{"a string", perChunk[string](), func(i int) { boxes[i] = Box(&strs, "v") }},
+		{"an int64", perChunk[int64](), func(i int) { boxes[i] = Box(&ints, int64(i)<<20) }},
+		{"a float64", perChunk[float64](), func(i int) { boxes[i] = Box(&floats, float64(i)/3) }},
+	} {
+		for i := range boxes { // chunks at their full size
+			c.box(i)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := range boxes {
+			c.box(i)
+		}
+		runtime.ReadMemStats(&after)
+		if got, most := after.Mallocs-before.Mallocs, uint64(n/c.perChunk+1); got > most {
+			t.Errorf("boxing %s %d times made %d objects, want at most %d (its chunks)", c.what, n, got, most)
 		}
 	}
 }

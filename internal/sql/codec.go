@@ -20,6 +20,28 @@ import (
 // column types (see catalog.go) give them SQL-level meaning.
 type Datum interface{}
 
+// DatumCarve boxes the Datums a decode or an evaluation makes into chunks
+// of its own, each value written once (slab.Box): a string's bytes and its
+// header, an int64, a float64. A value costs no heap object of its own; a
+// chunk lives while any value boxed in it does. A Session owns one
+// (Session.datums); a caller without a session passes a zero DatumCarve of
+// its own.
+type DatumCarve struct {
+	bytes  slab.Of[byte]
+	strs   slab.Of[string]
+	ints   slab.Of[int64]
+	floats slab.Of[float64]
+}
+
+// str boxes a string of b's bytes.
+func (c *DatumCarve) str(b []byte) Datum { return slab.Box(&c.strs, slab.String(&c.bytes, b)) }
+
+// i64 boxes v.
+func (c *DatumCarve) i64(v int64) Datum { return slab.Box(&c.ints, v) }
+
+// f64 boxes v.
+func (c *DatumCarve) f64(v float64) Datum { return slab.Box(&c.floats, v) }
+
 // Type tags for value encoding.
 const (
 	tagNull byte = iota
@@ -203,10 +225,10 @@ func varintLen(x int64) int {
 	return uvarintLen(ux)
 }
 
-// DecodeRow decodes a row value back into column values.
-func DecodeRow(val mvcc.Value) (map[ColumnID]Datum, error) {
+// DecodeRow decodes a row value back into column values boxed by c.
+func DecodeRow(val mvcc.Value, c *DatumCarve) (map[ColumnID]Datum, error) {
 	out := map[ColumnID]Datum{}
-	if err := DecodeRowInto(out, val, nil, nil, nil); err != nil {
+	if err := DecodeRowInto(out, val, nil, nil, nil, c); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -215,12 +237,14 @@ func DecodeRow(val mvcc.Value) (map[ColumnID]Datum, error) {
 // DecodeRowInto decodes the columns cols of a row value of table t into out,
 // which must be empty; nil cols decodes every column. Other columns are
 // skipped in place, so a string column nobody reads costs neither a string
-// nor its interface box. A region name in t's region column decodes to the
-// Datum of regions that holds it (the session's boxed names, see
-// Session.regionNames), so it costs neither either; a name regions lacks,
-// or any column of a nil t, decodes to a string of its own. The read path
-// feeds it pooled maps to avoid per-row map churn.
-func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID, t *Table, regions []Datum) error {
+// nor its interface box, and neither does one it keeps: a string, an int
+// or a float is boxed by c, whose chunks hold its bytes and its box, and a
+// bool or NULL needs no box. A region name in t's region column decodes to
+// the Datum of regions that holds it (the session's boxed names, see
+// Session.regionNames); a name regions lacks, or any column of a nil t, is
+// boxed by c like any string. The read path feeds it pooled maps to avoid
+// per-row map churn.
+func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID, t *Table, regions []Datum, c *DatumCarve) error {
 	buf := []byte(val)
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -251,9 +275,9 @@ func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID, t *T
 			}
 			if keep {
 				if name := buf[sz : sz+int(l)]; t != nil && ColumnID(id) == t.RegionColumn {
-					out[ColumnID(id)] = boxedName(regions, name)
+					out[ColumnID(id)] = boxedName(regions, name, c)
 				} else {
-					out[ColumnID(id)] = string(name)
+					out[ColumnID(id)] = c.str(name)
 				}
 			}
 			buf = buf[sz+int(l):]
@@ -263,7 +287,7 @@ func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID, t *T
 				return fmt.Errorf("sql: bad int")
 			}
 			if keep {
-				out[ColumnID(id)] = v
+				out[ColumnID(id)] = c.i64(v)
 			}
 			buf = buf[sz:]
 		case tagFloat:
@@ -271,7 +295,7 @@ func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID, t *T
 				return fmt.Errorf("sql: truncated float")
 			}
 			if keep {
-				out[ColumnID(id)] = math.Float64frombits(binary.BigEndian.Uint64(buf[:8]))
+				out[ColumnID(id)] = c.f64(math.Float64frombits(binary.BigEndian.Uint64(buf[:8])))
 			}
 			buf = buf[8:]
 		case tagBool:
@@ -289,15 +313,15 @@ func DecodeRowInto(out map[ColumnID]Datum, val mvcc.Value, cols []ColumnID, t *T
 	return nil
 }
 
-// boxedName returns the Datum of names that holds name, or name in a box of
-// its own when none does. The comparison converts nothing.
-func boxedName(names []Datum, name []byte) Datum {
+// boxedName returns the Datum of names that holds name, or name boxed by c
+// when none does. The comparison converts nothing.
+func boxedName(names []Datum, name []byte, c *DatumCarve) Datum {
 	for _, d := range names {
 		if d.(string) == string(name) {
 			return d
 		}
 	}
-	return string(name)
+	return c.str(name)
 }
 
 // DatumsEqual compares two datums for SQL equality (ints and floats

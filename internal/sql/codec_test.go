@@ -126,7 +126,7 @@ func TestRowRoundTrip(t *testing.T) {
 		9: "trailing",
 	}
 	enc := encodeRow(new(slab.Of[byte]), vals, nil)
-	got, err := DecodeRow(enc)
+	got, err := DecodeRow(enc, new(DatumCarve))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestQuickRowRoundTrip(t *testing.T) {
 			vals[id] = n
 			id++
 		}
-		got, err := DecodeRow(encodeRow(new(slab.Of[byte]), vals, nil))
+		got, err := DecodeRow(encodeRow(new(slab.Of[byte]), vals, nil), new(DatumCarve))
 		if err != nil || len(got) != len(vals) {
 			return false
 		}

@@ -553,7 +553,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 			if rehome && regionCol.Computed == nil && !changed[t.RegionColumn] {
 				gw := s.Region()
 				if db.CanWriteRegion(gw) && newVals[t.RegionColumn] != string(gw) {
-					newVals[t.RegionColumn] = boxedName(s.regionNames(), []byte(gw))
+					newVals[t.RegionColumn] = boxedName(s.regionNames(), []byte(gw), &s.datums)
 					changed[t.RegionColumn] = true
 				}
 			}
@@ -679,7 +679,7 @@ func (s *Session) backfill(p *sim.Proc, db *core.Database, src, dst *Table, idxs
 			}
 			var kvs []mvcc.KeyValue
 			for _, row := range rows {
-				vals, err := DecodeRow(row.Value)
+				vals, err := DecodeRow(row.Value, &s.datums)
 				if err != nil {
 					return err
 				}

@@ -105,6 +105,11 @@ type Session struct {
 	// on in every replica's engine, while most keys die with their
 	// statement, and a chunk lives as long as anything carved from it.
 	rowVals slab.Of[byte]
+	// datums boxes every value the session's statements decode or compute
+	// (decodeRowPooled, DecodeRow, evalExpr's arithmetic). It is neither
+	// keys nor rowVals: a decoded value dies with the client's result, while
+	// a key lives on in a transaction and a row value in every engine.
+	datums DatumCarve
 	// regionDatums are the boxed names of regionsBoxed, the current
 	// database's region list (see regionNames).
 	regionsBoxed []simnet.Region
@@ -388,7 +393,7 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 				return err
 			}
 			for _, kvp := range rows {
-				vals, err := DecodeRow(kvp.Value)
+				vals, err := DecodeRow(kvp.Value, &s.datums)
 				if err != nil {
 					return err
 				}
@@ -515,14 +520,14 @@ func (s *Session) evalExpr(e Expr, ctx *evalCtx) (Datum, error) {
 					_, ri := r.(int64)
 					if li && ri {
 						if ex.Op == "+" {
-							return l.(int64) + r.(int64), nil
+							return s.datums.i64(l.(int64) + r.(int64)), nil
 						}
-						return l.(int64) - r.(int64), nil
+						return s.datums.i64(l.(int64) - r.(int64)), nil
 					}
 					if ex.Op == "+" {
-						return lf + rf, nil
+						return s.datums.f64(lf + rf), nil
 					}
-					return lf - rf, nil
+					return s.datums.f64(lf - rf), nil
 				}
 			}
 			return nil, fmt.Errorf("sql: %s requires numbers", ex.Op)

@@ -100,7 +100,7 @@ func TestCarvedKeysOutliveTheirChunk(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vals, err := DecodeRow(got)
+				vals, err := DecodeRow(got, new(DatumCarve))
 				if err != nil || vals[vc.ID] != fmt.Sprint("v", k) {
 					t.Errorf("n%d's row %d reads %v (%v), want v%d", id, k, vals, err, k)
 				}

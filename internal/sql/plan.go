@@ -753,15 +753,15 @@ func (s *Session) primaryRows(p *sim.Proc, f batchReader, t *Table, cols []Colum
 }
 
 // decodeRowPooled decodes the cols of a row value of t (every column when
-// nil) into a map drawn from the session pool; a region column decodes to
-// the session's boxed name.
+// nil) into a map drawn from the session pool, each value boxed by the
+// session's datums; a region column decodes to the session's boxed name.
 func (s *Session) decodeRowPooled(t *Table, val mvcc.Value, cols []ColumnID) (map[ColumnID]Datum, error) {
 	var regions []Datum
 	if t.RegionColumn != 0 {
 		regions = s.regionNames()
 	}
 	m := s.getRowMap()
-	if err := DecodeRowInto(m, val, cols, t, regions); err != nil {
+	if err := DecodeRowInto(m, val, cols, t, regions, &s.datums); err != nil {
 		s.putRowMap(m)
 		return nil, err
 	}

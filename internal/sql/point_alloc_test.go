@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -16,20 +17,20 @@ import (
 )
 
 // A point read allocates what it returns: a SELECT decodes only the columns
-// it returns, its lookup tuples and lookup lists are session scratch, its
-// reply is a value in its caller's space and its transaction record is no
-// object of its own.
+// it returns, each boxed in its session's chunks, its lookup tuples and
+// lookup lists are session scratch, its reply is a value in its caller's
+// space and its transaction record is no object of its own.
 
 // TestPointSelectAllocs pins what the benchmark's REGIONAL BY ROW operations
 // cost in objects, end to end on a three-region cluster: a prepared SELECT of
 // one column by primary key with locality-optimized search on, from the
 // us-east1 gateway, and the prepared UPDATE of one column by primary key
 // that the benchmark's writes run. A local hit is one round trip to the
-// gateway's own partition, at 3.03 objects for the SELECT and 9.72 for the
+// gateway's own partition, at 1.08 objects for the SELECT and 3.75 for the
 // UPDATE. A remote miss misses there, then probes both remote partitions and
 // returns on europe-west2's hit while asia-northeast1's probe is still in
-// flight (its objects land in the next execution's count), at 4.79 and
-// 10.44: each probe's reads wait in its txn.Probe until the statement adopts
+// flight (its objects land in the next execution's count), at 2.80 and
+// 4.44: each probe's reads wait in its txn.Probe until the statement adopts
 // them, so a probe that loses the race leaves the transaction alone, and the
 // probes, their lists and what they share with the statement are carved
 // from the session's chunks, and a transaction's lists from its
@@ -39,7 +40,11 @@ import (
 // the session's chunks, and a leaseholder names a key with one key-table
 // entry, so a chunk lands in one run of many: the counts cover everything
 // the simulation runs meanwhile and are means pinned to ±0.1 (meanAllocs).
-// All but the local SELECT were 5.80, 10.71 and 12.43 while a miss bound
+// A row's values, the one the SELECT returns and the three strings the
+// UPDATE reads besides its region, are boxed in chunks of the session's
+// own (DatumCarve). They were
+// 3.03, 4.79, 9.72 and 10.44 while each string column decoded to a string
+// and a box of its own. All but the local SELECT were 5.80, 10.71 and 12.43 while a miss bound
 // its probe body and a one-phase commit appended its read spans to a list
 // of its own. The remote ones were 22.45 and 29.28 while a miss made its
 // probes, their closures, their rows, keys and values and its first-hit
@@ -122,10 +127,10 @@ func TestPointSelectAllocs(t *testing.T) {
 		what      string
 		got, want float64
 	}{
-		{"a local point SELECT", local, 3.03},
-		{"a remote point SELECT", remote, 4.79},
-		{"a local point UPDATE", localUpd, 9.72},
-		{"a remote point UPDATE", remoteUpd, 10.44},
+		{"a local point SELECT", local, 1.08},
+		{"a remote point SELECT", remote, 2.80},
+		{"a local point UPDATE", localUpd, 3.75},
+		{"a remote point UPDATE", remoteUpd, 4.44},
 	} {
 		if math.Abs(c.got-c.want) > 0.1 {
 			t.Errorf("%s allocates %.2f objects, want %.2f ± 0.1", c.what, c.got, c.want)
@@ -140,7 +145,7 @@ func TestDecodeRowIntoColumnSubset(t *testing.T) {
 	row := map[ColumnID]Datum{1: "key", 2: nil, 3: int64(-7), 4: 2.5, 5: true, 6: "tail", 9: "last"}
 	val := encodeRow(new(slab.Of[byte]), row, nil)
 	full := map[ColumnID]Datum{}
-	if err := DecodeRowInto(full, val, nil, nil, nil); err != nil {
+	if err := DecodeRowInto(full, val, nil, nil, nil, new(DatumCarve)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(full, row) {
@@ -148,7 +153,7 @@ func TestDecodeRowIntoColumnSubset(t *testing.T) {
 	}
 	for _, cols := range [][]ColumnID{{}, {1}, {6}, {9}, {2, 5}, {3, 4, 9}, {7}, {6, 1}, {1, 2, 3, 4, 5, 6, 9}} {
 		got := map[ColumnID]Datum{}
-		if err := DecodeRowInto(got, val, cols, nil, nil); err != nil {
+		if err := DecodeRowInto(got, val, cols, nil, nil, new(DatumCarve)); err != nil {
 			t.Fatalf("cols %v: %v", cols, err)
 		}
 		want := map[ColumnID]Datum{}
@@ -161,8 +166,43 @@ func TestDecodeRowIntoColumnSubset(t *testing.T) {
 			t.Errorf("cols %v: decoded %v, want %v", cols, got, want)
 		}
 	}
-	if err := DecodeRowInto(map[ColumnID]Datum{}, val[:len(val)-2], []ColumnID{1}, nil, nil); err == nil {
+	if err := DecodeRowInto(map[ColumnID]Datum{}, val[:len(val)-2], []ColumnID{1}, nil, nil, new(DatumCarve)); err == nil {
 		t.Error("a truncated row decoded without error when its damaged column was skipped")
+	}
+}
+
+// TestDecodeRowBoxesNothingOfItsOwn: decoding a row of string, int, float,
+// bool and NULL columns makes no object per value. A string's bytes and
+// its box, an int (any int, not only the few the runtime boxes for free)
+// and a float are boxed into the carve's chunks, and a bool or a NULL needs
+// no box, so the only objects are the chunks: well under one per 64 rows
+// once they are at full size, where boxing each value made seven per row.
+func TestDecodeRowBoxesNothingOfItsOwn(t *testing.T) {
+	row := map[ColumnID]Datum{1: "user-00001234", 2: int64(1 << 40), 3: 2.5, 4: true, 5: nil, 6: "field", 7: int64(-300)}
+	val := encodeRow(new(slab.Of[byte]), row, nil)
+	var c DatumCarve
+	m := map[ColumnID]Datum{}
+	decode := func() {
+		clear(m)
+		if err := DecodeRowInto(m, val, nil, nil, nil, &c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = 4096
+	for range n { // the carve's chunks at full size
+		decode()
+	}
+	if !reflect.DeepEqual(m, row) {
+		t.Fatalf("decoded %v, want %v", m, row)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range n {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got > n/64 {
+		t.Errorf("decoding a row of %d columns %d times made %d objects, want at most %d (the carve's chunks)", len(row), n, got, n/64)
 	}
 }
 
