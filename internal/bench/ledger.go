@@ -15,12 +15,13 @@ import (
 )
 
 // ledgerRow is one run the ledger counts: a name and the run, which returns
-// its cluster and the transactions it committed. A row with allocs also
-// counts the objects each layer allocated (see allocsByLayer).
+// its cluster and the transactions it committed. A profiled row also counts
+// the objects each layer allocated and the bytes each layer retains (see
+// byLayer).
 type ledgerRow struct {
-	name   string
-	run    func() (*cluster.Cluster, int, error)
-	allocs bool
+	name     string
+	run      func() (*cluster.Cluster, int, error)
+	profiled bool
 }
 
 // ledgerRows are the ledger's runs: the Fig. 3 GLOBAL variant at quick
@@ -62,10 +63,13 @@ func fig6LedgerRun(regions int) func() (*cluster.Cluster, int, error) {
 // by kind; and, at the end, the replicas and the Raft entries they retain.
 // A counter that stayed zero is left out. Every count is a function of the
 // seed. The two "host." lines, wall time and HeapInuse when the run ends, are
-// not: a diff of the ledger leaves them out. The 4-region row also prints an
-// "alloc." line per layer, the objects the run allocated by the package of
-// the innermost mrdb frame; these are exact counts of one run but move with
-// the Go runtime, so they are held within a tolerance rather than diffed.
+// not: a diff of the ledger leaves them out. The 4-region row is profiled:
+// it also prints an "alloc." line per layer, the objects the run allocated,
+// and a "retain." line per layer, the bytes in use when the run ends, its
+// cluster still reachable, less what the same stacks held in use when it
+// started; both attribute a stack to the package of its innermost mrdb
+// frame. These are exact counts of one run but move with the Go runtime and
+// map layouts, so they are held within a tolerance rather than diffed.
 func Ledger(w io.Writer, names []string) error {
 	rows := ledgerRows
 	if len(names) > 0 {
@@ -83,12 +87,12 @@ func Ledger(w io.Writer, names []string) error {
 		}
 	}
 	for _, row := range rows {
-		var before map[[32]uintptr]int64
+		var before map[[32]uintptr]stackMem
 		rate := runtime.MemProfileRate
-		if row.allocs {
+		if row.profiled {
 			// Every allocation from here on is recorded.
 			runtime.MemProfileRate = 1
-			before = allocProfile()
+			before = memProfile()
 		}
 		runtime.GC()
 		start := time.Now()
@@ -98,15 +102,19 @@ func Ledger(w io.Writer, names []string) error {
 			runtime.MemProfileRate = rate
 			return fmt.Errorf("ledger %s: %w", row.name, err)
 		}
-		var layers map[string]int64
-		if row.allocs {
-			layers = allocsByLayer(before, allocProfile())
+		var allocs, retained map[string]int64
+		if row.profiled {
+			after := memProfile()
+			runtime.KeepAlive(c) // what the cluster holds is in use at the read
+			allocs = byLayer(before, after, func(m stackMem) int64 { return m.objects })
+			retained = byLayer(before, after, func(m stackMem) int64 { return m.inuse })
 			runtime.MemProfileRate = rate
 		}
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		writeledgerRow(w, row.name, c, txns)
-		writeAllocRows(w, row.name, layers, txns)
+		writeLayerRows(w, row.name, "alloc.", allocs, txns)
+		writeLayerRows(w, row.name, "retain.", retained, txns)
 		fmt.Fprintf(w, "%s host.wall_s %.1f\n", row.name, wall.Seconds())
 		fmt.Fprintf(w, "%s host.heap_inuse_mb %.0f\n", row.name, float64(ms.HeapInuse)/(1<<20))
 	}
@@ -158,10 +166,15 @@ func writeledgerRow(w io.Writer, name string, c *cluster.Cluster, txns int) {
 	line("raft.retained_entries", sum.Retained)
 }
 
-// allocProfile returns the objects allocated so far by stack, from the
-// memory profile as of a garbage collection it runs first (a collection
-// publishes the allocations made before it).
-func allocProfile() map[[32]uintptr]int64 {
+// stackMem is what the memory profile holds for one stack: the objects it
+// allocated so far and the bytes of them still in use.
+type stackMem struct{ objects, inuse int64 }
+
+// memProfile returns the memory profile by stack, as of two garbage
+// collections it runs first: a collection publishes the allocations made
+// before it, and the profile's frees can lag one more cycle.
+func memProfile() map[[32]uintptr]stackMem {
+	runtime.GC()
 	runtime.GC()
 	var recs []runtime.MemProfileRecord
 	n, _ := runtime.MemProfile(nil, true)
@@ -172,22 +185,26 @@ func allocProfile() map[[32]uintptr]int64 {
 			break
 		}
 	}
-	out := make(map[[32]uintptr]int64, n)
+	out := make(map[[32]uintptr]stackMem, n)
 	for _, r := range recs[:n] {
-		out[r.Stack0] += r.AllocObjects
+		m := out[r.Stack0]
+		m.objects += r.AllocObjects
+		m.inuse += r.InUseBytes()
+		out[r.Stack0] = m
 	}
 	return out
 }
 
-// allocsByLayer attributes the objects allocated between two profiles to
+// byLayer attributes what of(after) exceeds of(before), stack by stack, to
 // the package of each stack's innermost mrdb frame ("main" for a command's
 // own code, "runtime" for a stack without one): an object a runtime or
 // standard-library function allocates on a layer's behalf is the layer's,
 // and so is a chunk the slab package carves for it.
-func allocsByLayer(before, after map[[32]uintptr]int64) map[string]int64 {
+func byLayer(before, after map[[32]uintptr]stackMem, of func(stackMem) int64) map[string]int64 {
 	layers := map[string]int64{}
-	for stack, n := range after {
-		if n -= before[stack]; n == 0 {
+	for stack, m := range after {
+		n := of(m) - of(before[stack])
+		if n == 0 {
 			continue
 		}
 		pcs := stack[:]
@@ -227,14 +244,15 @@ func mrdbPackage(fn string) (string, bool) {
 	return last[:strings.IndexByte(last, '.')], true
 }
 
-// writeAllocRows prints the "alloc." lines of one row, by layer name.
-func writeAllocRows(w io.Writer, name string, layers map[string]int64, txns int) {
+// writeLayerRows prints one row's lines of a per-layer count, by layer name:
+// the counter is the prefix and the layer.
+func writeLayerRows(w io.Writer, name, prefix string, layers map[string]int64, txns int) {
 	names := make([]string, 0, len(layers))
 	for l := range layers {
 		names = append(names, l)
 	}
 	sort.Strings(names)
 	for _, l := range names {
-		fmt.Fprintf(w, "%s alloc.%s %d %.2f\n", name, l, layers[l], float64(layers[l])/float64(max(txns, 1)))
+		fmt.Fprintf(w, "%s %s%s %d %.2f\n", name, prefix, l, layers[l], float64(layers[l])/float64(max(txns, 1)))
 	}
 }

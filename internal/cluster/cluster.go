@@ -61,7 +61,8 @@ type Config struct {
 	// it is zero-cost in virtual time, pinned by the metamorphic tests.
 	Sampling bool
 	// SampleBucket overrides the tsdb rollup bucket width (default 10s);
-	// each series retains tsdb.DefaultCapacity buckets.
+	// each series retains the last tsdb.DefaultCapacity buckets, and holds
+	// memory for the buckets it has seen, up to that many.
 	SampleBucket sim.Duration
 	// Durability gives every node a simulated disk: Raft state persists
 	// through checksummed WALs (with fsync latency on the virtual clock),
@@ -101,6 +102,8 @@ type Cluster struct {
 	// nil-safe). Harnesses may also Observe raw samples into it directly —
 	// observation is passive over virtual time.
 	TSDB *tsdb.DB
+	// sampled is the registry's metrics as the sampler last listed them.
+	sampled registrySample
 
 	// StmtStats and Contention are the SQL-facing introspection registries:
 	// per-fingerprint statement statistics recorded by sessions, and

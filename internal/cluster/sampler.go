@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"mrdb/internal/obs"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 )
@@ -45,13 +46,7 @@ func (c *Cluster) sampleNode(id simnet.NodeID, registry bool) {
 	if st := c.Stores[id]; st != nil {
 		c.TSDB.Observe("store.replicas", node, now, int64(st.Replicas()))
 	}
-	leases := 0
-	for _, d := range c.Catalog.All() {
-		if d.Leaseholder == id {
-			leases++
-		}
-	}
-	c.TSDB.Observe("store.leases", node, now, int64(leases))
+	c.TSDB.Observe("store.leases", node, now, int64(c.Catalog.LeasesHeldBy(id)))
 	live := int64(0)
 	if c.Liveness.Live(id, now) {
 		live = 1
@@ -63,21 +58,59 @@ func (c *Cluster) sampleNode(id simnet.NodeID, registry bool) {
 	}
 }
 
+// registrySample is the registry as the sampler last listed it: its
+// counters and histograms in name order, each histogram with the names of
+// its five series, built when it first appears. The lists are rebuilt only
+// when the registry has gained a metric, so a tick allocates nothing.
+type registrySample struct {
+	size     int
+	counters []string
+	hists    []*sampledHist
+	byName   map[string]*sampledHist
+}
+
+type sampledHist struct {
+	h                         *obs.Histogram
+	count, sum, p50, p99, max string
+}
+
+// list re-lists the registry's metrics if it has gained one since the last
+// listing.
+func (rs *registrySample) list(r *obs.Registry) {
+	if r.Len() == rs.size {
+		return
+	}
+	rs.size = r.Len()
+	rs.counters = r.Counters()
+	if rs.byName == nil {
+		rs.byName = map[string]*sampledHist{}
+	}
+	rs.hists = rs.hists[:0]
+	for _, n := range r.Histograms() {
+		sh := rs.byName[n]
+		if sh == nil {
+			sh = &sampledHist{h: r.Histogram(n), count: n + ".count", sum: n + ".sum", p50: n + ".p50", p99: n + ".p99", max: n + ".max"}
+			rs.byName[n] = sh
+		}
+		rs.hists = append(rs.hists, sh)
+	}
+}
+
 // sampleRegistry snapshots every registry metric under node 0. Counters
 // sample their cumulative value (rates are derivable from a bucket's
 // max-min over its width); each histogram samples its
 // cumulative count and sum plus running p50/p99/max, so latency trajectories
 // survive even though the histogram itself never resets.
 func (c *Cluster) sampleRegistry(now sim.Time) {
-	for _, n := range c.Metrics.Counters() {
+	c.sampled.list(c.Metrics)
+	for _, n := range c.sampled.counters {
 		c.TSDB.Observe(n, 0, now, c.Metrics.Counter(n).Value())
 	}
-	for _, n := range c.Metrics.Histograms() {
-		h := c.Metrics.Histogram(n)
-		c.TSDB.Observe(n+".count", 0, now, h.Count())
-		c.TSDB.Observe(n+".sum", 0, now, h.Sum())
-		c.TSDB.Observe(n+".p50", 0, now, h.Percentile(0.50))
-		c.TSDB.Observe(n+".p99", 0, now, h.Percentile(0.99))
-		c.TSDB.Observe(n+".max", 0, now, h.Max())
+	for _, sh := range c.sampled.hists {
+		c.TSDB.Observe(sh.count, 0, now, sh.h.Count())
+		c.TSDB.Observe(sh.sum, 0, now, sh.h.Sum())
+		c.TSDB.Observe(sh.p50, 0, now, sh.h.Percentile(0.50))
+		c.TSDB.Observe(sh.p99, 0, now, sh.h.Percentile(0.99))
+		c.TSDB.Observe(sh.max, 0, now, sh.h.Max())
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
+	"mrdb/internal/simnet"
 	"mrdb/internal/zones"
 )
 
@@ -138,6 +139,18 @@ func (c *RangeCatalog) LookupSpan(start, end mvcc.Key) []*RangeDescriptor {
 // All returns every descriptor in key order.
 func (c *RangeCatalog) All() []*RangeDescriptor {
 	return append([]*RangeDescriptor(nil), c.descs...)
+}
+
+// LeasesHeldBy returns the number of ranges whose descriptor names node id
+// as leaseholder.
+func (c *RangeCatalog) LeasesHeldBy(id simnet.NodeID) int {
+	n := 0
+	for _, d := range c.descs {
+		if d.Leaseholder == id {
+			n++
+		}
+	}
+	return n
 }
 
 // Update replaces the stored descriptor for d.RangeID with d if d's

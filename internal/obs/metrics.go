@@ -79,6 +79,15 @@ func (r *Registry) Histograms() []string {
 	return names
 }
 
+// Len returns the number of counters and histograms recorded. Metrics are
+// never removed, so a change in Len means the registry gained one.
+func (r *Registry) Len() int {
+	if r == nil {
+		return 0
+	}
+	return len(r.counters) + len(r.hists)
+}
+
 // String dumps every metric, sorted by name, one per line.
 func (r *Registry) String() string {
 	if r == nil {

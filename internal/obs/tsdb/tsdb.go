@@ -9,9 +9,11 @@
 // carrying count/sum/min/max, so rates (Δ of a sampled cumulative counter
 // across a bucket) and percentile approximations (bucket max ≈ p99 at our
 // sampling cadences) are derivable after the fact. Each series is backed by
-// a ring of a fixed number of buckets: memory is strictly bounded per
-// series no matter how long the run, and old buckets are overwritten in
-// place rather than ever reallocating.
+// a ring that grows to the buckets it has seen: it starts at 8 slots and
+// doubles when a retained bucket holds the slot a newer one needs, up to
+// the DB's capacity, after which old buckets are overwritten in place and
+// the ring never reallocates. Memory per series is what its run has seen,
+// and never more than the capacity, however long the run.
 //
 // Like the rest of internal/obs, the tsdb is strictly passive over virtual
 // time: Observe and every read method never sleep, schedule events, or
@@ -65,45 +67,87 @@ type Series struct {
 	Metric string
 	Node   int
 
-	width sim.Duration
-	// slots is the ring: slot i holds the bucket whose absolute index is
-	// idx[i] (-1 while empty). An observation for bucket bi lands in slot
-	// bi % len(slots), evicting whatever older bucket occupied it — the
-	// ring bound, enforced in place.
-	slots []Bucket
-	idx   []int64
+	width    sim.Duration
+	capacity int64 // the buckets retained are those with index > last-capacity
+	// slots is the ring: the bucket with absolute index bi lives in slot
+	// bi % len(slots). It starts at minSlots and grows (see grow) when a
+	// retained bucket holds the slot a newer one needs; at capacity an
+	// observation evicts the older bucket in its slot, the ring bound,
+	// enforced in place.
+	slots []slot
 	last  int64 // highest absolute bucket index observed
 }
 
+// slot is one ring entry: a bucket and its absolute index (-1 while empty).
+type slot struct {
+	bi int64
+	b  Bucket
+}
+
+// minSlots is a new series' ring length (or the capacity, if smaller).
+const minSlots = 8
+
 func newSeries(metric string, node int, width sim.Duration, capacity int) *Series {
-	s := &Series{
-		Metric: metric, Node: node, width: width,
-		slots: make([]Bucket, capacity),
-		idx:   make([]int64, capacity),
+	return &Series{
+		Metric: metric, Node: node, width: width, capacity: int64(capacity),
+		slots: emptySlots(min(minSlots, capacity)),
 		last:  -1,
 	}
-	for i := range s.idx {
-		s.idx[i] = -1
+}
+
+func emptySlots(n int) []slot {
+	slots := make([]slot, n)
+	for i := range slots {
+		slots[i].bi = -1
 	}
-	return s
+	return slots
+}
+
+// retained reports whether bucket bi is inside the retention window.
+func (s *Series) retained(bi int64) bool {
+	return bi >= 0 && bi > s.last-s.capacity
 }
 
 // observe folds v into the bucket containing t. Observations older than the
-// ring's retention window are dropped.
+// retention window are dropped.
 func (s *Series) observe(t sim.Time, v int64) {
 	bi := int64(t) / int64(s.width)
-	if s.last >= 0 && bi <= s.last-int64(len(s.slots)) {
+	if !s.retained(bi) {
 		return
 	}
-	slot := int(bi % int64(len(s.slots)))
-	if s.idx[slot] != bi {
-		s.idx[slot] = bi
-		s.slots[slot] = Bucket{}
+	s.last = max(s.last, bi)
+	sl := &s.slots[bi%int64(len(s.slots))]
+	if sl.bi != bi && s.retained(sl.bi) && int64(len(s.slots)) < s.capacity {
+		s.grow(bi)
+		sl = &s.slots[bi%int64(len(s.slots))]
 	}
-	s.slots[slot].merge(v)
-	if bi > s.last {
-		s.last = bi
+	if sl.bi != bi {
+		*sl = slot{bi: bi}
 	}
+	sl.b.merge(v)
+}
+
+// grow re-places the retained buckets in a ring long enough that they and
+// bucket bi each have a slot of their own: the ring doubles until it spans
+// their indexes, or stops at the capacity, which spans every retained index.
+func (s *Series) grow(bi int64) {
+	lo := bi
+	for _, sl := range s.slots {
+		if s.retained(sl.bi) {
+			lo = min(lo, sl.bi)
+		}
+	}
+	n := int64(len(s.slots))
+	for n < s.last-lo+1 && n < s.capacity {
+		n = min(2*n, s.capacity)
+	}
+	slots := emptySlots(int(n))
+	for _, sl := range s.slots {
+		if s.retained(sl.bi) {
+			slots[sl.bi%n] = sl
+		}
+	}
+	s.slots = slots
 }
 
 // Buckets returns the retained buckets in ascending bucket-start order.
@@ -112,11 +156,10 @@ func (s *Series) Buckets() []BucketAt {
 		return nil
 	}
 	out := make([]BucketAt, 0, len(s.slots))
-	for i, bi := range s.idx {
-		if bi < 0 || bi <= s.last-int64(len(s.slots)) {
-			continue
+	for _, sl := range s.slots {
+		if s.retained(sl.bi) {
+			out = append(out, BucketAt{Start: sim.Time(sl.bi * int64(s.width)), Bucket: sl.b})
 		}
-		out = append(out, BucketAt{Start: sim.Time(bi * int64(s.width)), Bucket: s.slots[i]})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start < out[j].Start })
 	return out

@@ -83,12 +83,19 @@ func TestLateEvaluationWritesOnlyItsOwnKeys(t *testing.T) {
 // proposal per write (its Raft entries and the envelopes and messages that
 // carry them to each follower; its command and its future come from
 // chunks), and the replica's evaluation procs. The counts cover everything
-// the simulation runs meanwhile, and are means pinned to ±0.1 (meanAllocs).
+// the simulation runs meanwhile, less what an idle window of the same
+// length makes, and are means pinned to ±0.1 (quietAllocs). The count
+// starts from a quiet cluster, at a fixed offset into the period of its
+// timers, after as many transactions as it counts: when it started right
+// after seven, it read 34.75 and 272.62, and 27.76 and 277.46 with 107
+// more before it (the free lists of Raft envelopes and network flights
+// held what the warm-up left, and the Raft traffic of a window depends on
+// where it falls among the heartbeats); an idle window made no objects.
 // The runs cycle through eight key sets, each written once before the
 // count: with a fresh set per run, the leaseholder's key-table map grew in
 // the count, and where its tables split moves with the map's hash seed
 // (273.07 ± 0.1 failed in about a third of fresh processes). The count
-// starts seven runs later than it did then, so the numbers before are of
+// started seven runs later than it did then, so the numbers before are of
 // another window. With a fresh set per run they were 38.23 and 263.85
 // while a latch wait made a condition, its waiter list and the entry's
 // list entry; 43.86 and 273.07 while a replica took a request's evaluator
@@ -118,9 +125,10 @@ func TestTxnBookkeepingDoesNotScaleWithKeys(t *testing.T) {
 		co := h.coord(simnet.USEast1)
 		for _, k := range []int{4, 32} {
 			// The runs cycle through key sets of their own, each written
-			// before the count, so a run meets only intents resolved
-			// several runs before and the count adds no key-table entry
-			// (the window lasts as long as with a fresh set per run).
+			// by quietAllocs' warm-up before the count, so a run meets only
+			// intents resolved several runs before and the count adds no
+			// key-table entry (the window lasts as long as with a fresh
+			// set per run).
 			const runs, sets = 100, 8
 			reads, writes := make([]mvcc.Key, k), make([][]mvcc.KeyValue, sets)
 			for i := range reads {
@@ -145,34 +153,60 @@ func TestTxnBookkeepingDoesNotScaleWithKeys(t *testing.T) {
 				}
 				run++
 			}
-			for range sets - 1 { // meanAllocs runs the last set once more
-				readWrite()
-			}
-			got[k] = meanAllocs(runs, readWrite)
+			got[k] = quietAllocs(p, runs, readWrite)
 			p.Sleep(sim.Second)
 		}
 	})
-	for k, want := range map[int]float64{4: 34.75, 32: 272.62} {
+	for k, want := range map[int]float64{4: 15.69, 32: 256.23} {
 		if math.Abs(got[k]-want) > 0.1 {
 			t.Errorf("a transaction of %d reads and %d writes allocates %.2f objects, want %.1f ± 0.1", k, k, got[k], want)
 		}
 	}
 }
 
-// meanAllocs is testing.AllocsPerRun without its rounding down: the mean
-// objects per call of f over runs calls, after one warm-up. A pin on the
-// mean holds to ±0.1 where the rounded count would flip at a whole number;
-// a count that grows a Go map moves with the map's hash seed, one table
-// split in a few hundred transactions, so a pinned window must not add
-// map entries.
-func meanAllocs(runs int, f func()) float64 {
+// timerPeriod is a common multiple of the periods of every timer a cluster
+// runs on its own (the closed-timestamp side transport's 100 ms, Raft's
+// 400 ms heartbeats, liveness's 1 s heartbeats, the store loop's 5 s
+// turns), and timerOffset a point in it that no store-loop turn is near.
+const (
+	timerPeriod = 10 * sim.Second
+	timerOffset = 2500 * sim.Millisecond
+)
+
+// quietAllocs is testing.AllocsPerRun without its rounding down, and
+// without what the cluster makes on its own: the mean objects per call of
+// f over runs calls, less those an idle window as long as the calls, one
+// timerPeriod later, makes. It first makes runs calls and lets the
+// cluster go quiet until timerOffset into the next period, so the count
+// starts with the free lists (Raft envelopes, network flights) holding
+// what such a burst leaves them, and meets the timers at the same offsets,
+// however long the test ran before. A pin on the mean holds to ±0.1 where
+// the rounded count would flip at a whole number; a count that grows a Go
+// map moves with the map's hash seed, one table split in a few hundred
+// transactions, so a pinned window must not add map entries.
+func quietAllocs(p *sim.Proc, runs int, f func()) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	f()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		f()
 	}
+	p.Sleep(timerPeriod - sim.Duration(int64(p.Now())%int64(timerPeriod)) + timerOffset)
+	start := p.Now()
+	busy := mallocs(func() {
+		for i := 0; i < runs; i++ {
+			f()
+		}
+	})
+	window := p.Now().Sub(start)
+	p.Sleep(start.Add(timerPeriod).Sub(p.Now()))
+	idle := mallocs(func() { p.Sleep(window) })
+	return float64(busy-idle) / float64(runs)
+}
+
+// mallocs returns the objects allocated while fn runs.
+func mallocs(fn func()) int64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
 	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
+	return int64(after.Mallocs - before.Mallocs)
 }

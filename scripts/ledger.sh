@@ -11,8 +11,11 @@
 # (wall time, HeapInuse) are measurements and vary run to run. The 4-region
 # row also lists the objects each layer allocated ("alloc." lines, exact
 # memory profile), which move with the Go runtime and map layouts by a few
-# tens of objects. The 26-region row takes about a minute and over a GiB of
-# heap.
+# tens of objects, and the bytes each layer retains ("retain." lines: in use
+# when the run ends, its cluster still reachable, less what the same stacks
+# held when it started), which move by up to ~100 kB where a Go map's tables
+# split with its hash seed. The 26-region row takes about a minute and over
+# a GiB of heap.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 out="${1:-results/ledger.txt}"
