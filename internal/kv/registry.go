@@ -18,15 +18,23 @@ import (
 //
 // The registry is the cluster-wide arbiter of commit/abort races: a push
 // that aborts a transaction and that transaction's own commit are serialized
-// here, so exactly one wins.
+// here, so exactly one wins. As on the anchor range in the paper, a record
+// lives only until its transaction has finished and its intents are
+// resolved (records), so the registry holds about as many records as there
+// are transactions in flight.
 type TxnRegistry struct {
 	sim  *sim.Simulation
 	topo *simnet.Topology
 
 	nextID mvcc.TxnID
 	// records holds each record by value, so beginning a transaction makes
-	// no object of its own; a change is written back. The map, not a
-	// kv.Txn, holds it: a writing transaction's record outlives the
+	// no object of its own; a change is written back. A finished
+	// transaction's coordinator drops its record (GC) once none of its
+	// intents can still be read: at once after a one-phase or read-only
+	// commit or an abort with no writes, and after every resolution reply
+	// succeeded otherwise. A missing record reads as aborted. The map, not
+	// a kv.Txn, holds it: a record whose resolution failed, or one a split
+	// forwarded an intent or a resolution of (Keep), outlives the
 	// transaction.
 	records map[mvcc.TxnID]txnRecord
 	// waitsFor tracks which transaction each blocked transaction is
@@ -40,8 +48,8 @@ type TxnRegistry struct {
 }
 
 // txnRecord is a transaction's record, without its ID: the map's key is
-// that. A writing transaction's record stays in the map for the rest of the
-// run, so its size is most of what the registry costs.
+// that. It stays in the map from Begin until its transaction's intents are
+// resolved (see records).
 type txnRecord struct {
 	commitTS   hlc.Timestamp
 	anchorNode simnet.NodeID
@@ -52,6 +60,8 @@ type txnRecord struct {
 	// must not abort a staging transaction (it may already be implicitly
 	// committed); its coordinator finalizes it momentarily.
 	staging bool
+	// kept marks a record GC leaves in place (Keep).
+	kept bool
 	// finished resolves when the txn commits or aborts; intent waiters
 	// subscribe to it. The first waiter creates it: most transactions are
 	// never waited on, and a Broadcast on a nil Cond is a no-op.
@@ -86,8 +96,9 @@ func (r *TxnRegistry) Begin(anchorNode simnet.NodeID, priority int64) mvcc.TxnID
 func (r *TxnRegistry) Status(id mvcc.TxnID) (mvcc.TxnStatus, hlc.Timestamp) {
 	rec, ok := r.records[id]
 	if !ok {
-		// Unknown transactions are treated as aborted (their record was
-		// GCed after resolution).
+		// A missing record was collected once its transaction finished and
+		// no intent of it was left, so nothing can tell a commit from an
+		// abort any more: it reads as aborted.
 		return mvcc.Aborted, hlc.Timestamp{}
 	}
 	return rec.status, rec.commitTS
@@ -293,9 +304,29 @@ func (r *TxnRegistry) WaitFinished(p *sim.Proc, id mvcc.TxnID, timeout sim.Durat
 	return r.Status(id)
 }
 
-// GC drops the record of a finished transaction.
+// Keep marks id's record to stay for the run. A replica calls it when it
+// applies an intent or a resolution of the transaction that a split
+// forwarded: a write or a resolution proposed to a range before it split
+// and applied after, into the right-hand range's engine. That range's own
+// log does not order it, so on a replica where the right-hand range runs
+// ahead of the left — a lagging follower, or a restart whose replay
+// re-commits the two logs in either order — the intent can appear after
+// the right-hand range applied its resolution, and a reader must still
+// find how the transaction ended. The replica that applies it first does
+// so before the transaction's commit or resolution returns, so the record
+// is still there.
+func (r *TxnRegistry) Keep(id mvcc.TxnID) {
+	if rec, ok := r.records[id]; ok && !rec.kept {
+		rec.kept = true
+		r.records[id] = rec
+	}
+}
+
+// GC drops the record of a finished transaction. Its coordinator calls it
+// once no intent of the transaction can still be read (see records); a
+// pending or kept record stays.
 func (r *TxnRegistry) GC(id mvcc.TxnID) {
-	if rec, ok := r.records[id]; ok && rec.status != mvcc.Pending {
+	if rec, ok := r.records[id]; ok && rec.status != mvcc.Pending && !rec.kept {
 		delete(r.records, id)
 	}
 }

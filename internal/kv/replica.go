@@ -920,14 +920,23 @@ func (r *Replica) apply(e raft.Entry) {
 	case CmdPut:
 		// A write proposed before a split but applied after it belongs
 		// to the right-hand child; forward it (same replica set, same
-		// total order via this log).
-		eng := r.engineFor(cmd.Key)
-		if _, err := eng.Put(cmd.Key, cmd.Value, cmd.Ts, cmd.Txn); err != nil {
+		// total order via this log). The child's own log does not order
+		// it, so its transaction's record is kept (TxnRegistry.Keep), as
+		// for a forwarded resolution.
+		owner := r.owner(cmd.Key)
+		if owner != r && cmd.Txn != nil {
+			r.store.Registry.Keep(cmd.Txn.ID)
+		}
+		if _, err := owner.engine.Put(cmd.Key, cmd.Value, cmd.Ts, cmd.Txn); err != nil {
 			r.applyErrors++
 		}
 	case CmdResolveIntent:
 		for _, k := range cmd.Keys {
-			if err := r.engineFor(k).ResolveIntent(k, cmd.Txn.ID, cmd.Status, cmd.CommitTS); err != nil {
+			owner := r.owner(k)
+			if owner != r {
+				r.store.Registry.Keep(cmd.Txn.ID)
+			}
+			if err := owner.engine.ResolveIntent(k, cmd.Txn.ID, cmd.Status, cmd.CommitTS); err != nil {
 				r.applyErrors++
 			}
 		}
@@ -1177,11 +1186,6 @@ func (r *Replica) owner(key mvcc.Key) *Replica {
 		}
 	}
 	return r
-}
-
-// engineFor resolves the engine a key belongs to after splits.
-func (r *Replica) engineFor(key mvcc.Key) *mvcc.Engine {
-	return r.owner(key).engine
 }
 
 // heartbeatPayload is the closed-timestamp promise the leader attaches to

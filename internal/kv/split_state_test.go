@@ -171,3 +171,87 @@ func TestScanRoutedOnAStaleDescriptor(t *testing.T) {
 		}
 	}
 }
+
+// TestSplitForwardedIntentKeepsItsRecord: a write or a resolution proposed
+// to a range before it splits and applied after it lands in the right-hand
+// range's engine, outside that range's own log, so a replica whose
+// right-hand range runs ahead of the left one can apply the write after the
+// right-hand range resolved it, or the resolution after a reader there met
+// the intent. The transaction's record is kept once it finished, so such a
+// reader still learns how it ended; a transaction whose write applied
+// before the split, which the split copies, is collected as usual.
+func TestSplitForwardedIntentKeepsItsRecord(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	left, _ := st.Replica(desc.RangeID)
+	copied, forwarded := GatewayTxn(st, mvcc.Key("k"), 0), GatewayTxn(st, mvcc.Key("m"), 0)
+	resolved := GatewayTxn(st, mvcc.Key("n"), 0)
+	put := func(tx *Txn) *Command {
+		return left.command(Command{Kind: CmdPut, Key: tx.Meta.Key, Value: mvcc.Value("v"), Ts: tx.Meta.WriteTimestamp, Txn: &tx.Meta})
+	}
+	var right *RangeDescriptor
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		for _, tx := range []*Txn{&copied, &resolved} {
+			if err := left.propose(p, put(tx)); err != nil {
+				return err
+			}
+		}
+		split := sim.NewFuture[error](h.s)
+		last := left.raft.LastIndex()
+		h.s.Spawn("split", func(sp *sim.Proc) {
+			var err error
+			right, err = h.admin.SplitRange(sp, desc.RangeID, mvcc.Key("h"))
+			split.Set(err)
+		})
+		for left.raft.LastIndex() == last {
+			p.Sleep(sim.Microsecond)
+		}
+		if !left.desc.ContainsKey(forwarded.Meta.Key) {
+			return errors.New("setup: the split applied before the write was proposed")
+		}
+		if err := left.propose(p, put(&forwarded)); err != nil {
+			return err
+		}
+		if err := left.propose(p, left.command(Command{
+			Kind: CmdResolveIntent, Keys: []mvcc.Key{resolved.Meta.Key}, Txn: &resolved.Meta,
+			Status: mvcc.Committed, CommitTS: resolved.Meta.WriteTimestamp,
+		})); err != nil {
+			return err
+		}
+		if err := split.Wait(p); err != nil {
+			return err
+		}
+		p.Sleep(sim.Second) // every replica applies both
+		return nil
+	})
+	for _, id := range []simnet.NodeID{1, 2, 3} {
+		r, ok := h.stores[id].Replica(right.RangeID)
+		if !ok {
+			t.Fatalf("n%d has no right-hand replica", id)
+		}
+		for _, tx := range []Txn{copied, forwarded} {
+			if meta, ok := r.engine.GetIntent(tx.Meta.Key); !ok || meta.ID != tx.Meta.ID {
+				t.Fatalf("n%d: %s's intent is not on the right-hand range", id, tx.Meta.Key)
+			}
+		}
+		if _, ok := r.engine.GetIntent(resolved.Meta.Key); ok {
+			t.Fatalf("n%d: the forwarded resolution left %s's intent", id, resolved.Meta.Key)
+		}
+	}
+	reg := st.Registry
+	for _, tx := range []Txn{copied, forwarded, resolved} {
+		if err := reg.TryCommit(tx.Meta.ID, tx.Meta.WriteTimestamp); err != nil {
+			t.Fatal(err)
+		}
+		reg.GC(tx.Meta.ID)
+	}
+	if reg.Holds(copied.Meta.ID) {
+		t.Error("the record of a write the split copied was kept")
+	}
+	for what, tx := range map[string]Txn{"write": forwarded, "resolution": resolved} {
+		if st, _ := reg.Status(tx.Meta.ID); st != mvcc.Committed || !reg.Holds(tx.Meta.ID) {
+			t.Errorf("the record of a %s the split forwarded reads %v, held %v; want it kept as committed", what, st, reg.Holds(tx.Meta.ID))
+		}
+	}
+}

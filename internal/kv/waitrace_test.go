@@ -209,7 +209,7 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 			t.Errorf("right half read around an in-flight left-half write: %+v", got)
 		}
 		// The write applies (into the right half's engine), then unlatches.
-		if _, err := lhs.engineFor(key).Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
+		if _, err := lhs.owner(key).engine.Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
 			return err
 		}
 		lhs.unlatch(key)

@@ -83,6 +83,11 @@ func (s *Of[T]) New() *T {
 	return &s.Take(1)[0]
 }
 
+// New returns one zeroed struct no one has been handed before.
+func (s *Short[T]) New() *T {
+	return &s.Take(1)[0]
+}
+
 // Copy returns a copy of src carved from s.
 func Copy[T any](s *Of[T], src []T) []T {
 	out := s.Take(len(src))
@@ -109,13 +114,14 @@ type eface struct {
 }
 
 // Box returns v as an interface value whose value word points at a slot
-// carved from s, making no heap object of its own (converting v to any
-// makes one per call but for a few small values). The slot is written
-// once, here, and s hands it to no one else and never refills it, so the
-// value reads as v for as long as the interface lives, as a converted one
-// does; the interface keeps its chunk alive. The type word comes from
-// boxing T's zero value, which the runtime points at a shared zero.
-func Box[T string | int64 | float64](s *Of[T], v T) any {
+// carved from s, an Of or a Short, making no heap object of its own
+// (converting v to any makes one per call but for a few small values). The
+// slot is written once, here, and s hands it to no one else and never
+// refills it, so the value reads as v for as long as the interface lives,
+// as a converted one does; the interface keeps its chunk alive. The type
+// word comes from boxing T's zero value, which the runtime points at a
+// shared zero.
+func Box[T string | int64 | float64](s interface{ New() *T }, v T) any {
 	slot := s.New()
 	*slot = v
 	var zero T

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -143,7 +144,7 @@ func TestShortChunksStayShort(t *testing.T) {
 // boxActsLikeAny checks that a value boxed from s reads like any(v): equal
 // to it, asserted and switched on as T, the same map key, printed the same
 // and of the same dynamic type.
-func boxActsLikeAny[T string | int64 | float64](t *testing.T, s *Of[T], v T) any {
+func boxActsLikeAny[T string | int64 | float64](t *testing.T, s interface{ New() *T }, v T) any {
 	t.Helper()
 	b, want := Box(s, v), any(v)
 	if b != want {
@@ -173,11 +174,12 @@ func boxActsLikeAny[T string | int64 | float64](t *testing.T, s *Of[T], v T) any
 }
 
 // TestBoxActsLikeAny: a string, an int64 and a float64 boxed into carved
-// slots read like the same values converted to any, and keep reading so
-// after their Ofs are dropped and collected; a box costs no object of its
-// own once its chunk is there.
+// slots, from an Of or a Short, read like the same values converted to any,
+// and keep reading so after their carves are dropped and collected; a box
+// costs no object of its own once its chunk is there.
 func TestBoxActsLikeAny(t *testing.T) {
 	var strs Of[string]
+	var shortStrs Short[string]
 	var bytes Of[byte]
 	var ints Of[int64]
 	var floats Of[float64]
@@ -186,18 +188,21 @@ func TestBoxActsLikeAny(t *testing.T) {
 		str := String(&bytes, fmt.Appendf(nil, "value-%d", i))
 		kept = append(kept,
 			boxActsLikeAny(t, &strs, str),
+			boxActsLikeAny(t, &shortStrs, str),
 			boxActsLikeAny(t, &ints, int64(i)*1000-7),
 			boxActsLikeAny(t, &floats, float64(i)+0.25))
 	}
 	boxActsLikeAny(t, &strs, "")
+	boxActsLikeAny(t, &shortStrs, "")
 	boxActsLikeAny(t, &ints, 0)
 	boxActsLikeAny(t, &floats, math.Inf(-1))
-	strs, bytes, ints, floats = Of[string]{}, Of[byte]{}, Of[int64]{}, Of[float64]{}
+	strs, shortStrs, bytes, ints, floats = Of[string]{}, Short[string]{}, Of[byte]{}, Of[int64]{}, Of[float64]{}
 	runtime.GC()
 	runtime.GC()
 	for i := 0; i < 1000; i++ {
-		if want := []any{fmt.Sprintf("value-%d", i), int64(i)*1000 - 7, float64(i) + 0.25}; kept[3*i] != want[0] || kept[3*i+1] != want[1] || kept[3*i+2] != want[2] {
-			t.Fatalf("after a GC the boxes of row %d read %v, want %v", i, kept[3*i:3*i+3], want)
+		str := fmt.Sprintf("value-%d", i)
+		if want := []any{str, str, int64(i)*1000 - 7, float64(i) + 0.25}; !slices.Equal(kept[4*i:4*i+4], want) {
+			t.Fatalf("after a GC the boxes of row %d read %v, want %v", i, kept[4*i:4*i+4], want)
 		}
 	}
 
@@ -211,6 +216,7 @@ func TestBoxActsLikeAny(t *testing.T) {
 		box      func(i int)
 	}{
 		{"a string", perChunk[string](), func(i int) { boxes[i] = Box(&strs, "v") }},
+		{"a string from a Short", shortChunk, func(i int) { boxes[i] = Box(&shortStrs, "v") }},
 		{"an int64", perChunk[int64](), func(i int) { boxes[i] = Box(&ints, int64(i)<<20) }},
 		{"a float64", perChunk[float64](), func(i int) { boxes[i] = Box(&floats, float64(i)/3) }},
 	} {

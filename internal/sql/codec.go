@@ -23,12 +23,15 @@ type Datum interface{}
 // DatumCarve boxes the Datums a decode or an evaluation makes into chunks
 // of its own, each value written once (slab.Box): a string's bytes and its
 // header, an int64, a float64. A value costs no heap object of its own; a
-// chunk lives while any value boxed in it does. A Session owns one
+// chunk lives while any value boxed in it does. A string's header points
+// into a chunk of bytes, so the headers come from short chunks
+// (slab.Short): a full-sized chunk of them would keep every byte chunk its
+// dead strings point into alive for one survivor. A Session owns one
 // (Session.datums); a caller without a session passes a zero DatumCarve of
 // its own.
 type DatumCarve struct {
 	bytes  slab.Of[byte]
-	strs   slab.Of[string]
+	strs   slab.Short[string]
 	ints   slab.Of[int64]
 	floats slab.Of[float64]
 }

@@ -175,8 +175,10 @@ func TestDecodeRowIntoColumnSubset(t *testing.T) {
 // bool and NULL columns makes no object per value. A string's bytes and
 // its box, an int (any int, not only the few the runtime boxes for free)
 // and a float are boxed into the carve's chunks, and a bool or a NULL needs
-// no box, so the only objects are the chunks: well under one per 64 rows
-// once they are at full size, where boxing each value made seven per row.
+// no box, so the only objects are the chunks, where boxing each value made
+// seven per row: once they are at full size, one per 64 rows for the two
+// string headers (short chunks of 128 headers) and well under one per 64
+// rows for the bytes, ints and floats.
 func TestDecodeRowBoxesNothingOfItsOwn(t *testing.T) {
 	row := map[ColumnID]Datum{1: "user-00001234", 2: int64(1 << 40), 3: 2.5, 4: true, 5: nil, 6: "field", 7: int64(-300)}
 	val := encodeRow(new(slab.Of[byte]), row, nil)
@@ -201,8 +203,8 @@ func TestDecodeRowBoxesNothingOfItsOwn(t *testing.T) {
 		decode()
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; got > n/64 {
-		t.Errorf("decoding a row of %d columns %d times made %d objects, want at most %d (the carve's chunks)", len(row), n, got, n/64)
+	if got, most := after.Mallocs-before.Mallocs, uint64(n/64+n/64); got > most {
+		t.Errorf("decoding a row of %d columns %d times made %d objects, want at most %d (the carve's chunks)", len(row), n, got, most)
 	}
 }
 

@@ -1052,6 +1052,7 @@ func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 		if errors.As(resp.Err, &ta) {
 			t.finished = true
 			t.pending = nil
+			t.co.Store.Registry.GC(t.kv.Meta.ID)
 			t.co.Aborted++
 		}
 		return false, t.duplicateOrRestart(p, resp.Err)
@@ -1059,6 +1060,10 @@ func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 	if resp.Put.Declined1PC {
 		return false, nil
 	}
+	// The write landed committed, so no intent of the transaction exists,
+	// and only the send that returned re-sends a one-phase commit: nothing
+	// reads the record again.
+	t.co.Store.Registry.GC(t.kv.Meta.ID)
 	t.finished = true
 	t.committed1PC = true
 	t.pending = nil
@@ -1098,29 +1103,40 @@ func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Time
 		}
 		reqs[i] = &rs[i]
 	}
-	t.co.resolvers.Go(t.co.Store.Sim, "txn/resolve", resolution{co: t.co, reqs: reqs, parent: obs.ProcSpan(p)})
+	t.co.resolvers.Go(t.co.Store.Sim, "txn/resolve", resolution{co: t.co, id: id, reqs: reqs, parent: obs.ProcSpan(p)})
 }
 
 // resolution is what a resolve proc sends: one transaction's resolutions,
 // through its coordinator, under the span they join.
 type resolution struct {
 	co     *Coordinator
+	id     mvcc.TxnID
 	reqs   []interface{}
 	parent *obs.Span
 }
 
 // resolveBody is the body of every resolve proc: it sends the resolution
-// its start queued.
+// its start queued. Once every reply succeeded, no intent of the
+// transaction is left to read (DESIGN §11), so its record is dropped; after
+// a failed reply it stays, for readers to resolve what is left.
 func resolveBody(rp *sim.Proc, r resolution) {
 	c := r.co
 	sp := c.tracer().StartChild("txn.resolve", r.parent)
 	obs.SetProcSpan(rp, sp)
 	var respBuf [commitScratch]kv.Response
-	c.Sender.SendBatchInto(rp, r.reqs, scratchList(respBuf[:], len(r.reqs)))
+	resps := scratchList(respBuf[:], len(r.reqs))
+	c.Sender.SendBatchInto(rp, r.reqs, resps)
 	sp.Finish()
+	for i := range resps {
+		if resps[i].Err != nil {
+			return
+		}
+	}
+	c.Store.Registry.GC(r.id)
 }
 
-// Abort rolls the transaction back, resolving its intents as aborted.
+// Abort rolls the transaction back, resolving its intents as aborted. Its
+// record goes once they are resolved, or at once if it wrote nothing.
 func (t *Txn) Abort(p *sim.Proc) {
 	if t.finished {
 		return
@@ -1132,6 +1148,9 @@ func (t *Txn) Abort(p *sim.Proc) {
 		t.end = kv.EndTxnRequest{Txn: t.kv, Commit: false}
 		t.co.Sender.Send(p, &t.end)
 		t.asyncResolve(p, mvcc.Aborted, hlc.Timestamp{})
+	} else {
+		// No intent to resolve: a missing record reads as aborted.
+		t.co.Store.Registry.GC(t.kv.Meta.ID)
 	}
 	t.co.Aborted++
 }
