@@ -82,8 +82,10 @@ func TestScanAcrossMerge(t *testing.T) {
 			for !stop {
 				var got []mvcc.KeyValue
 				if err := sco.Run(wp, func(tx *txn.Txn) error {
-					var err error
-					got, err = tx.Scan(wp, mvcc.Key("mg/"), mvcc.Key("mg0"), 0)
+					spans, err := tx.Scan(wp, [][2]mvcc.Key{{mvcc.Key("mg/"), mvcc.Key("mg0")}}, 0)
+					if err == nil {
+						got = spans[0]
+					}
 					return err
 				}); err != nil {
 					t.Errorf("scan under merge: %v", err)
@@ -109,8 +111,10 @@ func TestScanAcrossMerge(t *testing.T) {
 		// continue just past the last row read.
 		var head []mvcc.KeyValue
 		if err := co.Run(p, func(tx *txn.Txn) error {
-			var err error
-			head, err = tx.Scan(p, mvcc.Key("mg/"), mvcc.Key("mg0"), 6)
+			spans, err := tx.Scan(p, [][2]mvcc.Key{{mvcc.Key("mg/"), mvcc.Key("mg0")}}, 6)
+			if err == nil {
+				head = spans[0]
+			}
 			return err
 		}); err != nil {
 			t.Errorf("head scan: %v", err)
@@ -142,8 +146,10 @@ func TestScanAcrossMerge(t *testing.T) {
 		// Finish the held scan across the now-vanished boundaries.
 		var tail []mvcc.KeyValue
 		if err := co.Run(p, func(tx *txn.Txn) error {
-			var err error
-			tail, err = tx.Scan(p, resume, mvcc.Key("mg0"), 0)
+			spans, err := tx.Scan(p, [][2]mvcc.Key{{resume, mvcc.Key("mg0")}}, 0)
+			if err == nil {
+				tail = spans[0]
+			}
 			return err
 		}); err != nil {
 			t.Errorf("resumed scan: %v", err)
@@ -170,8 +176,10 @@ func TestScanAcrossMerge(t *testing.T) {
 		// writer's last confirmed value.
 		var ref []mvcc.KeyValue
 		if err := co.Run(p, func(tx *txn.Txn) error {
-			var err error
-			ref, err = tx.Scan(p, mvcc.Key("mg/"), mvcc.Key("mg0"), 0)
+			spans, err := tx.Scan(p, [][2]mvcc.Key{{mvcc.Key("mg/"), mvcc.Key("mg0")}}, 0)
+			if err == nil {
+				ref = spans[0]
+			}
 			return err
 		}); err != nil {
 			t.Errorf("quiesced scan: %v", err)

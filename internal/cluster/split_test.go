@@ -151,8 +151,10 @@ func TestScanAcrossSplit(t *testing.T) {
 		// with the post-split values.
 		var rows []mvcc.KeyValue
 		if err := co.Run(p, func(tx *txn.Txn) error {
-			var err error
-			rows, err = tx.Scan(p, mvcc.Key("sc/"), mvcc.Key("sc0"), 0)
+			spans, err := tx.Scan(p, [][2]mvcc.Key{{mvcc.Key("sc/"), mvcc.Key("sc0")}}, 0)
+			if err == nil {
+				rows = spans[0]
+			}
 			return err
 		}); err != nil {
 			t.Errorf("scan: %v", err)
@@ -169,8 +171,10 @@ func TestScanAcrossSplit(t *testing.T) {
 		// MaxRows cutting across the split boundary: 6 rows spans the first
 		// two ranges and must stop exactly at 6.
 		if err := co.Run(p, func(tx *txn.Txn) error {
-			var err error
-			rows, err = tx.Scan(p, mvcc.Key("sc/"), mvcc.Key("sc0"), 6)
+			spans, err := tx.Scan(p, [][2]mvcc.Key{{mvcc.Key("sc/"), mvcc.Key("sc0")}}, 6)
+			if err == nil {
+				rows = spans[0]
+			}
 			return err
 		}); err != nil {
 			t.Errorf("limited scan: %v", err)

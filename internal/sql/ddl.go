@@ -6,6 +6,7 @@ import (
 
 	"mrdb/internal/core"
 	"mrdb/internal/kv"
+	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
@@ -130,11 +131,11 @@ func (s *Session) execDropRegion(p *sim.Proc, db *core.Database, region simnet.R
 			start, end := IndexSpan(t, t.Primary().ID, r)
 			var rows int
 			err := s.Coord.Run(p, func(tx *txn.Txn) error {
-				kvs, err := tx.Scan(p, start, end, 1)
+				kvs, err := tx.Scan(p, [][2]mvcc.Key{{start, end}}, 1)
 				if err != nil {
 					return err
 				}
-				rows = len(kvs)
+				rows = len(kvs[0])
 				return nil
 			})
 			if err != nil {

@@ -673,12 +673,12 @@ func (s *Session) backfill(p *sim.Proc, db *core.Database, src, dst *Table, idxs
 	return s.Coord.Run(p, func(tx *txn.Txn) error {
 		for _, srcRegion := range partitionsOf(src, db) {
 			start, end := IndexSpan(src, src.Primary().ID, srcRegion)
-			rows, err := tx.Scan(p, start, end, 0)
+			rows, err := tx.Scan(p, [][2]mvcc.Key{{start, end}}, 0)
 			if err != nil {
 				return err
 			}
 			var kvs []mvcc.KeyValue
-			for _, row := range rows {
+			for _, row := range rows[0] {
 				vals, err := DecodeRow(row.Value, &s.datums)
 				if err != nil {
 					return err

@@ -388,11 +388,11 @@ func (s *Session) execTruncate(p *sim.Proc, st *Truncate) (*Result, error) {
 		deleted = 0
 		for _, region := range partitionsOf(t, db) {
 			start, end := IndexSpan(t, t.Primary().ID, region)
-			rows, err := tx.Scan(p, start, end, 0)
+			rows, err := tx.Scan(p, [][2]mvcc.Key{{start, end}}, 0)
 			if err != nil {
 				return err
 			}
-			for _, kvp := range rows {
+			for _, kvp := range rows[0] {
 				vals, err := DecodeRow(kvp.Value, &s.datums)
 				if err != nil {
 					return err

@@ -142,6 +142,6 @@ func (f *slowProbeFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Va
 	return nil
 }
 
-func (f *slowProbeFetcher) scan(*sim.Proc, mvcc.Key, mvcc.Key, int) ([]mvcc.KeyValue, error) {
+func (f *slowProbeFetcher) scan(*sim.Proc, [][2]mvcc.Key, int) ([][]mvcc.KeyValue, error) {
 	return nil, errors.New("slowProbeFetcher: no scans")
 }

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mrdb/internal/hlc"
+	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
@@ -211,11 +212,11 @@ func indexDump(t *testing.T, p *sim.Proc, s *Session, tbl *Table) []string {
 		for _, idx := range tbl.Indexes {
 			for _, region := range partitionsOf(tbl, db) {
 				start, end := IndexSpan(tbl, idx.ID, region)
-				kvs, err := tx.Scan(p, start, end, 0)
+				kvs, err := tx.Scan(p, [][2]mvcc.Key{{start, end}}, 0)
 				if err != nil {
 					return err
 				}
-				for _, kv := range kvs {
+				for _, kv := range kvs[0] {
 					out = append(out, fmt.Sprintf("%q = %x", kv.Key[tablePrefix:], kv.Value))
 				}
 			}

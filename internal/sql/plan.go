@@ -338,7 +338,7 @@ type batchReader interface {
 // always a batch.
 type rowFetcher interface {
 	batchReader
-	scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error)
+	scan(p *sim.Proc, spans [][2]mvcc.Key, max int) ([][]mvcc.KeyValue, error)
 }
 
 // txnFetcher reads through a transaction. It is one pointer, so it becomes
@@ -348,8 +348,8 @@ type txnFetcher struct{ tx *txn.Txn }
 func (f txnFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error {
 	return f.tx.GetParallel(p, keys, vals)
 }
-func (f txnFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
-	return f.tx.Scan(p, start, end, max)
+func (f txnFetcher) scan(p *sim.Proc, spans [][2]mvcc.Key, max int) ([][]mvcc.KeyValue, error) {
+	return f.tx.Scan(p, spans, max)
 }
 
 // lockingFetcher is a txnFetcher whose point reads take exclusive locks
@@ -375,12 +375,10 @@ type staleFetcher struct {
 }
 
 func (f *staleFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) error {
-	got, err := f.co.ExactStaleReads(p, keys, f.ts)
-	copy(vals, got)
-	return err
+	return f.co.ExactStaleReads(p, keys, vals, f.ts)
 }
-func (f *staleFetcher) scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
-	return f.co.StaleScan(p, start, end, max, f.ts)
+func (f *staleFetcher) scan(p *sim.Proc, spans [][2]mvcc.Key, max int) ([][]mvcc.KeyValue, error) {
+	return f.co.StaleScan(p, spans, max, f.ts)
 }
 
 // fetchRows executes a read plan.
@@ -768,53 +766,37 @@ func (s *Session) decodeRowPooled(t *Table, val mvcc.Value, cols []ColumnID) (ma
 	return m, nil
 }
 
-// fetchScan scans every candidate partition of the plan's index in
-// parallel. A non-storing secondary index then reads each partition's rows
-// as one batch.
+// fetchScan scans every candidate partition of the plan's index as one
+// batch, so that every partition is read at one timestamp. A non-storing
+// secondary index then reads every partition's rows as one batch.
 func (s *Session) fetchScan(p *sim.Proc, f rowFetcher, plan *readPlan) ([]tableRow, error) {
 	t, idx := plan.t, plan.index
-	type result struct {
-		rows []tableRow
-		err  error
+	spans := make([][2]mvcc.Key, len(plan.regions))
+	for i, region := range plan.regions {
+		spans[i][0], spans[i][1] = IndexSpan(t, idx.ID, region)
 	}
-	slots := make([]result, len(plan.regions))
-	p.Fanout("sql/scan", len(slots), func(wp *sim.Proc, i int) {
-		region := plan.regions[i]
-		start, end := IndexSpan(t, idx.ID, region)
-		kvs, err := f.scan(wp, start, end, plan.limit)
-		if err != nil {
-			slots[i] = result{err: err}
-			return
-		}
-		rows := make([]tableRow, len(kvs))
-		for j := range rows {
-			rows[j].region = region
-		}
-		if !covering(t, idx) {
-			entries := make([]mvcc.Value, len(kvs))
-			for j, kvp := range kvs {
-				entries[j] = kvp.Value
-			}
-			err := s.primaryRows(wp, f, t, plan.cols, entries, rows)
-			slots[i] = result{rows: hits(rows), err: err}
-			return
-		}
-		for j, kvp := range kvs {
-			if rows[j].vals, err = s.decodeRowPooled(t, kvp.Value, plan.cols); err != nil {
-				slots[i] = result{err: err}
-				return
-			}
-		}
-		slots[i] = result{rows: rows}
-	})
-	var out []tableRow
-	for _, r := range slots {
-		if r.err != nil {
-			return nil, r.err
-		}
-		out = append(out, r.rows...)
+	kvs, err := f.scan(p, spans, plan.limit)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	var rows []tableRow
+	var entries []mvcc.Value
+	for i, part := range kvs {
+		for _, kvp := range part {
+			row := tableRow{region: plan.regions[i]}
+			if !covering(t, idx) {
+				entries = append(entries, kvp.Value)
+			} else if row.vals, err = s.decodeRowPooled(t, kvp.Value, plan.cols); err != nil {
+				return nil, err
+			}
+			rows = append(rows, row)
+		}
+	}
+	if covering(t, idx) {
+		return rows, nil
+	}
+	err = s.primaryRows(p, f, t, plan.cols, entries, rows)
+	return hits(rows), err
 }
 
 // filterRows applies the full WHERE clause to fetched rows.

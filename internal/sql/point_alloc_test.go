@@ -476,7 +476,7 @@ func (f *lateFetcher) getBatch(p *sim.Proc, keys []mvcc.Key, vals []mvcc.Value) 
 	return nil
 }
 
-func (f *lateFetcher) scan(*sim.Proc, mvcc.Key, mvcc.Key, int) ([]mvcc.KeyValue, error) {
+func (f *lateFetcher) scan(*sim.Proc, [][2]mvcc.Key, int) ([][]mvcc.KeyValue, error) {
 	return nil, errors.New("lateFetcher: no scans")
 }
 

@@ -100,7 +100,9 @@ func TestLateEvaluationWritesOnlyItsOwnKeys(t *testing.T) {
 // while a latch wait made a condition, its waiter list and the entry's
 // list entry; 43.86 and 273.07 while a replica took a request's evaluator
 // by an assertion to an interface type, whose call-site cache the runtime
-// fills at random. They were 53.61 and 284.91 while a commit made its EndTxn request, its
+// fills at random. At 32 keys it was 256.23 while a commit carved the lists
+// that carry its proofs and resolutions from its coordinator's chunks. They
+// were 53.61 and 284.91 while a commit made its EndTxn request, its
 // prove closure, error and future, its proof and resolution lists and
 // request chunks and a resolve closure, its prove and resolve procs answered
 // past 16 writes in lists of their own, and a leaseholder gathered past 16
@@ -157,7 +159,7 @@ func TestTxnBookkeepingDoesNotScaleWithKeys(t *testing.T) {
 			p.Sleep(sim.Second)
 		}
 	})
-	for k, want := range map[int]float64{4: 15.69, 32: 256.23} {
+	for k, want := range map[int]float64{4: 15.69, 32: 255.73} {
 		if math.Abs(got[k]-want) > 0.1 {
 			t.Errorf("a transaction of %d reads and %d writes allocates %.2f objects, want %.1f ± 0.1", k, k, got[k], want)
 		}

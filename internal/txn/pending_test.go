@@ -119,10 +119,11 @@ func TestScanSeesPendingWrites(t *testing.T) {
 		if err := tx.Put(p, mvcc.Key("k/s1"), nil); err != nil {
 			t.Fatal(err)
 		}
-		rows, err := tx.Scan(p, mvcc.Key("k/s"), mvcc.Key("k/t"), 0)
+		spans, err := tx.Scan(p, [][2]mvcc.Key{{mvcc.Key("k/s"), mvcc.Key("k/t")}}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rows := spans[0]
 		if len(rows) != 1 || string(rows[0].Key) != "k/s2" || string(rows[0].Value) != "mine" {
 			t.Errorf("scan over pending writes returned %v, want only k/s2=mine", rows)
 		}

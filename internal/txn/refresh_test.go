@@ -1,0 +1,80 @@
+package txn_test
+
+import (
+	"fmt"
+	"testing"
+
+	"mrdb/internal/kv"
+	"mrdb/internal/mvcc"
+	"mrdb/internal/sim"
+	"mrdb/internal/simnet"
+)
+
+// TestRefreshIsOneRPCPerRange: a commit refresh sends every read span of
+// the transaction as one batch, one RPC per range the spans touch: four
+// spans on one range cost one RPC, three spans on three ranges three, and
+// six spans on three ranges three. A refresh's RPCs are what its commit sends
+// beyond the same commit whose write was not pushed, which refreshes
+// nothing. The write goes to a range of its own: a scan raises the read
+// floor of every range it reads, which would push a write there.
+func TestRefreshIsOneRPCPerRange(t *testing.T) {
+	h := newHarness(t, 1)
+	h.run(t, func(p *sim.Proc) {
+		for _, at := range []string{"k/p", "k/h"} {
+			if _, err := h.c.Admin.SplitRange(p, h.desc.RangeID, mvcc.Key(at)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h.homedRange(t, "w/", "w0", simnet.USEast1, nil, kv.ClosedTSLag)
+		co := h.coord(simnet.USEast1)
+		run := 0
+		// commitSent scans spans, writes one key, pushed above the reads by
+		// another transaction's read when pushed is set, and returns the RPCs
+		// the commit sent.
+		commitSent := func(spans [][2]mvcc.Key, pushed bool) int64 {
+			run++
+			w := mvcc.Key(fmt.Sprintf("w/%03d", run))
+			tx := co.Begin(0)
+			if _, err := tx.Scan(p, spans, 0); err != nil {
+				t.Fatal(err)
+			}
+			if pushed {
+				other := co.Begin(0)
+				if _, err := other.Get(p, w); err != nil {
+					t.Fatal(err)
+				}
+				if err := other.Commit(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tx.PutParallel(p, []mvcc.KeyValue{{Key: w, Value: mvcc.Value("v")}}, []bool{true}); err != nil {
+				t.Fatal(err)
+			}
+			if got := tx.ReadTimestamp().Less(tx.WriteTimestamp()); got != pushed {
+				t.Fatalf("the write was pushed: %v, want %v", got, pushed)
+			}
+			p.Sleep(sim.Second) // the write replicates
+			sent := co.Sender.Sent
+			if err := tx.Commit(p); err != nil {
+				t.Fatal(err)
+			}
+			sent = co.Sender.Sent - sent
+			p.Sleep(sim.Second) // the resolution lands
+			return sent
+		}
+		span := func(from, to string) [2]mvcc.Key { return [2]mvcc.Key{mvcc.Key(from), mvcc.Key(to)} }
+		for _, c := range []struct {
+			name  string
+			spans [][2]mvcc.Key
+			want  int64
+		}{
+			{"four spans on one range", [][2]mvcc.Key{span("k/a", "k/b"), span("k/b", "k/c"), span("k/c", "k/d"), span("k/d", "k/e")}, 1},
+			{"three spans on three ranges", [][2]mvcc.Key{span("k/a", "k/b"), span("k/i", "k/j"), span("k/q", "k/r")}, 3},
+			{"six spans on three ranges", [][2]mvcc.Key{span("k/a", "k/b"), span("k/c", "k/d"), span("k/i", "k/j"), span("k/k", "k/l"), span("k/q", "k/r"), span("k/s", "k/t")}, 3},
+		} {
+			if got := commitSent(c.spans, true) - commitSent(c.spans, false); got != c.want {
+				t.Errorf("%s: the commit refresh sent %d RPCs, want %d", c.name, got, c.want)
+			}
+		}
+	})
+}

@@ -30,8 +30,8 @@ func TestSpanRefreshSeesEveryRange(t *testing.T) {
 		co := h.coord(simnet.USEast1)
 		span := func(tx *txn.Txn, want int) {
 			t.Helper()
-			if rows, err := tx.Scan(p, mvcc.Key("k/c"), mvcc.Key("k0"), 0); err != nil || len(rows) != want {
-				t.Fatalf("scan across the split: %d rows, %v; want %d", len(rows), err, want)
+			if rows, err := tx.Scan(p, [][2]mvcc.Key{{mvcc.Key("k/c"), mvcc.Key("k0")}}, 0); err != nil || len(rows[0]) != want {
+				t.Fatalf("scan across the split: %v; want %d rows", err, want)
 			}
 		}
 

@@ -50,16 +50,16 @@ type Coordinator struct {
 	writeLists   slab.Of[write]
 	pendingLists slab.Of[bufferedPut]
 	// A commit's proofs and resolutions, requests that point at no
-	// transaction, and the lists that carry them, each written once. A carve
-	// pins key bytes, never a transaction, and its chunks are short ones
-	// (slab.Short): a chunk keeps alive the keys of every request in it.
+	// transaction, each written once; the lists that carry them are built on
+	// the stacks of the procs that send them. A carve pins key bytes, never a
+	// transaction, and its chunks are short ones (slab.Short): a chunk keeps
+	// alive the keys of every request in it.
 	// What a transaction sends rarely — a refresh, a one-phase commit's read
 	// spans past the first — is an array of its own instead: a chunk that
 	// fills slowly would keep dead requests' keys, and the session chunks
 	// they were carved from, alive for most of the run.
 	proofReqs   slab.Short[kv.QueryIntentRequest]
 	resolveReqs slab.Short[kv.ResolveIntentRequest]
-	reqLists    slab.Short[interface{}]
 	// provers and resolvers start the prove and resolve procs of its
 	// transactions, each proc on the transaction or the resolution its start
 	// queued.
@@ -157,7 +157,7 @@ type Txn struct {
 	end kv.EndTxnRequest
 	// The commit's prove proc: the proofs it sends, the span it joins, its
 	// error and its end.
-	proveReqs []interface{}
+	proveReqs []kv.QueryIntentRequest
 	proveSpan *obs.Span
 	proveErr  error
 	proveDone sim.Future[struct{}]
@@ -198,6 +198,16 @@ func scratchList[T any](buf []T, n int) []T {
 		return buf[:n]
 	}
 	return make([]T, n)
+}
+
+// requestList returns the list that carries reqs in a batch: buf's slots
+// when they fit.
+func requestList[T any](buf []interface{}, reqs []T) []interface{} {
+	list := scratchList(buf, len(reqs))
+	for i := range reqs {
+		list[i] = &reqs[i]
+	}
+	return list
 }
 
 // write is one key the transaction wrote.
@@ -395,14 +405,11 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 		if err := t.landed(p, riders, resps, 0); err != nil {
 			return err
 		}
-		var firstErr error
 		gets := resps[len(riders):]
+		err := firstErr(gets)
 		for j := range gets {
 			resp := &gets[j]
 			if resp.Err != nil {
-				if firstErr == nil {
-					firstErr = resp.Err
-				}
 				continue
 			}
 			if !resp.Get.BumpedTS.IsEmpty() && t.kv.ReadTimestamp.Less(resp.Get.BumpedTS) {
@@ -418,37 +425,25 @@ func (t *Txn) read(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, forUpdate boo
 			t.reuse(riders)
 			riders = nil
 		}
-		if firstErr == nil {
-			if probe == nil {
-				t.reads = grow(&t.co.readLists, t.reads, len(send))
-			} else {
-				probe.reads = grow(&t.co.readLists, probe.reads, len(send))
+		if err == nil {
+			reads := &t.reads
+			if probe != nil {
+				reads = &probe.reads
 			}
+			*reads = grow(&t.co.readLists, *reads, len(send))
 			for j, key := range send {
-				if probe != nil {
-					probe.reads = append(probe.reads, readSpan{key: key, value: gets[j].Get.Value})
-				} else {
-					t.recordRead(key, nil, gets[j].Get.Value)
-				}
+				*reads = append(*reads, readSpan{key: key, value: gets[j].Get.Value})
 			}
 			return nil
 		}
 		if probe != nil {
-			probe.err = firstErr
-			return firstErr
+			probe.err = err
+			return err
 		}
-		if err := t.handleReadErr(p, firstErr); err != nil {
+		if err := t.handleReadErr(p, err); err != nil {
 			return err
 		}
 	}
-}
-
-// recordRead notes a span the transaction read ([key, end), or the point key
-// when end is nil), so refreshes and a one-phase commit can re-validate it.
-// A point read also notes the value it returned. The keys are the caller's,
-// which the transaction now owns.
-func (t *Txn) recordRead(key, end mvcc.Key, value mvcc.Value) {
-	t.reads = append(grow(&t.co.readLists, t.reads, 1), readSpan{key: key, end: end, value: value})
 }
 
 // knowsAny reports whether the transaction knows what any of keys holds.
@@ -481,30 +476,56 @@ func (t *Txn) known(key mvcc.Key) (mvcc.Value, bool) {
 	return nil, false
 }
 
-// Scan reads [start, end) up to max rows. It first sends the pending writes,
-// so it sees the transaction's own. The transaction keeps start and end,
-// which must not change after.
-func (t *Txn) Scan(p *sim.Proc, start, end mvcc.Key, max int) ([]mvcc.KeyValue, error) {
+// Scan reads each span [spans[i][0], spans[i][1]) up to max rows into
+// rows[i], every span in one batch (one RPC per touched range). It first
+// sends the pending writes, so it sees the transaction's own. An uncertain
+// value in any span refreshes the transaction and reads every span again, so
+// all of them are read at one timestamp, and they are recorded as read only
+// once all of them have been. The transaction keeps the spans' keys, which
+// must not change after; the slice spans is the caller's again on return.
+func (t *Txn) Scan(p *sim.Proc, spans [][2]mvcc.Key, max int) ([][]mvcc.KeyValue, error) {
 	if err := t.sendWrites(p, 0); err != nil {
 		return nil, err
 	}
+	var buf [batchScratch]interface{}
+	var respBuf [batchScratch]kv.Response
+	resps := scratchList(respBuf[:], len(spans))
 	for {
-		req := &kv.ScanRequest{
-			StartKey: start, EndKey: end, MaxRows: max,
-			Timestamp:    t.kv.ReadTimestamp,
-			Txn:          t.kv,
-			Uncertainty:  true,
-			FollowerRead: t.followerOK(start),
+		scans := make([]kv.ScanRequest, len(spans)) // an attempt's own: a late evaluation may read them
+		for i, span := range spans {
+			scans[i] = kv.ScanRequest{
+				StartKey: span[0], EndKey: span[1], MaxRows: max,
+				Timestamp:    t.kv.ReadTimestamp,
+				Txn:          t.kv,
+				Uncertainty:  true,
+				FollowerRead: t.followerOK(span[0]),
+			}
 		}
-		resp := t.co.Sender.Send(p, req)
-		if resp.Err == nil {
-			t.recordRead(start, end, nil)
-			return resp.Scan.Rows, nil
+		t.co.Sender.SendBatchInto(p, requestList(buf[:], scans), resps)
+		err := firstErr(resps)
+		if err == nil {
+			rows := make([][]mvcc.KeyValue, len(spans))
+			t.reads = grow(&t.co.readLists, t.reads, len(spans))
+			for i, span := range spans {
+				rows[i] = resps[i].Scan.Rows
+				t.reads = append(t.reads, readSpan{key: span[0], end: span[1]})
+			}
+			return rows, nil
 		}
-		if err := t.handleReadErr(p, resp.Err); err != nil {
+		if err := t.handleReadErr(p, err); err != nil {
 			return nil, err
 		}
 	}
+}
+
+// firstErr returns the first error of resps, or nil.
+func firstErr(resps []kv.Response) error {
+	for i := range resps {
+		if resps[i].Err != nil {
+			return resps[i].Err
+		}
+	}
+	return nil
 }
 
 // handleReadErr digests a read failure. An uncertainty error triggers a
@@ -537,8 +558,9 @@ func (t *Txn) adoptReadTS(ts hlc.Timestamp) {
 
 // refreshReads verifies every prior read remains valid at newTS (paper
 // §6.1: "checking whether the values previously read by the transaction
-// remain unchanged at the newer timestamp"). Spans refresh in parallel;
-// reads of GLOBAL tables refresh at the nearest replica when possible.
+// remain unchanged at the newer timestamp"). Every span refreshes in one
+// batch, one RPC per touched range; reads of GLOBAL tables refresh at the
+// nearest replica when possible.
 func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 	if len(t.reads) == 0 {
 		return true
@@ -546,22 +568,25 @@ func (t *Txn) refreshReads(p *sim.Proc, newTS hlc.Timestamp) bool {
 	sp, done := t.co.tracer().StartIn(p, "txn.refresh")
 	defer done()
 	sp.SetTagInt("spans", int64(len(t.reads)))
-	failed := false
-	reqs := make([]kv.RefreshRequest, len(t.reads)) // one array, not one request per span
-	p.Fanout("txn/refresh", len(t.reads), func(wp *sim.Proc, i int) {
-		span := t.reads[i]
-		reqs[i] = kv.RefreshRequest{
+	var buf [batchScratch]interface{}
+	var respBuf [batchScratch]kv.Response
+	resps := scratchList(respBuf[:], len(t.reads))
+	refreshes := make([]kv.RefreshRequest, len(t.reads)) // one array, not one request per span
+	for i, span := range t.reads {
+		refreshes[i] = kv.RefreshRequest{
 			Key: span.key, EndKey: span.end,
 			FromTS: t.kv.ReadTimestamp, ToTS: newTS,
 			TxnID:        t.kv.Meta.ID,
 			FollowerRead: t.followerOK(span.key),
 		}
-		resp := t.co.Sender.Send(wp, &reqs[i])
-		if resp.Err != nil || !resp.Refresh.Success {
-			failed = true
+	}
+	t.co.Sender.SendBatchInto(p, requestList(buf[:], refreshes), resps)
+	for i := range resps {
+		if resps[i].Err != nil || !resps[i].Refresh.Success {
+			return false
 		}
-	})
-	return !failed
+	}
+	return true
 }
 
 // Put writes key=value. The write is sent with the transaction's next
@@ -964,9 +989,9 @@ func (t *Txn) Commit(p *sim.Proc) error {
 
 // proofs returns a QueryIntent request for every write not proven yet: every
 // pipelined one. The decision was recorded when each write was sent, and is
-// not taken again here: the lease may have moved since. The requests and
-// their list are carved from the coordinator's chunks.
-func (t *Txn) proofs() []interface{} {
+// not taken again here: the lease may have moved since. The requests are
+// carved from the coordinator's chunks.
+func (t *Txn) proofs() []kv.QueryIntentRequest {
 	n := 0
 	for _, w := range t.writes {
 		if !w.proven {
@@ -976,16 +1001,13 @@ func (t *Txn) proofs() []interface{} {
 	if n == 0 {
 		return nil
 	}
-	reqs, qs := t.co.reqLists.Take(n)[:0], t.co.proofReqs.Take(n)
+	qs := t.co.proofReqs.Take(n)[:0]
 	for _, w := range t.writes {
-		if w.proven {
-			continue
+		if !w.proven {
+			qs = append(qs, kv.QueryIntentRequest{Key: w.key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch})
 		}
-		q := &qs[len(reqs)]
-		*q = kv.QueryIntentRequest{Key: w.key, TxnID: t.kv.Meta.ID, Epoch: t.kv.Meta.Epoch}
-		reqs = append(reqs, q)
 	}
-	return reqs
+	return qs
 }
 
 // proveBody is the body of every prove proc: it proves the writes of the
@@ -999,24 +1021,21 @@ func proveBody(wp *sim.Proc, t *Txn) {
 
 // proveWrites sends the proofs in parallel and fails if any intent is
 // missing.
-func (t *Txn) proveWrites(p *sim.Proc, reqs []interface{}) error {
+func (t *Txn) proveWrites(p *sim.Proc, qs []kv.QueryIntentRequest) error {
 	sp, done := t.co.tracer().StartIn(p, "txn.prove")
 	defer done()
-	sp.SetTagInt("writes", int64(len(reqs)))
-	missing := false
+	sp.SetTagInt("writes", int64(len(qs)))
+	var buf [commitScratch]interface{}
 	var respBuf [commitScratch]kv.Response
-	resps := scratchList(respBuf[:], len(reqs))
-	t.co.Sender.SendBatchInto(p, reqs, resps)
-	for i := range resps {
-		if resps[i].Err != nil {
-			return resps[i].Err
-		}
-		if !resps[i].QueryIntent.Found {
-			missing = true
-		}
+	resps := scratchList(respBuf[:], len(qs))
+	t.co.Sender.SendBatchInto(p, requestList(buf[:], qs), resps)
+	if err := firstErr(resps); err != nil {
+		return err
 	}
-	if missing {
-		return t.restartError("pipelined write lost", t.kv.Meta.WriteTimestamp)
+	for i := range resps {
+		if !resps[i].QueryIntent.Found {
+			return t.restartError("pipelined write lost", t.kv.Meta.WriteTimestamp)
+		}
 	}
 	return nil
 }
@@ -1026,13 +1045,7 @@ func (t *Txn) proveWrites(p *sim.Proc, reqs []interface{}) error {
 // leaves the write pending) when the server declines.
 func (t *Txn) commit1PC(p *sim.Proc) (bool, error) {
 	b := t.pending[0]
-	var spans [][2]mvcc.Key
-	switch n := len(t.reads); {
-	case n == 1:
-		spans = t.spanBuf[:]
-	case n > 1:
-		spans = make([][2]mvcc.Key, n)
-	}
+	spans := scratchList(t.spanBuf[:], len(t.reads))
 	for i, rs := range t.reads {
 		spans[i] = [2]mvcc.Key{rs.key, rs.end}
 	}
@@ -1089,21 +1102,20 @@ func (t *Txn) commitWait(p *sim.Proc, ts hlc.Timestamp) {
 // asyncResolve spawns intent resolution for every written key as one batch
 // (one RPC per touched range). The resolution joins the transaction's trace
 // (under a "txn.resolve" span) but runs concurrently with — never on — the
-// caller's latency path. The requests and their list are carved from the
-// coordinator's chunks.
+// caller's latency path. The requests are carved from the coordinator's
+// chunks.
 func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Timestamp) {
 	if len(t.writes) == 0 {
 		return
 	}
 	id := t.kv.Meta.ID
-	reqs, rs := t.co.reqLists.Take(len(t.writes)), t.co.resolveReqs.Take(len(t.writes))
+	rs := t.co.resolveReqs.Take(len(t.writes))
 	for i, w := range t.writes {
 		rs[i] = kv.ResolveIntentRequest{
 			Key: w.key, TxnID: id, Status: status, CommitTS: commitTS,
 		}
-		reqs[i] = &rs[i]
 	}
-	t.co.resolvers.Go(t.co.Store.Sim, "txn/resolve", resolution{co: t.co, id: id, reqs: reqs, parent: obs.ProcSpan(p)})
+	t.co.resolvers.Go(t.co.Store.Sim, "txn/resolve", resolution{co: t.co, id: id, reqs: rs, parent: obs.ProcSpan(p)})
 }
 
 // resolution is what a resolve proc sends: one transaction's resolutions,
@@ -1111,7 +1123,7 @@ func (t *Txn) asyncResolve(p *sim.Proc, status mvcc.TxnStatus, commitTS hlc.Time
 type resolution struct {
 	co     *Coordinator
 	id     mvcc.TxnID
-	reqs   []interface{}
+	reqs   []kv.ResolveIntentRequest
 	parent *obs.Span
 }
 
@@ -1123,16 +1135,14 @@ func resolveBody(rp *sim.Proc, r resolution) {
 	c := r.co
 	sp := c.tracer().StartChild("txn.resolve", r.parent)
 	obs.SetProcSpan(rp, sp)
+	var buf [commitScratch]interface{}
 	var respBuf [commitScratch]kv.Response
 	resps := scratchList(respBuf[:], len(r.reqs))
-	c.Sender.SendBatchInto(rp, r.reqs, resps)
+	c.Sender.SendBatchInto(rp, requestList(buf[:], r.reqs), resps)
 	sp.Finish()
-	for i := range resps {
-		if resps[i].Err != nil {
-			return
-		}
+	if firstErr(resps) == nil {
+		c.Store.Registry.GC(r.id)
 	}
-	c.Store.Registry.GC(r.id)
 }
 
 // Abort rolls the transaction back, resolving its intents as aborted. Its
@@ -1197,21 +1207,21 @@ func (c *Coordinator) ExactStaleRead(p *sim.Proc, key mvcc.Key, ts hlc.Timestamp
 	return resp.Get.Value, resp.Get.ServedBy, nil
 }
 
-// ExactStaleReads reads keys at exactly ts as one batch: one RPC per touched
-// range, each to its nearest replica. The values keep the order of keys.
-func (c *Coordinator) ExactStaleReads(p *sim.Proc, keys []mvcc.Key, ts hlc.Timestamp) ([]mvcc.Value, error) {
+// ExactStaleReads reads keys at exactly ts as one batch into out, which must
+// be as long as keys: one RPC per touched range, each to its nearest replica.
+// out[i] is keys[i]'s value.
+func (c *Coordinator) ExactStaleReads(p *sim.Proc, keys []mvcc.Key, out []mvcc.Value, ts hlc.Timestamp) error {
 	reqs := make([]interface{}, len(keys))
 	for i, key := range keys {
 		reqs[i] = c.staleGet(key, ts)
 	}
-	out := make([]mvcc.Value, len(keys))
 	for i, resp := range c.Sender.SendBatch(p, reqs) {
 		if resp.Err != nil {
-			return nil, resp.Err
+			return resp.Err
 		}
 		out[i] = resp.Get.Value
 	}
-	return out, nil
+	return nil
 }
 
 // staleGet is the follower read of key at exactly ts that every stale point
@@ -1222,17 +1232,24 @@ func (c *Coordinator) staleGet(key mvcc.Key, ts hlc.Timestamp) *kv.GetRequest {
 	}
 }
 
-// StaleScan performs an exact-staleness scan at ts from the nearest
-// replicas of the touched ranges.
-func (c *Coordinator) StaleScan(p *sim.Proc, start, end mvcc.Key, max int, ts hlc.Timestamp) ([]mvcc.KeyValue, error) {
-	resp := c.Sender.Send(p, &kv.ScanRequest{
-		StartKey: start, EndKey: end, MaxRows: max,
-		Timestamp: ts, FollowerRead: true, Uncertainty: false,
-	})
-	if resp.Err != nil {
-		return nil, resp.Err
+// StaleScan performs an exact-staleness scan of spans at ts, as Txn.Scan
+// does, from the nearest replicas of the touched ranges.
+func (c *Coordinator) StaleScan(p *sim.Proc, spans [][2]mvcc.Key, max int, ts hlc.Timestamp) ([][]mvcc.KeyValue, error) {
+	reqs := make([]interface{}, len(spans))
+	for i, span := range spans {
+		reqs[i] = &kv.ScanRequest{
+			StartKey: span[0], EndKey: span[1], MaxRows: max,
+			Timestamp: ts, FollowerRead: true, Uncertainty: false,
+		}
 	}
-	return resp.Scan.Rows, nil
+	rows := make([][]mvcc.KeyValue, len(spans))
+	for i, resp := range c.Sender.SendBatch(p, reqs) {
+		if resp.Err != nil {
+			return nil, resp.Err
+		}
+		rows[i] = resp.Scan.Rows
+	}
+	return rows, nil
 }
 
 // BoundedStalenessTimestamp picks the timestamp a bounded-staleness read of
