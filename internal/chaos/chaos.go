@@ -333,6 +333,7 @@ func runOn(c *cluster.Cluster, opts Options) (*Report, error) {
 	h.rep.LoadSplits = c.Admin.LoadSplits
 	h.rep.LoadMerges = c.Admin.Merges
 	h.rep.LeaseMoves = c.Admin.LeaseMoves
+	h.rep.ApplyErrors = c.ApplyErrors()
 	if h.rep.Restarts > 0 {
 		h.rep.RestartRecovery = c.Metrics.Histogram("recovery.duration").Summary()
 	}

@@ -48,6 +48,10 @@ type Report struct {
 	LinViolations int
 	Registers     []RegisterStats
 
+	// ApplyErrors counts the commands a replica failed to apply, a key
+	// outside its range among them (Cluster.ApplyErrors).
+	ApplyErrors int
+
 	// Closed-timestamp monotonicity.
 	ClosedTSSamples     int64
 	ClosedTSRegressions int64
@@ -163,7 +167,7 @@ func (r *Report) LocalityChangesBad() int {
 func (r *Report) OK() bool {
 	return r.FinalAuditOK && r.BankAuditBad == 0 && r.LinViolations == 0 &&
 		r.SQLBankFinal == r.BankExpected && r.SQLAuditBad == 0 && r.StaleAuditBad == 0 &&
-		r.LocalityChangesBad() == 0 &&
+		r.LocalityChangesBad() == 0 && r.ApplyErrors == 0 &&
 		r.ClosedTSRegressions == 0 && r.RecoveryFailures == 0 &&
 		r.PlacementViolations == 0
 }
@@ -186,6 +190,7 @@ func (r *Report) String() string {
 		fmt.Fprintf(&b, "  linearizability %s: writes=%d reads=%d violations=%d\n",
 			g.Key, g.Writes, g.Reads, g.Violations)
 	}
+	fmt.Fprintf(&b, "  apply-errors: %d\n", r.ApplyErrors)
 	fmt.Fprintf(&b, "  closed-ts: samples=%d regressions=%d\n",
 		r.ClosedTSSamples, r.ClosedTSRegressions)
 	fmt.Fprintf(&b, "  placement: checks=%d violations=%d\n",

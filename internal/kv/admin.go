@@ -334,10 +334,19 @@ func (a *Admin) SplitRange(p *sim.Proc, rangeID RangeID, splitKey mvcc.Key) (*Ra
 	if err != nil {
 		return nil, err
 	}
-	old := r.desc.Clone()
-	if !old.ContainsKey(splitKey) || string(splitKey) == string(old.StartKey) {
+	if !r.desc.ContainsKey(splitKey) || string(splitKey) == string(r.desc.StartKey) {
 		return nil, fmt.Errorf("kv: split key %q not strictly inside r%d", splitKey, rangeID)
 	}
+	// Fence the right half, as CockroachDB's split latches it: no write or
+	// resolution of its keys is evaluated until the split applied here, and
+	// the writes evaluated before the fence (a pipelined one's latch frees
+	// only once its entry applied) are waited out before the split is
+	// proposed. Nothing of the right half then sits behind the split in
+	// this log. The fence lifts once the proposal is decided: a parked write
+	// re-routes by the new descriptor.
+	r.fence = splitKey
+	r.waitSpanUnlatched(p, splitKey, r.desc.EndKey)
+	old := r.desc.Clone()
 	newDesc := old.Clone()
 	newDesc.RangeID = a.Catalog.NextRangeID()
 	newDesc.StartKey = append(mvcc.Key(nil), splitKey...)
@@ -350,7 +359,10 @@ func (a *Admin) SplitRange(p *sim.Proc, rangeID RangeID, splitKey mvcc.Key) (*Ra
 		Ts:       r.store.Clock.Now().Add(r.store.Clock.MaxOffset()),
 		ClosedTS: r.closed.issued,
 	})
-	if err := r.propose(p, cmd); err != nil {
+	err = r.propose(p, cmd)
+	r.fence = nil
+	r.fenceLifted.Broadcast()
+	if err != nil {
 		return nil, err
 	}
 	a.Catalog.Update(updated)

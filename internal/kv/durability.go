@@ -203,10 +203,8 @@ func (s *Store) persistNodeMeta(epoch int64) {
 // log through its applied index (as far as raft.Node.Compact allows) and
 // raises its key table's read floor to the closed timestamp it has promised.
 // All engines snapshot before any log shrinks, and within one scheduler
-// step: writes a replica forwarded into a sibling's engine during a split
-// are therefore captured by the sibling's checkpoint before the forwarding
-// replica's log entry can be truncated away. Without a disk the applied
-// engine is the state a lagging peer is sent as a snapshot.
+// step. Without a disk the applied engine is the state a lagging peer is
+// sent as a snapshot.
 func (s *Store) CheckpointNow() {
 	ids := s.sortedRangeIDs()
 	for _, id := range ids {

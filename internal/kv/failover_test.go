@@ -233,6 +233,48 @@ func TestTransferLeaseToLaggingFollower(t *testing.T) {
 	}
 }
 
+// TestLeaseholderTakingOverMidSplitAppliesItFirst: the leaseholder commits a
+// split and crashes in the instant it applied it, before any follower learns
+// the entry committed. The follower that takes over must apply its term's
+// no-op, and with it the split, before it claims the lease: a lease claimed
+// on the pre-split descriptor would carry that wider span back over the
+// right half when it applies, and the left half would serve the right
+// half's keys outside the right half's log.
+func TestLeaseholderTakingOverMidSplitAppliesItFirst(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	r1, _ := h.stores[1].Replica(desc.RangeID)
+	r2, _ := h.stores[2].Replica(desc.RangeID)
+	for _, id := range []simnet.NodeID{2, 3} {
+		st := h.stores[id]
+		h.net.Register(id, func(m simnet.Message) {
+			if m.From == 1 && h.net.NodeDown(1) {
+				return // nothing n1 sent reaches a follower once it crashed
+			}
+			st.handleMessage(m)
+		})
+	}
+	h.s.Spawn("split", func(p *sim.Proc) { h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")) })
+	for r1.desc.ContainsKey(mvcc.Key("m")) {
+		h.s.RunFor(sim.Microsecond)
+	}
+	h.net.CrashNode(1)
+	h.stores[1].Crash()
+	if !r2.desc.ContainsKey(mvcc.Key("m")) {
+		t.Fatal("setup: n2 applied the split before n1 crashed")
+	}
+	// n1's record has expired, so n2 claims the lease as soon as it may.
+	h.nl.recs[1].Expiration = h.s.Now() - 1
+	r2.raft.Campaign()
+	h.s.RunFor(5 * sim.Second)
+	if !r2.hasValidLease() {
+		t.Fatal("n2 holds no valid lease after the takeover")
+	}
+	if r2.desc.ContainsKey(mvcc.Key("m")) {
+		t.Fatalf("n2's left half spans [%q, %q) after the takeover: its lease carried the pre-split descriptor", r2.desc.StartKey, r2.desc.EndKey)
+	}
+}
+
 // TestLeadershipFollowsATransferredLease: a lease transfer commits, but the
 // target's TimeoutNow is lost, so its proposer keeps leading. The new
 // leaseholder cannot propose, and no leader change comes. The old leader's

@@ -85,15 +85,14 @@ func (t *keyTable) wakeNext(key mvcc.Key) {
 	t.entries[e.key] = e
 }
 
-// Every latch operation reaches its entry through the replica that owns the
-// key now (owner): a write evaluated before a split but applied after it
-// holds its latch on the right half, where its entry moved, so a read there
-// waits it out and its release wakes the right half's waiters.
-
-// latch takes key's exclusive latch, parking p while another writer holds it.
+// latch takes key's exclusive latch, parking p while another writer holds it
+// or a split fences the key.
 func (r *Replica) latch(p *sim.Proc, key mvcc.Key) {
+	t := &r.keys
 	for {
-		t := &r.owner(key).keys
+		for r.fenced(key) {
+			r.fenceLifted.Wait(p)
+		}
 		if e := t.entry(key); !e.latched {
 			e.latched = true
 			t.entries[e.key] = e
@@ -101,12 +100,17 @@ func (r *Replica) latch(p *sim.Proc, key mvcc.Key) {
 			return
 		}
 		t.wait(p, key)
+		if r.fenced(key) {
+			// A release woke p, which now parks on the fence: hand the wake
+			// on, as a reader does, so the key's queue keeps draining.
+			t.wakeNext(key)
+		}
 	}
 }
 
 // unlatch frees key's latch and wakes the next waiter.
 func (r *Replica) unlatch(key mvcc.Key) {
-	t := &r.owner(key).keys
+	t := &r.keys
 	e := t.entries[string(key)]
 	if !e.latched {
 		panic("kv: releasing unheld latch")
@@ -121,12 +125,15 @@ func (r *Replica) unlatch(key mvcc.Key) {
 // then wakes the next waiter too: several readers may proceed, and a queued
 // writer re-checks and re-queues if a reader got in first.
 func (r *Replica) waitUnlatched(p *sim.Proc, key mvcc.Key) {
-	t := &r.owner(key).keys
-	for t.entries[string(key)].latched {
-		t.wait(p, key)
-		t = &r.owner(key).keys
+	for r.keys.entries[string(key)].latched {
+		r.keys.wait(p, key)
 	}
-	t.wakeNext(key)
+	r.keys.wakeNext(key)
+}
+
+// fenced reports whether a split this replica proposed fences key.
+func (r *Replica) fenced(key mvcc.Key) bool {
+	return r.fence != nil && string(key) >= string(r.fence)
 }
 
 // waitSpanUnlatched parks p until no writer holds the latch of a key in
@@ -207,16 +214,16 @@ func (t *keyTable) sweep(ts hlc.Timestamp, reg *TxnRegistry) {
 	}
 }
 
-// moveSpan moves the entries of the keys desc contains to dst, whole.
+// moveSpan moves the entries of the keys desc contains to dst, whole, but
+// for a latched one. The leaseholder that proposed the split fenced the span
+// and waited its latches out, so a latch still held here is a deposed
+// leaseholder's pipelined write: its entry resolved before the split's, and
+// its release (releaseOne, a later event) looks for it in this table.
 func (t *keyTable) moveSpan(desc *RangeDescriptor, dst *keyTable) {
 	for k, e := range t.entries {
-		if desc.ContainsKey(mvcc.Key(k)) {
+		if !e.latched && desc.ContainsKey(mvcc.Key(k)) {
 			dst.entries[k] = e
 			delete(t.entries, k)
-			if e.latched {
-				t.latched--
-				dst.latched++
-			}
 		}
 	}
 }

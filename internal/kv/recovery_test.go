@@ -473,7 +473,7 @@ func TestReplayResolvesEveryKeyOfAResolution(t *testing.T) {
 			t.Errorf("%s reads %q (%v) after replay", k, v, err)
 		}
 	}
-	if n := nr3.applyErrors; n != 0 {
+	if n := st3.ApplyErrors(); n != 0 {
 		t.Fatalf("%d apply errors", n)
 	}
 }

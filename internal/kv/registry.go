@@ -33,8 +33,7 @@ type TxnRegistry struct {
 	// intents can still be read: at once after a one-phase or read-only
 	// commit or an abort with no writes, and after every resolution reply
 	// succeeded otherwise. A missing record reads as aborted. The map, not
-	// a kv.Txn, holds it: a record whose resolution failed, or one a split
-	// forwarded an intent or a resolution of (Keep), outlives the
+	// a kv.Txn, holds it: a record whose resolution failed outlives the
 	// transaction.
 	records map[mvcc.TxnID]txnRecord
 	// waitsFor tracks which transaction each blocked transaction is
@@ -60,8 +59,6 @@ type txnRecord struct {
 	// must not abort a staging transaction (it may already be implicitly
 	// committed); its coordinator finalizes it momentarily.
 	staging bool
-	// kept marks a record GC leaves in place (Keep).
-	kept bool
 	// finished resolves when the txn commits or aborts; intent waiters
 	// subscribe to it. The first waiter creates it: most transactions are
 	// never waited on, and a Broadcast on a nil Cond is a no-op.
@@ -304,29 +301,11 @@ func (r *TxnRegistry) WaitFinished(p *sim.Proc, id mvcc.TxnID, timeout sim.Durat
 	return r.Status(id)
 }
 
-// Keep marks id's record to stay for the run. A replica calls it when it
-// applies an intent or a resolution of the transaction that a split
-// forwarded: a write or a resolution proposed to a range before it split
-// and applied after, into the right-hand range's engine. That range's own
-// log does not order it, so on a replica where the right-hand range runs
-// ahead of the left — a lagging follower, or a restart whose replay
-// re-commits the two logs in either order — the intent can appear after
-// the right-hand range applied its resolution, and a reader must still
-// find how the transaction ended. The replica that applies it first does
-// so before the transaction's commit or resolution returns, so the record
-// is still there.
-func (r *TxnRegistry) Keep(id mvcc.TxnID) {
-	if rec, ok := r.records[id]; ok && !rec.kept {
-		rec.kept = true
-		r.records[id] = rec
-	}
-}
-
 // GC drops the record of a finished transaction. Its coordinator calls it
 // once no intent of the transaction can still be read (see records); a
-// pending or kept record stays.
+// pending record stays.
 func (r *TxnRegistry) GC(id mvcc.TxnID) {
-	if rec, ok := r.records[id]; ok && rec.status != mvcc.Pending && !rec.kept {
+	if rec, ok := r.records[id]; ok && rec.status != mvcc.Pending {
 		delete(r.records, id)
 	}
 }

@@ -45,10 +45,6 @@ type Replica struct {
 	// term opened with (awaitLeaderApplied).
 	leaderApplied *sim.Cond
 
-	// applyErrors counts commands whose application failed; tests assert
-	// this stays zero.
-	applyErrors int
-
 	// subsumed marks the right-hand range of an in-progress merge: once
 	// CmdSubsume applies, the replica rejects all evaluation and proposals
 	// with RangeKeyMismatchError so senders re-route through the catalog to
@@ -64,6 +60,12 @@ type Replica struct {
 	// undecided: it fences the lease (hasValidLease), so nothing lands in the
 	// log behind the transfer and no promise exceeds the floor it hands on.
 	transferring bool
+	// fence is the split key while a split this replica proposed is
+	// undecided: no write or resolution of a key at or above it is evaluated
+	// (fenced), so nothing of the right half lands in the log behind the
+	// split. fenceLifted wakes those parked on it.
+	fence       mvcc.Key
+	fenceLifted *sim.Cond
 	// ckptSize is the length of this replica's latest checkpoint blob; it
 	// sizes the buffer the next checkpoint or snapshot is built in.
 	ckptSize int
@@ -436,7 +438,7 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		if err := r.checkLease(); err != nil {
 			return Response{Err: err}
 		}
-		// A split may have applied while this request waited (lock, latch,
+		// A split may have applied while this request waited (lock, fence,
 		// intent): the key's newer writes then land on the right-hand
 		// range, and checking against this engine's stale copy would miss
 		// them. Re-route.
@@ -727,6 +729,10 @@ func (r *Replica) evalEndTxn(p *sim.Proc, req *EndTxnRequest) Response {
 // filtered in place, and the command keeps a lone key in its own room and
 // several in a copy carved from the replica's chunks.
 func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnStatus, commitTS hlc.Timestamp, keys []mvcc.Key) (int, error) {
+	// A resolution takes no latch, so it waits out a split's fence here.
+	for slices.ContainsFunc(keys, r.fenced) {
+		r.fenceLifted.Wait(p)
+	}
 	if err := r.checkLease(); err != nil {
 		return 0, err
 	}
@@ -918,26 +924,19 @@ func (r *Replica) apply(e raft.Entry) {
 	r.closed.advance(cmd.ClosedTS)
 	switch cmd.Kind {
 	case CmdPut:
-		// A write proposed before a split but applied after it belongs
-		// to the right-hand child; forward it (same replica set, same
-		// total order via this log). The child's own log does not order
-		// it, so its transaction's record is kept (TxnRegistry.Keep), as
-		// for a forwarded resolution.
-		owner := r.owner(cmd.Key)
-		if owner != r && cmd.Txn != nil {
-			r.store.Registry.Keep(cmd.Txn.ID)
-		}
-		if _, err := owner.engine.Put(cmd.Key, cmd.Value, cmd.Ts, cmd.Txn); err != nil {
-			r.applyErrors++
+		// A split fences its right half until it applied (SplitRange), so a
+		// command's keys are its range's: one outside failed to apply.
+		if !r.desc.ContainsKey(cmd.Key) {
+			r.store.applyErrors++
+		} else if _, err := r.engine.Put(cmd.Key, cmd.Value, cmd.Ts, cmd.Txn); err != nil {
+			r.store.applyErrors++
 		}
 	case CmdResolveIntent:
 		for _, k := range cmd.Keys {
-			owner := r.owner(k)
-			if owner != r {
-				r.store.Registry.Keep(cmd.Txn.ID)
-			}
-			if err := owner.engine.ResolveIntent(k, cmd.Txn.ID, cmd.Status, cmd.CommitTS); err != nil {
-				r.applyErrors++
+			if !r.desc.ContainsKey(k) {
+				r.store.applyErrors++
+			} else if err := r.engine.ResolveIntent(k, cmd.Txn.ID, cmd.Status, cmd.CommitTS); err != nil {
+				r.store.applyErrors++
 			}
 		}
 	case CmdTxnRecord:
@@ -966,11 +965,8 @@ func (r *Replica) applySplit(cmd *Command) {
 		nr := r.store.CreateReplica(newDesc)
 		r.engine.CopyTo(nr.engine, newDesc.StartKey, newDesc.EndKey)
 		// The right span's entries go with their keys, whole: a locking read
-		// queued on a lock keeps waiting, a read the left half served keeps
-		// pushing writes, and a write this range evaluated before the split
-		// but that sits behind it in the log keeps its latch, which a read on
-		// the right half waits out (the write applies into the right half's
-		// engine and releases its latch there: owner).
+		// queued on a lock keeps waiting, and a read the left half served
+		// keeps pushing writes.
 		r.keys.moveSpan(newDesc, &nr.keys)
 		// The right half carries on the left half's lease: the same epoch,
 		// the closed timestamp and the promise the split was proposed
@@ -1172,20 +1168,6 @@ func (r *Replica) inherit(closed, issued, readFloor hlc.Timestamp) {
 		r.closed.issued = issued
 	}
 	r.keys.sweep(readFloor, r.store.Registry)
-}
-
-// owner is the local replica a key belongs to after splits: normally r
-// itself, otherwise the local replica that now owns the key.
-func (r *Replica) owner(key mvcc.Key) *Replica {
-	if r.desc.ContainsKey(key) {
-		return r
-	}
-	for _, other := range r.store.replicas {
-		if other != r && other.desc.ContainsKey(key) {
-			return other
-		}
-	}
-	return r
 }
 
 // heartbeatPayload is the closed-timestamp promise the leader attaches to

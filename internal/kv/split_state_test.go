@@ -106,15 +106,14 @@ func TestResolveIntentChecksRangeBounds(t *testing.T) {
 }
 
 // TestScanRoutedOnAStaleDescriptor: a scan routed on a range's descriptor
-// before a split, and evaluated after it, is refused by the left half, which
-// no longer holds its whole span. The DistSender divides the scan again
-// against the fresh descriptors and returns every row exactly once, none from
-// the left engine's copy of the right half.
+// before a split, and waiting on an intent across it, is refused by the left
+// half, which no longer holds its whole span. The DistSender divides the scan
+// again against the fresh descriptors and returns every row exactly once,
+// none from the left engine's copy of the right half.
 func TestScanRoutedOnAStaleDescriptor(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
 	st := h.stores[1]
-	rep, _ := st.Replica(desc.RangeID)
 	ds := &DistSender{NodeID: 1, Net: h.net, Topo: h.topo, Catalog: h.cat, Liveness: h.nl}
 	keys := []string{"c", "f", "k", "p", "t"}
 	var scan Response
@@ -125,9 +124,12 @@ func TestScanRoutedOnAStaleDescriptor(t *testing.T) {
 				return r.Err
 			}
 		}
-		// A write holds a latch in the span while the scan arrives on the
-		// whole range…
-		rep.latch(p, mvcc.Key("m"))
+		// A transaction's intent is in the span while the scan arrives on
+		// the whole range…
+		holder := GatewayTxn(st, mvcc.Key("m"), 0)
+		if r := ds.Send(p, &PutRequest{Key: mvcc.Key("m"), Value: mvcc.Value("x"), Timestamp: holder.Meta.WriteTimestamp, Txn: &holder}); r.Err != nil {
+			return r.Err
+		}
 		done := sim.NewWaitGroup(h.s)
 		done.Add(1)
 		h.s.Spawn("scan", func(sp *sim.Proc) {
@@ -139,7 +141,8 @@ func TestScanRoutedOnAStaleDescriptor(t *testing.T) {
 		})
 		p.Sleep(10 * sim.Millisecond)
 		retries = ds.Retries
-		// …and the range splits in the middle of it before the latch frees.
+		// …and the range splits in the middle of it before the transaction
+		// ends.
 		// Writes after the split land on the right half only; the left
 		// engine's copy keeps the old values.
 		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
@@ -150,7 +153,7 @@ func TestScanRoutedOnAStaleDescriptor(t *testing.T) {
 				return r.Err
 			}
 		}
-		rep.unlatch(mvcc.Key("m"))
+		st.Registry.Abort(holder.Meta.ID)
 		done.Wait(p)
 		retries = ds.Retries - retries
 		return nil
@@ -172,86 +175,87 @@ func TestScanRoutedOnAStaleDescriptor(t *testing.T) {
 	}
 }
 
-// TestSplitForwardedIntentKeepsItsRecord: a write or a resolution proposed
-// to a range before it splits and applied after it lands in the right-hand
-// range's engine, outside that range's own log, so a replica whose
-// right-hand range runs ahead of the left one can apply the write after the
-// right-hand range resolved it, or the resolution after a reader there met
-// the intent. The transaction's record is kept once it finished, so such a
-// reader still learns how it ended; a transaction whose write applied
-// before the split, which the split copies, is collected as usual.
-func TestSplitForwardedIntentKeepsItsRecord(t *testing.T) {
+// TestSplitFencesItsRightHalf: a write or a resolution of a right-half key
+// evaluated on the left half after the split's entry is in its log, but
+// before it applied, would land in the left log behind the split, outside
+// the right half's. The split fences its right half until it applied: both
+// park, then answer RangeKeyMismatchError so that their senders re-route,
+// and no replica applies a command outside its range.
+func TestSplitFencesItsRightHalf(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
 	st := h.stores[1]
 	left, _ := st.Replica(desc.RangeID)
-	copied, forwarded := GatewayTxn(st, mvcc.Key("k"), 0), GatewayTxn(st, mvcc.Key("m"), 0)
-	resolved := GatewayTxn(st, mvcc.Key("n"), 0)
-	put := func(tx *Txn) *Command {
-		return left.command(Command{Kind: CmdPut, Key: tx.Meta.Key, Value: mvcc.Value("v"), Ts: tx.Meta.WriteTimestamp, Txn: &tx.Meta})
-	}
-	var right *RangeDescriptor
+	tx := GatewayTxn(st, mvcc.Key("n"), 0)
+	var put Response
+	var resolveErr error
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		for _, tx := range []*Txn{&copied, &resolved} {
-			if err := left.propose(p, put(tx)); err != nil {
-				return err
-			}
+		if err := left.propose(p, left.command(Command{Kind: CmdPut, Key: tx.Meta.Key, Value: mvcc.Value("v"), Ts: tx.Meta.WriteTimestamp, Txn: &tx.Meta})); err != nil {
+			return err
 		}
 		split := sim.NewFuture[error](h.s)
 		last := left.raft.LastIndex()
 		h.s.Spawn("split", func(sp *sim.Proc) {
-			var err error
-			right, err = h.admin.SplitRange(sp, desc.RangeID, mvcc.Key("h"))
+			_, err := h.admin.SplitRange(sp, desc.RangeID, mvcc.Key("h"))
 			split.Set(err)
 		})
 		for left.raft.LastIndex() == last {
 			p.Sleep(sim.Microsecond)
 		}
-		if !left.desc.ContainsKey(forwarded.Meta.Key) {
-			return errors.New("setup: the split applied before the write was proposed")
+		if !left.desc.ContainsKey(mvcc.Key("m")) {
+			return errors.New("setup: the split applied before the write was evaluated")
 		}
-		if err := left.propose(p, put(&forwarded)); err != nil {
-			return err
-		}
-		if err := left.propose(p, left.command(Command{
-			Kind: CmdResolveIntent, Keys: []mvcc.Key{resolved.Meta.Key}, Txn: &resolved.Meta,
-			Status: mvcc.Committed, CommitTS: resolved.Meta.WriteTimestamp,
-		})); err != nil {
-			return err
-		}
+		done := sim.NewWaitGroup(h.s)
+		done.Add(2)
+		h.s.Spawn("put", func(wp *sim.Proc) {
+			defer done.Done()
+			put = left.evaluate(wp, &PutRequest{Key: mvcc.Key("m"), Value: mvcc.Value("w"), Timestamp: st.Clock.Now()})
+		})
+		h.s.Spawn("resolve", func(rp *sim.Proc) {
+			defer done.Done()
+			_, resolveErr = left.resolveIntents(rp, tx.Meta.ID, mvcc.Committed, tx.Meta.WriteTimestamp, []mvcc.Key{tx.Meta.Key})
+		})
+		done.Wait(p)
 		if err := split.Wait(p); err != nil {
 			return err
 		}
-		p.Sleep(sim.Second) // every replica applies both
+		p.Sleep(sim.Second) // every replica applies whatever was proposed
 		return nil
 	})
+	var mismatch *RangeKeyMismatchError
+	if !errors.As(put.Err, &mismatch) {
+		t.Errorf("a write evaluated on the left half behind the split: %+v, want RangeKeyMismatchError", put)
+	}
+	if !errors.As(resolveErr, &mismatch) {
+		t.Errorf("a resolution evaluated on the left half behind the split: %v, want RangeKeyMismatchError", resolveErr)
+	}
 	for _, id := range []simnet.NodeID{1, 2, 3} {
-		r, ok := h.stores[id].Replica(right.RangeID)
-		if !ok {
-			t.Fatalf("n%d has no right-hand replica", id)
-		}
-		for _, tx := range []Txn{copied, forwarded} {
-			if meta, ok := r.engine.GetIntent(tx.Meta.Key); !ok || meta.ID != tx.Meta.ID {
-				t.Fatalf("n%d: %s's intent is not on the right-hand range", id, tx.Meta.Key)
-			}
-		}
-		if _, ok := r.engine.GetIntent(resolved.Meta.Key); ok {
-			t.Fatalf("n%d: the forwarded resolution left %s's intent", id, resolved.Meta.Key)
+		if n := h.stores[id].ApplyErrors(); n != 0 {
+			t.Errorf("n%d: %d commands applied outside their range", id, n)
 		}
 	}
-	reg := st.Registry
-	for _, tx := range []Txn{copied, forwarded, resolved} {
-		if err := reg.TryCommit(tx.Meta.ID, tx.Meta.WriteTimestamp); err != nil {
-			t.Fatal(err)
+}
+
+// TestSplitLeavesADeposedLeaseholdersLatch: a leaseholder deposed with a
+// pipelined write in flight holds the write's latch until the write's entry
+// resolves, and releases it in a later event, so a split the new
+// leaseholder proposed can apply there in between. The split leaves that
+// latch in the table the release looks in.
+func TestSplitLeavesADeposedLeaseholdersLatch(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	r2, _ := h.stores[2].Replica(desc.RangeID)
+	key := mvcc.Key("m")
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		r2.latch(p, key) // the write n2 evaluated under an earlier lease
+		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
+			return err
 		}
-		reg.GC(tx.Meta.ID)
-	}
-	if reg.Holds(copied.Meta.ID) {
-		t.Error("the record of a write the split copied was kept")
-	}
-	for what, tx := range map[string]Txn{"write": forwarded, "resolution": resolved} {
-		if st, _ := reg.Status(tx.Meta.ID); st != mvcc.Committed || !reg.Holds(tx.Meta.ID) {
-			t.Errorf("the record of a %s the split forwarded reads %v, held %v; want it kept as committed", what, st, reg.Holds(tx.Meta.ID))
+		p.Sleep(sim.Second) // every replica applies the split
+		if r2.desc.ContainsKey(key) {
+			return errors.New("setup: n2 has not applied the split")
 		}
-	}
+		r2.unlatch(key) // the write's release
+		return nil
+	})
 }

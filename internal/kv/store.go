@@ -50,6 +50,9 @@ type Store struct {
 	down bool
 	// engineSeed derives per-replica skiplist seeds deterministically.
 	engineSeed int64
+	// applyErrors counts the commands a replica here failed to apply; the
+	// store keeps the count, so a crash or a removed replica loses none.
+	applyErrors int
 
 	// store loop state (CheckpointNow's ticker).
 	ckptInterval sim.Duration
@@ -130,15 +133,8 @@ func (s *Store) Counts() Counts {
 	return c
 }
 
-// ApplyErrors sums failed command applications across replicas; tests
-// assert zero.
-func (s *Store) ApplyErrors() int {
-	n := 0
-	for _, r := range s.replicas {
-		n += r.applyErrors
-	}
-	return n
-}
+// ApplyErrors counts failed command applications; tests assert zero.
+func (s *Store) ApplyErrors() int { return s.applyErrors }
 
 // handleMessage dispatches network traffic: Raft envelopes go straight to
 // the replica's state machine; an RPC request is evaluated on the process the
@@ -300,6 +296,7 @@ func (s *Store) buildReplica(desc *RangeDescriptor) *Replica {
 		leaseEpoch: s.CurrentEpoch(),
 	}
 	r.leaderApplied = sim.NewCond(s.Sim)
+	r.fenceLifted = sim.NewCond(s.Sim)
 	r.releaseResolved = r.releaseOne
 	rcfg := raft.Config{
 		ID:               s.NodeID,

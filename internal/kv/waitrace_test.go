@@ -10,21 +10,26 @@ import (
 	"mrdb/internal/zones"
 )
 
-// TestWaitingRequestReroutesAfterSplit: a request that parks (lock, latch,
-// intent) may wake up on a range that no longer owns its key. The left-hand engine keeps a copy of the right half's
-// data that later writes never reach, so evaluating against it reads stale
-// values; the request must be re-routed instead.
+// TestWaitingRequestReroutesAfterSplit: a request that parks on an intent
+// may wake up on a range that no longer owns its key. The left-hand engine
+// keeps a copy of the right half's data that later writes never reach, so
+// evaluating against it reads stale values; the request must be re-routed
+// instead.
 func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
 	st := h.stores[1]
 	rep, _ := st.Replica(desc.RangeID)
+	ds := &DistSender{NodeID: 1, Net: h.net, Topo: h.topo, Catalog: h.cat, Liveness: h.nl}
 	key := mvcc.Key("m")
+	holder := GatewayTxn(st, key, 0)
 
 	var get, put Response
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		// A writer holds the latch while both requests arrive…
-		rep.latch(p, key)
+		// A transaction's intent is on the key while both requests arrive…
+		if r := ds.Send(p, &PutRequest{Key: key, Value: mvcc.Value("x"), Timestamp: holder.Meta.WriteTimestamp, Txn: &holder}); r.Err != nil {
+			return r.Err
+		}
 		done := sim.NewWaitGroup(h.s)
 		done.Add(2)
 		h.s.Spawn("get", func(gp *sim.Proc) {
@@ -36,11 +41,11 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 			put = rep.evaluate(pp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: st.Clock.Now()})
 		})
 		p.Sleep(10 * sim.Millisecond)
-		// …and the range splits below the key before the latch frees.
+		// …and the range splits below the key before its transaction ends.
 		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
 			return err
 		}
-		rep.unlatch(key)
+		st.Registry.Abort(holder.Meta.ID)
 		done.Wait(p)
 		return nil
 	})
@@ -176,10 +181,10 @@ func TestSplitRightHalfLedPromptly(t *testing.T) {
 // one 400ms append interval plus a round trip.
 const electionTimeoutFloor = sim.Second
 
-// TestRightHalfWaitsForInFlightLeftWrites: a write the left half evaluated
-// before a split, but whose entry sits behind the split in the log, applies
-// into the right half's engine. A read on the right half must wait for it
-// (it holds its latch on the left half) instead of reading around it.
+// TestRightHalfWaitsForInFlightLeftWrites: a split waits for the writes the
+// left half evaluated on the right span before it proposes, so each applies
+// on the range that evaluated it, ahead of the split in its log; the right
+// half starts with the write in its copy and serves it.
 func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
@@ -188,46 +193,45 @@ func TestRightHalfWaitsForInFlightLeftWrites(t *testing.T) {
 	key := mvcc.Key("m")
 
 	var got Response
-	answered := false
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
 		lhs.latch(p, key)         // the in-flight write…
 		writeTS := st.Clock.Now() // …evaluated at this timestamp
-		rdesc, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h"))
-		if err != nil {
-			return err
-		}
-		rhs, _ := st.Replica(rdesc.RangeID)
-		done := sim.NewWaitGroup(h.s)
-		done.Add(1)
-		h.s.Spawn("get", func(gp *sim.Proc) {
-			defer done.Done()
-			got = rhs.evaluate(gp, &GetRequest{Key: key, Timestamp: st.Clock.Now()})
-			answered = true
+		last := lhs.raft.LastIndex()
+		split := sim.NewFuture[error](h.s)
+		var rdesc *RangeDescriptor
+		h.s.Spawn("split", func(sp *sim.Proc) {
+			var err error
+			rdesc, err = h.admin.SplitRange(sp, desc.RangeID, mvcc.Key("h"))
+			split.Set(err)
 		})
 		p.Sleep(10 * sim.Millisecond)
-		if answered {
-			t.Errorf("right half read around an in-flight left-half write: %+v", got)
+		if lhs.raft.LastIndex() != last {
+			t.Errorf("the split was proposed while a write on the right span was in flight")
 		}
-		// The write applies (into the right half's engine), then unlatches.
-		if _, err := lhs.owner(key).engine.Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
+		// The write applies on the left half, then unlatches.
+		if _, err := lhs.engine.Put(key, mvcc.Value("v"), writeTS, nil); err != nil {
 			return err
 		}
 		lhs.unlatch(key)
-		done.Wait(p)
+		if err := split.Wait(p); err != nil {
+			return err
+		}
+		rhs, _ := st.Replica(rdesc.RangeID)
+		got = rhs.evaluate(p, &GetRequest{Key: key, Timestamp: st.Clock.Now()})
 		return nil
 	})
 	if got.Err != nil || string(got.Get.Value) != "v" {
-		t.Fatalf("read after the write applied: %+v", got)
+		t.Fatalf("read on the right half after the split: %+v", got)
 	}
 }
 
-// TestQueryIntentReroutesAfterSplit: a QueryIntent that waits on its key's
-// latch may wake up on a range that no longer owns the key. The left-hand
-// engine keeps its copy of the right half's data as it was at the split,
-// which the intent laid on the right-hand range since never reaches. The
-// waiting request must get RangeKeyMismatchError instead of answering from
-// that copy, and a QueryIntent sent through the DistSender must take the
-// right-hand range's answer.
+// TestQueryIntentReroutesAfterSplit: a transaction's write that reaches the
+// left half while a split fences the key parks until the split applied, then
+// re-routes and lays its intent on the right-hand range only. The left-hand
+// engine keeps its copy of the right half's data as it was at the split, so
+// a QueryIntent evaluated there must get RangeKeyMismatchError instead of
+// answering from that copy, and a QueryIntent sent through the DistSender
+// must take the right-hand range's answer.
 func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
@@ -239,37 +243,41 @@ func TestQueryIntentReroutesAfterSplit(t *testing.T) {
 	query := &QueryIntentRequest{Key: key, TxnID: tx.Meta.ID, Epoch: tx.Meta.Epoch}
 
 	var direct, routed, put Response
+	var retries int64
 	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
-		// A writer holds the latch while both queries arrive…
+		// An in-flight write holds the key's latch, so the split fences the
+		// key and waits for it…
 		rep.latch(p, key)
-		done := sim.NewWaitGroup(h.s)
-		done.Add(3)
-		h.s.Spawn("query-intent", func(qp *sim.Proc) {
-			defer done.Done()
-			direct = rep.evaluate(qp, query)
-		})
-		h.s.Spawn("ds-query-intent", func(qp *sim.Proc) {
-			defer done.Done()
-			routed = ds.Send(qp, query)
+		split := sim.NewFuture[error](h.s)
+		h.s.Spawn("split", func(sp *sim.Proc) {
+			_, err := h.admin.SplitRange(sp, desc.RangeID, mvcc.Key("h"))
+			split.Set(err)
 		})
 		p.Sleep(10 * sim.Millisecond)
-		// …the range splits below the key, and the transaction's write
-		// queues behind the queries for the latch, which moved to the
-		// right-hand range with its key; it lays its intent there only.
-		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("h")); err != nil {
-			return err
-		}
+		// …while the transaction's write arrives and parks on the fence.
+		done := sim.NewWaitGroup(h.s)
+		done.Add(1)
 		h.s.Spawn("put", func(wp *sim.Proc) {
 			defer done.Done()
 			put = ds.Send(wp, &PutRequest{Key: key, Value: mvcc.Value("v"), Timestamp: tx.Meta.WriteTimestamp, Txn: &tx})
 		})
-		p.Sleep(sim.Millisecond)
+		p.Sleep(10 * sim.Millisecond)
+		retries = ds.Retries
 		rep.unlatch(key)
+		if err := split.Wait(p); err != nil {
+			return err
+		}
 		done.Wait(p)
+		retries = ds.Retries - retries
+		direct = rep.evaluate(p, query)
+		routed = ds.Send(p, query)
 		return nil
 	})
 	if put.Err != nil {
 		t.Fatalf("put: %v", put.Err)
+	}
+	if retries == 0 {
+		t.Error("the put was never refused: it no longer meets the split")
 	}
 	var mismatch *RangeKeyMismatchError
 	if !errors.As(direct.Err, &mismatch) {

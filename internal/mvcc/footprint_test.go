@@ -195,9 +195,9 @@ func TestGCReleasesCollectedValues(t *testing.T) {
 }
 
 // TestCopyToOverHeldSpanRoundTrips: CopyTo into an engine that already holds
-// the span (a merge absorbing, a split forwarding) replaces each chain in
-// its cell; the result is the source byte for byte, and so is what a fresh
-// engine loads from its stream.
+// the span (a merge absorbing the copy its range kept since the split)
+// replaces each chain in its cell; the result is the source byte for byte,
+// and so is what a fresh engine loads from its stream.
 func TestCopyToOverHeldSpanRoundTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	src := randomEngine(rng, 300)

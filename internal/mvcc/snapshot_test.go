@@ -145,8 +145,8 @@ func TestLoadSnapshotRejectsDamagedStreams(t *testing.T) {
 }
 
 // TestCopyToTwiceKeepsCountsExact: CopyTo lands on keys dst already holds
-// when a merge absorbs a span it once forwarded writes into, or a split's
-// copy is repeated. A per-engine key counter incremented on every copy
+// when a merge absorbs a span whose copy its engine kept since the split, or
+// a split's copy is repeated. A per-engine key counter incremented on every copy
 // over-counts there (it used to size Snapshot, and as a stream's count prefix
 // would make the stream unloadable); so did the intent counter.
 func TestCopyToTwiceKeepsCountsExact(t *testing.T) {

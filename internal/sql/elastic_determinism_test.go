@@ -239,8 +239,14 @@ func TestElasticLoopMetamorphicDeterminism(t *testing.T) {
 	// spans each became one batch: they go out from the statement's own proc
 	// under one "ds.batch" span instead of from a proc per partition or span,
 	// and a refresh sends one RPC per range rather than one per span, so
-	// other jitter draws. The ranges table held.
-	const goldenSpanHash = 0x534f67f2f790ea43
+	// other jitter draws. The ranges table held. It moved from
+	// 534f67f2f790ea43 when a split began to fence its right half: it waits
+	// out the span's held latches before it proposes, and a write or
+	// resolution that meets the fence parks and re-routes instead of landing
+	// in the left log behind the split, so the split's entry and those
+	// requests go out at other instants and other jitter draws. The ranges
+	// table held.
+	const goldenSpanHash = 0xd7f4103dfc528063
 	const goldenRanges = `range_id|start_key|end_key|leaseholder|lease_epoch|lease_region|policy|voters|non_voters|qps|decisions
 1|"/t000001/i001/\x06europe-west2\x00\x01"|"/t000001/i001/\x06europe-west2\x00\x02"|5|1|europe-west2|LAG|[5 6 4]|[3]|0.0|splits=0 merges=0 lease_moves=0
 2|"/t000001/i001/\x06us-east1\x00\x01"|"/t000001/i001/\x06us-east1\x00\x02"|3|1|us-east1|LAG|[3 1 2]|[5]|0.0|splits=2 merges=2 lease_moves=0

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"mrdb/internal/hlc"
 	"mrdb/internal/kv"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/sim"
@@ -103,7 +104,7 @@ func TestNegotiationSeesOnlyItsRangesIntents(t *testing.T) {
 		}
 		committed := co.Store.Clock.Now()
 		p.Sleep(20 * sim.Second)
-		ts, err := co.Sender.NegotiateBoundedStaleness(p, [][2]mvcc.Key{{mvcc.Key("k/"), mvcc.Key("k0")}})
+		ts, err := co.BoundedStalenessTimestamp(p, [][2]mvcc.Key{{mvcc.Key("k/"), mvcc.Key("k0")}}, hlc.Timestamp{})
 		if err != nil {
 			t.Fatal(err)
 		}

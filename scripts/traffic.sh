@@ -6,9 +6,9 @@
 #
 # Builds every program CI runs with coverage of every package in the module
 # and runs it as CI does — the four BENCHMARK.json workloads (2 s each), CI's
-# mrchaos sweep (seeds 1-10, 57, the traced seeds 20, 59, 212, 223, 248,
+# mrchaos sweep (seeds 1-10, 16, the traced seeds 20, 59, 212, 223, 248,
 # 317 and 392 and the SQL-audit seeds 33, 148, 253, 284 and 296 under 12
-# faults, seed 23 without the nemesis; seed 57 has requests that exhaust
+# faults, seed 23 without the nemesis; seed 16 has requests that exhaust
 # their retries, the only traffic of the DistSender's give-up path,
 # fillErr),
 # the Fig. 3 and 4-region Fig. 6 ledger rows, `mrbench -quick all`, the
@@ -74,7 +74,7 @@ echo "traffic: benchmark" >&2
 "$tmp/bin/benchmark" -seconds 2 -out "$tmp/bench.json" >/dev/null
 echo "traffic: mrchaos" >&2
 "$tmp/bin/mrchaos" -seed 1 -faults 12 -verify -export-dir "$tmp/run/chaos" >/dev/null
-for seed in 2 3 4 5 6 7 8 9 10 20 33 57 59 148 212 223 248 253 284 296 317 392; do
+for seed in 2 3 4 5 6 7 8 9 10 16 20 33 59 148 212 223 248 253 284 296 317 392; do
 	"$tmp/bin/mrchaos" -seed "$seed" -faults 12 -verify >/dev/null
 done
 "$tmp/bin/mrchaos" -seed 23 -faults 0 -verify >/dev/null
