@@ -60,7 +60,7 @@ func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
 func TestChaosExportDeterminism(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	run := func(dir string) *Report {
-		rep, err := Run(Options{Seed: 23, Faults: 5, ExportDir: dir})
+		rep, err := Run(Options{Seed: 2, Faults: 5, ExportDir: dir})
 		if err != nil {
 			t.Fatalf("chaos run failed: %v", err)
 		}
@@ -91,7 +91,9 @@ func TestChaosExportDeterminism(t *testing.T) {
 	// render red in the UI via the boolean error tag. Whether a schedule
 	// fails any operation is the seed's luck, so the run is picked by that
 	// property first: a failed transfer or probe is a trace with a failed
-	// attempt in it.
+	// attempt in it. (Seed 23 failed a probe until a request stopped
+	// proposing a resolution of a finished transaction's intent; seed 2
+	// fails one.)
 	if rep.TransfersFailed+rep.ProbesFailed == 0 {
 		t.Fatalf("seed no longer produces a failed RPC, choose another:\n%s", rep)
 	}

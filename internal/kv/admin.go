@@ -2,6 +2,7 @@ package kv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"mrdb/internal/mvcc"
@@ -202,16 +203,6 @@ func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		inNew[id] = true
 	}
 
-	newDesc := old.Clone()
-	newDesc.Voters = append([]simnet.NodeID(nil), placement.Voters...)
-	newDesc.NonVoters = append([]simnet.NodeID(nil), placement.NonVoters...)
-	// Keep the old leaseholder in this descriptor: the lease (and Raft
-	// leadership) move via TransferLease below, which must observe that
-	// the lease has not yet moved.
-	newDesc.Leaseholder = old.Leaseholder
-	newDesc.Policy = policy
-	newDesc.Generation++
-
 	propose := func(cc raft.ConfChange) error {
 		f, err := r.raft.ProposeConfChange(cc)
 		if err != nil {
@@ -261,11 +252,11 @@ func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 			}
 		}
 	}
-	// 3. Publish the new descriptor so every replica learns placement,
-	// policy and leaseholder, and re-derives its timing from them as the
-	// entry applies (setTiming).
-	cmd := r.command(Command{Kind: CmdDescUpdate, Desc: newDesc, ClosedTS: r.closed.issued})
-	if err := r.propose(p, cmd); err != nil {
+	// 3. Publish the new descriptor so every replica learns placement and
+	// policy, and re-derives its timing from them as the entry applies
+	// (setTiming).
+	newDesc, err := publishPlacement(p, r, placement, policy)
+	if err != nil {
 		return err
 	}
 	a.Catalog.Update(newDesc)
@@ -312,6 +303,33 @@ func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		a.Stores[id].RemoveReplica(rangeID)
 	}
 	return nil
+}
+
+// publishPlacement installs placement and policy in r's descriptor through
+// r's log and returns the descriptor installed. The update is derived from
+// the descriptor as it is when it is proposed, not as the relocation found
+// it: a split or a lease move may have applied while the conf changes waited.
+// A descriptor update applies only on top of the generation it was derived
+// from (Replica.apply), as CockroachDB writes a descriptor with a conditional
+// put, so one that another change overtook in the log is dropped, and the
+// relocation fails with the descriptor as that change left it. The
+// leaseholder stays: the lease (and Raft leadership) move via TransferLease,
+// which must observe that it has not yet moved.
+func publishPlacement(p *sim.Proc, r *Replica, placement zones.Placement, policy ClosedTSPolicy) (*RangeDescriptor, error) {
+	nd := r.desc.Clone()
+	nd.Voters = append([]simnet.NodeID(nil), placement.Voters...)
+	nd.NonVoters = append([]simnet.NodeID(nil), placement.NonVoters...)
+	nd.Policy = policy
+	nd.Generation++
+	cmd := r.command(Command{Kind: CmdDescUpdate, Desc: nd, ClosedTS: r.closed.issued})
+	if err := r.propose(p, cmd); err != nil {
+		return nil, err
+	}
+	// A change that applied after the update keeps its placement.
+	if d := r.desc; !slices.Equal(d.Voters, nd.Voters) || !slices.Equal(d.NonVoters, nd.NonVoters) || d.Policy != policy {
+		return nil, fmt.Errorf("kv: descriptor of r%d changed before its placement update applied", d.RangeID)
+	}
+	return r.desc.Clone(), nil
 }
 
 // sortedIDs returns map keys in ascending order for deterministic

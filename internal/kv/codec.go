@@ -29,7 +29,7 @@ const formatV1 = 1
 const (
 	entryHasCmd, entryHasConf              = 1, 2
 	cmdHasTxn, cmdHasDesc, cmdHasSplitDesc = 1, 2, 4
-	cmdHasKeys                             = 8
+	cmdHasKeys, cmdHasResolves             = 8, 16
 )
 
 var errChecksum = errors.New("kv: blob checksum mismatch")
@@ -97,9 +97,13 @@ func appendCommand(dst []byte, c *Command) []byte {
 	dst = wire.AppendTimestamp(wire.AppendTimestamp(dst, c.CommitTS), c.ClosedTS)
 	dst = wire.AppendTimestamp(binary.AppendVarint(dst, c.LeaseEpoch), c.SubsumeClosedTS)
 	dst = append(dst, flagIf(c.Txn != nil, cmdHasTxn)|flagIf(c.Desc != nil, cmdHasDesc)|
-		flagIf(c.SplitDesc != nil, cmdHasSplitDesc)|flagIf(len(c.Keys) > 0, cmdHasKeys))
+		flagIf(c.SplitDesc != nil, cmdHasSplitDesc)|flagIf(len(c.Keys) > 0, cmdHasKeys)|
+		flagIf(c.Resolves != 0, cmdHasResolves))
 	if c.Txn != nil {
 		dst = mvcc.AppendTxnMeta(dst, c.Txn)
+	}
+	if c.Resolves != 0 {
+		dst = binary.AppendUvarint(dst, uint64(c.Resolves))
 	}
 	if len(c.Keys) > 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(c.Keys)))
@@ -126,6 +130,9 @@ func decodeCommand(d *wire.Decoder) *Command {
 	if flags&cmdHasTxn != 0 {
 		txn := mvcc.DecodeTxnMeta(d)
 		c.Txn = &txn
+	}
+	if flags&cmdHasResolves != 0 {
+		c.Resolves = mvcc.TxnID(d.Uvarint())
 	}
 	if flags&cmdHasKeys != 0 {
 		for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {

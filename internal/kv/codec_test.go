@@ -2,6 +2,7 @@ package kv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -11,6 +12,7 @@ import (
 	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
 	"mrdb/internal/simnet"
+	"mrdb/internal/wire"
 )
 
 // randBytes returns nil, empty or random bytes: the three a field that gives
@@ -68,6 +70,10 @@ func randCommand(rng *rand.Rand, kind CommandKind) *Command {
 	if rng.Intn(2) == 0 {
 		c.Txn = &mvcc.TxnMeta{ID: mvcc.TxnID(rng.Uint64()), Key: randBytes(rng), Epoch: rng.Int31(), WriteTimestamp: randTS(rng)}
 	}
+	if kind == CmdPut && rng.Intn(2) == 0 {
+		// A write over a finished transaction's intent folds its resolution.
+		c.Resolves = mvcc.TxnID(1 + rng.Intn(1<<20))
+	}
 	if kind == CmdResolveIntent {
 		// A resolution carries its range's keys of one transaction.
 		for n := 2 + rng.Intn(3); n > 0; n-- {
@@ -119,6 +125,29 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			if !reflect.DeepEqual(got[i], entries[i]) {
 				t.Fatalf("seed %d entry %d:\n got %+v\nwant %+v", seed, i, got[i], entries[i])
 			}
+		}
+	}
+}
+
+// TestCommandResolvesRoundTrip: a write that folds a finished transaction's
+// resolution (Command.Resolves) decodes with it, and its encoding is the same
+// write's without it plus the varint of the transaction's ID: the flag bit is
+// the only trace the field leaves on every other command.
+func TestCommandResolvesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		c := randCommand(rng, CmdPut)
+		c.Resolves = 0
+		plain := appendCommand(nil, c)
+		c.Resolves = mvcc.TxnID(rng.Uint64()>>rng.Intn(64) | 1)
+		folded := appendCommand(nil, c)
+		if want := len(plain) + len(binary.AppendUvarint(nil, uint64(c.Resolves))); len(folded) != want {
+			t.Fatalf("a write resolving txn %d encodes in %d bytes, want %d: the same write's %d and the ID's varint",
+				c.Resolves, len(folded), want, len(plain))
+		}
+		got := decodeCommand(wire.NewDecoder(folded))
+		if !reflect.DeepEqual(got, c) {
+			t.Fatalf("round trip of a folding write:\n got %+v\nwant %+v", got, c)
 		}
 	}
 }

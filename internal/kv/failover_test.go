@@ -88,7 +88,7 @@ func TestFailoverLeaseAtLivenessExpiry(t *testing.T) {
 							r.leaderApplied.Wait(p)
 						}
 						at, noop := p.Now(), r.raft.Applied()
-						p.Yield()
+						p.Sleep(0)
 						if p.Now() != at || r.raft.LastIndex() != noop+1 || h.nl.Epoch(1) != epoch+1 {
 							t.Errorf("n%d applied its no-op (index %d) at %v; at that instant its log ends at %d and n1's epoch is %d, want the lease proposed",
 								r.store.NodeID, noop, at, r.raft.LastIndex(), h.nl.Epoch(1))

@@ -24,6 +24,10 @@ import (
 // a carve, not a heap object.
 type keyTable struct {
 	floor hlc.Timestamp
+	// floorReader raised the floor to where it is, as an entry's reader read
+	// it (0 when unknown or when several read at floor: no self-exemption
+	// then).
+	floorReader mvcc.TxnID
 	// entries holds each key's entry by value, under the entry's own string.
 	entries map[string]keyEntry
 	// names holds the bytes of the entries' strings (slab.String). A chunk
@@ -160,6 +164,10 @@ func (r *Replica) waitSpanUnlatched(p *sim.Proc, start, end mvcc.Key) {
 // recordRead notes a read of key at ts by txn (0 for non-transactional).
 func (t *keyTable) recordRead(key mvcc.Key, ts hlc.Timestamp, txn mvcc.TxnID) {
 	if ts.LessEq(t.floor) {
+		if ts.Equal(t.floor) && txn != t.floorReader {
+			// Another reader at the floor: nobody gets its exemption.
+			t.floorReader = 0
+		}
 		return
 	}
 	e := t.entry(key)
@@ -175,21 +183,33 @@ func (t *keyTable) recordRead(key mvcc.Key, ts hlc.Timestamp, txn mvcc.TxnID) {
 	t.entries[e.key] = e
 }
 
-// raiseFloor ratchets the floor to ts, never backwards. A scan raises it to
-// its read timestamp (span precision is traded for simplicity; ranges in
-// mrdb are small).
-func (t *keyTable) raiseFloor(ts hlc.Timestamp) {
-	t.floor = t.floor.Max(ts)
+// raiseFloor ratchets the floor to ts, never backwards, as a read by txn (0:
+// none, as the store loop's). A scan raises it to its read timestamp (span
+// precision is traded for simplicity; ranges in mrdb are small).
+func (t *keyTable) raiseFloor(ts hlc.Timestamp, txn mvcc.TxnID) {
+	switch {
+	case t.floor.Less(ts):
+		t.floor, t.floorReader = ts, txn
+	case t.floor.Equal(ts) && t.floorReader != txn:
+		t.floorReader = 0
+	}
 }
 
 // maxRead returns the newest read of key, the floor if that is newer, and
 // whether the read is writer's own (in which case the writer may write AT
-// the timestamp rather than above it).
+// the timestamp rather than above it). A key's read at the floor ties with
+// it: the exemption is writer's only if both are its own.
 func (t *keyTable) maxRead(key mvcc.Key, writer mvcc.TxnID) (hlc.Timestamp, bool) {
-	if e, ok := t.entries[string(key)]; ok && t.floor.Less(e.read) {
-		return e.read, writer != 0 && e.reader == writer
+	ts, reader := t.floor, t.floorReader
+	if e, ok := t.entries[string(key)]; ok {
+		switch {
+		case ts.Less(e.read):
+			ts, reader = e.read, e.reader
+		case ts.Equal(e.read) && e.reader != reader:
+			reader = 0
+		}
 	}
-	return t.floor, false
+	return ts, writer != 0 && reader == writer
 }
 
 // --- The one lifetime rule ---
@@ -199,8 +219,10 @@ func (t *keyTable) maxRead(key mvcc.Key, writer mvcc.TxnID) (hlc.Timestamp, bool
 // read is at or below the floor. A finished holder's lock is taken without a
 // wait whether its entry is there or not, and a read at or below the floor
 // pushes no write the floor does not, so dropping an entry changes nothing.
+// (A read at the floor by another than the floor's reader would: it takes
+// the floor's exemption away as it goes, as it would have in maxRead.)
 func (t *keyTable) sweep(ts hlc.Timestamp, reg *TxnRegistry) {
-	t.raiseFloor(ts)
+	t.raiseFloor(ts, 0)
 	for k, e := range t.entries {
 		if e.latched || !e.waiters.Empty() || t.floor.Less(e.read) {
 			continue
@@ -209,6 +231,9 @@ func (t *keyTable) sweep(ts hlc.Timestamp, reg *TxnRegistry) {
 			if st, _ := reg.Status(e.holder); st == mvcc.Pending {
 				continue
 			}
+		}
+		if e.read.Equal(t.floor) && e.reader != t.floorReader {
+			t.floorReader = 0
 		}
 		delete(t.entries, k)
 	}

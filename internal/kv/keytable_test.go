@@ -134,7 +134,7 @@ func TestStoreLoopDropsDeadEntries(t *testing.T) {
 				passed++
 			})
 		}
-		p.Yield()
+		p.Sleep(0)
 		if passed != 0 || rep.keys.entries[string(queuedKey)].waiters.Empty() {
 			t.Fatalf("setup: %d of 2 readers passed %s's latch, want both queued on it", passed, queuedKey)
 		}
@@ -154,4 +154,40 @@ func TestStoreLoopDropsDeadEntries(t *testing.T) {
 		live(readKey)
 		return nil
 	})
+}
+
+// TestFloorExemptsOnlyItsOwnReader: the read floor exempts the writes of the
+// transaction whose read raised it, as a key's newest read exempts its
+// reader's. Another reader at the floor, of the span or of the written key,
+// takes the exemption away, and so does the store loop raising the floor or
+// dropping that reader's entry.
+func TestFloorExemptsOnlyItsOwnReader(t *testing.T) {
+	const scanner = mvcc.TxnID(1)
+	at := hlc.Timestamp{WallTime: int64(sim.Second)}
+	key := mvcc.Key("k")
+	for _, c := range []struct {
+		name  string
+		reads func(kt *keyTable)
+		own   bool
+	}{
+		{"its scan", func(kt *keyTable) { kt.raiseFloor(at, scanner) }, true},
+		{"its scan twice", func(kt *keyTable) { kt.raiseFloor(at, scanner); kt.raiseFloor(at, scanner) }, true},
+		{"its scan and its read of the key", func(kt *keyTable) { kt.recordRead(key, at, scanner); kt.raiseFloor(at, scanner) }, true},
+		{"another scan at the floor", func(kt *keyTable) { kt.raiseFloor(at, scanner); kt.raiseFloor(at, 2) }, false},
+		{"another's read at the floor", func(kt *keyTable) { kt.raiseFloor(at, scanner); kt.recordRead(mvcc.Key("j"), at, 2) }, false},
+		{"another's read of the key first", func(kt *keyTable) { kt.recordRead(key, at, 2); kt.raiseFloor(at, scanner) }, false},
+		{"a later scan", func(kt *keyTable) { kt.raiseFloor(at, scanner); kt.raiseFloor(at.Next(), 2) }, false},
+		{"the store loop", func(kt *keyTable) { kt.raiseFloor(at, scanner); kt.sweep(at, nil) }, false},
+		{"the store loop below the floor, after another's read of the key", func(kt *keyTable) {
+			kt.recordRead(key, at, 2)
+			kt.raiseFloor(at, scanner)
+			kt.sweep(at.Prev(), nil)
+		}, false},
+	} {
+		kt := newKeyTable()
+		c.reads(&kt)
+		if ts, own := kt.maxRead(key, scanner); own != c.own || ts.Less(at) {
+			t.Errorf("%s: the scanner's write of %s finds the read at %v, its own %v; want its own %v", c.name, key, ts, own, c.own)
+		}
+	}
 }

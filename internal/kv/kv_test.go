@@ -81,7 +81,7 @@ func TestTimestampCacheLowWater(t *testing.T) {
 	if c.floor != ts(30) {
 		t.Fatal("floor regressed")
 	}
-	c.raiseFloor(ts(40))
+	c.raiseFloor(ts(40), 0)
 	if c.floor != ts(40) {
 		t.Fatal("span read did not ratchet the floor")
 	}

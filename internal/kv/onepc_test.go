@@ -66,3 +66,42 @@ func TestOnePCNotClaimedWithoutLeadership(t *testing.T) {
 		t.Fatalf("retry: status %v at %v, want committed after %v", status, ts, first)
 	}
 }
+
+// TestOnePCResendFindsItsOwnCommit: a one-phase commit re-sent after its
+// reply was lost, unconditional as most writes are, finds the value its first
+// attempt committed and answers with that commit, proposing nothing. It used
+// to be moved above its own value (write too old), where the commit claim
+// failed ("committed twice"), and the coordinator wrote the key again.
+func TestOnePCResendFindsItsOwnCommit(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	st := h.stores[1]
+	rep, _ := st.Replica(desc.RangeID)
+	id := st.Registry.Begin(1, 0)
+	ts := st.Clock.Now()
+	put := &PutRequest{
+		Key: mvcc.Key("k"), Value: mvcc.Value("v"), Timestamp: ts,
+		Txn:       &Txn{Meta: mvcc.TxnMeta{ID: id}, ReadTimestamp: ts},
+		Commit1PC: true,
+	}
+	var first, again Response
+	var proposed int64
+	h.run(t, sim.Second, func(p *sim.Proc) error {
+		first = rep.evaluate(p, put)
+		proposed = rep.Proposed[CmdPut]
+		again = rep.evaluate(p, put) // the reply was lost: the DistSender re-sends
+		return nil
+	})
+	if first.Err != nil || !first.Put.Committed {
+		t.Fatalf("one-phase commit: %+v", first)
+	}
+	if again.Err != nil || again.Put != first.Put {
+		t.Errorf("re-sent one-phase commit: %+v, want the first attempt's commit %+v", again, first.Put)
+	}
+	if n := rep.Proposed[CmdPut] - proposed; n != 0 {
+		t.Errorf("the re-send proposed %d writes, want none", n)
+	}
+	if st, cts := st.Registry.Status(id); st != mvcc.Committed || cts != first.Put.WriteTimestamp {
+		t.Errorf("record: %v at %v, want committed at %v", st, cts, first.Put.WriteTimestamp)
+	}
+}

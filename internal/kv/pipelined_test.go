@@ -47,13 +47,13 @@ func TestPipelinedWriteLatchFollowsItsProposal(t *testing.T) {
 					readerWoke = rp.Now()
 					readerSaw = hasKey(rep, "k")
 				})
-				p.Yield() // the reader queues on the latch
+				p.Sleep(0) // the reader queues on the latch
 				if lose {
 					// A vote request from a later term: the leader steps
 					// down with the write in flight.
 					rep.raft.Step(raft.Message{Kind: raft.MsgVote, Term: rep.raft.Term() + 1, From: 2,
 						LastLogIndex: rep.raft.LastIndex(), LastLogTerm: rep.raft.Term() + 1})
-					p.Yield()
+					p.Sleep(0)
 					if rep.raft.IsLeader() || f.Done() || !rep.keys.entries[string(key)].latched {
 						t.Errorf("after the step-down: leader %v, proposal resolved %v, latch held %v",
 							rep.raft.IsLeader(), f.Done(), rep.keys.entries[string(key)].latched)

@@ -227,7 +227,10 @@ func TestRecordsHeldDoNotGrowWithTransactions(t *testing.T) {
 
 // TestRecordOutlivesFailedResolution: a committed transaction whose
 // resolution cannot reach its range keeps its record, so a reader that later
-// meets its intent resolves it as committed and reads the committed value.
+// meets its intent reads the committed value through the record, proposing
+// nothing, and the intent and the record stay. The next write of the key
+// folds the intent's resolution into its own command: the committed value
+// stays below the new one.
 func TestRecordOutlivesFailedResolution(t *testing.T) {
 	c, desc := recordCluster(t, 5)
 	gw := c.GatewayFor(simnet.EuropeW2)
@@ -245,23 +248,43 @@ func TestRecordOutlivesFailedResolution(t *testing.T) {
 		for _, n := range desc.Voters {
 			c.Net.Heal(gw, n)
 		}
-		if st, _ := c.Registry.Status(tx.ID()); st != mvcc.Committed || !c.Registry.Holds(tx.ID()) {
+		st, cts := c.Registry.Status(tx.ID())
+		if st != mvcc.Committed || !c.Registry.Holds(tx.ID()) {
 			t.Fatalf("record after a failed resolution: %v, held %v; want committed and held", st, c.Registry.Holds(tx.ID()))
 		}
 		rep, _ := c.Stores[desc.Leaseholder].Replica(desc.RangeID)
-		if _, ok := rep.EngineForBulkLoad().GetIntent(mvcc.Key("k/a")); !ok {
+		eng := rep.EngineForBulkLoad()
+		if _, ok := eng.GetIntent(mvcc.Key("k/a")); !ok {
 			t.Fatal("setup: the failed resolution resolved k/a")
 		}
+		resolutions := rep.Proposed[kv.CmdResolveIntent]
+		co := coordIn(c, simnet.USEast1)
 		var got mvcc.Value
-		if err := coordIn(c, simnet.USEast1).Run(p, func(rd *txn.Txn) error {
+		if err := co.Run(p, func(rd *txn.Txn) error {
 			v, err := rd.Get(p, mvcc.Key("k/a"))
 			got = v
 			return err
 		}); err != nil || string(got) != "k/a" {
 			t.Fatalf("reader got %q, %v; want the committed k/a", got, err)
 		}
-		if v, _ := committedValue(t, c, desc, "k/a"); v != "k/a" {
-			t.Errorf("k/a committed as %q after the reader resolved it, want k/a", v)
+		if _, ok := eng.GetIntent(mvcc.Key("k/a")); !ok || !c.Registry.Holds(tx.ID()) {
+			t.Fatalf("after the read: intent left %v, record held %v; want both", ok, c.Registry.Holds(tx.ID()))
+		}
+
+		w := co.Begin(0)
+		if err := w.Put(p, mvcc.Key("k/a"), mvcc.Value("new")); err != nil {
+			t.Fatal(err)
+		}
+		mustCommit(t, p, w)
+		p.Sleep(sim.Second) // the writer's own resolution
+		if n := rep.Proposed[kv.CmdResolveIntent] - resolutions; n != 1 {
+			t.Errorf("the reader and the writer proposed %d resolutions, want the writer's coordinator's 1", n)
+		}
+		if v, _ := committedValue(t, c, desc, "k/a"); v != "new" {
+			t.Errorf("k/a reads %q after the write, want new", v)
+		}
+		if v, vts, err := eng.Get(mvcc.Key("k/a"), cts, mvcc.GetOptions{}); err != nil || string(v) != "k/a" || vts != cts {
+			t.Errorf("k/a at the commit timestamp %v reads %q at %v (%v), want the committed k/a", cts, v, vts, err)
 		}
 	})
 }

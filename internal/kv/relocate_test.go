@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
@@ -133,5 +134,80 @@ func TestRelocatedReplicasJoinAsLearners(t *testing.T) {
 	}
 	if r, _ := h.stores[1].Replica(desc.RangeID); !r.raft.IsLeader() {
 		t.Fatal("n1 lost the lead of its range")
+	}
+}
+
+// TestRelocationKeepsASplitThatAppliedMeanwhile: a relocation parked on a
+// conf change while its range splits publishes its placement on top of the
+// split's descriptor. It used to publish the descriptor it had cloned when it
+// started, one generation up, which every replica installed over the split's
+// descriptor of the same generation: the left half took back the right
+// half's span, and two ranges served its keys.
+func TestRelocationKeepsASplitThatAppliedMeanwhile(t *testing.T) {
+	h := newRecoveryHarness(t, 4, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	grown := zones.Placement{Voters: []simnet.NodeID{1, 2, 3, 4}, Leaseholder: 1}
+	relocated := sim.NewFuture[error](h.s)
+	h.s.Spawn("relocate", func(p *sim.Proc) {
+		relocated.Set(h.admin.Relocate(p, desc.RangeID, grown, ClosedTSLag, nil))
+	})
+	h.run(t, 30*sim.Second, func(p *sim.Proc) error {
+		// The relocation created n4's replica and waits on its AddLearner.
+		for _, ok := h.stores[4].Replica(desc.RangeID); !ok; _, ok = h.stores[4].Replica(desc.RangeID) {
+			p.Sleep(100 * sim.Microsecond)
+		}
+		if _, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("m")); err != nil {
+			return fmt.Errorf("split: %w", err)
+		}
+		return relocated.Wait(p)
+	})
+	h.s.RunFor(sim.Second)
+	d, _ := h.cat.LookupByID(desc.RangeID)
+	descs := []*RangeDescriptor{d}
+	for _, id := range grown.Voters {
+		r, ok := h.stores[id].Replica(desc.RangeID)
+		if !ok {
+			t.Fatalf("n%d has no replica of r%d", id, desc.RangeID)
+		}
+		descs = append(descs, r.desc)
+	}
+	for i, d := range descs {
+		if string(d.StartKey) != "a" || string(d.EndKey) != "m" || !slices.Equal(d.Voters, grown.Voters) {
+			t.Errorf("descriptor %d of the left half (0: the catalog's) spans [%s, %s) with voters %v, want [a, m) with %v",
+				i, d.StartKey, d.EndKey, d.Voters, grown.Voters)
+		}
+	}
+}
+
+// TestPlacementUpdateOvertakenBySplitFails: a placement update proposed
+// behind a split it was derived before applies nowhere, and the relocation
+// fails with the descriptor as the split left it.
+func TestPlacementUpdateOvertakenBySplitFails(t *testing.T) {
+	h := newRecoveryHarness(t, 3, 0)
+	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
+	r, _ := h.stores[1].Replica(desc.RangeID)
+	split := sim.NewFuture[error](h.s)
+	h.s.Spawn("split", func(p *sim.Proc) {
+		_, err := h.admin.SplitRange(p, desc.RangeID, mvcc.Key("m"))
+		split.Set(err)
+	})
+	h.run(t, 10*sim.Second, func(p *sim.Proc) error {
+		p.Sleep(sim.Microsecond) // the split is proposed, not yet applied
+		if r.desc.Generation != desc.Generation {
+			t.Fatal("the split applied before the placement update was proposed")
+		}
+		placement := zones.Placement{Voters: desc.Voters, Leaseholder: 1}
+		if _, err := publishPlacement(p, r, placement, ClosedTSLead); err == nil {
+			t.Error("a placement update proposed behind a split published")
+		}
+		return split.Wait(p)
+	})
+	h.s.RunFor(sim.Second)
+	for _, id := range desc.Voters {
+		f, _ := h.stores[id].Replica(desc.RangeID)
+		if d := f.desc; string(d.EndKey) != "m" || d.Policy != desc.Policy || d.Generation != desc.Generation+1 {
+			t.Errorf("n%d's left half spans [%s, %s) at generation %d with policy %v, want [a, m) at %d with %v",
+				id, d.StartKey, d.EndKey, d.Generation, d.Policy, desc.Generation+1, desc.Policy)
+		}
 	}
 }

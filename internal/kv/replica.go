@@ -211,7 +211,7 @@ func (r *Replica) resolveGroup(p *sim.Proc, reqs []interface{}, resps []Response
 	var resp Response
 	if r.subsumed {
 		resp = Response{Err: &RangeKeyMismatchError{RequestedKey: r.desc.StartKey}}
-	} else if _, err := r.resolveIntents(p, first.TxnID, first.Status, first.CommitTS, keys); err != nil {
+	} else if err := r.resolveIntents(p, first.TxnID, first.Status, first.CommitTS, keys); err != nil {
 		resp = Response{Err: err}
 	}
 	for i, req := range reqs {
@@ -278,6 +278,11 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 	}
 	required := a.ts
 	var opts mvcc.GetOptions
+	if leaseholder {
+		// The leaseholder reads a finished holder's intent through its
+		// record (mvcc.Records), a lookup as free as waitForHolder's.
+		opts.Records = r.store.Registry
+	}
 	if a.txn != nil {
 		opts.Txn = &a.txn.Meta
 		if a.uncertainty {
@@ -324,6 +329,13 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 				}
 				if werr := r.waitOnIntent(p, wie.Key, wie.Txn, a.txn, false); werr != nil {
 					return Response{Err: werr}
+				}
+				// The wait may have outlasted the lease. Only a valid
+				// leaseholder's engine has every resolution that let the
+				// holder's record go (DESIGN §11), so only it may read the
+				// intent through the record.
+				if !r.hasValidLease() {
+					return Response{Err: r.checkLease()}
 				}
 				continue
 			}
@@ -445,9 +457,19 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		if !r.desc.ContainsKey(req.Key) {
 			return Response{Err: &RangeKeyMismatchError{RequestedKey: req.Key}}
 		}
+		if req.Commit1PC && meta != nil {
+			// A re-sent one-phase commit whose first attempt applied finds
+			// its own committed value: that is this write, not a duplicate.
+			// (Every later write of the key lands above it.)
+			if st, cts := r.store.Registry.Status(meta.ID); st == mvcc.Committed {
+				if _, vts, err := r.engine.Get(req.Key, cts, mvcc.GetOptions{}); err == nil && vts == cts {
+					return Response{Put: PutResponse{WriteTimestamp: cts, Committed: true}}
+				}
+			}
+		}
 		var target hlc.Timestamp
 		ts, target = r.writeTimestamp(p, req.Key, req.Txn.id(), ts, r.store.Clock.Now())
-		newTs, err := r.checkPut(req.Key, ts, meta, req.MustNotExist)
+		newTs, prev, err := r.checkPut(req.Key, ts, meta, req.MustNotExist)
 		if err != nil {
 			var wie *mvcc.WriteIntentError
 			if errors.As(err, &wie) {
@@ -462,23 +484,15 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 				}
 				continue
 			}
-			var cf *ConditionFailedError
-			if errors.As(err, &cf) && req.Commit1PC && meta != nil {
-				// A re-sent one-phase commit whose first attempt applied
-				// finds its own committed value: that is this write, not a
-				// duplicate.
-				if st, cts := r.store.Registry.Status(meta.ID); st == mvcc.Committed && cts == cf.Existing {
-					return Response{Put: PutResponse{WriteTimestamp: cts, Committed: true}}
-				}
-			}
 			return Response{Err: err}
 		}
 		ts = newTs
 		if req.Commit1PC && meta != nil {
-			return r.evalPut1PC(p, req, ts, target)
+			return r.evalPut1PC(p, req, ts, target, prev)
 		}
 		// Replicate the write.
-		cmd := r.command(Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, Txn: meta, ClosedTS: target})
+		cmd := r.command(Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, Txn: meta, ClosedTS: target,
+			Resolves: prev.txn, Status: prev.status, CommitTS: prev.commitTS})
 		if req.Pipelined {
 			// Write pipelining: reply once the proposal is in flight;
 			// the latch is held until the write applies so later reads
@@ -528,15 +542,15 @@ func (r *Replica) releaseOne() {
 // evalPut1PC commits a single-write transaction in one consensus round
 // (CockroachDB's one-phase commit): the transaction's reads are refreshed
 // server-side to the commit timestamp, the commit is claimed in the
-// registry, and the value replicates directly as committed. The latch is
-// already held by evalPut.
-func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, target hlc.Timestamp) Response {
+// registry, and the value replicates directly as committed, folding prev's
+// resolution in like any write. The latch is already held by evalPut.
+func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, target hlc.Timestamp, prev finishedIntent) Response {
 	// Server-side refresh: every read span must live on this range and be
 	// unchanged in (ReadFromTS, ts].
 	if req.ReadFromTS.Less(ts) {
 		for _, span := range req.ReadSpans {
 			refresh := RefreshRequest{Key: span[0], EndKey: span[1], FromTS: req.ReadFromTS, ToTS: ts, TxnID: req.Txn.Meta.ID}
-			if refresh.bounds(r) != nil || refresh.newer(r.engine) {
+			if refresh.bounds(r) != nil || refresh.newer(r.engine, r.store.Registry) {
 				return Response{Put: PutResponse{Declined1PC: true}}
 			}
 		}
@@ -554,7 +568,8 @@ func (r *Replica) evalPut1PC(p *sim.Proc, req *PutRequest, ts hlc.Timestamp, tar
 	if err := r.store.Registry.TryCommit(req.Txn.Meta.ID, ts); err != nil {
 		return Response{Err: err}
 	}
-	cmd := r.command(Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, ClosedTS: target})
+	cmd := r.command(Command{Kind: CmdPut, Key: req.Key, Value: req.Value, Ts: ts, ClosedTS: target,
+		Resolves: prev.txn, Status: prev.status, CommitTS: prev.commitTS})
 	if err := r.propose(p, cmd); err != nil {
 		return Response{Err: err}
 	}
@@ -582,35 +597,54 @@ func (r *Replica) evalQueryIntent(p *sim.Proc, req *QueryIntentRequest) Response
 	return Response{QueryIntent: QueryIntentResponse{Found: found}}
 }
 
-// checkPut validates a write without mutating: it surfaces intent conflicts,
-// fails a mustNotExist write whose key holds a live value, and bumps the
-// timestamp above newer committed versions (write-too-old).
-func (r *Replica) checkPut(key mvcc.Key, ts hlc.Timestamp, txn *mvcc.TxnMeta, mustNotExist bool) (hlc.Timestamp, error) {
+// finishedIntent is a finished transaction's intent that a write replaces,
+// with the outcome its record gave when the write was evaluated: the write's
+// command resolves it so before it puts (Command.Resolves).
+type finishedIntent struct {
+	txn      mvcc.TxnID // 0: none
+	status   mvcc.TxnStatus
+	commitTS hlc.Timestamp
+}
+
+// checkPut validates a write without mutating: it surfaces a running
+// transaction's intent as a conflict, fails a mustNotExist write whose key
+// holds a live value, and bumps the timestamp above newer committed versions
+// (write-too-old). A finished transaction's intent is no conflict: it is the
+// version its resolution will write, which the checks read through, and
+// checkPut returns it for the write to fold in.
+func (r *Replica) checkPut(key mvcc.Key, ts hlc.Timestamp, txn *mvcc.TxnMeta, mustNotExist bool) (hlc.Timestamp, finishedIntent, error) {
+	var prev finishedIntent
 	ownIntent := false
 	if meta, ok := r.engine.GetIntent(key); ok {
 		if txn == nil || meta.ID != txn.ID {
-			return hlc.Timestamp{}, &mvcc.WriteIntentError{Key: key, Txn: meta}
+			st, cts := r.store.Registry.Status(meta.ID)
+			if st == mvcc.Pending {
+				return hlc.Timestamp{}, prev, &mvcc.WriteIntentError{Key: key, Txn: meta}
+			}
+			prev = finishedIntent{txn: meta.ID, status: st, commitTS: cts}
+		} else {
+			ownIntent = meta.Epoch == txn.Epoch
 		}
-		ownIntent = meta.Epoch == txn.Epoch
 	}
 	// Probe for write-too-old by a non-mutating read of the newest
-	// version: read at MaxTimestamp with our own txn visibility.
-	val, newest, err := r.engine.Get(key, hlc.MaxTimestamp, mvcc.GetOptions{Txn: txn})
+	// version: read at MaxTimestamp with our own txn visibility, through a
+	// finished holder's intent.
+	val, newest, err := r.engine.Get(key, hlc.MaxTimestamp, mvcc.GetOptions{Txn: txn, Records: r.store.Registry})
 	if err != nil {
-		return hlc.Timestamp{}, err
+		return hlc.Timestamp{}, prev, err
 	}
 	// The transaction's own intent satisfies the condition: it is either
 	// this very write laid by an earlier attempt of its sub-batch, or an
 	// earlier statement's write, which the coordinator has already checked.
 	if mustNotExist && !ownIntent && val != nil {
-		return hlc.Timestamp{}, &ConditionFailedError{Key: key, Existing: newest}
+		return hlc.Timestamp{}, prev, &ConditionFailedError{Key: key, Existing: newest}
 	}
 	if !newest.IsEmpty() && ts.LessEq(newest) {
 		// Tolerable bump: the transaction's coordinator learns the new
 		// timestamp from the response and refreshes at commit.
 		ts = newest.Next()
 	}
-	return ts, nil
+	return ts, prev, nil
 }
 
 // command is a Command as a replica proposes it, with room for what a
@@ -723,24 +757,25 @@ func (r *Replica) evalEndTxn(p *sim.Proc, req *EndTxnRequest) Response {
 }
 
 // resolveIntents resolves txn's intents on keys, which must all lie in this
-// range, to status (at commitTS) as one Raft command. It returns how many
-// intents it resolved: keys whose intent is already gone are left out, and
-// when none is left nothing is proposed. keys is the caller's scratch: it is
-// filtered in place, and the command keeps a lone key in its own room and
-// several in a copy carved from the replica's chunks.
-func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnStatus, commitTS hlc.Timestamp, keys []mvcc.Key) (int, error) {
+// range, to status (at commitTS) as one Raft command. It serves a
+// coordinator's resolution (resolveGroup), the one path that proposes one.
+// Keys whose intent is already gone are left out, and when none is left
+// nothing is proposed. keys is the caller's scratch: it is filtered in
+// place, and the command keeps a lone key in its own room and several in a
+// copy carved from the replica's chunks.
+func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnStatus, commitTS hlc.Timestamp, keys []mvcc.Key) error {
 	// A resolution takes no latch, so it waits out a split's fence here.
 	for slices.ContainsFunc(keys, r.fenced) {
 		r.fenceLifted.Wait(p)
 	}
 	if err := r.checkLease(); err != nil {
-		return 0, err
+		return err
 	}
 	// A split leaves this engine a stale copy of the right half: a key there
 	// is resolved on the range that owns it.
 	for _, k := range keys {
 		if err := r.ownKey(k); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	// Only propose the intents still there (idempotence without a wasted
@@ -752,7 +787,7 @@ func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnSta
 		}
 	}
 	if len(live) == 0 {
-		return 0, nil
+		return nil
 	}
 	c := r.cmds.New()
 	c.meta.ID = txn
@@ -766,7 +801,7 @@ func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnSta
 		Status: status, CommitTS: commitTS,
 		ClosedTS: r.closed.issue(r.store.Clock.Now()),
 	}
-	return len(live), r.propose(p, &c.Command)
+	return r.propose(p, &c.Command)
 }
 
 // evalNegotiate serves the bounded-staleness negotiation (paper §5.3.2):
@@ -774,15 +809,19 @@ func (r *Replica) resolveIntents(p *sim.Proc, txn mvcc.TxnID, status mvcc.TxnSta
 // the minimum of its closed timestamp and (any conflicting intent's
 // timestamp - 1) over the part of the span the range holds. Past its
 // bounds, this engine may keep a split's copy of the right half, whose
-// intents the right range resolves.
+// intents the right range resolves. Only a pending holder's intent conflicts
+// on the leaseholder, which reads through a finished one's (evalRead); a
+// follower redirects on any.
 func (r *Replica) evalNegotiate(req *NegotiateRequest) Response {
 	maxTS := r.closed.closed
+	var recs mvcc.Records
 	if r.hasValidLease() {
 		// The leaseholder can serve up to its clock.
 		maxTS = r.store.Clock.Now()
+		recs = r.store.Registry
 	}
 	start, end := r.desc.clamp(req.StartKey, req.EndKey)
-	if its, ok := r.engine.MinIntentTS(start, end); ok && its.LessEq(maxTS) {
+	if its, ok := r.engine.MinIntentTS(start, end, recs); ok && its.LessEq(maxTS) {
 		maxTS = its.Prev()
 	}
 	return Response{Negot: NegotiateResponse{MaxTimestamp: maxTS}}
@@ -799,7 +838,7 @@ func (r *Replica) acquireLock(p *sim.Proc, key mvcc.Key, txn *Txn) error {
 	for {
 		holder := r.keys.entries[string(key)].holder
 		if holder != 0 && holder != txn.Meta.ID {
-			if _, _, err := r.waitForHolder(p, txn.Meta.ID, holder, &wait); err != nil {
+			if err := r.waitForHolder(p, txn.Meta.ID, holder, &wait); err != nil {
 				return err
 			}
 			if r.keys.entries[string(key)].holder != holder {
@@ -813,31 +852,30 @@ func (r *Replica) acquireLock(p *sim.Proc, key mvcc.Key, txn *Txn) error {
 	}
 }
 
-// waitForHolder parks p until the transaction holder finishes and returns
-// its final status and commit timestamp. The common case wakes on the
-// registry's commit/abort broadcast at no network cost. Whenever *wait runs
-// out first, the waiter pushes the holder — a round trip to its transaction
-// record, which aborts the holder if that breaks a deadlock — and waits
-// deadlockPushInterval from then on. It fails if the waiter's own
-// transaction (zero for a non-transactional request) is aborted meanwhile.
-func (r *Replica) waitForHolder(p *sim.Proc, waiter, holder mvcc.TxnID, wait *sim.Duration) (mvcc.TxnStatus, hlc.Timestamp, error) {
+// waitForHolder parks p until the transaction holder finishes. The common
+// case wakes on the registry's commit/abort broadcast at no network cost.
+// Whenever *wait runs out first, the waiter pushes the holder — a round trip
+// to its transaction record, which aborts the holder if that breaks a
+// deadlock — and waits deadlockPushInterval from then on. It fails if the
+// waiter's own transaction (zero for a non-transactional request) is aborted
+// meanwhile.
+func (r *Replica) waitForHolder(p *sim.Proc, waiter, holder mvcc.TxnID, wait *sim.Duration) error {
 	reg := r.store.Registry
-	status, commitTS := reg.Status(holder)
-	for status == mvcc.Pending {
+	for status, _ := reg.Status(holder); status == mvcc.Pending; {
 		reg.BeginWait(waiter, holder)
-		status, commitTS = reg.WaitFinished(p, holder, *wait)
+		status, _ = reg.WaitFinished(p, holder, *wait)
 		if status == mvcc.Pending {
-			status, commitTS = reg.PushTxn(p, r.store.NodeID, waiter, holder)
+			status, _ = reg.PushTxn(p, r.store.NodeID, waiter, holder)
 			*wait = deadlockPushInterval
 		}
 		reg.EndWait(waiter)
 		if waiter != 0 {
 			if st, _ := reg.Status(waiter); st == mvcc.Aborted {
-				return status, commitTS, &TxnAbortedError{TxnID: waiter}
+				return &TxnAbortedError{TxnID: waiter}
 			}
 		}
 	}
-	return status, commitTS, nil
+	return nil
 }
 
 // livenessThreshold is how long a reader waits on a lock before treating
@@ -849,8 +887,10 @@ const livenessThreshold = 5 * sim.Second
 const deadlockPushInterval = 1 * sim.Second
 
 // waitOnIntent blocks p until the transaction owning the intent on key
-// finishes, then resolves the intent locally and returns so the caller can
-// re-evaluate. Writers push (and may abort) the holder after pushDelay,
+// finishes and returns so the caller can evaluate again: a read then reads
+// the finished intent through its holder's record, and a write folds its
+// resolution into its own command (checkPut), so neither waits a consensus
+// round for it. Writers push (and may abort) the holder after pushDelay,
 // which breaks write-write deadlocks; readers wait for the holder to finish
 // (paper §6.2: readers block on the locks of still-running writers), only
 // pushing after a long liveness threshold.
@@ -886,20 +926,7 @@ func (r *Replica) waitOnIntent(p *sim.Proc, key mvcc.Key, holder mvcc.TxnMeta, w
 			})
 		}()
 	}
-	status, commitTS, err := r.waitForHolder(p, waiterID, holder.ID, &wait)
-	if err != nil {
-		return err
-	}
-	// Holder finished: resolve its intent here so we can proceed.
-	n, err := r.resolveIntents(p, holder.ID, status, commitTS, []mvcc.Key{key})
-	if err != nil {
-		return err
-	}
-	if n == 0 {
-		// Someone else resolved it; yield so their apply settles.
-		p.Yield()
-	}
-	return nil
+	return r.waitForHolder(p, waiterID, holder.ID, &wait)
 }
 
 // --- Raft integration ---
@@ -928,7 +955,18 @@ func (r *Replica) apply(e raft.Entry) {
 		// command's keys are its range's: one outside failed to apply.
 		if !r.desc.ContainsKey(cmd.Key) {
 			r.store.applyErrors++
-		} else if _, err := r.engine.Put(cmd.Key, cmd.Value, cmd.Ts, cmd.Txn); err != nil {
+			break
+		}
+		// A write over a finished transaction's intent resolves it first, to
+		// the outcome fixed when the write was evaluated: every replica and
+		// every replay applies the same. The intent may be gone already (its
+		// coordinator's resolution applied first), which is a no-op.
+		if cmd.Resolves != 0 {
+			if err := r.engine.ResolveIntent(cmd.Key, cmd.Resolves, cmd.Status, cmd.CommitTS); err != nil {
+				r.store.applyErrors++
+			}
+		}
+		if _, err := r.engine.Put(cmd.Key, cmd.Value, cmd.Ts, cmd.Txn); err != nil {
 			r.store.applyErrors++
 		}
 	case CmdResolveIntent:
@@ -943,7 +981,13 @@ func (r *Replica) apply(e raft.Entry) {
 		// The decision itself lives in the registry; the entry models
 		// the durability round.
 	case CmdDescUpdate:
-		r.setDesc(cmd.Desc.Clone())
+		// A descriptor update applies only on top of the generation it was
+		// derived from (its own less one), like CockroachDB's conditional put
+		// of a descriptor: one derived before a split applied would give the
+		// left half its old span back.
+		if cmd.Desc.Generation == r.desc.Generation+1 {
+			r.setDesc(cmd.Desc.Clone())
+		}
 	case CmdLeaseTransfer:
 		r.applyLeaseTransfer(cmd)
 	case CmdSplit:

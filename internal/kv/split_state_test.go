@@ -213,7 +213,7 @@ func TestSplitFencesItsRightHalf(t *testing.T) {
 		})
 		h.s.Spawn("resolve", func(rp *sim.Proc) {
 			defer done.Done()
-			_, resolveErr = left.resolveIntents(rp, tx.Meta.ID, mvcc.Committed, tx.Meta.WriteTimestamp, []mvcc.Key{tx.Meta.Key})
+			resolveErr = left.resolveIntents(rp, tx.Meta.ID, mvcc.Committed, tx.Meta.WriteTimestamp, []mvcc.Key{tx.Meta.Key})
 		})
 		done.Wait(p)
 		if err := split.Wait(p); err != nil {

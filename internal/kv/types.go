@@ -286,7 +286,7 @@ func (q *ScanRequest) readAt(r *Replica, ts hlc.Timestamp, opts mvcc.GetOptions)
 
 // record notes the scanned span, which lies in this range.
 func (q *ScanRequest) record(r *Replica, ts hlc.Timestamp, _ Response) {
-	r.keys.raiseFloor(ts)
+	r.keys.raiseFloor(ts, q.Txn.id())
 }
 
 // ScanResponse carries scan results: at most MaxRows rows, in key order.
@@ -401,13 +401,12 @@ func (q *ResolveIntentRequest) routingKey() mvcc.Key { return q.Key }
 func (q *ResolveIntentRequest) typeName() string     { return "*kv.ResolveIntentRequest" }
 func (q *ResolveIntentRequest) followerOK() bool     { return false }
 
-// eval resolves a lone request's intent; evaluateBatch resolves a sub-batch's
-// requests of one transaction together.
+// eval resolves a lone request's intent as a group of one; evaluateBatch
+// resolves a sub-batch's requests of one transaction together.
 func (q *ResolveIntentRequest) eval(r *Replica, p *sim.Proc) Response {
-	if _, err := r.resolveIntents(p, q.TxnID, q.Status, q.CommitTS, []mvcc.Key{q.Key}); err != nil {
-		return Response{Err: err}
-	}
-	return Response{}
+	reqs, resps := [1]interface{}{q}, [1]Response{}
+	r.resolveGroup(p, reqs[:], resps[:], q)
+	return resps[0]
 }
 
 // sameOutcome reports whether o resolves intents of q's transaction to the
@@ -449,24 +448,25 @@ func (q *RefreshRequest) eval(r *Replica, p *sim.Proc) Response {
 	return r.evalRead(p, q, readArgs{ts: q.ToTS, latchKey: q.Key, latchEnd: q.EndKey, span: q.EndKey != nil})
 }
 
-func (q *RefreshRequest) readAt(r *Replica, _ hlc.Timestamp, _ mvcc.GetOptions) (Response, error) {
-	return Response{Refresh: RefreshResponse{Success: !q.newer(r.engine)}}, nil
+func (q *RefreshRequest) readAt(r *Replica, _ hlc.Timestamp, opts mvcc.GetOptions) (Response, error) {
+	return Response{Refresh: RefreshResponse{Success: !q.newer(r.engine, opts.Records)}}, nil
 }
 
 // newer reports whether e holds another transaction's write in (FromTS, ToTS]
-// on the key or span; a one-phase commit refreshes its reads with it too.
-func (q *RefreshRequest) newer(e *mvcc.Engine) bool {
+// on the key or span, finished intents read through recs where it is set; a
+// one-phase commit refreshes its reads with it too.
+func (q *RefreshRequest) newer(e *mvcc.Engine, recs mvcc.Records) bool {
 	if q.EndKey != nil {
-		return e.HasNewerVersionInSpan(q.Key, q.EndKey, q.FromTS, q.ToTS, q.TxnID)
+		return e.HasNewerVersionInSpan(q.Key, q.EndKey, q.FromTS, q.ToTS, q.TxnID, recs)
 	}
-	return e.HasNewerVersion(q.Key, q.FromTS, q.ToTS, q.TxnID)
+	return e.HasNewerVersion(q.Key, q.FromTS, q.ToTS, q.TxnID, recs)
 }
 
 func (q *RefreshRequest) record(r *Replica, ts hlc.Timestamp, resp Response) {
 	switch {
 	case !resp.Refresh.Success:
 	case q.EndKey != nil:
-		r.keys.raiseFloor(ts)
+		r.keys.raiseFloor(ts, q.TxnID)
 	default:
 		r.keys.recordRead(q.Key, ts, q.TxnID)
 	}
@@ -659,16 +659,24 @@ func (ep *envelopePool) put(env *RaftEnvelope) {
 // on every replica of a range.
 type Command struct {
 	Kind CommandKind
+	// Status (at CommitTS) is the outcome a CmdResolveIntent, or a CmdPut's
+	// Resolves, resolves its intents to. It sits beside Kind, where the two
+	// bytes share a word: a Command is carved for every proposal, and a
+	// larger one fits fewer to a chunk.
+	Status mvcc.TxnStatus
 
 	Key mvcc.Key
 	// Keys, on CmdResolveIntent, are the intents of Txn it resolves to
 	// Status (at CommitTS), in request order: one command per range for
 	// every intent a transaction's resolution sends that range.
-	Keys     []mvcc.Key
-	Value    mvcc.Value
-	Ts       hlc.Timestamp
-	Txn      *mvcc.TxnMeta
-	Status   mvcc.TxnStatus
+	Keys  []mvcc.Key
+	Value mvcc.Value
+	Ts    hlc.Timestamp
+	Txn   *mvcc.TxnMeta
+	// Resolves, on CmdPut, is the finished transaction whose intent on Key
+	// the write replaces: apply resolves it to Status (at CommitTS), the
+	// outcome its record gave at evaluation, before it puts (0: none).
+	Resolves mvcc.TxnID
 	CommitTS hlc.Timestamp
 
 	// ClosedTS is the closed-timestamp promise carried by this entry

@@ -218,6 +218,35 @@ type GetOptions struct {
 	// LocalLimit, if set, is the reader's local HLC reading; used only to
 	// flag uncertain values as future-time.
 	LocalLimit hlc.Timestamp
+	// Records, if non-nil, looks up the holder of a foreign intent the read
+	// would otherwise block on, and the read applies the holder's outcome
+	// (Records).
+	Records Records
+}
+
+// Records looks up a transaction's status and commit timestamp: its record.
+// A finished transaction's intent is the version its resolution will write,
+// so a read that may consult the record reads through it: a committed
+// holder's intent is a version at its commit timestamp, an aborted one's is
+// absent, and a pending one's (a parallel commit still staging included)
+// blocks as without the lookup.
+type Records interface {
+	Status(TxnID) (TxnStatus, hlc.Timestamp)
+}
+
+// outcome is how a read with the lookup r sees the foreign intent in: its
+// holder's status, and for a committed holder the timestamp its resolution
+// writes the value at (ResolveIntent's rule). Without a lookup every intent
+// reads as pending.
+func (in *intentRecord) outcome(r Records) (TxnStatus, hlc.Timestamp) {
+	if r == nil {
+		return Pending, hlc.Timestamp{}
+	}
+	st, cts := r.Status(in.txn.ID)
+	if st == Committed && cts.IsEmpty() {
+		cts = in.txn.WriteTimestamp
+	}
+	return st, cts
 }
 
 // Get returns the newest value with timestamp <= ts, its timestamp, and any
@@ -241,16 +270,24 @@ func (e *Engine) getFromChain(key Key, c *versions, ts hlc.Timestamp, opts GetOp
 				return in.val, in.txn.WriteTimestamp, nil
 			}
 			// Stale epoch intents are invisible.
-		} else {
-			if in.txn.WriteTimestamp.LessEq(ts) {
-				// Locked below our read timestamp: must wait.
+		} else if in.txn.WriteTimestamp.LessEq(ts) ||
+			!opts.UncertaintyLimit.IsEmpty() && in.txn.WriteTimestamp.LessEq(opts.UncertaintyLimit) {
+			// Locked at or below our read timestamp, or within our
+			// uncertainty interval (it may commit at a timestamp we would
+			// have to observe): the holder's outcome decides.
+			switch st, cts := in.outcome(opts.Records); st {
+			case Pending:
 				return nil, hlc.Timestamp{}, &WriteIntentError{Key: append(Key(nil), key...), Txn: in.txn}
+			case Committed:
+				// The version its resolution writes, newer than the chain.
+				if cts.LessEq(ts) {
+					return in.val, cts, nil
+				}
+				if !opts.UncertaintyLimit.IsEmpty() && cts.LessEq(opts.UncertaintyLimit) {
+					return nil, hlc.Timestamp{}, uncertain(key, ts, cts, opts)
+				}
 			}
-			if !opts.UncertaintyLimit.IsEmpty() && in.txn.WriteTimestamp.LessEq(opts.UncertaintyLimit) {
-				// An uncertain intent also blocks: it may commit
-				// at a timestamp we would have to observe.
-				return nil, hlc.Timestamp{}, &WriteIntentError{Key: append(Key(nil), key...), Txn: in.txn}
-			}
+			// Aborted, or committed above the uncertainty limit: invisible.
 		}
 	}
 	// Uncertainty: any committed value in (ts, uncertaintyLimit]?
@@ -260,12 +297,7 @@ func (e *Engine) getFromChain(key Key, c *versions, ts hlc.Timestamp, opts GetOp
 				break
 			}
 			if v.ts.LessEq(opts.UncertaintyLimit) {
-				return nil, hlc.Timestamp{}, &UncertaintyError{
-					Key:            append(Key(nil), key...),
-					ReadTimestamp:  ts,
-					ValueTimestamp: v.ts,
-					FutureTime:     !opts.LocalLimit.IsEmpty() && opts.LocalLimit.Less(v.ts),
-				}
+				return nil, hlc.Timestamp{}, uncertain(key, ts, v.ts, opts)
 			}
 		}
 	}
@@ -278,6 +310,17 @@ func (e *Engine) getFromChain(key Key, c *versions, ts hlc.Timestamp, opts GetOp
 		}
 	}
 	return nil, hlc.Timestamp{}, nil
+}
+
+// uncertain is the UncertaintyError of a read of key at ts that met a value
+// at vts within its uncertainty interval.
+func uncertain(key Key, ts, vts hlc.Timestamp, opts GetOptions) error {
+	return &UncertaintyError{
+		Key:            append(Key(nil), key...),
+		ReadTimestamp:  ts,
+		ValueTimestamp: vts,
+		FutureTime:     !opts.LocalLimit.IsEmpty() && opts.LocalLimit.Less(vts),
+	}
 }
 
 // KeyValue pairs a key with the value visible at some read timestamp.
@@ -440,10 +483,12 @@ func (e *Engine) GC(threshold hlc.Timestamp) int {
 // HasNewerVersion reports whether key has a committed version or a foreign
 // intent in (fromTS, toTS]. It backs transaction refreshes (paper §6.1):
 // a refresh from fromTS to toTS succeeds only if nothing was written in
-// between that the transaction would have had to observe.
-func (e *Engine) HasNewerVersion(key Key, fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
+// between that the transaction would have had to observe. With a lookup
+// (GetOptions.Records), a finished holder's intent counts as a read sees
+// it: at its commit timestamp, or not at all.
+func (e *Engine) HasNewerVersion(key Key, fromTS, toTS hlc.Timestamp, ignoreTxn TxnID, recs Records) bool {
 	c := e.chain(key)
-	return c != nil && c.hasNewer(fromTS, toTS, ignoreTxn)
+	return c != nil && c.hasNewer(fromTS, toTS, ignoreTxn, recs)
 }
 
 // len returns the number of committed versions in c.
@@ -455,10 +500,14 @@ func (c *versions) len() int {
 	return n
 }
 
-func (c *versions) hasNewer(fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
-	if c.intent != nil && c.intent.txn.ID != ignoreTxn {
-		its := c.intent.txn.WriteTimestamp
-		if fromTS.Less(its) && its.LessEq(toTS) {
+func (c *versions) hasNewer(fromTS, toTS hlc.Timestamp, ignoreTxn TxnID, recs Records) bool {
+	if in := c.intent; in != nil && in.txn.ID != ignoreTxn {
+		its := in.txn.WriteTimestamp
+		st, cts := in.outcome(recs)
+		if st == Committed {
+			its = cts
+		}
+		if st != Aborted && fromTS.Less(its) && its.LessEq(toTS) {
 			return true
 		}
 	}
@@ -475,13 +524,13 @@ func (c *versions) hasNewer(fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
 
 // HasNewerVersionInSpan applies HasNewerVersion to every key in
 // [start, end), backing span refreshes for scans.
-func (e *Engine) HasNewerVersionInSpan(start, end Key, fromTS, toTS hlc.Timestamp, ignoreTxn TxnID) bool {
+func (e *Engine) HasNewerVersionInSpan(start, end Key, fromTS, toTS hlc.Timestamp, ignoreTxn TxnID, recs Records) bool {
 	it := e.list.Iter()
 	for it.SeekGE(start); it.Valid(); it.Next() {
 		if end != nil && string(it.Key()) >= string(end) {
 			break
 		}
-		if it.Ptr().hasNewer(fromTS, toTS, ignoreTxn) {
+		if it.Ptr().hasNewer(fromTS, toTS, ignoreTxn, recs) {
 			return true
 		}
 	}
@@ -489,8 +538,10 @@ func (e *Engine) HasNewerVersionInSpan(start, end Key, fromTS, toTS hlc.Timestam
 }
 
 // MinIntentTS returns the lowest intent timestamp in [start, end), if any.
-// It backs bounded-staleness negotiation (paper §5.3.2).
-func (e *Engine) MinIntentTS(start, end Key) (hlc.Timestamp, bool) {
+// It backs bounded-staleness negotiation (paper §5.3.2). With a lookup
+// (GetOptions.Records), only a pending holder's intent counts: a read reads
+// through a finished one's.
+func (e *Engine) MinIntentTS(start, end Key, recs Records) (hlc.Timestamp, bool) {
 	var minTS hlc.Timestamp
 	found := false
 	it := e.list.Iter()
@@ -500,6 +551,9 @@ func (e *Engine) MinIntentTS(start, end Key) (hlc.Timestamp, bool) {
 		}
 		c := it.Ptr()
 		if c.intent != nil {
+			if st, _ := c.intent.outcome(recs); st != Pending {
+				continue
+			}
 			ts := c.intent.txn.WriteTimestamp
 			if !found || ts.Less(minTS) {
 				minTS, found = ts, true

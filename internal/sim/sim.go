@@ -519,9 +519,6 @@ func (p *Proc) SleepUntil(t Time) {
 	p.Sleep(t.Sub(p.sim.now))
 }
 
-// Yield lets any other work scheduled at the current instant run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // Future is a single-assignment value that processes can wait on. The zero
 // Future is empty and ready to use, so a record that carries one can embed it
 // by value; it learns its simulation from the processes that wait on it. A

@@ -5,6 +5,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"runtime/debug"
 	"slices"
 	"testing"
 	"unsafe"
@@ -207,7 +208,11 @@ func TestBoxActsLikeAny(t *testing.T) {
 	}
 
 	// In steady state a box costs its slot and nothing else: the only
-	// objects are the chunks, one per perChunk boxes.
+	// objects are the chunks, one per perChunk boxes. The counts are of the
+	// whole process, and a GC cycle that starts inside one allocates for
+	// itself (under GOGC=5 one run in fifty counted one to four objects
+	// more), so the collector stays off while they run.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	const n = 1 << 14
 	boxes := make([]any, n)
 	for _, c := range []struct {

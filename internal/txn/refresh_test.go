@@ -15,8 +15,8 @@ import (
 // spans on one range cost one RPC, three spans on three ranges three, and
 // six spans on three ranges three. A refresh's RPCs are what its commit sends
 // beyond the same commit whose write was not pushed, which refreshes
-// nothing. The write goes to a range of its own: a scan raises the read
-// floor of every range it reads, which would push a write there.
+// nothing. The write goes to a range of its own, where no scan raised the
+// read floor (TestScanDoesNotPushItsOwnWrite has one that did).
 func TestRefreshIsOneRPCPerRange(t *testing.T) {
 	h := newHarness(t, 1)
 	h.run(t, func(p *sim.Proc) {
@@ -75,6 +75,36 @@ func TestRefreshIsOneRPCPerRange(t *testing.T) {
 			if got := commitSent(c.spans, true) - commitSent(c.spans, false); got != c.want {
 				t.Errorf("%s: the commit refresh sent %d RPCs, want %d", c.name, got, c.want)
 			}
+		}
+	})
+}
+
+// TestScanDoesNotPushItsOwnWrite: a transaction that scans a span and then
+// writes a key of the same range, which no one else read, writes at its read
+// timestamp and commits there, refreshing nothing: the range's read floor,
+// which the scan raised, remembers who raised it and exempts its writes, as a
+// key's newest read exempts its reader's. A second scan at the same timestamp
+// by another transaction takes the exemption away. The write used to be
+// pushed one logical tick above its own scan.
+func TestScanDoesNotPushItsOwnWrite(t *testing.T) {
+	h := newHarness(t, 1)
+	h.run(t, func(p *sim.Proc) {
+		co := h.coord(simnet.USEast1)
+		span := [][2]mvcc.Key{{mvcc.Key("k/a"), mvcc.Key("k/b")}}
+		tx := co.Begin(0)
+		if _, err := tx.Scan(p, span, 0); err != nil {
+			t.Fatal(err)
+		}
+		read := tx.ReadTimestamp()
+		if err := tx.PutParallel(p, []mvcc.KeyValue{{Key: mvcc.Key("k/w"), Value: mvcc.Value("v")}}, []bool{true}); err != nil {
+			t.Fatal(err)
+		}
+		if err := tx.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		if got := tx.WriteTimestamp(); got != read || tx.ReadTimestamp() != read {
+			t.Errorf("scan at %v, then a write of its range: committed with read %v and write %v, want both at the scan's",
+				read, tx.ReadTimestamp(), got)
 		}
 	})
 }

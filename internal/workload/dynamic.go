@@ -49,7 +49,7 @@ func (w *WindowedRecorder) Record(now sim.Time, lat sim.Duration, err error) {
 		w.windows[idx] = rec
 	}
 	if err != nil {
-		rec.RecordError()
+		rec.Errors++
 	} else {
 		rec.Record(lat)
 	}

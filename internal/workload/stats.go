@@ -12,7 +12,8 @@ import (
 	"mrdb/internal/sim"
 )
 
-// LatencyRecorder accumulates latency samples for one operation class.
+// LatencyRecorder accumulates latency samples for one operation class, and
+// counts its failed operations in Errors.
 type LatencyRecorder struct {
 	Name    string
 	samples []sim.Duration
@@ -26,9 +27,6 @@ func NewLatencyRecorder(name string) *LatencyRecorder {
 
 // Record adds one sample.
 func (r *LatencyRecorder) Record(d sim.Duration) { r.samples = append(r.samples, d) }
-
-// RecordError counts a failed operation.
-func (r *LatencyRecorder) RecordError() { r.Errors++ }
 
 // Count returns the number of samples.
 func (r *LatencyRecorder) Count() int { return len(r.samples) }

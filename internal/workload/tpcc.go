@@ -333,7 +333,7 @@ func (t *TPCC) terminal(p *sim.Proc, region simnet.Region, regionIdx, termIdx in
 				t.NewOrderLat.Record(p.Now().Sub(start))
 				t.PerRegionNO[region].Record(p.Now().Sub(start))
 			} else {
-				t.NewOrderLat.RecordError()
+				t.NewOrderLat.Errors++
 			}
 		case roll < 0.88:
 			err = t.payment(p, s, ps, w, rng.Intn(t.Cfg.DistrictsPerWH), rng.Intn(t.Cfg.CustomersPerDist), rng)
@@ -357,7 +357,7 @@ func (t *TPCC) terminal(p *sim.Proc, region simnet.Region, regionIdx, termIdx in
 
 func record(r *LatencyRecorder, d sim.Duration, err error) {
 	if err != nil {
-		r.RecordError()
+		r.Errors++
 	} else {
 		r.Record(d)
 	}

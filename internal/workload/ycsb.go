@@ -333,13 +333,13 @@ func (y *YCSB) client(p *sim.Proc, region simnet.Region, regionIdx, clientIdx in
 		lat := p.Now().Sub(start)
 		if isWrite {
 			if err != nil {
-				writeRec.RecordError()
+				writeRec.Errors++
 			} else {
 				writeRec.Record(lat)
 			}
 		} else {
 			if err != nil {
-				readRec.RecordError()
+				readRec.Errors++
 			} else {
 				readRec.Record(lat)
 			}
