@@ -159,6 +159,17 @@ func (r *Replica) waitSpanUnlatched(p *sim.Proc, start, end mvcc.Key) {
 	}
 }
 
+// --- Locks ---
+
+// unlock gives back txn's lock on key, if it holds it: a write that laid
+// nothing leaves the key as it found it (Replica.acquireLock takes it).
+func (t *keyTable) unlock(key mvcc.Key, txn mvcc.TxnID) {
+	if e, ok := t.entries[string(key)]; ok && e.holder == txn {
+		e.holder = 0
+		t.entries[e.key] = e
+	}
+}
+
 // --- Reads ---
 
 // recordRead notes a read of key at ts by txn (0 for non-transactional).

@@ -93,6 +93,10 @@ func (r *Replica) ClosedTimestamp() hlc.Timestamp { return r.closed.closed }
 // Raft returns the underlying consensus node (testing and admin hook).
 func (r *Replica) Raft() *raft.Node { return r.raft }
 
+// LockHolder returns the transaction holding key's unreplicated lock on
+// this replica, zero for none (a test observer).
+func (r *Replica) LockHolder(key mvcc.Key) mvcc.TxnID { return r.keys.entries[string(key)].holder }
+
 // EngineForBulkLoad exposes the MVCC engine for setup-time bulk loading
 // (the IMPORT path); it must not be used while the replica serves traffic.
 func (r *Replica) EngineForBulkLoad() *mvcc.Engine { return r.engine }
@@ -425,7 +429,9 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 	// covers evaluation+replication. Acquiring in the other order
 	// deadlocks: a latch holder waiting on the lock blocks the lock
 	// holder's own write.
+	held := false // the transaction held the key's lock before this write
 	if req.Txn != nil {
+		held = r.keys.entries[string(req.Key)].holder == req.Txn.Meta.ID
 		if err := r.acquireLock(p, req.Key, req.Txn); err != nil {
 			return Response{Err: err}
 		}
@@ -469,8 +475,18 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		}
 		var target hlc.Timestamp
 		ts, target = r.writeTimestamp(p, req.Key, req.Txn.id(), ts, r.store.Clock.Now())
-		newTs, prev, err := r.checkPut(req.Key, ts, meta, req.MustNotExist)
+		newTs, prev, err := r.checkPut(req, ts, meta)
 		if err != nil {
+			switch err {
+			case errAbsent:
+				if !held {
+					r.keys.unlock(req.Key, req.Txn.id())
+				}
+				r.keys.recordRead(req.Key, req.ReadFromTS, req.Txn.id())
+				return Response{Put: PutResponse{Absent: true}}
+			case errNewer:
+				return Response{Put: PutResponse{Declined1PC: true}}
+			}
 			var wie *mvcc.WriteIntentError
 			if errors.As(err, &wie) {
 				// Drop the latch while queued on the lock (as CockroachDB's
@@ -606,13 +622,23 @@ type finishedIntent struct {
 	commitTS hlc.Timestamp
 }
 
-// checkPut validates a write without mutating: it surfaces a running
-// transaction's intent as a conflict, fails a mustNotExist write whose key
-// holds a live value, and bumps the timestamp above newer committed versions
-// (write-too-old). A finished transaction's intent is no conflict: it is the
-// version its resolution will write, which the checks read through, and
-// checkPut returns it for the write to fold in.
-func (r *Replica) checkPut(key mvcc.Key, ts hlc.Timestamp, txn *mvcc.TxnMeta, mustNotExist bool) (hlc.Timestamp, finishedIntent, error) {
+// The verdicts of checkPut on a MustExist write that lays nothing: its key
+// holds no live value at the read timestamp, or a version above it.
+var (
+	errAbsent = errors.New("kv: no live value at the read timestamp")
+	errNewer  = errors.New("kv: a version above the read timestamp")
+)
+
+// checkPut validates req, proposed at ts by txn, without mutating: it
+// surfaces a running transaction's intent as a conflict, fails a
+// MustNotExist write whose key holds a live value, answers errAbsent or
+// errNewer for a MustExist write whose key does not hold a live value no
+// newer than its read timestamp, and bumps the timestamp above newer
+// committed versions (write-too-old). A finished transaction's intent is no
+// conflict: it is the version its resolution will write, which the checks
+// read through, and checkPut returns it for the write to fold in.
+func (r *Replica) checkPut(req *PutRequest, ts hlc.Timestamp, txn *mvcc.TxnMeta) (hlc.Timestamp, finishedIntent, error) {
+	key := req.Key
 	var prev finishedIntent
 	ownIntent := false
 	if meta, ok := r.engine.GetIntent(key); ok {
@@ -636,8 +662,16 @@ func (r *Replica) checkPut(key mvcc.Key, ts hlc.Timestamp, txn *mvcc.TxnMeta, mu
 	// The transaction's own intent satisfies the condition: it is either
 	// this very write laid by an earlier attempt of its sub-batch, or an
 	// earlier statement's write, which the coordinator has already checked.
-	if mustNotExist && !ownIntent && val != nil {
+	if req.MustNotExist && !ownIntent && val != nil {
 		return hlc.Timestamp{}, prev, &ConditionFailedError{Key: key, Existing: newest}
+	}
+	if req.MustExist {
+		switch {
+		case req.ReadFromTS.Less(newest):
+			return hlc.Timestamp{}, prev, errNewer
+		case val == nil:
+			return hlc.Timestamp{}, prev, errAbsent
+		}
 	}
 	if !newest.IsEmpty() && ts.LessEq(newest) {
 		// Tolerable bump: the transaction's coordinator learns the new

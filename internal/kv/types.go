@@ -315,6 +315,14 @@ type PutRequest struct {
 	// first attempt laid; the coordinator rejects an INSERT of a key the
 	// transaction itself wrote live before sending it.
 	MustNotExist bool
+	// MustExist is MustNotExist's dual, for a one-phase commit whose value
+	// the statement alone determines (an UPDATE that reads nothing of its
+	// row): the write lands only on a key whose newest version is a live
+	// value no newer than ReadFromTS. A key with no live version there lays
+	// nothing, gives back the lock the request took, is recorded as read at
+	// ReadFromTS, as a locking read would, and answers Absent. A key with a
+	// version above ReadFromTS declines, as a pushed one-phase commit does.
+	MustExist bool
 
 	// Commit1PC asks the leaseholder to commit the transaction together
 	// with this write (one-phase commit): the value is written directly
@@ -367,6 +375,9 @@ type PutResponse struct {
 	// one-phase commit; nothing was written and the coordinator must use
 	// the normal path.
 	Declined1PC bool
+	// Absent reports that a MustExist write found no live value at its read
+	// timestamp and wrote nothing.
+	Absent bool
 }
 
 // EndTxnRequest commits or aborts a transaction: it writes the transaction

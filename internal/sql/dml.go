@@ -19,7 +19,11 @@ import (
 
 func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
 	st := ps.Stmt.(*Select)
-	t, _, fetched, rows, err := s.readRows(p, tx, ps, st.Table, st.Where, st.Limit)
+	t, _, plan, err := s.planRows(ps, st.Table, st.Where, st.Limit)
+	if err != nil {
+		return nil, err
+	}
+	fetched, rows, err := s.readRows(p, tx, ps, plan, st.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -28,23 +32,30 @@ func (s *Session) execSelect(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 	return res, err
 }
 
-// readRows is the read step of SELECT, UPDATE and DELETE: it plans ps's read
-// of table, fetches the rows and filters them by where unless the plan
-// already guarantees it. It returns every fetched row, for releaseRows once
-// the statement is done, and the matching ones. The reads go through tx,
-// except those of SELECT ... AS OF SYSTEM TIME (paper §5.3), which runs
-// outside any transaction as a stale read at the timestamp the clause picks.
-// UPDATE and DELETE reads lock their rows (implicit SELECT FOR UPDATE), so
-// read-modify-write transactions queue rather than restart.
-func (s *Session) readRows(p *sim.Proc, tx *txn.Txn, ps *Prepared, table string, where *Where, limit int) (*Table, *core.Database, []tableRow, []tableRow, error) {
+// planRows resolves table and plans ps's read of it (planPrepared). The plan
+// is session scratch, valid until the session plans again.
+func (s *Session) planRows(ps *Prepared, table string, where *Where, limit int) (*Table, *core.Database, *readPlan, error) {
 	t, db, err := s.table(table)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
 	plan, err := s.planPrepared(ps, t, db, where, limit)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, err
 	}
+	return t, db, plan, nil
+}
+
+// readRows is the read step of SELECT, UPDATE and DELETE: it fetches the rows
+// of plan, ps's read, and filters them by where unless the plan already
+// guarantees it. It returns every fetched row, for releaseRows once the
+// statement is done, and the matching ones. The reads go through tx, except
+// those of SELECT ... AS OF SYSTEM TIME (paper §5.3), which runs outside any
+// transaction as a stale read at the timestamp the clause picks. UPDATE and
+// DELETE reads lock their rows (implicit SELECT FOR UPDATE), so
+// read-modify-write transactions queue rather than restart.
+func (s *Session) readRows(p *sim.Proc, tx *txn.Txn, ps *Prepared, plan *readPlan, where *Where) ([]tableRow, []tableRow, error) {
+	t := plan.t
 	var f rowFetcher
 	if sel, ok := ps.Stmt.(*Select); !ok && plan.lookups != nil {
 		f = lockingFetcher{txnFetcher{tx}}
@@ -53,21 +64,21 @@ func (s *Session) readRows(p *sim.Proc, tx *txn.Txn, ps *Prepared, table string,
 	} else {
 		ts, err := s.asOfTimestamp(p, sel.AsOf, t, plan)
 		if err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, err
 		}
 		f = &staleFetcher{co: s.Coord, ts: ts}
 	}
 	fetched, err := s.fetchRows(p, f, plan)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, err
 	}
 	rows := fetched
 	if !plan.filterRedundant {
 		if rows, err = s.filterRows(t, rows, where); err != nil {
-			return nil, nil, nil, nil, err
+			return nil, nil, err
 		}
 	}
-	return t, db, fetched, rows, nil
+	return fetched, rows, nil
 }
 
 // asOfTimestamp resolves an AS OF SYSTEM TIME clause to the timestamp a
@@ -503,7 +514,16 @@ func (s *Session) deleteKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region,
 
 func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
 	st := ps.Stmt.(*Update)
-	t, db, fetched, rows, err := s.readRows(p, tx, ps, st.Table, st.Where, 0)
+	t, db, plan, err := s.planRows(ps, st.Table, st.Where, 0)
+	if err != nil {
+		return nil, err
+	}
+	if plan.blind && tx.AllowOnePC && !s.AutoRehoming {
+		if res, err := s.updateWhereLive(p, tx, ps, st, db, plan); res != nil || err != nil {
+			return res, err
+		}
+	}
+	fetched, rows, err := s.readRows(p, tx, ps, plan, st.Where)
 	if err != nil {
 		return nil, err
 	}
@@ -553,7 +573,7 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 			if rehome && regionCol.Computed == nil && !changed[t.RegionColumn] {
 				gw := s.Region()
 				if db.CanWriteRegion(gw) && newVals[t.RegionColumn] != string(gw) {
-					newVals[t.RegionColumn] = boxedName(s.regionNames(), []byte(gw), &s.datums)
+					newVals[t.RegionColumn] = s.regionDatum(gw)
 					changed[t.RegionColumn] = true
 				}
 			}
@@ -614,6 +634,72 @@ func (s *Session) execUpdate(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, e
 	return res, nil
 }
 
+// updateWhereLive runs an UPDATE that needs nothing from its row
+// (blindUpdate) as one conditional one-phase write of the row's new value
+// (txn.CommitWhereLive), through the phases of a locality-optimized search
+// (fetchPoint): the gateway's partition first, then every remote partition at
+// once, returning on the first that commits; without LOS, or with the
+// partitions pinned, every candidate partition at once. A partition that does
+// not hold the row lays nothing there. A nil result means nothing was
+// written, because a leaseholder declined or a partition is not writable:
+// the statement then reads its row and writes it as any UPDATE does.
+func (s *Session) updateWhereLive(p *sim.Proc, tx *txn.Txn, ps *Prepared, st *Update, db *core.Database, plan *readPlan) (*Result, error) {
+	t := plan.t
+	if len(plan.lookups) != 1 || len(plan.regions) == 0 {
+		return nil, nil
+	}
+	for _, region := range plan.regions {
+		if t.IsPartitioned() && !db.CanWriteRegion(region) {
+			return nil, nil
+		}
+	}
+	vals, kvs := s.getRowMap(), s.kvScratch[:0]
+	defer func() {
+		s.putRowMap(vals)
+		s.kvScratch = emptied(kvs)
+	}()
+	for i, cid := range plan.index.Cols {
+		vals[cid] = plan.lookups[0][i]
+	}
+	for _, a := range st.Set {
+		c, _ := t.Column(a.Col)
+		v, err := s.evalExpr(a.Val, nil)
+		if err != nil {
+			return nil, err
+		}
+		vals[c.ID] = v
+	}
+	first := plan.regions
+	if plan.los && len(first) > 1 {
+		first = first[:1]
+	}
+	var missedBuf [1]mvcc.Key
+	missed := missedBuf[:0]
+	for _, regions := range [2][]simnet.Region{first, plan.regions[len(first):]} {
+		if len(regions) == 0 {
+			break
+		}
+		kvs = kvs[:0]
+		for _, region := range regions {
+			if t.IsPartitioned() {
+				vals[t.RegionColumn] = s.regionDatum(region)
+			}
+			kvs = append(kvs, s.indexEntry(t, plan.index, region, vals, true))
+		}
+		won, declined, err := tx.CommitWhereLive(p, kvs, missed)
+		if err != nil || declined {
+			return nil, err
+		}
+		if won >= 0 {
+			res := ps.result()
+			res.RowsAffected = 1
+			return res, nil
+		}
+		missed = append(missed, kvs[0].Key)
+	}
+	return ps.result(), nil
+}
+
 // updateKVs appends to dst the writes rewriting a row in place within its
 // partition: every entry whose key changed is tombstoned and laid down anew,
 // and entries that hold row columns are rewritten.
@@ -639,7 +725,11 @@ func (s *Session) updateKVs(dst []mvcc.KeyValue, t *Table, region simnet.Region,
 
 func (s *Session) execDelete(p *sim.Proc, tx *txn.Txn, ps *Prepared) (*Result, error) {
 	st := ps.Stmt.(*Delete)
-	t, _, fetched, rows, err := s.readRows(p, tx, ps, st.Table, st.Where, 0)
+	t, _, plan, err := s.planRows(ps, st.Table, st.Where, 0)
+	if err != nil {
+		return nil, err
+	}
+	fetched, rows, err := s.readRows(p, tx, ps, plan, st.Where)
 	if err != nil {
 		return nil, err
 	}

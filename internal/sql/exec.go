@@ -617,7 +617,7 @@ func (s *Session) evalFunc(fc *FuncCall, ctx *evalCtx) (Datum, error) {
 // for as long as the list it boxed is the database's: a region change gives
 // the database a new list. Every Datum that names a region comes from here
 // when it can: mapToRegion's, a decoded region column's (DecodeRowInto) and
-// a rehomed row's (execUpdate).
+// a rehomed row's and a blind UPDATE's (regionDatum).
 func (s *Session) regionNames() []Datum {
 	db, ok := s.Catalog.Database(s.Database)
 	if !ok {
@@ -634,6 +634,18 @@ func (s *Session) regionNames() []Datum {
 		}
 	}
 	return s.regionDatums
+}
+
+// regionDatum returns region's boxed name from regionNames, and carves one
+// only for a region the current database lacks.
+func (s *Session) regionDatum(region simnet.Region) Datum {
+	names := s.regionNames()
+	for _, d := range names {
+		if d.(string) == string(region) {
+			return d
+		}
+	}
+	return boxedName(names, []byte(region), &s.datums)
 }
 
 // mapToRegion deterministically maps a value onto the current database's

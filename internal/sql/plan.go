@@ -64,6 +64,8 @@ type readPlan struct {
 	// cols are the columns a fetched row is decoded to; nil decodes every
 	// column (see decodedColumns).
 	cols []ColumnID
+	// blind marks an UPDATE that needs nothing from its row (blindUpdate).
+	blind bool
 }
 
 // constraints extracts per-column candidate values from a WHERE clause.
@@ -265,6 +267,7 @@ func (s *Session) deriveRead(st Statement, t *Table, db *core.Database, w *Where
 	cr.los = cr.index.Unique || limit > 0
 	cr.filterRedundant = filterCoveredByLookup(t, cr.index, w)
 	cr.cols = decodedColumns(t, st, w, cr.filterRedundant)
+	cr.blind = blindUpdate(st, t, w, cr, cons)
 	return cr
 }
 

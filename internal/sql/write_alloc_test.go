@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"mrdb/internal/kv"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
 	"mrdb/internal/txn"
@@ -75,6 +76,55 @@ func TestFirstHitAdoptsEachProbeOnce(t *testing.T) {
 		}
 		if len(refreshed) != 1 || refreshed[0] != "7" {
 			t.Errorf("refreshes of the transaction's reads: %v spans, want one of 7", refreshed)
+		}
+	})
+}
+
+// TestLosingBlindProbesLayNothing: an UPDATE that needs nothing from its row
+// (blindUpdate) from us-east1, of a row homed in europe-west2, misses in its
+// gateway's partition and then writes both remote partitions at once. It
+// returns on europe-west2's one-phase commit, before asia-northeast1's write
+// can have landed there, which it does after the statement returned and its
+// transaction's record was collected. Neither losing write leaves an intent,
+// a value or a lock on its partition, and the winning partition's one-phase
+// CmdPut is the only write command proposed.
+func TestLosingBlindProbesLayNothing(t *testing.T) {
+	h := newSQLHarness(965)
+	h.run(t, func(p *sim.Proc) {
+		h.setupAcct(t, p, map[int]simnet.Region{1: simnet.EuropeW2})
+		us := h.sessions[simnet.USEast1]
+		mustExec(t, p, us, `SELECT owner FROM acct WHERE id = 1`) // warm the gateway's caches
+		p.Sleep(sim.Second)
+		writes := func() (n [3]int64) {
+			for _, st := range h.c.Stores {
+				c := st.Counts()
+				n[0] += c.Proposed[kv.CmdPut]
+				n[1] += c.Proposed[kv.CmdResolveIntent]
+				n[2] += c.Proposed[kv.CmdTxnRecord]
+			}
+			return n
+		}
+		winner := h.leaseholderOf(t, h.acctKey(t, 1, simnet.EuropeW2))
+		before, winnerPuts := writes(), winner.Proposed[kv.CmdPut]
+		start := p.Now()
+		res := mustExec(t, p, us, `UPDATE acct SET owner = 'eu', n = 9 WHERE id = 1`)
+		if d, toAsia := p.Now().Sub(start), h.c.Topo.RegionRTT(simnet.USEast1, simnet.AsiaNE1); res.RowsAffected != 1 || d >= toAsia*9/10 {
+			t.Fatalf("UPDATE affected %d rows in %v, want 1 row before asia-northeast1's write could land (%v)", res.RowsAffected, d, toAsia)
+		}
+		p.Sleep(sim.Second) // the losing write lands
+		for _, region := range []simnet.Region{simnet.USEast1, simnet.AsiaNE1} {
+			if err := h.untouched(t, h.acctKey(t, 1, region)); err != nil {
+				t.Errorf("partition %s: the losing write's key %v", region, err)
+			}
+		}
+		after := writes()
+		if got := [3]int64{after[0] - before[0], after[1] - before[1], after[2] - before[2]}; got != [3]int64{1, 0, 0} || winner.Proposed[kv.CmdPut]-winnerPuts != 1 {
+			t.Errorf("write commands proposed (put, resolve_intent, txn_record): %v, %d of them europe-west2's puts; want [1 0 0], europe-west2's one-phase put",
+				got, winner.Proposed[kv.CmdPut]-winnerPuts)
+		}
+		got := rowSet(mustExec(t, p, us, `SELECT owner, n, crdb_region FROM acct WHERE id = 1`).Rows)
+		if want := "[eu 9 europe-west2]"; got != want {
+			t.Errorf("row reads %s, want %s", got, want)
 		}
 	})
 }

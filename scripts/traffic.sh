@@ -44,6 +44,7 @@ mkdir -p "$tmp/bin" "$tmp/cov" "$tmp/reach/mrsql" "$tmp/reach/cmd" "$tmp/run"
 observers='
 *RangeCatalog.Len
 *Engine.IntentCount
+*Replica.LockHolder
 *Trace.Find
 *Node.CommitIndex
 *Node.DurableIndex
