@@ -150,13 +150,18 @@ func (nl *NodeLiveness) SelfRestart(id simnet.NodeID, persistedEpoch int64) int6
 }
 
 // livenessPing is a store's periodic heartbeat to a peer: "my record is good
-// through Expiration". The receiver applies it to the shared record set.
+// through Expiration". The receiver applies it to the shared record set and
+// answers with the ping itself, as a livenessAck: the sender's carve, sent
+// to one peer, is the receiver's once delivered, so the answer allocates
+// nothing.
 type livenessPing struct {
 	Expiration sim.Time
-}
-
-// livenessAck answers a ping with the acker's view of the *sender's* epoch,
-// so the sender learns when it has been declared dead and fenced.
-type livenessAck struct {
+	// Epoch is written by the receiver: its view of the sender's epoch.
 	Epoch int64
 }
+
+// livenessAck is a ping answered. It carries the acker's view of the
+// *sender's* epoch, so the sender learns when it has been declared dead and
+// fenced, and the ping's expiration, the instant through which the ack
+// vouches for the sender's record.
+type livenessAck livenessPing

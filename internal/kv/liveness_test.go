@@ -56,7 +56,7 @@ func newLivenessHarness(t *testing.T, durable bool) *livenessHarness {
 			switch m.Payload.(type) {
 			case *livenessPing:
 				h.pings[[2]simnet.NodeID{m.From, m.To}]++
-			case livenessAck:
+			case *livenessAck:
 				h.acks[[2]simnet.NodeID{m.From, m.To}]++
 			default:
 				t.Errorf("unexpected traffic %T", m.Payload)
@@ -366,5 +366,46 @@ func TestSelfLiveFalseAfterEarlyRestart(t *testing.T) {
 	}
 	if !sawDead || !sawLive {
 		t.Fatalf("the first TTL saw dead=%v live=%v, want both: an ack has to arrive, and not at once", sawDead, sawLive)
+	}
+}
+
+// TestSelfLiveEndsAtAckedExpiration: a node believes its own record only as
+// long as the record an ack confirmed lives, which is until the acked ping's
+// expiration, not a TTL after the ack arrived. n5's one heartbeat peer is
+// across an ocean, so its ack lands a WAN round trip after the ping left. Cut
+// off right after an ack, n5 must stop serving its leases the instant its
+// record expires, when a peer may bump its epoch; it used to go on believing
+// itself live for that round trip more.
+func TestSelfLiveEndsAtAckedExpiration(t *testing.T) {
+	h := newLivenessHarness(t, false)
+	h.round(t, livenessNodes...)
+	h.round(t, livenessNodes...)
+	h.resetCounts()
+	for h.acksTo(5) == 0 {
+		h.s.RunFor(sim.Millisecond)
+	}
+	for _, peer := range livenessNodes[:4] {
+		h.net.Partition(5, peer)
+	}
+	var acker simnet.NodeID
+	for _, peer := range livenessNodes[:4] {
+		if h.acks[[2]simnet.NodeID{peer, 5}] > 0 {
+			acker = peer
+		}
+	}
+	exp, _ := h.nl.Expiration(5)
+	if rtt := h.net.Topo.NodeRTT(5, acker); !h.net.WAN(5, acker) || exp.Sub(h.s.Now()) > LivenessTTL-rtt*9/10 {
+		t.Fatalf("setup: n5's record expires %v after n%d's ack landed, want a TTL less the %v round trip across the WAN", exp.Sub(h.s.Now()), acker, rtt)
+	}
+	h.s.RunUntil(exp)
+	if !h.stores[5].SelfLive() {
+		t.Errorf("t=%v: n5 stopped believing its record before it expired at %v", h.s.Now(), exp)
+	}
+	h.s.RunUntil(exp.Add(1))
+	if h.stores[5].SelfLive() {
+		t.Errorf("t=%v: n5 still believes its record, which expired at %v", h.s.Now(), exp)
+	}
+	if !h.nl.IncrementEpoch(5, h.s.Now()) {
+		t.Errorf("t=%v: a peer could not bump n5's expired epoch", h.s.Now())
 	}
 }

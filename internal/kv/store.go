@@ -59,19 +59,21 @@ type Store struct {
 	ckptStop     func()
 
 	// liveness state: the shared registry plus this node's view of its own
-	// record, maintained from peer acks. acked is false until the first ack
-	// since the node (re)started: lastAck means nothing then, and cannot say
-	// so itself, since every sim.Time, zero included, is a time. firstAcker
-	// is the peer whose ack answered the current heartbeat round first (0:
-	// unanswered so far).
+	// record, maintained from peer acks. ackedExp is the latest expiration a
+	// peer's ack confirmed the record holds: the ping's, not a TTL after the
+	// ack landed, which would outlive the record by the ping's round trip.
+	// acked is false until the first ack since the node (re)started:
+	// ackedExp means nothing then, and cannot say so itself, since every
+	// sim.Time, zero included, is a time. firstAcker is the peer whose ack
+	// answered the current heartbeat round first (0: unanswered so far).
 	liveness   *NodeLiveness
 	acked      bool
-	lastAck    sim.Time
+	ackedExp   sim.Time
 	ackEpoch   int64
 	firstAcker simnet.NodeID
-	// pings carves the heartbeats the store sends, each written once: a
+	// pings carves the heartbeats the store sends, each handed out once: a
 	// ping in flight when the next round starts is still the receiver's to
-	// read.
+	// read, and to answer with.
 	pings slab.Of[livenessPing]
 
 	// GCCollected counts MVCC versions collected by the GC loop.
@@ -152,11 +154,16 @@ func (s *Store) handleMessage(m simnet.Message) {
 		}
 	case *livenessPing:
 		s.liveness.Heartbeat(m.From, payload.Expiration)
-		s.Net.Send(s.NodeID, m.From, livenessAck{Epoch: s.liveness.Epoch(m.From)})
-	case livenessAck:
-		// A peer confirmed our record: we are provably connected, and
-		// payload.Epoch is the epoch our leases must be bound to.
-		s.acked, s.lastAck = true, s.Sim.Now()
+		payload.Epoch = s.liveness.Epoch(m.From)
+		s.Net.Send(s.NodeID, m.From, (*livenessAck)(payload))
+	case *livenessAck:
+		// A peer confirmed our record through payload.Expiration: we are
+		// provably connected, and payload.Epoch is the epoch our leases
+		// must be bound to.
+		if !s.acked || s.ackedExp < payload.Expiration {
+			s.ackedExp = payload.Expiration
+		}
+		s.acked = true
 		s.ackEpoch = payload.Epoch
 		if s.firstAcker == 0 {
 			s.firstAcker = m.From
@@ -211,7 +218,8 @@ func (s *Store) handleMessage(m simnet.Message) {
 func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 	s.liveness = nl
 	nl.Register(s.NodeID)
-	s.acked, s.lastAck = true, s.Sim.Now()
+	s.acked = true
+	s.ackedExp, _ = nl.Expiration(s.NodeID)
 	s.ackEpoch = nl.Epoch(s.NodeID)
 	if s.Disk != nil {
 		s.persistNodeMeta(s.ackEpoch)
@@ -232,11 +240,12 @@ func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 }
 
 // SelfLive reports whether this node believes its own liveness record is
-// current: a peer acked a heartbeat within the TTL. A node cut off from all
-// peers loses this and must stop serving as a leaseholder, since others may
-// have bumped its epoch. Single-node liveness domains are trivially live.
+// current: a peer acked a heartbeat whose expiration has not passed. A node
+// cut off from all peers loses this the instant its record expires, when a
+// peer may bump its epoch, and must stop serving as a leaseholder.
+// Single-node liveness domains are trivially live.
 func (s *Store) SelfLive() bool {
-	return len(s.liveness.Nodes()) <= 1 || s.acked && s.Sim.Now() <= s.lastAck.Add(LivenessTTL)
+	return len(s.liveness.Nodes()) <= 1 || s.acked && s.Sim.Now() <= s.ackedExp
 }
 
 // forgetAcks returns the node to "no peer has confirmed my record": it does
