@@ -60,7 +60,7 @@ func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
 func TestChaosExportDeterminism(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	run := func(dir string) *Report {
-		rep, err := Run(Options{Seed: 2, Faults: 5, ExportDir: dir})
+		rep, err := Run(Options{Seed: 227, Faults: 5, ExportDir: dir})
 		if err != nil {
 			t.Fatalf("chaos run failed: %v", err)
 		}
@@ -92,8 +92,9 @@ func TestChaosExportDeterminism(t *testing.T) {
 	// fails any operation is the seed's luck, so the run is picked by that
 	// property first: a failed transfer or probe is a trace with a failed
 	// attempt in it. (Seed 23 failed a probe until a request stopped
-	// proposing a resolution of a finished transaction's intent; seed 2
-	// fails one.)
+	// proposing a resolution of a finished transaction's intent, and seed 2
+	// until an RPC to a crashed node began to end at the node's liveness
+	// expiry; of seeds 1-227 only 227 fails one now, a probe.)
 	if rep.TransfersFailed+rep.ProbesFailed == 0 {
 		t.Fatalf("seed no longer produces a failed RPC, choose another:\n%s", rep)
 	}

@@ -139,14 +139,17 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 	}
 	desc.Leaseholder = target
 	desc.Generation++
-	// The transfer command carries the old leaseholder's clock reading
-	// (plus max offset) as the new leaseholder's read floor, the old
-	// closed-timestamp promise floor, and the target's liveness epoch the
-	// new lease binds to.
+	// The new lease starts at the newest read the old leaseholder served,
+	// which its key table holds (the read summary CockroachDB ships with a
+	// transfer): from here until the transfer is decided the old lease is
+	// fenced (transferring), and a read parked meanwhile re-checks it before
+	// it is served (evalRead), so none lands above. The command also carries
+	// the old closed-timestamp promise floor and the target's liveness epoch
+	// the new lease binds to.
+	desc.LeaseStart = r.leaseStart(r.keys.newestRead())
 	cmd := r.command(Command{
 		Kind:       CmdLeaseTransfer,
 		Desc:       desc,
-		Ts:         r.store.Clock.Now().Add(r.store.Clock.MaxOffset()),
 		ClosedTS:   r.closed.issued,
 		LeaseEpoch: r.store.liveness.Epoch(target),
 	})
@@ -155,6 +158,10 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 	r.transferring = false
 	if err != nil {
 		return err
+	}
+	if r.desc.Generation != desc.Generation || r.desc.Leaseholder != target {
+		// Another change applied first, and the transfer was dropped.
+		return fmt.Errorf("kv: lease transfer of r%d to n%d overtaken by a descriptor change", rangeID, target)
 	}
 	r.raft.TransferLeadership(target)
 	a.Catalog.Update(desc)

@@ -153,7 +153,7 @@ func appendDesc(dst []byte, desc *RangeDescriptor) []byte {
 	dst = wire.AppendBytes(wire.AppendBytes(dst, desc.StartKey), desc.EndKey)
 	dst = appendNodes(appendNodes(dst, desc.Voters), desc.NonVoters)
 	dst = append(binary.AppendUvarint(dst, uint64(desc.Leaseholder)), byte(desc.Policy))
-	return binary.AppendVarint(dst, desc.Generation)
+	return wire.AppendTimestamp(binary.AppendVarint(dst, desc.Generation), desc.LeaseStart)
 }
 
 func decodeDesc(d *wire.Decoder) *RangeDescriptor {
@@ -161,6 +161,7 @@ func decodeDesc(d *wire.Decoder) *RangeDescriptor {
 		RangeID: RangeID(d.Uvarint()), StartKey: bytes.Clone(d.Bytes()), EndKey: bytes.Clone(d.Bytes()),
 		Voters: decodeNodes(d), NonVoters: decodeNodes(d),
 		Leaseholder: simnet.NodeID(d.Uvarint()), Policy: ClosedTSPolicy(d.Byte()), Generation: d.Varint(),
+		LeaseStart: d.Timestamp(),
 	}
 }
 

@@ -77,6 +77,17 @@ type DistSender struct {
 	freeFans    []*fanBatch
 }
 
+// sendRPC sends b to target and waits for the reply. It gives up when the
+// RPC timeout runs out or, sooner, when target's liveness record lapses: a
+// request to a node that died ends when its record expires, not 10 s later.
+// A write given up on is ambiguous, exactly as one timed out.
+func (ds *DistSender) sendRPC(p *sim.Proc, target simnet.NodeID, b *BatchRequest) (interface{}, error) {
+	if ds.Liveness == nil {
+		return ds.Net.SendRPC(p, ds.NodeID, target, b, 0)
+	}
+	return ds.Net.SendRPCWhileLive(p, ds.NodeID, target, b, 0, ds.Liveness.Expiration)
+}
+
 // live reports whether the sender should route to id.
 func (ds *DistSender) live(id simnet.NodeID) bool {
 	return ds.Liveness == nil || ds.Liveness.Live(id, ds.Net.Sim.Now())
@@ -431,7 +442,7 @@ func (ds *DistSender) sendToRange(p *sim.Proc, reqs []interface{}, out []Respons
 		asp.SetTagInt("attempt", int64(attempt)).SetTagInt("target", int64(target))
 		b := ds.getBatch()
 		b.RangeID, b.Reqs, b.Trace = desc.RangeID, append(b.Reqs, reqs...), asp.Ctx()
-		raw, rpcErr := ds.Net.SendRPC(p, ds.NodeID, target, b, 0)
+		raw, rpcErr := ds.sendRPC(p, target, b)
 		if rpcErr != nil {
 			// Node unreachable: back off and re-route (the descriptor or
 			// lease may move during failover). The envelope stays out of
@@ -719,7 +730,7 @@ func (ds *DistSender) NegotiateBoundedStaleness(p *sim.Proc, spans [][2]mvcc.Key
 			for _, target := range ds.replicasByPreference(desc) {
 				b := ds.getBatch()
 				b.RangeID, b.Reqs = desc.RangeID, append(b.Reqs, &NegotiateRequest{StartKey: start, EndKey: end})
-				raw, err := ds.Net.SendRPC(p, ds.NodeID, target, b, 0)
+				raw, err := ds.sendRPC(p, target, b)
 				if err != nil {
 					ds.Retries++
 					lastErr = err

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"mrdb/internal/hlc"
 	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
 	"mrdb/internal/sim"
@@ -48,9 +49,24 @@ func TestFailoverLeaseAtLivenessExpiry(t *testing.T) {
 			r3, _ := h.stores[3].Replica(desc.RangeID)
 			routed, _ := h.cat.LookupByID(desc.RangeID)
 			var published sim.Time
+			// The first write, evaluated when the lease is published, lands
+			// at its gateway's clock reading: the lease starts at n1's fenced
+			// expiration, which has passed, so nothing pushes the write ahead
+			// and its gateway (n5) commit-waits nothing.
+			gateway := h.stores[5].Clock
+			var written, wts hlc.Timestamp
+			var wait sim.Duration
 			h.s.Spawn("publication", func(p *sim.Proc) {
 				h.cat.WaitNewer(p, desc.RangeID, routed.Generation, sim.Minute)
 				published = p.Now()
+				cur, _ := h.cat.LookupByID(desc.RangeID)
+				lh, _ := h.stores[cur.Leaseholder].Replica(desc.RangeID)
+				written = gateway.Now()
+				resp := lh.evaluate(p, &PutRequest{Key: mvcc.Key("k"), Value: mvcc.Value("v"), Timestamp: written})
+				if resp.Err != nil {
+					t.Errorf("first write after the failover: %v", resp.Err)
+				}
+				wts, wait = resp.Put.WriteTimestamp, gateway.NowAfter(resp.Put.WriteTimestamp)
 			})
 
 			var leader *Replica
@@ -118,6 +134,9 @@ func TestFailoverLeaseAtLivenessExpiry(t *testing.T) {
 			}
 			if cur, _ := h.cat.LookupByID(desc.RangeID); cur.Leaseholder != leader.store.NodeID {
 				t.Fatalf("catalog leaseholder n%d, want n%d", cur.Leaseholder, leader.store.NodeID)
+			}
+			if wts != written || wait != 0 {
+				t.Fatalf("the first write after the failover, at %v, landed at %v: its gateway commit-waits %v, want 0", written, wts, wait)
 			}
 		})
 	}
@@ -346,7 +365,7 @@ func TestFencedLeaseholderServesAgain(t *testing.T) {
 		nd.Generation++
 		if err := r1.propose(p, &Command{
 			Kind: CmdLeaseTransfer, Desc: nd, LeaseEpoch: h.nl.Epoch(2),
-			Ts: r1.store.Clock.Now().Add(r1.store.Clock.MaxOffset()), ClosedTS: r1.closed.issued,
+			ClosedTS: r1.closed.issued,
 		}); err != nil {
 			return err
 		}
@@ -391,7 +410,7 @@ func TestOneDeathIsOneEpochBump(t *testing.T) {
 		nd.Generation++
 		if err := r1.propose(p, &Command{
 			Kind: CmdLeaseTransfer, Desc: nd, LeaseEpoch: h.nl.Epoch(2),
-			Ts: r1.store.Clock.Now().Add(r1.store.Clock.MaxOffset()), ClosedTS: r1.closed.issued,
+			ClosedTS: r1.closed.issued,
 		}); err != nil {
 			return err
 		}

@@ -223,6 +223,17 @@ func (t *keyTable) maxRead(key mvcc.Key, writer mvcc.TxnID) (hlc.Timestamp, bool
 	return ts, writer != 0 && reader == writer
 }
 
+// newestRead is the newest read the table knows of, the floor included: no
+// read served here lies above it, so a lease transfer starts the next lease
+// there (CockroachDB ships such a read summary with the transfer).
+func (t *keyTable) newestRead() hlc.Timestamp {
+	ts := t.floor
+	for _, e := range t.entries {
+		ts = ts.Max(e.read)
+	}
+	return ts
+}
+
 // --- The one lifetime rule ---
 
 // sweep raises the floor to ts and drops every entry nothing keeps: no latch

@@ -32,6 +32,10 @@ const _ = uint64(LivenessTTL - 3*LivenessHeartbeatInterval)
 type livenessRecord struct {
 	Epoch      int64
 	Expiration sim.Time
+	// Fenced is the expiration the latest epoch increment fenced: the last
+	// instant a lease bound to an earlier epoch could be believed, and so
+	// the bound on the timestamps it served reads at (Store.servesAt).
+	Fenced sim.Time
 }
 
 // NodeLiveness tracks per-node liveness records. Like the range catalog and
@@ -121,8 +125,19 @@ func (nl *NodeLiveness) IncrementEpoch(id simnet.NodeID, now sim.Time) bool {
 		return false
 	}
 	rec.Epoch++
+	rec.Fenced = rec.Expiration
 	nl.EpochBumps++
 	return true
+}
+
+// Fenced returns the expiration the latest increment of the node's epoch
+// fenced (zero if none). Every lease bound to an earlier epoch served its
+// reads below it, so a lease that replaces one starts there.
+func (nl *NodeLiveness) Fenced(id simnet.NodeID) sim.Time {
+	if rec, ok := nl.recs[id]; ok {
+		return rec.Fenced
+	}
+	return 0
 }
 
 // SelfRestart re-registers a node booting from disk after a crash. The
@@ -142,6 +157,7 @@ func (nl *NodeLiveness) SelfRestart(id simnet.NodeID, persistedEpoch int64) int6
 		rec.Epoch = persistedEpoch
 	}
 	rec.Epoch++
+	rec.Fenced = rec.Expiration
 	nl.EpochBumps++
 	if exp := nl.sim.Now().Add(LivenessTTL); exp > rec.Expiration {
 		rec.Expiration = exp

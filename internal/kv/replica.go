@@ -319,7 +319,20 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 		if err := q.bounds(r); err != nil {
 			return Response{Err: err}
 		}
-		if !leaseholder && r.closed.closed.Less(required) {
+		if leaseholder {
+			// So may the lease have gone: a transfer proposed meanwhile
+			// shipped the newest read its key table held then, and only a
+			// valid leaseholder's engine has every resolution that let a
+			// holder's record go (DESIGN §11). Nor is a read served at or
+			// past the expiration this node's record was acked to, where
+			// the next lease may start (lease stasis).
+			if err := r.checkLease(); err != nil {
+				return Response{Err: err}
+			}
+			if !r.store.servesAt(readTS) {
+				return Response{Err: &NotLeaseholderError{RangeID: r.desc.RangeID}}
+			}
+		} else if r.closed.closed.Less(required) {
 			return r.redirectToLeaseholder(required)
 		}
 		resp, err := q.readAt(r, readTS, opts)
@@ -334,10 +347,8 @@ func (r *Replica) evalRead(p *sim.Proc, q replicaRead, a readArgs) Response {
 				if werr := r.waitOnIntent(p, wie.Key, wie.Txn, a.txn, false); werr != nil {
 					return Response{Err: werr}
 				}
-				// The wait may have outlasted the lease. Only a valid
-				// leaseholder's engine has every resolution that let the
-				// holder's record go (DESIGN §11), so only it may read the
-				// intent through the record.
+				// The wait may have outlasted the lease: answer now, not
+				// after a latch wait.
 				if !r.hasValidLease() {
 					return Response{Err: r.checkLease()}
 				}
@@ -479,6 +490,11 @@ func (r *Replica) evalPut(p *sim.Proc, req *PutRequest) Response {
 		if err != nil {
 			switch err {
 			case errAbsent:
+				// The verdict is a read at ReadFromTS: lease stasis bounds it
+				// as it bounds evalRead's.
+				if !r.store.servesAt(req.ReadFromTS) {
+					return Response{Err: &NotLeaseholderError{RangeID: r.desc.RangeID}}
+				}
 				if !held {
 					r.keys.unlock(req.Key, req.Txn.id())
 				}
@@ -641,6 +657,7 @@ func (r *Replica) checkPut(req *PutRequest, ts hlc.Timestamp, txn *mvcc.TxnMeta)
 	key := req.Key
 	var prev finishedIntent
 	ownIntent := false
+	var intentTS hlc.Timestamp
 	if meta, ok := r.engine.GetIntent(key); ok {
 		if txn == nil || meta.ID != txn.ID {
 			st, cts := r.store.Registry.Status(meta.ID)
@@ -649,7 +666,7 @@ func (r *Replica) checkPut(req *PutRequest, ts hlc.Timestamp, txn *mvcc.TxnMeta)
 			}
 			prev = finishedIntent{txn: meta.ID, status: st, commitTS: cts}
 		} else {
-			ownIntent = meta.Epoch == txn.Epoch
+			ownIntent, intentTS = meta.Epoch == txn.Epoch, meta.WriteTimestamp
 		}
 	}
 	// Probe for write-too-old by a non-mutating read of the newest
@@ -673,7 +690,14 @@ func (r *Replica) checkPut(req *PutRequest, ts hlc.Timestamp, txn *mvcc.TxnMeta)
 			return hlc.Timestamp{}, prev, errAbsent
 		}
 	}
-	if !newest.IsEmpty() && ts.LessEq(newest) {
+	switch {
+	case ownIntent:
+		// The newest version is this transaction's own intent, above every
+		// committed one (it holds the key): a rewrite replaces it at the
+		// transaction's own timestamp, not above it, so a key written twice
+		// costs no refresh at commit.
+		ts = ts.Max(intentTS)
+	case !newest.IsEmpty() && ts.LessEq(newest):
 		// Tolerable bump: the transaction's coordinator learns the new
 		// timestamp from the response and refreshes at commit.
 		ts = newest.Next()
@@ -1096,17 +1120,22 @@ func (r *Replica) setDesc(desc *RangeDescriptor) {
 
 // applyLeaseTransfer installs a new lease. Every replica records the epoch
 // the command bound it to at proposal time, so the lease epoch is replicated
-// state: an image cut on any replica carries it.
+// state: an image cut on any replica carries it. Like a descriptor update,
+// a lease applies only on top of the generation it was derived from: one
+// proposed before another change applied (a placement update, another
+// lease) would hand the range its older descriptor back, and it is dropped
+// (its proposer looks again).
 func (r *Replica) applyLeaseTransfer(cmd *Command) {
-	if cmd.Desc != nil {
-		r.setDesc(cmd.Desc.Clone())
+	if cmd.Desc.Generation != r.desc.Generation+1 {
+		return
 	}
+	r.setDesc(cmd.Desc.Clone())
 	r.leaseEpoch = cmd.LeaseEpoch
 	if r.desc.Leaseholder == r.store.NodeID {
-		// Fresh leaseholder: assume everything was read up to the
-		// transfer timestamp (the read floor's ratchet), and carry the
+		// Fresh leaseholder: assume everything was read up to where the
+		// lease starts (the read floor's ratchet), and carry the
 		// closed-timestamp promise floor forward.
-		r.inherit(hlc.Timestamp{}, cmd.ClosedTS, cmd.Ts)
+		r.inherit(hlc.Timestamp{}, cmd.ClosedTS, r.desc.LeaseStart)
 		if r.store.Catalog != nil {
 			// Publish the new routing so gateways converge without an
 			// admin in the loop.
@@ -1178,7 +1207,7 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 	// changes hands before the log catches up). Acting on the older
 	// descriptor would bounce leadership back to the old leaseholder and undo
 	// the transfer.
-	for r.awaitLeaderApplied(p) && !r.hasValidLease() {
+	for r.awaitLeaderApplied(p) && !r.hasValidLease() && !r.transferring {
 		prev := r.desc.Leaseholder
 		if prev == r.store.NodeID {
 			// Our own lease was fenced (epoch bumped while we were cut
@@ -1209,15 +1238,22 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 		// The old lease is fenced: by the bump above, or before it when the
 		// lease is bound below the incumbent's epoch (another range's claim
 		// or the incumbent's restart bumped it, and one death is one bump).
-		// Claim it for ourselves through the log so every replica learns the
-		// same lease at the same position.
+		// It served no read at or past the expiration that fenced it (lease
+		// stasis, Store.servesAt), so ours starts there; a lease of our own
+		// starts at the newest read our key table holds. Claim it for
+		// ourselves through the log so every replica learns the same lease
+		// at the same position.
+		served := hlc.Timestamp{WallTime: int64(nl.Fenced(prev))}
+		if prev == r.store.NodeID {
+			served = r.keys.newestRead()
+		}
 		nd := r.desc.Clone()
 		nd.Leaseholder = r.store.NodeID
 		nd.Generation++
+		nd.LeaseStart = r.leaseStart(served)
 		cmd := r.command(Command{
 			Kind:       CmdLeaseTransfer,
 			Desc:       nd,
-			Ts:         r.store.Clock.Now().Add(r.store.Clock.MaxOffset()),
 			ClosedTS:   r.closed.issued,
 			LeaseEpoch: r.store.CurrentEpoch(),
 		})
@@ -1230,8 +1266,20 @@ func (r *Replica) maybeAcquireLease(p *sim.Proc) {
 			p.Sleep(LivenessHeartbeatInterval / 2)
 			continue
 		}
-		r.LeaseAcquisitions++
+		if r.desc.Generation == nd.Generation && r.isLeaseholder() {
+			r.LeaseAcquisitions++ // not overtaken (applyLeaseTransfer)
+		}
 	}
+}
+
+// leaseStart is where a lease that replaces the current one starts, given
+// the newest timestamp at which the current one served a read: there, or at
+// the current lease's own start if that is later (a lease that never served
+// still covers what its predecessors did). Every write the new leaseholder
+// evaluates lands above it, which is all the read floor is for; a write
+// after a lease change lands at its own timestamp and commit-waits nothing.
+func (r *Replica) leaseStart(served hlc.Timestamp) hlc.Timestamp {
+	return served.Max(r.desc.LeaseStart)
 }
 
 // inherit is the one rule by which a replica takes over what another copy of

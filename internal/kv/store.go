@@ -159,7 +159,14 @@ func (s *Store) handleMessage(m simnet.Message) {
 	case *livenessAck:
 		// A peer confirmed our record through payload.Expiration: we are
 		// provably connected, and payload.Epoch is the epoch our leases
-		// must be bound to.
+		// must be bound to. An ack of an older epoch than one already
+		// acked is a late one from before a fence: it vouches for
+		// nothing now, and taking its epoch back with the newer
+		// expiration would revive a fenced lease past where the next one
+		// starts.
+		if s.acked && payload.Epoch < s.ackEpoch {
+			break
+		}
 		if !s.acked || s.ackedExp < payload.Expiration {
 			s.ackedExp = payload.Expiration
 		}
@@ -246,6 +253,15 @@ func (s *Store) StartLiveness(nl *NodeLiveness) (stop func()) {
 // Single-node liveness domains are trivially live.
 func (s *Store) SelfLive() bool {
 	return len(s.liveness.Nodes()) <= 1 || s.acked && s.Sim.Now() <= s.ackedExp
+}
+
+// servesAt reports whether a leaseholder here may serve a read at ts: only
+// below the expiration a peer acked its record to (CockroachDB's lease
+// stasis). A peer may fence the record at that expiration and start the
+// next lease there, so no read this node served lies at or above where the
+// next lease starts. A single-node liveness domain has no expiration.
+func (s *Store) servesAt(ts hlc.Timestamp) bool {
+	return len(s.liveness.Nodes()) <= 1 || ts.WallTime < int64(s.ackedExp)
 }
 
 // forgetAcks returns the node to "no peer has confirmed my record": it does

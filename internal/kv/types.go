@@ -57,6 +57,11 @@ type RangeDescriptor struct {
 	// Generation increments on every descriptor change; stale cache
 	// entries are detected by comparing generations.
 	Generation int64
+	// LeaseStart is the timestamp the lease starts at: no earlier lease of
+	// the range served a read above it, so its holder's key table starts
+	// there (applyLeaseTransfer), and a lease that replaces it starts no
+	// lower (Replica.leaseStart).
+	LeaseStart hlc.Timestamp
 }
 
 // ContainsKey reports whether key falls in [StartKey, EndKey).

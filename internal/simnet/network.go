@@ -416,6 +416,18 @@ func (e *ErrRPC) Error() string {
 // arrives or the timeout expires. The destination handler receives an
 // *RPCRequest payload, on a process of its own, and must call Reply.
 func (n *Network) SendRPC(p *sim.Proc, from, to NodeID, payload interface{}, timeout sim.Duration) (interface{}, error) {
+	return n.SendRPCWhileLive(p, from, to, payload, timeout, nil)
+}
+
+// SendRPCWhileLive is SendRPC that also gives up on a destination presumed
+// dead. liveUntil(to) is the last instant the destination's liveness record
+// vouches for it (ok false: it bounds nothing). The wait ends at the sooner
+// of the timeout and that instant's end, and re-arms while the record is
+// renewed, so a live destination's slow reply is never abandoned; one whose
+// record lapses is given up on at once, as a timeout would (the request may
+// still be served). A record already lapsed when the request is sent bounds
+// nothing: the caller chose the destination knowing that.
+func (n *Network) SendRPCWhileLive(p *sim.Proc, from, to NodeID, payload interface{}, timeout sim.Duration, liveUntil func(NodeID) (sim.Time, bool)) (interface{}, error) {
 	wan := n.WAN(from, to)
 	m := n.metrics()
 	m.rpc.Inc()
@@ -452,10 +464,32 @@ func (n *Network) SendRPC(p *sim.Proc, from, to NodeID, payload interface{}, tim
 	if timeout <= 0 {
 		timeout = 10 * sim.Second
 	}
-	v, ok := req.reply.WaitTimeout(p, timeout)
+	end := start.Add(timeout)
+	if liveUntil != nil {
+		if exp, ok := liveUntil(to); !ok || exp < start {
+			liveUntil = nil
+		}
+	}
+	var v interface{}
+	ok := false
+	for {
+		until := end
+		if liveUntil != nil {
+			exp, _ := liveUntil(to)
+			if exp < n.Sim.Now() {
+				break // the record lapsed: the destination is presumed dead
+			}
+			if exp < until {
+				until = exp.Add(1)
+			}
+		}
+		if v, ok = req.reply.WaitTimeout(p, until.Sub(n.Sim.Now())); ok || n.Sim.Now() >= end {
+			break
+		}
+	}
 	m.rtt.RecordDuration(n.Sim.Now().Sub(start))
 	if !ok {
-		err := &ErrRPC{From: from, To: to, Timeout: timeout}
+		err := &ErrRPC{From: from, To: to, Timeout: n.Sim.Now().Sub(start)}
 		sp.SetError(err)
 		sp.Finish()
 		return nil, err

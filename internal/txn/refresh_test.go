@@ -108,3 +108,40 @@ func TestScanDoesNotPushItsOwnWrite(t *testing.T) {
 		}
 	})
 }
+
+// TestRewriteOfOwnIntentIsNotPushed: a transaction that writes a key twice
+// lands the second write on its own intent, at its own timestamp, not above
+// it, so it commits where it read and its commit sends no RefreshRequest
+// (commit refreshes only a read timestamp below the write timestamp). The
+// rewrite used to be pushed one logical tick above the intent, and a
+// New-Order that ordered one item twice refreshed every read span at commit.
+func TestRewriteOfOwnIntentIsNotPushed(t *testing.T) {
+	h := newHarness(t, 1)
+	h.run(t, func(p *sim.Proc) {
+		co := h.coord(simnet.USEast1)
+		tx := co.Begin(0)
+		if _, err := tx.Get(p, mvcc.Key("k/r")); err != nil {
+			t.Fatal(err)
+		}
+		read := tx.ReadTimestamp()
+		// Each write is sent with the read after it, so the second one
+		// meets the intent the first one laid.
+		for i, next := range []string{"k/s", "k/t"} {
+			if err := tx.Put(p, mvcc.Key("k/w"), mvcc.Value(fmt.Sprintf("v%d", i))); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tx.Get(p, mvcc.Key(next)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := tx.WriteTimestamp(); got != read {
+			t.Fatalf("read at %v, then a key written twice: write timestamp %v, want the read's", read, got)
+		}
+		if err := tx.Commit(p); err != nil {
+			t.Fatal(err)
+		}
+		if tx.ReadTimestamp() != read || tx.WriteTimestamp() != read {
+			t.Errorf("committed with read %v and write %v, want both at %v", tx.ReadTimestamp(), tx.WriteTimestamp(), read)
+		}
+	})
+}
