@@ -60,7 +60,7 @@ func TestFaultWindowsSpikeAndReconverge(t *testing.T) {
 func TestChaosExportDeterminism(t *testing.T) {
 	dirA, dirB := t.TempDir(), t.TempDir()
 	run := func(dir string) *Report {
-		rep, err := Run(Options{Seed: 227, Faults: 5, ExportDir: dir})
+		rep, err := Run(Options{Seed: 358, Faults: 5, ExportDir: dir})
 		if err != nil {
 			t.Fatalf("chaos run failed: %v", err)
 		}
@@ -94,7 +94,8 @@ func TestChaosExportDeterminism(t *testing.T) {
 	// attempt in it. (Seed 23 failed a probe until a request stopped
 	// proposing a resolution of a finished transaction's intent, and seed 2
 	// until an RPC to a crashed node began to end at the node's liveness
-	// expiry; of seeds 1-227 only 227 fails one now, a probe.)
+	// expiry, and seed 227 until a relocation stopped failing after it
+	// published its placement; seed 358 fails one now.)
 	if rep.TransfersFailed+rep.ProbesFailed == 0 {
 		t.Fatalf("seed no longer produces a failed RPC, choose another:\n%s", rep)
 	}

@@ -292,18 +292,13 @@ func (c *Cluster) ApplyErrors() int {
 	return n
 }
 
-// CreateRangeWithZoneConfig allocates a placement for zcfg, creates a
-// range covering [start, end) with it, and registers the config in the
-// catalog so the load queue and placement checkers can honor it.
+// CreateRangeWithZoneConfig allocates a placement for zcfg and creates a
+// range covering [start, end) with it, whose descriptor carries zcfg so the
+// load queue and placement checkers can honor it.
 func (c *Cluster) CreateRangeWithZoneConfig(start, end []byte, zcfg zones.Config, policy kv.ClosedTSPolicy) (*kv.RangeDescriptor, error) {
 	placement, err := c.Allocator().Allocate(zcfg)
 	if err != nil {
 		return nil, err
 	}
-	desc, err := c.Admin.CreateRange(start, end, placement, policy)
-	if err != nil {
-		return nil, err
-	}
-	c.Catalog.SetZoneConfig(desc.RangeID, zcfg)
-	return desc, nil
+	return c.Admin.CreateRange(start, end, placement, policy, &zcfg)
 }

@@ -1,6 +1,7 @@
 package kv
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -39,13 +40,18 @@ type Admin struct {
 
 	// decisions holds per-range allocator-loop decision counts.
 	decisions map[RangeID]*RangeDecisions
+	// finishing holds the proc of each range whose relocation published its
+	// placement but did not finish it (finishLater).
+	finishing map[RangeID]*finisher
 }
 
 // CreateRange instantiates a range over [start, end) with the given
 // placement and closed-timestamp policy, elects its leaseholder, and
-// registers it in the catalog.
-func (a *Admin) CreateRange(start, end mvcc.Key, placement zones.Placement, policy ClosedTSPolicy) (*RangeDescriptor, error) {
+// registers it in the catalog. A non-nil cfg is the zone config the
+// placement satisfies, which the descriptor carries from then on.
+func (a *Admin) CreateRange(start, end mvcc.Key, placement zones.Placement, policy ClosedTSPolicy, cfg *zones.Config) (*RangeDescriptor, error) {
 	desc := &RangeDescriptor{
+		Config:      cloneConfig(cfg),
 		RangeID:     a.Catalog.NextRangeID(),
 		StartKey:    append(mvcc.Key(nil), start...),
 		EndKey:      append(mvcc.Key(nil), end...),
@@ -118,7 +124,9 @@ func (a *Admin) leaseholderReplica(rangeID RangeID) (*Replica, error) {
 }
 
 // TransferLease moves the lease (and Raft leadership) of a range to target,
-// which must already hold a voting replica.
+// which must already hold a voting replica. Only a valid lease is handed
+// on, as in CockroachDB: a fenced leaseholder, which its acquisition loop may
+// be reclaiming, proposes nothing.
 func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID) error {
 	r, err := a.leaseholderReplica(rangeID)
 	if err != nil {
@@ -127,6 +135,9 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 	desc := r.desc.Clone()
 	if desc.Leaseholder == target {
 		return nil
+	}
+	if !r.hasValidLease() {
+		return fmt.Errorf("kv: n%d holds no valid lease of r%d to transfer", r.store.NodeID, rangeID)
 	}
 	isVoter := false
 	for _, v := range desc.Voters {
@@ -182,11 +193,21 @@ func (a *Admin) TransferLease(p *sim.Proc, rangeID RangeID, target simnet.NodeID
 // Relocate moves a range's replicas to match a new placement, adding then
 // removing replicas and finally transferring the lease if needed. This is
 // the mechanism behind locality changes (paper §2.4.2). A non-nil cfg is the
-// range's new zone config: it is registered in the catalog atomically with
-// the descriptor publication (step 3), so a placement checker never observes
-// the new placement against the old config or vice versa. A nil cfg leaves
-// the zone config alone.
+// range's new zone config: it rides the descriptor update that publishes the
+// placement (step 3), so a placement checker never observes the new
+// placement against the old config or vice versa. A nil cfg leaves the zone
+// config alone.
+//
+// A relocation fails only before its placement is published, and then
+// leaves the descriptor as it was. Once published, what is left is
+// finishPlacement's: a step of it that fails is retried by a proc of the
+// range's own (finishLater), and Relocate returns nil. A publish whose
+// proposer cannot tell whether it applied fails the relocation and leaves
+// that proc to finish whichever descriptor the log decided on.
 func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement, policy ClosedTSPolicy, cfg *zones.Config) error {
+	if err := a.takeOver(p, rangeID); err != nil {
+		return err
+	}
 	r, err := a.leaseholderReplica(rangeID)
 	if err != nil {
 		return err
@@ -204,21 +225,6 @@ func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 	newVoter := map[simnet.NodeID]bool{}
 	for _, id := range placement.Voters {
 		newVoter[id] = true
-	}
-	inNew := map[simnet.NodeID]bool{}
-	for _, id := range placement.Replicas() {
-		inNew[id] = true
-	}
-
-	propose := func(cc raft.ConfChange) error {
-		f, err := r.raft.ProposeConfChange(cc)
-		if err != nil {
-			return err
-		}
-		if res := f.Wait(p); res.Err != nil {
-			return res.Err
-		}
-		return nil
 	}
 
 	// 1. Create replicas on new nodes (as learners first). A relocation that
@@ -245,98 +251,211 @@ func (a *Admin) Relocate(p *sim.Proc, rangeID RangeID, placement zones.Placement
 		joining := old.Clone()
 		joining.NonVoters = append(joining.NonVoters, id)
 		st.CreateReplica(joining)
-		if err := propose(raft.ConfChange{Type: raft.AddLearner, Node: id}); err != nil {
+		if err := r.proposeConfChange(p, raft.ConfChange{Type: raft.AddLearner, Node: id}); err != nil {
 			st.RemoveReplica(rangeID)
 			return err
 		}
 	}
 	// 2. Promote new voters. (Demotions of ex-voters happen only after
-	// leadership has safely moved, below.)
+	// leadership has safely moved, in finishPlacement.)
 	for _, id := range sortedIDs(newVoter) {
 		if !oldVoter[id] {
-			if err := propose(raft.ConfChange{Type: raft.AddVoter, Node: id}); err != nil {
+			if err := r.proposeConfChange(p, raft.ConfChange{Type: raft.AddVoter, Node: id}); err != nil {
 				return err
 			}
 		}
 	}
-	// 3. Publish the new descriptor so every replica learns placement and
-	// policy, and re-derives its timing from them as the entry applies
-	// (setTiming).
-	newDesc, err := publishPlacement(p, r, placement, policy)
-	if err != nil {
+	// 3. Publish the new descriptor, with the new zone config, so every
+	// replica learns placement and policy, and re-derives its timing from
+	// them as the entry applies (setTiming).
+	if err := publishPlacement(p, r, placement, policy, cfg); err != nil {
+		if errors.Is(err, raft.ErrProposalDropped) {
+			a.finishLater(rangeID)
+		}
 		return err
 	}
-	a.Catalog.Update(newDesc)
-	if cfg != nil {
-		// The new zone config becomes authoritative in the same scheduler
-		// step as the descriptor that satisfies it, so placement checkers
-		// never pair a new config with the old placement or vice versa.
-		a.Catalog.SetZoneConfig(rangeID, *cfg)
-	}
-
-	// 4. Move the lease (and Raft leadership) if the leaseholder is
-	// changing — this must precede demoting the old leader.
-	if placement.Leaseholder != old.Leaseholder {
-		if err := a.TransferLease(p, rangeID, placement.Leaseholder); err != nil {
-			return err
-		}
-		r, err = a.leaseholderReplica(rangeID)
-		if err != nil {
-			return err
-		}
-	}
-	// 5. Demote ex-voters that remain as non-voters, then remove replicas
-	// not in the new placement, proposing from the current leader.
-	for _, id := range sortedIDs(oldVoter) {
-		if !newVoter[id] && inNew[id] {
-			if err := propose(raft.ConfChange{Type: raft.AddLearner, Node: id}); err != nil {
-				return err
-			}
-		}
-	}
-	for _, id := range sortedIDs(inOld) {
-		if inNew[id] {
-			continue
-		}
-		if oldVoter[id] {
-			if err := propose(raft.ConfChange{Type: raft.RemoveVoter, Node: id}); err != nil {
-				return err
-			}
-		} else {
-			if err := propose(raft.ConfChange{Type: raft.RemoveLearner, Node: id}); err != nil {
-				return err
-			}
-		}
-		a.Stores[id].RemoveReplica(rangeID)
+	// 4–5. Move the lease, demote and remove, from the descriptor just
+	// published.
+	if a.finishPlacement(p, rangeID) != nil {
+		a.finishLater(rangeID)
 	}
 	return nil
 }
 
-// publishPlacement installs placement and policy in r's descriptor through
-// r's log and returns the descriptor installed. The update is derived from
-// the descriptor as it is when it is proposed, not as the relocation found
-// it: a split or a lease move may have applied while the conf changes waited.
-// A descriptor update applies only on top of the generation it was derived
+// publishPlacement installs placement and policy, and cfg unless it is nil,
+// in r's descriptor through r's log. The update is derived from the
+// descriptor as it is when it is proposed, not as the relocation found it: a
+// split or a lease move may have applied while the conf changes waited. A
+// descriptor update applies only on top of the generation it was derived
 // from (Replica.apply), as CockroachDB writes a descriptor with a conditional
 // put, so one that another change overtook in the log is dropped, and the
 // relocation fails with the descriptor as that change left it. The
 // leaseholder stays: the lease (and Raft leadership) move via TransferLease,
 // which must observe that it has not yet moved.
-func publishPlacement(p *sim.Proc, r *Replica, placement zones.Placement, policy ClosedTSPolicy) (*RangeDescriptor, error) {
+func publishPlacement(p *sim.Proc, r *Replica, placement zones.Placement, policy ClosedTSPolicy, cfg *zones.Config) error {
 	nd := r.desc.Clone()
 	nd.Voters = append([]simnet.NodeID(nil), placement.Voters...)
 	nd.NonVoters = append([]simnet.NodeID(nil), placement.NonVoters...)
 	nd.Policy = policy
+	if cfg != nil {
+		nd.Config = cloneConfig(cfg)
+	}
 	nd.Generation++
 	cmd := r.command(Command{Kind: CmdDescUpdate, Desc: nd, ClosedTS: r.closed.issued})
 	if err := r.propose(p, cmd); err != nil {
-		return nil, err
+		return err
 	}
 	// A change that applied after the update keeps its placement.
 	if d := r.desc; !slices.Equal(d.Voters, nd.Voters) || !slices.Equal(d.NonVoters, nd.NonVoters) || d.Policy != policy {
-		return nil, fmt.Errorf("kv: descriptor of r%d changed before its placement update applied", d.RangeID)
+		return fmt.Errorf("kv: descriptor of r%d changed before its placement update applied", d.RangeID)
 	}
-	return r.desc.Clone(), nil
+	return nil
+}
+
+// cloneConfig copies a zone config that enters a descriptor, which never
+// mutates it afterwards; nil stays nil.
+func cloneConfig(cfg *zones.Config) *zones.Config {
+	if cfg == nil {
+		return nil
+	}
+	c := cfg.Clone()
+	return &c
+}
+
+// proposeConfChange replicates a membership change through r's group and
+// parks p until it applied on r.
+func (r *Replica) proposeConfChange(p *sim.Proc, cc raft.ConfChange) error {
+	f, err := r.raft.ProposeConfChange(cc)
+	if err != nil {
+		return err
+	}
+	return f.Wait(p).Err
+}
+
+// finishPlacement brings a range's lease and Raft group to what its
+// descriptor names, the descriptor read as the range's leader has applied it
+// (publishing it to the catalog if it is newer there): the lease moves to
+// the voter the descriptor's zone config prefers (ChooseLeaseholder), then
+// each voter the descriptor names as a non-voter is demoted, and each member
+// or replica it does not name is removed, in ascending node order. These are
+// Relocate's last steps. They depend on nothing but the range as it is, so a
+// relocation left unfinished runs them again until they all succeed
+// (finishLater).
+func (a *Admin) finishPlacement(p *sim.Proc, rangeID RangeID) error {
+	r, err := a.leaseholderReplica(rangeID)
+	if err != nil {
+		return err
+	}
+	if !r.awaitLeaderApplied(p) || !r.isLeaseholder() {
+		return fmt.Errorf("kv: n%d neither leads r%d nor holds its lease", r.store.NodeID, rangeID)
+	}
+	a.Catalog.Update(r.desc.Clone())
+	d := r.desc
+	var cfg zones.Config
+	if d.Config != nil {
+		cfg = *d.Config
+	}
+	alloc := zones.Allocator{Topo: a.Topo}
+	if lh := alloc.ChooseLeaseholder(cfg, d.Voters); lh != d.Leaseholder {
+		if st, ok := a.Stores[lh]; !ok || st.Down() {
+			return fmt.Errorf("kv: lease target n%d of r%d is down", lh, rangeID)
+		}
+		if err := a.TransferLease(p, rangeID, lh); err != nil {
+			return err
+		}
+		if r, err = a.leaseholderReplica(rangeID); err != nil {
+			return err
+		}
+	}
+	nodes := a.Topo.Nodes()
+	slices.Sort(nodes)
+	for _, id := range nodes {
+		if slices.Contains(d.NonVoters, id) && r.raft.IsVoter(id) {
+			if err := r.proposeConfChange(p, raft.ConfChange{Type: raft.AddLearner, Node: id}); err != nil {
+				return err
+			}
+		}
+	}
+	for _, id := range nodes {
+		if slices.Contains(d.Voters, id) || slices.Contains(d.NonVoters, id) {
+			continue
+		}
+		cc := raft.ConfChange{Type: raft.RemoveVoter, Node: id}
+		if r.raft.IsLearner(id) {
+			cc.Type = raft.RemoveLearner
+		}
+		if r.raft.IsVoter(id) || r.raft.IsLearner(id) {
+			if err := r.proposeConfChange(p, cc); err != nil {
+				return err
+			}
+		}
+		if st, ok := a.Stores[id]; ok {
+			st.RemoveReplica(rangeID)
+		}
+	}
+	return nil
+}
+
+// finishRetry is how long a relocation left unfinished waits between two
+// attempts to finish it.
+const finishRetry = sim.Second
+
+// finisher is the proc that finishes one range's relocation (finishLater).
+type finisher struct {
+	wake    *sim.Cond
+	stopped bool
+	exited  *sim.Future[struct{}]
+}
+
+// finishLater leaves a range whose relocation published, or may have
+// published, its placement to a proc of its own, which runs finishPlacement
+// every finishRetry until it succeeds or the range is gone. A range has at
+// most one; a later relocation or merge of the range takes it over
+// (takeOver).
+func (a *Admin) finishLater(rangeID RangeID) {
+	if a.finishing[rangeID] != nil {
+		return
+	}
+	if a.finishing == nil {
+		a.finishing = map[RangeID]*finisher{}
+	}
+	f := &finisher{wake: sim.NewCond(a.Sim), exited: sim.NewFuture[struct{}](a.Sim)}
+	a.finishing[rangeID] = f
+	a.Sim.Spawn(fmt.Sprintf("kv/finish-r%d", rangeID), func(p *sim.Proc) {
+		defer f.exited.Set(struct{}{})
+		for {
+			f.wake.WaitTimeout(p, finishRetry)
+			if f.stopped {
+				return
+			}
+			if _, ok := a.Catalog.LookupByID(rangeID); !ok || a.finishPlacement(p, rangeID) == nil {
+				break
+			}
+		}
+		if a.finishing[rangeID] == f {
+			delete(a.finishing, rangeID)
+		}
+	})
+}
+
+// takeOver makes the caller the one owner of a range's placement: it stops
+// the range's finishing proc, if there is one, once the proc is between two
+// attempts, and finishes the placement itself. If that fails, the proc is
+// armed again and the error returned.
+func (a *Admin) takeOver(p *sim.Proc, rangeID RangeID) error {
+	f := a.finishing[rangeID]
+	if f == nil {
+		return nil
+	}
+	delete(a.finishing, rangeID)
+	f.stopped = true
+	f.wake.Broadcast()
+	f.exited.Wait(p)
+	if err := a.finishPlacement(p, rangeID); err != nil {
+		a.finishLater(rangeID)
+		return err
+	}
+	return nil
 }
 
 // sortedIDs returns map keys in ascending order for deterministic
@@ -393,10 +512,6 @@ func (a *Admin) SplitRange(p *sim.Proc, rangeID RangeID, splitKey mvcc.Key) (*Ra
 	a.Catalog.Update(updated)
 	if err := a.Catalog.Insert(newDesc); err != nil {
 		return nil, err
-	}
-	// The right half inherits the left's zone config.
-	if cfg, ok := a.Catalog.ZoneConfig(rangeID); ok {
-		a.Catalog.SetZoneConfig(newDesc.RangeID, cfg)
 	}
 	// The right half's replicas appear as the split applies on each
 	// store, so the leaseholder's initial campaign races replica creation.

@@ -21,11 +21,6 @@ type RangeCatalog struct {
 	// descs is sorted by StartKey; ranges must not overlap.
 	descs  []*RangeDescriptor
 	nextID RangeID
-	// configs holds the zone config each range was placed under, keyed by
-	// range ID. Configs live here rather than on the descriptor because
-	// descriptors are written into WALs and checkpoints (codec.go), whose
-	// bytes must be a function of the value, and zones.Config holds maps.
-	configs map[RangeID]zones.Config
 	// published wakes the senders backing off on a range (WaitNewer) when a
 	// newer descriptor of it is published or the range is removed; one per
 	// range that has had a waiter.
@@ -34,21 +29,19 @@ type RangeCatalog struct {
 
 // NewRangeCatalog returns an empty catalog.
 func NewRangeCatalog() *RangeCatalog {
-	return &RangeCatalog{configs: map[RangeID]zones.Config{}, published: map[RangeID]*sim.Cond{}}
+	return &RangeCatalog{published: map[RangeID]*sim.Cond{}}
 }
 
-// SetZoneConfig records the zone config a range is placed under. The load
-// queue and the placement invariant checker consult it; ranges without a
-// registered config are exempt from constraint checking (and from
-// constraint-aware rebalancing).
-func (c *RangeCatalog) SetZoneConfig(id RangeID, cfg zones.Config) {
-	c.configs[id] = cfg.Clone()
-}
-
-// ZoneConfig returns the registered zone config for a range, if any.
+// ZoneConfig returns the zone config of a range's published descriptor, if
+// it has one. The load queue and the placement invariant checker consult
+// it; ranges without one are exempt from constraint checking (and from
+// constraint-aware rebalancing). A config rides its descriptor, so it is
+// never paired with another descriptor's placement.
 func (c *RangeCatalog) ZoneConfig(id RangeID) (zones.Config, bool) {
-	cfg, ok := c.configs[id]
-	return cfg, ok
+	if d, ok := c.LookupByID(id); ok && d.Config != nil {
+		return *d.Config, true
+	}
+	return zones.Config{}, false
 }
 
 // NextRangeID allocates a fresh range ID.
@@ -81,9 +74,8 @@ func (c *RangeCatalog) Insert(d *RangeDescriptor) error {
 	return nil
 }
 
-// Remove deletes the descriptor (and any zone config) for a range ID.
+// Remove deletes the descriptor for a range ID.
 func (c *RangeCatalog) Remove(id RangeID) {
-	delete(c.configs, id)
 	if w, ok := c.published[id]; ok {
 		w.Broadcast()
 		delete(c.published, id)

@@ -6,11 +6,14 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
+	"slices"
 
 	"mrdb/internal/mvcc"
 	"mrdb/internal/raft"
 	"mrdb/internal/simnet"
 	"mrdb/internal/wire"
+	"mrdb/internal/zones"
 )
 
 // This file is the codec of everything a node writes to its Disk; DESIGN §9
@@ -153,16 +156,66 @@ func appendDesc(dst []byte, desc *RangeDescriptor) []byte {
 	dst = wire.AppendBytes(wire.AppendBytes(dst, desc.StartKey), desc.EndKey)
 	dst = appendNodes(appendNodes(dst, desc.Voters), desc.NonVoters)
 	dst = append(binary.AppendUvarint(dst, uint64(desc.Leaseholder)), byte(desc.Policy))
-	return wire.AppendTimestamp(binary.AppendVarint(dst, desc.Generation), desc.LeaseStart)
+	dst = wire.AppendTimestamp(binary.AppendVarint(dst, desc.Generation), desc.LeaseStart)
+	if desc.Config == nil {
+		return append(dst, 0)
+	}
+	return appendConfig(append(dst, 1), desc.Config)
 }
 
 func decodeDesc(d *wire.Decoder) *RangeDescriptor {
-	return &RangeDescriptor{
+	desc := &RangeDescriptor{
 		RangeID: RangeID(d.Uvarint()), StartKey: bytes.Clone(d.Bytes()), EndKey: bytes.Clone(d.Bytes()),
 		Voters: decodeNodes(d), NonVoters: decodeNodes(d),
 		Leaseholder: simnet.NodeID(d.Uvarint()), Policy: ClosedTSPolicy(d.Byte()), Generation: d.Varint(),
 		LeaseStart: d.Timestamp(),
 	}
+	if d.Byte() != 0 {
+		desc.Config = decodeConfig(d)
+	}
+	return desc
+}
+
+// appendConfig encodes a zone config with each map's regions in ascending
+// order, so the bytes are a function of the value.
+func appendConfig(dst []byte, c *zones.Config) []byte {
+	dst = binary.AppendUvarint(binary.AppendUvarint(dst, uint64(c.NumReplicas)), uint64(c.NumVoters))
+	dst = appendRegionCounts(appendRegionCounts(dst, c.Constraints), c.VoterConstraints)
+	dst = binary.AppendUvarint(dst, uint64(len(c.LeasePreferences)))
+	for _, r := range c.LeasePreferences {
+		dst = wire.AppendBytes(dst, []byte(r))
+	}
+	return dst
+}
+
+func decodeConfig(d *wire.Decoder) *zones.Config {
+	c := &zones.Config{NumReplicas: int(d.Uvarint()), NumVoters: int(d.Uvarint())}
+	c.Constraints, c.VoterConstraints = decodeRegionCounts(d), decodeRegionCounts(d)
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		c.LeasePreferences = append(c.LeasePreferences, simnet.Region(d.Bytes()))
+	}
+	return c
+}
+
+func appendRegionCounts(dst []byte, m map[simnet.Region]int) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(m)))
+	for _, r := range slices.Sorted(maps.Keys(m)) {
+		dst = binary.AppendUvarint(wire.AppendBytes(dst, []byte(r)), uint64(m[r]))
+	}
+	return dst
+}
+
+// decodeRegionCounts reads back nil for an empty map.
+func decodeRegionCounts(d *wire.Decoder) map[simnet.Region]int {
+	var m map[simnet.Region]int
+	for n := d.Uvarint(); n > 0 && d.Err() == nil; n-- {
+		if m == nil {
+			m = map[simnet.Region]int{}
+		}
+		r := simnet.Region(d.Bytes())
+		m[r] = int(d.Uvarint())
+	}
+	return m
 }
 
 func appendNodes(dst []byte, ids []simnet.NodeID) []byte {

@@ -48,7 +48,7 @@ func checkEnvelopePool(t *testing.T, ep *envelopePool) {
 func TestIdleGlobalRangeLeaksNoEnvelopes(t *testing.T) {
 	h := newRecoveryHarness(t, 5, 0)
 	desc, err := h.admin.CreateRange(mvcc.Key("a"), mvcc.Key("z"),
-		zones.Placement{Voters: []simnet.NodeID{1, 2, 3}, NonVoters: []simnet.NodeID{4, 5}, Leaseholder: 1}, ClosedTSLead)
+		zones.Placement{Voters: []simnet.NodeID{1, 2, 3}, NonVoters: []simnet.NodeID{4, 5}, Leaseholder: 1}, ClosedTSLead, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

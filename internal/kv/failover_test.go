@@ -151,7 +151,7 @@ func TestFailoverLeaseAtLivenessExpiry(t *testing.T) {
 func TestBackoffWakesOnLeasePublication(t *testing.T) {
 	h := newRecoveryHarness(t, 5, 0)
 	desc := h.createRange(t, []simnet.NodeID{1, 2, 3}, 1)
-	other, err := h.admin.CreateRange(mvcc.Key("z"), nil, zones.Placement{Voters: []simnet.NodeID{2, 3, 4}, Leaseholder: 2}, ClosedTSLag)
+	other, err := h.admin.CreateRange(mvcc.Key("z"), nil, zones.Placement{Voters: []simnet.NodeID{2, 3, 4}, Leaseholder: 2}, ClosedTSLag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,8 +108,13 @@ func (a *Admin) configsMergeable(x, y RangeID) bool {
 // reject all traffic and proposals), its log is quiesced so the absorbed
 // data is complete and immutable, and finally a Merge entry in the left
 // range's log widens every left replica, copying the local right-hand data
-// at the same log position everywhere.
+// at the same log position everywhere. Only a finished colocation is
+// subsumed: one that Relocate left to finish later (finishLater) fails the
+// merge before anything is frozen, and the load queue tries again.
 func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
+	if err := a.takeOver(p, lhsID); err != nil {
+		return err
+	}
 	lhs, ok := a.Catalog.LookupByID(lhsID)
 	if !ok {
 		return fmt.Errorf("kv: unknown range %d", lhsID)
@@ -142,17 +147,16 @@ func (a *Admin) MergeRanges(p *sim.Proc, lhsID RangeID) error {
 	if err := a.Relocate(p, rhsID, colocate, rhs.Policy, nil); err != nil {
 		return err
 	}
+	if a.finishing[rhsID] != nil {
+		return fmt.Errorf("kv: r%d's colocation onto r%d is unfinished", rhsID, lhsID)
+	}
 
 	// 2. Freeze the right range.
 	rr, err := a.leaseholderReplica(rhsID)
 	if err != nil {
 		return err
 	}
-	sub := rr.command(Command{
-		Kind:     CmdSubsume,
-		Ts:       rr.store.Clock.Now().Add(rr.store.Clock.MaxOffset()),
-		ClosedTS: rr.closed.issued,
-	})
+	sub := rr.command(Command{Kind: CmdSubsume, ClosedTS: rr.closed.issued})
 	if err := rr.propose(p, sub); err != nil {
 		return err
 	}

@@ -22,7 +22,7 @@ import (
 func TestFollowerReadWaitsForCoveredWrite(t *testing.T) {
 	h := newRecoveryHarness(t, 4, 0)
 	desc, err := h.admin.CreateRange(mvcc.Key("a"), mvcc.Key("z"),
-		zones.Placement{Voters: []simnet.NodeID{1, 2, 3}, NonVoters: []simnet.NodeID{4}, Leaseholder: 1}, ClosedTSLag)
+		zones.Placement{Voters: []simnet.NodeID{1, 2, 3}, NonVoters: []simnet.NodeID{4}, Leaseholder: 1}, ClosedTSLag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

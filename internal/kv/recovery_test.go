@@ -79,7 +79,7 @@ func (h *recoveryHarness) run(t *testing.T, d sim.Duration, fn func(p *sim.Proc)
 func (h *recoveryHarness) createRange(t *testing.T, voters []simnet.NodeID, leaseholder simnet.NodeID) *RangeDescriptor {
 	t.Helper()
 	desc, err := h.admin.CreateRange(mvcc.Key("a"), mvcc.Key("z"),
-		zones.Placement{Voters: voters, Leaseholder: leaseholder}, ClosedTSLag)
+		zones.Placement{Voters: voters, Leaseholder: leaseholder}, ClosedTSLag, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

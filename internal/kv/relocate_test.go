@@ -197,7 +197,7 @@ func TestPlacementUpdateOvertakenBySplitFails(t *testing.T) {
 			t.Fatal("the split applied before the placement update was proposed")
 		}
 		placement := zones.Placement{Voters: desc.Voters, Leaseholder: 1}
-		if _, err := publishPlacement(p, r, placement, ClosedTSLead); err == nil {
+		if err := publishPlacement(p, r, placement, ClosedTSLead, nil); err == nil {
 			t.Error("a placement update proposed behind a split published")
 		}
 		return split.Wait(p)

@@ -16,6 +16,7 @@ import (
 	"mrdb/internal/raft"
 	"mrdb/internal/sim"
 	"mrdb/internal/simnet"
+	"mrdb/internal/zones"
 )
 
 // RangeID identifies a Range (one Raft group).
@@ -62,6 +63,10 @@ type RangeDescriptor struct {
 	// there (applyLeaseTransfer), and a lease that replaces it starts no
 	// lower (Replica.leaseStart).
 	LeaseStart hlc.Timestamp
+	// Config is the zone config the range is placed under, nil for none
+	// (placement checkers and the load queue skip such a range). It is
+	// never mutated: descriptors share it, and a new one replaces it.
+	Config *zones.Config
 }
 
 // ContainsKey reports whether key falls in [StartKey, EndKey).
@@ -96,7 +101,8 @@ func (d *RangeDescriptor) Replicas() []simnet.NodeID {
 	return append(append([]simnet.NodeID{}, d.Voters...), d.NonVoters...)
 }
 
-// Clone deep-copies the descriptor.
+// Clone deep-copies the descriptor but for its immutable Config, which the
+// copy shares.
 func (d *RangeDescriptor) Clone() *RangeDescriptor {
 	out := *d
 	out.StartKey = append(mvcc.Key(nil), d.StartKey...)

@@ -66,7 +66,7 @@ func TestWaitingRequestReroutesAfterSplit(t *testing.T) {
 func TestFencedLeaseholderRefreshIsAFollowerRead(t *testing.T) {
 	h := newRecoveryHarness(t, 3, 0)
 	desc, err := h.admin.CreateRange(mvcc.Key("a"), mvcc.Key("z"),
-		zones.Placement{Voters: []simnet.NodeID{1, 2, 3}, Leaseholder: 1}, ClosedTSLead)
+		zones.Placement{Voters: []simnet.NodeID{1, 2, 3}, Leaseholder: 1}, ClosedTSLead, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

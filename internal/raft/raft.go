@@ -553,6 +553,9 @@ func (n *Node) markDurable(idx uint64) {
 // IsVoter reports whether id is currently a voter.
 func (n *Node) IsVoter(id simnet.NodeID) bool { return n.voters[id] }
 
+// IsLearner reports whether id is currently a learner.
+func (n *Node) IsLearner(id simnet.NodeID) bool { return n.learners[id] && !n.voters[id] }
+
 // --- Timers ---
 
 func (n *Node) scheduleElectionCheck() {

@@ -241,11 +241,9 @@ func (s *Session) createRanges(t *Table, db *core.Database, idxs []*Index, regio
 				return err
 			}
 			start, end := IndexSpan(t, idx.ID, region)
-			desc, err := s.Cluster.Admin.CreateRange(start, end, placement, policy)
-			if err != nil {
+			if _, err := s.Cluster.Admin.CreateRange(start, end, placement, policy, &cfg); err != nil {
 				return err
 			}
-			s.Cluster.Catalog.SetZoneConfig(desc.RangeID, cfg)
 		}
 	}
 	return nil

@@ -237,16 +237,16 @@ func (a *Allocator) Allocate(cfg Config) (Placement, error) {
 	}
 
 	p := Placement{Voters: voters, NonVoters: nonVoters}
-	p.Leaseholder = a.chooseLeaseholder(cfg, voters)
+	p.Leaseholder = a.ChooseLeaseholder(cfg, voters)
 	if err := a.CheckPlacement(cfg, p); err != nil {
 		return Placement{}, err
 	}
 	return p, nil
 }
 
-// chooseLeaseholder honors lease preferences among voters; the leaseholder
+// ChooseLeaseholder honors lease preferences among voters; the leaseholder
 // must be a voter (it is normally also the Raft leader).
-func (a *Allocator) chooseLeaseholder(cfg Config, voters []simnet.NodeID) simnet.NodeID {
+func (a *Allocator) ChooseLeaseholder(cfg Config, voters []simnet.NodeID) simnet.NodeID {
 	for _, pref := range cfg.LeasePreferences {
 		for _, v := range voters {
 			l, _ := a.Topo.LocalityOf(v)
